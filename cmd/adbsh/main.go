@@ -60,7 +60,11 @@ import (
 	"strings"
 	"time"
 
-	"ptlactive"
+	"ptlactive/internal/adb"
+	"ptlactive/internal/core"
+	"ptlactive/internal/event"
+	"ptlactive/internal/ptl"
+	"ptlactive/internal/value"
 )
 
 func main() {
@@ -95,13 +99,13 @@ func main() {
 		run = r.exec
 	} else {
 		sh := &shell{
-			initial:       map[string]ptlactive.Value{},
+			initial:       map[string]value.Value{},
 			workers:       *workers,
 			dataDir:       *dataDir,
 			maxFailures:   *maxFailures,
 			sweepBudget:   *sweepBudget,
 			actionTimeout: *actionTimeout,
-			retention: ptlactive.Retention{
+			retention: adb.Retention{
 				SegmentBytes:  *segBytes,
 				KeepSnapshots: *keepSnaps,
 				HistoryWindow: *histWindow,
@@ -129,46 +133,46 @@ func main() {
 }
 
 type shell struct {
-	initial       map[string]ptlactive.Value
+	initial       map[string]value.Value
 	workers       int
 	dataDir       string
 	maxFailures   int
 	sweepBudget   int64
 	actionTimeout time.Duration
-	retention     ptlactive.Retention
-	eng           *ptlactive.Engine
+	retention     adb.Retention
+	eng           *adb.Engine
 }
 
 // engine lazily creates the engine; items set before the first rule or
 // transaction become the initial state. With -data the engine is opened
 // with Restore, so an existing directory is recovered (its initial state
 // and rules come from disk, not from this session's `item` lines).
-func (s *shell) engine() *ptlactive.Engine {
+func (s *shell) engine() *adb.Engine {
 	if s.eng == nil {
-		cfg := ptlactive.Config{
+		cfg := adb.Config{
 			Initial:         s.initial,
 			Workers:         s.workers,
 			MaxRuleFailures: s.maxFailures,
 			SweepBudget:     s.sweepBudget,
 			ActionTimeout:   s.actionTimeout,
 			Retention:       s.retention,
-			OnFiring: func(f ptlactive.Firing) {
+			OnFiring: func(f adb.Firing) {
 				if len(f.Binding) > 0 {
 					fmt.Printf("FIRE %s at %d %v\n", f.Rule, f.Time, f.Binding)
 				} else {
 					fmt.Printf("FIRE %s at %d\n", f.Rule, f.Time)
 				}
 			},
-			OnRuleFault: func(f ptlactive.RuleFault) {
+			OnRuleFault: func(f adb.RuleFault) {
 				fmt.Printf("FAULT %s at %d: %v\n", f.Rule, f.Time, f.Err)
 			},
 		}
 		if s.dataDir == "" {
-			s.eng = ptlactive.NewEngine(cfg)
+			s.eng = adb.NewEngine(cfg)
 			return s.eng
 		}
-		cfg.Durability = ptlactive.DurabilityWAL
-		eng, err := ptlactive.Restore(cfg, s.dataDir)
+		cfg.Durability = adb.DurabilityWAL
+		eng, err := adb.Restore(cfg, s.dataDir)
 		if err != nil {
 			fatal(err)
 		}
@@ -179,7 +183,7 @@ func (s *shell) engine() *ptlactive.Engine {
 }
 
 // printRecovery summarizes what Restore found on disk.
-func printRecovery(info ptlactive.RecoveryInfo) {
+func printRecovery(info adb.RecoveryInfo) {
 	if info.SnapshotLSN == 0 && info.ReplayedRecords <= 1 {
 		return
 	}
@@ -230,8 +234,8 @@ func (s *shell) exec(line string) error {
 		if err != nil {
 			return fmt.Errorf("bad time %q", fields[0])
 		}
-		updates := map[string]ptlactive.Value{}
-		var events []ptlactive.Event
+		updates := map[string]value.Value{}
+		var events []event.Event
 		for _, f := range fields[1:] {
 			if strings.HasPrefix(f, "@") {
 				ev, err := parseEvent(f)
@@ -252,7 +256,7 @@ func (s *shell) exec(line string) error {
 			updates[k] = v
 		}
 		err = s.engine().Exec(ts, updates, events...)
-		var ce *ptlactive.ConstraintError
+		var ce *adb.ConstraintError
 		if errors.As(err, &ce) {
 			fmt.Printf("ABORT at %d: %s\n", ts, ce.Constraint)
 			return nil
@@ -267,7 +271,7 @@ func (s *shell) exec(line string) error {
 		if err != nil {
 			return fmt.Errorf("bad time %q", fields[0])
 		}
-		var events []ptlactive.Event
+		var events []event.Event
 		for _, f := range fields[1:] {
 			ev, err := parseEvent(f)
 			if err != nil {
@@ -281,17 +285,28 @@ func (s *shell) exec(line string) error {
 		if !ok {
 			cond = rest
 		}
-		f, err := ptlactive.ParseCondition(strings.TrimSpace(cond))
+		f, err := ptl.Parse(strings.TrimSpace(cond))
 		if err != nil {
 			return err
 		}
+		// The answer at the newest state, by the incremental algorithm run
+		// over the retained history from its first state.
 		eng := s.engine()
-		nv := ptlactive.NewNaiveEvaluator(eng.Registry(), eng.History(), eng)
-		got, err := nv.SatLast(f, nil)
+		info, err := ptl.Check(f, eng.Registry())
 		if err != nil {
 			return err
 		}
-		fmt.Printf("eval: %t\n", got)
+		ev, err := core.CompileAuto(info, eng.Registry(), eng)
+		if err != nil {
+			return err
+		}
+		var res core.Result
+		for h, i := eng.History(), 0; i < h.Len(); i++ {
+			if res, err = ev.StepResult(h.At(i)); err != nil {
+				return err
+			}
+		}
+		fmt.Printf("eval: %t\n", res.Fired)
 		return nil
 	case "save":
 		if s.dataDir == "" {
@@ -438,20 +453,20 @@ func splitFields(s string) []string {
 }
 
 // parseEvent parses @name or @name(arg, ...).
-func parseEvent(s string) (ptlactive.Event, error) {
+func parseEvent(s string) (event.Event, error) {
 	if !strings.HasPrefix(s, "@") {
-		return ptlactive.Event{}, fmt.Errorf("event must start with @: %q", s)
+		return event.Event{}, fmt.Errorf("event must start with @: %q", s)
 	}
 	s = s[1:]
 	name, argstr, hasArgs := strings.Cut(s, "(")
 	if !hasArgs {
-		return ptlactive.NewEvent(name), nil
+		return event.New(name), nil
 	}
 	if !strings.HasSuffix(argstr, ")") {
-		return ptlactive.Event{}, fmt.Errorf("unterminated event args in %q", s)
+		return event.Event{}, fmt.Errorf("unterminated event args in %q", s)
 	}
 	argstr = strings.TrimSuffix(argstr, ")")
-	var args []ptlactive.Value
+	var args []value.Value
 	for _, a := range strings.Split(argstr, ",") {
 		a = strings.TrimSpace(a)
 		if a == "" {
@@ -459,35 +474,35 @@ func parseEvent(s string) (ptlactive.Event, error) {
 		}
 		v, err := parseValue(a)
 		if err != nil {
-			return ptlactive.Event{}, err
+			return event.Event{}, err
 		}
 		args = append(args, v)
 	}
-	return ptlactive.NewEvent(name, args...), nil
+	return event.New(name, args...), nil
 }
 
 // parseValue parses an integer, float, quoted string, bool, or bare word
 // (treated as a string).
-func parseValue(s string) (ptlactive.Value, error) {
+func parseValue(s string) (value.Value, error) {
 	if s == "" {
-		return ptlactive.Value{}, errors.New("empty value")
+		return value.Value{}, errors.New("empty value")
 	}
 	if s == "true" {
-		return ptlactive.Bool(true), nil
+		return value.NewBool(true), nil
 	}
 	if s == "false" {
-		return ptlactive.Bool(false), nil
+		return value.NewBool(false), nil
 	}
 	if i, err := strconv.ParseInt(s, 10, 64); err == nil {
-		return ptlactive.Int(i), nil
+		return value.NewInt(i), nil
 	}
 	if f, err := strconv.ParseFloat(s, 64); err == nil {
-		return ptlactive.Float(f), nil
+		return value.NewFloat(f), nil
 	}
 	if strings.HasPrefix(s, `"`) && strings.HasSuffix(s, `"`) && len(s) >= 2 {
-		return ptlactive.Str(s[1 : len(s)-1]), nil
+		return value.NewString(s[1 : len(s)-1]), nil
 	}
-	return ptlactive.Str(s), nil
+	return value.NewString(s), nil
 }
 
 func fatal(err error) {

@@ -5,12 +5,13 @@ import (
 	"strings"
 	"testing"
 
-	"ptlactive"
+	"ptlactive/internal/adb"
+	"ptlactive/internal/value"
 )
 
 func run(t *testing.T, lines ...string) *shell {
 	t.Helper()
-	sh := &shell{initial: map[string]ptlactive.Value{}}
+	sh := &shell{initial: map[string]value.Value{}}
 	for i, line := range lines {
 		if err := sh.exec(line); err != nil {
 			t.Fatalf("line %d (%q): %v", i+1, line, err)
@@ -58,7 +59,7 @@ func TestShellEmitAndEvents(t *testing.T) {
 }
 
 func TestShellErrors(t *testing.T) {
-	sh := &shell{initial: map[string]ptlactive.Value{}}
+	sh := &shell{initial: map[string]value.Value{}}
 	bad := []string{
 		`item`,               // missing args
 		`trigger x`,          // missing ::
@@ -166,7 +167,7 @@ func TestShellExport(t *testing.T) {
 }
 
 func TestShellHealthAndRevive(t *testing.T) {
-	sh := &shell{initial: map[string]ptlactive.Value{}, maxFailures: 1}
+	sh := &shell{initial: map[string]value.Value{}, maxFailures: 1}
 	for _, line := range []string{
 		`item a 1`,
 		`trigger t :: @hit`,
@@ -178,7 +179,7 @@ func TestShellHealthAndRevive(t *testing.T) {
 	}
 	// Shell triggers have nil actions, so nothing can fail; quarantine a
 	// rule through the engine to exercise the commands against real state.
-	if err := sh.eng.AddTrigger("bad", `@hit`, func(ctx *ptlactive.ActionContext) error {
+	if err := sh.eng.AddTrigger("bad", `@hit`, func(ctx *adb.ActionContext) error {
 		return errors.New("nope")
 	}); err != nil {
 		t.Fatal(err)

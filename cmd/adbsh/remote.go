@@ -9,8 +9,9 @@ import (
 	"strings"
 	"time"
 
-	"ptlactive"
 	"ptlactive/client"
+	"ptlactive/internal/adb"
+	"ptlactive/internal/event"
 	"ptlactive/internal/server/wire"
 )
 
@@ -94,7 +95,7 @@ func (r *remote) exec(line string) error {
 			tx.Set(k, v)
 		}
 		applied, err := tx.Commit()
-		var ce *ptlactive.ConstraintError
+		var ce *adb.ConstraintError
 		if errors.As(err, &ce) {
 			fmt.Printf("ABORT at %d: %s\n", ts, ce.Constraint)
 			return nil
@@ -112,7 +113,7 @@ func (r *remote) exec(line string) error {
 		if err != nil {
 			return fmt.Errorf("bad time %q", fields[0])
 		}
-		var events []ptlactive.Event
+		var events []event.Event
 		for _, f := range fields[1:] {
 			ev, err := parseEvent(f)
 			if err != nil {
@@ -260,7 +261,7 @@ func (r *remote) exec(line string) error {
 	}
 }
 
-func printFire(f ptlactive.Firing) {
+func printFire(f adb.Firing) {
 	if len(f.Binding) > 0 {
 		fmt.Printf("FIRE %s at %d %v\n", f.Rule, f.Time, f.Binding)
 	} else {

@@ -1,27 +1,31 @@
 package adb
 
 import (
+	"fmt"
 	"testing"
 
 	"ptlactive/internal/value"
 )
 
-// TestCommitAllocs is the allocation-regression gate for the commit hot
-// path. BenchmarkCommit sat at 44 allocs/op when the gate landed
-// (pooled key scratch, owned event sets, structurally-shared DBState);
-// the ceiling keeps those wins from rotting silently — an accidental
-// return to whole-map copying in history.DBState, or a new per-commit
-// map, fails this test rather than only shifting a benchmark number.
-// The workload mirrors BenchmarkCommit exactly: a two-item transaction
-// against a small rule table of eight triggers and one constraint.
-func TestCommitAllocs(t *testing.T) {
-	e := NewEngine(Config{Initial: map[string]value.Value{
-		"a": value.NewInt(0), "b": value.NewInt(0), "c": value.NewInt(0),
-	}})
-	items := []string{"a", "b", "c"}
+// commitAllocs measures allocations per commit on BenchmarkCommit's
+// workload — a two-item transaction against eight triggers and one
+// constraint — over a database of the given size. Workers is pinned to 1:
+// with more, every sweep and constraint check spawns its pool goroutines
+// (about three allocations per commit at GOMAXPROCS 2, five at 4), which is
+// the pool's cost and not the commit path's.
+func commitAllocs(t *testing.T, items int) float64 {
+	t.Helper()
+	initial := make(map[string]value.Value, items+3)
+	for _, name := range []string{"a", "b", "c"} {
+		initial[name] = value.NewInt(0)
+	}
+	for i := 0; i < items; i++ {
+		initial[fmt.Sprintf("pad%06d", i)] = value.NewInt(int64(i))
+	}
+	e := NewEngine(Config{Initial: initial, Workers: 1})
+	names := []string{"a", "b", "c"}
 	for i := 0; i < 8; i++ {
-		name := "watch" + string(rune('0'+i))
-		if err := e.AddTrigger(name, `item("`+items[i%3]+`") > 1000000`, nil); err != nil {
+		if err := e.AddTrigger(fmt.Sprintf("watch%d", i), fmt.Sprintf("item(%q) > 1000000", names[i%3]), nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -42,7 +46,28 @@ func TestCommitAllocs(t *testing.T) {
 	if failed != nil {
 		t.Fatal(failed)
 	}
-	if got > 44 {
+	return got
+}
+
+// TestCommitAllocs is the allocation-regression gate for the commit hot
+// path: BenchmarkCommit's workload sat at 44 allocs/op when the gate landed
+// (pooled key scratch, owned event sets, structurally-shared DBState), and
+// the ceiling keeps those wins from rotting silently.
+func TestCommitAllocs(t *testing.T) {
+	if got := commitAllocs(t, 0); got > 44 {
 		t.Fatalf("commit path: %.1f allocs/op, ceiling 44", got)
+	}
+}
+
+// TestCommitAllocsNoLinearTerm is the same gate without a magic number: a
+// commit over 100k items may allocate only the persistent map's few extra
+// path nodes over a commit over 1k items (depth grows with log n). An
+// accidental return to whole-map copying in history.DBState, or any other
+// per-item work on the commit path, costs thousands of allocations and
+// fails here on every toolchain and core count.
+func TestCommitAllocsNoLinearTerm(t *testing.T) {
+	small, big := commitAllocs(t, 1000), commitAllocs(t, 100000)
+	if big > small+32 {
+		t.Fatalf("commit allocations grow with the database: %.1f at 1k items, %.1f at 100k", small, big)
 	}
 }

@@ -1,19 +1,16 @@
 package adb
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"path/filepath"
 
-	"ptlactive/internal/core"
 	"ptlactive/internal/histio"
-	"ptlactive/internal/history"
 	"ptlactive/internal/persist"
 	"ptlactive/internal/ptl"
-	"ptlactive/internal/relation"
 	"ptlactive/internal/retain"
-	"ptlactive/internal/value"
 )
 
 // Durability selects the persistence mode of an engine opened with
@@ -72,13 +69,13 @@ func (e *Engine) logging() bool {
 	return e.store != nil && e.durMode != DurabilityOff && e.suppress == 0
 }
 
-// logRecord appends one record, counting it toward the next checkpoint.
-// An append or fsync failure means the durability contract is broken: the
+// logRecord appends one record, counting it toward the next checkpoint;
+// callers that skip encoding while not logging pass nil. An append or fsync failure means the durability contract is broken: the
 // engine seals into read-only degraded mode (the in-memory state stays
 // intact and readable; recovery from disk yields the committed prefix)
 // and the sealing error is returned, ErrDegraded-wrapped.
 func (e *Engine) logRecord(rec *persist.Record) error {
-	if !e.logging() {
+	if rec == nil || !e.logging() {
 		return nil
 	}
 	if _, err := e.store.Append(rec); err != nil {
@@ -105,7 +102,7 @@ func (e *Engine) execRecord(t *Txn, ts int64) (*persist.Record, error) {
 		Txn:     t.id,
 		TS:      ts,
 		Updates: updates,
-		Deletes: sortedBoolKeys(t.deletes),
+		Deletes: sortedKeys(t.deletes),
 		Events:  events,
 	}, nil
 }
@@ -129,7 +126,7 @@ func (e *Engine) Checkpoint() error {
 	if e.store == nil {
 		return fmt.Errorf("adb: Checkpoint requires a durable engine (use Restore)")
 	}
-	if err := e.healthy(); err != nil {
+	if err := e.Degraded(); err != nil {
 		return err
 	}
 	// The checkpoint's own compaction is part of the snapshot, not an
@@ -209,111 +206,6 @@ func (e *Engine) Close() error {
 	return err
 }
 
-// buildSnapshot captures the engine's full durable state: the retained
-// history window, each rule's registration and evaluator registers (the
-// bounded F_{g,i} state of Theorem 1), the firing and execution logs and
-// the tracked auxiliary relations.
-func (e *Engine) buildSnapshot() (*persist.EngineSnapshot, error) {
-	if e.inSweep {
-		return nil, fmt.Errorf("adb: snapshot during sweep")
-	}
-	if len(e.pending) > 0 {
-		return nil, fmt.Errorf("adb: snapshot with %d pending actions", len(e.pending))
-	}
-	snap := &persist.EngineSnapshot{
-		Init:      e.initRec,
-		Epoch:     e.epoch,
-		Base:      e.base,
-		Now:       e.now,
-		NextTxn:   e.nextTxn,
-		EvalSteps: e.evalSteps,
-	}
-	for i := 0; i < e.hist.Len(); i++ {
-		line, err := histio.EncodeState(e.hist.At(i))
-		if err != nil {
-			return nil, fmt.Errorf("adb: snapshot state %d: %w", i, err)
-		}
-		snap.History = append(snap.History, line)
-	}
-	for _, r := range e.rules {
-		cond, err := ptl.EncodeFormula(r.condition)
-		if err != nil {
-			return nil, fmt.Errorf("adb: snapshot rule %s: %w", r.name, err)
-		}
-		ev, err := core.EncodeEvaluatorState(r.ev)
-		if err != nil {
-			return nil, fmt.Errorf("adb: snapshot rule %s: %w", r.name, err)
-		}
-		rs := persist.RuleSnapshot{
-			Name:        r.name,
-			Cond:        cond,
-			Constraint:  r.constraint,
-			Sched:       int(r.sched),
-			Cursor:      r.cursor,
-			Eval:        ev,
-			Quarantined: r.health.quarantined,
-			ConsecFails: r.health.consecutive,
-			TotalFails:  r.health.total,
-			LastFailAt:  r.health.lastAt,
-		}
-		if r.health.lastErr != nil {
-			rs.LastFailure = r.health.lastErr.Error()
-		}
-		if r.memoValid {
-			rs.MemoValid = true
-			rs.MemoFired = r.memoFired
-			for _, b := range r.memoBindings {
-				raw, err := histio.EncodeItems(b)
-				if err != nil {
-					return nil, fmt.Errorf("adb: snapshot rule %s memo: %w", r.name, err)
-				}
-				rs.MemoBindings = append(rs.MemoBindings, raw)
-			}
-		}
-		snap.Rules = append(snap.Rules, rs)
-	}
-	for _, f := range e.firings {
-		binding, err := histio.EncodeItems(f.Binding)
-		if err != nil {
-			return nil, fmt.Errorf("adb: snapshot firing %s: %w", f.Rule, err)
-		}
-		snap.Firings = append(snap.Firings, persist.FiringSnapshot{
-			Rule:       f.Rule,
-			Binding:    binding,
-			Time:       f.Time,
-			StateIndex: f.StateIndex,
-		})
-	}
-	for _, ex := range e.execs {
-		rec := persist.ExecutionSnapshot{Rule: ex.Rule, Time: ex.Time}
-		for _, p := range ex.Params {
-			raw, err := histio.EncodeValue(p)
-			if err != nil {
-				return nil, fmt.Errorf("adb: snapshot execution %s: %w", ex.Rule, err)
-			}
-			rec.Params = append(rec.Params, raw)
-		}
-		snap.Execs = append(snap.Execs, rec)
-	}
-	for _, name := range e.trackedNames {
-		rows, last, captured := e.tracked[name].SnapshotRows()
-		aux := persist.AuxSnapshot{Item: name, LastCapture: last, Captured: captured}
-		for _, r := range rows {
-			iv := persist.IntervalJSON{Start: r.Start, End: r.End}
-			for _, v := range r.Tuple {
-				raw, err := histio.EncodeValue(v)
-				if err != nil {
-					return nil, fmt.Errorf("adb: snapshot aux %s: %w", name, err)
-				}
-				iv.Tuple = append(iv.Tuple, raw)
-			}
-			aux.Rows = append(aux.Rows, iv)
-		}
-		snap.Tracked = append(snap.Tracked, aux)
-	}
-	return snap, nil
-}
-
 // Restore opens (creating if needed) a durable engine backed by dir: it
 // loads the newest valid snapshot, replays only the WAL tail after it
 // through the normal commit and sweep path, truncates a torn final record
@@ -324,10 +216,61 @@ func (e *Engine) buildSnapshot() (*persist.EngineSnapshot, error) {
 // functions of logged rules, by name; they must be the same deterministic
 // actions for replay equivalence), OnFiring, Workers, Durability,
 // SnapshotEvery, NoFsync. The persisted init record governs the rest
-// (Initial, Start, TrackItems, DisableFastPath, CascadeLimit); for a fresh
-// directory those are taken from cfg and logged. DurabilityOff is promoted
-// to DurabilityWAL: an engine with a data directory logs.
+// (Initial, Start, TrackItems, CascadeLimit, the governance knobs and the
+// history-retention policy); for a fresh directory those are taken from
+// cfg and logged. DurabilityOff is promoted to DurabilityWAL: an engine
+// with a data directory logs.
 func Restore(cfg Config, dir string) (*Engine, error) {
+	o, err := openDir(cfg, dir)
+	if err != nil {
+		return nil, err
+	}
+	e, err := attachStore(cfg, o.eng, o.store, o.tier)
+	if err != nil {
+		o.close()
+		return nil, err
+	}
+	e.recovery = RecoveryInfo{
+		SnapshotLSN:     o.res.SnapshotLSN,
+		ReplayedRecords: o.replayed,
+		TruncatedAt:     o.res.TruncatedAt,
+		ReplayErrors:    o.replayErrs,
+	}
+	// A fresh directory already counted its init record via logRecord;
+	// replayed records are appended on top of whatever the log holds.
+	e.walSince += o.replayed
+	return e, nil
+}
+
+// opened is a durability directory opened and replayed by openDir.
+type opened struct {
+	store *persist.Store
+	res   *persist.OpenResult
+	tier  *retain.Tier // open cold tier under the spill policy, else nil
+	// eng is the engine the directory describes, its WAL tail replayed; nil
+	// for an empty directory. No store is attached, so it logs nothing.
+	eng *Engine
+	// replayed counts the WAL records consumed (the init record included);
+	// replayErrs collects per-operation replay failures.
+	replayed   int
+	replayErrs []error
+}
+
+// close releases what openDir opened, on a caller's error path.
+func (o *opened) close() {
+	if o.tier != nil {
+		o.tier.Close()
+	}
+	o.store.Close()
+}
+
+// openDir is the one open-and-replay sequence behind Restore and
+// OpenFollower: open the store, rebuild the engine from the newest snapshot
+// (else from the init record that opens the log), open the cold tier, and
+// replay the WAL tail through the normal commit and sweep path. Per-operation
+// replay failures (a rejected commit, a failed action) reproduce the logged
+// outcome — state, not errors; a malformed record is fatal.
+func openDir(cfg Config, dir string) (*opened, error) {
 	st, res, err := persist.OpenOptions(dir, persist.Options{
 		SegmentBytes:  cfg.Retention.SegmentBytes,
 		KeepSnapshots: cfg.Retention.KeepSnapshots,
@@ -338,29 +281,64 @@ func Restore(cfg Config, dir string) (*Engine, error) {
 	if cfg.NoFsync {
 		st.DisableSync()
 	}
-	var e *Engine
+	o := &opened{store: st, res: res}
 	tail := res.Tail
-	replayed := 0
 	switch {
 	case res.Snapshot != nil:
-		e, err = engineFromSnapshot(cfg, res.Snapshot)
+		o.eng, err = engineFromSnapshot(cfg, res.Snapshot)
 	case len(tail) > 0:
 		if tail[0].Kind != persist.KindInit || tail[0].Init == nil {
 			err = fmt.Errorf("adb: wal does not begin with an init record (kind %q)", tail[0].Kind)
 		} else {
-			e, err = engineFromInit(cfg, tail[0].Init)
+			o.eng, err = engineFromInit(cfg, tail[0].Init)
 			tail = tail[1:]
-			replayed = 1
+			o.replayed = 1
 		}
-	default:
-		mem := cfg
-		mem.Durability = DurabilityOff
-		e = NewEngine(mem)
-		e.actions = cfg.Actions
 	}
 	if err != nil {
-		st.Close()
+		o.close()
 		return nil, err
+	}
+	// The cold tier opens before replay: replayed commits run the same
+	// retention prunes the original engine did, and under the spill policy
+	// those spill (idempotently, by watermark) before pruning. The persisted
+	// policy decides; an empty directory has only cfg's to go by.
+	policy := cfg.Retention
+	if o.eng != nil {
+		policy = o.eng.retention
+	}
+	if policy.SpillHistory && policy.HistoryWindow > 0 {
+		if o.tier, err = retain.OpenTier(filepath.Join(dir, coldTierFile)); err != nil {
+			o.close()
+			return nil, err
+		}
+	}
+	if o.eng != nil {
+		o.eng.tier = o.tier
+	}
+	for _, rec := range tail {
+		opErr, fatal := o.eng.applyRecord(rec)
+		if fatal != nil {
+			o.close()
+			return nil, fatal
+		}
+		o.replayed++
+		if opErr != nil {
+			o.replayErrs = append(o.replayErrs, fmt.Errorf("adb: replay LSN %d: %w", rec.LSN, opErr))
+		}
+	}
+	return o, nil
+}
+
+// attachStore makes e the logging owner of st, under cfg's durability mode,
+// checkpoint period and group-commit batch; Restore and Follower.Promote
+// both end here. Over an empty log there is no engine yet (e is nil): a
+// fresh one is built from cfg and its init record opens the log.
+func attachStore(cfg Config, e *Engine, st *persist.Store, tier *retain.Tier) (*Engine, error) {
+	fresh := e == nil
+	if fresh {
+		e = newMemEngine(cfg)
+		e.tier = tier
 	}
 	e.store = st
 	e.durMode = cfg.Durability
@@ -373,238 +351,49 @@ func Restore(cfg Config, dir string) (*Engine, error) {
 	}
 	if cfg.GroupCommit > 1 {
 		if err := st.SetGroupCommit(cfg.GroupCommit); err != nil {
-			st.Close()
 			return nil, err
 		}
 	}
-	// The cold tier must be attached before replay: replayed commits run
-	// the same retention prunes the original engine did, and under the
-	// spill policy those spill (idempotently, by watermark) before pruning.
-	if e.retention.SpillHistory && e.retention.HistoryWindow > 0 {
-		tier, terr := retain.OpenTier(filepath.Join(dir, coldTierFile))
-		if terr != nil {
-			st.Close()
-			return nil, terr
-		}
-		e.tier = tier
-	}
-	if res.Snapshot == nil && replayed == 0 {
-		// Fresh directory: the init record opens the log.
+	if fresh {
 		if err := e.logRecord(&persist.Record{Kind: persist.KindInit, Init: e.initRec}); err != nil {
-			st.Close()
 			return nil, err
 		}
 	}
-	info := RecoveryInfo{SnapshotLSN: res.SnapshotLSN, TruncatedAt: res.TruncatedAt}
-	e.suppress++
-	for _, rec := range tail {
-		opErr, fatal := e.applyRecord(rec)
-		if fatal != nil {
-			e.suppress--
-			st.Close()
-			return nil, fatal
-		}
-		replayed++
-		if opErr != nil {
-			info.ReplayErrors = append(info.ReplayErrors, fmt.Errorf("adb: replay LSN %d: %w", rec.LSN, opErr))
-		}
-	}
-	e.suppress--
-	info.ReplayedRecords = replayed
-	e.recovery = info
-	// A fresh directory already counted its init record via logRecord;
-	// replayed records are appended on top of whatever the log holds.
-	e.walSince += replayed
 	return e, nil
 }
 
+// newMemEngine builds the memory engine cfg describes and hands it the
+// recovery action table; a store is attached afterwards, if at all.
+func newMemEngine(cfg Config) *Engine {
+	cfg.Durability = DurabilityOff
+	e := NewEngine(cfg)
+	e.actions = cfg.Actions
+	return e
+}
+
 // engineFromInit builds a fresh engine from a persisted init record plus
-// the runtime-only config.
+// the runtime-only config: whatever shapes behavior or query answers
+// (initial state, cascade and governance limits, the history-retention
+// policy) comes from the record; workers, callbacks, the action deadline
+// and the WAL-layout knobs stay cfg's.
 func engineFromInit(cfg Config, init *persist.InitRecord) (*Engine, error) {
 	items, err := histio.DecodeItems(init.Initial)
 	if err != nil {
 		return nil, fmt.Errorf("adb: init record: %w", err)
 	}
-	e := NewEngine(Config{
-		Registry:            cfg.Registry,
-		Initial:             items,
-		Start:               init.Start,
-		CascadeLimit:        init.CascadeLimit,
-		OnFiring:            cfg.OnFiring,
-		TrackItems:          init.TrackItems,
-		DisableFastPath:     init.DisableFast,
-		DisableReadSetIndex: init.DisableIndex,
-		Workers:             cfg.Workers,
-		// Behavior-shaping governance knobs come from the init record (like
-		// Initial and Start); wall-clock and observer knobs are runtime-only.
-		MaxRuleFailures: init.MaxRuleFailures,
-		SweepBudget:     init.SweepBudget,
-		ActionTimeout:   cfg.ActionTimeout,
-		OnRuleFault:     cfg.OnRuleFault,
-		// The history-retention policy shapes query answers, so it comes
-		// from the init record; the WAL-layout knobs are runtime-only.
-		Retention: Retention{
-			SegmentBytes:  cfg.Retention.SegmentBytes,
-			KeepSnapshots: cfg.Retention.KeepSnapshots,
-			HistoryWindow: init.HistoryWindow,
-			SpillHistory:  init.SpillHistory,
-		},
-	})
-	e.actions = cfg.Actions
-	return e, nil
+	cfg.Initial, cfg.Start, cfg.TrackItems = items, init.Start, init.TrackItems
+	cfg.CascadeLimit, cfg.MaxRuleFailures, cfg.SweepBudget = init.CascadeLimit, init.MaxRuleFailures, init.SweepBudget
+	cfg.Retention.HistoryWindow, cfg.Retention.SpillHistory = init.HistoryWindow, init.SpillHistory
+	return newMemEngine(cfg), nil
 }
 
-// engineFromSnapshot rebuilds an engine from a snapshot: history, rules
-// with their evaluator registers and cursors, firing and execution logs,
-// and the tracked auxiliary relations.
-func engineFromSnapshot(cfg Config, snap *persist.EngineSnapshot) (*Engine, error) {
-	e, err := engineFromInit(cfg, snap.Init)
-	if err != nil {
-		return nil, err
+// decodeRule validates a persisted rule registration (a WAL addrule record
+// or a snapshot entry): the condition decodes and the scheduling is known.
+func decodeRule(cond json.RawMessage, sched int) (ptl.Formula, error) {
+	if sched < int(Eager) || sched > int(Manual) {
+		return nil, fmt.Errorf("unknown scheduling %d", sched)
 	}
-	h := history.New()
-	for i, line := range snap.History {
-		st, err := histio.DecodeState(line)
-		if err != nil {
-			return nil, fmt.Errorf("adb: snapshot state %d: %w", i, err)
-		}
-		if err := h.Append(st); err != nil {
-			return nil, fmt.Errorf("adb: snapshot state %d: %w", i, err)
-		}
-	}
-	last, _ := h.Last()
-	if snap.Now != last.TS {
-		return nil, fmt.Errorf("adb: snapshot clock %d does not match last state %d", snap.Now, last.TS)
-	}
-	e.hist = h
-	// The snapshot does not carry per-state dirty sets, but they are
-	// reconstructible: diff each restored state against its predecessor.
-	// (States decoded from one snapshot share no structure, so each pair
-	// costs a sorted merge — paid once, at recovery.) Item-level read-set
-	// refinement and the dbUnchanged evaluator hint then apply to the
-	// restored window exactly as before the restart; the diff is by value,
-	// which is sound for both refinements — they only require that the
-	// items a rule reads carry the same values, not that no write touched
-	// them. The window's first state keeps an unknown dirty set: its
-	// predecessor is outside the snapshot.
-	e.dirty = make([]dirtySet, h.Len())
-	for i := 1; i < h.Len(); i++ {
-		d := dirtySet{known: true}
-		h.At(i).DB.Diff(h.At(i-1).DB, func(name string) bool {
-			d.items = append(d.items, name)
-			return true
-		})
-		e.dirty[i] = d
-	}
-	e.db = last.DB
-	e.now = snap.Now
-	// The snapshot was taken after the retention prunes up to its clock;
-	// resume the floor there so refusals pick up exactly where they stood
-	// (replayed commits advance it further via maybeRetain).
-	if w := e.retention.HistoryWindow; w > 0 {
-		e.histFloor.Store(snap.Now - w)
-	}
-	e.base = snap.Base
-	e.nextTxn = snap.NextTxn
-	e.evalSteps = snap.EvalSteps
-	e.epoch = snap.Epoch
-
-	seen := map[string]bool{}
-	for _, a := range snap.Tracked {
-		aux, ok := e.tracked[a.Item]
-		if !ok {
-			return nil, fmt.Errorf("adb: snapshot tracks unlisted item %s", a.Item)
-		}
-		if seen[a.Item] {
-			return nil, fmt.Errorf("adb: snapshot tracks %s twice", a.Item)
-		}
-		seen[a.Item] = true
-		rows := make([]relation.IntervalRow, len(a.Rows))
-		for i, r := range a.Rows {
-			tuple := make([]value.Value, len(r.Tuple))
-			for j, raw := range r.Tuple {
-				if tuple[j], err = histio.DecodeValue(raw); err != nil {
-					return nil, fmt.Errorf("adb: snapshot aux %s row %d: %w", a.Item, i, err)
-				}
-			}
-			rows[i] = relation.IntervalRow{Tuple: tuple, Start: r.Start, End: r.End}
-		}
-		if err := aux.RestoreRows(rows, a.LastCapture, a.Captured); err != nil {
-			return nil, fmt.Errorf("adb: snapshot aux %s: %w", a.Item, err)
-		}
-	}
-	if len(seen) != len(e.trackedNames) {
-		return nil, fmt.Errorf("adb: snapshot covers %d of %d tracked items", len(seen), len(e.trackedNames))
-	}
-
-	for _, rs := range snap.Rules {
-		f, err := ptl.DecodeFormula(rs.Cond)
-		if err != nil {
-			return nil, fmt.Errorf("adb: snapshot rule %s: %w", rs.Name, err)
-		}
-		if rs.Sched < int(Eager) || rs.Sched > int(Manual) {
-			return nil, fmt.Errorf("adb: snapshot rule %s: unknown scheduling %d", rs.Name, rs.Sched)
-		}
-		if err := e.add(rs.Name, f, e.actionFor(rs.Name), rs.Constraint, WithScheduling(Scheduling(rs.Sched))); err != nil {
-			return nil, err
-		}
-		r := e.index[rs.Name]
-		if err := core.RestoreEvaluatorState(r.ev, rs.Eval); err != nil {
-			return nil, fmt.Errorf("adb: snapshot rule %s: %w", rs.Name, err)
-		}
-		r.cursor = rs.Cursor
-		// The quiescent-replay memo travels with the snapshot so the
-		// recovered engine makes the same replay-vs-evaluate decisions the
-		// original would have (and so their step counts stay comparable).
-		if rs.MemoValid {
-			r.memoValid = true
-			r.memoFired = rs.MemoFired
-			for i, raw := range rs.MemoBindings {
-				items, err := histio.DecodeItems(raw)
-				if err != nil {
-					return nil, fmt.Errorf("adb: snapshot rule %s memo binding %d: %w", rs.Name, i, err)
-				}
-				r.memoBindings = append(r.memoBindings, core.Binding(items))
-			}
-		}
-		// Health travels with the snapshot: a quarantined rule stays
-		// suppressed after recovery, and the failure run resumes where it
-		// stood — replay reproduces the original run's governance decisions.
-		r.health = ruleHealth{
-			quarantined: rs.Quarantined,
-			consecutive: rs.ConsecFails,
-			total:       rs.TotalFails,
-			lastAt:      rs.LastFailAt,
-		}
-		if rs.LastFailure != "" {
-			r.health.lastErr = errors.New(rs.LastFailure)
-		}
-	}
-
-	for _, f := range snap.Firings {
-		var binding core.Binding
-		if len(f.Binding) > 0 {
-			items, err := histio.DecodeItems(f.Binding)
-			if err != nil {
-				return nil, fmt.Errorf("adb: snapshot firing %s: %w", f.Rule, err)
-			}
-			binding = core.Binding(items)
-		}
-		e.firings = append(e.firings, Firing{Rule: f.Rule, Binding: binding, Time: f.Time, StateIndex: f.StateIndex})
-	}
-	for _, ex := range snap.Execs {
-		var params []value.Value
-		for i, raw := range ex.Params {
-			v, err := histio.DecodeValue(raw)
-			if err != nil {
-				return nil, fmt.Errorf("adb: snapshot execution %s param %d: %w", ex.Rule, i, err)
-			}
-			params = append(params, v)
-		}
-		e.execs = append(e.execs, ptl.Execution{Rule: ex.Rule, Params: params, Time: ex.Time})
-	}
-	e.rebuildExecIdxLocked()
-	return e, nil
+	return ptl.DecodeFormula(cond)
 }
 
 // actionFor looks up the recovery action table.
@@ -623,12 +412,9 @@ func (e *Engine) applyRecord(rec *persist.Record) (opErr, fatal error) {
 	case persist.KindInit:
 		return nil, fmt.Errorf("adb: replay LSN %d: unexpected init record", rec.LSN)
 	case persist.KindAddRule:
-		f, err := ptl.DecodeFormula(rec.Cond)
+		f, err := decodeRule(rec.Cond, rec.Sched)
 		if err != nil {
 			return nil, fmt.Errorf("adb: replay LSN %d: %w", rec.LSN, err)
-		}
-		if rec.Sched < int(Eager) || rec.Sched > int(Manual) {
-			return nil, fmt.Errorf("adb: replay LSN %d: unknown scheduling %d", rec.LSN, rec.Sched)
 		}
 		return e.add(rec.Name, f, e.actionFor(rec.Name), rec.Constraint, WithScheduling(Scheduling(rec.Sched))), nil
 	case persist.KindExec:

@@ -2,7 +2,6 @@ package adb
 
 import (
 	"fmt"
-	"path/filepath"
 
 	"ptlactive/internal/persist"
 	"ptlactive/internal/retain"
@@ -34,7 +33,7 @@ func (e *Engine) BumpEpoch(n int64) error {
 	if e.store == nil {
 		return fmt.Errorf("adb: BumpEpoch requires a durable engine")
 	}
-	if err := e.healthy(); err != nil {
+	if err := e.Degraded(); err != nil {
 		return err
 	}
 	if cur := e.Epoch(); n <= cur {
@@ -121,68 +120,17 @@ type Follower struct {
 // Actions, OnFiring, Workers); the replicated init record governs the
 // rest.
 func OpenFollower(cfg Config, dir string) (*Follower, error) {
-	st, res, err := persist.OpenOptions(dir, persist.Options{
-		SegmentBytes:  cfg.Retention.SegmentBytes,
-		KeepSnapshots: cfg.Retention.KeepSnapshots,
-	})
+	o, err := openDir(cfg, dir)
 	if err != nil {
 		return nil, err
-	}
-	if cfg.NoFsync {
-		st.DisableSync()
-	}
-	// The follower keeps its own cold tier (spills during replay are
-	// idempotent via the tier watermark, exactly as in Restore). It opens
-	// before replay so replayed prunes can spill.
-	var tier *retain.Tier
-	if cfg.Retention.SpillHistory && cfg.Retention.HistoryWindow > 0 {
-		if tier, err = retain.OpenTier(filepath.Join(dir, coldTierFile)); err != nil {
-			st.Close()
-			return nil, err
-		}
-	}
-	var e *Engine
-	tail := res.Tail
-	switch {
-	case res.Snapshot != nil:
-		e, err = engineFromSnapshot(cfg, res.Snapshot)
-	case len(tail) > 0:
-		if tail[0].Kind != persist.KindInit || tail[0].Init == nil {
-			err = fmt.Errorf("adb: follower wal does not begin with an init record (kind %q)", tail[0].Kind)
-		} else {
-			e, err = engineFromInit(cfg, tail[0].Init)
-			tail = tail[1:]
-		}
-	}
-	if err != nil {
-		if tier != nil {
-			tier.Close()
-		}
-		st.Close()
-		return nil, err
-	}
-	if e != nil {
-		e.tier = tier
-	}
-	for _, rec := range tail {
-		// Per-operation failures replay the primary's own logged outcome
-		// (a rejected commit, a failed action) — they are state, not
-		// errors; malformed records are fatal exactly as in Restore.
-		if _, fatal := e.applyRecord(rec); fatal != nil {
-			if tier != nil {
-				tier.Close()
-			}
-			st.Close()
-			return nil, fatal
-		}
 	}
 	return &Follower{
 		cfg:     cfg,
-		store:   st,
-		tier:    tier,
-		eng:     e,
-		lastLSN: st.LastLSN(),
-		epoch:   res.Epoch,
+		store:   o.store,
+		tier:    o.tier,
+		eng:     o.eng,
+		lastLSN: o.store.LastLSN(),
+		epoch:   o.res.Epoch,
 	}, nil
 }
 
@@ -316,38 +264,14 @@ func (f *Follower) Promote(newEpoch int64) (*Engine, error) {
 	if newEpoch <= f.epoch {
 		return nil, fmt.Errorf("adb: promotion epoch %d does not exceed follower epoch %d", newEpoch, f.epoch)
 	}
-	fresh := false
-	if f.eng == nil {
-		if f.lastLSN != 0 {
-			return nil, fmt.Errorf("adb: follower has %d records but no engine", f.lastLSN)
-		}
-		mem := f.cfg
-		mem.Durability = DurabilityOff
-		f.eng = NewEngine(mem)
-		f.eng.actions = f.cfg.Actions
-		f.eng.tier = f.tier
-		fresh = true
+	if f.eng == nil && f.lastLSN != 0 {
+		return nil, fmt.Errorf("adb: follower has %d records but no engine", f.lastLSN)
 	}
-	e := f.eng
-	e.store = f.store
-	e.durMode = f.cfg.Durability
-	if e.durMode == DurabilityOff {
-		e.durMode = DurabilityWAL
+	e, err := attachStore(f.cfg, f.eng, f.store, f.tier)
+	if err != nil {
+		return nil, err
 	}
-	e.snapEvery = f.cfg.SnapshotEvery
-	if e.snapEvery <= 0 {
-		e.snapEvery = 64
-	}
-	if f.cfg.GroupCommit > 1 {
-		if err := f.store.SetGroupCommit(f.cfg.GroupCommit); err != nil {
-			return nil, err
-		}
-	}
-	if fresh {
-		if err := e.logRecord(&persist.Record{Kind: persist.KindInit, Init: e.initRec}); err != nil {
-			return nil, err
-		}
-	}
+	f.eng = e
 	e.mu.Lock()
 	e.epoch = f.epoch
 	e.mu.Unlock()
@@ -358,37 +282,15 @@ func (f *Follower) Promote(newEpoch int64) (*Engine, error) {
 	return e, nil
 }
 
-// Storage reports the follower's storage footprint: persistence stats
-// from its own store plus the retention fields from the replayed engine
-// (which has no store attached until promotion, so Engine().Storage()
-// alone would report zero persistence fields).
+// Storage reports the follower's storage footprint: its own store and cold
+// tier plus the replayed engine's retention fields (the engine has no store
+// attached until promotion, so Engine().Storage() alone would report zero
+// persistence fields).
 func (f *Follower) Storage() (StorageStats, error) {
 	if f.promoted {
 		return StorageStats{}, fmt.Errorf("adb: follower was promoted; query the engine")
 	}
-	st, err := f.store.Stats()
-	if err != nil {
-		return StorageStats{}, err
-	}
-	out := StorageStats{
-		Segments:      st.Segments,
-		WALBytes:      st.WALBytes,
-		Snapshots:     st.Snapshots,
-		SnapshotBytes: st.SnapshotBytes,
-		HeadLSN:       st.HeadLSN,
-		LastLSN:       st.LastLSN,
-	}
-	if f.eng != nil {
-		if w := f.eng.retention.HistoryWindow; w > 0 {
-			out.HistoryWindow = w
-			out.HistoryFloor = f.eng.histFloor.Load()
-		}
-		out.SpillHistory = f.eng.retention.SpillHistory
-	}
-	if f.tier != nil {
-		out.TierRows, out.TierBytes = f.tier.Stats()
-	}
-	return out, nil
+	return storageStats(f.store, f.eng, f.tier)
 }
 
 // Close releases the follower's store and cold tier; after promotion the
@@ -397,10 +299,7 @@ func (f *Follower) Close() error {
 	if f.promoted {
 		return nil
 	}
-	if f.eng != nil {
-		// The engine never had the store attached; close just the store.
-		f.eng = nil
-	}
+	// The engine never had the store attached; close just the store.
 	err := f.store.Close()
 	if f.tier != nil {
 		if terr := f.tier.Close(); err == nil {

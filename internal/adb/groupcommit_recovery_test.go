@@ -1,9 +1,13 @@
 package adb
 
 import (
-	"reflect"
+	"bytes"
+	"errors"
+	"os"
+	"path/filepath"
 	"testing"
 
+	"ptlactive/internal/event"
 	"ptlactive/internal/value"
 )
 
@@ -207,42 +211,82 @@ func TestMemoSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-// TestDisableIndexSurvivesRestore: the index switch is part of the init
-// record, so a restored engine honors the original setting even when the
-// restoring configuration omits it.
-func TestDisableIndexSurvivesRestore(t *testing.T) {
-	dir := t.TempDir()
-	cfg := Config{
-		Initial:             map[string]value.Value{"a": value.NewInt(0)},
-		Durability:          DurabilityWAL,
-		NoFsync:             true,
-		DisableReadSetIndex: true,
-	}
-	e1, err := Restore(cfg, dir)
+// TestOldLogWithAblationFlagsRestores: the init record no longer carries
+// the nofast/noindex ablation flags, but logs written while it did must
+// still open. The fixture is a WAL written by the last commit that had
+// Config.DisableFastPath and DisableReadSetIndex, with both set; it restores
+// onto the one engine there now is — fast path, indexed sweep — and yields
+// the firing stream that engine produces when driven through the same
+// operations live (firings never depended on either flag).
+func TestOldLogWithAblationFlagsRestores(t *testing.T) {
+	const fixture = "testdata/wal_nofast_noindex/wal.000001"
+	raw, err := os.ReadFile(fixture)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e1.AddTrigger("r", `item("a") > 5`, nil, WithScheduling(Relevant)); err != nil {
+	if !bytes.Contains(raw, []byte(`"nofast":true,"noindex":true`)) {
+		t.Fatalf("%s does not carry the old flags", fixture)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "wal.000001"), raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := e1.Close(); err != nil {
+	old, err := Restore(Config{NoFsync: true}, dir)
+	if err != nil {
 		t.Fatal(err)
+	}
+	defer old.Close()
+	if errs := old.Recovery().ReplayErrors; len(errs) != 0 {
+		t.Fatalf("replay errors: %v", errs)
+	}
+	if old.coarse {
+		t.Fatal("an old noindex log restored a coarse engine")
+	}
+	if r := old.index["high"]; r.class != classQuiescent {
+		t.Fatalf("restored rule class = %d, want the indexed classification", r.class)
 	}
 
-	cfg2 := cfg
-	cfg2.DisableReadSetIndex = false
-	e2, err := Restore(cfg2, dir)
-	if err != nil {
-		t.Fatal(err)
+	// The script the fixture was written from.
+	live := NewEngine(Config{
+		Initial:    map[string]value.Value{"a": value.NewInt(0), "b": value.NewInt(0)},
+		TrackItems: []string{"a"},
+	})
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
-	defer e2.Close()
-	if !e2.noIndex {
-		t.Fatal("DisableReadSetIndex lost across restore")
+	must(live.AddTrigger("high", `item("a") > 5`, nil, WithScheduling(Relevant)))
+	must(live.AddTrigger("ping", `@ping and item("b") > 2`, nil, WithScheduling(Relevant)))
+	must(live.AddTrigger("rose", `[x <- item("a")] previously <= 6 (item("a") < x)`, nil))
+	must(live.AddTrigger("since", `item("b") >= 3 since @ping`, nil, WithScheduling(Relevant)))
+	must(live.AddConstraint("cap", `item("a") <= 9`))
+	rejected := 0
+	for ts := int64(1); ts <= 40; ts++ {
+		switch ts % 5 {
+		case 0:
+			must(live.Emit(ts, event.New("ping")))
+		case 3:
+			if err := live.Exec(ts, map[string]value.Value{"a": value.NewInt((ts * 3) % 13)}); err != nil {
+				if !errors.Is(err, ErrConstraintViolation) {
+					t.Fatal(err)
+				}
+				rejected++
+			}
+		default:
+			must(live.Exec(ts, map[string]value.Value{"b": value.NewInt(ts % 6), "a": value.NewInt(ts % 8)}))
+		}
 	}
-	if r := e2.index["r"]; r.class != classExact {
-		t.Fatalf("restored rule class = %d, want classExact under a disabled index", r.class)
+	if rejected == 0 || len(live.Firings()) == 0 {
+		t.Fatalf("script exercises nothing: %d rejections, %d firings", rejected, len(live.Firings()))
 	}
-	if !reflect.DeepEqual(e2.itemIndex, map[string][]*rule{}) && len(e2.itemIndex) != 0 {
-		t.Fatalf("item index populated on a disabled-index engine: %v", e2.itemIndex)
+	if !firingsEqual(live.Firings(), old.Firings()) {
+		t.Fatalf("firings diverge:\n live: %v\n old log: %v", live.Firings(), old.Firings())
 	}
+	if !live.DB().Equal(old.DB()) || live.Now() != old.Now() {
+		t.Fatal("database or clock diverge")
+	}
+	// And the restored engine keeps logging in today's format.
+	must(old.Exec(41, map[string]value.Value{"a": value.NewInt(7)}))
 }

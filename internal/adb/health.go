@@ -94,7 +94,7 @@ func (e *Engine) QuarantinedRules() []string {
 // same point during recovery, and a degraded engine refuses it like any
 // other mutator.
 func (e *Engine) ReviveRule(name string) error {
-	if err := e.healthy(); err != nil {
+	if err := e.Degraded(); err != nil {
 		return err
 	}
 	e.mu.Lock()
@@ -107,14 +107,6 @@ func (e *Engine) ReviveRule(name string) error {
 	r.health.consecutive = 0
 	e.mu.Unlock()
 	return e.logRecord(&persist.Record{Kind: persist.KindRevive, Name: name})
-}
-
-// isQuarantined reads the breaker state under the lock (ReviveRule may be
-// called concurrently with a sweep's reader accessors).
-func (e *Engine) isQuarantined(r *rule) bool {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return r.health.quarantined
 }
 
 // recordFailure notes one isolated action failure and trips the circuit

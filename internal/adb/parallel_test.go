@@ -1,6 +1,7 @@
 package adb
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -225,14 +226,10 @@ func TestParallelFiringEquivalence(t *testing.T) {
 		if sn, pn := seq.Now(), par.Now(); sn != pn {
 			t.Fatalf("trial %d: clocks diverge: %d vs %d", trial, sn, pn)
 		}
-		// Step counts match exactly only without constraints: on an
-		// aborted commit the sequential path short-circuits at the first
-		// violated constraint while the parallel path evaluates all of
-		// them (a documented divergence — see DESIGN.md).
-		if !withConstraints {
-			if ss, ps := seq.EvalSteps(), par.EvalSteps(); ss != ps {
-				t.Fatalf("trial %d: eval step counts diverge: %d vs %d", trial, ss, ps)
-			}
+		// Step counts match with constraints too: a rejected commit steps
+		// every constraint at every worker count.
+		if ss, ps := seq.EvalSteps(), par.EvalSteps(); ss != ps {
+			t.Fatalf("trial %d: eval step counts diverge: %d vs %d", trial, ss, ps)
 		}
 		if !seq.DB().Equal(par.DB()) {
 			t.Fatalf("trial %d: final databases diverge: %v vs %v", trial, seq.DB(), par.DB())
@@ -266,6 +263,45 @@ func TestParallelConstraintAbortOrder(t *testing.T) {
 		if ce.Constraint != "c1" {
 			t.Fatalf("round %d: violation attributed to %s, want c1 (first in rule order)", round, ce.Constraint)
 		}
+	}
+}
+
+// TestRejectedCommitStepsWorkerIndependent: a commit the first of six
+// constraints rejects costs the same evaluator steps at one worker and at
+// four (the sequential check used to stop at the violator and count fewer),
+// so the persisted step counter — and with it the snapshot bytes — does not
+// depend on the worker count.
+func TestRejectedCommitStepsWorkerIndependent(t *testing.T) {
+	run := func(workers int) (int64, []byte) {
+		e := NewEngine(Config{Initial: map[string]value.Value{"a": value.NewInt(0)}, Workers: workers})
+		for i := 0; i < 6; i++ {
+			if err := e.AddConstraint(fmt.Sprintf("c%d", i), fmt.Sprintf(`not (item("a") > %d)`, 10+i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := e.Exec(1, map[string]value.Value{"a": value.NewInt(5)}); err != nil {
+			t.Fatal(err)
+		}
+		var ce *ConstraintError
+		if err := e.Exec(2, map[string]value.Value{"a": value.NewInt(50)}); !errors.As(err, &ce) || ce.Constraint != "c0" {
+			t.Fatalf("workers=%d: want rejection by c0, got %v", workers, err)
+		}
+		if err := e.Exec(3, map[string]value.Value{"a": value.NewInt(7)}); err != nil {
+			t.Fatal(err)
+		}
+		var snap bytes.Buffer
+		if err := e.SaveSnapshot(&snap); err != nil {
+			t.Fatal(err)
+		}
+		return e.EvalSteps(), snap.Bytes()
+	}
+	steps1, snap1 := run(1)
+	steps4, snap4 := run(4)
+	if steps1 != steps4 {
+		t.Fatalf("EvalSteps depends on Workers: %d at 1, %d at 4", steps1, steps4)
+	}
+	if !bytes.Equal(snap1, snap4) {
+		t.Fatalf("snapshot bytes depend on Workers:\n 1: %s\n 4: %s", snap1, snap4)
 	}
 }
 

@@ -156,13 +156,10 @@ func TestClassifyConstraint(t *testing.T) {
 }
 
 func TestClassifyDisabledIndex(t *testing.T) {
-	e := NewEngine(Config{
-		Initial:             map[string]value.Value{"a": value.NewInt(1)},
-		DisableReadSetIndex: true,
-	})
+	e := NewCoarseEngine(Config{Initial: map[string]value.Value{"a": value.NewInt(1)}})
 	r := addRule(t, e, "r", `item("a") > 2`)
 	if r.class != classExact {
-		t.Fatalf("DisableReadSetIndex engine classified %d, want classExact", r.class)
+		t.Fatalf("coarse engine classified %d, want classExact", r.class)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"ptlactive/internal/histio"
+	"ptlactive/internal/persist"
 	"ptlactive/internal/retain"
 	"ptlactive/internal/value"
 )
@@ -169,14 +170,8 @@ func (e *Engine) pruneAux(horizon int64) error {
 // segment and snapshot accounting plus the retention policy's view of the
 // history tiers. Memory engines report zero persistence fields.
 type StorageStats struct {
-	// Segments, WALBytes, Snapshots, SnapshotBytes, HeadLSN and LastLSN
-	// mirror persist.StorageStats.
-	Segments      int
-	WALBytes      int64
-	Snapshots     int
-	SnapshotBytes int64
-	HeadLSN       int64
-	LastLSN       int64
+	// Segments, WALBytes, Snapshots, SnapshotBytes, HeadLSN and LastLSN.
+	persist.StorageStats
 	// HistoryWindow and HistoryFloor describe the hot window; both are 0
 	// when no window is configured.
 	HistoryWindow int64
@@ -191,27 +186,28 @@ type StorageStats struct {
 // Storage reports the engine's storage footprint. Like Checkpoint it runs
 // at the engine owner's serialization point (the persist layer is not
 // synchronized against concurrent appends).
-func (e *Engine) Storage() (StorageStats, error) {
+func (e *Engine) Storage() (StorageStats, error) { return storageStats(e.store, e, e.tier) }
+
+// storageStats assembles the footprint of a store (nil for memory engines),
+// the engine replayed from it (nil on a follower before the primary's init
+// frame) and the cold tier (nil without one).
+func storageStats(store *persist.Store, e *Engine, tier *retain.Tier) (StorageStats, error) {
 	var out StorageStats
-	if e.store != nil {
-		st, err := e.store.Stats()
-		if err != nil {
+	if store != nil {
+		var err error
+		if out.StorageStats, err = store.Stats(); err != nil {
 			return out, err
 		}
-		out.Segments = st.Segments
-		out.WALBytes = st.WALBytes
-		out.Snapshots = st.Snapshots
-		out.SnapshotBytes = st.SnapshotBytes
-		out.HeadLSN = st.HeadLSN
-		out.LastLSN = st.LastLSN
 	}
-	if e.retention.HistoryWindow > 0 {
-		out.HistoryWindow = e.retention.HistoryWindow
-		out.HistoryFloor = e.histFloor.Load()
+	if e != nil {
+		if w := e.retention.HistoryWindow; w > 0 {
+			out.HistoryWindow = w
+			out.HistoryFloor = e.histFloor.Load()
+		}
+		out.SpillHistory = e.retention.SpillHistory
 	}
-	out.SpillHistory = e.retention.SpillHistory
-	if e.tier != nil {
-		out.TierRows, out.TierBytes = e.tier.Stats()
+	if tier != nil {
+		out.TierRows, out.TierBytes = tier.Stats()
 	}
 	return out, nil
 }

@@ -43,6 +43,15 @@ func randomIndexParams(seed int64, rules int, withConstraints bool) engineParams
 	return p
 }
 
+// newEngine builds the indexed engine or, for the reference arm, the coarse
+// one.
+func newEngine(cfg Config, coarse bool) *Engine {
+	if coarse {
+		return NewCoarseEngine(cfg)
+	}
+	return NewEngine(cfg)
+}
+
 // ruleCursors snapshots every rule's evaluator position.
 func ruleCursors(e *Engine) map[string]int {
 	out := map[string]int{}
@@ -70,9 +79,7 @@ func TestIndexedSweepEquivalence(t *testing.T) {
 		withConstraints := trial%2 == 0
 		p := randomIndexParams(seed, rules, withConstraints)
 		mk := func(workers int, noIndex bool) *Engine {
-			cfg := p.config(workers)
-			cfg.DisableReadSetIndex = noIndex
-			e := NewEngine(cfg)
+			e := newEngine(p.config(workers), noIndex)
 			p.register(t, e)
 			driveRandomHistory(t, e, seed*31, rules, states)
 			return e
@@ -112,7 +119,7 @@ func TestIndexedSweepSkipsSteps(t *testing.T) {
 		for i := 0; i < 40; i++ {
 			initial[fmt.Sprintf("i%d", i)] = value.NewInt(0)
 		}
-		e := NewEngine(Config{Initial: initial, DisableReadSetIndex: noIndex})
+		e := newEngine(Config{Initial: initial}, noIndex)
 		for i := 0; i < 40; i++ {
 			cond := fmt.Sprintf(`item("i%d") > 10`, i)
 			if err := e.AddTrigger(fmt.Sprintf("r%d", i), cond, nil, WithScheduling(Relevant)); err != nil {
@@ -145,12 +152,9 @@ func TestIndexedSweepSkipsSteps(t *testing.T) {
 // to re-evaluation.
 func TestQuiescentMemoReplayFirings(t *testing.T) {
 	mk := func(noIndex bool) *Engine {
-		e := NewEngine(Config{
-			Initial: map[string]value.Value{
-				"a": value.NewInt(0), "other": value.NewInt(0),
-			},
-			DisableReadSetIndex: noIndex,
-		})
+		e := newEngine(Config{Initial: map[string]value.Value{
+			"a": value.NewInt(0), "other": value.NewInt(0),
+		}}, noIndex)
 		if err := e.AddTrigger("watch", `item("a") > 10`, nil, WithScheduling(Relevant)); err != nil {
 			t.Fatal(err)
 		}

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"ptlactive/internal/core"
 	"ptlactive/internal/event"
 	"ptlactive/internal/ptlgen"
 	"ptlactive/internal/value"
@@ -180,11 +181,8 @@ func TestCompactWithLaggingRule(t *testing.T) {
 // TestFastPathMatchesGeneralInEngine: the engine's automatic fast-path
 // selection for decomposable rules never changes observable behavior.
 func TestFastPathMatchesGeneralInEngine(t *testing.T) {
-	run := func(disable bool) map[string]int {
-		e := NewEngine(Config{
-			Initial:         map[string]value.Value{"a": value.NewInt(0)},
-			DisableFastPath: disable,
-		})
+	run := func(general bool) map[string]int {
+		e := NewEngine(Config{Initial: map[string]value.Value{"a": value.NewInt(0)}})
 		conds := []string{
 			`@e0 since @e1(1)`,
 			`previously <= 4 (item("a") > 6)`,
@@ -197,6 +195,17 @@ func TestFastPathMatchesGeneralInEngine(t *testing.T) {
 		}
 		if err := e.AddConstraint("cap", `item("a") <= 9`); err != nil {
 			t.Fatal(err)
+		}
+		if general {
+			// Swap every rule onto the general constraint-graph evaluator,
+			// before any state has been stepped.
+			for _, r := range e.rules {
+				ev, err := core.New(r.info, e.reg, e)
+				if err != nil {
+					t.Fatal(err)
+				}
+				r.ev, r.hinted = ev, ev
+			}
 		}
 		rng := rand.New(rand.NewSource(77))
 		for ts := int64(1); ts <= 60; ts++ {

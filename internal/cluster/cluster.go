@@ -567,9 +567,9 @@ func (f *Front) Health() ([]wire.HealthJSON, string, error) {
 	return out, strings.Join(degraded, "; "), nil
 }
 
-// Storage implements server.StorageBackend by summing the shards'
-// footprints: sizes and counts add; HeadLsn/LastLsn report the max across
-// shards (per-shard positions are independent sequences). The history
+// Storage sums the shards' footprints: sizes and counts add; HeadLsn and
+// LastLsn report the max across shards (per-shard positions are
+// independent sequences). The history
 // fields take the most conservative cluster-wide view — the largest
 // window and floor, with SpillHistory true only when every windowed shard
 // spills (only then is a cold read below the floor servable everywhere).
@@ -577,13 +577,7 @@ func (f *Front) Storage() (wire.StorageJSON, error) {
 	var out wire.StorageJSON
 	spill := true
 	for i, sh := range f.shards {
-		sb, ok := sh.(interface {
-			Storage() (wire.StorageJSON, error)
-		})
-		if !ok {
-			return wire.StorageJSON{}, fmt.Errorf("cluster: shard %d does not report storage", i)
-		}
-		st, err := sb.Storage()
+		st, err := sh.Storage()
 		if err != nil {
 			return wire.StorageJSON{}, fmt.Errorf("cluster: shard %d: %w", i, err)
 		}

@@ -29,6 +29,7 @@ type Shard interface {
 	Items() (map[string]value.Value, error)
 	Rules() ([]wire.RuleJSON, error)
 	Health() ([]wire.HealthJSON, string, error)
+	Storage() (wire.StorageJSON, error)
 	Follow(fn func(server.FiringEvent)) error
 	Barrier()
 	Close() error

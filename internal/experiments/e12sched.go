@@ -16,16 +16,14 @@ import (
 // rules and replays the memoized outcome for the rest; the coarse filter
 // evaluates every database-reading rule at every commit. It returns the
 // evaluator steps, the wall time, and the firing log for the equivalence
-// check.
-func SchedIndexRun(rules, commits, touch int, noIndex bool) (steps int64, dur time.Duration, firings []adb.Firing) {
+// check. newEngine picks the arm: adb.NewEngine, or adb.NewCoarseEngine —
+// a memory-only constructor, not a Config option, and never persisted.
+func SchedIndexRun(rules, commits, touch int, newEngine func(adb.Config) *adb.Engine) (steps int64, dur time.Duration, firings []adb.Firing) {
 	initial := make(map[string]value.Value, rules)
 	for i := 0; i < rules; i++ {
 		initial[fmt.Sprintf("i%d", i)] = value.NewInt(0)
 	}
-	eng := adb.NewEngine(adb.Config{
-		Initial:             initial,
-		DisableReadSetIndex: noIndex,
-	})
+	eng := newEngine(adb.Config{Initial: initial})
 	for i := 0; i < rules; i++ {
 		cond := fmt.Sprintf(`item("i%d") > 100`, i)
 		if err := eng.AddTrigger(fmt.Sprintf("r%d", i), cond, nil, adb.WithScheduling(adb.Relevant)); err != nil {
@@ -72,8 +70,8 @@ func E12ReadSetIndex(quick bool) Table {
 			"evaluates only the touched ones and replays the memoized outcome for the rest. " +
 			"Firings are verified identical between the two runs.",
 	}
-	is, id, ifir := SchedIndexRun(rules, commits, touch, false)
-	cs, cd, cfir := SchedIndexRun(rules, commits, touch, true)
+	is, id, ifir := SchedIndexRun(rules, commits, touch, adb.NewEngine)
+	cs, cd, cfir := SchedIndexRun(rules, commits, touch, adb.NewCoarseEngine)
 	if len(ifir) != len(cfir) {
 		panic(fmt.Sprintf("E12: indexed run fired %d times, coarse %d", len(ifir), len(cfir)))
 	}

@@ -3,7 +3,6 @@ package persist
 import (
 	"encoding/json"
 	"errors"
-	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -265,32 +264,5 @@ func TestSetGroupCommitFlushesPending(t *testing.T) {
 	}
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestInitRecordDisableIndexRoundTrip checks the scheduling-index flag
-// survives the WAL.
-func TestInitRecordDisableIndexRoundTrip(t *testing.T) {
-	for _, disabled := range []bool{false, true} {
-		t.Run(fmt.Sprintf("disabled=%v", disabled), func(t *testing.T) {
-			dir := t.TempDir()
-			st, _, err := Open(dir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := st.Append(&Record{Kind: KindInit, Init: &InitRecord{Start: 0, DisableIndex: disabled}}); err != nil {
-				t.Fatal(err)
-			}
-			if err := st.Close(); err != nil {
-				t.Fatal(err)
-			}
-			recs := reopenRecords(t, dir)
-			if len(recs) != 1 || recs[0].Init == nil {
-				t.Fatalf("bad replay: %+v", recs)
-			}
-			if recs[0].Init.DisableIndex != disabled {
-				t.Fatalf("DisableIndex = %v, want %v", recs[0].Init.DisableIndex, disabled)
-			}
-		})
 	}
 }

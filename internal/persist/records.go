@@ -44,18 +44,14 @@ const (
 // InitRecord carries the Config parameters that shape observable engine
 // behavior. Runtime-only knobs (Workers, OnFiring, Registry) are not
 // persisted: the engine's results are independent of the worker count by
-// construction, and callbacks/queries are re-supplied at restore.
+// construction, and callbacks/queries are re-supplied at restore. Logs
+// written while the record carried the nofast/noindex ablation flags still
+// decode: unknown keys are ignored, and firings never depended on either.
 type InitRecord struct {
-	Initial     map[string]json.RawMessage `json:"initial,omitempty"`
-	Start       int64                      `json:"start"`
-	TrackItems  []string                   `json:"track,omitempty"`
-	DisableFast bool                       `json:"nofast,omitempty"`
-	// DisableIndex (Config.DisableReadSetIndex) changes which states each
-	// rule's evaluator actually steps, so replay must match; logs written
-	// before the index existed decode to false, the indexed default, and
-	// replay equivalently because firings are index-independent.
-	DisableIndex bool `json:"noindex,omitempty"`
-	CascadeLimit int  `json:"cascade,omitempty"`
+	Initial      map[string]json.RawMessage `json:"initial,omitempty"`
+	Start        int64                      `json:"start"`
+	TrackItems   []string                   `json:"track,omitempty"`
+	CascadeLimit int                        `json:"cascade,omitempty"`
 	// MaxRuleFailures and SweepBudget shape which actions run and which
 	// sweeps fail, so replay must use the original values; both are
 	// omitted (and decode to "disabled") in logs written before they

@@ -21,6 +21,10 @@ import (
 // EngineBackend pipeline plus Shipper take over — with firing sequence
 // continuity, since both sides number firings by absolute log index.
 type Node struct {
+	// Reads answers Now, Items, Firings, Rules and Health from the node's
+	// current engine in either role (see engine).
+	server.Reads
+
 	mu  sync.Mutex // serializes apply, promote, and follower-side reads
 	cfg adb.Config
 	fol *adb.Follower
@@ -55,6 +59,7 @@ type Node struct {
 // node's own client address, reported once promoted.
 func NewFollower(cfg adb.Config, dir, primary, advertise string) (*Node, error) {
 	n := &Node{leader: primary, advertise: advertise}
+	n.Reads = server.ReadsOf(n.engine)
 	cfg.OnFiring = n.fired
 	fol, err := adb.OpenFollower(cfg, dir)
 	if err != nil {
@@ -74,6 +79,7 @@ func NewFollower(cfg adb.Config, dir, primary, advertise string) (*Node, error) 
 // accepted, replication served. advertise is this node's client address.
 func NewPrimary(be *server.EngineBackend, advertise string) *Node {
 	n := &Node{be: be, shipper: NewShipper(be), advertise: advertise, leader: advertise}
+	n.Reads = server.ReadsOf(n.engine)
 	n.promoted.Store(true)
 	n.live.Store(true)
 	return n
@@ -127,7 +133,7 @@ func (n *Node) Bootstrap(data []byte, lsn int64) error {
 	return nil
 }
 
-// Storage implements server.StorageBackend for either role.
+// Storage answers from the follower's own store, or the backend once primary.
 func (n *Node) Storage() (wire.StorageJSON, error) {
 	if n.promoted.Load() {
 		return n.be.Storage()
@@ -313,76 +319,7 @@ func (n *Node) SyncFirings(from int, fn func(int, []server.FiringEvent)) {
 		return
 	}
 	defer n.mu.Unlock()
-	var fs []adb.Firing
-	if eng := n.fol.Engine(); eng != nil {
-		fs = eng.Firings()
-	}
-	if from < 0 {
-		from = 0
-	}
-	if from > len(fs) {
-		from = len(fs)
-	}
-	backlog := make([]server.FiringEvent, 0, len(fs)-from)
-	for i := from; i < len(fs); i++ {
-		backlog = append(backlog, server.FiringEvent{F: fs[i], Seq: i})
-	}
-	fn(from, backlog)
-}
-
-func (n *Node) Now() int64 {
-	if eng := n.engine(); eng != nil {
-		return eng.Now()
-	}
-	return 0
-}
-
-func (n *Node) Items() (map[string]value.Value, error) {
-	eng := n.engine()
-	items := map[string]value.Value{}
-	if eng == nil {
-		return items, nil
-	}
-	db := eng.DB()
-	db.Range(func(name string, v value.Value) bool {
-		items[name] = v
-		return true
-	})
-	return items, nil
-}
-
-func (n *Node) Firings(from int) ([]server.FiringEvent, error) {
-	var fs []adb.Firing
-	if eng := n.engine(); eng != nil {
-		fs = eng.Firings()
-	}
-	if from < 0 {
-		from = 0
-	}
-	if from > len(fs) {
-		from = len(fs)
-	}
-	out := make([]server.FiringEvent, 0, len(fs)-from)
-	for i := from; i < len(fs); i++ {
-		out = append(out, server.FiringEvent{F: fs[i], Seq: i})
-	}
-	return out, nil
-}
-
-func (n *Node) Rules() ([]wire.RuleJSON, error) {
-	eng := n.engine()
-	if eng == nil {
-		return nil, nil
-	}
-	return server.EngineRules(eng)
-}
-
-func (n *Node) Health() ([]wire.HealthJSON, string, error) {
-	eng := n.engine()
-	if eng == nil {
-		return nil, "", nil
-	}
-	return server.EngineHealth(eng)
+	fn(server.Backlog(n.fol.Engine(), from))
 }
 
 func (n *Node) Barrier() {

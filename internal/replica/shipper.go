@@ -1,5 +1,5 @@
 // Package replica implements WAL-shipping replication and lease-based
-// failover for the active-database server (DESIGN.md §4i): a primary
+// failover for the active-database server (DESIGN.md §4.6): a primary
 // engine's group-commit WAL batches — already byte-stable at every batch
 // size — stream over the wire protocol to follower engines that persist
 // them verbatim and replay them through the recovery path, so each

@@ -70,6 +70,10 @@ type Backend interface {
 	Rules() ([]wire.RuleJSON, error)
 	// Health lists per-rule health and the degraded cause ("" if healthy).
 	Health() ([]wire.HealthJSON, string, error)
+	// Storage reports the storage footprint behind the backend (WAL
+	// segments, snapshot chain, retained-history window, cold tier; summed
+	// across shards). A memory engine reports zero persistence fields.
+	Storage() (wire.StorageJSON, error)
 
 	// Barrier returns after every operation submitted before the call has
 	// been applied and its done callback invoked.
@@ -86,6 +90,7 @@ type Backend interface {
 // a single-node server fronts, and the per-shard building block of the
 // cluster router.
 type EngineBackend struct {
+	Reads
 	eng *adb.Engine
 	// ops is the pipeline: mutations execute on the goroutine draining it.
 	ops      chan func()
@@ -104,6 +109,7 @@ type EngineBackend struct {
 // engine must not be mutated by anyone else from here on; Close closes it.
 func NewEngineBackend(eng *adb.Engine) *EngineBackend {
 	b := &EngineBackend{
+		Reads:    ReadsOf(func() *adb.Engine { return eng }),
 		eng:      eng,
 		ops:      make(chan func(), 256),
 		pipeDone: make(chan struct{}),
@@ -185,8 +191,9 @@ func (b *EngineBackend) OnFiring(fn func(FiringEvent)) (cancel func()) {
 // router's per-shard fan-in uses it.
 func (b *EngineBackend) Follow(fn func(FiringEvent)) {
 	b.ops <- func() {
-		for i, f := range b.eng.Firings() {
-			fn(FiringEvent{F: f, Seq: i})
+		_, backlog := Backlog(b.eng, 0)
+		for _, fe := range backlog {
+			fn(fe)
 		}
 		b.obs.Store(&fn)
 	}
@@ -194,55 +201,12 @@ func (b *EngineBackend) Follow(fn func(FiringEvent)) {
 
 func (b *EngineBackend) SyncFirings(from int, fn func(int, []FiringEvent)) {
 	b.ops <- func() {
-		fs := b.eng.Firings()
-		if from < 0 {
-			from = 0
-		}
-		if from > len(fs) {
-			from = len(fs)
-		}
-		backlog := make([]FiringEvent, 0, len(fs)-from)
-		for i := from; i < len(fs); i++ {
-			backlog = append(backlog, FiringEvent{F: fs[i], Seq: i})
-		}
-		fn(from, backlog)
+		fn(Backlog(b.eng, from))
 	}
 }
 
-func (b *EngineBackend) Now() int64 { return b.eng.Now() }
-
-func (b *EngineBackend) Items() (map[string]value.Value, error) {
-	db := b.eng.DB()
-	items := make(map[string]value.Value, db.Len())
-	db.Range(func(name string, v value.Value) bool {
-		items[name] = v
-		return true
-	})
-	return items, nil
-}
-
-func (b *EngineBackend) Firings(from int) ([]FiringEvent, error) {
-	fs := b.eng.Firings()
-	if from < 0 {
-		from = 0
-	}
-	if from > len(fs) {
-		from = len(fs)
-	}
-	out := make([]FiringEvent, 0, len(fs)-from)
-	for i := from; i < len(fs); i++ {
-		out = append(out, FiringEvent{F: fs[i], Seq: i})
-	}
-	return out, nil
-}
-
-func (b *EngineBackend) Rules() ([]wire.RuleJSON, error) { return EngineRules(b.eng) }
-
-func (b *EngineBackend) Health() ([]wire.HealthJSON, string, error) { return EngineHealth(b.eng) }
-
-// Storage implements StorageBackend: the stats read runs at the
-// serialization point (the persist layer is not synchronized against a
-// concurrent append).
+// Storage reads the stats at the serialization point (the persist layer is
+// not synchronized against a concurrent append).
 func (b *EngineBackend) Storage() (wire.StorageJSON, error) {
 	var st adb.StorageStats
 	var err error
@@ -269,56 +233,6 @@ func StorageWire(st adb.StorageStats) wire.StorageJSON {
 		TierRows:      st.TierRows,
 		TierBytes:     st.TierBytes,
 	}
-}
-
-// EngineRules renders an engine's registered rules in wire form; shared
-// by EngineBackend and the replication follower node, which serves the
-// same queries from a replayed engine.
-func EngineRules(eng *adb.Engine) ([]wire.RuleJSON, error) {
-	var out []wire.RuleJSON
-	for _, name := range eng.RuleNames() {
-		info, ok := eng.Rule(name)
-		if !ok {
-			continue
-		}
-		out = append(out, wire.RuleJSON{
-			Name:       info.Name,
-			Condition:  info.Condition,
-			Constraint: info.Constraint,
-			Scheduling: int(info.Scheduling),
-			Parameters: info.Parameters,
-			Pending:    info.PendingStates,
-		})
-	}
-	return out, nil
-}
-
-// EngineHealth renders an engine's per-rule health and degraded cause in
-// wire form; see EngineRules.
-func EngineHealth(eng *adb.Engine) ([]wire.HealthJSON, string, error) {
-	var out []wire.HealthJSON
-	for _, name := range eng.RuleNames() {
-		h, ok := eng.RuleHealth(name)
-		if !ok {
-			continue
-		}
-		hj := wire.HealthJSON{
-			Rule:        h.Rule,
-			Quarantined: h.Quarantined,
-			Consecutive: h.ConsecutiveFailures,
-			Total:       h.TotalFailures,
-			LastAt:      h.LastFailureAt,
-		}
-		if h.LastError != nil {
-			hj.LastError = h.LastError.Error()
-		}
-		out = append(out, hj)
-	}
-	degraded := ""
-	if err := eng.Degraded(); err != nil {
-		degraded = err.Error()
-	}
-	return out, degraded, nil
 }
 
 // Do runs fn at the backend's serialization point — atomically with

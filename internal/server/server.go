@@ -38,6 +38,7 @@ import (
 	"ptlactive/internal/adb"
 	"ptlactive/internal/histio"
 	"ptlactive/internal/server/wire"
+	"ptlactive/internal/value"
 )
 
 // OverflowPolicy selects what happens to a subscriber whose bounded
@@ -73,14 +74,6 @@ type WALBatch struct {
 	// resumes after the final chunk.
 	Snap bool
 	More bool
-}
-
-// StorageBackend is the optional backend capability behind the "storage"
-// query: backends that own durable storage report their footprint (WAL
-// segments, snapshot chain, retained-history window, cold tier). Memory
-// backends simply do not implement it.
-type StorageBackend interface {
-	Storage() (wire.StorageJSON, error)
 }
 
 // WALSource is the replication feed a primary server exposes (see
@@ -580,59 +573,36 @@ func (s *Server) subscribe(sess *session, m *wire.Msg) {
 // handleQuery answers read-only requests inline; these never touch the
 // pipeline, so they keep working while writes fail on a degraded engine.
 func (s *Server) handleQuery(sess *session, m *wire.Msg) {
-	internal := func(err error) {
-		sess.enqueue(&wire.Msg{T: wire.TypeError, ID: m.ID, Code: wire.CodeInternal, Err: err.Error()})
-	}
 	out := &wire.Msg{T: wire.TypeOK, ID: m.ID}
+	var err error
 	switch m.What {
 	case "now":
 		out.TS = s.be.Now()
 	case "db":
-		items, err := s.be.Items()
-		if err != nil {
-			internal(err)
-			return
+		var items map[string]value.Value
+		if items, err = s.be.Items(); err == nil {
+			out.Items, err = histio.EncodeItems(items)
 		}
-		enc, err := histio.EncodeItems(items)
-		if err != nil {
-			internal(err)
-			return
-		}
-		out.Items = enc
 	case "firings":
-		fes, err := s.be.Firings(m.From)
-		if err != nil {
-			internal(err)
-			return
-		}
+		var fes []FiringEvent
+		fes, err = s.be.Firings(m.From)
 		out.Firings = make([]wire.FiringJSON, 0, len(fes))
 		for _, fe := range fes {
 			if fe.Gap > 0 {
 				// Firings lost upstream: the Seq jump makes the gap visible.
 				continue
 			}
-			fj, err := wire.EncodeFiring(fe.F, fe.Seq)
-			if err != nil {
-				internal(err)
-				return
+			fj, ferr := wire.EncodeFiring(fe.F, fe.Seq)
+			if ferr != nil {
+				err = ferr
+				break
 			}
 			out.Firings = append(out.Firings, fj)
 		}
 	case "rules":
-		rules, err := s.be.Rules()
-		if err != nil {
-			internal(err)
-			return
-		}
-		out.Rules = rules
+		out.Rules, err = s.be.Rules()
 	case "health":
-		health, degraded, err := s.be.Health()
-		if err != nil {
-			internal(err)
-			return
-		}
-		out.Health = health
-		out.Degraded = degraded
+		out.Health, out.Degraded, err = s.be.Health()
 	case "role":
 		if s.cfg.RoleInfo != nil {
 			ri := s.cfg.RoleInfo()
@@ -641,26 +611,17 @@ func (s *Server) handleQuery(sess *session, m *wire.Msg) {
 			out.Role = "standalone"
 		}
 	case "storage":
-		sb, ok := s.be.(StorageBackend)
-		if !ok {
-			sess.enqueue(&wire.Msg{
-				T: wire.TypeError, ID: m.ID, Code: wire.CodeBadRequest,
-				Err: "storage stats not supported by this backend",
-			})
-			return
-		}
-		st, err := sb.Storage()
-		if err != nil {
-			internal(err)
-			return
-		}
+		var st wire.StorageJSON
+		st, err = s.be.Storage()
 		out.Storage = &st
 	default:
-		sess.enqueue(&wire.Msg{
+		out = &wire.Msg{
 			T: wire.TypeError, ID: m.ID, Code: wire.CodeBadRequest,
 			Err: fmt.Sprintf("unknown query %q", m.What),
-		})
-		return
+		}
+	}
+	if err != nil {
+		out = &wire.Msg{T: wire.TypeError, ID: m.ID, Code: wire.CodeInternal, Err: err.Error()}
 	}
 	sess.enqueue(out)
 }
