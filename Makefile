@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test bench race vet fmtcheck vulncheck depcheck benchmod loc stress verify tables profile benchcheck bench-baselines bench-engine serve-smoke cluster-smoke replica-smoke retain-smoke
+.PHONY: build test bench race vet fmtcheck vulncheck depcheck allocgates benchmod loc stress verify tables profile profile-sparse benchcheck bench-baselines bench-engine serve-smoke cluster-smoke replica-smoke retain-smoke
 
 build:
 	$(GO) build ./...
@@ -61,6 +61,12 @@ loc:
 stress:
 	$(GO) test -race -count=3 -run 'Fault|Degrad|Quarantine|Sandbox|Panic|Failpoint|Timeout|Budget|Chaos|Failover|Lease|Promot|Replica|PMap' ./internal/adb ./internal/persist ./internal/replica ./internal/pmap
 
+# allocgates runs the allocation gates of the commit path at three core
+# counts. They pin Workers: 1, so nothing they count may depend on
+# GOMAXPROCS: the three runs must pass alike — that is the check.
+allocgates:
+	for p in 1 2 4; do GOMAXPROCS=$$p $(GO) test -count=1 -run 'TestCommitAllocs|TestSweepNoRuleTerm' ./internal/adb || exit 1; done
+
 # verify is the full pre-merge tier: static checks plus the whole suite
 # under the race detector (the concurrent engine and the durability
 # layer's crash tests make -race load-bearing, not optional), then the
@@ -68,7 +74,7 @@ stress:
 # default (the baselines are wall-clock numbers from the machine of
 # record); set BENCHCHECK_STRICT=1 to make a regression in the server
 # wire-path table (E13) fail the tier.
-verify: vet fmtcheck vulncheck depcheck race benchmod stress serve-smoke cluster-smoke replica-smoke retain-smoke
+verify: vet fmtcheck vulncheck depcheck race allocgates benchmod stress serve-smoke cluster-smoke replica-smoke retain-smoke
 ifeq ($(BENCHCHECK_STRICT),1)
 	$(MAKE) benchcheck
 else
@@ -108,9 +114,19 @@ tables:
 
 # profile captures pprof CPU and heap profiles of the scheduling and
 # durability experiments; inspect with `go tool pprof cpu.prof`.
-profile:
+profile: profile-sparse
 	$(GO) run ./cmd/benchtables -only E10,E12 -cpuprofile cpu.prof -memprofile mem.prof
 	@echo "wrote cpu.prof and mem.prof (go tool pprof cpu.prof)"
+
+# profile-sparse profiles the sparse-static shape (100k items, 2,000
+# `item(k) > c` rules, Zipf 1-3-item commits): where a commit's time and
+# bytes go when it concerns a handful of rules out of thousands.
+# `go tool pprof -sample_index=alloc_space -top adb.test sparse_mem.prof`
+# attributes bytes per commit.
+profile-sparse:
+	$(GO) test -run '^$$' -bench SparseStatic -benchtime 200000x -memprofilerate 4096 \
+		-cpuprofile sparse_cpu.prof -memprofile sparse_mem.prof ./internal/adb
+	@echo "wrote sparse_cpu.prof, sparse_mem.prof and adb.test (go tool pprof adb.test sparse_cpu.prof)"
 
 # benchcheck re-runs the experiments behind the committed benchmark
 # baselines and reports any time column more than 20% over baseline.

@@ -2,6 +2,7 @@ package adb
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"ptlactive/internal/value"
@@ -69,5 +70,67 @@ func TestCommitAllocsNoLinearTerm(t *testing.T) {
 	small, big := commitAllocs(t, 1000), commitAllocs(t, 100000)
 	if big > small+32 {
 		t.Fatalf("commit allocations grow with the database: %.1f at 1k items, %.1f at 100k", small, big)
+	}
+}
+
+// sweepCost measures allocations and bytes per commit, at Workers: 1, of a
+// stream that touches one rule's item per commit, with the given number of
+// rules registered over a database of fixed size. gated selects 2,000-style
+// event-gated rules (a commit without their event only moves their cursor)
+// instead of quiescent ones (`item(k) > c`, never firing).
+func sweepCost(t *testing.T, rules int, gated bool) (allocs, bytes float64) {
+	t.Helper()
+	const items = 2000
+	initial := make(map[string]value.Value, items)
+	for i := 0; i < items; i++ {
+		initial[fmt.Sprintf("k%04d", i)] = value.NewInt(0)
+	}
+	e := NewEngine(Config{Initial: initial, Workers: 1})
+	for i := 0; i < rules; i++ {
+		cond := fmt.Sprintf(`item("k%04d") > 1000000`, i)
+		if gated {
+			cond = fmt.Sprintf(`@ev%d and item("k%04d") > 1000000`, i, i)
+		}
+		if err := e.AddTrigger(fmt.Sprintf("r%04d", i), cond, nil, WithScheduling(Relevant)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ts := int64(0)
+	commit := func() {
+		ts++
+		// Items 0..19 carry a rule at either table size.
+		if err := e.Exec(ts, map[string]value.Value{fmt.Sprintf("k%04d", ts%20): value.NewInt(ts % 1000)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 50; i++ {
+		commit() // every rule parked, scratch at its working size
+	}
+	const n = 400
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		commit()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs-before.Mallocs) / n, float64(after.TotalAlloc-before.TotalAlloc) / n
+}
+
+// TestSweepNoRuleTerm is the gate on the sweep's bookkeeping: what a commit
+// allocates may not depend on how many rules are registered, only on how
+// many it concerns. With the rule-table scan, 2,000 untouched rules cost
+// ~47 KB of throwaway slices per commit; with wake lists and the parked
+// cursor they cost nothing, so the 2,000-rule stream must stay within a
+// small constant of the 20-rule one — for quiescent rules and for gated
+// rules woken by the commit alone.
+func TestSweepNoRuleTerm(t *testing.T) {
+	for _, gated := range []bool{false, true} {
+		smallA, smallB := sweepCost(t, 20, gated)
+		bigA, bigB := sweepCost(t, 2000, gated)
+		t.Logf("gated=%v: %.1f allocs, %.0f B per commit at 20 rules; %.1f allocs, %.0f B at 2000", gated, smallA, smallB, bigA, bigB)
+		if bigA > smallA+8 || bigB > smallB+1024 {
+			t.Fatalf("gated=%v: commit cost grows with the rule table: %.1f allocs/%.0f B at 20 rules, %.1f allocs/%.0f B at 2000",
+				gated, smallA, smallB, bigA, bigB)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package adb
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"ptlactive/internal/value"
@@ -34,6 +35,44 @@ func BenchmarkCommit(b *testing.B) {
 			"b": value.NewInt(int64(i % 777)),
 		}); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkSparseStatic is the frozen benchmark's sparse-static row in
+// miniature, for `make profile`: 100k items, 2,000 quiescent `item(k) > c`
+// rules on the hottest keys, Zipf(1.1) transactions of one to three items,
+// Compact every 4,096 commits as the benchmark's owner loop does. A commit
+// concerns a handful of rules, so what the profile shows is the sweep's
+// bookkeeping and the state build, not evaluator steps.
+func BenchmarkSparseStatic(b *testing.B) {
+	const items, rules = 100000, 2000
+	key := func(i int) string { return fmt.Sprintf("k%06d", i) }
+	initial := make(map[string]value.Value, items)
+	for i := 0; i < items; i++ {
+		initial[key(i)] = value.NewInt(500)
+	}
+	e := NewEngine(Config{Initial: initial})
+	for i := 0; i < rules; i++ {
+		cond := fmt.Sprintf(`item(%q) > 998`, key(i))
+		if err := e.AddTrigger(fmt.Sprintf("high_%04d", i), cond, nil, WithScheduling(Relevant)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	zipf := rand.NewZipf(rng, 1.1, 1, items-1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		upd := map[string]value.Value{}
+		for n := 1 + rng.Intn(3); n > 0; n-- {
+			upd[key(int(zipf.Uint64()))] = value.NewInt(rng.Int63n(1000))
+		}
+		if err := e.Exec(int64(i+1), upd); err != nil {
+			b.Fatal(err)
+		}
+		if i%4096 == 4095 {
+			e.Compact()
 		}
 	}
 }

@@ -33,23 +33,17 @@ func (e *ConstraintError) Unwrap() error { return ErrConstraintViolation }
 // rejected, so the verdict, the constraint named and the step count never
 // depend on the worker count or on goroutine scheduling.
 func (e *Engine) checkConstraints(tentative history.SystemState) (*rule, error) {
-	var constraints []*rule
-	for _, r := range e.rules {
-		if r.constraint {
-			constraints = append(constraints, r)
-		}
-	}
+	constraints := e.constraints
 	if len(constraints) == 0 {
 		return nil, nil
 	}
 	if err := e.advanceRules(constraints, e.hist.Len()); err != nil {
 		return nil, err
 	}
-	type verdict struct {
-		fired bool
-		err   error
-	}
-	verdicts := make([]verdict, len(constraints))
+	s := e.takeScratch()
+	defer e.putScratch(s)
+	s.verdicts = sized(s.verdicts, len(constraints))
+	verdicts := s.verdicts
 	e.deal(len(constraints), func(i int) {
 		res, err := constraints[i].ev.CloneEvaluator().StepResult(tentative)
 		verdicts[i] = verdict{fired: res.Fired, err: err}
@@ -66,4 +60,10 @@ func (e *Engine) checkConstraints(tentative history.SystemState) (*rule, error) 
 		}
 	}
 	return nil, nil
+}
+
+// verdict is one constraint's answer on the tentative commit state.
+type verdict struct {
+	fired bool
+	err   error
 }

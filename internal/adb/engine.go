@@ -90,16 +90,29 @@ type Engine struct {
 	evalSteps int64
 
 	// Read-set scheduling index (see readset.go). dirty runs parallel to
-	// hist: dirty[i] is what state i changed. eventIndex and itemIndex map
-	// event names and item names to the rules whose conditions mention
-	// them; sweepGen is the generation counter the indexes stamp into
-	// rule.wakeGen/dirtyGen. coarse (NewCoarseEngine) switches the index
-	// off for the reference arm of the equivalence tests and E12.
+	// hist: dirty[i] is what state i changed. eventIndex maps event names
+	// to the Relevant triggers they wake, itemIndex item names to the
+	// quiescent rules reading them; sweepGen is the generation counter the
+	// indexes stamp into rule.wakeGen/dirtyGen. coarse (NewCoarseEngine)
+	// switches the index off for the reference arm of the equivalence tests
+	// and E12.
 	coarse     bool
 	dirty      []dirtySet
 	eventIndex map[string][]*rule
 	itemIndex  map[string][]*rule
 	sweepGen   uint64
+
+	// Wake lists (see sweepIndexed), in registration order: constraints and
+	// triggers partition the rule table, standing holds the classes every
+	// commit wakes, live the gated and quiescent rules that are not parked.
+	// Parked rules share parkedCursor, the index after the last commit state
+	// swept. scratch is the sweep's reusable working memory.
+	constraints  []*rule
+	triggers     []*rule
+	standing     []*rule
+	live         []*rule
+	parkedCursor int
+	scratch      *sweepScratch
 
 	// Fault isolation and resource governance (see health.go): the
 	// circuit-breaker threshold, the per-sweep step budget, the per-action
@@ -480,8 +493,8 @@ func (e *Engine) Compact() int {
 	e.mu.Lock()
 	min := e.hist.Len() - 1 // always keep the newest state
 	for _, r := range e.rules {
-		if r.cursor < min {
-			min = r.cursor
+		if c := e.cursorOf(r); c < min {
+			min = c
 		}
 	}
 	if min <= 0 {
@@ -498,6 +511,8 @@ func (e *Engine) Compact() int {
 	for _, r := range e.rules {
 		r.cursor -= min
 	}
+	// Meaningful only while some rule is parked, and then min <= it.
+	e.parkedCursor -= min
 	horizon := trimmed.At(0).TS
 	e.mu.Unlock()
 	// Auxiliary intervals that ended before the retained horizon can no

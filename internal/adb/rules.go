@@ -54,9 +54,16 @@ type rule struct {
 	class      ruleClass
 	contiguous bool
 	hinted     core.HintedEvaluator
-	// wakeGen / dirtyGen are sweep-generation marks: sweepOnce stamps them
-	// through the event and item indexes so the assembly pass over the rule
-	// table costs O(1) per rule. Only the sweep goroutine touches them.
+	// seq is the position in Engine.rules (jobs merge in seq order) and wake
+	// the wake list the indexed sweep finds the rule through, both fixed at
+	// registration. parked (guarded by Engine.mu) means the rule's cursor is
+	// Engine.parkedCursor, not the cursor field.
+	seq    int
+	wake   wakeKind
+	parked bool
+	// wakeGen / dirtyGen are sweep-generation marks stamped through the
+	// event and item indexes: "one of my events is in this state", "this
+	// commit changed an item I read". Only the sweep goroutine touches them.
 	wakeGen  uint64
 	dirtyGen uint64
 	// Quiescent-replay memo (guarded by Engine.mu): the outcome of the last
@@ -187,18 +194,10 @@ func (e *Engine) add(name string, condition ptl.Formula, action Action, isConstr
 	// time" (Section 5). Earlier history is invisible to it.
 	e.mu.Lock()
 	r.cursor = e.hist.Len() - 1
+	r.seq = len(e.rules)
 	e.rules = append(e.rules, r)
 	e.index[name] = r
-	for n := range r.events {
-		e.eventIndex[n] = append(e.eventIndex[n], r)
-	}
-	if r.class == classQuiescent {
-		// Only quiescent rules consume dirty-hit marks; exact rules are
-		// evaluated whenever woken regardless.
-		for item := range r.rs.items {
-			e.itemIndex[item] = append(e.itemIndex[item], r)
-		}
-	}
+	e.enlist(r)
 	e.mu.Unlock()
 	if walRec != nil {
 		return e.logRecord(walRec)
@@ -237,7 +236,7 @@ func (e *Engine) Rule(name string) (RuleInfo, bool) {
 		Parameters:    append([]string(nil), r.info.Free...),
 		Events:        append([]string(nil), r.info.Events...),
 		Temporal:      r.info.Temporal,
-		PendingStates: e.hist.Len() - r.cursor,
+		PendingStates: e.hist.Len() - e.cursorOf(r),
 	}, true
 }
 

@@ -56,7 +56,22 @@ func newEngine(cfg Config, coarse bool) *Engine {
 func ruleCursors(e *Engine) map[string]int {
 	out := map[string]int{}
 	for _, r := range e.rules {
-		out[r.name] = r.cursor
+		out[r.name] = e.cursorOf(r)
+	}
+	return out
+}
+
+// pendingStates reads every rule's PendingStates through the public
+// accessor, the way a client sees cursors.
+func pendingStates(t *testing.T, e *Engine) map[string]int {
+	t.Helper()
+	out := map[string]int{}
+	for _, name := range e.RuleNames() {
+		info, ok := e.Rule(name)
+		if !ok {
+			t.Fatalf("rule %s vanished", name)
+		}
+		out[name] = info.PendingStates
 	}
 	return out
 }
@@ -65,8 +80,17 @@ func ruleCursors(e *Engine) map[string]int {
 // property: over random rule sets and histories, the read-set indexed
 // engine produces the identical firing sequence, final database, clock,
 // cursors and execution log as the coarse Section-8 filter, at one worker
-// and at four. EvalSteps is intentionally NOT compared — skipping
-// evaluations is the point of the index.
+// and at four. EvalSteps is intentionally NOT compared between the two
+// filters — skipping evaluations is the point of the index — but it is
+// between the indexed engine's worker counts.
+//
+// The histories are parkTraces (see parktrace_test.go), so they cross every
+// way a rule enters or leaves the parked set — mid-trace registration,
+// event-only and abort states between commits, a re-entrant action commit,
+// Compact, a quiescent rule that fires, replays and stops — and on odd
+// trials an observer that commits from inside the merge. On the even
+// trials a durable twin, checkpointed and restored mid-trace, must agree
+// with the memory engine too.
 func TestIndexedSweepEquivalence(t *testing.T) {
 	trials := 12
 	states := 150
@@ -77,14 +101,12 @@ func TestIndexedSweepEquivalence(t *testing.T) {
 		seed := int64(7000 + trial)
 		rules := 4 + trial%8
 		withConstraints := trial%2 == 0
-		p := randomIndexParams(seed, rules, withConstraints)
+		tr := newParkTrace(seed, rules, states, withConstraints, trial%2 == 1)
 		mk := func(workers int, noIndex bool) *Engine {
-			e := newEngine(p.config(workers), noIndex)
-			p.register(t, e)
-			driveRandomHistory(t, e, seed*31, rules, states)
-			return e
+			return tr.run(t, newEngine(tr.config(workers), noIndex), nil)
 		}
 		ref := mk(1, true)
+		var steps int64
 		for _, workers := range []int{1, 4} {
 			idx := mk(workers, false)
 			if sf, pf := ref.Firings(), idx.Firings(); !reflect.DeepEqual(sf, pf) {
@@ -100,12 +122,38 @@ func TestIndexedSweepEquivalence(t *testing.T) {
 			if rc, ic := ruleCursors(ref), ruleCursors(idx); !reflect.DeepEqual(rc, ic) {
 				t.Fatalf("trial %d workers=%d: cursors diverge: %v vs %v", trial, workers, rc, ic)
 			}
-			for i := 0; i < rules; i++ {
-				name := fmt.Sprintf("r%03d", i)
+			if rp, ip := pendingStates(t, ref), pendingStates(t, idx); !reflect.DeepEqual(rp, ip) {
+				t.Fatalf("trial %d workers=%d: pending states diverge: %v vs %v", trial, workers, rp, ip)
+			}
+			for _, name := range ref.RuleNames() {
 				if re, ie := ref.Executions(name, ref.Now()+1), idx.Executions(name, idx.Now()+1); !reflect.DeepEqual(re, ie) {
 					t.Fatalf("trial %d workers=%d: executions diverge for %s", trial, workers, name)
 				}
 			}
+			if workers == 1 {
+				steps = idx.EvalSteps()
+			} else if got := idx.EvalSteps(); got != steps {
+				t.Fatalf("trial %d: indexed eval steps depend on workers: %d at 1, %d at %d", trial, steps, got, workers)
+			}
+		}
+		if tr.observer {
+			continue // an observer's commit would be logged and replayed twice
+		}
+		dur, _, _ := tr.runDurable(t, 4, t.TempDir())
+		if !firingsEqual(ref.Firings(), dur.Firings()) {
+			t.Fatalf("trial %d: restored durable twin's firings diverge (%d vs %d)", trial, len(ref.Firings()), len(dur.Firings()))
+		}
+		if got := dur.EvalSteps(); got != steps {
+			t.Fatalf("trial %d: durable twin spent %d eval steps, memory engine %d", trial, got, steps)
+		}
+		if rp, dp := pendingStates(t, ref), pendingStates(t, dur); !reflect.DeepEqual(rp, dp) {
+			t.Fatalf("trial %d: durable twin's pending states diverge: %v vs %v", trial, rp, dp)
+		}
+		if ref.Now() != dur.Now() || !ref.DB().Equal(dur.DB()) {
+			t.Fatalf("trial %d: durable twin's clock or database diverges", trial)
+		}
+		if err := dur.Close(); err != nil {
+			t.Fatal(err)
 		}
 	}
 }

@@ -53,7 +53,7 @@ func (e *Engine) buildSnapshot() (*persist.EngineSnapshot, error) {
 			Cond:        cond,
 			Constraint:  r.constraint,
 			Sched:       int(r.sched),
-			Cursor:      r.cursor,
+			Cursor:      e.cursorOf(r),
 			Eval:        ev,
 			Quarantined: r.health.quarantined,
 			ConsecFails: r.health.consecutive,

@@ -2,6 +2,7 @@ package adb
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -47,13 +48,11 @@ func (e *Engine) Flush() error {
 		return err
 	}
 	e.cascade = 0
-	var jobs []*rule
-	for _, r := range e.rules {
-		if !r.constraint {
-			jobs = append(jobs, r)
-		}
-	}
-	if err := e.advanceRules(jobs, e.hist.Len()); err != nil {
+	// The workers read cursor fields; the next commit re-parks.
+	e.mu.Lock()
+	e.unparkAll()
+	e.mu.Unlock()
+	if err := e.advanceRules(e.triggers, e.hist.Len()); err != nil {
 		return err
 	}
 	return e.drainActions()
@@ -91,6 +90,141 @@ type sweepJob struct {
 	replay bool
 }
 
+// sweepScratch is what one temporal-component invocation builds and throws
+// away. The engine lends its one out for the length of an invocation; a
+// nested one — an observer or action committing from inside the merge —
+// finds it gone and makes its own, so it never sees live scratch.
+// putScratch clears the slots, so no firing or binding stays pinned.
+type sweepScratch struct {
+	jobs     []sweepJob
+	unsorted bool // jobs were added out of registration order
+	evalIdx  []int
+	outs     []advanceOutcome
+	verdicts []verdict
+}
+
+// add appends a job, noting whether the list is still in registration order.
+func (s *sweepScratch) add(r *rule, replay bool) {
+	if n := len(s.jobs); n > 0 && s.jobs[n-1].r.seq > r.seq {
+		s.unsorted = true
+	}
+	s.jobs = append(s.jobs, sweepJob{r: r, replay: replay})
+}
+
+// sized returns s at length n, reallocating only to grow.
+func sized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+func (e *Engine) takeScratch() *sweepScratch {
+	s := e.scratch
+	e.scratch = nil
+	if s == nil {
+		s = new(sweepScratch)
+	}
+	return s
+}
+
+func (e *Engine) putScratch(s *sweepScratch) {
+	clear(s.outs)
+	clear(s.verdicts)
+	s.jobs, s.unsorted = s.jobs[:0], false
+	s.outs, s.verdicts = s.outs[:0], s.verdicts[:0]
+	e.scratch = s
+}
+
+// wakeKind says how the indexed sweep finds a rule: in Engine.standing,
+// filtered per state (wakeAlways, wakeCommit, wakeConstraint); through
+// eventIndex alone (wakeEvent); or, for the gated and quiescent database
+// readers, which a commit that does not concern them merely bumps, in
+// Engine.live or behind the parked cursor (wakeParked).
+type wakeKind uint8
+
+const (
+	wakeFlush      wakeKind = iota // Manual: only Flush advances
+	wakeAlways                     // Eager, and Relevant pure-time conditions: every state
+	wakeCommit                     // Relevant exact database readers: every commit, and their events
+	wakeConstraint                 // constraints: every commit and abort
+	wakeEvent                      // Relevant, no database reads: their events only
+	wakeParked                     // Relevant gated or quiescent database readers
+)
+
+// wakeFor classifies r; it restates the coarse filter (relevant) per class.
+func wakeFor(r *rule) wakeKind {
+	switch {
+	case r.constraint:
+		return wakeConstraint
+	case r.sched == Eager:
+		return wakeAlways
+	case r.sched == Manual:
+		return wakeFlush
+	case r.readsDB && r.class != classExact:
+		return wakeParked
+	case r.readsDB:
+		return wakeCommit
+	case len(r.events) == 0:
+		return wakeAlways
+	default:
+		// Gated rules included: one that reads no database is never woken
+		// by a commit, so there is no cursor to bump and nothing to park.
+		return wakeEvent
+	}
+}
+
+// enlist enters a new rule in the wake lists; the caller holds mu.
+func (e *Engine) enlist(r *rule) {
+	r.wake = wakeFor(r)
+	if r.constraint {
+		e.constraints = append(e.constraints, r)
+	} else {
+		e.triggers = append(e.triggers, r)
+	}
+	switch r.wake {
+	case wakeAlways, wakeCommit, wakeConstraint:
+		e.standing = append(e.standing, r)
+	case wakeParked:
+		e.live = append(e.live, r)
+	}
+	if r.wake == wakeCommit || r.wake == wakeEvent || r.wake == wakeParked {
+		for n := range r.events {
+			e.eventIndex[n] = append(e.eventIndex[n], r)
+		}
+	}
+	if r.class == classQuiescent {
+		// Only quiescent rules consume dirty-hit marks; exact rules are
+		// evaluated whenever woken regardless.
+		for item := range r.rs.items {
+			e.itemIndex[item] = append(e.itemIndex[item], r)
+		}
+	}
+}
+
+// cursorOf is r's cursor; the caller holds mu or is the mutating goroutine.
+func (e *Engine) cursorOf(r *rule) int {
+	if r.parked {
+		return e.parkedCursor
+	}
+	return r.cursor
+}
+
+// unpark materialises a parked rule's cursor and returns it to the live
+// set; the caller holds mu.
+func (e *Engine) unpark(r *rule) {
+	r.cursor, r.parked = e.parkedCursor, false
+	e.live = append(e.live, r)
+}
+
+func (e *Engine) unparkAll() {
+	for _, r := range e.triggers {
+		if r.parked {
+			e.unpark(r)
+		}
+	}
+}
+
 // sweepIndexed is the read-set refined sweep. It reproduces the wake
 // decisions of the coarse filter (relevant) exactly, then strengthens
 // them per rule class: gated rules woken only by a commit have their
@@ -99,94 +233,100 @@ type sweepJob struct {
 // replay their memoized outcome. Firings, cursors and engine state are
 // byte-identical to the coarse sweep; only evaluator steps differ.
 //
-// The indexes turn the per-sweep cost into O(rules) pointer work plus
-// O(matching rules) for the event and dirty-item marks; the expensive
-// part — evaluator steps — is paid only by rules the state concerns.
+// Jobs come from wake lists, never from a scan of the rule table
+// (DESIGN.md §4.3): eventIndex and itemIndex for what the state touched,
+// standing for the classes every commit wakes, live for the gated and
+// quiescent rules that need attention. The rest of those two classes are
+// parked — a commit would only bump them — behind Engine.parkedCursor, set
+// once per commit sweep, until an event, a dirty item or Flush unparks them.
 func (e *Engine) sweepIndexed(newest int, st history.SystemState) error {
 	end := newest + 1
 	commit := st.Events.CommitCount() > 0
 	aborted := len(st.Events.ByName(event.TransactionAbort)) > 0
 	e.sweepGen++
 	gen := e.sweepGen
+	d := e.dirty[newest]
+	s := e.takeScratch()
+	defer e.putScratch(s)
+
+	e.mu.Lock()
 	for _, name := range st.Events.Names() {
 		for _, r := range e.eventIndex[name] {
+			if r.wakeGen == gen {
+				continue
+			}
 			r.wakeGen = gen
+			if r.parked {
+				e.unpark(r)
+			} else if r.wake == wakeEvent {
+				s.add(r, false)
+			}
 		}
 	}
-	d := e.dirty[newest]
-	if commit && d.known {
+	if commit {
+		if !d.known {
+			e.unparkAll()
+		}
 		for _, item := range d.items {
 			for _, r := range e.itemIndex[item] {
 				r.dirtyGen = gen
+				if r.parked {
+					e.unpark(r)
+				}
 			}
 		}
 	}
-	var jobs []sweepJob
-	var bumps, invalidate []*rule
-	for _, r := range e.rules {
-		if r.constraint {
-			if commit || aborted {
-				jobs = append(jobs, sweepJob{r: r})
-			}
+	live := e.live[:0]
+	for _, r := range e.live {
+		switch {
+		case r.wakeGen == gen:
+			// A gated rule with one of its events in the state.
+			s.add(r, false)
+		case !commit:
+			// Not woken.
+		case r.class == classGated:
+			// Woken by the commit alone: provably false without its events,
+			// so evaluating would only move the cursor. Park.
+			r.parked = true
 			continue
-		}
-		switch r.sched {
-		case Eager:
-			jobs = append(jobs, sweepJob{r: r})
-		case Relevant:
-			eventWake := r.wakeGen == gen
-			commitWake := r.readsDB && commit
-			alwaysWake := len(r.events) == 0 && !r.readsDB
-			if !eventWake && !commitWake && !alwaysWake {
-				continue
-			}
-			switch {
-			case r.class == classGated && !eventWake:
-				// Woken by the commit alone; with none of its events in
-				// the state the condition is provably false, so the only
-				// effect of evaluating — the cursor jump — is applied
-				// directly.
-				bumps = append(bumps, r)
-			case r.class == classQuiescent:
-				if r.cursor >= end {
-					continue
-				}
-				switch {
-				case !d.known || r.dirtyGen == gen || !r.memoValid:
-					// The memo goes stale the moment the rule is selected
-					// for re-evaluation: if the evaluation errors, a later
-					// clean commit must not replay the pre-change outcome.
-					invalidate = append(invalidate, r)
-					jobs = append(jobs, sweepJob{r: r})
-				case !r.memoFired:
-					// A non-firing memo replays to nothing but a cursor
-					// move, which is order-independent; skip the job
-					// machinery and batch it with the gated bumps.
-					bumps = append(bumps, r)
-				default:
-					jobs = append(jobs, sweepJob{r: r, replay: true})
-				}
-			default:
-				jobs = append(jobs, sweepJob{r: r})
-			}
-		case Manual:
-			// Only Flush advances.
-		}
-	}
-	if len(bumps)+len(invalidate) > 0 {
-		e.mu.Lock()
-		for _, r := range bumps {
-			if r.cursor < end {
-				r.cursor = end
-			}
-		}
-		for _, r := range invalidate {
+		case r.cursor >= end:
+		case !d.known || r.dirtyGen == gen || !r.memoValid:
+			// The memo goes stale the moment the rule is selected for
+			// re-evaluation: if the evaluation errors, a later clean commit
+			// must not replay the pre-change outcome.
 			r.memoValid = false
 			r.memoBindings = nil
+			s.add(r, false)
+		case !r.memoFired:
+			// A non-firing memo replays to nothing but a cursor move: park.
+			r.parked = true
+			continue
+		default:
+			s.add(r, true)
 		}
-		e.mu.Unlock()
+		live = append(live, r)
 	}
-	return e.runJobs(jobs, end)
+	e.live = live
+	if commit {
+		e.parkedCursor = end
+	}
+	e.mu.Unlock()
+
+	for _, r := range e.standing {
+		switch r.wake {
+		case wakeAlways:
+			s.add(r, false)
+		case wakeCommit:
+			if commit || r.wakeGen == gen {
+				s.add(r, false)
+			}
+		case wakeConstraint:
+			if commit || aborted {
+				s.add(r, false)
+			}
+		}
+	}
+	return e.runJobs(s, end)
 }
 
 // replayOutcome reproduces, without evaluation, the outcome re-evaluating
@@ -314,10 +454,14 @@ func (e *Engine) stateClean(r *rule, i int) bool {
 	return true
 }
 
-// apply merges one rule's advance outcome into engine state: cursor and
-// step counter under the write lock, then the firings one at a time — the
-// exact observable sequence (append, OnFiring callback, action queue) the
-// sequential engine produces.
+// apply merges one rule's advance outcome into engine state: cursor, step
+// counter and memo under the write lock, then the firings one at a time —
+// the exact observable sequence (append, OnFiring callback, action queue)
+// the sequential engine produces. The first firing is appended under the
+// lock acquisition that sets the cursor; later ones each take the lock
+// again instead of joining a batch append, because an observer that reads
+// Firings() — or commits — from its callback must see the log end at the
+// firing it is being told about.
 func (e *Engine) apply(r *rule, out advanceOutcome) {
 	e.mu.Lock()
 	r.cursor = out.cursor
@@ -327,9 +471,10 @@ func (e *Engine) apply(r *rule, out advanceOutcome) {
 		r.memoFired = out.memoFired
 		r.memoBindings = out.memoBindings
 	}
-	e.mu.Unlock()
-	for _, f := range out.firings {
-		e.mu.Lock()
+	for i, f := range out.firings {
+		if i > 0 {
+			e.mu.Lock()
+		}
 		e.firings = append(e.firings, f)
 		obs := e.observers // snapshot; mutation is copy-on-write
 		e.mu.Unlock()
@@ -337,6 +482,9 @@ func (e *Engine) apply(r *rule, out advanceOutcome) {
 			o.fn(f)
 		}
 		e.pending = append(e.pending, f)
+	}
+	if len(out.firings) == 0 {
+		e.mu.Unlock()
 	}
 }
 
@@ -353,32 +501,36 @@ func (e *Engine) apply(r *rule, out advanceOutcome) {
 // — is identical at every worker count, so retrying (a later Flush) is
 // equivalent whether the failure happened serially or in parallel.
 func (e *Engine) advanceRules(rules []*rule, end int) error {
-	if len(rules) == 0 {
-		return nil
+	s := e.takeScratch()
+	defer e.putScratch(s)
+	for _, r := range rules {
+		s.jobs = append(s.jobs, sweepJob{r: r})
 	}
-	jobs := make([]sweepJob, len(rules))
-	for i, r := range rules {
-		jobs[i] = sweepJob{r: r}
-	}
-	return e.runJobs(jobs, end)
+	return e.runJobs(s, end)
 }
 
 // runJobs executes a sweep's job list: evaluation jobs are dealt to the
 // worker pool, replay jobs are resolved inline (they are pure memo reads),
-// and every outcome is merged strictly in job order — the registration
-// order at every call site — so the firing sequence is independent of both
-// the worker count and the eval/replay split.
-func (e *Engine) runJobs(jobs []sweepJob, end int) error {
+// and every outcome is merged strictly in registration order, so the firing
+// sequence is independent of the worker count, the eval/replay split and
+// the wake list each job came from.
+func (e *Engine) runJobs(s *sweepScratch, end int) error {
+	jobs := s.jobs
 	if len(jobs) == 0 {
 		return nil
 	}
-	evalIdx := make([]int, 0, len(jobs))
+	if s.unsorted {
+		slices.SortFunc(jobs, func(a, b sweepJob) int { return a.r.seq - b.r.seq })
+	}
+	evalIdx := s.evalIdx[:0]
 	for i, j := range jobs {
 		if !j.replay {
 			evalIdx = append(evalIdx, i)
 		}
 	}
-	outs := make([]advanceOutcome, len(jobs))
+	s.evalIdx = evalIdx
+	s.outs = sized(s.outs, len(jobs))
+	outs := s.outs
 	e.deal(len(evalIdx), func(k int) {
 		i := evalIdx[k]
 		outs[i] = e.advanceRule(jobs[i].r, end)

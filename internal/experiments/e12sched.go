@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"runtime"
 	"time"
 
 	"ptlactive/internal/adb"
@@ -14,22 +15,26 @@ import (
 // eventually but each individual commit concerns only touch/rules of the
 // rule set). With the read-set index the sweep evaluates only the touched
 // rules and replays the memoized outcome for the rest; the coarse filter
-// evaluates every database-reading rule at every commit. It returns the
-// evaluator steps, the wall time, and the firing log for the equivalence
-// check. newEngine picks the arm: adb.NewEngine, or adb.NewCoarseEngine —
-// a memory-only constructor, not a Config option, and never persisted.
-func SchedIndexRun(rules, commits, touch int, newEngine func(adb.Config) *adb.Engine) (steps int64, dur time.Duration, firings []adb.Firing) {
+// evaluates every database-reading rule at every commit. newEngine picks
+// the arm: adb.NewEngine, or adb.NewCoarseEngine — a memory-only
+// constructor, not a Config option, and never persisted. workers is
+// Config.Workers: 0 for the timed pass (the engine as deployed), 1 for the
+// allocation pass, where the pool spawns nothing and the counts repeat
+// exactly on every machine.
+func SchedIndexRun(rules, commits, touch, workers int, newEngine func(adb.Config) *adb.Engine) SchedRun {
 	initial := make(map[string]value.Value, rules)
 	for i := 0; i < rules; i++ {
 		initial[fmt.Sprintf("i%d", i)] = value.NewInt(0)
 	}
-	eng := newEngine(adb.Config{Initial: initial})
+	eng := newEngine(adb.Config{Initial: initial, Workers: workers})
 	for i := 0; i < rules; i++ {
 		cond := fmt.Sprintf(`item("i%d") > 100`, i)
 		if err := eng.AddTrigger(fmt.Sprintf("r%d", i), cond, nil, adb.WithScheduling(adb.Relevant)); err != nil {
 			panic(err)
 		}
 	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
 	start := time.Now()
 	for c := 0; c < commits; c++ {
 		updates := make(map[string]value.Value, touch)
@@ -48,7 +53,26 @@ func SchedIndexRun(rules, commits, touch int, newEngine func(adb.Config) *adb.En
 			panic(err)
 		}
 	}
-	return eng.EvalSteps(), time.Since(start), eng.Firings()
+	dur := time.Since(start)
+	runtime.ReadMemStats(&after)
+	return SchedRun{
+		Steps:   eng.EvalSteps(),
+		Dur:     dur,
+		Firings: eng.Firings(),
+		Allocs:  float64(after.Mallocs-before.Mallocs) / float64(commits),
+		Bytes:   float64(after.TotalAlloc-before.TotalAlloc) / float64(commits),
+	}
+}
+
+// SchedRun is one arm of E12: evaluator steps, wall time and the firing
+// log for the equivalence check, plus heap allocations and bytes per
+// commit over the commit loop (the loop's own update maps and keys
+// included, identically in both arms).
+type SchedRun struct {
+	Steps         int64
+	Dur           time.Duration
+	Firings       []adb.Firing
+	Allocs, Bytes float64
 }
 
 // E12ReadSetIndex measures the read-set indexed scheduler against the
@@ -64,14 +88,19 @@ func E12ReadSetIndex(quick bool) Table {
 		ID:    "E12",
 		Title: "read-set indexed scheduling vs the coarse relevance filter",
 		Header: []string{"rules", "commits", "touched/commit", "indexed steps", "indexed ms",
-			"coarse steps", "coarse ms", "step ratio", "speedup"},
+			"indexed allocs/commit", "indexed B/commit",
+			"coarse steps", "coarse ms", "coarse allocs/commit", "coarse B/commit",
+			"step ratio", "speedup"},
 		Notes: "every rule reads one item and every commit updates a rotating ~1% of the items; " +
 			"the coarse filter evaluates all database-reading rules at each commit, the index " +
 			"evaluates only the touched ones and replays the memoized outcome for the rest. " +
-			"Firings are verified identical between the two runs.",
+			"Firings are verified identical between the two runs. Steps and ms are from a pass " +
+			"with the engine as deployed (Workers: 0); allocs and B per commit are from a second " +
+			"pass at Workers: 1, where they do not depend on the machine.",
 	}
-	is, id, ifir := SchedIndexRun(rules, commits, touch, adb.NewEngine)
-	cs, cd, cfir := SchedIndexRun(rules, commits, touch, adb.NewCoarseEngine)
+	idx := SchedIndexRun(rules, commits, touch, 0, adb.NewEngine)
+	coarse := SchedIndexRun(rules, commits, touch, 0, adb.NewCoarseEngine)
+	ifir, cfir := idx.Firings, coarse.Firings
 	if len(ifir) != len(cfir) {
 		panic(fmt.Sprintf("E12: indexed run fired %d times, coarse %d", len(ifir), len(cfir)))
 	}
@@ -80,17 +109,21 @@ func E12ReadSetIndex(quick bool) Table {
 			panic(fmt.Sprintf("E12: firing %d diverges: indexed %+v, coarse %+v", i, ifir[i], cfir[i]))
 		}
 	}
+	idxMem := SchedIndexRun(rules, commits, touch, 1, adb.NewEngine)
+	coarseMem := SchedIndexRun(rules, commits, touch, 1, adb.NewCoarseEngine)
 	ratio, speed := "-", "-"
-	if is > 0 {
-		ratio = fmt.Sprintf("%.1fx", float64(cs)/float64(is))
+	if idx.Steps > 0 {
+		ratio = fmt.Sprintf("%.1fx", float64(coarse.Steps)/float64(idx.Steps))
 	}
-	if id > 0 {
-		speed = fmt.Sprintf("%.1fx", float64(cd)/float64(id))
+	if idx.Dur > 0 {
+		speed = fmt.Sprintf("%.1fx", float64(coarse.Dur)/float64(idx.Dur))
 	}
 	t.Rows = append(t.Rows, []string{
 		fmt.Sprint(rules), fmt.Sprint(commits), fmt.Sprint(touch),
-		fmt.Sprint(is), fmtMs(id),
-		fmt.Sprint(cs), fmtMs(cd),
+		fmt.Sprint(idx.Steps), fmtMs(idx.Dur),
+		fmt.Sprintf("%.1f", idxMem.Allocs), fmt.Sprintf("%.0f", idxMem.Bytes),
+		fmt.Sprint(coarse.Steps), fmtMs(coarse.Dur),
+		fmt.Sprintf("%.1f", coarseMem.Allocs), fmt.Sprintf("%.0f", coarseMem.Bytes),
 		ratio, speed,
 	})
 	return t

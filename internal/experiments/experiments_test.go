@@ -101,7 +101,7 @@ func TestAllExperimentsRun(t *testing.T) {
 	// coarse relevance filter on the sparse-touch workload.
 	e12 := byID["E12"]
 	idxSteps := atoi(t, e12.Rows[0][3])
-	coarseSteps := atoi(t, e12.Rows[0][5])
+	coarseSteps := atoi(t, e12.Rows[0][7])
 	if idxSteps >= coarseSteps {
 		t.Errorf("E12: index did not reduce steps: %d vs %d", idxSteps, coarseSteps)
 	}

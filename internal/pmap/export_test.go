@@ -1,5 +1,7 @@
 package pmap
 
+import "fmt"
+
 // SetPrioForTesting replaces the treap priority hash and returns a
 // restore function. Tests use it to force priority collisions (every
 // key tied, exercising the key tie-break until the tree degenerates)
@@ -48,4 +50,51 @@ func (m Map[V]) Depth() int {
 		return dl + 1
 	}
 	return d(m.root)
+}
+
+// Validate checks every node's cached size and priority against its
+// children, and the BST order — the invariants a bulk build must establish
+// without the insert path's help.
+func (m Map[V]) Validate() error {
+	var walk func(n *node[V]) error
+	walk = func(n *node[V]) error {
+		if n == nil {
+			return nil
+		}
+		if n.size != size(n.l)+size(n.r)+1 {
+			return fmt.Errorf("node %q: size %d, children %d+%d", n.k, n.size, size(n.l), size(n.r))
+		}
+		if n.prio != keyPrio(n.k) {
+			return fmt.Errorf("node %q: stale priority", n.k)
+		}
+		for _, c := range []*node[V]{n.l, n.r} {
+			if c != nil && !beats(n.prio, n.k, c.prio, c.k) {
+				return fmt.Errorf("node %q: heap order broken at child %q", n.k, c.k)
+			}
+		}
+		if n.l != nil && n.l.k >= n.k || n.r != nil && n.r.k <= n.k {
+			return fmt.Errorf("node %q: key order broken", n.k)
+		}
+		if err := walk(n.l); err != nil {
+			return err
+		}
+		return walk(n.r)
+	}
+	return walk(m.root)
+}
+
+// UnsharedNodes counts the nodes of m that are not pointer-shared with o at
+// the same position: after one With on a treap, exactly the copied path.
+func (m Map[V]) UnsharedNodes(o Map[V]) int {
+	var walk func(a, b *node[V]) int
+	walk = func(a, b *node[V]) int {
+		if a == nil || a == b {
+			return 0
+		}
+		if b == nil {
+			return a.size
+		}
+		return 1 + walk(a.l, b.l) + walk(a.r, b.r)
+	}
+	return walk(m.root, o.root)
 }

@@ -30,6 +30,8 @@
 //     smaller key), so shape is deterministic and insertion-order-free.
 package pmap
 
+import "slices"
+
 // smallMax is the largest map kept in sorted-slice form. Eight matches
 // the small-set elision in internal/event: beyond this, whole-slice
 // copies start losing to path copying.
@@ -188,7 +190,29 @@ func (m Map[V]) WithAll(updates map[string]V) Map[V] {
 			}
 			return Map[V]{vec: out}
 		}
-		m = Map[V]{root: buildTreap(m.vec)}
+		// A slice-form receiver outgrowing smallMax has no structure worth
+		// sharing: merge, sort once and build the treap in one pass. The
+		// keys are sorted alone — entries are several words wide, and moving
+		// them dominates a sort.
+		keys := make([]string, 0, len(m.vec)+fresh)
+		for _, e := range m.vec {
+			if _, shadowed := updates[e.k]; !shadowed {
+				keys = append(keys, e.k)
+			}
+		}
+		for k := range updates {
+			keys = append(keys, k)
+		}
+		slices.Sort(keys)
+		merged := make([]entry[V], len(keys))
+		for i, k := range keys {
+			v, updated := updates[k]
+			if !updated {
+				v, _ = m.Get(k)
+			}
+			merged[i] = entry[V]{k: k, v: v}
+		}
+		return Map[V]{root: buildTreap(merged)}
 	}
 	root := m.root
 	for k, v := range updates {
@@ -487,11 +511,37 @@ func merge[V any](a, b *node[V]) *node[V] {
 	return &c
 }
 
-// buildTreap grows a treap from a small sorted slice.
+// buildTreap builds the canonical treap over a slice sorted by key in
+// O(n), allocating exactly one node per entry: the Cartesian-tree
+// construction over (key, keyPrio(key)). The stack holds the right spine
+// of the tree so far; an arriving entry pops every spine node it beats
+// (they become its left subtree) and hangs off the survivor's right. A
+// node's children are both final when it is popped, so that is where its
+// size is set. The result is the same tree one-at-a-time insertion builds
+// — the treap over a key set is unique — without its O(n log n) discarded
+// path copies.
 func buildTreap[V any](vec []entry[V]) *node[V] {
-	var root *node[V]
+	var spine []*node[V]
+	pop := func() *node[V] {
+		n := spine[len(spine)-1]
+		spine = spine[:len(spine)-1]
+		n.size = size(n.l) + size(n.r) + 1
+		return n
+	}
 	for i := range vec {
-		root = insert(root, vec[i].k, vec[i].v, keyPrio(vec[i].k))
+		x := &node[V]{k: vec[i].k, v: vec[i].v, prio: keyPrio(vec[i].k)}
+		for len(spine) > 0 {
+			if top := spine[len(spine)-1]; !beats(x.prio, x.k, top.prio, top.k) {
+				top.r = x
+				break
+			}
+			x.l = pop()
+		}
+		spine = append(spine, x)
+	}
+	var root *node[V]
+	for len(spine) > 0 {
+		root = pop()
 	}
 	return root
 }

@@ -307,3 +307,79 @@ func TestPMapAllocs(t *testing.T) {
 		})
 	}
 }
+
+// TestPMapBulkBuild pins the O(n) construction behind WithAll on an empty
+// or slice-form receiver to the one-at-a-time build it replaces: the same
+// tree node for node (shapes are canonical, so anything else would break
+// Equal and Diff's alignment), under the production hash and under the
+// forced-collision hashes, and a later With on it path-copies one root-to-
+// node path and shares everything else.
+func TestPMapBulkBuild(t *testing.T) {
+	check := func(t *testing.T, base Map[int], keys []string) {
+		t.Helper()
+		ups := make(map[string]int, len(keys))
+		inc := base
+		for i, k := range keys {
+			ups[k] = i
+			inc = inc.With(k, i)
+		}
+		bulk := base.WithAll(ups)
+		if err := bulk.Validate(); err != nil {
+			t.Fatalf("bulk build of %d keys: %v", len(keys), err)
+		}
+		if got, want := bulk.Fingerprint(), inc.Fingerprint(); got != want {
+			t.Fatalf("bulk build of %d keys diverges from incremental:\n%s\nvs\n%s", len(keys), got, want)
+		}
+		if d := collectDiff(bulk, inc); len(d) != 0 || !bulk.Equal(inc, eqInt) {
+			t.Fatalf("bulk build of %d keys: Diff %v against incremental", len(keys), d)
+		}
+		if bulk.Len() <= smallMax {
+			return
+		}
+		k := keys[len(keys)/2]
+		next := bulk.With(k, -1)
+		depth := 1
+		for n := next.root; n.k != k; depth++ {
+			if k < n.k {
+				n = n.l
+			} else {
+				n = n.r
+			}
+		}
+		if got := next.UnsharedNodes(bulk); got != depth {
+			t.Fatalf("With on a bulk-built map copied %d nodes, path is %d", got, depth)
+		}
+	}
+	sizes := func(t *testing.T, rng *rand.Rand) {
+		for _, n := range []int{0, 1, smallMax, smallMax + 1, 40, 500} {
+			keys := testKeys(n)
+			rng.Shuffle(len(keys), func(i, j int) { keys[i], keys[j] = keys[j], keys[i] })
+			check(t, Map[int]{}, keys)
+			// A slice-form receiver whose entries the updates partly shadow.
+			small := Map[int]{}.With("item001", -7).With("zz", -8).With("aa", -9)
+			check(t, small, keys)
+		}
+	}
+	t.Run("production", func(t *testing.T) { sizes(t, rand.New(rand.NewSource(5))) })
+	t.Run("allTied", func(t *testing.T) {
+		defer SetPrioForTesting(func(string) uint64 { return 7 })()
+		sizes(t, rand.New(rand.NewSource(6)))
+	})
+	t.Run("fourBuckets", func(t *testing.T) {
+		defer SetPrioForTesting(func(k string) uint64 { return fnvPrio(k) % 4 })()
+		sizes(t, rand.New(rand.NewSource(7)))
+	})
+	t.Run("depth", func(t *testing.T) {
+		ups := make(map[string]int, 100000)
+		for i := 0; i < 100000; i++ {
+			ups[fmt.Sprintf("item%06d", i)] = i
+		}
+		m := Map[int]{}.WithAll(ups)
+		if d := m.Depth(); d > 5*17 {
+			t.Fatalf("bulk-built treap depth %d for 100k keys", d)
+		}
+		if got := testing.AllocsPerRun(1, func() { Map[int]{}.WithAll(ups) }); got > 100000+64 {
+			t.Fatalf("bulk build of 100k keys: %.0f allocations, want one per node plus scratch", got)
+		}
+	})
+}
