@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test bench race vet fmtcheck vulncheck depcheck allocgates benchmod loc stress verify tables profile profile-sparse benchcheck bench-baselines bench-engine serve-smoke cluster-smoke replica-smoke retain-smoke
+.PHONY: build test bench race vet fmtcheck vulncheck depcheck allocgates benchmod loc stress verify tables profile profile-sparse profile-gate benchcheck bench-baselines bench-engine serve-smoke cluster-smoke replica-smoke retain-smoke
 
 build:
 	$(GO) build ./...
@@ -65,7 +65,7 @@ stress:
 # counts. They pin Workers: 1, so nothing they count may depend on
 # GOMAXPROCS: the three runs must pass alike — that is the check.
 allocgates:
-	for p in 1 2 4; do GOMAXPROCS=$$p $(GO) test -count=1 -run 'TestCommitAllocs|TestSweepNoRuleTerm' ./internal/adb || exit 1; done
+	for p in 1 2 4; do GOMAXPROCS=$$p $(GO) test -count=1 -run 'TestCommitAllocs|TestSweepNoRuleTerm|TestConstraintCheckAllocs' ./internal/adb || exit 1; done
 
 # verify is the full pre-merge tier: static checks plus the whole suite
 # under the race detector (the concurrent engine and the durability
@@ -114,7 +114,7 @@ tables:
 
 # profile captures pprof CPU and heap profiles of the scheduling and
 # durability experiments; inspect with `go tool pprof cpu.prof`.
-profile: profile-sparse
+profile: profile-sparse profile-gate
 	$(GO) run ./cmd/benchtables -only E10,E12 -cpuprofile cpu.prof -memprofile mem.prof
 	@echo "wrote cpu.prof and mem.prof (go tool pprof cpu.prof)"
 
@@ -127,6 +127,15 @@ profile-sparse:
 	$(GO) test -run '^$$' -bench SparseStatic -benchtime 200000x -memprofilerate 4096 \
 		-cpuprofile sparse_cpu.prof -memprofile sparse_mem.prof ./internal/adb
 	@echo "wrote sparse_cpu.prof, sparse_mem.prof and adb.test (go tool pprof adb.test sparse_cpu.prof)"
+
+# profile-gate profiles the constraint-gate shape (100k items, 300
+# `not (item(k) < 100 and lasttime item(k) > 900)` constraints, Zipf
+# 1-3-item commits, ~4% of them refused): what the constraint check costs a
+# commit, per constraint stepped.
+profile-gate:
+	$(GO) test -run '^$$' -bench ConstraintGate -benchtime 50000x -memprofilerate 4096 \
+		-cpuprofile gate_cpu.prof -memprofile gate_mem.prof ./internal/adb
+	@echo "wrote gate_cpu.prof, gate_mem.prof and adb.test (go tool pprof adb.test gate_cpu.prof)"
 
 # benchcheck re-runs the experiments behind the committed benchmark
 # baselines and reports any time column more than 20% over baseline.

@@ -134,3 +134,54 @@ func TestSweepNoRuleTerm(t *testing.T) {
 		}
 	}
 }
+
+// constraintCheckAllocs measures allocations per commit, at Workers: 1, of
+// a stream of one-item transactions against the given number of fast-path
+// temporal constraints, one per item (the constraint-gate shape). Every
+// commit touches one constrained item among the first twenty, which carry a
+// constraint at either table size.
+func constraintCheckAllocs(t *testing.T, constraints int) float64 {
+	t.Helper()
+	const items = 300
+	key := func(i int64) string { return fmt.Sprintf("k%04d", i) }
+	initial := make(map[string]value.Value, items)
+	for i := int64(0); i < items; i++ {
+		initial[key(i)] = value.NewInt(500)
+	}
+	e := NewEngine(Config{Initial: initial, Workers: 1})
+	for i := int64(0); i < int64(constraints); i++ {
+		cond := fmt.Sprintf(`not (item(%q) < 100 and lasttime item(%q) > 900)`, key(i), key(i))
+		if err := e.AddConstraint(fmt.Sprintf("nocrash_%03d", i), cond); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ts := int64(0)
+	var failed error
+	got := testing.AllocsPerRun(400, func() {
+		ts++
+		if err := e.Exec(ts, map[string]value.Value{key(ts % 20): value.NewInt(200 + ts%500)}); err != nil {
+			failed = err
+		}
+	})
+	if failed != nil {
+		t.Fatal(failed)
+	}
+	return got
+}
+
+// TestConstraintCheckAllocs is the gate that keeps the clone from coming
+// back: constraints step in place over the tentative state, under the
+// dbUnchanged hint wherever the transaction left their items alone, so a
+// commit allocates for the constraint it touched and nothing for the other
+// 299. Cloning an evaluator per constraint per commit cost nine
+// allocations each.
+func TestConstraintCheckAllocs(t *testing.T) {
+	none, few, many := constraintCheckAllocs(t, 0), constraintCheckAllocs(t, 30), constraintCheckAllocs(t, 300)
+	t.Logf("allocs per commit: %.1f without constraints, %.1f with 30, %.1f with 300", none, few, many)
+	if many != few {
+		t.Fatalf("commit allocations grow with the constraint table: %.1f at 30 constraints, %.1f at 300", few, many)
+	}
+	if many > none+8 {
+		t.Fatalf("the constraint check allocates %.1f objects per commit over the %.1f of a commit without constraints (allowed: 8)", many-none, none)
+	}
+}

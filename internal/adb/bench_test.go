@@ -1,6 +1,7 @@
 package adb
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -75,4 +76,77 @@ func BenchmarkSparseStatic(b *testing.B) {
 			e.Compact()
 		}
 	}
+}
+
+// BenchmarkConstraintGate is the frozen benchmark's constraint-gate row in
+// miniature, for `make profile`: 100k items, 300 temporal constraints "no
+// item falls from above 900 to below 100 in one step" on the hottest keys,
+// Zipf(1.1) transactions of one to three items, about one in twenty-five of
+// them crashing a constrained item that is high. A commit steps all 300
+// constraints, so the profile shows what the constraint check costs per
+// constraint it did not touch.
+func BenchmarkConstraintGate(b *testing.B) {
+	const items, gates = 100000, 300
+	key := func(i int) string { return fmt.Sprintf("k%06d", i) }
+	initial := make(map[string]value.Value, items)
+	for i := 0; i < items; i++ {
+		initial[key(i)] = value.NewInt(500)
+	}
+	e := NewEngine(Config{Initial: initial})
+	for i := 0; i < gates; i++ {
+		cond := fmt.Sprintf(`not (item(%q) < 100 and lasttime item(%q) > 900)`, key(i), key(i))
+		if err := e.AddConstraint(fmt.Sprintf("nocrash_%03d", i), cond); err != nil {
+			b.Fatal(err)
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	zipf := rand.NewZipf(rng, 1.1, 1, items-1)
+	// model mirrors the constrained items, so the run knows which commits
+	// the constraints refuse.
+	model := make([]int64, gates)
+	for i := range model {
+		model[i] = 500
+	}
+	rejected := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		next := map[int]int64{}
+		for n := 1 + rng.Intn(3); n > 0; n-- {
+			k, v := int(zipf.Uint64()), rng.Int63n(1000)
+			if k < gates && model[k] > 900 && v < 100 {
+				v += 100
+			}
+			next[k] = v
+		}
+		crash := false
+		if rng.Intn(25) == 0 {
+			for k, start := 0, rng.Intn(gates); k < gates && !crash; k++ {
+				if g := (start + k) % gates; model[g] > 900 {
+					next[g], crash = rng.Int63n(100), true
+				}
+			}
+		}
+		upd := make(map[string]value.Value, len(next))
+		for k, v := range next {
+			upd[key(k)] = value.NewInt(v)
+		}
+		err := e.Exec(int64(i+1), upd)
+		switch {
+		case crash != errors.Is(err, ErrConstraintViolation), err != nil && !crash:
+			b.Fatalf("commit %d: crash=%t, got %v", i, crash, err)
+		case crash:
+			rejected++
+		default:
+			for k, v := range next {
+				if k < gates {
+					model[k] = v
+				}
+			}
+		}
+		if i%4096 == 4095 {
+			e.Compact()
+		}
+	}
+	b.ReportMetric(100*float64(rejected)/float64(b.N), "%rejected")
 }

@@ -26,9 +26,9 @@ func (e *Engine) sweepCoarse(newest int, st history.SystemState) error {
 	var jobs []*rule
 	for _, r := range e.rules {
 		if r.constraint {
-			// The constraint's own evaluator advances lazily (at commits
-			// and aborts); Txn.Commit catches it up before cloning anyway.
-			if st.Events.CommitCount() > 0 || len(st.Events.ByName(event.TransactionAbort)) > 0 {
+			// Constraints advance lazily, at commits and aborts — and a commit
+			// they accepted has stepped them already (checkConstraints).
+			if (st.Events.CommitCount() > 0 || len(st.Events.ByName(event.TransactionAbort)) > 0) && r.cursor <= newest {
 				jobs = append(jobs, r)
 			}
 			continue

@@ -25,41 +25,64 @@ func (e *ConstraintError) Error() string {
 // Unwrap yields ErrConstraintViolation for errors.Is.
 func (e *ConstraintError) Unwrap() error { return ErrConstraintViolation }
 
-// checkConstraints catches every constraint's evaluator up to the present
-// and steps a clone of each against the tentative commit state, so an abort
-// leaves no trace in the temporal component. It returns the first violated
-// constraint in rule registration order (nil when the commit may proceed).
+// checkConstraints puts the tentative commit state, which writes the items
+// in changed, to every constraint: it catches up whichever evaluators lag
+// (after Emit states, or registered since the last commit), then marks and
+// steps each constraint's own evaluator over the state. It returns the
+// first violated constraint in rule registration order (nil when the commit
+// may proceed). On a violation or an evaluator error every step is rolled
+// back, so the attempt leaves no trace in the temporal component; an
+// accepted step stands — appendState moves the cursors past the state once
+// it is in the history, and no sweep evaluates it again.
 // Every constraint is stepped whether or not an earlier one already
 // rejected, so the verdict, the constraint named and the step count never
 // depend on the worker count or on goroutine scheduling.
-func (e *Engine) checkConstraints(tentative history.SystemState) (*rule, error) {
+func (e *Engine) checkConstraints(tentative history.SystemState, changed []string) (*rule, error) {
 	constraints := e.constraints
 	if len(constraints) == 0 {
 		return nil, nil
 	}
-	if err := e.advanceRules(constraints, e.hist.Len()); err != nil {
-		return nil, err
+	for _, r := range constraints {
+		if r.cursor < e.hist.Len() {
+			if err := e.advanceRules(constraints, e.hist.Len()); err != nil {
+				return nil, err
+			}
+			break
+		}
 	}
 	s := e.takeScratch()
 	defer e.putScratch(s)
 	s.verdicts = sized(s.verdicts, len(constraints))
 	verdicts := s.verdicts
+	d := dirtySet{known: true, items: changed}
 	e.deal(len(constraints), func(i int) {
-		res, err := constraints[i].ev.CloneEvaluator().StepResult(tentative)
+		r := constraints[i]
+		r.ev.Mark()
+		res, err := e.step(r, tentative, d)
 		verdicts[i] = verdict{fired: res.Fired, err: err}
 	})
 	e.mu.Lock() // concurrent EvalSteps readers
 	e.evalSteps += int64(len(constraints))
 	e.mu.Unlock()
 	for i, r := range constraints {
-		if verdicts[i].err != nil {
-			return nil, fmt.Errorf("adb: constraint %s: %w", r.name, verdicts[i].err)
+		v := verdicts[i]
+		if v.err == nil && !v.fired {
+			continue
 		}
-		if verdicts[i].fired {
-			return r, nil
+		e.rollbackConstraints()
+		if v.err != nil {
+			return nil, fmt.Errorf("adb: constraint %s: %w", r.name, v.err)
 		}
+		return r, nil
 	}
 	return nil, nil
+}
+
+// rollbackConstraints undoes the tentative step checkConstraints took.
+func (e *Engine) rollbackConstraints() {
+	for _, r := range e.constraints {
+		r.ev.Rollback()
+	}
 }
 
 // verdict is one constraint's answer on the tentative commit state.

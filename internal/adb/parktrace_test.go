@@ -2,12 +2,16 @@ package adb
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"ptlactive/internal/event"
+	"ptlactive/internal/persist"
 	"ptlactive/internal/value"
 )
 
@@ -171,19 +175,20 @@ func (tr parkTrace) runDurable(t *testing.T, workers int, dir string) (e *Engine
 	return e, mid, save(e)
 }
 
-// parkFixture is the one trace whose snapshot bytes are pinned to the
-// encoding the commit before wake lists and the parked cursor produced.
+// parkFixture is the one trace whose snapshot bytes are pinned: to the
+// encoding the commit before wake lists and the parked cursor produced, but
+// for the step counter (see TestParkFixtureMovedStepsOnly).
 func parkFixture() parkTrace { return newParkTrace(7100, 9, 90, true, false) }
 
 const parkFixtureDir = "testdata/park_trace"
 
 // TestParkTraceFixture checks the durable twin of the fixture trace against
 // testdata/park_trace/{mid,end}.snap at one worker and at four. The files
-// were written by the parent commit of the wake-list sweep running this
-// same file (ADB_WRITE_PARK_FIXTURE=1 go test -run TestParkTraceFixture):
-// cursors, memos, step counter and firing log are all in the snapshot, so
-// byte equality pins every one of them to what the rule-table scan
-// computed.
+// were first written by the parent commit of the wake-list sweep running
+// this same file (ADB_WRITE_PARK_FIXTURE=1 go test -run TestParkTraceFixture)
+// and rewritten once since, when constraints stopped stepping an accepted
+// commit twice: cursors, memos, step counter and firing log are all in the
+// snapshot, so byte equality pins every one of them.
 func TestParkTraceFixture(t *testing.T) {
 	tr := parkFixture()
 	for _, workers := range []int{1, 4} {
@@ -210,6 +215,43 @@ func TestParkTraceFixture(t *testing.T) {
 				t.Fatalf("workers=%d: %s: snapshot bytes differ from the parent's encoding (%d vs %d bytes)%s",
 					workers, name, len(got), len(want), firstDiff(got, want))
 			}
+		}
+	}
+}
+
+// TestParkFixtureMovedStepsOnly ties the rewritten fixture to the one the
+// rule-table scan wrote. A constraint used to cost two steps per accepted
+// commit (a clone's, then the sweep's over the same state) and costs one;
+// nothing else the snapshot holds may have moved. Put the old counter back,
+// redo the envelope checksum over it, and the file must hash to the old one.
+func TestParkFixtureMovedStepsOnly(t *testing.T) {
+	for name, old := range map[string]struct {
+		now, was int
+		sha256   string
+	}{
+		"mid.snap": {832, 926, "b4c5c8664240ad8d86e17eb60b2e28d559308898749e841d8922005f8b86ea7f"},
+		"end.snap": {1726, 1931, "7a9757d29bb97ecd34cce6b92af48e34a0cb0dfe23c19009f4efc749b9ecd471"},
+	} {
+		data, err := os.ReadFile(filepath.Join(parkFixtureDir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var env persist.Envelope
+		if err := json.Unmarshal(data, &env); err != nil {
+			t.Fatal(err)
+		}
+		now, was := fmt.Sprintf(`"evalSteps":%d,`, old.now), fmt.Sprintf(`"evalSteps":%d,`, old.was)
+		if bytes.Count(env.Payload, []byte(now)) != 1 {
+			t.Fatalf("%s: want exactly one %s", name, now)
+		}
+		env.Payload = bytes.Replace(env.Payload, []byte(now), []byte(was), 1)
+		env.CRC = crc32.ChecksumIEEE(env.Payload)
+		blob, err := json.Marshal(&env)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(append(blob, '\n'))); got != old.sha256 {
+			t.Fatalf("%s differs from the parent's fixture in more than evalSteps and crc (sha256 %s, want %s)", name, got, old.sha256)
 		}
 	}
 }

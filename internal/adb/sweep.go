@@ -321,7 +321,8 @@ func (e *Engine) sweepIndexed(newest int, st history.SystemState) error {
 				s.add(r, false)
 			}
 		case wakeConstraint:
-			if commit || aborted {
+			// A commit the constraints accepted has stepped them already.
+			if (commit || aborted) && r.cursor < end {
 				s.add(r, false)
 			}
 		}
@@ -398,19 +399,7 @@ func (e *Engine) advanceRule(r *rule, end int) advanceOutcome {
 			return out
 		}
 		st := e.hist.At(out.cursor)
-		var res core.Result
-		var err error
-		if r.hinted != nil {
-			// The dbUnchanged hint lets the evaluator keep its query-result
-			// cache across states whose dirty set is disjoint from the
-			// rule's read set. Only contiguous rules qualify: a cursor jump
-			// would leave the cache describing a state the evaluator never
-			// stepped past.
-			hint := !e.coarse && r.contiguous && e.stateClean(r, out.cursor)
-			res, err = r.hinted.StepResultHinted(st, hint)
-		} else {
-			res, err = r.ev.StepResult(st)
-		}
+		res, err := e.step(r, st, e.dirty[out.cursor])
 		out.steps++
 		if err != nil {
 			out.err = fmt.Errorf("adb: rule %s at state %d: %w", r.name, out.cursor, err)
@@ -431,12 +420,23 @@ func (e *Engine) advanceRule(r *rule, end int) advanceOutcome {
 	return out
 }
 
-// stateClean reports whether history state i left every item in r's read
-// set unchanged: the dirty set is known and either empty (event or abort
-// states — the database pointer is untouched) or, for analyzable rules,
-// disjoint from the extracted footprint.
-func (e *Engine) stateClean(r *rule, i int) bool {
-	d := e.dirty[i]
+// step feeds st, which changed d relative to the state r's evaluator stepped
+// last, to that evaluator. The dbUnchanged hint lets the evaluator keep its
+// query-result cache across states that leave the rule's read set alone.
+// Only contiguous rules qualify: a cursor jump would leave the cache
+// describing a state the evaluator never stepped past.
+func (e *Engine) step(r *rule, st history.SystemState, d dirtySet) (core.Result, error) {
+	if r.hinted == nil {
+		return r.ev.StepResult(st)
+	}
+	return r.hinted.StepResultHinted(st, !e.coarse && r.contiguous && r.untouchedBy(d))
+}
+
+// untouchedBy reports whether a state that changed d left every item in r's
+// read set unchanged: the dirty set is known and either empty (event or
+// abort states — the database pointer is untouched) or, for analyzable
+// rules, disjoint from the extracted footprint.
+func (r *rule) untouchedBy(d dirtySet) bool {
 	if !d.known {
 		return false
 	}

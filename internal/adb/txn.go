@@ -38,14 +38,25 @@ func (e *Engine) Emit(ts int64, events ...event.Event) error {
 // to the history with its dirty set, advance the database and clock, log
 // the operation's record, then run the temporal component. changed names
 // the items the state changed relative to its predecessor (nil for event
-// and abort states). A commit additionally captures the tracked items
-// before the sweep — actions read them as of their firing instant — and
-// runs the retention and checkpoint policies after it.
+// and abort states). A commit — always one checkConstraints has just
+// accepted — additionally promotes the constraints' tentative step (their
+// cursors move past the state; a refused append rolls the step back),
+// captures the tracked items before the sweep — actions read them as of
+// their firing instant — and runs the retention and checkpoint policies
+// after it.
 func (e *Engine) appendState(st history.SystemState, commit bool, changed []string, rec *persist.Record) error {
 	e.mu.Lock()
 	if err := e.hist.Append(st); err != nil {
 		e.mu.Unlock()
+		if commit {
+			e.rollbackConstraints()
+		}
 		return err
+	}
+	if commit {
+		for _, r := range e.constraints {
+			r.cursor = e.hist.Len()
+		}
 	}
 	e.dirty = append(e.dirty, dirtySet{known: true, items: changed})
 	e.db = st.DB
@@ -223,19 +234,6 @@ func (t *Txn) Commit(ts int64) error {
 			return err
 		}
 	}
-	// Evaluate integrity constraints on clones so an abort leaves no trace
-	// in the temporal component. Violations are resolved in rule
-	// registration order, never by worker timing.
-	violated, err := e.checkConstraints(tentative)
-	if err != nil {
-		return err
-	}
-	if violated != nil {
-		if err := e.appendAbort(t.id, ts, walRec); err != nil {
-			return err
-		}
-		return &ConstraintError{Constraint: violated.name, Txn: t.id}
-	}
 	var changed []string
 	if n := len(t.updates) + len(t.deletes); n > 0 {
 		changed = make([]string, 0, n)
@@ -245,6 +243,20 @@ func (t *Txn) Commit(ts int64) error {
 		for item := range t.deletes {
 			changed = append(changed, item)
 		}
+	}
+	// The constraints step over the tentative state in place and roll back
+	// on a rejection, so an abort leaves no trace in the temporal component.
+	// Violations are resolved in rule registration order, never by worker
+	// timing.
+	violated, err := e.checkConstraints(tentative, changed)
+	if err != nil {
+		return err
+	}
+	if violated != nil {
+		if err := e.appendAbort(t.id, ts, walRec); err != nil {
+			return err
+		}
+		return &ConstraintError{Constraint: violated.name, Txn: t.id}
 	}
 	return e.appendState(tentative, true, changed, walRec)
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"maps"
+
 	"ptlactive/internal/ptl"
 	"ptlactive/internal/value"
 )
@@ -10,10 +12,8 @@ import (
 // F_{g,i} DAGs are shared structurally; only the maps and aggregate
 // buffers are copied.
 //
-// The engine uses clones to evaluate integrity constraints against a
-// tentative commit state: if the transaction aborts, the clone is
-// discarded and the original evaluator never sees the rolled-back state
-// (Section 8; abort must leave no trace in the temporal component).
+// The valid-time monitor (internal/vtime) checkpoints evaluators this way;
+// Mark and Rollback below clone the aggregate machines with it.
 func (e *Evaluator) Clone() *Evaluator {
 	c := &Evaluator{
 		info:      e.info,
@@ -39,6 +39,44 @@ func (e *Evaluator) Clone() *Evaluator {
 		c.aggs[k] = v.clone()
 	}
 	return c
+}
+
+// evalUndo is what Mark saves. Constraint nodes are immutable, so the
+// registers are copied shallowly, into maps reused from mark to mark; the
+// aggregate machines, which mutate in place, are cloned (in aggOrder).
+type evalUndo struct {
+	since map[*ptl.Since]*cnode
+	last  map[*ptl.Lasttime]*cnode
+	aggs  []*aggState
+	steps int
+}
+
+// Mark implements ConditionEvaluator.
+func (e *Evaluator) Mark() {
+	if e.undo == nil {
+		e.undo = &evalUndo{since: map[*ptl.Since]*cnode{}, last: map[*ptl.Lasttime]*cnode{}}
+	}
+	u := e.undo
+	maps.Copy(u.since, e.sincePrev)
+	maps.Copy(u.last, e.lastPrev)
+	u.aggs = u.aggs[:0]
+	for _, a := range e.aggOrder {
+		u.aggs = append(u.aggs, e.aggs[a].clone())
+	}
+	u.steps = e.steps
+}
+
+// Rollback implements ConditionEvaluator. The saved aggregate machines
+// become the live ones (their sub-evaluators start with empty query caches).
+func (e *Evaluator) Rollback() {
+	u := e.undo
+	maps.Copy(e.sincePrev, u.since)
+	maps.Copy(e.lastPrev, u.last)
+	for i, a := range e.aggOrder {
+		e.aggs[a] = u.aggs[i]
+	}
+	e.steps = u.steps
+	clear(e.qcache)
 }
 
 func (s *aggState) clone() *aggState {

@@ -640,27 +640,25 @@ func timeBoundPrune(n *cnode, now int64, timeVars map[string]bool, memo map[*cno
 	out := n
 	switch n.kind {
 	case nkAtom:
-		if v, c, op, ok := varConstAtom(n, timeVars); ok {
-			_ = v
+		if _, c, op, ok := varConstAtom(n, timeVars); ok {
+			// Compared as values, not float64s: on a nanosecond clock now and
+			// c are integers float64 cannot tell from their neighbours.
+			past, _ := value.NewInt(now).Compare(c)
 			switch op {
 			case value.LE, value.EQ:
-				if float64(now) > c {
+				if past > 0 {
 					out = nodeFalse
 				}
 			case value.LT:
-				if float64(now) >= c {
+				if past >= 0 {
 					out = nodeFalse
 				}
 			case value.GE:
-				if float64(now) >= c {
+				if past >= 0 {
 					out = nodeTrue
 				}
-			case value.GT:
-				if float64(now) > c {
-					out = nodeTrue
-				}
-			case value.NE:
-				if float64(now) > c {
+			case value.GT, value.NE:
+				if past > 0 {
 					out = nodeTrue
 				}
 			}
@@ -693,11 +691,12 @@ func timeBoundPrune(n *cnode, now int64, timeVars map[string]bool, memo map[*cno
 }
 
 // linearPart is the decomposition of a constraint term as sign*var +
-// offset where sign is 0 (no variable), +1 or -1.
+// offset where sign is 0 (no variable), +1 or -1. The offset is a numeric
+// Value so integer bounds stay exact (value.Arith keeps Int op Int an Int).
 type linearPart struct {
 	varName string
 	sign    int
-	offset  float64
+	offset  value.Value
 }
 
 // decomposeLinear writes the term as sign*var + offset when it has that
@@ -708,9 +707,9 @@ func decomposeLinear(t *cterm) (linearPart, bool) {
 		if !t.v.IsNumeric() {
 			return linearPart{}, false
 		}
-		return linearPart{offset: t.v.AsFloat()}, true
+		return linearPart{offset: t.v}, true
 	case ctVar:
-		return linearPart{varName: t.name, sign: 1}, true
+		return linearPart{varName: t.name, sign: 1, offset: value.NewInt(0)}, true
 	case ctArith:
 		if t.op != value.Add && t.op != value.Sub {
 			return linearPart{}, false
@@ -724,15 +723,15 @@ func decomposeLinear(t *cterm) (linearPart, bool) {
 			return linearPart{}, false
 		}
 		if t.op == value.Sub {
-			r.sign, r.offset = -r.sign, -r.offset
+			r.sign = -r.sign
 		}
 		if l.sign != 0 && r.sign != 0 {
 			return linearPart{}, false // two variable occurrences
 		}
-		out := linearPart{offset: l.offset + r.offset}
-		if l.sign != 0 {
-			out.varName, out.sign = l.varName, l.sign
-		} else if r.sign != 0 {
+		// Add or Sub of two numerics cannot fail.
+		off, _ := value.Arith(t.op, l.offset, r.offset)
+		out := linearPart{varName: l.varName, sign: l.sign, offset: off}
+		if r.sign != 0 {
 			out.varName, out.sign = r.varName, r.sign
 		}
 		return out, true
@@ -746,42 +745,39 @@ func decomposeLinear(t *cterm) (linearPart, bool) {
 // bounded operators produce shapes like time_j >= t - 10, which normalize
 // to t <= time_j + 10 — exactly the clauses the Section-5 optimization
 // folds.
-func varConstAtom(n *cnode, timeVars map[string]bool) (string, float64, value.CmpOp, bool) {
+func varConstAtom(n *cnode, timeVars map[string]bool) (string, value.Value, value.CmpOp, bool) {
 	if n.kind != nkAtom {
-		return "", 0, 0, false
+		return "", value.Value{}, 0, false
 	}
 	l, ok := decomposeLinear(n.l)
 	if !ok {
-		return "", 0, 0, false
+		return "", value.Value{}, 0, false
 	}
 	r, ok := decomposeLinear(n.r)
 	if !ok {
-		return "", 0, 0, false
+		return "", value.Value{}, 0, false
 	}
-	// Move the variable to the left: sign*v + c1 OP c2.
-	var sign int
-	var name string
-	var c1, c2 float64
+	// Move the variable to the left: sign*v + l.offset OP r.offset.
 	op := n.op
 	switch {
 	case l.sign != 0 && r.sign == 0:
-		sign, name, c1, c2 = l.sign, l.varName, l.offset, r.offset
 	case l.sign == 0 && r.sign != 0:
-		sign, name, c1, c2 = r.sign, r.varName, r.offset, l.offset
+		l, r = r, l
 		op = op.Flip()
 	default:
-		return "", 0, 0, false
+		return "", value.Value{}, 0, false
 	}
-	if !timeVars[name] {
-		return "", 0, 0, false
+	if !timeVars[l.varName] {
+		return "", value.Value{}, 0, false
 	}
-	// sign*v OP c2 - c1; divide by sign (flip on -1).
-	c := c2 - c1
-	if sign < 0 {
-		c = -c
+	// sign*v OP r.offset - l.offset; divide by sign (flip on -1).
+	hi, lo := r.offset, l.offset
+	if l.sign < 0 {
+		hi, lo = lo, hi
 		op = op.Flip()
 	}
-	return name, c, op, true
+	c, _ := value.Arith(value.Sub, hi, lo)
+	return l.varName, c, op, true
 }
 
 // collectCandidates gathers, for every variable, the constant values it is

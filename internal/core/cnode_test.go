@@ -203,8 +203,8 @@ func TestDecomposeLinear(t *testing.T) {
 			t.Errorf("case %d: ok=%t want %t", i, ok, c.ok)
 			continue
 		}
-		if ok && (lp.sign != c.sign || lp.offset != c.offset) {
-			t.Errorf("case %d: got sign=%d offset=%g", i, lp.sign, lp.offset)
+		if ok && (lp.sign != c.sign || lp.offset.AsFloat() != c.offset) {
+			t.Errorf("case %d: got sign=%d offset=%s", i, lp.sign, lp.offset)
 		}
 	}
 }
@@ -217,15 +217,15 @@ func TestVarConstAtomNormalization(t *testing.T) {
 	rhs, _ := arithTerm(value.Sub, v, constTerm(value.NewInt(10)))
 	atom := mustAtom(t, value.GE, constTerm(value.NewInt(7)), rhs)
 	name, c, op, ok := varConstAtom(atom, tv)
-	if !ok || name != "t" || c != 17 || op != value.LE {
-		t.Fatalf("normalized to %s %s %g (ok=%t)", name, op, c, ok)
+	if !ok || name != "t" || c.AsFloat() != 17 || op != value.LE {
+		t.Fatalf("normalized to %s %s %s (ok=%t)", name, op, c, ok)
 	}
 	// 5 - t < 2 -> -t < -3 -> t > 3.
 	lhs, _ := arithTerm(value.Sub, constTerm(value.NewInt(5)), v)
 	atom = mustAtom(t, value.LT, lhs, constTerm(value.NewInt(2)))
 	name, c, op, ok = varConstAtom(atom, tv)
-	if !ok || name != "t" || c != 3 || op != value.GT {
-		t.Fatalf("normalized to %s %s %g (ok=%t)", name, op, c, ok)
+	if !ok || name != "t" || c.AsFloat() != 3 || op != value.GT {
+		t.Fatalf("normalized to %s %s %s (ok=%t)", name, op, c, ok)
 	}
 	// Non-time variables are not pruned.
 	atom = mustAtom(t, value.LE, varTerm("u"), constTerm(value.NewInt(2)))

@@ -54,6 +54,8 @@ type Evaluator struct {
 	optimize bool
 
 	steps int
+	// undo is Mark's record (clone.go); nil until the first Mark.
+	undo *evalUndo
 	// current state during a Step call.
 	st history.SystemState
 	// per-step memo for time-bound pruning, cleared and reused across

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -595,6 +596,72 @@ func TestStateSizeAndRegistersAccessors(t *testing.T) {
 		// nodeFalse constant, so the count is 1.
 		if ev.StateSize() != 1 {
 			t.Fatalf("StateSize = %d", ev.StateSize())
+		}
+	}
+}
+
+// TestNanosecondTimeBounds: the paper's `time >= t - 10` clauses on a
+// nanosecond clock, where neighbouring instants share a float64. The event
+// is remembered for exactly 10 ns on the general evaluator — through its
+// time-bound pruning — and a plain bound against the state's own clock
+// holds on both.
+func TestNanosecondTimeBounds(t *testing.T) {
+	const t0 = int64(1_760_000_000_123_456_789)
+	reg := ptlgen.Registry()
+	db := history.EmptyDB()
+	state := func(off int64, events ...event.Event) history.SystemState {
+		return history.SystemState{DB: db, Events: event.NewSet(events...), TS: t0 + off}
+	}
+	within := mustParse(t, `[t <- time] previously (@e0 and time >= t - 10)`)
+	ev, err := Compile(within, reg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		st   history.SystemState
+		want bool
+	}{
+		{state(0, event.New("tick")), false},
+		{state(100, event.New("e0")), true},
+		{state(107, event.New("tick")), true}, // float64(t0+107) > float64(t0+100)+10
+		{state(110, event.New("tick")), true},
+		{state(111, event.New("tick")), false},
+		{state(400, event.New("tick")), false},
+	} {
+		res, err := ev.Step(c.st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Fired != c.want {
+			t.Errorf("within-10ns at +%d: fired = %t, want %t", c.st.TS-t0, res.Fired, c.want)
+		}
+	}
+	bound := mustParse(t, fmt.Sprintf(`[t <- time] (t >= %d - 10 and t < %d + 100)`, t0+50, t0+50))
+	for _, general := range []bool{false, true} {
+		info, err := ptl.Check(bound, reg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ev ConditionEvaluator
+		if general {
+			ev, err = New(info, reg, nil)
+		} else {
+			ev, err = NewFast(info, reg, nil)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range []struct {
+			off  int64
+			want bool
+		}{{39, false}, {40, true}, {149, true}, {150, false}} {
+			res, err := ev.StepResult(state(c.off, event.New("tick")))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Fired != c.want {
+				t.Errorf("%T: bound at +%d: fired = %t, want %t", ev, c.off, res.Fired, c.want)
+			}
 		}
 	}
 }

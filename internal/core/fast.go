@@ -28,13 +28,19 @@ type FastEvaluator struct {
 	reg  *query.Registry
 	log  ptl.ExecLog
 
-	sinceReg map[*ptl.Since]*bool
-	lastReg  map[*ptl.Lasttime]*bool
-	steps    int
-	st       history.SystemState
+	// regs holds every register, the since occurrences then the lasttime
+	// ones in temporalOccurrences order (the encoded order); sinceReg and
+	// lastReg point into it. undo is Mark's copy of regs and steps.
+	regs      []bool
+	sinceReg  map[*ptl.Since]*bool
+	lastReg   map[*ptl.Lasttime]*bool
+	steps     int
+	undo      []bool
+	undoSteps int
+	st        history.SystemState
 
 	// Query cache, valid while the database is unchanged (qcache.go);
-	// cacheable is immutable after NewFast and shared by clones.
+	// cacheable is immutable after NewFast.
 	qcache    map[*ptl.Call]value.Value
 	cacheable map[*ptl.Call]bool
 }
@@ -62,22 +68,25 @@ func NewFast(info *ptl.Info, reg *query.Registry, log ptl.ExecLog) (*FastEvaluat
 	if hasAgg {
 		return nil, fmt.Errorf("core: fast evaluator does not support aggregates; use the general evaluator")
 	}
+	sinces, lasts := temporalOccurrences(info.Normalized)
+	n := len(sinces) + len(lasts)
+	both := make([]bool, 2*n)
 	e := &FastEvaluator{
-		info:     info,
-		reg:      reg,
-		log:      log,
-		sinceReg: map[*ptl.Since]*bool{},
-		lastReg:  map[*ptl.Lasttime]*bool{},
+		info:      info,
+		reg:       reg,
+		log:       log,
+		regs:      both[:n:n],
+		undo:      both[n:],
+		sinceReg:  make(map[*ptl.Since]*bool, len(sinces)),
+		lastReg:   make(map[*ptl.Lasttime]*bool, len(lasts)),
+		cacheable: cacheableCalls(info.Normalized, reg),
 	}
-	ptl.Walk(info.Normalized, func(g ptl.Formula) {
-		switch x := g.(type) {
-		case *ptl.Since:
-			e.sinceReg[x] = new(bool)
-		case *ptl.Lasttime:
-			e.lastReg[x] = new(bool)
-		}
-	})
-	e.cacheable = cacheableCalls(info.Normalized, reg)
+	for i, x := range sinces {
+		e.sinceReg[x] = &e.regs[i]
+	}
+	for i, x := range lasts {
+		e.lastReg[x] = &e.regs[len(sinces)+i]
+	}
 	return e, nil
 }
 
@@ -91,7 +100,7 @@ func CompileFast(f ptl.Formula, reg *query.Registry, log ptl.ExecLog) (*FastEval
 }
 
 // Registers returns the number of boolean temporal registers.
-func (e *FastEvaluator) Registers() int { return len(e.sinceReg) + len(e.lastReg) }
+func (e *FastEvaluator) Registers() int { return len(e.regs) }
 
 // Steps returns the number of states processed.
 func (e *FastEvaluator) Steps() int { return e.steps }
@@ -342,27 +351,18 @@ func (e *FastEvaluator) term(t ptl.Term, env *fastEnv) (value.Value, error) {
 	}
 }
 
-// Clone returns an independent copy of the fast evaluator (boolean
-// registers copied).
-func (e *FastEvaluator) Clone() *FastEvaluator {
-	c := &FastEvaluator{
-		info:      e.info,
-		reg:       e.reg,
-		log:       e.log,
-		sinceReg:  make(map[*ptl.Since]*bool, len(e.sinceReg)),
-		lastReg:   make(map[*ptl.Lasttime]*bool, len(e.lastReg)),
-		steps:     e.steps,
-		cacheable: e.cacheable,
-	}
-	for k, v := range e.sinceReg {
-		b := *v
-		c.sinceReg[k] = &b
-	}
-	for k, v := range e.lastReg {
-		b := *v
-		c.lastReg[k] = &b
-	}
-	return c
+// Mark implements ConditionEvaluator: a copy of a few booleans, no
+// allocation.
+func (e *FastEvaluator) Mark() {
+	copy(e.undo, e.regs)
+	e.undoSteps = e.steps
+}
+
+// Rollback implements ConditionEvaluator.
+func (e *FastEvaluator) Rollback() {
+	copy(e.regs, e.undo)
+	e.steps = e.undoSteps
+	clear(e.qcache)
 }
 
 // StepResult adapts Step to the general evaluator's Result shape, so the
@@ -385,9 +385,19 @@ func (e *FastEvaluator) StepResultHinted(st history.SystemState, dbUnchanged boo
 
 // ConditionEvaluator is the common interface of the general and fast
 // incremental evaluators; the engine selects the implementation per rule.
+//
+// Mark and Rollback make one step tentative — how the engine puts a
+// constraint to a commit attempt (Section 8: an abort leaves no trace in
+// the temporal component). Mark records what the next step overwrites (the
+// F_{g since h,i-1} and F_{g,i-1} registers, the aggregate machines, the
+// step counter) in scratch the evaluator owns. Rollback, at most once per
+// Mark and whether or not the step failed half-way, puts it back and empties
+// the query cache, which may describe the discarded state. A step that is
+// kept needs no further call.
 type ConditionEvaluator interface {
 	StepResult(st history.SystemState) (Result, error)
-	CloneEvaluator() ConditionEvaluator
+	Mark()
+	Rollback()
 }
 
 // StepResult adapts the general evaluator to ConditionEvaluator.
@@ -399,12 +409,6 @@ func (e *Evaluator) StepResult(st history.SystemState) (Result, error) {
 func (e *Evaluator) StepResultHinted(st history.SystemState, dbUnchanged bool) (Result, error) {
 	return e.stepHinted(st, dbUnchanged)
 }
-
-// CloneEvaluator adapts Clone to ConditionEvaluator.
-func (e *Evaluator) CloneEvaluator() ConditionEvaluator { return e.Clone() }
-
-// CloneEvaluator adapts Clone to ConditionEvaluator.
-func (e *FastEvaluator) CloneEvaluator() ConditionEvaluator { return e.Clone() }
 
 // CompileAuto builds the best evaluator for the condition: the boolean
 // fast path when the condition is in the decomposable subclass (and free

@@ -474,36 +474,26 @@ func restoreAggState(s *aggState, rec *aggRec) error {
 }
 
 func encodeFast(e *FastEvaluator) (*evalState, error) {
-	st := &evalState{Kind: "fast", Steps: e.steps}
-	sinces, lasts := temporalOccurrences(e.info.Normalized)
-	if len(sinces) != len(e.sinceReg) || len(lasts) != len(e.lastReg) {
-		return nil, fmt.Errorf("core: internal: occurrence walk found %d/%d registers, evaluator has %d/%d",
-			len(sinces), len(lasts), len(e.sinceReg), len(e.lastReg))
-	}
-	for _, s := range sinces {
-		st.SinceB = append(st.SinceB, *e.sinceReg[s])
-	}
-	for _, l := range lasts {
-		st.LastB = append(st.LastB, *e.lastReg[l])
-	}
-	return st, nil
+	ns := len(e.sinceReg)
+	return &evalState{
+		Kind:   "fast",
+		Steps:  e.steps,
+		SinceB: append([]bool(nil), e.regs[:ns]...),
+		LastB:  append([]bool(nil), e.regs[ns:]...),
+	}, nil
 }
 
 func restoreFast(e *FastEvaluator, st *evalState) error {
 	if st.Kind != "fast" {
 		return fmt.Errorf("core: evaluator state kind %q, want fast", st.Kind)
 	}
-	sinces, lasts := temporalOccurrences(e.info.Normalized)
-	if len(st.SinceB) != len(sinces) || len(st.LastB) != len(lasts) {
+	ns := len(e.sinceReg)
+	if len(st.SinceB) != ns || len(st.LastB) != len(e.lastReg) {
 		return fmt.Errorf("core: evaluator state has %d/%d registers, condition needs %d/%d",
-			len(st.SinceB), len(st.LastB), len(sinces), len(lasts))
+			len(st.SinceB), len(st.LastB), ns, len(e.lastReg))
 	}
-	for i, s := range sinces {
-		*e.sinceReg[s] = st.SinceB[i]
-	}
-	for i, l := range lasts {
-		*e.lastReg[l] = st.LastB[i]
-	}
+	copy(e.regs, st.SinceB)
+	copy(e.regs[ns:], st.LastB)
 	e.steps = st.Steps
 	return nil
 }

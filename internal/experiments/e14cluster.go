@@ -160,11 +160,13 @@ func E14RunConfig(cfg E14Config) time.Duration {
 }
 
 // E14Cluster measures horizontal sharding: the same constraint-heavy
-// durable workload routed across 1, 2, 4 and 8 in-process shards. Every
-// commit steps every constraint on its shard, so partitioning the rule
-// table divides the per-commit evaluation cost, and per-shard write-ahead
-// logs overlap their group-commit fsyncs; the speedup column is aggregate
-// commit throughput relative to the single-shard row.
+// workload routed across 1, 2, 4 and 8 in-process shards, durable (per-shard
+// write-ahead logs, fsync on) and again memory-only. Every commit steps
+// every constraint on its shard — once, in place — so partitioning the rule
+// table divides that walk, which is what the memory columns isolate; the
+// durable columns add what now dominates a served commit, the fsync, which
+// eight logs overlap. Speedups are aggregate commit throughput relative to
+// the single-shard row.
 func E14Cluster(quick bool) Table {
 	ncommits, nitems := 400, 160
 	if quick {
@@ -174,35 +176,43 @@ func E14Cluster(quick bool) Table {
 		ID:    "E14",
 		Title: "sharded cluster commit throughput",
 		Header: []string{"shards", "items", "rules", "commits", "total ms",
-			"us/commit", "speedup"},
-		Notes: "loopback TCP through the cluster router, in-process durable shards " +
-			"(per-shard WAL + group commit in temp dirs), 4 pipelined sessions. Each item " +
-			"carries one integrity constraint and one trigger; constraints are stepped " +
-			"against every tentative commit on their shard, so the single-shard row pays " +
-			"the whole rule table per commit while the 8-shard row pays an eighth and " +
-			"overlaps eight WALs' fsyncs. Same workload, same total rule count, every row.",
+			"us/commit", "speedup", "mem us/commit", "mem speedup"},
+		Notes: "loopback TCP through the cluster router, in-process shards, 4 pipelined " +
+			"sessions; durable columns give every shard its own WAL (fsync on, temp dirs), " +
+			"mem columns run the same shards memory-only. Each item carries one integrity " +
+			"constraint and one trigger; a commit steps every constraint on its shard once, " +
+			"in place, so the mem columns show the rule-table walk sharding divides and the " +
+			"durable ones add the fsyncs eight logs overlap. Same workload, same total rule " +
+			"count, every row.",
 	}
-	var base time.Duration
-	for _, shards := range []int{1, 2, 4, 8} {
-		cfg := E14Config{
-			Shards: shards, Items: nitems, Commits: ncommits,
-			Clients: 4, Window: 16, Durable: true,
-		}
-		// Best of three: durable runs are long enough to damp scheduler
-		// noise, but fsync latency still jitters a one-shot sample.
+	// Best of three: durable runs are long enough to damp scheduler noise,
+	// but fsync latency still jitters a one-shot sample.
+	best := func(cfg E14Config) time.Duration {
 		dur := E14RunConfig(cfg)
 		for rep := 1; rep < 3; rep++ {
 			if d := E14RunConfig(cfg); d < dur {
 				dur = d
 			}
 		}
+		return dur
+	}
+	var base, memBase time.Duration
+	for _, shards := range []int{1, 2, 4, 8} {
+		cfg := E14Config{
+			Shards: shards, Items: nitems, Commits: ncommits,
+			Clients: 4, Window: 16, Durable: true,
+		}
+		dur := best(cfg)
+		cfg.Durable = false
+		mem := best(cfg)
 		if shards == 1 {
-			base = dur
+			base, memBase = dur, mem
 		}
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprint(shards), fmt.Sprint(nitems), fmt.Sprint(2 * nitems),
 			fmt.Sprint(ncommits), fmtMs(dur), fmtDur(dur, ncommits),
 			fmt.Sprintf("%.1fx", float64(base)/float64(dur)),
+			fmtDur(mem, ncommits), fmt.Sprintf("%.1fx", float64(memBase)/float64(mem)),
 		})
 	}
 	return t

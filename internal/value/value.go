@@ -9,6 +9,7 @@
 package value
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"sort"
@@ -64,20 +65,26 @@ func (k Kind) String() string {
 // slice nor the relation rows may be mutated. All package functions uphold
 // this and callers must too; it is what makes histories and auxiliary
 // relations safe to share without copying.
+//
+// A Value is copied wherever it goes, so it is kept to five words: the
+// scalar payloads share i, the two kinds with slices share one pointer.
 type Value struct {
 	kind Kind
-	b    bool
-	i    int64
-	f    float64
+	i    int64 // Int; Bool as 0/1; Float as math.Float64bits
 	s    string
-	t    []Value   // Tuple elements
-	r    [][]Value // Relation rows; each row has identical width
+	c    *compound // Tuple and Relation only
+}
+
+// compound is the payload of a Tuple (t) or a Relation (r).
+type compound struct {
+	t []Value   // Tuple elements
+	r [][]Value // Relation rows; each row has identical width
 }
 
 // Bools, reused to avoid allocation in hot paths.
 var (
-	True  = Value{kind: Bool, b: true}
-	False = Value{kind: Bool, b: false}
+	True  = Value{kind: Bool, i: 1}
+	False = Value{kind: Bool}
 )
 
 // NewBool returns a boolean Value.
@@ -92,18 +99,18 @@ func NewBool(b bool) Value {
 func NewInt(i int64) Value { return Value{kind: Int, i: i} }
 
 // NewFloat returns a float Value.
-func NewFloat(f float64) Value { return Value{kind: Float, f: f} }
+func NewFloat(f float64) Value { return Value{kind: Float, i: int64(math.Float64bits(f))} }
 
 // NewString returns a string Value.
 func NewString(s string) Value { return Value{kind: String, s: s} }
 
 // NewTuple returns a tuple Value over the given scalars. The slice is
 // retained; the caller must not mutate it afterwards.
-func NewTuple(elems ...Value) Value { return Value{kind: Tuple, t: elems} }
+func NewTuple(elems ...Value) Value { return Value{kind: Tuple, c: &compound{t: elems}} }
 
 // NewRelation returns a relation Value over the given rows. The slice is
 // retained; the caller must not mutate it afterwards.
-func NewRelation(rows [][]Value) Value { return Value{kind: Relation, r: rows} }
+func NewRelation(rows [][]Value) Value { return Value{kind: Relation, c: &compound{r: rows}} }
 
 // Kind reports the dynamic type of v.
 func (v Value) Kind() Kind { return v.kind }
@@ -119,7 +126,7 @@ func (v Value) AsBool() bool {
 	if v.kind != Bool {
 		panic(fmt.Sprintf("value: AsBool on %s", v.kind))
 	}
-	return v.b
+	return v.i != 0
 }
 
 // AsInt returns the integer payload; it panics if v is not an Int.
@@ -137,7 +144,7 @@ func (v Value) AsFloat() float64 {
 	case Int:
 		return float64(v.i)
 	case Float:
-		return v.f
+		return v.float()
 	}
 	panic(fmt.Sprintf("value: AsFloat on %s", v.kind))
 }
@@ -155,7 +162,7 @@ func (v Value) TupleLen() int {
 	if v.kind != Tuple {
 		panic(fmt.Sprintf("value: TupleLen on %s", v.kind))
 	}
-	return len(v.t)
+	return len(v.c.t)
 }
 
 // TupleAt returns element i of a tuple value.
@@ -163,7 +170,7 @@ func (v Value) TupleAt(i int) Value {
 	if v.kind != Tuple {
 		panic(fmt.Sprintf("value: TupleAt on %s", v.kind))
 	}
-	return v.t[i]
+	return v.c.t[i]
 }
 
 // TupleElems returns the underlying elements of a tuple value. The result
@@ -172,7 +179,7 @@ func (v Value) TupleElems() []Value {
 	if v.kind != Tuple {
 		panic(fmt.Sprintf("value: TupleElems on %s", v.kind))
 	}
-	return v.t
+	return v.c.t
 }
 
 // Rows returns the rows of a relation value. The result must not be
@@ -181,7 +188,7 @@ func (v Value) Rows() [][]Value {
 	if v.kind != Relation {
 		panic(fmt.Sprintf("value: Rows on %s", v.kind))
 	}
-	return v.r
+	return v.c.r
 }
 
 // NumRows returns the cardinality of a relation value.
@@ -189,15 +196,23 @@ func (v Value) NumRows() int {
 	if v.kind != Relation {
 		panic(fmt.Sprintf("value: NumRows on %s", v.kind))
 	}
-	return len(v.r)
+	return len(v.c.r)
 }
+
+// float is the Float payload.
+func (v Value) float() float64 { return math.Float64frombits(uint64(v.i)) }
+
+func (v Value) isNaN() bool { return v.kind == Float && math.IsNaN(v.float()) }
 
 // Equal reports deep equality. Int and Float compare numerically, so
 // NewInt(2).Equal(NewFloat(2)) is true, matching the comparison operators
-// of the logic. Relations compare as sets (order-insensitive).
+// of the logic — and exactly: a Float equals an Int only when it is that
+// integer, never merely its nearest float64. Relations compare as sets
+// (order-insensitive).
 func (v Value) Equal(w Value) bool {
 	if v.IsNumeric() && w.IsNumeric() {
-		return v.AsFloat() == w.AsFloat()
+		// NaN orders equal to everything but equals nothing.
+		return !v.isNaN() && !w.isNaN() && compareNumeric(v, w) == 0
 	}
 	if v.kind != w.kind {
 		return false
@@ -206,42 +221,69 @@ func (v Value) Equal(w Value) bool {
 	case Null:
 		return true
 	case Bool:
-		return v.b == w.b
+		return v.i == w.i
 	case String:
 		return v.s == w.s
 	case Tuple:
-		if len(v.t) != len(w.t) {
+		if len(v.c.t) != len(w.c.t) {
 			return false
 		}
-		for i := range v.t {
-			if !v.t[i].Equal(w.t[i]) {
+		for i := range v.c.t {
+			if !v.c.t[i].Equal(w.c.t[i]) {
 				return false
 			}
 		}
 		return true
 	case Relation:
-		return relationKey(v.r) == relationKey(w.r)
+		return relationKey(v.c.r) == relationKey(w.c.r)
 	default:
 		return false
 	}
 }
 
+// compareNumeric orders two numeric values exactly: Int against Int as
+// integers (timestamps may be nanoseconds, far beyond float64's 2^53), and
+// Int against Float without rounding the integer. NaN orders equal to
+// everything, as it always has through the float comparison.
+func compareNumeric(v, w Value) int {
+	switch {
+	case v.isNaN() || w.isNaN():
+		return 0
+	case v.kind == Int && w.kind == Int:
+		return cmp.Compare(v.i, w.i)
+	case v.kind == Int:
+		return compareIntFloat(v.i, w.float())
+	case w.kind == Int:
+		return -compareIntFloat(w.i, v.float())
+	}
+	return cmp.Compare(v.float(), w.float())
+}
+
+// compareIntFloat orders i against f (not NaN) exactly.
+func compareIntFloat(i int64, f float64) int {
+	switch {
+	case f >= 1<<63:
+		return -1
+	case f < -1<<63:
+		return 1
+	}
+	// f is inside int64's range, so its integer part converts exactly and
+	// only the fraction is left to break a tie.
+	whole := math.Trunc(f)
+	if c := cmp.Compare(i, int64(whole)); c != 0 {
+		return c
+	}
+	return cmp.Compare(0, f-whole)
+}
+
 // Compare orders two values. It returns a negative, zero or positive int
-// like strings.Compare. Numerics compare numerically across Int/Float;
-// otherwise both values must have the same kind. Bool orders false < true.
-// Tuples order lexicographically. Comparing relations or mismatched kinds
-// returns an error.
+// like strings.Compare. Numerics compare numerically (and exactly) across
+// Int/Float; otherwise both values must have the same kind. Bool orders
+// false < true. Tuples order lexicographically. Comparing relations or
+// mismatched kinds returns an error.
 func (v Value) Compare(w Value) (int, error) {
 	if v.IsNumeric() && w.IsNumeric() {
-		a, b := v.AsFloat(), w.AsFloat()
-		switch {
-		case a < b:
-			return -1, nil
-		case a > b:
-			return 1, nil
-		default:
-			return 0, nil
-		}
+		return compareNumeric(v, w), nil
 	}
 	if v.kind != w.kind {
 		return 0, fmt.Errorf("value: cannot compare %s with %s", v.kind, w.kind)
@@ -250,28 +292,18 @@ func (v Value) Compare(w Value) (int, error) {
 	case Null:
 		return 0, nil
 	case Bool:
-		switch {
-		case v.b == w.b:
-			return 0, nil
-		case w.b:
-			return -1, nil
-		default:
-			return 1, nil
-		}
+		return cmp.Compare(v.i, w.i), nil
 	case String:
 		return strings.Compare(v.s, w.s), nil
 	case Tuple:
-		n := len(v.t)
-		if len(w.t) < n {
-			n = len(w.t)
-		}
-		for i := 0; i < n; i++ {
-			c, err := v.t[i].Compare(w.t[i])
+		vt, wt := v.c.t, w.c.t
+		for i := 0; i < len(vt) && i < len(wt); i++ {
+			c, err := vt[i].Compare(wt[i])
 			if err != nil || c != 0 {
 				return c, err
 			}
 		}
-		return len(v.t) - len(w.t), nil
+		return len(vt) - len(wt), nil
 	default:
 		return 0, fmt.Errorf("value: cannot order %s values", v.kind)
 	}
@@ -281,7 +313,8 @@ func (v Value) Compare(w Value) (int, error) {
 // hash-consing and deduplication. Distinct values (under Equal) have
 // distinct keys and equal values share one. Numeric values are keyed by
 // their float64 representation so Int 2 and Float 2 collide, matching
-// Equal.
+// Equal; integers beyond 2^53, which float64 cannot tell apart, are keyed
+// by their decimal digits, whichever kind carries them.
 func (v Value) Key() string {
 	var sb strings.Builder
 	v.appendKey(&sb)
@@ -293,18 +326,25 @@ func (v Value) appendKey(sb *strings.Builder) {
 	case Null:
 		sb.WriteString("n;")
 	case Bool:
-		if v.b {
+		if v.i != 0 {
 			sb.WriteString("b1;")
 		} else {
 			sb.WriteString("b0;")
 		}
-	case Int:
-		sb.WriteString("f")
-		sb.WriteString(strconv.FormatFloat(float64(v.i), 'g', -1, 64))
-		sb.WriteByte(';')
-	case Float:
-		sb.WriteString("f")
-		sb.WriteString(strconv.FormatFloat(v.f, 'g', -1, 64))
+	case Int, Float:
+		// The integer v equals, if any: an Int's own, or a whole Float's
+		// inside int64.
+		i, whole := v.i, v.kind == Int
+		if f := v.float(); !whole && f >= -1<<63 && f < 1<<63 && f == math.Trunc(f) {
+			i, whole = int64(f), true
+		}
+		if whole && (i < -1<<53 || i > 1<<53) {
+			sb.WriteString("i")
+			sb.WriteString(strconv.FormatInt(i, 10))
+		} else {
+			sb.WriteString("f")
+			sb.WriteString(strconv.FormatFloat(v.AsFloat(), 'g', -1, 64))
+		}
 		sb.WriteByte(';')
 	case String:
 		sb.WriteString("s")
@@ -314,13 +354,13 @@ func (v Value) appendKey(sb *strings.Builder) {
 		sb.WriteByte(';')
 	case Tuple:
 		sb.WriteString("t(")
-		for _, e := range v.t {
+		for _, e := range v.c.t {
 			e.appendKey(sb)
 		}
 		sb.WriteString(");")
 	case Relation:
 		sb.WriteString("r(")
-		sb.WriteString(relationKey(v.r))
+		sb.WriteString(relationKey(v.c.r))
 		sb.WriteString(");")
 	}
 }
@@ -341,11 +381,11 @@ func (v Value) String() string {
 	case Null:
 		return "null"
 	case Bool:
-		return strconv.FormatBool(v.b)
+		return strconv.FormatBool(v.i != 0)
 	case Int:
 		return strconv.FormatInt(v.i, 10)
 	case Float:
-		s := strconv.FormatFloat(v.f, 'g', -1, 64)
+		s := strconv.FormatFloat(v.float(), 'g', -1, 64)
 		// Keep a float marker so formula printing round-trips: plain "1"
 		// would re-parse as an integer.
 		if !strings.ContainsAny(s, ".eE") && !strings.ContainsAny(s, "InN") {
@@ -355,14 +395,14 @@ func (v Value) String() string {
 	case String:
 		return strconv.Quote(v.s)
 	case Tuple:
-		parts := make([]string, len(v.t))
-		for i, e := range v.t {
+		parts := make([]string, len(v.c.t))
+		for i, e := range v.c.t {
 			parts[i] = e.String()
 		}
 		return "(" + strings.Join(parts, ", ") + ")"
 	case Relation:
-		parts := make([]string, len(v.r))
-		for i, row := range v.r {
+		parts := make([]string, len(v.c.r))
+		for i, row := range v.c.r {
 			parts[i] = NewTuple(row...).String()
 		}
 		return "{" + strings.Join(parts, ", ") + "}"

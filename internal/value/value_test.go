@@ -1,8 +1,10 @@
 package value
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestKindString(t *testing.T) {
@@ -353,5 +355,99 @@ func TestKeyEqualAgreement(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestValueSize pins the layout: a Value is copied into every database
+// node, binding and encode, so a sixth word costs everywhere at once.
+func TestValueSize(t *testing.T) {
+	if n := unsafe.Sizeof(Value{}); n > 40 {
+		t.Fatalf("unsafe.Sizeof(Value{}) = %d, want <= 40", n)
+	}
+}
+
+// TestNumericExact: integers compare as integers and against floats
+// without rounding, and Key agrees with Equal on every pair — around 2^53,
+// where float64 stops telling neighbours apart, at the ends of int64 and at
+// the non-finite floats.
+func TestNumericExact(t *testing.T) {
+	const p53 = int64(1) << 53
+	inf, nan := math.Inf(1), math.NaN()
+	// Strictly ascending; NaN, which orders equal to everything, is apart.
+	asc := [][]Value{
+		{NewFloat(-inf)},
+		{NewFloat(-math.MaxFloat64)},
+		{NewFloat(-(1 << 63) * 2)},
+		{NewInt(math.MinInt64), NewFloat(-(1 << 63))},
+		{NewInt(math.MinInt64 + 1)},
+		{NewInt(-p53 - 1)},
+		{NewInt(-p53), NewFloat(-float64(p53))},
+		{NewInt(-1), NewFloat(-1)},
+		{NewFloat(-0.5)},
+		{NewInt(0), NewFloat(0)},
+		{NewFloat(0.5)},
+		{NewInt(1), NewFloat(1)},
+		{NewInt(p53 - 1), NewFloat(float64(p53 - 1))},
+		{NewInt(p53), NewFloat(float64(p53))},
+		{NewInt(p53 + 1)},
+		{NewInt(p53 + 2), NewFloat(float64(p53 + 2))},
+		{NewInt(math.MaxInt64 - 1)},
+		{NewInt(math.MaxInt64)},
+		{NewFloat(1 << 63)},
+		{NewFloat(math.MaxFloat64)},
+		{NewFloat(inf)},
+	}
+	for i, ci := range asc {
+		for j, cj := range asc {
+			for _, a := range ci {
+				for _, b := range cj {
+					c, err := a.Compare(b)
+					if err != nil {
+						t.Fatalf("Compare(%s, %s): %v", a, b, err)
+					}
+					want := 0
+					if i < j {
+						want = -1
+					} else if i > j {
+						want = 1
+					}
+					if c != want {
+						t.Errorf("Compare(%s %s, %s %s) = %d, want %d", a.Kind(), a, b.Kind(), b, c, want)
+					}
+					if a.Equal(b) != (want == 0) {
+						t.Errorf("Equal(%s %s, %s %s) = %t", a.Kind(), a, b.Kind(), b, a.Equal(b))
+					}
+					if (a.Key() == b.Key()) != (want == 0) {
+						t.Errorf("Key(%s %s) = %q, Key(%s %s) = %q", a.Kind(), a, a.Key(), b.Kind(), b, b.Key())
+					}
+				}
+			}
+		}
+		for _, a := range ci {
+			if a.Equal(NewFloat(nan)) || NewFloat(nan).Equal(a) {
+				t.Errorf("%s equals NaN", a)
+			}
+		}
+	}
+	if NewFloat(nan).Equal(NewFloat(nan)) {
+		t.Error("NaN equals itself")
+	}
+	// Keys float64 represents exactly keep their historic bytes.
+	for v, want := range map[Value]string{
+		NewInt(7): "f7;", NewFloat(7): "f7;", NewFloat(2.5): "f2.5;",
+		NewInt(p53): "f9.007199254740992e+15;", NewInt(p53 + 1): "i9007199254740993;",
+		NewFloat(inf): "f+Inf;", NewFloat(nan): "fNaN;", NewFloat(1 << 63): "f9.223372036854776e+18;",
+	} {
+		if got := v.Key(); got != want {
+			t.Errorf("Key(%s %s) = %q, want %q", v.Kind(), v, got, want)
+		}
+	}
+	// The nanosecond-clock case: a bound 100 ns away is a different instant.
+	ns := int64(1_760_000_000_123_456_789)
+	if lt, _ := Cmp(LT, NewInt(ns), NewInt(ns+100)); !lt {
+		t.Errorf("Cmp(LT, %d, %d) = false", ns, ns+100)
+	}
+	if ge, _ := Cmp(GE, NewInt(ns), NewInt(ns+13-10)); ge {
+		t.Errorf("Cmp(GE, %d, %d) = true", ns, ns+3)
 	}
 }
