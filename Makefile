@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test bench race vet fmtcheck vulncheck depcheck allocgates benchmod loc stress verify tables profile profile-sparse profile-gate benchcheck bench-baselines bench-engine serve-smoke cluster-smoke replica-smoke retain-smoke
+.PHONY: build test bench race vet fmtcheck vulncheck depcheck allocgates benchmod loc stress verify tables profile profile-sparse profile-temporal profile-gate benchcheck bench-baselines bench-engine serve-smoke cluster-smoke replica-smoke retain-smoke
 
 build:
 	$(GO) build ./...
@@ -64,6 +64,8 @@ stress:
 # allocgates runs the allocation gates of the commit path at three core
 # counts. They pin Workers: 1, so nothing they count may depend on
 # GOMAXPROCS: the three runs must pass alike — that is the check.
+# TestSweepNoRuleTerm has three arms: quiescent, gated and exact temporal
+# rules (the last: 2,000 steps per commit, none of which may allocate).
 allocgates:
 	for p in 1 2 4; do GOMAXPROCS=$$p $(GO) test -count=1 -run 'TestCommitAllocs|TestSweepNoRuleTerm|TestConstraintCheckAllocs' ./internal/adb || exit 1; done
 
@@ -114,7 +116,7 @@ tables:
 
 # profile captures pprof CPU and heap profiles of the scheduling and
 # durability experiments; inspect with `go tool pprof cpu.prof`.
-profile: profile-sparse profile-gate
+profile: profile-sparse profile-temporal profile-gate
 	$(GO) run ./cmd/benchtables -only E10,E12 -cpuprofile cpu.prof -memprofile mem.prof
 	@echo "wrote cpu.prof and mem.prof (go tool pprof cpu.prof)"
 
@@ -127,6 +129,15 @@ profile-sparse:
 	$(GO) test -run '^$$' -bench SparseStatic -benchtime 200000x -memprofilerate 4096 \
 		-cpuprofile sparse_cpu.prof -memprofile sparse_mem.prof ./internal/adb
 	@echo "wrote sparse_cpu.prof, sparse_mem.prof and adb.test (go tool pprof adb.test sparse_cpu.prof)"
+
+# profile-temporal profiles the sparse-temporal shape (the same data and
+# commits under 2,000 `item(k) > 800 and lasttime item(k) <= 800` rules):
+# what each of the 2,000 steps a commit takes costs when all but one to
+# three of them find their rule's item unchanged.
+profile-temporal:
+	$(GO) test -run '^$$' -bench SparseTemporal -benchtime 20000x -memprofilerate 4096 \
+		-cpuprofile temporal_cpu.prof -memprofile temporal_mem.prof ./internal/adb
+	@echo "wrote temporal_cpu.prof, temporal_mem.prof and adb.test (go tool pprof adb.test temporal_cpu.prof)"
 
 # profile-gate profiles the constraint-gate shape (100k items, 300
 # `not (item(k) < 100 and lasttime item(k) > 900)` constraints, Zipf

@@ -55,10 +55,12 @@ func (e *Engine) checkConstraints(tentative history.SystemState, changed []strin
 	s.verdicts = sized(s.verdicts, len(constraints))
 	verdicts := s.verdicts
 	d := dirtySet{known: true, items: changed}
+	at := e.hist.Len() // the index the state will have if it is accepted
+	e.stampDirty(at, changed, false)
 	e.deal(len(constraints), func(i int) {
 		r := constraints[i]
 		r.ev.Mark()
-		res, err := e.step(r, tentative, d)
+		res, err := e.step(r, tentative, at, d)
 		verdicts[i] = verdict{fired: res.Fired, err: err}
 	})
 	e.mu.Lock() // concurrent EvalSteps readers

@@ -91,16 +91,19 @@ type Engine struct {
 
 	// Read-set scheduling index (see readset.go). dirty runs parallel to
 	// hist: dirty[i] is what state i changed. eventIndex maps event names
-	// to the Relevant triggers they wake, itemIndex item names to the
-	// quiescent rules reading them; sweepGen is the generation counter the
-	// indexes stamp into rule.wakeGen/dirtyGen. coarse (NewCoarseEngine)
-	// switches the index off for the reference arm of the equivalence tests
-	// and E12.
+	// to the Relevant triggers they wake, itemIndex item names to the rules
+	// reading them that consume a dirty mark (enlist); sweepGen is the
+	// generation counter the indexes stamp into rule.wakeGen/dirtyGen, and
+	// stamped the absolute index of the state its dirty marks describe
+	// (stampDirty).
+	// coarse (NewCoarseEngine) switches the index off for the reference arm
+	// of the equivalence tests and E12.
 	coarse     bool
 	dirty      []dirtySet
 	eventIndex map[string][]*rule
 	itemIndex  map[string][]*rule
 	sweepGen   uint64
+	stamped    int
 
 	// Wake lists (see sweepIndexed), in registration order: constraints and
 	// triggers partition the rule table, standing holds the classes every

@@ -48,6 +48,20 @@ func (e *ActionPanicError) Error() string {
 // Unwrap yields ErrActionPanic for errors.Is.
 func (e *ActionPanicError) Unwrap() error { return ErrActionPanic }
 
+// WorkerPanic is what the committing goroutine is panicked with when an
+// evaluation job panicked on a pool goroutine (Workers >= 2): the job's own
+// panic value, and the stack it was raised on — the re-raise's own trace
+// ends in deal. At Workers: 1 the job's panic unwinds to the caller as is.
+type WorkerPanic struct {
+	Value any
+	Stack []byte
+}
+
+// Error prints the stack too, so an unrecovered panic still shows the site.
+func (p *WorkerPanic) Error() string {
+	return fmt.Sprintf("adb: panic in an evaluation worker: %v\n\n%s", p.Value, p.Stack)
+}
+
 // QuarantineError reports a firing whose action was suppressed because the
 // rule is quarantined; Cause is the failure that tripped the breaker.
 type QuarantineError struct {

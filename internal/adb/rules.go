@@ -57,10 +57,12 @@ type rule struct {
 	// seq is the position in Engine.rules (jobs merge in seq order) and wake
 	// the wake list the indexed sweep finds the rule through, both fixed at
 	// registration. parked (guarded by Engine.mu) means the rule's cursor is
-	// Engine.parkedCursor, not the cursor field.
-	seq    int
-	wake   wakeKind
-	parked bool
+	// Engine.parkedCursor, not the cursor field. indexed: itemIndex lists the
+	// rule, so stampDirty marks it.
+	seq     int
+	wake    wakeKind
+	parked  bool
+	indexed bool
 	// wakeGen / dirtyGen are sweep-generation marks stamped through the
 	// event and item indexes: "one of my events is in this state", "this
 	// commit changed an item I read". Only the sweep goroutine touches them.

@@ -2,6 +2,7 @@ package adb
 
 import (
 	"fmt"
+	"runtime/debug"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -182,24 +183,51 @@ func (e *Engine) enlist(r *rule) {
 	} else {
 		e.triggers = append(e.triggers, r)
 	}
+	// itemIndex lists the rules that consume a dirty mark on the state it is
+	// stamped for: standing rules — stepped at every commit — as their
+	// query-cache hint (untouched), quiescent rules as their wake-up. Parked
+	// gated rules and Manual ones do neither, so a commit writing an item they
+	// read must not walk them; when they do step, untouched probes their read
+	// set.
 	switch r.wake {
 	case wakeAlways, wakeCommit, wakeConstraint:
 		e.standing = append(e.standing, r)
+		r.indexed = r.rs.analyzable
 	case wakeParked:
 		e.live = append(e.live, r)
+		r.indexed = r.class == classQuiescent
 	}
 	if r.wake == wakeCommit || r.wake == wakeEvent || r.wake == wakeParked {
 		for n := range r.events {
 			e.eventIndex[n] = append(e.eventIndex[n], r)
 		}
 	}
-	if r.class == classQuiescent {
-		// Only quiescent rules consume dirty-hit marks; exact rules are
-		// evaluated whenever woken regardless.
+	if r.indexed {
 		for item := range r.rs.items {
 			e.itemIndex[item] = append(e.itemIndex[item], r)
 		}
+		r.dirtyGen = e.sweepGen // entered after this generation's stamp: touched
 	}
+}
+
+// stampDirty opens a sweep generation for history index i, whose state
+// changed items: every indexed rule reading one of them gets the generation
+// as its dirtyGen — an index probe per item, not a read-set probe per rule
+// and item. A commit's sweep also unparks the (quiescent) rules it marks,
+// and holds mu; the tentative state's check must not, a rejected commit
+// leaving no trace.
+func (e *Engine) stampDirty(i int, items []string, unpark bool) uint64 {
+	e.sweepGen++
+	e.stamped = e.base + i
+	for _, item := range items {
+		for _, r := range e.itemIndex[item] {
+			r.dirtyGen = e.sweepGen
+			if unpark && r.parked {
+				e.unpark(r)
+			}
+		}
+	}
+	return e.sweepGen
 }
 
 // cursorOf is r's cursor; the caller holds mu or is the mutating goroutine.
@@ -243,13 +271,12 @@ func (e *Engine) sweepIndexed(newest int, st history.SystemState) error {
 	end := newest + 1
 	commit := st.Events.CommitCount() > 0
 	aborted := len(st.Events.ByName(event.TransactionAbort)) > 0
-	e.sweepGen++
-	gen := e.sweepGen
 	d := e.dirty[newest]
 	s := e.takeScratch()
 	defer e.putScratch(s)
 
 	e.mu.Lock()
+	gen := e.stampDirty(newest, d.items, true)
 	for _, name := range st.Events.Names() {
 		for _, r := range e.eventIndex[name] {
 			if r.wakeGen == gen {
@@ -263,18 +290,8 @@ func (e *Engine) sweepIndexed(newest int, st history.SystemState) error {
 			}
 		}
 	}
-	if commit {
-		if !d.known {
-			e.unparkAll()
-		}
-		for _, item := range d.items {
-			for _, r := range e.itemIndex[item] {
-				r.dirtyGen = gen
-				if r.parked {
-					e.unpark(r)
-				}
-			}
-		}
+	if commit && !d.known {
+		e.unparkAll()
 	}
 	live := e.live[:0]
 	for _, r := range e.live {
@@ -379,8 +396,8 @@ type advanceOutcome struct {
 // evaluated. Temporal conditions must see every state to keep their
 // F_{g,i} formulas correct, so they replay the pending states (batched
 // invocation: firing delayed, never lost).
-func (e *Engine) advanceRule(r *rule, end int) advanceOutcome {
-	out := advanceOutcome{cursor: r.cursor}
+func (e *Engine) advanceRule(r *rule, end int, out *advanceOutcome) {
+	*out = advanceOutcome{cursor: r.cursor}
 	if !r.info.Temporal && r.sched == Relevant && out.cursor < end-1 {
 		out.cursor = end - 1
 	}
@@ -396,14 +413,14 @@ func (e *Engine) advanceRule(r *rule, end int) advanceOutcome {
 		// step budget+1 always trips, whichever check fires first.
 		if budget > 0 && out.steps > budget {
 			out.err = &BudgetError{Rule: r.name, Steps: out.steps, Budget: budget}
-			return out
+			return
 		}
 		st := e.hist.At(out.cursor)
-		res, err := e.step(r, st, e.dirty[out.cursor])
+		res, err := e.step(r, st, out.cursor, e.dirty[out.cursor])
 		out.steps++
 		if err != nil {
 			out.err = fmt.Errorf("adb: rule %s at state %d: %w", r.name, out.cursor, err)
-			return out
+			return
 		}
 		if res.Fired && !r.constraint {
 			for _, b := range res.Bindings {
@@ -417,34 +434,38 @@ func (e *Engine) advanceRule(r *rule, end int) advanceOutcome {
 		}
 		out.cursor++
 	}
-	return out
 }
 
-// step feeds st, which changed d relative to the state r's evaluator stepped
-// last, to that evaluator. The dbUnchanged hint lets the evaluator keep its
-// query-result cache across states that leave the rule's read set alone.
-// Only contiguous rules qualify: a cursor jump would leave the cache
-// describing a state the evaluator never stepped past.
-func (e *Engine) step(r *rule, st history.SystemState, d dirtySet) (core.Result, error) {
+// step feeds st — history index i, which changed d relative to the state r's
+// evaluator stepped last — to that evaluator. The dbUnchanged hint lets the
+// evaluator keep its query-result cache across states that leave the rule's
+// read set alone. Only contiguous rules qualify: a cursor jump would leave
+// the cache describing a state the evaluator never stepped past.
+func (e *Engine) step(r *rule, st history.SystemState, i int, d dirtySet) (core.Result, error) {
 	if r.hinted == nil {
 		return r.ev.StepResult(st)
 	}
-	return r.hinted.StepResultHinted(st, !e.coarse && r.contiguous && r.untouchedBy(d))
+	return r.hinted.StepResultHinted(st, !e.coarse && r.contiguous && e.untouched(r, i, d))
 }
 
-// untouchedBy reports whether a state that changed d left every item in r's
-// read set unchanged: the dirty set is known and either empty (event or
-// abort states — the database pointer is untouched) or, for analyzable
-// rules, disjoint from the extracted footprint.
-func (r *rule) untouchedBy(d dirtySet) bool {
-	if !d.known {
+// untouched reports whether the state at history index i, which changed d,
+// left every item in r's read set unchanged: the dirty set is known and
+// either empty (event or abort states — the database pointer is untouched)
+// or, for analyzable rules, disjoint from the extracted footprint. For an
+// indexed rule and the state the current generation was stamped for — the
+// one a sweep or a constraint check is stepping — that is the absence of r's
+// dirty mark; the read set is probed only in catch-up over older pending
+// states and for the rules itemIndex leaves out.
+func (e *Engine) untouched(r *rule, i int, d dirtySet) bool {
+	switch {
+	case !d.known:
 		return false
-	}
-	if len(d.items) == 0 {
+	case len(d.items) == 0:
 		return true
-	}
-	if !r.rs.analyzable {
+	case !r.rs.analyzable:
 		return false
+	case r.indexed && e.base+i == e.stamped:
+		return r.dirtyGen != e.sweepGen
 	}
 	for _, item := range d.items {
 		if r.rs.items[item] {
@@ -452,40 +473,6 @@ func (r *rule) untouchedBy(d dirtySet) bool {
 		}
 	}
 	return true
-}
-
-// apply merges one rule's advance outcome into engine state: cursor, step
-// counter and memo under the write lock, then the firings one at a time —
-// the exact observable sequence (append, OnFiring callback, action queue)
-// the sequential engine produces. The first firing is appended under the
-// lock acquisition that sets the cursor; later ones each take the lock
-// again instead of joining a batch append, because an observer that reads
-// Firings() — or commits — from its callback must see the log end at the
-// firing it is being told about.
-func (e *Engine) apply(r *rule, out advanceOutcome) {
-	e.mu.Lock()
-	r.cursor = out.cursor
-	e.evalSteps += out.steps
-	if out.memoSet {
-		r.memoValid = true
-		r.memoFired = out.memoFired
-		r.memoBindings = out.memoBindings
-	}
-	for i, f := range out.firings {
-		if i > 0 {
-			e.mu.Lock()
-		}
-		e.firings = append(e.firings, f)
-		obs := e.observers // snapshot; mutation is copy-on-write
-		e.mu.Unlock()
-		for _, o := range obs {
-			o.fn(f)
-		}
-		e.pending = append(e.pending, f)
-	}
-	if len(out.firings) == 0 {
-		e.mu.Unlock()
-	}
 }
 
 // advanceRules advances the given rules to history index end — the
@@ -533,29 +520,55 @@ func (e *Engine) runJobs(s *sweepScratch, end int) error {
 	outs := s.outs
 	e.deal(len(evalIdx), func(k int) {
 		i := evalIdx[k]
-		outs[i] = e.advanceRule(jobs[i].r, end)
+		e.advanceRule(jobs[i].r, end, &outs[i])
 	})
 	for i, j := range jobs {
 		if j.replay {
 			outs[i] = e.replayOutcome(j.r, end)
 		}
 	}
+	// The merge: each rule's cursor, step count and memo, then its firings
+	// one at a time — the exact observable sequence (append, OnFiring
+	// callback, action queue) the sequential engine produces — under one hold
+	// of the write lock. The hold is dropped around the callbacks alone: an
+	// observer that reads Firings() — or commits — from its callback must find
+	// the lock free and the log ending at the firing it is being told about.
 	var firstErr error
 	var used int64
 	budget := e.sweepBudget
+	e.mu.Lock()
 	for i, j := range jobs {
-		e.apply(j.r, outs[i])
-		if outs[i].err != nil && firstErr == nil {
-			firstErr = outs[i].err
+		out, r := &outs[i], j.r
+		r.cursor = out.cursor
+		e.evalSteps += out.steps
+		if out.memoSet {
+			r.memoValid = true
+			r.memoFired = out.memoFired
+			r.memoBindings = out.memoBindings
+		}
+		for _, f := range out.firings {
+			e.firings = append(e.firings, f)
+			if obs := e.observers; len(obs) > 0 { // snapshot; mutation is copy-on-write
+				e.mu.Unlock()
+				for _, o := range obs {
+					o.fn(f)
+				}
+				e.mu.Lock()
+			}
+			e.pending = append(e.pending, f)
+		}
+		if out.err != nil && firstErr == nil {
+			firstErr = out.err
 		}
 		// The cumulative half of the sweep budget: total steps across the
 		// invocation, accumulated in rule order so the offending rule is
 		// the same at every worker count.
-		used += outs[i].steps
+		used += out.steps
 		if budget > 0 && used > budget && firstErr == nil {
-			firstErr = &BudgetError{Rule: j.r.name, Steps: used, Budget: budget}
+			firstErr = &BudgetError{Rule: r.name, Steps: used, Budget: budget}
 		}
 	}
+	e.mu.Unlock()
 	return firstErr
 }
 
@@ -564,6 +577,11 @@ func (e *Engine) runJobs(s *sweepScratch, end int) error {
 // all are done. Jobs must be independent and write their results to their
 // own slots; callers merge the slots in index order afterwards, which is
 // what keeps every observable result independent of the worker count.
+// Workers claim runs of indices, an eighth of an even share at a time — a
+// sub-microsecond job does not pay for a contended atomic add each. A job
+// that panics (a registered query function is user code) panics deal's
+// caller, as it does inline, once every worker has stopped — from a pool
+// goroutine as a *WorkerPanic, which keeps the value and the job's stack.
 func (e *Engine) deal(n int, job func(i int)) {
 	workers := e.workers
 	if workers > n {
@@ -575,16 +593,34 @@ func (e *Engine) deal(n int, job func(i int)) {
 		}
 		return
 	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
+	run := max(1, n/(8*workers))
+	var pool struct { // one allocation, shared with the workers
+		next     atomic.Int64
+		panicked atomic.Pointer[WorkerPanic]
+		wg       sync.WaitGroup
+	}
+	pool.wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func() {
-			defer wg.Done()
-			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
-				job(i)
+			defer pool.wg.Done()
+			defer func() {
+				if p := recover(); p != nil {
+					pool.panicked.CompareAndSwap(nil, &WorkerPanic{Value: p, Stack: debug.Stack()})
+				}
+			}()
+			for {
+				lo := int(pool.next.Add(int64(run))) - run
+				if lo >= n {
+					return
+				}
+				for i := lo; i < min(lo+run, n); i++ {
+					job(i)
+				}
 			}
 		}()
 	}
-	wg.Wait()
+	pool.wg.Wait()
+	if p := pool.panicked.Load(); p != nil {
+		panic(p)
+	}
 }

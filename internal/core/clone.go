@@ -25,9 +25,9 @@ func (e *Evaluator) Clone() *Evaluator {
 		aggOrder:  e.aggOrder,
 		optimize:  e.optimize,
 		steps:     e.steps,
-		// cacheable is immutable and shared; the query cache starts empty
-		// (it refills on the clone's first unhinted step).
-		cacheable: e.cacheable,
+		// The query cache starts empty (it refills on the clone's first
+		// unhinted step).
+		qc: e.qc.empty(),
 	}
 	for k, v := range e.sincePrev {
 		c.sincePrev[k] = v
@@ -76,7 +76,7 @@ func (e *Evaluator) Rollback() {
 		e.aggs[a] = u.aggs[i]
 	}
 	e.steps = u.steps
-	clear(e.qcache)
+	e.qc.reset()
 }
 
 func (s *aggState) clone() *aggState {

@@ -64,11 +64,9 @@ type Evaluator struct {
 	// free list of substitution memos (Assign can nest, so one reusable
 	// map is not enough).
 	memoPool []map[*cnode]*cnode
-	// qcache holds results of cacheable query calls, valid while the
-	// database is unchanged (see qcache.go); cacheable is the static
-	// analysis, immutable after New and shared by clones.
-	qcache    map[*ptl.Call]value.Value
-	cacheable map[*ptl.Call]bool
+	// qc holds results of cacheable query calls, valid while the database
+	// is unchanged (see qcache.go).
+	qc queryCache
 }
 
 // Option configures an Evaluator.
@@ -129,7 +127,7 @@ func New(info *ptl.Info, reg *query.Registry, log ptl.ExecLog, opts ...Option) (
 	if regErr != nil {
 		return nil, regErr
 	}
-	e.cacheable = cacheableCalls(info.Normalized, reg)
+	e.qc = newQueryCache(info.Normalized, reg)
 	return e, nil
 }
 
@@ -192,7 +190,7 @@ func (e *Evaluator) Step(st history.SystemState) (Result, error) {
 // when dbUnchanged is false any cached query results are discarded first.
 func (e *Evaluator) stepHinted(st history.SystemState, dbUnchanged bool) (Result, error) {
 	if !dbUnchanged {
-		clear(e.qcache)
+		e.qc.reset()
 	}
 	// Aggregate machines advance first: the aggregate value at state i
 	// includes state i itself as a potential start/sample point.
@@ -436,8 +434,9 @@ func (e *Evaluator) buildTerm(t ptl.Term) (*cterm, error) {
 	case *ptl.Var:
 		return varTerm(x.Name), nil
 	case *ptl.Call:
-		if e.cacheable[x] {
-			if v, hit := e.qcache[x]; hit {
+		slot := e.qc.slotOf(x)
+		if slot >= 0 {
+			if v, hit := e.qc.get(slot); hit {
 				return constTerm(v), nil
 			}
 		}
@@ -457,11 +456,8 @@ func (e *Evaluator) buildTerm(t ptl.Term) (*cterm, error) {
 		if err != nil {
 			return nil, err
 		}
-		if e.cacheable[x] {
-			if e.qcache == nil {
-				e.qcache = make(map[*ptl.Call]value.Value)
-			}
-			e.qcache[x] = v
+		if slot >= 0 {
+			e.qc.put(slot, v)
 		}
 		return constTerm(v), nil
 	case *ptl.Arith:

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"ptlactive/internal/history"
 	"ptlactive/internal/ptl"
@@ -28,21 +29,22 @@ type FastEvaluator struct {
 	reg  *query.Registry
 	log  ptl.ExecLog
 
-	// regs holds every register, the since occurrences then the lasttime
-	// ones in temporalOccurrences order (the encoded order); sinceReg and
-	// lastReg point into it. undo is Mark's copy of regs and steps.
+	// regs holds every register, the nSince since occurrences then the
+	// lasttime ones in temporalOccurrences order (the encoded order). undo is
+	// Mark's copy of regs and steps.
 	regs      []bool
-	sinceReg  map[*ptl.Since]*bool
-	lastReg   map[*ptl.Lasttime]*bool
+	nSince    int
 	steps     int
 	undo      []bool
 	undoSteps int
 	st        history.SystemState
 
-	// Query cache, valid while the database is unchanged (qcache.go);
-	// cacheable is immutable after NewFast.
-	qcache    map[*ptl.Call]value.Value
-	cacheable map[*ptl.Call]bool
+	// root is the normalized condition compiled once by NewFast (compile
+	// below): closures over pointers into regs, slots of qc and slots of
+	// vars, which holds the value each enclosing assignment bound.
+	root fastCond
+	qc   queryCache
+	vars []value.Value
 }
 
 // NewFast compiles a checked condition into a fast evaluator. It returns
@@ -72,21 +74,22 @@ func NewFast(info *ptl.Info, reg *query.Registry, log ptl.ExecLog) (*FastEvaluat
 	n := len(sinces) + len(lasts)
 	both := make([]bool, 2*n)
 	e := &FastEvaluator{
-		info:      info,
-		reg:       reg,
-		log:       log,
-		regs:      both[:n:n],
-		undo:      both[n:],
-		sinceReg:  make(map[*ptl.Since]*bool, len(sinces)),
-		lastReg:   make(map[*ptl.Lasttime]*bool, len(lasts)),
-		cacheable: cacheableCalls(info.Normalized, reg),
+		info:   info,
+		reg:    reg,
+		log:    log,
+		regs:   both[:n:n],
+		nSince: len(sinces),
+		undo:   both[n:],
+		qc:     newQueryCache(info.Normalized, reg),
 	}
+	c := fastCompiler{e: e, since: make(map[*ptl.Since]*bool, len(sinces)), last: make(map[*ptl.Lasttime]*bool, len(lasts))}
 	for i, x := range sinces {
-		e.sinceReg[x] = &e.regs[i]
+		c.since[x] = &e.regs[i]
 	}
 	for i, x := range lasts {
-		e.lastReg[x] = &e.regs[len(sinces)+i]
+		c.last[x] = &e.regs[len(sinces)+i]
 	}
+	e.root = c.cond(info.Normalized)
 	return e, nil
 }
 
@@ -113,10 +116,10 @@ func (e *FastEvaluator) Step(st history.SystemState) (bool, error) {
 
 func (e *FastEvaluator) stepHinted(st history.SystemState, dbUnchanged bool) (bool, error) {
 	if !dbUnchanged {
-		clear(e.qcache)
+		e.qc.reset()
 	}
 	e.st = st
-	fired, err := e.eval(e.info.Normalized, nil)
+	fired, err := e.root()
 	if err != nil {
 		return false, err
 	}
@@ -124,230 +127,271 @@ func (e *FastEvaluator) stepHinted(st history.SystemState, dbUnchanged bool) (bo
 	return fired, nil
 }
 
-type fastEnv struct {
-	name string
-	v    value.Value
-	next *fastEnv
+// fastCond and fastTerm are a compiled subformula and term: they read the
+// state being stepped from the evaluator they close over.
+type (
+	fastCond func() (bool, error)
+	fastTerm func() (value.Value, error)
+)
+
+// fastCompiler turns the normalized condition into closures, once. What a
+// tree walk would look up at every step is resolved here: the register of
+// each temporal occurrence, the cache slot of each call, and — scope[i] being
+// the variable whose assignment is i levels deep — where a variable's value
+// sits in e.vars. A node that cannot be evaluated (an unbound variable, an
+// unsupported node) is no compile error: its closure reports it when, and
+// if, a step reaches it.
+type fastCompiler struct {
+	e     *FastEvaluator
+	since map[*ptl.Since]*bool
+	last  map[*ptl.Lasttime]*bool
+	scope []string
 }
 
-func (env *fastEnv) lookup(name string) (value.Value, bool) {
-	for e := env; e != nil; e = e.next {
-		if e.name == name {
-			return e.v, true
-		}
+func (c *fastCompiler) terms(ts []ptl.Term) []fastTerm {
+	out := make([]fastTerm, len(ts))
+	for i, t := range ts {
+		out[i] = c.term(t)
 	}
-	return value.Value{}, false
+	return out
 }
 
-func (e *FastEvaluator) eval(f ptl.Formula, env *fastEnv) (bool, error) {
+// evalTerms evaluates ts in order into a fresh slice.
+func evalTerms(ts []fastTerm) ([]value.Value, error) {
+	out := make([]value.Value, len(ts))
+	for i, t := range ts {
+		v, err := t()
+		if err != nil {
+			return nil, err
+		}
+		out[i] = v
+	}
+	return out, nil
+}
+
+func (c *fastCompiler) cond(f ptl.Formula) fastCond {
+	e := c.e
 	switch x := f.(type) {
 	case *ptl.BoolConst:
-		return x.V, nil
+		v := x.V
+		return func() (bool, error) { return v, nil }
 	case *ptl.Cmp:
-		l, err := e.term(x.L, env)
-		if err != nil {
-			return false, err
+		op, lt, rt := x.Op, c.term(x.L), c.term(x.R)
+		return func() (bool, error) {
+			l, err := lt()
+			if err != nil {
+				return false, err
+			}
+			r, err := rt()
+			if err != nil {
+				return false, err
+			}
+			if l.IsNull() || r.IsNull() {
+				return false, nil
+			}
+			return value.Cmp(op, l, r)
 		}
-		r, err := e.term(x.R, env)
-		if err != nil {
-			return false, err
-		}
-		if l.IsNull() || r.IsNull() {
-			return false, nil
-		}
-		return value.Cmp(x.Op, l, r)
 	case *ptl.EventAtom:
-		args := make([]value.Value, len(x.Args))
-		for i, a := range x.Args {
-			v, err := e.term(a, env)
+		name, argts := x.Name, c.terms(x.Args)
+		return func() (bool, error) {
+			args, err := evalTerms(argts)
 			if err != nil {
 				return false, err
 			}
-			args[i] = v
-		}
-		for _, ev := range e.st.Events.ByName(x.Name) {
-			if len(ev.Args) != len(args) {
-				continue
-			}
-			match := true
-			for i := range args {
-				if !ev.Args[i].Equal(args[i]) {
-					match = false
-					break
+			for _, ev := range e.st.Events.ByName(name) {
+				if slices.EqualFunc(ev.Args, args, value.Value.Equal) {
+					return true, nil
 				}
 			}
-			if match {
-				return true, nil
-			}
-		}
-		return false, nil
-	case *ptl.Executed:
-		args := make([]value.Value, len(x.Args))
-		for i, a := range x.Args {
-			v, err := e.term(a, env)
-			if err != nil {
-				return false, err
-			}
-			args[i] = v
-		}
-		tv, err := e.term(x.TimeArg, env)
-		if err != nil {
-			return false, err
-		}
-		for _, ex := range e.log.Executions(x.Rule, e.st.TS) {
-			if !value.NewInt(ex.Time).Equal(tv) || len(ex.Params) != len(args) {
-				continue
-			}
-			match := true
-			for i := range args {
-				if !ex.Params[i].Equal(args[i]) {
-					match = false
-					break
-				}
-			}
-			if match {
-				return true, nil
-			}
-		}
-		return false, nil
-	case *ptl.Member:
-		rel, err := e.term(x.Rel, env)
-		if err != nil {
-			return false, err
-		}
-		if rel.IsNull() {
 			return false, nil
 		}
-		if rel.Kind() != value.Relation {
-			return false, fmt.Errorf("core: membership in %s", rel.Kind())
-		}
-		elems := make([]value.Value, len(x.Elems))
-		for i, el := range x.Elems {
-			v, err := e.term(el, env)
+	case *ptl.Executed:
+		rule, argts, timet := x.Rule, c.terms(x.Args), c.term(x.TimeArg)
+		return func() (bool, error) {
+			args, err := evalTerms(argts)
 			if err != nil {
 				return false, err
 			}
-			elems[i] = v
-		}
-		want := value.NewTuple(elems...)
-		for _, row := range rel.Rows() {
-			if value.NewTuple(row...).Equal(want) {
-				return true, nil
+			tv, err := timet()
+			if err != nil {
+				return false, err
 			}
+			for _, ex := range e.log.Executions(rule, e.st.TS) {
+				if value.NewInt(ex.Time).Equal(tv) && slices.EqualFunc(ex.Params, args, value.Value.Equal) {
+					return true, nil
+				}
+			}
+			return false, nil
 		}
-		return false, nil
+	case *ptl.Member:
+		relt, elemts := c.term(x.Rel), c.terms(x.Elems)
+		return func() (bool, error) {
+			rel, err := relt()
+			if err != nil {
+				return false, err
+			}
+			if rel.IsNull() {
+				return false, nil
+			}
+			if rel.Kind() != value.Relation {
+				return false, fmt.Errorf("core: membership in %s", rel.Kind())
+			}
+			elems, err := evalTerms(elemts)
+			if err != nil {
+				return false, err
+			}
+			want := value.NewTuple(elems...)
+			for _, row := range rel.Rows() {
+				if value.NewTuple(row...).Equal(want) {
+					return true, nil
+				}
+			}
+			return false, nil
+		}
 	case *ptl.Not:
-		b, err := e.eval(x.F, env)
-		return !b, err
+		g := c.cond(x.F)
+		return func() (bool, error) {
+			b, err := g()
+			return !b, err
+		}
 	case *ptl.And:
-		l, err := e.eval(x.L, env)
-		if err != nil {
-			return false, err
+		lf, rf := c.cond(x.L), c.cond(x.R)
+		return func() (bool, error) {
+			l, err := lf()
+			if err != nil {
+				return false, err
+			}
+			r, err := rf()
+			if err != nil {
+				return false, err
+			}
+			return l && r, nil
 		}
-		r, err := e.eval(x.R, env)
-		if err != nil {
-			return false, err
-		}
-		return l && r, nil
 	case *ptl.Or:
-		l, err := e.eval(x.L, env)
-		if err != nil {
-			return false, err
+		lf, rf := c.cond(x.L), c.cond(x.R)
+		return func() (bool, error) {
+			l, err := lf()
+			if err != nil {
+				return false, err
+			}
+			r, err := rf()
+			if err != nil {
+				return false, err
+			}
+			return l || r, nil
 		}
-		r, err := e.eval(x.R, env)
-		if err != nil {
-			return false, err
-		}
-		return l || r, nil
 	case *ptl.Since:
-		fg, err := e.eval(x.L, env)
-		if err != nil {
-			return false, err
+		gf, hf, reg := c.cond(x.L), c.cond(x.R), c.since[x]
+		return func() (bool, error) {
+			fg, err := gf()
+			if err != nil {
+				return false, err
+			}
+			fh, err := hf()
+			if err != nil {
+				return false, err
+			}
+			*reg = fh || (fg && *reg)
+			return *reg, nil
 		}
-		fh, err := e.eval(x.R, env)
-		if err != nil {
-			return false, err
-		}
-		reg := e.sinceReg[x]
-		cur := fh || (fg && *reg)
-		*reg = cur
-		return cur, nil
 	case *ptl.Lasttime:
-		reg := e.lastReg[x]
-		ret := *reg
-		cur, err := e.eval(x.F, env)
-		if err != nil {
-			return false, err
+		g, reg := c.cond(x.F), c.last[x]
+		return func() (bool, error) {
+			ret := *reg
+			cur, err := g()
+			if err != nil {
+				return false, err
+			}
+			*reg = cur
+			return ret, nil
 		}
-		*reg = cur
-		return ret, nil
 	case *ptl.Assign:
-		v, err := e.term(x.Q, env)
-		if err != nil {
-			return false, err
+		q, slot := c.term(x.Q), len(c.scope)
+		if slot == len(e.vars) {
+			e.vars = append(e.vars, value.Value{})
 		}
-		return e.eval(x.Body, &fastEnv{name: x.Var, v: v, next: env})
+		c.scope = append(c.scope, x.Var)
+		body := c.cond(x.Body)
+		c.scope = c.scope[:slot]
+		return func() (bool, error) {
+			v, err := q()
+			if err != nil {
+				return false, err
+			}
+			e.vars[slot] = v
+			return body()
+		}
 	default:
-		return false, fmt.Errorf("core: fast evaluator: unsupported %T", f)
+		return func() (bool, error) { return false, fmt.Errorf("core: fast evaluator: unsupported %T", f) }
 	}
 }
 
-func (e *FastEvaluator) term(t ptl.Term, env *fastEnv) (value.Value, error) {
+func (c *fastCompiler) term(t ptl.Term) fastTerm {
+	e := c.e
 	switch x := t.(type) {
 	case *ptl.Const:
-		return x.V, nil
+		v := x.V
+		return func() (value.Value, error) { return v, nil }
 	case *ptl.Var:
-		v, ok := env.lookup(x.Name)
-		if !ok {
-			return value.Value{}, fmt.Errorf("core: fast evaluator: unbound variable %s", x.Name)
-		}
-		return v, nil
-	case *ptl.Call:
-		if e.cacheable[x] {
-			if v, hit := e.qcache[x]; hit {
-				return v, nil
+		for slot := len(c.scope) - 1; slot >= 0; slot-- {
+			if c.scope[slot] == x.Name {
+				return func() (value.Value, error) { return e.vars[slot], nil }
 			}
 		}
-		args := make([]value.Value, len(x.Args))
-		for i, a := range x.Args {
-			v, err := e.term(a, env)
+		return func() (value.Value, error) {
+			return value.Value{}, fmt.Errorf("core: fast evaluator: unbound variable %s", x.Name)
+		}
+	case *ptl.Call:
+		fn, argts, slot := x.Fn, c.terms(x.Args), e.qc.slotOf(x)
+		call := func() (value.Value, error) {
+			args, err := evalTerms(argts)
 			if err != nil {
 				return value.Value{}, err
 			}
-			args[i] = v
+			return e.reg.Eval(fn, e.st, args)
 		}
-		v, err := e.reg.Eval(x.Fn, e.st, args)
-		if err != nil {
-			return value.Value{}, err
+		if slot < 0 {
+			return call
 		}
-		if e.cacheable[x] {
-			if e.qcache == nil {
-				e.qcache = make(map[*ptl.Call]value.Value)
+		return func() (value.Value, error) {
+			if v, hit := e.qc.get(slot); hit {
+				return v, nil
 			}
-			e.qcache[x] = v
+			v, err := call()
+			if err == nil {
+				e.qc.put(slot, v)
+			}
+			return v, err
 		}
-		return v, nil
 	case *ptl.Arith:
-		l, err := e.term(x.L, env)
-		if err != nil {
-			return value.Value{}, err
+		op, lt, rt := x.Op, c.term(x.L), c.term(x.R)
+		return func() (value.Value, error) {
+			l, err := lt()
+			if err != nil {
+				return value.Value{}, err
+			}
+			r, err := rt()
+			if err != nil {
+				return value.Value{}, err
+			}
+			if l.IsNull() || r.IsNull() || divByZero(op, r) {
+				return value.Value{}, nil
+			}
+			return value.Arith(op, l, r)
 		}
-		r, err := e.term(x.R, env)
-		if err != nil {
-			return value.Value{}, err
-		}
-		if l.IsNull() || r.IsNull() || divByZero(x.Op, r) {
-			return value.Value{}, nil
-		}
-		return value.Arith(x.Op, l, r)
 	case *ptl.Neg:
-		v, err := e.term(x.X, env)
-		if err != nil || v.IsNull() {
-			return value.Value{}, err
+		xt := c.term(x.X)
+		return func() (value.Value, error) {
+			v, err := xt()
+			if err != nil || v.IsNull() {
+				return value.Value{}, err
+			}
+			return value.Arith(value.Sub, value.NewInt(0), v)
 		}
-		return value.Arith(value.Sub, value.NewInt(0), v)
 	default:
-		return value.Value{}, fmt.Errorf("core: fast evaluator: unsupported term %T", t)
+		return func() (value.Value, error) {
+			return value.Value{}, fmt.Errorf("core: fast evaluator: unsupported term %T", t)
+		}
 	}
 }
 
@@ -362,7 +406,7 @@ func (e *FastEvaluator) Mark() {
 func (e *FastEvaluator) Rollback() {
 	copy(e.regs, e.undo)
 	e.steps = e.undoSteps
-	clear(e.qcache)
+	e.qc.reset()
 }
 
 // StepResult adapts Step to the general evaluator's Result shape, so the

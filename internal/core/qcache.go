@@ -4,6 +4,7 @@ import (
 	"ptlactive/internal/history"
 	"ptlactive/internal/ptl"
 	"ptlactive/internal/query"
+	"ptlactive/internal/value"
 )
 
 // Query-result caching across states. A registered query that is pure
@@ -27,16 +28,26 @@ type HintedEvaluator interface {
 	StepResultHinted(st history.SystemState, dbUnchanged bool) (Result, error)
 }
 
-// cacheableCalls computes, for every query call in the formula, whether
-// its result may be cached while the database is unchanged: the function
-// must be pure and every argument stable (constants, arithmetic over
-// stable terms, or nested cacheable calls — never variables, aggregates,
-// or the timestamp-reading "time").
-func cacheableCalls(f ptl.Formula, reg *query.Registry) map[*ptl.Call]bool {
+// queryCache is both evaluators' one definition of "valid while the database
+// is unchanged": a numbered slot per cacheable call of a condition, emptied
+// (reset) by every step that arrives without the hint and by Rollback.
+// slots is immutable after newQueryCache and shared by clones.
+type queryCache struct {
+	slots map[*ptl.Call]int
+	vals  []value.Value
+	ok    []bool
+}
+
+// newQueryCache numbers the calls of f whose result may be cached while the
+// database is unchanged: the function must be pure and every argument stable
+// (constants, arithmetic over stable terms, or nested cacheable calls —
+// never variables, aggregates, or the timestamp-reading "time").
+func newQueryCache(f ptl.Formula, reg *query.Registry) queryCache {
+	c := queryCache{}
 	if reg == nil {
-		return nil
+		return c
 	}
-	out := make(map[*ptl.Call]bool)
+	c.slots = make(map[*ptl.Call]int)
 	var stable func(t ptl.Term) bool
 	stable = func(t ptl.Term) bool {
 		switch x := t.(type) {
@@ -47,26 +58,46 @@ func cacheableCalls(f ptl.Formula, reg *query.Registry) map[*ptl.Call]bool {
 		case *ptl.Neg:
 			return stable(x.X)
 		case *ptl.Call:
-			if c, seen := out[x]; seen {
-				return c
+			if _, numbered := c.slots[x]; numbered {
+				return true
 			}
-			ok := reg.Pure(x.Fn)
+			if !reg.Pure(x.Fn) {
+				return false
+			}
 			for _, a := range x.Args {
-				if !ok {
-					break
+				if !stable(a) {
+					return false
 				}
-				ok = stable(a)
 			}
-			out[x] = ok
-			return ok
+			c.slots[x] = len(c.slots)
+			return true
 		default: // Var, Agg: value changes per binding / per state
 			return false
 		}
 	}
 	ptl.WalkTerms(f, func(t ptl.Term) {
-		if c, ok := t.(*ptl.Call); ok {
-			stable(c)
+		if call, ok := t.(*ptl.Call); ok {
+			stable(call)
 		}
 	})
-	return out
+	return c.empty()
 }
+
+// empty returns a cache over the same calls holding nothing.
+func (c *queryCache) empty() queryCache {
+	return queryCache{slots: c.slots, vals: make([]value.Value, len(c.slots)), ok: make([]bool, len(c.slots))}
+}
+
+// slotOf is x's slot, negative when x's result may not be cached.
+func (c *queryCache) slotOf(x *ptl.Call) int {
+	if slot, cacheable := c.slots[x]; cacheable {
+		return slot
+	}
+	return -1
+}
+
+func (c *queryCache) reset() { clear(c.ok) }
+
+func (c *queryCache) get(slot int) (value.Value, bool) { return c.vals[slot], c.ok[slot] }
+
+func (c *queryCache) put(slot int, v value.Value) { c.vals[slot], c.ok[slot] = v, true }

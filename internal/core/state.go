@@ -474,7 +474,7 @@ func restoreAggState(s *aggState, rec *aggRec) error {
 }
 
 func encodeFast(e *FastEvaluator) (*evalState, error) {
-	ns := len(e.sinceReg)
+	ns := e.nSince
 	return &evalState{
 		Kind:   "fast",
 		Steps:  e.steps,
@@ -487,10 +487,10 @@ func restoreFast(e *FastEvaluator, st *evalState) error {
 	if st.Kind != "fast" {
 		return fmt.Errorf("core: evaluator state kind %q, want fast", st.Kind)
 	}
-	ns := len(e.sinceReg)
-	if len(st.SinceB) != ns || len(st.LastB) != len(e.lastReg) {
+	ns, nl := e.nSince, len(e.regs)-e.nSince
+	if len(st.SinceB) != ns || len(st.LastB) != nl {
 		return fmt.Errorf("core: evaluator state has %d/%d registers, condition needs %d/%d",
-			len(st.SinceB), len(st.LastB), ns, len(e.lastReg))
+			len(st.SinceB), len(st.LastB), ns, nl)
 	}
 	copy(e.regs, st.SinceB)
 	copy(e.regs[ns:], st.LastB)
