@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test bench race vet fmtcheck vulncheck depcheck allocgates benchmod loc stress verify tables profile profile-sparse profile-temporal profile-gate benchcheck bench-baselines bench-engine serve-smoke cluster-smoke replica-smoke retain-smoke
+.PHONY: build test bench race vet fmtcheck vulncheck depcheck allocgates benchmod loc stress verify tables profile profile-sparse profile-temporal profile-gate serve-smoke cluster-smoke replica-smoke retain-smoke
 
 build:
 	$(GO) build ./...
@@ -72,16 +72,10 @@ allocgates:
 # verify is the full pre-merge tier: static checks plus the whole suite
 # under the race detector (the concurrent engine and the durability
 # layer's crash tests make -race load-bearing, not optional), then the
-# repeated fault-isolation stress pass. benchcheck is advisory by
-# default (the baselines are wall-clock numbers from the machine of
-# record); set BENCHCHECK_STRICT=1 to make a regression in the server
-# wire-path table (E13) fail the tier.
+# repeated fault-isolation stress pass and the four smoke scripts. Every
+# step is fatal; timings are not checked here but by the benchmark
+# (BENCHMARK.json, bench/run.sh).
 verify: vet fmtcheck vulncheck depcheck race allocgates benchmod stress serve-smoke cluster-smoke replica-smoke retain-smoke
-ifeq ($(BENCHCHECK_STRICT),1)
-	$(MAKE) benchcheck
-else
-	-$(MAKE) benchcheck
-endif
 
 # serve-smoke boots adbserverd on a random port, drives a scripted client
 # session through adbsh -connect (rules, commits, firing subscription),
@@ -147,22 +141,3 @@ profile-gate:
 	$(GO) test -run '^$$' -bench ConstraintGate -benchtime 50000x -memprofilerate 4096 \
 		-cpuprofile gate_cpu.prof -memprofile gate_mem.prof ./internal/adb
 	@echo "wrote gate_cpu.prof, gate_mem.prof and adb.test (go tool pprof adb.test gate_cpu.prof)"
-
-# benchcheck re-runs the experiments behind the committed benchmark
-# baselines and reports any time column more than 20% over baseline.
-benchcheck:
-	$(GO) run ./cmd/benchcheck BENCH_sched.json BENCH_persist.json BENCH_server.json BENCH_cluster.json BENCH_engine.json BENCH_retain.json
-
-# bench-baselines regenerates the committed baselines on this machine.
-bench-baselines:
-	$(GO) run ./cmd/benchtables -only E12 -json BENCH_sched.json >/dev/null
-	$(GO) run ./cmd/benchtables -only E10 -json BENCH_persist.json >/dev/null
-	$(GO) run ./cmd/benchtables -only E13 -json BENCH_server.json >/dev/null
-	$(GO) run ./cmd/benchtables -only E14 -json BENCH_cluster.json >/dev/null
-	$(GO) run ./cmd/benchtables -only E16 -json BENCH_engine.json >/dev/null
-	$(GO) run ./cmd/benchtables -only E17 -json BENCH_retain.json >/dev/null
-
-# bench-engine regenerates just the commit-scaling baseline (E16, ~1min:
-# the 1M-item rows dominate).
-bench-engine:
-	$(GO) run ./cmd/benchtables -only E16 -json BENCH_engine.json

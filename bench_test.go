@@ -235,35 +235,21 @@ func BenchmarkSweepWithSandbox(b *testing.B) {
 	}
 }
 
-// BenchmarkE9TemporalActions measures the executed-predicate machinery
-// driving the Section-7 BUY-STOCK temporal action.
-// BenchmarkE13Server measures commit round-trips through the network
-// service layer's serializing pipeline, with and without subscriber
-// fan-out.
+// BenchmarkE13Server measures firing fan-out through the network service
+// layer: 100 pipelined commits, each firing once, delivered in batched
+// frames to 100 subscribers.
 func BenchmarkE13Server(b *testing.B) {
-	jsonOnly := []string{"json"}
-	for _, cfg := range []struct {
-		name string
-		run  experiments.E13Config
-	}{
-		{"1client", experiments.E13Config{Clients: 1, Commits: 100, Codecs: jsonOnly, Window: 1}},
-		{"4clients", experiments.E13Config{Clients: 4, Commits: 25, Codecs: jsonOnly, Window: 1}},
-		{"fanout4", experiments.E13Config{Clients: 1, Commits: 100, Subs: 4, Codecs: jsonOnly, Window: 1}},
-		{"binary", experiments.E13Config{Clients: 1, Commits: 100, Window: 1}},
-		{"pipelined_json", experiments.E13Config{Clients: 1, Commits: 100, Codecs: jsonOnly, Window: 64}},
-		{"pipelined_binary", experiments.E13Config{Clients: 1, Commits: 100, Window: 64}},
-	} {
-		b.Run(cfg.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				dur, _ := experiments.E13RunConfig(cfg.run)
-				_ = dur
-			}
-			total := cfg.run.Clients * cfg.run.Commits
-			b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*total), "us/commit")
-		})
+	const commits, subs = 100, 100
+	for i := 0; i < b.N; i++ {
+		if _, delivered := experiments.FanoutRun(commits, subs); delivered != commits*subs {
+			b.Fatalf("delivered %d of %d firings", delivered, commits*subs)
+		}
 	}
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*commits), "us/commit")
 }
 
+// BenchmarkE9TemporalActions measures the executed-predicate machinery
+// driving the Section-7 BUY-STOCK temporal action.
 func BenchmarkE9TemporalActions(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		buys, _ := experiments.TemporalActionRun(500)

@@ -692,15 +692,9 @@ func (c *Client) Firings(from int) ([]adb.Firing, error) {
 	return out, nil
 }
 
-// RuleInfo describes one registered rule as reported by the server.
-type RuleInfo struct {
-	Name       string
-	Condition  string
-	Constraint bool
-	Scheduling adb.Scheduling
-	Parameters []string
-	Pending    int
-}
+// RuleInfo describes one registered rule as reported by the server: Name,
+// Condition, Constraint, Scheduling, Parameters and Pending.
+type RuleInfo = wire.RuleJSON
 
 // Rules lists the registered rules in registration order.
 func (c *Client) Rules() ([]RuleInfo, error) {
@@ -708,18 +702,7 @@ func (c *Client) Rules() ([]RuleInfo, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := make([]RuleInfo, 0, len(resp.Rules))
-	for _, r := range resp.Rules {
-		out = append(out, RuleInfo{
-			Name:       r.Name,
-			Condition:  r.Condition,
-			Constraint: r.Constraint,
-			Scheduling: adb.Scheduling(r.Scheduling),
-			Parameters: r.Parameters,
-			Pending:    r.Pending,
-		})
-	}
-	return out, nil
+	return resp.Rules, nil
 }
 
 // Health is the server's health report: per-rule failure records plus the
@@ -763,28 +746,11 @@ func (c *Client) Role() (RoleStatus, error) {
 }
 
 // StorageStatus is the server's storage footprint report: the WAL and
-// snapshot accounting plus the history-retention tiers.
-type StorageStatus struct {
-	// Segments is the number of live WAL segment files; WALBytes their
-	// total size.
-	Segments int
-	WALBytes int64
-	// Snapshots is the snapshot chain length; SnapshotBytes its total size.
-	Snapshots     int
-	SnapshotBytes int64
-	// HeadLSN is the oldest retained WAL record; LastLSN the newest
-	// durable one.
-	HeadLSN int64
-	LastLSN int64
-	// HistoryWindow and HistoryFloor describe the retained temporal
-	// history (0 when the server retains everything); SpillHistory reports
-	// the tiered policy, with TierRows/TierBytes sizing the cold tier.
-	HistoryWindow int64
-	HistoryFloor  int64
-	SpillHistory  bool
-	TierRows      int64
-	TierBytes     int64
-}
+// snapshot accounting (Segments, WALBytes, Snapshots, SnapshotBytes,
+// HeadLSN, LastLSN) plus the history-retention tiers (HistoryWindow,
+// HistoryFloor, SpillHistory, TierRows, TierBytes), as the engine declares
+// them.
+type StorageStatus = wire.StorageJSON
 
 // Storage queries the server's storage footprint; servers without a
 // durable store (or routers over a mix) refuse with bad_request.
@@ -796,20 +762,7 @@ func (c *Client) Storage() (StorageStatus, error) {
 	if resp.Storage == nil {
 		return StorageStatus{}, fmt.Errorf("client: storage reply carried no stats")
 	}
-	st := resp.Storage
-	return StorageStatus{
-		Segments:      st.Segments,
-		WALBytes:      st.WalBytes,
-		Snapshots:     st.Snapshots,
-		SnapshotBytes: st.SnapshotBytes,
-		HeadLSN:       st.HeadLsn,
-		LastLSN:       st.LastLsn,
-		HistoryWindow: st.HistoryWindow,
-		HistoryFloor:  st.HistoryFloor,
-		SpillHistory:  st.SpillHistory,
-		TierRows:      st.TierRows,
-		TierBytes:     st.TierBytes,
-	}, nil
+	return *resp.Storage, nil
 }
 
 // Subscribe opens the session's firing stream starting at absolute firing

@@ -156,13 +156,7 @@ func (s *shell) engine() *adb.Engine {
 			SweepBudget:     s.sweepBudget,
 			ActionTimeout:   s.actionTimeout,
 			Retention:       s.retention,
-			OnFiring: func(f adb.Firing) {
-				if len(f.Binding) > 0 {
-					fmt.Printf("FIRE %s at %d %v\n", f.Rule, f.Time, f.Binding)
-				} else {
-					fmt.Printf("FIRE %s at %d\n", f.Rule, f.Time)
-				}
-			},
+			OnFiring:        printFire,
 			OnRuleFault: func(f adb.RuleFault) {
 				fmt.Printf("FAULT %s at %d: %v\n", f.Rule, f.Time, f.Err)
 			},
@@ -215,69 +209,24 @@ func (s *shell) exec(line string) error {
 		s.initial[name] = v
 		return nil
 	case "trigger", "constraint":
-		name, cond, ok := strings.Cut(rest, "::")
-		if !ok {
-			return fmt.Errorf("usage: %s <name> :: <condition>", cmd)
+		name, cond, err := parseRule(cmd, rest)
+		if err != nil {
+			return err
 		}
-		name = strings.TrimSpace(name)
-		cond = strings.TrimSpace(cond)
 		if cmd == "trigger" {
 			return s.engine().AddTrigger(name, cond, nil)
 		}
 		return s.engine().AddConstraint(name, cond)
 	case "commit":
-		fields := splitFields(rest)
-		if len(fields) == 0 {
-			return errors.New("usage: commit <time> [k=v ...] [@ev(args) ...]")
-		}
-		ts, err := strconv.ParseInt(fields[0], 10, 64)
+		ts, updates, events, err := parseCommit(rest)
 		if err != nil {
-			return fmt.Errorf("bad time %q", fields[0])
+			return err
 		}
-		updates := map[string]value.Value{}
-		var events []event.Event
-		for _, f := range fields[1:] {
-			if strings.HasPrefix(f, "@") {
-				ev, err := parseEvent(f)
-				if err != nil {
-					return err
-				}
-				events = append(events, ev)
-				continue
-			}
-			k, vs, ok := strings.Cut(f, "=")
-			if !ok {
-				return fmt.Errorf("bad update %q", f)
-			}
-			v, err := parseValue(vs)
-			if err != nil {
-				return err
-			}
-			updates[k] = v
-		}
-		err = s.engine().Exec(ts, updates, events...)
-		var ce *adb.ConstraintError
-		if errors.As(err, &ce) {
-			fmt.Printf("ABORT at %d: %s\n", ts, ce.Constraint)
-			return nil
-		}
-		return err
+		return reportAbort(ts, s.engine().Exec(ts, updates, events...))
 	case "emit":
-		fields := splitFields(rest)
-		if len(fields) < 2 {
-			return errors.New("usage: emit <time> @ev(args) ...")
-		}
-		ts, err := strconv.ParseInt(fields[0], 10, 64)
+		ts, events, err := parseEmit(rest)
 		if err != nil {
-			return fmt.Errorf("bad time %q", fields[0])
-		}
-		var events []event.Event
-		for _, f := range fields[1:] {
-			ev, err := parseEvent(f)
-			if err != nil {
-				return err
-			}
-			events = append(events, ev)
+			return err
 		}
 		return s.engine().Emit(ts, events...)
 	case "eval":
@@ -359,18 +308,7 @@ func (s *shell) exec(line string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("segments=%d wal_bytes=%d snapshots=%d snapshot_bytes=%d head_lsn=%d last_lsn=%d\n",
-			st.Segments, st.WALBytes, st.Snapshots, st.SnapshotBytes, st.HeadLSN, st.LastLSN)
-		if st.HistoryWindow > 0 {
-			policy := "drop"
-			if st.SpillHistory {
-				policy = "spill"
-			}
-			fmt.Printf("history: window=%d floor=%d policy=%s tier_rows=%d tier_bytes=%d\n",
-				st.HistoryWindow, st.HistoryFloor, policy, st.TierRows, st.TierBytes)
-		} else {
-			fmt.Println("history: retained forever")
-		}
+		printStorage(st)
 		return nil
 	case "revive":
 		if rest == "" {
@@ -410,6 +348,100 @@ func (s *shell) exec(line string) error {
 		return nil
 	default:
 		return fmt.Errorf("unknown command %q", cmd)
+	}
+}
+
+// parseRule, parseCommit and parseEmit read the argument of the commands
+// both modes execute, so a malformed line gets the same error from an
+// in-process engine and from a server.
+
+// parseRule parses `<name> :: <condition>`, the argument of trigger and
+// constraint (cmd, for the usage message).
+func parseRule(cmd, rest string) (name, cond string, err error) {
+	name, cond, ok := strings.Cut(rest, "::")
+	if !ok {
+		return "", "", fmt.Errorf("usage: %s <name> :: <condition>", cmd)
+	}
+	return strings.TrimSpace(name), strings.TrimSpace(cond), nil
+}
+
+// parseCommit parses `<time> [k=v ...] [@ev(args) ...]`.
+func parseCommit(rest string) (ts int64, updates map[string]value.Value, events []event.Event, err error) {
+	fields := splitFields(rest)
+	if len(fields) == 0 {
+		return 0, nil, nil, errors.New("usage: commit <time> [k=v ...] [@ev(args) ...]")
+	}
+	if ts, err = strconv.ParseInt(fields[0], 10, 64); err != nil {
+		return 0, nil, nil, fmt.Errorf("bad time %q", fields[0])
+	}
+	updates = map[string]value.Value{}
+	for _, f := range fields[1:] {
+		if strings.HasPrefix(f, "@") {
+			ev, err := parseEvent(f)
+			if err != nil {
+				return 0, nil, nil, err
+			}
+			events = append(events, ev)
+			continue
+		}
+		k, vs, ok := strings.Cut(f, "=")
+		if !ok {
+			return 0, nil, nil, fmt.Errorf("bad update %q", f)
+		}
+		v, err := parseValue(vs)
+		if err != nil {
+			return 0, nil, nil, err
+		}
+		updates[k] = v
+	}
+	return ts, updates, events, nil
+}
+
+// parseEmit parses `<time> @ev(args) ...`.
+func parseEmit(rest string) (ts int64, events []event.Event, err error) {
+	fields := splitFields(rest)
+	if len(fields) < 2 {
+		return 0, nil, errors.New("usage: emit <time> @ev(args) ...")
+	}
+	if ts, err = strconv.ParseInt(fields[0], 10, 64); err != nil {
+		return 0, nil, fmt.Errorf("bad time %q", fields[0])
+	}
+	for _, f := range fields[1:] {
+		ev, err := parseEvent(f)
+		if err != nil {
+			return 0, nil, err
+		}
+		events = append(events, ev)
+	}
+	return ts, events, nil
+}
+
+// reportAbort prints a commit refused by an integrity constraint as an
+// ABORT line — an outcome of the script, not a failure of it — and passes
+// any other error through.
+func reportAbort(ts int64, err error) error {
+	var ce *adb.ConstraintError
+	if errors.As(err, &ce) {
+		fmt.Printf("ABORT at %d: %s\n", ts, ce.Constraint)
+		return nil
+	}
+	return err
+}
+
+// printStorage renders the storage footprint; the engine's report and the
+// server's are one type.
+func printStorage(st adb.StorageStats) {
+	fmt.Printf("segments=%d wal_bytes=%d snapshots=%d snapshot_bytes=%d head_lsn=%d last_lsn=%d\n",
+		st.Segments, st.WALBytes, st.Snapshots, st.SnapshotBytes, st.HeadLSN, st.LastLSN)
+	if st.HistoryWindow > 0 {
+		policy := "drop"
+		if st.SpillHistory {
+			policy = "spill"
+		}
+		fmt.Printf("history: window=%d floor=%d policy=%s tier_rows=%d tier_bytes=%d\n",
+			st.HistoryWindow, st.HistoryFloor, policy, st.TierRows, st.TierBytes)
+	} else {
+		fmt.Println("history: retained forever")
 	}
 }
 

@@ -11,7 +11,6 @@ import (
 
 	"ptlactive/client"
 	"ptlactive/internal/adb"
-	"ptlactive/internal/event"
 	"ptlactive/internal/server/wire"
 )
 
@@ -55,71 +54,32 @@ func (r *remote) exec(line string) error {
 	case "item", "save", "recover", "eval", "export":
 		return fmt.Errorf("%s is not supported in remote mode (engine-local)", cmd)
 	case "trigger", "constraint":
-		name, cond, ok := strings.Cut(rest, "::")
-		if !ok {
-			return fmt.Errorf("usage: %s <name> :: <condition>", cmd)
+		name, cond, err := parseRule(cmd, rest)
+		if err != nil {
+			return err
 		}
-		name = strings.TrimSpace(name)
-		cond = strings.TrimSpace(cond)
 		if cmd == "trigger" {
 			return r.cli.AddTrigger(name, cond)
 		}
 		return r.cli.AddConstraint(name, cond)
 	case "commit":
-		fields := splitFields(rest)
-		if len(fields) == 0 {
-			return errors.New("usage: commit <time> [k=v ...] [@ev(args) ...]")
-		}
-		ts, err := strconv.ParseInt(fields[0], 10, 64)
+		ts, updates, events, err := parseCommit(rest)
 		if err != nil {
-			return fmt.Errorf("bad time %q", fields[0])
+			return err
 		}
-		tx := r.cli.Txn().At(ts)
-		for _, f := range fields[1:] {
-			if strings.HasPrefix(f, "@") {
-				ev, err := parseEvent(f)
-				if err != nil {
-					return err
-				}
-				tx.Emit(ev)
-				continue
-			}
-			k, vs, ok := strings.Cut(f, "=")
-			if !ok {
-				return fmt.Errorf("bad update %q", f)
-			}
-			v, err := parseValue(vs)
-			if err != nil {
-				return err
-			}
+		tx := r.cli.Txn().At(ts).Emit(events...)
+		for k, v := range updates {
 			tx.Set(k, v)
 		}
 		applied, err := tx.Commit()
-		var ce *adb.ConstraintError
-		if errors.As(err, &ce) {
-			fmt.Printf("ABORT at %d: %s\n", ts, ce.Constraint)
-			return nil
-		}
 		if err == nil && ts == 0 {
 			fmt.Printf("committed at %d\n", applied)
 		}
-		return err
+		return reportAbort(ts, err)
 	case "emit":
-		fields := splitFields(rest)
-		if len(fields) < 2 {
-			return errors.New("usage: emit <time> @ev(args) ...")
-		}
-		ts, err := strconv.ParseInt(fields[0], 10, 64)
+		ts, events, err := parseEmit(rest)
 		if err != nil {
-			return fmt.Errorf("bad time %q", fields[0])
-		}
-		var events []event.Event
-		for _, f := range fields[1:] {
-			ev, err := parseEvent(f)
-			if err != nil {
-				return err
-			}
-			events = append(events, ev)
+			return err
 		}
 		_, err = r.cli.Emit(ts, events...)
 		return err
@@ -188,18 +148,7 @@ func (r *remote) exec(line string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("segments=%d wal_bytes=%d snapshots=%d snapshot_bytes=%d head_lsn=%d last_lsn=%d\n",
-			st.Segments, st.WALBytes, st.Snapshots, st.SnapshotBytes, st.HeadLSN, st.LastLSN)
-		if st.HistoryWindow > 0 {
-			policy := "drop"
-			if st.SpillHistory {
-				policy = "spill"
-			}
-			fmt.Printf("history: window=%d floor=%d policy=%s tier_rows=%d tier_bytes=%d\n",
-				st.HistoryWindow, st.HistoryFloor, policy, st.TierRows, st.TierBytes)
-		} else {
-			fmt.Println("history: retained forever")
-		}
+		printStorage(st)
 		return nil
 	case "revive":
 		if rest == "" {

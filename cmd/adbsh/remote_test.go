@@ -121,3 +121,36 @@ func TestRemoteCodecFlag(t *testing.T) {
 		t.Fatal("newRemote accepted an unknown codec")
 	}
 }
+
+// TestMalformedLinesSameErrorBothModes feeds the lines the shared parsers
+// refuse to an in-process shell and to a remote one: neither may reach an
+// engine, and both must report the same text.
+func TestMalformedLinesSameErrorBothModes(t *testing.T) {
+	r, err := newRemote(startTestServer(t), "json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.close()
+	sh := &shell{initial: map[string]value.Value{}}
+	for _, tc := range []struct{ line, want string }{
+		{`trigger x`, `usage: trigger <name> :: <condition>`},
+		{`constraint solvent not (item("a") < 0)`, `usage: constraint <name> :: <condition>`},
+		{`commit`, `usage: commit <time> [k=v ...] [@ev(args) ...]`},
+		{`commit x`, `bad time "x"`},
+		{`commit 1 noequals`, `bad update "noequals"`},
+		{`commit 1 a=`, `empty value`},
+		{`commit 1 a=2 @e(1`, `unterminated event args in "e(1"`},
+		{`emit 1`, `usage: emit <time> @ev(args) ...`},
+		{`emit x @a`, `bad time "x"`},
+		{`emit 1 a`, `event must start with @: "a"`},
+	} {
+		for mode, exec := range map[string]func(string) error{"local": sh.exec, "remote": r.exec} {
+			if err := exec(tc.line); err == nil || err.Error() != tc.want {
+				t.Errorf("%s %q: error %v, want %q", mode, tc.line, err, tc.want)
+			}
+		}
+	}
+	if sh.eng != nil {
+		t.Error("a malformed line created the local engine")
+	}
+}

@@ -1,6 +1,9 @@
 // Command benchtables regenerates every experiment table of
-// EXPERIMENTS.md (E1-E9, one per reproduced claim of the paper) and prints
-// them. Use -quick for reduced sweeps and -markdown for the format
+// EXPERIMENTS.md and prints them: E1-E9, A1 and A2, one per reproduced
+// claim of the paper, and the counted tables E10, E12, E13, E14 and E17 of
+// the system built around it. The tables are printed, never compared with
+// committed numbers — timings that are live in bench/ (BENCHMARK.json).
+// Use -quick for reduced sweeps and -markdown for the format
 // EXPERIMENTS.md embeds. -only runs just the named experiments (the rest
 // are skipped, not merely hidden), and -cpuprofile/-memprofile capture
 // pprof profiles of the selected runs.
@@ -10,12 +13,10 @@
 //	go run ./cmd/benchtables -markdown  # paste into EXPERIMENTS.md
 //	go run ./cmd/benchtables -only E1,E7
 //	go run ./cmd/benchtables -only E8 -workers 4
-//	go run ./cmd/benchtables -only E10 -json BENCH_persist.json
 //	go run ./cmd/benchtables -only E12 -cpuprofile cpu.out -memprofile mem.out
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -31,7 +32,6 @@ func main() {
 	markdown := flag.Bool("markdown", false, "emit markdown tables")
 	only := flag.String("only", "", "comma-separated experiment ids (e.g. E1,E7)")
 	workers := flag.Int("workers", 0, "worker pool for the parallel E8 columns (0 = all cores)")
-	jsonPath := flag.String("json", "", "also write the selected tables as JSON to this file")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the experiment runs to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile taken after the runs to this file")
 	flag.Parse()
@@ -59,13 +59,11 @@ func main() {
 		defer pprof.StopCPUProfile()
 	}
 
-	var selected []experiments.Table
 	for _, e := range experiments.Catalog {
 		if len(want) > 0 && !want[strings.ToUpper(e.ID)] {
 			continue
 		}
 		t := e.Run(*quick)
-		selected = append(selected, t)
 		if *markdown {
 			fmt.Println(t.Markdown())
 		} else {
@@ -83,16 +81,6 @@ func main() {
 			fail(err)
 		}
 		f.Close()
-	}
-
-	if *jsonPath != "" {
-		data, err := json.MarshalIndent(selected, "", "  ")
-		if err != nil {
-			fail(err)
-		}
-		if err := os.WriteFile(*jsonPath, append(data, '\n'), 0o644); err != nil {
-			fail(err)
-		}
 	}
 }
 

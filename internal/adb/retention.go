@@ -168,19 +168,22 @@ func (e *Engine) pruneAux(horizon int64) error {
 
 // StorageStats is the engine's storage footprint: the persistence layer's
 // segment and snapshot accounting plus the retention policy's view of the
-// history tiers. Memory engines report zero persistence fields.
+// history tiers. Memory engines report zero persistence fields. It is
+// the one declaration of the footprint from store to client: the wire's
+// "storage" reply and the client's report are this type, and the tags are
+// the reply's JSON form (the embedded struct's fields come first).
 type StorageStats struct {
 	// Segments, WALBytes, Snapshots, SnapshotBytes, HeadLSN and LastLSN.
 	persist.StorageStats
 	// HistoryWindow and HistoryFloor describe the hot window; both are 0
 	// when no window is configured.
-	HistoryWindow int64
-	HistoryFloor  int64
+	HistoryWindow int64 `json:"history_window,omitempty"`
+	HistoryFloor  int64 `json:"history_floor,omitempty"`
 	// SpillHistory reports the tiered policy; TierRows and TierBytes the
 	// cold tier's size (0 without a tier).
-	SpillHistory bool
-	TierRows     int64
-	TierBytes    int64
+	SpillHistory bool  `json:"spill_history,omitempty"`
+	TierRows     int64 `json:"tier_rows,omitempty"`
+	TierBytes    int64 `json:"tier_bytes,omitempty"`
 }
 
 // Storage reports the engine's storage footprint. Like Checkpoint it runs

@@ -567,8 +567,8 @@ func (f *Front) Health() ([]wire.HealthJSON, string, error) {
 	return out, strings.Join(degraded, "; "), nil
 }
 
-// Storage sums the shards' footprints: sizes and counts add; HeadLsn and
-// LastLsn report the max across shards (per-shard positions are
+// Storage sums the shards' footprints: sizes and counts add; HeadLSN and
+// LastLSN report the max across shards (per-shard positions are
 // independent sequences). The history
 // fields take the most conservative cluster-wide view — the largest
 // window and floor, with SpillHistory true only when every windowed shard
@@ -582,14 +582,14 @@ func (f *Front) Storage() (wire.StorageJSON, error) {
 			return wire.StorageJSON{}, fmt.Errorf("cluster: shard %d: %w", i, err)
 		}
 		out.Segments += st.Segments
-		out.WalBytes += st.WalBytes
+		out.WALBytes += st.WALBytes
 		out.Snapshots += st.Snapshots
 		out.SnapshotBytes += st.SnapshotBytes
-		if st.HeadLsn > out.HeadLsn {
-			out.HeadLsn = st.HeadLsn
+		if st.HeadLSN > out.HeadLSN {
+			out.HeadLSN = st.HeadLSN
 		}
-		if st.LastLsn > out.LastLsn {
-			out.LastLsn = st.LastLsn
+		if st.LastLSN > out.LastLSN {
+			out.LastLSN = st.LastLSN
 		}
 		if st.HistoryWindow > 0 {
 			if st.HistoryWindow > out.HistoryWindow {

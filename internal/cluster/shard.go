@@ -169,22 +169,7 @@ func (s *RemoteShard) Now() (int64, error) { return s.cli.Now() }
 func (s *RemoteShard) Items() (map[string]value.Value, error) { return s.cli.DB() }
 
 func (s *RemoteShard) Rules() ([]wire.RuleJSON, error) {
-	infos, err := s.cli.Rules()
-	if err != nil {
-		return nil, err
-	}
-	out := make([]wire.RuleJSON, 0, len(infos))
-	for _, info := range infos {
-		out = append(out, wire.RuleJSON{
-			Name:       info.Name,
-			Condition:  info.Condition,
-			Constraint: info.Constraint,
-			Scheduling: int(info.Scheduling),
-			Parameters: info.Parameters,
-			Pending:    info.Pending,
-		})
-	}
-	return out, nil
+	return s.cli.Rules()
 }
 
 func (s *RemoteShard) Health() ([]wire.HealthJSON, string, error) {
@@ -192,42 +177,13 @@ func (s *RemoteShard) Health() ([]wire.HealthJSON, string, error) {
 	if err != nil {
 		return nil, "", err
 	}
-	out := make([]wire.HealthJSON, 0, len(h.Rules))
-	for _, hr := range h.Rules {
-		out = append(out, wire.HealthJSON{
-			Rule:        hr.Rule,
-			Quarantined: hr.Quarantined,
-			Consecutive: hr.Consecutive,
-			Total:       hr.Total,
-			LastError:   hr.LastError,
-			LastAt:      hr.LastAt,
-		})
-	}
-	return out, h.Degraded, nil
+	return h.Rules, h.Degraded, nil
 }
 
 // Storage queries the remote server's storage footprint, satisfying the
 // router's optional per-shard storage capability (LocalShard gets it from
 // the embedded EngineBackend).
-func (s *RemoteShard) Storage() (wire.StorageJSON, error) {
-	st, err := s.cli.Storage()
-	if err != nil {
-		return wire.StorageJSON{}, err
-	}
-	return wire.StorageJSON{
-		Segments:      st.Segments,
-		WalBytes:      st.WALBytes,
-		Snapshots:     st.Snapshots,
-		SnapshotBytes: st.SnapshotBytes,
-		HeadLsn:       st.HeadLSN,
-		LastLsn:       st.LastLSN,
-		HistoryWindow: st.HistoryWindow,
-		HistoryFloor:  st.HistoryFloor,
-		SpillHistory:  st.SpillHistory,
-		TierRows:      st.TierRows,
-		TierBytes:     st.TierBytes,
-	}, nil
-}
+func (s *RemoteShard) Storage() (wire.StorageJSON, error) { return s.cli.Storage() }
 
 // Follow subscribes from sequence 0 and pumps the stream into fn; the
 // server's subscribe path makes backlog-then-live exactly-once. Gaps

@@ -5,52 +5,27 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"ptlactive/client"
 	"ptlactive/internal/adb"
 	"ptlactive/internal/server"
-	"ptlactive/internal/server/wire"
 	"ptlactive/internal/value"
 )
 
-// E13Config parameterizes one E13 measurement: how many committers and
-// subscribers, which codec the clients offer, and how many commits each
-// committer keeps in flight.
-type E13Config struct {
-	Clients, Commits, Subs int
-	// Codecs is the clients' codec offer: nil negotiates the binary codec
-	// (the default offer), []string{"json"} pins the JSON fallback.
-	Codecs []string
-	// Window is the pipelining depth per committer: 1 (or 0) commits
-	// synchronously, one round trip each; W keeps up to W transactions in
-	// flight on the connection before collecting their outcomes.
-	Window int
-	// SubscriberQueue overrides the server's per-subscriber firing queue
-	// (0 keeps the server default) — the fan-out rows raise it so the
-	// measurement is of delivery throughput, not of the overflow policy.
-	SubscriberQueue int
-}
-
-// E13Run is the legacy E13 kernel signature: synchronous commits over
-// the JSON codec, matching the pre-negotiation protocol so historical
-// rows stay comparable.
-func E13Run(nclients, ncommits, nsubs int) (time.Duration, int) {
-	return E13RunConfig(E13Config{
-		Clients: nclients, Commits: ncommits, Subs: nsubs,
-		Codecs: []string{wire.CodecNameJSON}, Window: 1,
-	})
-}
-
-// E13RunConfig runs one E13 scenario: an in-process server on a loopback
-// listener, cfg.Clients concurrent sessions each committing cfg.Commits
-// server-timestamped transactions (every commit fires one trigger), and
-// cfg.Subs subscribers that must each receive the full firing stream
-// before the clock stops. Connections are dialed and subscriptions
-// registered before the clock starts — the measurement is commit and
-// delivery throughput, not TCP setup. It returns the wall time and the
-// total firing deliveries.
-func E13RunConfig(cfg E13Config) (time.Duration, int) {
+// FanoutRun is the E13 kernel: an in-process server on a loopback
+// listener, one session committing commits server-timestamped
+// transactions (every commit fires one trigger) with up to 64 in flight,
+// and subs subscribers over the negotiated binary codec with batched
+// delivery, each of which must receive the full firing stream before the
+// clock stops. The subscriber queue is raised to 2 x commits, so no
+// firing can overflow into a gap marker and every subscriber sees exactly
+// commits firings, in sequence (anything else aborts the run). Connections are dialed and subscriptions registered
+// before the clock starts. It returns the wall time and the total firing
+// deliveries.
+func FanoutRun(commits, subs int) (time.Duration, int) {
+	const window = 64
 	eng := adb.NewEngine(adb.Config{
 		Initial: map[string]value.Value{"a": value.NewInt(0)},
 	})
@@ -59,8 +34,8 @@ func E13RunConfig(cfg E13Config) (time.Duration, int) {
 	}
 	srv, err := server.New(server.Config{
 		Engine:          eng,
-		MaxConns:        cfg.Clients + cfg.Subs + 8,
-		SubscriberQueue: cfg.SubscriberQueue,
+		MaxConns:        subs + 9,
+		SubscriberQueue: 2 * commits,
 	})
 	if err != nil {
 		panic(err)
@@ -76,147 +51,86 @@ func E13RunConfig(cfg E13Config) (time.Duration, int) {
 		srv.Shutdown(ctx)
 	}()
 	addr := ln.Addr().String()
-	opts := client.Options{Codecs: cfg.Codecs}
-	window := cfg.Window
-	if window < 1 {
-		window = 1
-	}
 
-	total := cfg.Clients * cfg.Commits
-
-	var subWG sync.WaitGroup
-	delivered := 0
-	var deliveredMu sync.Mutex
-	subs := make([]*client.Subscription, cfg.Subs)
-	for s := 0; s < cfg.Subs; s++ {
-		c, err := client.DialOptions(addr, opts)
+	streams := make([]*client.Subscription, subs)
+	for s := range streams {
+		c, err := client.Dial(addr)
 		if err != nil {
 			panic(err)
 		}
 		defer c.Close()
-		subs[s], err = c.Subscribe(0)
-		if err != nil {
+		if streams[s], err = c.Subscribe(0); err != nil {
 			panic(err)
 		}
 	}
-	committers := make([]*client.Client, cfg.Clients)
-	for ci := 0; ci < cfg.Clients; ci++ {
-		c, err := client.DialOptions(addr, opts)
-		if err != nil {
-			panic(err)
-		}
-		defer c.Close()
-		committers[ci] = c
+	committer, err := client.Dial(addr)
+	if err != nil {
+		panic(err)
 	}
+	defer committer.Close()
 
 	start := time.Now()
-	for _, sub := range subs {
+	var subWG sync.WaitGroup
+	var delivered atomic.Int64
+	for _, sub := range streams {
 		sub := sub
 		subWG.Add(1)
 		go func() {
 			defer subWG.Done()
-			got := 0
-			for ev := range sub.C {
-				if ev.Gap > 0 {
-					got += ev.Gap // dropped firings still count as seen
-				} else {
-					got++
-				}
-				if got >= total {
-					break
+			for got := 0; got < commits; got++ {
+				if ev, ok := <-sub.C; !ok || ev.Gap > 0 || ev.Seq != got {
+					panic(fmt.Sprintf("E13: stream broke after %d firings: %+v (open %v)", got, ev, ok))
 				}
 			}
-			deliveredMu.Lock()
-			delivered += got
-			deliveredMu.Unlock()
+			delivered.Add(int64(commits))
 		}()
 	}
 
-	var wg sync.WaitGroup
-	for ci := 0; ci < cfg.Clients; ci++ {
-		wg.Add(1)
-		go func(ci int) {
-			defer wg.Done()
-			c := committers[ci]
-			pending := make([]*client.Pending, 0, window)
-			flush := func() {
-				for _, p := range pending {
-					if _, err := p.Wait(); err != nil {
-						panic(err)
-					}
-				}
-				pending = pending[:0]
-			}
-			for i := 0; i < cfg.Commits; i++ {
-				p := c.Txn().Set("a", value.NewInt(int64(ci*cfg.Commits+i+1))).Go()
-				pending = append(pending, p)
-				if len(pending) >= window {
-					flush()
-				}
-			}
-			flush()
-		}(ci)
-	}
-	wg.Wait()
-	subWG.Wait()
-	return time.Since(start), delivered
-}
-
-// E13Server measures the network service layer: commit throughput through
-// the serializing pipeline as concurrent sessions increase, the effect of
-// the binary codec and client pipelining on the per-commit wire cost, and
-// firing fan-out to subscribers (including a 1000-subscriber broadcast
-// over batched delivery).
-func E13Server(quick bool) Table {
-	ncommits := 300
-	bigFan := 1000
-	if quick {
-		ncommits = 40
-		bigFan = 100
-	}
-	t := Table{
-		ID:    "E13",
-		Title: "server throughput and subscriber fan-out",
-		Header: []string{"scenario", "clients", "commits", "subs", "deliveries",
-			"total ms", "us/commit"},
-		Notes: "loopback TCP, one trigger firing per commit, server-assigned timestamps. " +
-			"All mutations serialize through the commit pipeline, so added clients contend " +
-			"for one writer; subscriber rows stop the clock only when every subscriber has " +
-			"received the full firing stream. Committer rows are synchronous JSON (the " +
-			"legacy wire) unless marked: 'binary' rows negotiate the binary codec, " +
-			"'pipelined' rows keep a window of commits in flight per connection, and the " +
-			"big fan-out row uses batched multi-firing delivery.",
-	}
-	row := func(scenario string, cfg E13Config) {
-		// Best of five: each scenario is a single short run, so scheduler
-		// and GC noise dominate a one-shot sample; the minimum is the
-		// stable estimate of the scenario's cost.
-		dur, delivered := E13RunConfig(cfg)
-		for rep := 1; rep < 5; rep++ {
-			if d, n := E13RunConfig(cfg); d < dur {
-				dur, delivered = d, n
+	pending := make([]*client.Pending, 0, window)
+	flush := func() {
+		for _, p := range pending {
+			if _, err := p.Wait(); err != nil {
+				panic(err)
 			}
 		}
-		t.Rows = append(t.Rows, []string{
-			scenario, fmt.Sprint(cfg.Clients), fmt.Sprint(cfg.Clients * cfg.Commits),
-			fmt.Sprint(cfg.Subs), fmt.Sprint(delivered),
-			fmtMs(dur), fmtDur(dur, cfg.Clients*cfg.Commits),
-		})
+		pending = pending[:0]
 	}
-	json := []string{wire.CodecNameJSON}
-	for _, nc := range []int{1, 2, 4} {
-		row(fmt.Sprintf("%d committer(s)", nc),
-			E13Config{Clients: nc, Commits: ncommits / nc, Codecs: json, Window: 1})
+	for i := 0; i < commits; i++ {
+		pending = append(pending, committer.Txn().Set("a", value.NewInt(int64(i+1))).Go())
+		if len(pending) >= window {
+			flush()
+		}
 	}
-	row("binary sync", E13Config{Clients: 1, Commits: ncommits, Window: 1})
-	row("pipelined json w=64", E13Config{Clients: 1, Commits: ncommits, Codecs: json, Window: 64})
-	row("pipelined binary w=64", E13Config{Clients: 1, Commits: ncommits, Window: 64})
-	for _, ns := range []int{1, 4} {
-		row(fmt.Sprintf("fan-out %d sub(s)", ns),
-			E13Config{Clients: 1, Commits: ncommits, Subs: ns, Codecs: json, Window: 1})
+	flush()
+	subWG.Wait()
+	return time.Since(start), int(delivered.Load())
+}
+
+// E13Server reports firing fan-out to a large subscriber set — the one
+// served scenario no bench/ workload has (firing-stream has a single
+// subscriber). The deliveries column is exact: commits x subs. The time
+// is printed for ROADMAP item 2(b) and baselined nowhere; synchronous,
+// pipelined and per-codec commit costs are bench/'s server.sync_commit_us,
+// server.pipelined_commits_per_s and client.encode_us vs
+// client.encode_json_us, and the per-firing push is
+// server.fanout_us_per_firing.
+func E13Server(quick bool) Table {
+	commits, subs := 300, 1000
+	if quick {
+		commits, subs = 40, 100
 	}
-	row(fmt.Sprintf("fan-out %d subs batched", bigFan), E13Config{
-		Clients: 1, Commits: ncommits, Subs: bigFan, Window: 64, SubscriberQueue: 2 * ncommits,
-	})
-	return t
+	dur, delivered := FanoutRun(commits, subs)
+	return Table{
+		ID:     "E13",
+		Title:  "firing fan-out to many subscribers",
+		Header: []string{"scenario", "commits", "subs", "deliveries", "total ms", "us/commit"},
+		Rows: [][]string{{
+			fmt.Sprintf("fan-out %d subs batched", subs), fmt.Sprint(commits), fmt.Sprint(subs),
+			fmt.Sprint(delivered), fmtMs(dur), fmtDur(dur, commits),
+		}},
+		Notes: "loopback TCP, one trigger firing per commit, server-assigned timestamps, binary " +
+			"codec, 64 commits in flight, batched multi-firing delivery. The clock stops only " +
+			"when every subscriber has received the full firing stream; a dropped firing (a gap " +
+			"marker) aborts the run, so deliveries = commits x subs exactly.",
+	}
 }

@@ -3,28 +3,24 @@ package experiments
 import (
 	"fmt"
 	"os"
-	"time"
 
 	"ptlactive/internal/adb"
 	"ptlactive/internal/value"
 )
 
 // e17Sample is one measurement point of a sustained-commit run: the
-// engine's storage footprint after a given number of commits, and the
-// time a cold restart takes to recover from that footprint.
+// engine's storage footprint after a given number of commits.
 type e17Sample struct {
 	commits int
 	hot     int64 // WAL segments + snapshot chain, bytes
 	tier    int64 // cold-tier bytes (spill policy only)
 	segs    int
-	recover time.Duration
 }
 
 // e17Run drives commits commits through a durable engine under the given
 // durability mode and retention policy, sampling the on-disk footprint
 // at each point in at. Checkpoints run on the engine's own cadence;
-// every sample syncs first so buffered bytes are on disk, then restarts
-// the engine cold to measure recovery time over exactly that footprint.
+// every sample syncs first so buffered bytes are on disk.
 func e17Run(mode adb.Durability, ret adb.Retention, at []int) []e17Sample {
 	dir, err := os.MkdirTemp("", "ptlactive-e17-*")
 	if err != nil {
@@ -43,7 +39,7 @@ func e17Run(mode adb.Durability, ret adb.Retention, at []int) []e17Sample {
 	if err != nil {
 		panic(err)
 	}
-	defer func() { eng.Close() }()
+	defer eng.Close()
 	var out []e17Sample
 	done := 0
 	for _, target := range at {
@@ -63,29 +59,11 @@ func e17Run(mode adb.Durability, ret adb.Retention, at []int) []e17Sample {
 		if err != nil {
 			panic(err)
 		}
-		// Cold restart: recovery replays whatever the lifecycle retained,
-		// so bounding the hot set also bounds restart time. Best of three
-		// restarts — single millisecond-scale restores are scheduler noise.
-		best := time.Duration(0)
-		for round := 0; round < 3; round++ {
-			if err := eng.Close(); err != nil {
-				panic(err)
-			}
-			start := time.Now()
-			eng, err = adb.Restore(cfg, dir)
-			if err != nil {
-				panic(err)
-			}
-			if d := time.Since(start); round == 0 || d < best {
-				best = d
-			}
-		}
 		out = append(out, e17Sample{
 			commits: target,
 			hot:     st.WALBytes + st.SnapshotBytes,
 			tier:    st.TierBytes,
 			segs:    st.Segments,
-			recover: best,
 		})
 	}
 	return out
@@ -96,7 +74,10 @@ func e17Run(mode adb.Durability, ret adb.Retention, at []int) []e17Sample {
 // grows linearly forever, while segment rotation plus snapshot-chain GC
 // holds the hot set (WAL + snapshots) flat. The spill policy's cold tier
 // grows with the pruned history — that is the retained data itself, kept
-// at cold-storage cost instead of resident.
+// at cold-storage cost instead of resident. Every column is a byte or
+// file count; what a restart over the retained footprint takes is
+// bench/'s persist.recover_ms, and the footprint itself under served
+// load is persist.disk_hot_kib (both on durable-served).
 func E17BoundedDisk(quick bool) Table {
 	at := []int{2000, 4000, 8000, 16000}
 	if quick {
@@ -104,13 +85,12 @@ func E17BoundedDisk(quick bool) Table {
 	}
 	t := Table{
 		ID:     "E17",
-		Title:  "disk footprint and restart cost under sustained commits (WAL rotation + snapshot GC)",
-		Header: []string{"config@commits", "hot KiB", "segments", "tier KiB", "recover ms", "vs first"},
-		Notes: "hot = live WAL segments + snapshot chain; recover = cold-restart replay time over " +
-			"that footprint. Acceptance: the retained configs' hot ratio stays near 1x from first " +
-			"to last sample while unbounded grows with the commit count (and its recovery time " +
-			"with it); the spill tier grows linearly because it IS the pruned history, spilled " +
-			"not lost.",
+		Title:  "disk footprint under sustained commits (WAL rotation + snapshot GC)",
+		Header: []string{"config@commits", "hot KiB", "segments", "tier KiB", "vs first"},
+		Notes: "hot = live WAL segments + snapshot chain. Acceptance: the retained configs' hot " +
+			"ratio stays near 1x from first to last sample while unbounded grows with the commit " +
+			"count; the spill tier grows linearly because it IS the pruned history, spilled not " +
+			"lost.",
 	}
 	configs := []struct {
 		name string
@@ -135,19 +115,11 @@ func E17BoundedDisk(quick bool) Table {
 			if first > 0 {
 				ratio = fmt.Sprintf("%.2f", float64(s.hot)/float64(first))
 			}
-			// Sub-10ms restores are below wall-clock measurement noise on a
-			// shared machine; report the bound (that IS the claim) so the
-			// benchcheck baseline only gates the meaningfully-sized cells.
-			rec := "<10"
-			if s.recover >= 10*time.Millisecond {
-				rec = fmtMs(s.recover)
-			}
 			t.Rows = append(t.Rows, []string{
 				fmt.Sprintf("%s@%d", cfg.name, s.commits),
 				fmt.Sprintf("%.0f", float64(s.hot)/1024),
 				fmt.Sprint(s.segs),
 				fmt.Sprintf("%.0f", float64(s.tier)/1024),
-				rec,
 				ratio,
 			})
 		}

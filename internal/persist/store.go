@@ -546,20 +546,21 @@ func (s *Store) InstallSnapshot(data []byte, lsn int64) (*EngineSnapshot, error)
 	return snap, nil
 }
 
-// StorageStats summarizes what the lifecycle subsystem keeps on disk.
+// StorageStats summarizes what the lifecycle subsystem keeps on disk. The
+// tags are the wire's "storage" reply (adb.StorageStats embeds this).
 type StorageStats struct {
 	// Segments is the number of WAL segment files; WALBytes their total
 	// durable size.
-	Segments int
-	WALBytes int64
+	Segments int   `json:"segments"`
+	WALBytes int64 `json:"wal_bytes"`
 	// Snapshots is the snapshot chain length; SnapshotBytes its total
 	// file size.
-	Snapshots     int
-	SnapshotBytes int64
+	Snapshots     int   `json:"snapshots"`
+	SnapshotBytes int64 `json:"snapshot_bytes"`
 	// HeadLSN is the oldest WAL record on disk, LastLSN the newest
 	// assigned (buffered included).
-	HeadLSN int64
-	LastLSN int64
+	HeadLSN int64 `json:"head_lsn"`
+	LastLSN int64 `json:"last_lsn"`
 }
 
 // Stats reports the storage footprint. Like every Store method it runs at

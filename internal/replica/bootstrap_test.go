@@ -159,8 +159,8 @@ func TestReplicaSnapshotBootstrapBehindHead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sj.LastLsn != p.node.LastLSN() {
-		t.Fatalf("follower storage last LSN %d, want %d", sj.LastLsn, p.node.LastLSN())
+	if sj.LastLSN != p.node.LastLSN() {
+		t.Fatalf("follower storage last LSN %d, want %d", sj.LastLSN, p.node.LastLSN())
 	}
 }
 

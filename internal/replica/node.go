@@ -140,11 +140,7 @@ func (n *Node) Storage() (wire.StorageJSON, error) {
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	st, err := n.fol.Storage()
-	if err != nil {
-		return wire.StorageJSON{}, err
-	}
-	return server.StorageWire(st), nil
+	return n.fol.Storage()
 }
 
 // LastLSN returns the node's durable WAL position (the resume point minus

@@ -128,7 +128,7 @@ func TestReadSideParity(t *testing.T) {
 	if hs, deg, err := node.Health(); err != nil || len(hs) != 0 || deg != "" {
 		t.Errorf("fresh follower: health = %v, %q, %v", hs, deg, err)
 	}
-	if st, err := node.Storage(); err != nil || st.LastLsn != 0 {
+	if st, err := node.Storage(); err != nil || st.LastLSN != 0 {
 		t.Errorf("fresh follower: storage = %+v, %v", st, err)
 	}
 

@@ -207,32 +207,9 @@ func (b *EngineBackend) SyncFirings(from int, fn func(int, []FiringEvent)) {
 
 // Storage reads the stats at the serialization point (the persist layer is
 // not synchronized against a concurrent append).
-func (b *EngineBackend) Storage() (wire.StorageJSON, error) {
-	var st adb.StorageStats
-	var err error
+func (b *EngineBackend) Storage() (st wire.StorageJSON, err error) {
 	b.Do(func() { st, err = b.eng.Storage() })
-	if err != nil {
-		return wire.StorageJSON{}, err
-	}
-	return StorageWire(st), nil
-}
-
-// StorageWire renders engine storage stats in wire form; shared by the
-// backend, the replication node and the cluster router.
-func StorageWire(st adb.StorageStats) wire.StorageJSON {
-	return wire.StorageJSON{
-		Segments:      st.Segments,
-		WalBytes:      st.WALBytes,
-		Snapshots:     st.Snapshots,
-		SnapshotBytes: st.SnapshotBytes,
-		HeadLsn:       st.HeadLSN,
-		LastLsn:       st.LastLSN,
-		HistoryWindow: st.HistoryWindow,
-		HistoryFloor:  st.HistoryFloor,
-		SpillHistory:  st.SpillHistory,
-		TierRows:      st.TierRows,
-		TierBytes:     st.TierBytes,
-	}
+	return st, err
 }
 
 // Do runs fn at the backend's serialization point — atomically with

@@ -82,7 +82,7 @@ func (r Reads) Rules() ([]wire.RuleJSON, error) {
 			Name:       info.Name,
 			Condition:  info.Condition,
 			Constraint: info.Constraint,
-			Scheduling: int(info.Scheduling),
+			Scheduling: info.Scheduling,
 			Parameters: info.Parameters,
 			Pending:    info.PendingStates,
 		})

@@ -29,6 +29,8 @@ import (
 	"fmt"
 	"io"
 	"unicode/utf8"
+
+	"ptlactive/internal/adb"
 )
 
 // Codec selects a frame payload encoding.
@@ -448,11 +450,11 @@ func appendBinaryMsg(b []byte, m *Msg) []byte {
 		s := m.Storage
 		b = append(b, binStorage)
 		b = binary.AppendVarint(b, int64(s.Segments))
-		b = binary.AppendVarint(b, s.WalBytes)
+		b = binary.AppendVarint(b, s.WALBytes)
 		b = binary.AppendVarint(b, int64(s.Snapshots))
 		b = binary.AppendVarint(b, s.SnapshotBytes)
-		b = binary.AppendVarint(b, s.HeadLsn)
-		b = binary.AppendVarint(b, s.LastLsn)
+		b = binary.AppendVarint(b, s.HeadLSN)
+		b = binary.AppendVarint(b, s.LastLSN)
 		b = binary.AppendVarint(b, s.HistoryWindow)
 		b = binary.AppendVarint(b, s.HistoryFloor)
 		if s.SpillHistory {
@@ -718,7 +720,7 @@ func decodeBinaryMsg(payload []byte) (*Msg, error) {
 			n := r.count()
 			for i := 0; i < n && r.err == nil; i++ {
 				rj := RuleJSON{Name: r.str(), Condition: r.str(), Constraint: r.bool()}
-				rj.Scheduling = int(r.varint())
+				rj.Scheduling = adb.Scheduling(r.varint())
 				np := r.count()
 				for j := 0; j < np && r.err == nil; j++ {
 					rj.Parameters = append(rj.Parameters, r.str())
@@ -758,11 +760,11 @@ func decodeBinaryMsg(payload []byte) (*Msg, error) {
 		case binStorage:
 			s := &StorageJSON{}
 			s.Segments = int(r.varint())
-			s.WalBytes = r.varint()
+			s.WALBytes = r.varint()
 			s.Snapshots = int(r.varint())
 			s.SnapshotBytes = r.varint()
-			s.HeadLsn = r.varint()
-			s.LastLsn = r.varint()
+			s.HeadLSN = r.varint()
+			s.LastLSN = r.varint()
 			s.HistoryWindow = r.varint()
 			s.HistoryFloor = r.varint()
 			s.SpillHistory = r.bool()

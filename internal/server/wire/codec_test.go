@@ -45,6 +45,7 @@ func sampleMsgs() []*Msg {
 				LastError: "boom", LastAt: 77},
 			{Rule: "r2"},
 		}, Degraded: "wal: sealed"},
+		{T: TypeOK, ID: 21, Storage: goldenStorage()},
 		{T: TypeError, ID: 14, Code: CodeConstraint, Err: "constraint monotone violated",
 			Name: "monotone", Txn: 0, TS: 0},
 		{T: TypeError, ID: 15, Code: CodeDegraded, Err: "degraded"},
@@ -55,6 +56,61 @@ func sampleMsgs() []*Msg {
 		{T: TypeGap, Missed: 0},
 		{T: TypeBye},
 		{T: "future-frame-type", ID: 99}, // unknown type survives via the escape code
+	}
+}
+
+func goldenStorage() *StorageJSON {
+	st := &StorageJSON{HistoryWindow: 512, HistoryFloor: 3490, SpillHistory: true,
+		TierRows: 3489, TierBytes: 196608}
+	st.Segments, st.WALBytes, st.Snapshots, st.SnapshotBytes = 2, 49152, 2, 8111
+	st.HeadLSN, st.LastLSN = 1025, 4002
+	return st
+}
+
+// TestReplyFramesGolden pins the storage, rules and health replies byte
+// for byte in both codecs. The frames were written by the commit before
+// StorageJSON became adb.StorageStats and RuleJSON.Scheduling an
+// adb.Scheduling: one declaration from store to client may not move a
+// byte on the wire.
+func TestReplyFramesGolden(t *testing.T) {
+	msgs := sampleMsgs()
+	find := func(id uint64) *Msg {
+		for _, m := range msgs {
+			if m.T == TypeOK && m.ID == id {
+				return m
+			}
+		}
+		t.Fatalf("no sample reply with id %d", id)
+		return nil
+	}
+	bare := &StorageJSON{}
+	bare.Segments, bare.WALBytes, bare.LastLSN = 1, 77, 3
+	for _, g := range []struct {
+		m            *Msg
+		json, binary string
+	}{
+		{find(21),
+			"\x00\x00\x01\b" + `{"t":"ok","id":21,"ts":0,"txn":0,"from":0,"missed":0,"storage":{"segments":2,"wal_bytes":49152,"snapshots":2,"snapshot_bytes":8111,"head_lsn":1025,"last_lsn":4002,"history_window":512,"history_floor":3490,"spill_history":true,"tier_rows":3489,"tier_bytes":196608}}`,
+			"\x00\x00\x00\x19\t\x01\x15 \x04\x80\x80\x06\x04\xde~\x82\x10\xc4>\x80\b\xc46\x01\xc26\x80\x80\x18"},
+		{&Msg{T: TypeOK, ID: 22, Storage: bare},
+			"\x00\x00\x00\x98" + `{"t":"ok","id":22,"ts":0,"txn":0,"from":0,"missed":0,"storage":{"segments":1,"wal_bytes":77,"snapshots":0,"snapshot_bytes":0,"head_lsn":0,"last_lsn":3}}`,
+			"\x00\x00\x00\x10\t\x01\x16 \x02\x9a\x01\x00\x00\x00\x06\x00\x00\x00\x00\x00"},
+		{find(12),
+			"\x00\x00\x00\xae" + `{"t":"ok","id":12,"ts":0,"txn":0,"from":0,"rules":[{"name":"r1","cond":"c1","constraint":true,"sched":1,"params":["x","y"],"pending":2},{"name":"r2","cond":"c2"}],"missed":0}`,
+			"\x00\x00\x00\x1d\t\x01\f\x15\x02\x02r1\x02c1\x01\x02\x02\x01x\x01y\x04\x02r2\x02c2\x00\x00\x00\x00"},
+		{find(13),
+			"\x00\x00\x00\xc3" + `{"t":"ok","id":13,"ts":0,"txn":0,"from":0,"health":[{"rule":"r1","quarantined":true,"consecutive":3,"total":9,"last_error":"boom","last_at":77},{"rule":"r2"}],"degraded":"wal: sealed","missed":0}`,
+			"\x00\x00\x00'\t\x01\r\x16\x02\x02r1\x01\x06\x12\x04boom\x9a\x01\x02r2\x00\x00\x00\x00\x00\x17\vwal: sealed"},
+	} {
+		for c, want := range map[Codec]string{CodecJSON: g.json, CodecBinary: g.binary} {
+			var buf bytes.Buffer
+			if err := WriteFrameC(&buf, g.m, c); err != nil {
+				t.Fatal(err)
+			}
+			if buf.String() != want {
+				t.Errorf("%s reply %d:\n got %q\nwant %q", c, g.m.ID, buf.String(), want)
+			}
+		}
 	}
 }
 

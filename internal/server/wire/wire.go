@@ -294,28 +294,16 @@ type HealthJSON struct {
 // (WAL segments, snapshot chain, retained-history window and cold tier).
 // A cluster router sums the per-shard counters and reports the widest
 // window fields.
-type StorageJSON struct {
-	Segments      int   `json:"segments"`
-	WalBytes      int64 `json:"wal_bytes"`
-	Snapshots     int   `json:"snapshots"`
-	SnapshotBytes int64 `json:"snapshot_bytes"`
-	HeadLsn       int64 `json:"head_lsn"`
-	LastLsn       int64 `json:"last_lsn"`
-	HistoryWindow int64 `json:"history_window,omitempty"`
-	HistoryFloor  int64 `json:"history_floor,omitempty"`
-	SpillHistory  bool  `json:"spill_history,omitempty"`
-	TierRows      int64 `json:"tier_rows,omitempty"`
-	TierBytes     int64 `json:"tier_bytes,omitempty"`
-}
+type StorageJSON = adb.StorageStats
 
 // RuleJSON describes one registered rule in wire form.
 type RuleJSON struct {
-	Name       string   `json:"name"`
-	Condition  string   `json:"cond"`
-	Constraint bool     `json:"constraint,omitempty"`
-	Scheduling int      `json:"sched,omitempty"`
-	Parameters []string `json:"params,omitempty"`
-	Pending    int      `json:"pending,omitempty"`
+	Name       string         `json:"name"`
+	Condition  string         `json:"cond"`
+	Constraint bool           `json:"constraint,omitempty"`
+	Scheduling adb.Scheduling `json:"sched,omitempty"`
+	Parameters []string       `json:"params,omitempty"`
+	Pending    int            `json:"pending,omitempty"`
 }
 
 // Msg is one frame's payload. A single struct covers every frame type;
