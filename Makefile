@@ -17,9 +17,13 @@ race:
 vet:
 	$(GO) vet ./...
 
+# fmtcheck also refuses a command binary tracked at the repository root
+# (`go build ./cmd/adbsh` leaves one there; .gitignore lists the five).
 fmtcheck:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
+	@out=$$(git ls-files adbsh adbserverd adbrouterd benchtables ptlcheck); if [ -n "$$out" ]; then \
+		echo "binaries tracked at the root:"; echo "$$out"; exit 1; fi
 
 # govulncheck is optional tooling; the gate runs it when installed and
 # prints a notice otherwise (the module is stdlib-only, so the stdlib

@@ -2,6 +2,7 @@ package adb
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 
 	"ptlactive/internal/event"
@@ -450,5 +451,54 @@ func TestRuleInfo(t *testing.T) {
 	}
 	if _, ok := e.Rule("zzz"); ok {
 		t.Fatal("unknown rule should miss")
+	}
+}
+
+// TestEventAtomsUnderAggregateConnective: event atoms nested under a
+// connective inside an aggregate's sampling formula are part of the
+// condition's footprint and of the relevance filter's event index. The old
+// ptl.Walk offered the sampling formula without descending into it, so
+// @u and @w below were invisible: the footprint listed s alone (the
+// cluster registered no relay for u/w) and a Relevant rule slept through
+// `emit @u`, catching up only at the next state that concerned it.
+func TestEventAtomsUnderAggregateConnective(t *testing.T) {
+	const cond = `sum(item("a"); @s; (@u or @w)) > 1`
+	fp, err := ConditionFootprint(cond, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []EventUse{{Name: "s"}, {Name: "u"}, {Name: "w"}}
+	if !reflect.DeepEqual(fp.Events, want) {
+		t.Fatalf("footprint events = %v, want %v", fp.Events, want)
+	}
+
+	e := newTestEngine(t, map[string]value.Value{"a": value.NewInt(2)})
+	if err := e.AddTrigger("r", cond, nil, WithScheduling(Relevant)); err != nil {
+		t.Fatal(err)
+	}
+	pending := func() int {
+		info, ok := e.Rule("r")
+		if !ok {
+			t.Fatal("rule r vanished")
+		}
+		return info.PendingStates
+	}
+	if err := e.Emit(1, event.New("s")); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Emit(2, event.New("noise")); err != nil {
+		t.Fatal(err)
+	}
+	if got := pending(); got != 1 {
+		t.Fatalf("after an unrelated event the rule has %d pending states, want 1 (not woken)", got)
+	}
+	if err := e.Emit(3, event.New("u")); err != nil {
+		t.Fatal(err)
+	}
+	if got := pending(); got != 0 {
+		t.Fatalf("after emit @u the rule has %d pending states, want 0 (woken by a sampling event)", got)
+	}
+	if fs := e.Firings(); len(fs) != 1 || fs[0].Time != 3 {
+		t.Fatalf("firings = %v, want one at 3 (sum 2 > 1 once @u samples)", fs)
 	}
 }

@@ -33,9 +33,6 @@ import (
 	"ptlactive/internal/value"
 )
 
-// counter disambiguates generated item names within one engine.
-var itemSeq int
-
 // RewriteCondition replaces every starting-formula aggregate in the
 // condition with a database-item reference and installs the maintenance
 // rules into the engine. It returns the rewritten condition, to be
@@ -47,10 +44,14 @@ var itemSeq int
 // rewritten rule, so within each sweep resets and accumulations execute
 // before the consuming rule's next evaluation.
 func RewriteCondition(eng *adb.Engine, ruleName string, condition ptl.Formula) (ptl.Formula, error) {
+	if ptl.HasFuture(condition) {
+		return nil, fmt.Errorf("agg: condition has a future operator; the rewriting is for past conditions")
+	}
 	r := &rewriter{eng: eng, rule: ruleName}
-	out, err := r.formula(condition)
-	if err != nil {
-		return nil, err
+	r.ff, r.tf = r.formula, r.term
+	out := r.formula(condition)
+	if r.err != nil {
+		return nil, r.err
 	}
 	return out, nil
 }
@@ -59,145 +60,39 @@ type rewriter struct {
 	eng  *adb.Engine
 	rule string
 	n    int
+	// err is the first aggregate that could not be rewritten; once set,
+	// no further maintenance rule is installed.
+	err error
+	// ff and tf are the formula and term methods, bound once.
+	ff func(ptl.Formula) ptl.Formula
+	tf func(ptl.Term) ptl.Term
 }
 
+// fresh names a maintenance item. Rule names are unique within an engine
+// and n counts within the rule, so the name is too — and it depends on
+// nothing else, so the same rule reads the same items (and logs the same
+// addrule bytes) in every process.
 func (r *rewriter) fresh(kind string) string {
-	itemSeq++
 	r.n++
-	return fmt.Sprintf("$agg_%s_%s_%d_%d", r.rule, kind, r.n, itemSeq)
+	return fmt.Sprintf("$agg_%s_%s_%d", r.rule, kind, r.n)
 }
 
-func (r *rewriter) formula(f ptl.Formula) (ptl.Formula, error) {
-	switch x := f.(type) {
-	case *ptl.BoolConst, *ptl.EventAtom, *ptl.Executed:
-		return f, nil
-	case *ptl.Cmp:
-		l, err := r.term(x.L)
-		if err != nil {
-			return nil, err
-		}
-		rr, err := r.term(x.R)
-		if err != nil {
-			return nil, err
-		}
-		return &ptl.Cmp{Op: x.Op, L: l, R: rr}, nil
-	case *ptl.Member:
-		elems := make([]ptl.Term, len(x.Elems))
-		for i, e := range x.Elems {
-			t, err := r.term(e)
-			if err != nil {
-				return nil, err
-			}
-			elems[i] = t
-		}
-		rel, err := r.term(x.Rel)
-		if err != nil {
-			return nil, err
-		}
-		return &ptl.Member{Elems: elems, Rel: rel}, nil
-	case *ptl.Not:
-		inner, err := r.formula(x.F)
-		if err != nil {
-			return nil, err
-		}
-		return &ptl.Not{F: inner}, nil
-	case *ptl.And:
-		l, err := r.formula(x.L)
-		if err != nil {
-			return nil, err
-		}
-		rr, err := r.formula(x.R)
-		if err != nil {
-			return nil, err
-		}
-		return &ptl.And{L: l, R: rr}, nil
-	case *ptl.Or:
-		l, err := r.formula(x.L)
-		if err != nil {
-			return nil, err
-		}
-		rr, err := r.formula(x.R)
-		if err != nil {
-			return nil, err
-		}
-		return &ptl.Or{L: l, R: rr}, nil
-	case *ptl.Since:
-		l, err := r.formula(x.L)
-		if err != nil {
-			return nil, err
-		}
-		rr, err := r.formula(x.R)
-		if err != nil {
-			return nil, err
-		}
-		return &ptl.Since{L: l, R: rr, Bound: x.Bound}, nil
-	case *ptl.Lasttime:
-		inner, err := r.formula(x.F)
-		if err != nil {
-			return nil, err
-		}
-		return &ptl.Lasttime{F: inner}, nil
-	case *ptl.Previously:
-		inner, err := r.formula(x.F)
-		if err != nil {
-			return nil, err
-		}
-		return &ptl.Previously{F: inner, Bound: x.Bound}, nil
-	case *ptl.Throughout:
-		inner, err := r.formula(x.F)
-		if err != nil {
-			return nil, err
-		}
-		return &ptl.Throughout{F: inner, Bound: x.Bound}, nil
-	case *ptl.Assign:
-		q, err := r.term(x.Q)
-		if err != nil {
-			return nil, err
-		}
-		body, err := r.formula(x.Body)
-		if err != nil {
-			return nil, err
-		}
-		return &ptl.Assign{Var: x.Var, Q: q, Body: body}, nil
-	default:
-		return nil, fmt.Errorf("agg: unknown formula %T", f)
-	}
-}
+func (r *rewriter) formula(f ptl.Formula) ptl.Formula { return ptl.MapChildren(f, r.ff, r.tf) }
 
-func (r *rewriter) term(t ptl.Term) (ptl.Term, error) {
+func (r *rewriter) term(t ptl.Term) ptl.Term {
 	switch x := t.(type) {
-	case *ptl.Const, *ptl.Var:
-		return t, nil
-	case *ptl.Call:
-		args := make([]ptl.Term, len(x.Args))
-		for i, a := range x.Args {
-			na, err := r.term(a)
-			if err != nil {
-				return nil, err
-			}
-			args[i] = na
-		}
-		return &ptl.Call{Fn: x.Fn, Args: args}, nil
-	case *ptl.Arith:
-		l, err := r.term(x.L)
-		if err != nil {
-			return nil, err
-		}
-		rr, err := r.term(x.R)
-		if err != nil {
-			return nil, err
-		}
-		return &ptl.Arith{Op: x.Op, L: l, R: rr}, nil
-	case *ptl.Neg:
-		inner, err := r.term(x.X)
-		if err != nil {
-			return nil, err
-		}
-		return &ptl.Neg{X: inner}, nil
 	case *ptl.Agg:
-		return r.rewriteAgg(x)
+		if r.err != nil {
+			return t
+		}
+		out, err := r.rewriteAgg(x)
+		if err != nil {
+			r.err = err
+			return t
+		}
+		return out
 	default:
-		return nil, fmt.Errorf("agg: unknown term %T", t)
+		return ptl.MapTermChildren(t, r.ff, r.tf)
 	}
 }
 

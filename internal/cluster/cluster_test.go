@@ -439,3 +439,48 @@ func TestFrontSyncFirings(t *testing.T) {
 		t.Fatalf("SyncFirings = %+v", s)
 	}
 }
+
+// TestFrontRelaysEventsUnderAggregateConnective: a rule homed by its item
+// whose aggregate samples on remotely-owned events nested under a
+// connective — sum(item(a); @s; (@u or @w)) — gets a relay for u and w on
+// their owner shard, and the aggregate samples the forwarded occurrence.
+// The footprint used to stop at the sampling formula's root, so Place
+// emitted no RemoteEvent for u/w, no relay was registered, and the rule
+// never sampled: the occurrence was lost for good.
+func TestFrontRelaysEventsUnderAggregateConnective(t *testing.T) {
+	f := newLocalFront(t, 2)
+	p := f.Partitioner()
+	item := keyOn(t, p, 0, "it")
+	home := p.Owner(item)
+	start := keyOn(t, p, home, "start")
+	u, w := keyOn(t, p, 1-home, "u"), keyOn(t, p, 1-home, "w")
+
+	cond := fmt.Sprintf("sum(item(%q); @%s; (@%s or @%s)) > 1", item, start, u, w)
+	if err := doRule(f, "sampled", cond, false); err != nil {
+		t.Fatalf("GoRule: %v", err)
+	}
+	if n := countRelays(t, f.shards[1-home]); n != 2 {
+		t.Fatalf("event owner shard has %d relay triggers, want 2 (one each for %s and %s)", n, u, w)
+	}
+
+	if _, err := doTxn(f, 0, map[string]value.Value{item: value.NewInt(2)}); err != nil {
+		t.Fatalf("seed txn: %v", err)
+	}
+	for _, ev := range []string{start, u} {
+		done := make(chan error, 1)
+		f.GoEmit(0, []event.Event{event.New(ev)}, func(_ int64, err error) { done <- err })
+		if err := <-done; err != nil {
+			t.Fatalf("GoEmit %s: %v", ev, err)
+		}
+		f.Barrier()
+	}
+	// The forwarded @u samples item = 2 on the home shard: sum 2 > 1.
+	waitFirings(t, f, func(fs []server.FiringEvent) bool {
+		for _, fe := range fs {
+			if fe.Gap == 0 && fe.F.Rule == "sampled" {
+				return true
+			}
+		}
+		return false
+	})
+}

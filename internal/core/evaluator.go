@@ -102,7 +102,7 @@ func New(info *ptl.Info, reg *query.Registry, log ptl.ExecLog, opts ...Option) (
 	// Pre-register temporal occurrences and aggregate machines so Step
 	// never allocates map entries for fresh pointers.
 	var regErr error
-	ptl.Walk(info.Normalized, func(g ptl.Formula) {
+	walkRegisters(info.Normalized, func(g ptl.Formula) {
 		switch x := g.(type) {
 		case *ptl.Since:
 			e.sincePrev[x] = nodeFalse

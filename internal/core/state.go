@@ -6,7 +6,7 @@
 // (Theorem 1 is what makes this snapshot small).
 //
 // Registers are addressed positionally: the k-th pointer-distinct
-// Since/Lasttime occurrence in the ptl.Walk preorder of the normalized
+// Since/Lasttime occurrence in walkRegisters order of the normalized
 // formula maps to the k-th saved register, and aggregates map in aggOrder
 // (WalkTerms order). Normalization is deterministic and never shares
 // temporal subformula pointers, so recompiling the decoded source formula
@@ -117,26 +117,58 @@ func RestoreEvaluatorState(ev ConditionEvaluator, data []byte) error {
 	}
 }
 
-// temporalOccurrences lists the pointer-distinct Since and Lasttime
-// occurrences of f in ptl.Walk preorder — the canonical register order
-// shared by the encoder and the decoder.
+// walkRegisters calls fn on every formula that owns a register of an
+// evaluator for f when it is a Since or a Lasttime, in the order snapshots
+// list the registers. Both are this package's decision and part of the
+// on-disk format (restoreGeneral refuses a count mismatch), which is why
+// they are spelled out here rather than borrowed from ptl.Walk:
+//
+//   - f's own operators in preorder, formula children only;
+//   - after a node's formula children, for each aggregate among the node's
+//     own terms (at any depth, aggregates inside aggregates included, a
+//     term before its subterms): its starting formula, then its sampling
+//     formula — each by itself. What lies below them belongs to the
+//     aggregate's sub-evaluators, which save their own registers; the slot
+//     the outer evaluator holds for a start/sampling formula is never
+//     stepped, but snapshots written so far count it.
+//
+// So [x <- agg(..; lasttime g)] lasttime h lists the body's register before
+// the aggregate's. testdata/evalstate_*.json were written under this order.
+func walkRegisters(f ptl.Formula, fn func(ptl.Formula)) {
+	var own, below func(ptl.Formula)
+	var aggs func(ptl.Term)
+	noTerm, noFormula := func(ptl.Term) {}, func(ptl.Formula) {}
+	own = func(g ptl.Formula) {
+		fn(g)
+		ptl.Children(g, own, noTerm)
+		ptl.Children(g, noFormula, aggs)
+	}
+	aggs = func(t ptl.Term) {
+		if a, ok := t.(*ptl.Agg); ok {
+			if a.Start != nil {
+				fn(a.Start)
+			}
+			fn(a.Sample)
+		}
+		ptl.TermChildren(t, below, aggs)
+	}
+	below = func(g ptl.Formula) { ptl.Children(g, below, aggs) }
+	own(f)
+}
+
+// temporalOccurrences lists the Since and Lasttime occurrences of f in
+// walkRegisters order — the canonical register order shared by the encoder
+// and the decoder. walkRegisters offers each node once and normalization
+// shares no temporal node, so the lists hold no pointer twice.
 func temporalOccurrences(f ptl.Formula) ([]*ptl.Since, []*ptl.Lasttime) {
 	var sinces []*ptl.Since
 	var lasts []*ptl.Lasttime
-	seenS := map[*ptl.Since]bool{}
-	seenL := map[*ptl.Lasttime]bool{}
-	ptl.Walk(f, func(g ptl.Formula) {
+	walkRegisters(f, func(g ptl.Formula) {
 		switch x := g.(type) {
 		case *ptl.Since:
-			if !seenS[x] {
-				seenS[x] = true
-				sinces = append(sinces, x)
-			}
+			sinces = append(sinces, x)
 		case *ptl.Lasttime:
-			if !seenL[x] {
-				seenL[x] = true
-				lasts = append(lasts, x)
-			}
+			lasts = append(lasts, x)
 		}
 	})
 	return sinces, lasts

@@ -570,125 +570,32 @@ func Equal(a, b Formula) bool {
 // ---- Traversal helpers ----
 
 // WalkTerms calls fn for every term in the formula, including terms nested
-// in aggregate start/sample formulas.
+// in aggregate start/sample formulas, each once, a term before its
+// subterms.
 func WalkTerms(f Formula, fn func(Term)) {
-	var wt func(Term)
-	var wf func(Formula)
-	wt = func(t Term) {
+	var ff func(Formula)
+	var tf func(Term)
+	ff = func(g Formula) { Children(g, ff, tf) }
+	tf = func(t Term) {
 		fn(t)
-		switch x := t.(type) {
-		case *Call:
-			for _, a := range x.Args {
-				wt(a)
-			}
-		case *Arith:
-			wt(x.L)
-			wt(x.R)
-		case *Neg:
-			wt(x.X)
-		case *Agg:
-			wt(x.Q)
-			if x.Start != nil {
-				wf(x.Start)
-			}
-			wf(x.Sample)
-		}
+		TermChildren(t, ff, tf)
 	}
-	wf = func(f Formula) {
-		switch x := f.(type) {
-		case *Cmp:
-			wt(x.L)
-			wt(x.R)
-		case *EventAtom:
-			for _, a := range x.Args {
-				wt(a)
-			}
-		case *Executed:
-			for _, a := range x.Args {
-				wt(a)
-			}
-			wt(x.TimeArg)
-		case *Member:
-			for _, e := range x.Elems {
-				wt(e)
-			}
-			wt(x.Rel)
-		case *Not:
-			wf(x.F)
-		case *And:
-			wf(x.L)
-			wf(x.R)
-		case *Or:
-			wf(x.L)
-			wf(x.R)
-		case *Since:
-			wf(x.L)
-			wf(x.R)
-		case *Lasttime:
-			wf(x.F)
-		case *Previously:
-			wf(x.F)
-		case *Throughout:
-			wf(x.F)
-		case *Assign:
-			wt(x.Q)
-			wf(x.Body)
-		case *Until:
-			wf(x.L)
-			wf(x.R)
-		case *Nexttime:
-			wf(x.F)
-		case *Eventually:
-			wf(x.F)
-		case *Always:
-			wf(x.F)
-		}
-	}
-	wf(f)
+	ff(f)
 }
 
-// Walk calls fn for every subformula of f in preorder, including formulas
-// nested inside aggregate terms.
+// Walk calls fn for every subformula of f exactly once, in preorder: a
+// formula before its children, children in source order, and the starting
+// and sampling formulas of an aggregate — with everything below them —
+// where the aggregate term stands.
 func Walk(f Formula, fn func(Formula)) {
-	fn(f)
-	switch x := f.(type) {
-	case *Not:
-		Walk(x.F, fn)
-	case *And:
-		Walk(x.L, fn)
-		Walk(x.R, fn)
-	case *Or:
-		Walk(x.L, fn)
-		Walk(x.R, fn)
-	case *Since:
-		Walk(x.L, fn)
-		Walk(x.R, fn)
-	case *Lasttime:
-		Walk(x.F, fn)
-	case *Previously:
-		Walk(x.F, fn)
-	case *Throughout:
-		Walk(x.F, fn)
-	case *Assign:
-		Walk(x.Body, fn)
-	case *Until:
-		Walk(x.L, fn)
-		Walk(x.R, fn)
-	case *Nexttime:
-		Walk(x.F, fn)
-	case *Eventually:
-		Walk(x.F, fn)
-	case *Always:
-		Walk(x.F, fn)
+	var ff func(Formula)
+	var tf func(Term)
+	ff = func(g Formula) {
+		fn(g)
+		Children(g, ff, tf)
 	}
-	WalkTerms(f, func(t Term) {
-		if a, ok := t.(*Agg); ok {
-			if a.Start != nil {
-				fn(a.Start)
-			}
-			fn(a.Sample)
-		}
-	})
+	tf = func(t Term) { TermChildren(t, ff, tf) }
+	ff(f)
 }
 
 // EventNames returns the sorted distinct event symbols referenced by the
@@ -701,16 +608,7 @@ func EventNames(f Formula) []string {
 			seen[e.Name] = struct{}{}
 		}
 	})
-	out := make([]string, 0, len(seen))
-	for k := range seen {
-		out = append(out, k)
-	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
+	return sortedNames(seen)
 }
 
 // HasFuture reports whether the formula contains a future operator

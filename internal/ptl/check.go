@@ -2,7 +2,6 @@ package ptl
 
 import (
 	"fmt"
-	"sort"
 
 	"ptlactive/internal/query"
 	"ptlactive/internal/value"
@@ -337,7 +336,7 @@ func Decomposable(f Formula) bool {
 			default:
 				return
 			}
-			for _, v := range freeVarsOf(inner) {
+			for _, v := range FreeVars(inner) {
 				if v == a.Var {
 					ok = false
 				}
@@ -349,17 +348,6 @@ func Decomposable(f Formula) bool {
 		ok = false
 	}
 	return ok
-}
-
-func freeVarsOf(f Formula) []string {
-	seen := map[string]struct{}{}
-	collectFree(f, map[string]int{}, seen)
-	out := make([]string, 0, len(seen))
-	for k := range seen {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // nestedAgg reports whether a term contains an aggregate.

@@ -29,12 +29,16 @@ func Desugar(f Formula) Formula {
 	for _, v := range FreeVars(f) {
 		d.used[v] = struct{}{}
 	}
+	d.ff, d.tf = d.formula, d.term
 	return d.formula(f)
 }
 
 type desugarer struct {
 	used map[string]struct{}
 	n    int
+	// ff and tf are the formula and term methods, bound once.
+	ff func(Formula) Formula
+	tf func(Term) Term
 }
 
 func (d *desugarer) fresh() string {
@@ -55,36 +59,6 @@ func within(t string, bnd int64) Formula {
 
 func (d *desugarer) formula(f Formula) Formula {
 	switch x := f.(type) {
-	case *BoolConst:
-		return x
-	case *Cmp:
-		return &Cmp{Op: x.Op, L: d.term(x.L), R: d.term(x.R)}
-	case *EventAtom:
-		args := make([]Term, len(x.Args))
-		for i, a := range x.Args {
-			args[i] = d.term(a)
-		}
-		return &EventAtom{Name: x.Name, Args: args}
-	case *Executed:
-		args := make([]Term, len(x.Args))
-		for i, a := range x.Args {
-			args[i] = d.term(a)
-		}
-		return &Executed{Rule: x.Rule, Args: args, TimeArg: d.term(x.TimeArg)}
-	case *Member:
-		elems := make([]Term, len(x.Elems))
-		for i, e := range x.Elems {
-			elems[i] = d.term(e)
-		}
-		return &Member{Elems: elems, Rel: d.term(x.Rel)}
-	case *Not:
-		return &Not{F: d.formula(x.F)}
-	case *And:
-		return &And{L: d.formula(x.L), R: d.formula(x.R)}
-	case *Or:
-		return &Or{L: d.formula(x.L), R: d.formula(x.R)}
-	case *Lasttime:
-		return &Lasttime{F: d.formula(x.F)}
 	case *Since:
 		l, r := d.formula(x.L), d.formula(x.R)
 		if x.Bound < 0 {
@@ -94,51 +68,16 @@ func (d *desugarer) formula(f Formula) Formula {
 		return &Assign{Var: t, Q: Time(),
 			Body: &Since{L: l, R: &And{L: r, R: within(t, x.Bound)}, Bound: Unbounded}}
 	case *Previously:
-		inner := d.formula(x.F)
-		if x.Bound < 0 {
-			return &Since{L: TTrue, R: inner, Bound: Unbounded}
-		}
-		t := d.fresh()
-		return &Assign{Var: t, Q: Time(),
-			Body: &Since{L: TTrue, R: &And{L: inner, R: within(t, x.Bound)}, Bound: Unbounded}}
+		return d.formula(&Since{L: TTrue, R: x.F, Bound: x.Bound})
 	case *Throughout:
 		return &Not{F: d.formula(&Previously{F: &Not{F: x.F}, Bound: x.Bound})}
-	case *Until:
-		return &Until{L: d.formula(x.L), R: d.formula(x.R), Bound: x.Bound}
-	case *Nexttime:
-		return &Nexttime{F: d.formula(x.F)}
 	case *Eventually:
 		return &Until{L: TTrue, R: d.formula(x.F), Bound: x.Bound}
 	case *Always:
 		return &Not{F: &Until{L: TTrue, R: d.formula(&Not{F: x.F}), Bound: x.Bound}}
-	case *Assign:
-		return &Assign{Var: x.Var, Q: d.term(x.Q), Body: d.formula(x.Body)}
 	default:
-		return f
+		return MapChildren(f, d.ff, d.tf)
 	}
 }
 
-func (d *desugarer) term(t Term) Term {
-	switch x := t.(type) {
-	case *Const, *Var:
-		return t
-	case *Call:
-		args := make([]Term, len(x.Args))
-		for i, a := range x.Args {
-			args[i] = d.term(a)
-		}
-		return &Call{Fn: x.Fn, Args: args}
-	case *Arith:
-		return &Arith{Op: x.Op, L: d.term(x.L), R: d.term(x.R)}
-	case *Neg:
-		return &Neg{X: d.term(x.X)}
-	case *Agg:
-		out := &Agg{Fn: x.Fn, Q: d.term(x.Q), Sample: d.formula(x.Sample), Window: x.Window}
-		if x.Start != nil {
-			out.Start = d.formula(x.Start)
-		}
-		return out
-	default:
-		return t
-	}
-}
+func (d *desugarer) term(t Term) Term { return MapTermChildren(t, d.ff, d.tf) }

@@ -2,8 +2,10 @@ package ptl
 
 import "testing"
 
-// FuzzParse: the parser never panics, and successful parses round-trip
-// through the printer.
+// FuzzParse: the parser never panics, successful parses round-trip
+// through the printer, and whatever parses is copied by the identity map
+// and visited exactly once by Walk and WalkTerms (checkTraversal) — the
+// committed corpus runs all three in tier-1.
 func FuzzParse(f *testing.F) {
 	seeds := []string{
 		`[t <- time] [x <- price("IBM")] previously (price("IBM") <= 0.5 * x and time >= t - 10)`,
@@ -33,5 +35,6 @@ func FuzzParse(f *testing.F) {
 		if !Equal(g, back) {
 			t.Fatalf("round trip changed:\n  src:   %q\n  first: %s\n  again: %s", src, g, back)
 		}
+		checkTraversal(t, g)
 	})
 }

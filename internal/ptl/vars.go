@@ -12,89 +12,46 @@ import (
 func FreeVars(f Formula) []string {
 	seen := map[string]struct{}{}
 	collectFree(f, map[string]int{}, seen)
-	out := make([]string, 0, len(seen))
-	for k := range seen {
+	return sortedNames(seen)
+}
+
+// collectFree adds to out the variables occurring in f outside the scope
+// of an assignment to them; bound counts the enclosing assignments per
+// name (an assignment's query term is outside its own scope).
+func collectFree(f Formula, bound map[string]int, out map[string]struct{}) {
+	var ff func(Formula)
+	var tf func(Term)
+	ff = func(g Formula) {
+		switch x := g.(type) {
+		case *Assign:
+			tf(x.Q)
+			bound[x.Var]++
+			ff(x.Body)
+			bound[x.Var]--
+		default:
+			Children(g, ff, tf)
+		}
+	}
+	tf = func(t Term) {
+		switch x := t.(type) {
+		case *Var:
+			if bound[x.Name] == 0 {
+				out[x.Name] = struct{}{}
+			}
+		default:
+			TermChildren(t, ff, tf)
+		}
+	}
+	ff(f)
+}
+
+func sortedNames(set map[string]struct{}) []string {
+	out := make([]string, 0, len(set))
+	for k := range set {
 		out = append(out, k)
 	}
 	sort.Strings(out)
 	return out
-}
-
-func collectFreeTerm(t Term, bound map[string]int, out map[string]struct{}) {
-	switch x := t.(type) {
-	case *Var:
-		if bound[x.Name] == 0 {
-			out[x.Name] = struct{}{}
-		}
-	case *Call:
-		for _, a := range x.Args {
-			collectFreeTerm(a, bound, out)
-		}
-	case *Arith:
-		collectFreeTerm(x.L, bound, out)
-		collectFreeTerm(x.R, bound, out)
-	case *Neg:
-		collectFreeTerm(x.X, bound, out)
-	case *Agg:
-		collectFreeTerm(x.Q, bound, out)
-		if x.Start != nil {
-			collectFree(x.Start, bound, out)
-		}
-		collectFree(x.Sample, bound, out)
-	}
-}
-
-func collectFree(f Formula, bound map[string]int, out map[string]struct{}) {
-	switch x := f.(type) {
-	case *Cmp:
-		collectFreeTerm(x.L, bound, out)
-		collectFreeTerm(x.R, bound, out)
-	case *EventAtom:
-		for _, a := range x.Args {
-			collectFreeTerm(a, bound, out)
-		}
-	case *Executed:
-		for _, a := range x.Args {
-			collectFreeTerm(a, bound, out)
-		}
-		collectFreeTerm(x.TimeArg, bound, out)
-	case *Member:
-		for _, e := range x.Elems {
-			collectFreeTerm(e, bound, out)
-		}
-		collectFreeTerm(x.Rel, bound, out)
-	case *Not:
-		collectFree(x.F, bound, out)
-	case *And:
-		collectFree(x.L, bound, out)
-		collectFree(x.R, bound, out)
-	case *Or:
-		collectFree(x.L, bound, out)
-		collectFree(x.R, bound, out)
-	case *Since:
-		collectFree(x.L, bound, out)
-		collectFree(x.R, bound, out)
-	case *Lasttime:
-		collectFree(x.F, bound, out)
-	case *Previously:
-		collectFree(x.F, bound, out)
-	case *Throughout:
-		collectFree(x.F, bound, out)
-	case *Assign:
-		collectFreeTerm(x.Q, bound, out)
-		bound[x.Var]++
-		collectFree(x.Body, bound, out)
-		bound[x.Var]--
-	case *Until:
-		collectFree(x.L, bound, out)
-		collectFree(x.R, bound, out)
-	case *Nexttime:
-		collectFree(x.F, bound, out)
-	case *Eventually:
-		collectFree(x.F, bound, out)
-	case *Always:
-		collectFree(x.F, bound, out)
-	}
 }
 
 // BoundVars returns the sorted variables bound by assignments anywhere in
@@ -106,12 +63,7 @@ func BoundVars(f Formula) []string {
 			seen[a.Var] = struct{}{}
 		}
 	})
-	out := make([]string, 0, len(seen))
-	for k := range seen {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
+	return sortedNames(seen)
 }
 
 // RenameApart returns a formula in which every assignment binds a distinct
@@ -138,194 +90,69 @@ func RenameApart(f Formula) Formula {
 			}
 		}
 	}
-	var rt func(Term, map[string]string) Term
-	var rf func(Formula, map[string]string) Formula
-	rt = func(t Term, env map[string]string) Term {
+	env := map[string]string{} // renamings of the assignments in scope
+	var rf func(Formula) Formula
+	var rt func(Term) Term
+	rt = func(t Term) Term {
 		switch x := t.(type) {
-		case *Const:
-			return x
 		case *Var:
 			if n, ok := env[x.Name]; ok {
 				return &Var{Name: n}
 			}
 			return x
-		case *Call:
-			args := make([]Term, len(x.Args))
-			for i, a := range x.Args {
-				args[i] = rt(a, env)
-			}
-			return &Call{Fn: x.Fn, Args: args}
-		case *Arith:
-			return &Arith{Op: x.Op, L: rt(x.L, env), R: rt(x.R, env)}
-		case *Neg:
-			return &Neg{X: rt(x.X, env)}
-		case *Agg:
-			out := &Agg{Fn: x.Fn, Q: rt(x.Q, env), Sample: rf(x.Sample, env), Window: x.Window}
-			if x.Start != nil {
-				out.Start = rf(x.Start, env)
-			}
-			return out
 		default:
-			return t
+			return MapTermChildren(t, rf, rt)
 		}
 	}
-	rf = func(f Formula, env map[string]string) Formula {
+	rf = func(f Formula) Formula {
 		switch x := f.(type) {
-		case *BoolConst:
-			return x
-		case *Cmp:
-			return &Cmp{Op: x.Op, L: rt(x.L, env), R: rt(x.R, env)}
-		case *EventAtom:
-			args := make([]Term, len(x.Args))
-			for i, a := range x.Args {
-				args[i] = rt(a, env)
-			}
-			return &EventAtom{Name: x.Name, Args: args}
-		case *Executed:
-			args := make([]Term, len(x.Args))
-			for i, a := range x.Args {
-				args[i] = rt(a, env)
-			}
-			return &Executed{Rule: x.Rule, Args: args, TimeArg: rt(x.TimeArg, env)}
-		case *Member:
-			elems := make([]Term, len(x.Elems))
-			for i, e := range x.Elems {
-				elems[i] = rt(e, env)
-			}
-			return &Member{Elems: elems, Rel: rt(x.Rel, env)}
-		case *Not:
-			return &Not{F: rf(x.F, env)}
-		case *And:
-			return &And{L: rf(x.L, env), R: rf(x.R, env)}
-		case *Or:
-			return &Or{L: rf(x.L, env), R: rf(x.R, env)}
-		case *Since:
-			return &Since{L: rf(x.L, env), R: rf(x.R, env), Bound: x.Bound}
-		case *Lasttime:
-			return &Lasttime{F: rf(x.F, env)}
-		case *Previously:
-			return &Previously{F: rf(x.F, env), Bound: x.Bound}
-		case *Throughout:
-			return &Throughout{F: rf(x.F, env), Bound: x.Bound}
-		case *Until:
-			return &Until{L: rf(x.L, env), R: rf(x.R, env), Bound: x.Bound}
-		case *Nexttime:
-			return &Nexttime{F: rf(x.F, env)}
-		case *Eventually:
-			return &Eventually{F: rf(x.F, env), Bound: x.Bound}
-		case *Always:
-			return &Always{F: rf(x.F, env), Bound: x.Bound}
 		case *Assign:
 			name := x.Var
 			if taken[name] {
 				name = fresh(x.Var)
 			}
 			taken[name] = true
-			q := rt(x.Q, env)
-			var body Formula
+			q := rt(x.Q)
 			if name == x.Var {
-				body = rf(x.Body, env)
+				return &Assign{Var: name, Q: q, Body: rf(x.Body)}
+			}
+			outer, shadows := env[x.Var]
+			env[x.Var] = name
+			body := rf(x.Body)
+			if shadows {
+				env[x.Var] = outer
 			} else {
-				inner := make(map[string]string, len(env)+1)
-				for k, v := range env {
-					inner[k] = v
-				}
-				inner[x.Var] = name
-				body = rf(x.Body, inner)
+				delete(env, x.Var)
 			}
 			return &Assign{Var: name, Q: q, Body: body}
 		default:
-			return f
+			return MapChildren(f, rf, rt)
 		}
 	}
-	return rf(f, map[string]string{})
+	return rf(f)
 }
 
 // Substitute replaces free occurrences of the named variables in f by the
 // given terms. Assignments shadow as usual.
 func Substitute(f Formula, env map[string]Term) Formula {
-	var rt func(Term, map[string]Term) Term
-	var rf func(Formula, map[string]Term) Formula
-	rt = func(t Term, env map[string]Term) Term {
+	if len(env) == 0 {
+		return f
+	}
+	var rf func(Formula) Formula
+	var rt func(Term) Term
+	rt = func(t Term) Term {
 		switch x := t.(type) {
-		case *Const:
-			return x
 		case *Var:
 			if r, ok := env[x.Name]; ok {
 				return r
 			}
 			return x
-		case *Call:
-			args := make([]Term, len(x.Args))
-			for i, a := range x.Args {
-				args[i] = rt(a, env)
-			}
-			return &Call{Fn: x.Fn, Args: args}
-		case *Arith:
-			return &Arith{Op: x.Op, L: rt(x.L, env), R: rt(x.R, env)}
-		case *Neg:
-			return &Neg{X: rt(x.X, env)}
-		case *Agg:
-			out := &Agg{Fn: x.Fn, Q: rt(x.Q, env), Sample: rf(x.Sample, env), Window: x.Window}
-			if x.Start != nil {
-				out.Start = rf(x.Start, env)
-			}
-			return out
 		default:
-			return t
+			return MapTermChildren(t, rf, rt)
 		}
 	}
-	rf = func(f Formula, env map[string]Term) Formula {
-		if len(env) == 0 {
-			return f
-		}
-		switch x := f.(type) {
-		case *BoolConst:
-			return x
-		case *Cmp:
-			return &Cmp{Op: x.Op, L: rt(x.L, env), R: rt(x.R, env)}
-		case *EventAtom:
-			args := make([]Term, len(x.Args))
-			for i, a := range x.Args {
-				args[i] = rt(a, env)
-			}
-			return &EventAtom{Name: x.Name, Args: args}
-		case *Executed:
-			args := make([]Term, len(x.Args))
-			for i, a := range x.Args {
-				args[i] = rt(a, env)
-			}
-			return &Executed{Rule: x.Rule, Args: args, TimeArg: rt(x.TimeArg, env)}
-		case *Member:
-			elems := make([]Term, len(x.Elems))
-			for i, e := range x.Elems {
-				elems[i] = rt(e, env)
-			}
-			return &Member{Elems: elems, Rel: rt(x.Rel, env)}
-		case *Not:
-			return &Not{F: rf(x.F, env)}
-		case *And:
-			return &And{L: rf(x.L, env), R: rf(x.R, env)}
-		case *Or:
-			return &Or{L: rf(x.L, env), R: rf(x.R, env)}
-		case *Since:
-			return &Since{L: rf(x.L, env), R: rf(x.R, env), Bound: x.Bound}
-		case *Lasttime:
-			return &Lasttime{F: rf(x.F, env)}
-		case *Previously:
-			return &Previously{F: rf(x.F, env), Bound: x.Bound}
-		case *Throughout:
-			return &Throughout{F: rf(x.F, env), Bound: x.Bound}
-		case *Until:
-			return &Until{L: rf(x.L, env), R: rf(x.R, env), Bound: x.Bound}
-		case *Nexttime:
-			return &Nexttime{F: rf(x.F, env)}
-		case *Eventually:
-			return &Eventually{F: rf(x.F, env), Bound: x.Bound}
-		case *Always:
-			return &Always{F: rf(x.F, env), Bound: x.Bound}
-		case *Assign:
-			q := rt(x.Q, env)
+	rf = func(f Formula) Formula {
+		if x, ok := f.(*Assign); ok {
 			if _, shadowed := env[x.Var]; shadowed {
 				inner := make(map[string]Term, len(env))
 				for k, v := range env {
@@ -333,12 +160,10 @@ func Substitute(f Formula, env map[string]Term) Formula {
 						inner[k] = v
 					}
 				}
-				return &Assign{Var: x.Var, Q: q, Body: rf(x.Body, inner)}
+				return &Assign{Var: x.Var, Q: rt(x.Q), Body: Substitute(x.Body, inner)}
 			}
-			return &Assign{Var: x.Var, Q: q, Body: rf(x.Body, env)}
-		default:
-			return f
 		}
+		return MapChildren(f, rf, rt)
 	}
-	return rf(f, env)
+	return rf(f)
 }
