@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test bench race vet fmtcheck vulncheck depcheck allocgates benchmod loc stress verify tables profile profile-sparse profile-temporal profile-gate serve-smoke cluster-smoke replica-smoke retain-smoke
+.PHONY: build test bench race vet fmtcheck vulncheck depcheck allocgates benchmod loc stress verify tables profile profile-sparse profile-temporal profile-gate profile-dense serve-smoke cluster-smoke replica-smoke retain-smoke
 
 build:
 	$(GO) build ./...
@@ -68,10 +68,13 @@ stress:
 # allocgates runs the allocation gates of the commit path at three core
 # counts. They pin Workers: 1, so nothing they count may depend on
 # GOMAXPROCS: the three runs must pass alike — that is the check.
-# TestSweepNoRuleTerm has three arms: quiescent, gated and exact temporal
-# rules (the last: 2,000 steps per commit, none of which may allocate).
+# TestSweepNoRuleTerm has four arms: quiescent, gated, exact temporal and
+# general rules (the last two: 2,000 steps per commit, none of which may
+# allocate). In core, a step of the paper's doubled-within-d trigger
+# allocates alike at about 5 and about 500 retained clauses, and a windowed
+# sum's step alike at window 40 and 4,000.
 allocgates:
-	for p in 1 2 4; do GOMAXPROCS=$$p $(GO) test -count=1 -run 'TestCommitAllocs|TestSweepNoRuleTerm|TestConstraintCheckAllocs' ./internal/adb || exit 1; done
+	for p in 1 2 4; do GOMAXPROCS=$$p $(GO) test -count=1 -run 'TestCommitAllocs|TestSweepNoRuleTerm|TestConstraintCheckAllocs|TestStepAllocsFlatInRetainedClauses|TestWindowedAggregateStepAllocs' ./internal/adb ./internal/core || exit 1; done
 
 # verify is the full pre-merge tier: static checks plus the whole suite
 # under the race detector (the concurrent engine and the durability
@@ -114,7 +117,7 @@ tables:
 
 # profile captures pprof CPU and heap profiles of the scheduling and
 # durability experiments; inspect with `go tool pprof cpu.prof`.
-profile: profile-sparse profile-temporal profile-gate
+profile: profile-sparse profile-temporal profile-gate profile-dense
 	$(GO) run ./cmd/benchtables -only E10,E12 -cpuprofile cpu.prof -memprofile mem.prof
 	@echo "wrote cpu.prof and mem.prof (go tool pprof cpu.prof)"
 
@@ -145,3 +148,12 @@ profile-gate:
 	$(GO) test -run '^$$' -bench ConstraintGate -benchtime 50000x -memprofilerate 4096 \
 		-cpuprofile gate_cpu.prof -memprofile gate_mem.prof ./internal/adb
 	@echo "wrote gate_cpu.prof, gate_mem.prof and adb.test (go tool pprof adb.test gate_cpu.prof)"
+
+# profile-dense profiles the temporal-dense shape (the paper's doubled-within-10
+# trigger on 32 symbols, 8 session rules, a windowed sum and a quote rule,
+# one price step per commit): what the general evaluator's 42 steps a commit
+# cost, every rule stepping on every state.
+profile-dense:
+	$(GO) test -run '^$$' -bench TemporalDense -benchtime 20000x -memprofilerate 4096 \
+		-cpuprofile dense_cpu.prof -memprofile dense_mem.prof ./internal/adb
+	@echo "wrote dense_cpu.prof, dense_mem.prof and adb.test (go tool pprof adb.test dense_cpu.prof)"

@@ -78,8 +78,10 @@ func TestCommitAllocsNoLinearTerm(t *testing.T) {
 // stream that touches one rule's item per commit, with the given number of
 // rules registered over a database of fixed size. shape selects quiescent
 // rules (`item(k) > c`, never firing), event-gated ones (a commit without
-// their event only moves their cursor) or exact temporal ones (every rule
-// steps at every commit, all but one from its query cache).
+// their event only moves their cursor), exact temporal ones (every rule
+// steps at every commit, all but one from its query cache) or general ones
+// (the same, on the constraint-graph evaluator: an assignment crosses the
+// temporal operator).
 func sweepCost(t *testing.T, rules int, shape string) (allocs, bytes float64) {
 	t.Helper()
 	const items = 2000
@@ -95,6 +97,8 @@ func sweepCost(t *testing.T, rules int, shape string) (allocs, bytes float64) {
 			cond = fmt.Sprintf(`@ev%d and item("k%04d") > 1000000`, i, i)
 		case "temporal":
 			cond = fmt.Sprintf(`item("k%04d") > 1000000 and lasttime item("k%04d") <= 1000000`, i, i)
+		case "general":
+			cond = fmt.Sprintf(`[x <- item("k%04d")] lasttime item("k%04d") < x`, i, i)
 		}
 		if err := e.AddTrigger(fmt.Sprintf("r%04d", i), cond, nil, WithScheduling(Relevant)); err != nil {
 			t.Fatal(err)
@@ -129,13 +133,14 @@ func sweepCost(t *testing.T, rules int, shape string) (allocs, bytes float64) {
 // small constant of the 20-rule one — for quiescent rules and for gated
 // rules woken by the commit alone. Exact temporal rules do step, all 2,000
 // of them, but a step over a state that left the rule's item alone is a few
-// booleans and cached values: it must allocate nothing at all.
+// booleans and cached values: it must allocate nothing at all. Nor may a
+// general rule's: its interner finds every term and node it builds.
 func TestSweepNoRuleTerm(t *testing.T) {
-	for _, shape := range []string{"quiescent", "gated", "temporal"} {
+	for _, shape := range []string{"quiescent", "gated", "temporal", "general"} {
 		smallA, smallB := sweepCost(t, 20, shape)
 		bigA, bigB := sweepCost(t, 2000, shape)
 		t.Logf("%s: %.1f allocs, %.0f B per commit at 20 rules; %.1f allocs, %.0f B at 2000", shape, smallA, smallB, bigA, bigB)
-		if bigA > smallA+8 || bigB > smallB+1024 || shape == "temporal" && bigA > smallA+0.5 {
+		if bigA > smallA+8 || bigB > smallB+1024 || (shape == "temporal" || shape == "general") && bigA > smallA+0.5 {
 			t.Fatalf("%s: commit cost grows with the rule table: %.1f allocs/%.0f B at 20 rules, %.1f allocs/%.0f B at 2000",
 				shape, smallA, smallB, bigA, bigB)
 		}

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"ptlactive/internal/event"
 	"ptlactive/internal/value"
 )
 
@@ -86,6 +87,83 @@ func benchSparse(b *testing.B, cond func(item string) string) {
 			b.Fatal(err)
 		}
 		if i%4096 == 4095 {
+			e.Compact()
+		}
+	}
+	b.ReportMetric(float64(e.EvalSteps())/float64(b.N), "steps/op")
+}
+
+// BenchmarkTemporalDense is the frozen benchmark's temporal-dense row in
+// miniature, for `make profile-dense`: the paper's "doubled within 10"
+// trigger on 32 symbols, the 8 login-session rules, the windowed `dj_volume`
+// sum and the `quote` rule, under a random walk of one price per commit with
+// its @update_stocks event. Every rule steps on the general evaluator at
+// every commit, so the profile shows what the Section-5 recurrences cost.
+func BenchmarkTemporalDense(b *testing.B) {
+	const symbols, users = 32, 8
+	sym := make([]string, symbols+1)
+	price := make([]float64, symbols+1)
+	initial := map[string]value.Value{}
+	for i := range sym {
+		sym[i] = fmt.Sprintf("S%02d", i)
+		if i == symbols {
+			sym[i] = "DJ"
+		}
+		price[i] = 100
+		initial["px_"+sym[i]] = value.NewFloat(100)
+	}
+	var rules [][2]string // name, condition
+	for i := 0; i < symbols; i++ {
+		rules = append(rules, [2]string{"doubled_" + sym[i], fmt.Sprintf(`[t <- time] [x <- item("px_%s")] previously (item("px_%s") <= 0.5 * x and time >= t - 10)`, sym[i], sym[i])})
+	}
+	for k := 0; k < users; k++ {
+		cond := fmt.Sprintf(`((not @logout(U)) since (@login(U) and item("px_DJ") > %d)) and @update_stocks("DJ")`, 90+2*k)
+		if k%2 == 1 {
+			cond = fmt.Sprintf(`@logout("u%d") and lasttime ((not @logout("u%d")) since (@login("u%d") and ((item("px_DJ") > 50) since @update_stocks("DJ"))))`, k, k, k)
+		}
+		rules = append(rules, [2]string{fmt.Sprintf("session_%d", k), cond})
+	}
+	rules = append(rules,
+		[2]string{"dj_volume", `sum(item("px_DJ"); window 40; @update_stocks("DJ")) > 1500 and @update_stocks("DJ")`},
+		[2]string{"quote", `@update_stocks(S)`})
+	e := NewEngine(Config{Initial: initial})
+	for _, r := range rules {
+		if err := e.AddTrigger(r[0], r[1], nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	in := make([]bool, users)
+	ts := int64(0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		ts += 1 + rng.Int63n(3)
+		i := rng.Intn(symbols + 1)
+		switch r := rng.Float64(); {
+		case r < 0.02:
+			price[i] *= 2.1
+		case r < 0.04:
+			price[i] *= 0.45
+		default:
+			price[i] += (rng.Float64()*2 - 1) * 4
+		}
+		if price[i] < 1 || price[i] > 10000 {
+			price[i] = 100
+		}
+		evs := []event.Event{event.New("update_stocks", value.NewString(sym[i]))}
+		if u := rng.Intn(users); rng.Float64() < 0.3 {
+			name := "login"
+			if in[u] {
+				name = "logout"
+			}
+			evs = append(evs, event.New(name, value.NewString(fmt.Sprintf("u%d", u))))
+			in[u] = !in[u]
+		}
+		if err := e.Exec(ts, map[string]value.Value{"px_" + sym[i]: value.NewFloat(price[i])}, evs...); err != nil {
+			b.Fatal(err)
+		}
+		if n%4096 == 4095 {
 			e.Compact()
 		}
 	}

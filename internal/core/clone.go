@@ -2,15 +2,16 @@ package core
 
 import (
 	"maps"
+	"slices"
 
 	"ptlactive/internal/ptl"
-	"ptlactive/internal/value"
 )
 
 // Clone returns an independent copy of the evaluator sharing no mutable
 // state with the original. Constraint nodes are immutable, so the stored
 // F_{g,i} DAGs are shared structurally; only the maps and aggregate
-// buffers are copied.
+// buffers are copied. The clone seeds an intern table of its own from
+// those DAGs on its first step.
 //
 // The valid-time monitor (internal/vtime) checkpoints evaluators this way;
 // Mark and Rollback below clone the aggregate machines with it.
@@ -19,8 +20,8 @@ func (e *Evaluator) Clone() *Evaluator {
 		info:      e.info,
 		reg:       e.reg,
 		log:       e.log,
-		sincePrev: make(map[*ptl.Since]*cnode, len(e.sincePrev)),
-		lastPrev:  make(map[*ptl.Lasttime]*cnode, len(e.lastPrev)),
+		sincePrev: maps.Clone(e.sincePrev),
+		lastPrev:  maps.Clone(e.lastPrev),
 		aggs:      make(map[*ptl.Agg]*aggState, len(e.aggs)),
 		aggOrder:  e.aggOrder,
 		optimize:  e.optimize,
@@ -28,12 +29,6 @@ func (e *Evaluator) Clone() *Evaluator {
 		// The query cache starts empty (it refills on the clone's first
 		// unhinted step).
 		qc: e.qc.empty(),
-	}
-	for k, v := range e.sincePrev {
-		c.sincePrev[k] = v
-	}
-	for k, v := range e.lastPrev {
-		c.lastPrev[k] = v
 	}
 	for k, v := range e.aggs {
 		c.aggs[k] = v.clone()
@@ -80,16 +75,14 @@ func (e *Evaluator) Rollback() {
 }
 
 func (s *aggState) clone() *aggState {
+	samples, times := s.live()
 	c := &aggState{
 		agg:     s.agg,
-		reg:     s.reg,
 		started: s.started,
-		samples: append([]value.Value(nil), s.samples...),
-		times:   append([]int64(nil), s.times...),
+		samples: slices.Clone(samples),
+		times:   slices.Clone(times),
 		sum:     s.sum,
 		count:   s.count,
-		cur:     s.cur,
-		has:     s.has,
 	}
 	if s.startEv != nil {
 		c.startEv = s.startEv.Clone()

@@ -10,17 +10,17 @@ import (
 
 // randNode generates a random constraint node over variables x, y with
 // small integer constants; returns the node. Depth bounds recursion.
-func randNode(rng *rand.Rand, depth int) *cnode {
+func randNode(tab *interner, rng *rand.Rand, depth int) *cnode {
 	mk := func() *cterm {
 		switch rng.Intn(3) {
 		case 0:
-			return constTerm(value.NewInt(int64(rng.Intn(7) - 3)))
+			return tab.constTerm(value.NewInt(int64(rng.Intn(7) - 3)))
 		case 1:
-			return varTerm([]string{"x", "y"}[rng.Intn(2)])
+			return tab.varTerm([]string{"x", "y"}[rng.Intn(2)])
 		default:
-			t, err := arithTerm(value.ArithOp(rng.Intn(3)), // add/sub/mul
-				varTerm([]string{"x", "y"}[rng.Intn(2)]),
-				constTerm(value.NewInt(int64(rng.Intn(5)))))
+			t, err := tab.arithTerm(value.ArithOp(rng.Intn(3)), // add/sub/mul
+				tab.varTerm([]string{"x", "y"}[rng.Intn(2)]),
+				tab.constTerm(value.NewInt(int64(rng.Intn(5)))))
 			if err != nil {
 				panic(err)
 			}
@@ -28,7 +28,7 @@ func randNode(rng *rand.Rand, depth int) *cnode {
 		}
 	}
 	if depth <= 0 {
-		n, err := mkAtom(value.CmpOp(rng.Intn(6)), mk(), mk())
+		n, err := tab.mkAtom(value.CmpOp(rng.Intn(6)), mk(), mk())
 		if err != nil {
 			panic(err)
 		}
@@ -36,13 +36,13 @@ func randNode(rng *rand.Rand, depth int) *cnode {
 	}
 	switch rng.Intn(4) {
 	case 0:
-		return mkAnd(randNode(rng, depth-1), randNode(rng, depth-1))
+		return tab.mkAnd(randNode(tab, rng, depth-1), randNode(tab, rng, depth-1))
 	case 1:
-		return mkOr(randNode(rng, depth-1), randNode(rng, depth-1))
+		return tab.mkOr(randNode(tab, rng, depth-1), randNode(tab, rng, depth-1))
 	case 2:
-		return mkNot(randNode(rng, depth-1))
+		return tab.mkNot(randNode(tab, rng, depth-1))
 	default:
-		return randNode(rng, 0)
+		return randNode(tab, rng, 0)
 	}
 }
 
@@ -51,79 +51,82 @@ func env(x, y int64) map[string]value.Value {
 }
 
 func TestMkAtomFoldsGround(t *testing.T) {
-	a, err := mkAtom(value.LT, constTerm(value.NewInt(1)), constTerm(value.NewInt(2)))
+	tab := newInterner()
+	a, err := tab.mkAtom(value.LT, tab.constTerm(value.NewInt(1)), tab.constTerm(value.NewInt(2)))
 	if err != nil || a != nodeTrue {
 		t.Fatalf("1 < 2 should fold to true, got %v %v", a, err)
 	}
-	a, err = mkAtom(value.EQ, constTerm(value.NewInt(1)), constTerm(value.NewInt(2)))
+	a, err = tab.mkAtom(value.EQ, tab.constTerm(value.NewInt(1)), tab.constTerm(value.NewInt(2)))
 	if err != nil || a != nodeFalse {
 		t.Fatalf("1 = 2 should fold to false")
 	}
 	// Null side folds to false.
-	a, err = mkAtom(value.GE, constTerm(value.Value{}), constTerm(value.NewInt(0)))
+	a, err = tab.mkAtom(value.GE, tab.constTerm(value.Value{}), tab.constTerm(value.NewInt(0)))
 	if err != nil || a != nodeFalse {
 		t.Fatalf("null >= 0 should fold to false, got %v %v", a, err)
 	}
 	// Symbolic atom does not fold.
-	a, err = mkAtom(value.LT, varTerm("x"), constTerm(value.NewInt(2)))
+	a, err = tab.mkAtom(value.LT, tab.varTerm("x"), tab.constTerm(value.NewInt(2)))
 	if err != nil || a.kind != nkAtom {
 		t.Fatalf("symbolic atom folded: %v", a)
 	}
 }
 
 func TestMkAndOrIdentities(t *testing.T) {
-	x, _ := mkAtom(value.GT, varTerm("x"), constTerm(value.NewInt(0)))
-	if mkAnd() != nodeTrue || mkOr() != nodeFalse {
+	tab := newInterner()
+	x, _ := tab.mkAtom(value.GT, tab.varTerm("x"), tab.constTerm(value.NewInt(0)))
+	if tab.mkAnd() != nodeTrue || tab.mkOr() != nodeFalse {
 		t.Fatal("empty and/or wrong")
 	}
-	if mkAnd(x, nodeTrue) != x || mkOr(x, nodeFalse) != x {
+	if tab.mkAnd(x, nodeTrue) != x || tab.mkOr(x, nodeFalse) != x {
 		t.Fatal("identity elements not dropped")
 	}
-	if mkAnd(x, nodeFalse) != nodeFalse || mkOr(x, nodeTrue) != nodeTrue {
+	if tab.mkAnd(x, nodeFalse) != nodeFalse || tab.mkOr(x, nodeTrue) != nodeTrue {
 		t.Fatal("absorbing elements not applied")
 	}
-	if mkAnd(x, x) != x || mkOr(x, x) != x {
+	if tab.mkAnd(x, x) != x || tab.mkOr(x, x) != x {
 		t.Fatal("duplicates not merged")
 	}
 	// Complementary atoms contradict / tautologize.
-	nx := mkNot(x)
-	if mkAnd(x, nx) != nodeFalse {
+	nx := tab.mkNot(x)
+	if tab.mkAnd(x, nx) != nodeFalse {
 		t.Fatal("x and not x should be false")
 	}
-	if mkOr(x, nx) != nodeTrue {
+	if tab.mkOr(x, nx) != nodeTrue {
 		t.Fatal("x or not x should be true")
 	}
 	// Flattening: and(and(a,b),c) has three kids.
-	y, _ := mkAtom(value.GT, varTerm("y"), constTerm(value.NewInt(0)))
-	z, _ := mkAtom(value.LT, varTerm("y"), constTerm(value.NewInt(9)))
-	n := mkAnd(mkAnd(x, y), z)
+	y, _ := tab.mkAtom(value.GT, tab.varTerm("y"), tab.constTerm(value.NewInt(0)))
+	z, _ := tab.mkAtom(value.LT, tab.varTerm("y"), tab.constTerm(value.NewInt(9)))
+	n := tab.mkAnd(tab.mkAnd(x, y), z)
 	if n.kind != nkAnd || len(n.kids) != 3 {
 		t.Fatalf("flattening failed: %v", n)
 	}
 }
 
 func TestMkNot(t *testing.T) {
-	if mkNot(nodeTrue) != nodeFalse || mkNot(nodeFalse) != nodeTrue {
+	tab := newInterner()
+	if tab.mkNot(nodeTrue) != nodeFalse || tab.mkNot(nodeFalse) != nodeTrue {
 		t.Fatal("constant negation wrong")
 	}
-	x, _ := mkAtom(value.LE, varTerm("x"), constTerm(value.NewInt(2)))
-	nx := mkNot(x)
+	x, _ := tab.mkAtom(value.LE, tab.varTerm("x"), tab.constTerm(value.NewInt(2)))
+	nx := tab.mkNot(x)
 	if nx.kind != nkAtom || nx.op != value.GT {
 		t.Fatalf("atom negation should flip the operator, got %v", nx)
 	}
-	and := mkAnd(x, mkNot(mkAnd(x, x))) // contradiction
+	and := tab.mkAnd(x, tab.mkNot(tab.mkAnd(x, x))) // contradiction
 	if and != nodeFalse {
 		t.Fatalf("contradiction not detected: %v", and)
 	}
-	n := mkNot(mkAnd(x, mustAtom(t, value.GT, varTerm("y"), constTerm(value.NewInt(1)))))
-	if mkNot(n).kind != nkAnd {
+	n := tab.mkNot(tab.mkAnd(x, mustAtom(t, tab, value.GT, tab.varTerm("y"), tab.constTerm(value.NewInt(1)))))
+	if tab.mkNot(n).kind != nkAnd {
 		t.Fatal("double negation should cancel")
 	}
 }
 
-func mustAtom(t *testing.T, op value.CmpOp, l, r *cterm) *cnode {
+func mustAtom(t *testing.T, tab *interner, op value.CmpOp, l, r *cterm) *cnode {
 	t.Helper()
-	a, err := mkAtom(op, l, r)
+	a, err := tab.mkAtom(op, l, r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,13 +136,14 @@ func mustAtom(t *testing.T, op value.CmpOp, l, r *cterm) *cnode {
 // TestSimplifierSoundness: random nodes evaluate identically before and
 // after substitution-based simplification, across assignments.
 func TestSimplifierSoundness(t *testing.T) {
+	tab := newInterner()
 	for seed := 0; seed < 300; seed++ {
 		rng := rand.New(rand.NewSource(int64(seed)))
-		n := randNode(rng, 3)
+		n := randNode(tab, rng, 3)
 		xv := int64(rng.Intn(9) - 4)
 		// Substituting x then evaluating with y must equal evaluating the
 		// original with both.
-		sub, err := substNode(n, "x", value.NewInt(xv), map[*cnode]*cnode{})
+		sub, err := tab.substNode(n, "x", value.NewInt(xv), map[*cnode]*cnode{})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -161,10 +165,11 @@ func TestSimplifierSoundness(t *testing.T) {
 }
 
 func TestSubstSharing(t *testing.T) {
+	tab := newInterner()
 	// Substituting a variable not present returns the identical node.
-	x := mustAtom(t, value.GT, varTerm("x"), constTerm(value.NewInt(0)))
-	n := mkAnd(x, mkNot(mkOr(x, x)))
-	got, err := substNode(n, "zzz", value.NewInt(1), map[*cnode]*cnode{})
+	x := mustAtom(t, tab, value.GT, tab.varTerm("x"), tab.constTerm(value.NewInt(0)))
+	n := tab.mkAnd(x, tab.mkNot(tab.mkOr(x, x)))
+	got, err := tab.substNode(n, "zzz", value.NewInt(1), map[*cnode]*cnode{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,14 +179,15 @@ func TestSubstSharing(t *testing.T) {
 }
 
 func TestDecomposeLinear(t *testing.T) {
-	v := varTerm("t")
-	c3 := constTerm(value.NewInt(3))
-	c5 := constTerm(value.NewInt(5))
-	add, _ := arithTerm(value.Add, v, c3)      // t + 3
-	sub, _ := arithTerm(value.Sub, c5, v)      // 5 - t
-	nested, _ := arithTerm(value.Sub, add, c5) // (t+3) - 5
-	mul, _ := arithTerm(value.Mul, v, c3)      // 3t: not unit
-	twoVars, _ := arithTerm(value.Add, v, varTerm("u"))
+	tab := newInterner()
+	v := tab.varTerm("t")
+	c3 := tab.constTerm(value.NewInt(3))
+	c5 := tab.constTerm(value.NewInt(5))
+	add, _ := tab.arithTerm(value.Add, v, c3)      // t + 3
+	sub, _ := tab.arithTerm(value.Sub, c5, v)      // 5 - t
+	nested, _ := tab.arithTerm(value.Sub, add, c5) // (t+3) - 5
+	mul, _ := tab.arithTerm(value.Mul, v, c3)      // 3t: not unit
+	twoVars, _ := tab.arithTerm(value.Add, v, tab.varTerm("u"))
 
 	cases := []struct {
 		t      *cterm
@@ -210,25 +216,26 @@ func TestDecomposeLinear(t *testing.T) {
 }
 
 func TestVarConstAtomNormalization(t *testing.T) {
+	tab := newInterner()
 	tv := map[string]bool{"t": true}
-	v := varTerm("t")
+	v := tab.varTerm("t")
 	// time_j >= t - 10 with time_j = 7: atom 7 >= t-10 should normalize to
 	// t <= 17.
-	rhs, _ := arithTerm(value.Sub, v, constTerm(value.NewInt(10)))
-	atom := mustAtom(t, value.GE, constTerm(value.NewInt(7)), rhs)
+	rhs, _ := tab.arithTerm(value.Sub, v, tab.constTerm(value.NewInt(10)))
+	atom := mustAtom(t, tab, value.GE, tab.constTerm(value.NewInt(7)), rhs)
 	name, c, op, ok := varConstAtom(atom, tv)
 	if !ok || name != "t" || c.AsFloat() != 17 || op != value.LE {
 		t.Fatalf("normalized to %s %s %s (ok=%t)", name, op, c, ok)
 	}
 	// 5 - t < 2 -> -t < -3 -> t > 3.
-	lhs, _ := arithTerm(value.Sub, constTerm(value.NewInt(5)), v)
-	atom = mustAtom(t, value.LT, lhs, constTerm(value.NewInt(2)))
+	lhs, _ := tab.arithTerm(value.Sub, tab.constTerm(value.NewInt(5)), v)
+	atom = mustAtom(t, tab, value.LT, lhs, tab.constTerm(value.NewInt(2)))
 	name, c, op, ok = varConstAtom(atom, tv)
 	if !ok || name != "t" || c.AsFloat() != 3 || op != value.GT {
 		t.Fatalf("normalized to %s %s %s (ok=%t)", name, op, c, ok)
 	}
 	// Non-time variables are not pruned.
-	atom = mustAtom(t, value.LE, varTerm("u"), constTerm(value.NewInt(2)))
+	atom = mustAtom(t, tab, value.LE, tab.varTerm("u"), tab.constTerm(value.NewInt(2)))
 	if _, _, _, ok := varConstAtom(atom, tv); ok {
 		t.Fatal("non-anchored variable should not match")
 	}
@@ -237,12 +244,13 @@ func TestVarConstAtomNormalization(t *testing.T) {
 // TestTimeBoundPruneSoundness: for time-anchored variables substituted
 // with any value >= now, the pruned node evaluates identically.
 func TestTimeBoundPruneSoundness(t *testing.T) {
+	tab := newInterner()
 	tv := map[string]bool{"x": true}
 	for seed := 0; seed < 200; seed++ {
 		rng := rand.New(rand.NewSource(int64(1000 + seed)))
-		n := randNode(rng, 3)
+		n := randNode(tab, rng, 3)
 		now := int64(rng.Intn(10))
-		pruned := timeBoundPrune(n, now, tv, map[*cnode]*cnode{})
+		pruned := tab.timeBoundPrune(n, now, tv, map[*cnode]*cnode{})
 		// x takes values now, now+1, ... (nondecreasing current time).
 		for dx := int64(0); dx < 4; dx++ {
 			for yv := int64(-2); yv <= 2; yv++ {
@@ -264,21 +272,22 @@ func TestTimeBoundPruneSoundness(t *testing.T) {
 }
 
 func TestMemberExpansion(t *testing.T) {
+	tab := newInterner()
 	rel := value.NewRelation([][]value.Value{
 		{value.NewString("a"), value.NewInt(1)},
 		{value.NewString("b"), value.NewInt(2)},
 	})
 	// Ground membership folds to a constant.
-	n, err := mkMember([]*cterm{constTerm(value.NewString("a")), constTerm(value.NewInt(1))}, constTerm(rel))
+	n, err := tab.mkMember([]*cterm{tab.constTerm(value.NewString("a")), tab.constTerm(value.NewInt(1))}, tab.constTerm(rel))
 	if err != nil || n != nodeTrue {
 		t.Fatalf("ground member = %v, %v", n, err)
 	}
-	n, err = mkMember([]*cterm{constTerm(value.NewString("a")), constTerm(value.NewInt(2))}, constTerm(rel))
+	n, err = tab.mkMember([]*cterm{tab.constTerm(value.NewString("a")), tab.constTerm(value.NewInt(2))}, tab.constTerm(rel))
 	if err != nil || n != nodeFalse {
 		t.Fatalf("ground non-member = %v, %v", n, err)
 	}
 	// Variable elements expand to equality disjunction.
-	n, err = mkMember([]*cterm{varTerm("s"), varTerm("v")}, constTerm(rel))
+	n, err = tab.mkMember([]*cterm{tab.varTerm("s"), tab.varTerm("v")}, tab.constTerm(rel))
 	if err != nil || n.kind != nkOr || len(n.kids) != 2 {
 		t.Fatalf("expansion = %v, %v", n, err)
 	}
@@ -289,26 +298,26 @@ func TestMemberExpansion(t *testing.T) {
 		t.Fatalf("candidates = %v", cands)
 	}
 	// Arity-mismatched rows never match.
-	n, err = mkMember([]*cterm{varTerm("s")}, constTerm(rel))
+	n, err = tab.mkMember([]*cterm{tab.varTerm("s")}, tab.constTerm(rel))
 	if err != nil || n != nodeFalse {
 		t.Fatalf("arity mismatch should be false: %v", n)
 	}
 	// Membership in a scalar errors.
-	if _, err := mkMember([]*cterm{varTerm("s")}, constTerm(value.NewInt(1))); err == nil {
+	if _, err := tab.mkMember([]*cterm{tab.varTerm("s")}, tab.constTerm(value.NewInt(1))); err == nil {
 		t.Fatal("member of scalar should error")
 	}
 	// Null relation: false.
-	n, err = mkMember([]*cterm{varTerm("s")}, constTerm(value.Value{}))
+	n, err = tab.mkMember([]*cterm{tab.varTerm("s")}, tab.constTerm(value.Value{}))
 	if err != nil || n != nodeFalse {
 		t.Fatalf("member of null should be false: %v %v", n, err)
 	}
 	// Symbolic relation stays a member node; substitution expands it.
-	sym, err := mkMember([]*cterm{varTerm("s")}, varTerm("r"))
+	sym, err := tab.mkMember([]*cterm{tab.varTerm("s")}, tab.varTerm("r"))
 	if err != nil || sym.kind != nkMember {
 		t.Fatalf("symbolic member = %v", sym)
 	}
 	unary := value.NewRelation([][]value.Value{{value.NewString("z")}})
-	got, err := substNode(sym, "r", unary, map[*cnode]*cnode{})
+	got, err := tab.substNode(sym, "r", unary, map[*cnode]*cnode{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,42 +332,44 @@ func TestMemberExpansion(t *testing.T) {
 }
 
 func TestMemberExpandLimit(t *testing.T) {
+	tab := newInterner()
 	rows := make([][]value.Value, memberExpandLimit+1)
 	for i := range rows {
 		rows[i] = []value.Value{value.NewInt(int64(i))}
 	}
 	big := value.NewRelation(rows)
-	if _, err := mkMember([]*cterm{varTerm("s")}, constTerm(big)); err == nil {
+	if _, err := tab.mkMember([]*cterm{tab.varTerm("s")}, tab.constTerm(big)); err == nil {
 		t.Fatal("oversized expansion should error")
 	}
 }
 
 func TestNodeStrings(t *testing.T) {
-	x := mustAtom(t, value.GT, varTerm("x"), constTerm(value.NewInt(0)))
-	m, _ := mkMember([]*cterm{varTerm("s")}, varTerm("r"))
-	for _, n := range []*cnode{nodeTrue, nodeFalse, x, mkAnd(x, mustAtom(t, value.LT, varTerm("y"), constTerm(value.NewInt(9)))), mkNot(mkOr(x, m)), m} {
+	tab := newInterner()
+	x := mustAtom(t, tab, value.GT, tab.varTerm("x"), tab.constTerm(value.NewInt(0)))
+	m, _ := tab.mkMember([]*cterm{tab.varTerm("s")}, tab.varTerm("r"))
+	for _, n := range []*cnode{nodeTrue, nodeFalse, x, tab.mkAnd(x, mustAtom(t, tab, value.LT, tab.varTerm("y"), tab.constTerm(value.NewInt(9)))), tab.mkNot(tab.mkOr(x, m)), m} {
 		if n.String() == "" {
 			t.Fatal("empty node string")
 		}
 	}
-	at, _ := arithTerm(value.Add, varTerm("x"), constTerm(value.NewInt(1)))
+	at, _ := tab.arithTerm(value.Add, tab.varTerm("x"), tab.constTerm(value.NewInt(1)))
 	if !strings.Contains(at.String(), "+") {
 		t.Fatalf("cterm string = %s", at)
 	}
 }
 
 func TestNodeSizeSharing(t *testing.T) {
-	x := mustAtom(t, value.GT, varTerm("x"), constTerm(value.NewInt(0)))
-	y := mustAtom(t, value.LT, varTerm("y"), constTerm(value.NewInt(5)))
-	shared := mkOr(x, y)
-	n := mkAnd(shared, mkNot(shared))
-	// n is a contradiction... actually mkAnd detects shared/complement by
-	// key: not(shared) has key !(or) and shared has key or -> complement
-	// detection folds to false.
+	tab := newInterner()
+	x := mustAtom(t, tab, value.GT, tab.varTerm("x"), tab.constTerm(value.NewInt(0)))
+	y := mustAtom(t, tab, value.LT, tab.varTerm("y"), tab.constTerm(value.NewInt(5)))
+	shared := tab.mkOr(x, y)
+	n := tab.mkAnd(shared, tab.mkNot(shared))
+	// n is a contradiction: not(shared) is shared's complement, which
+	// mkAnd detects and folds to false.
 	if n != nodeFalse {
 		t.Fatalf("complement detection failed: %v", n)
 	}
-	big := mkAnd(mkOr(x, y), mkOr(y, x))
+	big := tab.mkAnd(tab.mkOr(x, y), tab.mkOr(y, x))
 	seen := map[*cnode]struct{}{}
 	if s := nodeSize(big, seen); s <= 0 {
 		t.Fatalf("nodeSize = %d", s)

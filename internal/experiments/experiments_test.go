@@ -214,3 +214,31 @@ func TestKernelsAgree(t *testing.T) {
 		t.Fatalf("incremental %d != naive %d", a, b)
 	}
 }
+
+// TestE2IgnoresWhatRanBefore: E2's peaks are a property of the bounded
+// trigger and its history alone. Each evaluator interns into a table of its
+// own, so the peaks measured after another evaluator has built over 300,000
+// nodes (80,000 steps of the doubled trigger build some 340,000: a time
+// atom, its clause and an or-chain or two each) are the peaks measured
+// before.
+func TestE2IgnoresWhatRanBefore(t *testing.T) {
+	peaks := func() (out []int) {
+		for _, n := range []int{200, 800} {
+			for _, optimize := range []bool{true, false} {
+				peak, err := BoundedStateRun(n, 50, optimize)
+				if err != nil {
+					t.Fatal(err)
+				}
+				out = append(out, peak)
+			}
+		}
+		return out
+	}
+	before := peaks()
+	if _, err := RunIncremental(mustFormula(doubledFormula), stockRegistry(), quickHistory(80000)); err != nil {
+		t.Fatal(err)
+	}
+	if after := peaks(); !reflect.DeepEqual(after, before) {
+		t.Fatalf("E2 peaks (optimized, unoptimized at 200 and 800 updates) moved from %v to %v", before, after)
+	}
+}
