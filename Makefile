@@ -71,8 +71,11 @@ stress:
 # TestSweepNoRuleTerm has four arms: quiescent, gated, exact temporal and
 # general rules (the last two: 2,000 steps per commit, none of which may
 # allocate). In core, a step of the paper's doubled-within-d trigger
-# allocates alike at about 5 and about 500 retained clauses, and a windowed
-# sum's step alike at window 40 and 4,000.
+# allocates alike at a handful of retained clauses (a wandering price,
+# which subsumption keeps to at most 20 clauses even at d=1000) and at about
+# 500 (a price rising at every state, which nothing subsumes; the test
+# checks the 500 are retained), and a windowed sum's step alike at window 40
+# and 4,000.
 allocgates:
 	for p in 1 2 4; do GOMAXPROCS=$$p $(GO) test -count=1 -run 'TestCommitAllocs|TestSweepNoRuleTerm|TestConstraintCheckAllocs|TestStepAllocsFlatInRetainedClauses|TestWindowedAggregateStepAllocs' ./internal/adb ./internal/core || exit 1; done
 

@@ -10,9 +10,9 @@
 // combine each new system state with the stored formulas, so evaluation
 // cost depends on the change, never on the length of the history
 // (Theorem 1). Constraint formulas are kept as an and-or graph with
-// aggressive simplification, and the time-bound optimization folds dead
-// clauses over time-anchored variables to false, which bounds the state
-// kept for bounded operators.
+// aggressive simplification: the time-bound optimization folds dead
+// clauses over time-anchored variables to false, and an or drops the
+// disjuncts others of their shape cover, which bounds the state kept.
 //
 // This file implements the constraint-formula representation: immutable
 // nodes (true/false, comparison atoms, and/or/not) over constraint terms
@@ -22,6 +22,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"strings"
@@ -268,37 +269,42 @@ func (in *interner) mkMember(elems []*cterm, rel *cterm) (*cnode, error) {
 
 // mkAnd conjoins nodes with flattening, constant folding, deduplication
 // and complementary-pair detection.
-func (in *interner) mkAnd(kids ...*cnode) *cnode { return in.junction(nkAnd, kids) }
+func (in *interner) mkAnd(kids ...*cnode) *cnode { return in.junction(nkAnd, kids, false) }
 
 // mkOr disjoins nodes, dual to mkAnd.
-func (in *interner) mkOr(kids ...*cnode) *cnode { return in.junction(nkOr, kids) }
+func (in *interner) mkOr(kids ...*cnode) *cnode { return in.junction(nkOr, kids, false) }
 
 // junction builds the and (kind nkAnd) or the or (nkOr) of kids in scratch:
 // members are marked in seen and deleted one by one after (clearing a map
 // costs the most it ever held); only a new node copies the child list.
-func (in *interner) junction(kind nodeKind, kids []*cnode) *cnode {
+// subsumed does not compare the children of the last kid, which met when it
+// was built (a Since chain's), with each other, nor any child rebuild passes.
+func (in *interner) junction(kind nodeKind, kids []*cnode, rebuilt bool) *cnode {
 	unit, zero := nodeTrue, nodeFalse
 	if kind == nkOr {
 		unit, zero = nodeFalse, nodeTrue
 	}
-	in.flat = in.flat[:0]
+	in.flat, in.fresh, in.gone = in.flat[:0], in.fresh[:0], in.gone[:0]
 	ok := true
-	for _, k := range kids {
+	for i, k := range kids {
 		switch {
 		case k.kind == kind:
 			for _, g := range k.kids {
-				if ok = in.addKid(g); !ok {
+				if ok = in.addKid(kind, g, rebuilt || i == len(kids)-1); !ok {
 					break
 				}
 			}
 		case k != unit:
-			ok = k != zero && in.addKid(k)
+			ok = k != zero && in.addKid(kind, k, rebuilt)
 		}
 		if !ok {
 			break
 		}
 	}
 	for _, f := range in.flat {
+		delete(in.seen, f)
+	}
+	for _, f := range in.gone {
 		delete(in.seen, f)
 	}
 	switch {
@@ -313,18 +319,112 @@ func (in *interner) junction(kind nodeKind, kids []*cnode) *cnode {
 }
 
 // addKid appends g to the child list under construction unless it is
-// there already; it reports false when g's complement is there, which
-// folds the whole junction.
-func (in *interner) addKid(g *cnode) bool {
+// there already or, in an or, subsumed (old: compared with no other old
+// one); it reports false when g's complement is there, which folds it all.
+func (in *interner) addKid(kind nodeKind, g *cnode, old bool) bool {
 	if in.seen[g] {
 		return true
 	}
 	if c := in.complement(g); c != nil && in.seen[c] {
 		return false
 	}
-	in.flat = append(in.flat, g)
 	in.seen[g] = true
+	if kind != nkOr || !in.subsume || !in.subsumed(g, old) {
+		in.flat = append(in.flat, g)
+	}
 	return true
+}
+
+// subsumed reports whether g, the next disjunct of an or, is redundant
+// beside a fresh disjunct y of its shape: g implies y, or y, the last so
+// far, implies g and g takes its place. Paired atoms error together, so
+// every in-order evaluation or substitution meets the or's verdict and
+// first error as before (DESIGN.md §4.1). It costs O(fresh disjuncts).
+func (in *interner) subsumed(g *cnode, old bool) bool {
+	if old && len(in.fresh) == 0 || !ordering(g) {
+		return false
+	}
+	for _, i := range in.fresh {
+		switch gy, yg := implies(g, in.flat[i], i == len(in.flat)-1); {
+		case gy:
+			in.gone = append(in.gone, g)
+			return true
+		case yg:
+			in.flat[i], in.gone = g, append(in.gone, in.flat[i])
+			return true
+		}
+	}
+	if !old {
+		in.fresh = append(in.fresh, len(in.flat))
+	}
+	return false
+}
+
+// ordering reports whether g, an atom or an and (whose kids are not ands),
+// orders a constant against a symbolic side, as a subsumable disjunct does.
+func ordering(g *cnode) bool {
+	if g.kind == nkAtom {
+		return g.op != value.EQ && g.op != value.NE && (g.l.kind == ctConst) != (g.r.kind == ctConst)
+	}
+	return g.kind == nkAnd && slices.ContainsFunc(g.kids, ordering)
+}
+
+// implies reports whether disjunct a implies b and, if converse, whether b
+// implies a; both are false unless they have the same shape: atoms, or ands
+// of as many atoms, that pair position by position — the identical node, or
+// ordering atoms over one interned symbolic side, on the same side, by the
+// same operator, against constants of one ordered kind (in c <= s, the
+// larger c is the stronger).
+func implies(a, b *cnode, converse bool) (ab, ba bool) {
+	n := len(a.kids)
+	if a.kind != b.kind || n != len(b.kids) || a.kind != nkAtom && a.kind != nkAnd {
+		return false, false
+	}
+	ab, ba = true, converse
+	for i := 0; i < max(n, 1) && (ab || ba); i++ {
+		x, y := a, b
+		if n > 0 {
+			x, y = a.kids[i], b.kids[i]
+		}
+		if x == y {
+			continue
+		}
+		cx, cy, left := x.l, y.l, true
+		if x.l == y.l {
+			cx, cy, left = x.r, y.r, false
+		}
+		if x.kind != nkAtom || y.kind != nkAtom || x.op != y.op || x.op == value.EQ || x.op == value.NE ||
+			x.l != y.l && x.r != y.r || cx.kind != ctConst || cy.kind != ctConst {
+			return false, false
+		}
+		c, ok := order(cx.v, cy.v)
+		if left != (x.op == value.LT || x.op == value.LE) {
+			c = -c
+		}
+		ab, ba = ok && ab && c >= 0, ok && ba && c <= 0
+	}
+	return ab, ba
+}
+
+// order compares two constants of one kind that orders totally: int,
+// string, bool, or float but NaN, which orders equal to everything.
+func order(a, b value.Value) (int, bool) {
+	switch k := a.Kind(); {
+	case k != b.Kind():
+		return 0, false
+	case k == value.Float: // compared directly: a NaN is neither <, > nor =
+		x, y := a.AsFloat(), b.AsFloat()
+		if x < y || x > y {
+			return cmp.Compare(x, y), true
+		}
+		return 0, x == y
+	case k == value.Int:
+		return cmp.Compare(a.AsInt(), b.AsInt()), true
+	case k == value.String || k == value.Bool:
+		c, _ := a.Compare(b)
+		return c, true
+	}
+	return 0, false
 }
 
 // complement returns g's direct complement if the table holds it (when it
@@ -384,7 +484,7 @@ func (in *interner) rebuild(n *cnode, base int) *cnode {
 	case n.kind == nkNot:
 		out = in.mkNot(kids[0])
 	default:
-		out = in.junction(n.kind, kids)
+		out = in.junction(n.kind, kids, true)
 	}
 	in.stack = in.stack[:base]
 	return out

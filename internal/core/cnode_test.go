@@ -1,7 +1,10 @@
 package core
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -161,6 +164,120 @@ func TestSimplifierSoundness(t *testing.T) {
 					seed, xv, yv, n, sub)
 			}
 		}
+	}
+}
+
+// TestSubsumptionInvisible: ors of same-shape and near-miss disjuncts,
+// built alike through a table that subsumes and one that does not, agree
+// under random environments — on the verdict and the first error of the
+// short-circuited evaluation and of the fire check's, on what substituting
+// the variables meets, and on the candidates — while the subsuming table's
+// ors hold fewer disjuncts.
+func TestSubsumptionInvisible(t *testing.T) {
+	on, off := newInterner(), newInterner()
+	on.subsume = true
+	vals := []value.Value{value.NewInt(0), value.NewInt(1), value.NewInt(3), value.NewFloat(0.5),
+		value.NewFloat(2.5), value.NewFloat(math.NaN()), value.NewString("a"), value.NewString("b"),
+		value.NewBool(true), {}}
+	// build replays one seed's constructor calls on a table: ors grown as the
+	// Since recurrence grows them, and now and then y substituted, which
+	// rebuilds them.
+	build := func(in *interner, seed int64) (n *cnode, err error) {
+		rng := rand.New(rand.NewSource(seed))
+		x, y := in.varTerm("x"), in.varTerm("y")
+		half, _ := in.arithTerm(value.Mul, in.constTerm(value.NewFloat(0.5)), x)
+		back, _ := in.arithTerm(value.Sub, x, in.constTerm(value.NewInt(10)))
+		sides := []*cterm{x, y, half, back}
+		ops := []value.CmpOp{value.LE, value.LE, value.GE, value.GE, value.LT, value.GT, value.EQ, value.NE}
+		// Most disjuncts follow the seed's template — per atom an operator, a
+		// side, which side is constant and a pool of three neighbouring
+		// constants, a single one for = and ≠ — and the rest are near misses.
+		type slot struct{ op, side, flip, pool int }
+		tmpl := make([]slot, 1+rng.Intn(3))
+		for i := range tmpl {
+			tmpl[i] = slot{rng.Intn(len(ops)), rng.Intn(len(sides)), rng.Intn(3), rng.Intn(len(vals) - 2)}
+		}
+		disjunct := func() *cnode {
+			atoms := make([]*cnode, len(tmpl))
+			for i, s := range tmpl {
+				c := s.pool + rng.Intn(3)
+				if rng.Intn(6) == 0 {
+					s, c = slot{rng.Intn(len(ops)), rng.Intn(len(sides)), rng.Intn(3), 0}, rng.Intn(len(vals))
+				} else if ops[s.op] == value.EQ || ops[s.op] == value.NE {
+					c = s.pool
+				}
+				l, r := in.constTerm(vals[c]), sides[s.side]
+				if s.flip == 0 {
+					l, r = r, l
+				}
+				atoms[i], _ = in.mkAtom(ops[s.op], l, r) // a symbolic side: no error
+			}
+			return in.mkAnd(atoms...)
+		}
+		n = nodeFalse
+		for k := 3 + rng.Intn(10); k > 0 && err == nil; k-- {
+			switch rng.Intn(6) {
+			case 0:
+				n = in.mkOr(n, disjunct())
+			case 1:
+				n = in.mkOr(disjunct(), disjunct(), n)
+			case 2:
+				n, err = in.subst(n, "y", vals[rng.Intn(len(vals))])
+			default:
+				n = in.mkOr(disjunct(), n)
+			}
+		}
+		return n, err
+	}
+	const seeds = 600
+	smaller := 0
+	for seed := int64(0); seed < seeds; seed++ {
+		a, aerr := build(on, seed)
+		b, berr := build(off, seed)
+		if fmt.Sprint(aerr) != fmt.Sprint(berr) {
+			t.Fatalf("seed %d: building meets %v subsuming, %v not", seed, aerr, berr)
+		}
+		if aerr != nil {
+			continue
+		}
+		if nodeSize(a, map[*cnode]struct{}{}) < nodeSize(b, map[*cnode]struct{}{}) {
+			smaller++
+		}
+		ca, cb := map[string]map[string]value.Value{}, map[string]map[string]value.Value{}
+		collectCandidates(a, ca)
+		collectCandidates(b, cb)
+		if !reflect.DeepEqual(ca, cb) {
+			t.Fatalf("seed %d: candidates %v subsuming, %v not\n%s\n%s", seed, ca, cb, a, b)
+		}
+		for _, xv := range vals {
+			for _, yv := range vals {
+				e := map[string]value.Value{"x": xv, "y": yv}
+				check := func(what string, ga, gb any, ea, eb error) {
+					if fmt.Sprint(ga, ea) != fmt.Sprint(gb, eb) {
+						t.Fatalf("seed %d, x=%s y=%s: %s gives %v (%v) subsuming, %v (%v) not\n%s\n%s",
+							seed, xv, yv, what, ga, ea, gb, eb, a, b)
+					}
+				}
+				va, ea := evalNode(a, e)
+				vb, eb := evalNode(b, e)
+				check("evalNode", va, vb, ea, eb)
+				va, ea = evaluate(a, e, map[*cnode]bool{})
+				vb, eb = evaluate(b, e, map[*cnode]bool{})
+				check("the fire check", va, vb, ea, eb)
+				sa, ea := on.subst(a, "x", xv)
+				if ea == nil {
+					sa, ea = on.subst(sa, "y", yv)
+				}
+				sb, eb := off.subst(b, "x", xv)
+				if eb == nil {
+					sb, eb = off.subst(sb, "y", yv)
+				}
+				check("substitution", sa, sb, ea, eb)
+			}
+		}
+	}
+	if smaller < seeds/6 {
+		t.Fatalf("subsumption shrank %d of %d graphs", smaller, seeds)
 	}
 }
 

@@ -49,8 +49,8 @@ type Evaluator struct {
 	aggs     map[*ptl.Agg]*aggState
 	aggOrder []*ptl.Agg
 
-	// optimize enables the time-bound pruning of Section 5; disabled only
-	// by benchmarks that measure its effect (E2).
+	// optimize enables the time-bound pruning of Section 5 and subsumption;
+	// disabled only by the ablation that measures their effect (E2).
 	optimize bool
 
 	steps int
@@ -69,9 +69,9 @@ type Evaluator struct {
 // Option configures an Evaluator.
 type Option func(*Evaluator)
 
-// WithoutTimeBoundOptimization disables the Section-5 optimization that
-// folds dead time clauses; used by the E2 ablation benchmark.
-func WithoutTimeBoundOptimization() Option {
+// WithoutStateBounding disables the time-bound optimization and the
+// subsumption of same-shape disjuncts; used by the E2 ablation.
+func WithoutStateBounding() Option {
 	return func(e *Evaluator) { e.optimize = false }
 }
 
@@ -627,7 +627,7 @@ func newAggState(a *ptl.Agg, reg *query.Registry, log ptl.ExecLog, optimize bool
 	st := &aggState{agg: a, sum: value.NewInt(0)}
 	var opts []Option
 	if !optimize {
-		opts = append(opts, WithoutTimeBoundOptimization())
+		opts = append(opts, WithoutStateBounding())
 	}
 	if a.Window < 0 {
 		ev, err := Compile(a.Start, reg, log, opts...)

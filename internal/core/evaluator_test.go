@@ -15,7 +15,7 @@ import (
 )
 
 // mustParse parses or fails the test.
-func mustParse(t *testing.T, src string) ptl.Formula {
+func mustParse(t testing.TB, src string) ptl.Formula {
 	t.Helper()
 	f, err := ptl.Parse(src)
 	if err != nil {
@@ -37,7 +37,7 @@ func ibmHistory(pairs [][2]int64) *history.History {
 	return b.History()
 }
 
-func ibmRegistry(t *testing.T) *query.Registry {
+func ibmRegistry(t testing.TB) *query.Registry {
 	t.Helper()
 	reg := query.NewRegistry()
 	err := reg.Register("price", 1, func(st history.SystemState, args []value.Value) (value.Value, error) {
@@ -86,7 +86,7 @@ func TestPaperIBMOptimization(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	noopt, err := Compile(f, reg, nil, WithoutTimeBoundOptimization())
+	noopt, err := Compile(f, reg, nil, WithoutStateBounding())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,6 +247,53 @@ func TestTheorem1WithAggregates(t *testing.T) {
 	}
 }
 
+// TestTheorem1LinearFamily: the family whose since-chains retain clauses of
+// one shape fires as the naive semantics says, with the state bounding on
+// and off, and the bounding keeps less state on a good share of it.
+func TestTheorem1LinearFamily(t *testing.T) {
+	reg := ptlgen.Registry()
+	iters := 300
+	if testing.Short() {
+		iters = 60
+	}
+	smaller := 0
+	for it := 0; it < iters; it++ {
+		rng := rand.New(rand.NewSource(int64(7000 + it)))
+		f := ptlgen.LinearFormula(rng, 1+rng.Intn(3))
+		info, err := ptl.Check(f, reg)
+		if err != nil {
+			t.Fatalf("seed %d: check %s: %v", it, f, err)
+		}
+		h := ptlgen.History(rng, 20)
+		direct := naive.New(reg, h, nil)
+		evs := [2]*Evaluator{}
+		for k, opts := range [][]Option{nil, {WithoutStateBounding()}} {
+			if evs[k], err = New(info, reg, nil, opts...); err != nil {
+				t.Fatalf("seed %d: %v", it, err)
+			}
+		}
+		for i := 0; i < h.Len(); i++ {
+			want, err := direct.Sat(i, f, nil)
+			if err != nil {
+				t.Fatalf("seed %d state %d: naive: %v\nformula: %s", it, i, err, f)
+			}
+			for k, ev := range evs {
+				res, err := ev.Step(h.At(i))
+				if err != nil || res.Fired != want {
+					t.Fatalf("seed %d state %d, bounding %t: incremental=%t (%v) naive=%t\nformula: %s",
+						it, i, k == 0, res.Fired, err, want, f)
+				}
+			}
+		}
+		if evs[0].StateSize() < evs[1].StateSize() {
+			smaller++
+		}
+	}
+	if smaller < iters/4 {
+		t.Fatalf("the bounding kept less state on %d of %d formulas", smaller, iters)
+	}
+}
+
 // TestOptimizationPreservesSemantics re-runs random formulas with the
 // time-bound optimization disabled and checks both evaluators agree.
 func TestOptimizationPreservesSemantics(t *testing.T) {
@@ -263,7 +310,7 @@ func TestOptimizationPreservesSemantics(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", it, err)
 		}
-		b, err := Compile(f, reg, nil, WithoutTimeBoundOptimization())
+		b, err := Compile(f, reg, nil, WithoutStateBounding())
 		if err != nil {
 			t.Fatalf("seed %d: %v", it, err)
 		}
@@ -323,7 +370,7 @@ func TestBoundedStateStaysBounded(t *testing.T) {
 func TestUnboundedStateGrowsWithoutOptimization(t *testing.T) {
 	f := mustParse(t, `[x <- price("IBM")] previously <= 10 (price("IBM") <= 0.5 * x)`)
 	reg := ibmRegistry(t)
-	ev, err := Compile(f, reg, nil, WithoutTimeBoundOptimization())
+	ev, err := Compile(f, reg, nil, WithoutStateBounding())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,9 +27,13 @@ type interner struct {
 	nodes map[uint64]*cnode
 	limit int
 
+	subsume bool // mkOr's subsumption: the evaluator's optimize, off when decoding a snapshot
+
 	// Scratch reused from step to step.
 	flat      []*cnode        // mkAnd/mkOr's child list
-	seen      map[*cnode]bool // its members, emptied when it is done
+	seen      map[*cnode]bool // its members and the subsumed, emptied when it is done
+	gone      []*cnode        // the subsumed
+	fresh     []int           // indices in flat of the ordering disjuncts not from junction's last kid
 	stack     []*cnode        // rebuilt children in substNode/timeBoundPrune
 	pruneMemo map[*cnode]*cnode
 	substMemo map[*cnode]*cnode
@@ -59,6 +63,7 @@ func (e *Evaluator) reseed() {
 		e.tab = newInterner()
 	}
 	in := e.tab
+	in.subsume = e.optimize
 	clear(in.terms)
 	clear(in.nodes)
 	for _, n := range e.sincePrev {

@@ -19,51 +19,137 @@ func doubledWithin(d int) string {
 	return fmt.Sprintf(`[t <- time] [x <- price("IBM")] previously (price("IBM") <= 0.5 * x and time >= t - %d)`, d)
 }
 
-// walkHistory is n states two time units apart of a price that wanders
-// between 90 and 109 and jumps to 230 at every 37th: every state adds a
-// clause to the doubled-within-d graph, the time bound retires one about
-// d/2 states later, and the trigger fires at the jumps.
+// walkPrice wanders between 90 and 109 and jumps to 230 at every 37th
+// state: every state adds a clause to the doubled-within-d graph,
+// subsumption keeps the few recent prices no later one undercuts, and the
+// trigger fires at the jumps.
+func walkPrice(i int) int64 {
+	if i%37 == 36 {
+		return 230
+	}
+	return 90 + int64(i*7%20)
+}
+
+// risingPrice rises by one a state from 90. No clause of doubled-within-d
+// implies another (of two, the later has the higher price and the earlier
+// the earlier deadline), so the graph retains the d/2 clauses of the window.
+func risingPrice(i int) int64 { return 90 + int64(i) }
+
+// walkHistory is n states two time units apart of walkPrice.
 func walkHistory(n int) *history.History {
 	pairs := make([][2]int64, n)
 	for i := range pairs {
-		pairs[i] = [2]int64{90 + int64(i*7%20), int64(2 * (i + 1))}
-		if i%37 == 36 {
-			pairs[i][0] = 230
-		}
+		pairs[i] = [2]int64{walkPrice(i), int64(2 * (i + 1))}
 	}
 	return ibmHistory(pairs)
 }
 
+// priceStates is states from, ..., from+n-1 of a price, two time units
+// apart, built without a history so that a benchmark can run on for ever.
+func priceStates(from, n int, price func(int) int64) []history.SystemState {
+	out := make([]history.SystemState, n)
+	for k := range out {
+		i := from + k
+		out[k] = history.SystemState{DB: history.EmptyDB().With("ibm", value.NewFloat(float64(price(i)))),
+			Events: event.NewSet(), TS: int64(2 * (i + 1))}
+	}
+	return out
+}
+
+// doubledArms are the prices the doubled-within-d step is measured on: the
+// wandering one, whose chain subsumption keeps to a handful of clauses at
+// any d, and the rising one at d=1000, some 500 clauses of which one expires
+// a step.
+var doubledArms = []struct {
+	name  string
+	d     int
+	price func(int) int64
+}{
+	{"walk/d=10", 10, walkPrice},
+	{"walk/d=1000", 1000, walkPrice},
+	{"rising/d=1000", 1000, risingPrice},
+}
+
 // TestStepAllocsFlatInRetainedClauses: a step of doubled-within-d adds one
-// clause and retires one whether d keeps about 5 clauses or about 500, and
-// allocates the same either way — the fire check evaluates the retained
-// or-chain instead of rebuilding it, and pruning and flattening work in
-// the evaluator's scratch.
+// clause and retires one whether d keeps a handful of clauses or about
+// 500, and allocates the same either way — the fire check evaluates the
+// retained or-chain instead of rebuilding it, and pruning, flattening and
+// subsumption work in the evaluator's scratch. The rising arm must really
+// retain its 500 clauses, and the wandering one at d=1000 no more than the
+// 20 prices its band holds: a clause is kept only while no later price is
+// as low.
 func TestStepAllocsFlatInRetainedClauses(t *testing.T) {
 	const warm, runs = 1200, 200
-	h := walkHistory(warm + runs + 2)
 	reg := ibmRegistry(t)
-	allocs := map[int]float64{}
-	for _, d := range []int{10, 1000} {
-		ev, err := Compile(mustParse(t, doubledWithin(d)), reg, nil)
+	allocs := map[string]float64{}
+	for _, arm := range doubledArms {
+		states := priceStates(0, warm+runs+2, arm.price)
+		ev, err := Compile(mustParse(t, doubledWithin(arm.d)), reg, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		i := 0
+		i, peak := 0, 0
 		step := func() {
-			if _, err := ev.Step(h.At(i)); err != nil {
+			if _, err := ev.Step(states[i]); err != nil {
 				t.Fatal(err)
 			}
 			i++
 		}
 		for i < warm {
 			step()
+			for _, n := range ev.sincePrev {
+				if n.kind == nkOr {
+					peak = max(peak, len(n.kids))
+				}
+			}
 		}
-		allocs[d] = testing.AllocsPerRun(runs, step)
-		t.Logf("d=%d: %d retained nodes, %.0f allocations per step", d, ev.StateSize(), allocs[d])
+		switch size := ev.StateSize(); {
+		case arm.name == "rising/d=1000" && size < 400:
+			t.Fatalf("%s retains %d nodes, want at least 400", arm.name, size)
+		case arm.name == "walk/d=1000" && peak > 20:
+			t.Fatalf("%s retained up to %d clauses, want at most 20", arm.name, peak)
+		}
+		allocs[arm.name] = testing.AllocsPerRun(runs, step)
+		t.Logf("%s: %d retained nodes, %.0f allocations per step", arm.name, ev.StateSize(), allocs[arm.name])
 	}
-	if diff := allocs[1000] - allocs[10]; diff > 2 || diff < -2 {
-		t.Fatalf("a step allocates %.0f times with ~500 retained clauses, %.0f with ~5", allocs[1000], allocs[10])
+	if diff := allocs["rising/d=1000"] - allocs["walk/d=10"]; diff > 2 || diff < -2 {
+		t.Fatalf("a step allocates %.0f times with ~500 retained clauses, %.0f with a handful",
+			allocs["rising/d=1000"], allocs["walk/d=10"])
+	}
+}
+
+// BenchmarkDoubledStep times a step of doubled-within-d on each of
+// doubledArms and reports the nodes retained. The rising arm is the one a
+// junction quadratic in the retained clauses would show.
+func BenchmarkDoubledStep(b *testing.B) {
+	const warm, chunk = 1200, 4096
+	for _, arm := range doubledArms {
+		b.Run(arm.name, func(b *testing.B) {
+			ev, err := Compile(mustParse(b, doubledWithin(arm.d)), ibmRegistry(b), nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for _, st := range priceStates(0, warm, arm.price) {
+				if _, err := ev.Step(st); err != nil {
+					b.Fatal(err)
+				}
+			}
+			var states []history.SystemState
+			b.ReportAllocs()
+			b.ResetTimer()
+			for n := 0; n < b.N; n++ {
+				if n%chunk == 0 {
+					b.StopTimer()
+					states = priceStates(warm+n, chunk, arm.price)
+					b.StartTimer()
+				}
+				if _, err := ev.Step(states[n%chunk]); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(ev.StateSize()), "nodes")
+		})
 	}
 }
 

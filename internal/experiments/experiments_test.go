@@ -2,9 +2,12 @@ package experiments
 
 import (
 	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
+
+	"ptlactive/internal/ptl"
 )
 
 // TestAllExperimentsRun executes every experiment in quick mode and
@@ -41,6 +44,15 @@ func TestAllExperimentsRun(t *testing.T) {
 	noopt := atoi(t, last[2])
 	if noopt <= opt*2 {
 		t.Errorf("E2: expected unoptimized >> optimized, got %d vs %d", noopt, opt)
+	}
+	// E2's unbounded column: no time bound, and subsumption still keeps the
+	// state to a node or two, in quick mode and at the full 8,000 updates.
+	unbounded := []int{}
+	for _, row := range e2.Rows {
+		unbounded = append(unbounded, atoi(t, row[4]))
+	}
+	if peak, err := BoundedStateRun(8000, ptl.Unbounded, true); err != nil || slices.Max(append(unbounded, peak)) > 3 {
+		t.Errorf("E2: unbounded peaks %v, and %d (%v) at 8000 updates, want at most 3", unbounded, peak, err)
 	}
 
 	// E5: definite mean delay >= Delta at the largest Delta.

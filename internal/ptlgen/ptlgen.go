@@ -96,6 +96,71 @@ func FormulaWithAggregates(rng *rand.Rand, depth int) ptl.Formula {
 	return g.formula(depth, nil)
 }
 
+// LinearFormula generates a closed formula of the family whose since-chains
+// retain clauses of one shape: under [x1 <- time] [x2 <- item(...)], mostly
+// linear atoms of the paper's doubled-within-d form — an item against x2
+// plus a small constant, the time against x1 minus a small one — under not,
+// lasttime, since, previously and or, beside near misses (another operator,
+// offset or side) and Formula's own atoms and subformulas.
+func LinearFormula(rng *rand.Rand, depth int) ptl.Formula {
+	g := &gen{rng: rng, vars: 2}
+	return ptl.Let("x1", ptl.Time(), ptl.Let("x2", g.item(), g.linear(depth, []string{"x1", "x2"})))
+}
+
+func (g *gen) linear(depth int, scope []string) ptl.Formula {
+	if depth <= 0 {
+		return g.clause(scope)
+	}
+	switch g.rng.Intn(8) {
+	case 0:
+		return &ptl.Not{F: g.linear(depth-1, scope)}
+	case 1:
+		return &ptl.Lasttime{F: g.linear(depth-1, scope)}
+	case 2:
+		return &ptl.Since{L: g.linear(depth-1, scope), R: g.linear(depth-1, scope), Bound: g.bound()}
+	case 3, 4:
+		return &ptl.Previously{F: g.linear(depth-1, scope), Bound: g.bound()}
+	case 5:
+		return &ptl.Or{L: g.linear(depth-1, scope), R: g.linear(depth-1, scope)}
+	case 6:
+		return g.formula(depth-1, scope)
+	default:
+		return g.clause(scope)
+	}
+}
+
+// clause is a linear atom or the conjunction of two.
+func (g *gen) clause(scope []string) ptl.Formula {
+	if g.rng.Intn(2) == 0 {
+		return &ptl.And{L: g.linearAtom(scope), R: g.linearAtom(scope)}
+	}
+	return g.linearAtom(scope)
+}
+
+func (g *gen) linearAtom(scope []string) ptl.Formula {
+	ops := []value.CmpOp{value.LE, value.LE, value.GE, value.GE, value.LT, value.GT, value.EQ, value.NE}
+	op := ops[g.rng.Intn(len(ops))]
+	k := ptl.CInt(int64(g.rng.Intn(3) - 1))
+	switch g.rng.Intn(6) {
+	case 0:
+		return ptl.Compare(op, ptl.Time(), &ptl.Arith{Op: value.Sub, L: ptl.V(scope[0]), R: ptl.CInt(int64(1 + g.rng.Intn(4)))})
+	case 1:
+		return ptl.Compare(op, &ptl.Arith{Op: value.Add, L: ptl.V(scope[1]), R: k}, g.item())
+	case 2:
+		return ptl.Compare(op, g.item(), &ptl.Arith{Op: value.Mul, L: ptl.CFloat(0.5), R: ptl.V(scope[1])})
+	case 3:
+		return g.atom(scope)
+	default:
+		return ptl.Compare(op, g.item(), &ptl.Arith{Op: value.Add, L: ptl.V(scope[1]), R: k})
+	}
+}
+
+// item queries the first item two times in three, so clauses over one item
+// meet in an or.
+func (g *gen) item() ptl.Term {
+	return ptl.Q("item", ptl.CStr(Items[max(0, g.rng.Intn(len(Items)+3)-3)]))
+}
+
 type gen struct {
 	rng  *rand.Rand
 	aggs bool

@@ -28,6 +28,13 @@ func TestGeneratedFormulasCheck(t *testing.T) {
 			t.Fatalf("agg seed %d: Check failed: %v\n%s", seed, err, f)
 		}
 	}
+	for seed := 0; seed < 150; seed++ {
+		rng := rand.New(rand.NewSource(int64(seed)))
+		f := LinearFormula(rng, 1+rng.Intn(4))
+		if _, err := ptl.Check(f, reg); err != nil {
+			t.Fatalf("linear seed %d: Check failed: %v\n%s", seed, err, f)
+		}
+	}
 }
 
 // TestGeneratedFormulasRoundTrip: the printer/parser round trip holds for
