@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test bench race vet fmtcheck vulncheck depcheck allocgates benchmod loc stress verify tables profile profile-sparse profile-temporal profile-gate profile-dense serve-smoke cluster-smoke replica-smoke retain-smoke
+.PHONY: build test bench race vet fmtcheck vulncheck depcheck allocgates benchmod loc stress fuzz verify tables profile profile-sparse profile-temporal profile-gate profile-dense serve-smoke cluster-smoke replica-smoke retain-smoke
 
 build:
 	$(GO) build ./...
@@ -79,13 +79,19 @@ stress:
 allocgates:
 	for p in 1 2 4; do GOMAXPROCS=$$p $(GO) test -count=1 -run 'TestCommitAllocs|TestSweepNoRuleTerm|TestConstraintCheckAllocs|TestStepAllocsFlatInRetainedClauses|TestWindowedAggregateStepAllocs' ./internal/adb ./internal/core || exit 1; done
 
+# fuzz runs the parser fuzzer for a bounded time. The WAL and snapshots
+# store a rule as its printed condition, so the printer/parser round trip
+# FuzzParse asserts is the storage format's.
+fuzz:
+	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 15s ./internal/ptl
+
 # verify is the full pre-merge tier: static checks plus the whole suite
 # under the race detector (the concurrent engine and the durability
 # layer's crash tests make -race load-bearing, not optional), then the
-# repeated fault-isolation stress pass and the four smoke scripts. Every
-# step is fatal; timings are not checked here but by the benchmark
-# (BENCHMARK.json, bench/run.sh).
-verify: vet fmtcheck vulncheck depcheck race allocgates benchmod stress serve-smoke cluster-smoke replica-smoke retain-smoke
+# repeated fault-isolation stress pass, the parser fuzz and the four smoke
+# scripts. Every step is fatal; timings are not checked here but by the
+# benchmark (BENCHMARK.json, bench/run.sh).
+verify: vet fmtcheck vulncheck depcheck race allocgates benchmod stress fuzz serve-smoke cluster-smoke replica-smoke retain-smoke
 
 # serve-smoke boots adbserverd on a random port, drives a scripted client
 # session through adbsh -connect (rules, commits, firing subscription),

@@ -123,7 +123,7 @@ func main() {
 		}
 	} else {
 		eng := ptlactive.NewEngine(ptlactive.Config{Initial: initial})
-		if err := eng.AddTriggerFormula("cond", f, nil); err != nil {
+		if err := eng.AddTrigger("cond", *cond, nil); err != nil {
 			fatal(err)
 		}
 		if err := replayHistory(eng, in); err != nil {

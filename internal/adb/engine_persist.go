@@ -1,7 +1,6 @@
 package adb
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -388,12 +387,17 @@ func engineFromInit(cfg Config, init *persist.InitRecord) (*Engine, error) {
 }
 
 // decodeRule validates a persisted rule registration (a WAL addrule record
-// or a snapshot entry): the condition decodes and the scheduling is known.
-func decodeRule(cond json.RawMessage, sched int) (ptl.Formula, error) {
+// or a snapshot entry): the condition text parses and the scheduling is
+// known. A registration written before rules were stored as text has no
+// text; it is refused, since recovery cannot say which rule it was.
+func decodeRule(text string, sched int) (ptl.Formula, error) {
 	if sched < int(Eager) || sched > int(Manual) {
 		return nil, fmt.Errorf("unknown scheduling %d", sched)
 	}
-	return ptl.DecodeFormula(cond)
+	if text == "" {
+		return nil, fmt.Errorf("no condition text: the registration predates text conditions")
+	}
+	return ptl.Parse(text)
 }
 
 // actionFor looks up the recovery action table.
@@ -412,7 +416,7 @@ func (e *Engine) applyRecord(rec *persist.Record) (opErr, fatal error) {
 	case persist.KindInit:
 		return nil, fmt.Errorf("adb: replay LSN %d: unexpected init record", rec.LSN)
 	case persist.KindAddRule:
-		f, err := decodeRule(rec.Cond, rec.Sched)
+		f, err := decodeRule(rec.Text, rec.Sched)
 		if err != nil {
 			return nil, fmt.Errorf("adb: replay LSN %d: %w", rec.LSN, err)
 		}

@@ -2,10 +2,13 @@ package adb
 
 import (
 	"errors"
+	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"ptlactive/internal/event"
+	"ptlactive/internal/ptl"
 	"ptlactive/internal/value"
 )
 
@@ -76,6 +79,69 @@ func TestRuleRegistrationErrors(t *testing.T) {
 	}
 	if names := e.RuleNames(); len(names) != 1 || names[0] != "r" {
 		t.Errorf("RuleNames = %v", names)
+	}
+}
+
+// TestFormulaAPIRefusesUnprintable: the WAL and snapshots store a rule as
+// its printed condition, so AddTriggerFormula and AddConstraintFormula
+// refuse a hand-built condition whose text does not parse back to it — on
+// every engine, not only on those that log, and with the same error. A
+// refused registration leaves no rule and no record behind.
+func TestFormulaAPIRefusesUnprintable(t *testing.T) {
+	item := ptl.Q("item", ptl.CStr("a"))
+	eq := func(v value.Value) ptl.Formula { return ptl.Compare(value.EQ, item, ptl.C(v)) }
+	cases := map[string]ptl.Formula{
+		// Null prints "null", which parses as a variable.
+		"null":  eq(value.Value{}),
+		"NaN":   eq(value.NewFloat(math.NaN())),
+		"+Inf":  eq(value.NewFloat(math.Inf(1))),
+		"-Inf":  eq(value.NewFloat(math.Inf(-1))),
+		"tuple": eq(value.NewTuple(value.NewInt(1), value.NewString("x"))),
+		"relation": &ptl.Member{
+			Elems: []ptl.Term{item},
+			Rel:   ptl.C(value.NewRelation([][]value.Value{{value.NewInt(1)}})),
+		},
+		// A start formula and a window at once: the window form prints
+		// without the start.
+		"agg start and window": ptl.Compare(value.GT,
+			&ptl.Agg{Fn: ptl.AggSum, Q: item, Start: ptl.Ev("open"), Sample: ptl.Ev("tick"), Window: 30}, ptl.CInt(0)),
+		"executed non-identifier": &ptl.Executed{Rule: "two words", TimeArg: ptl.V("t")},
+	}
+	initial := map[string]value.Value{"a": value.NewInt(0)}
+	mem := NewEngine(Config{Initial: initial})
+	dur, err := Restore(Config{Initial: initial, NoFsync: true}, t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dur.Close()
+	// A hand-built condition that does print back registers on both.
+	for _, e := range []*Engine{mem, dur} {
+		if err := e.AddTriggerFormula("ok", eq(value.NewFloat(2)), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	lsn := dur.store.LastLSN()
+	for name, f := range cases {
+		for kind, add := range map[string]func(e *Engine) error{
+			"trigger":    func(e *Engine) error { return e.AddTriggerFormula("bad", f, nil) },
+			"constraint": func(e *Engine) error { return e.AddConstraintFormula("bad", f) },
+		} {
+			memErr, durErr := add(mem), add(dur)
+			if memErr == nil || durErr == nil {
+				t.Fatalf("%s %s: registered (memory: %v, durable: %v)", name, kind, memErr, durErr)
+			}
+			if memErr.Error() != durErr.Error() || !strings.Contains(memErr.Error(), "does not parse back") {
+				t.Fatalf("%s %s: memory engine says %q, durable %q", name, kind, memErr, durErr)
+			}
+		}
+	}
+	for _, e := range []*Engine{mem, dur} {
+		if names := e.RuleNames(); !reflect.DeepEqual(names, []string{"ok"}) {
+			t.Fatalf("RuleNames = %v", names)
+		}
+	}
+	if got := dur.store.LastLSN(); got != lsn {
+		t.Fatalf("refused registrations logged records %d..%d", lsn+1, got)
 	}
 }
 

@@ -2,12 +2,15 @@ package adb
 
 import (
 	"bytes"
-	"errors"
+	"encoding/json"
+	"hash/crc32"
 	"os"
 	"path/filepath"
+	"regexp"
+	"strings"
 	"testing"
 
-	"ptlactive/internal/event"
+	"ptlactive/internal/persist"
 	"ptlactive/internal/value"
 )
 
@@ -211,82 +214,122 @@ func TestMemoSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-// TestOldLogWithAblationFlagsRestores: the init record no longer carries
-// the nofast/noindex ablation flags, but logs written while it did must
-// still open. The fixture is a WAL written by the last commit that had
-// Config.DisableFastPath and DisableReadSetIndex, with both set; it restores
-// onto the one engine there now is — fast path, indexed sweep — and yields
-// the firing stream that engine produces when driven through the same
-// operations live (firings never depended on either flag).
-func TestOldLogWithAblationFlagsRestores(t *testing.T) {
+// TestPreTextLogRefused: rules are logged as their printed condition
+// ("text"). A log from before that carries a JSON AST under "cond", and
+// there is no migrator and no second reader, so Restore refuses it, naming
+// the record. The fixture is such a log: written by the last commit whose
+// init record carried the nofast/noindex flags, its second frame is the
+// addrule of rule "high". Refused, never truncated: when that addrule is
+// the final frame, it still decodes as a frame, so the store does not take
+// it for a torn tail and drop the rule without a sound.
+func TestPreTextLogRefused(t *testing.T) {
 	const fixture = "testdata/wal_nofast_noindex/wal.000001"
 	raw, err := os.ReadFile(fixture)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Contains(raw, []byte(`"nofast":true,"noindex":true`)) {
-		t.Fatalf("%s does not carry the old flags", fixture)
-	}
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "wal.000001"), raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	old, err := Restore(Config{NoFsync: true}, dir)
+	recs, offs, err := persist.ParseFrames(raw)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer old.Close()
-	if errs := old.Recovery().ReplayErrors; len(errs) != 0 {
-		t.Fatalf("replay errors: %v", errs)
+	if recs[1].Kind != persist.KindAddRule || recs[1].Name != "high" || recs[1].Text != "" ||
+		!bytes.Contains(raw[offs[1]:offs[2]], []byte(`"cond":{`)) {
+		t.Fatalf("%s: frame 2 is not an AST-form addrule: %+v", fixture, recs[1])
 	}
-	if old.coarse {
-		t.Fatal("an old noindex log restored a coarse engine")
-	}
-	if r := old.index["high"]; r.class != classQuiescent {
-		t.Fatalf("restored rule class = %d, want the indexed classification", r.class)
-	}
-
-	// The script the fixture was written from.
-	live := NewEngine(Config{
-		Initial:    map[string]value.Value{"a": value.NewInt(0), "b": value.NewInt(0)},
-		TrackItems: []string{"a"},
-	})
-	must := func(err error) {
-		t.Helper()
+	for name, c := range map[string]struct {
+		log    []byte
+		frames int
+	}{
+		"whole log":    {raw, len(recs)},
+		"addrule last": {raw[:offs[2]], 2},
+	} {
+		log := c.log
+		dir := t.TempDir()
+		path := filepath.Join(dir, "wal.000001")
+		if err := os.WriteFile(path, log, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		e, err := Restore(Config{NoFsync: true}, dir)
+		if err == nil {
+			e.Close()
+			t.Fatalf("%s: a pre-text log restored", name)
+		}
+		if msg := err.Error(); !strings.Contains(msg, "LSN 2") || !strings.Contains(msg, "predates text conditions") {
+			t.Fatalf("%s: error %q does not name LSN 2 as predating text conditions", name, msg)
+		}
+		st, res, err := persist.Open(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	must(live.AddTrigger("high", `item("a") > 5`, nil, WithScheduling(Relevant)))
-	must(live.AddTrigger("ping", `@ping and item("b") > 2`, nil, WithScheduling(Relevant)))
-	must(live.AddTrigger("rose", `[x <- item("a")] previously <= 6 (item("a") < x)`, nil))
-	must(live.AddTrigger("since", `item("b") >= 3 since @ping`, nil, WithScheduling(Relevant)))
-	must(live.AddConstraint("cap", `item("a") <= 9`))
-	rejected := 0
-	for ts := int64(1); ts <= 40; ts++ {
-		switch ts % 5 {
-		case 0:
-			must(live.Emit(ts, event.New("ping")))
-		case 3:
-			if err := live.Exec(ts, map[string]value.Value{"a": value.NewInt((ts * 3) % 13)}); err != nil {
-				if !errors.Is(err, ErrConstraintViolation) {
-					t.Fatal(err)
-				}
-				rejected++
-			}
-		default:
-			must(live.Exec(ts, map[string]value.Value{"b": value.NewInt(ts % 6), "a": value.NewInt(ts % 8)}))
+		st.Close()
+		if res.TruncatedAt != -1 || len(res.Tail) != c.frames {
+			t.Fatalf("%s: store truncated at %d and kept %d of %d records", name, res.TruncatedAt, len(res.Tail), c.frames)
+		}
+		after, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(after, log) {
+			t.Fatalf("%s: refusing the log changed its bytes (%d to %d)", name, len(log), len(after))
 		}
 	}
-	if rejected == 0 || len(live.Firings()) == 0 {
-		t.Fatalf("script exercises nothing: %d rejections, %d firings", rejected, len(live.Firings()))
+}
+
+// TestPreTextSnapshotRefused: a snapshot rule entry from before rules were
+// stored as text carries only its "cond" AST, and restore refuses it,
+// naming the rule.
+func TestPreTextSnapshotRefused(t *testing.T) {
+	dir := t.TempDir()
+	cfg := Config{NoFsync: true, Initial: map[string]value.Value{"a": value.NewInt(0)}}
+	e, err := Restore(cfg, dir)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !firingsEqual(live.Firings(), old.Firings()) {
-		t.Fatalf("firings diverge:\n live: %v\n old log: %v", live.Firings(), old.Firings())
+	if err := e.AddTrigger("high", `item("a") > 5`, nil); err != nil {
+		t.Fatal(err)
 	}
-	if !live.DB().Equal(old.DB()) || live.Now() != old.Now() {
-		t.Fatal("database or clock diverge")
+	if err := e.Exec(1, map[string]value.Value{"a": value.NewInt(7)}); err != nil {
+		t.Fatal(err)
 	}
-	// And the restored engine keeps logging in today's format.
-	must(old.Exec(41, map[string]value.Value{"a": value.NewInt(7)}))
+	if err := e.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	snaps, err := filepath.Glob(filepath.Join(dir, "*.snap"))
+	if err != nil || len(snaps) != 1 {
+		t.Fatalf("snapshots %v (%v)", snaps, err)
+	}
+	data, err := os.ReadFile(snaps[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	var env persist.Envelope
+	if err := json.Unmarshal(data, &env); err != nil {
+		t.Fatal(err)
+	}
+	// The entry as written before conditions were text: the same rule, its
+	// condition as a JSON AST under "cond".
+	text := regexp.MustCompile(`"text":"(?:[^"\\]|\\.)*"`)
+	if n := len(text.FindAll(env.Payload, -1)); n != 1 {
+		t.Fatalf("%d rule texts in the snapshot, want 1", n)
+	}
+	env.Payload = text.ReplaceAll(env.Payload, []byte(`"cond":{"k":"cmp","op":4,"l":{"k":"call","name":"item","args":[{"k":"const","v":{"str":"a"}}]},"r":{"k":"const","v":{"int":5}}}`))
+	env.CRC = crc32.ChecksumIEEE(env.Payload)
+	blob, err := json.Marshal(&env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(snaps[0], append(blob, '\n'), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	e, err = Restore(cfg, dir)
+	if err == nil {
+		e.Close()
+		t.Fatal("a snapshot with a pre-text rule entry restored")
+	}
+	if msg := err.Error(); !strings.Contains(msg, "snapshot rule high") || !strings.Contains(msg, "predates text conditions") {
+		t.Fatalf("error %q does not name rule high as predating text conditions", msg)
+	}
 }

@@ -5,9 +5,9 @@ import (
 	"crypto/sha256"
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
+	"regexp"
 	"testing"
 
 	"ptlactive/internal/event"
@@ -177,7 +177,8 @@ func (tr parkTrace) runDurable(t *testing.T, workers int, dir string) (e *Engine
 
 // parkFixture is the one trace whose snapshot bytes are pinned: to the
 // encoding the commit before wake lists and the parked cursor produced, but
-// for the step counter (see TestParkFixtureMovedStepsOnly).
+// for the step counter and the rule conditions' form (see
+// TestParkFixtureMovedStepsOnly).
 func parkFixture() parkTrace { return newParkTrace(7100, 9, 90, true, false) }
 
 const parkFixtureDir = "testdata/park_trace"
@@ -186,9 +187,10 @@ const parkFixtureDir = "testdata/park_trace"
 // testdata/park_trace/{mid,end}.snap at one worker and at four. The files
 // were first written by the parent commit of the wake-list sweep running
 // this same file (ADB_WRITE_PARK_FIXTURE=1 go test -run TestParkTraceFixture)
-// and rewritten once since, when constraints stopped stepping an accepted
-// commit twice: cursors, memos, step counter and firing log are all in the
-// snapshot, so byte equality pins every one of them.
+// and rewritten twice since: when constraints stopped stepping an accepted
+// commit twice, and when rule conditions began to be stored as text.
+// Cursors, memos, step counter and firing log are all in the snapshot, so
+// byte equality pins every one of them.
 func TestParkTraceFixture(t *testing.T) {
 	tr := parkFixture()
 	for _, workers := range []int{1, 4} {
@@ -219,18 +221,22 @@ func TestParkTraceFixture(t *testing.T) {
 	}
 }
 
-// TestParkFixtureMovedStepsOnly ties the rewritten fixture to the one the
-// rule-table scan wrote. A constraint used to cost two steps per accepted
-// commit (a clone's, then the sweep's over the same state) and costs one;
-// nothing else the snapshot holds may have moved. Put the old counter back,
-// redo the envelope checksum over it, and the file must hash to the old one.
+// TestParkFixtureMovedStepsOnly ties the fixture to the one the rule-table
+// scan wrote. Two things have moved since. A constraint used to cost two
+// steps per accepted commit (a clone's, then the sweep's over the same
+// state) and costs one. And each rule's condition, once a JSON AST under
+// "cond", is now its printed text under "text"; decoding every old "cond"
+// gave exactly the new "text", for all 19 rules of both files. Put the old
+// counter back and drop the conditions, and the payload must hash to the
+// scan-era payload with its "cond" objects dropped.
 func TestParkFixtureMovedStepsOnly(t *testing.T) {
+	condText := regexp.MustCompile(`"text":"(?:[^"\\]|\\.)*",`)
 	for name, old := range map[string]struct {
 		now, was int
 		sha256   string
 	}{
-		"mid.snap": {832, 926, "b4c5c8664240ad8d86e17eb60b2e28d559308898749e841d8922005f8b86ea7f"},
-		"end.snap": {1726, 1931, "7a9757d29bb97ecd34cce6b92af48e34a0cb0dfe23c19009f4efc749b9ecd471"},
+		"mid.snap": {832, 926, "46af76111040119be77fc9406cb9326ed471a0a8e9df68067a7243534478f14b"},
+		"end.snap": {1726, 1931, "a8f17e7d8bf80d0e8cc8bfee9cbf2ffb17531c3d6a7c9f0785fb67e3a08be505"},
 	} {
 		data, err := os.ReadFile(filepath.Join(parkFixtureDir, name))
 		if err != nil {
@@ -244,14 +250,13 @@ func TestParkFixtureMovedStepsOnly(t *testing.T) {
 		if bytes.Count(env.Payload, []byte(now)) != 1 {
 			t.Fatalf("%s: want exactly one %s", name, now)
 		}
-		env.Payload = bytes.Replace(env.Payload, []byte(now), []byte(was), 1)
-		env.CRC = crc32.ChecksumIEEE(env.Payload)
-		blob, err := json.Marshal(&env)
-		if err != nil {
-			t.Fatal(err)
+		payload := bytes.Replace(env.Payload, []byte(now), []byte(was), 1)
+		if n := len(condText.FindAll(payload, -1)); n != 19 {
+			t.Fatalf("%s: %d rule conditions, want 19", name, n)
 		}
-		if got := fmt.Sprintf("%x", sha256.Sum256(append(blob, '\n'))); got != old.sha256 {
-			t.Fatalf("%s differs from the parent's fixture in more than evalSteps and crc (sha256 %s, want %s)", name, got, old.sha256)
+		payload = condText.ReplaceAll(payload, nil)
+		if got := fmt.Sprintf("%x", sha256.Sum256(payload)); got != old.sha256 {
+			t.Fatalf("%s differs from the scan-era fixture in more than evalSteps and the rule conditions (sha256 %s, want %s)", name, got, old.sha256)
 		}
 	}
 }

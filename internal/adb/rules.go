@@ -93,11 +93,17 @@ func (e *Engine) AddTrigger(name, condition string, action Action, opts ...RuleO
 	if err != nil {
 		return err
 	}
-	return e.AddTriggerFormula(name, f, action, opts...)
+	return e.add(name, f, action, false, opts...)
 }
 
-// AddTriggerFormula registers a trigger from an AST condition.
+// AddTriggerFormula registers a trigger from an AST condition. The WAL and
+// snapshots store a rule as its printed condition, so a condition whose
+// text does not parse back to it (a Null, non-finite, tuple or relation
+// constant, say) is refused.
 func (e *Engine) AddTriggerFormula(name string, condition ptl.Formula, action Action, opts ...RuleOption) error {
+	if err := reparses(name, condition); err != nil {
+		return err
+	}
 	return e.add(name, condition, action, false, opts...)
 }
 
@@ -111,12 +117,30 @@ func (e *Engine) AddConstraint(name, constraint string, opts ...RuleOption) erro
 	if err != nil {
 		return err
 	}
-	return e.AddConstraintFormula(name, f, opts...)
+	return e.add(name, &ptl.Not{F: f}, nil, true, opts...)
 }
 
-// AddConstraintFormula registers an integrity constraint from an AST.
+// AddConstraintFormula registers an integrity constraint from an AST,
+// refusing one whose printed text does not parse back to it, as
+// AddTriggerFormula does.
 func (e *Engine) AddConstraintFormula(name string, constraint ptl.Formula, opts ...RuleOption) error {
-	return e.add(name, &ptl.Not{F: constraint}, nil, true, opts...)
+	negated := &ptl.Not{F: constraint}
+	if err := reparses(name, negated); err != nil {
+		return err
+	}
+	return e.add(name, negated, nil, true, opts...)
+}
+
+// reparses refuses a condition that would not survive the WAL and
+// snapshots, which store it as its printed text. Parse(f.String()) equals
+// f for every condition the parser produces, so only hand-built ASTs need
+// the check.
+func reparses(name string, condition ptl.Formula) error {
+	text := condition.String()
+	if back, err := ptl.Parse(text); err != nil || !ptl.Equal(condition, back) {
+		return fmt.Errorf("adb: rule %s: condition %s does not parse back from its text", name, text)
+	}
+	return nil
 }
 
 func (e *Engine) add(name string, condition ptl.Formula, action Action, isConstraint bool, opts ...RuleOption) error {
@@ -174,22 +198,6 @@ func (e *Engine) add(name string, condition ptl.Formula, action Action, isConstr
 	if h, ok := ev.(core.HintedEvaluator); ok {
 		r.hinted = h
 	}
-	// Encode the registration for the WAL before committing it, so an
-	// unencodable condition fails the whole registration.
-	var walRec *persist.Record
-	if e.logging() {
-		cond, err := ptl.EncodeFormula(condition)
-		if err != nil {
-			return fmt.Errorf("adb: rule %s: %w", name, err)
-		}
-		walRec = &persist.Record{
-			Kind:       persist.KindAddRule,
-			Name:       name,
-			Cond:       cond,
-			Constraint: isConstraint,
-			Sched:      int(r.sched),
-		}
-	}
 	// A brand-new rule starts observing at the state current when it is
 	// entered: "when the trigger condition f is first entered at time T,
 	// R_x is set to the relation retrieved by q on the database at that
@@ -201,10 +209,16 @@ func (e *Engine) add(name string, condition ptl.Formula, action Action, isConstr
 	e.index[name] = r
 	e.enlist(r)
 	e.mu.Unlock()
-	if walRec != nil {
-		return e.logRecord(walRec)
+	if !e.logging() {
+		return nil
 	}
-	return nil
+	return e.logRecord(&persist.Record{
+		Kind:       persist.KindAddRule,
+		Name:       name,
+		Text:       condition.String(),
+		Constraint: isConstraint,
+		Sched:      int(r.sched),
+	})
 }
 
 // RuleInfo describes a registered rule for inspection.

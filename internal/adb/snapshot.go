@@ -40,17 +40,13 @@ func (e *Engine) buildSnapshot() (*persist.EngineSnapshot, error) {
 		snap.History = append(snap.History, line)
 	}
 	for _, r := range e.rules {
-		cond, err := ptl.EncodeFormula(r.condition)
-		if err != nil {
-			return nil, fmt.Errorf("adb: snapshot rule %s: %w", r.name, err)
-		}
 		ev, err := core.EncodeEvaluatorState(r.ev)
 		if err != nil {
 			return nil, fmt.Errorf("adb: snapshot rule %s: %w", r.name, err)
 		}
 		rs := persist.RuleSnapshot{
 			Name:        r.name,
-			Cond:        cond,
+			Text:        r.condition.String(),
 			Constraint:  r.constraint,
 			Sched:       int(r.sched),
 			Cursor:      e.cursorOf(r),
@@ -202,7 +198,7 @@ func engineFromSnapshot(cfg Config, snap *persist.EngineSnapshot) (*Engine, erro
 	}
 
 	for _, rs := range snap.Rules {
-		f, err := decodeRule(rs.Cond, rs.Sched)
+		f, err := decodeRule(rs.Text, rs.Sched)
 		if err != nil {
 			return nil, fmt.Errorf("adb: snapshot rule %s: %w", rs.Name, err)
 		}

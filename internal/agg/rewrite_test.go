@@ -1,6 +1,9 @@
 package agg
 
 import (
+	"fmt"
+	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -8,6 +11,7 @@ import (
 	"ptlactive/internal/event"
 	"ptlactive/internal/history"
 	"ptlactive/internal/ptl"
+	"ptlactive/internal/ptlgen"
 	"ptlactive/internal/query"
 	"ptlactive/internal/value"
 )
@@ -364,5 +368,68 @@ func TestRewriteNestedStructure(t *testing.T) {
 		Initial: map[string]value.Value{"r": value.NewRelation(nil)}})
 	if err := Rewrite(e2, "m", `X in item("r") or (executed(m, T) and time = T + 1)`, nil); err != nil {
 		t.Fatalf("membership/executed rewrite: %v", err)
+	}
+}
+
+// TestRewrittenRulesRecover: every rule the rewriting registers goes
+// through AddTriggerFormula — the rewritten condition reading
+// aggval("$agg_…"), the reset and accumulate rules over the start and
+// sampling formulas, an indexed family's @sample(K$) — and the WAL stores
+// each as its printed text. A restored engine parses them all back to the
+// same rules.
+func TestRewrittenRulesRecover(t *testing.T) {
+	reg := query.NewRegistry()
+	cfg := adb.Config{Registry: reg, NoFsync: true, Initial: map[string]value.Value{
+		"a": value.NewInt(0), "b": value.NewInt(0), "c": value.NewInt(0), "fam": value.NewRelation(nil),
+	}}
+	dir := t.TempDir()
+	e, err := adb.Restore(cfg, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := EnsureAggVal(e); err != nil {
+		t.Fatal(err)
+	}
+	// ptlgen draws an aggregate now and then, and only a starting-formula
+	// sum, count or avg has a rewriting: keep drawing until 25 conditions
+	// had one rewritten.
+	rewritten := 0
+	for seed := 0; rewritten < 25; seed++ {
+		rng := rand.New(rand.NewSource(int64(seed)))
+		name := fmt.Sprintf("r%d", seed)
+		rw, err := RewriteCondition(e, name, ptlgen.FormulaWithAggregates(rng, 1+rng.Intn(4)))
+		if err != nil || !strings.Contains(rw.String(), "aggval") {
+			continue
+		}
+		if err := e.AddTriggerFormula(name, rw, nil); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		rewritten++
+	}
+	if err := InstallIndexed(e, IndexedSpec{Item: "fam", Fn: ptl.AggCount, SampleEvent: "hit", Start: "@reset"}); err != nil {
+		t.Fatal(err)
+	}
+	conditions := func(e *adb.Engine) map[string]string {
+		out := map[string]string{}
+		for _, name := range e.RuleNames() {
+			r, _ := e.Rule(name)
+			out[name] = r.Condition
+		}
+		return out
+	}
+	want := conditions(e)
+	if want["fam$sample"] != "@hit(K$)" {
+		t.Fatalf("indexed sample rule = %q", want["fam$sample"])
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	e2, err := adb.Restore(cfg, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e2.Close()
+	if got := conditions(e2); !reflect.DeepEqual(got, want) {
+		t.Fatalf("restored %d rules, registered %d, or their conditions differ", len(got), len(want))
 	}
 }

@@ -34,8 +34,8 @@ func resultsEqual(a, b Result) bool {
 
 // TestEvaluatorStateRoundTrip is the snapshot/restore property behind the
 // durability subsystem: stepping to state k, serializing, restoring onto a
-// freshly compiled evaluator (compiled from the formula's own round-tripped
-// serialization, as recovery does), then continuing must match a
+// freshly compiled evaluator (compiled from the formula's printed text,
+// parsed back, as recovery does), then continuing must match a
 // never-interrupted evaluator at every remaining state — for both the
 // general and the fast implementation, aggregates included.
 func TestEvaluatorStateRoundTrip(t *testing.T) {
@@ -67,14 +67,10 @@ func TestEvaluatorStateRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: encode state: %v\nformula: %s", it, err, f)
 		}
-		// Recovery recompiles the condition from its serialized form.
-		fblob, err := ptl.EncodeFormula(f)
+		// Recovery recompiles the condition from its printed text.
+		f2, err := ptl.Parse(f.String())
 		if err != nil {
-			t.Fatalf("seed %d: encode formula: %v", it, err)
-		}
-		f2, err := ptl.DecodeFormula(fblob)
-		if err != nil {
-			t.Fatalf("seed %d: decode formula: %v", it, err)
+			t.Fatalf("seed %d: reparse: %v\nformula: %s", it, err, f)
 		}
 		restored := compileAuto(t, f2)
 		if err := RestoreEvaluatorState(restored, blob); err != nil {

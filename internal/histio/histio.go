@@ -28,8 +28,9 @@ import (
 )
 
 // EncodeValue renders a value as its kind-tagged JSON form. The codec
-// itself lives in the value package (value.EncodeJSON) so layers below
-// histio — the rule-formula codec in internal/ptl — can share it.
+// itself lives in the value package (value.EncodeJSON) so packages that do
+// not import histio — the evaluator state encoding in internal/core — can
+// share it.
 func EncodeValue(v value.Value) (json.RawMessage, error) {
 	return value.EncodeJSON(v)
 }

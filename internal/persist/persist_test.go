@@ -46,7 +46,7 @@ func appendN(t *testing.T, dir string, n int) {
 
 func TestEnvelopeRoundTrip(t *testing.T) {
 	snap := testSnapshot(7)
-	snap.Rules = []RuleSnapshot{{Name: "r", Cond: json.RawMessage(`{"k":"bool","b":true}`), Cursor: 1, Eval: json.RawMessage(`{}`)}}
+	snap.Rules = []RuleSnapshot{{Name: "r", Text: "true", Cursor: 1, Eval: json.RawMessage(`{}`)}}
 	var buf bytes.Buffer
 	if err := EncodeSnapshot(&buf, snap); err != nil {
 		t.Fatal(err)
@@ -55,7 +55,7 @@ func TestEnvelopeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.LSN != 7 || len(got.Rules) != 1 || got.Rules[0].Name != "r" {
+	if got.LSN != 7 || len(got.Rules) != 1 || got.Rules[0].Name != "r" || got.Rules[0].Text != "true" {
 		t.Fatalf("round trip lost data: %+v", got)
 	}
 }

@@ -44,9 +44,7 @@ const (
 // InitRecord carries the Config parameters that shape observable engine
 // behavior. Runtime-only knobs (Workers, OnFiring, Registry) are not
 // persisted: the engine's results are independent of the worker count by
-// construction, and callbacks/queries are re-supplied at restore. Logs
-// written while the record carried the nofast/noindex ablation flags still
-// decode: unknown keys are ignored, and firings never depended on either.
+// construction, and callbacks/queries are re-supplied at restore.
 type InitRecord struct {
 	Initial      map[string]json.RawMessage `json:"initial,omitempty"`
 	Start        int64                      `json:"start"`
@@ -76,13 +74,15 @@ type Record struct {
 	// KindInit.
 	Init *InitRecord `json:"init,omitempty"`
 
-	// KindAddRule. Cond is the engine-internal condition in the codec of
-	// internal/ptl — for constraints it is already the negated form the
-	// engine evaluates.
-	Name       string          `json:"name,omitempty"`
-	Cond       json.RawMessage `json:"cond,omitempty"`
-	Constraint bool            `json:"constraint,omitempty"`
-	Sched      int             `json:"sched,omitempty"`
+	// KindAddRule. Text is the condition the engine evaluates, printed in
+	// PTL's concrete syntax (ptl.Formula.String); for a constraint it is
+	// the negated form. Records written before conditions were text carry
+	// a "cond" AST instead, which decodes as an unknown key and leaves Text
+	// empty; replay refuses them.
+	Name       string `json:"name,omitempty"`
+	Text       string `json:"text,omitempty"`
+	Constraint bool   `json:"constraint,omitempty"`
+	Sched      int    `json:"sched,omitempty"`
 
 	// KindExec, KindAbort, KindEmit. Events holds only the extra events the
 	// caller supplied; the synthesized commit/abort events are re-derived
@@ -109,16 +109,17 @@ func validKind(k string) bool {
 	return false
 }
 
-// RuleSnapshot is one registered rule in snapshot form: its condition (the
-// engine-internal, possibly negated formula), registration parameters, the
-// history cursor, the compiled evaluator's incremental state — the
-// F_{g,i} registers whose boundedness Theorem 1 establishes — and the
-// rule's health record. Quarantine shapes which actions run, so recovery
-// from a snapshot must restore it or replay would re-run actions the
-// original engine suppressed.
+// RuleSnapshot is one registered rule in snapshot form: its condition as
+// text (the engine-internal, possibly negated formula, printed as for
+// Record.Text), registration parameters, the history cursor, the compiled
+// evaluator's incremental state — the F_{g,i} registers whose boundedness
+// Theorem 1 establishes — and the rule's health record. Quarantine shapes
+// which actions run, so recovery from a snapshot must restore it or replay
+// would re-run actions the original engine suppressed. An entry written
+// before conditions were text has no Text, and restore refuses it.
 type RuleSnapshot struct {
 	Name       string          `json:"name"`
-	Cond       json.RawMessage `json:"cond"`
+	Text       string          `json:"text"`
 	Constraint bool            `json:"constraint,omitempty"`
 	Sched      int             `json:"sched,omitempty"`
 	Cursor     int             `json:"cursor"`

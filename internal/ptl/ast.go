@@ -109,7 +109,9 @@ func (*Agg) isTerm()   {}
 // Formula is a PTL formula.
 type Formula interface {
 	isFormula()
-	// String renders the formula in concrete syntax (re-parsable).
+	// String renders the formula in concrete syntax (re-parsable). It is
+	// also the storage format: the WAL and snapshots keep a rule's
+	// condition as this text.
 	String() string
 }
 

@@ -5,7 +5,8 @@ import "testing"
 // FuzzParse: the parser never panics, successful parses round-trip
 // through the printer, and whatever parses is copied by the identity map
 // and visited exactly once by Walk and WalkTerms (checkTraversal) — the
-// committed corpus runs all three in tier-1.
+// committed corpus runs all three in tier-1, and `make verify` fuzzes for
+// a bounded time. The printed text is what the WAL and snapshots store.
 func FuzzParse(f *testing.F) {
 	seeds := []string{
 		`[t <- time] [x <- price("IBM")] previously (price("IBM") <= 0.5 * x and time >= t - 10)`,
@@ -18,6 +19,24 @@ func FuzzParse(f *testing.F) {
 		`throughout <= 5 nexttime lasttime true`,
 		"x = \"a\\\"b\\n\"",
 		`# comment only`,
+		"true",
+		"@ev0",
+		"@pay3(x) and x > 4",
+		`item("a") > 10`,
+		`item("a") > 10 since @ev1`,
+		`lasttime @ev2`,
+		`previously <= 5 @ev0`,
+		`throughout <= 3 item("b") < 20`,
+		`not (item("a") > 50)`,
+		`@pay1(x) and (x >= 2 or lasttime @ev0)`,
+		`(@ev0 or @ev1) since (item("a") = 0)`,
+		`[x <- item("a")] x*2 + 1 > -3`,
+		`avg(item("a"); window 60; @ev0) > 5`,
+		`sum(item("a"); @start; @ev0) > 5`,
+		`count(item("a"); window 10; @ev0) >= 2`,
+		`executed(r1, x, t) and t > 3`,
+		`(x) in rel("stocks")`,
+		`item("a") = 1.5 or item("s") = "hi"`,
 	}
 	for _, s := range seeds {
 		f.Add(s)

@@ -267,8 +267,9 @@ func TestParseTermStandalone(t *testing.T) {
 	}
 }
 
-// TestRoundTrip: Parse(f.String()) is structurally equal to f for random
-// formulas (DESIGN.md §5).
+// TestRoundTrip: Parse(f.String()) is structurally equal to f (DESIGN.md
+// §5). The WAL and snapshots store a rule as its printed condition, so
+// recovery depends on this.
 func TestRoundTrip(t *testing.T) {
 	// Hand-picked formulas covering every construct.
 	srcs := []string{
@@ -281,6 +282,25 @@ func TestRoundTrip(t *testing.T) {
 		`lasttime lasttime @e0`,
 		`(A, B) in pairs() or A in singles()`,
 		`true since <= 60 (@a and @b and @c)`,
+		// The shapes the crash-recovery tests register.
+		"true",
+		"@ev0",
+		"@pay3(x) and x > 4",
+		`item("a") > 10`,
+		`item("a") > 10 since @ev1`,
+		`lasttime @ev2`,
+		`previously <= 5 @ev0`,
+		`throughout <= 3 item("b") < 20`,
+		`not (item("a") > 50)`,
+		`@pay1(x) and (x >= 2 or lasttime @ev0)`,
+		`(@ev0 or @ev1) since (item("a") = 0)`,
+		`[x <- item("a")] x*2 + 1 > -3`,
+		`avg(item("a"); window 60; @ev0) > 5`,
+		`sum(item("a"); @start; @ev0) > 5`,
+		`count(item("a"); window 10; @ev0) >= 2`,
+		`executed(r1, x, t) and t > 3`,
+		`(x) in rel("stocks")`,
+		`item("a") = 1.5 or item("s") = "hi"`,
 	}
 	for _, src := range srcs {
 		f := parse(t, src)

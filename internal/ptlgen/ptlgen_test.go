@@ -38,17 +38,24 @@ func TestGeneratedFormulasCheck(t *testing.T) {
 }
 
 // TestGeneratedFormulasRoundTrip: the printer/parser round trip holds for
-// generated formulas (they exercise the aggregate syntax too).
+// every generator family. The WAL and snapshots store a rule as its
+// printed condition, so this is what recovery rebuilds rules from.
 func TestGeneratedFormulasRoundTrip(t *testing.T) {
-	for seed := 0; seed < 200; seed++ {
-		rng := rand.New(rand.NewSource(int64(500 + seed)))
-		f := FormulaWithAggregates(rng, 1+rng.Intn(4))
-		back, err := ptl.Parse(f.String())
-		if err != nil {
-			t.Fatalf("seed %d: reparse: %v\n%s", seed, err, f)
-		}
-		if !ptl.Equal(f, back) {
-			t.Fatalf("seed %d: round trip changed\n  a: %s\n  b: %s", seed, f, back)
+	for name, gen := range map[string]func(*rand.Rand, int) ptl.Formula{
+		"Formula":               Formula,
+		"FormulaWithAggregates": FormulaWithAggregates,
+		"LinearFormula":         LinearFormula,
+	} {
+		for seed := 0; seed < 1000; seed++ {
+			rng := rand.New(rand.NewSource(int64(500 + seed)))
+			f := gen(rng, 1+rng.Intn(4))
+			back, err := ptl.Parse(f.String())
+			if err != nil {
+				t.Fatalf("%s seed %d: reparse: %v\n%s", name, seed, err, f)
+			}
+			if !ptl.Equal(f, back) {
+				t.Fatalf("%s seed %d: round trip changed\n  a: %s\n  b: %s", name, seed, f, back)
+			}
 		}
 	}
 }

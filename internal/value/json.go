@@ -8,9 +8,8 @@ import (
 )
 
 // This file is the canonical kind-tagged JSON codec for values, shared by
-// the history exporter (internal/histio) and the rule-formula codec
-// (internal/ptl); both live above packages that import ptl, so the codec
-// has to sit at the bottom of the import graph. The grammar:
+// the history exporter (internal/histio) and the evaluator state encoding
+// (internal/core), neither of which imports the other. The grammar:
 //
 //	{"int": 3} {"float": 2.5} {"str": "x"} {"bool": true} {"null": true}
 //	{"tuple": [...]} {"rel": [[...], ...]}
