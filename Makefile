@@ -75,15 +75,21 @@ stress:
 # which subsumption keeps to at most 20 clauses even at d=1000) and at about
 # 500 (a price rising at every state, which nothing subsumes; the test
 # checks the 500 are retained), and a windowed sum's step alike at window 40
-# and 4,000.
+# and 4,000. In wire, a binary frame write allocates nothing and a decode
+# of a transaction, a four-firing push and an ok reply at most 9, 24 and 1
+# times.
 allocgates:
-	for p in 1 2 4; do GOMAXPROCS=$$p $(GO) test -count=1 -run 'TestCommitAllocs|TestSweepNoRuleTerm|TestConstraintCheckAllocs|TestStepAllocsFlatInRetainedClauses|TestWindowedAggregateStepAllocs' ./internal/adb ./internal/core || exit 1; done
+	for p in 1 2 4; do GOMAXPROCS=$$p $(GO) test -count=1 -run 'TestCommitAllocs|TestSweepNoRuleTerm|TestConstraintCheckAllocs|TestStepAllocsFlatInRetainedClauses|TestWindowedAggregateStepAllocs|TestBinaryCodecAllocs' ./internal/adb ./internal/core ./internal/server/wire || exit 1; done
 
-# fuzz runs the parser fuzzer for a bounded time. The WAL and snapshots
-# store a rule as its printed condition, so the printer/parser round trip
-# FuzzParse asserts is the storage format's.
+# fuzz runs the parser and frame-decoder fuzzers for a bounded time. The
+# WAL and snapshots store a rule as its printed condition, so the
+# printer/parser round trip FuzzParse asserts is the storage format's; the
+# frame fuzzers hold both codecs to never panicking and to re-encoding
+# whatever they accept.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 15s ./internal/ptl
+	$(GO) test -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime 10s ./internal/server/wire
+	$(GO) test -run '^$$' -fuzz '^FuzzReadFrameBinary$$' -fuzztime 10s ./internal/server/wire
 
 # verify is the full pre-merge tier: static checks plus the whole suite
 # under the race detector (the concurrent engine and the durability

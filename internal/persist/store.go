@@ -260,9 +260,6 @@ func OpenOptions(dir string, opt Options) (*Store, *OpenResult, error) {
 	return st, res, nil
 }
 
-// Dir returns the durability directory path.
-func (s *Store) Dir() string { return s.dir }
-
 // Append writes one record to the WAL and returns its LSN.
 func (s *Store) Append(rec *Record) (int64, error) { return s.log.Append(rec) }
 

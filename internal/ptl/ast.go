@@ -292,30 +292,6 @@ func Compare(op value.CmpOp, l, r Term) *Cmp { return &Cmp{Op: op, L: l, R: r} }
 // Ev builds an event atom.
 func Ev(name string, args ...Term) *EventAtom { return &EventAtom{Name: name, Args: args} }
 
-// AndF folds a conjunction (true when empty).
-func AndF(fs ...Formula) Formula {
-	if len(fs) == 0 {
-		return TTrue
-	}
-	out := fs[0]
-	for _, f := range fs[1:] {
-		out = &And{L: out, R: f}
-	}
-	return out
-}
-
-// OrF folds a disjunction (false when empty).
-func OrF(fs ...Formula) Formula {
-	if len(fs) == 0 {
-		return TFalse
-	}
-	out := fs[0]
-	for _, f := range fs[1:] {
-		out = &Or{L: out, R: f}
-	}
-	return out
-}
-
 // Let builds the assignment [x <- q] body.
 func Let(x string, q Term, body Formula) *Assign { return &Assign{Var: x, Q: q, Body: body} }
 

@@ -233,15 +233,6 @@ func (s *Server) broadcast(fe FiringEvent) {
 	}
 }
 
-// ListenAndServe listens on addr and serves until Shutdown.
-func (s *Server) ListenAndServe(addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return s.Serve(ln)
-}
-
 // Serve accepts connections on ln until Shutdown; it returns
 // ErrServerClosed after a graceful shutdown.
 func (s *Server) Serve(ln net.Listener) error {

@@ -3,8 +3,12 @@ package wire
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"net"
+	"os"
 	"reflect"
+	"sort"
+	"strconv"
 	"testing"
 )
 
@@ -199,14 +203,16 @@ func TestZeroValueFields(t *testing.T) {
 // beyond what the fuzzer explores structurally.
 func TestBinaryRejectsGarbage(t *testing.T) {
 	cases := [][]byte{
-		{},                    // empty payload (length 0 is rejected before decode)
-		{200},                 // unknown type code
-		{0},                   // escape with no string
-		{0, 0},                // escape with empty type string
-		{1, 99},               // valid type, unknown field tag
-		{2, binUpdates, 0xff}, // truncated uvarint count
-		{2, binUpdates, 0x08}, // count exceeding remaining bytes
-		{2, binName, 0x20},    // string length beyond payload
+		{},                              // empty payload (length 0 is rejected before decode)
+		{200},                           // unknown type code
+		{0},                             // escape with no string
+		{0, 0},                          // escape with empty type string
+		{1, 99},                         // valid type, unknown field tag
+		{2, 7, 0xff},                    // Updates: truncated uvarint count
+		{2, 7, 0x08},                    // Updates: count exceeding remaining bytes
+		{2, 10, 0x20},                   // Name: string length beyond payload
+		{2, 8, 1, 1, 'a', 8, 1, 1, 'b'}, // Deletes twice: lists must not concatenate
+		{2, 10, 1, 'n', 1, 5},           // Name (tag 10) before ID (tag 1)
 	}
 	for _, payload := range cases {
 		if len(payload) == 0 {
@@ -275,5 +281,231 @@ func TestFrameWriterReuse(t *testing.T) {
 				t.Fatalf("%s: frame drifted through FrameWriter:\n%s\n%s", codec, got, want)
 			}
 		}
+	}
+}
+
+// goldenMsgs are the frames testdata/binary_frames.golden holds: every
+// sampleMsgs entry with its maps cut to one entry (a longer map is
+// written in Go's random order), then the frames sampleMsgs lacks.
+func goldenMsgs() []*Msg {
+	raw := func(s string) json.RawMessage { return json.RawMessage(s) }
+	msgs := sampleMsgs()
+	for _, m := range msgs {
+		oneEntry(m.Updates)
+		oneEntry(m.Items)
+		for i := range m.Firings {
+			oneEntry(m.Firings[i].Binding)
+		}
+	}
+	return append(msgs,
+		&Msg{T: TypeReplicate, ID: 30, Lsn: 5, Epoch: 1},
+		&Msg{T: TypeWal, Lsn: 7, Epoch: 2, More: true, Wal: []byte{0xff, 0, 0xfe, 'w'}},
+		&Msg{T: TypeSnap, Lsn: 42, Wal: []byte("snapshot chunk")},
+		&Msg{T: TypeOK, ID: 31, Role: "follower", Leader: "127.0.0.1:7421"},
+		&Msg{T: TypeError, ID: 32, Code: CodeNotPrimary, Err: "not the primary", Leader: "10.0.0.2:7421"},
+		&Msg{T: TypeOK, ID: 33, Storage: &StorageJSON{}}, // a memory engine's storage reply
+		&Msg{T: TypeEmit, ID: 34, TS: 9,
+			Events: [][]json.RawMessage{nil, {}, {raw(`"e"`), raw(`{"int":1}`)}}},
+	)
+}
+
+// oneEntry deletes all but the least key of m.
+func oneEntry(m map[string]json.RawMessage) {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	for _, k := range keys[min(1, len(keys)):] {
+		delete(m, k)
+	}
+}
+
+const binaryGolden = "testdata/binary_frames.golden"
+
+// TestBinaryFramesGolden pins the binary codec byte for byte: goldenMsgs,
+// one frame after another, encode to testdata/binary_frames.golden, and
+// the file decodes back to them. The file was written by the hand-written
+// per-field encoder that msgFields replaced
+// (WIRE_WRITE_GOLDEN=1 go test -run TestBinaryFramesGolden).
+func TestBinaryFramesGolden(t *testing.T) {
+	msgs := goldenMsgs()
+	frames := make([][]byte, len(msgs))
+	for i, m := range msgs {
+		var buf bytes.Buffer
+		if err := WriteFrameC(&buf, m, CodecBinary); err != nil {
+			t.Fatal(err)
+		}
+		frames[i] = buf.Bytes()
+	}
+	if os.Getenv("WIRE_WRITE_GOLDEN") != "" {
+		if err := os.WriteFile(binaryGolden, bytes.Join(frames, nil), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	golden, err := os.ReadFile(binaryGolden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rest := golden
+	for i, frame := range frames {
+		if !bytes.HasPrefix(rest, frame) {
+			t.Fatalf("frame %d (%s):\n got %q\nwant %q", i, msgs[i].T, frame, rest[:min(len(rest), len(frame))])
+		}
+		rest = rest[len(frame):]
+	}
+	if len(rest) > 0 {
+		t.Fatalf("golden holds %d bytes past its %d frames", len(rest), len(frames))
+	}
+	r := bytes.NewReader(golden)
+	for i, m := range msgs {
+		back, err := ReadFrameC(r, CodecBinary)
+		if err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+		if got, want := canonJSON(t, back), canonJSON(t, m); got != want {
+			t.Errorf("frame %d decoded to\n%s\nwant\n%s", i, got, want)
+		}
+	}
+}
+
+// TestEveryMsgFieldCrossesBinary sets each exported Msg field alone to a
+// value that is non-zero down to its leaves, and requires both codecs to
+// deliver the same canonical JSON. A field added to Msg, or to a record
+// inside it, without a binary coding fails here.
+func TestEveryMsgFieldCrossesBinary(t *testing.T) {
+	typ := reflect.TypeOf(Msg{})
+	empty := canonJSON(t, &Msg{T: TypeOK})
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		if !f.IsExported() {
+			continue
+		}
+		m := &Msg{T: TypeOK}
+		reflect.ValueOf(m).Elem().Field(i).Set(nonZero(f.Type))
+		viaJSON := canonJSON(t, roundTrip(t, m, CodecJSON))
+		if viaJSON == empty {
+			t.Fatalf("field %s: nonZero built a zero value", f.Name)
+		}
+		if viaBinary := canonJSON(t, roundTrip(t, m, CodecBinary)); viaBinary != viaJSON {
+			t.Errorf("field %s:\n binary %s\n json   %s", f.Name, viaBinary, viaJSON)
+		}
+	}
+}
+
+// nonZero builds a value of type t whose every field, element, key and
+// pointee is non-zero.
+func nonZero(t reflect.Type) reflect.Value {
+	v := reflect.New(t).Elem()
+	switch {
+	case t == reflect.TypeOf(json.RawMessage(nil)):
+		v.SetBytes([]byte(`7`))
+	case t.Kind() == reflect.Slice && t.Elem().Kind() == reflect.Uint8:
+		v.SetBytes([]byte{0xff, 0})
+	case t.Kind() == reflect.String:
+		v.SetString("x")
+	case t.Kind() == reflect.Bool:
+		v.SetBool(true)
+	case v.CanInt():
+		v.SetInt(-7)
+	case v.CanUint():
+		v.SetUint(7)
+	case t.Kind() == reflect.Slice:
+		v.Set(reflect.Append(v, nonZero(t.Elem())))
+	case t.Kind() == reflect.Map:
+		v.Set(reflect.MakeMap(t))
+		v.SetMapIndex(nonZero(t.Key()), nonZero(t.Elem()))
+	case t.Kind() == reflect.Pointer:
+		v.Set(nonZero(t.Elem()).Addr())
+	case t.Kind() == reflect.Struct:
+		for i := 0; i < t.NumField(); i++ {
+			if t.Field(i).IsExported() {
+				v.Field(i).Set(nonZero(t.Field(i).Type))
+			}
+		}
+	default:
+		panic("nonZero: no value for " + t.String())
+	}
+	return v
+}
+
+// codecFrame is a frame of a served commit and the most allocations its
+// decode may take: the counts of the per-field decoder msgFields
+// replaced.
+type codecFrame struct {
+	name         string
+	m            *Msg
+	decodeAllocs float64
+}
+
+// codecFrames are a served commit's frames: the transaction, a push of
+// four two-parameter firings (a firing-stream commit) and the ok reply.
+func codecFrames() []codecFrame {
+	raw := func(s string) json.RawMessage { return json.RawMessage(s) }
+	push := &Msg{T: TypeFiring}
+	for i := 0; i < 4; i++ {
+		push.Firings = append(push.Firings, FiringJSON{Rule: "tick_" + strconv.Itoa(i),
+			Time: 1000, State: 999, Seq: 4000 + i,
+			Binding: map[string]json.RawMessage{"A": raw(`{"int":3}`), "B": raw(`{"str":"sym7"}`)}})
+	}
+	txn := &Msg{T: TypeTxn, ID: 77, TS: 1000,
+		Updates: map[string]json.RawMessage{"px_IBM": raw(`{"float":101.5}`)},
+		Events:  [][]json.RawMessage{{raw(`"tick"`), raw(`{"str":"IBM"}`)}}}
+	return []codecFrame{
+		{"txn", txn, 9},
+		{"push", push, 24},
+		{"ok", &Msg{T: TypeOK, ID: 77, TS: 1000}, 1},
+	}
+}
+
+func binaryPayload(tb testing.TB, m *Msg) []byte {
+	tb.Helper()
+	var buf bytes.Buffer
+	if err := WriteFrameC(&buf, m, CodecBinary); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()[4:]
+}
+
+// TestBinaryCodecAllocs: a FrameWriter's binary write allocates nothing
+// once its buffer has grown, and a decode no more than codecFrames says
+// (outside -race builds).
+func TestBinaryCodecAllocs(t *testing.T) {
+	for _, f := range codecFrames() {
+		fw := NewFrameWriter(io.Discard, CodecBinary)
+		if n := testing.AllocsPerRun(100, func() { _ = fw.Write(f.m) }); n != 0 {
+			t.Errorf("%s: FrameWriter.Write allocates %.1f per frame, want 0", f.name, n)
+		}
+		payload := binaryPayload(t, f.m)
+		n := testing.AllocsPerRun(100, func() { _, _ = decodeBinaryMsg(payload) })
+		t.Logf("%s: a decode allocates %.0f", f.name, n)
+		if n > f.decodeAllocs && !raceEnabled {
+			t.Errorf("%s: a decode allocates %.1f, want at most %.0f", f.name, n, f.decodeAllocs)
+		}
+	}
+}
+
+// BenchmarkBinaryCodec times a binary FrameWriter.Write and a decode of
+// each of codecFrames.
+func BenchmarkBinaryCodec(b *testing.B) {
+	for _, f := range codecFrames() {
+		payload := binaryPayload(b, f.m)
+		b.Run("encode/"+f.name, func(b *testing.B) {
+			fw := NewFrameWriter(io.Discard, CodecBinary)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := fw.Write(f.m); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run("decode/"+f.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := decodeBinaryMsg(payload); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -155,37 +155,39 @@ func (e *NotPrimaryError) Error() string {
 // Unwrap yields the sentinel so errors.Is works.
 func (e *NotPrimaryError) Unwrap() error { return ErrNotPrimary }
 
+// codeSentinels pairs each error code with the sentinel it stands for.
+// CodeFor reads it in order, so the first sentinel an error matches
+// names its code; RemoteError.Unwrap reads it the other way.
+var codeSentinels = []struct {
+	code string
+	err  error
+}{
+	{CodeConstraint, adb.ErrConstraintViolation},
+	{CodeDegraded, adb.ErrDegraded},
+	{CodeQuarantined, adb.ErrRuleQuarantined},
+	{CodeBudget, adb.ErrBudgetExceeded},
+	{CodeTimeout, adb.ErrActionTimeout},
+	{CodeInternal, adb.ErrInternal},
+	{CodeVersion, ErrVersionMismatch},
+	{CodeLagged, ErrSubscriberLagged},
+	{CodeClosed, ErrSessionClosed},
+	{CodeCrossShard, ErrCrossShard},
+	{CodeNotPrimary, ErrNotPrimary},
+	{CodeWalTruncated, ErrWalTruncated},
+}
+
 // CodeFor maps an error to its wire code, via errors.Is over the engine
 // and network sentinels; unrecognized errors map to the generic "error".
 func CodeFor(err error) string {
-	switch {
-	case errors.Is(err, adb.ErrConstraintViolation):
-		return CodeConstraint
-	case errors.Is(err, adb.ErrDegraded):
-		return CodeDegraded
-	case errors.Is(err, adb.ErrRuleQuarantined):
-		return CodeQuarantined
-	case errors.Is(err, adb.ErrBudgetExceeded):
-		return CodeBudget
-	case errors.Is(err, adb.ErrActionTimeout):
-		return CodeTimeout
-	case errors.Is(err, adb.ErrInternal):
-		return CodeInternal
-	case errors.Is(err, ErrVersionMismatch):
-		return CodeVersion
-	case errors.Is(err, ErrSubscriberLagged):
-		return CodeLagged
-	case errors.Is(err, ErrSessionClosed):
-		return CodeClosed
-	case errors.Is(err, ErrCrossShard):
-		return CodeCrossShard
-	case errors.Is(err, ErrNotPrimary):
-		return CodeNotPrimary
-	case errors.Is(err, persist.ErrTruncatedHead), errors.Is(err, ErrWalTruncated):
-		return CodeWalTruncated
-	default:
-		return CodeError
+	for _, cs := range codeSentinels {
+		if errors.Is(err, cs.err) {
+			return cs.code
+		}
 	}
+	if errors.Is(err, persist.ErrTruncatedHead) { // ErrWalTruncated's server-side name
+		return CodeWalTruncated
+	}
+	return CodeError
 }
 
 // RemoteError is the client-side form of a server error frame. Unwrap
@@ -205,34 +207,12 @@ func (e *RemoteError) Error() string {
 
 // Unwrap yields the sentinel the code stands for (nil for generic codes).
 func (e *RemoteError) Unwrap() error {
-	switch e.Code {
-	case CodeConstraint:
-		return adb.ErrConstraintViolation
-	case CodeDegraded:
-		return adb.ErrDegraded
-	case CodeQuarantined:
-		return adb.ErrRuleQuarantined
-	case CodeBudget:
-		return adb.ErrBudgetExceeded
-	case CodeTimeout:
-		return adb.ErrActionTimeout
-	case CodeInternal:
-		return adb.ErrInternal
-	case CodeVersion:
-		return ErrVersionMismatch
-	case CodeLagged:
-		return ErrSubscriberLagged
-	case CodeClosed:
-		return ErrSessionClosed
-	case CodeCrossShard:
-		return ErrCrossShard
-	case CodeNotPrimary:
-		return ErrNotPrimary
-	case CodeWalTruncated:
-		return ErrWalTruncated
-	default:
-		return nil
+	for _, cs := range codeSentinels {
+		if cs.code == e.Code {
+			return cs.err
+		}
 	}
+	return nil
 }
 
 // FiringJSON is one rule firing on the wire: the push frame's payload and
@@ -387,28 +367,68 @@ type Msg struct {
 	Storage *StorageJSON `json:"storage,omitempty"`
 }
 
-// WriteFrame encodes m and writes one length-prefixed frame.
-func WriteFrame(w io.Writer, m *Msg) error {
-	payload, err := json.Marshal(m)
-	if err != nil {
-		return fmt.Errorf("wire: encode %s frame: %w", m.T, err)
+// WriteFrame encodes m as JSON and writes one length-prefixed frame.
+func WriteFrame(w io.Writer, m *Msg) error { return WriteFrameC(w, m, CodecJSON) }
+
+// WriteFrameC encodes m in codec c and writes one length-prefixed frame.
+// One-shot form of FrameWriter.Write; hot paths should hold a FrameWriter
+// to reuse its buffer.
+func WriteFrameC(w io.Writer, m *Msg, c Codec) error { return NewFrameWriter(w, c).Write(m) }
+
+// FrameWriter writes frames in one codec, reusing an internal buffer
+// across writes so steady-state encoding allocates nothing for the frame
+// itself. It is not safe for concurrent use; callers serialize (the
+// client's write mutex, the session's single writer goroutine).
+type FrameWriter struct {
+	w     io.Writer
+	codec Codec
+	enc   coder // enc.b is the frame buffer
+}
+
+// NewFrameWriter returns a FrameWriter over w in codec c.
+func NewFrameWriter(w io.Writer, c Codec) *FrameWriter {
+	return &FrameWriter{w: w, codec: c}
+}
+
+// Codec reports the payload encoding.
+func (fw *FrameWriter) Codec() Codec { return fw.codec }
+
+// Write encodes m and writes one length-prefixed frame.
+func (fw *FrameWriter) Write(m *Msg) error {
+	fw.enc.b = append(fw.enc.b[:0], 0, 0, 0, 0)
+	if fw.codec == CodecBinary {
+		appendBinaryMsg(&fw.enc, m)
+	} else {
+		payload, err := json.Marshal(m)
+		if err != nil {
+			return fmt.Errorf("wire: encode %s frame: %w", m.T, err)
+		}
+		fw.enc.b = append(fw.enc.b, payload...)
 	}
-	if len(payload) > MaxFrame {
-		return fmt.Errorf("wire: %s frame of %d bytes exceeds MaxFrame %d", m.T, len(payload), MaxFrame)
+	buf := fw.enc.b
+	n := len(buf) - 4
+	if n > MaxFrame {
+		return fmt.Errorf("wire: %s frame of %d bytes exceeds MaxFrame %d", m.T, n, MaxFrame)
 	}
-	buf := make([]byte, 4+len(payload))
-	binary.BigEndian.PutUint32(buf[:4], uint32(len(payload)))
-	copy(buf[4:], payload)
-	_, err = w.Write(buf)
+	binary.BigEndian.PutUint32(buf[:4], uint32(n))
+	_, err := fw.w.Write(buf)
+	// One oversized frame (a big query response) must not pin its buffer
+	// for the life of the connection.
+	if cap(buf) > 1<<20 {
+		fw.enc.b = nil
+	}
 	return err
 }
 
-// ReadFrame reads one frame. A clean end of stream before the first
-// length byte is io.EOF; a stream cut mid-frame is io.ErrUnexpectedEOF; a
-// length prefix of zero or beyond MaxFrame, or a payload that is not one
-// JSON Msg, is a protocol error. ReadFrame never panics on garbage input
-// (see FuzzReadFrame).
-func ReadFrame(r io.Reader) (*Msg, error) {
+// ReadFrame reads one JSON frame; see ReadFrameC.
+func ReadFrame(r io.Reader) (*Msg, error) { return ReadFrameC(r, CodecJSON) }
+
+// ReadFrameC reads one frame whose payload is in codec c. A clean end of
+// stream before the first length byte is io.EOF; a stream cut mid-frame
+// is io.ErrUnexpectedEOF; a length prefix of zero or beyond MaxFrame, or a
+// payload that is not one Msg, is a protocol error. It never panics on
+// garbage input (see FuzzReadFrame and FuzzReadFrameBinary).
+func ReadFrameC(r io.Reader, c Codec) (*Msg, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		if err == io.ErrUnexpectedEOF {
@@ -426,6 +446,9 @@ func ReadFrame(r io.Reader) (*Msg, error) {
 			err = io.ErrUnexpectedEOF
 		}
 		return nil, fmt.Errorf("wire: torn frame payload: %w", err)
+	}
+	if c == CodecBinary {
+		return decodeBinaryMsg(payload)
 	}
 	m := &Msg{}
 	if err := json.Unmarshal(payload, m); err != nil {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"reflect"
 	"strings"
@@ -11,6 +12,7 @@ import (
 
 	"ptlactive/internal/adb"
 	"ptlactive/internal/core"
+	"ptlactive/internal/persist"
 	"ptlactive/internal/value"
 )
 
@@ -145,6 +147,9 @@ func TestErrorTaxonomyRoundTrip(t *testing.T) {
 		{ErrVersionMismatch, CodeVersion},
 		{ErrSubscriberLagged, CodeLagged},
 		{ErrSessionClosed, CodeClosed},
+		{ErrCrossShard, CodeCrossShard},
+		{&NotPrimaryError{Leader: "a:1"}, CodeNotPrimary},
+		{ErrWalTruncated, CodeWalTruncated},
 	}
 	for _, c := range cases {
 		if got := CodeFor(c.err); got != c.code {
@@ -154,6 +159,9 @@ func TestErrorTaxonomyRoundTrip(t *testing.T) {
 		if sentinel := remote.Unwrap(); sentinel == nil || !errors.Is(c.err, sentinel) {
 			t.Fatalf("code %q: Unwrap = %v, does not match %v", c.code, sentinel, c.err)
 		}
+	}
+	if got := CodeFor(fmt.Errorf("replicate: %w", persist.ErrTruncatedHead)); got != CodeWalTruncated {
+		t.Fatalf("persist.ErrTruncatedHead mapped to %q", got)
 	}
 	if got := CodeFor(errors.New("whatever")); got != CodeError {
 		t.Fatalf("generic error mapped to %q", got)

@@ -9,6 +9,25 @@ import (
 	"ptlactive/internal/value"
 )
 
+// historiesEqual compares two histories state by state.
+func historiesEqual(a, b *history.History) bool {
+	if a.Len() != b.Len() {
+		return false
+	}
+	for i := 0; i < a.Len(); i++ {
+		sa, sb := a.At(i), b.At(i)
+		if sa.TS != sb.TS || !sa.DB.Equal(sb.DB) || sa.Events.Len() != sb.Events.Len() {
+			return false
+		}
+		for _, ev := range sa.Events.Events() {
+			if !sb.Events.Contains(ev) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 // truncStore builds a complete valid-time history with a retroactive
 // correction: txn 4 commits at 13 but writes a value valid at 7.
 func truncStore(t *testing.T) *Store {
