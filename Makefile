@@ -74,12 +74,14 @@ stress:
 # allocates alike at a handful of retained clauses (a wandering price,
 # which subsumption keeps to at most 20 clauses even at d=1000) and at about
 # 500 (a price rising at every state, which nothing subsumes; the test
-# checks the 500 are retained), and a windowed sum's step alike at window 40
-# and 4,000. In wire, a binary frame write allocates nothing and a decode
+# checks the 500 are retained), a windowed sum's step alike at window 40
+# and 4,000, and a step of a rule with parameters off temporal operators
+# only the Binding maps it returns plus a constant, at 1 and at 4
+# candidates. In wire, a binary frame write allocates nothing and a decode
 # of a transaction, a four-firing push and an ok reply at most 9, 24 and 1
 # times.
 allocgates:
-	for p in 1 2 4; do GOMAXPROCS=$$p $(GO) test -count=1 -run 'TestCommitAllocs|TestSweepNoRuleTerm|TestConstraintCheckAllocs|TestStepAllocsFlatInRetainedClauses|TestWindowedAggregateStepAllocs|TestBinaryCodecAllocs' ./internal/adb ./internal/core ./internal/server/wire || exit 1; done
+	for p in 1 2 4; do GOMAXPROCS=$$p $(GO) test -count=1 -run 'TestCommitAllocs|TestSweepNoRuleTerm|TestConstraintCheckAllocs|TestStepAllocsFlatInRetainedClauses|TestWindowedAggregateStepAllocs|TestParamStepAllocs|TestBinaryCodecAllocs' ./internal/adb ./internal/core ./internal/server/wire || exit 1; done
 
 # fuzz runs the parser and frame-decoder fuzzers for a bounded time. The
 # WAL and snapshots store a rule as its printed condition, so the

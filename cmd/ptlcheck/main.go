@@ -33,6 +33,7 @@ import (
 	"os"
 
 	"ptlactive"
+	"ptlactive/internal/core"
 )
 
 type stateLine struct {
@@ -70,6 +71,15 @@ func main() {
 		fmt.Printf("events:       %v\n", ci.Events)
 		fmt.Printf("temporal:     %t\n", ci.Temporal)
 		fmt.Printf("decomposable: %t\n", ptlactive.Decomposable(f))
+		ev, err := core.CompileAuto(ci, reg, nil)
+		if err != nil {
+			fatal(err)
+		}
+		kind := "general"
+		if _, fast := ev.(*core.FastEvaluator); fast {
+			kind = "fast"
+		}
+		fmt.Printf("evaluator:    %s\n", kind)
 		return
 	}
 

@@ -28,7 +28,7 @@ func (e *Engine) sweepCoarse(newest int, st history.SystemState) error {
 		if r.constraint {
 			// Constraints advance lazily, at commits and aborts — and a commit
 			// they accepted has stepped them already (checkConstraints).
-			if (st.Events.CommitCount() > 0 || len(st.Events.ByName(event.TransactionAbort)) > 0) && r.cursor <= newest {
+			if (st.Events.CommitCount() > 0 || st.Events.Count(event.TransactionAbort) > 0) && r.cursor <= newest {
 				jobs = append(jobs, r)
 			}
 			continue

@@ -160,8 +160,9 @@ func (e *Engine) add(name string, condition ptl.Formula, action Action, isConstr
 	if isConstraint && len(info.Free) > 0 {
 		return fmt.Errorf("adb: constraint %s must not have free variables (found %v)", name, info.Free)
 	}
-	// Decomposable, aggregate-free conditions — the subclass the paper's
-	// prototype implemented — get the boolean fast path.
+	// Conditions that keep remembered values off temporal operators — the
+	// decomposable subclass the paper's prototype implemented, parameters
+	// included (ptl.FastShape) — get the boolean fast path.
 	ev, err := core.CompileAuto(info, e.reg, e)
 	if err != nil {
 		return fmt.Errorf("adb: rule %s: %w", name, err)

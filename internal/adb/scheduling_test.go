@@ -3,6 +3,7 @@ package adb
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"ptlactive/internal/core"
@@ -181,12 +182,19 @@ func TestCompactWithLaggingRule(t *testing.T) {
 // TestFastPathMatchesGeneralInEngine: the engine's automatic fast-path
 // selection for decomposable rules never changes observable behavior.
 func TestFastPathMatchesGeneralInEngine(t *testing.T) {
-	run := func(general bool) map[string]int {
-		e := NewEngine(Config{Initial: map[string]value.Value{"a": value.NewInt(0)}})
+	run := func(general bool, workers int) []Firing {
+		e := NewEngine(Config{Initial: map[string]value.Value{"a": value.NewInt(0)}, Workers: workers})
 		conds := []string{
 			`@e0 since @e1(1)`,
 			`previously <= 4 (item("a") > 6)`,
 			`item("a") > 3 and lasttime item("a") <= 3`,
+			// Parameters: off temporal operators, then across them in = and ≠.
+			`@e1(U) and lasttime @e0`,
+			`@e2(U, V) and U >= V and item("a") > 2`,
+			`(not @e2(U, U)) since (@e1(U) and item("a") > 1)`,
+			`lasttime (@e1(U) or U = 2) and not @e2(0, U)`,
+			// No atom binds U in the right disjunct: the general evaluator's.
+			`@e1(U) or item("a") > 3`,
 		}
 		for i, c := range conds {
 			if err := e.AddTrigger(fmt.Sprintf("r%d", i), c, nil); err != nil {
@@ -195,6 +203,11 @@ func TestFastPathMatchesGeneralInEngine(t *testing.T) {
 		}
 		if err := e.AddConstraint("cap", `item("a") <= 9`); err != nil {
 			t.Fatal(err)
+		}
+		for _, r := range e.rules {
+			if _, fast := r.ev.(*core.FastEvaluator); !r.constraint && fast == (r.name == "r1" || r.name == "r7") {
+				t.Fatalf("rule %s compiled to %T", r.name, r.ev)
+			}
 		}
 		if general {
 			// Swap every rule onto the general constraint-graph evaluator,
@@ -208,13 +221,17 @@ func TestFastPathMatchesGeneralInEngine(t *testing.T) {
 			}
 		}
 		rng := rand.New(rand.NewSource(77))
-		for ts := int64(1); ts <= 60; ts++ {
+		arg := func() value.Value { return value.NewInt(int64(rng.Intn(3))) }
+		for ts := int64(1); ts <= 200; ts++ {
 			if rng.Intn(2) == 0 {
 				var evs []event.Event
-				if rng.Intn(2) == 0 {
+				switch rng.Intn(3) {
+				case 0:
 					evs = append(evs, event.New("e0"))
-				} else {
-					evs = append(evs, event.New("e1", value.NewInt(1)))
+				case 1:
+					evs = append(evs, event.New("e1", arg()))
+				default:
+					evs = append(evs, event.New("e2", arg(), arg()), event.New("e1", arg()))
 				}
 				if err := e.Emit(ts, evs...); err != nil {
 					t.Fatal(err)
@@ -225,15 +242,22 @@ func TestFastPathMatchesGeneralInEngine(t *testing.T) {
 			// must agree on which.
 			_ = e.Exec(ts, map[string]value.Value{"a": value.NewInt(int64(rng.Intn(12)))})
 		}
-		return firingSet(e.Firings())
+		return e.Firings()
 	}
-	fast, general := run(false), run(true)
-	if len(fast) != len(general) {
-		t.Fatalf("firing sets differ: fast=%v general=%v", fast, general)
+	want := run(true, 1)
+	if len(want) == 0 {
+		t.Fatal("no firings")
 	}
-	for k, v := range general {
-		if fast[k] != v {
-			t.Fatalf("fast path diverged at %s", k)
+	fired := map[string]bool{}
+	for _, f := range want {
+		fired[f.Rule] = true
+	}
+	if len(fired) != 8 {
+		t.Fatalf("only %v fired", fired)
+	}
+	for _, workers := range []int{1, 4} {
+		if got := run(false, workers); !reflect.DeepEqual(got, want) {
+			t.Fatalf("workers %d: fast path diverged from the general evaluator:\n got %v\nwant %v", workers, got, want)
 		}
 	}
 }

@@ -206,9 +206,13 @@ func engineFromSnapshot(cfg Config, snap *persist.EngineSnapshot) (*Engine, erro
 			return nil, err
 		}
 		r := e.index[rs.Name]
-		if err := core.RestoreEvaluatorState(r.ev, rs.Eval); err != nil {
+		// The encoded kind picks the evaluator: a parameterised rule saved
+		// as a constraint graph resumes on the general evaluator.
+		ev, err := core.RestoreEvaluatorState(r.ev, rs.Eval)
+		if err != nil {
 			return nil, fmt.Errorf("adb: snapshot rule %s: %w", rs.Name, err)
 		}
+		r.ev, r.hinted = ev, ev.(core.HintedEvaluator)
 		r.cursor = rs.Cursor
 		// The quiescent-replay memo travels with the snapshot so the
 		// recovered engine makes the same replay-vs-evaluate decisions the

@@ -270,7 +270,7 @@ func (e *Engine) unparkAll() {
 func (e *Engine) sweepIndexed(newest int, st history.SystemState) error {
 	end := newest + 1
 	commit := st.Events.CommitCount() > 0
-	aborted := len(st.Events.ByName(event.TransactionAbort)) > 0
+	aborted := st.Events.Count(event.TransactionAbort) > 0
 	d := e.dirty[newest]
 	s := e.takeScratch()
 	defer e.putScratch(s)

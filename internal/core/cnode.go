@@ -197,8 +197,13 @@ func nodeBool(b bool) *cnode {
 }
 
 // mkAtom builds a comparison atom, folding to a constant when both sides
-// are ground. A Null (undefined) side makes the atom false.
+// are ground. A Null (undefined) side makes the atom false — beside a bare
+// variable too, which evaluates without error, so that its negation holds
+// (U = c for an event argument c that is Null).
 func (in *interner) mkAtom(op value.CmpOp, l, r *cterm) (*cnode, error) {
+	if l.kind == ctVar && r.kind == ctConst && r.v.IsNull() || r.kind == ctVar && l.kind == ctConst && l.v.IsNull() {
+		return nodeFalse, nil
+	}
 	if l.vars == nil && r.vars == nil {
 		lv, err := l.eval(nil)
 		if err != nil {

@@ -528,8 +528,8 @@ func (e *Evaluator) buildEvent(x *ptl.EventAtom) (*cnode, error) {
 		args[i] = t
 	}
 	var disjuncts []*cnode
-	for _, ev := range e.st.Events.ByName(x.Name) {
-		if len(ev.Args) != len(args) {
+	for _, ev := range e.st.Events.Events() {
+		if ev.Name != x.Name || len(ev.Args) != len(args) {
 			continue
 		}
 		conj := make([]*cnode, len(args))

@@ -210,6 +210,40 @@ func TestTheorem1RandomEquivalence(t *testing.T) {
 	}
 }
 
+// TestNullAtomKeepsErrors: an atom against a Null constant folds to false
+// only beside a bare variable, so a symbolic side that would fail once
+// substituted still reports its error at the state where naive meets it.
+func TestNullAtomKeepsErrors(t *testing.T) {
+	reg := ptlgen.Registry()
+	b := history.NewBuilder(history.EmptyDB().With("s", value.NewString("abc")).With("n", value.Value{}), 0)
+	if err := b.Commit(1, 1, map[string]value.Value{"s": value.NewString("abd")}); err != nil {
+		t.Fatal(err)
+	}
+	h := b.History()
+	for _, src := range []string{
+		`[x <- item("s")] lasttime (x + 1 = item("n"))`,
+		`[x <- item("s")] lasttime not (item("n") != x + 1)`,
+	} {
+		f := mustParse(t, src)
+		info, err := ptl.Check(f, reg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inc, err := New(info, reg, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		direct := naive.New(reg, h, nil)
+		for i := 0; i < h.Len(); i++ {
+			_, err := inc.Step(h.At(i))
+			_, werr := direct.Sat(i, f, nil)
+			if (err == nil) != (werr == nil) || (werr == nil) != (i == 0) {
+				t.Fatalf("%s at state %d: general error %v, naive error %v", src, i, err, werr)
+			}
+		}
+	}
+}
+
 // TestTheorem1WithAggregates extends the property test to formulas
 // containing temporal aggregates.
 func TestTheorem1WithAggregates(t *testing.T) {

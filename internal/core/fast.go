@@ -1,8 +1,12 @@
 package core
 
 import (
+	"bytes"
+	"cmp"
 	"fmt"
+	"math"
 	"slices"
+	"strings"
 
 	"ptlactive/internal/history"
 	"ptlactive/internal/ptl"
@@ -10,16 +14,28 @@ import (
 	"ptlactive/internal/value"
 )
 
-// FastEvaluator is a specialized incremental evaluator for the
-// *decomposable* subclass of PTL — the subclass the paper's Sybase
-// prototype implemented ([Deng 94]): closed conditions in which no
-// variable crosses a temporal operator. For these, every F_{g,i} collapses
-// to a truth value, so instead of constraint graphs the evaluator keeps
-// exactly one boolean per temporal occurrence. It computes the same
-// recurrences as Evaluator:
+// FastEvaluator is a specialized incremental evaluator for the subclass of
+// PTL in which no value the history must remember crosses a temporal
+// operator (ptl.FastShape): the *decomposable* conditions the paper's
+// Sybase prototype implemented ([Deng 94]), and rule parameters under the
+// same discipline. For a closed condition every F_{g,i} collapses to a
+// truth value, so instead of constraint graphs the evaluator keeps exactly
+// one boolean per temporal occurrence. It computes the same recurrences as
+// Evaluator:
 //
 //	reg[g since h] = F_h(i) || (F_g(i) && reg[g since h])
 //	reg[lasttime g] is read, then overwritten with F_g(i)
+//
+// A parameter that crosses no temporal operator is evaluated like an
+// assigned variable, once per candidate value this state offers (its event
+// arguments, executed records, relation rows and equalities), in the order
+// the general evaluator enumerates; one of those atoms binds it, so no
+// other value satisfies the condition. One parameter may cross temporal
+// operators in = and ≠ atoms against constants: every value those atoms do
+// not mention evolves alike, so the evaluator keeps a default register
+// vector, and one vector per value the history mentioned until it returns
+// to the default — §6.1.1's "free variables index a family of items",
+// applied to the registers.
 //
 // The ablation experiment (bench_test.go, BenchmarkAblationDecomposable)
 // measures what the general constraint-graph machinery costs on
@@ -30,8 +46,9 @@ type FastEvaluator struct {
 	log  ptl.ExecLog
 
 	// regs holds every register, the nSince since occurrences then the
-	// lasttime ones in temporalOccurrences order (the encoded order). undo is
-	// Mark's copy of regs and steps.
+	// lasttime ones in temporalOccurrences order (the encoded order): the
+	// default vector when there is a class parameter, whose classes step
+	// through it. undo is Mark's copy of regs and steps.
 	regs      []bool
 	nSince    int
 	steps     int
@@ -41,16 +58,59 @@ type FastEvaluator struct {
 
 	// root is the normalized condition compiled once by NewFast (compile
 	// below): closures over pointers into regs, slots of qc and slots of
-	// vars, which holds the value each enclosing assignment bound.
+	// vars, which holds each parameter's value, then the value each
+	// enclosing assignment bound.
 	root fastCond
 	qc   queryCache
 	vars []value.Value
+
+	*params // nil for a closed condition
+}
+
+// params is the part of a FastEvaluator a parameterised condition uses.
+// The parameters are info.Free, in vars[:len(names)]; class indexes the one
+// that crosses temporal operators, -1 if none.
+type params struct {
+	names []string
+	class int
+	// pre steps the temporal occurrences, inner ones first, into out; the
+	// condition then only reads out, so it can be evaluated once per binding.
+	pre []func() error
+	out []bool
+	// sources append this state's candidates to cands, keyed back to back
+	// in keys; bounds[p] is where parameter p's start once they are sorted.
+	sources []func() error
+	cands   []cand
+	keys    []byte
+	bounds  []int
+	// classes holds the values of the class parameter with a vector of
+	// their own; order, sorted by key, is its domain at this step.
+	// undoClasses and undoRegs are Mark's copy of classes.
+	classes     map[string]*valueClass
+	order       []*valueClass
+	def         []bool
+	undoClasses []*valueClass
+	undoRegs    []bool
+}
+
+// cand is a candidate value v of parameter p, keyed by keys[k0:k1].
+type cand struct {
+	p      int
+	v      value.Value
+	k0, k1 int
+}
+
+// valueClass is a value of the class parameter with registers of its own.
+type valueClass struct {
+	v         value.Value
+	key       string
+	regs, out []bool
+	mentioned bool
 }
 
 // NewFast compiles a checked condition into a fast evaluator. It returns
-// an error when the condition is outside the decomposable subclass
-// (parameters, variables crossing temporal operators, or aggregates —
-// evaluate those with New).
+// an error when the condition is outside ptl.FastShape (variables crossing
+// temporal operators, or aggregates — evaluate those with New).
 func NewFast(info *ptl.Info, reg *query.Registry, log ptl.ExecLog) (*FastEvaluator, error) {
 	if info == nil {
 		return nil, fmt.Errorf("core: nil condition info")
@@ -58,17 +118,9 @@ func NewFast(info *ptl.Info, reg *query.Registry, log ptl.ExecLog) (*FastEvaluat
 	if log == nil {
 		log = ptl.NoExecutions{}
 	}
-	if !ptl.Decomposable(info.Source) {
-		return nil, fmt.Errorf("core: condition is not decomposable; use the general evaluator")
-	}
-	hasAgg := false
-	ptl.WalkTerms(info.Normalized, func(t ptl.Term) {
-		if _, ok := t.(*ptl.Agg); ok {
-			hasAgg = true
-		}
-	})
-	if hasAgg {
-		return nil, fmt.Errorf("core: fast evaluator does not support aggregates; use the general evaluator")
+	class, ok := ptl.FastShape(info.Normalized, info.Free)
+	if !ok {
+		return nil, fmt.Errorf("core: condition is outside the fast evaluator's class; use the general evaluator")
 	}
 	sinces, lasts := temporalOccurrences(info.Normalized)
 	n := len(sinces) + len(lasts)
@@ -81,13 +133,21 @@ func NewFast(info *ptl.Info, reg *query.Registry, log ptl.ExecLog) (*FastEvaluat
 		nSince: len(sinces),
 		undo:   both[n:],
 		qc:     newQueryCache(info.Normalized, reg),
+		vars:   make([]value.Value, len(info.Free)),
 	}
-	c := fastCompiler{e: e, since: make(map[*ptl.Since]*bool, len(sinces)), last: make(map[*ptl.Lasttime]*bool, len(lasts))}
+	if len(info.Free) > 0 {
+		e.params = &params{names: info.Free, class: slices.Index(info.Free, class), out: make([]bool, n)}
+		if e.class >= 0 {
+			e.classes = map[string]*valueClass{}
+		}
+	}
+	c := fastCompiler{e: e, since: make(map[*ptl.Since]int, len(sinces)), last: make(map[*ptl.Lasttime]int, len(lasts)),
+		scope: slices.Clone(info.Free)}
 	for i, x := range sinces {
-		c.since[x] = &e.regs[i]
+		c.since[x] = i
 	}
 	for i, x := range lasts {
-		c.last[x] = &e.regs[len(sinces)+i]
+		c.last[x] = len(sinces) + i
 	}
 	e.root = c.cond(info.Normalized)
 	return e, nil
@@ -105,12 +165,25 @@ func CompileFast(f ptl.Formula, reg *query.Registry, log ptl.ExecLog) (*FastEval
 // Registers returns the number of boolean temporal registers.
 func (e *FastEvaluator) Registers() int { return len(e.regs) }
 
+// StateSize returns the number of register vectors kept: the default, and
+// one per value of the class parameter that has its own.
+func (e *FastEvaluator) StateSize() int {
+	if e.params == nil {
+		return 1
+	}
+	return 1 + len(e.classes)
+}
+
 // Steps returns the number of states processed.
 func (e *FastEvaluator) Steps() int { return e.steps }
 
 // Step feeds the next system state and reports whether the condition is
-// satisfied at it.
+// satisfied at it (for some binding of its parameters).
 func (e *FastEvaluator) Step(st history.SystemState) (bool, error) {
+	if e.params != nil {
+		res, err := e.stepParams(st, false)
+		return res.Fired, err
+	}
 	return e.stepHinted(st, false)
 }
 
@@ -125,6 +198,159 @@ func (e *FastEvaluator) stepHinted(st history.SystemState, dbUnchanged bool) (bo
 	}
 	e.steps++
 	return fired, nil
+}
+
+// stepParams steps a parameterised condition: it gathers the candidates,
+// advances the registers and evaluates the condition once per combination
+// of candidates — the general evaluator's resolve, without its graph.
+func (e *FastEvaluator) stepParams(st history.SystemState, dbUnchanged bool) (Result, error) {
+	if !dbUnchanged {
+		e.qc.reset()
+	}
+	e.st = st
+	e.cands, e.keys, e.bounds = e.cands[:0], e.keys[:0], e.bounds[:0]
+	for _, src := range e.sources {
+		if err := src(); err != nil {
+			return Result{}, err
+		}
+	}
+	key := func(c cand) []byte { return e.keys[c.k0:c.k1] }
+	slices.SortStableFunc(e.cands, func(a, b cand) int { return cmp.Or(a.p-b.p, bytes.Compare(key(a), key(b))) })
+	e.cands = slices.CompactFunc(e.cands, func(a, b cand) bool { return a.p == b.p && bytes.Equal(key(a), key(b)) })
+	for p, i := 0, 0; p <= len(e.names); p++ {
+		for i < len(e.cands) && e.cands[i].p < p {
+			i++
+		}
+		e.bounds = append(e.bounds, i)
+	}
+	if err := e.stepRegisters(); err != nil {
+		return Result{}, err
+	}
+	total := 1
+	for p := range e.names {
+		if total *= e.domain(p); total > enumerationLimit {
+			e.steps++
+			return Result{}, fmt.Errorf("core: parameter enumeration exceeds %d combinations", enumerationLimit)
+		}
+	}
+	if total == 0 {
+		// No firing, but the condition's own errors surface, as the
+		// general evaluator meets them building its graph.
+		clear(e.vars[:len(e.names)])
+		if _, err := e.root(); err != nil {
+			return Result{}, err
+		}
+	}
+	e.steps++
+	var res Result
+	err := e.enumerate(0, &res)
+	res.Fired = len(res.Bindings) > 0
+	return res, err
+}
+
+// domain is the number of candidates of parameter p at this step.
+func (e *FastEvaluator) domain(p int) int {
+	if p == e.class {
+		return len(e.order)
+	}
+	return e.bounds[p+1] - e.bounds[p]
+}
+
+// enumerate binds parameters p onwards to each combination of their
+// candidates, the last varying fastest, and adds the satisfying ones to res.
+func (e *FastEvaluator) enumerate(p int, res *Result) error {
+	if p == len(e.names) {
+		ok, err := e.root()
+		if ok && err == nil {
+			b := make(Binding, len(e.names))
+			for i, name := range e.names {
+				b[name] = e.vars[i]
+			}
+			res.Bindings = append(res.Bindings, b)
+		}
+		return err
+	}
+	for i := 0; i < e.domain(p); i++ {
+		if p == e.class {
+			e.vars[p] = e.order[i].v
+			copy(e.out, e.order[i].out)
+		} else {
+			e.vars[p] = e.cands[e.bounds[p]+i].v
+		}
+		if err := e.enumerate(p+1, res); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// stepRegisters advances every register vector by the current state.
+// Without a class parameter there is one. Otherwise each value this state
+// mentions steps on its own vector (a copy of the default's if it had
+// none); every other vector takes the no-mention transition, under NaN,
+// which equals nothing; the default steps last; and a vector that ends
+// equal to the default's is dropped. A class steps through regs, which
+// holds the default between steps.
+func (e *FastEvaluator) stepRegisters() error {
+	if e.class < 0 {
+		return e.runPre()
+	}
+	e.def = append(e.def[:0], e.regs...)
+	for _, c := range e.cands[e.bounds[e.class]:e.bounds[e.class+1]] {
+		cl := e.classes[string(e.keys[c.k0:c.k1])]
+		if cl == nil {
+			cl = e.newClass(c.v, string(e.keys[c.k0:c.k1]), e.def)
+		}
+		cl.mentioned = true
+	}
+	e.order = e.order[:0]
+	for _, cl := range e.classes {
+		e.order = append(e.order, cl)
+	}
+	slices.SortFunc(e.order, func(a, b *valueClass) int { return strings.Compare(a.key, b.key) })
+	nan := value.NewFloat(math.NaN())
+	for _, cl := range e.order {
+		v := nan
+		if cl.mentioned {
+			v = cl.v
+		}
+		copy(e.regs, cl.regs)
+		e.vars[e.class] = v
+		err := e.runPre()
+		copy(cl.regs, e.regs)
+		copy(cl.out, e.out)
+		if err != nil {
+			copy(e.regs, e.def)
+			return err
+		}
+	}
+	copy(e.regs, e.def)
+	e.vars[e.class] = nan
+	if err := e.runPre(); err != nil {
+		return err
+	}
+	for _, cl := range e.order {
+		if cl.mentioned = false; slices.Equal(cl.regs, e.regs) {
+			delete(e.classes, cl.key)
+		}
+	}
+	return nil
+}
+
+// newClass enters value v of the class parameter with a copy of regs.
+func (e *FastEvaluator) newClass(v value.Value, key string, regs []bool) *valueClass {
+	cl := &valueClass{v: v, key: key, regs: slices.Clone(regs), out: make([]bool, len(regs))}
+	e.classes[key] = cl
+	return cl
+}
+
+func (e *FastEvaluator) runPre() error {
+	for _, step := range e.pre {
+		if err := step(); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // fastCond and fastTerm are a compiled subformula and term: they read the
@@ -143,8 +369,8 @@ type (
 // if, a step reaches it.
 type fastCompiler struct {
 	e     *FastEvaluator
-	since map[*ptl.Since]*bool
-	last  map[*ptl.Lasttime]*bool
+	since map[*ptl.Since]int
+	last  map[*ptl.Lasttime]int
 	scope []string
 }
 
@@ -156,9 +382,8 @@ func (c *fastCompiler) terms(ts []ptl.Term) []fastTerm {
 	return out
 }
 
-// evalTerms evaluates ts in order into a fresh slice.
-func evalTerms(ts []fastTerm) ([]value.Value, error) {
-	out := make([]value.Value, len(ts))
+// evalTerms evaluates ts in order into out, which it returns.
+func evalTerms(out []value.Value, ts []fastTerm) ([]value.Value, error) {
 	for i, t := range ts {
 		v, err := t()
 		if err != nil {
@@ -169,6 +394,20 @@ func evalTerms(ts []fastTerm) ([]value.Value, error) {
 	return out, nil
 }
 
+// matches reports whether a recorded argument list equals args as the
+// general evaluator's equality atoms decide it: a Null matches nothing.
+func matches(have, args []value.Value) bool {
+	if len(have) != len(args) {
+		return false
+	}
+	for i, a := range args {
+		if a.IsNull() || have[i].IsNull() || !a.Equal(have[i]) {
+			return false
+		}
+	}
+	return true
+}
+
 func (c *fastCompiler) cond(f ptl.Formula) fastCond {
 	e := c.e
 	switch x := f.(type) {
@@ -177,6 +416,20 @@ func (c *fastCompiler) cond(f ptl.Formula) fastCond {
 		return func() (bool, error) { return v, nil }
 	case *ptl.Cmp:
 		op, lt, rt := x.Op, c.term(x.L), c.term(x.R)
+		for _, s := range []struct {
+			v, other ptl.Term
+			t        fastTerm
+		}{{x.L, x.R, rt}, {x.R, x.L, lt}} {
+			if v, ok := s.v.(*ptl.Var); ok && e.params != nil && ptl.Ground(s.other) && (op == value.EQ || op == value.NE && slices.Index(e.names, v.Name) == e.class) {
+				c.bind([]ptl.Term{v}, func(emit func([]value.Value, value.Value)) error {
+					w, err := s.t()
+					if err == nil {
+						emit(nil, w)
+					}
+					return err
+				})
+			}
+		}
 		return func() (bool, error) {
 			l, err := lt()
 			if err != nil {
@@ -193,13 +446,22 @@ func (c *fastCompiler) cond(f ptl.Formula) fastCond {
 		}
 	case *ptl.EventAtom:
 		name, argts := x.Name, c.terms(x.Args)
+		buf := make([]value.Value, len(argts))
+		c.bind(x.Args, func(emit func([]value.Value, value.Value)) error {
+			for _, ev := range e.st.Events.Events() {
+				if ev.Name == name && len(ev.Args) == len(buf) {
+					emit(ev.Args, value.Value{})
+				}
+			}
+			return nil
+		})
 		return func() (bool, error) {
-			args, err := evalTerms(argts)
+			args, err := evalTerms(buf, argts)
 			if err != nil {
 				return false, err
 			}
-			for _, ev := range e.st.Events.ByName(name) {
-				if slices.EqualFunc(ev.Args, args, value.Value.Equal) {
+			for _, ev := range e.st.Events.Events() {
+				if ev.Name == name && matches(ev.Args, args) {
 					return true, nil
 				}
 			}
@@ -207,8 +469,17 @@ func (c *fastCompiler) cond(f ptl.Formula) fastCond {
 		}
 	case *ptl.Executed:
 		rule, argts, timet := x.Rule, c.terms(x.Args), c.term(x.TimeArg)
+		buf := make([]value.Value, len(argts))
+		c.bind(append(slices.Clip(x.Args), x.TimeArg), func(emit func([]value.Value, value.Value)) error {
+			for _, ex := range e.log.Executions(rule, e.st.TS) {
+				if len(ex.Params) == len(buf) {
+					emit(ex.Params, value.NewInt(ex.Time))
+				}
+			}
+			return nil
+		})
 		return func() (bool, error) {
-			args, err := evalTerms(argts)
+			args, err := evalTerms(buf, argts)
 			if err != nil {
 				return false, err
 			}
@@ -217,7 +488,7 @@ func (c *fastCompiler) cond(f ptl.Formula) fastCond {
 				return false, err
 			}
 			for _, ex := range e.log.Executions(rule, e.st.TS) {
-				if value.NewInt(ex.Time).Equal(tv) && slices.EqualFunc(ex.Params, args, value.Value.Equal) {
+				if !tv.IsNull() && value.NewInt(ex.Time).Equal(tv) && matches(ex.Params, args) {
 					return true, nil
 				}
 			}
@@ -225,6 +496,19 @@ func (c *fastCompiler) cond(f ptl.Formula) fastCond {
 		}
 	case *ptl.Member:
 		relt, elemts := c.term(x.Rel), c.terms(x.Elems)
+		buf := make([]value.Value, len(elemts))
+		c.bind(x.Elems, func(emit func([]value.Value, value.Value)) error {
+			rel, err := relt()
+			if err != nil || rel.Kind() != value.Relation {
+				return err
+			}
+			for _, row := range rel.Rows() {
+				if len(row) == len(buf) {
+					emit(row, value.Value{})
+				}
+			}
+			return nil
+		})
 		return func() (bool, error) {
 			rel, err := relt()
 			if err != nil {
@@ -236,13 +520,12 @@ func (c *fastCompiler) cond(f ptl.Formula) fastCond {
 			if rel.Kind() != value.Relation {
 				return false, fmt.Errorf("core: membership in %s", rel.Kind())
 			}
-			elems, err := evalTerms(elemts)
+			elems, err := evalTerms(buf, elemts)
 			if err != nil {
 				return false, err
 			}
-			want := value.NewTuple(elems...)
 			for _, row := range rel.Rows() {
-				if value.NewTuple(row...).Equal(want) {
+				if matches(row, elems) {
 					return true, nil
 				}
 			}
@@ -281,8 +564,9 @@ func (c *fastCompiler) cond(f ptl.Formula) fastCond {
 			return l || r, nil
 		}
 	case *ptl.Since:
-		gf, hf, reg := c.cond(x.L), c.cond(x.R), c.since[x]
-		return func() (bool, error) {
+		gf, hf, k := c.cond(x.L), c.cond(x.R), c.since[x]
+		reg := &e.regs[k]
+		return c.occurrence(k, func() (bool, error) {
 			fg, err := gf()
 			if err != nil {
 				return false, err
@@ -293,10 +577,11 @@ func (c *fastCompiler) cond(f ptl.Formula) fastCond {
 			}
 			*reg = fh || (fg && *reg)
 			return *reg, nil
-		}
+		})
 	case *ptl.Lasttime:
-		g, reg := c.cond(x.F), c.last[x]
-		return func() (bool, error) {
+		g, k := c.cond(x.F), c.last[x]
+		reg := &e.regs[k]
+		return c.occurrence(k, func() (bool, error) {
 			ret := *reg
 			cur, err := g()
 			if err != nil {
@@ -304,7 +589,7 @@ func (c *fastCompiler) cond(f ptl.Formula) fastCond {
 			}
 			*reg = cur
 			return ret, nil
-		}
+		})
 	case *ptl.Assign:
 		q, slot := c.term(x.Q), len(c.scope)
 		if slot == len(e.vars) {
@@ -326,6 +611,66 @@ func (c *fastCompiler) cond(f ptl.Formula) fastCond {
 	}
 }
 
+// occurrence is the closure of temporal occurrence k, given the one that
+// steps its register and returns its value. In a parameterised condition
+// the occurrences step in pre, inner ones first, before the condition is
+// evaluated per binding, and its closure only reads the value stepped.
+func (c *fastCompiler) occurrence(k int, step fastCond) fastCond {
+	e := c.e
+	if e.params == nil {
+		return step
+	}
+	out := &e.out[k]
+	e.pre = append(e.pre, func() (err error) {
+		*out, err = step()
+		return err
+	})
+	return func() (bool, error) { return *out, nil }
+}
+
+// bind gives the parameters among an atom's arguments ts a source of
+// candidates: rows calls emit on each argument list the state records for
+// the atom (extra standing for the one past its end, an execution's time),
+// and emit offers the values at the parameters' positions. They cover the
+// constants the general evaluator's equalities would hold
+// (collectCandidates), and may be more: the condition decides each.
+func (c *fastCompiler) bind(ts []ptl.Term, rows func(emit func(row []value.Value, extra value.Value)) error) {
+	e := c.e
+	if e.params == nil {
+		return
+	}
+	var pos, par []int
+	for i, t := range ts {
+		if v, ok := t.(*ptl.Var); ok && slices.Contains(e.names, v.Name) {
+			pos, par = append(pos, i), append(par, slices.Index(e.names, v.Name))
+		}
+	}
+	if pos == nil {
+		return
+	}
+	emit := func(row []value.Value, extra value.Value) {
+		for j, i := range pos {
+			v := extra
+			if i < len(row) {
+				v = row[i]
+			}
+			e.addCand(par[j], v)
+		}
+	}
+	e.sources = append(e.sources, func() error { return rows(emit) })
+}
+
+// addCand appends candidate v of parameter p, keying it into keys. A Null
+// is no candidate: it satisfies no equality.
+func (e *FastEvaluator) addCand(p int, v value.Value) {
+	if v.IsNull() {
+		return
+	}
+	k0 := len(e.keys)
+	e.keys = v.AppendKey(e.keys)
+	e.cands = append(e.cands, cand{p: p, v: v, k0: k0, k1: len(e.keys)})
+}
+
 func (c *fastCompiler) term(t ptl.Term) fastTerm {
 	e := c.e
 	switch x := t.(type) {
@@ -344,7 +689,7 @@ func (c *fastCompiler) term(t ptl.Term) fastTerm {
 	case *ptl.Call:
 		fn, argts, slot := x.Fn, c.terms(x.Args), e.qc.slotOf(x)
 		call := func() (value.Value, error) {
-			args, err := evalTerms(argts)
+			args, err := evalTerms(make([]value.Value, len(argts)), argts)
 			if err != nil {
 				return value.Value{}, err
 			}
@@ -395,11 +740,17 @@ func (c *fastCompiler) term(t ptl.Term) fastTerm {
 	}
 }
 
-// Mark implements ConditionEvaluator: a copy of a few booleans, no
-// allocation.
+// Mark implements ConditionEvaluator: a copy of a few booleans, and of
+// each value class's.
 func (e *FastEvaluator) Mark() {
 	copy(e.undo, e.regs)
 	e.undoSteps = e.steps
+	if e.params != nil && e.classes != nil {
+		e.undoClasses, e.undoRegs = e.undoClasses[:0], e.undoRegs[:0]
+		for _, cl := range e.classes {
+			e.undoClasses, e.undoRegs = append(e.undoClasses, cl), append(e.undoRegs, cl.regs...)
+		}
+	}
 }
 
 // Rollback implements ConditionEvaluator.
@@ -407,6 +758,13 @@ func (e *FastEvaluator) Rollback() {
 	copy(e.regs, e.undo)
 	e.steps = e.undoSteps
 	e.qc.reset()
+	if e.params != nil && e.classes != nil {
+		clear(e.classes)
+		for i, cl := range e.undoClasses {
+			copy(cl.regs, e.undoRegs[i*len(e.regs):])
+			cl.mentioned, e.classes[cl.key] = false, cl
+		}
+	}
 }
 
 // StepResult adapts Step to the general evaluator's Result shape, so the
@@ -417,6 +775,9 @@ func (e *FastEvaluator) StepResult(st history.SystemState) (Result, error) {
 
 // StepResultHinted implements HintedEvaluator.
 func (e *FastEvaluator) StepResultHinted(st history.SystemState, dbUnchanged bool) (Result, error) {
+	if e.params != nil {
+		return e.stepParams(st, dbUnchanged)
+	}
 	ok, err := e.stepHinted(st, dbUnchanged)
 	if err != nil {
 		return Result{}, err
@@ -454,9 +815,12 @@ func (e *Evaluator) StepResultHinted(st history.SystemState, dbUnchanged bool) (
 	return e.stepHinted(st, dbUnchanged)
 }
 
-// CompileAuto builds the best evaluator for the condition: the boolean
-// fast path when the condition is in the decomposable subclass (and free
-// of aggregates), the general constraint-graph evaluator otherwise.
+// CompileAuto builds the best evaluator for the condition, chosen from the
+// condition alone: the register fast path when it is in ptl.FastShape's
+// class — closed decomposable conditions, and parameters bound by an atom
+// that offers their values and kept off temporal operators or used there
+// only in = and ≠ atoms — and the general constraint-graph evaluator
+// otherwise.
 func CompileAuto(info *ptl.Info, reg *query.Registry, log ptl.ExecLog) (ConditionEvaluator, error) {
 	if fast, err := NewFast(info, reg, log); err == nil {
 		return fast, nil

@@ -1,13 +1,16 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
 	"ptlactive/internal/event"
 	"ptlactive/internal/history"
+	"ptlactive/internal/naive"
 	"ptlactive/internal/ptl"
 	"ptlactive/internal/ptlgen"
+	"ptlactive/internal/query"
 	"ptlactive/internal/value"
 )
 
@@ -127,8 +130,12 @@ func TestFastRejectsNonDecomposable(t *testing.T) {
 	bad := []string{
 		// Variable crossing a temporal operator.
 		`[x <- item("a")] previously (item("a") = x)`,
-		// Free variable.
-		`previously @e1(X)`,
+		// A parameter crossing a temporal operator outside = and ≠.
+		`previously (@e1(X) and X > 1)`,
+		// Two parameters crossing temporal operators.
+		`previously @e2(X, Y)`,
+		// A parameter's candidates in an assigned relation.
+		`[r <- item("a")] X in r`,
 	}
 	for _, src := range bad {
 		f, err := ptl.Parse(src)
@@ -205,4 +212,251 @@ func TestFastExecutedPredicate(t *testing.T) {
 	if !anyFired {
 		t.Fatal("executed predicate never matched")
 	}
+}
+
+// TestParamFormulaMatchesGeneralAndNaive is Theorem 1 for rule parameters:
+// on ptlgen's parameter family, the evaluator CompileAuto picks fires with
+// the general evaluator's bindings, in its order, at every state, and a
+// binding is returned exactly when the whole-history semantics holds under
+// it, over every combination of the values the history can offer.
+func TestParamFormulaMatchesGeneralAndNaive(t *testing.T) {
+	reg := ptlgen.Registry()
+	iters := 600
+	if testing.Short() {
+		iters = 150
+	}
+	kinds := map[string]int{}
+	for seed := 0; seed < iters; seed++ {
+		rng := rand.New(rand.NewSource(int64(seed)))
+		f := ptlgen.ParamFormula(rng, 1+rng.Intn(3))
+		h := ptlgen.ParamHistory(rng, 20)
+		log := ptlgen.ParamLog(rng, h)
+		info, err := ptl.Check(f, reg)
+		if err != nil {
+			t.Fatalf("seed %d: check: %v\n%s", seed, err, f)
+		}
+		auto, err := CompileAuto(info, reg, log)
+		if err != nil {
+			t.Fatal(err)
+		}
+		general, err := New(info, reg, log)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kind := "general"
+		if fast, ok := auto.(*FastEvaluator); ok {
+			kind = "fast"
+			if fast.class >= 0 {
+				kind = "class"
+			}
+		}
+		kinds[kind]++
+		// A disjunction whose body leaves U unbound holds for infinitely
+		// many values: only the general evaluator is its reference.
+		_, disjunction := f.(*ptl.Or)
+		if disjunction {
+			kinds["or "+kind]++
+		}
+		universe := map[string][]value.Value{"U": ints(10), "V": ints(3)}
+		for _, ex := range log {
+			universe["T"] = append(universe["T"], value.NewInt(ex.Time))
+		}
+		oracle := naive.New(reg, h, log)
+		// At the cut, each evaluator's state is restored onto a fresh one
+		// CompileAuto built, which goes on beside it: the general
+		// evaluator's, as a snapshot written before the fast path took
+		// parameters would hold it, and the fast one's own.
+		cut, fromGeneral, fromAuto := 1+seed%(h.Len()-1), ConditionEvaluator(nil), ConditionEvaluator(nil)
+		undone, _ := CompileAuto(info, reg, log) // takes every step twice, the first marked and rolled back
+		for i := 0; i < h.Len(); i++ {
+			undone.Mark()
+			_, _ = undone.StepResult(h.At(i))
+			undone.Rollback()
+			if i == cut {
+				fromGeneral, fromAuto = restoreCopy(t, general, info, reg, log), restoreCopy(t, auto, info, reg, log)
+			}
+			want, werr := general.StepResult(h.At(i))
+			got, gerr := auto.StepResult(h.At(i))
+			for _, ev := range []ConditionEvaluator{undone, fromGeneral, fromAuto} {
+				if ev == nil {
+					continue
+				}
+				if res, err := ev.StepResult(h.At(i)); (err == nil) != (werr == nil) || err == nil && !resultsEqual(want, res) {
+					t.Fatalf("seed %d state %d (%s): restored %T at %d: %v %v, general %v\n%s", seed, i, kind, ev, cut, res.Bindings, err, want.Bindings, f)
+				}
+			}
+			if (werr == nil) != (gerr == nil) {
+				t.Fatalf("seed %d state %d (%s): general error %v, %T error %v\n%s", seed, i, kind, werr, auto, gerr, f)
+			}
+			if werr != nil {
+				break
+			}
+			if !resultsEqual(want, got) {
+				t.Fatalf("seed %d state %d (%s): general %v, got %v\n%s", seed, i, kind, want.Bindings, got.Bindings, f)
+			}
+			kinds[kind+" bindings"] += len(got.Bindings)
+			if disjunction {
+				continue
+			}
+			returned := map[string]bool{}
+			for _, b := range got.Bindings {
+				returned[fmt.Sprint(b)] = true
+			}
+			env := naive.Env{}
+			var walk func(k int)
+			walk = func(k int) {
+				if k == len(info.Free) {
+					holds, err := oracle.Sat(i, f, env)
+					if err != nil {
+						t.Fatalf("seed %d state %d: naive: %v", seed, i, err)
+					}
+					if b := fmt.Sprint(Binding(env)); holds != returned[b] {
+						t.Fatalf("seed %d state %d (%s): naive says %t under %s, evaluator %v\n%s", seed, i, kind, holds, b, got.Bindings, f)
+					}
+					return
+				}
+				for _, v := range universe[info.Free[k]] {
+					env[info.Free[k]] = v
+					walk(k + 1)
+				}
+			}
+			walk(0)
+		}
+	}
+	if kinds["fast"] < iters/5 || kinds["class"] < iters/5 || kinds["general"] == 0 ||
+		kinds["fast bindings"] < iters || kinds["class bindings"] < iters/2 ||
+		kinds["or general"] == 0 || kinds["or fast"]+kinds["or class"] == 0 {
+		t.Fatalf("family too narrow: %v", kinds)
+	}
+	t.Logf("%v", kinds)
+}
+
+// restoreCopy restores ev's encoded state onto a fresh evaluator
+// CompileAuto builds, and returns the evaluator the encoded kind picked.
+func restoreCopy(t *testing.T, ev ConditionEvaluator, info *ptl.Info, reg *query.Registry, log ptl.ExecLog) ConditionEvaluator {
+	t.Helper()
+	blob, err := EncodeEvaluatorState(ev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := CompileAuto(info, reg, log)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := RestoreEvaluatorState(fresh, blob)
+	if err != nil {
+		t.Fatalf("restore %s: %v", blob, err)
+	}
+	return out
+}
+
+func ints(n int) []value.Value {
+	out := make([]value.Value, n)
+	for i := range out {
+		out[i] = value.NewInt(int64(i))
+	}
+	return out
+}
+
+// TestParamStepAllocs: a step of a rule whose parameters cross no temporal
+// operator (firing-stream's tick rules) allocates the Binding maps it
+// returns and a small constant besides — the candidates, their keys and
+// the enumeration live in the evaluator's scratch — alike at one and at
+// four candidates per parameter.
+func TestParamStepAllocs(t *testing.T) {
+	reg := ptlgen.Registry()
+	fast, err := CompileFast(mustParse(t, `@tick(A, B) and A >= -1 and lasttime @go`), reg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sink Binding
+	perMap := testing.AllocsPerRun(100, func() {
+		sink = make(Binding, 2)
+		sink["A"], sink["B"] = value.NewInt(1), value.NewInt(2)
+	})
+	for _, n := range []int{1, 4} {
+		states := make([]history.SystemState, 64)
+		for i := range states {
+			evs := []event.Event{event.New("go")}
+			for k := 0; k < n; k++ {
+				evs = append(evs, event.New("tick", value.NewInt(int64(i+k)), value.NewInt(int64(10*k))))
+			}
+			states[i] = history.SystemState{DB: history.EmptyDB(), Events: event.NewSet(evs...), TS: int64(i + 1)}
+		}
+		i := 0
+		step := func() {
+			res, err := fast.StepResult(states[i%len(states)])
+			if err != nil || len(res.Bindings) != n && i > 0 {
+				t.Fatalf("step %d: %d bindings, %v", i, len(res.Bindings), err)
+			}
+			i++
+		}
+		step()
+		got := testing.AllocsPerRun(200, step)
+		if limit := float64(n)*perMap + 4; got > limit {
+			t.Errorf("%d candidates: a step allocates %.1f times, want at most %.1f (%.0f per binding)", n, got, limit, perMap)
+		}
+		t.Logf("%d candidates: %.1f allocations per step, %.0f per binding", n, got, perMap)
+	}
+}
+
+// TestSessionRuleStateBounded: temporal-dense's session rule keeps one
+// register vector per user whose session is open — a logout returns the
+// user's vector to the default, which forgets it — so over 10^5 states its
+// state never exceeds the open sessions plus the default. The general
+// evaluator's graph for the same rule grows with the history; over the
+// first states the two fire alike.
+func TestSessionRuleStateBounded(t *testing.T) {
+	const states, lockstep, users = 100000, 3000, 8
+	reg := ptlgen.Registry()
+	info, err := ptl.Check(mustParse(t, `((not @logout(U)) since (@login(U) and item("px") > 90)) and @update("DJ")`), reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	auto, err := CompileAuto(info, reg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fast, ok := auto.(*FastEvaluator)
+	if !ok || fast.class < 0 {
+		t.Fatalf("session rule compiled to %T, want the fast evaluator with a class parameter", auto)
+	}
+	general, err := New(info, reg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	open := map[int]bool{}
+	px := 100
+	for i := 0; i < states; i++ {
+		px += rng.Intn(5) - 2
+		var evs []event.Event
+		switch u := rng.Intn(users); rng.Intn(3) {
+		case 0:
+			evs, open[u] = append(evs, event.New("login", value.NewString(fmt.Sprintf("u%d", u)))), true
+		case 1:
+			evs = append(evs, event.New("logout", value.NewString(fmt.Sprintf("u%d", u))))
+			delete(open, u)
+		default:
+			evs = append(evs, event.New("update", value.NewString("DJ")))
+		}
+		st := history.SystemState{DB: history.EmptyDB().With("px", value.NewInt(int64(px))), Events: event.NewSet(evs...), TS: int64(i + 1)}
+		got, err := fast.StepResult(st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i < lockstep {
+			want, err := general.StepResult(st)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !resultsEqual(want, got) {
+				t.Fatalf("state %d: general %v, fast %v", i, want.Bindings, got.Bindings)
+			}
+		}
+		if size := fast.StateSize(); size > len(open)+1 {
+			t.Fatalf("state %d: %d register vectors for %d open sessions", i, size, len(open))
+		}
+	}
+	t.Logf("general evaluator after %d states: %d nodes", lockstep, general.StateSize())
 }

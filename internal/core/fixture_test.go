@@ -2,12 +2,14 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"ptlactive/internal/event"
 	"ptlactive/internal/history"
+	"ptlactive/internal/ptlgen"
 	"ptlactive/internal/value"
 )
 
@@ -93,8 +95,8 @@ func TestEvaluatorStateFixtures(t *testing.T) {
 			if !bytes.Equal(now, saved) {
 				t.Fatalf("state after %d steps encodes differently:\n now:   %s\n saved: %s", fixtureCut, now, saved)
 			}
-			restored := compileAuto(t, f)
-			if err := RestoreEvaluatorState(restored, saved); err != nil {
+			restored, err := RestoreEvaluatorState(compileAuto(t, f), saved)
+			if err != nil {
 				t.Fatalf("restore: %v", err)
 			}
 			fires := 0
@@ -123,6 +125,88 @@ func TestEvaluatorStateFixtures(t *testing.T) {
 			b, _ := EncodeEvaluatorState(restored)
 			if !bytes.Equal(a, b) {
 				t.Fatalf("final states differ:\n twin:     %s\n restored: %s", a, b)
+			}
+		})
+	}
+}
+
+// paramHistory is a fixed trace of tick(n), login(u), logout(u) and w.
+func paramHistory() *history.History {
+	b := history.NewBuilder(history.EmptyDB().With("a", value.NewInt(1)), 0)
+	user := func(i int) value.Value { return value.NewString(fmt.Sprintf("u%d", i%4)) }
+	for i := 1; i < fixtureStates; i++ {
+		evs := []event.Event{event.New("tick", value.NewInt(int64(i%4)))}
+		if i%3 == 0 {
+			evs = append(evs, event.New("login", user(i)))
+		}
+		if i%5 == 0 {
+			evs = append(evs, event.New("logout", user(i+1)))
+		}
+		if i%2 == 0 {
+			evs = append(evs, event.New("w"))
+		}
+		if err := b.Event(int64(2*i), evs...); err != nil {
+			panic(err)
+		}
+	}
+	return b.History()
+}
+
+// TestParamStateFixtures restores parameterised rules' state as the
+// general evaluator wrote it before the fast path took parameters
+// (testdata/evalstate_param_*.json, written by that commit after
+// fixtureCut states of paramHistory). The encoded kind picks the
+// evaluator: a tick rule's registers are constants, so the fast evaluator
+// resumes it; the session rule's graph mentions U, so the general
+// evaluator does. Either fires as the uninterrupted general evaluator.
+func TestParamStateFixtures(t *testing.T) {
+	h := paramHistory()
+	for _, fx := range []struct {
+		name, cond string
+		general    bool
+	}{
+		{"param_tick", `@tick(N) and lasttime @w and N > 1`, false},
+		{"param_session", `(not @logout(U)) since @login(U)`, true},
+	} {
+		t.Run(fx.name, func(t *testing.T) {
+			saved, err := os.ReadFile(fixturePath(fx.name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			f := mustParse(t, fx.cond)
+			twin, err := Compile(f, ptlgen.Registry(), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < fixtureCut; i++ {
+				if _, err := twin.Step(h.At(i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			restored, err := RestoreEvaluatorState(compileAuto(t, f), saved)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, general := restored.(*Evaluator); general != fx.general {
+				t.Fatalf("restored onto %T", restored)
+			}
+			fires := 0
+			for i := fixtureCut; i < h.Len(); i++ {
+				want, err := twin.Step(h.At(i))
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := restored.StepResult(h.At(i))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !resultsEqual(want, got) {
+					t.Fatalf("state %d: restored %v, uninterrupted %v", i, got.Bindings, want.Bindings)
+				}
+				fires += len(got.Bindings)
+			}
+			if fires == 0 {
+				t.Fatal("the trace does not fire after the cut")
 			}
 		})
 	}

@@ -238,7 +238,7 @@ func TestInternIdentity(t *testing.T) {
 				if restored, err = New(info, r, nil); err != nil {
 					t.Fatal(err)
 				}
-				if err := RestoreEvaluatorState(restored, blob); err != nil {
+				if _, err := RestoreEvaluatorState(restored, blob); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -22,6 +22,7 @@ package core
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 
 	"ptlactive/internal/ptl"
 	"ptlactive/internal/value"
@@ -39,9 +40,19 @@ type evalState struct {
 	Last  []int     `json:"last,omitempty"`
 	Aggs  []*aggRec `json:"aggs,omitempty"`
 
-	// Fast evaluator: one boolean per occurrence.
-	SinceB []bool `json:"sinceb,omitempty"`
-	LastB  []bool `json:"lastb,omitempty"`
+	// Fast evaluator: one boolean per occurrence — the default vector when
+	// a parameter crosses temporal operators, and Classes the values with
+	// vectors of their own, sorted by key.
+	SinceB  []bool     `json:"sinceb,omitempty"`
+	LastB   []bool     `json:"lastb,omitempty"`
+	Classes []classRec `json:"classes,omitempty"`
+}
+
+// classRec is one value of a fast evaluator's class parameter.
+type classRec struct {
+	V      json.RawMessage `json:"v"`
+	SinceB []bool          `json:"sinceb,omitempty"`
+	LastB  []bool          `json:"lastb,omitempty"`
 }
 
 // termRec is one constraint term; child ids always precede the record.
@@ -99,20 +110,26 @@ func EncodeEvaluatorState(ev ConditionEvaluator) ([]byte, error) {
 }
 
 // RestoreEvaluatorState overlays state written by EncodeEvaluatorState
-// onto a freshly compiled evaluator of the same condition and the same
-// implementation (general vs fast).
-func RestoreEvaluatorState(ev ConditionEvaluator, data []byte) error {
+// onto a freshly compiled evaluator of the same condition and returns the
+// evaluator to go on with: ev itself, unless ev is a fast evaluator and the
+// state is a constraint graph that still mentions a parameter — written
+// before the fast path took parameters — which the general evaluator, then
+// compiled here, resumes. The encoded kind picks the evaluator.
+func RestoreEvaluatorState(ev ConditionEvaluator, data []byte) (ConditionEvaluator, error) {
 	var st evalState
 	if err := json.Unmarshal(data, &st); err != nil {
-		return fmt.Errorf("core: evaluator state: %w", err)
+		return nil, fmt.Errorf("core: evaluator state: %w", err)
 	}
 	switch x := ev.(type) {
 	case *Evaluator:
-		return restoreGeneral(x, &st)
+		if err := restoreGeneral(x, &st); err != nil {
+			return nil, err
+		}
+		return x, nil
 	case *FastEvaluator:
 		return restoreFast(x, &st)
 	default:
-		return fmt.Errorf("core: cannot restore evaluator %T", ev)
+		return nil, fmt.Errorf("core: cannot restore evaluator %T", ev)
 	}
 }
 
@@ -502,27 +519,91 @@ func restoreAggState(s *aggState, rec *aggRec) error {
 	return nil
 }
 
+// encodeFast writes a fast evaluator's registers and value classes. A
+// parameterised condition without registers keeps the kind the general
+// evaluator wrote for it before the fast path took parameters, so its
+// snapshots keep their bytes.
 func encodeFast(e *FastEvaluator) (*evalState, error) {
 	ns := e.nSince
-	return &evalState{
+	st := &evalState{
 		Kind:   "fast",
 		Steps:  e.steps,
 		SinceB: append([]bool(nil), e.regs[:ns]...),
 		LastB:  append([]bool(nil), e.regs[ns:]...),
-	}, nil
+	}
+	if e.params == nil {
+		return st, nil
+	}
+	if len(e.regs) == 0 {
+		st.Kind = "general"
+	}
+	keys := make([]string, 0, len(e.classes))
+	for k := range e.classes {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	for _, k := range keys {
+		cl := e.classes[k]
+		raw, err := value.EncodeJSON(cl.v)
+		if err != nil {
+			return nil, err
+		}
+		st.Classes = append(st.Classes, classRec{V: raw, SinceB: slices.Clone(cl.regs[:ns]), LastB: slices.Clone(cl.regs[ns:])})
+	}
+	return st, nil
 }
 
-func restoreFast(e *FastEvaluator, st *evalState) error {
+func restoreFast(e *FastEvaluator, st *evalState) (ConditionEvaluator, error) {
+	if st.Kind == "general" {
+		// Registers that hold constants are booleans; a graph over a
+		// parameter is the general evaluator's to step.
+		g, err := New(e.info, e.reg, e.log)
+		if err != nil {
+			return nil, err
+		}
+		if err := restoreGeneral(g, st); err != nil {
+			return nil, err
+		}
+		for i, id := range append(slices.Clip(st.Since), st.Last...) {
+			k := nodeKind(st.Nodes[id].Kind)
+			if k != nkTrue && k != nkFalse {
+				return g, nil
+			}
+			e.regs[i] = k == nkTrue
+		}
+		e.steps = g.steps
+		if e.params != nil {
+			clear(e.classes)
+		}
+		return e, nil
+	}
 	if st.Kind != "fast" {
-		return fmt.Errorf("core: evaluator state kind %q, want fast", st.Kind)
+		return nil, fmt.Errorf("core: evaluator state kind %q, want fast", st.Kind)
 	}
 	ns, nl := e.nSince, len(e.regs)-e.nSince
 	if len(st.SinceB) != ns || len(st.LastB) != nl {
-		return fmt.Errorf("core: evaluator state has %d/%d registers, condition needs %d/%d",
+		return nil, fmt.Errorf("core: evaluator state has %d/%d registers, condition needs %d/%d",
 			len(st.SinceB), len(st.LastB), ns, nl)
+	}
+	if len(st.Classes) > 0 && (e.params == nil || e.class < 0) {
+		return nil, fmt.Errorf("core: evaluator state has value classes, condition has no class parameter")
+	}
+	if e.params != nil {
+		clear(e.classes)
+	}
+	for _, rec := range st.Classes {
+		v, err := value.DecodeJSON(rec.V)
+		if err != nil {
+			return nil, err
+		}
+		if len(rec.SinceB) != ns || len(rec.LastB) != nl {
+			return nil, fmt.Errorf("core: evaluator state: value class %s has %d/%d registers, condition needs %d/%d",
+				v, len(rec.SinceB), len(rec.LastB), ns, nl)
+		}
+		e.newClass(v, v.Key(), append(slices.Clip(rec.SinceB), rec.LastB...))
 	}
 	copy(e.regs, st.SinceB)
 	copy(e.regs[ns:], st.LastB)
 	e.steps = st.Steps
-	return nil
+	return e, nil
 }

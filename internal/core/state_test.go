@@ -72,8 +72,8 @@ func TestEvaluatorStateRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: reparse: %v\nformula: %s", it, err, f)
 		}
-		restored := compileAuto(t, f2)
-		if err := RestoreEvaluatorState(restored, blob); err != nil {
+		restored, err := RestoreEvaluatorState(compileAuto(t, f2), blob)
+		if err != nil {
 			t.Fatalf("seed %d: restore: %v\nformula: %s\nstate: %s", it, err, f, blob)
 		}
 		for i := cut; i < h.Len(); i++ {
@@ -120,7 +120,7 @@ func TestEvaluatorStateRoundTripIBM(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := RestoreEvaluatorState(ev2, blob); err != nil {
+		if _, err := RestoreEvaluatorState(ev2, blob); err != nil {
 			t.Fatalf("cut %d: %v", cut, err)
 		}
 		if ev2.Steps() != cut {
@@ -159,7 +159,7 @@ func TestEvaluatorStateRejectsCorrupt(t *testing.T) {
 		`not json`,
 	}
 	for _, src := range bad {
-		if err := RestoreEvaluatorState(ev, []byte(src)); err == nil {
+		if _, err := RestoreEvaluatorState(ev, []byte(src)); err == nil {
 			t.Errorf("restore %s: want error, got nil", src)
 		}
 	}

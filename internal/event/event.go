@@ -191,6 +191,18 @@ func (s *Set) ByName(name string) []Event {
 	return out
 }
 
+// Count returns the number of occurrences of the given symbol, without
+// allocating.
+func (s *Set) Count(name string) int {
+	n := 0
+	for _, e := range s.Events() {
+		if e.Name == name {
+			n++
+		}
+	}
+	return n
+}
+
 // Names returns the sorted set of distinct symbols occurring in s. The
 // execution model's relevance filter (Section 8) keys on these per sweep,
 // so the result is memoized until the next Add. The result must not be
@@ -224,7 +236,7 @@ func (s *Set) Names() []string {
 // The system model requires at most one per state (Section 2); History
 // enforces it using this.
 func (s *Set) CommitCount() int {
-	return len(s.ByName(TransactionCommit))
+	return s.Count(TransactionCommit)
 }
 
 // Clone returns an independent copy of the set.

@@ -2,6 +2,7 @@ package ptl
 
 import (
 	"fmt"
+	"slices"
 
 	"ptlactive/internal/query"
 	"ptlactive/internal/value"
@@ -88,8 +89,8 @@ type checker struct {
 	binding map[string]bool
 }
 
-// ground reports whether the term contains no variables.
-func ground(t Term) bool {
+// Ground reports whether the term contains no variables.
+func Ground(t Term) bool {
 	switch x := t.(type) {
 	case *Const:
 		return true
@@ -97,19 +98,19 @@ func ground(t Term) bool {
 		return false
 	case *Call:
 		for _, a := range x.Args {
-			if !ground(a) {
+			if !Ground(a) {
 				return false
 			}
 		}
 		return true
 	case *Arith:
-		return ground(x.L) && ground(x.R)
+		return Ground(x.L) && Ground(x.R)
 	case *Neg:
-		return ground(x.X)
+		return Ground(x.X)
 	case *Agg:
 		// Aggregates are evaluated per-state like queries; they are ground
 		// when their query and formulas mention no free variables.
-		if !ground(x.Q) || len(FreeVars(x.Sample)) != 0 {
+		if !Ground(x.Q) || len(FreeVars(x.Sample)) != 0 {
 			return false
 		}
 		return x.Start == nil || len(FreeVars(x.Start)) == 0
@@ -124,7 +125,7 @@ func (c *checker) bindPos(t Term) error {
 		c.binding[x.Name] = true
 		return nil
 	default:
-		if !ground(t) {
+		if !Ground(t) {
 			return fmt.Errorf("ptl: binding position %s must be a variable or a ground term", t)
 		}
 		return nil
@@ -149,7 +150,7 @@ func (c *checker) term(t Term) error {
 			return fmt.Errorf("ptl: query %s expects %d arguments, got %d", x.Fn, arity, len(x.Args))
 		}
 		for _, a := range x.Args {
-			if !ground(a) {
+			if !Ground(a) {
 				// The incremental algorithm evaluates queries against the
 				// current state while variables may still be symbolic; the
 				// paper handles variable-indexed queries like price(x) by
@@ -175,7 +176,7 @@ func (c *checker) term(t Term) error {
 		if (x.Window >= 0) == (x.Start != nil) {
 			return fmt.Errorf("ptl: aggregate %s must have exactly one of a window and a starting formula", x.Fn)
 		}
-		if !ground(x) {
+		if !Ground(x) {
 			return fmt.Errorf("ptl: aggregate %s mentions free variables; rewrite it with indexed rules (internal/agg) as in Section 6.1.1", x.Fn)
 		}
 		if nestedAgg(x.Q) {
@@ -209,10 +210,10 @@ func (c *checker) formula(f Formula) error {
 		// Equality with a ground side is a binding position for a bare
 		// variable on the other side.
 		if x.Op == value.EQ {
-			if v, ok := x.L.(*Var); ok && ground(x.R) {
+			if v, ok := x.L.(*Var); ok && Ground(x.R) {
 				c.binding[v.Name] = true
 			}
-			if v, ok := x.R.(*Var); ok && ground(x.L) {
+			if v, ok := x.R.(*Var); ok && Ground(x.L) {
 				c.binding[v.Name] = true
 			}
 		}
@@ -299,7 +300,7 @@ func (c *checker) formula(f Formula) error {
 		}
 		if _, isAgg := x.Q.(*Agg); !isAgg {
 			if _, isCall := x.Q.(*Call); !isCall {
-				if !ground(x.Q) {
+				if !Ground(x.Q) {
 					return fmt.Errorf("ptl: assignment [%s <- %s] must bind a query, aggregate or ground term", x.Var, x.Q)
 				}
 			}
@@ -348,6 +349,135 @@ func Decomposable(f Formula) bool {
 		ok = false
 	}
 	return ok
+}
+
+// FastShape reports whether core's register evaluator can run the
+// normalized condition norm, whose parameters (free variables) are free.
+// It can when no aggregate occurs, no assigned variable crosses a temporal
+// operator, and every parameter either crosses none — it is then evaluated
+// once per candidate value, like an assigned variable — or is the one
+// parameter, class, that does so only as an event argument or as a side of
+// an = or ≠ against a constant. Every value such atoms do not mention
+// behaves alike, so the class parameter's values share one register vector
+// until the history mentions them. A parameter used as a membership element
+// must test a query's relation, whose rows are its candidates. And every
+// parameter must be bound by an atom that offers its values (binds).
+func FastShape(norm Formula, free []string) (class string, ok bool) {
+	ok = true
+	at := map[string]int{} // an assigned variable's temporal depth
+	depth := 0
+	param := func(name string) bool {
+		_, assigned := at[name]
+		return !assigned && slices.Contains(free, name)
+	}
+	use := func(name string, plain bool) {
+		if d, assigned := at[name]; assigned {
+			ok = ok && d == depth
+		} else if depth > 0 && slices.Contains(free, name) {
+			ok = ok && plain && (class == "" || class == name)
+			class = name
+		}
+	}
+	var ff func(Formula)
+	var tf func(Term)
+	tf = func(t Term) {
+		switch x := t.(type) {
+		case *Var:
+			use(x.Name, false)
+		case *Agg:
+			ok = false
+		default:
+			TermChildren(t, ff, tf)
+		}
+	}
+	ff = func(f Formula) {
+		switch x := f.(type) {
+		case *Since, *Lasttime:
+			depth++
+			Children(f, ff, tf)
+			depth--
+		case *Assign:
+			tf(x.Q)
+			at[x.Var] = depth
+			ff(x.Body)
+			delete(at, x.Var)
+		case *EventAtom:
+			for _, a := range x.Args {
+				if v, isVar := a.(*Var); isVar {
+					use(v.Name, true)
+				} else {
+					tf(a)
+				}
+			}
+		case *Cmp:
+			l, lv := x.L.(*Var)
+			r, rv := x.R.(*Var)
+			_, lc := x.L.(*Const)
+			_, rc := x.R.(*Const)
+			switch {
+			case x.Op != value.EQ && x.Op != value.NE:
+				Children(f, ff, tf)
+			case lv && rc:
+				use(l.Name, true)
+			case rv && lc:
+				use(r.Name, true)
+			default:
+				Children(f, ff, tf)
+			}
+		case *Member:
+			_, query := x.Rel.(*Call)
+			for _, e := range x.Elems {
+				if v, isVar := e.(*Var); isVar && param(v.Name) && !query {
+					ok = false
+				}
+			}
+			Children(f, ff, tf)
+		default:
+			Children(f, ff, tf)
+		}
+	}
+	ff(norm)
+	for _, p := range free {
+		ok = ok && binds(norm, p)
+	}
+	return class, ok
+}
+
+// binds reports whether f can hold under a value of parameter p only where
+// an atom offers that value, now or at an earlier state: an event or
+// executed argument, a membership element or an = against a ground term,
+// in a conjunct of f, in both sides of an or, in the h of a since or under
+// a lasttime. The general evaluator then finds every value that satisfies
+// f among its graph's equalities, and core's register evaluator among its
+// candidates and value classes; elsewhere (`@e(U) or item("a") > 3`) the
+// first enumerates its equalities and folds a graph that ignores U to a
+// binding-free firing, and the second would do neither.
+func binds(f Formula, p string) bool {
+	isP := func(t Term) bool {
+		v, ok := t.(*Var)
+		return ok && v.Name == p
+	}
+	switch x := f.(type) {
+	case *EventAtom:
+		return slices.ContainsFunc(x.Args, isP)
+	case *Executed:
+		return slices.ContainsFunc(x.Args, isP) || isP(x.TimeArg)
+	case *Member:
+		return slices.ContainsFunc(x.Elems, isP)
+	case *Cmp:
+		return x.Op == value.EQ && (isP(x.L) && Ground(x.R) || isP(x.R) && Ground(x.L))
+	case *And:
+		return binds(x.L, p) || binds(x.R, p)
+	case *Or:
+		return binds(x.L, p) && binds(x.R, p)
+	case *Since:
+		return binds(x.R, p)
+	case *Lasttime:
+		return binds(x.F, p)
+	case *Assign:
+		return binds(x.Body, p)
+	}
+	return false
 }
 
 // nestedAgg reports whether a term contains an aggregate.

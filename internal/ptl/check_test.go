@@ -133,6 +133,42 @@ func TestDecomposable(t *testing.T) {
 	}
 }
 
+func TestFastShape(t *testing.T) {
+	cases := []struct {
+		src, class string
+		ok         bool
+	}{
+		{`previously (item("a") > 3)`, "", true},
+		{`[t <- time] previously (time >= t - 10)`, "", false},
+		{`sum(item("a"); @s; @w) > 3`, "", false},
+		// Parameters off temporal operators may appear anywhere.
+		{`@tick(A, B) and A >= -1 and lasttime @go`, "", true},
+		{`executed(r1, X, T) and time = T + 10`, "", true},
+		{`X in item("rel") and previously @w`, "", true},
+		{`[r <- item("rel")] X in r`, "", false},
+		// One parameter across temporal operators, in = and ≠ only.
+		{`((not @logout(U)) since (@login(U) and item("a") > 90)) and U > 2`, "U", true},
+		{`lasttime (U = 2 or 3 != U) and @e(U)`, "U", true},
+		{`previously (@e(U) and U > 1)`, "U", false},
+		{`previously @e(U, V)`, "U", false},
+		{`previously executed(r1, U, 3)`, "U", false},
+		// Every parameter needs an atom that offers its values.
+		{`@e1(U) or @e2(U, 1)`, "", true},
+		{`lasttime @e(U) and item("a") > 1`, "U", true},
+		{`@e1(U) or item("a") > 3`, "", false},
+		{`@e1(U) or lasttime (5 != U or 3 != U)`, "U", false},
+		{`not @e1(U)`, "", false},
+		{`@e1(U) and U != 3 and lasttime (not @e1(V))`, "V", false},
+	}
+	for _, c := range cases {
+		f := parse(t, c.src)
+		class, ok := FastShape(Desugar(RenameApart(f)), FreeVars(f))
+		if ok != c.ok || ok && class != c.class {
+			t.Errorf("FastShape(%q) = %q, %t, want %q, %t", c.src, class, ok, c.class, c.ok)
+		}
+	}
+}
+
 func TestRenameApart(t *testing.T) {
 	// Same variable assigned twice: the inner one must be renamed.
 	f := parse(t, `[x <- item("a")] (x > 0 and [x <- item("b")] x < 5)`)

@@ -31,21 +31,34 @@ func Registry() *query.Registry { return query.NewRegistry() }
 // beyond the initial one. Timestamps advance by 1..3; roughly half the
 // states are commits updating 1..2 items, the rest are event-only states;
 // every state may carry random events.
-func History(rng *rand.Rand, n int) *history.History {
+func History(rng *rand.Rand, n int) *history.History { return build(rng, n, false) }
+
+// ParamHistory is History for ParamFormula: event arguments are Null one
+// time in five, and item "rel" holds a one-column relation of small
+// integers that some commits replace.
+func ParamHistory(rng *rand.Rand, n int) *history.History { return build(rng, n, true) }
+
+func build(rng *rand.Rand, n int, param bool) *history.History {
 	db := history.EmptyDB()
 	for _, it := range Items {
 		db = db.With(it, value.NewInt(int64(rng.Intn(10))))
+	}
+	if param {
+		db = db.With("rel", relation(rng))
 	}
 	b := history.NewBuilder(db, 0)
 	txn := int64(0)
 	for i := 0; i < n; i++ {
 		ts := b.Now() + int64(1+rng.Intn(3))
-		events := randomEvents(rng)
+		events := randomEvents(rng, param)
 		if rng.Intn(2) == 0 {
 			txn++
 			updates := map[string]value.Value{}
 			for k := 0; k < 1+rng.Intn(2); k++ {
 				updates[Items[rng.Intn(len(Items))]] = value.NewInt(int64(rng.Intn(10)))
+			}
+			if param && rng.Intn(3) == 0 {
+				updates["rel"] = relation(rng)
 			}
 			if err := b.Commit(ts, txn, updates, events...); err != nil {
 				panic(fmt.Sprintf("ptlgen: commit: %v", err))
@@ -62,7 +75,24 @@ func History(rng *rand.Rand, n int) *history.History {
 	return b.History()
 }
 
-func randomEvents(rng *rand.Rand) []event.Event {
+// relation draws a one-column relation over 0..2.
+func relation(rng *rand.Rand) value.Value {
+	var rows [][]value.Value
+	for i := int64(0); i < 3; i++ {
+		if rng.Intn(2) == 0 {
+			rows = append(rows, []value.Value{value.NewInt(i)})
+		}
+	}
+	return value.NewRelation(rows)
+}
+
+func randomEvents(rng *rand.Rand, nulls bool) []event.Event {
+	arg := func() value.Value {
+		if nulls && rng.Intn(5) == 0 {
+			return value.Value{}
+		}
+		return value.NewInt(int64(rng.Intn(3)))
+	}
 	var out []event.Event
 	for _, name := range EventNames {
 		if rng.Intn(3) != 0 {
@@ -72,12 +102,142 @@ func randomEvents(rng *rand.Rand) []event.Event {
 		case "e0":
 			out = append(out, event.New("e0"))
 		case "e1":
-			out = append(out, event.New("e1", value.NewInt(int64(rng.Intn(3)))))
+			out = append(out, event.New("e1", arg()))
 		case "e2":
-			out = append(out, event.New("e2", value.NewInt(int64(rng.Intn(3))), value.NewInt(int64(rng.Intn(3)))))
+			out = append(out, event.New("e2", arg(), arg()))
 		}
 	}
 	return out
+}
+
+// Log is an execution log; ParamFormula's executed atoms read rule r1's.
+type Log []ptl.Execution
+
+// Executions implements ptl.ExecLog.
+func (l Log) Executions(rule string, before int64) []ptl.Execution {
+	var out []ptl.Execution
+	for _, ex := range l {
+		if ex.Rule == rule && ex.Time < before {
+			out = append(out, ex)
+		}
+	}
+	return out
+}
+
+// ParamLog records an execution of r1, with one parameter in 0..2, at
+// about one state in three of h.
+func ParamLog(rng *rand.Rand, h *history.History) Log {
+	var l Log
+	for i := 0; i < h.Len(); i++ {
+		if rng.Intn(3) == 0 {
+			l = append(l, ptl.Execution{Rule: "r1", Params: []value.Value{value.NewInt(int64(rng.Intn(3)))}, Time: h.At(i).TS})
+		}
+	}
+	return l
+}
+
+// ParamFormula generates a rule with parameters: a binder that gives U (and
+// sometimes V or T) its values — an event, an executed record, a relation
+// row, an item's value or, for a class formula, a login-style since — and,
+// conjoined, a body mixing closed atoms with parameterised events (Null and
+// repeated arguments included), executed, memberships and U = c / U ≠ c
+// atoms under not, and, or, since, lasttime and previously. In a class
+// formula (half of them) U also crosses temporal operators, in event
+// arguments and = / ≠ atoms only; otherwise only closed formulas do. One
+// formula in eight lets U cross them in an ordering atom, outside the fast
+// evaluator's class. One formula in five is `binder or body` instead: it
+// holds for infinitely many values of U unless the body binds U too, so
+// naive cannot check it, but the evaluators must agree on it.
+func ParamFormula(rng *rand.Rand, depth int) ptl.Formula {
+	g := &gen{rng: rng, class: rng.Intn(2) == 0, wild: rng.Intn(8) == 0}
+	if rng.Intn(5) == 0 {
+		return &ptl.Or{L: g.binder(), R: g.param(depth, false)}
+	}
+	return &ptl.And{L: g.binder(), R: g.param(depth, false)}
+}
+
+func (g *gen) binder() ptl.Formula {
+	u, k := ptl.V("U"), ptl.CInt(int64(g.rng.Intn(3)))
+	switch g.rng.Intn(9) {
+	case 0:
+		return ptl.Ev("e2", u, ptl.V("V"))
+	case 1:
+		return &ptl.Executed{Rule: "r1", Args: []ptl.Term{u}, TimeArg: ptl.V("T")}
+	case 2:
+		return &ptl.Member{Elems: []ptl.Term{u}, Rel: ptl.Q("item", ptl.CStr("rel"))}
+	case 3:
+		return ptl.Compare(value.EQ, u, g.item())
+	case 4, 5:
+		if g.class {
+			return &ptl.Since{L: &ptl.Not{F: ptl.Ev("e1", u)}, R: ptl.Ev("e2", u, k), Bound: ptl.Unbounded}
+		}
+	case 6:
+		if g.class {
+			return &ptl.Previously{F: ptl.Ev("e1", u), Bound: g.bound()}
+		}
+	}
+	return ptl.Ev("e1", u)
+}
+
+// param is the body: under a temporal operator (in) U appears only where
+// the formula's kind allows it.
+func (g *gen) param(depth int, in bool) ptl.Formula {
+	if depth <= 0 {
+		return g.paramAtom(in)
+	}
+	sub := func() ptl.Formula { return g.param(depth-1, in) }
+	temporal := func() ptl.Formula {
+		if g.class || g.wild {
+			return g.param(depth-1, true)
+		}
+		return g.formula(depth-1, nil)
+	}
+	switch g.rng.Intn(8) {
+	case 0:
+		return &ptl.Not{F: sub()}
+	case 1:
+		return &ptl.And{L: sub(), R: sub()}
+	case 2:
+		return &ptl.Or{L: sub(), R: sub()}
+	case 3:
+		return &ptl.Since{L: temporal(), R: temporal(), Bound: ptl.Unbounded}
+	case 4:
+		return &ptl.Lasttime{F: temporal()}
+	case 5:
+		return &ptl.Previously{F: temporal(), Bound: ptl.Unbounded}
+	default:
+		return g.paramAtom(in)
+	}
+}
+
+func (g *gen) paramAtom(in bool) ptl.Formula {
+	u, k := ptl.V("U"), ptl.CInt(int64(g.rng.Intn(3)))
+	n := 10
+	if in && !g.wild {
+		n = 6
+	}
+	switch g.rng.Intn(n) {
+	case 0:
+		return ptl.Ev("e1", u)
+	case 1:
+		return ptl.Ev("e2", u, k)
+	case 2:
+		return ptl.Ev("e2", u, u)
+	case 3:
+		return ptl.Compare(value.EQ, u, k)
+	case 4:
+		return ptl.Compare(value.NE, k, u)
+	case 5:
+		return g.atom(nil)
+	case 6:
+		return &ptl.Executed{Rule: "r1", Args: []ptl.Term{u}, TimeArg: ptl.Q("item", ptl.CStr("a"))}
+	case 7:
+		return &ptl.Member{Elems: []ptl.Term{u}, Rel: ptl.Q("item", ptl.CStr("rel"))}
+	case 8:
+		return ptl.Compare(value.GT, u, k)
+	default:
+		return g.atom(nil)
+	}
 }
 
 // Formula generates a random closed formula of the given depth. Closed
@@ -165,6 +325,9 @@ type gen struct {
 	rng  *rand.Rand
 	aggs bool
 	vars int
+	// class and wild are ParamFormula's: U may cross temporal operators,
+	// in = and ≠ atoms (class) or anywhere (wild).
+	class, wild bool
 }
 
 // term generates a term over the bound variables in scope.

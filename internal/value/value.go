@@ -315,21 +315,19 @@ func (v Value) Compare(w Value) (int, error) {
 // their float64 representation so Int 2 and Float 2 collide, matching
 // Equal; integers beyond 2^53, which float64 cannot tell apart, are keyed
 // by their decimal digits, whichever kind carries them.
-func (v Value) Key() string {
-	var sb strings.Builder
-	v.appendKey(&sb)
-	return sb.String()
-}
+func (v Value) Key() string { return string(v.AppendKey(make([]byte, 0, 24))) }
 
-func (v Value) appendKey(sb *strings.Builder) {
+// AppendKey appends v's Key to b, so a caller that sorts or looks values up
+// by key can reuse one buffer.
+func (v Value) AppendKey(b []byte) []byte {
 	switch v.kind {
 	case Null:
-		sb.WriteString("n;")
+		b = append(b, "n;"...)
 	case Bool:
 		if v.i != 0 {
-			sb.WriteString("b1;")
+			b = append(b, "b1;"...)
 		} else {
-			sb.WriteString("b0;")
+			b = append(b, "b0;"...)
 		}
 	case Int, Float:
 		// The integer v equals, if any: an Int's own, or a whole Float's
@@ -339,30 +337,24 @@ func (v Value) appendKey(sb *strings.Builder) {
 			i, whole = int64(f), true
 		}
 		if whole && (i < -1<<53 || i > 1<<53) {
-			sb.WriteString("i")
-			sb.WriteString(strconv.FormatInt(i, 10))
+			b = strconv.AppendInt(append(b, 'i'), i, 10)
 		} else {
-			sb.WriteString("f")
-			sb.WriteString(strconv.FormatFloat(v.AsFloat(), 'g', -1, 64))
+			b = strconv.AppendFloat(append(b, 'f'), v.AsFloat(), 'g', -1, 64)
 		}
-		sb.WriteByte(';')
+		b = append(b, ';')
 	case String:
-		sb.WriteString("s")
-		sb.WriteString(strconv.Itoa(len(v.s)))
-		sb.WriteByte(':')
-		sb.WriteString(v.s)
-		sb.WriteByte(';')
+		b = strconv.AppendInt(append(b, 's'), int64(len(v.s)), 10)
+		b = append(append(append(b, ':'), v.s...), ';')
 	case Tuple:
-		sb.WriteString("t(")
+		b = append(b, "t("...)
 		for _, e := range v.c.t {
-			e.appendKey(sb)
+			b = e.AppendKey(b)
 		}
-		sb.WriteString(");")
+		b = append(b, ");"...)
 	case Relation:
-		sb.WriteString("r(")
-		sb.WriteString(relationKey(v.c.r))
-		sb.WriteString(");")
+		b = append(append(append(b, "r("...), relationKey(v.c.r)...), ");"...)
 	}
+	return b
 }
 
 // relationKey builds an order-insensitive canonical key for rows.
