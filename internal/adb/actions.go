@@ -161,7 +161,7 @@ func (e *Engine) recordExecution(r *rule, f Firing, ts int64) {
 	e.mu.Lock()
 	// execs is the source of truth (snapshots serialize it); execIdx is
 	// derived.
+	e.execIdx[ex.Rule] = append(e.execIdx[ex.Rule], len(e.execs))
 	e.execs = append(e.execs, ex)
-	e.execIdx[ex.Rule] = append(e.execIdx[ex.Rule], ex)
 	e.mu.Unlock()
 }

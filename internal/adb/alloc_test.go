@@ -200,3 +200,25 @@ func TestConstraintCheckAllocs(t *testing.T) {
 		t.Fatalf("the constraint check allocates %.1f objects per commit over the %.1f of a commit without constraints (allowed: 8)", many-none, none)
 	}
 }
+
+// TestNewEngineAllocsPerItem is the gate on construction: NewEngine
+// allocates one treap node per initial item plus a constant, at 1k items as
+// at 100k. The init record a log or a snapshot needs is encoded from that
+// state when it is needed; a JSON copy of every item kept alongside it made
+// two allocations per item.
+func TestNewEngineAllocsPerItem(t *testing.T) {
+	for _, items := range []int{1000, 100_000} {
+		initial := make(map[string]value.Value, items)
+		for i := 0; i < items; i++ {
+			initial[fmt.Sprintf("item%06d", i)] = value.NewInt(int64(i))
+		}
+		runs := 200_000 / items
+		got := testing.AllocsPerRun(runs, func() {
+			NewEngine(Config{Initial: initial, Workers: 1})
+		}) / float64(items)
+		t.Logf("%d items: %.3f allocations per item", items, got)
+		if got > 1.05 {
+			t.Fatalf("NewEngine over %d items: %.3f allocations per item, ceiling 1.05", items, got)
+		}
+	}
+}

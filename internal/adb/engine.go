@@ -55,7 +55,7 @@ type Engine struct {
 	index map[string]*rule
 
 	execs   []ptl.Execution
-	execIdx map[string][]ptl.Execution // secondary index of execs by rule
+	execIdx map[string][]int // secondary index of execs by rule: positions in execs
 	firings []Firing
 	// observers are the firing observers, notified in registration order:
 	// Config.OnFiring first (id 0, never cancelled), then the OnFiring
@@ -143,8 +143,11 @@ type Engine struct {
 	walSince     int // records appended since the last snapshot
 	commitsSince int
 	recovery     RecoveryInfo
-	initRec      *persist.InitRecord
-	actions      map[string]Action
+	// initDB is the initial state, sharing its treap with the history, and
+	// initRec the init record's other fields (see initRecord).
+	initDB  history.DBState
+	initRec persist.InitRecord
+	actions map[string]Action
 
 	// Storage-lifecycle policy (see retention.go): retention is fixed at
 	// construction; tier is the open cold tier (nil without SpillHistory
@@ -231,7 +234,8 @@ type Config struct {
 }
 
 // NewEngine creates a memory-only engine with an initial state at
-// Config.Start; durable engines are opened with Restore.
+// Config.Start; durable engines are opened with Restore. The init record is
+// encoded from the initial state when a log or a snapshot needs it.
 func NewEngine(cfg Config) *Engine {
 	if cfg.Durability != DurabilityOff {
 		panic("adb: NewEngine is memory-only; open durable engines with Restore")
@@ -254,7 +258,7 @@ func NewEngine(cfg Config) *Engine {
 		db:            history.NewDB(cfg.Initial),
 		now:           cfg.Start,
 		index:         map[string]*rule{},
-		execIdx:       map[string][]ptl.Execution{},
+		execIdx:       map[string][]int{},
 		cascadeTo:     limit,
 		workers:       workers,
 		eventIndex:    map[string][]*rule{},
@@ -278,16 +282,8 @@ func NewEngine(cfg Config) *Engine {
 		}
 		sort.Strings(e.trackedNames)
 	}
-	// The init record reproduces this construction during recovery. Every
-	// value kind is supposed to encode; if one does not, the engine comes
-	// up sealed and the typed error surfaces at the first mutating call
-	// instead of panicking the process.
-	initial, err := histio.EncodeItems(cfg.Initial)
-	if err != nil {
-		e.seal(&InternalError{Op: "encode initial db", Err: err})
-	}
-	e.initRec = &persist.InitRecord{
-		Initial:         initial,
+	e.initDB = e.db
+	e.initRec = persist.InitRecord{
 		Start:           cfg.Start,
 		TrackItems:      append([]string(nil), e.trackedNames...),
 		CascadeLimit:    limit,
@@ -437,9 +433,26 @@ func (e *Engine) OnFiring(fn func(Firing)) (cancel func()) {
 // Firings returns a copy of every firing recorded so far. Safe for
 // concurrent use.
 func (e *Engine) Firings() []Firing {
+	_, fs := e.FiringsFrom(0)
+	return fs
+}
+
+// FiringsFrom returns a copy of the firing log from index from on, with
+// from clamped to [0, FiringCount()]; it copies only that tail. Safe for
+// concurrent use.
+func (e *Engine) FiringsFrom(from int) (int, []Firing) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	return append([]Firing(nil), e.firings...)
+	from = min(max(from, 0), len(e.firings))
+	return from, append([]Firing(nil), e.firings[from:]...)
+}
+
+// FiringCount returns the number of firings recorded so far. Safe for
+// concurrent use.
+func (e *Engine) FiringCount() int {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	return len(e.firings)
 }
 
 // EvalSteps returns the total number of evaluator steps performed; the
@@ -463,8 +476,8 @@ func (e *Engine) Executions(ruleName string, before int64) []ptl.Execution {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	var out []ptl.Execution
-	for _, ex := range e.execIdx[ruleName] {
-		if ex.Time < before {
+	for _, i := range e.execIdx[ruleName] {
+		if ex := e.execs[i]; ex.Time < before {
 			out = append(out, ex)
 		}
 	}
@@ -475,9 +488,9 @@ func (e *Engine) Executions(ruleName string, before int64) []ptl.Execution {
 // execs is replaced wholesale (restore, prune); the caller holds mu (or has
 // exclusive access during construction).
 func (e *Engine) rebuildExecIdxLocked() {
-	e.execIdx = make(map[string][]ptl.Execution, len(e.execIdx))
-	for _, ex := range e.execs {
-		e.execIdx[ex.Rule] = append(e.execIdx[ex.Rule], ex)
+	e.execIdx = make(map[string][]int, len(e.execIdx))
+	for i, ex := range e.execs {
+		e.execIdx[ex.Rule] = append(e.execIdx[ex.Rule], i)
 	}
 }
 

@@ -354,11 +354,28 @@ func attachStore(cfg Config, e *Engine, st *persist.Store, tier *retain.Tier) (*
 		}
 	}
 	if fresh {
-		if err := e.logRecord(&persist.Record{Kind: persist.KindInit, Init: e.initRec}); err != nil {
+		init, err := e.initRecord()
+		if err != nil {
+			return nil, err
+		}
+		if err := e.logRecord(&persist.Record{Kind: persist.KindInit, Init: init}); err != nil {
 			return nil, err
 		}
 	}
 	return e, nil
+}
+
+// initRecord encodes the record that reproduces the engine's construction
+// during recovery: initRec with the items of the initial state. Every
+// value kind encodes, so the error is a broken invariant.
+func (e *Engine) initRecord() (*persist.InitRecord, error) {
+	initial, err := histio.EncodeDB(e.initDB)
+	if err != nil {
+		return nil, &InternalError{Op: "encode initial db", Err: err}
+	}
+	rec := e.initRec
+	rec.Initial = initial
+	return &rec, nil
 }
 
 // newMemEngine builds the memory engine cfg describes and hands it the
@@ -374,7 +391,8 @@ func newMemEngine(cfg Config) *Engine {
 // the runtime-only config: whatever shapes behavior or query answers
 // (initial state, cascade and governance limits, the history-retention
 // policy) comes from the record; workers, callbacks, the action deadline
-// and the WAL-layout knobs stay cfg's.
+// and the WAL-layout knobs stay cfg's. The record is not kept: initRecord
+// encodes the same bytes again from the decoded initial state.
 func engineFromInit(cfg Config, init *persist.InitRecord) (*Engine, error) {
 	items, err := histio.DecodeItems(init.Initial)
 	if err != nil {

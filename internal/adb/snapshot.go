@@ -24,8 +24,12 @@ func (e *Engine) buildSnapshot() (*persist.EngineSnapshot, error) {
 	if len(e.pending) > 0 {
 		return nil, fmt.Errorf("adb: snapshot with %d pending actions", len(e.pending))
 	}
+	init, err := e.initRecord()
+	if err != nil {
+		return nil, err
+	}
 	snap := &persist.EngineSnapshot{
-		Init:      e.initRec,
+		Init:      init,
 		Epoch:     e.epoch,
 		Base:      e.base,
 		Now:       e.now,

@@ -53,6 +53,26 @@ func EncodeItems(items map[string]value.Value) (map[string]json.RawMessage, erro
 	return out, nil
 }
 
+// EncodeDB encodes a database state item by item: the same map EncodeItems
+// makes of the state's items.
+func EncodeDB(db history.DBState) (map[string]json.RawMessage, error) {
+	out := make(map[string]json.RawMessage, db.Len())
+	var encErr error
+	db.Range(func(name string, v value.Value) bool {
+		raw, err := EncodeValue(v)
+		if err != nil {
+			encErr = fmt.Errorf("histio: item %s: %w", name, err)
+			return false
+		}
+		out[name] = raw
+		return true
+	})
+	if encErr != nil {
+		return nil, encErr
+	}
+	return out, nil
+}
+
 // DecodeItems inverts EncodeItems.
 func DecodeItems(raw map[string]json.RawMessage) (map[string]value.Value, error) {
 	out := make(map[string]value.Value, len(raw))
@@ -122,26 +142,15 @@ type StateJSON struct {
 
 // EncodeState renders one system state in wire form.
 func EncodeState(st history.SystemState) (StateJSON, error) {
-	line := StateJSON{Time: st.TS, DB: map[string]json.RawMessage{}}
-	var encErr error
-	st.DB.Range(func(name string, v value.Value) bool {
-		raw, err := EncodeValue(v)
-		if err != nil {
-			encErr = fmt.Errorf("histio: item %s: %w", name, err)
-			return false
-		}
-		line.DB[name] = raw
-		return true
-	})
-	if encErr != nil {
-		return StateJSON{}, encErr
+	db, err := EncodeDB(st.DB)
+	if err != nil {
+		return StateJSON{}, err
 	}
 	evs, err := EncodeEvents(st.Events.Events())
 	if err != nil {
 		return StateJSON{}, err
 	}
-	line.Events = evs
-	return line, nil
+	return StateJSON{Time: st.TS, DB: db, Events: evs}, nil
 }
 
 // DecodeState inverts EncodeState.

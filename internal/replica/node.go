@@ -68,7 +68,7 @@ func NewFollower(cfg adb.Config, dir, primary, advertise string) (*Node, error) 
 	n.cfg = cfg
 	n.fol = fol
 	if eng := fol.Engine(); eng != nil {
-		n.seq = len(eng.Firings())
+		n.seq = eng.FiringCount()
 	}
 	n.live.Store(true)
 	return n, nil
@@ -128,7 +128,7 @@ func (n *Node) Bootstrap(data []byte, lsn int64) error {
 		return err
 	}
 	if eng := n.fol.Engine(); eng != nil {
-		n.seq = len(eng.Firings())
+		n.seq = eng.FiringCount()
 	}
 	return nil
 }

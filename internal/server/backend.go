@@ -114,7 +114,7 @@ func NewEngineBackend(eng *adb.Engine) *EngineBackend {
 		ops:      make(chan func(), 256),
 		pipeDone: make(chan struct{}),
 	}
-	b.seq = len(eng.Firings())
+	b.seq = eng.FiringCount()
 	b.cancelObs = eng.OnFiring(b.fired)
 	go b.pipeline()
 	return b

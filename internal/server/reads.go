@@ -21,22 +21,16 @@ func ReadsOf(current func() *adb.Engine) Reads { return Reads{current: current} 
 
 // Backlog returns eng's firing log from sequence number from, and from
 // itself clamped to [0, len]: the one place a [from:] request becomes a
-// slice. A firing's sequence number is its index in the log. A nil engine
-// has an empty log.
+// slice. A firing's sequence number is its index in the log. It copies only
+// the tail it returns. A nil engine has an empty log.
 func Backlog(eng *adb.Engine, from int) (int, []FiringEvent) {
-	var fs []adb.Firing
-	if eng != nil {
-		fs = eng.Firings()
+	if eng == nil {
+		return 0, []FiringEvent{}
 	}
-	if from < 0 {
-		from = 0
-	}
-	if from > len(fs) {
-		from = len(fs)
-	}
-	out := make([]FiringEvent, 0, len(fs)-from)
-	for i := from; i < len(fs); i++ {
-		out = append(out, FiringEvent{F: fs[i], Seq: i})
+	from, fs := eng.FiringsFrom(from)
+	out := make([]FiringEvent, len(fs))
+	for i, f := range fs {
+		out[i] = FiringEvent{F: f, Seq: from + i}
 	}
 	return from, out
 }
