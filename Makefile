@@ -37,11 +37,17 @@ vulncheck:
 # depcheck keeps the paper's baselines and oracles (naive, ee, future), the
 # experiment harnesses and the generators out of the serving binaries: they
 # stay in the repository as references, not as something a server links.
+# It also keeps internal/relation out of internal/adb's direct imports: the
+# engine answers past-value reads from its history states, and a second
+# copy of history (the deleted auxiliary relations) must not creep back.
 depcheck:
 	@out=$$($(GO) list -deps ./cmd/adbserverd ./cmd/adbrouterd ./cmd/adbsh | \
 		grep -E '^ptlactive/internal/(naive|ee|future|experiments|ptlgen|workload)$$'); \
 	if [ -n "$$out" ]; then \
 		echo "serving binaries link reference-only packages:"; echo "$$out"; exit 1; fi
+	@out=$$($(GO) list -f '{{join .Imports "\n"}}' ./internal/adb | grep -x 'ptlactive/internal/relation'); \
+	if [ -n "$$out" ]; then \
+		echo "internal/adb imports internal/relation: past values are read from the history states, not a second copy"; exit 1; fi
 
 # benchmod vets and tests the benchmark, a module of its own (bench/go.mod)
 # that `go build ./... && go test ./...` never sees although it compiles
@@ -119,9 +125,8 @@ replica-smoke:
 
 # retain-smoke boots adbserverd with an aggressive retention policy,
 # drives enough commits through adbsh to rotate segments and GC the log
-# head, asserts the storage query reports a bounded hot set and spilled
-# history, then restarts the server and checks recovery still answers
-# in-window and cold reads.
+# head, asserts the storage query reports a bounded hot set, then SIGKILLs
+# and restarts the server and checks recovery still serves the data.
 retain-smoke:
 	sh scripts/retain_smoke.sh
 

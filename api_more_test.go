@@ -2,6 +2,7 @@ package ptlactive_test
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"ptlactive"
@@ -167,5 +168,45 @@ func TestPublicAPIRetrieveQuery(t *testing.T) {
 	}
 	if len(alerts) != 1 || alerts[0] != "XYZ" {
 		t.Fatalf("alerts = %v", alerts)
+	}
+}
+
+// TestPublicAPIHistoryTruncated: both refusals of a read below a history
+// floor — an engine's ItemAsOfChecked below its oldest state after a
+// Compact, and a valid-time store's CommittedAtChecked below its
+// truncation cut — match the one exported sentinel.
+func TestPublicAPIHistoryTruncated(t *testing.T) {
+	eng := ptlactive.NewEngine(ptlactive.Config{Initial: map[string]ptlactive.Value{"a": ptlactive.Int(0)}})
+	for ts := int64(1); ts <= 5; ts++ {
+		if err := eng.Exec(ts, map[string]ptlactive.Value{"a": ptlactive.Int(ts)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if eng.Compact() == 0 {
+		t.Fatal("nothing compacted")
+	}
+	_, _, err := eng.ItemAsOfChecked("a", 2)
+	var hte *ptlactive.HistoryTruncatedError
+	if !errors.Is(err, ptlactive.ErrHistoryTruncated) || !errors.As(err, &hte) || hte.Floor != 5 {
+		t.Fatalf("engine read below the floor: %v", err)
+	}
+
+	s := ptlactive.NewValidStore(ptlactive.NewDB(map[string]ptlactive.Value{"a": ptlactive.Int(0)}), 0, 10)
+	for id := int64(1); id <= 2; id++ {
+		if err := s.Begin(id); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Post(id, "a", ptlactive.Int(id), 2*id, 2*id); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Commit(id, 2*id+1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := s.TruncateBefore(4); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.CommittedAtChecked(1); !errors.Is(err, ptlactive.ErrHistoryTruncated) {
+		t.Fatalf("valid-time read below the floor: %v", err)
 	}
 }

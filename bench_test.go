@@ -331,20 +331,18 @@ func persistBenchEngine(b *testing.B, dir string, states int, checkpointAfter bo
 func persistBenchConfig() ptlactive.Config {
 	return ptlactive.Config{
 		Initial:    map[string]ptlactive.Value{"px": ptlactive.Int(100)},
-		TrackItems: []string{"px"},
 		Durability: ptlactive.DurabilityWAL,
 		NoFsync:    true,
 	}
 }
 
 // BenchmarkSnapshotSave measures serializing the full engine state — rule
-// evaluator registers, aux relations, history window, pending firings —
-// to a writer. Theorem 1's bounded evaluator state is why this stays
+// evaluator registers, history window, firing and execution logs — to a
+// writer. Theorem 1's bounded evaluator state is why this stays
 // small and flat as the committed history grows.
 func BenchmarkSnapshotSave(b *testing.B) {
 	eng := ptlactive.NewEngine(ptlactive.Config{
-		Initial:    map[string]ptlactive.Value{"px": ptlactive.Int(100)},
-		TrackItems: []string{"px"},
+		Initial: map[string]ptlactive.Value{"px": ptlactive.Int(100)},
 	})
 	if err := eng.AddTrigger("spike",
 		`@tick and item("px") > 110 and previously item("px") <= 110`, nil); err != nil {

@@ -747,9 +747,7 @@ func (c *Client) Role() (RoleStatus, error) {
 
 // StorageStatus is the server's storage footprint report: the WAL and
 // snapshot accounting (Segments, WALBytes, Snapshots, SnapshotBytes,
-// HeadLSN, LastLSN) plus the history-retention tiers (HistoryWindow,
-// HistoryFloor, SpillHistory, TierRows, TierBytes), as the engine declares
-// them.
+// HeadLSN, LastLSN), as the engine declares it.
 type StorageStatus = wire.StorageJSON
 
 // Storage queries the server's storage footprint; servers without a

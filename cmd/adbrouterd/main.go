@@ -58,8 +58,6 @@ func main() {
 	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "graceful shutdown bound")
 	segBytes := flag.Int64("wal-segment-bytes", 0, "per-shard WAL segment rotation size; snapshot-covered segments are GCed (0 = single segment forever)")
 	keepSnaps := flag.Int("keep-snapshots", 0, "per-shard snapshot chain length after each checkpoint (0/1 = newest only)")
-	histWindow := flag.Int64("history-window", 0, "per-shard prune of collapsed temporal history older than this many ticks (0 = retain everything)")
-	spillHist := flag.Bool("spill-history", false, "spill pruned history to each shard's on-disk cold tier instead of dropping it")
 	flag.Parse()
 
 	var policy server.OverflowPolicy
@@ -84,8 +82,6 @@ func main() {
 			Retention: adb.Retention{
 				SegmentBytes:  *segBytes,
 				KeepSnapshots: *keepSnaps,
-				HistoryWindow: *histWindow,
-				SpillHistory:  *spillHist,
 			},
 		}
 		for i := 0; i < *local; i++ {

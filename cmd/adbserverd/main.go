@@ -30,10 +30,9 @@
 // the missed firings, "disconnect" severs the connection.
 //
 // Storage lifecycle (DESIGN.md §4k): -snapshot-every picks a checkpoint
-// cadence, -wal-segment-bytes a rotation size, -keep-snapshots the chain
-// depth, and -history-window/-spill-history the temporal-history
-// retention policy, so a server under sustained commits holds a bounded
-// hot set on disk. The "storage" query (adbsh storage) reports the
+// cadence, -wal-segment-bytes a rotation size and -keep-snapshots the
+// chain depth, so a server under sustained commits holds a bounded hot set
+// on disk. The "storage" query (adbsh storage) reports the
 // resulting footprint.
 //
 // SIGTERM or SIGINT drains gracefully: stop accepting, finish queued
@@ -51,7 +50,6 @@ import (
 	"net"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -80,9 +78,6 @@ func main() {
 	snapEvery := flag.Int("snapshot-every", 0, "checkpoint a snapshot every N commits; snapshot-covered WAL segments become GC-eligible (0 = wal-only durability)")
 	segBytes := flag.Int64("wal-segment-bytes", 0, "rotate the WAL at this segment size; snapshot-covered segments are GCed (0 = single segment forever)")
 	keepSnaps := flag.Int("keep-snapshots", 0, "snapshot chain length after each checkpoint (0/1 = newest only)")
-	histWindow := flag.Int64("history-window", 0, "prune collapsed temporal history older than this many ticks (0 = retain everything)")
-	spillHist := flag.Bool("spill-history", false, "spill pruned history to an on-disk cold tier instead of dropping it")
-	track := flag.String("track", "", "comma-separated item names whose historic values the engine records for AsOf reads")
 	flag.Parse()
 
 	var policy server.OverflowPolicy
@@ -98,24 +93,14 @@ func main() {
 		fatal(fmt.Errorf("-replica-of requires -data (the follower persists the shipped wal)"))
 	}
 
-	var trackItems []string
-	for _, name := range strings.Split(*track, ",") {
-		if name = strings.TrimSpace(name); name != "" {
-			trackItems = append(trackItems, name)
-		}
-	}
-
 	cfg := adb.Config{
 		Workers:         *workers,
 		MaxRuleFailures: *maxFailures,
 		SweepBudget:     *sweepBudget,
 		ActionTimeout:   *actionTimeout,
-		TrackItems:      trackItems,
 		Retention: adb.Retention{
 			SegmentBytes:  *segBytes,
 			KeepSnapshots: *keepSnaps,
-			HistoryWindow: *histWindow,
-			SpillHistory:  *spillHist,
 		},
 	}
 

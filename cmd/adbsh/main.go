@@ -77,8 +77,6 @@ func main() {
 	codec := flag.String("codec", "json", "wire codec to offer in remote mode: json (inspectable frames) or binary")
 	segBytes := flag.Int64("wal-segment-bytes", 0, "rotate the WAL at this segment size; snapshot-covered segments are GCed (0 = single segment forever)")
 	keepSnaps := flag.Int("keep-snapshots", 0, "snapshot chain length after each checkpoint (0/1 = newest only)")
-	histWindow := flag.Int64("history-window", 0, "prune collapsed temporal history older than this many ticks (0 = retain everything)")
-	spillHist := flag.Bool("spill-history", false, "spill pruned history to an on-disk cold tier instead of dropping it")
 	flag.Parse()
 	in := os.Stdin
 	if flag.NArg() > 0 {
@@ -108,8 +106,6 @@ func main() {
 			retention: adb.Retention{
 				SegmentBytes:  *segBytes,
 				KeepSnapshots: *keepSnaps,
-				HistoryWindow: *histWindow,
-				SpillHistory:  *spillHist,
 			},
 		}
 		run = sh.exec
@@ -433,16 +429,6 @@ func reportAbort(ts int64, err error) error {
 func printStorage(st adb.StorageStats) {
 	fmt.Printf("segments=%d wal_bytes=%d snapshots=%d snapshot_bytes=%d head_lsn=%d last_lsn=%d\n",
 		st.Segments, st.WALBytes, st.Snapshots, st.SnapshotBytes, st.HeadLSN, st.LastLSN)
-	if st.HistoryWindow > 0 {
-		policy := "drop"
-		if st.SpillHistory {
-			policy = "spill"
-		}
-		fmt.Printf("history: window=%d floor=%d policy=%s tier_rows=%d tier_bytes=%d\n",
-			st.HistoryWindow, st.HistoryFloor, policy, st.TierRows, st.TierBytes)
-	} else {
-		fmt.Println("history: retained forever")
-	}
 }
 
 // splitFields splits on spaces but keeps quoted strings and @ev(...) forms

@@ -24,6 +24,8 @@ type ActionContext struct {
 	FiredAt int64
 
 	engine *Engine
+	// state is the database of the state that satisfied the condition.
+	state history.DBState
 	// ctx carries the Config.ActionTimeout deadline (Background without
 	// one); gate refuses engine mutations after the deadline fires.
 	ctx  context.Context
@@ -85,13 +87,14 @@ func (c *ActionContext) DB() history.DBState { return c.engine.DB() }
 // Now returns the timestamp of the latest system state.
 func (c *ActionContext) Now() int64 { return c.engine.Now() }
 
-// AsOf returns the value a tracked item (Config.TrackItems) had at the
-// instant this firing's condition was satisfied. Actions run after the
-// firing state's sweep — possibly much later under Relevant or Manual
-// scheduling — so the current database may have moved on; AsOf reads the
-// auxiliary relation instead.
+// AsOf returns the value item had in the state that satisfied this
+// firing's condition (Null, with ok true, if it did not exist there).
+// Actions run after the firing state's sweep — possibly much later under
+// Relevant or Manual scheduling — so the current database may have moved
+// on; AsOf reads the firing state the action was queued with instead.
 func (c *ActionContext) AsOf(item string) (value.Value, bool) {
-	return c.engine.ItemAsOf(item, c.FiredAt)
+	v, _ := c.state.Get(item)
+	return v, true
 }
 
 // Action is the action part of a trigger.
@@ -109,8 +112,9 @@ type Action func(ctx *ActionContext) error
 // failures (the cascade limit, a sealed engine) abort the drain.
 func (e *Engine) drainActions() error {
 	for len(e.pending) > 0 {
-		f := e.pending[0]
+		p := e.pending[0]
 		e.pending = e.pending[1:]
+		f := p.Firing
 		r := e.index[f.Rule]
 		if r == nil || r.action == nil {
 			e.recordExecution(r, f, f.Time)
@@ -134,7 +138,7 @@ func (e *Engine) drainActions() error {
 		// external operation that fired it re-derives them, so they must
 		// not be logged themselves.
 		e.suppress++
-		err := e.runAction(r, f)
+		err := e.runAction(r, p)
 		e.suppress--
 		if err != nil {
 			e.recordFailure(r, f.Time, err)

@@ -2,6 +2,7 @@ package adb
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"ptlactive/internal/event"
@@ -14,8 +15,7 @@ import (
 // the item had when the condition held, while the live DB has moved on.
 func TestDelayedActionReadsFiringTimeValue(t *testing.T) {
 	e := NewEngine(Config{
-		Initial:    map[string]value.Value{"price": value.NewFloat(100)},
-		TrackItems: []string{"price"},
+		Initial: map[string]value.Value{"price": value.NewFloat(100)},
 	})
 	var sawLive, sawAsOf float64
 	err := e.AddTrigger("spike", `item("price") > 150`, func(ctx *ActionContext) error {
@@ -23,7 +23,7 @@ func TestDelayedActionReadsFiringTimeValue(t *testing.T) {
 		sawLive = live.AsFloat()
 		asof, ok := ctx.AsOf("price")
 		if !ok {
-			t.Error("AsOf miss for tracked item")
+			t.Error("AsOf missed")
 			return nil
 		}
 		sawAsOf = asof.AsFloat()
@@ -47,9 +47,8 @@ func TestDelayedActionReadsFiringTimeValue(t *testing.T) {
 
 func TestItemAsOfSemantics(t *testing.T) {
 	e := NewEngine(Config{
-		Initial:    map[string]value.Value{"a": value.NewInt(1)},
-		TrackItems: []string{"a"},
-		Start:      10,
+		Initial: map[string]value.Value{"a": value.NewInt(1)},
+		Start:   10,
 	})
 	_ = e.Exec(12, map[string]value.Value{"a": value.NewInt(2)})
 	_ = e.Exec(15, map[string]value.Value{"a": value.NewInt(3)})
@@ -76,23 +75,18 @@ func TestItemAsOfSemantics(t *testing.T) {
 			t.Errorf("ItemAsOf(a, %d) = %v, want %d", c.t, v, c.want)
 		}
 	}
-	// Untracked items miss.
-	if _, ok := e.ItemAsOf("zzz", 12); ok {
-		t.Error("untracked item should miss")
-	}
-	// Tracked-but-absent items capture Null.
-	e2 := NewEngine(Config{TrackItems: []string{"ghost"}})
+	// An item absent from the state current at t reads Null.
+	e2 := NewEngine(Config{})
 	_ = e2.Exec(1, map[string]value.Value{"other": value.NewInt(1)})
 	v, ok := e2.ItemAsOf("ghost", 1)
 	if !ok || !v.IsNull() {
-		t.Errorf("absent tracked item = %v ok=%t, want Null true", v, ok)
+		t.Errorf("absent item = %v ok=%t, want Null true", v, ok)
 	}
 }
 
 func TestCompactPrunesAux(t *testing.T) {
 	e := NewEngine(Config{
-		Initial:    map[string]value.Value{"a": value.NewInt(0)},
-		TrackItems: []string{"a"},
+		Initial: map[string]value.Value{"a": value.NewInt(0)},
 	})
 	if err := e.AddTrigger("r", `item("a") > 100`, nil); err != nil {
 		t.Fatal(err)
@@ -106,7 +100,7 @@ func TestCompactPrunesAux(t *testing.T) {
 	// Values before the retained horizon are gone; recent ones remain.
 	horizon := e.History().At(0).TS
 	if _, ok := e.ItemAsOf("a", horizon-5); ok {
-		t.Error("pruned interval still readable")
+		t.Error("compacted state still readable")
 	}
 	if v, ok := e.ItemAsOf("a", 30); !ok || v.AsInt() != 30 {
 		t.Errorf("recent value lost: %v %t", v, ok)
@@ -157,6 +151,78 @@ func TestExportHistoryRoundTrip(t *testing.T) {
 	for i := 0; i < h.Len(); i++ {
 		if !h.At(i).DB.Equal(back.At(i).DB) || h.At(i).TS != back.At(i).TS {
 			t.Fatalf("state %d differs", i)
+		}
+	}
+}
+
+// TestActionAsOfReadsFiringState: an action's AsOf reads the state that
+// satisfied its condition, for any item — one the condition reads, one it
+// does not, one that never exists — however late the action runs. Under
+// Manual and Relevant scheduling, at one worker and four, with actions
+// committing between firing and execution, every read equals the value
+// History() holds at FiredAt, and the reads do not depend on the worker
+// count.
+func TestActionAsOfReadsFiringState(t *testing.T) {
+	items := []string{"a", "z", "ghost"}
+	for _, sched := range []Scheduling{Manual, Relevant} {
+		var first []string
+		for _, workers := range []int{1, 4} {
+			e := NewEngine(Config{Initial: map[string]value.Value{"a": value.NewInt(0), "z": value.NewInt(0)}, Workers: workers})
+			var reads []string
+			delayed := 0
+			check := func(ctx *ActionContext) error {
+				if ctx.Now() > ctx.FiredAt {
+					delayed++
+				}
+				at := e.History().PrefixAtTime(ctx.FiredAt)
+				st, _ := at.Last()
+				if st.TS != ctx.FiredAt {
+					return fmt.Errorf("no state at %d", ctx.FiredAt)
+				}
+				for _, item := range items {
+					got, ok := ctx.AsOf(item)
+					want, _ := st.DB.Get(item)
+					if !ok || !got.Equal(want) {
+						t.Errorf("sched %d/%d: %s AsOf(%s) at %d = %v %t, want %v", sched, workers, ctx.Rule, item, ctx.FiredAt, got, ok, want)
+					}
+					reads = append(reads, fmt.Sprintf("%s@%d:%s=%v", ctx.Rule, ctx.FiredAt, item, got))
+				}
+				if ctx.Rule != "poke" { // commits only on an event, so no cascade
+					return nil
+				}
+				return ctx.Exec(map[string]value.Value{"c": value.NewInt(ctx.FiredAt)})
+			}
+			for _, r := range [][2]string{
+				{"high", `item("a") > 5`},
+				{"poke", `@poke and item("a") < 3`},
+				{"late", `item("z") > 60 and item("a") < 5`},
+			} {
+				if err := e.AddTrigger(r[0], r[1], check, WithScheduling(sched)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := int64(1); i <= 40; i++ {
+				var evs []event.Event
+				if i%3 == 0 {
+					evs = append(evs, event.New("poke"))
+				}
+				if err := e.Exec(100*i, map[string]value.Value{"a": value.NewInt(i * 7 % 11), "z": value.NewInt(i * 3)}, evs...); err != nil {
+					t.Fatal(err)
+				}
+				if i%10 == 0 {
+					if err := e.Flush(); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			if delayed == 0 {
+				t.Fatalf("sched %d/%d: no action ran after the state that fired it", sched, workers)
+			}
+			if first == nil {
+				first = reads
+			} else if fmt.Sprint(reads) != fmt.Sprint(first) {
+				t.Errorf("sched %d: reads differ between 1 and %d workers", sched, workers)
+			}
 		}
 	}
 }

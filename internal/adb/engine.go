@@ -8,9 +8,7 @@ package adb
 import (
 	"io"
 	"runtime"
-	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"ptlactive/internal/event"
@@ -19,8 +17,6 @@ import (
 	"ptlactive/internal/persist"
 	"ptlactive/internal/ptl"
 	"ptlactive/internal/query"
-	"ptlactive/internal/relation"
-	"ptlactive/internal/retain"
 	"ptlactive/internal/value"
 )
 
@@ -65,7 +61,7 @@ type Engine struct {
 	nextObsID uint64
 	nextTxn   int64
 	inSweep   bool
-	pending   []Firing // firings awaiting action execution
+	pending   []pendingAction // firings awaiting action execution
 	cascade   int
 	cascadeTo int
 
@@ -75,16 +71,6 @@ type Engine struct {
 	// base is the absolute index of hist's first state; Compact advances
 	// it as fully-processed prefix states are discarded.
 	base int
-
-	// tracked holds the Section-5 auxiliary relations for items named in
-	// Config.TrackItems: each captures the item's value over time with
-	// [T_start, T_end) validity intervals, so delayed actions (Relevant or
-	// Manual scheduling, batching) can read values as of their firing
-	// instant rather than the current instant. trackedNames fixes the
-	// capture order (map iteration order reached the aux relations and the
-	// internal-error path otherwise).
-	tracked      map[string]*relation.ScalarAux
-	trackedNames []string
 
 	// stats for the E8 benchmark.
 	evalSteps int64
@@ -148,15 +134,16 @@ type Engine struct {
 	initDB  history.DBState
 	initRec persist.InitRecord
 	actions map[string]Action
+}
 
-	// Storage-lifecycle policy (see retention.go): retention is fixed at
-	// construction; tier is the open cold tier (nil without SpillHistory
-	// or for memory engines); histFloor is the oldest timestamp resident
-	// point-in-time reads answer, advanced only at commit tails so
-	// concurrent ItemAsOf readers load it atomically.
-	retention Retention
-	tier      *retain.Tier
-	histFloor atomic.Int64
+// pendingAction is a firing awaiting its action, with the database of the
+// state that satisfied the condition: the action may run states later
+// (Relevant or Manual scheduling, a cascade), and ActionContext.AsOf reads
+// this state rather than the current one. The treap is shared with the
+// history, so the entry costs one pointer.
+type pendingAction struct {
+	Firing
+	db history.DBState
 }
 
 // Config configures a new engine.
@@ -172,10 +159,6 @@ type Config struct {
 	CascadeLimit int
 	// OnFiring, when set, observes every firing as it happens.
 	OnFiring func(Firing)
-	// TrackItems names database items whose historic values the engine
-	// captures in auxiliary relations, queryable with ItemAsOf and
-	// ActionContext.AsOf. Items not listed cost nothing.
-	TrackItems []string
 	// Workers bounds the worker pool the temporal component uses to
 	// evaluate independent rules concurrently during sweeps, flushes and
 	// constraint checks. 0 means GOMAXPROCS; 1 forces fully sequential
@@ -226,10 +209,8 @@ type Config struct {
 	// replay equivalence they must be the same deterministic actions the
 	// original engine ran.
 	Actions map[string]Action
-	// Retention is the storage-lifecycle policy (see retention.go). The
-	// history fields (HistoryWindow, SpillHistory) shape query answers and
-	// are persisted in the init record; the WAL fields (SegmentBytes,
-	// KeepSnapshots) are runtime-only disk-layout knobs read by Restore.
+	// Retention is the WAL's storage-lifecycle policy (see retention.go):
+	// runtime-only disk-layout knobs read by Restore.
 	Retention Retention
 }
 
@@ -271,57 +252,18 @@ func NewEngine(cfg Config) *Engine {
 	if cfg.OnFiring != nil {
 		e.observers = []firingObserver{{fn: cfg.OnFiring}}
 	}
-	if len(cfg.TrackItems) > 0 {
-		e.tracked = make(map[string]*relation.ScalarAux, len(cfg.TrackItems))
-		for _, name := range cfg.TrackItems {
-			if _, dup := e.tracked[name]; dup {
-				continue
-			}
-			e.tracked[name] = relation.NewScalarAux()
-			e.trackedNames = append(e.trackedNames, name)
-		}
-		sort.Strings(e.trackedNames)
-	}
 	e.initDB = e.db
 	e.initRec = persist.InitRecord{
 		Start:           cfg.Start,
-		TrackItems:      append([]string(nil), e.trackedNames...),
 		CascadeLimit:    limit,
 		MaxRuleFailures: cfg.MaxRuleFailures,
 		SweepBudget:     cfg.SweepBudget,
-		HistoryWindow:   cfg.Retention.HistoryWindow,
-		SpillHistory:    cfg.Retention.SpillHistory,
-	}
-	e.retention = cfg.Retention
-	if w := e.retention.HistoryWindow; w > 0 {
-		e.histFloor.Store(cfg.Start - w)
 	}
 	e.hist.MustAppend(history.SystemState{DB: e.db, Events: event.NewSet(), TS: cfg.Start})
 	// The initial state's delta from "before the engine existed" is not a
 	// meaningful dirty set; leave it unknown so no refinement applies.
 	e.dirty = append(e.dirty, dirtySet{})
-	if err := e.capture(cfg.Start); err != nil {
-		e.seal(err)
-	}
 	return e
-}
-
-// capture records the tracked items' current values in their auxiliary
-// relations, in sorted item order so the capture sequence (and any
-// internal-error report) is deterministic. Captures are in commit order,
-// so a failure means a broken invariant: it is returned as a typed error
-// (and the caller seals the engine) rather than panicking.
-func (e *Engine) capture(ts int64) error {
-	for _, name := range e.trackedNames {
-		v, ok := e.db.Get(name)
-		if !ok {
-			v = value.Value{}
-		}
-		if err := e.tracked[name].Capture(ts, v); err != nil {
-			return &InternalError{Op: "aux capture " + name, Err: err}
-		}
-	}
-	return nil
 }
 
 // Degraded reports whether the engine is sealed into read-only degraded
@@ -352,13 +294,11 @@ func (e *Engine) seal(cause error) error {
 	return err
 }
 
-// ItemAsOf returns the value a tracked item had at time t (Null if the
-// item did not exist then). The second result is false when the item is
-// not tracked, t precedes the engine's start, or t is older than the
-// retained history (ItemAsOfChecked distinguishes the latter with a typed
-// error). Safe for concurrent use (the tracked table is immutable after
-// NewEngine, each auxiliary relation synchronizes its own readers against
-// captures, and the retention floor is read atomically).
+// ItemAsOf returns the value item name had at time t (Null if the item did
+// not exist then), read from the retained history states. The second
+// result is false when t precedes the engine's start or the oldest state a
+// Compact left (ItemAsOfChecked distinguishes the latter with a typed
+// error). Safe for concurrent use.
 func (e *Engine) ItemAsOf(name string, t int64) (value.Value, bool) {
 	v, ok, err := e.ItemAsOfChecked(name, t)
 	if err != nil {
@@ -529,17 +469,10 @@ func (e *Engine) Compact() int {
 	}
 	// Meaningful only while some rule is parked, and then min <= it.
 	e.parkedCursor -= min
-	horizon := trimmed.At(0).TS
 	e.mu.Unlock()
-	// Auxiliary intervals that ended before the retained horizon can no
-	// longer be read by any pending action. The aux relations synchronize
-	// their own readers; under the spill policy the expired intervals go
-	// to the cold tier first (a failure there seals the engine, surfacing
-	// at the next operation or Close, like the logRecord below).
-	_ = e.pruneAux(horizon)
-	// Compaction moves base and the aux horizon, so it replays. A failed
-	// append seals the engine (logRecord) and surfaces at the next
-	// operation or Close.
+	// Compaction moves base and the oldest state ItemAsOf answers, so it
+	// replays. A failed append seals the engine (logRecord) and surfaces
+	// at the next operation or Close.
 	_ = e.logRecord(&persist.Record{Kind: persist.KindCompact})
 	return min
 }

@@ -4,12 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"path/filepath"
 
 	"ptlactive/internal/histio"
 	"ptlactive/internal/persist"
 	"ptlactive/internal/ptl"
-	"ptlactive/internal/retain"
 )
 
 // Durability selects the persistence mode of an engine opened with
@@ -192,13 +190,6 @@ func (e *Engine) Close() error {
 		err = e.store.Close()
 		e.store = nil
 	}
-	if e.tier != nil {
-		terr := e.tier.Close()
-		e.tier = nil
-		if err == nil {
-			err = terr
-		}
-	}
 	if deg := e.Degraded(); deg != nil {
 		return deg
 	}
@@ -214,19 +205,18 @@ func (e *Engine) Close() error {
 // cfg supplies the runtime-only pieces — Registry, Actions (the action
 // functions of logged rules, by name; they must be the same deterministic
 // actions for replay equivalence), OnFiring, Workers, Durability,
-// SnapshotEvery, NoFsync. The persisted init record governs the rest
-// (Initial, Start, TrackItems, CascadeLimit, the governance knobs and the
-// history-retention policy); for a fresh directory those are taken from
-// cfg and logged. DurabilityOff is promoted to DurabilityWAL: an engine
-// with a data directory logs.
+// SnapshotEvery, NoFsync, Retention. The persisted init record governs the
+// rest (Initial, Start, CascadeLimit and the governance knobs); for a fresh
+// directory those are taken from cfg and logged. DurabilityOff is promoted
+// to DurabilityWAL: an engine with a data directory logs.
 func Restore(cfg Config, dir string) (*Engine, error) {
 	o, err := openDir(cfg, dir)
 	if err != nil {
 		return nil, err
 	}
-	e, err := attachStore(cfg, o.eng, o.store, o.tier)
+	e, err := attachStore(cfg, o.eng, o.store)
 	if err != nil {
-		o.close()
+		o.store.Close()
 		return nil, err
 	}
 	e.recovery = RecoveryInfo{
@@ -245,7 +235,6 @@ func Restore(cfg Config, dir string) (*Engine, error) {
 type opened struct {
 	store *persist.Store
 	res   *persist.OpenResult
-	tier  *retain.Tier // open cold tier under the spill policy, else nil
 	// eng is the engine the directory describes, its WAL tail replayed; nil
 	// for an empty directory. No store is attached, so it logs nothing.
 	eng *Engine
@@ -255,20 +244,12 @@ type opened struct {
 	replayErrs []error
 }
 
-// close releases what openDir opened, on a caller's error path.
-func (o *opened) close() {
-	if o.tier != nil {
-		o.tier.Close()
-	}
-	o.store.Close()
-}
-
 // openDir is the one open-and-replay sequence behind Restore and
 // OpenFollower: open the store, rebuild the engine from the newest snapshot
-// (else from the init record that opens the log), open the cold tier, and
-// replay the WAL tail through the normal commit and sweep path. Per-operation
-// replay failures (a rejected commit, a failed action) reproduce the logged
-// outcome — state, not errors; a malformed record is fatal.
+// (else from the init record that opens the log), and replay the WAL tail
+// through the normal commit and sweep path. Per-operation replay failures
+// (a rejected commit, a failed action) reproduce the logged outcome —
+// state, not errors; a malformed record is fatal.
 func openDir(cfg Config, dir string) (*opened, error) {
 	st, res, err := persist.OpenOptions(dir, persist.Options{
 		SegmentBytes:  cfg.Retention.SegmentBytes,
@@ -295,30 +276,13 @@ func openDir(cfg Config, dir string) (*opened, error) {
 		}
 	}
 	if err != nil {
-		o.close()
+		st.Close()
 		return nil, err
-	}
-	// The cold tier opens before replay: replayed commits run the same
-	// retention prunes the original engine did, and under the spill policy
-	// those spill (idempotently, by watermark) before pruning. The persisted
-	// policy decides; an empty directory has only cfg's to go by.
-	policy := cfg.Retention
-	if o.eng != nil {
-		policy = o.eng.retention
-	}
-	if policy.SpillHistory && policy.HistoryWindow > 0 {
-		if o.tier, err = retain.OpenTier(filepath.Join(dir, coldTierFile)); err != nil {
-			o.close()
-			return nil, err
-		}
-	}
-	if o.eng != nil {
-		o.eng.tier = o.tier
 	}
 	for _, rec := range tail {
 		opErr, fatal := o.eng.applyRecord(rec)
 		if fatal != nil {
-			o.close()
+			st.Close()
 			return nil, fatal
 		}
 		o.replayed++
@@ -333,11 +297,10 @@ func openDir(cfg Config, dir string) (*opened, error) {
 // checkpoint period and group-commit batch; Restore and Follower.Promote
 // both end here. Over an empty log there is no engine yet (e is nil): a
 // fresh one is built from cfg and its init record opens the log.
-func attachStore(cfg Config, e *Engine, st *persist.Store, tier *retain.Tier) (*Engine, error) {
+func attachStore(cfg Config, e *Engine, st *persist.Store) (*Engine, error) {
 	fresh := e == nil
 	if fresh {
 		e = newMemEngine(cfg)
-		e.tier = tier
 	}
 	e.store = st
 	e.durMode = cfg.Durability
@@ -388,19 +351,20 @@ func newMemEngine(cfg Config) *Engine {
 }
 
 // engineFromInit builds a fresh engine from a persisted init record plus
-// the runtime-only config: whatever shapes behavior or query answers
-// (initial state, cascade and governance limits, the history-retention
-// policy) comes from the record; workers, callbacks, the action deadline
-// and the WAL-layout knobs stay cfg's. The record is not kept: initRecord
-// encodes the same bytes again from the decoded initial state.
+// the runtime-only config: whatever shapes behavior (initial state, cascade
+// and governance limits) comes from the record; workers, callbacks, the
+// action deadline and the WAL-layout knobs stay cfg's. The record is not
+// kept: initRecord encodes the same bytes again from the decoded initial
+// state. A record written before the engine read past values from its
+// history states may carry "track", "histwin" and "spill" fields; they
+// configured a deleted copy of history, and decoding ignores them.
 func engineFromInit(cfg Config, init *persist.InitRecord) (*Engine, error) {
 	items, err := histio.DecodeItems(init.Initial)
 	if err != nil {
 		return nil, fmt.Errorf("adb: init record: %w", err)
 	}
-	cfg.Initial, cfg.Start, cfg.TrackItems = items, init.Start, init.TrackItems
+	cfg.Initial, cfg.Start = items, init.Start
 	cfg.CascadeLimit, cfg.MaxRuleFailures, cfg.SweepBudget = init.CascadeLimit, init.MaxRuleFailures, init.SweepBudget
-	cfg.Retention.HistoryWindow, cfg.Retention.SpillHistory = init.HistoryWindow, init.SpillHistory
 	return newMemEngine(cfg), nil
 }
 

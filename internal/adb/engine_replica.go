@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"ptlactive/internal/persist"
-	"ptlactive/internal/retain"
 )
 
 // This file is the engine half of the replication subsystem (see
@@ -104,8 +103,7 @@ func (e *Engine) WALNewestSnapshot() ([]byte, int64, bool, error) {
 type Follower struct {
 	cfg      Config
 	store    *persist.Store
-	tier     *retain.Tier // open cold tier under the spill policy, else nil
-	eng      *Engine      // nil until the primary's init frame arrives
+	eng      *Engine // nil until the primary's init frame arrives
 	lastLSN  int64
 	epoch    int64
 	promoted bool
@@ -127,7 +125,6 @@ func OpenFollower(cfg Config, dir string) (*Follower, error) {
 	return &Follower{
 		cfg:     cfg,
 		store:   o.store,
-		tier:    o.tier,
 		eng:     o.eng,
 		lastLSN: o.store.LastLSN(),
 		epoch:   o.res.Epoch,
@@ -200,7 +197,6 @@ func (f *Follower) ApplyFrames(data []byte, batchEpoch int64) (int, error) {
 			if err != nil {
 				return applied, err
 			}
-			e.tier = f.tier
 			f.eng = e
 		default:
 			// Per-operation failures are the primary's logged outcome;
@@ -241,7 +237,6 @@ func (f *Follower) BootstrapSnapshot(data []byte, lsn int64) error {
 	if err != nil {
 		return err
 	}
-	e.tier = f.tier
 	f.eng = e
 	f.lastLSN = lsn
 	if snap.Epoch > f.epoch {
@@ -267,7 +262,7 @@ func (f *Follower) Promote(newEpoch int64) (*Engine, error) {
 	if f.eng == nil && f.lastLSN != 0 {
 		return nil, fmt.Errorf("adb: follower has %d records but no engine", f.lastLSN)
 	}
-	e, err := attachStore(f.cfg, f.eng, f.store, f.tier)
+	e, err := attachStore(f.cfg, f.eng, f.store)
 	if err != nil {
 		return nil, err
 	}
@@ -282,30 +277,22 @@ func (f *Follower) Promote(newEpoch int64) (*Engine, error) {
 	return e, nil
 }
 
-// Storage reports the follower's storage footprint: its own store and cold
-// tier plus the replayed engine's retention fields (the engine has no store
-// attached until promotion, so Engine().Storage() alone would report zero
-// persistence fields).
+// Storage reports the footprint of the follower's own store (the engine
+// has no store attached until promotion, so Engine().Storage() alone would
+// report zero persistence fields).
 func (f *Follower) Storage() (StorageStats, error) {
 	if f.promoted {
 		return StorageStats{}, fmt.Errorf("adb: follower was promoted; query the engine")
 	}
-	return storageStats(f.store, f.eng, f.tier)
+	return storageStats(f.store)
 }
 
-// Close releases the follower's store and cold tier; after promotion the
-// engine owns both and Close is a no-op.
+// Close releases the follower's store; after promotion the engine owns it
+// and Close is a no-op.
 func (f *Follower) Close() error {
 	if f.promoted {
 		return nil
 	}
 	// The engine never had the store attached; close just the store.
-	err := f.store.Close()
-	if f.tier != nil {
-		if terr := f.tier.Close(); err == nil {
-			err = terr
-		}
-		f.tier = nil
-	}
-	return err
+	return f.store.Close()
 }

@@ -28,7 +28,7 @@ var (
 	// ErrActionTimeout reports an action that exceeded Config.ActionTimeout.
 	ErrActionTimeout = errors.New("action deadline exceeded")
 	// ErrInternal reports a broken engine invariant (a must-not-fail encode
-	// or capture path that failed anyway).
+	// path that failed anyway).
 	ErrInternal = errors.New("internal invariant violated")
 )
 
@@ -129,7 +129,7 @@ func (e *TimeoutError) Error() string {
 func (e *TimeoutError) Unwrap() error { return ErrActionTimeout }
 
 // InternalError reports a failure on a path the engine's invariants say
-// cannot fail (aux capture, initial-database encode); it wraps the cause.
+// cannot fail (the initial-database encode); it wraps the cause.
 type InternalError struct {
 	Op  string
 	Err error

@@ -150,8 +150,8 @@ func (e *Engine) reportFault(rule string, at int64, err error) {
 // ActionContext expires, so further engine mutations through it are
 // refused, and the expiry handshake (the context mutex) guarantees no
 // mutation is in flight when control returns to the sweep.
-func (e *Engine) runAction(r *rule, f Firing) error {
-	ctx := &ActionContext{engine: e, Rule: f.Rule, Binding: f.Binding, FiredAt: f.Time, ctx: context.Background()}
+func (e *Engine) runAction(r *rule, p pendingAction) error {
+	ctx := &ActionContext{engine: e, Rule: p.Rule, Binding: p.Binding, FiredAt: p.Time, state: p.db, ctx: context.Background()}
 	if e.actionTimeout <= 0 {
 		return e.invokeAction(r, ctx)
 	}

@@ -46,7 +46,7 @@ func TestInitRecordBytesEveryKind(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := json.Marshal(&persist.InitRecord{Initial: items, Start: 3, TrackItems: []string{"int"}, CascadeLimit: 1000})
+	want, err := json.Marshal(&persist.InitRecord{Initial: items, Start: 3, CascadeLimit: 1000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestInitRecordBytesEveryKind(t *testing.T) {
 		}
 	}
 
-	mem := NewEngine(Config{Initial: initial, Start: 3, TrackItems: []string{"int"}})
+	mem := NewEngine(Config{Initial: initial, Start: 3})
 	commit(mem)
 	if mem.Compact() == 0 {
 		t.Fatal("compaction dropped nothing: the initial state is still in the history")
@@ -99,7 +99,7 @@ func TestInitRecordBytesEveryKind(t *testing.T) {
 		t.Fatalf("restored engine's snapshot differs:\n got %s\nwant %s", again, first)
 	}
 
-	dur, err := Restore(Config{Durability: DurabilityWAL, NoFsync: true, Initial: initial, Start: 3, TrackItems: []string{"int"}}, t.TempDir())
+	dur, err := Restore(Config{Durability: DurabilityWAL, NoFsync: true, Initial: initial, Start: 3}, t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}

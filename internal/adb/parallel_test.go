@@ -63,8 +63,7 @@ func (p engineParams) config(workers int) Config {
 			"a": value.NewInt(p.a),
 			"b": value.NewInt(p.b),
 		},
-		Workers:    workers,
-		TrackItems: []string{"a", "b"},
+		Workers: workers,
 	}
 }
 
@@ -322,9 +321,8 @@ func TestParallelWorkersConfig(t *testing.T) {
 // concurrency model (readers may overlap one mutator).
 func TestConcurrentReaderStress(t *testing.T) {
 	e := NewEngine(Config{
-		Initial:    map[string]value.Value{"a": value.NewInt(1), "b": value.NewInt(2)},
-		Workers:    4,
-		TrackItems: []string{"a"},
+		Initial: map[string]value.Value{"a": value.NewInt(1), "b": value.NewInt(2)},
+		Workers: 4,
 	})
 	for i := 0; i < 12; i++ {
 		cond := fmt.Sprintf(condPool[i%len(condPool)], i)

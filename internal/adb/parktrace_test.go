@@ -190,7 +190,11 @@ const parkFixtureDir = "testdata/park_trace"
 // and rewritten twice since: when constraints stopped stepping an accepted
 // commit twice, and when rule conditions began to be stored as text.
 // Cursors, memos, step counter and firing log are all in the snapshot, so
-// byte equality pins every one of them.
+// byte equality pins every one of them. The files also carry the two
+// sections of a deleted second copy of history (the init record's "track"
+// and the "tracked" auxiliary-relation rows); the comparison is against
+// the files with those cut out (withoutTracked), and the files themselves,
+// decoded and restored as they are, must re-encode to the same bytes.
 func TestParkTraceFixture(t *testing.T) {
 	tr := parkFixture()
 	for _, workers := range []int{1, 4} {
@@ -209,16 +213,69 @@ func TestParkTraceFixture(t *testing.T) {
 				}
 				continue
 			}
-			want, err := os.ReadFile(path)
+			old, err := os.ReadFile(path)
 			if err != nil {
 				t.Fatal(err)
 			}
+			want := withoutTracked(t, old)
 			if !bytes.Equal(got, want) {
 				t.Fatalf("workers=%d: %s: snapshot bytes differ from the parent's encoding (%d vs %d bytes)%s",
 					workers, name, len(got), len(want), firstDiff(got, want))
 			}
+			snap, err := persist.DecodeSnapshot(bytes.NewReader(old))
+			if err != nil {
+				t.Fatal(err)
+			}
+			restored, err := engineFromSnapshot(tr.config(workers), snap)
+			if err != nil {
+				t.Fatalf("%s: restore: %v", name, err)
+			}
+			again, err := restored.buildSnapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			again.LSN = snap.LSN // a restored engine without a store has none
+			var buf bytes.Buffer
+			if err := persist.EncodeSnapshot(&buf, again); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(buf.Bytes(), want) {
+				t.Fatalf("workers=%d: %s restored and re-encoded differs%s", workers, name, firstDiff(buf.Bytes(), want))
+			}
 		}
 	}
+}
+
+// withoutTracked cuts from a fixture snapshot what the engine no longer
+// writes: the init record's "track" list and the trailing "tracked"
+// section. Each must occur exactly once; the envelope is re-sealed with the
+// checksum of the cut payload.
+func withoutTracked(t *testing.T, data []byte) []byte {
+	t.Helper()
+	var env persist.Envelope
+	if err := json.Unmarshal(data, &env); err != nil {
+		t.Fatal(err)
+	}
+	payload := env.Payload
+	for _, cut := range []*regexp.Regexp{
+		regexp.MustCompile(`,"track":\[[^\]]*\]`),
+		regexp.MustCompile(`,"tracked":\[.*\]\}$`),
+	} {
+		if n := len(cut.FindAll(payload, -1)); n != 1 {
+			t.Fatalf("fixture has %d matches of %s, want 1", n, cut)
+		}
+		payload = cut.ReplaceAllFunc(payload, func(m []byte) []byte {
+			if m[len(m)-1] == '}' {
+				return []byte("}")
+			}
+			return nil
+		})
+	}
+	var buf bytes.Buffer
+	if err := persist.WriteEnvelope(&buf, persist.SnapshotKind, payload); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }
 
 // TestParkFixtureMovedStepsOnly ties the fixture to the one the rule-table

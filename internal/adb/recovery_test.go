@@ -453,7 +453,6 @@ func TestCheckpointAndManualSave(t *testing.T) {
 		Initial:    map[string]value.Value{"a": value.NewInt(1)},
 		Durability: DurabilityWAL,
 		NoFsync:    true,
-		TrackItems: []string{"a"},
 	}
 	e, err := Restore(cfg, dir)
 	if err != nil {
@@ -495,9 +494,9 @@ func TestCheckpointAndManualSave(t *testing.T) {
 	if e2.Now() != 9 {
 		t.Fatalf("clock %d, want 9", e2.Now())
 	}
-	// The tracked aux relation survives for instants at or after the
-	// compaction horizon the checkpoint established (earlier intervals are
-	// pruned by Compact, same as on a memory engine).
+	// Point-in-time reads answer for instants at or after the compaction
+	// horizon the checkpoint established (earlier states are discarded by
+	// Compact, same as on a memory engine).
 	if v, ok := e2.ItemAsOf("a", 8); !ok || v.AsInt() != 8 {
 		t.Fatalf("ItemAsOf(a, 8) = %v,%t, want 8", v, ok)
 	}

@@ -8,7 +8,7 @@ import (
 )
 
 // execSeries commits one update per tick over [1, n] so the engine clock
-// and the tracked item's interval history advance predictably.
+// and item a's history advance predictably.
 func execSeries(t *testing.T, e *Engine, n int64) {
 	t.Helper()
 	for ts := int64(1); ts <= n; ts++ {
@@ -18,24 +18,34 @@ func execSeries(t *testing.T, e *Engine, n int64) {
 	}
 }
 
-// TestRetentionDropRefusesOldReads: under the drop policy, a
-// point-in-time read older than the retention floor is refused with the
-// typed error — deterministically, before consulting whatever rows happen
-// to still be resident — while reads inside the window keep answering.
+// TestRetentionDropRefusesOldReads: once Compact has discarded the states
+// every rule has consumed — here up to the cursor of a Manual rule last
+// flushed at 14 — a point-in-time read older than the oldest retained
+// state is refused with the typed error, while reads from that state on
+// keep answering. Before the start of an uncompacted engine a read is a
+// plain miss.
 func TestRetentionDropRefusesOldReads(t *testing.T) {
-	e := NewEngine(Config{
-		Initial:    map[string]value.Value{"a": value.NewInt(0)},
-		TrackItems: []string{"a"},
-		Retention:  Retention{HistoryWindow: 5},
-	})
-	execSeries(t, e, 20)
-
-	floor, ok := e.HistoryFloor()
-	if !ok || floor != 15 {
-		t.Fatalf("HistoryFloor = %d, %t; want 15, true", floor, ok)
+	e := NewEngine(Config{Initial: map[string]value.Value{"a": value.NewInt(0)}})
+	if _, ok, err := e.ItemAsOfChecked("a", -1); ok || err != nil {
+		t.Fatalf("before start = %t, %v; want miss, nil", ok, err)
+	}
+	if err := e.AddTrigger("lag", `item("a") > 100`, nil, WithScheduling(Manual)); err != nil {
+		t.Fatal(err)
+	}
+	execSeries(t, e, 14)
+	if err := e.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	for ts := int64(15); ts <= 20; ts++ {
+		if err := e.Exec(ts, map[string]value.Value{"a": value.NewInt(ts)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if e.Compact() == 0 {
+		t.Fatal("nothing compacted")
 	}
 	if _, _, err := e.ItemAsOfChecked("a", 3); err == nil {
-		t.Fatal("read below the floor succeeded under the drop policy")
+		t.Fatal("read below the floor succeeded")
 	} else {
 		if !errors.Is(err, ErrHistoryTruncated) {
 			t.Fatalf("error %v does not match ErrHistoryTruncated", err)
@@ -45,122 +55,19 @@ func TestRetentionDropRefusesOldReads(t *testing.T) {
 			t.Fatalf("typed error = %+v; want Time 3, Floor 15", hte)
 		}
 	}
-	v, ok, err := e.ItemAsOfChecked("a", 17)
-	if err != nil || !ok || v.AsInt() != 17 {
-		t.Fatalf("in-window read = %v, %t, %v; want 17", v, ok, err)
+	for _, ts := range []int64{15, 17, 20, 99} {
+		v, ok, err := e.ItemAsOfChecked("a", ts)
+		if want := min(ts, 20); err != nil || !ok || v.AsInt() != want {
+			t.Fatalf("ItemAsOfChecked(a, %d) = %v, %t, %v; want %d", ts, v, ok, err, want)
+		}
 	}
 	// The untyped accessor misses rather than erroring.
 	if _, ok := e.ItemAsOf("a", 3); ok {
 		t.Fatal("ItemAsOf answered below the floor")
 	}
-	// Untracked items are a miss, not a truncation.
-	if _, ok, err := e.ItemAsOfChecked("zzz", 3); ok || err != nil {
-		t.Fatalf("untracked = %t, %v; want miss, nil", ok, err)
-	}
-}
-
-// TestRetentionSpillServesColdReads: under the spill policy, intervals
-// pruned from the resident window are answered from the on-disk cold
-// tier with the exact values they had.
-func TestRetentionSpillServesColdReads(t *testing.T) {
-	dir := t.TempDir()
-	cfg := Config{
-		Initial:    map[string]value.Value{"a": value.NewInt(0)},
-		TrackItems: []string{"a"},
-		Durability: DurabilityWAL,
-		NoFsync:    true,
-		Retention:  Retention{HistoryWindow: 5, SpillHistory: true},
-	}
-	e, err := Restore(cfg, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	execSeries(t, e, 20)
-
-	for _, ts := range []int64{1, 3, 9, 14} {
-		v, ok, err := e.ItemAsOfChecked("a", ts)
-		if err != nil || !ok || v.AsInt() != ts {
-			t.Fatalf("cold read at %d = %v, %t, %v; want %d", ts, v, ok, err, ts)
-		}
-	}
-	st, err := e.Storage()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.TierRows == 0 || st.TierBytes == 0 {
-		t.Fatalf("tier empty after spilling: %+v", st)
-	}
-	if st.HistoryWindow != 5 || st.HistoryFloor != 15 || !st.SpillHistory {
-		t.Fatalf("storage stats window view wrong: %+v", st)
-	}
-}
-
-// TestRetentionSpillReplayIdempotent: recovery replays the commits that
-// originally pruned, so the prunes re-run — the tier watermark must make
-// the re-spills no-ops (same row count, same answers) instead of
-// duplicating the cold tier on every restart.
-func TestRetentionSpillReplayIdempotent(t *testing.T) {
-	dir := t.TempDir()
-	cfg := Config{
-		Initial:    map[string]value.Value{"a": value.NewInt(0)},
-		TrackItems: []string{"a"},
-		Durability: DurabilityWAL,
-		NoFsync:    true,
-		Retention:  Retention{HistoryWindow: 5, SpillHistory: true},
-	}
-	e, err := Restore(cfg, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	execSeries(t, e, 20)
-	st1, err := e.Storage()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	for round := 0; round < 2; round++ {
-		e, err = Restore(cfg, dir)
-		if err != nil {
-			t.Fatalf("restart %d: %v", round, err)
-		}
-		st, err := e.Storage()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.TierRows != st1.TierRows {
-			t.Fatalf("restart %d duplicated the tier: %d rows, want %d", round, st.TierRows, st1.TierRows)
-		}
-		for _, ts := range []int64{1, 9, 14, 17} {
-			v, ok, err := e.ItemAsOfChecked("a", ts)
-			if err != nil || !ok || v.AsInt() != ts {
-				t.Fatalf("restart %d read at %d = %v, %t, %v; want %d", round, ts, v, ok, err, ts)
-			}
-		}
-		if err := e.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
-// TestRetentionMemorySpillKeepsResident: a memory engine has no cold tier
-// to spill to; rather than silently losing history, the spill policy
-// keeps the rows resident.
-func TestRetentionMemorySpillKeepsResident(t *testing.T) {
-	e := NewEngine(Config{
-		Initial:    map[string]value.Value{"a": value.NewInt(0)},
-		TrackItems: []string{"a"},
-		Retention:  Retention{HistoryWindow: 5, SpillHistory: true},
-	})
-	execSeries(t, e, 20)
-	for _, ts := range []int64{1, 9, 17} {
-		v, ok, err := e.ItemAsOfChecked("a", ts)
-		if err != nil || !ok || v.AsInt() != ts {
-			t.Fatalf("read at %d = %v, %t, %v; want %d (kept resident)", ts, v, ok, err, ts)
-		}
+	// An item absent from the retained state reads Null, not a truncation.
+	if v, ok, err := e.ItemAsOfChecked("zzz", 17); !ok || err != nil || !v.IsNull() {
+		t.Fatalf("absent item = %v, %t, %v; want Null, true, nil", v, ok, err)
 	}
 }
 
@@ -173,7 +80,6 @@ func TestRetentionGCChaosUnderGroupCommit(t *testing.T) {
 	dir := t.TempDir()
 	cfg := Config{
 		Initial:       map[string]value.Value{"a": value.NewInt(0)},
-		TrackItems:    []string{"a"},
 		Durability:    DurabilitySnapshot,
 		SnapshotEvery: 5,
 		GroupCommit:   8,
@@ -181,8 +87,6 @@ func TestRetentionGCChaosUnderGroupCommit(t *testing.T) {
 		Retention: Retention{
 			SegmentBytes:  512,
 			KeepSnapshots: 2,
-			HistoryWindow: 10,
-			SpillHistory:  true,
 		},
 	}
 	e, err := Restore(cfg, dir)
@@ -212,7 +116,8 @@ func TestRetentionGCChaosUnderGroupCommit(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The survivor must still recover and keep answering cold reads.
+	// The survivor must still recover, answer reads from its retained
+	// state and refuse those its checkpoints compacted away.
 	e, err = Restore(cfg, dir)
 	if err != nil {
 		t.Fatal(err)
@@ -221,8 +126,11 @@ func TestRetentionGCChaosUnderGroupCommit(t *testing.T) {
 	if got := e.Now(); got != 300 {
 		t.Fatalf("recovered clock %d, want 300", got)
 	}
-	v, ok, err := e.ItemAsOfChecked("a", 42)
-	if err != nil || !ok || v.AsInt() != 42 {
-		t.Fatalf("cold read after recovery = %v, %t, %v; want 42", v, ok, err)
+	v, ok, err := e.ItemAsOfChecked("a", 300)
+	if err != nil || !ok || v.AsInt() != 300 {
+		t.Fatalf("read after recovery = %v, %t, %v; want 300", v, ok, err)
+	}
+	if _, _, err := e.ItemAsOfChecked("a", 42); !errors.Is(err, ErrHistoryTruncated) {
+		t.Fatalf("read below the checkpoint's compaction = %v; want ErrHistoryTruncated", err)
 	}
 }

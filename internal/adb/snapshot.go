@@ -9,14 +9,12 @@ import (
 	"ptlactive/internal/history"
 	"ptlactive/internal/persist"
 	"ptlactive/internal/ptl"
-	"ptlactive/internal/relation"
 	"ptlactive/internal/value"
 )
 
 // buildSnapshot captures the engine's full durable state: the retained
 // history window, each rule's registration and evaluator registers (the
-// bounded F_{g,i} state of Theorem 1), the firing and execution logs and
-// the tracked auxiliary relations.
+// bounded F_{g,i} state of Theorem 1) and the firing and execution logs.
 func (e *Engine) buildSnapshot() (*persist.EngineSnapshot, error) {
 	if e.inSweep {
 		return nil, fmt.Errorf("adb: snapshot during sweep")
@@ -99,28 +97,14 @@ func (e *Engine) buildSnapshot() (*persist.EngineSnapshot, error) {
 		}
 		snap.Execs = append(snap.Execs, rec)
 	}
-	for _, name := range e.trackedNames {
-		rows, last, captured := e.tracked[name].SnapshotRows()
-		aux := persist.AuxSnapshot{Item: name, LastCapture: last, Captured: captured}
-		for _, r := range rows {
-			iv := persist.IntervalJSON{Start: r.Start, End: r.End}
-			for _, v := range r.Tuple {
-				raw, err := histio.EncodeValue(v)
-				if err != nil {
-					return nil, fmt.Errorf("adb: snapshot aux %s: %w", name, err)
-				}
-				iv.Tuple = append(iv.Tuple, raw)
-			}
-			aux.Rows = append(aux.Rows, iv)
-		}
-		snap.Tracked = append(snap.Tracked, aux)
-	}
 	return snap, nil
 }
 
 // engineFromSnapshot rebuilds an engine from a snapshot: history, rules
-// with their evaluator registers and cursors, firing and execution logs,
-// and the tracked auxiliary relations.
+// with their evaluator registers and cursors, and the firing and execution
+// logs. A snapshot written before the engine read past values from its
+// history states may carry a "tracked" section of auxiliary-relation rows;
+// that was derived data, and decoding ignores it.
 func engineFromSnapshot(cfg Config, snap *persist.EngineSnapshot) (*Engine, error) {
 	e, err := engineFromInit(cfg, snap.Init)
 	if err != nil {
@@ -162,44 +146,10 @@ func engineFromSnapshot(cfg Config, snap *persist.EngineSnapshot) (*Engine, erro
 	}
 	e.db = last.DB
 	e.now = snap.Now
-	// The snapshot was taken after the retention prunes up to its clock;
-	// resume the floor there so refusals pick up exactly where they stood
-	// (replayed commits advance it further via maybeRetain).
-	if w := e.retention.HistoryWindow; w > 0 {
-		e.histFloor.Store(snap.Now - w)
-	}
 	e.base = snap.Base
 	e.nextTxn = snap.NextTxn
 	e.evalSteps = snap.EvalSteps
 	e.epoch = snap.Epoch
-
-	seen := map[string]bool{}
-	for _, a := range snap.Tracked {
-		aux, ok := e.tracked[a.Item]
-		if !ok {
-			return nil, fmt.Errorf("adb: snapshot tracks unlisted item %s", a.Item)
-		}
-		if seen[a.Item] {
-			return nil, fmt.Errorf("adb: snapshot tracks %s twice", a.Item)
-		}
-		seen[a.Item] = true
-		rows := make([]relation.IntervalRow, len(a.Rows))
-		for i, r := range a.Rows {
-			tuple := make([]value.Value, len(r.Tuple))
-			for j, raw := range r.Tuple {
-				if tuple[j], err = histio.DecodeValue(raw); err != nil {
-					return nil, fmt.Errorf("adb: snapshot aux %s row %d: %w", a.Item, i, err)
-				}
-			}
-			rows[i] = relation.IntervalRow{Tuple: tuple, Start: r.Start, End: r.End}
-		}
-		if err := aux.RestoreRows(rows, a.LastCapture, a.Captured); err != nil {
-			return nil, fmt.Errorf("adb: snapshot aux %s: %w", a.Item, err)
-		}
-	}
-	if len(seen) != len(e.trackedNames) {
-		return nil, fmt.Errorf("adb: snapshot covers %d of %d tracked items", len(seen), len(e.trackedNames))
-	}
 
 	for _, rs := range snap.Rules {
 		f, err := decodeRule(rs.Text, rs.Sched)

@@ -548,6 +548,8 @@ func (e *Engine) runJobs(s *sweepScratch, end int) error {
 		}
 		for _, f := range out.firings {
 			e.firings = append(e.firings, f)
+			// The firing state, read before a callback can move base.
+			p := pendingAction{f, e.hist.At(f.StateIndex - e.base).DB}
 			if obs := e.observers; len(obs) > 0 { // snapshot; mutation is copy-on-write
 				e.mu.Unlock()
 				for _, o := range obs {
@@ -555,7 +557,7 @@ func (e *Engine) runJobs(s *sweepScratch, end int) error {
 				}
 				e.mu.Lock()
 			}
-			e.pending = append(e.pending, f)
+			e.pending = append(e.pending, p)
 		}
 		if out.err != nil && firstErr == nil {
 			firstErr = out.err

@@ -40,10 +40,8 @@ func (e *Engine) Emit(ts int64, events ...event.Event) error {
 // the items the state changed relative to its predecessor (nil for event
 // and abort states). A commit — always one checkConstraints has just
 // accepted — additionally promotes the constraints' tentative step (their
-// cursors move past the state; a refused append rolls the step back),
-// captures the tracked items before the sweep — actions read them as of
-// their firing instant — and runs the retention and checkpoint policies
-// after it.
+// cursors move past the state; a refused append rolls the step back) and
+// runs the checkpoint policy after the sweep.
 func (e *Engine) appendState(st history.SystemState, commit bool, changed []string, rec *persist.Record) error {
 	e.mu.Lock()
 	if err := e.hist.Append(st); err != nil {
@@ -65,18 +63,8 @@ func (e *Engine) appendState(st history.SystemState, commit bool, changed []stri
 	if err := e.logRecord(rec); err != nil {
 		return err
 	}
-	if commit {
-		if err := e.capture(st.TS); err != nil {
-			// The auxiliary relations diverged from the history — an invariant
-			// violation; seal rather than run on inconsistent temporal state.
-			return e.seal(err)
-		}
-	}
 	e.resetCascade()
 	if err := e.sweep(); err != nil || !commit {
-		return err
-	}
-	if err := e.maybeRetain(st.TS); err != nil {
 		return err
 	}
 	return e.maybeCheckpoint()

@@ -569,13 +569,9 @@ func (f *Front) Health() ([]wire.HealthJSON, string, error) {
 
 // Storage sums the shards' footprints: sizes and counts add; HeadLSN and
 // LastLSN report the max across shards (per-shard positions are
-// independent sequences). The history
-// fields take the most conservative cluster-wide view — the largest
-// window and floor, with SpillHistory true only when every windowed shard
-// spills (only then is a cold read below the floor servable everywhere).
+// independent sequences).
 func (f *Front) Storage() (wire.StorageJSON, error) {
 	var out wire.StorageJSON
-	spill := true
 	for i, sh := range f.shards {
 		st, err := sh.Storage()
 		if err != nil {
@@ -591,19 +587,7 @@ func (f *Front) Storage() (wire.StorageJSON, error) {
 		if st.LastLSN > out.LastLSN {
 			out.LastLSN = st.LastLSN
 		}
-		if st.HistoryWindow > 0 {
-			if st.HistoryWindow > out.HistoryWindow {
-				out.HistoryWindow = st.HistoryWindow
-			}
-			if st.HistoryFloor > out.HistoryFloor {
-				out.HistoryFloor = st.HistoryFloor
-			}
-			spill = spill && st.SpillHistory
-		}
-		out.TierRows += st.TierRows
-		out.TierBytes += st.TierBytes
 	}
-	out.SpillHistory = out.HistoryWindow > 0 && spill
 	return out, nil
 }
 

@@ -23,7 +23,6 @@ func DurabilityRun(n int, mode adb.Durability, snapEvery, groupCommit int) (repl
 	defer os.RemoveAll(dir)
 	cfg := adb.Config{
 		Initial:       map[string]value.Value{"px": value.NewInt(100)},
-		TrackItems:    []string{"px"},
 		GroupCommit:   groupCommit,
 		Durability:    mode,
 		SnapshotEvery: snapEvery,

@@ -13,7 +13,6 @@ import (
 type e17Sample struct {
 	commits int
 	hot     int64 // WAL segments + snapshot chain, bytes
-	tier    int64 // cold-tier bytes (spill policy only)
 	segs    int
 }
 
@@ -29,7 +28,6 @@ func e17Run(mode adb.Durability, ret adb.Retention, at []int) []e17Sample {
 	defer os.RemoveAll(dir)
 	cfg := adb.Config{
 		Initial:       map[string]value.Value{"a": value.NewInt(0), "b": value.NewInt(0)},
-		TrackItems:    []string{"a"},
 		Durability:    mode,
 		SnapshotEvery: 256,
 		NoFsync:       true,
@@ -62,7 +60,6 @@ func e17Run(mode adb.Durability, ret adb.Retention, at []int) []e17Sample {
 		out = append(out, e17Sample{
 			commits: target,
 			hot:     st.WALBytes + st.SnapshotBytes,
-			tier:    st.TierBytes,
 			segs:    st.Segments,
 		})
 	}
@@ -72,9 +69,7 @@ func e17Run(mode adb.Durability, ret adb.Retention, at []int) []e17Sample {
 // E17BoundedDisk measures the on-disk footprint under sustained commits,
 // with and without the storage lifecycle: an unbounded engine's WAL
 // grows linearly forever, while segment rotation plus snapshot-chain GC
-// holds the hot set (WAL + snapshots) flat. The spill policy's cold tier
-// grows with the pruned history — that is the retained data itself, kept
-// at cold-storage cost instead of resident. Every column is a byte or
+// holds the hot set (WAL + snapshots) flat. Every column is a byte or
 // file count; what a restart over the retained footprint takes is
 // bench/'s persist.recover_ms, and the footprint itself under served
 // load is persist.disk_hot_kib (both on durable-served).
@@ -86,11 +81,10 @@ func E17BoundedDisk(quick bool) Table {
 	t := Table{
 		ID:     "E17",
 		Title:  "disk footprint under sustained commits (WAL rotation + snapshot GC)",
-		Header: []string{"config@commits", "hot KiB", "segments", "tier KiB", "vs first"},
-		Notes: "hot = live WAL segments + snapshot chain. Acceptance: the retained configs' hot " +
+		Header: []string{"config@commits", "hot KiB", "segments", "vs first"},
+		Notes: "hot = live WAL segments + snapshot chain. Acceptance: the retained config's hot " +
 			"ratio stays near 1x from first to last sample while unbounded grows with the commit " +
-			"count; the spill tier grows linearly because it IS the pruned history, spilled not " +
-			"lost.",
+			"count.",
 	}
 	configs := []struct {
 		name string
@@ -100,12 +94,7 @@ func E17BoundedDisk(quick bool) Table {
 		// The unbounded baseline is a WAL-only engine: no checkpoints, so
 		// the single log holds every commit ever made and grows forever.
 		{"unbounded", adb.DurabilityWAL, adb.Retention{}},
-		{"retain-drop", adb.DurabilitySnapshot, adb.Retention{
-			SegmentBytes: 64 << 10, KeepSnapshots: 2, HistoryWindow: 512,
-		}},
-		{"retain-spill", adb.DurabilitySnapshot, adb.Retention{
-			SegmentBytes: 64 << 10, KeepSnapshots: 2, HistoryWindow: 512, SpillHistory: true,
-		}},
+		{"retained", adb.DurabilitySnapshot, adb.Retention{SegmentBytes: 64 << 10, KeepSnapshots: 2}},
 	}
 	for _, cfg := range configs {
 		samples := e17Run(cfg.mode, cfg.ret, at)
@@ -119,7 +108,6 @@ func E17BoundedDisk(quick bool) Table {
 				fmt.Sprintf("%s@%d", cfg.name, s.commits),
 				fmt.Sprintf("%.0f", float64(s.hot)/1024),
 				fmt.Sprint(s.segs),
-				fmt.Sprintf("%.0f", float64(s.tier)/1024),
 				ratio,
 			})
 		}

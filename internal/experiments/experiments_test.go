@@ -154,23 +154,21 @@ func TestAllExperimentsRun(t *testing.T) {
 
 	// E17: over the 8x commit sweep, the unbounded engine's hot set
 	// grows with the commit count (well past 4x first-to-last) while the
-	// retained configs end near flat (early samples land before the
-	// rotation plateau, so only each config's final ratio is the claim)
-	// and the spill tier is nonempty by the end. The unbounded log is one
-	// segment for ever; a retained one has rotated by its second sample and
-	// from then on holds exactly two, the sealed one the snapshot chain
-	// still needs and the live one.
+	// retained config ends near flat (early samples land before the
+	// rotation plateau, so only each config's final ratio is the claim).
+	// The unbounded log is one segment for ever; a retained one has rotated
+	// by its second sample and from then on holds exactly two, the sealed
+	// one the snapshot chain still needs and the live one.
 	e17 := byID["E17"]
 	finals := map[string]float64{}
 	wantSegs := map[string][]string{
-		"unbounded":    {"1", "1", "1", "1"},
-		"retain-drop":  {"1", "2", "2", "2"},
-		"retain-spill": {"1", "2", "2", "2"},
+		"unbounded": {"1", "1", "1", "1"},
+		"retained":  {"1", "2", "2", "2"},
 	}
 	gotSegs := map[string][]string{}
 	for _, row := range e17.Rows {
 		name := row[0][:strings.IndexByte(row[0], '@')]
-		finals[name] = atof(t, row[4]) // rows are in sweep order per config
+		finals[name] = atof(t, row[3]) // rows are in sweep order per config
 		gotSegs[name] = append(gotSegs[name], row[2])
 	}
 	if !reflect.DeepEqual(gotSegs, wantSegs) {
@@ -179,14 +177,8 @@ func TestAllExperimentsRun(t *testing.T) {
 	if finals["unbounded"] < 4 {
 		t.Errorf("E17: unbounded final hot ratio %.2fx over an 8x commit sweep — baseline not growing", finals["unbounded"])
 	}
-	for _, name := range []string{"retain-drop", "retain-spill"} {
-		if finals[name] > 3 {
-			t.Errorf("E17 %s: final hot ratio %.2fx — retention not bounding the hot set", name, finals[name])
-		}
-	}
-	lastSpill := e17.Rows[len(e17.Rows)-1]
-	if !strings.HasPrefix(lastSpill[0], "retain-spill@") || atof(t, lastSpill[3]) == 0 {
-		t.Errorf("E17: final spill row %v has an empty cold tier", lastSpill)
+	if finals["retained"] > 3 {
+		t.Errorf("E17 retained: final hot ratio %.2fx — retention not bounding the hot set", finals["retained"])
 	}
 }
 

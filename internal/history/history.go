@@ -6,6 +6,7 @@
 package history
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -19,6 +20,10 @@ import (
 // (Section 2: "the value of this time stamp is given by a data-item called
 // time").
 const TimeItem = "time"
+
+// ErrHistoryTruncated reports a point-in-time read older than the oldest
+// state a history keeps: the states before it were discarded.
+var ErrHistoryTruncated = errors.New("history truncated")
 
 // DBState is an immutable mapping from database item names to values.
 // Mutating operations return a new state that shares all untouched

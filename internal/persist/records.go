@@ -48,7 +48,6 @@ const (
 type InitRecord struct {
 	Initial      map[string]json.RawMessage `json:"initial,omitempty"`
 	Start        int64                      `json:"start"`
-	TrackItems   []string                   `json:"track,omitempty"`
 	CascadeLimit int                        `json:"cascade,omitempty"`
 	// MaxRuleFailures and SweepBudget shape which actions run and which
 	// sweeps fail, so replay must use the original values; both are
@@ -56,12 +55,6 @@ type InitRecord struct {
 	// existed.
 	MaxRuleFailures int   `json:"maxfail,omitempty"`
 	SweepBudget     int64 `json:"budget,omitempty"`
-	// HistoryWindow and SpillHistory are the history-retention policy:
-	// they shape which point-in-time reads answer, so replay must use the
-	// original values. Both decode to "retain everything" in logs written
-	// before retention existed.
-	HistoryWindow int64 `json:"histwin,omitempty"`
-	SpillHistory  bool  `json:"spill,omitempty"`
 }
 
 // Record is one WAL entry. Kind selects which of the payload fields are
@@ -145,22 +138,6 @@ type RuleSnapshot struct {
 	LastFailAt  int64  `json:"lastFailAt,omitempty"`
 }
 
-// IntervalJSON is one auxiliary-relation interval row in wire form.
-type IntervalJSON struct {
-	Tuple []json.RawMessage `json:"tuple"`
-	Start int64             `json:"start"`
-	End   int64             `json:"end"`
-}
-
-// AuxSnapshot is the captured state of one tracked item's auxiliary
-// relation (validity intervals plus the capture watermark).
-type AuxSnapshot struct {
-	Item        string         `json:"item"`
-	Rows        []IntervalJSON `json:"rows,omitempty"`
-	LastCapture int64          `json:"last"`
-	Captured    bool           `json:"captured"`
-}
-
 // FiringSnapshot is one recorded rule firing in wire form.
 type FiringSnapshot struct {
 	Rule       string                     `json:"rule"`
@@ -178,8 +155,8 @@ type ExecutionSnapshot struct {
 
 // EngineSnapshot is the full durable state of an engine at a quiescent
 // point (no sweep in progress, no pending actions): the retained history
-// window, the rule set with evaluator registers, the auxiliary relations,
-// and the firing/execution logs. LSN is the last WAL record the snapshot
+// window, the rule set with evaluator registers and the firing/execution
+// logs. LSN is the last WAL record the snapshot
 // covers; recovery replays only records after it.
 type EngineSnapshot struct {
 	Init *InitRecord `json:"init"`
@@ -197,7 +174,6 @@ type EngineSnapshot struct {
 	Rules     []RuleSnapshot      `json:"rules,omitempty"`
 	Firings   []FiringSnapshot    `json:"firings,omitempty"`
 	Execs     []ExecutionSnapshot `json:"execs,omitempty"`
-	Tracked   []AuxSnapshot       `json:"tracked,omitempty"`
 }
 
 // validate checks the structural invariants recovery depends on.

@@ -1,9 +1,9 @@
 // Package relation is the relational substrate of the reproduction. The
 // paper's prototype ran on top of Sybase; this package plays that role:
-// schemas, tuples, in-memory relations with the algebra the query layer
-// needs, and the auxiliary relations with [T_start, T_end) validity
-// intervals that the incremental algorithm keeps (Section 5,
-// "Implementation Using Auxiliary Relations").
+// schemas, tuples and in-memory relations with the algebra the query layer
+// needs. The [T_start, T_end) retrieval of Section 5 ("Implementation
+// Using Auxiliary Relations") is not here: internal/adb answers it from
+// its retained history states.
 package relation
 
 import (

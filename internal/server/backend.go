@@ -71,8 +71,8 @@ type Backend interface {
 	// Health lists per-rule health and the degraded cause ("" if healthy).
 	Health() ([]wire.HealthJSON, string, error)
 	// Storage reports the storage footprint behind the backend (WAL
-	// segments, snapshot chain, retained-history window, cold tier; summed
-	// across shards). A memory engine reports zero persistence fields.
+	// segments and snapshot chain, summed across shards). A memory engine
+	// reports zero persistence fields.
 	Storage() (wire.StorageJSON, error)
 
 	// Barrier returns after every operation submitted before the call has

@@ -365,9 +365,13 @@ func (s *Server) handshake(sess *session) error {
 
 // readLoop dispatches request frames until the connection dies or drain
 // begins. Mutations go through the pipeline; queries are answered inline
-// from the engine's concurrency-safe reader accessors.
+// from the engine's concurrency-safe reader accessors. Each request takes
+// one of the session's maxPendingResponses slots before it is read.
 func (s *Server) readLoop(sess *session) {
 	for {
+		if !sess.awaitRoom() {
+			return
+		}
 		if t := s.cfg.IdleTimeout; t > 0 {
 			sess.conn.SetReadDeadline(time.Now().Add(t))
 		} else {

@@ -20,12 +20,20 @@ const sessionBufSize = 32 << 10
 // MaxFrame and a draining peer sees steady progress.
 const maxFiringBatch = 128
 
+// maxPendingResponses bounds the requests a session has read but not yet
+// answered on the wire: past it the reader stops reading requests until
+// the writer sends a response, and TCP carries the backpressure to a peer
+// that pipelines requests without reading the replies. Firing, gap and
+// wal frames have their own bounds and do not count toward it.
+const maxPendingResponses = 64
+
 // session is one accepted connection: a reader goroutine (handshake,
 // request dispatch) plus a writer goroutine draining the outbound queue.
 // Responses and pushed firings share the queue, so each client observes
-// one totally ordered stream. The queue is unbounded for responses —
-// every request gets its answer — while firing pushes are bounded by the
-// server's SubscriberQueue and subject to the overflow policy.
+// one totally ordered stream. Every request gets its answer, and at most
+// maxPendingResponses answers are pending at once; firing pushes are
+// bounded by the server's SubscriberQueue and subject to the overflow
+// policy.
 type session struct {
 	srv  *Server
 	conn net.Conn
@@ -47,6 +55,10 @@ type session struct {
 	// currently in it (the bounded part).
 	queue    []*wire.Msg
 	nfirings int
+	// npending counts the requests read whose response the writer has not
+	// yet taken off the queue: the queued responses plus those still being
+	// computed (see maxPendingResponses).
+	npending int
 	// gap accumulates firings dropped under the drop-with-gap policy; it
 	// is materialized as a gap frame the next time the queue has room, so
 	// the marker sits exactly where the missing firings would have been.
@@ -74,6 +86,19 @@ func newSession(srv *Server, conn net.Conn) *session {
 	s := &session{srv: srv, conn: conn, br: bufio.NewReaderSize(conn, sessionBufSize)}
 	s.cond = sync.NewCond(&s.mu)
 	return s
+}
+
+// awaitRoom blocks the reader until fewer than maxPendingResponses
+// responses are pending, then counts the next request's; it reports false
+// once the session is closed.
+func (s *session) awaitRoom() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for s.npending >= maxPendingResponses && !s.closed {
+		s.cond.Wait()
+	}
+	s.npending++
+	return !s.closed
 }
 
 // enqueue appends a response frame; responses are never dropped (a closed
@@ -231,7 +256,10 @@ func (s *session) writeLoop() {
 		}
 		if s.closed || len(s.queue) == 0 {
 			// Closed, or draining with an empty queue: flush is complete.
+			// The broadcast releases a reader waiting in awaitRoom for
+			// responses that will now never be sent.
 			s.closed = true
+			s.cond.Broadcast()
 			s.mu.Unlock()
 			if t := s.srv.cfg.WriteTimeout; t > 0 {
 				s.conn.SetWriteDeadline(time.Now().Add(t))
@@ -242,10 +270,11 @@ func (s *session) writeLoop() {
 		}
 		m := s.queue[0]
 		s.queue = s.queue[1:]
-		if m.T == wire.TypeWal || m.T == wire.TypeSnap {
+		switch m.T {
+		case wire.TypeWal, wire.TypeSnap:
 			s.nwal--
-		}
-		if m.T == wire.TypeFiring {
+		case wire.TypeGap, wire.TypeBye:
+		case wire.TypeFiring:
 			s.nfirings--
 			if s.batch && len(s.queue) > 0 && s.queue[0].T == wire.TypeFiring {
 				batch = append(batch[:0], *m.Firing)
@@ -255,6 +284,12 @@ func (s *session) writeLoop() {
 					s.nfirings--
 				}
 				m = &wire.Msg{T: wire.TypeFiring, Firings: batch}
+			}
+		default:
+			// A response: its slot frees a reader waiting in awaitRoom.
+			s.npending--
+			if s.npending == maxPendingResponses-1 {
+				s.cond.Broadcast()
 			}
 		}
 		more := len(s.queue) > 0

@@ -9,17 +9,15 @@ import (
 
 // TestStorageQuery: the "storage" query reports the backend's storage
 // footprint over the wire — segment and snapshot accounting for a
-// durable engine, the history window when one is configured — and a
+// durable engine, with the retired history-tier fields at zero — and a
 // memory engine answers with zero persistence fields rather than an
 // error (its backend still implements the capability).
 func TestStorageQuery(t *testing.T) {
 	dir := t.TempDir()
 	eng, err := adb.Restore(adb.Config{
 		Initial:    map[string]value.Value{"a": value.NewInt(0)},
-		TrackItems: []string{"a"},
 		Durability: adb.DurabilityWAL,
 		NoFsync:    true,
-		Retention:  adb.Retention{HistoryWindow: 5, SpillHistory: true},
 	}, dir)
 	if err != nil {
 		t.Fatal(err)
@@ -38,11 +36,8 @@ func TestStorageQuery(t *testing.T) {
 	if st.Segments == 0 || st.WALBytes == 0 || st.LastLSN == 0 {
 		t.Fatalf("durable engine reported empty storage: %+v", st)
 	}
-	if st.HistoryWindow != 5 || st.HistoryFloor != 15 || !st.SpillHistory {
-		t.Fatalf("history window not surfaced: %+v", st)
-	}
-	if st.TierRows == 0 {
-		t.Fatalf("spilled rows not counted: %+v", st)
+	if st.HistoryWindow != 0 || st.HistoryFloor != 0 || st.SpillHistory || st.TierRows != 0 || st.TierBytes != 0 {
+		t.Fatalf("retired history-tier fields not zero: %+v", st)
 	}
 }
 

@@ -271,9 +271,8 @@ type HealthJSON struct {
 }
 
 // StorageJSON answers the "storage" query: the node's storage footprint
-// (WAL segments, snapshot chain, retained-history window and cold tier).
-// A cluster router sums the per-shard counters and reports the widest
-// window fields.
+// (WAL segments and snapshot chain). A cluster router sums the per-shard
+// counters.
 type StorageJSON = adb.StorageStats
 
 // RuleJSON describes one registered rule in wire form.

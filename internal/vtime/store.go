@@ -14,7 +14,6 @@ import (
 
 	"ptlactive/internal/event"
 	"ptlactive/internal/history"
-	"ptlactive/internal/retain"
 	"ptlactive/internal/value"
 )
 
@@ -396,12 +395,12 @@ func (s *Store) Floor() int64 { return s.floor }
 
 // CommittedAtChecked is CommittedAt with a typed refusal for prefixes the
 // store has truncated away: t below the floor wraps
-// retain.ErrHistoryTruncated instead of silently materializing a history
+// history.ErrHistoryTruncated instead of silently materializing a history
 // whose early states were folded into the base.
 func (s *Store) CommittedAtChecked(t int64) (*history.History, error) {
 	if t < s.floor {
 		return nil, fmt.Errorf("vtime: committed history at %d unavailable (floor is %d): %w",
-			t, s.floor, retain.ErrHistoryTruncated)
+			t, s.floor, history.ErrHistoryTruncated)
 	}
 	return s.CommittedAt(t), nil
 }

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"ptlactive/internal/history"
-	"ptlactive/internal/retain"
 	"ptlactive/internal/value"
 )
 
@@ -100,7 +99,7 @@ func TestTruncateBeforePreservesSuffixViews(t *testing.T) {
 
 	if _, err := s.CommittedAtChecked(3); err == nil {
 		t.Fatal("read below the floor succeeded")
-	} else if !errors.Is(err, retain.ErrHistoryTruncated) {
+	} else if !errors.Is(err, history.ErrHistoryTruncated) {
 		t.Fatalf("error %v does not match ErrHistoryTruncated", err)
 	}
 	if _, err := s.CommittedAtChecked(5); err != nil {

@@ -307,19 +307,20 @@ type RecoveryInfo = adb.RecoveryInfo
 func Restore(cfg Config, dir string) (*Engine, error) { return adb.Restore(cfg, dir) }
 
 // Retention is the storage-lifecycle policy of a durable engine: WAL
-// segment rotation, snapshot-chain length, and the tiered retention of
-// temporal history (Config.Retention). The zero value retains everything.
+// segment rotation and snapshot-chain length (Config.Retention). The zero
+// value retains everything.
 type Retention = adb.Retention
 
 // StorageStats is an engine's storage footprint (Engine.Storage): WAL
-// segments and snapshot chain plus the history tiers.
+// segments and snapshot chain.
 type StorageStats = adb.StorageStats
 
 // Storage-lifecycle sentinels; match with errors.Is.
 var (
 	// ErrHistoryTruncated reports a point-in-time read older than the
-	// retained history window of an engine that drops (rather than
-	// spills) old history; errors.As for *HistoryTruncatedError.
+	// oldest history state a Compact left (Engine.ItemAsOfChecked), or
+	// below a valid-time store's truncation floor
+	// (ValidStore.CommittedAtChecked); errors.As for *HistoryTruncatedError.
 	ErrHistoryTruncated = adb.ErrHistoryTruncated
 	// ErrTruncatedHead reports a WAL read below the retained head — the
 	// segments covering it were garbage-collected behind a snapshot.

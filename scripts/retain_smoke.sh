@@ -2,11 +2,10 @@
 # retain_smoke.sh — end-to-end smoke test of the storage lifecycle:
 # build adbserverd and adbsh, boot a durable server with an aggressive
 # retention policy (tiny WAL segments, short checkpoint cadence, 1-deep
-# snapshot chain, spilled 8-tick history window), drive enough commits
-# to rotate segments and GC the log head, assert the storage query
-# reports a bounded hot set and spilled history, then SIGKILL the server
-# and check crash recovery still serves the data and reports sane
-# storage, ending with a graceful drain.
+# snapshot chain), drive enough commits to rotate segments and GC the log
+# head, assert the storage query reports a bounded hot set, then SIGKILL
+# the server and check crash recovery still serves the data and reports
+# sane storage, ending with a graceful drain.
 set -eu
 
 GO="${GO:-go}"
@@ -26,9 +25,8 @@ trap cleanup EXIT INT TERM
 start_server() { # logfile
     rm -f "$tmp/port"
     "$tmp/adbserverd" -addr 127.0.0.1:0 -port-file "$tmp/port" \
-        -data "$tmp/data" -track a \
+        -data "$tmp/data" \
         -snapshot-every 8 -wal-segment-bytes 1024 -keep-snapshots 1 \
-        -history-window 8 -spill-history \
         >"$1" 2>&1 &
     server_pid=$!
     i=0
@@ -51,8 +49,8 @@ storage_field() { # addr field
 start_server "$tmp/server.log"
 addr="$(cat "$tmp/port")"
 
-# 60 commits: enough to checkpoint ~7 times, rotate past 1 KiB segments
-# repeatedly, and push the 8-tick history window well past the start.
+# 60 commits: enough to checkpoint ~7 times and rotate past 1 KiB
+# segments repeatedly.
 ts=1
 while [ "$ts" -le 60 ]; do
     printf 'commit %d a=%d\n' "$ts" "$ts"
@@ -87,22 +85,6 @@ if [ "$ondisk" != "$segs" ]; then
     exit 1
 fi
 
-# History is windowed and spilled: floor advanced, cold tier has rows.
-case "$out" in
-*"window=8"*"policy=spill"*) ;;
-*) echo "retain-smoke: storage does not report the spill window" >&2; exit 1 ;;
-esac
-floor="$(storage_field "$addr" floor)"
-if [ "${floor:-0}" -le 0 ]; then
-    echo "retain-smoke: history floor never advanced (floor=$floor)" >&2
-    exit 1
-fi
-rows="$(storage_field "$addr" tier_rows)"
-if [ "${rows:-0}" -le 0 ]; then
-    echo "retain-smoke: pruned history was not spilled (tier_rows=$rows)" >&2
-    exit 1
-fi
-
 # SIGKILL, then restart over the same directory: every acked commit was
 # fsynced, so crash recovery replays the bounded hot set and the server
 # still answers with the last committed value.
@@ -117,13 +99,9 @@ case "$out" in
 *"a=60"*) ;;
 *) echo "retain-smoke: recovered server lost the last committed value" >&2; exit 1 ;;
 esac
-case "$out" in
-*"window=8"*"policy=spill"*) ;;
-*) echo "retain-smoke: recovered server lost the retention policy" >&2; exit 1 ;;
-esac
-rows2="$(storage_field "$addr" tier_rows)"
-if [ "${rows2:-0}" -lt "$rows" ]; then
-    echo "retain-smoke: cold tier shrank across restart ($rows -> $rows2)" >&2
+segs2="$(storage_field "$addr" segments)"
+if [ "${segs2:-99}" -gt 6 ]; then
+    echo "retain-smoke: recovered server reports $segs2 live segments" >&2
     exit 1
 fi
 
