@@ -83,14 +83,16 @@ stress:
 # checks the 500 are retained), a windowed sum's step alike at window 40
 # and 4,000, and a step of a rule with parameters off temporal operators
 # only the Binding maps it returns plus a constant, at 1 and at 4
-# candidates. NewEngine makes at most 1.05 allocations per initial item,
+# candidates. On the fast path a step of doubled-within-d (a frontier of a
+# handful of samples, and of some 500) and of temporal-dense's windowed
+# sum allocates nothing. NewEngine makes at most 1.05 allocations per initial item,
 # at 1k and at 100k items: one treap node each, no encoded copy. In wire, a
 # binary frame write allocates nothing and a decode of a transaction, a
 # four-firing push and an ok reply at most 9, 24 and 1 times. In server,
 # Backlog of the last firing allocates the same over 10 and over 10,000
 # firings.
 allocgates:
-	for p in 1 2 4; do GOMAXPROCS=$$p $(GO) test -count=1 -run 'TestCommitAllocs|TestSweepNoRuleTerm|TestConstraintCheckAllocs|TestNewEngineAllocsPerItem|TestStepAllocsFlatInRetainedClauses|TestWindowedAggregateStepAllocs|TestParamStepAllocs|TestBinaryCodecAllocs|TestBacklogTailAllocs' ./internal/adb ./internal/core ./internal/server/wire ./internal/server || exit 1; done
+	for p in 1 2 4; do GOMAXPROCS=$$p $(GO) test -count=1 -run 'TestCommitAllocs|TestSweepNoRuleTerm|TestConstraintCheckAllocs|TestNewEngineAllocsPerItem|TestStepAllocsFlatInRetainedClauses|TestWindowedAggregateStepAllocs|TestParamStepAllocs|TestMetricStepAllocs|TestBinaryCodecAllocs|TestBacklogTailAllocs' ./internal/adb ./internal/core ./internal/server/wire ./internal/server || exit 1; done
 
 # fuzz runs the parser and frame-decoder fuzzers for a bounded time. The
 # WAL and snapshots store a rule as its printed condition, so the
@@ -176,8 +178,9 @@ profile-gate:
 
 # profile-dense profiles the temporal-dense shape (the paper's doubled-within-10
 # trigger on 32 symbols, 8 session rules, a windowed sum and a quote rule,
-# one price step per commit): what the general evaluator's 42 steps a commit
-# cost, every rule stepping on every state.
+# one price step per commit): what the 42 fast-path steps a commit cost —
+# frontiers, timestamp registers, a window, boolean and class registers —
+# every rule stepping on every state.
 profile-dense:
 	$(GO) test -run '^$$' -bench TemporalDense -benchtime 20000x -memprofilerate 4096 \
 		-cpuprofile dense_cpu.prof -memprofile dense_mem.prof ./internal/adb

@@ -47,7 +47,9 @@ func main() {
 	histPath := flag.String("history", "-", "history JSONL file, - for stdin")
 	initJSON := flag.String("init", "{}", "initial database state as a JSON object")
 	naiveCheck := flag.Bool("naive", false, "cross-check against the naive whole-history semantics")
-	info := flag.Bool("info", false, "print condition analysis and exit")
+	info := flag.Bool("info", false, "print condition analysis and exit; decomposable is the paper's [Deng 94] class, "+
+		"and the fast evaluator also runs bounded operators, captured values and windowed aggregates on registers, "+
+		"so the two differ for them")
 	full := flag.Bool("full", false, "input is the lossless full-state format of WriteHistory/adbsh export")
 	flag.Parse()
 
@@ -76,8 +78,9 @@ func main() {
 			fatal(err)
 		}
 		kind := "general"
-		if _, fast := ev.(*core.FastEvaluator); fast {
-			kind = "fast"
+		if fast, ok := ev.(*core.FastEvaluator); ok {
+			since, last, timestamp, frontier, window := fast.Shape()
+			kind = fmt.Sprintf("fast (%d since, %d lasttime, %d timestamp, %d frontier, %d window)", since, last, timestamp, frontier, window)
 		}
 		fmt.Printf("evaluator:    %s\n", kind)
 		return

@@ -97,8 +97,10 @@ func benchSparse(b *testing.B, cond func(item string) string) {
 // miniature, for `make profile-dense`: the paper's "doubled within 10"
 // trigger on 32 symbols, the 8 login-session rules, the windowed `dj_volume`
 // sum and the `quote` rule, under a random walk of one price per commit with
-// its @update_stocks event. Every rule steps on the general evaluator at
-// every commit, so the profile shows what the Section-5 recurrences cost.
+// its @update_stocks event. Every rule steps on the fast path at every
+// commit — the doubled rules on a timestamp register and a frontier,
+// dj_volume on a window, the rest on boolean and class registers — so the
+// profile shows what the Section-5 recurrences cost on registers.
 func BenchmarkTemporalDense(b *testing.B) {
 	const symbols, users = 32, 8
 	sym := make([]string, symbols+1)

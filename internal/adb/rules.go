@@ -160,9 +160,10 @@ func (e *Engine) add(name string, condition ptl.Formula, action Action, isConstr
 	if isConstraint && len(info.Free) > 0 {
 		return fmt.Errorf("adb: constraint %s must not have free variables (found %v)", name, info.Free)
 	}
-	// Conditions that keep remembered values off temporal operators — the
-	// decomposable subclass the paper's prototype implemented, parameters
-	// included (ptl.FastShape) — get the boolean fast path.
+	// Conditions in ptl.FastShape's class — the decomposable subclass the
+	// paper's prototype implemented, parameters, and bounded operators,
+	// captured values and windowed aggregates on metric registers — get
+	// the fast path.
 	ev, err := core.CompileAuto(info, e.reg, e)
 	if err != nil {
 		return fmt.Errorf("adb: rule %s: %w", name, err)

@@ -205,7 +205,7 @@ func TestFastPathMatchesGeneralInEngine(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, r := range e.rules {
-			if _, fast := r.ev.(*core.FastEvaluator); !r.constraint && fast == (r.name == "r1" || r.name == "r7") {
+			if _, fast := r.ev.(*core.FastEvaluator); !r.constraint && fast == (r.name == "r7") {
 				t.Fatalf("rule %s compiled to %T", r.name, r.ev)
 			}
 		}

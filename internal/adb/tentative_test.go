@@ -15,10 +15,11 @@ import (
 )
 
 // gateConstraints mixes the two evaluator kinds behind the constraint check:
-// the first three are decomposable (boolean registers), the last three bind
-// a variable across a temporal operator or aggregate (constraint graphs,
-// aggregate machines). Items range over 0..49, so each rejects a few percent
-// of random transactions.
+// the first three are decomposable (boolean registers), the next three bind
+// a variable across a temporal operator or hold an aggregate (a frontier, a
+// timestamp register, an aggregate window, all on the fast path), and the
+// last two cross operators in shapes only constraint graphs hold. Items
+// range over 0..49, so each rejects a few percent of random transactions.
 var gateConstraints = []string{
 	`not (item("a") < 8 and lasttime item("a") > 30)`,
 	`not (item("b") > 46)`,
@@ -26,6 +27,8 @@ var gateConstraints = []string{
 	`[x <- item("a")] not previously (item("a") >= x + 42)`,
 	`[t <- time] not previously (@alarm and item("b") > 35 and time >= t - 4)`,
 	`sum(item("b"); @reset; @tick) < 150`,
+	`[x <- item("b")] not lasttime (item("b") > x + 45)`,
+	`[x <- item("a")] not previously (item("a") = x + 47)`,
 }
 
 // gateOp is one step of a gate trace: an event-only state, or a transaction.
@@ -66,7 +69,7 @@ func gateTrace(seed int64, n int) []gateOp {
 // for an accepted commit or an emit); given another run's verdicts it
 // commits only what that run accepted and aborts, explicitly, what it
 // rejected — so e never takes a tentative step it has to undo. Constraints
-// register before the trace and at two points inside it, the engine is
+// register before the trace and at three points inside it, the engine is
 // compacted now and then, and rejectSteps sums the constraints in force at
 // each rejection.
 func runGate(t *testing.T, e *Engine, ops []gateOp, verdicts []string) (said []string, rejectSteps int64) {
@@ -112,7 +115,7 @@ func runGate(t *testing.T, e *Engine, ops []gateOp, verdicts []string) (said []s
 				t.Fatalf("op %d: %v", i, err)
 			}
 		}
-		if i == len(ops)/4 || i == len(ops)/2 {
+		if i == len(ops)/4 || i == len(ops)/2 || i == 3*len(ops)/4 {
 			register(2)
 		}
 		if i%17 == 16 {

@@ -13,8 +13,7 @@ import (
 // buffers are copied. The clone seeds an intern table of its own from
 // those DAGs on its first step.
 //
-// The valid-time monitor (internal/vtime) checkpoints evaluators this way;
-// Mark and Rollback below clone the aggregate machines with it.
+// The valid-time monitor (internal/vtime) checkpoints evaluators this way.
 func (e *Evaluator) Clone() *Evaluator {
 	c := &Evaluator{
 		info:      e.info,
@@ -38,11 +37,10 @@ func (e *Evaluator) Clone() *Evaluator {
 
 // evalUndo is what Mark saves. Constraint nodes are immutable, so the
 // registers are copied shallowly, into maps reused from mark to mark; the
-// aggregate machines, which mutate in place, are cloned (in aggOrder).
+// aggregate machines mark themselves.
 type evalUndo struct {
 	since map[*ptl.Since]*cnode
 	last  map[*ptl.Lasttime]*cnode
-	aggs  []*aggState
 	steps int
 }
 
@@ -54,21 +52,19 @@ func (e *Evaluator) Mark() {
 	u := e.undo
 	maps.Copy(u.since, e.sincePrev)
 	maps.Copy(u.last, e.lastPrev)
-	u.aggs = u.aggs[:0]
-	for _, a := range e.aggOrder {
-		u.aggs = append(u.aggs, e.aggs[a].clone())
+	for _, a := range e.aggs {
+		a.mark()
 	}
 	u.steps = e.steps
 }
 
-// Rollback implements ConditionEvaluator. The saved aggregate machines
-// become the live ones (their sub-evaluators start with empty query caches).
+// Rollback implements ConditionEvaluator.
 func (e *Evaluator) Rollback() {
 	u := e.undo
 	maps.Copy(e.sincePrev, u.since)
 	maps.Copy(e.lastPrev, u.last)
-	for i, a := range e.aggOrder {
-		e.aggs[a] = u.aggs[i]
+	for _, a := range e.aggs {
+		a.rollback()
 	}
 	e.steps = u.steps
 	e.qc.reset()
@@ -84,9 +80,10 @@ func (s *aggState) clone() *aggState {
 		sum:     s.sum,
 		count:   s.count,
 	}
-	if s.startEv != nil {
-		c.startEv = s.startEv.Clone()
+	if s.start != nil {
+		c.start = s.start.(*Evaluator).Clone()
 	}
-	c.sampEv = s.sampEv.Clone()
+	c.samp = s.samp.(*Evaluator).Clone()
+	c.bindQuery()
 	return c
 }

@@ -433,15 +433,11 @@ func order(a, b value.Value) (int, bool) {
 }
 
 // complement returns g's direct complement if the table holds it (when it
-// does not, no child list can contain it): the atom with the negated
-// operator, the negated formula of a negation, the negation of anything
-// else.
+// does not, no child list can contain it): the negated formula of a
+// negation, the negation of anything else.
 func (in *interner) complement(g *cnode) *cnode {
 	c := cnode{kind: nkNot, sub: g}
-	switch g.kind {
-	case nkAtom:
-		c = cnode{kind: nkAtom, op: g.op.Negate(), l: g.l, r: g.r}
-	case nkNot:
+	if g.kind == nkNot {
 		return g.sub
 	}
 	c.hash = c.structHash()
@@ -449,8 +445,10 @@ func (in *interner) complement(g *cnode) *cnode {
 	return n
 }
 
-// mkNot negates a node. Atoms negate into their complementary operator so
-// negation never blocks folding.
+// mkNot negates a node. An atom is not turned into its complementary
+// operator: a side substituted by Null satisfies neither `s < c` nor `s >=
+// c`, so `not (s < c)` holds where `s >= c` does not. The negation folds
+// when its atom does.
 func (in *interner) mkNot(n *cnode) *cnode {
 	switch n.kind {
 	case nkTrue:
@@ -459,13 +457,6 @@ func (in *interner) mkNot(n *cnode) *cnode {
 		return nodeTrue
 	case nkNot:
 		return n.sub
-	case nkAtom:
-		neg, err := in.mkAtom(n.op.Negate(), n.l, n.r)
-		if err != nil {
-			// Negating an existing atom cannot introduce evaluation errors.
-			panic(fmt.Sprintf("core: internal: negate atom: %v", err))
-		}
-		return neg
 	default:
 		return in.node(&cnode{kind: nkNot, sub: n})
 	}

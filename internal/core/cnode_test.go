@@ -114,8 +114,8 @@ func TestMkNot(t *testing.T) {
 	}
 	x, _ := tab.mkAtom(value.LE, tab.varTerm("x"), tab.constTerm(value.NewInt(2)))
 	nx := tab.mkNot(x)
-	if nx.kind != nkAtom || nx.op != value.GT {
-		t.Fatalf("atom negation should flip the operator, got %v", nx)
+	if nx.kind != nkNot || nx.sub != x {
+		t.Fatalf("atom negation should keep the atom under a not (a Null side satisfies neither x <= 2 nor x > 2), got %v", nx)
 	}
 	and := tab.mkAnd(x, tab.mkNot(tab.mkAnd(x, x))) // contradiction
 	if and != nodeFalse {

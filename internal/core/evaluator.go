@@ -112,7 +112,7 @@ func New(info *ptl.Info, reg *query.Registry, log ptl.ExecLog, opts ...Option) (
 			if _, dup := e.aggs[a]; dup {
 				return
 			}
-			st, err := newAggState(a, reg, log, e.optimize)
+			st, err := newAggState(a, func(f ptl.Formula) (aggMachine, error) { return Compile(f, reg, log, opts...) })
 			if err != nil {
 				regErr = err
 				return
@@ -146,8 +146,10 @@ func (e *Evaluator) Steps() int { return e.steps }
 // StateSize returns the number of distinct constraint nodes currently
 // retained across all temporal subformulas — the metric the paper's
 // optimization discussion is about, benched in E2 and E7.
-func (e *Evaluator) StateSize() int {
-	seen := make(map[*cnode]struct{})
+func (e *Evaluator) StateSize() int { return e.nodes(make(map[*cnode]struct{})) }
+
+// nodes counts the nodes e retains that are not in seen.
+func (e *Evaluator) nodes(seen map[*cnode]struct{}) int {
 	total := 0
 	for _, n := range e.sincePrev {
 		total += nodeSize(n, seen)
@@ -168,10 +170,10 @@ func (e *Evaluator) StateSize() int {
 func (e *Evaluator) Registers() int {
 	total := len(e.sincePrev) + len(e.lastPrev)
 	for _, a := range e.aggs {
-		if a.startEv != nil {
-			total += a.startEv.Registers()
+		if a.start != nil {
+			total += a.start.Registers()
 		}
-		total += a.sampEv.Registers()
+		total += a.samp.Registers()
 	}
 	return total
 }
@@ -603,14 +605,17 @@ func (e *Evaluator) buildExecuted(x *ptl.Executed) (*cnode, error) {
 }
 
 // aggState maintains one aggregate occurrence incrementally: sub-evaluators
-// decide the start and sample formulas per state, and the sample buffer
-// supports O(1) amortized updates. For a windowed aggregate it is a
-// timestamped deque: the live samples are samples[head:], and the dead
-// prefix is compacted away once it is more than half the buffer.
+// decide the start and sample formulas per state — general ones under the
+// general evaluator, whose Clone, StateSize and snapshots take them whole,
+// fast ones under the fast evaluator — and the sample buffer supports O(1)
+// amortized updates. For a windowed aggregate it is a timestamped deque:
+// the live samples are samples[head:], and the dead prefix is compacted
+// away once it is more than half the buffer.
 type aggState struct {
-	agg     *ptl.Agg
-	startEv *Evaluator // nil for windowed aggregates
-	sampEv  *Evaluator
+	agg         *ptl.Agg
+	start, samp aggMachine                  // start is nil for windowed aggregates
+	q           func() (value.Value, error) // the query, at the state samp stepped last
+	undo        *aggState                   // what mark saved
 
 	started bool
 	samples []value.Value
@@ -620,28 +625,48 @@ type aggState struct {
 	count   int64
 }
 
+// aggMachine is what runs an aggregate's start or sampling formula.
+type aggMachine interface {
+	ConditionEvaluator
+	fires(st history.SystemState, dbUnchanged bool) (bool, error)
+	Registers() int
+	generalForm() (*evalState, error) // its state as the general evaluator writes it
+}
+
 // live returns the samples in the window and their times.
 func (s *aggState) live() ([]value.Value, []int64) { return s.samples[s.head:], s.times[s.head:] }
 
-func newAggState(a *ptl.Agg, reg *query.Registry, log ptl.ExecLog, optimize bool) (*aggState, error) {
+// newAggState builds the machine of aggregate a on the sub-evaluators
+// compile builds.
+func newAggState(a *ptl.Agg, compile func(ptl.Formula) (aggMachine, error)) (*aggState, error) {
 	st := &aggState{agg: a, sum: value.NewInt(0)}
-	var opts []Option
-	if !optimize {
-		opts = append(opts, WithoutStateBounding())
-	}
+	var err error
 	if a.Window < 0 {
-		ev, err := Compile(a.Start, reg, log, opts...)
-		if err != nil {
+		if st.start, err = compile(a.Start); err != nil {
 			return nil, fmt.Errorf("core: aggregate start formula: %w", err)
 		}
-		st.startEv = ev
 	}
-	ev, err := Compile(a.Sample, reg, log, opts...)
-	if err != nil {
+	if st.samp, err = compile(a.Sample); err != nil {
 		return nil, fmt.Errorf("core: aggregate sampling formula: %w", err)
 	}
-	st.sampEv = ev
+	st.bindQuery()
 	return st, nil
+}
+
+// bindQuery sets q to read the query through the sampling evaluator.
+func (s *aggState) bindQuery() {
+	switch samp := s.samp.(type) {
+	case *FastEvaluator:
+		s.q = (&fastCompiler{e: samp}).term(s.agg.Q)
+	case *Evaluator:
+		s.q = func() (value.Value, error) {
+			qt, err := samp.buildTerm(s.agg.Q)
+			if err != nil {
+				return value.Value{}, err
+			}
+			return qt.eval(nil)
+		}
+	}
 }
 
 func (s *aggState) step(st history.SystemState, dbUnchanged bool) error {
@@ -664,29 +689,25 @@ func (s *aggState) step(st history.SystemState, dbUnchanged bool) error {
 			s.samples, s.times, s.head = s.samples[:n], s.times[:n], 0
 		}
 	} else {
-		res, err := s.startEv.stepHinted(st, dbUnchanged)
+		started, err := s.start.fires(st, dbUnchanged)
 		if err != nil {
 			return err
 		}
-		if res.Fired {
+		if started {
 			s.started = true
 			s.samples, s.times, s.head = s.samples[:0], s.times[:0], 0
 			s.sum = value.NewInt(0)
 			s.count = 0
 		}
 	}
-	res, err := s.sampEv.stepHinted(st, dbUnchanged)
+	sampled, err := s.samp.fires(st, dbUnchanged)
 	if err != nil {
 		return err
 	}
-	if res.Fired && s.started {
+	if sampled && s.started {
 		// Evaluate the aggregate's query at this state, with the evaluator
 		// that just stepped over it.
-		qt, err := s.sampEv.buildTerm(s.agg.Q)
-		if err != nil {
-			return err
-		}
-		v, err := qt.eval(nil)
+		v, err := s.q()
 		if err != nil {
 			return err
 		}
@@ -703,6 +724,31 @@ func (s *aggState) step(st history.SystemState, dbUnchanged bool) error {
 		s.count++
 	}
 	return nil
+}
+
+// mark and rollback are the evaluators' Mark and Rollback for the machine.
+func (s *aggState) mark() {
+	if s.undo == nil {
+		s.undo = &aggState{}
+	}
+	u := s.undo
+	samples, times := s.live()
+	u.started, u.sum, u.count = s.started, s.sum, s.count
+	u.samples, u.times = append(u.samples[:0], samples...), append(u.times[:0], times...)
+	if s.start != nil {
+		s.start.Mark()
+	}
+	s.samp.Mark()
+}
+
+func (s *aggState) rollback() {
+	u := s.undo
+	s.started, s.sum, s.count = u.started, u.sum, u.count
+	s.samples, s.times, s.head = append(s.samples[:0], u.samples...), append(s.times[:0], u.times...), 0
+	if s.start != nil {
+		s.start.Rollback()
+	}
+	s.samp.Rollback()
 }
 
 // value returns the aggregate's current value; Null when undefined.
@@ -748,19 +794,10 @@ func floatOf(v value.Value) value.Value {
 func (s *aggState) stateSize(seen map[*cnode]struct{}) int {
 	samples, _ := s.live()
 	total := len(samples)
-	if s.startEv != nil {
-		for _, n := range s.startEv.sincePrev {
-			total += nodeSize(n, seen)
+	for _, m := range []aggMachine{s.start, s.samp} {
+		if g, ok := m.(*Evaluator); ok {
+			total += g.nodes(seen)
 		}
-		for _, n := range s.startEv.lastPrev {
-			total += nodeSize(n, seen)
-		}
-	}
-	for _, n := range s.sampEv.sincePrev {
-		total += nodeSize(n, seen)
-	}
-	for _, n := range s.sampEv.lastPrev {
-		total += nodeSize(n, seen)
 	}
 	return total
 }

@@ -244,6 +244,46 @@ func TestNullAtomKeepsErrors(t *testing.T) {
 	}
 }
 
+// TestNegatedAtomUnderNull: a negated atom over a variable stays a
+// negation, so once the variable is substituted by Null — which satisfies
+// no comparison — the negation holds, as naive says; turning `not (s < x)`
+// into `s >= x` made it false. The general evaluator and CompileAuto's
+// pick agree with naive at every state.
+func TestNegatedAtomUnderNull(t *testing.T) {
+	reg := ptlgen.Registry()
+	b := history.NewBuilder(history.EmptyDB().With("a", value.NewInt(3)).With("c", value.NewInt(1)), 0)
+	for i, v := range []value.Value{value.NewInt(4), {}, {}, value.NewInt(2), {}} {
+		if err := b.Commit(int64(2*i+2), int64(i+1), map[string]value.Value{"a": v}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	h := b.History()
+	for _, src := range []string{
+		`[x <- item("a")] not (item("c") < x)`,
+		`[x <- item("a")] not (time > 0 since <= 1 time < x)`,
+		`previously <= 2 ([y <- item("c")] throughout (y != item("a")))`,
+		`[x <- item("a")] lasttime not (item("c") >= x)`,
+	} {
+		f := mustParse(t, src)
+		info, err := ptl.Check(f, reg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		general, _ := New(info, reg, nil)
+		auto, _ := CompileAuto(info, reg, nil)
+		direct := naive.New(reg, h, nil)
+		for i := 0; i < h.Len(); i++ {
+			want, werr := direct.Sat(i, f, nil)
+			for _, ev := range []ConditionEvaluator{general, auto} {
+				got, err := ev.StepResult(h.At(i))
+				if err != nil || werr != nil || got.Fired != want {
+					t.Fatalf("%s at state %d: %T fired %t (%v), naive %t (%v)", src, i, ev, got.Fired, err, want, werr)
+				}
+			}
+		}
+	}
+}
+
 // TestTheorem1WithAggregates extends the property test to formulas
 // containing temporal aggregates.
 func TestTheorem1WithAggregates(t *testing.T) {

@@ -37,6 +37,11 @@ import (
 // to the default — §6.1.1's "free variables index a family of items",
 // applied to the registers.
 //
+// A since whose h bounds the time or compares the state with a value
+// captured outside it — every bounded operator desugars to that — runs on a
+// metric register instead of a boolean (metric.go), and an aggregate over
+// formulas of this class on its window machine behind fast evaluators.
+//
 // The ablation experiment (bench_test.go, BenchmarkAblationDecomposable)
 // measures what the general constraint-graph machinery costs on
 // conditions that do not need it.
@@ -63,6 +68,12 @@ type FastEvaluator struct {
 	root fastCond
 	qc   queryCache
 	vars []value.Value
+
+	// metrics holds the registers of the since occurrences whose h holds a
+	// ptl.Metric, in register order (metric.go); aggs the aggregate
+	// machines, in the general evaluator's aggOrder: the window registers.
+	metrics []*metricReg
+	aggs    []*aggState
 
 	*params // nil for a closed condition
 }
@@ -109,8 +120,8 @@ type valueClass struct {
 }
 
 // NewFast compiles a checked condition into a fast evaluator. It returns
-// an error when the condition is outside ptl.FastShape (variables crossing
-// temporal operators, or aggregates — evaluate those with New).
+// an error when the condition is outside ptl.FastShape (evaluate those
+// with New).
 func NewFast(info *ptl.Info, reg *query.Registry, log ptl.ExecLog) (*FastEvaluator, error) {
 	if info == nil {
 		return nil, fmt.Errorf("core: nil condition info")
@@ -118,7 +129,7 @@ func NewFast(info *ptl.Info, reg *query.Registry, log ptl.ExecLog) (*FastEvaluat
 	if log == nil {
 		log = ptl.NoExecutions{}
 	}
-	class, ok := ptl.FastShape(info.Normalized, info.Free)
+	class, metrics, ok := ptl.FastShape(info.Normalized, info.Free)
 	if !ok {
 		return nil, fmt.Errorf("core: condition is outside the fast evaluator's class; use the general evaluator")
 	}
@@ -135,6 +146,17 @@ func NewFast(info *ptl.Info, reg *query.Registry, log ptl.ExecLog) (*FastEvaluat
 		qc:     newQueryCache(info.Normalized, reg),
 		vars:   make([]value.Value, len(info.Free)),
 	}
+	var err error
+	ptl.WalkTerms(info.Normalized, func(t ptl.Term) {
+		if a, ok := t.(*ptl.Agg); ok && err == nil && !slices.ContainsFunc(e.aggs, func(s *aggState) bool { return s.agg == a }) {
+			var s *aggState
+			s, err = newAggState(a, func(f ptl.Formula) (aggMachine, error) { return CompileFast(f, reg, log) })
+			e.aggs = append(e.aggs, s)
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
 	if len(info.Free) > 0 {
 		e.params = &params{names: info.Free, class: slices.Index(info.Free, class), out: make([]bool, n)}
 		if e.class >= 0 {
@@ -142,7 +164,7 @@ func NewFast(info *ptl.Info, reg *query.Registry, log ptl.ExecLog) (*FastEvaluat
 		}
 	}
 	c := fastCompiler{e: e, since: make(map[*ptl.Since]int, len(sinces)), last: make(map[*ptl.Lasttime]int, len(lasts)),
-		scope: slices.Clone(info.Free)}
+		scope: slices.Clone(info.Free), metrics: metrics}
 	for i, x := range sinces {
 		c.since[x] = i
 	}
@@ -165,13 +187,39 @@ func CompileFast(f ptl.Formula, reg *query.Registry, log ptl.ExecLog) (*FastEval
 // Registers returns the number of boolean temporal registers.
 func (e *FastEvaluator) Registers() int { return len(e.regs) }
 
-// StateSize returns the number of register vectors kept: the default, and
-// one per value of the class parameter that has its own.
+// StateSize returns the number of register vectors kept — the default, and
+// one per value of the class parameter that has its own — plus the samples
+// the frontiers and the aggregate windows hold.
 func (e *FastEvaluator) StateSize() int {
-	if e.params == nil {
-		return 1
+	n := 1
+	if e.params != nil {
+		n += len(e.classes)
 	}
-	return 1 + len(e.classes)
+	for _, m := range e.metrics {
+		for i := range m.q {
+			n += len(m.q[i].live())
+		}
+	}
+	for _, a := range e.aggs {
+		samples, _ := a.live()
+		n += len(samples)
+	}
+	return n
+}
+
+// Shape counts the registers by kind: the since and lasttime occurrences,
+// the time bounds and frontiers among the since ones (metric.go), and the
+// aggregate windows.
+func (e *FastEvaluator) Shape() (since, lasttime, timestamp, frontier, window int) {
+	for _, m := range e.metrics {
+		if m.bound != 0 {
+			timestamp++
+		}
+		if m.front != nil {
+			frontier++
+		}
+	}
+	return e.nSince, len(e.regs) - e.nSince, timestamp, frontier, len(e.aggs)
 }
 
 // Steps returns the number of states processed.
@@ -184,12 +232,17 @@ func (e *FastEvaluator) Step(st history.SystemState) (bool, error) {
 		res, err := e.stepParams(st, false)
 		return res.Fired, err
 	}
-	return e.stepHinted(st, false)
+	return e.fires(st, false)
 }
 
-func (e *FastEvaluator) stepHinted(st history.SystemState, dbUnchanged bool) (bool, error) {
+func (e *FastEvaluator) fires(st history.SystemState, dbUnchanged bool) (bool, error) {
 	if !dbUnchanged {
 		e.qc.reset()
+	}
+	for _, a := range e.aggs {
+		if err := a.step(st, dbUnchanged); err != nil {
+			return false, err
+		}
 	}
 	e.st = st
 	fired, err := e.root()
@@ -364,14 +417,16 @@ type (
 // tree walk would look up at every step is resolved here: the register of
 // each temporal occurrence, the cache slot of each call, and — scope[i] being
 // the variable whose assignment is i levels deep — where a variable's value
-// sits in e.vars. A node that cannot be evaluated (an unbound variable, an
+// sits in e.vars; and the since occurrences that run on metric registers
+// (ptl.FastShape). A node that cannot be evaluated (an unbound variable, an
 // unsupported node) is no compile error: its closure reports it when, and
 // if, a step reaches it.
 type fastCompiler struct {
-	e     *FastEvaluator
-	since map[*ptl.Since]int
-	last  map[*ptl.Lasttime]int
-	scope []string
+	e       *FastEvaluator
+	since   map[*ptl.Since]int
+	last    map[*ptl.Lasttime]int
+	scope   []string
+	metrics []ptl.Metric
 }
 
 func (c *fastCompiler) terms(ts []ptl.Term) []fastTerm {
@@ -564,6 +619,9 @@ func (c *fastCompiler) cond(f ptl.Formula) fastCond {
 			return l || r, nil
 		}
 	case *ptl.Since:
+		if i := slices.IndexFunc(c.metrics, func(m ptl.Metric) bool { return m.Since == x }); i >= 0 {
+			return c.metric(x, c.metrics[i])
+		}
 		gf, hf, k := c.cond(x.L), c.cond(x.R), c.since[x]
 		reg := &e.regs[k]
 		return c.occurrence(k, func() (bool, error) {
@@ -688,8 +746,9 @@ func (c *fastCompiler) term(t ptl.Term) fastTerm {
 		}
 	case *ptl.Call:
 		fn, argts, slot := x.Fn, c.terms(x.Args), e.qc.slotOf(x)
+		buf := make([]value.Value, len(argts))
 		call := func() (value.Value, error) {
-			args, err := evalTerms(make([]value.Value, len(argts)), argts)
+			args, err := evalTerms(buf, argts)
 			if err != nil {
 				return value.Value{}, err
 			}
@@ -724,6 +783,9 @@ func (c *fastCompiler) term(t ptl.Term) fastTerm {
 			}
 			return value.Arith(op, l, r)
 		}
+	case *ptl.Agg:
+		a := e.aggs[slices.IndexFunc(e.aggs, func(a *aggState) bool { return a.agg == x })]
+		return a.value
 	case *ptl.Neg:
 		xt := c.term(x.X)
 		return func() (value.Value, error) {
@@ -740,11 +802,17 @@ func (c *fastCompiler) term(t ptl.Term) fastTerm {
 	}
 }
 
-// Mark implements ConditionEvaluator: a copy of a few booleans, and of
-// each value class's.
+// Mark implements ConditionEvaluator: a copy of a few booleans, of each
+// value class's, and of the frontiers' and windows' samples.
 func (e *FastEvaluator) Mark() {
 	copy(e.undo, e.regs)
 	e.undoSteps = e.steps
+	for _, m := range e.metrics {
+		m.mark()
+	}
+	for _, a := range e.aggs {
+		a.mark()
+	}
 	if e.params != nil && e.classes != nil {
 		e.undoClasses, e.undoRegs = e.undoClasses[:0], e.undoRegs[:0]
 		for _, cl := range e.classes {
@@ -758,6 +826,12 @@ func (e *FastEvaluator) Rollback() {
 	copy(e.regs, e.undo)
 	e.steps = e.undoSteps
 	e.qc.reset()
+	for _, m := range e.metrics {
+		m.rollback()
+	}
+	for _, a := range e.aggs {
+		a.rollback()
+	}
 	if e.params != nil && e.classes != nil {
 		clear(e.classes)
 		for i, cl := range e.undoClasses {
@@ -778,7 +852,7 @@ func (e *FastEvaluator) StepResultHinted(st history.SystemState, dbUnchanged boo
 	if e.params != nil {
 		return e.stepParams(st, dbUnchanged)
 	}
-	ok, err := e.stepHinted(st, dbUnchanged)
+	ok, err := e.fires(st, dbUnchanged)
 	if err != nil {
 		return Result{}, err
 	}
@@ -815,12 +889,18 @@ func (e *Evaluator) StepResultHinted(st history.SystemState, dbUnchanged bool) (
 	return e.stepHinted(st, dbUnchanged)
 }
 
+func (e *Evaluator) fires(st history.SystemState, dbUnchanged bool) (bool, error) {
+	res, err := e.stepHinted(st, dbUnchanged)
+	return res.Fired, err
+}
+
 // CompileAuto builds the best evaluator for the condition, chosen from the
 // condition alone: the register fast path when it is in ptl.FastShape's
-// class — closed decomposable conditions, and parameters bound by an atom
-// that offers their values and kept off temporal operators or used there
-// only in = and ≠ atoms — and the general constraint-graph evaluator
-// otherwise.
+// class — closed decomposable conditions, parameters bound by an atom that
+// offers their values and kept off temporal operators or used there only
+// in = and ≠ atoms, bounded operators and captured values on metric
+// registers, and aggregates over such formulas — and the general
+// constraint-graph evaluator otherwise.
 func CompileAuto(info *ptl.Info, reg *query.Registry, log ptl.ExecLog) (ConditionEvaluator, error) {
 	if fast, err := NewFast(info, reg, log); err == nil {
 		return fast, nil

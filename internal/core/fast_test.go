@@ -146,8 +146,8 @@ func TestFastRejectsNonDecomposable(t *testing.T) {
 			t.Errorf("CompileFast(%q) should fail", src)
 		}
 	}
-	// Aggregates are rejected even though they are "decomposable".
-	f, err := ptl.Parse(`sum(item("a"); time = 0; true) > 3`)
+	// An aggregate is rejected when its formulas are.
+	f, err := ptl.Parse(`sum(item("a"); time = 0; [x <- item("b")] lasttime (item("b") < x)) > 3`)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -119,37 +119,108 @@ func TestStepAllocsFlatInRetainedClauses(t *testing.T) {
 }
 
 // BenchmarkDoubledStep times a step of doubled-within-d on each of
-// doubledArms and reports the nodes retained. The rising arm is the one a
-// junction quadratic in the retained clauses would show.
+// doubledArms and reports the state retained: the general evaluator's
+// nodes, and on the fast/ twin, which CompileAuto builds, the register
+// vector and the frontier's samples. The rising arm is the one a junction
+// quadratic in the retained clauses would show; the fast twin's deque pops
+// one expired sample a step and reads the front, so its rising arm is flat
+// in d.
 func BenchmarkDoubledStep(b *testing.B) {
 	const warm, chunk = 1200, 4096
-	for _, arm := range doubledArms {
-		b.Run(arm.name, func(b *testing.B) {
-			ev, err := Compile(mustParse(b, doubledWithin(arm.d)), ibmRegistry(b), nil)
-			if err != nil {
-				b.Fatal(err)
+	for _, fast := range []bool{false, true} {
+		for _, arm := range doubledArms {
+			name := arm.name
+			if fast {
+				name = "fast/" + name
 			}
-			for _, st := range priceStates(0, warm, arm.price) {
-				if _, err := ev.Step(st); err != nil {
+			b.Run(name, func(b *testing.B) {
+				info, err := ptl.Check(mustParse(b, doubledWithin(arm.d)), ibmRegistry(b))
+				if err != nil {
 					b.Fatal(err)
 				}
-			}
-			var states []history.SystemState
-			b.ReportAllocs()
-			b.ResetTimer()
-			for n := 0; n < b.N; n++ {
-				if n%chunk == 0 {
-					b.StopTimer()
-					states = priceStates(warm+n, chunk, arm.price)
-					b.StartTimer()
+				var ev interface {
+					ConditionEvaluator
+					StateSize() int
 				}
-				if _, err := ev.Step(states[n%chunk]); err != nil {
+				if fast {
+					ev, err = NewFast(info, ibmRegistry(b), nil)
+				} else {
+					ev, err = New(info, ibmRegistry(b), nil)
+				}
+				if err != nil {
 					b.Fatal(err)
 				}
+				for _, st := range priceStates(0, warm, arm.price) {
+					if _, err := ev.StepResult(st); err != nil {
+						b.Fatal(err)
+					}
+				}
+				var states []history.SystemState
+				b.ReportAllocs()
+				b.ResetTimer()
+				for n := 0; n < b.N; n++ {
+					if n%chunk == 0 {
+						b.StopTimer()
+						states = priceStates(warm+n, chunk, arm.price)
+						b.StartTimer()
+					}
+					if _, err := ev.StepResult(states[n%chunk]); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.StopTimer()
+				b.ReportMetric(float64(ev.StateSize()), "nodes")
+			})
+		}
+	}
+}
+
+// TestMetricStepAllocs: after warm-up a fast-path step of the doubled shape
+// (a timestamp register and a frontier) and of temporal-dense's windowed
+// sum allocates nothing, at a handful of frontier samples and at some 500.
+func TestMetricStepAllocs(t *testing.T) {
+	const warm, runs = 1200, 200
+	reg := ibmRegistry(t)
+	var windowed []history.SystemState
+	db := history.EmptyDB().With("px_DJ", value.NewFloat(100))
+	for i := 1; i <= warm+runs+2; i++ {
+		ev := event.NewSet()
+		if i%3 != 0 {
+			ev = event.NewSet(event.New("update_stocks", value.NewString("DJ")))
+		}
+		db = db.With("px_DJ", value.NewFloat(float64(90+i%17)))
+		windowed = append(windowed, history.SystemState{DB: db, Events: ev, TS: int64(2 * i)})
+	}
+	for _, arm := range append(doubledArms, struct {
+		name  string
+		d     int
+		price func(int) int64
+	}{name: "dj_volume"}) {
+		cond, states := `sum(item("px_DJ"); window 40; @update_stocks("DJ")) > 1500 and @update_stocks("DJ")`, windowed
+		if arm.price != nil {
+			cond, states = doubledWithin(arm.d), priceStates(0, warm+runs+2, arm.price)
+		}
+		info, err := ptl.Check(mustParse(t, cond), reg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ev, err := NewFast(info, reg, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		i := 0
+		step := func() {
+			if _, err := ev.StepResult(states[i]); err != nil {
+				t.Fatal(err)
 			}
-			b.StopTimer()
-			b.ReportMetric(float64(ev.StateSize()), "nodes")
-		})
+			i++
+		}
+		for i < warm {
+			step()
+		}
+		if allocs := testing.AllocsPerRun(runs, step); allocs != 0 {
+			t.Errorf("%s: a fast step allocates %.1f times at %d samples", arm.name, allocs, ev.StateSize())
+		}
 	}
 }
 

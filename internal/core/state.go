@@ -46,6 +46,15 @@ type evalState struct {
 	SinceB  []bool     `json:"sinceb,omitempty"`
 	LastB   []bool     `json:"lastb,omitempty"`
 	Classes []classRec `json:"classes,omitempty"`
+	// Metric holds each metric register's live samples in time order, in
+	// the order of their since occurrences.
+	Metric [][]sampleRec `json:"metric,omitempty"`
+}
+
+// sampleRec is a frontier's or a timestamp register's sample.
+type sampleRec struct {
+	T int64           `json:"t"`
+	V json.RawMessage `json:"v"`
 }
 
 // classRec is one value of a fast evaluator's class parameter.
@@ -467,15 +476,41 @@ func encodeAggState(s *aggState) (*aggRec, error) {
 		}
 		rec.Samples = append(rec.Samples, raw)
 	}
-	if s.startEv != nil {
-		if rec.StartEv, err = encodeGeneral(s.startEv); err != nil {
+	if s.start != nil {
+		if rec.StartEv, err = s.start.generalForm(); err != nil {
 			return nil, err
 		}
 	}
-	if rec.SampEv, err = encodeGeneral(s.sampEv); err != nil {
+	if rec.SampEv, err = s.samp.generalForm(); err != nil {
 		return nil, err
 	}
 	return rec, nil
+}
+
+func (e *Evaluator) generalForm() (*evalState, error) { return encodeGeneral(e) }
+
+// generalForm writes a fast evaluator of a closed condition without metric
+// registers as the general evaluator writes the same state, its registers
+// constants, so that the snapshots of conditions with aggregates keep their
+// bytes now that they step on the fast path.
+func (e *FastEvaluator) generalForm() (*evalState, error) {
+	st, ar := &evalState{Kind: "general", Steps: e.steps}, newStateArena()
+	for i, b := range e.regs {
+		if id := ar.node(nodeBool(b)); i < e.nSince {
+			st.Since = append(st.Since, id)
+		} else {
+			st.Last = append(st.Last, id)
+		}
+	}
+	st.Nodes = ar.nodes
+	for _, a := range e.aggs {
+		rec, err := encodeAggState(a)
+		if err != nil {
+			return nil, err
+		}
+		st.Aggs = append(st.Aggs, rec)
+	}
+	return st, nil
 }
 
 func restoreAggState(s *aggState, rec *aggRec) error {
@@ -497,18 +532,18 @@ func restoreAggState(s *aggState, rec *aggRec) error {
 		}
 		samples = append(samples, v)
 	}
-	if (s.startEv == nil) != (rec.StartEv == nil) {
+	if (s.start == nil) != (rec.StartEv == nil) {
 		return fmt.Errorf("core: evaluator state: aggregate start-evaluator presence mismatch")
 	}
 	if rec.StartEv != nil {
-		if err := restoreGeneral(s.startEv, rec.StartEv); err != nil {
+		if err := restoreGeneral(s.start.(*Evaluator), rec.StartEv); err != nil {
 			return err
 		}
 	}
 	if rec.SampEv == nil {
 		return fmt.Errorf("core: evaluator state: aggregate missing sampling evaluator")
 	}
-	if err := restoreGeneral(s.sampEv, rec.SampEv); err != nil {
+	if err := restoreGeneral(s.samp.(*Evaluator), rec.SampEv); err != nil {
 		return err
 	}
 	s.started = rec.Started
@@ -524,12 +559,26 @@ func restoreAggState(s *aggState, rec *aggRec) error {
 // evaluator wrote for it before the fast path took parameters, so its
 // snapshots keep their bytes.
 func encodeFast(e *FastEvaluator) (*evalState, error) {
+	if len(e.aggs) > 0 {
+		return e.generalForm()
+	}
 	ns := e.nSince
 	st := &evalState{
 		Kind:   "fast",
 		Steps:  e.steps,
 		SinceB: append([]bool(nil), e.regs[:ns]...),
 		LastB:  append([]bool(nil), e.regs[ns:]...),
+	}
+	for _, m := range e.metrics {
+		recs := []sampleRec{}
+		for _, x := range m.samples() {
+			raw, err := value.EncodeJSON(x.v)
+			if err != nil {
+				return nil, err
+			}
+			recs = append(recs, sampleRec{T: x.t, V: raw})
+		}
+		st.Metric = append(st.Metric, recs)
 	}
 	if e.params == nil {
 		return st, nil
@@ -555,8 +604,10 @@ func encodeFast(e *FastEvaluator) (*evalState, error) {
 
 func restoreFast(e *FastEvaluator, st *evalState) (ConditionEvaluator, error) {
 	if st.Kind == "general" {
-		// Registers that hold constants are booleans; a graph over a
-		// parameter is the general evaluator's to step.
+		// Registers that hold constants are booleans, and the clauses of a
+		// time-bounded metric register its samples (adopt); a graph over a
+		// parameter, or one the registers cannot hold, is the general
+		// evaluator's to step.
 		g, err := New(e.info, e.reg, e.log)
 		if err != nil {
 			return nil, err
@@ -564,14 +615,9 @@ func restoreFast(e *FastEvaluator, st *evalState) (ConditionEvaluator, error) {
 		if err := restoreGeneral(g, st); err != nil {
 			return nil, err
 		}
-		for i, id := range append(slices.Clip(st.Since), st.Last...) {
-			k := nodeKind(st.Nodes[id].Kind)
-			if k != nkTrue && k != nkFalse {
-				return g, nil
-			}
-			e.regs[i] = k == nkTrue
+		if !e.adopt(g) {
+			return g, nil
 		}
-		e.steps = g.steps
 		if e.params != nil {
 			clear(e.classes)
 		}
@@ -601,6 +647,18 @@ func restoreFast(e *FastEvaluator, st *evalState) (ConditionEvaluator, error) {
 				v, len(rec.SinceB), len(rec.LastB), ns, nl)
 		}
 		e.newClass(v, v.Key(), append(slices.Clip(rec.SinceB), rec.LastB...))
+	}
+	if len(st.Metric) != len(e.metrics) {
+		return nil, fmt.Errorf("core: evaluator state has %d metric registers, condition needs %d", len(st.Metric), len(e.metrics))
+	}
+	for i, recs := range st.Metric {
+		for _, rec := range recs {
+			v, err := value.DecodeJSON(rec.V)
+			if err != nil {
+				return nil, err
+			}
+			e.metrics[i].push(sample{rec.T, v})
+		}
 	}
 	copy(e.regs, st.SinceB)
 	copy(e.regs[ns:], st.LastB)

@@ -125,24 +125,48 @@ func E1IncrementalVsNaive(quick bool) Table {
 // state size; optimize toggles the simplifications that bound the state
 // (the E2 kernel).
 func BoundedStateRun(n int, bound int64, optimize bool) (peak int, err error) {
+	var opts []core.Option
+	if !optimize {
+		opts = append(opts, core.WithoutStateBounding())
+	}
+	return peakState(n, bound, func(info *ptl.Info, reg *query.Registry) (sizedEvaluator, error) {
+		return core.New(info, reg, nil, opts...)
+	})
+}
+
+// FastStateRun is BoundedStateRun on the fast path, whose state is a
+// register vector and the frontier's samples.
+func FastStateRun(n int, bound int64) (peak int, err error) {
+	return peakState(n, bound, func(info *ptl.Info, reg *query.Registry) (sizedEvaluator, error) {
+		return core.NewFast(info, reg, nil)
+	})
+}
+
+type sizedEvaluator interface {
+	core.ConditionEvaluator
+	StateSize() int
+}
+
+// peakState is the E2 kernel on the evaluator compile builds.
+func peakState(n int, bound int64, compile func(*ptl.Info, *query.Registry) (sizedEvaluator, error)) (peak int, err error) {
 	window := ""
 	if bound != ptl.Unbounded {
 		window = fmt.Sprintf("<= %d ", bound)
 	}
 	f := mustFormula(fmt.Sprintf(`[x <- item("px_IBM")] previously %s(item("px_IBM") <= 0.5 * x)`, window))
 	reg := stockRegistry()
-	var opts []core.Option
-	if !optimize {
-		opts = append(opts, core.WithoutStateBounding())
+	info, err := ptl.Check(f, reg)
+	if err != nil {
+		return 0, err
 	}
-	ev, err := core.Compile(f, reg, nil, opts...)
+	ev, err := compile(info, reg)
 	if err != nil {
 		return 0, err
 	}
 	rng := rand.New(rand.NewSource(2))
 	h := workload.Stocks(rng, workload.DefaultStockConfig(), n)
 	for i := 0; i < h.Len(); i++ {
-		if _, err := ev.Step(h.At(i)); err != nil {
+		if _, err := ev.StepResult(h.At(i)); err != nil {
 			return 0, err
 		}
 		if s := ev.StateSize(); s > peak {
@@ -164,13 +188,18 @@ func E2BoundedState(quick bool) Table {
 		ID:    "E2",
 		Title: "state bounding: peak constraint-graph nodes, halved-price trigger (previously <= 50, and unbounded)",
 		Header: []string{"updates", "peak nodes (optimized)", "peak nodes (no optimization)", "ratio",
-			"peak nodes (unbounded, optimized)"},
+			"peak nodes (unbounded, optimized)", "peak state (fast path)"},
 		Notes: "with the optimizations, state stays bounded by the 50-unit window regardless of " +
 			"history length; without them, dead clauses accumulate linearly. Shape per Section 5's optimization. " +
 			"Unbounded, no time bound ever folds a clause, but every clause implies the one with the lowest " +
-			"price, so subsumption keeps that one alone.",
+			"price, so subsumption keeps that one alone. The fast path keeps one register vector and the " +
+			"frontier's samples, the instants the optimized graph keeps a clause for.",
 	}
 	for _, n := range sizes {
+		fast, err := FastStateRun(n, 50)
+		if err != nil {
+			panic(err)
+		}
 		var peaks [3]int
 		for k, run := range []struct {
 			bound    int64
@@ -184,7 +213,7 @@ func E2BoundedState(quick bool) Table {
 		}
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprint(n), fmt.Sprint(peaks[0]), fmt.Sprint(peaks[1]),
-			fmt.Sprintf("%.1fx", float64(peaks[1])/float64(peaks[0])), fmt.Sprint(peaks[2]),
+			fmt.Sprintf("%.1fx", float64(peaks[1])/float64(peaks[0])), fmt.Sprint(peaks[2]), fmt.Sprint(fast),
 		})
 	}
 	return t

@@ -45,6 +45,13 @@ func TestAllExperimentsRun(t *testing.T) {
 	if noopt <= opt*2 {
 		t.Errorf("E2: expected unoptimized >> optimized, got %d vs %d", noopt, opt)
 	}
+	// E2's fast-path column: a register vector and the frontier's samples,
+	// one per clause the optimized graph keeps, and it keeps more nodes.
+	for _, row := range e2.Rows {
+		if fast, opt := atoi(t, row[5]), atoi(t, row[1]); fast >= opt {
+			t.Errorf("E2: fast-path state %d at %s updates, optimized graph %d", fast, row[0], opt)
+		}
+	}
 	// E2's unbounded column: no time bound, and subsumption still keeps the
 	// state to a node or two, in quick mode and at the full 8,000 updates.
 	unbounded := []int{}

@@ -351,21 +351,122 @@ func Decomposable(f Formula) bool {
 	return ok
 }
 
+// Metric splits the h of `g since h` when variables assigned just outside
+// the since, its captured variables, cross it: Conj are h's conjuncts in
+// order, among them at most one time bound, `time >= t - c` or `time > t -
+// c` for a captured t assigned from time and an integer c >= 0 (> 0 for >),
+// and at most one separable ordering atom, Front, whose inner side reads
+// only the state (no aggregate) and whose other side only captured
+// variables not assigned from time and numeric constants. Under `[t <- time]` the latest instant
+// at which h held dominates the earlier ones, and under `[x <- q]` the
+// instants whose inner value is the extreme: core keeps a timestamp
+// register or a frontier for them.
+type Metric struct {
+	Since        *Since
+	Conj         []Formula
+	Bound, Front *Cmp
+	InnerLeft    bool // Front.L is the inner side
+}
+
+// splitMetric splits h for the since whose captured variables captured
+// reports, timeVar those assigned from time. ok is false when a conjunct
+// mentions a captured variable other than in the two atoms.
+func splitMetric(h Formula, captured, timeVar func(string) bool) (m Metric, ok bool) {
+	var flat func(Formula)
+	flat = func(f Formula) {
+		if a, isAnd := f.(*And); isAnd {
+			flat(a.L)
+			flat(a.R)
+		} else {
+			m.Conj = append(m.Conj, f)
+		}
+	}
+	flat(h)
+	uses := func(f Formula) (found bool) { // names are apart, so any occurrence is the captured one
+		WalkTerms(f, func(t Term) {
+			v, isVar := t.(*Var)
+			found = found || isVar && captured(v.Name)
+		})
+		return found
+	}
+	// The outer side holds captured variables, one at least, none assigned
+	// from time: the general evaluator folds an atom over such a variable
+	// as time passes, which a frontier does not model.
+	outer := func(t Term) bool {
+		only, some := true, false
+		var tf func(Term)
+		tf = func(t Term) {
+			switch x := t.(type) {
+			case *Var:
+				only, some = only && captured(x.Name) && !timeVar(x.Name), true
+			case *Const:
+				only = only && x.V.IsNumeric()
+			case *Arith, *Neg:
+				TermChildren(t, nil, tf)
+			default:
+				only = false
+			}
+		}
+		tf(t)
+		return only && some
+	}
+	for _, f := range m.Conj {
+		c, isCmp := f.(*Cmp)
+		switch {
+		case !uses(f):
+		case !isCmp || c.Op == value.EQ || c.Op == value.NE:
+			return m, false
+		case m.Bound == nil && isBound(c, timeVar):
+			m.Bound = c
+		case m.Front == nil && Ground(c.L) && !nestedAgg(c.L) && outer(c.R):
+			m.Front, m.InnerLeft = c, true
+		case m.Front == nil && Ground(c.R) && !nestedAgg(c.R) && outer(c.L):
+			m.Front = c
+		default:
+			return m, false
+		}
+	}
+	return m, m.Bound != nil || m.Front != nil
+}
+
+// isBound reports whether c is `time >= t - k` or `time > t - k` for a
+// variable t timeVar accepts and an integer constant k that the instant
+// binding t passes itself, the bounded operators' form.
+func isBound(c *Cmp, timeVar func(string) bool) bool {
+	call, isCall := c.L.(*Call)
+	a, isArith := c.R.(*Arith)
+	if !isCall || call.Fn != "time" || len(call.Args) != 0 || !isArith || a.Op != value.Sub || c.Op != value.GE && c.Op != value.GT {
+		return false
+	}
+	v, isVar := a.L.(*Var)
+	k, isConst := a.R.(*Const)
+	return isVar && isConst && k.V.Kind() == value.Int && timeVar(v.Name) && (k.V.AsInt() > 0 || c.Op == value.GE && k.V.AsInt() == 0)
+}
+
 // FastShape reports whether core's register evaluator can run the
 // normalized condition norm, whose parameters (free variables) are free.
-// It can when no aggregate occurs, no assigned variable crosses a temporal
-// operator, and every parameter either crosses none — it is then evaluated
-// once per candidate value, like an assigned variable — or is the one
-// parameter, class, that does so only as an event argument or as a side of
-// an = or ≠ against a constant. Every value such atoms do not mention
-// behaves alike, so the class parameter's values share one register vector
-// until the history mentions them. A parameter used as a membership element
-// must test a query's relation, whose rows are its candidates. And every
-// parameter must be bound by an atom that offers its values (binds).
-func FastShape(norm Formula, free []string) (class string, ok bool) {
+// It can when every parameter either crosses no temporal operator — it is
+// then evaluated once per candidate value, like an assigned variable — or
+// is the one parameter, class, that does so only as an event argument or as
+// a side of an = or ≠ against a constant. Every value such atoms do not
+// mention behaves alike, so the class parameter's values share one register
+// vector until the history mentions them. A parameter used as a membership
+// element must test a query's relation, whose rows are its candidates. And
+// every parameter must be bound by an atom that offers its values (binds).
+// An assigned variable crosses no temporal operator, but for a since's
+// Metric atoms, in a condition with neither a class parameter nor an
+// aggregate; metrics lists the Metric of each such since. An aggregate may
+// occur in a closed condition whose assigned variables cross nothing, when
+// its formulas have that shape too. A condition with a metric since or an
+// aggregate must not read an assigned variable below an and or an or that
+// lies under its assignment.
+func FastShape(norm Formula, free []string) (class string, metrics []Metric, ok bool) {
 	ok = true
 	at := map[string]int{} // an assigned variable's temporal depth
-	depth := 0
+	timeVars := map[string]bool{}
+	conns, connAt := 0, map[string]int{} // and/or nodes above here, and above an assignment
+	folds := false                       // an and/or lies between an assignment and a read
+	depth, aggs := 0, false
 	param := func(name string) bool {
 		_, assigned := at[name]
 		return !assigned && slices.Contains(free, name)
@@ -373,6 +474,7 @@ func FastShape(norm Formula, free []string) (class string, ok bool) {
 	use := func(name string, plain bool) {
 		if d, assigned := at[name]; assigned {
 			ok = ok && d == depth
+			folds = folds || connAt[name] != conns
 		} else if depth > 0 && slices.Contains(free, name) {
 			ok = ok && plain && (class == "" || class == name)
 			class = name
@@ -385,20 +487,52 @@ func FastShape(norm Formula, free []string) (class string, ok bool) {
 		case *Var:
 			use(x.Name, false)
 		case *Agg:
-			ok = false
+			aggs = true
+			for _, g := range []Formula{x.Start, x.Sample} {
+				if g != nil {
+					_, m, sub := FastShape(g, nil)
+					ok = ok && sub && len(m) == 0 && len(free) == 0
+				}
+			}
+			tf(x.Q)
 		default:
 			TermChildren(t, ff, tf)
 		}
 	}
 	ff = func(f Formula) {
 		switch x := f.(type) {
-		case *Since, *Lasttime:
+		case *Since:
+			captured := func(v string) bool { d, assigned := at[v]; return assigned && d == depth }
+			if len(at) > 0 {
+				if m, split := splitMetric(x.R, captured, func(v string) bool { return captured(v) && timeVars[v] }); split {
+					m.Since = x
+					metrics = append(metrics, m)
+					if m.Front != nil {
+						WalkTerms(m.Front, func(t Term) {
+							if v, isVar := t.(*Var); isVar && captured(v.Name) {
+								folds = folds || connAt[v.Name] != conns
+							}
+						})
+					}
+				}
+			}
 			depth++
 			Children(f, ff, tf)
 			depth--
+		case *Lasttime:
+			depth++
+			Children(f, ff, tf)
+			depth--
+		case *And, *Or:
+			conns++
+			Children(f, ff, tf)
+			conns--
 		case *Assign:
 			tf(x.Q)
-			at[x.Var] = depth
+			at[x.Var], connAt[x.Var] = depth, conns
+			if call, isCall := x.Q.(*Call); isCall && call.Fn == "time" && len(call.Args) == 0 {
+				timeVars[x.Var] = true
+			}
 			ff(x.Body)
 			delete(at, x.Var)
 		case *EventAtom:
@@ -410,6 +544,9 @@ func FastShape(norm Formula, free []string) (class string, ok bool) {
 				}
 			}
 		case *Cmp:
+			if slices.ContainsFunc(metrics, func(m Metric) bool { return m.Bound == x || m.Front == x }) {
+				break // a metric atom: its inner side is ground
+			}
 			l, lv := x.L.(*Var)
 			r, rv := x.R.(*Var)
 			_, lc := x.L.(*Const)
@@ -440,7 +577,16 @@ func FastShape(norm Formula, free []string) (class string, ok bool) {
 	for _, p := range free {
 		ok = ok && binds(norm, p)
 	}
-	return class, ok
+	if len(metrics) > 0 && (class != "" || aggs) {
+		return class, nil, false
+	}
+	// An and or an or between an assignment and an atom that reads the
+	// variable lets the general evaluator fold the atom away unread when
+	// the other side decides (`[x <- q] (previously (p < x) or @e)` holds on
+	// @e whatever x is), where the fast path still evaluates it and may
+	// fail. A condition on the fast path only through metric registers or
+	// aggregates is kept general then; decomposable ones keep running fast.
+	return class, metrics, ok && !((len(metrics) > 0 || aggs) && folds)
 }
 
 // binds reports whether f can hold under a value of parameter p only where

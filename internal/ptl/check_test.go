@@ -139,8 +139,44 @@ func TestFastShape(t *testing.T) {
 		ok         bool
 	}{
 		{`previously (item("a") > 3)`, "", true},
-		{`[t <- time] previously (time >= t - 10)`, "", false},
-		{`sum(item("a"); @s; @w) > 3`, "", false},
+		// Bounded operators and captured values on metric registers, and
+		// aggregates over formulas of this class.
+		{`[t <- time] previously (time >= t - 10)`, "", true},
+		{`previously <= 5 (item("a") > 3) and throughout <= 2 @e`, "", true},
+		{`[t <- time] [x <- item("a")] previously (item("a") <= 0.5 * x and time >= t - 10)`, "", true},
+		{`[x <- item("a")] (@e since (2 * x > item("a")))`, "", true},
+		{`sum(item("a"); @s; @w) > 3`, "", true},
+		{`count(item("a"); window 4; lasttime @w) > 1 and previously @s`, "", true},
+		{`@e(U) and [t <- time] previously (time >= t - 3)`, "", true},
+		// What stays general: an equality, two separable atoms, a time
+		// variable in an ordering atom other than the bound, two operators
+		// crossed, a constant of another kind, a metric atom beside a
+		// class parameter or an aggregate.
+		{`[x <- item("a")] previously (item("a") = x)`, "", false},
+		{`[x <- item("a")] previously (item("a") < x and item("b") > x)`, "", false},
+		{`[t <- time] previously (item("a") > t - 3)`, "", false},
+		{`[t <- time] previously (time >= t - 2.5)`, "", false},
+		{`[t <- time] previously (time = t - 2)`, "", false},
+		{`[t <- time] previously lasttime (time >= t - 3)`, "", false},
+		{`[x <- item("a")] previously (item("b") < x + "s")`, "", false},
+		{`(not @logout(U)) since (@login(U) and [t <- time] previously (time >= t - 3))`, "", false},
+		{`previously <= 3 @login(U)`, "", false},
+		{`sum(item("a"); window 4; @w) > 1 and previously <= 3 @s`, "", false},
+		{`sum(item("a"); window 4; previously <= 3 @w) > 1`, "", false},
+		{`[x <- item("a")] previously (sum(item("b"); window 3; @e) < x)`, "", false},
+		// An and or an or between an assignment and a read of its variable
+		// — a frontier or any atom — where the general evaluator may fold
+		// the read away unread, in a condition with a metric register or an
+		// aggregate. A time bound there, a connective above the assignment,
+		// or a decomposable condition, is fine.
+		{`[x <- item("a")] (previously (item("b") < x) or @e)`, "", false},
+		{`[x <- item("a")] (@e and previously (item("b") < x))`, "", false},
+		{`[x <- item("a")] not (previously (item("b") < x) and @e)`, "", false},
+		{`[x <- item("a")] (item("b") > x or previously <= 3 @e)`, "", false},
+		{`[x <- item("a")] (item("b") > x or sum(item("a"); window 3; @e) > 1)`, "", false},
+		{`[t <- time] (@e or previously (item("a") > 3 and time >= t - 5))`, "", true},
+		{`@e or [x <- item("a")] not previously (item("b") < x)`, "", true},
+		{`[x <- item("a")] (item("b") > x or lasttime @e)`, "", true},
 		// Parameters off temporal operators may appear anywhere.
 		{`@tick(A, B) and A >= -1 and lasttime @go`, "", true},
 		{`executed(r1, X, T) and time = T + 10`, "", true},
@@ -162,7 +198,7 @@ func TestFastShape(t *testing.T) {
 	}
 	for _, c := range cases {
 		f := parse(t, c.src)
-		class, ok := FastShape(Desugar(RenameApart(f)), FreeVars(f))
+		class, _, ok := FastShape(Desugar(RenameApart(f)), FreeVars(f))
 		if ok != c.ok || ok && class != c.class {
 			t.Errorf("FastShape(%q) = %q, %t, want %q, %t", c.src, class, ok, c.class, c.ok)
 		}

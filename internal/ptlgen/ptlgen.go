@@ -33,6 +33,149 @@ func Registry() *query.Registry { return query.NewRegistry() }
 // every state may carry random events.
 func History(rng *rand.Rand, n int) *history.History { return build(rng, n, false) }
 
+// MetricHistory is History for MetricFormula: an item update is a Float
+// one time in four, Null one time in twelve, and one time in sixty each a
+// string, a boolean and a relation, so values of mixed kinds meet in
+// comparisons now and then.
+func MetricHistory(rng *rand.Rand, n int) *history.History {
+	b := history.NewBuilder(history.EmptyDB().With("a", value.NewInt(5)).With("b", value.NewInt(5)).With("c", value.NewInt(5)), 0)
+	for i := 0; i < n; i++ {
+		ts := b.Now() + int64(1+rng.Intn(3))
+		events := randomEvents(rng, false)
+		if rng.Intn(3) == 0 {
+			if len(events) == 0 {
+				events = append(events, event.New("tick"))
+			}
+			if err := b.Event(ts, events...); err != nil {
+				panic(fmt.Sprintf("ptlgen: event: %v", err))
+			}
+			continue
+		}
+		updates := map[string]value.Value{}
+		for k := 0; k < 1+rng.Intn(2); k++ {
+			v := value.NewInt(int64(rng.Intn(10)))
+			switch r := rng.Intn(60); {
+			case r == 0:
+				v = value.NewString("s")
+			case r == 1:
+				v = value.NewBool(rng.Intn(2) == 0)
+			case r == 2:
+				v = relation(rng)
+			case r < 10:
+				v = value.Value{}
+			case r < 21:
+				v = value.NewFloat(float64(rng.Intn(20)) / 2)
+			}
+			updates[Items[rng.Intn(len(Items))]] = v
+		}
+		if err := b.Commit(ts, int64(i+1), updates, events...); err != nil {
+			panic(fmt.Sprintf("ptlgen: commit: %v", err))
+		}
+	}
+	return b.History()
+}
+
+// MetricFormula generates a closed formula of the shapes the fast path
+// holds on metric registers, beside a few it does not: one to three of
+// bounded since, previously (sometimes or'ed with a read of a value
+// captured outside it) and throughout over closed bodies; the
+// paper's doubled-within-d shape with a random item (or product of two),
+// bound, coefficient, comparison, orientation and left side, sometimes
+// without the bound, with a second conjunct or beside an atom inside the
+// assignments; and windowed (sometimes started) sums, counts, minima and
+// maxima over closed sampling formulas — joined by and, or and
+// not, and one time in five conjoined to @e1(U), which gives the formula a
+// parameter that crosses no temporal operator.
+func MetricFormula(rng *rand.Rand) ptl.Formula {
+	g := &gen{rng: rng}
+	f := g.metric()
+	for k := rng.Intn(3); k > 0; k-- {
+		if rng.Intn(2) == 0 {
+			f = &ptl.And{L: f, R: g.metric()}
+		} else {
+			f = &ptl.Or{L: &ptl.Not{F: f}, R: g.metric()}
+		}
+	}
+	if rng.Intn(5) == 0 {
+		f = &ptl.And{L: ptl.Ev("e1", ptl.V("U")), R: f}
+	}
+	return f
+}
+
+func (g *gen) metric() ptl.Formula {
+	bound := int64(1 + g.rng.Intn(8))
+	switch g.rng.Intn(8) {
+	case 0:
+		return &ptl.Since{L: g.formula(1, nil), R: g.formula(1, nil), Bound: bound}
+	case 1:
+		var f ptl.Formula = &ptl.Previously{F: g.formula(1+g.rng.Intn(2), nil), Bound: bound}
+		if g.rng.Intn(4) == 0 { // beside a read of a value captured outside it
+			f = ptl.Let("y", g.item(), &ptl.Or{L: f, R: ptl.Compare(value.GT, g.item(), ptl.V("y"))})
+		}
+		return f
+	case 2:
+		return &ptl.Throughout{F: g.formula(1, nil), Bound: bound}
+	case 3, 4:
+		fns := []ptl.AggFn{ptl.AggSum, ptl.AggCount, ptl.AggSum, ptl.AggCount, ptl.AggMin, ptl.AggMax}
+		ops := []value.CmpOp{value.LT, value.LE, value.GT, value.GE}
+		var a *ptl.Agg
+		if g.rng.Intn(4) == 0 {
+			a = ptl.NewAgg(fns[g.rng.Intn(len(fns))], g.item(), g.atom(nil), g.formula(1, nil))
+		} else {
+			a = ptl.NewWindowAgg(fns[g.rng.Intn(len(fns))], g.item(), int64(1+g.rng.Intn(12)), g.formula(1, nil))
+		}
+		return ptl.Compare(ops[g.rng.Intn(len(ops))], a, ptl.CInt(int64(g.rng.Intn(20))))
+	default:
+		return g.doubled(bound)
+	}
+}
+
+// doubled is `[t <- time] [x <- q] (g since (item OP c * x and time >= t -
+// d))` in its variations, the since sometimes or'ed with an atom or
+// conjoined to one.
+func (g *gen) doubled(d int64) ptl.Formula {
+	ops := []value.CmpOp{value.LT, value.LE, value.GT, value.GE, value.LE, value.GE}
+	coef := []ptl.Term{ptl.CFloat(0.5), ptl.CInt(2), ptl.CInt(1), ptl.CFloat(-1.5)}[g.rng.Intn(4)]
+	item := ptl.Term(g.item())
+	if g.rng.Intn(5) == 0 {
+		item = &ptl.Arith{Op: value.Mul, L: item, R: g.item()}
+	}
+	outer := ptl.Term(&ptl.Arith{Op: value.Mul, L: coef, R: ptl.V("x")})
+	if g.rng.Intn(4) == 0 {
+		outer = ptl.V("x")
+	}
+	var h ptl.Formula = ptl.Compare(ops[g.rng.Intn(len(ops))], item, outer)
+	if g.rng.Intn(3) == 0 {
+		h = ptl.Compare(ops[g.rng.Intn(len(ops))], outer, item)
+	}
+	switch g.rng.Intn(6) {
+	case 0: // unbounded: the frontier is one extremum
+	case 1:
+		h = &ptl.And{L: h, R: ptl.Compare(value.GT, ptl.Time(), &ptl.Arith{Op: value.Sub, L: ptl.V("t"), R: ptl.CInt(d)})}
+	default:
+		h = &ptl.And{L: h, R: ptl.Compare(value.GE, ptl.Time(), &ptl.Arith{Op: value.Sub, L: ptl.V("t"), R: ptl.CInt(d)})}
+	}
+	if g.rng.Intn(3) == 0 {
+		h = &ptl.And{L: g.atom(nil), R: h}
+	}
+	left := ptl.TTrue
+	if g.rng.Intn(3) == 0 {
+		left = g.formula(1, nil)
+	}
+	q := ptl.Term(item)
+	if g.rng.Intn(4) == 0 {
+		q = g.item()
+	}
+	var f ptl.Formula = &ptl.Since{L: left, R: h, Bound: ptl.Unbounded}
+	switch g.rng.Intn(12) { // a connective inside the assignments
+	case 0:
+		f = &ptl.Or{L: f, R: g.atom(nil)}
+	case 1:
+		f = &ptl.And{L: g.atom(nil), R: f}
+	}
+	return ptl.Let("t", ptl.Time(), ptl.Let("x", q, f))
+}
+
 // ParamHistory is History for ParamFormula: event arguments are Null one
 // time in five, and item "rel" holds a one-column relation of small
 // integers that some commits replace.
