@@ -34,7 +34,8 @@ vulncheck:
 	else \
 		echo "vulncheck: govulncheck not installed, skipping"; fi
 
-# depcheck keeps the paper's baselines and oracles (naive, ee, future), the
+# depcheck keeps the paper's baselines and oracles (naive, ee), its §9
+# valid-time and §6.1.1 aggregate-rewriting reproductions (vtime, agg), the
 # experiment harnesses and the generators out of the serving binaries: they
 # stay in the repository as references, not as something a server links.
 # It also keeps internal/relation out of internal/adb's direct imports: the
@@ -42,7 +43,7 @@ vulncheck:
 # copy of history (the deleted auxiliary relations) must not creep back.
 depcheck:
 	@out=$$($(GO) list -deps ./cmd/adbserverd ./cmd/adbrouterd ./cmd/adbsh | \
-		grep -E '^ptlactive/internal/(naive|ee|future|experiments|ptlgen|workload)$$'); \
+		grep -E '^ptlactive/internal/(naive|ee|vtime|agg|experiments|ptlgen|workload)$$'); \
 	if [ -n "$$out" ]; then \
 		echo "serving binaries link reference-only packages:"; echo "$$out"; exit 1; fi
 	@out=$$($(GO) list -f '{{join .Imports "\n"}}' ./internal/adb | grep -x 'ptlactive/internal/relation'); \

@@ -278,25 +278,6 @@ func BenchmarkAblationDecomposable(b *testing.B) {
 	}
 }
 
-// BenchmarkExtensionFutureProgression measures the future-operator monitor
-// (the paper's Section-11 extension) on bounded vs unbounded obligations.
-func BenchmarkExtensionFutureProgression(b *testing.B) {
-	for _, bounded := range []bool{false, true} {
-		name := "unbounded"
-		if bounded {
-			name = "bounded"
-		}
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				v, _, _ := experiments.FutureMonitorRun(1000, bounded)
-				if v == 0 {
-					b.Fatal("no verdicts")
-				}
-			}
-		})
-	}
-}
-
 // persistBenchEngine builds a durable engine in dir with one temporal rule
 // and n committed states, checkpointing (or not) so the WAL tail has the
 // requested length.

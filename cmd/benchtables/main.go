@@ -1,5 +1,5 @@
 // Command benchtables regenerates every experiment table of
-// EXPERIMENTS.md and prints them: E1-E9, A1 and A2, one per reproduced
+// EXPERIMENTS.md and prints them: E1-E9 and A1, one per reproduced
 // claim of the paper, and the counted tables E10, E12, E13, E14 and E17 of
 // the system built around it. The tables are printed, never compared with
 // committed numbers — timings that are live in bench/ (BENCHMARK.json).

@@ -57,30 +57,6 @@ func ExampleActionContext_Param() {
 	// Output: login: "alice"
 }
 
-// Future-logic monitoring (the paper's Section-11 future work): SLA
-// verdicts by formula progression.
-func ExampleCompileFuture() {
-	reg := ptlactive.NewRegistry()
-	mon, _ := ptlactive.CompileFuture(`eventually <= 10 (item("done") = 1)`, reg, nil)
-	eng := ptlactive.NewEngine(ptlactive.Config{
-		Initial: map[string]ptlactive.Value{"done": ptlactive.Int(0)},
-	})
-	_ = eng.Exec(5, map[string]ptlactive.Value{"done": ptlactive.Int(1)})
-	h := eng.History()
-	for i := 0; i < h.Len(); i++ {
-		rs, _ := mon.Step(h.At(i))
-		for _, r := range rs {
-			fmt.Printf("t=%d holds=%t\n", r.Time, r.Holds)
-		}
-	}
-	for _, r := range mon.Finish() {
-		fmt.Printf("t=%d holds=%t (end of trace)\n", r.Time, r.Holds)
-	}
-	// Output:
-	// t=0 holds=true
-	// t=5 holds=true
-}
-
 // Valid time (Section 9): a retroactive update fires a tentative trigger
 // for a past instant.
 func ExampleValidStore() {

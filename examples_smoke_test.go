@@ -19,7 +19,6 @@ func TestExamplesRun(t *testing.T) {
 		"./examples/validtime":    "definite  trigger fired",
 		"./examples/sessions":     "violations detected",
 		"./examples/stockmonitor": "run finished",
-		"./examples/futurewatch":  "SLA VIOLATED",
 		"./examples/recovery":     "recovered",
 		"./examples/remote":       "server drained cleanly",
 		"./examples/cluster":      "cluster drained cleanly",

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"ptlactive/internal/event"
+	"ptlactive/internal/persist"
 	"ptlactive/internal/ptl"
 	"ptlactive/internal/value"
 )
@@ -566,5 +567,76 @@ func TestEventAtomsUnderAggregateConnective(t *testing.T) {
 	}
 	if fs := e.Firings(); len(fs) != 1 || fs[0].Time != 3 {
 		t.Fatalf("firings = %v, want one at 3 (sum 2 > 1 once @u samples)", fs)
+	}
+}
+
+// TestEmitAfterNaNCommit: an event-only state keeps the database it
+// follows, and "keeps" is identity, not the logic's =, under which a NaN
+// item differs from itself. So an Emit after a commit that stored NaN is
+// accepted, in an engine of one item (a small map, compared value by value)
+// and of many.
+func TestEmitAfterNaNCommit(t *testing.T) {
+	for _, n := range []int{1, 20} {
+		initial := map[string]value.Value{}
+		for i := 0; i < n; i++ {
+			initial[string(rune('a'+i))] = value.NewInt(0)
+		}
+		e := newTestEngine(t, initial)
+		if err := e.ExecTxn(1, map[string]value.Value{"a": value.NewFloat(math.NaN())}, nil); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Emit(2, event.New("tick")); err != nil {
+			t.Fatalf("%d items: Emit after a NaN commit: %v", n, err)
+		}
+	}
+}
+
+// TestFutureConditionsRefused: the future operators are not part of the
+// language, so a trigger or constraint that writes one is refused when it
+// is added, and a durable engine logs no rule for it; the one past rule
+// added after them is its log's only addrule.
+func TestFutureConditionsRefused(t *testing.T) {
+	e, err := Restore(Config{Durability: DurabilityWAL, NoFsync: true, Initial: map[string]value.Value{"a": value.NewInt(0)}}, t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	for _, cond := range []string{
+		`eventually (item("a") > 100)`,
+		`always <= 60 (item("a") > 0)`,
+		`nexttime @tick`,
+		`@a until <= 5 @b`,
+		`(@a until @b) or eventually @c`,
+	} {
+		if err := e.AddTrigger("t", cond, nil); err == nil {
+			t.Errorf("AddTrigger(%q) accepted", cond)
+		}
+		if err := e.AddConstraint("c", cond); err == nil {
+			t.Errorf("AddConstraint(%q) accepted", cond)
+		}
+	}
+	if err := e.AddTrigger("past", `previously @a`, nil); err != nil {
+		t.Fatal(err)
+	}
+	chunks, err := e.WALReadFrom(1, 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var whole []byte
+	for _, c := range chunks {
+		whole = append(whole, c.Data...)
+	}
+	recs, _, err := persist.ParseFrames(whole)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var added []string
+	for _, r := range recs {
+		if r.Kind == persist.KindAddRule {
+			added = append(added, r.Name)
+		}
+	}
+	if len(added) != 1 || added[0] != "past" {
+		t.Fatalf("the log's addrule records name %v, want [past]", added)
 	}
 }

@@ -44,9 +44,6 @@ import (
 // rewritten rule, so within each sweep resets and accumulations execute
 // before the consuming rule's next evaluation.
 func RewriteCondition(eng *adb.Engine, ruleName string, condition ptl.Formula) (ptl.Formula, error) {
-	if ptl.HasFuture(condition) {
-		return nil, fmt.Errorf("agg: condition has a future operator; the rewriting is for past conditions")
-	}
 	r := &rewriter{eng: eng, rule: ruleName}
 	r.ff, r.tf = r.formula, r.term
 	out := r.formula(condition)

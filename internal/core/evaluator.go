@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"ptlactive/internal/history"
@@ -673,7 +674,7 @@ func (s *aggState) step(st history.SystemState, dbUnchanged bool) error {
 	if s.agg.Window >= 0 {
 		s.started = true
 		// Evict samples that fell out of the window.
-		cutoff := st.TS - s.agg.Window
+		cutoff, head := st.TS-s.agg.Window, s.head
 		for s.head < len(s.times) && s.times[s.head] < cutoff {
 			nsum, err := value.Arith(value.Sub, s.sum, s.samples[s.head])
 			if err != nil {
@@ -682,6 +683,18 @@ func (s *aggState) step(st history.SystemState, dbUnchanged bool) error {
 			s.sum = nsum
 			s.count--
 			s.head++
+		}
+		if f := s.sum.AsFloat(); s.head > head && (math.IsNaN(f) || math.IsInf(f, 0)) {
+			// An infinity or NaN that left cannot be subtracted out
+			// (∞ - ∞ is NaN): sum the live samples afresh.
+			s.sum = value.NewInt(0)
+			for _, v := range s.samples[s.head:] {
+				nsum, err := value.Arith(value.Add, s.sum, v)
+				if err != nil {
+					return err
+				}
+				s.sum = nsum
+			}
 		}
 		if 2*s.head > len(s.times) {
 			n := copy(s.samples, s.samples[s.head:])

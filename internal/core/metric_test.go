@@ -240,31 +240,13 @@ func TestAutoMatchesGeneralOnEveryFamily(t *testing.T) {
 // TestFrontierNaN: a NaN orders equal to every number, so it satisfies <=
 // and >= always and < and > never; a frontier ranks it accordingly beside
 // infinities and ordinary numbers, fast and restored alike, as the general
-// evaluator and naive decide.
+// evaluator and naive decide. A windowed sum joins them: once an infinity
+// has left its window, the sum is that of the samples still in it, not the
+// NaN of ∞ - ∞.
 func TestFrontierNaN(t *testing.T) {
 	reg := ptlgen.Registry()
-	vals := []value.Value{value.NewFloat(math.NaN()), value.NewFloat(math.Inf(1)), value.NewFloat(math.Inf(-1)),
-		value.NewInt(1), value.NewFloat(2.5), value.NewInt(3)}
-	for seed := 0; seed < 200; seed++ {
-		rng := rand.New(rand.NewSource(int64(seed)))
-		b := history.NewBuilder(history.EmptyDB().With("a", value.NewInt(2)).With("b", value.NewInt(2)), 0)
-		for i := 1; i < 16; i++ { // commits only: a NaN item never equals itself
-			upd := map[string]value.Value{"a": vals[rng.Intn(len(vals))], "b": vals[rng.Intn(len(vals))]}
-			if err := b.Commit(int64(2*i), int64(i), upd); err != nil {
-				t.Fatal(err)
-			}
-		}
-		h := b.History()
-		op := []string{"<", "<=", ">", ">="}[seed%4]
-		atom := `item("b") ` + op + ` x`
-		if seed%8 >= 4 {
-			atom = `x ` + op + ` item("b")`
-		}
-		bound := ` and time >= t - 5`
-		if seed%3 == 0 {
-			bound = ""
-		}
-		f := mustParse(t, `[t <- time] [x <- item("a")] previously (`+atom+bound+`)`)
+	check := func(name string, f ptl.Formula, h *history.History) {
+		t.Helper()
 		info, err := ptl.Check(f, reg)
 		if err != nil {
 			t.Fatal(err)
@@ -277,7 +259,7 @@ func TestFrontierNaN(t *testing.T) {
 		oracle := naive.New(reg, h, nil)
 		var restored ConditionEvaluator
 		for i := 0; i < h.Len(); i++ {
-			if i == 8 {
+			if i == h.Len()/2 {
 				restored = restoreCopy(t, fast, info, reg, nil)
 			}
 			want, werr := general.StepResult(h.At(i))
@@ -287,9 +269,38 @@ func TestFrontierNaN(t *testing.T) {
 					continue
 				}
 				if got, err := ev.StepResult(h.At(i)); err != nil || werr != nil || nerr != nil || got.Fired != want.Fired || got.Fired != holds {
-					t.Fatalf("seed %d state %d: %T %t %v, general %t %v, naive %t %v\n%s", seed, i, ev, got.Fired, err, want.Fired, werr, holds, nerr, f)
+					t.Fatalf("%s state %d: %T %t %v, general %t %v, naive %t %v\n%s", name, i, ev, got.Fired, err, want.Fired, werr, holds, nerr, f)
 				}
 			}
 		}
 	}
+	vals := []value.Value{value.NewFloat(math.NaN()), value.NewFloat(math.Inf(1)), value.NewFloat(math.Inf(-1)),
+		value.NewInt(1), value.NewFloat(2.5), value.NewInt(3)}
+	for seed := 0; seed < 200; seed++ {
+		rng := rand.New(rand.NewSource(int64(seed)))
+		b := history.NewBuilder(history.EmptyDB().With("a", value.NewInt(2)).With("b", value.NewInt(2)), 0)
+		for i := 1; i < 16; i++ {
+			upd := map[string]value.Value{"a": vals[rng.Intn(len(vals))], "b": vals[rng.Intn(len(vals))]}
+			if err := b.Commit(int64(2*i), int64(i), upd); err != nil {
+				t.Fatal(err)
+			}
+		}
+		op := []string{"<", "<=", ">", ">="}[seed%4]
+		atom := `item("b") ` + op + ` x`
+		if seed%8 >= 4 {
+			atom = `x ` + op + ` item("b")`
+		}
+		bound := ` and time >= t - 5`
+		if seed%3 == 0 {
+			bound = ""
+		}
+		check(fmt.Sprintf("seed %d", seed), mustParse(t, `[t <- time] [x <- item("a")] previously (`+atom+bound+`)`), b.History())
+	}
+	b := history.NewBuilder(history.EmptyDB().With("a", value.NewInt(0)), 0)
+	for i, v := range []value.Value{value.NewInt(1), value.NewFloat(math.Inf(1)), value.NewInt(1), value.NewInt(1), value.NewInt(1), value.NewInt(1)} {
+		if err := b.Commit(int64(i+1), int64(i+1), map[string]value.Value{"a": v}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("window", mustParse(t, `sum(item("a"); window 2; true) > 0`), b.History())
 }

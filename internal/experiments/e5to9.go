@@ -11,7 +11,6 @@ import (
 	"ptlactive/internal/core"
 	"ptlactive/internal/ee"
 	"ptlactive/internal/event"
-	"ptlactive/internal/future"
 	"ptlactive/internal/history"
 	"ptlactive/internal/ptl"
 	"ptlactive/internal/query"
@@ -540,65 +539,6 @@ func E9TemporalActions(quick bool) Table {
 	t.Rows = append(t.Rows, []string{
 		fmt.Sprint(states), fmt.Sprint(buys), fmtDur(dur, states), fmtDur(base, states),
 	})
-	return t
-}
-
-// FutureMonitorRun monitors a future SLA condition over n stock updates
-// and returns verdict count, peak pending obligations and elapsed time
-// (the A2 kernel).
-func FutureMonitorRun(n int, bounded bool) (verdicts, peakPending int, dur time.Duration) {
-	cond := `eventually (item("px_IBM") >= 1000000)` // never satisfied: worst case
-	if bounded {
-		cond = `eventually <= 20 (item("px_IBM") >= 1000000)`
-	}
-	reg := query.NewRegistry()
-	m, err := future.Compile(cond, reg, nil)
-	if err != nil {
-		panic(err)
-	}
-	h := workload.Stocks(rand.New(rand.NewSource(13)), workload.DefaultStockConfig(), n)
-	start := time.Now()
-	for i := 0; i < h.Len(); i++ {
-		rs, err := m.Step(h.At(i))
-		if err != nil {
-			panic(err)
-		}
-		verdicts += len(rs)
-		if p := m.Pending(); p > peakPending {
-			peakPending = p
-		}
-	}
-	verdicts += len(m.Finish())
-	return verdicts, peakPending, time.Since(start)
-}
-
-// A2FutureProgression measures the future-operator monitor (the paper's
-// Section-11 extension): per-state cost and pending-obligation growth for
-// bounded vs unbounded eventualities.
-func A2FutureProgression(quick bool) Table {
-	n := 5000
-	if quick {
-		n = 1000
-	}
-	t := Table{
-		ID:     "A2",
-		Title:  "extension: future-operator progression monitor (eventually, never satisfied)",
-		Header: []string{"states", "variant", "verdicts", "peak pending", "us/state"},
-		Notes: "an unbounded unsatisfied eventuality keeps one obligation per state open until " +
-			"the trace ends; the bounded form expires each obligation at its deadline, so pending " +
-			"state stays within the window — the future-logic analogue of the Section-5 " +
-			"time-bound optimization.",
-	}
-	for _, bounded := range []bool{false, true} {
-		name := "unbounded"
-		if bounded {
-			name = "bounded <= 20"
-		}
-		v, p, d := FutureMonitorRun(n, bounded)
-		t.Rows = append(t.Rows, []string{
-			fmt.Sprint(n + 1), name, fmt.Sprint(v), fmt.Sprint(p), fmtDur(d, n+1),
-		})
-	}
 	return t
 }
 

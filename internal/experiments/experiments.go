@@ -4,7 +4,7 @@
 // kernels as Go benchmarks.
 //
 // The paper's evaluation is qualitative (no numbered tables or figures),
-// so E1-E9, A1 and A2 each operationalize one measurable claim of the
+// so E1-E9 and A1 each operationalize one measurable claim of the
 // paper; the expected shape is stated in each table's Notes and the
 // numbers are printed, never compared against committed ones. E10, E12,
 // E13 and E17 cover the system built around the paper and report only
@@ -108,7 +108,6 @@ var Catalog = []struct {
 	{"E14", E14Cluster},
 	{"E17", E17BoundedDisk},
 	{"A1", A1DecomposableFastPath},
-	{"A2", A2FutureProgression},
 }
 
 // All runs every experiment. quick shrinks the sweeps for CI-speed runs.

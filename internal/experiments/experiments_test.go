@@ -18,8 +18,8 @@ func TestAllExperimentsRun(t *testing.T) {
 		t.Skip("experiments are slow")
 	}
 	tables := All(true)
-	if len(tables) != 17 {
-		t.Fatalf("expected 17 tables (E1-E10, E7b, E12, E13, E14, E17, A1, A2), got %d", len(tables))
+	if len(tables) != 16 {
+		t.Fatalf("expected 16 tables (E1-E10, E7b, E12, E13, E14, E17, A1), got %d", len(tables))
 	}
 	byID := map[string]Table{}
 	for _, tab := range tables {

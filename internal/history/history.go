@@ -182,13 +182,15 @@ func (h *History) States() []SystemState { return h.states }
 //     a single state, so distinct states have distinct times);
 //   - at most one transaction_commit event per state;
 //   - the database state may differ from its predecessor only when the
-//     event set contains a transaction_commit.
+//     event set contains a transaction_commit. "Differ" is identity
+//     (value.Identical), not the logic's =, under which a NaN item would
+//     differ from itself.
 func (h *History) Append(s SystemState) error {
 	if prev, ok := h.Last(); ok {
 		if s.TS <= prev.TS {
 			return fmt.Errorf("history: timestamp %d not after previous %d", s.TS, prev.TS)
 		}
-		if s.Events.CommitCount() == 0 && !s.DB.Equal(prev.DB) {
+		if s.Events.CommitCount() == 0 && !s.DB.m.Equal(prev.DB.m, value.Value.Identical) {
 			return fmt.Errorf("history: database changed at %d without a transaction_commit event", s.TS)
 		}
 	}

@@ -246,69 +246,6 @@ func (ev *Evaluator) sat(i int, f ptl.Formula, env Env) (bool, error) {
 			return false, err
 		}
 		return ev.sat(i, x.Body, env.with(x.Var, v))
-	case *ptl.Until:
-		// Finite-trace semantics: ∃ j in [i, end]: R at j (within bound)
-		// and L at every k in [i, j).
-		for j := i; j < ev.hist.Len(); j++ {
-			if x.Bound >= 0 && ev.hist.At(j).TS > st.TS+x.Bound {
-				break
-			}
-			r, err := ev.sat(j, x.R, env)
-			if err != nil {
-				return false, err
-			}
-			if r {
-				ok := true
-				for k := i; k < j; k++ {
-					l, err := ev.sat(k, x.L, env)
-					if err != nil {
-						return false, err
-					}
-					if !l {
-						ok = false
-						break
-					}
-				}
-				if ok {
-					return true, nil
-				}
-			}
-		}
-		return false, nil
-	case *ptl.Nexttime:
-		// Strong next: false at the final state.
-		if i+1 >= ev.hist.Len() {
-			return false, nil
-		}
-		return ev.sat(i+1, x.F, env)
-	case *ptl.Eventually:
-		for j := i; j < ev.hist.Len(); j++ {
-			if x.Bound >= 0 && ev.hist.At(j).TS > st.TS+x.Bound {
-				break
-			}
-			b, err := ev.sat(j, x.F, env)
-			if err != nil {
-				return false, err
-			}
-			if b {
-				return true, nil
-			}
-		}
-		return false, nil
-	case *ptl.Always:
-		for j := i; j < ev.hist.Len(); j++ {
-			if x.Bound >= 0 && ev.hist.At(j).TS > st.TS+x.Bound {
-				break
-			}
-			b, err := ev.sat(j, x.F, env)
-			if err != nil {
-				return false, err
-			}
-			if !b {
-				return false, nil
-			}
-		}
-		return true, nil
 	default:
 		return false, fmt.Errorf("naive: unknown formula %T", f)
 	}

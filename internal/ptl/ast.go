@@ -205,37 +205,6 @@ type Assign struct {
 	Body Formula
 }
 
-// Until is the basic *future* operator of the paper's companion logic
-// ([Sistla & Wolfson 93], listed as future work in Section 11): L Until R
-// holds at instant i iff R holds at some instant j >= i and L holds at
-// every instant in [i, j). Bound >= 0 restricts j to within Bound time
-// units of i. Future operators are interpreted over finite traces (the
-// trace end resolves pending Untils to false) and are monitored by
-// internal/future; the incremental past engine rejects them.
-type Until struct {
-	L, R  Formula
-	Bound int64
-}
-
-// Nexttime holds at i iff instant i+1 exists and F holds there (strong
-// next: false at the final state of a finite trace).
-type Nexttime struct {
-	F Formula
-}
-
-// Eventually is the derived operator true Until F. Bound as in Until.
-type Eventually struct {
-	F     Formula
-	Bound int64
-}
-
-// Always is the derived operator not Eventually not F: F holds at every
-// remaining instant (within Bound, when bounded).
-type Always struct {
-	F     Formula
-	Bound int64
-}
-
 func (*BoolConst) isFormula()  {}
 func (*Cmp) isFormula()        {}
 func (*EventAtom) isFormula()  {}
@@ -249,10 +218,6 @@ func (*Lasttime) isFormula()   {}
 func (*Previously) isFormula() {}
 func (*Throughout) isFormula() {}
 func (*Assign) isFormula()     {}
-func (*Until) isFormula()      {}
-func (*Nexttime) isFormula()   {}
-func (*Eventually) isFormula() {}
-func (*Always) isFormula()     {}
 
 // Unbounded is the Bound value of an unbounded temporal operator.
 const Unbounded = int64(-1)
@@ -406,20 +371,6 @@ func (f *Assign) String() string {
 	return fmt.Sprintf("[%s <- %s] %s", f.Var, f.Q, f.Body)
 }
 
-func (f *Until) String() string {
-	return fmt.Sprintf("(%s until%s %s)", f.L, bound(f.Bound), f.R)
-}
-
-func (f *Nexttime) String() string { return fmt.Sprintf("nexttime (%s)", f.F) }
-
-func (f *Eventually) String() string {
-	return fmt.Sprintf("eventually%s (%s)", bound(f.Bound), f.F)
-}
-
-func (f *Always) String() string {
-	return fmt.Sprintf("always%s (%s)", bound(f.Bound), f.F)
-}
-
 // ---- Structural equality ----
 
 // EqualTerms reports structural equality of two terms.
@@ -528,18 +479,6 @@ func Equal(a, b Formula) bool {
 	case *Assign:
 		y, ok := b.(*Assign)
 		return ok && x.Var == y.Var && EqualTerms(x.Q, y.Q) && Equal(x.Body, y.Body)
-	case *Until:
-		y, ok := b.(*Until)
-		return ok && x.Bound == y.Bound && Equal(x.L, y.L) && Equal(x.R, y.R)
-	case *Nexttime:
-		y, ok := b.(*Nexttime)
-		return ok && Equal(x.F, y.F)
-	case *Eventually:
-		y, ok := b.(*Eventually)
-		return ok && x.Bound == y.Bound && Equal(x.F, y.F)
-	case *Always:
-		y, ok := b.(*Always)
-		return ok && x.Bound == y.Bound && Equal(x.F, y.F)
 	default:
 		return false
 	}
@@ -589,27 +528,13 @@ func EventNames(f Formula) []string {
 	return sortedNames(seen)
 }
 
-// HasFuture reports whether the formula contains a future operator
-// (until, nexttime, eventually, always).
-func HasFuture(f Formula) bool {
-	found := false
-	Walk(f, func(g Formula) {
-		switch g.(type) {
-		case *Until, *Nexttime, *Eventually, *Always:
-			found = true
-		}
-	})
-	return found
-}
-
 // HasTemporal reports whether the formula contains a temporal operator or
 // aggregate; non-temporal conditions only need the current state.
 func HasTemporal(f Formula) bool {
 	found := false
 	Walk(f, func(g Formula) {
 		switch g.(type) {
-		case *Since, *Lasttime, *Previously, *Throughout, *Executed,
-			*Until, *Nexttime, *Eventually, *Always:
+		case *Since, *Lasttime, *Previously, *Throughout, *Executed:
 			found = true
 		}
 	})

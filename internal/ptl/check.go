@@ -277,8 +277,6 @@ func (c *checker) formula(f Formula) error {
 			return err
 		}
 		return c.formula(x.R)
-	case *Until, *Nexttime, *Eventually, *Always:
-		return fmt.Errorf("ptl: future operator %T: the incremental past engine cannot evaluate it; monitor it with internal/future", x)
 	case *Since:
 		if x.Bound >= 0 {
 			return fmt.Errorf("ptl: internal: bounded since survived desugaring")

@@ -71,10 +71,6 @@ func (d *desugarer) formula(f Formula) Formula {
 		return d.formula(&Since{L: TTrue, R: x.F, Bound: x.Bound})
 	case *Throughout:
 		return &Not{F: d.formula(&Previously{F: &Not{F: x.F}, Bound: x.Bound})}
-	case *Eventually:
-		return &Until{L: TTrue, R: d.formula(x.F), Bound: x.Bound}
-	case *Always:
-		return &Not{F: &Until{L: TTrue, R: d.formula(&Not{F: x.F}), Bound: x.Bound}}
 	default:
 		return MapChildren(f, d.ff, d.tf)
 	}

@@ -14,9 +14,9 @@ func FuzzParse(f *testing.F) {
 		`avg(price("IBM"); window 60; @update_stocks) > 70`,
 		`sum(p(); time = 540; time mod 60 = 0) / sum(1; time = 540; true) > 70`,
 		`executed(r1, X, T) and time = T + 10`,
-		`eventually <= 30 (item("done") = 1) until always @a`,
+		`previously <= 30 (item("done") = 1) since throughout @a`,
 		`(A, B) in pairs() or 1 + 2 * 3 != -4`,
-		`throughout <= 5 nexttime lasttime true`,
+		`throughout <= 5 lasttime lasttime true`,
 		"x = \"a\\\"b\\n\"",
 		`# comment only`,
 		"true",

@@ -18,16 +18,14 @@ const normalGolden = "testdata/normal.golden"
 
 // goldenByHand are shapes ptlgen never draws: bounded operators and
 // re-bound variables in both formulas of one aggregate (which of the two
-// gets the lower fresh name is part of the normal form), future operators,
-// executed, membership and free variables under a shadowing assignment.
+// gets the lower fresh name is part of the normal form), executed,
+// membership and free variables under a shadowing assignment.
 var goldenByHand = []string{
 	`sum(item("a"); previously <= 3 @s; (throughout <= 4 @u since <= 5 @w)) > 1`,
 	`[x <- item("a")] avg(item("b"); [x <- time] x > 3; [x <- item("c")] lasttime x < 2) > x`,
 	`[x <- item("a")] ([x <- item("b")] x > 1 and [x <- time] previously <= 2 x > Y)`,
-	`eventually <= 30 (item("done") = 1) until always <= 4 @a(X)`,
 	`executed(r1, X, T) and time = T + 10 and (A, X) in pairs()`,
 	`[X <- item("a")] (X > 1 and previously [Y <- time] @e(X, Y, Z)) or X = - Z`,
-	`count(item("a"); window 5; nexttime @w) >= min(item("a"); @s; @u or lasttime @w)`,
 }
 
 var genVar = regexp.MustCompile(`x[0-9]+`)

@@ -125,32 +125,18 @@ func (p *parser) formula() (Formula, error) {
 	if err != nil {
 		return nil, err
 	}
-	for {
-		switch {
-		case p.acceptKw("since"):
-			b, err := p.optBound()
-			if err != nil {
-				return nil, err
-			}
-			r, err := p.orExpr()
-			if err != nil {
-				return nil, err
-			}
-			l = &Since{L: l, R: r, Bound: b}
-		case p.acceptKw("until"):
-			b, err := p.optBound()
-			if err != nil {
-				return nil, err
-			}
-			r, err := p.orExpr()
-			if err != nil {
-				return nil, err
-			}
-			l = &Until{L: l, R: r, Bound: b}
-		default:
-			return l, nil
+	for p.acceptKw("since") {
+		b, err := p.optBound()
+		if err != nil {
+			return nil, err
 		}
+		r, err := p.orExpr()
+		if err != nil {
+			return nil, err
+		}
+		l = &Since{L: l, R: r, Bound: b}
 	}
+	return l, nil
 }
 
 func (p *parser) orExpr() (Formula, error) {
@@ -207,32 +193,6 @@ func (p *parser) unary() (Formula, error) {
 			return nil, err
 		}
 		return &Lasttime{F: f}, nil
-	case p.acceptKw("nexttime"):
-		f, err := p.unary()
-		if err != nil {
-			return nil, err
-		}
-		return &Nexttime{F: f}, nil
-	case p.acceptKw("eventually"):
-		b, err := p.optBound()
-		if err != nil {
-			return nil, err
-		}
-		f, err := p.unary()
-		if err != nil {
-			return nil, err
-		}
-		return &Eventually{F: f, Bound: b}, nil
-	case p.acceptKw("always"):
-		b, err := p.optBound()
-		if err != nil {
-			return nil, err
-		}
-		f, err := p.unary()
-		if err != nil {
-			return nil, err
-		}
-		return &Always{F: f, Bound: b}, nil
 	case p.acceptKw("throughout"):
 		b, err := p.optBound()
 		if err != nil {
@@ -272,7 +232,10 @@ func (p *parser) unary() (Formula, error) {
 	}
 }
 
-// keywords that can never be variable or event names.
+// keywords that can never be variable or event names. The future
+// operators until, nexttime, eventually and always (Section 11's future
+// work) stay reserved although no production uses them: a condition that
+// writes one is refused, and no variable or event may take those names.
 func isKeyword(s string) bool {
 	switch s {
 	case "and", "or", "not", "since", "lasttime", "previously", "throughout",

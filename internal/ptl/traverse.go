@@ -51,15 +51,6 @@ func Children(f Formula, ff func(Formula), tf func(Term)) {
 	case *Assign:
 		tf(x.Q)
 		ff(x.Body)
-	case *Until:
-		ff(x.L)
-		ff(x.R)
-	case *Nexttime:
-		ff(x.F)
-	case *Eventually:
-		ff(x.F)
-	case *Always:
-		ff(x.F)
 	}
 }
 
@@ -115,14 +106,6 @@ func MapChildren(f Formula, ff func(Formula) Formula, tf func(Term) Term) Formul
 		return &Throughout{F: ff(x.F), Bound: x.Bound}
 	case *Assign:
 		return &Assign{Var: x.Var, Q: tf(x.Q), Body: ff(x.Body)}
-	case *Until:
-		return &Until{L: ff(x.L), R: ff(x.R), Bound: x.Bound}
-	case *Nexttime:
-		return &Nexttime{F: ff(x.F)}
-	case *Eventually:
-		return &Eventually{F: ff(x.F), Bound: x.Bound}
-	case *Always:
-		return &Always{F: ff(x.F), Bound: x.Bound}
 	default:
 		return f
 	}

@@ -42,10 +42,6 @@ func kindTable() (formulas []formulaRow, terms []termRow) {
 	fm(&Previously{F: fa, Bound: 4}, fa)
 	fm(&Throughout{F: fa, Bound: Unbounded}, fa)
 	fm(&Assign{Var: "x", Q: tc, Body: fa}, tc, fa)
-	fm(&Until{L: fa, R: fb, Bound: 5}, fa, fb)
-	fm(&Nexttime{F: fa}, fa)
-	fm(&Eventually{F: fa, Bound: 6}, fa)
-	fm(&Always{F: fa, Bound: Unbounded}, fa)
 
 	tm(CInt(1))
 	tm(V("x"))

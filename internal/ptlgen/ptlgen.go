@@ -6,6 +6,7 @@ package ptlgen
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"ptlactive/internal/event"
@@ -35,8 +36,9 @@ func History(rng *rand.Rand, n int) *history.History { return build(rng, n, fals
 
 // MetricHistory is History for MetricFormula: an item update is a Float
 // one time in four, Null one time in twelve, and one time in sixty each a
-// string, a boolean and a relation, so values of mixed kinds meet in
-// comparisons now and then.
+// string, a boolean, a relation, NaN, +Inf and -Inf, so values of mixed
+// kinds and non-finite floats meet in comparisons and sums now and then.
+// A third of the states are event-only, so they also follow a NaN.
 func MetricHistory(rng *rand.Rand, n int) *history.History {
 	b := history.NewBuilder(history.EmptyDB().With("a", value.NewInt(5)).With("b", value.NewInt(5)).With("c", value.NewInt(5)), 0)
 	for i := 0; i < n; i++ {
@@ -65,6 +67,12 @@ func MetricHistory(rng *rand.Rand, n int) *history.History {
 				v = value.Value{}
 			case r < 21:
 				v = value.NewFloat(float64(rng.Intn(20)) / 2)
+			case r == 21:
+				v = value.NewFloat(math.NaN())
+			case r == 22:
+				v = value.NewFloat(math.Inf(1))
+			case r == 23:
+				v = value.NewFloat(math.Inf(-1))
 			}
 			updates[Items[rng.Intn(len(Items))]] = v
 		}

@@ -241,6 +241,35 @@ func (v Value) Equal(w Value) bool {
 	}
 }
 
+// Identical reports whether v and w are the same value, where Equal is the
+// logic's =: the same kind and the same bits, so Int 2 is not Float 2, 0 is
+// not -0, and NaN is identical to itself (any NaN to any other: no encoding
+// keeps the payload). Tuples compare element by element, relations as sets,
+// as under Equal.
+func (v Value) Identical(w Value) bool {
+	if v.kind != w.kind {
+		return false
+	}
+	switch v.kind {
+	case Float:
+		return v.i == w.i || v.isNaN() && w.isNaN()
+	case Tuple:
+		if len(v.c.t) != len(w.c.t) {
+			return false
+		}
+		for i := range v.c.t {
+			if !v.c.t[i].Identical(w.c.t[i]) {
+				return false
+			}
+		}
+		return true
+	case Relation:
+		return relationKey(v.c.r) == relationKey(w.c.r)
+	default:
+		return v.i == w.i && v.s == w.s
+	}
+}
+
 // compareNumeric orders two numeric values exactly: Int against Int as
 // integers (timestamps may be nanoseconds, far beyond float64's 2^53), and
 // Int against Float without rounding the integer. NaN orders equal to

@@ -109,6 +109,35 @@ func TestEqualComposite(t *testing.T) {
 	}
 }
 
+// TestIdentical: identity is kind and bits, where Equal is the logic's =.
+func TestIdentical(t *testing.T) {
+	nan := NewFloat(math.NaN())
+	r1 := NewRelation([][]Value{{NewInt(1)}, {NewInt(2)}})
+	r2 := NewRelation([][]Value{{NewInt(2)}, {NewInt(1)}})
+	for _, c := range []struct {
+		a, b Value
+		want bool
+	}{
+		{nan, nan, true},
+		{nan, NewFloat(-math.NaN()), true},
+		{NewTuple(nan, NewString("x")), NewTuple(nan, NewString("x")), true},
+		{NewFloat(math.Inf(1)), NewFloat(math.Inf(1)), true},
+		{r1, r2, true},
+		{Value{}, Value{}, true},
+		{NewBool(true), NewBool(true), true},
+		{NewInt(2), NewFloat(2), false},
+		{NewFloat(0), NewFloat(math.Copysign(0, -1)), false},
+		{NewTuple(NewInt(1)), NewTuple(NewFloat(1)), false},
+		{NewString("a"), NewString("b"), false},
+		{nan, NewFloat(1), false},
+		{Value{}, NewBool(false), false},
+	} {
+		if got := c.a.Identical(c.b); got != c.want {
+			t.Errorf("%s Identical %s = %t, want %t", c.a, c.b, got, c.want)
+		}
+	}
+}
+
 func TestCompare(t *testing.T) {
 	type tc struct {
 		a, b Value

@@ -44,7 +44,6 @@ import (
 	"ptlactive/internal/agg"
 	"ptlactive/internal/core"
 	"ptlactive/internal/event"
-	"ptlactive/internal/future"
 	"ptlactive/internal/histio"
 	"ptlactive/internal/history"
 	"ptlactive/internal/naive"
@@ -404,26 +403,6 @@ func OfflineSatisfied(s *ValidStore, reg *Registry, c Formula) (bool, error) {
 // ValidViolationError reports a transaction aborted by the Section-9.3
 // valid-time enforcement procedure.
 type ValidViolationError = vtime.ViolationError
-
-// ---- Future temporal logic (the paper's Section-11 future work) ----
-
-// FutureMonitor decides closed future-logic conditions (until, nexttime,
-// eventually, always) over finite traces by formula progression, emitting
-// a verdict for every trace index the instant it is determined.
-type FutureMonitor = future.Monitor
-
-// FutureResult is one resolved verdict of a FutureMonitor.
-type FutureResult = future.Result
-
-// CompileFuture parses and compiles a future condition for monitoring.
-func CompileFuture(src string, reg *Registry, log ExecLog) (*FutureMonitor, error) {
-	return future.Compile(src, reg, log)
-}
-
-// NewFutureMonitor compiles a parsed future condition.
-func NewFutureMonitor(f Formula, reg *Registry, log ExecLog) (*FutureMonitor, error) {
-	return future.NewMonitor(f, reg, log)
-}
 
 // WriteHistory serializes a history as lossless JSON lines (one state per
 // line, kind-tagged values); ReadHistory parses it back.
