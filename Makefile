@@ -108,10 +108,12 @@ fuzz:
 # verify is the full pre-merge tier: static checks plus the whole suite
 # under the race detector (the concurrent engine and the durability
 # layer's crash tests make -race load-bearing, not optional), then the
-# repeated fault-isolation stress pass, the parser fuzz and the four smoke
-# scripts. Every step is fatal; timings are not checked here but by the
-# benchmark (BENCHMARK.json, bench/run.sh).
-verify: vet fmtcheck vulncheck depcheck race allocgates benchmod stress fuzz serve-smoke cluster-smoke replica-smoke retain-smoke
+# repeated fault-isolation stress pass, the parser fuzz, the four smoke
+# scripts and, last, the benchmark module's own vet and tests. Every step
+# is fatal; benchmod runs last so that a failure there still leaves every
+# other step run. Timings are not checked here but by the benchmark
+# (BENCHMARK.json, bench/run.sh).
+verify: vet fmtcheck vulncheck depcheck race allocgates stress fuzz serve-smoke cluster-smoke replica-smoke retain-smoke benchmod
 
 # serve-smoke boots adbserverd on a random port, drives a scripted client
 # session through adbsh -connect (rules, commits, firing subscription),

@@ -5,7 +5,7 @@
 // work unchanged against it.
 //
 // In-process shards (each with its own commit pipeline, and with -data
-// its own write-ahead log, group commit and snapshots):
+// its own write-ahead log and snapshots):
 //
 //	adbrouterd -addr 127.0.0.1:7410 -local 8 -data /var/lib/adbcluster
 //

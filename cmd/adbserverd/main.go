@@ -12,7 +12,7 @@
 //
 // Replication (DESIGN.md §4i): a durable server is always a replication
 // primary — followers connect with the replicate request and receive
-// every group-commit WAL batch. A server started with -replica-of runs as
+// every WAL frame as it becomes durable. A server started with -replica-of runs as
 // a follower instead: it replays the primary's WAL into its own
 // directory, serves reads and firing subscriptions, and refuses writes
 // with a not_primary redirect. With -lease both roles take part in

@@ -175,13 +175,6 @@ type Config struct {
 	// NoFsync disables the per-record WAL fsync; crash-equivalence tests
 	// and benchmarks use it, production durability should not.
 	NoFsync bool
-	// GroupCommit, when > 1, batches WAL appends: records are buffered and
-	// written+fsynced together every GroupCommit records (and on SyncWAL,
-	// checkpoints and Close). A crash loses at most the buffered suffix;
-	// the flushed prefix recovers exactly. Runtime-only (a durability
-	// latency/throughput trade, not behavior-shaping): the logged record
-	// sequence is identical at every batch size.
-	GroupCommit int
 	// MaxRuleFailures trips the per-rule circuit breaker: after this many
 	// consecutive action failures (errors, panics, timeouts) the rule is
 	// quarantined — its condition stays incrementally maintained and its

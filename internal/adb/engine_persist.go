@@ -157,20 +157,6 @@ func (e *Engine) SaveSnapshot(w io.Writer) error {
 	return persist.EncodeSnapshot(w, snap)
 }
 
-// SyncWAL forces any buffered (group-commit) WAL records to stable
-// storage; a no-op for memory engines and per-record durability. A flush
-// failure breaks the durability contract, so it seals the engine exactly
-// like a failed per-record append.
-func (e *Engine) SyncWAL() error {
-	if e.store == nil {
-		return nil
-	}
-	if err := e.store.Flush(); err != nil {
-		return e.seal(err)
-	}
-	return nil
-}
-
 // SetWALFailpoint installs (or clears, with nil) the WAL fault-injection
 // hook of a durable engine; a no-op for memory engines. It exists for
 // degraded-mode tests outside this package (the network layer's
@@ -293,8 +279,8 @@ func openDir(cfg Config, dir string) (*opened, error) {
 	return o, nil
 }
 
-// attachStore makes e the logging owner of st, under cfg's durability mode,
-// checkpoint period and group-commit batch; Restore and Follower.Promote
+// attachStore makes e the logging owner of st, under cfg's durability mode
+// and checkpoint period; Restore and Follower.Promote
 // both end here. Over an empty log there is no engine yet (e is nil): a
 // fresh one is built from cfg and its init record opens the log.
 func attachStore(cfg Config, e *Engine, st *persist.Store) (*Engine, error) {
@@ -310,11 +296,6 @@ func attachStore(cfg Config, e *Engine, st *persist.Store) (*Engine, error) {
 	e.snapEvery = cfg.SnapshotEvery
 	if e.snapEvery <= 0 {
 		e.snapEvery = 64
-	}
-	if cfg.GroupCommit > 1 {
-		if err := st.SetGroupCommit(cfg.GroupCommit); err != nil {
-			return nil, err
-		}
 	}
 	if fresh {
 		init, err := e.initRecord()

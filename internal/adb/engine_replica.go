@@ -22,12 +22,12 @@ func (e *Engine) Epoch() int64 {
 }
 
 // BumpEpoch fences a leadership change: it logs an epoch record carrying
-// n, forces it to stable storage and only then adopts n as the engine's
-// epoch. Durable engines only; n must exceed the current epoch. The
-// ordering matters for shipping: the flush hook observes the batch that
-// carries the epoch record while the engine still reports the old epoch,
-// so a follower at the old epoch accepts the batch and the record itself
-// performs the bump on both sides.
+// n, whose append writes and fsyncs it like every record, and only then
+// adopts n as the engine's epoch. Durable engines only; n must exceed the
+// current epoch. The ordering matters for shipping: the flush hook
+// observes the frame that carries the epoch record while the engine still
+// reports the old epoch, so a follower at the old epoch accepts the batch
+// and the record itself performs the bump on both sides.
 func (e *Engine) BumpEpoch(n int64) error {
 	if e.store == nil {
 		return fmt.Errorf("adb: BumpEpoch requires a durable engine")
@@ -39,9 +39,6 @@ func (e *Engine) BumpEpoch(n int64) error {
 		return fmt.Errorf("adb: epoch %d does not exceed current epoch %d", n, cur)
 	}
 	if err := e.logRecord(&persist.Record{Kind: persist.KindEpoch, Epoch: n}); err != nil {
-		return err
-	}
-	if err := e.SyncWAL(); err != nil {
 		return err
 	}
 	e.mu.Lock()
@@ -246,12 +243,12 @@ func (f *Follower) BootstrapSnapshot(data []byte, lsn int64) error {
 }
 
 // Promote turns the follower into a primary: it attaches the store to the
-// engine for logging (group commit and all), fences the leadership change
-// with an epoch record carrying newEpoch and returns the now-writable
-// engine. The Follower itself is spent — further ApplyFrames calls fail.
-// A follower that never received an init frame can only be promoted over
-// an empty log; it then starts fresh from its own config, logging its own
-// init record, exactly like Restore on a fresh directory.
+// engine for logging, fences the leadership change with an epoch record
+// carrying newEpoch and returns the now-writable engine. The Follower
+// itself is spent — further ApplyFrames calls fail. A follower that never
+// received an init frame can only be promoted over an empty log; it then
+// starts fresh from its own config, logging its own init record, exactly
+// like Restore on a fresh directory.
 func (f *Follower) Promote(newEpoch int64) (*Engine, error) {
 	if f.promoted {
 		return nil, fmt.Errorf("adb: follower already promoted")

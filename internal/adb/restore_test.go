@@ -14,10 +14,10 @@ import (
 	"ptlactive/internal/value"
 )
 
-// TestGroupCommitSyncWALDurability: with group commit, an engine that
-// calls SyncWAL and is then abandoned (no Close — the crash model)
-// recovers the complete run, part-full batch included.
-func TestGroupCommitSyncWALDurability(t *testing.T) {
+// TestAbandonedEngineRecoversAcknowledged: every append is written
+// before the operation returns, so an engine abandoned without Close (the
+// crash model) recovers every operation it acknowledged.
+func TestAbandonedEngineRecoversAcknowledged(t *testing.T) {
 	const seed, rules, states = 8100, 5, 40
 	p := randomEngineParams(seed, rules, true)
 	ops := randomOps(seed*31, rules, states, 0)
@@ -32,7 +32,6 @@ func TestGroupCommitSyncWALDurability(t *testing.T) {
 	cfg := p.config(1)
 	cfg.Durability = DurabilityWAL
 	cfg.NoFsync = true
-	cfg.GroupCommit = 8
 	e1, err := Restore(cfg, dir)
 	if err != nil {
 		t.Fatal(err)
@@ -40,9 +39,6 @@ func TestGroupCommitSyncWALDurability(t *testing.T) {
 	p.register(t, e1)
 	for _, op := range ops {
 		applyOp(t, e1, op)
-	}
-	if err := e1.SyncWAL(); err != nil {
-		t.Fatal(err)
 	}
 	// Crash: abandon e1 without Close.
 
@@ -55,70 +51,11 @@ func TestGroupCommitSyncWALDurability(t *testing.T) {
 		t.Fatalf("replay errors: %v", e2.Recovery().ReplayErrors)
 	}
 	if !firingsEqual(ref.Firings(), e2.Firings()) {
-		t.Fatalf("firings diverge after group-commit recovery:\n ref (%d)\n got (%d)",
+		t.Fatalf("firings diverge after recovery:\n ref (%d)\n got (%d)",
 			len(ref.Firings()), len(e2.Firings()))
 	}
 	if ref.Now() != e2.Now() || !ref.DB().Equal(e2.DB()) {
-		t.Fatal("state diverges after group-commit recovery")
-	}
-}
-
-// TestGroupCommitCrashPrefix: without a final sync, a crash loses at most
-// the buffered batch suffix; the recovered engine must be exactly the
-// engine that ran the flushed prefix of commits. Every operation here
-// logs one WAL record, so the flush boundary is computable.
-func TestGroupCommitCrashPrefix(t *testing.T) {
-	const group = 4
-	const commits = 9 // setup logs 2 records (init + rule): 11 total, 8 flushed
-	mkRef := func(n int) *Engine {
-		e := NewEngine(Config{Initial: map[string]value.Value{"a": value.NewInt(0)}})
-		if err := e.AddTrigger("r", `item("a") > 5`, nil, WithScheduling(Relevant)); err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < n; i++ {
-			if err := e.Exec(int64(i+1), map[string]value.Value{"a": value.NewInt(int64(i))}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return e
-	}
-
-	dir := t.TempDir()
-	cfg := Config{
-		Initial:     map[string]value.Value{"a": value.NewInt(0)},
-		Durability:  DurabilityWAL,
-		NoFsync:     true,
-		GroupCommit: group,
-	}
-	e1, err := Restore(cfg, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e1.AddTrigger("r", `item("a") > 5`, nil, WithScheduling(Relevant)); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < commits; i++ {
-		if err := e1.Exec(int64(i+1), map[string]value.Value{"a": value.NewInt(int64(i))}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Crash with 3 records buffered (init + rule + 9 commits = 11; two
-	// batches of 4 flushed).
-	e2, err := Restore(cfg, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e2.Close()
-	flushedCommits := (2+commits)/group*group - 2
-	ref := mkRef(flushedCommits)
-	if e2.Recovery().ReplayedRecords != flushedCommits+2 { // + init and rule records
-		t.Fatalf("replayed %d records, want %d", e2.Recovery().ReplayedRecords, flushedCommits+2)
-	}
-	if !firingsEqual(ref.Firings(), e2.Firings()) {
-		t.Fatalf("prefix firings diverge: ref %v vs recovered %v", ref.Firings(), e2.Firings())
-	}
-	if ref.Now() != e2.Now() || !ref.DB().Equal(e2.DB()) {
-		t.Fatalf("prefix state diverges: now %d vs %d, db %v vs %v", ref.Now(), e2.Now(), ref.DB(), e2.DB())
+		t.Fatal("state diverges after recovery")
 	}
 }
 

@@ -71,18 +71,16 @@ func TestRetentionDropRefusesOldReads(t *testing.T) {
 	}
 }
 
-// TestRetentionGCChaosUnderGroupCommit drives a durable engine with tiny
-// segments, an aggressive snapshot cadence and a group-commit flusher in
-// flight, so segment rotation and snapshot-chain GC race the background
-// flush goroutine; under -race this is the lifecycle subsystem's
-// concurrency check, and the disk footprint must stay bounded.
-func TestRetentionGCChaosUnderGroupCommit(t *testing.T) {
+// TestRetentionGCChaos drives a durable engine with tiny segments and an
+// aggressive snapshot cadence, so segment rotation and snapshot-chain GC
+// run every few commits; `make stress` repeats it under -race, and the
+// disk footprint must stay bounded.
+func TestRetentionGCChaos(t *testing.T) {
 	dir := t.TempDir()
 	cfg := Config{
 		Initial:       map[string]value.Value{"a": value.NewInt(0)},
 		Durability:    DurabilitySnapshot,
 		SnapshotEvery: 5,
-		GroupCommit:   8,
 		NoFsync:       true,
 		Retention: Retention{
 			SegmentBytes:  512,
@@ -94,9 +92,6 @@ func TestRetentionGCChaosUnderGroupCommit(t *testing.T) {
 		t.Fatal(err)
 	}
 	execSeries(t, e, 300)
-	if err := e.SyncWAL(); err != nil {
-		t.Fatal(err)
-	}
 	st, err := e.Storage()
 	if err != nil {
 		t.Fatal(err)

@@ -14,7 +14,7 @@
 // is forwarded to that home exactly once.
 //
 // Every shard keeps its own serializing commit pipeline (and, when
-// durable, its own WAL, group commit and snapshots), so the per-shard
+// durable, its own WAL and snapshots), so the per-shard
 // state evolution — and therefore the per-shard firing stream — is
 // byte-identical to a single engine run over that shard's operation
 // subsequence. The router merges the per-shard streams into one global

@@ -38,7 +38,7 @@ type Shard interface {
 // LocalShard is an in-process engine shard: the engine behind its own
 // serializing commit pipeline (server.EngineBackend), so a cluster of
 // local shards runs N independent pipelines — and, for durable engines,
-// N independent WALs whose group-commit fsyncs overlap.
+// N independent WALs whose fsyncs overlap.
 type LocalShard struct {
 	*server.EngineBackend
 }

@@ -554,9 +554,9 @@ func evalNode(n *cnode, env map[string]value.Value) (bool, error) { return evalu
 // check's evaluation, without evalNode's short circuits: every atom below n
 // is evaluated, and a membership's elements before its relation, so it
 // meets every error a substitution of n's variables can meet, and more. A
-// membership with a Null element is false, as the substitution's equality
-// atoms make it (evalNode's tuple equality has Null equal Null). An
-// and/or's verdict is memoized, and the caller empties the memo.
+// membership with a Null element is false under both, as the
+// substitution's equality atoms make it. An and/or's verdict is memoized,
+// and the caller empties the memo.
 func evaluate(n *cnode, env map[string]value.Value, memo map[*cnode]bool) (bool, error) {
 	switch n.kind {
 	case nkTrue, nkFalse:
@@ -590,7 +590,7 @@ func evaluate(n *cnode, env map[string]value.Value, memo map[*cnode]bool) (bool,
 				return false, err
 			}
 		}
-		if memo != nil && slices.ContainsFunc(elems, value.Value.IsNull) {
+		if slices.ContainsFunc(elems, value.Value.IsNull) {
 			return false, nil
 		}
 		want := value.NewTuple(elems...)

@@ -9,6 +9,7 @@ import (
 
 	"ptlactive/internal/event"
 	"ptlactive/internal/history"
+	"ptlactive/internal/naive"
 	"ptlactive/internal/ptl"
 	"ptlactive/internal/ptlgen"
 	"ptlactive/internal/value"
@@ -355,15 +356,20 @@ func TestInternIdentity(t *testing.T) {
 // TestFireMembershipAsSubstitution: the fire check decides a membership
 // over an assigned relation as the substitution does. The substitution
 // expands (e) in r into equality atoms, and an equality with a Null side is
-// false, so a Null element matches no row, not even a row holding Null.
-// Conditions with a free variable still step by substitution; a copy of the
-// condition's info that lists one sends the same graph down that path.
+// false, so a Null element matches no row, not even a row holding Null,
+// and a Null relation holds no row. Conditions with a free variable still
+// step by substitution; a copy of the condition's info that lists one sends
+// the same graph down that path. The evaluator CompileAuto picks and naive,
+// the whole-history oracle, say the same, naive under every free variable
+// bound to the event's relation.
 func TestFireMembershipAsSubstitution(t *testing.T) {
 	reg := ptlgen.Registry()
+	rel := value.NewRelation([][]value.Value{{{}}, {value.NewString("a")}})
 	for name, v := range map[string]value.Value{
 		"nul": {},
+		"one": value.NewInt(1),
 		"a":   value.NewString("a"),
-		"rel": value.NewRelation([][]value.Value{{{}}, {value.NewString("a")}}),
+		"rel": rel,
 		"rel2": value.NewRelation([][]value.Value{
 			{value.NewString("a"), {}}, {value.NewInt(1), value.NewFloat(2)}}),
 	} {
@@ -373,18 +379,23 @@ func TestFireMembershipAsSubstitution(t *testing.T) {
 	}
 	b := history.NewBuilder(history.EmptyDB(), 0)
 	for i := int64(1); i <= 4; i++ {
-		if err := b.Commit(i, i, nil); err != nil {
+		if err := b.Commit(i, i, nil, event.New("e", rel)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	h := b.History()
+	oracle := naive.New(reg, h, nil)
 	for src, fires := range map[string]bool{
 		`[r <- rel()] lasttime ((nul()) in r)`:       false,
 		`[r <- rel()] lasttime ((a()) in r)`:         true,
 		`[r <- rel2()] lasttime ((a(), nul()) in r)`: false,
 		`[r <- rel2()] lasttime ((1, 2) in r)`:       true,
+		`(nul()) in rel()`:                           false,
+		`(one()) in nul()`:                           false,
+		`@e(R) and (nul()) in R`:                     false,
 	} {
-		info, err := ptl.Check(mustParse(t, src), reg)
+		f := mustParse(t, src)
+		info, err := ptl.Check(f, reg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -398,6 +409,14 @@ func TestFireMembershipAsSubstitution(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		auto, err := CompileAuto(info, reg, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		env := naive.Env{}
+		for _, v := range info.Free {
+			env[v] = rel
+		}
 		for i := 0; i < h.Len(); i++ {
 			got, err := fire.Step(h.At(i))
 			if err != nil {
@@ -409,6 +428,17 @@ func TestFireMembershipAsSubstitution(t *testing.T) {
 			}
 			if got.Fired != want.Fired || got.Fired != (fires && i > 0) {
 				t.Fatalf("%s, state %d: the fire check says %t, the substitution %t", src, i, got.Fired, want.Fired)
+			}
+			res, err := auto.StepResult(h.At(i))
+			if err != nil {
+				t.Fatal(err)
+			}
+			holds, err := oracle.Sat(i, f, env)
+			if err != nil {
+				t.Fatalf("%s, state %d: naive: %v", src, i, err)
+			}
+			if res.Fired != got.Fired || holds != got.Fired {
+				t.Fatalf("%s, state %d: general %t, %T %t, naive %t", src, i, got.Fired, auto, res.Fired, holds)
 			}
 		}
 	}

@@ -10,12 +10,9 @@ import (
 )
 
 // DurabilityRun drives n external commits through a durable engine in the
-// given mode (fsync disabled: nothing here is timed), closes it at a
-// synced crash point and returns how many WAL records the subsequent
-// Restore replayed. groupCommit > 1 batches WAL appends (one write per
-// batch); the engine is synced before the crash point, so recovery still
-// replays every record.
-func DurabilityRun(n int, mode adb.Durability, snapEvery, groupCommit int) (replayed int) {
+// given mode (fsync disabled: nothing here is timed), closes it and
+// returns how many WAL records the subsequent Restore replayed.
+func DurabilityRun(n int, mode adb.Durability, snapEvery int) (replayed int) {
 	dir, err := os.MkdirTemp("", "ptlactive-e10-*")
 	if err != nil {
 		panic(err)
@@ -23,7 +20,6 @@ func DurabilityRun(n int, mode adb.Durability, snapEvery, groupCommit int) (repl
 	defer os.RemoveAll(dir)
 	cfg := adb.Config{
 		Initial:       map[string]value.Value{"px": value.NewInt(100)},
-		GroupCommit:   groupCommit,
 		Durability:    mode,
 		SnapshotEvery: snapEvery,
 		NoFsync:       true,
@@ -41,9 +37,6 @@ func DurabilityRun(n int, mode adb.Durability, snapEvery, groupCommit int) (repl
 		if err := eng.Exec(int64(i+1), map[string]value.Value{"px": value.NewInt(px)}, event.New("tick")); err != nil {
 			panic(err)
 		}
-	}
-	if err := eng.SyncWAL(); err != nil {
-		panic(err)
 	}
 	if err := eng.Close(); err != nil {
 		panic(err)
@@ -74,20 +67,17 @@ func E10Durability(quick bool) Table {
 		Header: []string{"durability", "commits", "replayed records"},
 		Notes: "without snapshots recovery replays the whole log (every commit, the rule " +
 			"registration and the init record: commits + 2); with a snapshot every 64 records it " +
-			"replays only the wal tail since the last checkpoint. Group commit batches the WAL " +
-			"appends into one write per 32 records; the record sequence on disk, and so the " +
-			"replay count, is identical.",
+			"replays only the wal tail since the last checkpoint.",
 	}
 	for _, c := range []struct {
-		label        string
-		mode         adb.Durability
-		every, group int
+		label string
+		mode  adb.Durability
+		every int
 	}{
-		{"wal (per-record)", adb.DurabilityWAL, 0, 0},
-		{"wal", adb.DurabilityWAL, 0, 32},
-		{"wal+snapshot/64", adb.DurabilitySnapshot, 64, 32},
+		{"wal", adb.DurabilityWAL, 0},
+		{"wal+snapshot/64", adb.DurabilitySnapshot, 64},
 	} {
-		replayed := DurabilityRun(n, c.mode, c.every, c.group)
+		replayed := DurabilityRun(n, c.mode, c.every)
 		t.Rows = append(t.Rows, []string{c.label, fmt.Sprint(n), fmt.Sprint(replayed)})
 	}
 	return t

@@ -32,8 +32,8 @@ type E14Config struct {
 	// each keeping Window commits in flight (pipelining keeps several
 	// shards' commit pipelines and WAL fsyncs busy at once).
 	Clients, Window int
-	// Durable gives every shard its own write-ahead log + group commit in
-	// a temp directory, so shard counts also overlap their fsyncs.
+	// Durable gives every shard its own write-ahead log in a temp
+	// directory, so shard counts also overlap their fsyncs.
 	Durable bool
 }
 
@@ -42,8 +42,9 @@ type E14Config struct {
 // registered through the router (each lands on the shard owning its
 // item), then cfg.Clients sessions committing the shared workload. The
 // clock covers the commits only — rule registration and connection setup
-// are excluded. Returns the wall time.
-func E14RunConfig(cfg E14Config) time.Duration {
+// are excluded. Returns the wall time and the evaluator steps the shards
+// took over the commits (the sum of their Engine.EvalSteps deltas).
+func E14RunConfig(cfg E14Config) (time.Duration, int64) {
 	items := make([]string, cfg.Items)
 	for i := range items {
 		items[i] = fmt.Sprintf("metric%03d", i)
@@ -51,6 +52,7 @@ func E14RunConfig(cfg E14Config) time.Duration {
 
 	engCfg := adb.Config{}
 	shards := make([]cluster.Shard, cfg.Shards)
+	engines := make([]*adb.Engine, cfg.Shards)
 	for i := range shards {
 		var eng *adb.Engine
 		if cfg.Durable {
@@ -69,6 +71,13 @@ func E14RunConfig(cfg E14Config) time.Duration {
 			eng = adb.NewEngine(engCfg)
 		}
 		shards[i] = cluster.NewLocalShard(eng)
+		engines[i] = eng
+	}
+	evalSteps := func() (n int64) {
+		for _, eng := range engines {
+			n += eng.EvalSteps()
+		}
+		return n
 	}
 	front, err := cluster.New(cluster.Config{Shards: shards})
 	if err != nil {
@@ -128,6 +137,7 @@ func E14RunConfig(cfg E14Config) time.Duration {
 	}
 	per := cfg.Commits / cfg.Clients
 
+	steps0 := evalSteps()
 	start := time.Now()
 	var wg sync.WaitGroup
 	for ci := range committers {
@@ -156,7 +166,7 @@ func E14RunConfig(cfg E14Config) time.Duration {
 		}(ci)
 	}
 	wg.Wait()
-	return time.Since(start)
+	return time.Since(start), evalSteps() - steps0
 }
 
 // E14Cluster measures horizontal sharding: the same constraint-heavy
@@ -175,7 +185,7 @@ func E14Cluster(quick bool) Table {
 	t := Table{
 		ID:    "E14",
 		Title: "sharded cluster commit throughput",
-		Header: []string{"shards", "items", "rules", "commits", "total ms",
+		Header: []string{"shards", "items", "rules", "commits", "steps/commit", "total ms",
 			"us/commit", "speedup", "mem us/commit", "mem speedup"},
 		Notes: "loopback TCP through the cluster router, in-process shards, 4 pipelined " +
 			"sessions; durable columns give every shard its own WAL (fsync on, temp dirs), " +
@@ -183,18 +193,20 @@ func E14Cluster(quick bool) Table {
 			"constraint and one trigger; a commit steps every constraint on its shard once, " +
 			"in place, so the mem columns show the rule-table walk sharding divides and the " +
 			"durable ones add the fsyncs eight logs overlap. Same workload, same total rule " +
-			"count, every row.",
+			"count, every row. steps/commit counts the evaluator steps the shards took over " +
+			"the commits: the walk sharding divides, free of timing noise.",
 	}
 	// Best of three: durable runs are long enough to damp scheduler noise,
-	// but fsync latency still jitters a one-shot sample.
-	best := func(cfg E14Config) time.Duration {
-		dur := E14RunConfig(cfg)
+	// but fsync latency still jitters a one-shot sample. The step count is
+	// the same in every run, so the first run's is kept.
+	best := func(cfg E14Config) (time.Duration, int64) {
+		dur, steps := E14RunConfig(cfg)
 		for rep := 1; rep < 3; rep++ {
-			if d := E14RunConfig(cfg); d < dur {
+			if d, _ := E14RunConfig(cfg); d < dur {
 				dur = d
 			}
 		}
-		return dur
+		return dur, steps
 	}
 	var base, memBase time.Duration
 	for _, shards := range []int{1, 2, 4, 8} {
@@ -202,15 +214,16 @@ func E14Cluster(quick bool) Table {
 			Shards: shards, Items: nitems, Commits: ncommits,
 			Clients: 4, Window: 16, Durable: true,
 		}
-		dur := best(cfg)
+		dur, steps := best(cfg)
 		cfg.Durable = false
-		mem := best(cfg)
+		mem, _ := best(cfg)
 		if shards == 1 {
 			base, memBase = dur, mem
 		}
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprint(shards), fmt.Sprint(nitems), fmt.Sprint(2 * nitems),
-			fmt.Sprint(ncommits), fmtMs(dur), fmtDur(dur, ncommits),
+			fmt.Sprint(ncommits), fmt.Sprintf("%.2f", float64(steps)/float64(ncommits)),
+			fmtMs(dur), fmtDur(dur, ncommits),
 			fmt.Sprintf("%.1fx", float64(base)/float64(dur)),
 			fmtDur(mem, ncommits), fmt.Sprintf("%.1fx", float64(memBase)/float64(mem)),
 		})

@@ -50,9 +50,6 @@ func e17Run(mode adb.Durability, ret adb.Retention, at []int) []e17Sample {
 				panic(err)
 			}
 		}
-		if err := eng.SyncWAL(); err != nil {
-			panic(err)
-		}
 		st, err := eng.Storage()
 		if err != nil {
 			panic(err)

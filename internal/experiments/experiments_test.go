@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"math"
 	"reflect"
 	"slices"
 	"strconv"
@@ -108,21 +109,19 @@ func TestAllExperimentsRun(t *testing.T) {
 	// are pinned exactly.
 
 	// E10: without snapshots recovery replays the whole log — every
-	// commit plus the init and rule-registration records — whatever the
-	// group-commit batching; with a snapshot every 64 records it replays
-	// less than one snapshot interval (plus the same two).
+	// commit plus the init and rule-registration records; with a snapshot
+	// every 64 records it replays less than one snapshot interval (plus the
+	// same two).
 	e10 := byID["E10"]
-	if len(e10.Rows) != 3 {
-		t.Fatalf("E10: %d rows, want per-record wal, grouped wal, wal+snapshot", len(e10.Rows))
+	if len(e10.Rows) != 2 {
+		t.Fatalf("E10: %d rows, want wal, wal+snapshot", len(e10.Rows))
 	}
 	commits := atoi(t, e10.Rows[0][1])
-	for _, row := range e10.Rows[:2] {
-		if got := atoi(t, row[2]); got != commits+2 {
-			t.Errorf("E10 %s: replayed %d records, want %d", row[0], got, commits+2)
-		}
+	if got := atoi(t, e10.Rows[0][2]); got != commits+2 {
+		t.Errorf("E10 %s: replayed %d records, want %d", e10.Rows[0][0], got, commits+2)
 	}
-	if got := atoi(t, e10.Rows[2][2]); got >= 64+2 {
-		t.Errorf("E10 %s: replayed %d records, want < %d", e10.Rows[2][0], got, 64+2)
+	if got := atoi(t, e10.Rows[1][2]); got >= 64+2 {
+		t.Errorf("E10 %s: replayed %d records, want < %d", e10.Rows[1][0], got, 64+2)
 	}
 
 	// E12: the coarse filter steps every rule at every commit; the index
@@ -143,20 +142,21 @@ func TestAllExperimentsRun(t *testing.T) {
 		t.Errorf("E13: %d deliveries, want commits x subs = %d", got, want)
 	}
 
-	// E14: every shard count runs the same workload, and the widest
-	// cluster must beat the single-shard row — the shape claim is that
-	// partitioning divides the per-commit constraint walk.
+	// E14: every shard count runs the same workload, and partitioning
+	// divides the per-commit constraint walk: an n-shard row takes within
+	// 10% of the single-shard row's evaluator steps per commit over n.
+	// Steps, not the timed columns, so the check does not ride on the
+	// scheduler.
 	e14 := byID["E14"]
+	oneShard := atof(t, e14.Rows[0][4])
 	for _, row := range e14.Rows {
 		if got := atoi(t, row[3]); got != atoi(t, e14.Rows[0][3]) {
 			t.Errorf("E14 %s shards: commit count drifted: %d", row[0], got)
 		}
-	}
-	oneShard := atof(t, e14.Rows[0][4])
-	wide := atof(t, e14.Rows[len(e14.Rows)-1][4])
-	if wide >= oneShard {
-		t.Errorf("E14: %s-shard run (%vms) not faster than 1 shard (%vms)",
-			e14.Rows[len(e14.Rows)-1][0], wide, oneShard)
+		want := oneShard / float64(atoi(t, row[0]))
+		if got := atof(t, row[4]); math.Abs(got-want) > 0.1*want {
+			t.Errorf("E14 %s shards: %v steps/commit, want %v ± 10%%", row[0], got, want)
+		}
 	}
 
 	// E17: over the 8x commit sweep, the unbounded engine's hot set

@@ -8,6 +8,7 @@ package naive
 
 import (
 	"fmt"
+	"slices"
 
 	"ptlactive/internal/history"
 	"ptlactive/internal/ptl"
@@ -140,8 +141,10 @@ func (ev *Evaluator) sat(i int, f ptl.Formula, env Env) (bool, error) {
 		}
 		return false, nil
 	case *ptl.Member:
+		// Like a comparison, a membership with a Null relation or a Null
+		// element is false: Null matches no row, not even one holding Null.
 		rel, err := ev.Term(i, x.Rel, env)
-		if err != nil {
+		if err != nil || rel.IsNull() {
 			return false, err
 		}
 		if rel.Kind() != value.Relation {
@@ -154,6 +157,9 @@ func (ev *Evaluator) sat(i int, f ptl.Formula, env Env) (bool, error) {
 				return false, err
 			}
 			elems[k] = v
+		}
+		if slices.ContainsFunc(elems, value.Value.IsNull) {
+			return false, nil
 		}
 		want := value.NewTuple(elems...)
 		for _, row := range rel.Rows() {

@@ -8,70 +8,81 @@ package persist
 
 import (
 	"bytes"
-	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
 )
 
-// TestFlushHookDeliversExactFileBytes appends under several batch sizes
-// and checks the concatenated hook payloads equal the wal file, with
-// contiguous LSN ranges.
+// openUnsynced opens dir with fsync off.
+func openUnsynced(t *testing.T, dir string) *Store {
+	t.Helper()
+	st, _, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.DisableSync()
+	return st
+}
+
+// reopenRecords opens dir fresh and returns the replayable record list.
+func reopenRecords(t *testing.T, dir string) []*Record {
+	t.Helper()
+	st, res, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	return res.Tail
+}
+
+// TestFlushHookDeliversExactFileBytes checks the concatenated hook
+// payloads equal the wal file, one contiguous LSN range per append.
 func TestFlushHookDeliversExactFileBytes(t *testing.T) {
-	for _, group := range []int{1, 3, 8} {
-		t.Run(fmt.Sprintf("group%d", group), func(t *testing.T) {
-			dir := t.TempDir()
-			st := openGroupStore(t, dir, group)
-			defer st.Close()
+	dir := t.TempDir()
+	st := openUnsynced(t, dir)
+	defer st.Close()
 
-			var shipped []byte
-			var next int64 = 1
-			st.SetFlushHook(func(data []byte, first, last int64) {
-				if first != next {
-					t.Fatalf("batch starts at %d, want %d", first, next)
-				}
-				if last < first {
-					t.Fatalf("batch range [%d,%d] inverted", first, last)
-				}
-				next = last + 1
-				shipped = append(shipped, data...) // copy: buffer is reused
-			})
+	var shipped []byte
+	var next int64 = 1
+	st.SetFlushHook(func(data []byte, first, last int64) {
+		if first != next || last != first {
+			t.Fatalf("append covers [%d,%d], want [%d,%d]", first, last, next, next)
+		}
+		next = last + 1
+		shipped = append(shipped, data...)
+	})
 
-			if _, err := st.Append(&Record{Kind: KindInit, Init: &InitRecord{Start: 0}}); err != nil {
-				t.Fatal(err)
-			}
-			for i := 0; i < 10; i++ {
-				if _, err := st.Append(emitRec(int64(i))); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := st.Flush(); err != nil {
-				t.Fatal(err)
-			}
+	if _, err := st.Append(&Record{Kind: KindInit, Init: &InitRecord{Start: 0}}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 10; i++ {
+		if _, err := st.Append(emitRecord(int64(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
 
-			file, err := os.ReadFile(filepath.Join(dir, segmentName(1)))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(shipped, file) {
-				t.Fatalf("hook shipped %d bytes != wal file %d bytes", len(shipped), len(file))
-			}
-			if next != 12 {
-				t.Fatalf("hook covered through LSN %d, want 11", next-1)
-			}
-		})
+	file, err := os.ReadFile(filepath.Join(dir, segmentName(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(shipped, file) {
+		t.Fatalf("hook shipped %d bytes != wal file %d bytes", len(shipped), len(file))
+	}
+	if next != 12 {
+		t.Fatalf("hook covered through LSN %d, want 11", next-1)
 	}
 }
 
 // TestAppendRawReplicatesByteIdentical ships a primary's wal to a fresh
-// dir via hook batches and checks file bytes and replayable records agree.
+// dir through the flush hook and checks file bytes and replayable
+// records agree.
 func TestAppendRawReplicatesByteIdentical(t *testing.T) {
 	primary := t.TempDir()
 	follower := t.TempDir()
 
-	pst := openGroupStore(t, primary, 4)
+	pst := openUnsynced(t, primary)
 	defer pst.Close()
-	fst := openGroupStore(t, follower, 1)
+	fst := openUnsynced(t, follower)
 	defer fst.Close()
 
 	pst.SetFlushHook(func(data []byte, first, last int64) {
@@ -86,12 +97,9 @@ func TestAppendRawReplicatesByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 9; i++ {
-		if _, err := pst.Append(emitRec(int64(i))); err != nil {
+		if _, err := pst.Append(emitRecord(int64(i))); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := pst.Flush(); err != nil {
-		t.Fatal(err)
 	}
 
 	pb, _ := os.ReadFile(filepath.Join(primary, segmentName(1)))
@@ -114,7 +122,7 @@ func TestAppendRawRejectsGapAndDuplicate(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	dst := openGroupStore(t, t.TempDir(), 1)
+	dst := openUnsynced(t, t.TempDir())
 	defer dst.Close()
 	if err := dst.AppendRaw(data, 2, 3); err == nil {
 		t.Fatal("gap (first=2 into empty log) accepted")
@@ -224,7 +232,7 @@ func TestEpochRecordRecovery(t *testing.T) {
 	if _, err := st.Append(&Record{Kind: KindEpoch, Epoch: 3}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.Append(emitRec(1)); err != nil {
+	if _, err := st.Append(emitRecord(1)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := st.Append(&Record{Kind: KindEpoch, Epoch: 7}); err != nil {

@@ -94,32 +94,6 @@ func TestSegmentRotationRoundTrip(t *testing.T) {
 	}
 }
 
-// TestGroupCommitRotationFaultFree checks that rotation composes with
-// group commit: batches land whole, rotation happens at flush boundaries,
-// and reopening replays every flushed record across the segments.
-func TestGroupCommitRotationFaultFree(t *testing.T) {
-	dir := t.TempDir()
-	st, _ := openRetain(t, dir, 200, 1)
-	if err := st.SetGroupCommit(4); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := st.Append(&Record{Kind: KindInit, Init: &InitRecord{}}); err != nil {
-		t.Fatal(err)
-	}
-	last := appendEmits(t, st, 1, 30)
-	if err := st.Close(); err != nil { // flushes the partial batch
-		t.Fatal(err)
-	}
-	if n := len(segmentFiles(t, dir)); n < 2 {
-		t.Fatalf("grouped appends never rotated (%d segments)", n)
-	}
-	st2, res := openRetain(t, dir, 200, 1)
-	defer st2.Close()
-	if int64(len(res.Tail)) != last {
-		t.Fatalf("recovered %d records, want %d", len(res.Tail), last)
-	}
-}
-
 // TestSegmentBoundaryTornFinalEveryByte extends the every-byte fault
 // suite across a rotation boundary: the log spans several segments, and
 // the final segment is truncated at every byte offset in turn. Recovery

@@ -274,14 +274,6 @@ func (s *Store) HeadLSN() int64 { return s.log.headLSN() }
 // DisableSync turns off per-record fsync (tests and benchmarks).
 func (s *Store) DisableSync() { s.log.DisableSync() }
 
-// SetGroupCommit sets the WAL batch size (n > 1 buffers records and
-// fsyncs once per batch; n <= 1 restores per-record durability), flushing
-// any buffered records first.
-func (s *Store) SetGroupCommit(n int) error { return s.log.SetGroupCommit(n) }
-
-// Flush forces any buffered group-commit WAL records to stable storage.
-func (s *Store) Flush() error { return s.log.Flush() }
-
 // SetFailpoint installs (or clears, with nil) the WAL fault-injection
 // hook; see Failpoint.
 func (s *Store) SetFailpoint(fp Failpoint) { s.log.SetFailpoint(fp) }
@@ -339,16 +331,14 @@ func (s *Store) ReadFramesFrom(from int64, maxChunk int) ([]WALChunk, error) {
 		return nil, err
 	}
 	if len(recs) == 0 {
-		// nextDurable is the LSN the next flushed record will carry;
-		// buffered group-commit records are not durable yet.
-		nextDurable := s.log.next - int64(len(s.log.bufLSNs))
-		if from == nextDurable {
+		next := s.log.next
+		if from == next {
 			return nil, nil // empty log, requester is current
 		}
-		if from < nextDurable {
-			return nil, &TruncatedHeadError{From: from, Head: nextDurable}
+		if from < next {
+			return nil, &TruncatedHeadError{From: from, Head: next}
 		}
-		return nil, fmt.Errorf("persist: wal position %d is beyond the durable end %d", from, nextDurable-1)
+		return nil, fmt.Errorf("persist: wal position %d is beyond the durable end %d", from, next-1)
 	}
 	first, last := recs[0].LSN, recs[len(recs)-1].LSN
 	if from < first {
@@ -402,11 +392,10 @@ func (s *Store) writeSnapshotFile(write func(*os.File) error, lsn int64) error {
 // LSN, then seals the active WAL segment and runs the retention GC:
 // snapshots beyond the keep-count and WAL segments covered by the oldest
 // retained snapshot are deleted, with the intent manifest made durable
-// first. Buffered group-commit records are flushed before stamping, so
-// the snapshot LSN never runs ahead of the log on disk.
+// first. A poisoned log refuses: its tail is in an unknown state.
 func (s *Store) SaveSnapshot(snap *EngineSnapshot) error {
-	if err := s.log.Flush(); err != nil {
-		return err
+	if s.log.broken != nil {
+		return s.log.broken
 	}
 	snap.LSN = s.log.LastLSN()
 	if err := s.writeSnapshotFile(func(f *os.File) error { return EncodeSnapshot(f, snap) }, snap.LSN); err != nil {
@@ -513,12 +502,8 @@ func (s *Store) InstallSnapshot(data []byte, lsn int64) (*EngineSnapshot, error)
 	}, lsn); err != nil {
 		return nil, err
 	}
-	// Replace the whole log with a fresh segment at the next ordinal. Any
-	// buffered records are obsolete (the snapshot supersedes the follower's
-	// entire state).
-	s.log.buf = s.log.buf[:0]
-	s.log.bufLSNs = s.log.bufLSNs[:0]
-	s.log.bufOffs = s.log.bufOffs[:0]
+	// Replace the whole log with a fresh segment at the next ordinal (the
+	// snapshot supersedes the follower's entire state).
 	if err := s.log.f.Close(); err != nil {
 		return nil, fmt.Errorf("persist: install snapshot: %w", err)
 	}

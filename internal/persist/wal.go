@@ -55,9 +55,9 @@ type Failpoint func(op string, lsn int64) error
 // contiguous LSN range they cover. It is the WAL-shipping tap of the
 // replication layer — because the log is byte-stable, forwarding exactly
 // these bytes to a follower reproduces the primary's log bit for bit.
-// The hook runs synchronously inside Append/Flush on the appender's
-// goroutine; data is only valid for the duration of the call (group
-// commit reuses the batch buffer), so consumers must copy to retain it.
+// The hook runs synchronously inside Append/AppendRaw on the appender's
+// goroutine; data is only valid for the duration of the call (AppendRaw
+// passes its caller's buffer through), so consumers must copy to retain it.
 type FlushHook func(data []byte, first, last int64)
 
 // segment is one WAL segment file. first is the LSN of the segment's
@@ -101,14 +101,9 @@ func parseSegmentName(name string) (int64, bool) {
 
 // Log is an append-only write-ahead log backed by a directory of numbered
 // segment files; appends go to the last (active) segment, which rotates
-// once it reaches the configured byte threshold.
-//
-// With group commit enabled (SetGroupCommit n, n > 1), appended frames are
-// buffered in memory and written — and fsynced — as one batch every n
-// records, or on an explicit Flush, a snapshot, or Close. A crash loses at
-// most the buffered suffix; the flushed prefix recovers exactly, so the
-// durability contract weakens from "every record" to "every flushed
-// record" in exchange for one write+fsync per batch.
+// once it reaches the configured byte threshold. Every append is written
+// and fsynced (unless sync is disabled) before it returns, so an
+// acknowledged record survives a crash.
 type Log struct {
 	dir  string
 	f    *os.File // active (last) segment, open for append
@@ -120,13 +115,6 @@ type Log struct {
 	// started. 0 disables size-based rotation (snapshots still rotate).
 	segBytes int64
 	fail     Failpoint
-	// Group-commit state: group is the batch size (<=1 means per-record),
-	// buf accumulates framed records, bufLSNs/bufOffs track each buffered
-	// record's LSN and frame offset within buf (for fault injection).
-	group   int
-	buf     []byte
-	bufLSNs []int64
-	bufOffs []int
 	// broken poisons the log after a failed append, fsync or rotation: the
 	// file tail is in an unknown state, so further appends could land after
 	// garbage and turn a clean torn tail into mid-log corruption.
@@ -177,13 +165,12 @@ func (l *Log) DisableSync() { l.sync = false }
 // rotation).
 func (l *Log) SetSegmentBytes(n int64) { l.segBytes = n }
 
-// LastLSN returns the LSN of the most recently appended record — buffered
-// records included — or 0 when the log is empty.
+// LastLSN returns the LSN of the most recently appended record, or 0 when
+// the log is empty.
 func (l *Log) LastLSN() int64 { return l.next - 1 }
 
 // headLSN returns the LSN of the oldest record still on disk; when the
-// log holds no durable records it is the LSN the next flushed record will
-// carry.
+// log holds no durable records it is the LSN the next record will carry.
 func (l *Log) headLSN() int64 { return l.segs[0].first }
 
 // walBytes returns the total durable bytes across all segments.
@@ -193,18 +180,6 @@ func (l *Log) walBytes() int64 {
 		n += l.segs[i].size
 	}
 	return n
-}
-
-// SetGroupCommit sets the batch size: n > 1 buffers appended records and
-// writes+fsyncs them together every n records (or on Flush / snapshot /
-// Close); n <= 1 restores per-record durability. Any buffered records are
-// flushed before the mode changes.
-func (l *Log) SetGroupCommit(n int) error {
-	if err := l.Flush(); err != nil {
-		return err
-	}
-	l.group = n
-	return nil
 }
 
 // frame encodes rec (with its LSN already assigned) into WAL frame bytes.
@@ -224,9 +199,8 @@ func frame(rec *Record) ([]byte, error) {
 	return buf, nil
 }
 
-// Append assigns the next LSN to rec, frames and checksums it, and either
-// writes it durably (per-record mode: write + fsync unless disabled) or
-// buffers it for the next group-commit Flush. The assigned LSN is
+// Append assigns the next LSN to rec, frames and checksums it, and writes
+// it durably (write + fsync unless disabled). The assigned LSN is
 // returned. After a write or fsync failure the log is poisoned: every
 // further Append fails with the original error, because the file tail is
 // in an unknown state.
@@ -239,18 +213,6 @@ func (l *Log) Append(rec *Record) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	if l.group > 1 {
-		l.bufOffs = append(l.bufOffs, len(l.buf))
-		l.buf = append(l.buf, buf...)
-		l.bufLSNs = append(l.bufLSNs, rec.LSN)
-		l.next++
-		if len(l.bufLSNs) >= l.group {
-			if err := l.Flush(); err != nil {
-				return 0, err
-			}
-		}
-		return rec.LSN, nil
-	}
 	if l.fail != nil {
 		if err := l.fail("append", rec.LSN); err != nil {
 			// Leave the torn image a crash mid-write produces.
@@ -261,28 +223,9 @@ func (l *Log) Append(rec *Record) (int64, error) {
 			return 0, l.broken
 		}
 	}
-	if _, err := l.f.Write(buf); err != nil {
-		l.broken = fmt.Errorf("persist: append: %w", err)
-		return 0, l.broken
+	if err := l.write(buf, rec.LSN, rec.LSN, l.fail); err != nil {
+		return 0, err
 	}
-	if l.sync {
-		if l.fail != nil {
-			if err := l.fail("sync", rec.LSN); err != nil {
-				l.broken = fmt.Errorf("persist: sync: %w", err)
-				return 0, l.broken
-			}
-		}
-		if err := l.f.Sync(); err != nil {
-			l.broken = fmt.Errorf("persist: sync: %w", err)
-			return 0, l.broken
-		}
-	}
-	l.next++
-	l.active().size += int64(len(buf))
-	if l.flushHook != nil {
-		l.flushHook(buf, rec.LSN, rec.LSN)
-	}
-	l.maybeRotate()
 	return rec.LSN, nil
 }
 
@@ -291,15 +234,10 @@ func (l *Log) Append(rec *Record) (int64, error) {
 // the follower's log is byte-identical to the primary's by construction
 // (segment boundaries may differ — the concatenation is what matches).
 // first/last declare the contiguous LSN range the frames cover; first
-// must be the next LSN this log expects. AppendRaw is incompatible with
-// an active group-commit buffer (followers append what was already
-// batched upstream).
+// must be the next LSN this log expects.
 func (l *Log) AppendRaw(data []byte, first, last int64) error {
 	if l.broken != nil {
 		return l.broken
-	}
-	if len(l.bufLSNs) > 0 {
-		return fmt.Errorf("persist: AppendRaw with %d buffered records", len(l.bufLSNs))
 	}
 	if first != l.next {
 		return fmt.Errorf("persist: AppendRaw at LSN %d, expected %d", first, l.next)
@@ -307,11 +245,26 @@ func (l *Log) AppendRaw(data []byte, first, last int64) error {
 	if last < first {
 		return fmt.Errorf("persist: AppendRaw range [%d, %d] inverted", first, last)
 	}
+	return l.write(data, first, last, nil)
+}
+
+// write is the tail both appends share: write the frames covering
+// [first, last], fsync them unless sync is disabled (consulting fail at
+// "sync" first, when set), account them to the active segment, hand them
+// to the flush hook and rotate a full segment. A failed write or fsync
+// poisons the log.
+func (l *Log) write(data []byte, first, last int64, fail Failpoint) error {
 	if _, err := l.f.Write(data); err != nil {
 		l.broken = fmt.Errorf("persist: append: %w", err)
 		return l.broken
 	}
 	if l.sync {
+		if fail != nil {
+			if err := fail("sync", first); err != nil {
+				l.broken = fmt.Errorf("persist: sync: %w", err)
+				return l.broken
+			}
+		}
 		if err := l.f.Sync(); err != nil {
 			l.broken = fmt.Errorf("persist: sync: %w", err)
 			return l.broken
@@ -326,67 +279,8 @@ func (l *Log) AppendRaw(data []byte, first, last int64) error {
 	return nil
 }
 
-// Flush writes and (unless disabled) fsyncs all buffered group-commit
-// records as one batch. The failpoints are consulted per buffered LSN, in
-// order, so fault tests written against per-record appends inject at the
-// same LSN under group commit; an injected append fault leaves the batch
-// prefix before the failing record plus half of its frame — exactly the
-// torn image a crash mid-batch-write produces.
-func (l *Log) Flush() error {
-	if l.broken != nil {
-		return l.broken
-	}
-	if len(l.bufLSNs) == 0 {
-		return nil
-	}
-	if l.fail != nil {
-		for i, lsn := range l.bufLSNs {
-			if err := l.fail("append", lsn); err != nil {
-				frameEnd := len(l.buf)
-				if i+1 < len(l.bufOffs) {
-					frameEnd = l.bufOffs[i+1]
-				}
-				if torn := l.bufOffs[i] + (frameEnd-l.bufOffs[i])/2; torn > 0 {
-					_, _ = l.f.Write(l.buf[:torn])
-				}
-				l.broken = fmt.Errorf("persist: append: %w", err)
-				return l.broken
-			}
-		}
-	}
-	if _, err := l.f.Write(l.buf); err != nil {
-		l.broken = fmt.Errorf("persist: append: %w", err)
-		return l.broken
-	}
-	if l.sync {
-		if l.fail != nil {
-			for _, lsn := range l.bufLSNs {
-				if err := l.fail("sync", lsn); err != nil {
-					l.broken = fmt.Errorf("persist: sync: %w", err)
-					return l.broken
-				}
-			}
-		}
-		if err := l.f.Sync(); err != nil {
-			l.broken = fmt.Errorf("persist: sync: %w", err)
-			return l.broken
-		}
-	}
-	l.active().size += int64(len(l.buf))
-	first, last := l.bufLSNs[0], l.bufLSNs[len(l.bufLSNs)-1]
-	if l.flushHook != nil {
-		l.flushHook(l.buf, first, last)
-	}
-	l.buf = l.buf[:0]
-	l.bufLSNs = l.bufLSNs[:0]
-	l.bufOffs = l.bufOffs[:0]
-	l.maybeRotate()
-	return nil
-}
-
 // maybeRotate seals the active segment once it reaches the rotation
-// threshold. Called only with an empty group-commit buffer (after the
-// durable write that grew the segment).
+// threshold. Called after the durable write that grew the segment.
 func (l *Log) maybeRotate() {
 	if l.broken != nil || l.segBytes <= 0 || l.active().size < l.segBytes {
 		return
@@ -394,12 +288,12 @@ func (l *Log) maybeRotate() {
 	l.rotate()
 }
 
-// Rotate flushes any buffered records and seals the active segment,
-// starting a new empty one. A snapshot save calls it so the covered
-// segments become eligible for GC. Rotating an empty segment is a no-op.
+// Rotate seals the active segment, starting a new empty one. A snapshot
+// save calls it so the covered segments become eligible for GC. Rotating
+// an empty segment is a no-op; a poisoned log returns its error.
 func (l *Log) Rotate() error {
-	if err := l.Flush(); err != nil {
-		return err
+	if l.broken != nil {
+		return l.broken
 	}
 	if l.active().size == 0 {
 		return nil
@@ -411,7 +305,7 @@ func (l *Log) Rotate() error {
 // rotate seals the active segment (fsync + close) and opens the next
 // ordinal with O_EXCL, fsyncing the directory so the new name is durable.
 // Any failure poisons the log: a half-rotated state must not take further
-// appends. Requires an empty group-commit buffer.
+// appends.
 func (l *Log) rotate() {
 	if l.sync {
 		if err := l.f.Sync(); err != nil {
@@ -451,23 +345,14 @@ func (l *Log) removeCoveredThrough(floor int64) {
 	}
 }
 
-// Close flushes any buffered group-commit records and closes the
-// underlying file. A poisoned log closes without flushing — the tail
-// state is unknown, and the poisoning error already surfaced at the
-// append that caused it.
+// Close closes the underlying file. Every appended record is already
+// written, so there is nothing to flush.
 func (l *Log) Close() error {
 	if l.f == nil {
 		return nil
 	}
-	var ferr error
-	if l.broken == nil {
-		ferr = l.Flush()
-	}
 	err := l.f.Close()
 	l.f = nil
-	if ferr != nil {
-		return ferr
-	}
 	return err
 }
 

@@ -186,7 +186,7 @@ func (g *gen) doubled(d int64) ptl.Formula {
 
 // ParamHistory is History for ParamFormula: event arguments are Null one
 // time in five, and item "rel" holds a one-column relation of small
-// integers that some commits replace.
+// integers, sometimes with a Null row, that some commits replace.
 func ParamHistory(rng *rand.Rand, n int) *history.History { return build(rng, n, true) }
 
 func build(rng *rand.Rand, n int, param bool) *history.History {
@@ -226,13 +226,24 @@ func build(rng *rand.Rand, n int, param bool) *history.History {
 	return b.History()
 }
 
-// relation draws a one-column relation over 0..2.
+// relation draws a one-column relation over 0..2, with a Null row one
+// time in eight. The Null row rides on the first draw's high bits:
+// rng.Intn(16)&1 is the rng.Intn(2) it stands for (both take one Int31),
+// so no other draw changes.
 func relation(rng *rand.Rand) value.Value {
 	var rows [][]value.Value
+	first := rng.Intn(16)
 	for i := int64(0); i < 3; i++ {
-		if rng.Intn(2) == 0 {
+		d := first
+		if i > 0 {
+			d = rng.Intn(2)
+		}
+		if d&1 == 0 {
 			rows = append(rows, []value.Value{value.NewInt(i)})
 		}
+	}
+	if first>>1 == 0 {
+		rows = append(rows, []value.Value{{}})
 	}
 	return value.NewRelation(rows)
 }

@@ -77,7 +77,6 @@ func TestReplicaSnapshotBootstrapBehindHead(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	p.sync(t)
 	st := primaryStorage(t, p)
 	if st.HeadLSN <= 1 {
 		t.Fatalf("GC never truncated the head (head %d); test is vacuous", st.HeadLSN)
@@ -97,7 +96,6 @@ func TestReplicaSnapshotBootstrapBehindHead(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	p.sync(t)
 	waitLSN(t, fn, p.node.LastLSN())
 	// The primary checkpoints every few commits, so its retained log is
 	// the short one: everything since its newest snapshot. Those bytes

@@ -49,7 +49,7 @@ func (c *tornConn) Read(p []byte) (int, error) {
 // exactly-once effects.
 func TestChaosTornStream(t *testing.T) {
 	pdir, fdir := t.TempDir(), t.TempDir()
-	p := startPrimary(t, pdir, 1, 4)
+	p := startPrimary(t, pdir, 1)
 	c := dialT(t, p.addr)
 	if err := c.AddTrigger("hot", `item("a") > 5`); err != nil {
 		t.Fatal(err)
@@ -59,7 +59,6 @@ func TestChaosTornStream(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	p.sync(t)
 
 	var dials int32
 	fn := newFollowerNode(t, fdir, p.addr, "", 1)
@@ -139,7 +138,7 @@ func TestFailoverLeasePromotion(t *testing.T) {
 		t.Fatal(err)
 	}
 	pdir, fdir := t.TempDir(), t.TempDir()
-	p := startPrimary(t, pdir, 1, 2)
+	p := startPrimary(t, pdir, 1)
 	if err := p.node.Shipper().BumpEpoch(pl.Epoch()); err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +164,6 @@ func TestFailoverLeasePromotion(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	p.sync(t)
 	waitLSN(t, fn, p.node.LastLSN())
 	ackedLSN := p.node.LastLSN()
 	prefix := walBytes(t, pdir)

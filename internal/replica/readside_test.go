@@ -142,9 +142,6 @@ func TestReadSideParity(t *testing.T) {
 	}
 	var chunks []shippedBatch
 	onPipeline(be, func() error {
-		if err := eng.SyncWAL(); err != nil {
-			return err
-		}
 		cs, err := eng.WALReadFrom(1, 1<<20)
 		for _, c := range cs {
 			chunks = append(chunks, shippedBatch{c.Data, eng.Epoch()})
@@ -171,7 +168,5 @@ func TestReadSideParity(t *testing.T) {
 		b.Barrier()
 		must(txErr)
 	}
-	onPipeline(be, eng.SyncWAL)
-	onPipeline(node.be, node.be.Engine().SyncWAL)
 	assertSameReads(t, "promoted, after a write", be, node)
 }

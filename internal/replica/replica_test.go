@@ -49,18 +49,17 @@ type prim struct {
 
 // startPrimary restores (or creates) a durable primary in dir and serves
 // it on loopback with replication enabled.
-func startPrimary(t *testing.T, dir string, workers, group int) *prim {
+func startPrimary(t *testing.T, dir string, workers int) *prim {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := adb.Config{
-		Workers:     workers,
-		NoFsync:     true,
-		GroupCommit: group,
-		Durability:  adb.DurabilityWAL,
-		Initial:     map[string]value.Value{"a": value.NewInt(0)},
+		Workers:    workers,
+		NoFsync:    true,
+		Durability: adb.DurabilityWAL,
+		Initial:    map[string]value.Value{"a": value.NewInt(0)},
 	}
 	eng, err := adb.Restore(cfg, dir)
 	if err != nil {
@@ -81,17 +80,6 @@ func (p *prim) shutdown() {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	p.srv.Shutdown(ctx)
-}
-
-// sync flushes the primary's group-commit buffer at the serialization
-// point, so everything acked is durable and shipped.
-func (p *prim) sync(t *testing.T) {
-	t.Helper()
-	var err error
-	p.node.be.Do(func() { err = p.eng.SyncWAL() })
-	if err != nil {
-		t.Fatal(err)
-	}
 }
 
 // newFollowerNode opens a follower node over dir replicating (logically)
@@ -181,12 +169,11 @@ func walBytes(t *testing.T, dir string) []byte {
 	return out
 }
 
-// assertReplicaIdentical is the core acceptance check: after the primary
-// syncs and the follower catches up, the two wal files are byte-equal and
+// assertReplicaIdentical is the core acceptance check: after the follower
+// catches up, the two wal files are byte-equal and
 // the replayed firing streams and database states agree.
 func assertReplicaIdentical(t *testing.T, p *prim, pdir string, fn *Node, fdir string) {
 	t.Helper()
-	p.sync(t)
 	waitLSN(t, fn, p.node.LastLSN())
 	pb, fb := walBytes(t, pdir), walBytes(t, fdir)
 	if !bytes.Equal(pb, fb) {
@@ -224,7 +211,7 @@ func TestFollowerByteIdentity(t *testing.T) {
 		for cname, offer := range codecs {
 			t.Run(fmt.Sprintf("workers=%d/codec=%s", workers, cname), func(t *testing.T) {
 				pdir, fdir := t.TempDir(), t.TempDir()
-				p := startPrimary(t, pdir, workers, 4)
+				p := startPrimary(t, pdir, workers)
 				c := dialT(t, p.addr)
 				if err := c.AddTrigger("hot", `item("a") > 5`); err != nil {
 					t.Fatal(err)
@@ -258,7 +245,7 @@ func TestFollowerByteIdentity(t *testing.T) {
 // not_primary sentinel carrying the primary's address.
 func TestFollowerServesReadsRefusesWrites(t *testing.T) {
 	pdir, fdir := t.TempDir(), t.TempDir()
-	p := startPrimary(t, pdir, 1, 2)
+	p := startPrimary(t, pdir, 1)
 	c := dialT(t, p.addr)
 	if err := c.AddTrigger("hot", `item("a") > 5`); err != nil {
 		t.Fatal(err)
@@ -270,7 +257,6 @@ func TestFollowerServesReadsRefusesWrites(t *testing.T) {
 	fn := newFollowerNode(t, fdir, p.addr, fln.Addr().String(), 1)
 	st := StartStream(fn, StreamConfig{Primary: p.addr, BackoffBase: 2 * time.Millisecond})
 	defer st.Stop()
-	p.sync(t)
 	waitLSN(t, fn, p.node.LastLSN())
 
 	faddr := serveNode(t, fn, fln)
@@ -317,7 +303,6 @@ func TestFollowerServesReadsRefusesWrites(t *testing.T) {
 	if _, err := c.Exec(2, map[string]value.Value{"a": value.NewInt(8)}); err != nil {
 		t.Fatal(err)
 	}
-	p.sync(t)
 	ev = recvEvent(t, sub)
 	if ev.Firing.Time != 2 || ev.Seq != 1 || ev.Gap != 0 {
 		t.Fatalf("live replicated event = %+v", ev)
@@ -432,7 +417,7 @@ func TestApplyFramesDuplicatesGapsAndFencing(t *testing.T) {
 // fences with the new epoch, and survives its own restart as a primary.
 func TestPromoteFollower(t *testing.T) {
 	pdir, fdir := t.TempDir(), t.TempDir()
-	p := startPrimary(t, pdir, 1, 2)
+	p := startPrimary(t, pdir, 1)
 	c := dialT(t, p.addr)
 	if err := c.AddTrigger("hot", `item("a") > 5`); err != nil {
 		t.Fatal(err)
@@ -445,7 +430,6 @@ func TestPromoteFollower(t *testing.T) {
 	fln := listenT(t)
 	fn := newFollowerNode(t, fdir, p.addr, fln.Addr().String(), 1)
 	st := StartStream(fn, StreamConfig{Primary: p.addr, BackoffBase: 2 * time.Millisecond})
-	p.sync(t)
 	waitLSN(t, fn, p.node.LastLSN())
 	prefix := walBytes(t, pdir)
 
@@ -476,11 +460,6 @@ func TestPromoteFollower(t *testing.T) {
 	}
 
 	// The promoted log extends the replicated prefix byte-for-byte.
-	var serr error
-	fn.be.Do(func() { serr = fn.be.Engine().SyncWAL() })
-	if serr != nil {
-		t.Fatal(serr)
-	}
 	grown := walBytes(t, fdir)
 	if !bytes.HasPrefix(grown, prefix) || len(grown) <= len(prefix) {
 		t.Fatalf("promoted wal (%d bytes) does not extend the replicated prefix (%d bytes)",
@@ -497,9 +476,9 @@ func TestPrimaryRestartEveryBatchBoundary(t *testing.T) {
 	pdir, fdir := t.TempDir(), t.TempDir()
 	var fn *Node
 	ts := int64(1)
-	const group = 3
+	const perRound = 3
 	for round := 0; round < 5; round++ {
-		p := startPrimary(t, pdir, 1, group)
+		p := startPrimary(t, pdir, 1)
 		c := dialT(t, p.addr)
 		if round == 0 {
 			if err := c.AddTrigger("hot", `item("a") > 5`); err != nil {
@@ -509,7 +488,7 @@ func TestPrimaryRestartEveryBatchBoundary(t *testing.T) {
 		}
 		fn.SetLeader(p.addr)
 		st := StartStream(fn, StreamConfig{Primary: p.addr, BackoffBase: 2 * time.Millisecond})
-		for i := 0; i < group; i++ {
+		for i := 0; i < perRound; i++ {
 			if _, err := c.Exec(ts, map[string]value.Value{"a": value.NewInt(int64(6 + i))}); err != nil {
 				t.Fatal(err)
 			}

@@ -1,10 +1,10 @@
 // Package replica implements WAL-shipping replication and lease-based
 // failover for the active-database server (DESIGN.md §4.6): a primary
-// engine's group-commit WAL batches — already byte-stable at every batch
-// size — stream over the wire protocol to follower engines that persist
-// them verbatim and replay them through the recovery path, so each
-// follower's state, firing stream and on-disk log are byte-identical to
-// the primary's at every batch boundary by construction.
+// engine's WAL frames — byte-stable by construction — stream over the
+// wire protocol to follower engines that persist them verbatim and replay
+// them through the recovery path, so each follower's state, firing stream
+// and on-disk log are byte-identical to the primary's at every batch
+// boundary by construction.
 //
 // The pieces: Shipper taps the primary's WAL flush hook and fans durable
 // batches out to follower sinks (the server's replication endpoint);
@@ -65,8 +65,9 @@ func NewShipper(be *server.EngineBackend) *Shipper {
 }
 
 // flushed runs inside the engine call that made the batch durable, on the
-// pipeline goroutine. The log reuses its batch buffer, so the bytes are
-// copied once here (and only when someone is listening).
+// pipeline goroutine. The bytes are only valid during the call
+// (persist.FlushHook), so they are copied once here (and only when someone
+// is listening).
 func (s *Shipper) flushed(data []byte, first, last int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
