@@ -70,7 +70,7 @@ loc:
 # The pmap property suite rides along: every engine state lives in a
 # persistent map, so its model checks belong in the repeated race pass.
 stress:
-	$(GO) test -race -count=3 -run 'Fault|Degrad|Quarantine|Sandbox|Panic|Failpoint|Timeout|Budget|Chaos|Failover|Lease|Promot|Replica|PMap' ./internal/adb ./internal/persist ./internal/replica ./internal/pmap
+	$(GO) test -race -count=3 -run 'Fault|Degrad|Quarantine|Sandbox|Panic|Failpoint|Timeout|Chaos|Failover|Lease|Promot|Replica|PMap' ./internal/adb ./internal/persist ./internal/replica ./internal/pmap
 
 # allocgates runs the allocation gates of the commit path at three core
 # counts. They pin Workers: 1, so nothing they count may depend on

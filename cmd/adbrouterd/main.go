@@ -5,7 +5,8 @@
 // work unchanged against it.
 //
 // In-process shards (each with its own commit pipeline, and with -data
-// its own write-ahead log and snapshots):
+// its own write-ahead log; shards log WAL-only and never checkpoint, so
+// rotated segments are not collected):
 //
 //	adbrouterd -addr 127.0.0.1:7410 -local 8 -data /var/lib/adbcluster
 //
@@ -54,10 +55,8 @@ func main() {
 	subQueue := flag.Int("sub-queue", 256, "bounded firing queue per subscriber")
 	overflow := flag.String("overflow", "drop", "subscriber overflow policy: drop (gap markers) or disconnect")
 	maxFailures := flag.Int("max-failures", 0, "quarantine a rule after this many consecutive action failures (0 = never)")
-	sweepBudget := flag.Int64("sweep-budget", 0, "max evaluator steps per sweep (0 = unlimited)")
 	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "graceful shutdown bound")
-	segBytes := flag.Int64("wal-segment-bytes", 0, "per-shard WAL segment rotation size; snapshot-covered segments are GCed (0 = single segment forever)")
-	keepSnaps := flag.Int("keep-snapshots", 0, "per-shard snapshot chain length after each checkpoint (0/1 = newest only)")
+	segBytes := flag.Int64("wal-segment-bytes", 0, "per-shard WAL segment rotation size; shards log WAL-only, so rotated segments are never collected (0 = single segment forever)")
 	flag.Parse()
 
 	var policy server.OverflowPolicy
@@ -78,11 +77,7 @@ func main() {
 		cfg := adb.Config{
 			Workers:         *workers,
 			MaxRuleFailures: *maxFailures,
-			SweepBudget:     *sweepBudget,
-			Retention: adb.Retention{
-				SegmentBytes:  *segBytes,
-				KeepSnapshots: *keepSnaps,
-			},
+			Retention:       adb.Retention{SegmentBytes: *segBytes},
 		}
 		for i := 0; i < *local; i++ {
 			var eng *adb.Engine

@@ -68,7 +68,6 @@ func main() {
 	subQueue := flag.Int("sub-queue", 256, "bounded firing queue per subscriber")
 	overflow := flag.String("overflow", "drop", "subscriber overflow policy: drop (gap markers) or disconnect")
 	maxFailures := flag.Int("max-failures", 0, "quarantine a rule after this many consecutive action failures (0 = never)")
-	sweepBudget := flag.Int64("sweep-budget", 0, "max evaluator steps per sweep (0 = unlimited)")
 	actionTimeout := flag.Duration("action-timeout", 0, "per-action deadline (0 = none)")
 	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "graceful shutdown bound")
 	replicaOf := flag.String("replica-of", "", "run as a follower replicating from this primary address")
@@ -96,7 +95,6 @@ func main() {
 	cfg := adb.Config{
 		Workers:         *workers,
 		MaxRuleFailures: *maxFailures,
-		SweepBudget:     *sweepBudget,
 		ActionTimeout:   *actionTimeout,
 		Retention: adb.Retention{
 			SegmentBytes:  *segBytes,

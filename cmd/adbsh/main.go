@@ -39,8 +39,8 @@
 // Fault isolation: action faults (panics, errors, timeouts) are printed
 // as FAULT lines and never stop the session. -max-failures sets the
 // per-rule circuit breaker (a rule with that many consecutive action
-// failures is quarantined until `revive`), -sweep-budget bounds evaluator
-// steps per sweep, and -action-timeout bounds each action's runtime.
+// failures is quarantined until `revive`), and -action-timeout bounds each
+// action's runtime.
 //
 // Remote mode: -connect host:port runs the same commands against an
 // adbserverd over the network instead of an in-process engine. The
@@ -71,7 +71,6 @@ func main() {
 	workers := flag.Int("workers", 0, "worker pool size for rule evaluation (0 = all cores, 1 = sequential)")
 	dataDir := flag.String("data", "", "durable engine directory (write-ahead log + snapshots); empty = memory-only")
 	maxFailures := flag.Int("max-failures", 0, "quarantine a rule after this many consecutive action failures (0 = never)")
-	sweepBudget := flag.Int64("sweep-budget", 0, "max evaluator steps per sweep (0 = unlimited)")
 	actionTimeout := flag.Duration("action-timeout", 0, "per-action deadline (0 = none)")
 	connect := flag.String("connect", "", "run against a remote adbserverd at host:port instead of an in-process engine")
 	codec := flag.String("codec", "json", "wire codec to offer in remote mode: json (inspectable frames) or binary")
@@ -101,7 +100,6 @@ func main() {
 			workers:       *workers,
 			dataDir:       *dataDir,
 			maxFailures:   *maxFailures,
-			sweepBudget:   *sweepBudget,
 			actionTimeout: *actionTimeout,
 			retention: adb.Retention{
 				SegmentBytes:  *segBytes,
@@ -133,7 +131,6 @@ type shell struct {
 	workers       int
 	dataDir       string
 	maxFailures   int
-	sweepBudget   int64
 	actionTimeout time.Duration
 	retention     adb.Retention
 	eng           *adb.Engine
@@ -149,7 +146,6 @@ func (s *shell) engine() *adb.Engine {
 			Initial:         s.initial,
 			Workers:         s.workers,
 			MaxRuleFailures: s.maxFailures,
-			SweepBudget:     s.sweepBudget,
 			ActionTimeout:   s.actionTimeout,
 			Retention:       s.retention,
 			OnFiring:        printFire,

@@ -103,12 +103,10 @@ type Engine struct {
 	parkedCursor int
 	scratch      *sweepScratch
 
-	// Fault isolation and resource governance (see health.go): the
-	// circuit-breaker threshold, the per-sweep step budget, the per-action
-	// deadline and the fault observer. degraded, once set, seals the
-	// engine read-only (guarded by mu; see seal).
+	// Fault isolation (see health.go): the circuit-breaker threshold, the
+	// per-action deadline and the fault observer. degraded, once set,
+	// seals the engine read-only (guarded by mu; see seal).
 	maxFailures   int
-	sweepBudget   int64
 	actionTimeout time.Duration
 	onRuleFault   func(RuleFault)
 	degraded      error
@@ -183,12 +181,6 @@ type Config struct {
 	// Persisted in the init record: it shapes which actions run, so replay
 	// must use the original value.
 	MaxRuleFailures int
-	// SweepBudget bounds the evaluator steps one temporal-component
-	// invocation may spend; exceeding it yields ErrBudgetExceeded
-	// attributed to the rule that crossed the budget (by registration
-	// order, independent of Workers). 0 means unlimited. Persisted in the
-	// init record for replay equivalence.
-	SweepBudget int64
 	// ActionTimeout is the per-action deadline; an action exceeding it
 	// yields ErrActionTimeout attributed to its rule, and any later engine
 	// mutation through its ActionContext is refused. 0 means no deadline.
@@ -238,7 +230,6 @@ func NewEngine(cfg Config) *Engine {
 		eventIndex:    map[string][]*rule{},
 		itemIndex:     map[string][]*rule{},
 		maxFailures:   cfg.MaxRuleFailures,
-		sweepBudget:   cfg.SweepBudget,
 		actionTimeout: cfg.ActionTimeout,
 		onRuleFault:   cfg.OnRuleFault,
 	}
@@ -250,7 +241,6 @@ func NewEngine(cfg Config) *Engine {
 		Start:           cfg.Start,
 		CascadeLimit:    limit,
 		MaxRuleFailures: cfg.MaxRuleFailures,
-		SweepBudget:     cfg.SweepBudget,
 	}
 	e.hist.MustAppend(history.SystemState{DB: e.db, Events: event.NewSet(), TS: cfg.Start})
 	// The initial state's delta from "before the engine existed" is not a

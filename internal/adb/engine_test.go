@@ -84,10 +84,10 @@ func TestRuleRegistrationErrors(t *testing.T) {
 }
 
 // TestFormulaAPIRefusesUnprintable: the WAL and snapshots store a rule as
-// its printed condition, so AddTriggerFormula and AddConstraintFormula
-// refuse a hand-built condition whose text does not parse back to it — on
-// every engine, not only on those that log, and with the same error. A
-// refused registration leaves no rule and no record behind.
+// its printed condition, so AddTriggerFormula refuses a hand-built
+// condition whose text does not parse back to it — on every engine, not
+// only on those that log, and with the same error. A refused registration
+// leaves no rule and no record behind.
 func TestFormulaAPIRefusesUnprintable(t *testing.T) {
 	item := ptl.Q("item", ptl.CStr("a"))
 	eq := func(v value.Value) ptl.Formula { return ptl.Compare(value.EQ, item, ptl.C(v)) }
@@ -123,17 +123,12 @@ func TestFormulaAPIRefusesUnprintable(t *testing.T) {
 	}
 	lsn := dur.store.LastLSN()
 	for name, f := range cases {
-		for kind, add := range map[string]func(e *Engine) error{
-			"trigger":    func(e *Engine) error { return e.AddTriggerFormula("bad", f, nil) },
-			"constraint": func(e *Engine) error { return e.AddConstraintFormula("bad", f) },
-		} {
-			memErr, durErr := add(mem), add(dur)
-			if memErr == nil || durErr == nil {
-				t.Fatalf("%s %s: registered (memory: %v, durable: %v)", name, kind, memErr, durErr)
-			}
-			if memErr.Error() != durErr.Error() || !strings.Contains(memErr.Error(), "does not parse back") {
-				t.Fatalf("%s %s: memory engine says %q, durable %q", name, kind, memErr, durErr)
-			}
+		memErr, durErr := mem.AddTriggerFormula("bad", f, nil), dur.AddTriggerFormula("bad", f, nil)
+		if memErr == nil || durErr == nil {
+			t.Fatalf("%s: registered (memory: %v, durable: %v)", name, memErr, durErr)
+		}
+		if memErr.Error() != durErr.Error() || !strings.Contains(memErr.Error(), "does not parse back") {
+			t.Fatalf("%s: memory engine says %q, durable %q", name, memErr, durErr)
 		}
 	}
 	for _, e := range []*Engine{mem, dur} {

@@ -22,9 +22,6 @@ var (
 	// accessors keep working on the intact in-memory state, mutating
 	// operations are refused.
 	ErrDegraded = errors.New("engine degraded (read-only)")
-	// ErrBudgetExceeded reports a sweep that exceeded Config.SweepBudget
-	// evaluator steps.
-	ErrBudgetExceeded = errors.New("sweep evaluation budget exceeded")
 	// ErrActionTimeout reports an action that exceeded Config.ActionTimeout.
 	ErrActionTimeout = errors.New("action deadline exceeded")
 	// ErrInternal reports a broken engine invariant (a must-not-fail encode
@@ -97,22 +94,6 @@ func (e *DegradedError) Error() string {
 
 // Unwrap yields ErrDegraded and the sealing cause for errors.Is/As.
 func (e *DegradedError) Unwrap() []error { return []error{ErrDegraded, e.Cause} }
-
-// BudgetError attributes an exceeded sweep budget to the rule whose
-// evaluation crossed it.
-type BudgetError struct {
-	Rule   string
-	Steps  int64
-	Budget int64
-}
-
-// Error describes the overrun.
-func (e *BudgetError) Error() string {
-	return fmt.Sprintf("adb: rule %s: %v (%d steps, budget %d)", e.Rule, ErrBudgetExceeded, e.Steps, e.Budget)
-}
-
-// Unwrap yields ErrBudgetExceeded for errors.Is.
-func (e *BudgetError) Unwrap() error { return ErrBudgetExceeded }
 
 // TimeoutError attributes an exceeded action deadline to its rule.
 type TimeoutError struct {

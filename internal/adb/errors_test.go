@@ -45,15 +45,6 @@ func TestErrorTaxonomy(t *testing.T) {
 		t.Errorf("errors.As lost DegradedError cause: %+v", de)
 	}
 
-	b := &BudgetError{Rule: "r3", Steps: 120, Budget: 100}
-	if !errors.Is(b, ErrBudgetExceeded) {
-		t.Error("BudgetError does not match ErrBudgetExceeded")
-	}
-	var be *BudgetError
-	if !errors.As(error(b), &be) || be.Rule != "r3" {
-		t.Errorf("errors.As lost BudgetError attribution: %+v", be)
-	}
-
 	to := &TimeoutError{Rule: "r4", Timeout: 50 * time.Millisecond}
 	if !errors.Is(to, ErrActionTimeout) {
 		t.Error("TimeoutError does not match ErrActionTimeout")
@@ -76,7 +67,7 @@ func TestErrorTaxonomy(t *testing.T) {
 	}
 
 	// The sentinels stay distinct from each other.
-	sentinels := []error{ErrRuleQuarantined, ErrActionPanic, ErrDegraded, ErrBudgetExceeded, ErrActionTimeout, ErrInternal}
+	sentinels := []error{ErrRuleQuarantined, ErrActionPanic, ErrDegraded, ErrActionTimeout, ErrInternal}
 	for i, a := range sentinels {
 		for j, bb := range sentinels {
 			if i != j && errors.Is(a, bb) {
@@ -95,7 +86,6 @@ func TestErrorMessagesCarryAttribution(t *testing.T) {
 	}{
 		{&ActionPanicError{Rule: "alpha", Value: 1}, "alpha"},
 		{&QuarantineError{Rule: "beta", Failures: 2, Cause: errors.New("x")}, "beta"},
-		{&BudgetError{Rule: "gamma", Steps: 9, Budget: 5}, "gamma"},
 		{&TimeoutError{Rule: "delta", Timeout: time.Second}, "delta"},
 		{&InternalError{Op: "encode initial db", Err: errors.New("x")}, "encode initial db"},
 		{&DegradedError{Cause: errors.New("disk gone")}, "disk gone"},

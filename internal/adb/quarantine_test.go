@@ -3,28 +3,12 @@ package adb
 import (
 	"errors"
 	"fmt"
-	"reflect"
-	"sort"
 	"testing"
 	"time"
 
 	"ptlactive/internal/event"
 	"ptlactive/internal/value"
 )
-
-// sortedFirings orders firings by (rule, time) for set comparison; within
-// one rule this equals the firing order, so per-rule subsequences are
-// compared exactly.
-func sortedFirings(fs []Firing) []Firing {
-	out := append([]Firing(nil), fs...)
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Rule != out[j].Rule {
-			return out[i].Rule < out[j].Rule
-		}
-		return out[i].Time < out[j].Time
-	})
-	return out
-}
 
 // fireOnce emits one @hit state, which fires every rule gated on @hit.
 func fireOnce(t *testing.T, e *Engine, ts int64) {
@@ -171,88 +155,6 @@ func TestQuarantineAndRevive(t *testing.T) {
 				t.Error("ReviveRule accepted an unknown rule name")
 			}
 		})
-	}
-}
-
-// TestSweepBudget is resource governance: a sweep that exceeds
-// Config.SweepBudget fails with a typed, rule-attributed error — at any
-// worker count the same rule is blamed — and repeated invocations drain
-// the backlog incrementally (progress, never a hang), converging on the
-// exact firing sequence of an unbudgeted engine.
-func TestSweepBudget(t *testing.T) {
-	build := func(workers int, budget int64) *Engine {
-		e := NewEngine(Config{
-			Initial:     map[string]value.Value{"a": value.NewInt(1)},
-			Workers:     workers,
-			SweepBudget: budget,
-		})
-		for i := 0; i < 2; i++ {
-			// Temporal + Manual: every state must be replayed, only at Flush —
-			// so a backlog accumulates and the budget has something to govern.
-			if err := e.AddTrigger(fmt.Sprintf("m%d", i), `lasttime @go`, nil, WithScheduling(Manual)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for ts := int64(1); ts <= 4; ts++ {
-			if err := e.Emit(ts, event.New("go")); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return e
-	}
-
-	ref := build(1, 0) // unbudgeted reference
-	if err := ref.Flush(); err != nil {
-		t.Fatalf("reference Flush: %v", err)
-	}
-
-	var blamed string
-	var afterFail []Firing
-	for _, workers := range []int{1, 4} {
-		e := build(workers, 3)
-		err := e.Flush()
-		if !errors.Is(err, ErrBudgetExceeded) {
-			t.Fatalf("workers=%d: first Flush err = %v, want ErrBudgetExceeded", workers, err)
-		}
-		var be *BudgetError
-		if !errors.As(err, &be) || be.Rule == "" {
-			t.Fatalf("workers=%d: budget error lacks rule attribution: %v", workers, err)
-		}
-		if blamed == "" {
-			blamed = be.Rule
-		} else if be.Rule != blamed {
-			t.Errorf("workers=%d blames %s, workers=1 blamed %s — attribution must be deterministic", workers, be.Rule, blamed)
-		}
-		// A failed sweep still advances and merges every rule, so the engine
-		// state after the error — here the recorded firings — is identical at
-		// every worker count, not just the error attribution.
-		if afterFail == nil {
-			afterFail = append([]Firing(nil), e.Firings()...)
-		} else if got := e.Firings(); !reflect.DeepEqual(got, afterFail) {
-			t.Errorf("workers=%d: state after failed Flush diverges from workers=1:\n got %v\nwant %v", workers, got, afterFail)
-		}
-		// Drain: each Flush gets a fresh budget and advances the cursors, so
-		// a bounded number of retries reaches the fixpoint.
-		drained := false
-		for i := 0; i < 10; i++ {
-			if err := e.Flush(); err == nil {
-				drained = true
-				break
-			} else if !errors.Is(err, ErrBudgetExceeded) {
-				t.Fatalf("workers=%d: Flush err = %v", workers, err)
-			}
-		}
-		if !drained {
-			t.Fatalf("workers=%d: backlog not drained in 10 budgeted flushes", workers)
-		}
-		// A budget-interrupted sweep changes how firings interleave across
-		// the resumed flushes (rules after the attributed one have already
-		// advanced when the error surfaces), but no firing may be lost or
-		// invented: the sets must match, and each rule's own subsequence is
-		// identical because relative order within a rule never changes.
-		if got, want := sortedFirings(e.Firings()), sortedFirings(ref.Firings()); !reflect.DeepEqual(got, want) {
-			t.Errorf("workers=%d: budgeted firings diverge from reference:\n got %v\nwant %v", workers, got, want)
-		}
 	}
 }
 

@@ -120,17 +120,6 @@ func (e *Engine) AddConstraint(name, constraint string, opts ...RuleOption) erro
 	return e.add(name, &ptl.Not{F: f}, nil, true, opts...)
 }
 
-// AddConstraintFormula registers an integrity constraint from an AST,
-// refusing one whose printed text does not parse back to it, as
-// AddTriggerFormula does.
-func (e *Engine) AddConstraintFormula(name string, constraint ptl.Formula, opts ...RuleOption) error {
-	negated := &ptl.Not{F: constraint}
-	if err := reparses(name, negated); err != nil {
-		return err
-	}
-	return e.add(name, negated, nil, true, opts...)
-}
-
 // reparses refuses a condition that would not survive the WAL and
 // snapshots, which store it as its printed text. Parse(f.String()) equals
 // f for every condition the parser produces, so only hand-built ASTs need

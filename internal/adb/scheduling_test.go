@@ -24,7 +24,8 @@ func firingSet(fs []Firing) map[string]int {
 
 // TestSchedulingEquivalenceTemporal: for temporal rules, Eager, Relevant
 // and Manual+Flush recognize exactly the same firing set — delayed, never
-// lost (Section 8's guarantee).
+// lost (Section 8's guarantee). The Manual backlog is flushed at one
+// worker and at four, and both match the eager run.
 func TestSchedulingEquivalenceTemporal(t *testing.T) {
 	conds := []string{
 		`@e0 since @e1(1)`,
@@ -34,13 +35,16 @@ func TestSchedulingEquivalenceTemporal(t *testing.T) {
 	for seed := 0; seed < 30; seed++ {
 		rng := rand.New(rand.NewSource(int64(4000 + seed)))
 		h := ptlgen.History(rng, 40)
-		results := make([]map[string]int, 0, 3)
-		for _, sched := range []Scheduling{Eager, Relevant, Manual} {
+		results := make([]map[string]int, 0, 4)
+		for _, run := range []struct {
+			sched   Scheduling
+			workers int
+		}{{Eager, 0}, {Relevant, 0}, {Manual, 1}, {Manual, 4}} {
 			e := NewEngine(Config{Initial: map[string]value.Value{
 				"a": value.NewInt(5), "b": value.NewInt(0), "c": value.NewInt(0),
-			}})
+			}, Workers: run.workers})
 			for i, c := range conds {
-				if err := e.AddTrigger(fmt.Sprintf("r%d", i), c, nil, WithScheduling(sched)); err != nil {
+				if err := e.AddTrigger(fmt.Sprintf("r%d", i), c, nil, WithScheduling(run.sched)); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -401,20 +401,7 @@ func (e *Engine) advanceRule(r *rule, end int, out *advanceOutcome) {
 	if !r.info.Temporal && r.sched == Relevant && out.cursor < end-1 {
 		out.cursor = end - 1
 	}
-	budget := e.sweepBudget
 	for out.cursor < end {
-		// The per-rule half of the sweep budget: a single rule's catch-up
-		// may spend at most SweepBudget steps per invocation. Checked here
-		// (not at merge) so a huge backlog stops early; the cursor stays at
-		// the stopping point, so the evaluator state remains consistent and
-		// the next sweep resumes with a fresh budget (progress, no hang).
-		// The comparison matches the cumulative check at the merge (strictly
-		// over budget errors), so exactly SweepBudget steps always pass and
-		// step budget+1 always trips, whichever check fires first.
-		if budget > 0 && out.steps > budget {
-			out.err = &BudgetError{Rule: r.name, Steps: out.steps, Budget: budget}
-			return
-		}
 		st := e.hist.At(out.cursor)
 		res, err := e.step(r, st, out.cursor, e.dirty[out.cursor])
 		out.steps++
@@ -534,8 +521,6 @@ func (e *Engine) runJobs(s *sweepScratch, end int) error {
 	// observer that reads Firings() — or commits — from its callback must find
 	// the lock free and the log ending at the firing it is being told about.
 	var firstErr error
-	var used int64
-	budget := e.sweepBudget
 	e.mu.Lock()
 	for i, j := range jobs {
 		out, r := &outs[i], j.r
@@ -561,13 +546,6 @@ func (e *Engine) runJobs(s *sweepScratch, end int) error {
 		}
 		if out.err != nil && firstErr == nil {
 			firstErr = out.err
-		}
-		// The cumulative half of the sweep budget: total steps across the
-		// invocation, accumulated in rule order so the offending rule is
-		// the same at every worker count.
-		used += out.steps
-		if budget > 0 && used > budget && firstErr == nil {
-			firstErr = &BudgetError{Rule: r.name, Steps: used, Budget: budget}
 		}
 	}
 	e.mu.Unlock()

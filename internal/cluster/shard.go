@@ -180,9 +180,9 @@ func (s *RemoteShard) Health() ([]wire.HealthJSON, string, error) {
 	return h.Rules, h.Degraded, nil
 }
 
-// Storage queries the remote server's storage footprint, satisfying the
-// router's optional per-shard storage capability (LocalShard gets it from
-// the embedded EngineBackend).
+// Storage queries the remote server's storage footprint, the Shard
+// method the router sums across shards (LocalShard gets it from the
+// embedded EngineBackend).
 func (s *RemoteShard) Storage() (wire.StorageJSON, error) { return s.cli.Storage() }
 
 // Follow subscribes from sequence 0 and pumps the stream into fn; the

@@ -379,18 +379,16 @@ func RelevanceRunWorkers(rules, states int, sched adb.Scheduling, workers int) (
 
 // RelevanceRunGoverned is the E8 kernel with trivial (non-nil) actions,
 // so every firing passes through the action sandbox. With governed set it
-// additionally enables the full resource-governance surface — a sweep
-// budget far above the workload's real step count, a circuit-breaker
+// additionally enables the fault-isolation surface — a circuit-breaker
 // threshold and a one-second action deadline — so the measured delta over
-// the plain run is the overhead of the recover wrapper, the budget checks
-// and the deadline machinery, not of any fault actually occurring.
+// the plain run is the overhead of the recover wrapper, the breaker's
+// bookkeeping and the deadline machinery, not of any fault occurring.
 func RelevanceRunGoverned(rules, states int, sched adb.Scheduling, workers int, governed bool) (steps int64, dur time.Duration) {
 	cfg := adb.Config{
 		Initial: map[string]value.Value{"a": value.NewInt(1)},
 		Workers: workers,
 	}
 	if governed {
-		cfg.SweepBudget = 1 << 40
 		cfg.MaxRuleFailures = 3
 		cfg.ActionTimeout = time.Second
 	}

@@ -49,10 +49,10 @@ type InitRecord struct {
 	Initial      map[string]json.RawMessage `json:"initial,omitempty"`
 	Start        int64                      `json:"start"`
 	CascadeLimit int                        `json:"cascade,omitempty"`
-	// MaxRuleFailures and SweepBudget shape which actions run and which
-	// sweeps fail, so replay must use the original values; both are
-	// omitted (and decode to "disabled") in logs written before they
-	// existed.
+	// MaxRuleFailures shapes which actions run, so replay must use the
+	// original value; it is omitted (and decodes to "disabled") in logs
+	// written before it existed. SweepBudget is only decoded: a log written
+	// with the deleted sweep budget is refused at recovery.
 	MaxRuleFailures int   `json:"maxfail,omitempty"`
 	SweepBudget     int64 `json:"budget,omitempty"`
 }

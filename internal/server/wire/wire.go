@@ -89,7 +89,6 @@ const (
 	CodeConstraint  = "constraint"
 	CodeDegraded    = "degraded"
 	CodeQuarantined = "quarantined"
-	CodeBudget      = "budget"
 	CodeTimeout     = "action_timeout"
 	CodeInternal    = "internal"
 	CodeVersion     = "version"
@@ -165,7 +164,6 @@ var codeSentinels = []struct {
 	{CodeConstraint, adb.ErrConstraintViolation},
 	{CodeDegraded, adb.ErrDegraded},
 	{CodeQuarantined, adb.ErrRuleQuarantined},
-	{CodeBudget, adb.ErrBudgetExceeded},
 	{CodeTimeout, adb.ErrActionTimeout},
 	{CodeInternal, adb.ErrInternal},
 	{CodeVersion, ErrVersionMismatch},

@@ -141,7 +141,6 @@ func TestErrorTaxonomyRoundTrip(t *testing.T) {
 		{&adb.ConstraintError{Constraint: "c", Txn: 1}, CodeConstraint},
 		{&adb.DegradedError{Cause: errors.New("disk")}, CodeDegraded},
 		{&adb.QuarantineError{Rule: "r"}, CodeQuarantined},
-		{&adb.BudgetError{Rule: "r", Steps: 2, Budget: 1}, CodeBudget},
 		{&adb.TimeoutError{Rule: "r"}, CodeTimeout},
 		{&adb.InternalError{Op: "x", Err: errors.New("y")}, CodeInternal},
 		{ErrVersionMismatch, CodeVersion},

@@ -247,8 +247,6 @@ var (
 	// ErrDegraded reports an engine sealed read-only after a durability
 	// fault or broken invariant; see Engine.Degraded.
 	ErrDegraded = adb.ErrDegraded
-	// ErrBudgetExceeded reports a sweep exceeding Config.SweepBudget.
-	ErrBudgetExceeded = adb.ErrBudgetExceeded
 	// ErrActionTimeout reports an action exceeding Config.ActionTimeout.
 	ErrActionTimeout = adb.ErrActionTimeout
 	// ErrInternal reports a broken engine invariant.
@@ -264,9 +262,6 @@ type QuarantineError = adb.QuarantineError
 
 // DegradedError seals an engine read-only and carries the cause.
 type DegradedError = adb.DegradedError
-
-// BudgetError attributes an exceeded sweep budget to a rule.
-type BudgetError = adb.BudgetError
 
 // TimeoutError attributes an exceeded action deadline to a rule.
 type TimeoutError = adb.TimeoutError
