@@ -57,7 +57,7 @@ func (e *Engine) checkConstraints(tentative history.SystemState, changed []strin
 	d := dirtySet{known: true, items: changed}
 	at := e.hist.Len() // the index the state will have if it is accepted
 	e.stampDirty(at, changed, false)
-	e.deal(len(constraints), func(i int) {
+	e.deal(&e.gateCost, len(constraints), func(i int) {
 		r := constraints[i]
 		r.ev.Mark()
 		res, err := e.step(r, tentative, at, d)

@@ -65,8 +65,13 @@ type Engine struct {
 	cascade   int
 	cascadeTo int
 
-	// workers bounds the pool evaluating independent rules concurrently.
-	workers int
+	// workers bounds the pool evaluating independent rules concurrently;
+	// the rest is deal's rule for when to use it (dealThreshold is
+	// poolMinWork, which in-package tests set to 0 to force helpers).
+	workers             int
+	sweepCost, gateCost jobCost
+	dealThreshold       time.Duration
+	pooledDeals         int64
 
 	// base is the absolute index of hist's first state; Compact advances
 	// it as fully-processed prefix states are discarded.
@@ -160,7 +165,10 @@ type Config struct {
 	// Workers bounds the worker pool the temporal component uses to
 	// evaluate independent rules concurrently during sweeps, flushes and
 	// constraint checks. 0 means GOMAXPROCS; 1 forces fully sequential
-	// evaluation. Firings, violations and errors are merged in rule
+	// evaluation. It is an upper bound: a batch runs on the committing
+	// goroutine alone unless its predicted work — its job count times the
+	// engine's measured cost per job — is at least ≈ 100 µs, worth waking
+	// helpers for. Firings, violations and errors are merged in rule
 	// registration order, so results do not depend on this setting.
 	Workers int
 	// Durability selects the persistence mode. NewEngine only accepts
@@ -227,6 +235,7 @@ func NewEngine(cfg Config) *Engine {
 		execIdx:       map[string][]int{},
 		cascadeTo:     limit,
 		workers:       workers,
+		dealThreshold: poolMinWork,
 		eventIndex:    map[string][]*rule{},
 		itemIndex:     map[string][]*rule{},
 		maxFailures:   cfg.MaxRuleFailures,

@@ -46,9 +46,10 @@ func (e *ActionPanicError) Error() string {
 func (e *ActionPanicError) Unwrap() error { return ErrActionPanic }
 
 // WorkerPanic is what the committing goroutine is panicked with when an
-// evaluation job panicked on a pool goroutine (Workers >= 2): the job's own
-// panic value, and the stack it was raised on — the re-raise's own trace
-// ends in deal. At Workers: 1 the job's panic unwinds to the caller as is.
+// evaluation job panicked in a pooled deal — one that woke helpers, the
+// caller's own share included: the job's own panic value, and the stack it
+// was raised on — the re-raise's own trace ends in deal. A deal that runs
+// inline (always at Workers: 1) lets the job's panic unwind as is.
 type WorkerPanic struct {
 	Value any
 	Stack []byte

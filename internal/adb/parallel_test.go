@@ -214,6 +214,7 @@ func TestParallelFiringEquivalence(t *testing.T) {
 		withConstraints := trial%2 == 0
 		seq := buildRandomEngine(t, seed, rules, 1, withConstraints)
 		par := buildRandomEngine(t, seed, rules, 8, withConstraints)
+		par.dealThreshold = 0 // these rule sets are far below poolMinWork
 		driveRandomHistory(t, seq, seed*31, rules, states)
 		driveRandomHistory(t, par, seed*31, rules, states)
 
@@ -245,6 +246,7 @@ func TestParallelConstraintAbortOrder(t *testing.T) {
 			Initial: map[string]value.Value{"a": value.NewInt(0)},
 			Workers: 8,
 		})
+		e.dealThreshold = 0
 		// c0 holds; c1..c7 are all violated by the same update.
 		if err := e.AddConstraint("c0", `not (item("a") < 0)`); err != nil {
 			t.Fatal(err)
@@ -273,6 +275,7 @@ func TestParallelConstraintAbortOrder(t *testing.T) {
 func TestRejectedCommitStepsWorkerIndependent(t *testing.T) {
 	run := func(workers int) (int64, []byte) {
 		e := NewEngine(Config{Initial: map[string]value.Value{"a": value.NewInt(0)}, Workers: workers})
+		e.dealThreshold = 0
 		for i := 0; i < 6; i++ {
 			if err := e.AddConstraint(fmt.Sprintf("c%d", i), fmt.Sprintf(`not (item("a") > %d)`, 10+i)); err != nil {
 				t.Fatal(err)
@@ -419,6 +422,7 @@ func TestParallelPanicIsolationEquivalence(t *testing.T) {
 		cfg := p.config(workers)
 		cfg.MaxRuleFailures = 3
 		r.e = NewEngine(cfg)
+		r.e.dealThreshold = 0
 		p.register(t, r.e)
 		// Registered after the random set, so the existing rules keep their
 		// registration order. Gated on ev0, which the op mix emits routinely.

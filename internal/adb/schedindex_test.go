@@ -103,7 +103,11 @@ func TestIndexedSweepEquivalence(t *testing.T) {
 		withConstraints := trial%2 == 0
 		tr := newParkTrace(seed, rules, states, withConstraints, trial%2 == 1)
 		mk := func(workers int, noIndex bool) *Engine {
-			return tr.run(t, newEngine(tr.config(workers), noIndex), nil)
+			e := newEngine(tr.config(workers), noIndex)
+			if workers > 1 {
+				e.dealThreshold = 0
+			}
+			return tr.run(t, e, nil)
 		}
 		ref := mk(1, true)
 		var steps int64

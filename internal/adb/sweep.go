@@ -2,10 +2,12 @@ package adb
 
 import (
 	"fmt"
+	"runtime"
 	"runtime/debug"
 	"slices"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"ptlactive/internal/core"
 	"ptlactive/internal/event"
@@ -505,7 +507,7 @@ func (e *Engine) runJobs(s *sweepScratch, end int) error {
 	s.evalIdx = evalIdx
 	s.outs = sized(s.outs, len(jobs))
 	outs := s.outs
-	e.deal(len(evalIdx), func(k int) {
+	e.deal(&e.sweepCost, len(evalIdx), func(k int) {
 		i := evalIdx[k]
 		e.advanceRule(jobs[i].r, end, &outs[i])
 	})
@@ -552,55 +554,118 @@ func (e *Engine) runJobs(s *sweepScratch, end int) error {
 	return firstErr
 }
 
+// poolMinWork is the predicted work below which deal runs a batch inline
+// instead of waking helpers. Waking an idle processor costs tens of µs on a
+// small box, so a batch pays for helpers only well above that: the
+// constraint-gate workload deals ≈ 50–80 µs of constraint steps per commit
+// and is faster inline, the sparse-temporal one ≈ 300–600 µs of rule steps
+// and is faster pooled.
+const poolMinWork = 100 * time.Microsecond
+
+// jobCost is a moving average of one deal site's work per job, in ns: each
+// deal folds in its work ÷ n at weight 1/8, the work capped at twice the
+// pool threshold. It starts at 0, so a site's first deal runs inline. Only
+// the threshold crossing matters, so the cap costs no decision, and it keeps
+// one slow deal (a cold cache, a GC pause, a preempted thread: 8 ms for 8
+// cheap jobs under the race detector) from moving a batch's prediction by
+// more than a quarter of the threshold. The sweep and the constraint check
+// keep one each: a sweep job of the constraint-gate workload costs 1.5–2× a
+// constraint step, and one shared average priced the check's 300 steps
+// over poolMinWork in 37–109 of 179 commits.
+type jobCost float64
+
+func (c *jobCost) note(work, limit time.Duration, n int) {
+	*c += (jobCost(float64(min(work, limit))/float64(n)) - *c) / 8
+}
+
 // deal is the temporal component's one worker pool: it runs job(0..n-1) on
-// at most Workers goroutines (inline when one suffices) and returns when
-// all are done. Jobs must be independent and write their results to their
-// own slots; callers merge the slots in index order afterwards, which is
-// what keeps every observable result independent of the worker count.
+// at most Workers goroutines and returns when all are done. Jobs must be
+// independent and write their results to their own slots; callers merge the
+// slots in index order afterwards, which is what keeps every observable
+// result independent of the worker count and of whether helpers ran.
+//
+// Helpers run only when the batch is predicted to be worth a wake-up: n
+// times the site's measured cost per job must reach dealThreshold
+// (poolMinWork). The work a deal measures is the time its goroutines spent
+// claiming and running jobs — an inline deal's wall time — so a pooled deal
+// is priced by what its jobs cost, not by how long its helpers took to wake.
+// A pooled deal starts workers−1 helpers and runs the claim loop on the
+// caller too, after one yield that lets the newest helper start at once.
 // Workers claim runs of indices, an eighth of an even share at a time — a
-// sub-microsecond job does not pay for a contended atomic add each. A job
-// that panics (a registered query function is user code) panics deal's
-// caller, as it does inline, once every worker has stopped — from a pool
-// goroutine as a *WorkerPanic, which keeps the value and the job's stack.
-func (e *Engine) deal(n int, job func(i int)) {
-	workers := e.workers
-	if workers > n {
-		workers = n
-	}
+// sub-microsecond job does not pay for a contended atomic add each.
+// A job that panics (a registered query function is user code) panics
+// deal's caller, as it does inline, once every worker has stopped — from a
+// pooled deal as a *WorkerPanic, which keeps the value and the job's stack.
+func (e *Engine) deal(cost *jobCost, n int, job func(i int)) {
+	workers := min(e.workers, n)
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
 			job(i)
 		}
 		return
 	}
-	run := max(1, n/(8*workers))
-	var pool struct { // one allocation, shared with the workers
-		next     atomic.Int64
-		panicked atomic.Pointer[WorkerPanic]
-		wg       sync.WaitGroup
+	if time.Duration(float64(n)*float64(*cost)) < e.dealThreshold {
+		start := time.Now()
+		for i := 0; i < n; i++ {
+			job(i)
+		}
+		cost.note(time.Since(start), 2*e.dealThreshold, n)
+		return
 	}
-	pool.wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer pool.wg.Done()
-			defer func() {
-				if p := recover(); p != nil {
-					pool.panicked.CompareAndSwap(nil, &WorkerPanic{Value: p, Stack: debug.Stack()})
-				}
-			}()
-			for {
-				lo := int(pool.next.Add(int64(run))) - run
-				if lo >= n {
-					return
-				}
-				for i := lo; i < min(lo+run, n); i++ {
-					job(i)
-				}
-			}
-		}()
+	e.pooledDeals++
+	p := &dealPool{n: n, run: max(1, n/(8*workers)), job: job}
+	p.wg.Add(workers - 1)
+	for w := 1; w < workers; w++ {
+		go p.help()
 	}
-	pool.wg.Wait()
-	if p := pool.panicked.Load(); p != nil {
-		panic(p)
+	// The newest helper sits in this processor's run-next slot, which an
+	// idle processor steals only after a short sleep; a caller that kept
+	// running would do most of the work alone (a 2,000-job deal on two
+	// processors: 108 µs without the yield, 76 µs with it). So the caller
+	// yields once: the helper starts here at once, and the caller resumes
+	// on the processor the spawn woke.
+	runtime.Gosched()
+	p.claim()
+	p.wg.Wait()
+	if wp := p.panicked.Load(); wp != nil {
+		panic(wp)
+	}
+	cost.note(time.Duration(p.busy.Load()), 2*e.dealThreshold, n)
+}
+
+// dealPool is one pooled deal's shared state, a single allocation.
+type dealPool struct {
+	next     atomic.Int64
+	busy     atomic.Int64 // ns the goroutines spent in claim
+	panicked atomic.Pointer[WorkerPanic]
+	wg       sync.WaitGroup
+	n, run   int
+	job      func(i int)
+}
+
+// help is a helper goroutine's body.
+func (p *dealPool) help() {
+	defer p.wg.Done()
+	p.claim()
+}
+
+// claim runs claimed runs of jobs until none are left, recording the first
+// panic instead of unwinding.
+func (p *dealPool) claim() {
+	start := time.Now()
+	defer func() {
+		p.busy.Add(int64(time.Since(start)))
+		if v := recover(); v != nil {
+			p.panicked.CompareAndSwap(nil, &WorkerPanic{Value: v, Stack: debug.Stack()})
+		}
+	}()
+	for {
+		lo := int(p.next.Add(int64(p.run))) - p.run
+		if lo >= p.n {
+			return
+		}
+		for i := lo; i < min(lo+p.run, p.n); i++ {
+			p.job(i)
+		}
 	}
 }

@@ -240,6 +240,68 @@ func TestFollowerByteIdentity(t *testing.T) {
 	}
 }
 
+// TestShipAfterReply: a primary hands a commit's WAL batch to its followers
+// only after the commit's reply is enqueued, and batches still arrive in LSN
+// order, gap-free and stamped with the epoch in force when they hit disk —
+// across pipelined commits and a BumpEpoch between them. The sink records
+// each call beside the commits' done callbacks; both run on the backend's
+// pipeline goroutine, so the record is the exact order of events there.
+func TestShipAfterReply(t *testing.T) {
+	eng, err := adb.Restore(adb.Config{NoFsync: true, Durability: adb.DurabilityWAL,
+		Initial: map[string]value.Value{"a": value.NewInt(0)}}, t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	be := server.NewEngineBackend(eng)
+	defer be.Close()
+	sh := NewShipper(be)
+	var events []string
+	from := sh.LastLSN() + 1
+	cancel, err := sh.FollowWAL(from, 0, func() {}, func(b server.WALBatch) {
+		events = append(events, fmt.Sprintf("batch %d-%d epoch %d", b.First, b.Last, b.Epoch))
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cancel()
+	commit := func(ts int64) {
+		be.GoTxn(ts, map[string]value.Value{"a": value.NewInt(ts)}, nil, nil, func(ts int64, err error) {
+			if err != nil {
+				t.Errorf("commit %d: %v", ts, err)
+			}
+			events = append(events, fmt.Sprintf("reply %d", ts))
+		})
+	}
+	for ts := int64(1); ts <= 3; ts++ {
+		commit(ts)
+	}
+	if err := sh.BumpEpoch(2); err != nil {
+		t.Fatal(err)
+	}
+	for ts := int64(4); ts <= 6; ts++ {
+		commit(ts)
+	}
+	be.Barrier()
+
+	var want []string
+	lsn := from
+	for ts := int64(1); ts <= 6; ts++ {
+		if ts == 4 { // the epoch record ships stamped with the old epoch
+			want = append(want, fmt.Sprintf("batch %d-%d epoch 0", lsn, lsn))
+			lsn++
+		}
+		epoch := 0
+		if ts >= 4 {
+			epoch = 2
+		}
+		want = append(want, fmt.Sprintf("reply %d", ts), fmt.Sprintf("batch %d-%d epoch %d", lsn, lsn, epoch))
+		lsn++
+	}
+	if !reflect.DeepEqual(events, want) {
+		t.Fatalf("pipeline order:\n got  %q\n want %q", events, want)
+	}
+}
+
 // TestFollowerServesReadsRefusesWrites: a follower answers queries,
 // role, and firing subscriptions, and bounces writes with the
 // not_primary sentinel carrying the primary's address.

@@ -39,9 +39,11 @@ const maxWalChunk = 1 << 20
 
 // Shipper taps a durable primary engine's WAL flush hook and fans every
 // durable batch out to registered follower sinks, stamped with the
-// primary epoch in force when the batch hit disk. It installs itself at
-// the backend's serialization point, so batch delivery order is exactly
-// commit order.
+// primary epoch in force when the batch hit disk. The hook only queues a
+// batch; the backend's pipeline delivers the queue after each operation,
+// once the operation's reply is enqueued, so a follower's apply never
+// competes with the primary's reply. Both run at the serialization point,
+// so batch delivery order is exactly commit order.
 type Shipper struct {
 	be *server.EngineBackend
 
@@ -50,16 +52,21 @@ type Shipper struct {
 	lastLSN int64
 	sinks   map[int]func(server.WALBatch)
 	nextID  int
+	// queued holds the batches made durable by the running operation;
+	// only the pipeline goroutine touches it (flushed, ship).
+	queued []server.WALBatch
 }
 
-// NewShipper installs the flush hook on be's engine (which must be
-// durable) and returns the shipper. The backend must outlive it.
+// NewShipper installs the flush hook and the delivery step on be (whose
+// engine must be durable) and returns the shipper. The backend must
+// outlive it.
 func NewShipper(be *server.EngineBackend) *Shipper {
 	s := &Shipper{be: be, sinks: map[int]func(server.WALBatch){}}
 	be.Do(func() {
 		s.epoch = be.Engine().Epoch()
 		s.lastLSN = be.Engine().WALLastLSN()
 		be.Engine().WALFlushHook(s.flushed)
+		be.AfterOps(s.ship)
 	})
 	return s
 }
@@ -67,7 +74,7 @@ func NewShipper(be *server.EngineBackend) *Shipper {
 // flushed runs inside the engine call that made the batch durable, on the
 // pipeline goroutine. The bytes are only valid during the call
 // (persist.FlushHook), so they are copied once here (and only when someone
-// is listening).
+// is listening) and queued for ship.
 func (s *Shipper) flushed(data []byte, first, last int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -77,10 +84,27 @@ func (s *Shipper) flushed(data []byte, first, last int64) {
 	}
 	cp := make([]byte, len(data))
 	copy(cp, data)
-	b := server.WALBatch{Data: cp, First: first, Last: last, Epoch: s.epoch}
-	for _, sink := range s.sinks {
-		sink(b)
+	s.queued = append(s.queued, server.WALBatch{Data: cp, First: first, Last: last, Epoch: s.epoch})
+}
+
+// ship hands the batches the last operation queued to every sink, in flush
+// order. It runs on the pipeline goroutine after the operation's done
+// callback (EngineBackend.AfterOps), so the queue is empty whenever an
+// operation starts — FollowWAL's backlog read and sink registration see
+// every batch either in the backlog or live, never both.
+func (s *Shipper) ship() {
+	if len(s.queued) == 0 {
+		return
 	}
+	s.mu.Lock()
+	for _, b := range s.queued {
+		for _, sink := range s.sinks {
+			sink(b)
+		}
+	}
+	s.mu.Unlock()
+	clear(s.queued)
+	s.queued = s.queued[:0]
 }
 
 // Epoch returns the primary epoch batches are currently stamped with.

@@ -95,6 +95,8 @@ type EngineBackend struct {
 	// ops is the pipeline: mutations execute on the goroutine draining it.
 	ops      chan func()
 	pipeDone chan struct{}
+	// after runs on the pipeline goroutine after every op (see AfterOps).
+	after func()
 	// seq is the next firing's absolute index; touched only on the
 	// pipeline goroutine (the engine observer runs inside pipeline ops).
 	seq int
@@ -129,8 +131,18 @@ func (b *EngineBackend) pipeline() {
 	defer close(b.pipeDone)
 	for fn := range b.ops {
 		fn()
+		if b.after != nil {
+			b.after()
+		}
 	}
 }
+
+// AfterOps installs fn to run on the pipeline goroutine after every
+// operation, once the operation's done callback has run: whatever fn sends
+// leaves after that operation's reply is enqueued, and before the next
+// operation starts. Call it at the serialization point (inside Do). The
+// replication shipper delivers a commit's WAL batches through it.
+func (b *EngineBackend) AfterOps(fn func()) { b.after = fn }
 
 // fired runs inside the engine call that produced the firing, on the
 // pipeline goroutine, so observers see firings in exactly the engine's
