@@ -17,7 +17,6 @@ import (
 	"ptlactive/internal/adb"
 	"ptlactive/internal/experiments"
 	"ptlactive/internal/ptlgen"
-	"ptlactive/internal/workload"
 )
 
 const doubledCondition = `[t <- time] [x <- item("px_IBM")]
@@ -33,7 +32,7 @@ func BenchmarkE1IncrementalVsNaive(b *testing.B) {
 	}
 	reg := ptlactive.NewRegistry()
 	for _, n := range []int{100, 1000, 4000} {
-		h := workload.Stocks(rand.New(rand.NewSource(1)), workload.DefaultStockConfig(), n)
+		h := experiments.Stocks(rand.New(rand.NewSource(1)), experiments.DefaultStockConfig(), n)
 		b.Run(fmt.Sprintf("incremental/n=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := experiments.RunIncremental(f, reg, h); err != nil {
@@ -86,7 +85,7 @@ func BenchmarkE3AggregateRewriting(b *testing.B) {
 		b.Fatal(err)
 	}
 	reg := ptlactive.NewRegistry()
-	h := workload.Stocks(rand.New(rand.NewSource(3)), workload.DefaultStockConfig(), 1000)
+	h := experiments.Stocks(rand.New(rand.NewSource(3)), experiments.DefaultStockConfig(), 1000)
 	b.Run("direct", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := experiments.RunIncremental(f, reg, h); err != nil {

@@ -116,10 +116,6 @@ func (e *Engine) drainActions() error {
 		e.pending = e.pending[1:]
 		f := p.Firing
 		r := e.index[f.Rule]
-		if r == nil || r.action == nil {
-			e.recordExecution(r, f, f.Time)
-			continue
-		}
 		// The breaker state is read under the lock: ReviveRule may run
 		// concurrently with a sweep's reader accessors.
 		e.mu.RLock()
@@ -145,27 +141,21 @@ func (e *Engine) drainActions() error {
 			continue
 		}
 		e.recordSuccess(r)
-		e.recordExecution(r, f, e.now)
+		e.recordExecution(r, f)
 	}
 	return nil
 }
 
-// recordExecution appends to the executed-predicate log. The execution
+// recordExecution appends to r's executed-predicate log. The execution
 // time is when the action's effects committed (Section 7: "the action part
-// of the rule was committed by the time t").
-func (e *Engine) recordExecution(r *rule, f Firing, ts int64) {
-	if r == nil {
-		return
-	}
+// of the rule was committed by the time t"); e.now never decreases, so the
+// log stays in time order.
+func (e *Engine) recordExecution(r *rule, f Firing) {
 	params := make([]value.Value, len(r.paramOrder))
 	for i, name := range r.paramOrder {
 		params[i] = f.Binding[name]
 	}
-	ex := ptl.Execution{Rule: f.Rule, Params: params, Time: ts}
 	e.mu.Lock()
-	// execs is the source of truth (snapshots serialize it); execIdx is
-	// derived.
-	e.execIdx[ex.Rule] = append(e.execIdx[ex.Rule], len(e.execs))
-	e.execs = append(e.execs, ex)
+	r.execs = append(r.execs, ptl.Execution{Rule: r.name, Params: params, Time: e.now})
 	e.mu.Unlock()
 }

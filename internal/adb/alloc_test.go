@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"testing"
 
+	"ptlactive/internal/event"
 	"ptlactive/internal/value"
 )
 
@@ -220,5 +221,45 @@ func TestNewEngineAllocsPerItem(t *testing.T) {
 		if got > 1.05 {
 			t.Fatalf("NewEngine over %d items: %.3f allocations per item, ceiling 1.05", items, got)
 		}
+	}
+}
+
+// TestActionlessFiringAllocs is the gate on firings of rules without an
+// action, in the firing-stream workload's shape: four triggers
+// `@tick(A, B) and A >= -i` fire on every Emit of a two-parameter tick.
+// Such a firing is appended to the firing log and nothing else; queuing it
+// as a pending action and copying it into an execution log cost 27
+// allocations per Emit, and an Emit now makes at most 20.
+func TestActionlessFiringAllocs(t *testing.T) {
+	e := NewEngine(Config{Workers: 1})
+	for i := 0; i < 4; i++ {
+		if err := e.AddTrigger(fmt.Sprintf("stream%d", i), fmt.Sprintf("@tick(A, B) and A >= %d", -i), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The events are built beforehand: the gate counts the engine's
+	// allocations, not the caller's. AllocsPerRun makes one warm-up call.
+	const runs = 500
+	ticks := make([]event.Event, runs+1)
+	for i := range ticks {
+		ticks[i] = event.New("tick", value.NewInt(int64(i)), value.NewInt(int64(i%7)))
+	}
+	ts := int64(0)
+	var failed error
+	got := testing.AllocsPerRun(runs, func() {
+		if err := e.Emit(ts+1, ticks[ts]); err != nil {
+			failed = err
+		}
+		ts++
+	})
+	if failed != nil {
+		t.Fatal(failed)
+	}
+	if n := len(e.Firings()); n != 4*(runs+1) {
+		t.Fatalf("%d firings, want 4 per Emit", n)
+	}
+	t.Logf("four action-less firings: %.1f allocs per Emit", got)
+	if got > 20 {
+		t.Fatalf("four action-less firings: %.1f allocs per Emit, ceiling 20", got)
 	}
 }

@@ -8,6 +8,7 @@ package adb
 import (
 	"io"
 	"runtime"
+	"sort"
 	"sync"
 	"time"
 
@@ -50,8 +51,6 @@ type Engine struct {
 	rules []*rule
 	index map[string]*rule
 
-	execs   []ptl.Execution
-	execIdx map[string][]int // secondary index of execs by rule: positions in execs
 	firings []Firing
 	// observers are the firing observers, notified in registration order:
 	// Config.OnFiring first (id 0, never cancelled), then the OnFiring
@@ -232,7 +231,6 @@ func NewEngine(cfg Config) *Engine {
 		db:            history.NewDB(cfg.Initial),
 		now:           cfg.Start,
 		index:         map[string]*rule{},
-		execIdx:       map[string][]int{},
 		cascadeTo:     limit,
 		workers:       workers,
 		dealThreshold: poolMinWork,
@@ -398,32 +396,22 @@ func (e *Engine) EvalSteps() int64 {
 // Workers returns the size of the temporal component's worker pool.
 func (e *Engine) Workers() int { return e.workers }
 
-// Executions implements ptl.ExecLog over the engine's execution record.
+// Executions implements ptl.ExecLog over the rules' execution logs.
 // Safe for concurrent use; the evaluation workers read it through this
-// method while no lock is held for writing.
-// The per-rule secondary index keeps the lookup proportional to the named
-// rule's own executions; the historical scan walked the whole log, which
-// made every executed(R, ...) atom O(total executions) per state.
+// method while no lock is held for writing. A rule's log is in time order,
+// so the executions before a time are a prefix, found by binary search.
 func (e *Engine) Executions(ruleName string, before int64) []ptl.Execution {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	var out []ptl.Execution
-	for _, i := range e.execIdx[ruleName] {
-		if ex := e.execs[i]; ex.Time < before {
-			out = append(out, ex)
-		}
+	r := e.index[ruleName]
+	if r == nil {
+		return nil
 	}
-	return out
-}
-
-// rebuildExecIdxLocked rederives the per-rule index from execs, wherever
-// execs is replaced wholesale (restore, prune); the caller holds mu (or has
-// exclusive access during construction).
-func (e *Engine) rebuildExecIdxLocked() {
-	e.execIdx = make(map[string][]int, len(e.execIdx))
-	for i, ex := range e.execs {
-		e.execIdx[ex.Rule] = append(e.execIdx[ex.Rule], i)
+	n := sort.Search(len(r.execs), func(i int) bool { return r.execs[i].Time >= before })
+	if n == 0 {
+		return nil
 	}
+	return append([]ptl.Execution(nil), r.execs[:n]...)
 }
 
 // Compact discards history states that every rule's evaluator has already
@@ -486,18 +474,13 @@ func (e *Engine) PruneExecutions(t int64) int {
 		return 0
 	}
 	e.mu.Lock()
-	kept := e.execs[:0]
 	dropped := 0
-	for _, ex := range e.execs {
-		if ex.Time < t {
-			dropped++
-			continue
+	for _, r := range e.rules {
+		n := sort.Search(len(r.execs), func(i int) bool { return r.execs[i].Time >= t })
+		if n > 0 {
+			r.execs = append(r.execs[:0], r.execs[n:]...)
+			dropped += n
 		}
-		kept = append(kept, ex)
-	}
-	e.execs = kept
-	if dropped > 0 {
-		e.rebuildExecIdxLocked()
 	}
 	e.mu.Unlock()
 	_ = e.logRecord(&persist.Record{Kind: persist.KindPrune, Arg: t})

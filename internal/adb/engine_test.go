@@ -2,6 +2,7 @@ package adb
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"reflect"
 	"strings"
@@ -243,6 +244,161 @@ func TestActionsAndExecutedPredicate(t *testing.T) {
 	if len(r2Fired) != 1 || r2Fired[0] != 16 {
 		t.Fatalf("r2 firings = %v (executions: %v)", r2Fired, e.Executions("r1", 100))
 	}
+}
+
+// TestActionlessFiringExecutesNothing pins Section 7's executed(r, x, t):
+// "the action part of the rule r was committed by the time t". A rule
+// without an action has nothing to commit, so its firings are logged and
+// observed but never queued as actions nor recorded as executions, and a
+// condition reading executed of it never holds. An action rule still
+// executes when its action commits, with its parameters. Checked on the
+// indexed and the coarse engine, on a durable engine restored from its
+// snapshots and log, and on a follower fed the primary's log.
+func TestActionlessFiringExecutesNothing(t *testing.T) {
+	buy := func(ctx *ActionContext) error {
+		x, _ := ctx.Param("X")
+		return ctx.Exec(map[string]value.Value{"bought": x})
+	}
+	config := func() Config {
+		return Config{
+			Initial: map[string]value.Value{"bought": value.NewInt(0)},
+			Actions: map[string]Action{"act": buy},
+			Workers: 1,
+			NoFsync: true,
+		}
+	}
+	// A firing is observed while the merge runs; by then only action
+	// firings may have been queued. misqueued counts the others.
+	var misqueued int
+	observe := func(e *Engine) {
+		e.OnFiring(func(Firing) {
+			for _, p := range e.pending {
+				if p.Rule != "act" {
+					misqueued++
+				}
+			}
+		})
+	}
+	register := func(t *testing.T, e *Engine) {
+		t.Helper()
+		for _, r := range []struct {
+			name, cond string
+			action     Action
+		}{
+			{"r", `@tick(A)`, nil},
+			{"reader", `executed(r, A, T)`, nil},
+			{"act", `@buy(X)`, buy},
+		} {
+			if err := e.AddTrigger(r.name, r.cond, r.action); err != nil {
+				t.Fatal(err)
+			}
+		}
+		observe(e)
+	}
+	// drive emits two ticks per state (so r fires twice in one merge) and
+	// a buy every third state, and appends to want the executions act
+	// must have.
+	var want []ptl.Execution
+	drive := func(t *testing.T, e *Engine, n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			ts := e.Now() + 1
+			evs := []event.Event{event.New("tick", value.NewInt(ts)), event.New("tick", value.NewInt(-ts))}
+			if ts%3 == 0 {
+				evs = append(evs, event.New("buy", value.NewInt(ts*10)))
+				// The action commits at the next tick.
+				want = append(want, ptl.Execution{Rule: "act", Params: []value.Value{value.NewInt(ts * 10)}, Time: ts + 1})
+			}
+			if err := e.Emit(ts, evs...); err != nil {
+				t.Fatal(err)
+			}
+			if len(e.pending) != 0 {
+				t.Fatalf("%d actions pending after the commit at %d", len(e.pending), ts)
+			}
+		}
+	}
+	check := func(t *testing.T, e *Engine) {
+		t.Helper()
+		if misqueued > 0 {
+			t.Fatalf("%d action-less firings seen queued as actions", misqueued)
+		}
+		ticks := 0
+		for _, f := range e.Firings() {
+			switch f.Rule {
+			case "reader":
+				t.Fatalf("executed(r, ...) held at %d", f.Time)
+			case "r":
+				ticks++
+			}
+		}
+		if ticks < 20 {
+			t.Fatalf("r fired %d times", ticks)
+		}
+		if ex := e.Executions("r", e.Now()+1); ex != nil {
+			t.Fatalf("action-less r executed: %v", ex)
+		}
+		if got := e.Executions("act", e.Now()+1); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("act's executions\n got %v\nwant %v", got, want)
+		}
+	}
+
+	for name, mk := range map[string]func(Config) *Engine{"indexed": NewEngine, "coarse": NewCoarseEngine} {
+		t.Run(name, func(t *testing.T) {
+			want, misqueued = nil, 0
+			e := mk(config())
+			register(t, e)
+			drive(t, e, 20)
+			check(t, e)
+		})
+	}
+
+	t.Run("restored and follower", func(t *testing.T) {
+		want, misqueued = nil, 0
+		fol, err := OpenFollower(config(), t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer fol.Close()
+		ship := func(e *Engine) {
+			chunks, err := e.WALReadFrom(fol.LastLSN()+1, 1<<20)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, c := range chunks {
+				if _, err := fol.ApplyFrames(c.Data, 0); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		dir := t.TempDir()
+		e, err := Restore(config(), dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		register(t, e)
+		drive(t, e, 12)
+		ship(e)
+		if err := e.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		drive(t, e, 3)
+		if err := e.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if e, err = Restore(config(), dir); err != nil {
+			t.Fatal(err)
+		}
+		defer e.Close()
+		if e.Recovery().SnapshotLSN == 0 {
+			t.Fatal("restored without a snapshot")
+		}
+		check(t, e)
+		observe(e)
+		drive(t, e, 12)
+		check(t, e)
+		ship(e)
+		check(t, fol.Engine())
+	})
 }
 
 func TestTemporalActionEveryTenMinutes(t *testing.T) {

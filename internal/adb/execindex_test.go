@@ -11,9 +11,9 @@ import (
 )
 
 // TestExecutionsIndexPerRule is the regression test for the per-rule
-// execution index: interleaved executions of several rules come back
-// per-rule, in recording order, matching a scan of the full log — and
-// the index survives a prune-triggered rebuild.
+// execution logs: interleaved executions of several rules land in their
+// own rule's log, in recording order, and Executions' binary search agrees
+// with a scan of that log — also after a prune.
 func TestExecutionsIndexPerRule(t *testing.T) {
 	e := NewEngine(Config{Initial: map[string]value.Value{"c": value.NewInt(0)}})
 	for i := 0; i < 3; i++ {
@@ -25,17 +25,32 @@ func TestExecutionsIndexPerRule(t *testing.T) {
 	}
 	// Interleave: r0, r1, r0, r2, r1, r0 ...
 	order := []int{0, 1, 0, 2, 1, 0, 2, 2, 1, 0}
+	want := map[string][]int64{}
 	for i, ri := range order {
 		if err := e.Emit(int64(i+1), event.New(fmt.Sprintf("fire%d", ri))); err != nil {
 			t.Fatal(err)
 		}
+		name := fmt.Sprintf("r%d", ri)
+		want[name] = append(want[name], int64(i+1))
+	}
+	for name, times := range want {
+		var got []int64
+		for _, ex := range e.index[name].execs {
+			if ex.Rule != name {
+				t.Fatalf("%s's log holds an execution of %s", name, ex.Rule)
+			}
+			got = append(got, ex.Time)
+		}
+		if !reflect.DeepEqual(got, times) {
+			t.Fatalf("%s's log = %v, want %v in recording order", name, got, times)
+		}
 	}
 
-	// Reference: filter the raw log (the pre-index semantics).
+	// Reference: filter the rule's whole log.
 	scan := func(rule string, before int64) []ptl.Execution {
 		var out []ptl.Execution
-		for _, ex := range e.execs {
-			if ex.Rule == rule && ex.Time < before {
+		for _, ex := range e.index[rule].execs {
+			if ex.Time < before {
 				out = append(out, ex)
 			}
 		}
@@ -55,7 +70,7 @@ func TestExecutionsIndexPerRule(t *testing.T) {
 		t.Fatalf("r0 executions = %d, want 4", n)
 	}
 
-	// Prune rebuilds the index; lookups must agree with the shrunk log.
+	// Lookups must agree with the logs the prune shrank.
 	if d := e.PruneExecutions(6); d == 0 {
 		t.Fatal("prune dropped nothing")
 	}

@@ -192,9 +192,10 @@ const parkFixtureDir = "testdata/park_trace"
 // Cursors, memos, step counter and firing log are all in the snapshot, so
 // byte equality pins every one of them. The files also carry the two
 // sections of a deleted second copy of history (the init record's "track"
-// and the "tracked" auxiliary-relation rows); the comparison is against
-// the files with those cut out (withoutTracked), and the files themselves,
-// decoded and restored as they are, must re-encode to the same bytes.
+// and the "tracked" auxiliary-relation rows) and the executions of rules
+// without an action; the comparison is against the files with those cut
+// out (withoutTracked), and the files themselves, decoded and restored as
+// they are, must re-encode to the same bytes.
 func TestParkTraceFixture(t *testing.T) {
 	tr := parkFixture()
 	for _, workers := range []int{1, 4} {
@@ -247,9 +248,12 @@ func TestParkTraceFixture(t *testing.T) {
 }
 
 // withoutTracked cuts from a fixture snapshot what the engine no longer
-// writes: the init record's "track" list and the trailing "tracked"
-// section. Each must occur exactly once; the envelope is re-sealed with the
-// checksum of the cut payload.
+// writes: the init record's "track" list, the trailing "tracked" section,
+// and the executions of every rule but "act", the trace's one rule with an
+// action (the files were written when each firing of an action-less rule
+// was also logged as an execution). Each section must occur exactly once;
+// the kept executions are re-encoded as the engine encodes them, and the
+// envelope is re-sealed with the checksum of the cut payload.
 func withoutTracked(t *testing.T, data []byte) []byte {
 	t.Helper()
 	var env persist.Envelope
@@ -271,6 +275,30 @@ func withoutTracked(t *testing.T, data []byte) []byte {
 			return nil
 		})
 	}
+	var sec struct {
+		Execs json.RawMessage `json:"execs"`
+	}
+	if err := json.Unmarshal(payload, &sec); err != nil {
+		t.Fatal(err)
+	}
+	var execs, kept []persist.ExecutionSnapshot
+	if err := json.Unmarshal(sec.Execs, &execs); err != nil {
+		t.Fatal(err)
+	}
+	for _, ex := range execs {
+		if ex.Rule == "act" {
+			kept = append(kept, ex)
+		}
+	}
+	raw, err := json.Marshal(kept)
+	if err != nil || len(kept) == 0 {
+		t.Fatalf("fixture keeps %d of %d executions: %v", len(kept), len(execs), err)
+	}
+	section := append([]byte(`"execs":`), sec.Execs...)
+	if n := bytes.Count(payload, section); n != 1 {
+		t.Fatalf("fixture has %d execs sections, want 1", n)
+	}
+	payload = bytes.Replace(payload, section, append([]byte(`"execs":`), raw...), 1)
 	var buf bytes.Buffer
 	if err := persist.WriteEnvelope(&buf, persist.SnapshotKind, payload); err != nil {
 		t.Fatal(err)

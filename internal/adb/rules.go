@@ -44,6 +44,10 @@ type rule struct {
 	// health is the rule's isolated failure record (guarded by Engine.mu);
 	// health.quarantined suppresses the action, never the condition.
 	health ruleHealth
+	// execs is the rule's executed-predicate log (guarded by Engine.mu), in
+	// time order: one record per committed action, stamped when it
+	// committed. A rule without an action never executes.
+	execs []ptl.Execution
 
 	// Scheduling-index metadata (see readset.go). rs and class are fixed at
 	// registration; contiguous marks rules whose evaluator steps every

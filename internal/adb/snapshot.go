@@ -86,16 +86,18 @@ func (e *Engine) buildSnapshot() (*persist.EngineSnapshot, error) {
 			StateIndex: f.StateIndex,
 		})
 	}
-	for _, ex := range e.execs {
-		rec := persist.ExecutionSnapshot{Rule: ex.Rule, Time: ex.Time}
-		for _, p := range ex.Params {
-			raw, err := histio.EncodeValue(p)
-			if err != nil {
-				return nil, fmt.Errorf("adb: snapshot execution %s: %w", ex.Rule, err)
+	for _, r := range e.rules {
+		for _, ex := range r.execs {
+			rec := persist.ExecutionSnapshot{Rule: ex.Rule, Time: ex.Time}
+			for _, p := range ex.Params {
+				raw, err := histio.EncodeValue(p)
+				if err != nil {
+					return nil, fmt.Errorf("adb: snapshot execution %s: %w", ex.Rule, err)
+				}
+				rec.Params = append(rec.Params, raw)
 			}
-			rec.Params = append(rec.Params, raw)
+			snap.Execs = append(snap.Execs, rec)
 		}
-		snap.Execs = append(snap.Execs, rec)
 	}
 	return snap, nil
 }
@@ -208,6 +210,15 @@ func engineFromSnapshot(cfg Config, snap *persist.EngineSnapshot) (*Engine, erro
 		e.firings = append(e.firings, Firing{Rule: f.Rule, Binding: binding, Time: f.Time, StateIndex: f.StateIndex})
 	}
 	for _, ex := range snap.Execs {
+		r := e.index[ex.Rule]
+		if r == nil {
+			return nil, fmt.Errorf("adb: snapshot execution of unknown rule %s", ex.Rule)
+		}
+		if r.action == nil {
+			// Written when every firing of an action-less rule was logged
+			// as an execution; replay records none.
+			continue
+		}
 		var params []value.Value
 		for i, raw := range ex.Params {
 			v, err := histio.DecodeValue(raw)
@@ -216,8 +227,7 @@ func engineFromSnapshot(cfg Config, snap *persist.EngineSnapshot) (*Engine, erro
 			}
 			params = append(params, v)
 		}
-		e.execs = append(e.execs, ptl.Execution{Rule: ex.Rule, Params: params, Time: ex.Time})
+		r.execs = append(r.execs, ptl.Execution{Rule: ex.Rule, Params: params, Time: ex.Time})
 	}
-	e.rebuildExecIdxLocked()
 	return e, nil
 }

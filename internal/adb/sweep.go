@@ -522,6 +522,8 @@ func (e *Engine) runJobs(s *sweepScratch, end int) error {
 	// of the write lock. The hold is dropped around the callbacks alone: an
 	// observer that reads Firings() — or commits — from its callback must find
 	// the lock free and the log ending at the firing it is being told about.
+	// Only a rule with an action queues its firings: without one there is
+	// nothing to execute (Section 7), so the firing log is all that is kept.
 	var firstErr error
 	e.mu.Lock()
 	for i, j := range jobs {
@@ -535,8 +537,11 @@ func (e *Engine) runJobs(s *sweepScratch, end int) error {
 		}
 		for _, f := range out.firings {
 			e.firings = append(e.firings, f)
-			// The firing state, read before a callback can move base.
-			p := pendingAction{f, e.hist.At(f.StateIndex - e.base).DB}
+			var p pendingAction
+			if r.action != nil {
+				// The firing state, read before a callback can move base.
+				p = pendingAction{f, e.hist.At(f.StateIndex - e.base).DB}
+			}
 			if obs := e.observers; len(obs) > 0 { // snapshot; mutation is copy-on-write
 				e.mu.Unlock()
 				for _, o := range obs {
@@ -544,7 +549,9 @@ func (e *Engine) runJobs(s *sweepScratch, end int) error {
 				}
 				e.mu.Lock()
 			}
-			e.pending = append(e.pending, p)
+			if r.action != nil {
+				e.pending = append(e.pending, p)
+			}
 		}
 		if out.err != nil && firstErr == nil {
 			firstErr = out.err

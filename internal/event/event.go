@@ -18,9 +18,6 @@ const (
 	TransactionCommit = "transaction_commit" // args: (txn id)
 	TransactionAbort  = "transaction_abort"  // args: (txn id)
 	AttemptsToCommit  = "attempts_to_commit" // args: (txn id)
-	RuleExecute       = "rule_execute"       // args: (rule name, params...)
-	InsertTuple       = "insert_tuple"       // args: (item name)
-	DeleteTuple       = "delete_tuple"       // args: (item name)
 	UpdateItem        = "update_item"        // args: (item name)
 )
 

@@ -11,7 +11,6 @@ import (
 	"ptlactive/internal/ptl"
 	"ptlactive/internal/ptlgen"
 	"ptlactive/internal/query"
-	"ptlactive/internal/workload"
 )
 
 // doubledFormula is the paper's running example over the workload's IBM
@@ -90,7 +89,7 @@ func E1IncrementalVsNaive(quick bool) Table {
 	}
 	for _, n := range sizes {
 		rng := rand.New(rand.NewSource(1))
-		h := workload.Stocks(rng, workload.DefaultStockConfig(), n)
+		h := Stocks(rng, DefaultStockConfig(), n)
 		start := time.Now()
 		incFired, err := RunIncremental(f, reg, h)
 		if err != nil {
@@ -164,7 +163,7 @@ func peakState(n int, bound int64, compile func(*ptl.Info, *query.Registry) (siz
 		return 0, err
 	}
 	rng := rand.New(rand.NewSource(2))
-	h := workload.Stocks(rng, workload.DefaultStockConfig(), n)
+	h := Stocks(rng, DefaultStockConfig(), n)
 	for i := 0; i < h.Len(); i++ {
 		if _, err := ev.StepResult(h.At(i)); err != nil {
 			return 0, err
@@ -244,7 +243,7 @@ func E3AggregateMaintenance(quick bool) Table {
 	reg := stockRegistry()
 	for _, n := range sizes {
 		rng := rand.New(rand.NewSource(3))
-		h := workload.Stocks(rng, workload.DefaultStockConfig(), n)
+		h := Stocks(rng, DefaultStockConfig(), n)
 
 		start := time.Now()
 		if _, err := RunIncremental(f, reg, h); err != nil {
@@ -320,7 +319,7 @@ func E4FiringThroughput(quick bool) Table {
 
 // quickHistory builds a small stock history for kernel cross-checks.
 func quickHistory(n int) *history.History {
-	return workload.Stocks(rand.New(rand.NewSource(99)), workload.DefaultStockConfig(), n)
+	return Stocks(rand.New(rand.NewSource(99)), DefaultStockConfig(), n)
 }
 
 // DecomposableRun evaluates a decomposable condition over n stock updates
@@ -331,7 +330,7 @@ func DecomposableRun(n int, fast bool) (fired int, err error) {
 	// temporal operators.
 	f := mustFormula(`(item("px_IBM") > 100) since (@update_stocks("IBM") and item("px_DJ") < 100)`)
 	reg := stockRegistry()
-	h := workload.Stocks(rand.New(rand.NewSource(12)), workload.DefaultStockConfig(), n)
+	h := Stocks(rand.New(rand.NewSource(12)), DefaultStockConfig(), n)
 	if fast {
 		ev, err := core.CompileFast(f, reg, nil)
 		if err != nil {

@@ -16,7 +16,6 @@ import (
 	"ptlactive/internal/query"
 	"ptlactive/internal/value"
 	"ptlactive/internal/vtime"
-	"ptlactive/internal/workload"
 )
 
 // rewritingRun runs the Section-6.1.1 rewritten running-sum rule inside an
@@ -62,7 +61,7 @@ type ValidTimeRun struct {
 // RunValidTime executes the E5 kernel for a given maximum delay.
 func RunValidTime(delta int64, txns int) ValidTimeRun {
 	rng := rand.New(rand.NewSource(5))
-	ops := workload.Retro(rng, txns, delta, 0.2)
+	ops := Retro(rng, txns, delta, 0.2)
 	base := history.EmptyDB().With("a", value.NewInt(0))
 	store := vtime.NewStore(base, 0, delta)
 	reg := query.NewRegistry()
@@ -77,7 +76,7 @@ func RunValidTime(delta int64, txns int) ValidTimeRun {
 	}
 	var out ValidTimeRun
 	var tDelaySum, dDelaySum int64
-	apply := func(op workload.RetroStream) {
+	apply := func(op RetroStream) {
 		var err error
 		switch op.Op {
 		case "begin":

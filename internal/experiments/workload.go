@@ -1,10 +1,4 @@
-// Package workload generates the synthetic inputs the benchmarks and
-// examples run on. The paper's motivating domains are a stock market feed
-// (IBM price, Dow Jones Industrial Average) and user sessions
-// (login/logout); since the original traces are not available, these
-// generators produce deterministic-seed equivalents that exercise the
-// same code paths (see DESIGN.md's substitution table).
-package workload
+package experiments
 
 import (
 	"fmt"
@@ -14,6 +8,12 @@ import (
 	"ptlactive/internal/history"
 	"ptlactive/internal/value"
 )
+
+// The experiments' synthetic inputs. The paper's motivating domain is a
+// stock market feed (IBM price, Dow Jones Industrial Average); since the
+// original traces are not available, these generators produce
+// deterministic-seed equivalents that exercise the same code paths (see
+// DESIGN.md's substitution table).
 
 // StockConfig parameterizes a random-walk stock feed.
 type StockConfig struct {
@@ -53,7 +53,7 @@ func ItemName(symbol string) string { return "px_" + symbol }
 // Each commit updates one symbol (round-robin) by a bounded random step.
 func Stocks(rng *rand.Rand, cfg StockConfig, n int) *history.History {
 	if len(cfg.Symbols) == 0 {
-		panic("workload: no symbols")
+		panic("experiments: no symbols")
 	}
 	db := history.EmptyDB()
 	prices := map[string]float64{}
@@ -77,100 +77,7 @@ func Stocks(rng *rand.Rand, cfg StockConfig, n int) *history.History {
 		if err := b.Commit(ts, int64(i+1), map[string]value.Value{
 			ItemName(sym): value.NewFloat(prices[sym]),
 		}, evs...); err != nil {
-			panic(fmt.Sprintf("workload: %v", err))
-		}
-	}
-	return b.History()
-}
-
-// SessionsConfig parameterizes a login/logout event stream.
-type SessionsConfig struct {
-	// Users is the number of distinct users (user names u0..u{n-1}).
-	Users int
-	// PLogin / PLogout are the per-tick probabilities that a logged-out
-	// user logs in / a logged-in user logs out.
-	PLogin, PLogout float64
-	// AItem, when set, names an integer item ("A" in the paper's intro
-	// example) updated by a random walk on commits interleaved with the
-	// session events.
-	AItem string
-	// AStart is the initial value of AItem.
-	AStart int64
-}
-
-// DefaultSessionsConfig matches the intro example's shape.
-func DefaultSessionsConfig() SessionsConfig {
-	return SessionsConfig{Users: 5, PLogin: 0.3, PLogout: 0.2, AItem: "A", AStart: 5}
-}
-
-// Sessions generates a history of n states mixing login/logout events and
-// (when configured) commits updating the watched item.
-func Sessions(rng *rand.Rand, cfg SessionsConfig, n int) *history.History {
-	db := history.EmptyDB()
-	a := cfg.AStart
-	if cfg.AItem != "" {
-		db = db.With(cfg.AItem, value.NewInt(a))
-	}
-	b := history.NewBuilder(db, 0)
-	loggedIn := make([]bool, cfg.Users)
-	txn := int64(0)
-	for i := 0; i < n; i++ {
-		ts := b.Now() + 1
-		var evs []event.Event
-		for u := 0; u < cfg.Users; u++ {
-			name := value.NewString(fmt.Sprintf("u%d", u))
-			if loggedIn[u] {
-				if rng.Float64() < cfg.PLogout {
-					loggedIn[u] = false
-					evs = append(evs, event.New("logout", name))
-				}
-			} else if rng.Float64() < cfg.PLogin {
-				loggedIn[u] = true
-				evs = append(evs, event.New("login", name))
-			}
-		}
-		if cfg.AItem != "" && rng.Intn(2) == 0 {
-			txn++
-			a += int64(rng.Intn(5)) - 2
-			if err := b.Commit(ts, txn, map[string]value.Value{cfg.AItem: value.NewInt(a)}, evs...); err != nil {
-				panic(fmt.Sprintf("workload: %v", err))
-			}
-			continue
-		}
-		if len(evs) == 0 {
-			evs = append(evs, event.New("tick"))
-		}
-		if err := b.Event(ts, evs...); err != nil {
-			panic(fmt.Sprintf("workload: %v", err))
-		}
-	}
-	return b.History()
-}
-
-// EventMix generates a history of n event-only states. Each state carries
-// one event drawn from names with the given weights (parallel slices); a
-// weight of 0 never occurs.
-func EventMix(rng *rand.Rand, names []string, weights []float64, n int) *history.History {
-	if len(names) != len(weights) || len(names) == 0 {
-		panic("workload: names/weights mismatch")
-	}
-	total := 0.0
-	for _, w := range weights {
-		total += w
-	}
-	b := history.NewBuilder(history.EmptyDB(), 0)
-	for i := 0; i < n; i++ {
-		x := rng.Float64() * total
-		pick := 0
-		for j, w := range weights {
-			if x < w {
-				pick = j
-				break
-			}
-			x -= w
-		}
-		if err := b.Event(b.Now()+1, event.New(names[pick])); err != nil {
-			panic(fmt.Sprintf("workload: %v", err))
+			panic(fmt.Sprintf("experiments: %v", err))
 		}
 	}
 	return b.History()

@@ -1,4 +1,4 @@
-package workload
+package experiments
 
 import (
 	"math/rand"
@@ -52,69 +52,6 @@ func TestStocksPanicsOnEmptySymbols(t *testing.T) {
 		}
 	}()
 	Stocks(rand.New(rand.NewSource(1)), StockConfig{}, 1)
-}
-
-func TestSessionsShape(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	cfg := DefaultSessionsConfig()
-	h := Sessions(rng, cfg, 200)
-	if h.Len() != 201 {
-		t.Fatalf("Len = %d", h.Len())
-	}
-	// Logins and logouts alternate per user (no double login).
-	logged := map[string]bool{}
-	for i := 0; i < h.Len(); i++ {
-		for _, e := range h.At(i).Events.Events() {
-			switch e.Name {
-			case "login":
-				u := e.Args[0].AsString()
-				if logged[u] {
-					t.Fatalf("double login for %s at state %d", u, i)
-				}
-				logged[u] = true
-			case "logout":
-				u := e.Args[0].AsString()
-				if !logged[u] {
-					t.Fatalf("logout without login for %s at state %d", u, i)
-				}
-				logged[u] = false
-			}
-		}
-	}
-	// The watched item exists everywhere.
-	if _, ok := h.At(0).DB.Get("A"); !ok {
-		t.Error("A item missing")
-	}
-}
-
-func TestEventMix(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	h := EventMix(rng, []string{"rare", "noise"}, []float64{0.01, 0.99}, 500)
-	if h.Len() != 501 {
-		t.Fatalf("Len = %d", h.Len())
-	}
-	rare, noise := 0, 0
-	for i := 1; i < h.Len(); i++ {
-		evs := h.At(i).Events.Events()
-		if len(evs) != 1 {
-			t.Fatalf("state %d has %d events", i, len(evs))
-		}
-		switch evs[0].Name {
-		case "rare":
-			rare++
-		case "noise":
-			noise++
-		}
-	}
-	if rare+noise != 500 || noise < 400 {
-		t.Errorf("mix off: rare=%d noise=%d", rare, noise)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("mismatched weights should panic")
-		}
-	}()
-	EventMix(rng, []string{"a"}, nil, 1)
 }
 
 func TestRetroStream(t *testing.T) {

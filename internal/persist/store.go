@@ -570,26 +570,5 @@ func (s *Store) Stats() (StorageStats, error) {
 	return st, nil
 }
 
-// WALBytes sums the WAL segment file sizes in a durability directory
-// without opening it as a store (test and tooling helper).
-func WALBytes(dir string) (int64, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return 0, err
-	}
-	var n int64
-	for _, ent := range entries {
-		if _, ok := parseSegmentName(ent.Name()); !ok {
-			continue
-		}
-		info, err := ent.Info()
-		if err != nil {
-			return 0, err
-		}
-		n += info.Size()
-	}
-	return n, nil
-}
-
 // Close closes the WAL.
 func (s *Store) Close() error { return s.log.Close() }

@@ -1,14 +1,16 @@
-package vtime
+package vtime_test
 
 import (
 	"math/rand"
 	"testing"
 
+	"ptlactive/internal/experiments"
 	"ptlactive/internal/history"
 	"ptlactive/internal/naive"
+	"ptlactive/internal/ptl"
 	"ptlactive/internal/query"
 	"ptlactive/internal/value"
-	"ptlactive/internal/workload"
+	"ptlactive/internal/vtime"
 )
 
 // TestMonitorMatchesScratch is the checkpoint-replay correctness property:
@@ -29,11 +31,11 @@ func TestMonitorMatchesScratch(t *testing.T) {
 	}
 	for seed := 0; seed < iters; seed++ {
 		rng := rand.New(rand.NewSource(int64(6000 + seed)))
-		ops := workload.Retro(rng, 15, 6, 0.25)
+		ops := experiments.Retro(rng, 15, 6, 0.25)
 		cond := mustParse(t, conds[seed%len(conds)])
 		base := history.EmptyDB().With("a", value.NewInt(0))
-		store := NewStore(base, 0, 6)
-		m, err := NewMonitor(store, reg, cond, Tentative)
+		store := vtime.NewStore(base, 0, 6)
+		m, err := vtime.NewMonitor(store, reg, cond, vtime.Tentative)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -91,8 +93,8 @@ func TestMonitorMatchesScratch(t *testing.T) {
 func TestMonitorReplayIsIncremental(t *testing.T) {
 	reg := query.NewRegistry()
 	base := history.EmptyDB().With("a", value.NewInt(0))
-	store := NewStore(base, 0, 2) // small delay: splices stay near the end
-	m, err := NewMonitor(store, reg, mustParse(t, `previously (item("a") > 90)`), Tentative)
+	store := vtime.NewStore(base, 0, 2) // small delay: splices stay near the end
+	m, err := vtime.NewMonitor(store, reg, mustParse(t, `previously (item("a") > 90)`), vtime.Tentative)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,11 +132,11 @@ func TestDefiniteNeverRetracts(t *testing.T) {
 	reg := query.NewRegistry()
 	for seed := 0; seed < 15; seed++ {
 		rng := rand.New(rand.NewSource(int64(6500 + seed)))
-		ops := workload.Retro(rng, 20, 4, 0.2)
+		ops := experiments.Retro(rng, 20, 4, 0.2)
 		cond := mustParse(t, `item("a") > 50`)
 		base := history.EmptyDB().With("a", value.NewInt(0))
-		store := NewStore(base, 0, 4)
-		m, err := NewMonitor(store, reg, cond, Definite)
+		store := vtime.NewStore(base, 0, 4)
+		m, err := vtime.NewMonitor(store, reg, cond, vtime.Definite)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -160,7 +162,7 @@ func TestDefiniteNeverRetracts(t *testing.T) {
 		}
 		// Final check: every definite-reported instant is satisfied in the
 		// final committed history.
-		h := store.CommittedAt(Infinity)
+		h := store.CommittedAt(vtime.Infinity)
 		nv := naive.New(reg, h, nil)
 		for i := 0; i < h.Len(); i++ {
 			ts := h.At(i).TS
@@ -176,4 +178,13 @@ func TestDefiniteNeverRetracts(t *testing.T) {
 			}
 		}
 	}
+}
+
+func mustParse(t *testing.T, src string) ptl.Formula {
+	t.Helper()
+	f, err := ptl.Parse(src)
+	if err != nil {
+		t.Fatalf("parse %q: %v", src, err)
+	}
+	return f
 }
