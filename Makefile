@@ -123,7 +123,9 @@ verify: vet fmtcheck vulncheck depcheck race allocgates stress fuzz serve-smoke 
 
 # serve-smoke boots adbserverd on a random port, drives a scripted client
 # session through adbsh -connect (rules, commits, firing subscription),
-# then SIGTERMs the server and asserts a clean graceful drain (exit 0).
+# checks that in-process adbsh prints the same for the session minus the
+# subscription, then SIGTERMs the server and asserts a clean graceful
+# drain (exit 0).
 serve-smoke:
 	sh scripts/serve_smoke.sh
 

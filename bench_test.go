@@ -186,7 +186,7 @@ func BenchmarkE8ParallelSweep(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			var steps int64
 			for i := 0; i < b.N; i++ {
-				s, _ := experiments.RelevanceRunWorkers(rules, states, adb.Eager, workers)
+				s, _ := experiments.RelevanceRunWorkers(rules, states, adb.Eager, workers, nil, false)
 				steps = s
 			}
 			b.ReportMetric(float64(steps), "eval-steps")
@@ -205,28 +205,21 @@ func BenchmarkE8ParallelSweep(b *testing.B) {
 func BenchmarkSweepWithSandbox(b *testing.B) {
 	const rules, states = 1000, 200
 	workers := runtime.GOMAXPROCS(0)
+	noop := func(*adb.ActionContext) error { return nil }
 	arms := []struct {
-		name string
-		run  func() int64
+		name     string
+		act      adb.Action
+		governed bool
 	}{
-		{"plain", func() int64 {
-			s, _ := experiments.RelevanceRunWorkers(rules, states, adb.Eager, workers)
-			return s
-		}},
-		{"actions", func() int64 {
-			s, _ := experiments.RelevanceRunGoverned(rules, states, adb.Eager, workers, false)
-			return s
-		}},
-		{"governed", func() int64 {
-			s, _ := experiments.RelevanceRunGoverned(rules, states, adb.Eager, workers, true)
-			return s
-		}},
+		{"plain", nil, false},
+		{"actions", noop, false},
+		{"governed", noop, true},
 	}
 	for _, arm := range arms {
 		b.Run(arm.name, func(b *testing.B) {
 			var steps int64
 			for i := 0; i < b.N; i++ {
-				steps = arm.run()
+				steps, _ = experiments.RelevanceRunWorkers(rules, states, adb.Eager, workers, arm.act, arm.governed)
 			}
 			b.ReportMetric(float64(steps), "eval-steps")
 		})

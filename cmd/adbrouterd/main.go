@@ -22,6 +22,10 @@
 // router forwards. Per-shard firing streams merge into one globally
 // sequenced subscription feed.
 //
+// As with adbserverd, rules registered over the wire have no action part,
+// so no flag sets the engine's action knobs (Config.MaxRuleFailures,
+// Config.ActionTimeout) on the shards.
+//
 // SIGTERM or SIGINT drains gracefully: stop accepting, finish queued
 // commits on every shard, flush subscribers, close the shards, exit 0.
 package main
@@ -54,7 +58,6 @@ func main() {
 	idleTimeout := flag.Duration("idle-timeout", 0, "drop sessions idle longer than this (0 = never)")
 	subQueue := flag.Int("sub-queue", 256, "bounded firing queue per subscriber")
 	overflow := flag.String("overflow", "drop", "subscriber overflow policy: drop (gap markers) or disconnect")
-	maxFailures := flag.Int("max-failures", 0, "quarantine a rule after this many consecutive action failures (0 = never)")
 	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "graceful shutdown bound")
 	segBytes := flag.Int64("wal-segment-bytes", 0, "per-shard WAL segment rotation size; shards log WAL-only, so rotated segments are never collected (0 = single segment forever)")
 	flag.Parse()
@@ -75,9 +78,8 @@ func main() {
 		fatal(fmt.Errorf("-local and -shards are mutually exclusive"))
 	case *local > 0:
 		cfg := adb.Config{
-			Workers:         *workers,
-			MaxRuleFailures: *maxFailures,
-			Retention:       adb.Retention{SegmentBytes: *segBytes},
+			Workers:   *workers,
+			Retention: adb.Retention{SegmentBytes: *segBytes},
 		}
 		for i := 0; i < *local; i++ {
 			var eng *adb.Engine

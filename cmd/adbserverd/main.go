@@ -35,6 +35,11 @@
 // on disk. The "storage" query (adbsh storage) reports the
 // resulting footprint.
 //
+// Rules registered over the wire have no action part: a firing is logged
+// and pushed to subscribers, and no action runs. So the engine's action
+// knobs (Config.MaxRuleFailures, Config.ActionTimeout) have no flag here;
+// they are for programs that embed the engine and register actions.
+//
 // SIGTERM or SIGINT drains gracefully: stop accepting, finish queued
 // commits, flush every subscriber queue, close the engine, exit 0.
 //
@@ -67,8 +72,6 @@ func main() {
 	idleTimeout := flag.Duration("idle-timeout", 0, "drop sessions idle longer than this (0 = never)")
 	subQueue := flag.Int("sub-queue", 256, "bounded firing queue per subscriber")
 	overflow := flag.String("overflow", "drop", "subscriber overflow policy: drop (gap markers) or disconnect")
-	maxFailures := flag.Int("max-failures", 0, "quarantine a rule after this many consecutive action failures (0 = never)")
-	actionTimeout := flag.Duration("action-timeout", 0, "per-action deadline (0 = none)")
 	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "graceful shutdown bound")
 	replicaOf := flag.String("replica-of", "", "run as a follower replicating from this primary address")
 	leasePath := flag.String("lease", "", "primary lease file (flock-anchored); primaries must hold it, followers poll it to promote")
@@ -93,9 +96,7 @@ func main() {
 	}
 
 	cfg := adb.Config{
-		Workers:         *workers,
-		MaxRuleFailures: *maxFailures,
-		ActionTimeout:   *actionTimeout,
+		Workers: *workers,
 		Retention: adb.Retention{
 			SegmentBytes:  *segBytes,
 			KeepSnapshots: *keepSnaps,

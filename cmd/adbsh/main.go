@@ -1,14 +1,14 @@
 // Command adbsh is a small scriptable shell for the active database: it
-// reads commands from stdin (or a script file), maintains an engine, and
-// prints firings and aborts as they happen. It is the interactive
-// counterpart of the examples.
+// reads commands from stdin (or a script file) and prints firings and
+// aborts as they happen. It is the interactive counterpart of the
+// examples.
 //
 // Commands (one per line, # comments):
 //
 //	item <name> <value>                  set an initial item (before rules)
 //	trigger <name> :: <condition>        register a trigger (prints firings)
 //	constraint <name> :: <constraint>    register an integrity constraint
-//	commit <time> [k=v ...] [@ev(args)]  run a transaction
+//	commit <time> [k=v ...] [@ev(args)]  run a transaction (time 0 = next tick)
 //	emit <time> @ev(args) ...            event-only state
 //	show db | firings | history | rules  inspect state
 //	eval <time-ignored> :: <condition>   one-off check of a closed condition
@@ -17,6 +17,7 @@
 //	recover                              close and reopen from disk (-data)
 //	health [<rule>]                      per-rule fault and quarantine state
 //	revive <rule>                        lift a rule's quarantine
+//	storage                              WAL and snapshot footprint
 //
 // Values: integers, floats, or quoted strings. Example session:
 //
@@ -25,6 +26,14 @@
 //	commit 2 ibm=15
 //	commit 8 ibm=25
 //	show firings
+//
+// One interpreter runs every command the two modes share, as a client of
+// an active-database server. Without -connect, adbsh serves its own engine
+// in the same process over an in-memory connection, so a script gets the
+// answers a server would give it. The engine-local commands (item, save,
+// recover, eval, export, show history) run only there, against the engine
+// itself, and the engine prints a FIRE line for every firing and a FAULT
+// line for every isolated action fault as it happens.
 //
 // The -workers flag sizes the engine's worker pool for parallel rule
 // evaluation (0 = all cores, 1 = sequential); firings are identical at
@@ -36,42 +45,36 @@
 // -data) rebuilds the engine from disk. Replayed firings are printed
 // again during recovery.
 //
-// Fault isolation: action faults (panics, errors, timeouts) are printed
-// as FAULT lines and never stop the session. -max-failures sets the
-// per-rule circuit breaker (a rule with that many consecutive action
-// failures is quarantined until `revive`), and -action-timeout bounds each
-// action's runtime.
-//
-// Remote mode: -connect host:port runs the same commands against an
-// adbserverd over the network instead of an in-process engine. The
-// engine-local commands (item, save, recover, eval, export, show
-// history) are unavailable there; `follow <n>` is added, subscribing to
-// the server's firing stream and printing the next n firings, and `role`
-// reports the server's replication role, leader hint, epoch and LSN.
+// Remote mode: -connect host:port runs the commands against an adbserverd
+// or adbrouterd over the network. The engine-local commands are
+// unavailable there; `follow <n>` is added, subscribing to the server's
+// firing stream and printing the next n firings, and `role` reports the
+// server's replication role, leader hint, epoch and LSN.
 package main
 
 import (
 	"bufio"
+	"context"
 	"errors"
 	"flag"
 	"fmt"
+	"net"
 	"os"
 	"strconv"
 	"strings"
-	"time"
 
+	"ptlactive/client"
 	"ptlactive/internal/adb"
 	"ptlactive/internal/core"
 	"ptlactive/internal/event"
 	"ptlactive/internal/ptl"
+	"ptlactive/internal/server"
 	"ptlactive/internal/value"
 )
 
 func main() {
 	workers := flag.Int("workers", 0, "worker pool size for rule evaluation (0 = all cores, 1 = sequential)")
 	dataDir := flag.String("data", "", "durable engine directory (write-ahead log + snapshots); empty = memory-only")
-	maxFailures := flag.Int("max-failures", 0, "quarantine a rule after this many consecutive action failures (0 = never)")
-	actionTimeout := flag.Duration("action-timeout", 0, "per-action deadline (0 = none)")
 	connect := flag.String("connect", "", "run against a remote adbserverd at host:port instead of an in-process engine")
 	codec := flag.String("codec", "json", "wire codec to offer in remote mode: json (inspectable frames) or binary")
 	segBytes := flag.Int64("wal-segment-bytes", 0, "rotate the WAL at this segment size; snapshot-covered segments are GCed (0 = single segment forever)")
@@ -96,16 +99,20 @@ func main() {
 		run = r.exec
 	} else {
 		sh := &shell{
-			initial:       map[string]value.Value{},
-			workers:       *workers,
-			dataDir:       *dataDir,
-			maxFailures:   *maxFailures,
-			actionTimeout: *actionTimeout,
-			retention: adb.Retention{
-				SegmentBytes:  *segBytes,
-				KeepSnapshots: *keepSnaps,
+			cfg: adb.Config{
+				Workers: *workers,
+				Retention: adb.Retention{
+					SegmentBytes:  *segBytes,
+					KeepSnapshots: *keepSnaps,
+				},
 			},
+			dataDir: *dataDir,
 		}
+		defer func() {
+			if err := sh.close(); err != nil {
+				fatal(err)
+			}
+		}()
 		run = sh.exec
 	}
 	sc := bufio.NewScanner(in)
@@ -126,46 +133,82 @@ func main() {
 	}
 }
 
+// shell is the in-process mode: the shared commands go to a remote whose
+// server runs in this process, the engine-local ones to the engine behind
+// it.
 type shell struct {
-	initial       map[string]value.Value
-	workers       int
-	dataDir       string
-	maxFailures   int
-	actionTimeout time.Duration
-	retention     adb.Retention
-	eng           *adb.Engine
+	cfg     adb.Config // from the flags; item lines fill Initial
+	dataDir string
+
+	// Set by open, on the first line that needs the engine.
+	eng *adb.Engine
+	be  *server.EngineBackend
+	srv *server.Server
+	r   *remote
 }
 
-// engine lazily creates the engine; items set before the first rule or
-// transaction become the initial state. With -data the engine is opened
-// with Restore, so an existing directory is recovered (its initial state
-// and rules come from disk, not from this session's `item` lines).
-func (s *shell) engine() *adb.Engine {
-	if s.eng == nil {
-		cfg := adb.Config{
-			Initial:         s.initial,
-			Workers:         s.workers,
-			MaxRuleFailures: s.maxFailures,
-			ActionTimeout:   s.actionTimeout,
-			Retention:       s.retention,
-			OnFiring:        printFire,
-			OnRuleFault: func(f adb.RuleFault) {
-				fmt.Printf("FAULT %s at %d: %v\n", f.Rule, f.Time, f.Err)
-			},
+// open starts the engine and the server in front of it, once: the server
+// serves one end of a net.Pipe and the remote holds a client on the
+// other. Items set before it become the initial state. With -data the
+// engine is opened with Restore, so an existing directory is recovered
+// (its initial state and rules come from disk, not from this session's
+// item lines).
+func (s *shell) open() error {
+	if s.eng != nil {
+		return nil
+	}
+	cfg := s.cfg
+	cfg.OnFiring = printFire
+	cfg.OnRuleFault = func(f adb.RuleFault) {
+		fmt.Printf("FAULT %s at %d: %v\n", f.Rule, f.Time, f.Err)
+	}
+	var eng *adb.Engine
+	if s.dataDir == "" {
+		eng = adb.NewEngine(cfg)
+	} else {
+		var err error
+		if eng, err = adb.Restore(cfg, s.dataDir); err != nil {
+			return err
 		}
-		if s.dataDir == "" {
-			s.eng = adb.NewEngine(cfg)
-			return s.eng
-		}
-		cfg.Durability = adb.DurabilityWAL
-		eng, err := adb.Restore(cfg, s.dataDir)
-		if err != nil {
-			fatal(err)
-		}
-		s.eng = eng
 		printRecovery(eng.Recovery())
 	}
-	return s.eng
+	be := server.NewEngineBackend(eng)
+	srv, err := server.New(server.Config{Backend: be})
+	if err != nil {
+		be.Close()
+		return err
+	}
+	conn, peer := net.Pipe()
+	srv.ServeConn(peer)
+	cli, err := client.New(conn)
+	if err != nil {
+		srv.Shutdown(context.Background())
+		return err
+	}
+	s.eng, s.be, s.srv, s.r = eng, be, srv, &remote{cli: cli}
+	return nil
+}
+
+// close stops the server, which closes the engine, and reports the
+// engine's close error.
+func (s *shell) close() error {
+	if s.eng == nil {
+		return nil
+	}
+	s.r.close()
+	s.srv.Shutdown(context.Background())
+	s.eng = nil
+	return s.be.Close()
+}
+
+// do runs fn on the engine's commit pipeline, opening the engine first.
+func (s *shell) do(fn func(*adb.Engine) error) error {
+	if err := s.open(); err != nil {
+		return err
+	}
+	var err error
+	s.be.Do(func() { err = fn(s.eng) })
+	return err
 }
 
 // printRecovery summarizes what Restore found on disk.
@@ -198,29 +241,27 @@ func (s *shell) exec(line string) error {
 		if err != nil {
 			return err
 		}
-		s.initial[name] = v
+		if s.cfg.Initial == nil {
+			s.cfg.Initial = map[string]value.Value{}
+		}
+		s.cfg.Initial[name] = v
 		return nil
-	case "trigger", "constraint":
-		name, cond, err := parseRule(cmd, rest)
-		if err != nil {
+	case "show":
+		if rest == "history" {
+			return s.do(func(eng *adb.Engine) error {
+				fmt.Print(eng.History())
+				return nil
+			})
+		}
+		fallthrough
+	case "trigger", "constraint", "commit", "emit", "health", "storage", "revive":
+		if err := checkArgs(cmd, rest); err != nil {
 			return err
 		}
-		if cmd == "trigger" {
-			return s.engine().AddTrigger(name, cond, nil)
-		}
-		return s.engine().AddConstraint(name, cond)
-	case "commit":
-		ts, updates, events, err := parseCommit(rest)
-		if err != nil {
+		if err := s.open(); err != nil {
 			return err
 		}
-		return reportAbort(ts, s.engine().Exec(ts, updates, events...))
-	case "emit":
-		ts, events, err := parseEmit(rest)
-		if err != nil {
-			return err
-		}
-		return s.engine().Emit(ts, events...)
+		return s.r.exec(line)
 	case "eval":
 		_, cond, ok := strings.Cut(rest, "::")
 		if !ok {
@@ -232,28 +273,29 @@ func (s *shell) exec(line string) error {
 		}
 		// The answer at the newest state, by the incremental algorithm run
 		// over the retained history from its first state.
-		eng := s.engine()
-		info, err := ptl.Check(f, eng.Registry())
-		if err != nil {
-			return err
-		}
-		ev, err := core.CompileAuto(info, eng.Registry(), eng)
-		if err != nil {
-			return err
-		}
-		var res core.Result
-		for h, i := eng.History(), 0; i < h.Len(); i++ {
-			if res, err = ev.StepResult(h.At(i)); err != nil {
+		return s.do(func(eng *adb.Engine) error {
+			info, err := ptl.Check(f, eng.Registry())
+			if err != nil {
 				return err
 			}
-		}
-		fmt.Printf("eval: %t\n", res.Fired)
-		return nil
+			ev, err := core.CompileAuto(info, eng.Registry(), eng)
+			if err != nil {
+				return err
+			}
+			var res core.Result
+			for h, i := eng.History(), 0; i < h.Len(); i++ {
+				if res, err = ev.StepResult(h.At(i)); err != nil {
+					return err
+				}
+			}
+			fmt.Printf("eval: %t\n", res.Fired)
+			return nil
+		})
 	case "save":
 		if s.dataDir == "" {
 			return errors.New("save requires -data")
 		}
-		if err := s.engine().Checkpoint(); err != nil {
+		if err := s.do((*adb.Engine).Checkpoint); err != nil {
 			return err
 		}
 		fmt.Println("saved: snapshot written, wal reset")
@@ -262,85 +304,29 @@ func (s *shell) exec(line string) error {
 		if s.dataDir == "" {
 			return errors.New("recover requires -data")
 		}
-		if s.eng != nil {
-			if err := s.eng.Close(); err != nil {
-				return err
-			}
-			s.eng = nil
-		}
-		s.engine() // reopen from disk; prints the recovery summary
-		return nil
-	case "health":
-		eng := s.engine()
-		names := eng.RuleNames()
-		if rest != "" {
-			names = []string{rest}
-		}
-		for _, n := range names {
-			h, ok := eng.RuleHealth(n)
-			if !ok {
-				return fmt.Errorf("unknown rule %q", n)
-			}
-			status := "ok"
-			if h.Quarantined {
-				status = "QUARANTINED"
-			}
-			line := fmt.Sprintf("  %s: %s, %d consecutive / %d total failures", h.Rule, status, h.ConsecutiveFailures, h.TotalFailures)
-			if h.LastError != nil {
-				line += fmt.Sprintf(", last at %d: %v", h.LastFailureAt, h.LastError)
-			}
-			fmt.Println(line)
-		}
-		if err := eng.Degraded(); err != nil {
-			fmt.Printf("  engine: DEGRADED: %v\n", err)
-		}
-		return nil
-	case "storage":
-		st, err := s.engine().Storage()
-		if err != nil {
+		if err := s.close(); err != nil {
 			return err
 		}
-		printStorage(st)
-		return nil
-	case "revive":
-		if rest == "" {
-			return errors.New("usage: revive <rule>")
-		}
-		if err := s.engine().ReviveRule(rest); err != nil {
-			return err
-		}
-		fmt.Printf("revived %s\n", rest)
-		return nil
+		return s.open() // reopen from disk; prints the recovery summary
 	case "export":
-		return s.engine().ExportHistory(os.Stdout)
-	case "show":
-		eng := s.engine()
-		switch rest {
-		case "db":
-			fmt.Println(eng.DB())
-		case "firings":
-			for _, f := range eng.Firings() {
-				fmt.Printf("  %s at %d %v\n", f.Rule, f.Time, f.Binding)
-			}
-			fmt.Printf("  (%d total)\n", len(eng.Firings()))
-		case "history":
-			fmt.Print(eng.History())
-		case "rules":
-			for _, n := range eng.RuleNames() {
-				info, _ := eng.Rule(n)
-				kind := "trigger"
-				if info.Constraint {
-					kind = "constraint"
-				}
-				fmt.Printf("  %s (%s, params %v, pending %d)\n", n, kind, info.Parameters, info.PendingStates)
-			}
-		default:
-			return fmt.Errorf("show what? db|firings|history|rules")
-		}
-		return nil
+		return s.do(func(eng *adb.Engine) error { return eng.ExportHistory(os.Stdout) })
 	default:
 		return fmt.Errorf("unknown command %q", cmd)
 	}
+}
+
+// checkArgs runs the shared parsers over a line's arguments, so a
+// malformed line is refused before the in-process engine opens.
+func checkArgs(cmd, rest string) (err error) {
+	switch cmd {
+	case "trigger", "constraint":
+		_, _, err = parseRule(cmd, rest)
+	case "commit":
+		_, _, _, err = parseCommit(rest)
+	case "emit":
+		_, _, err = parseEmit(rest)
+	}
+	return err
 }
 
 // parseRule, parseCommit and parseEmit read the argument of the commands

@@ -6,12 +6,12 @@ import (
 	"testing"
 
 	"ptlactive/internal/adb"
-	"ptlactive/internal/value"
 )
 
 func run(t *testing.T, lines ...string) *shell {
 	t.Helper()
-	sh := &shell{initial: map[string]value.Value{}}
+	sh := &shell{}
+	t.Cleanup(func() { sh.close() })
 	for i, line := range lines {
 		if err := sh.exec(line); err != nil {
 			t.Fatalf("line %d (%q): %v", i+1, line, err)
@@ -59,7 +59,8 @@ func TestShellEmitAndEvents(t *testing.T) {
 }
 
 func TestShellErrors(t *testing.T) {
-	sh := &shell{initial: map[string]value.Value{}}
+	sh := &shell{}
+	defer sh.close()
 	bad := []string{
 		`item`,               // missing args
 		`trigger x`,          // missing ::
@@ -167,7 +168,8 @@ func TestShellExport(t *testing.T) {
 }
 
 func TestShellHealthAndRevive(t *testing.T) {
-	sh := &shell{initial: map[string]value.Value{}, maxFailures: 1}
+	sh := &shell{cfg: adb.Config{MaxRuleFailures: 1}}
+	defer sh.close()
 	for _, line := range []string{
 		`item a 1`,
 		`trigger t :: @hit`,
@@ -179,8 +181,10 @@ func TestShellHealthAndRevive(t *testing.T) {
 	}
 	// Shell triggers have nil actions, so nothing can fail; quarantine a
 	// rule through the engine to exercise the commands against real state.
-	if err := sh.eng.AddTrigger("bad", `@hit`, func(ctx *adb.ActionContext) error {
-		return errors.New("nope")
+	if err := sh.do(func(eng *adb.Engine) error {
+		return eng.AddTrigger("bad", `@hit`, func(ctx *adb.ActionContext) error {
+			return errors.New("nope")
+		})
 	}); err != nil {
 		t.Fatal(err)
 	}

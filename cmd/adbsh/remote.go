@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -14,12 +15,13 @@ import (
 	"ptlactive/internal/server/wire"
 )
 
-// remote executes shell commands against an adbserverd instead of an
-// in-process engine (-connect). The command grammar is the same; the
-// engine-local commands that have no remote equivalent (item, save,
-// recover, eval, export, show history) report so instead of guessing.
-// `follow <n>` is remote-only: it subscribes to the server's firing
-// stream and prints the next n firings as FIRE lines.
+// remote executes shell commands as a client of a server: an adbserverd
+// or adbrouterd over the network (-connect), or the in-process server of
+// a shell, which sends it every command the two modes share. The
+// engine-local commands (item, save, recover, eval, export, show history)
+// report that they are unavailable instead of guessing. `follow <n>` and
+// `role` are remote-only: follow subscribes to the server's firing stream
+// and prints the next n firings as FIRE lines.
 type remote struct {
 	cli *client.Client
 }
@@ -118,6 +120,9 @@ func (r *remote) exec(line string) error {
 		if err != nil {
 			return err
 		}
+		if rest != "" && !slices.ContainsFunc(h.Rules, func(hr wire.HealthJSON) bool { return hr.Rule == rest }) {
+			return fmt.Errorf("unknown rule %q", rest)
+		}
 		for _, hr := range h.Rules {
 			if rest != "" && hr.Rule != rest {
 				continue
@@ -203,7 +208,7 @@ func (r *remote) exec(line string) error {
 		case "history":
 			return errors.New("show history is not supported in remote mode")
 		default:
-			return fmt.Errorf("show what? db|firings|rules")
+			return fmt.Errorf("show what? db|firings|history|rules")
 		}
 	default:
 		return fmt.Errorf("unknown command %q", cmd)

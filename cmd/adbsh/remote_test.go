@@ -2,7 +2,9 @@ package main
 
 import (
 	"context"
+	"io"
 	"net"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -122,16 +124,50 @@ func TestRemoteCodecFlag(t *testing.T) {
 	}
 }
 
+// captureStdout runs fn with os.Stdout redirected and returns what it
+// printed, FIRE lines dropped: only the in-process engine prints them.
+func captureStdout(t *testing.T, fn func()) string {
+	t.Helper()
+	rd, wr, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(chan string)
+	go func() {
+		b, _ := io.ReadAll(rd)
+		out <- string(b)
+	}()
+	saved := os.Stdout
+	os.Stdout = wr
+	fn()
+	os.Stdout = saved
+	wr.Close()
+	var kept []string
+	for _, l := range strings.SplitAfter(<-out, "\n") {
+		if !strings.HasPrefix(l, "FIRE ") {
+			kept = append(kept, l)
+		}
+	}
+	return strings.Join(kept, "")
+}
+
 // TestMalformedLinesSameErrorBothModes feeds the lines the shared parsers
 // refuse to an in-process shell and to a remote one: neither may reach an
-// engine, and both must report the same text.
+// engine, and both must report the same text. Then both get the same
+// well-formed lines, over the same initial state: each must print the same
+// output and fail with the same text, or not at all.
 func TestMalformedLinesSameErrorBothModes(t *testing.T) {
 	r, err := newRemote(startTestServer(t), "json")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer r.close()
-	sh := &shell{initial: map[string]value.Value{}}
+	sh := &shell{}
+	defer sh.close()
+	modes := []struct {
+		name string
+		exec func(string) error
+	}{{"local", sh.exec}, {"remote", r.exec}}
 	for _, tc := range []struct{ line, want string }{
 		{`trigger x`, `usage: trigger <name> :: <condition>`},
 		{`constraint solvent not (item("a") < 0)`, `usage: constraint <name> :: <condition>`},
@@ -144,13 +180,41 @@ func TestMalformedLinesSameErrorBothModes(t *testing.T) {
 		{`emit x @a`, `bad time "x"`},
 		{`emit 1 a`, `event must start with @: "a"`},
 	} {
-		for mode, exec := range map[string]func(string) error{"local": sh.exec, "remote": r.exec} {
-			if err := exec(tc.line); err == nil || err.Error() != tc.want {
-				t.Errorf("%s %q: error %v, want %q", mode, tc.line, err, tc.want)
+		for _, m := range modes {
+			if err := m.exec(tc.line); err == nil || err.Error() != tc.want {
+				t.Errorf("%s %q: error %v, want %q", m.name, tc.line, err, tc.want)
 			}
 		}
 	}
 	if sh.eng != nil {
 		t.Error("a malformed line created the local engine")
+	}
+
+	if err := sh.exec(`item ibm 10`); err != nil { // startTestServer's initial state
+		t.Fatal(err)
+	}
+	for _, line := range []string{
+		`trigger up :: item("ibm") > 15`,
+		`commit 0 ibm=16`,
+		`emit 0 @tick`,
+		`show db`,
+		`show firings`,
+		`show rules`,
+		`health`,
+		`health nosuch`,
+		`storage`,
+		`revive nosuch`,
+	} {
+		var outs, errs [2]string
+		for i, m := range modes {
+			outs[i] = captureStdout(t, func() {
+				if err := m.exec(line); err != nil {
+					errs[i] = err.Error()
+				}
+			})
+		}
+		if outs[0] != outs[1] || errs[0] != errs[1] {
+			t.Errorf("%q: local printed %q (error %q), remote %q (error %q)", line, outs[0], errs[0], outs[1], errs[1])
+		}
 	}
 }

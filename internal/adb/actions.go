@@ -100,6 +100,11 @@ func (c *ActionContext) AsOf(item string) (value.Value, bool) {
 // Action is the action part of a trigger.
 type Action func(ctx *ActionContext) error
 
+// cascadeLimit bounds chains of action-triggered firings per external
+// operation. Every init record carries it ("cascade"), and recovery
+// refuses a log written with any other limit.
+const cascadeLimit = 1000
+
 // drainActions executes queued actions inside the per-rule sandbox;
 // actions may commit transactions, which append states and queue further
 // firings (bounded by the cascade limit).
@@ -127,8 +132,8 @@ func (e *Engine) drainActions() error {
 			continue
 		}
 		e.cascade++
-		if e.cascade > e.cascadeTo {
-			return fmt.Errorf("adb: action cascade exceeded %d firings (rule %s)", e.cascadeTo, f.Rule)
+		if e.cascade > cascadeLimit {
+			return fmt.Errorf("adb: action cascade exceeded %d firings (rule %s)", cascadeLimit, f.Rule)
 		}
 		// Operations the action runs are cascade-derived: replaying the
 		// external operation that fired it re-derives them, so they must

@@ -62,7 +62,6 @@ type Engine struct {
 	inSweep   bool
 	pending   []pendingAction // firings awaiting action execution
 	cascade   int
-	cascadeTo int
 
 	// workers bounds the pool evaluating independent rules concurrently;
 	// the rest is deal's rule for when to use it (dealThreshold is
@@ -156,9 +155,6 @@ type Config struct {
 	Initial map[string]value.Value
 	// Start is the timestamp of the initial system state.
 	Start int64
-	// CascadeLimit bounds chains of action-triggered firings per external
-	// operation (default 1000).
-	CascadeLimit int
 	// OnFiring, when set, observes every firing as it happens.
 	OnFiring func(Firing)
 	// Workers bounds the worker pool the temporal component uses to
@@ -217,10 +213,6 @@ func NewEngine(cfg Config) *Engine {
 	if reg == nil {
 		reg = query.NewRegistry()
 	}
-	limit := cfg.CascadeLimit
-	if limit <= 0 {
-		limit = 1000
-	}
 	workers := cfg.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -231,7 +223,6 @@ func NewEngine(cfg Config) *Engine {
 		db:            history.NewDB(cfg.Initial),
 		now:           cfg.Start,
 		index:         map[string]*rule{},
-		cascadeTo:     limit,
 		workers:       workers,
 		dealThreshold: poolMinWork,
 		eventIndex:    map[string][]*rule{},
@@ -246,7 +237,7 @@ func NewEngine(cfg Config) *Engine {
 	e.initDB = e.db
 	e.initRec = persist.InitRecord{
 		Start:           cfg.Start,
-		CascadeLimit:    limit,
+		CascadeLimit:    cascadeLimit,
 		MaxRuleFailures: cfg.MaxRuleFailures,
 	}
 	e.hist.MustAppend(history.SystemState{DB: e.db, Events: event.NewSet(), TS: cfg.Start})

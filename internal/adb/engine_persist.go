@@ -192,7 +192,7 @@ func (e *Engine) Close() error {
 // functions of logged rules, by name; they must be the same deterministic
 // actions for replay equivalence), OnFiring, Workers, Durability,
 // SnapshotEvery, NoFsync, Retention. The persisted init record governs the
-// rest (Initial, Start, CascadeLimit, MaxRuleFailures); for a fresh
+// rest (Initial, Start, MaxRuleFailures); for a fresh
 // directory those are taken from cfg and logged. DurabilityOff is promoted
 // to DurabilityWAL: an engine with a data directory logs.
 func Restore(cfg Config, dir string) (*Engine, error) {
@@ -332,26 +332,30 @@ func newMemEngine(cfg Config) *Engine {
 }
 
 // engineFromInit builds a fresh engine from a persisted init record plus
-// the runtime-only config: whatever shapes behavior (initial state, cascade
-// limit, circuit-breaker threshold) comes from the record; workers,
-// callbacks, the action deadline and the WAL-layout knobs stay cfg's. The
-// record is not kept: initRecord encodes the same bytes again from the
-// decoded initial state. A record written before the engine read past
-// values from its history states may carry "track", "histwin" and "spill"
-// fields; they configured a deleted copy of history, and decoding ignores
-// them. A record with a sweep budget is refused: a tripped budget skipped
-// the sweep's actions, so replaying without it would run their cascades at
-// other points in the history.
+// the runtime-only config: whatever shapes behavior (initial state,
+// circuit-breaker threshold) comes from the record; workers, callbacks,
+// the action deadline and the WAL-layout knobs stay cfg's. The record is
+// not kept: initRecord encodes the same bytes again from the decoded
+// initial state. A record written before the engine read past values from
+// its history states may carry "track", "histwin" and "spill" fields; they
+// configured a deleted copy of history, and decoding ignores them. A
+// record with a sweep budget, or with a cascade limit other than the
+// engine's, is refused: a tripped budget skipped the sweep's actions and
+// another limit stopped cascades at another depth, so replaying here
+// would run actions at other points in the history.
 func engineFromInit(cfg Config, init *persist.InitRecord) (*Engine, error) {
 	if init.SweepBudget != 0 {
 		return nil, fmt.Errorf("adb: init record sets sweep budget %d, which is no longer supported", init.SweepBudget)
+	}
+	if init.CascadeLimit != cascadeLimit {
+		return nil, fmt.Errorf("adb: init record sets cascade limit %d, which is no longer supported (the limit is %d)", init.CascadeLimit, cascadeLimit)
 	}
 	items, err := histio.DecodeItems(init.Initial)
 	if err != nil {
 		return nil, fmt.Errorf("adb: init record: %w", err)
 	}
 	cfg.Initial, cfg.Start = items, init.Start
-	cfg.CascadeLimit, cfg.MaxRuleFailures = init.CascadeLimit, init.MaxRuleFailures
+	cfg.MaxRuleFailures = init.MaxRuleFailures
 	return newMemEngine(cfg), nil
 }
 

@@ -520,10 +520,7 @@ func TestRelevanceSkipsEvaluations(t *testing.T) {
 }
 
 func TestCascadeLimit(t *testing.T) {
-	e := NewEngine(Config{
-		Initial:      map[string]value.Value{"n": value.NewInt(0)},
-		CascadeLimit: 10,
-	})
+	e := NewEngine(Config{Initial: map[string]value.Value{"n": value.NewInt(0)}})
 	// Self-perpetuating rule: every update of n fires and updates n again.
 	err := e.AddTrigger("loop", `item("n") >= 0`, func(ctx *ActionContext) error {
 		v, _ := ctx.DB().Get("n")

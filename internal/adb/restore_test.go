@@ -276,40 +276,49 @@ func TestPreTextSnapshotRefused(t *testing.T) {
 // TestInitRecordWithBudgetRefused: a log written with the deleted sweep
 // budget carries it in its init record ("budget"). A tripped budget had
 // skipped its sweep's actions, so replaying without it would run them, and
-// their cascades, at other points in the history. Restore and OpenFollower
-// refuse such a directory, naming the budget, whether recovery starts from
-// the log or from a snapshot.
+// their cascades, at other points in the history. The same holds for a
+// cascade limit other than the engine's constant ("cascade"), which
+// stopped cascades elsewhere. Restore and OpenFollower refuse such a
+// directory, naming the value, whether recovery starts from the log or
+// from a snapshot.
 func TestInitRecordWithBudgetRefused(t *testing.T) {
-	init := &persist.InitRecord{CascadeLimit: 1000, SweepBudget: 5}
-	for _, withSnapshot := range []bool{false, true} {
-		dir := t.TempDir()
-		st, _, err := persist.Open(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := st.Append(&persist.Record{Kind: persist.KindInit, Init: init}); err != nil {
-			t.Fatal(err)
-		}
-		if withSnapshot {
-			snap := &persist.EngineSnapshot{Init: init, History: []histio.StateJSON{{DB: map[string]json.RawMessage{}}}}
-			if err := st.SaveSnapshot(snap); err != nil {
+	for _, tc := range []struct {
+		init *persist.InitRecord
+		want string
+	}{
+		{&persist.InitRecord{CascadeLimit: 1000, SweepBudget: 5}, "sweep budget 5"},
+		{&persist.InitRecord{CascadeLimit: 10}, "cascade limit 10"},
+	} {
+		for _, withSnapshot := range []bool{false, true} {
+			dir := t.TempDir()
+			st, _, err := persist.Open(dir)
+			if err != nil {
 				t.Fatal(err)
 			}
-		}
-		if err := st.Close(); err != nil {
-			t.Fatal(err)
-		}
-		for name, open := range map[string]func() (io.Closer, error){
-			"Restore":      func() (io.Closer, error) { return Restore(Config{NoFsync: true}, dir) },
-			"OpenFollower": func() (io.Closer, error) { return OpenFollower(Config{NoFsync: true}, dir) },
-		} {
-			c, err := open()
-			if err == nil {
-				c.Close()
-				t.Fatalf("snapshot=%t: %s opened a log written with a sweep budget", withSnapshot, name)
+			if _, err := st.Append(&persist.Record{Kind: persist.KindInit, Init: tc.init}); err != nil {
+				t.Fatal(err)
 			}
-			if !strings.Contains(err.Error(), "sweep budget 5") {
-				t.Fatalf("snapshot=%t: %s error %q does not name the budget", withSnapshot, name, err)
+			if withSnapshot {
+				snap := &persist.EngineSnapshot{Init: tc.init, History: []histio.StateJSON{{DB: map[string]json.RawMessage{}}}}
+				if err := st.SaveSnapshot(snap); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := st.Close(); err != nil {
+				t.Fatal(err)
+			}
+			for name, open := range map[string]func() (io.Closer, error){
+				"Restore":      func() (io.Closer, error) { return Restore(Config{NoFsync: true}, dir) },
+				"OpenFollower": func() (io.Closer, error) { return OpenFollower(Config{NoFsync: true}, dir) },
+			} {
+				c, err := open()
+				if err == nil {
+					c.Close()
+					t.Fatalf("snapshot=%t: %s opened a log whose init record sets %s", withSnapshot, name, tc.want)
+				}
+				if !strings.Contains(err.Error(), tc.want) {
+					t.Fatalf("snapshot=%t: %s error %q does not name the %s", withSnapshot, name, err, tc.want)
+				}
 			}
 		}
 	}

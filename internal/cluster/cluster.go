@@ -21,10 +21,6 @@ type Config struct {
 	// at least one. The front becomes their only mutator; closing the
 	// front closes them.
 	Shards []Shard
-	// Registry supplies the query functions the placement oracle resolves
-	// declared read sets against; nil means just the built-ins. It must
-	// match the registry the shard engines run.
-	Registry *query.Registry
 	// Logf, when set, receives router diagnostics.
 	Logf func(format string, args ...any)
 }
@@ -55,7 +51,7 @@ type relayReg struct {
 type Front struct {
 	shards []Shard
 	part   Partitioner
-	reg    *query.Registry
+	reg    *query.Registry // the built-ins, which placement resolves read sets against
 	logf   func(string, ...any)
 
 	// mu guards ruleHomes, rulePending, relays, gapLoss, and the merged
@@ -120,10 +116,6 @@ func New(cfg Config) (*Front, error) {
 	if len(cfg.Shards) == 0 {
 		return nil, fmt.Errorf("cluster: Config.Shards is required")
 	}
-	reg := cfg.Registry
-	if reg == nil {
-		reg = query.NewRegistry()
-	}
 	logf := cfg.Logf
 	if logf == nil {
 		logf = func(string, ...any) {}
@@ -131,7 +123,7 @@ func New(cfg Config) (*Front, error) {
 	f := &Front{
 		shards:      cfg.Shards,
 		part:        NewPartitioner(len(cfg.Shards)),
-		reg:         reg,
+		reg:         query.NewRegistry(),
 		logf:        logf,
 		ruleHomes:   map[string]int{},
 		rulePending: map[string]bool{},

@@ -336,53 +336,21 @@ var DefaultWorkers = runtime.GOMAXPROCS(0)
 
 // RelevanceRun drives R event-gated rules over an event mix and returns
 // evaluator steps plus wall time (the E8 kernel). Evaluation is fully
-// sequential; RelevanceRunWorkers adds the worker-pool axis.
+// sequential and the rules have no action; RelevanceRunWorkers adds the
+// worker-pool, action and governance axes.
 func RelevanceRun(rules, states int, sched adb.Scheduling) (steps int64, dur time.Duration) {
-	return RelevanceRunWorkers(rules, states, sched, 1)
+	return RelevanceRunWorkers(rules, states, sched, 1, nil, false)
 }
 
 // RelevanceRunWorkers is RelevanceRun with an explicit worker-pool size
-// for the engine's parallel temporal component.
-func RelevanceRunWorkers(rules, states int, sched adb.Scheduling, workers int) (steps int64, dur time.Duration) {
-	eng := adb.NewEngine(adb.Config{
-		Initial: map[string]value.Value{"a": value.NewInt(1)},
-		Workers: workers,
-	})
-	for i := 0; i < rules; i++ {
-		cond := fmt.Sprintf(`@ev%d and item("a") > 0`, i)
-		if err := eng.AddTrigger(fmt.Sprintf("r%d", i), cond, nil, adb.WithScheduling(sched)); err != nil {
-			panic(err)
-		}
-	}
-	rng := rand.New(rand.NewSource(7))
-	start := time.Now()
-	for s := 0; s < states; s++ {
-		// One of the gated events fires occasionally; most states are noise.
-		var ev event.Event
-		if rng.Intn(10) == 0 {
-			ev = event.New(fmt.Sprintf("ev%d", rng.Intn(rules)))
-		} else {
-			ev = event.New("noise")
-		}
-		if err := eng.Emit(eng.Now()+1, ev); err != nil {
-			panic(err)
-		}
-	}
-	if sched == adb.Manual {
-		if err := eng.Flush(); err != nil {
-			panic(err)
-		}
-	}
-	return eng.EvalSteps(), time.Since(start)
-}
-
-// RelevanceRunGoverned is the E8 kernel with trivial (non-nil) actions,
-// so every firing passes through the action sandbox. With governed set it
-// additionally enables the fault-isolation surface — a circuit-breaker
-// threshold and a one-second action deadline — so the measured delta over
-// the plain run is the overhead of the recover wrapper, the breaker's
-// bookkeeping and the deadline machinery, not of any fault occurring.
-func RelevanceRunGoverned(rules, states int, sched adb.Scheduling, workers int, governed bool) (steps int64, dur time.Duration) {
+// for the engine's parallel temporal component and act as every rule's
+// action (nil for none). A non-nil act sends every firing through the
+// action sandbox; governed additionally enables the fault-isolation
+// surface — a circuit-breaker threshold and a one-second action deadline
+// — so the delta over a plain run is the overhead of the recover wrapper,
+// the breaker's bookkeeping and the deadline machinery, not of any fault
+// occurring.
+func RelevanceRunWorkers(rules, states int, sched adb.Scheduling, workers int, act adb.Action, governed bool) (steps int64, dur time.Duration) {
 	cfg := adb.Config{
 		Initial: map[string]value.Value{"a": value.NewInt(1)},
 		Workers: workers,
@@ -392,7 +360,6 @@ func RelevanceRunGoverned(rules, states int, sched adb.Scheduling, workers int, 
 		cfg.ActionTimeout = time.Second
 	}
 	eng := adb.NewEngine(cfg)
-	act := func(ctx *adb.ActionContext) error { return nil }
 	for i := 0; i < rules; i++ {
 		cond := fmt.Sprintf(`@ev%d and item("a") > 0`, i)
 		if err := eng.AddTrigger(fmt.Sprintf("r%d", i), cond, act, adb.WithScheduling(sched)); err != nil {
@@ -402,6 +369,7 @@ func RelevanceRunGoverned(rules, states int, sched adb.Scheduling, workers int, 
 	rng := rand.New(rand.NewSource(7))
 	start := time.Now()
 	for s := 0; s < states; s++ {
+		// One of the gated events fires occasionally; most states are noise.
 		var ev event.Event
 		if rng.Intn(10) == 0 {
 			ev = event.New(fmt.Sprintf("ev%d", rng.Intn(rules)))
@@ -441,7 +409,7 @@ func E8RelevanceFiltering(quick bool) Table {
 		es, ed := RelevanceRun(rules, states, adb.Eager)
 		rs, rd := RelevanceRun(rules, states, adb.Relevant)
 		bs, _ := RelevanceRun(rules, states, adb.Manual)
-		ps, pd := RelevanceRunWorkers(rules, states, adb.Eager, DefaultWorkers)
+		ps, pd := RelevanceRunWorkers(rules, states, adb.Eager, DefaultWorkers, nil, false)
 		if ps != es {
 			panic(fmt.Sprintf("E8: parallel eager steps %d != sequential %d", ps, es))
 		}

@@ -46,9 +46,11 @@ const (
 // persisted: the engine's results are independent of the worker count by
 // construction, and callbacks/queries are re-supplied at restore.
 type InitRecord struct {
-	Initial      map[string]json.RawMessage `json:"initial,omitempty"`
-	Start        int64                      `json:"start"`
-	CascadeLimit int                        `json:"cascade,omitempty"`
+	Initial map[string]json.RawMessage `json:"initial,omitempty"`
+	Start   int64                      `json:"start"`
+	// CascadeLimit is the engine's constant limit (1000) in every record
+	// it writes; recovery refuses any other value.
+	CascadeLimit int `json:"cascade,omitempty"`
 	// MaxRuleFailures shapes which actions run, so replay must use the
 	// original value; it is omitted (and decodes to "disabled") in logs
 	// written before it existed. SweepBudget is only decoded: a log written

@@ -2,7 +2,9 @@
 # serve_smoke.sh — end-to-end smoke test of the network service layer:
 # build adbserverd and adbsh, boot the server on a random port, run a
 # scripted remote session (rules, commits, firing subscription, queries),
-# then SIGTERM the server and assert a clean graceful drain (exit 0).
+# run the same session minus the subscription through adbsh's in-process
+# server and assert it prints the same, then SIGTERM the server and assert
+# a clean graceful drain (exit 0).
 set -eu
 
 GO="${GO:-go}"
@@ -60,6 +62,24 @@ case "$out" in
 *"FIRE hot at 2"*) ;;
 *) echo "serve-smoke: subscription did not deliver the firing" >&2; exit 1 ;;
 esac
+
+# The same session without -connect: adbsh serves its own engine in
+# process, through the same interpreter, so every line must print what it
+# printed over the wire. FIRE lines aside: the in-process engine prints
+# them as rules fire, a remote session only on follow (remote-only, so
+# left out here).
+grep -v '^follow' "$tmp/session" > "$tmp/local-session"
+local_out="$("$tmp/adbsh" "$tmp/local-session")"
+case "$local_out" in
+*"FIRE hot at 2"*) ;;
+*) echo "serve-smoke: in-process adbsh printed no firing" >&2; exit 1 ;;
+esac
+printf '%s\n' "$out" | grep -v '^FIRE ' > "$tmp/remote.out"
+printf '%s\n' "$local_out" | grep -v '^FIRE ' > "$tmp/local.out"
+diff -u "$tmp/remote.out" "$tmp/local.out" || {
+    echo "serve-smoke: in-process adbsh differs from adbsh -connect" >&2
+    exit 1
+}
 
 # Graceful drain: SIGTERM must yield exit 0 and the drain log line.
 kill -TERM "$server_pid"
