@@ -64,16 +64,16 @@ loc:
 
 # stress repeats the fault-isolation and failover suites under the race
 # detector: WAL fault injection, degraded-mode seals, quarantine/revive,
-# panic and timeout sandboxing, plus the replication chaos tests (torn
-# streams, lease promotion). -count=3 reruns catch flaky interleavings in
-# the timeout handshake, the parallel drain and the promotion handoff.
+# panic sandboxing, plus the replication chaos tests (torn streams, lease
+# promotion). -count=3 reruns catch flaky interleavings in the parallel
+# drain and the promotion handoff.
 # The pmap property suite rides along: every engine state lives in a
 # persistent map, so its model checks belong in the repeated race pass.
 # So do the worker-pool suites: the pool wakes helpers only above ≈ 100 µs
 # of measured work, so these tests force it (dealThreshold = 0), and this
 # pass is where their helper goroutines meet the race detector.
 stress:
-	$(GO) test -race -count=3 -run 'Fault|Degrad|Quarantine|Parallel|Deal|WorkerIndependent|IndexedSweepEquivalence|Panic|Failpoint|Timeout|Chaos|Failover|Lease|Promot|Replica|ShipAfterReply|PMap' ./internal/adb ./internal/persist ./internal/replica ./internal/pmap
+	$(GO) test -race -count=3 -run 'Fault|Degrad|Quarantine|Parallel|Deal|WorkerIndependent|IndexedSweepEquivalence|Panic|Failpoint|Chaos|Failover|Lease|Promot|Replica|ShipAfterReply|PMap' ./internal/adb ./internal/persist ./internal/replica ./internal/pmap
 
 # allocgates runs the allocation gates of the commit path at three core
 # counts. They pin Workers: 1, so nothing they count may depend on

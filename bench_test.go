@@ -197,8 +197,8 @@ func BenchmarkE8ParallelSweep(b *testing.B) {
 // BenchmarkSweepWithSandbox prices the fault-isolation layer on the E8
 // parallel sweep (R=1000 eager rules): "plain" is the nil-action baseline
 // of BenchmarkE8ParallelSweep, "actions" routes every firing through the
-// sandbox's recover wrapper, and "governed" adds the circuit breaker and
-// the action deadline with no fault ever occurring. The governed-minus-
+// sandbox's recover wrapper, and "governed" adds the circuit breaker with
+// no fault ever occurring. The governed-minus-
 // plain delta is the steady-state cost of the robustness layer; it is
 // expected to stay within a few percent, since the sandbox runs only on
 // the workload's sparse firings.

@@ -11,7 +11,7 @@
 // callers and delivers pushed firing, gap and bye frames to the
 // subscription channel. Server errors come back as the same taxonomy the
 // engine raises in-process: errors.Is against ptlactive's sentinels
-// (ErrDegraded, ErrConstraintViolation, ErrRuleQuarantined, ...) and
+// (ErrDegraded, ErrConstraintViolation, ErrNotPrimary, ...) and
 // errors.As against *adb.ConstraintError work across the network.
 //
 // The handshake negotiates a frame codec: by default the client offers
@@ -621,8 +621,9 @@ func (c *Client) Emit(ts int64, events ...event.Event) (int64, error) {
 }
 
 // AddTrigger registers a trigger rule on the server; an optional
-// scheduling mode overrides the default Eager evaluation. Server-side
-// rules have no action body — firings are observed through subscriptions.
+// scheduling mode overrides the default Eager evaluation. The server
+// refuses Manual: no wire operation runs Engine.Flush. Server-side rules
+// have no action body — firings are observed through subscriptions.
 func (c *Client) AddTrigger(name, condition string, sched ...adb.Scheduling) error {
 	return c.addRule(name, condition, false, sched)
 }

@@ -23,8 +23,8 @@
 // sequenced subscription feed.
 //
 // As with adbserverd, rules registered over the wire have no action part,
-// so no flag sets the engine's action knobs (Config.MaxRuleFailures,
-// Config.ActionTimeout) on the shards.
+// so no flag sets the engine's action knob (Config.MaxRuleFailures) on the
+// shards, and registration refuses Manual scheduling.
 //
 // SIGTERM or SIGINT drains gracefully: stop accepting, finish queued
 // commits on every shard, flush subscribers, close the shards, exit 0.

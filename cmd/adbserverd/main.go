@@ -37,8 +37,9 @@
 //
 // Rules registered over the wire have no action part: a firing is logged
 // and pushed to subscribers, and no action runs. So the engine's action
-// knobs (Config.MaxRuleFailures, Config.ActionTimeout) have no flag here;
-// they are for programs that embed the engine and register actions.
+// knob (Config.MaxRuleFailures) has no flag here; it is for programs that
+// embed the engine and register actions. No wire operation runs
+// Engine.Flush either, so registration refuses Manual scheduling.
 //
 // SIGTERM or SIGINT drains gracefully: stop accepting, finish queued
 // commits, flush every subscriber queue, close the engine, exit 0.

@@ -1,7 +1,6 @@
 package adb
 
 import (
-	"context"
 	"fmt"
 
 	"ptlactive/internal/core"
@@ -13,10 +12,9 @@ import (
 
 // ActionContext is passed to trigger actions. Actions run after the rule
 // sweep of the state that fired them; they may run further transactions
-// and emit events through it. The engine is reachable only through the
-// context's methods: every mutating path (Exec, Begin-transactions) is
-// guarded by the deadline gate, so a timed-out action's leaked goroutine
-// is refused instead of racing the resumed sweep.
+// and emit events through it. An action runs to completion on the
+// committing goroutine; the engine is reachable only through the
+// context's methods.
 type ActionContext struct {
 	Rule    string
 	Binding core.Binding
@@ -26,10 +24,6 @@ type ActionContext struct {
 	engine *Engine
 	// state is the database of the state that satisfied the condition.
 	state history.DBState
-	// ctx carries the Config.ActionTimeout deadline (Background without
-	// one); gate refuses engine mutations after the deadline fires.
-	ctx  context.Context
-	gate actionGate
 }
 
 // Param returns a bound condition parameter by name.
@@ -38,48 +32,16 @@ func (c *ActionContext) Param(name string) (value.Value, bool) {
 	return v, ok
 }
 
-// Context returns the action's deadline context (Config.ActionTimeout);
-// long-running actions should observe its cancellation. Without a timeout
-// it never cancels.
-func (c *ActionContext) Context() context.Context {
-	if c.ctx == nil {
-		return context.Background()
-	}
-	return c.ctx
-}
-
 // Exec runs a transaction on behalf of the action: updates are applied and
 // committed as a new system state (with the given extra events) at the
-// next clock tick. After the action's deadline has expired the engine has
-// moved on, so the mutation is refused with ErrActionTimeout.
+// next clock tick.
 func (c *ActionContext) Exec(updates map[string]value.Value, events ...event.Event) error {
-	c.gate.mu.Lock()
-	defer c.gate.mu.Unlock()
-	if c.gate.expired {
-		return &TimeoutError{Rule: c.Rule, Timeout: c.engine.actionTimeout}
-	}
 	return c.engine.Exec(c.engine.now+1, updates, events...)
 }
 
 // Begin opens a transaction on behalf of the action, for multi-item
-// commits that Exec's one-shot form cannot express. The transaction is
-// bound to the action's deadline gate: Commit and Abort after the
-// deadline are refused with ErrActionTimeout.
-func (c *ActionContext) Begin() *Txn {
-	c.gate.mu.Lock()
-	defer c.gate.mu.Unlock()
-	if c.gate.expired {
-		return &Txn{
-			e:       c.engine,
-			updates: map[string]value.Value{},
-			deletes: map[string]bool{},
-			refused: &TimeoutError{Rule: c.Rule, Timeout: c.engine.actionTimeout},
-		}
-	}
-	tx := c.engine.Begin()
-	tx.owner = c
-	return tx
-}
+// commits that Exec's one-shot form cannot express.
+func (c *ActionContext) Begin() *Txn { return c.engine.Begin() }
 
 // DB returns the current database state (an immutable snapshot).
 func (c *ActionContext) DB() history.DBState { return c.engine.DB() }
@@ -109,11 +71,11 @@ const cascadeLimit = 1000
 // actions may commit transactions, which append states and queue further
 // firings (bounded by the cascade limit).
 //
-// A failing action — an error, a recovered panic, an exceeded deadline —
-// is an isolated per-rule fault: it is recorded in the rule's health (and
-// counts toward quarantine), the failed firing is not entered in the
-// executed-predicate log, and the drain continues with the remaining
-// firings, so no other rule's behavior is perturbed. Only engine-level
+// A failing action — an error or a recovered panic — is an isolated
+// per-rule fault: it is recorded in the rule's health (and counts toward
+// quarantine), the failed firing is not entered in the executed-predicate
+// log, and the drain continues with the remaining firings, so no other
+// rule's behavior is perturbed. Only engine-level
 // failures (the cascade limit, a sealed engine) abort the drain.
 func (e *Engine) drainActions() error {
 	for len(e.pending) > 0 {

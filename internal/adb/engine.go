@@ -106,13 +106,12 @@ type Engine struct {
 	parkedCursor int
 	scratch      *sweepScratch
 
-	// Fault isolation (see health.go): the circuit-breaker threshold, the
-	// per-action deadline and the fault observer. degraded, once set,
-	// seals the engine read-only (guarded by mu; see seal).
-	maxFailures   int
-	actionTimeout time.Duration
-	onRuleFault   func(RuleFault)
-	degraded      error
+	// Fault isolation (see health.go): the circuit-breaker threshold and
+	// the fault observer. degraded, once set, seals the engine read-only
+	// (guarded by mu; see seal).
+	maxFailures int
+	onRuleFault func(RuleFault)
+	degraded    error
 
 	// Durability subsystem (internal/persist); store is nil for memory
 	// engines and while a directory's log is being replayed. suppress is
@@ -177,20 +176,15 @@ type Config struct {
 	// and benchmarks use it, production durability should not.
 	NoFsync bool
 	// MaxRuleFailures trips the per-rule circuit breaker: after this many
-	// consecutive action failures (errors, panics, timeouts) the rule is
+	// consecutive action failures (errors, panics) the rule is
 	// quarantined — its condition stays incrementally maintained and its
 	// firings recorded, but the action is suppressed until ReviveRule.
 	// 0 disables automatic quarantine (failures are still recorded).
 	// Persisted in the init record: it shapes which actions run, so replay
 	// must use the original value.
 	MaxRuleFailures int
-	// ActionTimeout is the per-action deadline; an action exceeding it
-	// yields ErrActionTimeout attributed to its rule, and any later engine
-	// mutation through its ActionContext is refused. 0 means no deadline.
-	// Wall-clock dependent, so runtime-only (not persisted).
-	ActionTimeout time.Duration
 	// OnRuleFault, when set, observes every isolated rule fault (action
-	// error, panic, timeout, quarantine suppression) as it happens.
+	// error, panic, quarantine suppression) as it happens.
 	OnRuleFault func(RuleFault)
 	// Actions maps rule names to action functions for recovery: rules
 	// re-registered from the snapshot or log get their action here. For
@@ -228,7 +222,6 @@ func NewEngine(cfg Config) *Engine {
 		eventIndex:    map[string][]*rule{},
 		itemIndex:     map[string][]*rule{},
 		maxFailures:   cfg.MaxRuleFailures,
-		actionTimeout: cfg.ActionTimeout,
 		onRuleFault:   cfg.OnRuleFault,
 	}
 	if cfg.OnFiring != nil {

@@ -333,12 +333,12 @@ func newMemEngine(cfg Config) *Engine {
 
 // engineFromInit builds a fresh engine from a persisted init record plus
 // the runtime-only config: whatever shapes behavior (initial state,
-// circuit-breaker threshold) comes from the record; workers, callbacks,
-// the action deadline and the WAL-layout knobs stay cfg's. The record is
-// not kept: initRecord encodes the same bytes again from the decoded
-// initial state. A record written before the engine read past values from
-// its history states may carry "track", "histwin" and "spill" fields; they
-// configured a deleted copy of history, and decoding ignores them. A
+// circuit-breaker threshold) comes from the record; workers, callbacks
+// and the WAL-layout knobs stay cfg's. The record is not kept: initRecord
+// encodes the same bytes again from the decoded initial state. A record
+// written before the engine read past values from its history states may
+// carry "track", "histwin" and "spill" fields; they configured a deleted
+// copy of history, and decoding ignores them. A
 // record with a sweep budget, or with a cascade limit other than the
 // engine's, is refused: a tripped budget skipped the sweep's actions and
 // another limit stopped cascades at another depth, so replaying here
@@ -364,8 +364,8 @@ func engineFromInit(cfg Config, init *persist.InitRecord) (*Engine, error) {
 // known. A registration written before rules were stored as text has no
 // text; it is refused, since recovery cannot say which rule it was.
 func decodeRule(text string, sched int) (ptl.Formula, error) {
-	if sched < int(Eager) || sched > int(Manual) {
-		return nil, fmt.Errorf("unknown scheduling %d", sched)
+	if err := checkScheduling(Scheduling(sched)); err != nil {
+		return nil, err
 	}
 	if text == "" {
 		return nil, fmt.Errorf("no condition text: the registration predates text conditions")

@@ -3,7 +3,6 @@ package adb
 import (
 	"errors"
 	"fmt"
-	"time"
 )
 
 // Sentinel errors of the fault-isolation layer. Concrete failures are
@@ -22,8 +21,6 @@ var (
 	// accessors keep working on the intact in-memory state, mutating
 	// operations are refused.
 	ErrDegraded = errors.New("engine degraded (read-only)")
-	// ErrActionTimeout reports an action that exceeded Config.ActionTimeout.
-	ErrActionTimeout = errors.New("action deadline exceeded")
 	// ErrInternal reports a broken engine invariant (a must-not-fail encode
 	// path that failed anyway).
 	ErrInternal = errors.New("internal invariant violated")
@@ -95,20 +92,6 @@ func (e *DegradedError) Error() string {
 
 // Unwrap yields ErrDegraded and the sealing cause for errors.Is/As.
 func (e *DegradedError) Unwrap() []error { return []error{ErrDegraded, e.Cause} }
-
-// TimeoutError attributes an exceeded action deadline to its rule.
-type TimeoutError struct {
-	Rule    string
-	Timeout time.Duration
-}
-
-// Error describes the timeout.
-func (e *TimeoutError) Error() string {
-	return fmt.Sprintf("adb: action of %s: %v (limit %v)", e.Rule, ErrActionTimeout, e.Timeout)
-}
-
-// Unwrap yields ErrActionTimeout for errors.Is.
-func (e *TimeoutError) Unwrap() error { return ErrActionTimeout }
 
 // InternalError reports a failure on a path the engine's invariants say
 // cannot fail (the initial-database encode); it wraps the cause.

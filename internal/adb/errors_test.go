@@ -4,7 +4,6 @@ import (
 	"errors"
 	"strings"
 	"testing"
-	"time"
 )
 
 // TestErrorTaxonomy pins the errors.Is/As contract of every typed error
@@ -45,11 +44,6 @@ func TestErrorTaxonomy(t *testing.T) {
 		t.Errorf("errors.As lost DegradedError cause: %+v", de)
 	}
 
-	to := &TimeoutError{Rule: "r4", Timeout: 50 * time.Millisecond}
-	if !errors.Is(to, ErrActionTimeout) {
-		t.Error("TimeoutError does not match ErrActionTimeout")
-	}
-
 	in := &InternalError{Op: "aux capture a", Err: cause}
 	if !errors.Is(in, ErrInternal) {
 		t.Error("InternalError does not match ErrInternal")
@@ -67,7 +61,7 @@ func TestErrorTaxonomy(t *testing.T) {
 	}
 
 	// The sentinels stay distinct from each other.
-	sentinels := []error{ErrRuleQuarantined, ErrActionPanic, ErrDegraded, ErrActionTimeout, ErrInternal}
+	sentinels := []error{ErrRuleQuarantined, ErrActionPanic, ErrDegraded, ErrInternal}
 	for i, a := range sentinels {
 		for j, bb := range sentinels {
 			if i != j && errors.Is(a, bb) {
@@ -86,7 +80,6 @@ func TestErrorMessagesCarryAttribution(t *testing.T) {
 	}{
 		{&ActionPanicError{Rule: "alpha", Value: 1}, "alpha"},
 		{&QuarantineError{Rule: "beta", Failures: 2, Cause: errors.New("x")}, "beta"},
-		{&TimeoutError{Rule: "delta", Timeout: time.Second}, "delta"},
 		{&InternalError{Op: "encode initial db", Err: errors.New("x")}, "encode initial db"},
 		{&DegradedError{Cause: errors.New("disk gone")}, "disk gone"},
 	}

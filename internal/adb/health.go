@@ -1,17 +1,14 @@
-// Rule fault isolation and resource governance: the action sandbox
-// (recovered panics, deadlines), the per-rule circuit breaker and the
-// rule-health surface. A misbehaving action is an isolated per-rule fault,
-// never a sweep failure: the firing semantics of Theorem 1 — every other
-// rule fires iff its PTL condition holds — are unaffected, because
-// conditions are evaluated before actions run and faults never reach the
-// temporal component.
+// Rule fault isolation: the action sandbox (recovered panics), the
+// per-rule circuit breaker and the rule-health surface. A misbehaving
+// action is an isolated per-rule fault, never a sweep failure: the firing
+// semantics of Theorem 1 — every other rule fires iff its PTL condition
+// holds — are unaffected, because conditions are evaluated before actions
+// run and faults never reach the temporal component.
 package adb
 
 import (
-	"context"
 	"fmt"
 	"runtime/debug"
-	"sync"
 
 	"ptlactive/internal/persist"
 )
@@ -144,59 +141,15 @@ func (e *Engine) reportFault(rule string, at int64, err error) {
 	}
 }
 
-// runAction executes one action inside the sandbox: panics become typed
-// errors, and with Config.ActionTimeout set the action runs under a
-// deadline. A timed-out action cannot be killed, but it is neutered: its
-// ActionContext expires, so further engine mutations through it are
-// refused, and the expiry handshake (the context mutex) guarantees no
-// mutation is in flight when control returns to the sweep.
-func (e *Engine) runAction(r *rule, p pendingAction) error {
-	ctx := &ActionContext{engine: e, Rule: p.Rule, Binding: p.Binding, FiredAt: p.Time, state: p.db, ctx: context.Background()}
-	if e.actionTimeout <= 0 {
-		return e.invokeAction(r, ctx)
-	}
-	cctx, cancel := context.WithTimeout(context.Background(), e.actionTimeout)
-	defer cancel()
-	ctx.ctx = cctx
-	done := make(chan error, 1)
-	go func() { done <- e.invokeAction(r, ctx) }()
-	select {
-	case err := <-done:
-		return err
-	case <-cctx.Done():
-		// Prefer a completion that raced the deadline.
-		select {
-		case err := <-done:
-			return err
-		default:
-		}
-		ctx.expire()
-		return &TimeoutError{Rule: r.name, Timeout: e.actionTimeout}
-	}
-}
-
-// invokeAction is the recover wrapper around the user action.
-func (e *Engine) invokeAction(r *rule, ctx *ActionContext) (err error) {
+// runAction executes one action inline on the committing goroutine, to
+// completion, under the sandbox's recover: a panic becomes an
+// ActionPanicError attributed to the rule. Replay runs the action the same
+// way, so a recovered engine executes every action as the live one did.
+func (e *Engine) runAction(r *rule, p pendingAction) (err error) {
 	defer func() {
-		if p := recover(); p != nil {
-			err = &ActionPanicError{Rule: r.name, Value: p, Stack: debug.Stack()}
+		if v := recover(); v != nil {
+			err = &ActionPanicError{Rule: r.name, Value: v, Stack: debug.Stack()}
 		}
 	}()
-	return r.action(ctx)
-}
-
-// actionGate is the expiry handshake embedded in ActionContext. Engine
-// mutations by the action hold the mutex; the timeout path marks expiry
-// under the same mutex, so once expire returns, no mutation is in flight
-// and none can start.
-type actionGate struct {
-	mu      sync.Mutex
-	expired bool
-}
-
-// expire marks the gate, waiting out any in-flight mutation.
-func (c *ActionContext) expire() {
-	c.gate.mu.Lock()
-	c.gate.expired = true
-	c.gate.mu.Unlock()
+	return r.action(&ActionContext{engine: e, Rule: p.Rule, Binding: p.Binding, FiredAt: p.Time, state: p.db})
 }

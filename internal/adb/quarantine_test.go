@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"testing"
-	"time"
 
 	"ptlactive/internal/event"
 	"ptlactive/internal/value"
@@ -158,64 +157,8 @@ func TestQuarantineAndRevive(t *testing.T) {
 	}
 }
 
-// TestActionTimeout is the deadline sandbox: an overrunning action yields
-// a typed timeout fault attributed to its rule, the sweep moves on, and a
-// late mutation attempt through the expired ActionContext is refused —
-// the runaway goroutine cannot perturb the engine after its deadline.
-func TestActionTimeout(t *testing.T) {
-	release := make(chan struct{})
-	late := make(chan error, 1)
-	lateTx := make(chan error, 1)
-	e := NewEngine(Config{
-		Initial:       map[string]value.Value{"a": value.NewInt(1)},
-		ActionTimeout: 20 * time.Millisecond,
-	})
-	if err := e.AddTrigger("slow", `@hit`, func(ctx *ActionContext) error {
-		<-ctx.Context().Done() // the deadline context is visible to the action
-		<-release              // keep running well past the deadline
-		late <- ctx.Exec(map[string]value.Value{"a": value.NewInt(99)})
-		tx := ctx.Begin() // transactions opened after expiry are refused too
-		tx.Set("a", value.NewInt(77))
-		lateTx <- tx.Commit(ctx.Now() + 1)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.AddTrigger("fast", `@hit`, func(ctx *ActionContext) error {
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-
-	fireOnce(t, e, 1) // returns once slow's deadline expires; slow still running
-
-	h, _ := e.RuleHealth("slow")
-	if !errors.Is(h.LastError, ErrActionTimeout) {
-		t.Errorf("LastError = %v, want ErrActionTimeout", h.LastError)
-	}
-	var te *TimeoutError
-	if !errors.As(h.LastError, &te) || te.Rule != "slow" {
-		t.Errorf("timeout not attributed: %v", h.LastError)
-	}
-	if hf, _ := e.RuleHealth("fast"); hf.TotalFailures != 0 {
-		t.Errorf("fast rule perturbed: %+v", hf)
-	}
-
-	// Let the runaway goroutine attempt its late mutations.
-	close(release)
-	if err := <-late; !errors.Is(err, ErrActionTimeout) {
-		t.Errorf("late Exec = %v, want refusal with ErrActionTimeout", err)
-	}
-	if err := <-lateTx; !errors.Is(err, ErrActionTimeout) {
-		t.Errorf("late Commit = %v, want refusal with ErrActionTimeout", err)
-	}
-	if v, _ := e.DB().Get("a"); !v.Equal(value.NewInt(1)) {
-		t.Errorf("late mutation reached the database: a = %v", v)
-	}
-}
-
 // TestActionErrorDoesNotFailSweep pins that a plain error return (no
-// panic, no timeout) is likewise isolated: Emit succeeds, health records
+// panic) is likewise isolated: Emit succeeds, health records
 // the failure, and no executed-predicate entry is made.
 func TestActionErrorDoesNotFailSweep(t *testing.T) {
 	e := NewEngine(Config{Initial: map[string]value.Value{"a": value.NewInt(1)}})

@@ -28,6 +28,16 @@ const (
 	Manual
 )
 
+// checkScheduling refuses a scheduling outside Eager..Manual. Registration
+// and recovery both run it, so a log the live engine writes is always one
+// recovery accepts.
+func checkScheduling(s Scheduling) error {
+	if s < Eager || s > Manual {
+		return fmt.Errorf("unknown scheduling %d", s)
+	}
+	return nil
+}
+
 // rule is the engine-internal compiled form.
 type rule struct {
 	name       string
@@ -182,6 +192,9 @@ func (e *Engine) add(name string, condition ptl.Formula, action Action, isConstr
 	})
 	for _, o := range opts {
 		o(r)
+	}
+	if err := checkScheduling(r.sched); err != nil {
+		return fmt.Errorf("adb: rule %s: %w", name, err)
 	}
 	// Classification reads the scheduling, so it runs after the options.
 	r.rs = extractReadSet(info, e.reg)

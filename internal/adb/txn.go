@@ -88,11 +88,6 @@ type Txn struct {
 	deletes map[string]bool
 	events  []event.Event
 	done    bool
-	// owner is set for transactions opened through ActionContext.Begin:
-	// Commit and Abort then run under the action's deadline gate. refused
-	// is set instead when the deadline had already expired at Begin.
-	owner   *ActionContext
-	refused error
 }
 
 // Begin opens a transaction. The begin event is recorded with the commit
@@ -132,35 +127,6 @@ func (t *Txn) Emit(events ...event.Event) *Txn {
 	return t
 }
 
-// gateCheck refuses a transaction whose owning action's deadline expired
-// and, for a live action-owned transaction, acquires the deadline gate so
-// the commit (or abort) cannot overlap the resumed sweep. The gate is
-// held on a nil return with a non-nil owner; gateRelease drops it. Error
-// returns never hold the gate.
-func (t *Txn) gateCheck() error {
-	if t.refused != nil {
-		t.done = true
-		return t.refused
-	}
-	if t.owner == nil {
-		return nil
-	}
-	t.owner.gate.mu.Lock()
-	if t.owner.gate.expired {
-		t.owner.gate.mu.Unlock()
-		t.done = true
-		return &TimeoutError{Rule: t.owner.Rule, Timeout: t.e.actionTimeout}
-	}
-	return nil
-}
-
-// gateRelease drops the deadline gate acquired by a successful gateCheck.
-func (t *Txn) gateRelease() {
-	if t.owner != nil {
-		t.owner.gate.mu.Unlock()
-	}
-}
-
 // Commit attempts to commit at the given time. Integrity constraints are
 // evaluated against the tentative commit state (the attempts_to_commit
 // event); on violation the transaction aborts: the database is unchanged,
@@ -170,10 +136,6 @@ func (t *Txn) Commit(ts int64) error {
 	if t.done {
 		return fmt.Errorf("adb: transaction %d already finished", t.id)
 	}
-	if err := t.gateCheck(); err != nil {
-		return err
-	}
-	defer t.gateRelease()
 	e := t.e
 	if err := e.Degraded(); err != nil {
 		return err
@@ -254,10 +216,6 @@ func (t *Txn) Abort(ts int64) error {
 	if t.done {
 		return fmt.Errorf("adb: transaction %d already finished", t.id)
 	}
-	if err := t.gateCheck(); err != nil {
-		return err
-	}
-	defer t.gateRelease()
 	e := t.e
 	if err := e.Degraded(); err != nil {
 		return err

@@ -345,11 +345,9 @@ func RelevanceRun(rules, states int, sched adb.Scheduling) (steps int64, dur tim
 // RelevanceRunWorkers is RelevanceRun with an explicit worker-pool size
 // for the engine's parallel temporal component and act as every rule's
 // action (nil for none). A non-nil act sends every firing through the
-// action sandbox; governed additionally enables the fault-isolation
-// surface — a circuit-breaker threshold and a one-second action deadline
-// — so the delta over a plain run is the overhead of the recover wrapper,
-// the breaker's bookkeeping and the deadline machinery, not of any fault
-// occurring.
+// action sandbox; governed additionally sets a circuit-breaker threshold,
+// so the delta over a plain run is the overhead of the recover wrapper
+// and the breaker's bookkeeping, not of any fault occurring.
 func RelevanceRunWorkers(rules, states int, sched adb.Scheduling, workers int, act adb.Action, governed bool) (steps int64, dur time.Duration) {
 	cfg := adb.Config{
 		Initial: map[string]value.Value{"a": value.NewInt(1)},
@@ -357,7 +355,6 @@ func RelevanceRunWorkers(rules, states int, sched adb.Scheduling, workers int, a
 	}
 	if governed {
 		cfg.MaxRuleFailures = 3
-		cfg.ActionTimeout = time.Second
 	}
 	eng := adb.NewEngine(cfg)
 	for i := 0; i < rules; i++ {

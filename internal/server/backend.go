@@ -1,6 +1,7 @@
 package server
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -176,8 +177,15 @@ func (b *EngineBackend) GoEmit(ts int64, events []event.Event, done func(int64, 
 	}
 }
 
+// GoRule registers a rule with no action. It refuses Manual scheduling:
+// such a rule steps only on Engine.Flush, which no served operation runs,
+// so it would never fire and would pin history for the engine's life.
 func (b *EngineBackend) GoRule(name, cond string, constraint bool, sched int, done func(error)) {
 	b.ops <- func() {
+		if adb.Scheduling(sched) == adb.Manual {
+			done(fmt.Errorf("server: rule %s: Manual scheduling steps only on Engine.Flush, which no served operation runs", name))
+			return
+		}
 		opt := adb.WithScheduling(adb.Scheduling(sched))
 		if constraint {
 			done(b.eng.AddConstraint(name, cond, opt))

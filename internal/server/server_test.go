@@ -146,6 +146,49 @@ func TestConstraintOverWire(t *testing.T) {
 	}
 }
 
+// TestServedRegistrationRefusesUnrecoverableScheduling: a served engine
+// refuses a rule it could not run or recover — an unknown scheduling,
+// which recovery rejects, and Manual, which steps only on Engine.Flush
+// and no wire operation runs that — and the data directory still
+// restores cleanly afterwards.
+func TestServedRegistrationRefusesUnrecoverableScheduling(t *testing.T) {
+	for name, sched := range map[string]adb.Scheduling{"unknown": adb.Scheduling(7), "manual": adb.Manual} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			cfg := adb.Config{
+				Initial:    map[string]value.Value{"a": value.NewInt(0)},
+				Durability: adb.DurabilityWAL,
+				NoFsync:    true,
+			}
+			eng, err := adb.Restore(cfg, dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv, addr := startServer(t, Config{Engine: eng})
+			c := dial(t, addr)
+			if err := c.AddTrigger("x", `item("a") > 0`, sched); err == nil {
+				t.Error("registration accepted")
+			}
+			for ts := int64(1); ts <= 3; ts++ {
+				if _, err := c.Exec(ts, map[string]value.Value{"a": value.NewInt(ts)}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := srv.Shutdown(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			back, err := adb.Restore(cfg, dir)
+			if err != nil {
+				t.Fatalf("restore: %v", err)
+			}
+			defer back.Close()
+			if r, ok := back.Rule("x"); ok {
+				t.Errorf("restored rule %+v, want none", r)
+			}
+		})
+	}
+}
+
 func TestVersionMismatchRefused(t *testing.T) {
 	_, addr := startServer(t, Config{})
 	conn, err := net.Dial("tcp", addr)

@@ -86,18 +86,16 @@ const (
 // Error codes carried by error frames; CodeFor and RemoteError.Unwrap are
 // the two directions of the mapping.
 const (
-	CodeConstraint  = "constraint"
-	CodeDegraded    = "degraded"
-	CodeQuarantined = "quarantined"
-	CodeTimeout     = "action_timeout"
-	CodeInternal    = "internal"
-	CodeVersion     = "version"
-	CodeLagged      = "lagged"
-	CodeClosed      = "closed"
-	CodeBadRequest  = "bad_request"
-	CodeBusy        = "busy"
-	CodeCrossShard  = "cross_shard"
-	CodeNotPrimary  = "not_primary"
+	CodeConstraint = "constraint"
+	CodeDegraded   = "degraded"
+	CodeInternal   = "internal"
+	CodeVersion    = "version"
+	CodeLagged     = "lagged"
+	CodeClosed     = "closed"
+	CodeBadRequest = "bad_request"
+	CodeBusy       = "busy"
+	CodeCrossShard = "cross_shard"
+	CodeNotPrimary = "not_primary"
 	// CodeWalTruncated reports a replicate request whose resume position
 	// predates the primary's retained WAL head and which could not be
 	// served a snapshot bootstrap either.
@@ -163,8 +161,6 @@ var codeSentinels = []struct {
 }{
 	{CodeConstraint, adb.ErrConstraintViolation},
 	{CodeDegraded, adb.ErrDegraded},
-	{CodeQuarantined, adb.ErrRuleQuarantined},
-	{CodeTimeout, adb.ErrActionTimeout},
 	{CodeInternal, adb.ErrInternal},
 	{CodeVersion, ErrVersionMismatch},
 	{CodeLagged, ErrSubscriberLagged},

@@ -140,8 +140,6 @@ func TestErrorTaxonomyRoundTrip(t *testing.T) {
 	}{
 		{&adb.ConstraintError{Constraint: "c", Txn: 1}, CodeConstraint},
 		{&adb.DegradedError{Cause: errors.New("disk")}, CodeDegraded},
-		{&adb.QuarantineError{Rule: "r"}, CodeQuarantined},
-		{&adb.TimeoutError{Rule: "r"}, CodeTimeout},
 		{&adb.InternalError{Op: "x", Err: errors.New("y")}, CodeInternal},
 		{ErrVersionMismatch, CodeVersion},
 		{ErrSubscriberLagged, CodeLagged},

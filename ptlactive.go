@@ -247,8 +247,6 @@ var (
 	// ErrDegraded reports an engine sealed read-only after a durability
 	// fault or broken invariant; see Engine.Degraded.
 	ErrDegraded = adb.ErrDegraded
-	// ErrActionTimeout reports an action exceeding Config.ActionTimeout.
-	ErrActionTimeout = adb.ErrActionTimeout
 	// ErrInternal reports a broken engine invariant.
 	ErrInternal = adb.ErrInternal
 )
@@ -262,9 +260,6 @@ type QuarantineError = adb.QuarantineError
 
 // DegradedError seals an engine read-only and carries the cause.
 type DegradedError = adb.DegradedError
-
-// TimeoutError attributes an exceeded action deadline to a rule.
-type TimeoutError = adb.TimeoutError
 
 // InternalError reports a failure on a must-not-fail engine path.
 type InternalError = adb.InternalError
