@@ -105,9 +105,12 @@ allocgates:
 # WAL and snapshots store a rule as its printed condition, so the
 # printer/parser round trip FuzzParse asserts is the storage format's; the
 # frame fuzzers hold both codecs to never panicking and to re-encoding
-# whatever they accept.
+# whatever they accept. FuzzCmpArith holds value.Cmp and value.Arith to the
+# laws every evaluator relies on: flip and negation symmetry, and Null
+# exactly where a comparison or an arithmetic is undefined.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 15s ./internal/ptl
+	$(GO) test -run '^$$' -fuzz FuzzCmpArith -fuzztime 10s ./internal/value
 	$(GO) test -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime 10s ./internal/server/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzReadFrameBinary$$' -fuzztime 10s ./internal/server/wire
 

@@ -12,6 +12,7 @@ import (
 	"math/rand"
 	"runtime"
 	"testing"
+	"time"
 
 	"ptlactive"
 	"ptlactive/internal/adb"
@@ -198,10 +199,14 @@ func BenchmarkE8ParallelSweep(b *testing.B) {
 // parallel sweep (R=1000 eager rules): "plain" is the nil-action baseline
 // of BenchmarkE8ParallelSweep, "actions" routes every firing through the
 // sandbox's recover wrapper, and "governed" adds the circuit breaker with
-// no fault ever occurring. The governed-minus-
-// plain delta is the steady-state cost of the robustness layer; it is
-// expected to stay within a few percent, since the sandbox runs only on
-// the workload's sparse firings.
+// no fault ever occurring. The governed-minus-plain delta is the
+// steady-state cost of the robustness layer; it is expected to stay within
+// a few percent, since the sandbox runs only on the workload's sparse
+// firings. Each iteration runs the three arms three times, rotated (plain,
+// actions, governed; actions, governed, plain; governed, plain, actions),
+// so every arm runs once in every position and none reads fast for running
+// last; each arm reports its mean time per sweep as <arm>-ns/op and its
+// steps as <arm>-eval-steps.
 func BenchmarkSweepWithSandbox(b *testing.B) {
 	const rules, states = 1000, 200
 	workers := runtime.GOMAXPROCS(0)
@@ -215,14 +220,21 @@ func BenchmarkSweepWithSandbox(b *testing.B) {
 		{"actions", noop, false},
 		{"governed", noop, true},
 	}
-	for _, arm := range arms {
-		b.Run(arm.name, func(b *testing.B) {
-			var steps int64
-			for i := 0; i < b.N; i++ {
-				steps, _ = experiments.RelevanceRunWorkers(rules, states, adb.Eager, workers, arm.act, arm.governed)
+	took := make([]time.Duration, len(arms))
+	steps := make([]int64, len(arms))
+	for i := 0; i < b.N; i++ {
+		for first := range arms {
+			for k := range arms {
+				a := (first + k) % len(arms)
+				start := time.Now()
+				steps[a], _ = experiments.RelevanceRunWorkers(rules, states, adb.Eager, workers, arms[a].act, arms[a].governed)
+				took[a] += time.Since(start)
 			}
-			b.ReportMetric(float64(steps), "eval-steps")
-		})
+		}
+	}
+	for a, arm := range arms {
+		b.ReportMetric(float64(took[a].Nanoseconds())/float64(len(arms)*b.N), arm.name+"-ns/op")
+		b.ReportMetric(float64(steps[a]), arm.name+"-eval-steps")
 	}
 }
 

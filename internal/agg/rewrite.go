@@ -143,14 +143,8 @@ func (r *rewriter) rewriteAgg(a *ptl.Agg) (ptl.Term, error) {
 		}
 		c, _ := db.Get(cntItem)
 		qv, err := evalGroundTerm(eng, qTerm)
-		if err != nil {
+		if err != nil || !qv.IsNumeric() { // anything else, Null included, is no sample
 			return err
-		}
-		if qv.IsNull() {
-			return nil
-		}
-		if !qv.IsNumeric() {
-			return fmt.Errorf("agg: aggregate over non-numeric value %s", qv)
 		}
 		ns := value.NewFloat(s.AsFloat() + qv.AsFloat())
 		nc := value.NewInt(c.AsInt() + 1)
@@ -201,19 +195,10 @@ func evalGroundTerm(e *adb.Engine, t ptl.Term) (value.Value, error) {
 			return value.Value{}, err
 		}
 		r, err := evalGroundTerm(e, x.R)
-		if err != nil {
-			return value.Value{}, err
-		}
-		if l.IsNull() || r.IsNull() {
-			return value.Value{}, nil
-		}
-		return value.Arith(x.Op, l, r)
+		return value.Arith(x.Op, l, r), err
 	case *ptl.Neg:
 		v, err := evalGroundTerm(e, x.X)
-		if err != nil || v.IsNull() {
-			return value.Value{}, err
-		}
-		return value.Arith(value.Sub, value.NewInt(0), v)
+		return value.Arith(value.Sub, value.NewInt(0), v), err
 	default:
 		return value.Value{}, fmt.Errorf("agg: term %T is not ground", t)
 	}

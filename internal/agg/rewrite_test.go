@@ -94,7 +94,8 @@ func TestPaperAvgRewrite(t *testing.T) {
 // TestRewriteMatchesDirectEvaluation compares the rewritten rule against a
 // second engine evaluating the aggregate directly: the rewriting may
 // recognize a satisfaction one maintenance commit later, but the sets of
-// price updates that satisfy the condition must agree.
+// price updates that satisfy the condition must agree. A price that is not
+// a number is no sample under either.
 func TestRewriteMatchesDirectEvaluation(t *testing.T) {
 	mk := func(rewrite bool) (fires map[int64]bool, e *adb.Engine) {
 		e = priceEngine(t, 60)
@@ -110,10 +111,10 @@ func TestRewriteMatchesDirectEvaluation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		prices := []float64{80, 90, 50, 70}
+		prices := []value.Value{value.NewFloat(80), value.NewFloat(90), value.NewString("halted"), value.NewFloat(50), value.NewFloat(70)}
 		ts := int64(600)
 		for _, p := range prices {
-			if err := e.Exec(ts, map[string]value.Value{"price": value.NewFloat(p)}, event.New("update_stocks")); err != nil {
+			if err := e.Exec(ts, map[string]value.Value{"price": p}, event.New("update_stocks")); err != nil {
 				t.Fatal(err)
 			}
 			// Neutral state so delayed maintenance is observable.
@@ -130,9 +131,14 @@ func TestRewriteMatchesDirectEvaluation(t *testing.T) {
 		return fires, e
 	}
 	direct, _ := mk(false)
-	rewritten, _ := mk(true)
+	rewritten, e := mk(true)
+	for _, name := range e.RuleNames() {
+		if h, _ := e.RuleHealth(name); h.TotalFailures > 0 {
+			t.Errorf("rewritten rule %s failed: %v", name, h.LastError)
+		}
+	}
 	// Direct fires from the update making the sum exceed 200 (80+90+50 =
-	// 220 at the third update). The rewritten engine observes it at the
+	// 220 at the fourth update). The rewritten engine observes it at the
 	// maintenance commit or the neutral state right after — within 6 time
 	// units.
 	if len(direct) == 0 || len(rewritten) == 0 {

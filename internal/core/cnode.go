@@ -61,77 +61,48 @@ func (in *interner) varTerm(name string) *cterm {
 }
 
 // arithTerm builds an arithmetic term, folding when both sides are
-// constant. Arithmetic over an undefined (Null) constant yields Null,
-// implementing "undefined aggregate values propagate" (see package naive).
-func (in *interner) arithTerm(op value.ArithOp, l, r *cterm) (*cterm, error) {
+// constant: value.Arith yields Null where the arithmetic is undefined.
+func (in *interner) arithTerm(op value.ArithOp, l, r *cterm) *cterm {
 	if l.kind == ctConst && r.kind == ctConst {
-		if l.v.IsNull() || r.v.IsNull() || divByZero(op, r.v) {
-			return in.constTerm(value.Value{}), nil
-		}
-		v, err := value.Arith(op, l.v, r.v)
-		if err != nil {
-			return nil, err
-		}
-		return in.constTerm(v), nil
+		return in.constTerm(value.Arith(op, l.v, r.v))
 	}
-	return in.term(cterm{kind: ctArith, op: op, l: l, r: r}), nil
+	return in.term(cterm{kind: ctArith, op: op, l: l, r: r})
 }
 
 // substTerm replaces a variable with a constant value, folding arithmetic.
-func (in *interner) substTerm(t *cterm, name string, v value.Value) (*cterm, error) {
+func (in *interner) substTerm(t *cterm, name string, v value.Value) *cterm {
 	switch t.kind {
-	case ctConst:
-		return t, nil
 	case ctVar:
 		if t.name == name {
-			return in.constTerm(v), nil
+			return in.constTerm(v)
 		}
-		return t, nil
 	case ctArith:
-		l, err := in.substTerm(t.l, name, v)
-		if err != nil {
-			return nil, err
+		if l, r := in.substTerm(t.l, name, v), in.substTerm(t.r, name, v); l != t.l || r != t.r {
+			return in.arithTerm(t.op, l, r)
 		}
-		r, err := in.substTerm(t.r, name, v)
-		if err != nil {
-			return nil, err
-		}
-		if l == t.l && r == t.r {
-			return t, nil
-		}
-		return in.arithTerm(t.op, l, r)
-	default:
-		return nil, fmt.Errorf("core: unknown cterm kind %d", t.kind)
 	}
+	return t
 }
 
-// eval computes the term under a complete assignment.
-func (t *cterm) eval(env map[string]value.Value) (value.Value, error) {
+// eval computes the term under an assignment of every variable it
+// mentions.
+func (t *cterm) eval(env map[string]value.Value) value.Value {
 	switch t.kind {
-	case ctConst:
-		return t.v, nil
 	case ctVar:
-		v, ok := env[t.name]
-		if !ok {
-			return value.Value{}, fmt.Errorf("core: unbound variable %s in constraint", t.name)
-		}
-		return v, nil
+		return env[t.name]
 	case ctArith:
-		l, err := t.l.eval(env)
-		if err != nil {
-			return value.Value{}, err
-		}
-		r, err := t.r.eval(env)
-		if err != nil {
-			return value.Value{}, err
-		}
-		if l.IsNull() || r.IsNull() || divByZero(t.op, r) {
-			return value.Value{}, nil
-		}
-		return value.Arith(t.op, l, r)
-	default:
-		return value.Value{}, fmt.Errorf("core: unknown cterm kind %d", t.kind)
+		return value.Arith(t.op, t.l.eval(env), t.r.eval(env))
 	}
+	return t.v
+}
+
+// ground is the value of a term that must mention no variable: one that
+// does reads a variable nothing has bound at this point.
+func (t *cterm) ground() (value.Value, error) {
+	if t.vars != nil {
+		return value.Value{}, fmt.Errorf("core: unbound variable %s in constraint", t.vars[0])
+	}
+	return t.eval(nil), nil
 }
 
 func (t *cterm) String() string {
@@ -196,45 +167,19 @@ func nodeBool(b bool) *cnode {
 	return nodeFalse
 }
 
-// mkAtom builds a comparison atom, folding to a constant when both sides
-// are ground. A Null (undefined) side makes the atom false — beside a bare
-// variable too, which evaluates without error, so that its negation holds
-// (U = c for an event argument c that is Null).
-func (in *interner) mkAtom(op value.CmpOp, l, r *cterm) (*cnode, error) {
+// mkAtom builds a comparison atom, folding to value.Cmp's verdict when
+// both sides are ground. A Null constant beside a bare variable folds to
+// false too, as the atom is false whatever the variable becomes (U = c for
+// an event argument c that is Null); restored snapshots rebuild their
+// graphs through this fold, so it stays (DESIGN.md §4.1).
+func (in *interner) mkAtom(op value.CmpOp, l, r *cterm) *cnode {
 	if l.kind == ctVar && r.kind == ctConst && r.v.IsNull() || r.kind == ctVar && l.kind == ctConst && l.v.IsNull() {
-		return nodeFalse, nil
+		return nodeFalse
 	}
 	if l.vars == nil && r.vars == nil {
-		lv, err := l.eval(nil)
-		if err != nil {
-			return nil, err
-		}
-		rv, err := r.eval(nil)
-		if err != nil {
-			return nil, err
-		}
-		if lv.IsNull() || rv.IsNull() {
-			return nodeFalse, nil
-		}
-		b, err := value.Cmp(op, lv, rv)
-		if err != nil {
-			return nil, err
-		}
-		return nodeBool(b), nil
+		return nodeBool(value.Cmp(op, l.eval(nil), r.eval(nil)))
 	}
-	return in.node(&cnode{kind: nkAtom, op: op, l: l, r: r}), nil
-}
-
-// expandCheck refuses a membership expansion beyond memberExpandLimit.
-func expandCheck(rel value.Value, elems int) error {
-	if rel.Kind() != value.Relation {
-		return fmt.Errorf("core: membership in %s, want relation", rel.Kind())
-	}
-	if rel.NumRows()*elems > memberExpandLimit {
-		return fmt.Errorf("core: membership expansion of %d rows x %d elements exceeds limit %d",
-			rel.NumRows(), elems, memberExpandLimit)
-	}
-	return nil
+	return in.node(&cnode{kind: nkAtom, op: op, l: l, r: r})
 }
 
 // mkMember builds a membership atom (elems) in rel. When the relation
@@ -245,14 +190,14 @@ func expandCheck(rel value.Value, elems int) error {
 // symbolic (bound by an enclosing assignment under a temporal operator)
 // the atom is kept as-is and expands upon substitution.
 func (in *interner) mkMember(elems []*cterm, rel *cterm) (*cnode, error) {
-	if rel.kind != ctConst {
+	switch {
+	case rel.kind != ctConst:
 		return in.node(&cnode{kind: nkMember, elems: elems, rel: rel}), nil
-	}
-	if rel.v.IsNull() {
+	case rel.v.Kind() != value.Relation: // Null or a scalar holds no row
 		return nodeFalse, nil
-	}
-	if err := expandCheck(rel.v, len(elems)); err != nil {
-		return nil, err
+	case rel.v.NumRows()*len(elems) > memberExpandLimit:
+		return nil, fmt.Errorf("core: membership expansion of %d rows x %d elements exceeds limit %d",
+			rel.v.NumRows(), len(elems), memberExpandLimit)
 	}
 	disjuncts := make([]*cnode, 0, rel.v.NumRows())
 	for _, row := range rel.v.Rows() {
@@ -261,11 +206,7 @@ func (in *interner) mkMember(elems []*cterm, rel *cterm) (*cnode, error) {
 		}
 		conj := make([]*cnode, len(elems))
 		for k := range elems {
-			a, err := in.mkAtom(value.EQ, elems[k], in.constTerm(row[k]))
-			if err != nil {
-				return nil, err
-			}
-			conj[k] = a
+			conj[k] = in.mkAtom(value.EQ, elems[k], in.constTerm(row[k]))
 		}
 		disjuncts = append(disjuncts, in.mkAnd(conj...))
 	}
@@ -342,9 +283,9 @@ func (in *interner) addKid(kind nodeKind, g *cnode, old bool) bool {
 
 // subsumed reports whether g, the next disjunct of an or, is redundant
 // beside a fresh disjunct y of its shape: g implies y, or y, the last so
-// far, implies g and g takes its place. Paired atoms error together, so
-// every in-order evaluation or substitution meets the or's verdict and
-// first error as before (DESIGN.md §4.1). It costs O(fresh disjuncts).
+// far, implies g and g takes its place. Paired atoms are false together
+// where undefined, so every evaluation or substitution meets the or's
+// verdict as before (DESIGN.md §4.1). It costs O(fresh disjuncts).
 func (in *interner) subsumed(g *cnode, old bool) bool {
 	if old && len(in.fresh) == 0 || !ordering(g) {
 		return false
@@ -412,7 +353,9 @@ func implies(a, b *cnode, converse bool) (ab, ba bool) {
 }
 
 // order compares two constants of one kind that orders totally: int,
-// string, bool, or float but NaN, which orders equal to everything.
+// string, bool, or float but NaN, which orders equal to everything. An int
+// never pairs with a float, though they compare: restored snapshots rebuild
+// their ors through this rule, so it stays as it was (DESIGN.md §4.1).
 func order(a, b value.Value) (int, bool) {
 	switch k := a.Kind(); {
 	case k != b.Kind():
@@ -499,33 +442,16 @@ func (in *interner) substNode(n *cnode, name string, v value.Value, memo map[*cn
 	out := n
 	switch n.kind {
 	case nkAtom:
-		l, err := in.substTerm(n.l, name, v)
-		if err != nil {
-			return nil, err
-		}
-		r, err := in.substTerm(n.r, name, v)
-		if err != nil {
-			return nil, err
-		}
-		if l != n.l || r != n.r {
-			if out, err = in.mkAtom(n.op, l, r); err != nil {
-				return nil, err
-			}
+		if l, r := in.substTerm(n.l, name, v), in.substTerm(n.r, name, v); l != n.l || r != n.r {
+			out = in.mkAtom(n.op, l, r)
 		}
 	case nkMember:
 		elems := make([]*cterm, len(n.elems))
 		for i, e := range n.elems {
-			ne, err := in.substTerm(e, name, v)
-			if err != nil {
-				return nil, err
-			}
-			elems[i] = ne
+			elems[i] = in.substTerm(e, name, v)
 		}
-		rel, err := in.substTerm(n.rel, name, v)
-		if err != nil {
-			return nil, err
-		}
-		if rel != n.rel || !slices.Equal(elems, n.elems) {
+		var err error
+		if rel := in.substTerm(n.rel, name, v); rel != n.rel || !slices.Equal(elems, n.elems) {
 			if out, err = in.mkMember(elems, rel); err != nil {
 				return nil, err
 			}
@@ -546,85 +472,50 @@ func (in *interner) substNode(n *cnode, name string, v value.Value, memo map[*cn
 	return out, nil
 }
 
-// evalNode evaluates the node under a complete assignment. Comparison
-// errors (e.g. ordering a string against an int) surface as errors.
-func evalNode(n *cnode, env map[string]value.Value) (bool, error) { return evaluate(n, env, nil) }
-
-// evaluate is evalNode when memo is nil. With a memo it is the fire
-// check's evaluation, without evalNode's short circuits: every atom below n
-// is evaluated, and a membership's elements before its relation, so it
-// meets every error a substitution of n's variables can meet, and more. A
-// membership with a Null element is false under both, as the
-// substitution's equality atoms make it. An and/or's verdict is memoized,
-// and the caller empties the memo.
-func evaluate(n *cnode, env map[string]value.Value, memo map[*cnode]bool) (bool, error) {
+// evaluate decides the node under an assignment of every variable it
+// mentions. It expands nothing, so a membership meets no expansion limit;
+// its verdict is the substitution's, where an element matches a row's
+// value as the expansion's equality atom does (a Null matches nothing). An
+// and/or's verdict is memoized in memo when it is not nil, and the caller
+// empties it.
+func evaluate(n *cnode, env map[string]value.Value, memo map[*cnode]bool) bool {
 	switch n.kind {
-	case nkTrue, nkFalse:
-		return n == nodeTrue, nil
 	case nkAtom:
-		l, err := n.l.eval(env)
-		if err != nil {
-			return false, err
-		}
-		r, err := n.r.eval(env)
-		if err != nil || l.IsNull() || r.IsNull() {
-			return false, err
-		}
-		return value.Cmp(n.op, l, r)
+		return value.Cmp(n.op, n.l.eval(env), n.r.eval(env))
 	case nkMember:
+		rel := n.rel.eval(env)
+		if rel.Kind() != value.Relation {
+			return false
+		}
 		elems := make([]value.Value, len(n.elems))
-		for i := 0; memo != nil && i < len(elems); i++ {
-			if _, err := n.elems[i].eval(env); err != nil {
-				return false, err
-			}
-		}
-		rel, err := n.rel.eval(env)
-		if err != nil || rel.IsNull() {
-			return false, err
-		}
-		if err := expandCheck(rel, len(elems)); err != nil && (memo != nil || rel.Kind() != value.Relation) {
-			return false, err
-		}
 		for i, e := range n.elems {
-			if elems[i], err = e.eval(env); err != nil {
-				return false, err
-			}
+			elems[i] = e.eval(env)
 		}
-		if slices.ContainsFunc(elems, value.Value.IsNull) {
-			return false, nil
-		}
-		want := value.NewTuple(elems...)
 		for _, row := range rel.Rows() {
-			if value.NewTuple(row...).Equal(want) {
-				return true, nil
+			if matches(row, elems) {
+				return true
 			}
 		}
-		return false, nil
+		return false
 	case nkAnd, nkOr:
-		if b, ok := memo[n]; ok {
-			return b, nil
-		}
-		b := n.kind == nkAnd
-		for _, k := range n.kids {
-			kb, err := evaluate(k, env, memo)
-			if err != nil {
-				return false, err
-			}
-			if kb != (n.kind == nkAnd) {
-				if b = kb; memo == nil {
+		b, ok := memo[n]
+		if or := n.kind == nkOr; !ok {
+			b = !or
+			for _, k := range n.kids {
+				if evaluate(k, env, memo) == or {
+					b = or
 					break
 				}
 			}
+			if memo != nil {
+				memo[n] = b
+			}
 		}
-		if memo != nil {
-			memo[n] = b
-		}
-		return b, nil
+		return b
 	case nkNot:
-		b, err := evaluate(n.sub, env, memo)
-		return !b, err
+		return !evaluate(n.sub, env, memo)
 	}
-	return false, fmt.Errorf("core: unknown node kind %d", n.kind)
+	return n == nodeTrue
 }
 
 // timeBoundPrune implements the Section-5 optimization: for a variable t
@@ -709,9 +600,7 @@ func decomposeLinear(t *cterm) (linearPart, bool) {
 		if l.sign != 0 && r.sign != 0 {
 			return linearPart{}, false // two variable occurrences
 		}
-		// Add or Sub of two numerics cannot fail.
-		off, _ := value.Arith(t.op, l.offset, r.offset)
-		out := linearPart{varName: l.varName, sign: l.sign, offset: off}
+		out := linearPart{varName: l.varName, sign: l.sign, offset: value.Arith(t.op, l.offset, r.offset)}
 		if r.sign != 0 {
 			out.varName, out.sign = r.varName, r.sign
 		}
@@ -757,8 +646,7 @@ func varConstAtom(n *cnode, timeVars map[string]bool) (string, value.Value, valu
 		hi, lo = lo, hi
 		op = op.Flip()
 	}
-	c, _ := value.Arith(value.Sub, hi, lo)
-	return l.varName, c, op, true
+	return l.varName, value.Arith(value.Sub, hi, lo), op, true
 }
 
 // collectCandidates gathers, for every variable, the constant values it is
@@ -844,14 +732,4 @@ func (n *cnode) String() string {
 	default:
 		return "?"
 	}
-}
-
-// divByZero reports a division or modulo with a zero right operand; in
-// formula evaluation it yields the undefined value (its atom becomes
-// false) instead of an error, consistently with empty aggregates.
-func divByZero(op value.ArithOp, r value.Value) bool {
-	if op != value.Div && op != value.Mod {
-		return false
-	}
-	return r.IsNumeric() && r.AsFloat() == 0
 }

@@ -21,21 +21,13 @@ func randNode(tab *interner, rng *rand.Rand, depth int) *cnode {
 		case 1:
 			return tab.varTerm([]string{"x", "y"}[rng.Intn(2)])
 		default:
-			t, err := tab.arithTerm(value.ArithOp(rng.Intn(3)), // add/sub/mul
+			return tab.arithTerm(value.ArithOp(rng.Intn(3)), // add/sub/mul
 				tab.varTerm([]string{"x", "y"}[rng.Intn(2)]),
 				tab.constTerm(value.NewInt(int64(rng.Intn(5)))))
-			if err != nil {
-				panic(err)
-			}
-			return t
 		}
 	}
 	if depth <= 0 {
-		n, err := tab.mkAtom(value.CmpOp(rng.Intn(6)), mk(), mk())
-		if err != nil {
-			panic(err)
-		}
-		return n
+		return tab.mkAtom(value.CmpOp(rng.Intn(6)), mk(), mk())
 	}
 	switch rng.Intn(4) {
 	case 0:
@@ -55,29 +47,31 @@ func env(x, y int64) map[string]value.Value {
 
 func TestMkAtomFoldsGround(t *testing.T) {
 	tab := newInterner()
-	a, err := tab.mkAtom(value.LT, tab.constTerm(value.NewInt(1)), tab.constTerm(value.NewInt(2)))
-	if err != nil || a != nodeTrue {
-		t.Fatalf("1 < 2 should fold to true, got %v %v", a, err)
+	if a := tab.mkAtom(value.LT, tab.constTerm(value.NewInt(1)), tab.constTerm(value.NewInt(2))); a != nodeTrue {
+		t.Fatalf("1 < 2 should fold to true, got %v", a)
 	}
-	a, err = tab.mkAtom(value.EQ, tab.constTerm(value.NewInt(1)), tab.constTerm(value.NewInt(2)))
-	if err != nil || a != nodeFalse {
+	if a := tab.mkAtom(value.EQ, tab.constTerm(value.NewInt(1)), tab.constTerm(value.NewInt(2))); a != nodeFalse {
 		t.Fatalf("1 = 2 should fold to false")
 	}
-	// Null side folds to false.
-	a, err = tab.mkAtom(value.GE, tab.constTerm(value.Value{}), tab.constTerm(value.NewInt(0)))
-	if err != nil || a != nodeFalse {
-		t.Fatalf("null >= 0 should fold to false, got %v %v", a, err)
+	// An undefined comparison folds to false: a Null side, and an ordering
+	// across kinds, under the operator and under its negation alike.
+	for _, op := range []value.CmpOp{value.GE, value.LT} {
+		if a := tab.mkAtom(op, tab.constTerm(value.Value{}), tab.constTerm(value.NewInt(0))); a != nodeFalse {
+			t.Fatalf("null %s 0 should fold to false, got %v", op, a)
+		}
+		if a := tab.mkAtom(op, tab.constTerm(value.NewString("s")), tab.constTerm(value.NewInt(0))); a != nodeFalse {
+			t.Fatalf(`"s" %s 0 should fold to false, got %v`, op, a)
+		}
 	}
 	// Symbolic atom does not fold.
-	a, err = tab.mkAtom(value.LT, tab.varTerm("x"), tab.constTerm(value.NewInt(2)))
-	if err != nil || a.kind != nkAtom {
+	if a := tab.mkAtom(value.LT, tab.varTerm("x"), tab.constTerm(value.NewInt(2))); a.kind != nkAtom {
 		t.Fatalf("symbolic atom folded: %v", a)
 	}
 }
 
 func TestMkAndOrIdentities(t *testing.T) {
 	tab := newInterner()
-	x, _ := tab.mkAtom(value.GT, tab.varTerm("x"), tab.constTerm(value.NewInt(0)))
+	x := tab.mkAtom(value.GT, tab.varTerm("x"), tab.constTerm(value.NewInt(0)))
 	if tab.mkAnd() != nodeTrue || tab.mkOr() != nodeFalse {
 		t.Fatal("empty and/or wrong")
 	}
@@ -99,8 +93,8 @@ func TestMkAndOrIdentities(t *testing.T) {
 		t.Fatal("x or not x should be true")
 	}
 	// Flattening: and(and(a,b),c) has three kids.
-	y, _ := tab.mkAtom(value.GT, tab.varTerm("y"), tab.constTerm(value.NewInt(0)))
-	z, _ := tab.mkAtom(value.LT, tab.varTerm("y"), tab.constTerm(value.NewInt(9)))
+	y := tab.mkAtom(value.GT, tab.varTerm("y"), tab.constTerm(value.NewInt(0)))
+	z := tab.mkAtom(value.LT, tab.varTerm("y"), tab.constTerm(value.NewInt(9)))
 	n := tab.mkAnd(tab.mkAnd(x, y), z)
 	if n.kind != nkAnd || len(n.kids) != 3 {
 		t.Fatalf("flattening failed: %v", n)
@@ -112,7 +106,7 @@ func TestMkNot(t *testing.T) {
 	if tab.mkNot(nodeTrue) != nodeFalse || tab.mkNot(nodeFalse) != nodeTrue {
 		t.Fatal("constant negation wrong")
 	}
-	x, _ := tab.mkAtom(value.LE, tab.varTerm("x"), tab.constTerm(value.NewInt(2)))
+	x := tab.mkAtom(value.LE, tab.varTerm("x"), tab.constTerm(value.NewInt(2)))
 	nx := tab.mkNot(x)
 	if nx.kind != nkNot || nx.sub != x {
 		t.Fatalf("atom negation should keep the atom under a not (a Null side satisfies neither x <= 2 nor x > 2), got %v", nx)
@@ -121,19 +115,10 @@ func TestMkNot(t *testing.T) {
 	if and != nodeFalse {
 		t.Fatalf("contradiction not detected: %v", and)
 	}
-	n := tab.mkNot(tab.mkAnd(x, mustAtom(t, tab, value.GT, tab.varTerm("y"), tab.constTerm(value.NewInt(1)))))
+	n := tab.mkNot(tab.mkAnd(x, tab.mkAtom(value.GT, tab.varTerm("y"), tab.constTerm(value.NewInt(1)))))
 	if tab.mkNot(n).kind != nkAnd {
 		t.Fatal("double negation should cancel")
 	}
-}
-
-func mustAtom(t *testing.T, tab *interner, op value.CmpOp, l, r *cterm) *cnode {
-	t.Helper()
-	a, err := tab.mkAtom(op, l, r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return a
 }
 
 // TestSimplifierSoundness: random nodes evaluate identically before and
@@ -151,15 +136,7 @@ func TestSimplifierSoundness(t *testing.T) {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		for yv := int64(-3); yv <= 3; yv++ {
-			got, err := evalNode(sub, env(0 /*unused*/, yv))
-			if err != nil {
-				t.Fatalf("seed %d: %v", seed, err)
-			}
-			want, err := evalNode(n, env(xv, yv))
-			if err != nil {
-				t.Fatalf("seed %d: %v", seed, err)
-			}
-			if got != want {
+			if evaluate(sub, env(0 /*unused*/, yv), nil) != evaluate(n, env(xv, yv), nil) {
 				t.Fatalf("seed %d: subst changed semantics (x=%d y=%d): %s vs %s",
 					seed, xv, yv, n, sub)
 			}
@@ -169,10 +146,10 @@ func TestSimplifierSoundness(t *testing.T) {
 
 // TestSubsumptionInvisible: ors of same-shape and near-miss disjuncts,
 // built alike through a table that subsumes and one that does not, agree
-// under random environments — on the verdict and the first error of the
-// short-circuited evaluation and of the fire check's, on what substituting
-// the variables meets, and on the candidates — while the subsuming table's
-// ors hold fewer disjuncts.
+// under random environments — on the verdict of the evaluation, plain and
+// memoized as the fire check's, on what substituting the variables yields,
+// and on the candidates — while the subsuming table's ors hold fewer
+// disjuncts.
 func TestSubsumptionInvisible(t *testing.T) {
 	on, off := newInterner(), newInterner()
 	on.subsume = true
@@ -185,8 +162,8 @@ func TestSubsumptionInvisible(t *testing.T) {
 	build := func(in *interner, seed int64) (n *cnode, err error) {
 		rng := rand.New(rand.NewSource(seed))
 		x, y := in.varTerm("x"), in.varTerm("y")
-		half, _ := in.arithTerm(value.Mul, in.constTerm(value.NewFloat(0.5)), x)
-		back, _ := in.arithTerm(value.Sub, x, in.constTerm(value.NewInt(10)))
+		half := in.arithTerm(value.Mul, in.constTerm(value.NewFloat(0.5)), x)
+		back := in.arithTerm(value.Sub, x, in.constTerm(value.NewInt(10)))
 		sides := []*cterm{x, y, half, back}
 		ops := []value.CmpOp{value.LE, value.LE, value.GE, value.GE, value.LT, value.GT, value.EQ, value.NE}
 		// Most disjuncts follow the seed's template — per atom an operator, a
@@ -210,7 +187,7 @@ func TestSubsumptionInvisible(t *testing.T) {
 				if s.flip == 0 {
 					l, r = r, l
 				}
-				atoms[i], _ = in.mkAtom(ops[s.op], l, r) // a symbolic side: no error
+				atoms[i] = in.mkAtom(ops[s.op], l, r)
 			}
 			return in.mkAnd(atoms...)
 		}
@@ -258,12 +235,8 @@ func TestSubsumptionInvisible(t *testing.T) {
 							seed, xv, yv, what, ga, ea, gb, eb, a, b)
 					}
 				}
-				va, ea := evalNode(a, e)
-				vb, eb := evalNode(b, e)
-				check("evalNode", va, vb, ea, eb)
-				va, ea = evaluate(a, e, map[*cnode]bool{})
-				vb, eb = evaluate(b, e, map[*cnode]bool{})
-				check("the fire check", va, vb, ea, eb)
+				check("evaluate", evaluate(a, e, nil), evaluate(b, e, nil), nil, nil)
+				check("the fire check", evaluate(a, e, map[*cnode]bool{}), evaluate(b, e, map[*cnode]bool{}), nil, nil)
 				sa, ea := on.subst(a, "x", xv)
 				if ea == nil {
 					sa, ea = on.subst(sa, "y", yv)
@@ -284,7 +257,7 @@ func TestSubsumptionInvisible(t *testing.T) {
 func TestSubstSharing(t *testing.T) {
 	tab := newInterner()
 	// Substituting a variable not present returns the identical node.
-	x := mustAtom(t, tab, value.GT, tab.varTerm("x"), tab.constTerm(value.NewInt(0)))
+	x := tab.mkAtom(value.GT, tab.varTerm("x"), tab.constTerm(value.NewInt(0)))
 	n := tab.mkAnd(x, tab.mkNot(tab.mkOr(x, x)))
 	got, err := tab.substNode(n, "zzz", value.NewInt(1), map[*cnode]*cnode{})
 	if err != nil {
@@ -300,11 +273,11 @@ func TestDecomposeLinear(t *testing.T) {
 	v := tab.varTerm("t")
 	c3 := tab.constTerm(value.NewInt(3))
 	c5 := tab.constTerm(value.NewInt(5))
-	add, _ := tab.arithTerm(value.Add, v, c3)      // t + 3
-	sub, _ := tab.arithTerm(value.Sub, c5, v)      // 5 - t
-	nested, _ := tab.arithTerm(value.Sub, add, c5) // (t+3) - 5
-	mul, _ := tab.arithTerm(value.Mul, v, c3)      // 3t: not unit
-	twoVars, _ := tab.arithTerm(value.Add, v, tab.varTerm("u"))
+	add := tab.arithTerm(value.Add, v, c3)      // t + 3
+	sub := tab.arithTerm(value.Sub, c5, v)      // 5 - t
+	nested := tab.arithTerm(value.Sub, add, c5) // (t+3) - 5
+	mul := tab.arithTerm(value.Mul, v, c3)      // 3t: not unit
+	twoVars := tab.arithTerm(value.Add, v, tab.varTerm("u"))
 
 	cases := []struct {
 		t      *cterm
@@ -338,21 +311,21 @@ func TestVarConstAtomNormalization(t *testing.T) {
 	v := tab.varTerm("t")
 	// time_j >= t - 10 with time_j = 7: atom 7 >= t-10 should normalize to
 	// t <= 17.
-	rhs, _ := tab.arithTerm(value.Sub, v, tab.constTerm(value.NewInt(10)))
-	atom := mustAtom(t, tab, value.GE, tab.constTerm(value.NewInt(7)), rhs)
+	rhs := tab.arithTerm(value.Sub, v, tab.constTerm(value.NewInt(10)))
+	atom := tab.mkAtom(value.GE, tab.constTerm(value.NewInt(7)), rhs)
 	name, c, op, ok := varConstAtom(atom, tv)
 	if !ok || name != "t" || c.AsFloat() != 17 || op != value.LE {
 		t.Fatalf("normalized to %s %s %s (ok=%t)", name, op, c, ok)
 	}
 	// 5 - t < 2 -> -t < -3 -> t > 3.
-	lhs, _ := tab.arithTerm(value.Sub, tab.constTerm(value.NewInt(5)), v)
-	atom = mustAtom(t, tab, value.LT, lhs, tab.constTerm(value.NewInt(2)))
+	lhs := tab.arithTerm(value.Sub, tab.constTerm(value.NewInt(5)), v)
+	atom = tab.mkAtom(value.LT, lhs, tab.constTerm(value.NewInt(2)))
 	name, c, op, ok = varConstAtom(atom, tv)
 	if !ok || name != "t" || c.AsFloat() != 3 || op != value.GT {
 		t.Fatalf("normalized to %s %s %s (ok=%t)", name, op, c, ok)
 	}
 	// Non-time variables are not pruned.
-	atom = mustAtom(t, tab, value.LE, tab.varTerm("u"), tab.constTerm(value.NewInt(2)))
+	atom = tab.mkAtom(value.LE, tab.varTerm("u"), tab.constTerm(value.NewInt(2)))
 	if _, _, _, ok := varConstAtom(atom, tv); ok {
 		t.Fatal("non-anchored variable should not match")
 	}
@@ -371,15 +344,7 @@ func TestTimeBoundPruneSoundness(t *testing.T) {
 		// x takes values now, now+1, ... (nondecreasing current time).
 		for dx := int64(0); dx < 4; dx++ {
 			for yv := int64(-2); yv <= 2; yv++ {
-				got, err := evalNode(pruned, env(now+dx, yv))
-				if err != nil {
-					t.Fatalf("seed %d: %v", seed, err)
-				}
-				want, err := evalNode(n, env(now+dx, yv))
-				if err != nil {
-					t.Fatalf("seed %d: %v", seed, err)
-				}
-				if got != want {
+				if evaluate(pruned, env(now+dx, yv), nil) != evaluate(n, env(now+dx, yv), nil) {
 					t.Fatalf("seed %d: prune changed semantics at x=%d y=%d now=%d\nbefore: %s\nafter:  %s",
 						seed, now+dx, yv, now, n, pruned)
 				}
@@ -419,14 +384,11 @@ func TestMemberExpansion(t *testing.T) {
 	if err != nil || n != nodeFalse {
 		t.Fatalf("arity mismatch should be false: %v", n)
 	}
-	// Membership in a scalar errors.
-	if _, err := tab.mkMember([]*cterm{tab.varTerm("s")}, tab.constTerm(value.NewInt(1))); err == nil {
-		t.Fatal("member of scalar should error")
-	}
-	// Null relation: false.
-	n, err = tab.mkMember([]*cterm{tab.varTerm("s")}, tab.constTerm(value.Value{}))
-	if err != nil || n != nodeFalse {
-		t.Fatalf("member of null should be false: %v %v", n, err)
+	// Membership in a scalar or in Null: false.
+	for _, v := range []value.Value{value.NewInt(1), {}} {
+		if n, err = tab.mkMember([]*cterm{tab.varTerm("s")}, tab.constTerm(v)); err != nil || n != nodeFalse {
+			t.Fatalf("member of %v should be false: %v %v", v, n, err)
+		}
 	}
 	// Symbolic relation stays a member node; substitution expands it.
 	sym, err := tab.mkMember([]*cterm{tab.varTerm("s")}, tab.varTerm("r"))
@@ -441,10 +403,15 @@ func TestMemberExpansion(t *testing.T) {
 	if got.kind != nkAtom || got.op != value.EQ {
 		t.Fatalf("substituted member = %v", got)
 	}
-	// evalNode on a symbolic member with env.
-	ok, err := evalNode(sym, map[string]value.Value{"s": value.NewString("z"), "r": unary})
-	if err != nil || !ok {
-		t.Fatalf("evalNode member: %t %v", ok, err)
+	// evaluate on a symbolic member with env: a row, a scalar, a Null
+	// element.
+	for _, c := range []struct {
+		s, r value.Value
+		want bool
+	}{{value.NewString("z"), unary, true}, {value.NewString("z"), value.NewString("z"), false}, {value.Value{}, unary, false}} {
+		if got := evaluate(sym, map[string]value.Value{"s": c.s, "r": c.r}, nil); got != c.want {
+			t.Fatalf("(%v) in %v = %t, want %t", c.s, c.r, got, c.want)
+		}
 	}
 }
 
@@ -462,14 +429,14 @@ func TestMemberExpandLimit(t *testing.T) {
 
 func TestNodeStrings(t *testing.T) {
 	tab := newInterner()
-	x := mustAtom(t, tab, value.GT, tab.varTerm("x"), tab.constTerm(value.NewInt(0)))
+	x := tab.mkAtom(value.GT, tab.varTerm("x"), tab.constTerm(value.NewInt(0)))
 	m, _ := tab.mkMember([]*cterm{tab.varTerm("s")}, tab.varTerm("r"))
-	for _, n := range []*cnode{nodeTrue, nodeFalse, x, tab.mkAnd(x, mustAtom(t, tab, value.LT, tab.varTerm("y"), tab.constTerm(value.NewInt(9)))), tab.mkNot(tab.mkOr(x, m)), m} {
+	for _, n := range []*cnode{nodeTrue, nodeFalse, x, tab.mkAnd(x, tab.mkAtom(value.LT, tab.varTerm("y"), tab.constTerm(value.NewInt(9)))), tab.mkNot(tab.mkOr(x, m)), m} {
 		if n.String() == "" {
 			t.Fatal("empty node string")
 		}
 	}
-	at, _ := tab.arithTerm(value.Add, tab.varTerm("x"), tab.constTerm(value.NewInt(1)))
+	at := tab.arithTerm(value.Add, tab.varTerm("x"), tab.constTerm(value.NewInt(1)))
 	if !strings.Contains(at.String(), "+") {
 		t.Fatalf("cterm string = %s", at)
 	}
@@ -477,8 +444,8 @@ func TestNodeStrings(t *testing.T) {
 
 func TestNodeSizeSharing(t *testing.T) {
 	tab := newInterner()
-	x := mustAtom(t, tab, value.GT, tab.varTerm("x"), tab.constTerm(value.NewInt(0)))
-	y := mustAtom(t, tab, value.LT, tab.varTerm("y"), tab.constTerm(value.NewInt(5)))
+	x := tab.mkAtom(value.GT, tab.varTerm("x"), tab.constTerm(value.NewInt(0)))
+	y := tab.mkAtom(value.LT, tab.varTerm("y"), tab.constTerm(value.NewInt(5)))
 	shared := tab.mkOr(x, y)
 	n := tab.mkAnd(shared, tab.mkNot(shared))
 	// n is a contradiction: not(shared) is shared's complement, which

@@ -218,45 +218,29 @@ func (e *Evaluator) stepHinted(st history.SystemState, dbUnchanged bool) (Result
 // fire steps a closed condition that opens with assignments [v1 <- q1] ...
 // [vk <- qk] g. Nothing stores what flows out of the chain, so instead of
 // substituting into g's graph, rebuilding every retained clause, it
-// evaluates the graph under {v1: q1, ..., vk: qk}. evaluate meets every
-// error the substitution could, so a clean evaluation is the
-// substitution's verdict; on an error the substitution decides the step.
+// evaluates the graph under {v1: q1, ..., vk: qk}: the substitution's
+// verdict, as every atom is false where undefined under both.
 func (e *Evaluator) fire(a *ptl.Assign) (Result, error) {
 	in := e.tab
-	in.names, in.vals = in.names[:0], in.vals[:0]
+	clear(in.env)
+	clear(in.evalMemo)
 	var g ptl.Formula = a
 	for a, ok := g.(*ptl.Assign); ok; a, ok = g.(*ptl.Assign) {
 		qt, err := e.buildTerm(a.Q)
 		if err != nil {
 			return Result{}, err
 		}
-		qv, err := qt.eval(nil)
-		if err != nil {
+		if in.env[a.Var], err = qt.ground(); err != nil { // an inner assignment shadows an outer one
 			return Result{}, err
 		}
-		in.names, in.vals = append(in.names, a.Var), append(in.vals, qv)
 		g = a.Body
 	}
 	node, err := e.build(g)
 	if err != nil {
 		return Result{}, err
 	}
-	clear(in.env)
-	clear(in.evalMemo)
-	for i, name := range in.names {
-		in.env[name] = in.vals[i] // an inner assignment shadows an outer one
-	}
-	if fired, err := evaluate(node, in.env, in.evalMemo); err == nil {
-		node = nodeBool(fired)
-	} else {
-		for i := len(in.names) - 1; i >= 0; i-- {
-			if node, err = in.subst(node, in.names[i], in.vals[i]); err != nil {
-				return Result{}, err
-			}
-		}
-	}
 	e.steps++
-	return e.resolve(node)
+	return e.resolve(nodeBool(evaluate(node, in.env, in.evalMemo)))
 }
 
 // resolve turns the final constraint formula into a firing decision.
@@ -301,34 +285,25 @@ func (e *Evaluator) resolve(node *cnode) (Result, error) {
 	}
 	var res Result
 	env := make(map[string]value.Value, len(free))
-	var walk func(i int) error
-	walk = func(i int) error {
+	var walk func(i int)
+	walk = func(i int) {
 		if i == len(free) {
-			ok, err := evalNode(node, env)
-			if err != nil {
-				return err
-			}
-			if ok {
+			if evaluate(node, env, nil) {
 				b := make(Binding, len(free))
 				for k, v := range env {
 					b[k] = v
 				}
 				res.Bindings = append(res.Bindings, b)
 			}
-			return nil
+			return
 		}
 		for _, v := range domains[i] {
 			env[free[i]] = v
-			if err := walk(i + 1); err != nil {
-				return err
-			}
+			walk(i + 1)
 		}
 		delete(env, free[i])
-		return nil
 	}
-	if err := walk(0); err != nil {
-		return Result{}, err
-	}
+	walk(0)
 	res.Fired = len(res.Bindings) > 0
 	return res, nil
 }
@@ -348,7 +323,7 @@ func (e *Evaluator) build(f ptl.Formula) (*cnode, error) {
 		if err != nil {
 			return nil, err
 		}
-		return e.tab.mkAtom(x.Op, l, r)
+		return e.tab.mkAtom(x.Op, l, r), nil
 	case *ptl.EventAtom:
 		return e.buildEvent(x)
 	case *ptl.Executed:
@@ -438,7 +413,7 @@ func (e *Evaluator) build(f ptl.Formula) (*cnode, error) {
 		if err != nil {
 			return nil, err
 		}
-		qv, err := qt.eval(nil)
+		qv, err := qt.ground()
 		if err != nil {
 			return nil, err
 		}
@@ -473,11 +448,9 @@ func (e *Evaluator) buildTerm(t ptl.Term) (*cterm, error) {
 			if err != nil {
 				return nil, err
 			}
-			v, err := at.eval(nil)
-			if err != nil {
+			if args[i], err = at.ground(); err != nil {
 				return nil, err
 			}
-			args[i] = v
 		}
 		v, err := e.reg.Eval(x.Fn, e.st, args)
 		if err != nil {
@@ -496,23 +469,19 @@ func (e *Evaluator) buildTerm(t ptl.Term) (*cterm, error) {
 		if err != nil {
 			return nil, err
 		}
-		return e.tab.arithTerm(x.Op, l, r)
+		return e.tab.arithTerm(x.Op, l, r), nil
 	case *ptl.Neg:
 		inner, err := e.buildTerm(x.X)
 		if err != nil {
 			return nil, err
 		}
-		return e.tab.arithTerm(value.Sub, e.tab.constTerm(value.NewInt(0)), inner)
+		return e.tab.arithTerm(value.Sub, e.tab.constTerm(value.NewInt(0)), inner), nil
 	case *ptl.Agg:
 		a, ok := e.aggs[x]
 		if !ok {
 			return nil, fmt.Errorf("core: internal: unregistered aggregate %s", x)
 		}
-		v, err := a.value()
-		if err != nil {
-			return nil, err
-		}
-		return e.tab.constTerm(v), nil
+		return e.tab.constTerm(a.value()), nil
 	default:
 		return nil, fmt.Errorf("core: unsupported term %T", t)
 	}
@@ -538,10 +507,7 @@ func (e *Evaluator) buildEvent(x *ptl.EventAtom) (*cnode, error) {
 		conj := make([]*cnode, len(args))
 		ok := true
 		for k := range args {
-			atom, err := e.tab.mkAtom(value.EQ, args[k], e.tab.constTerm(ev.Args[k]))
-			if err != nil {
-				return nil, err
-			}
+			atom := e.tab.mkAtom(value.EQ, args[k], e.tab.constTerm(ev.Args[k]))
 			if atom == nodeFalse {
 				ok = false
 				break
@@ -579,10 +545,7 @@ func (e *Evaluator) buildExecuted(x *ptl.Executed) (*cnode, error) {
 		conj := make([]*cnode, 0, len(args)+1)
 		ok := true
 		for k := range args {
-			atom, aerr := e.tab.mkAtom(value.EQ, args[k], e.tab.constTerm(ex.Params[k]))
-			if aerr != nil {
-				return nil, aerr
-			}
+			atom := e.tab.mkAtom(value.EQ, args[k], e.tab.constTerm(ex.Params[k]))
 			if atom == nodeFalse {
 				ok = false
 				break
@@ -592,10 +555,7 @@ func (e *Evaluator) buildExecuted(x *ptl.Executed) (*cnode, error) {
 		if !ok {
 			continue
 		}
-		atom, aerr := e.tab.mkAtom(value.EQ, tArg, e.tab.constTerm(value.NewInt(ex.Time)))
-		if aerr != nil {
-			return nil, aerr
-		}
+		atom := e.tab.mkAtom(value.EQ, tArg, e.tab.constTerm(value.NewInt(ex.Time)))
 		if atom == nodeFalse {
 			continue
 		}
@@ -665,7 +625,7 @@ func (s *aggState) bindQuery() {
 			if err != nil {
 				return value.Value{}, err
 			}
-			return qt.eval(nil)
+			return qt.ground()
 		}
 	}
 }
@@ -676,11 +636,7 @@ func (s *aggState) step(st history.SystemState, dbUnchanged bool) error {
 		// Evict samples that fell out of the window.
 		cutoff, head := st.TS-s.agg.Window, s.head
 		for s.head < len(s.times) && s.times[s.head] < cutoff {
-			nsum, err := value.Arith(value.Sub, s.sum, s.samples[s.head])
-			if err != nil {
-				return err
-			}
-			s.sum = nsum
+			s.sum = value.Arith(value.Sub, s.sum, s.samples[s.head])
 			s.count--
 			s.head++
 		}
@@ -689,11 +645,7 @@ func (s *aggState) step(st history.SystemState, dbUnchanged bool) error {
 			// (∞ - ∞ is NaN): sum the live samples afresh.
 			s.sum = value.NewInt(0)
 			for _, v := range s.samples[s.head:] {
-				nsum, err := value.Arith(value.Add, s.sum, v)
-				if err != nil {
-					return err
-				}
-				s.sum = nsum
+				s.sum = value.Arith(value.Add, s.sum, v)
 			}
 		}
 		if 2*s.head > len(s.times) {
@@ -719,21 +671,15 @@ func (s *aggState) step(st history.SystemState, dbUnchanged bool) error {
 	}
 	if sampled && s.started {
 		// Evaluate the aggregate's query at this state, with the evaluator
-		// that just stepped over it.
+		// that just stepped over it; a value that is not a number, Null
+		// included, is no sample.
 		v, err := s.q()
-		if err != nil {
+		if err != nil || !v.IsNumeric() {
 			return err
-		}
-		if !v.IsNumeric() {
-			return fmt.Errorf("core: aggregate %s over non-numeric value %s", s.agg.Fn, v)
 		}
 		s.samples = append(s.samples, v)
 		s.times = append(s.times, st.TS)
-		nsum, err := value.Arith(value.Add, s.sum, v)
-		if err != nil {
-			return err
-		}
-		s.sum = nsum
+		s.sum = value.Arith(value.Add, s.sum, v)
 		s.count++
 	}
 	return nil
@@ -764,44 +710,32 @@ func (s *aggState) rollback() {
 	s.samp.Rollback()
 }
 
-// value returns the aggregate's current value; Null when undefined.
-func (s *aggState) value() (value.Value, error) {
-	if !s.started {
-		return value.Value{}, nil
-	}
-	switch s.agg.Fn {
-	case ptl.AggSum:
-		return s.sum, nil
-	case ptl.AggCount:
-		return value.NewInt(s.count), nil
-	case ptl.AggAvg:
-		if s.count == 0 {
-			return value.Value{}, nil
+// value returns the aggregate's current value; Null when undefined: before
+// a start, for the avg, min or max of no sample, and for an unknown
+// function (ptl.Check admits none).
+func (s *aggState) value() value.Value {
+	samples, _ := s.live()
+	switch {
+	case !s.started:
+	case s.agg.Fn == ptl.AggSum:
+		return s.sum
+	case s.agg.Fn == ptl.AggCount:
+		return value.NewInt(s.count)
+	case s.agg.Fn == ptl.AggAvg:
+		return value.Arith(value.Div, value.NewFloat(s.sum.AsFloat()), value.NewFloat(float64(s.count)))
+	case len(samples) > 0 && (s.agg.Fn == ptl.AggMin || s.agg.Fn == ptl.AggMax):
+		best, sign := samples[0], 1
+		if s.agg.Fn == ptl.AggMin {
+			sign = -1
 		}
-		return value.Arith(value.Div, floatOf(s.sum), value.NewFloat(float64(s.count)))
-	case ptl.AggMin, ptl.AggMax:
-		samples, _ := s.live()
-		if len(samples) == 0 {
-			return value.Value{}, nil
-		}
-		best := samples[0]
 		for _, v := range samples[1:] {
-			c, err := v.Compare(best)
-			if err != nil {
-				return value.Value{}, err
-			}
-			if (s.agg.Fn == ptl.AggMin && c < 0) || (s.agg.Fn == ptl.AggMax && c > 0) {
+			if c, _ := v.Compare(best); c*sign > 0 { // samples are numbers
 				best = v
 			}
 		}
-		return best, nil
-	default:
-		return value.Value{}, fmt.Errorf("core: unknown aggregate %q", s.agg.Fn)
+		return best
 	}
-}
-
-func floatOf(v value.Value) value.Value {
-	return value.NewFloat(v.AsFloat())
+	return value.Value{}
 }
 
 func (s *aggState) stateSize(seen map[*cnode]struct{}) int {

@@ -210,48 +210,15 @@ func TestTheorem1RandomEquivalence(t *testing.T) {
 	}
 }
 
-// TestNullAtomKeepsErrors: an atom against a Null constant folds to false
-// only beside a bare variable, so a symbolic side that would fail once
-// substituted still reports its error at the state where naive meets it.
-func TestNullAtomKeepsErrors(t *testing.T) {
-	reg := ptlgen.Registry()
-	b := history.NewBuilder(history.EmptyDB().With("s", value.NewString("abc")).With("n", value.Value{}), 0)
-	if err := b.Commit(1, 1, map[string]value.Value{"s": value.NewString("abd")}); err != nil {
-		t.Fatal(err)
-	}
-	h := b.History()
-	for _, src := range []string{
-		`[x <- item("s")] lasttime (x + 1 = item("n"))`,
-		`[x <- item("s")] lasttime not (item("n") != x + 1)`,
-	} {
-		f := mustParse(t, src)
-		info, err := ptl.Check(f, reg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		inc, err := New(info, reg, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		direct := naive.New(reg, h, nil)
-		for i := 0; i < h.Len(); i++ {
-			_, err := inc.Step(h.At(i))
-			_, werr := direct.Sat(i, f, nil)
-			if (err == nil) != (werr == nil) || (werr == nil) != (i == 0) {
-				t.Fatalf("%s at state %d: general error %v, naive error %v", src, i, err, werr)
-			}
-		}
-	}
-}
-
 // TestNegatedAtomUnderNull: a negated atom over a variable stays a
 // negation, so once the variable is substituted by Null — which satisfies
 // no comparison — the negation holds, as naive says; turning `not (s < x)`
-// into `s >= x` made it false. The general evaluator and CompileAuto's
-// pick agree with naive at every state.
+// into `s >= x` made it false. So does an atom whose comparison or
+// arithmetic is undefined otherwise: over a string, or an absent item. The
+// general evaluator and CompileAuto's pick agree with naive at every state.
 func TestNegatedAtomUnderNull(t *testing.T) {
 	reg := ptlgen.Registry()
-	b := history.NewBuilder(history.EmptyDB().With("a", value.NewInt(3)).With("c", value.NewInt(1)), 0)
+	b := history.NewBuilder(history.EmptyDB().With("a", value.NewInt(3)).With("c", value.NewInt(1)).With("s", value.NewString("abc")), 0)
 	for i, v := range []value.Value{value.NewInt(4), {}, {}, value.NewInt(2), {}} {
 		if err := b.Commit(int64(2*i+2), int64(i+1), map[string]value.Value{"a": v}); err != nil {
 			t.Fatal(err)
@@ -263,6 +230,9 @@ func TestNegatedAtomUnderNull(t *testing.T) {
 		`[x <- item("a")] not (time > 0 since <= 1 time < x)`,
 		`previously <= 2 ([y <- item("c")] throughout (y != item("a")))`,
 		`[x <- item("a")] lasttime not (item("c") >= x)`,
+		`[x <- item("s")] lasttime (x + 1 = item("n"))`,
+		`[x <- item("s")] lasttime not (item("n") != x + 1)`,
+		`[x <- item("s")] lasttime not (item("c") < x)`,
 	} {
 		f := mustParse(t, src)
 		info, err := ptl.Check(f, reg)

@@ -456,7 +456,7 @@ func matches(have, args []value.Value) bool {
 		return false
 	}
 	for i, a := range args {
-		if a.IsNull() || have[i].IsNull() || !a.Equal(have[i]) {
+		if !value.Cmp(value.EQ, a, have[i]) {
 			return false
 		}
 	}
@@ -491,13 +491,7 @@ func (c *fastCompiler) cond(f ptl.Formula) fastCond {
 				return false, err
 			}
 			r, err := rt()
-			if err != nil {
-				return false, err
-			}
-			if l.IsNull() || r.IsNull() {
-				return false, nil
-			}
-			return value.Cmp(op, l, r)
+			return value.Cmp(op, l, r), err
 		}
 	case *ptl.EventAtom:
 		name, argts := x.Name, c.terms(x.Args)
@@ -543,7 +537,7 @@ func (c *fastCompiler) cond(f ptl.Formula) fastCond {
 				return false, err
 			}
 			for _, ex := range e.log.Executions(rule, e.st.TS) {
-				if !tv.IsNull() && value.NewInt(ex.Time).Equal(tv) && matches(ex.Params, args) {
+				if value.Cmp(value.EQ, value.NewInt(ex.Time), tv) && matches(ex.Params, args) {
 					return true, nil
 				}
 			}
@@ -566,14 +560,8 @@ func (c *fastCompiler) cond(f ptl.Formula) fastCond {
 		})
 		return func() (bool, error) {
 			rel, err := relt()
-			if err != nil {
+			if err != nil || rel.Kind() != value.Relation { // Null or a scalar holds no row
 				return false, err
-			}
-			if rel.IsNull() {
-				return false, nil
-			}
-			if rel.Kind() != value.Relation {
-				return false, fmt.Errorf("core: membership in %s", rel.Kind())
 			}
 			elems, err := evalTerms(buf, elemts)
 			if err != nil {
@@ -775,25 +763,16 @@ func (c *fastCompiler) term(t ptl.Term) fastTerm {
 				return value.Value{}, err
 			}
 			r, err := rt()
-			if err != nil {
-				return value.Value{}, err
-			}
-			if l.IsNull() || r.IsNull() || divByZero(op, r) {
-				return value.Value{}, nil
-			}
-			return value.Arith(op, l, r)
+			return value.Arith(op, l, r), err
 		}
 	case *ptl.Agg:
 		a := e.aggs[slices.IndexFunc(e.aggs, func(a *aggState) bool { return a.agg == x })]
-		return a.value
+		return func() (value.Value, error) { return a.value(), nil }
 	case *ptl.Neg:
 		xt := c.term(x.X)
 		return func() (value.Value, error) {
 			v, err := xt()
-			if err != nil || v.IsNull() {
-				return value.Value{}, err
-			}
-			return value.Arith(value.Sub, value.NewInt(0), v)
+			return value.Arith(value.Sub, value.NewInt(0), v), err
 		}
 	default:
 		return func() (value.Value, error) {

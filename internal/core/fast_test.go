@@ -85,32 +85,44 @@ func TestFastMatchesGeneral(t *testing.T) {
 }
 
 // TestFastErrorsPinned pins the text of the errors the fast path reports
-// at step time; callers see them wrapped, users read them.
+// at step time; callers see them wrapped, users read them. A membership in
+// a non-relation and an ordering across kinds are no errors: they are
+// false, and their negations true, and the step counts.
 func TestFastErrorsPinned(t *testing.T) {
 	reg := ptlgen.Registry()
 	st := history.SystemState{DB: history.EmptyDB().With("a", value.NewInt(1)), Events: event.NewSet(), TS: 1}
 	one := &ptl.Const{V: value.NewInt(1)}
+	member := &ptl.Member{Elems: []ptl.Term{one}, Rel: mustTerm(t, `item("a")`)}
+	ordering := &ptl.Cmp{Op: value.LT, L: mustTerm(t, `item("a")`), R: &ptl.Const{V: value.NewString("s")}}
 	for _, tc := range []struct {
-		name string
-		cond ptl.Formula // stepped as the normalized form, unchecked
-		want string
+		name  string
+		cond  ptl.Formula // stepped as the normalized form, unchecked
+		want  string      // the error, or "" for a verdict
+		fired bool
 	}{
-		{"unbound variable", &ptl.Cmp{Op: value.GT, L: &ptl.Var{Name: "x"}, R: one}, `core: fast evaluator: unbound variable x`},
-		{"unknown query", &ptl.Cmp{Op: value.GT, L: &ptl.Call{Fn: "nosuch"}, R: one}, `query: unknown function "nosuch"`},
-		{"membership in a non-relation", &ptl.Member{Elems: []ptl.Term{one}, Rel: mustTerm(t, `item("a")`)}, `core: membership in int`},
-		{"failing comparison", &ptl.Cmp{Op: value.LT, L: mustTerm(t, `item("a")`), R: &ptl.Const{V: value.NewString("s")}}, `value: cannot compare int with string`},
+		{"unbound variable", &ptl.Cmp{Op: value.GT, L: &ptl.Var{Name: "x"}, R: one}, `core: fast evaluator: unbound variable x`, false},
+		{"unknown query", &ptl.Cmp{Op: value.GT, L: &ptl.Call{Fn: "nosuch"}, R: one}, `query: unknown function "nosuch"`, false},
+		{"membership in a non-relation", member, "", false},
+		{"negated membership in a non-relation", &ptl.Not{F: member}, "", true},
+		{"ordering across kinds", ordering, "", false},
+		{"negated ordering across kinds", &ptl.Not{F: ordering}, "", true},
 	} {
 		fast, err := NewFast(&ptl.Info{Source: &ptl.BoolConst{V: true}, Normalized: tc.cond}, reg, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		for i := 0; i < 2; i++ { // the same text on a repeated step
-			if _, err := fast.Step(st); err == nil || err.Error() != tc.want {
-				t.Errorf("%s: got %v, want %s", tc.name, err, tc.want)
+		for i := 0; i < 2; i++ { // the same outcome on a repeated step
+			fired, err := fast.Step(st)
+			got := ""
+			if err != nil {
+				got = err.Error()
+			}
+			if got != tc.want || fired != tc.fired {
+				t.Errorf("%s: got %t, %q; want %t, %q", tc.name, fired, got, tc.fired, tc.want)
 			}
 		}
-		if fast.Steps() != 0 {
-			t.Errorf("%s: a failed step was counted", tc.name)
+		if counted := fast.Steps() == 2; counted != (tc.want == "") {
+			t.Errorf("%s: %d steps counted", tc.name, fast.Steps())
 		}
 	}
 }

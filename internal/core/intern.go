@@ -38,9 +38,7 @@ type interner struct {
 	pruneMemo map[*cnode]*cnode
 	substMemo map[*cnode]*cnode
 	evalMemo  map[*cnode]bool
-	env       map[string]value.Value
-	names     []string      // fire's top-level assignments
-	vals      []value.Value // and the values they bind
+	env       map[string]value.Value // what fire's top-level assignments bind
 	varBuf    []string
 	varLists  [][]string // union's merged lists, kept across reseeds
 }

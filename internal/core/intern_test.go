@@ -357,7 +357,7 @@ func TestInternIdentity(t *testing.T) {
 // over an assigned relation as the substitution does. The substitution
 // expands (e) in r into equality atoms, and an equality with a Null side is
 // false, so a Null element matches no row, not even a row holding Null,
-// and a Null relation holds no row. Conditions with a free variable still
+// and a Null relation, or a scalar, holds no row. Conditions with a free variable still
 // step by substitution; a copy of the condition's info that lists one sends
 // the same graph down that path. The evaluator CompileAuto picks and naive,
 // the whole-history oracle, say the same, naive under every free variable
@@ -393,6 +393,9 @@ func TestFireMembershipAsSubstitution(t *testing.T) {
 		`(nul()) in rel()`:                           false,
 		`(one()) in nul()`:                           false,
 		`@e(R) and (nul()) in R`:                     false,
+		`[r <- a()] lasttime ((a()) in r)`:           false,
+		`(one()) in a()`:                             false,
+		`[r <- one()] lasttime not ((one()) in r)`:   true,
 	} {
 		f := mustParse(t, src)
 		info, err := ptl.Check(f, reg)

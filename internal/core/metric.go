@@ -64,9 +64,8 @@ func (d *deque) live() []sample { return d.s[d.head:] }
 // only those two. So a step is amortised O(1).
 //
 // These are the clauses the general evaluator retains under the same
-// subsumption (DESIGN.md §4.1), and the verdict and first error follow its
-// substitution: it reports the error of the newest live clause whose
-// comparison fails, and the outer side's own error when any clause is live.
+// subsumption (DESIGN.md §4.1), and the verdict follows its substitution: a
+// clause whose comparison is undefined is false.
 type metricReg struct {
 	k                 int // the since occurrence's register index
 	q                 [nClasses]deque
@@ -112,13 +111,10 @@ func (r *metricReg) step(now int64, g, h bool, v value.Value) {
 		r.push(sample{now, v})
 	}
 	if r.bound != 0 {
-		lim, _ := value.Arith(value.Sub, value.NewInt(now), r.d)
+		lim := value.Arith(value.Sub, value.NewInt(now), r.d)
 		for i := range r.q {
 			d := &r.q[i]
-			for d.head < len(d.s) {
-				if ok, _ := value.Cmp(r.bound, value.NewInt(d.s[d.head].t), lim); ok {
-					break
-				}
+			for d.head < len(d.s) && !value.Cmp(r.bound, value.NewInt(d.s[d.head].t), lim) {
 				d.head++
 			}
 		}
@@ -188,42 +184,22 @@ func (r *metricReg) live() bool {
 	return false
 }
 
-// cmp compares inner value a with outer value b as the atom is written.
-func (r *metricReg) cmp(a, b value.Value) (bool, error) {
-	if r.innerLeft {
-		return value.Cmp(r.op, a, b)
-	}
-	return value.Cmp(r.op.Flip(), b, a)
-}
-
-// read decides the frontier atom against the outer side's value b. In a
-// class that orders, every value compares with b or none does, and the back
-// is the newest; the others are compared one by one, newest first.
-func (r *metricReg) read(b value.Value) (bool, error) {
-	if b.IsNull() {
-		return false, nil
-	}
-	var errAt int64
-	var first error
-	fired := false
+// read decides the frontier atom, inner op outer, against the outer side's
+// value b. In a class that orders, the front is the value that satisfies it
+// most easily; the others are compared one by one.
+func (r *metricReg) read(b value.Value) bool {
 	for c := range nullClass {
 		live := r.q[c].live()
-		for i := len(live) - 1; i >= 0; i-- {
-			ok, err := r.cmp(live[i].v, b)
-			if err != nil {
-				if first == nil || live[i].t > errAt {
-					errAt, first = live[i].t, err
-				}
-				break
+		if c != otherClass {
+			live = live[:min(len(live), 1)]
+		}
+		for _, x := range live {
+			if value.Cmp(r.op, x.v, b) {
+				return true
 			}
-			if c != otherClass {
-				ok, _ = r.cmp(live[0].v, b)
-				i = 0
-			}
-			fired = fired || ok
 		}
 	}
-	return fired && first == nil, first
+	return false
 }
 
 // mark saves the live samples; rollback puts them back.
@@ -350,10 +326,7 @@ func (c *fastCompiler) metric(x *ptl.Since, m ptl.Metric) fastCond {
 			return live, nil
 		}
 		b, err := outerT()
-		if err != nil {
-			return false, err
-		}
-		return r.read(b)
+		return r.read(b), err
 	}
 	if e.params == nil {
 		return func() (bool, error) {

@@ -19,12 +19,13 @@ import (
 // TestMetricFormulaMatchesGeneralAndNaive is Theorem 1 for the metric
 // registers: on ptlgen.MetricFormula over ptlgen.MetricHistory, the
 // evaluator CompileAuto builds fires as the general evaluator does and as
-// naive says (where naive meets no error), and fails at the same states,
-// reporting the general evaluator's error text for a closed condition.
-// Beside it go a twin that takes a marked step over the next state and
-// rolls it back before every step, and from a cut on two copies restored
-// from the encoded state of each. PTL_METRIC_SEEDS sets the number of
-// seeds.
+// naive says, at every state: a comparison, an arithmetic or a sample over
+// mixed kinds is undefined alike under all three, never an error. Beside
+// it go a twin that takes a marked step over the next state and rolls it
+// back before every step, and from a cut on two copies restored from the
+// encoded state of each. The family must feed a good share of steps a
+// non-numeric value of an item the formula reads. PTL_METRIC_SEEDS sets
+// the number of seeds.
 func TestMetricFormulaMatchesGeneralAndNaive(t *testing.T) {
 	reg := ptlgen.Registry()
 	iters := 4000
@@ -71,11 +72,7 @@ func TestMetricFormulaMatchesGeneralAndNaive(t *testing.T) {
 		if fast, ok := auto.(*FastEvaluator); ok && fast.params != nil && len(fast.metrics) > 0 {
 			kinds["param"]++
 		}
-		// With a parameter the fast path steps every temporal occurrence
-		// before it evaluates a binding, so the first of two errors may be
-		// another than the general evaluator's, which substitutes as it
-		// builds; the two fail at the same states.
-		closed := len(info.Free) == 0
+		reads := itemsRead(f)
 		oracle := naive.New(reg, h, nil)
 		cut := 1 + seed%(h.Len()-1)
 		var fromGeneral, fromAuto ConditionEvaluator
@@ -93,24 +90,21 @@ func TestMetricFormulaMatchesGeneralAndNaive(t *testing.T) {
 					continue
 				}
 				got, err := ev.StepResult(h.At(i))
-				if (err == nil) != (werr == nil) || err != nil && closed && err.Error() != werr.Error() || err == nil && !resultsEqual(want, got) {
+				if err != nil || werr != nil || !resultsEqual(want, got) {
 					t.Fatalf("seed %d state %d (%s): %T fired %t err %v, general fired %t err %v\n%s", seed, i, kind, ev, got.Fired, err, want.Fired, werr, f)
 				}
 			}
-			if werr != nil {
-				kinds["errors"]++
-				break
+			if slices.ContainsFunc(reads, func(item string) bool { v, _ := h.At(i).GetItem(item); return !v.IsNumeric() }) {
+				kinds["non-numeric"]++
 			}
-			// naive evaluates every instant's atoms, live or not, so it may
-			// meet an error the incremental evaluators never reach.
 			envs := []naive.Env{{}}
 			if len(info.Free) > 0 {
 				envs = []naive.Env{{"U": value.NewInt(0)}, {"U": value.NewInt(1)}, {"U": value.NewInt(2)}}
 			}
 			for _, env := range envs {
 				holds, err := oracle.Sat(i, f, env)
-				if err == nil && holds != slices.ContainsFunc(want.Bindings, func(b Binding) bool { return fmt.Sprint(b) == fmt.Sprint(Binding(env)) }) {
-					t.Fatalf("seed %d state %d (%s): naive %t under %v, evaluators %v\n%s", seed, i, kind, holds, env, want.Bindings, f)
+				if err != nil || holds != slices.ContainsFunc(want.Bindings, func(b Binding) bool { return fmt.Sprint(b) == fmt.Sprint(Binding(env)) }) {
+					t.Fatalf("seed %d state %d (%s): naive %t (%v) under %v, evaluators %v\n%s", seed, i, kind, holds, err, env, want.Bindings, f)
 				}
 				if holds {
 					kinds["fired"]++
@@ -119,10 +113,23 @@ func TestMetricFormulaMatchesGeneralAndNaive(t *testing.T) {
 		}
 	}
 	if kinds["fast"] < iters/2 || kinds["general"] == 0 || kinds["timestamp"] < iters/4 || kinds["frontier"] < iters/4 ||
-		kinds["unbounded frontier"] < iters/20 || kinds["window"] < iters/20 || kinds["param"] < iters/20 || kinds["errors"] < iters/50 || kinds["fired"] < iters {
+		kinds["unbounded frontier"] < iters/20 || kinds["window"] < iters/20 || kinds["param"] < iters/20 || kinds["non-numeric"] < iters/50 || kinds["fired"] < iters {
 		t.Fatalf("family too narrow: %v", kinds)
 	}
 	t.Logf("%v", kinds)
+}
+
+// itemsRead lists the items f reads by name.
+func itemsRead(f ptl.Formula) []string {
+	var out []string
+	ptl.WalkTerms(f, func(t ptl.Term) {
+		if c, ok := t.(*ptl.Call); ok && c.Fn == "item" && len(c.Args) == 1 {
+			if k, ok := c.Args[0].(*ptl.Const); ok && k.V.Kind() == value.String {
+				out = append(out, k.V.AsString())
+			}
+		}
+	})
+	return out
 }
 
 // TestFrontierWithinGeneralClauses: on each of doubledArms, stepped side by
@@ -169,12 +176,10 @@ func TestFrontierWithinGeneralClauses(t *testing.T) {
 // step on metric registers — fires as the general evaluator does at every
 // state of a history of integers, and so do a twin that rolls back a
 // marked step over the next state before each step and a copy restored
-// mid-trace. A formula that holds a metric or window register is run over
-// a MetricHistory too, where it must also fail with the general
-// evaluator's error. (The decomposable ones are not: over mixed kinds the
-// fast path evaluates an atom over an assigned variable that the general
-// evaluator's graph folds away unread, as it did before the metric
-// registers; which answer is right is undecided.)
+// mid-trace. Every formula is run over a MetricHistory too, where values
+// of mixed kinds meet: an atom over them is false under both evaluators,
+// so the fast path, which evaluates an atom the general evaluator's graph
+// folds away unread, still agrees with it.
 func TestAutoMatchesGeneralOnEveryFamily(t *testing.T) {
 	reg := ptlgen.Registry()
 	fams := []func(*rand.Rand) ptl.Formula{
@@ -190,7 +195,7 @@ func TestAutoMatchesGeneralOnEveryFamily(t *testing.T) {
 	for seed := 0; seed < iters; seed++ {
 		rng := rand.New(rand.NewSource(int64(seed)))
 		f := fams[seed%len(fams)](rng)
-		hs := []*history.History{ptlgen.History(rng, 16)}
+		hs := []*history.History{ptlgen.History(rng, 16), ptlgen.MetricHistory(rng, 16)}
 		info, err := ptl.Check(f, reg)
 		if err != nil {
 			t.Fatalf("seed %d: %v\n%s", seed, err, f)
@@ -199,7 +204,6 @@ func TestAutoMatchesGeneralOnEveryFamily(t *testing.T) {
 		if fe, isFast := auto.(*FastEvaluator); isFast {
 			fast++
 			if len(fe.metrics)+len(fe.aggs) > 0 {
-				hs = append(hs, ptlgen.MetricHistory(rng, 16))
 				mixed++
 			}
 		}

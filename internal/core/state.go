@@ -303,11 +303,7 @@ func decodeArena(in *interner, st *evalState) ([]*cterm, []*cnode, error) {
 			if err != nil {
 				return nil, nil, err
 			}
-			t, err := in.arithTerm(value.ArithOp(rec.Op), l, r)
-			if err != nil {
-				return nil, nil, fmt.Errorf("core: evaluator state: term %d: %w", i, err)
-			}
-			terms[i] = t
+			terms[i] = in.arithTerm(value.ArithOp(rec.Op), l, r)
 		default:
 			return nil, nil, fmt.Errorf("core: evaluator state: unknown term kind %d", rec.Kind)
 		}
@@ -334,11 +330,7 @@ func decodeArena(in *interner, st *evalState) ([]*cterm, []*cnode, error) {
 			if err != nil {
 				return nil, nil, err
 			}
-			n, err := in.mkAtom(value.CmpOp(rec.Op), l, r)
-			if err != nil {
-				return nil, nil, fmt.Errorf("core: evaluator state: node %d: %w", i, err)
-			}
-			nodes[i] = n
+			nodes[i] = in.mkAtom(value.CmpOp(rec.Op), l, r)
 		case nkMember:
 			elems := make([]*cterm, len(rec.Elems))
 			for j, id := range rec.Elems {

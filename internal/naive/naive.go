@@ -74,15 +74,10 @@ func (ev *Evaluator) sat(i int, f ptl.Formula, env Env) (bool, error) {
 			return false, err
 		}
 		r, err := ev.Term(i, x.R, env)
-		if err != nil {
-			return false, err
-		}
-		// Undefined (Null) values — e.g. an aggregate before its first
-		// start point — make their atom false rather than erroring.
-		if l.IsNull() || r.IsNull() {
-			return false, nil
-		}
-		return value.Cmp(x.Op, l, r)
+		// An undefined comparison — a Null side, such as an aggregate
+		// before its first start point, or kinds that do not order — is
+		// false (value.Cmp).
+		return value.Cmp(x.Op, l, r), err
 	case *ptl.EventAtom:
 		args := make([]value.Value, len(x.Args))
 		for k, a := range x.Args {
@@ -93,17 +88,7 @@ func (ev *Evaluator) sat(i int, f ptl.Formula, env Env) (bool, error) {
 			args[k] = v
 		}
 		for _, e := range st.Events.ByName(x.Name) {
-			if len(e.Args) != len(args) {
-				continue
-			}
-			match := true
-			for k := range args {
-				if !e.Args[k].Equal(args[k]) {
-					match = false
-					break
-				}
-			}
-			if match {
+			if match(e.Args, args) {
 				return true, nil
 			}
 		}
@@ -121,34 +106,18 @@ func (ev *Evaluator) sat(i int, f ptl.Formula, env Env) (bool, error) {
 		if err != nil {
 			return false, err
 		}
-		if !tv.IsNumeric() {
-			return false, fmt.Errorf("naive: executed time argument is %s, want numeric", tv.Kind())
-		}
 		for _, ex := range ev.log.Executions(x.Rule, st.TS) {
-			if !value.NewInt(ex.Time).Equal(tv) || len(ex.Params) != len(args) {
-				continue
-			}
-			match := true
-			for k := range args {
-				if !ex.Params[k].Equal(args[k]) {
-					match = false
-					break
-				}
-			}
-			if match {
+			if value.Cmp(value.EQ, value.NewInt(ex.Time), tv) && match(ex.Params, args) {
 				return true, nil
 			}
 		}
 		return false, nil
 	case *ptl.Member:
-		// Like a comparison, a membership with a Null relation or a Null
-		// element is false: Null matches no row, not even one holding Null.
+		// A membership in a value that is not a relation, Null included,
+		// is false, and so is one whose element is Null.
 		rel, err := ev.Term(i, x.Rel, env)
-		if err != nil || rel.IsNull() {
+		if err != nil || rel.Kind() != value.Relation {
 			return false, err
-		}
-		if rel.Kind() != value.Relation {
-			return false, fmt.Errorf("naive: membership in %s, want relation", rel.Kind())
 		}
 		elems := make([]value.Value, len(x.Elems))
 		for k, e := range x.Elems {
@@ -158,16 +127,7 @@ func (ev *Evaluator) sat(i int, f ptl.Formula, env Env) (bool, error) {
 			}
 			elems[k] = v
 		}
-		if slices.ContainsFunc(elems, value.Value.IsNull) {
-			return false, nil
-		}
-		want := value.NewTuple(elems...)
-		for _, row := range rel.Rows() {
-			if value.NewTuple(row...).Equal(want) {
-				return true, nil
-			}
-		}
-		return false, nil
+		return slices.ContainsFunc(rel.Rows(), func(row []value.Value) bool { return match(row, elems) }), nil
 	case *ptl.Not:
 		b, err := ev.sat(i, x.F, env)
 		return !b, err
@@ -285,22 +245,10 @@ func (ev *Evaluator) Term(i int, t ptl.Term, env Env) (value.Value, error) {
 			return value.Value{}, err
 		}
 		r, err := ev.Term(i, x.R, env)
-		if err != nil {
-			return value.Value{}, err
-		}
-		if l.IsNull() || r.IsNull() || divByZero(x.Op, r) {
-			return value.Value{}, nil
-		}
-		return value.Arith(x.Op, l, r)
+		return value.Arith(x.Op, l, r), err
 	case *ptl.Neg:
 		v, err := ev.Term(i, x.X, env)
-		if err != nil {
-			return value.Value{}, err
-		}
-		if v.IsNull() {
-			return value.Value{}, nil
-		}
-		return value.Arith(value.Sub, value.NewInt(0), v)
+		return value.Arith(value.Sub, value.NewInt(0), v), err
 	case *ptl.Agg:
 		return ev.aggregate(i, x, env)
 	default:
@@ -356,57 +304,38 @@ func (ev *Evaluator) aggregate(i int, a *ptl.Agg, env Env) (value.Value, error) 
 			if err != nil {
 				return value.Value{}, err
 			}
-			if !v.IsNumeric() {
-				return value.Value{}, fmt.Errorf("naive: aggregate %s over non-numeric value %s", a.Fn, v)
+			if v.IsNumeric() { // anything else, Null included, is no sample
+				samples = append(samples, v)
 			}
-			samples = append(samples, v)
 		}
 	}
 	return Aggregate(a.Fn, samples)
 }
 
-// Aggregate folds samples with the named aggregate function. Sum and count
-// of zero samples are 0; avg, min and max of zero samples are undefined
-// and yield the Null value, which makes any atom comparing them false
-// (Section 6.1 leaves the empty aggregate undefined).
+// Aggregate folds samples, which are numbers, with the named aggregate
+// function. Sum and count of zero samples are 0; avg, min and max of zero
+// samples are undefined and yield the Null value, which makes any atom
+// comparing them false (Section 6.1 leaves the empty aggregate undefined).
 func Aggregate(fn ptl.AggFn, samples []value.Value) (value.Value, error) {
 	switch fn {
 	case ptl.AggCount:
 		return value.NewInt(int64(len(samples))), nil
-	case ptl.AggSum:
-		acc := value.Value(value.NewInt(0))
+	case ptl.AggSum, ptl.AggAvg:
+		acc := value.NewInt(0)
 		for _, s := range samples {
-			var err error
-			acc, err = value.Arith(value.Add, acc, s)
-			if err != nil {
-				return value.Value{}, err
-			}
+			acc = value.Arith(value.Add, acc, s)
+		}
+		if fn == ptl.AggAvg {
+			return value.Arith(value.Div, value.NewFloat(acc.AsFloat()), value.NewFloat(float64(len(samples)))), nil
 		}
 		return acc, nil
-	case ptl.AggAvg:
-		if len(samples) == 0 {
-			return value.Value{}, nil
-		}
-		acc := value.Value(value.NewFloat(0))
-		for _, s := range samples {
-			var err error
-			acc, err = value.Arith(value.Add, acc, s)
-			if err != nil {
-				return value.Value{}, err
-			}
-		}
-		return value.Arith(value.Div, acc, value.NewFloat(float64(len(samples))))
 	case ptl.AggMin, ptl.AggMax:
 		if len(samples) == 0 {
 			return value.Value{}, nil
 		}
 		best := samples[0]
 		for _, s := range samples[1:] {
-			c, err := s.Compare(best)
-			if err != nil {
-				return value.Value{}, err
-			}
-			if (fn == ptl.AggMin && c < 0) || (fn == ptl.AggMax && c > 0) {
+			if c, _ := s.Compare(best); (fn == ptl.AggMin && c < 0) || (fn == ptl.AggMax && c > 0) {
 				best = s
 			}
 		}
@@ -416,12 +345,16 @@ func Aggregate(fn ptl.AggFn, samples []value.Value) (value.Value, error) {
 	}
 }
 
-// divByZero reports a division or modulo with a zero right operand; in
-// formula evaluation it yields the undefined value (its atom becomes
-// false) instead of an error, consistently with empty aggregates.
-func divByZero(op value.ArithOp, r value.Value) bool {
-	if op != value.Div && op != value.Mod {
+// match reports whether a recorded argument list or a row equals args, as
+// an equality atom decides each position: a Null matches nothing.
+func match(have, args []value.Value) bool {
+	if len(have) != len(args) {
 		return false
 	}
-	return r.IsNumeric() && r.AsFloat() == 0
+	for k := range args {
+		if !value.Cmp(value.EQ, have[k], args[k]) {
+			return false
+		}
+	}
+	return true
 }

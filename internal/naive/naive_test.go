@@ -318,9 +318,10 @@ func TestMembershipNaive(t *testing.T) {
 	if err != nil || got {
 		t.Fatalf("non-membership: %t %v", got, err)
 	}
-	// Membership in a scalar errors.
-	f3 := mustParse(t, `1 in time`)
-	if _, err := ev.SatLast(f3, nil); err == nil {
-		t.Error("membership in scalar should error")
+	// Membership in a scalar is false, and its negation true.
+	for src, want := range map[string]bool{`1 in time`: false, `not (1 in time)`: true} {
+		if got, err := ev.SatLast(mustParse(t, src), nil); err != nil || got != want {
+			t.Errorf("%s: %t %v, want %t", src, got, err, want)
+		}
 	}
 }

@@ -455,15 +455,11 @@ func isBound(c *Cmp, timeVar func(string) bool) bool {
 // Metric atoms, in a condition with neither a class parameter nor an
 // aggregate; metrics lists the Metric of each such since. An aggregate may
 // occur in a closed condition whose assigned variables cross nothing, when
-// its formulas have that shape too. A condition with a metric since or an
-// aggregate must not read an assigned variable below an and or an or that
-// lies under its assignment.
+// its formulas have that shape too.
 func FastShape(norm Formula, free []string) (class string, metrics []Metric, ok bool) {
 	ok = true
 	at := map[string]int{} // an assigned variable's temporal depth
 	timeVars := map[string]bool{}
-	conns, connAt := 0, map[string]int{} // and/or nodes above here, and above an assignment
-	folds := false                       // an and/or lies between an assignment and a read
 	depth, aggs := 0, false
 	param := func(name string) bool {
 		_, assigned := at[name]
@@ -472,7 +468,6 @@ func FastShape(norm Formula, free []string) (class string, metrics []Metric, ok 
 	use := func(name string, plain bool) {
 		if d, assigned := at[name]; assigned {
 			ok = ok && d == depth
-			folds = folds || connAt[name] != conns
 		} else if depth > 0 && slices.Contains(free, name) {
 			ok = ok && plain && (class == "" || class == name)
 			class = name
@@ -505,13 +500,6 @@ func FastShape(norm Formula, free []string) (class string, metrics []Metric, ok 
 				if m, split := splitMetric(x.R, captured, func(v string) bool { return captured(v) && timeVars[v] }); split {
 					m.Since = x
 					metrics = append(metrics, m)
-					if m.Front != nil {
-						WalkTerms(m.Front, func(t Term) {
-							if v, isVar := t.(*Var); isVar && captured(v.Name) {
-								folds = folds || connAt[v.Name] != conns
-							}
-						})
-					}
 				}
 			}
 			depth++
@@ -521,13 +509,9 @@ func FastShape(norm Formula, free []string) (class string, metrics []Metric, ok 
 			depth++
 			Children(f, ff, tf)
 			depth--
-		case *And, *Or:
-			conns++
-			Children(f, ff, tf)
-			conns--
 		case *Assign:
 			tf(x.Q)
-			at[x.Var], connAt[x.Var] = depth, conns
+			at[x.Var] = depth
 			if call, isCall := x.Q.(*Call); isCall && call.Fn == "time" && len(call.Args) == 0 {
 				timeVars[x.Var] = true
 			}
@@ -578,13 +562,7 @@ func FastShape(norm Formula, free []string) (class string, metrics []Metric, ok 
 	if len(metrics) > 0 && (class != "" || aggs) {
 		return class, nil, false
 	}
-	// An and or an or between an assignment and an atom that reads the
-	// variable lets the general evaluator fold the atom away unread when
-	// the other side decides (`[x <- q] (previously (p < x) or @e)` holds on
-	// @e whatever x is), where the fast path still evaluates it and may
-	// fail. A condition on the fast path only through metric registers or
-	// aggregates is kept general then; decomposable ones keep running fast.
-	return class, metrics, ok && !((len(metrics) > 0 || aggs) && folds)
+	return class, metrics, ok
 }
 
 // binds reports whether f can hold under a value of parameter p only where

@@ -165,15 +165,15 @@ func TestFastShape(t *testing.T) {
 		{`sum(item("a"); window 4; previously <= 3 @w) > 1`, "", false},
 		{`[x <- item("a")] previously (sum(item("b"); window 3; @e) < x)`, "", false},
 		// An and or an or between an assignment and a read of its variable
-		// — a frontier or any atom — where the general evaluator may fold
-		// the read away unread, in a condition with a metric register or an
-		// aggregate. A time bound there, a connective above the assignment,
-		// or a decomposable condition, is fine.
-		{`[x <- item("a")] (previously (item("b") < x) or @e)`, "", false},
-		{`[x <- item("a")] (@e and previously (item("b") < x))`, "", false},
-		{`[x <- item("a")] not (previously (item("b") < x) and @e)`, "", false},
-		{`[x <- item("a")] (item("b") > x or previously <= 3 @e)`, "", false},
-		{`[x <- item("a")] (item("b") > x or sum(item("a"); window 3; @e) > 1)`, "", false},
+		// — a frontier or any atom — in a condition with a metric register
+		// or an aggregate: the general evaluator may fold the read away
+		// unread, but an undefined read is false, never an error, so the
+		// fast path agrees with it.
+		{`[x <- item("a")] (previously (item("b") < x) or @e)`, "", true},
+		{`[x <- item("a")] (@e and previously (item("b") < x))`, "", true},
+		{`[x <- item("a")] not (previously (item("b") < x) and @e)`, "", true},
+		{`[x <- item("a")] (item("b") > x or previously <= 3 @e)`, "", true},
+		{`[x <- item("a")] (item("b") > x or sum(item("a"); window 3; @e) > 1)`, "", true},
 		{`[t <- time] (@e or previously (item("a") > 3 and time >= t - 5))`, "", true},
 		{`@e or [x <- item("a")] not previously (item("b") < x)`, "", true},
 		{`[x <- item("a")] (item("b") > x or lasttime @e)`, "", true},

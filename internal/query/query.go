@@ -53,16 +53,14 @@ type entry struct {
 func NewRegistry() *Registry {
 	r := &Registry{funcs: make(map[string]entry)}
 	// "item" is pure but its read set depends on its argument; callers
-	// with a constant argument can resolve the item name themselves.
+	// with a constant argument can resolve the item name themselves. An
+	// absent item, or a name that is not a string, reads as Null, the
+	// undefined value, so an atom over it is false.
 	r.mustRegisterPure("item", 1, nil, func(st history.SystemState, args []value.Value) (value.Value, error) {
 		if args[0].Kind() != value.String {
-			return value.Value{}, fmt.Errorf("query: item() wants a string name, got %s", args[0].Kind())
+			return value.Value{}, nil
 		}
-		name := args[0].AsString()
-		v, ok := st.GetItem(name)
-		if !ok {
-			return value.Value{}, fmt.Errorf("query: unknown database item %q", name)
-		}
+		v, _ := st.GetItem(args[0].AsString())
 		return v, nil
 	})
 	r.mustRegister("time", 0, func(st history.SystemState, args []value.Value) (value.Value, error) {

@@ -31,11 +31,11 @@ func TestBuiltins(t *testing.T) {
 	if err != nil || v.AsInt() != 42 {
 		t.Fatalf("item(time) = %v, %v", v, err)
 	}
-	if _, err := r.Eval("item", st, []value.Value{value.NewString("missing")}); err == nil {
-		t.Error("missing item should error")
-	}
-	if _, err := r.Eval("item", st, []value.Value{value.NewInt(1)}); err == nil {
-		t.Error("non-string item name should error")
+	// An absent item, or a name that is not a string, reads as Null.
+	for _, name := range []value.Value{value.NewString("missing"), value.NewInt(1), {}} {
+		if v, err := r.Eval("item", st, []value.Value{name}); err != nil || !v.IsNull() {
+			t.Errorf("item(%v) = %v, %v; want null", name, v, err)
+		}
 	}
 	if _, err := r.Eval("item", st, nil); err == nil {
 		t.Error("wrong arity should error")

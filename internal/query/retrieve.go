@@ -37,22 +37,7 @@ func (r *Registry) RegisterRetrieve(fnName, src string, schema *relation.Schema)
 		if err != nil {
 			return value.Value{}, fmt.Errorf("query: %s: %v", fnName, err)
 		}
-		var evalErr error
-		sel := rel.Select(func(row []value.Value) bool {
-			if evalErr != nil {
-				return false
-			}
-			ok, err := q.where.eval(row)
-			if err != nil {
-				evalErr = err
-				return false
-			}
-			return ok
-		})
-		if evalErr != nil {
-			return value.Value{}, fmt.Errorf("query: %s: %v", fnName, evalErr)
-		}
-		proj, err := sel.Project(q.project...)
+		proj, err := rel.Select(q.where.eval).Project(q.project...)
 		if err != nil {
 			return value.Value{}, fmt.Errorf("query: %s: %v", fnName, err)
 		}
@@ -67,37 +52,29 @@ type retrieveQuery struct {
 	where   rexpr
 }
 
-// rexpr is a compiled WHERE expression evaluated per row.
+// rexpr is a compiled WHERE expression evaluated per row. A comparison
+// over a Null column or across kinds that do not order is false, as in a
+// rule's condition (value.Cmp).
 type rexpr interface {
-	eval(row []value.Value) (bool, error)
+	eval(row []value.Value) bool
 }
 
 type rtrue struct{}
 
-func (rtrue) eval([]value.Value) (bool, error) { return true, nil }
+func (rtrue) eval([]value.Value) bool { return true }
 
 type rnot struct{ x rexpr }
 
-func (n rnot) eval(row []value.Value) (bool, error) {
-	b, err := n.x.eval(row)
-	return !b, err
-}
+func (n rnot) eval(row []value.Value) bool { return !n.x.eval(row) }
 
 type rbin struct {
 	and  bool
 	l, r rexpr
 }
 
-func (b rbin) eval(row []value.Value) (bool, error) {
-	l, err := b.l.eval(row)
-	if err != nil {
-		return false, err
-	}
-	if b.and && !l {
-		return false, nil
-	}
-	if !b.and && l {
-		return true, nil
+func (b rbin) eval(row []value.Value) bool {
+	if l := b.l.eval(row); l != b.and {
+		return l
 	}
 	return b.r.eval(row)
 }
@@ -120,7 +97,7 @@ type rcmp struct {
 	l, r roperand
 }
 
-func (c rcmp) eval(row []value.Value) (bool, error) {
+func (c rcmp) eval(row []value.Value) bool {
 	return value.Cmp(c.op, c.l.value(row), c.r.value(row))
 }
 

@@ -100,14 +100,20 @@ func TestRetrieveRuntimeErrors(t *testing.T) {
 	if _, err := reg.Eval("q", badState, nil); err == nil {
 		t.Error("scalar item should error")
 	}
-	// Cross-kind ordering inside WHERE surfaces as an error.
-	err = reg.RegisterRetrieve("q2", `RETRIEVE (s.name) WHERE s.name > 3`, stocksSchema())
-	if err != nil {
-		t.Fatal(err)
-	}
+	// A cross-kind ordering inside WHERE is false, and its negation true:
+	// no row, then every row.
 	okState := state(map[string]value.Value{"s": stocksItem()}, 1)
-	if _, err := reg.Eval("q2", okState, nil); err == nil {
-		t.Error("string > int should error at evaluation")
+	for src, want := range map[string]int{
+		`RETRIEVE (s.name) WHERE s.name > 3`:       0,
+		`RETRIEVE (s.name) WHERE NOT (s.name > 3)`: stocksItem().NumRows(),
+	} {
+		reg := NewRegistry()
+		if err := reg.RegisterRetrieve("q2", src, stocksSchema()); err != nil {
+			t.Fatal(err)
+		}
+		if v, err := reg.Eval("q2", okState, nil); err != nil || v.NumRows() != want {
+			t.Errorf("%s: %v, %v; want %d rows", src, v, err, want)
+		}
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package relation is the relational substrate of the reproduction. The
 // paper's prototype ran on top of Sybase; this package plays that role:
-// schemas, tuples and in-memory relations with the algebra the query layer
-// needs. The [T_start, T_end) retrieval of Section 5 ("Implementation
+// schemas, tuples and in-memory relations with the selection and
+// projection the query layer needs. The [T_start, T_end) retrieval of Section 5 ("Implementation
 // Using Auxiliary Relations") is not here: internal/adb answers it from
 // its retained history states.
 package relation
@@ -66,19 +66,6 @@ func (s *Schema) ColumnIndex(name string) int {
 	return -1
 }
 
-// Equal reports whether two schemas have identical column lists.
-func (s *Schema) Equal(o *Schema) bool {
-	if s.Arity() != o.Arity() {
-		return false
-	}
-	for i := range s.cols {
-		if s.cols[i] != o.cols[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // String renders the schema as (name kind, ...).
 func (s *Schema) String() string {
 	parts := make([]string, len(s.cols))
@@ -111,12 +98,12 @@ func (s *Schema) checkTuple(row []value.Value) error {
 type Relation struct {
 	schema *Schema
 	rows   [][]value.Value
-	keys   map[string]int // tuple key -> row index
+	keys   map[string]bool // the rows' tuple keys
 }
 
 // New creates an empty relation over the schema.
 func New(schema *Schema) *Relation {
-	return &Relation{schema: schema, keys: make(map[string]int)}
+	return &Relation{schema: schema, keys: make(map[string]bool)}
 }
 
 // FromRows creates a relation and inserts the given rows.
@@ -133,13 +120,6 @@ func FromRows(schema *Schema, rows [][]value.Value) (*Relation, error) {
 // Schema returns the relation's schema.
 func (r *Relation) Schema() *Schema { return r.schema }
 
-// Len returns the cardinality.
-func (r *Relation) Len() int { return len(r.rows) }
-
-// Rows returns the rows in insertion order. Neither the slice nor the rows
-// may be mutated.
-func (r *Relation) Rows() [][]value.Value { return r.rows }
-
 // rowKey computes a tuple identity key.
 func rowKey(row []value.Value) string {
 	return value.NewTuple(row...).Key()
@@ -151,48 +131,14 @@ func (r *Relation) Insert(row []value.Value) error {
 		return err
 	}
 	k := rowKey(row)
-	if _, dup := r.keys[k]; dup {
+	if r.keys[k] {
 		return nil
 	}
 	cp := make([]value.Value, len(row))
 	copy(cp, row)
-	r.keys[k] = len(r.rows)
+	r.keys[k] = true
 	r.rows = append(r.rows, cp)
 	return nil
-}
-
-// Delete removes a row if present and reports whether it was removed.
-func (r *Relation) Delete(row []value.Value) bool {
-	k := rowKey(row)
-	i, ok := r.keys[k]
-	if !ok {
-		return false
-	}
-	last := len(r.rows) - 1
-	if i != last {
-		r.rows[i] = r.rows[last]
-		r.keys[rowKey(r.rows[i])] = i
-	}
-	r.rows = r.rows[:last]
-	delete(r.keys, k)
-	return true
-}
-
-// Contains reports whether the row is present.
-func (r *Relation) Contains(row []value.Value) bool {
-	_, ok := r.keys[rowKey(row)]
-	return ok
-}
-
-// Clone returns an independent deep-enough copy (rows are shared since
-// values are immutable; row slices are copied).
-func (r *Relation) Clone() *Relation {
-	c := New(r.schema)
-	for _, row := range r.rows {
-		c.keys[rowKey(row)] = len(c.rows)
-		c.rows = append(c.rows, row)
-	}
-	return c
 }
 
 // Value converts the relation to a value.Relation holding the same rows.
@@ -216,7 +162,7 @@ func (r *Relation) Select(pred func(row []value.Value) bool) *Relation {
 	for _, row := range r.rows {
 		if pred(row) {
 			// Safe: row was validated on insert and stays immutable.
-			out.keys[rowKey(row)] = len(out.rows)
+			out.keys[rowKey(row)] = true
 			out.rows = append(out.rows, row)
 		}
 	}
@@ -253,92 +199,8 @@ func (r *Relation) Project(names ...string) (*Relation, error) {
 	return out, nil
 }
 
-// Union returns r ∪ o; schemas must be equal.
-func (r *Relation) Union(o *Relation) (*Relation, error) {
-	if !r.schema.Equal(o.schema) {
-		return nil, fmt.Errorf("relation: union of incompatible schemas %s and %s", r.schema, o.schema)
-	}
-	out := r.Clone()
-	for _, row := range o.rows {
-		if err := out.Insert(row); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
-// Diff returns r \ o; schemas must be equal.
-func (r *Relation) Diff(o *Relation) (*Relation, error) {
-	if !r.schema.Equal(o.schema) {
-		return nil, fmt.Errorf("relation: diff of incompatible schemas %s and %s", r.schema, o.schema)
-	}
-	return r.Select(func(row []value.Value) bool { return !o.Contains(row) }), nil
-}
-
-// Intersect returns r ∩ o; schemas must be equal.
-func (r *Relation) Intersect(o *Relation) (*Relation, error) {
-	if !r.schema.Equal(o.schema) {
-		return nil, fmt.Errorf("relation: intersect of incompatible schemas %s and %s", r.schema, o.schema)
-	}
-	return r.Select(o.Contains), nil
-}
-
-// Join computes the natural join of r and o on their shared column names.
-// Columns of o that also appear in r are dropped from the result.
-func (r *Relation) Join(o *Relation) (*Relation, error) {
-	var shared [][2]int // (index in r, index in o)
-	var extraCols []Column
-	var extraIdx []int
-	for j, c := range o.schema.cols {
-		if i := r.schema.ColumnIndex(c.Name); i >= 0 {
-			shared = append(shared, [2]int{i, j})
-		} else {
-			extraCols = append(extraCols, c)
-			extraIdx = append(extraIdx, j)
-		}
-	}
-	cols := append(append([]Column{}, r.schema.cols...), extraCols...)
-	schema, err := NewSchema(cols...)
-	if err != nil {
-		return nil, err
-	}
-	out := New(schema)
-	// Hash join on the shared columns.
-	type bucketKey = string
-	buckets := make(map[bucketKey][][]value.Value)
-	keyOf := func(row []value.Value, idx []int) string {
-		parts := make([]value.Value, len(idx))
-		for i, j := range idx {
-			parts[i] = row[j]
-		}
-		return value.NewTuple(parts...).Key()
-	}
-	rIdx := make([]int, len(shared))
-	oIdx := make([]int, len(shared))
-	for i, p := range shared {
-		rIdx[i], oIdx[i] = p[0], p[1]
-	}
-	for _, row := range o.rows {
-		k := keyOf(row, oIdx)
-		buckets[k] = append(buckets[k], row)
-	}
-	for _, row := range r.rows {
-		for _, orow := range buckets[keyOf(row, rIdx)] {
-			joined := make([]value.Value, 0, len(cols))
-			joined = append(joined, row...)
-			for _, j := range extraIdx {
-				joined = append(joined, orow[j])
-			}
-			if err := out.Insert(joined); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return out, nil
-}
-
 // Sorted returns the rows sorted lexicographically by tuple key, for
-// deterministic display and comparison.
+// deterministic display.
 func (r *Relation) Sorted() [][]value.Value {
 	out := make([][]value.Value, len(r.rows))
 	copy(out, r.rows)
@@ -346,19 +208,6 @@ func (r *Relation) Sorted() [][]value.Value {
 		return rowKey(out[i]) < rowKey(out[j])
 	})
 	return out
-}
-
-// Equal reports set equality of two relations with equal schemas.
-func (r *Relation) Equal(o *Relation) bool {
-	if !r.schema.Equal(o.schema) || r.Len() != o.Len() {
-		return false
-	}
-	for _, row := range r.rows {
-		if !o.Contains(row) {
-			return false
-		}
-	}
-	return true
 }
 
 // String renders the relation deterministically.

@@ -462,55 +462,44 @@ func (op ArithOp) String() string {
 	}
 }
 
-// Arith applies a binary arithmetic operator. Both operands must be
-// numeric. Int op Int stays Int (Div truncates, matching integer division
-// in the logic); any Float operand promotes the result to Float. Division
-// and modulo by zero are errors.
-func Arith(op ArithOp, a, b Value) (Value, error) {
-	if !a.IsNumeric() || !b.IsNumeric() {
-		return Value{}, fmt.Errorf("value: arithmetic %s on %s and %s", op, a.kind, b.kind)
+// Arith applies a binary arithmetic operator. Int op Int stays Int (Div
+// truncates, matching integer division in the logic); any Float operand
+// promotes the result to Float. The result is Null, the undefined value,
+// when an operand is Null or not a number, and for division or modulo by
+// zero: an atom over it is then false, like one over any Null.
+func Arith(op ArithOp, a, b Value) Value {
+	if !a.IsNumeric() || !b.IsNumeric() || (op == Div || op == Mod) && b.AsFloat() == 0 {
+		return Value{}
 	}
 	if a.kind == Int && b.kind == Int {
 		x, y := a.i, b.i
 		switch op {
 		case Add:
-			return NewInt(x + y), nil
+			return NewInt(x + y)
 		case Sub:
-			return NewInt(x - y), nil
+			return NewInt(x - y)
 		case Mul:
-			return NewInt(x * y), nil
+			return NewInt(x * y)
 		case Div:
-			if y == 0 {
-				return Value{}, fmt.Errorf("value: integer division by zero")
-			}
-			return NewInt(x / y), nil
+			return NewInt(x / y)
 		case Mod:
-			if y == 0 {
-				return Value{}, fmt.Errorf("value: integer modulo by zero")
-			}
-			return NewInt(x % y), nil
+			return NewInt(x % y)
 		}
 	}
 	x, y := a.AsFloat(), b.AsFloat()
 	switch op {
 	case Add:
-		return NewFloat(x + y), nil
+		return NewFloat(x + y)
 	case Sub:
-		return NewFloat(x - y), nil
+		return NewFloat(x - y)
 	case Mul:
-		return NewFloat(x * y), nil
+		return NewFloat(x * y)
 	case Div:
-		if y == 0 {
-			return Value{}, fmt.Errorf("value: division by zero")
-		}
-		return NewFloat(x / y), nil
+		return NewFloat(x / y)
 	case Mod:
-		if y == 0 {
-			return Value{}, fmt.Errorf("value: modulo by zero")
-		}
-		return NewFloat(math.Mod(x, y)), nil
+		return NewFloat(math.Mod(x, y))
 	}
-	return Value{}, fmt.Errorf("value: unknown arithmetic operator %d", int(op))
+	return Value{}
 }
 
 // CmpOp is a comparison operator of the logic.
@@ -603,18 +592,22 @@ func (op CmpOp) Holds(cmp int) bool {
 	}
 }
 
-// Cmp evaluates a comparison between two values. EQ and NE work on every
-// kind (via Equal); ordering operators require comparable kinds.
-func Cmp(op CmpOp, a, b Value) (bool, error) {
+// Cmp evaluates a comparison between two values. It is false when a side
+// is Null, the undefined value, and an ordering operator is false too where
+// Compare refuses the kinds (a string against an int, a relation); EQ and
+// NE otherwise follow Equal. So a comparison and its negation are both
+// false exactly when it is undefined, and every evaluator gives a verdict
+// at every state.
+func Cmp(op CmpOp, a, b Value) bool {
+	if a.kind == Null || b.kind == Null {
+		return false
+	}
 	switch op {
 	case EQ:
-		return a.Equal(b), nil
+		return a.Equal(b)
 	case NE:
-		return !a.Equal(b), nil
+		return !a.Equal(b)
 	}
 	c, err := a.Compare(b)
-	if err != nil {
-		return false, err
-	}
-	return op.Holds(c), nil
+	return err == nil && op.Holds(c)
 }

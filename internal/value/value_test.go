@@ -238,10 +238,7 @@ func TestArithInt(t *testing.T) {
 		{Div, 7, 2, 3}, {Mod, 7, 2, 1},
 	}
 	for _, c := range cases {
-		got, err := Arith(c.op, NewInt(c.a), NewInt(c.b))
-		if err != nil {
-			t.Fatalf("%d %s %d: %v", c.a, c.op, c.b, err)
-		}
+		got := Arith(c.op, NewInt(c.a), NewInt(c.b))
 		if got.Kind() != Int || got.AsInt() != c.want {
 			t.Errorf("%d %s %d = %v, want %d", c.a, c.op, c.b, got, c.want)
 		}
@@ -249,49 +246,43 @@ func TestArithInt(t *testing.T) {
 }
 
 func TestArithFloatPromotion(t *testing.T) {
-	got, err := Arith(Add, NewInt(1), NewFloat(0.5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Kind() != Float || got.AsFloat() != 1.5 {
+	if got := Arith(Add, NewInt(1), NewFloat(0.5)); got.Kind() != Float || got.AsFloat() != 1.5 {
 		t.Fatalf("1 + 0.5 = %v, want 1.5 float", got)
 	}
-	got, err = Arith(Mod, NewFloat(7.5), NewFloat(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.AsFloat() != 1.5 {
+	if got := Arith(Mod, NewFloat(7.5), NewFloat(2)); got.AsFloat() != 1.5 {
 		t.Fatalf("7.5 mod 2 = %v, want 1.5", got)
 	}
-	got, err = Arith(Div, NewFloat(7), NewFloat(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.AsFloat() != 3.5 {
+	if got := Arith(Div, NewFloat(7), NewFloat(2)); got.AsFloat() != 3.5 {
 		t.Fatalf("7.0 / 2.0 = %v, want 3.5", got)
 	}
 }
 
+// TestArithErrors pins the undefined arithmetic: a Null or non-numeric
+// operand and a zero divisor give Null, never an error.
 func TestArithErrors(t *testing.T) {
-	if _, err := Arith(Add, NewString("x"), NewInt(1)); err == nil {
-		t.Error("arithmetic on string should error")
-	}
-	if _, err := Arith(Div, NewInt(1), NewInt(0)); err == nil {
-		t.Error("integer division by zero should error")
-	}
-	if _, err := Arith(Mod, NewInt(1), NewInt(0)); err == nil {
-		t.Error("integer modulo by zero should error")
-	}
-	if _, err := Arith(Div, NewFloat(1), NewFloat(0)); err == nil {
-		t.Error("float division by zero should error")
-	}
-	if _, err := Arith(Mod, NewFloat(1), NewFloat(0)); err == nil {
-		t.Error("float modulo by zero should error")
+	for _, c := range []struct {
+		op   ArithOp
+		a, b Value
+	}{
+		{Add, NewString("x"), NewInt(1)},
+		{Mul, NewInt(1), True},
+		{Sub, Value{}, NewInt(1)},
+		{Add, NewFloat(1), Value{}},
+		{Div, NewInt(1), NewInt(0)},
+		{Mod, NewInt(1), NewInt(0)},
+		{Div, NewFloat(1), NewFloat(0)},
+		{Mod, NewFloat(1), NewFloat(math.Copysign(0, -1))},
+		{Div, NewInt(1), NewFloat(0)},
+		{ArithOp(9), NewInt(1), NewInt(1)},
+	} {
+		if got := Arith(c.op, c.a, c.b); !got.IsNull() {
+			t.Errorf("%v %s %v = %v, want null", c.a, c.op, c.b, got)
+		}
 	}
 }
 
 func TestCmpOps(t *testing.T) {
-	one, two := NewInt(1), NewInt(2)
+	one, two, null := NewInt(1), NewInt(2), Value{}
 	type tc struct {
 		op   CmpOp
 		a, b Value
@@ -306,18 +297,18 @@ func TestCmpOps(t *testing.T) {
 		{GE, one, one, true}, {GE, one, two, false},
 		{EQ, NewString("a"), NewString("a"), true},
 		{NE, NewString("a"), NewInt(1), true},
+		// Undefined: an ordering across kinds, and any side Null, is false
+		// under the operator and under its negation.
+		{LT, NewString("a"), one, false}, {GE, NewString("a"), one, false},
+		{GT, True, one, false}, {LE, True, one, false},
+		{EQ, null, null, false}, {NE, null, null, false},
+		{EQ, one, null, false}, {NE, null, one, false},
+		{LT, null, one, false}, {GE, null, one, false},
 	}
 	for _, c := range cases {
-		got, err := Cmp(c.op, c.a, c.b)
-		if err != nil {
-			t.Fatalf("Cmp(%s,%v,%v): %v", c.op, c.a, c.b, err)
-		}
-		if got != c.want {
+		if got := Cmp(c.op, c.a, c.b); got != c.want {
 			t.Errorf("Cmp(%s,%v,%v) = %t, want %t", c.op, c.a, c.b, got, c.want)
 		}
-	}
-	if _, err := Cmp(LT, NewString("a"), NewInt(1)); err == nil {
-		t.Error("ordering across kinds should error")
 	}
 }
 
@@ -335,13 +326,11 @@ func TestCmpOpNegateFlip(t *testing.T) {
 	f := func(a, b int16) bool {
 		va, vb := NewInt(int64(a)), NewInt(int64(b))
 		for _, op := range ops {
-			r1, _ := Cmp(op, va, vb)
-			r2, _ := Cmp(op.Negate(), va, vb)
-			if r1 == r2 {
+			r1 := Cmp(op, va, vb)
+			if r1 == Cmp(op.Negate(), va, vb) {
 				return false
 			}
-			r3, _ := Cmp(op.Flip(), vb, va)
-			if r1 != r3 {
+			if r1 != Cmp(op.Flip(), vb, va) {
 				return false
 			}
 		}
@@ -473,10 +462,10 @@ func TestNumericExact(t *testing.T) {
 	}
 	// The nanosecond-clock case: a bound 100 ns away is a different instant.
 	ns := int64(1_760_000_000_123_456_789)
-	if lt, _ := Cmp(LT, NewInt(ns), NewInt(ns+100)); !lt {
+	if !Cmp(LT, NewInt(ns), NewInt(ns+100)) {
 		t.Errorf("Cmp(LT, %d, %d) = false", ns, ns+100)
 	}
-	if ge, _ := Cmp(GE, NewInt(ns), NewInt(ns+13-10)); ge {
+	if Cmp(GE, NewInt(ns), NewInt(ns+13-10)) {
 		t.Errorf("Cmp(GE, %d, %d) = true", ns, ns+3)
 	}
 }
