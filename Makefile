@@ -108,11 +108,14 @@ allocgates:
 # whatever they accept. FuzzCmpArith holds value.Cmp and value.Arith to the
 # laws every evaluator relies on: flip and negation symmetry, and Null
 # exactly where a comparison or an arithmetic is undefined.
+# FuzzFixpointReplay holds a fast evaluator that replays its last verdict on
+# hinted steps to one that never does: verdict, Steps() and encoded state.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 15s ./internal/ptl
 	$(GO) test -run '^$$' -fuzz FuzzCmpArith -fuzztime 10s ./internal/value
 	$(GO) test -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime 10s ./internal/server/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzReadFrameBinary$$' -fuzztime 10s ./internal/server/wire
+	$(GO) test -run '^$$' -fuzz '^FuzzFixpointReplay$$' -fuzztime 10s ./internal/core
 
 # verify is the full pre-merge tier: static checks plus the whole suite
 # under the race detector (the concurrent engine and the durability

@@ -563,10 +563,12 @@ func (e *Engine) runJobs(s *sweepScratch, end int) error {
 
 // poolMinWork is the predicted work below which deal runs a batch inline
 // instead of waking helpers. Waking an idle processor costs tens of µs on a
-// small box, so a batch pays for helpers only well above that: the
-// constraint-gate workload deals ≈ 50–80 µs of constraint steps per commit
-// and is faster inline, the sparse-temporal one ≈ 300–600 µs of rule steps
-// and is faster pooled.
+// small box, so a batch pays for helpers only well above that. On two
+// vCPUs BenchmarkConstraintGate deals ≈ 13–18 µs of constraint steps per
+// commit and never pools. BenchmarkSparseTemporal's 2,000 rule steps mostly
+// replay a fixpoint verdict (≈ 50 ns a job), so it deals ≈ 85–125 µs, at
+// the threshold: 0.15–0.8 pooled deals per commit (its pooled/op), and
+// Workers: 1 runs it ≈ 10 % faster.
 const poolMinWork = 100 * time.Microsecond
 
 // jobCost is a moving average of one deal site's work per job, in ns: each

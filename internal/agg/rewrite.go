@@ -255,7 +255,8 @@ type IndexedSpec struct {
 	// event's first parameter is the index key.
 	SampleEvent string
 	// Value computes the sampled quantity for a key against the current
-	// database (e.g. price(x)); ignored for count.
+	// database (e.g. price(x)); ignored for count. A value that is not a
+	// number is no sample: no sum or count moves and nothing is published.
 	Value func(e *adb.Engine, key value.Value) (value.Value, error)
 	// Start is a PTL condition (concrete syntax) resetting the whole
 	// family; empty means never reset.
@@ -307,17 +308,16 @@ func InstallIndexed(eng *adb.Engine, spec IndexedSpec) error {
 			return fmt.Errorf("agg: indexed sample firing without key")
 		}
 		k := key.Key()
-		keys[k] = key
 		if spec.Fn != ptl.AggCount {
 			v, err := spec.Value(eng, key)
-			if err != nil {
+			if err != nil || !v.IsNumeric() {
+				// A value that is not a number, Null included, is no
+				// sample, as core's aggregate machine decides.
 				return err
-			}
-			if !v.IsNumeric() {
-				return fmt.Errorf("agg: indexed aggregate over non-numeric %s", v)
 			}
 			sums[k] += v.AsFloat()
 		}
+		keys[k] = key
 		counts[k]++
 		return publish(ctx)
 	}

@@ -271,6 +271,43 @@ func TestInstallIndexed(t *testing.T) {
 	}
 }
 
+// TestInstallIndexedSkipsNonNumeric: a sampled value that is not a number
+// is no sample, as for core's aggregate machine: the avg's sum and count
+// stay, a key first sampled so gets no row, and the action raises no fault.
+func TestInstallIndexedSkipsNonNumeric(t *testing.T) {
+	e := adb.NewEngine(adb.Config{Start: 0,
+		Initial: map[string]value.Value{"fam": value.NewRelation(nil)}})
+	err := InstallIndexed(e, IndexedSpec{
+		Item:        "fam",
+		Fn:          ptl.AggAvg,
+		SampleEvent: "tick",
+		Value: func(eng *adb.Engine, key value.Value) (value.Value, error) {
+			v, _ := eng.DB().Get("px_" + key.AsString())
+			return v, nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	update := func(name string, px value.Value) {
+		t.Helper()
+		if err := e.Exec(e.Now()+1, map[string]value.Value{"px_" + name: px}, event.New("tick", value.NewString(name))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	update("IBM", value.NewInt(80))
+	update("IBM", value.NewString("halted"))
+	update("XYZ", value.Value{})
+	update("IBM", value.NewInt(40))
+	if h, _ := e.RuleHealth("fam$sample"); h.TotalFailures != 0 {
+		t.Fatalf("sample action failed %d times: %v", h.TotalFailures, h.LastError)
+	}
+	fam, _ := e.DB().Get("fam")
+	if fam.NumRows() != 1 || fam.Rows()[0][0].AsString() != "IBM" || fam.Rows()[0][1].AsFloat() != 60 {
+		t.Fatalf("family = %v, want IBM's avg of 80 and 40 alone", fam)
+	}
+}
+
 func TestInstallIndexedValidation(t *testing.T) {
 	e := adb.NewEngine(adb.Config{Start: 0})
 	if err := InstallIndexed(e, IndexedSpec{}); err == nil {

@@ -61,6 +61,17 @@ type FastEvaluator struct {
 	undoSteps int
 	st        history.SystemState
 
+	// pure marks a closed condition whose step reads only its cached
+	// queries and its registers (NewFast): no parameter, aggregate, metric
+	// register, event or execution atom, and a cache slot for every call.
+	// A step that rewrites a register with another value sets moved. fixed
+	// records that the last full step of a pure condition moved none, and
+	// last its verdict: a hinted step then gives the same registers and
+	// verdict, so fires replays it. Mark copies both into undoFixed and
+	// undoLast.
+	pure, moved, fixed, last bool
+	undoFixed, undoLast      bool
+
 	// root is the normalized condition compiled once by NewFast (compile
 	// below): closures over pointers into regs, slots of qc and slots of
 	// vars, which holds each parameter's value, then the value each
@@ -172,6 +183,7 @@ func NewFast(info *ptl.Info, reg *query.Registry, log ptl.ExecLog) (*FastEvaluat
 		c.last[x] = len(sinces) + i
 	}
 	e.root = c.cond(info.Normalized)
+	e.pure = e.params == nil && len(e.metrics) == 0 && len(e.aggs) == 0 && !c.impure
 	return e, nil
 }
 
@@ -236,6 +248,11 @@ func (e *FastEvaluator) Step(st history.SystemState) (bool, error) {
 }
 
 func (e *FastEvaluator) fires(st history.SystemState, dbUnchanged bool) (bool, error) {
+	if dbUnchanged && e.fixed {
+		e.steps++
+		e.st = st
+		return e.last, nil
+	}
 	if !dbUnchanged {
 		e.qc.reset()
 	}
@@ -244,11 +261,13 @@ func (e *FastEvaluator) fires(st history.SystemState, dbUnchanged bool) (bool, e
 			return false, err
 		}
 	}
-	e.st = st
+	e.st, e.moved = st, false
 	fired, err := e.root()
 	if err != nil {
+		e.fixed = false
 		return false, err
 	}
+	e.fixed, e.last = e.pure && !e.moved, fired
 	e.steps++
 	return fired, nil
 }
@@ -420,13 +439,15 @@ type (
 // sits in e.vars; and the since occurrences that run on metric registers
 // (ptl.FastShape). A node that cannot be evaluated (an unbound variable, an
 // unsupported node) is no compile error: its closure reports it when, and
-// if, a step reaches it.
+// if, a step reaches it. impure records a node that reads the state past
+// its cached queries: an event or execution atom, or an uncached call.
 type fastCompiler struct {
 	e       *FastEvaluator
 	since   map[*ptl.Since]int
 	last    map[*ptl.Lasttime]int
 	scope   []string
 	metrics []ptl.Metric
+	impure  bool
 }
 
 func (c *fastCompiler) terms(ts []ptl.Term) []fastTerm {
@@ -494,6 +515,7 @@ func (c *fastCompiler) cond(f ptl.Formula) fastCond {
 			return value.Cmp(op, l, r), err
 		}
 	case *ptl.EventAtom:
+		c.impure = true
 		name, argts := x.Name, c.terms(x.Args)
 		buf := make([]value.Value, len(argts))
 		c.bind(x.Args, func(emit func([]value.Value, value.Value)) error {
@@ -517,6 +539,7 @@ func (c *fastCompiler) cond(f ptl.Formula) fastCond {
 			return false, nil
 		}
 	case *ptl.Executed:
+		c.impure = true
 		rule, argts, timet := x.Rule, c.terms(x.Args), c.term(x.TimeArg)
 		buf := make([]value.Value, len(argts))
 		c.bind(append(slices.Clip(x.Args), x.TimeArg), func(emit func([]value.Value, value.Value)) error {
@@ -621,8 +644,10 @@ func (c *fastCompiler) cond(f ptl.Formula) fastCond {
 			if err != nil {
 				return false, err
 			}
-			*reg = fh || (fg && *reg)
-			return *reg, nil
+			next := fh || (fg && *reg)
+			e.moved = e.moved || next != *reg
+			*reg = next
+			return next, nil
 		})
 	case *ptl.Lasttime:
 		g, k := c.cond(x.F), c.last[x]
@@ -633,6 +658,7 @@ func (c *fastCompiler) cond(f ptl.Formula) fastCond {
 			if err != nil {
 				return false, err
 			}
+			e.moved = e.moved || cur != ret
 			*reg = cur
 			return ret, nil
 		})
@@ -743,6 +769,7 @@ func (c *fastCompiler) term(t ptl.Term) fastTerm {
 			return e.reg.Eval(fn, e.st, args)
 		}
 		if slot < 0 {
+			c.impure = true
 			return call
 		}
 		return func() (value.Value, error) {
@@ -785,7 +812,7 @@ func (c *fastCompiler) term(t ptl.Term) fastTerm {
 // value class's, and of the frontiers' and windows' samples.
 func (e *FastEvaluator) Mark() {
 	copy(e.undo, e.regs)
-	e.undoSteps = e.steps
+	e.undoSteps, e.undoFixed, e.undoLast = e.steps, e.fixed, e.last
 	for _, m := range e.metrics {
 		m.mark()
 	}
@@ -803,7 +830,7 @@ func (e *FastEvaluator) Mark() {
 // Rollback implements ConditionEvaluator.
 func (e *FastEvaluator) Rollback() {
 	copy(e.regs, e.undo)
-	e.steps = e.undoSteps
+	e.steps, e.fixed, e.last = e.undoSteps, e.undoFixed, e.undoLast
 	e.qc.reset()
 	for _, m := range e.metrics {
 		m.rollback()

@@ -24,7 +24,9 @@ type HintedEvaluator interface {
 	// StepResultHinted is StepResult with a validity hint: dbUnchanged
 	// asserts that every database item read by this condition has the
 	// same value as at the previously stepped state. The hint never
-	// changes results — it only allows query-cache reuse.
+	// changes results. It allows query-cache reuse, and a pure fast
+	// evaluator whose last step moved no register returns that step's
+	// verdict without evaluating (FastEvaluator.fires).
 	StepResultHinted(st history.SystemState, dbUnchanged bool) (Result, error)
 }
 
