@@ -69,15 +69,15 @@ loc:
 # drain and the promotion handoff.
 # The pmap property suite rides along: every engine state lives in a
 # persistent map, so its model checks belong in the repeated race pass.
-# So do the worker-pool suites: the pool wakes helpers only above ≈ 100 µs
-# of measured work, so these tests force it (dealThreshold = 0), and this
-# pass is where their helper goroutines meet the race detector.
+# So do the reader suites (ConcurrentReader, Parallel): readers calling the
+# accessors beside the one mutator are the engine's only concurrency.
 stress:
-	$(GO) test -race -count=3 -run 'Fault|Degrad|Quarantine|Parallel|Deal|WorkerIndependent|IndexedSweepEquivalence|Panic|Failpoint|Chaos|Failover|Lease|Promot|Replica|ShipAfterReply|PMap' ./internal/adb ./internal/persist ./internal/replica ./internal/pmap
+	$(GO) test -race -count=3 -run 'Fault|Degrad|Quarantine|Parallel|ConcurrentReader|IndexedSweepEquivalence|Panic|Failpoint|Chaos|Failover|Lease|Promot|Replica|ShipAfterReply|PMap' ./internal/adb ./internal/persist ./internal/replica ./internal/pmap
 
 # allocgates runs the allocation gates of the commit path at three core
-# counts. They pin Workers: 1, so nothing they count may depend on
-# GOMAXPROCS: the three runs must pass alike — that is the check.
+# counts. The engine starts no goroutine of its own, so nothing they count
+# may depend on GOMAXPROCS: the three runs must pass alike — that is the
+# check.
 # TestSweepNoRuleTerm has four arms: quiescent, gated, exact temporal and
 # general rules (the last two: 2,000 steps per commit, none of which may
 # allocate). In core, a step of the paper's doubled-within-d trigger

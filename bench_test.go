@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"runtime"
 	"testing"
 	"time"
 
@@ -177,28 +176,10 @@ func BenchmarkE8RelevanceFiltering(b *testing.B) {
 	}
 }
 
-// BenchmarkE8ParallelSweep measures the parallel temporal component on a
-// wide rule set (R=1000 eager rules, the regime where the per-state sweep
-// dominates): Workers=1 is the sequential baseline, Workers=GOMAXPROCS
-// shards the sweep across the pool. Firings are byte-identical either way.
-func BenchmarkE8ParallelSweep(b *testing.B) {
-	const rules, states = 1000, 200
-	for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			var steps int64
-			for i := 0; i < b.N; i++ {
-				s, _ := experiments.RelevanceRunWorkers(rules, states, adb.Eager, workers, nil, false)
-				steps = s
-			}
-			b.ReportMetric(float64(steps), "eval-steps")
-		})
-	}
-}
-
-// BenchmarkSweepWithSandbox prices the fault-isolation layer on the E8
-// parallel sweep (R=1000 eager rules): "plain" is the nil-action baseline
-// of BenchmarkE8ParallelSweep, "actions" routes every firing through the
-// sandbox's recover wrapper, and "governed" adds the circuit breaker with
+// BenchmarkSweepWithSandbox prices the fault-isolation layer on a wide E8
+// eager sweep (R=1000 eager rules, the regime where the per-state sweep
+// dominates): "plain" is the nil-action baseline, "actions" routes every
+// firing through the sandbox's recover wrapper, and "governed" adds the circuit breaker with
 // no fault ever occurring. The governed-minus-plain delta is the
 // steady-state cost of the robustness layer; it is expected to stay within
 // a few percent, since the sandbox runs only on the workload's sparse
@@ -209,7 +190,6 @@ func BenchmarkE8ParallelSweep(b *testing.B) {
 // steps as <arm>-eval-steps.
 func BenchmarkSweepWithSandbox(b *testing.B) {
 	const rules, states = 1000, 200
-	workers := runtime.GOMAXPROCS(0)
 	noop := func(*adb.ActionContext) error { return nil }
 	arms := []struct {
 		name     string
@@ -227,7 +207,7 @@ func BenchmarkSweepWithSandbox(b *testing.B) {
 			for k := range arms {
 				a := (first + k) % len(arms)
 				start := time.Now()
-				steps[a], _ = experiments.RelevanceRunWorkers(rules, states, adb.Eager, workers, arms[a].act, arms[a].governed)
+				steps[a], _ = experiments.RelevanceRunActions(rules, states, adb.Eager, arms[a].act, arms[a].governed)
 				took[a] += time.Since(start)
 			}
 		}

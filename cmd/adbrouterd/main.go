@@ -4,8 +4,8 @@
 // wire protocol — package client, adbsh -connect and existing tooling
 // work unchanged against it.
 //
-// In-process shards (each with its own commit pipeline, and with -data
-// its own write-ahead log; shards log WAL-only and never checkpoint, so
+// In-process shards (each with its own commit pipeline, whose goroutine
+// evaluates that shard's rules, and with -data its own write-ahead log; shards log WAL-only and never checkpoint, so
 // rotated segments are not collected):
 //
 //	adbrouterd -addr 127.0.0.1:7410 -local 8 -data /var/lib/adbcluster
@@ -53,7 +53,6 @@ func main() {
 	local := flag.Int("local", 0, "run this many in-process engine shards")
 	shardAddrs := flag.String("shards", "", "comma-separated adbserverd addresses to use as remote shards")
 	dataDir := flag.String("data", "", "durable shard directories under this root (shard0, shard1, ...); -local only, empty = memory-only")
-	workers := flag.Int("workers", 0, "per-shard worker pool size for rule evaluation (0 = all cores, 1 = sequential)")
 	maxConns := flag.Int("max-conns", 64, "maximum concurrent client sessions")
 	idleTimeout := flag.Duration("idle-timeout", 0, "drop sessions idle longer than this (0 = never)")
 	subQueue := flag.Int("sub-queue", 256, "bounded firing queue per subscriber")
@@ -77,10 +76,7 @@ func main() {
 	case *local > 0 && *shardAddrs != "":
 		fatal(fmt.Errorf("-local and -shards are mutually exclusive"))
 	case *local > 0:
-		cfg := adb.Config{
-			Workers:   *workers,
-			Retention: adb.Retention{SegmentBytes: *segBytes},
-		}
+		cfg := adb.Config{Retention: adb.Retention{SegmentBytes: *segBytes}}
 		for i := 0; i < *local; i++ {
 			var eng *adb.Engine
 			if *dataDir != "" {

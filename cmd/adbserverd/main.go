@@ -5,9 +5,10 @@
 //
 //	adbserverd -addr 127.0.0.1:7411 -data /var/lib/adb
 //
-// All mutations are serialized through one commit pipeline, so the firing
-// stream every subscriber sees is the deterministic stream a single
-// process would produce for the same commit order. With -data the engine
+// All mutations are serialized through one commit pipeline, whose goroutine
+// also evaluates the rules, so the firing stream every subscriber sees is
+// the deterministic stream a single process would produce for the same
+// commit order. With -data the engine
 // is durable (write-ahead log + snapshots) and a restart recovers it.
 //
 // Replication (DESIGN.md §4i): a durable server is always a replication
@@ -68,7 +69,6 @@ func main() {
 	addr := flag.String("addr", "127.0.0.1:7411", "listen address (use :0 for a random port with -port-file)")
 	portFile := flag.String("port-file", "", "write the bound address to this file once listening")
 	dataDir := flag.String("data", "", "durable engine directory (write-ahead log + snapshots); empty = memory-only")
-	workers := flag.Int("workers", 0, "worker pool size for rule evaluation (0 = all cores, 1 = sequential)")
 	maxConns := flag.Int("max-conns", 64, "maximum concurrent client sessions")
 	idleTimeout := flag.Duration("idle-timeout", 0, "drop sessions idle longer than this (0 = never)")
 	subQueue := flag.Int("sub-queue", 256, "bounded firing queue per subscriber")
@@ -97,7 +97,6 @@ func main() {
 	}
 
 	cfg := adb.Config{
-		Workers: *workers,
 		Retention: adb.Retention{
 			SegmentBytes:  *segBytes,
 			KeepSnapshots: *keepSnaps,

@@ -35,10 +35,6 @@
 // itself, and the engine prints a FIRE line for every firing and a FAULT
 // line for every isolated action fault as it happens.
 //
-// The -workers flag sizes the engine's worker pool for parallel rule
-// evaluation (0 = all cores, 1 = sequential); firings are identical at
-// every setting.
-//
 // The -data flag makes the engine durable: every committed operation is
 // written to a write-ahead log in the given directory, `save` writes a
 // snapshot, and `recover` (or simply restarting adbsh with the same
@@ -73,7 +69,6 @@ import (
 )
 
 func main() {
-	workers := flag.Int("workers", 0, "worker pool size for rule evaluation (0 = all cores, 1 = sequential)")
 	dataDir := flag.String("data", "", "durable engine directory (write-ahead log + snapshots); empty = memory-only")
 	connect := flag.String("connect", "", "run against a remote adbserverd at host:port instead of an in-process engine")
 	codec := flag.String("codec", "json", "wire codec to offer in remote mode: json (inspectable frames) or binary")
@@ -100,7 +95,6 @@ func main() {
 	} else {
 		sh := &shell{
 			cfg: adb.Config{
-				Workers: *workers,
 				Retention: adb.Retention{
 					SegmentBytes:  *segBytes,
 					KeepSnapshots: *keepSnaps,

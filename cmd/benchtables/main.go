@@ -12,7 +12,6 @@
 //	go run ./cmd/benchtables -quick
 //	go run ./cmd/benchtables -markdown  # paste into EXPERIMENTS.md
 //	go run ./cmd/benchtables -only E1,E7
-//	go run ./cmd/benchtables -only E8 -workers 4
 //	go run ./cmd/benchtables -only E12 -cpuprofile cpu.out -memprofile mem.out
 package main
 
@@ -31,14 +30,9 @@ func main() {
 	quick := flag.Bool("quick", false, "reduced sweeps")
 	markdown := flag.Bool("markdown", false, "emit markdown tables")
 	only := flag.String("only", "", "comma-separated experiment ids (e.g. E1,E7)")
-	workers := flag.Int("workers", 0, "worker pool for the parallel E8 columns (0 = all cores)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the experiment runs to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile taken after the runs to this file")
 	flag.Parse()
-
-	if *workers > 0 {
-		experiments.DefaultWorkers = *workers
-	}
 
 	want := map[string]bool{}
 	for _, id := range strings.Split(*only, ",") {

@@ -12,10 +12,7 @@ import (
 
 // commitAllocs measures allocations per commit on BenchmarkCommit's
 // workload — a two-item transaction against eight triggers and one
-// constraint — over a database of the given size. Workers is pinned to 1:
-// with more, every sweep and constraint check spawns its pool goroutines
-// (about three allocations per commit at GOMAXPROCS 2, five at 4), which is
-// the pool's cost and not the commit path's.
+// constraint — over a database of the given size.
 func commitAllocs(t *testing.T, items int) float64 {
 	t.Helper()
 	initial := make(map[string]value.Value, items+3)
@@ -25,7 +22,7 @@ func commitAllocs(t *testing.T, items int) float64 {
 	for i := 0; i < items; i++ {
 		initial[fmt.Sprintf("pad%06d", i)] = value.NewInt(int64(i))
 	}
-	e := NewEngine(Config{Initial: initial, Workers: 1})
+	e := NewEngine(Config{Initial: initial})
 	names := []string{"a", "b", "c"}
 	for i := 0; i < 8; i++ {
 		if err := e.AddTrigger(fmt.Sprintf("watch%d", i), fmt.Sprintf("item(%q) > 1000000", names[i%3]), nil); err != nil {
@@ -75,13 +72,13 @@ func TestCommitAllocsNoLinearTerm(t *testing.T) {
 	}
 }
 
-// sweepCost measures allocations and bytes per commit, at Workers: 1, of a
-// stream that touches one rule's item per commit, with the given number of
-// rules registered over a database of fixed size. shape selects quiescent
-// rules (`item(k) > c`, never firing), event-gated ones (a commit without
-// their event only moves their cursor), exact temporal ones (every rule
-// steps at every commit, all but one from its query cache) or general ones
-// (the same, on the constraint-graph evaluator: an assignment crosses the
+// sweepCost measures allocations and bytes per commit of a stream that
+// touches one rule's item per commit, with the given number of rules
+// registered over a database of fixed size. shape selects quiescent rules
+// (`item(k) > c`, never firing), event-gated ones (a commit without their
+// event only moves their cursor), exact temporal ones (every rule steps at
+// every commit, all but one from its query cache) or general ones (the
+// same, on the constraint-graph evaluator: an assignment crosses the
 // temporal operator).
 func sweepCost(t *testing.T, rules int, shape string) (allocs, bytes float64) {
 	t.Helper()
@@ -90,7 +87,7 @@ func sweepCost(t *testing.T, rules int, shape string) (allocs, bytes float64) {
 	for i := 0; i < items; i++ {
 		initial[fmt.Sprintf("k%04d", i)] = value.NewInt(0)
 	}
-	e := NewEngine(Config{Initial: initial, Workers: 1})
+	e := NewEngine(Config{Initial: initial})
 	for i := 0; i < rules; i++ {
 		cond := fmt.Sprintf(`item("k%04d") > 1000000`, i)
 		switch shape {
@@ -148,10 +145,10 @@ func TestSweepNoRuleTerm(t *testing.T) {
 	}
 }
 
-// constraintCheckAllocs measures allocations per commit, at Workers: 1, of
-// a stream of one-item transactions against the given number of fast-path
-// temporal constraints, one per item (the constraint-gate shape). Every
-// commit touches one constrained item among the first twenty, which carry a
+// constraintCheckAllocs measures allocations per commit of a stream of
+// one-item transactions against the given number of fast-path temporal
+// constraints, one per item (the constraint-gate shape). Every commit
+// touches one constrained item among the first twenty, which carry a
 // constraint at either table size.
 func constraintCheckAllocs(t *testing.T, constraints int) float64 {
 	t.Helper()
@@ -161,7 +158,7 @@ func constraintCheckAllocs(t *testing.T, constraints int) float64 {
 	for i := int64(0); i < items; i++ {
 		initial[key(i)] = value.NewInt(500)
 	}
-	e := NewEngine(Config{Initial: initial, Workers: 1})
+	e := NewEngine(Config{Initial: initial})
 	for i := int64(0); i < int64(constraints); i++ {
 		cond := fmt.Sprintf(`not (item(%q) < 100 and lasttime item(%q) > 900)`, key(i), key(i))
 		if err := e.AddConstraint(fmt.Sprintf("nocrash_%03d", i), cond); err != nil {
@@ -215,7 +212,7 @@ func TestNewEngineAllocsPerItem(t *testing.T) {
 		}
 		runs := 200_000 / items
 		got := testing.AllocsPerRun(runs, func() {
-			NewEngine(Config{Initial: initial, Workers: 1})
+			NewEngine(Config{Initial: initial})
 		}) / float64(items)
 		t.Logf("%d items: %.3f allocations per item", items, got)
 		if got > 1.05 {
@@ -231,7 +228,7 @@ func TestNewEngineAllocsPerItem(t *testing.T) {
 // as a pending action and copying it into an execution log cost 27
 // allocations per Emit, and an Emit now makes at most 20.
 func TestActionlessFiringAllocs(t *testing.T) {
-	e := NewEngine(Config{Workers: 1})
+	e := NewEngine(Config{})
 	for i := 0; i < 4; i++ {
 		if err := e.AddTrigger(fmt.Sprintf("stream%d", i), fmt.Sprintf("@tick(A, B) and A >= %d", -i), nil); err != nil {
 			t.Fatal(err)

@@ -158,71 +158,59 @@ func TestExportHistoryRoundTrip(t *testing.T) {
 // TestActionAsOfReadsFiringState: an action's AsOf reads the state that
 // satisfied its condition, for any item — one the condition reads, one it
 // does not, one that never exists — however late the action runs. Under
-// Manual and Relevant scheduling, at one worker and four, with actions
-// committing between firing and execution, every read equals the value
-// History() holds at FiredAt, and the reads do not depend on the worker
-// count.
+// Manual and Relevant scheduling, with actions committing between firing
+// and execution, every read equals the value History() holds at FiredAt.
 func TestActionAsOfReadsFiringState(t *testing.T) {
 	items := []string{"a", "z", "ghost"}
 	for _, sched := range []Scheduling{Manual, Relevant} {
-		var first []string
-		for _, workers := range []int{1, 4} {
-			e := NewEngine(Config{Initial: map[string]value.Value{"a": value.NewInt(0), "z": value.NewInt(0)}, Workers: workers})
-			var reads []string
-			delayed := 0
-			check := func(ctx *ActionContext) error {
-				if ctx.Now() > ctx.FiredAt {
-					delayed++
-				}
-				at := e.History().PrefixAtTime(ctx.FiredAt)
-				st, _ := at.Last()
-				if st.TS != ctx.FiredAt {
-					return fmt.Errorf("no state at %d", ctx.FiredAt)
-				}
-				for _, item := range items {
-					got, ok := ctx.AsOf(item)
-					want, _ := st.DB.Get(item)
-					if !ok || !got.Equal(want) {
-						t.Errorf("sched %d/%d: %s AsOf(%s) at %d = %v %t, want %v", sched, workers, ctx.Rule, item, ctx.FiredAt, got, ok, want)
-					}
-					reads = append(reads, fmt.Sprintf("%s@%d:%s=%v", ctx.Rule, ctx.FiredAt, item, got))
-				}
-				if ctx.Rule != "poke" { // commits only on an event, so no cascade
-					return nil
-				}
-				return ctx.Exec(map[string]value.Value{"c": value.NewInt(ctx.FiredAt)})
+		e := NewEngine(Config{Initial: map[string]value.Value{"a": value.NewInt(0), "z": value.NewInt(0)}})
+		delayed := 0
+		check := func(ctx *ActionContext) error {
+			if ctx.Now() > ctx.FiredAt {
+				delayed++
 			}
-			for _, r := range [][2]string{
-				{"high", `item("a") > 5`},
-				{"poke", `@poke and item("a") < 3`},
-				{"late", `item("z") > 60 and item("a") < 5`},
-			} {
-				if err := e.AddTrigger(r[0], r[1], check, WithScheduling(sched)); err != nil {
+			at := e.History().PrefixAtTime(ctx.FiredAt)
+			st, _ := at.Last()
+			if st.TS != ctx.FiredAt {
+				return fmt.Errorf("no state at %d", ctx.FiredAt)
+			}
+			for _, item := range items {
+				got, ok := ctx.AsOf(item)
+				want, _ := st.DB.Get(item)
+				if !ok || !got.Equal(want) {
+					t.Errorf("sched %d: %s AsOf(%s) at %d = %v %t, want %v", sched, ctx.Rule, item, ctx.FiredAt, got, ok, want)
+				}
+			}
+			if ctx.Rule != "poke" { // commits only on an event, so no cascade
+				return nil
+			}
+			return ctx.Exec(map[string]value.Value{"c": value.NewInt(ctx.FiredAt)})
+		}
+		for _, r := range [][2]string{
+			{"high", `item("a") > 5`},
+			{"poke", `@poke and item("a") < 3`},
+			{"late", `item("z") > 60 and item("a") < 5`},
+		} {
+			if err := e.AddTrigger(r[0], r[1], check, WithScheduling(sched)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := int64(1); i <= 40; i++ {
+			var evs []event.Event
+			if i%3 == 0 {
+				evs = append(evs, event.New("poke"))
+			}
+			if err := e.Exec(100*i, map[string]value.Value{"a": value.NewInt(i * 7 % 11), "z": value.NewInt(i * 3)}, evs...); err != nil {
+				t.Fatal(err)
+			}
+			if i%10 == 0 {
+				if err := e.Flush(); err != nil {
 					t.Fatal(err)
 				}
 			}
-			for i := int64(1); i <= 40; i++ {
-				var evs []event.Event
-				if i%3 == 0 {
-					evs = append(evs, event.New("poke"))
-				}
-				if err := e.Exec(100*i, map[string]value.Value{"a": value.NewInt(i * 7 % 11), "z": value.NewInt(i * 3)}, evs...); err != nil {
-					t.Fatal(err)
-				}
-				if i%10 == 0 {
-					if err := e.Flush(); err != nil {
-						t.Fatal(err)
-					}
-				}
-			}
-			if delayed == 0 {
-				t.Fatalf("sched %d/%d: no action ran after the state that fired it", sched, workers)
-			}
-			if first == nil {
-				first = reads
-			} else if fmt.Sprint(reads) != fmt.Sprint(first) {
-				t.Errorf("sched %d: reads differ between 1 and %d workers", sched, workers)
-			}
+		}
+		if delayed == 0 {
+			t.Fatalf("sched %d: no action ran after the state that fired it", sched)
 		}
 	}
 }

@@ -54,8 +54,7 @@ func BenchmarkSparseStatic(b *testing.B) {
 // BenchmarkSparseTemporal is the sparse-temporal row: the same data and
 // commits under 2,000 exact temporal rules "item k rose above 800", which all
 // step at every commit though it wrote one to three items. The profile shows
-// what a step costs that found its rule's item as it was; pooled/op is the
-// share of sweeps that woke helpers (poolMinWork).
+// what a step costs that found its rule's item as it was.
 func BenchmarkSparseTemporal(b *testing.B) {
 	benchSparse(b, func(item string) string {
 		return fmt.Sprintf(`item(%q) > 800 and lasttime item(%q) <= 800`, item, item)
@@ -92,7 +91,6 @@ func benchSparse(b *testing.B, cond func(item string) string) {
 		}
 	}
 	b.ReportMetric(float64(e.EvalSteps())/float64(b.N), "steps/op")
-	b.ReportMetric(float64(e.pooledDeals)/float64(b.N), "pooled/op")
 }
 
 // BenchmarkTemporalDense is the frozen benchmark's temporal-dense row in

@@ -125,7 +125,6 @@ func applyCompat(t *testing.T, e *Engine, op compatOp) {
 func compatConfig() Config {
 	return Config{
 		Initial: map[string]value.Value{"a": value.NewInt(1), "b": value.NewFloat(10), "c": value.NewString("x")},
-		Workers: 1,
 		Actions: compatActions(),
 	}
 }

@@ -35,8 +35,7 @@ func (e *ConstraintError) Unwrap() error { return ErrConstraintViolation }
 // accepted step stands — appendState moves the cursors past the state once
 // it is in the history, and no sweep evaluates it again.
 // Every constraint is stepped whether or not an earlier one already
-// rejected, so the verdict, the constraint named and the step count never
-// depend on the worker count or on goroutine scheduling.
+// rejected, so a rejected commit charges each constraint one step.
 func (e *Engine) checkConstraints(tentative history.SystemState, changed []string) (*rule, error) {
 	constraints := e.constraints
 	if len(constraints) == 0 {
@@ -50,34 +49,30 @@ func (e *Engine) checkConstraints(tentative history.SystemState, changed []strin
 			break
 		}
 	}
-	s := e.takeScratch()
-	defer e.putScratch(s)
-	s.verdicts = sized(s.verdicts, len(constraints))
-	verdicts := s.verdicts
 	d := dirtySet{known: true, items: changed}
 	at := e.hist.Len() // the index the state will have if it is accepted
 	e.stampDirty(at, changed, false)
-	e.deal(&e.gateCost, len(constraints), func(i int) {
-		r := constraints[i]
+	var violated *rule
+	var firstErr error
+	for _, r := range constraints {
 		r.ev.Mark()
 		res, err := e.step(r, tentative, at, d)
-		verdicts[i] = verdict{fired: res.Fired, err: err}
-	})
+		if violated == nil && firstErr == nil {
+			switch {
+			case err != nil:
+				firstErr = fmt.Errorf("adb: constraint %s: %w", r.name, err)
+			case res.Fired:
+				violated = r
+			}
+		}
+	}
 	e.mu.Lock() // concurrent EvalSteps readers
 	e.evalSteps += int64(len(constraints))
 	e.mu.Unlock()
-	for i, r := range constraints {
-		v := verdicts[i]
-		if v.err == nil && !v.fired {
-			continue
-		}
+	if violated != nil || firstErr != nil {
 		e.rollbackConstraints()
-		if v.err != nil {
-			return nil, fmt.Errorf("adb: constraint %s: %w", r.name, v.err)
-		}
-		return r, nil
 	}
-	return nil, nil
+	return violated, firstErr
 }
 
 // rollbackConstraints undoes the tentative step checkConstraints took.
@@ -85,10 +80,4 @@ func (e *Engine) rollbackConstraints() {
 	for _, r := range e.constraints {
 		r.ev.Rollback()
 	}
-}
-
-// verdict is one constraint's answer on the tentative commit state.
-type verdict struct {
-	fired bool
-	err   error
 }

@@ -107,7 +107,7 @@ func TestDegradedOnWALFaultEveryBoundary(t *testing.T) {
 	preamble := int64(1 + rules + 2) // init + triggers + constraints
 
 	// Fault-free in-memory reference.
-	ref := NewEngine(p.config(1))
+	ref := NewEngine(p.config())
 	p.register(t, ref)
 	var refAborts []string
 	for _, op := range ops {
@@ -120,7 +120,7 @@ func TestDegradedOnWALFaultEveryBoundary(t *testing.T) {
 		L := L
 		t.Run(fmt.Sprintf("faultLSN=%d", L), func(t *testing.T) {
 			dir := t.TempDir()
-			cfg := p.config(1)
+			cfg := p.config()
 			cfg.Durability = DurabilityWAL
 			cfg.NoFsync = true
 			e1, err := Restore(cfg, dir)
@@ -221,7 +221,7 @@ func TestDegradedOnFsyncFault(t *testing.T) {
 	ops := randomOps(seed*31, rules, states, 0)
 	preamble := int64(1 + rules + 2)
 
-	ref := NewEngine(p.config(1))
+	ref := NewEngine(p.config())
 	p.register(t, ref)
 	for _, op := range ops {
 		applyOp(t, ref, op)
@@ -232,7 +232,7 @@ func TestDegradedOnFsyncFault(t *testing.T) {
 	L := preamble + int64(faultOp) + 1
 
 	dir := t.TempDir()
-	cfg := p.config(1)
+	cfg := p.config()
 	cfg.Durability = DurabilityWAL // NoFsync stays false: the sync path must run
 	e1, err := Restore(cfg, dir)
 	if err != nil {

@@ -7,10 +7,8 @@ package adb
 
 import (
 	"io"
-	"runtime"
 	"sort"
 	"sync"
-	"time"
 
 	"ptlactive/internal/event"
 	"ptlactive/internal/histio"
@@ -32,11 +30,10 @@ import (
 // rule registration, Compact, PruneExecutions) must come from a single
 // goroutine at a time, but the reader accessors — Firings, ItemAsOf,
 // Rule, RuleNames, EvalSteps, Executions, Now, DB, BaseIndex — are safe
-// to call from any goroutine concurrently with that mutator. Internally
-// the temporal component shards rule evaluation across Config.Workers
-// goroutines; firings and constraint violations are merged back in rule
-// registration order, so observable behavior is independent of the
-// worker count (see DESIGN.md, "Concurrency model").
+// to call from any goroutine concurrently with that mutator. The temporal
+// component runs on the mutating goroutine: every rule is advanced and every
+// constraint stepped there, and firings and constraint violations are
+// merged in rule registration order (DESIGN.md §4.2, "Threading contract").
 type Engine struct {
 	// mu guards the observable shared state: history length, database,
 	// clock, firings, the step counter, the execution log and the rule
@@ -62,14 +59,6 @@ type Engine struct {
 	inSweep   bool
 	pending   []pendingAction // firings awaiting action execution
 	cascade   int
-
-	// workers bounds the pool evaluating independent rules concurrently;
-	// the rest is deal's rule for when to use it (dealThreshold is
-	// poolMinWork, which in-package tests set to 0 to force helpers).
-	workers             int
-	sweepCost, gateCost jobCost
-	dealThreshold       time.Duration
-	pooledDeals         int64
 
 	// base is the absolute index of hist's first state; Compact advances
 	// it as fully-processed prefix states are discarded.
@@ -156,14 +145,11 @@ type Config struct {
 	Start int64
 	// OnFiring, when set, observes every firing as it happens.
 	OnFiring func(Firing)
-	// Workers bounds the worker pool the temporal component uses to
-	// evaluate independent rules concurrently during sweeps, flushes and
-	// constraint checks. 0 means GOMAXPROCS; 1 forces fully sequential
-	// evaluation. It is an upper bound: a batch runs on the committing
-	// goroutine alone unless its predicted work — its job count times the
-	// engine's measured cost per job — is at least ≈ 100 µs, worth waking
-	// helpers for. Firings, violations and errors are merged in rule
-	// registration order, so results do not depend on this setting.
+	// Workers is ignored: the temporal component runs on the committing
+	// goroutine.
+	//
+	// Deprecated: kept only because the benchmark in bench/ still sets it;
+	// the field goes when that line does.
 	Workers int
 	// Durability selects the persistence mode. NewEngine only accepts
 	// DurabilityOff; durable engines are opened with Restore, which reads
@@ -207,22 +193,16 @@ func NewEngine(cfg Config) *Engine {
 	if reg == nil {
 		reg = query.NewRegistry()
 	}
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	e := &Engine{
-		reg:           reg,
-		hist:          history.New(),
-		db:            history.NewDB(cfg.Initial),
-		now:           cfg.Start,
-		index:         map[string]*rule{},
-		workers:       workers,
-		dealThreshold: poolMinWork,
-		eventIndex:    map[string][]*rule{},
-		itemIndex:     map[string][]*rule{},
-		maxFailures:   cfg.MaxRuleFailures,
-		onRuleFault:   cfg.OnRuleFault,
+		reg:         reg,
+		hist:        history.New(),
+		db:          history.NewDB(cfg.Initial),
+		now:         cfg.Start,
+		index:       map[string]*rule{},
+		eventIndex:  map[string][]*rule{},
+		itemIndex:   map[string][]*rule{},
+		maxFailures: cfg.MaxRuleFailures,
+		onRuleFault: cfg.OnRuleFault,
 	}
 	if cfg.OnFiring != nil {
 		e.observers = []firingObserver{{fn: cfg.OnFiring}}
@@ -377,12 +357,9 @@ func (e *Engine) EvalSteps() int64 {
 	return e.evalSteps
 }
 
-// Workers returns the size of the temporal component's worker pool.
-func (e *Engine) Workers() int { return e.workers }
-
 // Executions implements ptl.ExecLog over the rules' execution logs.
-// Safe for concurrent use; the evaluation workers read it through this
-// method while no lock is held for writing. A rule's log is in time order,
+// Safe for concurrent use; rule evaluation reads it through this method
+// while no lock is held for writing. A rule's log is in time order,
 // so the executions before a time are a prefix, found by binary search.
 func (e *Engine) Executions(ruleName string, before int64) []ptl.Execution {
 	e.mu.RLock()

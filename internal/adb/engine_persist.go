@@ -190,8 +190,8 @@ func (e *Engine) Close() error {
 //
 // cfg supplies the runtime-only pieces — Registry, Actions (the action
 // functions of logged rules, by name; they must be the same deterministic
-// actions for replay equivalence), OnFiring, Workers, Durability,
-// SnapshotEvery, NoFsync, Retention. The persisted init record governs the
+// actions for replay equivalence), OnFiring, Durability, SnapshotEvery,
+// NoFsync, Retention. The persisted init record governs the
 // rest (Initial, Start, MaxRuleFailures); for a fresh
 // directory those are taken from cfg and logged. DurabilityOff is promoted
 // to DurabilityWAL: an engine with a data directory logs.
@@ -333,8 +333,8 @@ func newMemEngine(cfg Config) *Engine {
 
 // engineFromInit builds a fresh engine from a persisted init record plus
 // the runtime-only config: whatever shapes behavior (initial state,
-// circuit-breaker threshold) comes from the record; workers, callbacks
-// and the WAL-layout knobs stay cfg's. The record is not kept: initRecord
+// circuit-breaker threshold) comes from the record; callbacks and the
+// WAL-layout knobs stay cfg's. The record is not kept: initRecord
 // encodes the same bytes again from the decoded initial state. A record
 // written before the engine read past values from its history states may
 // carry "track", "histwin" and "spill" fields; they configured a deleted

@@ -112,8 +112,7 @@ type Follower struct {
 // anything of its own — a fresh directory stays empty until the primary's
 // init frame arrives, because the init record must be the primary's bytes
 // for the logs to match. cfg supplies the runtime-only pieces (Registry,
-// Actions, OnFiring, Workers); the replicated init record governs the
-// rest.
+// Actions, OnFiring); the replicated init record governs the rest.
 func OpenFollower(cfg Config, dir string) (*Follower, error) {
 	o, err := openDir(cfg, dir)
 	if err != nil {

@@ -263,7 +263,6 @@ func TestActionlessFiringExecutesNothing(t *testing.T) {
 		return Config{
 			Initial: map[string]value.Value{"bought": value.NewInt(0)},
 			Actions: map[string]Action{"act": buy},
-			Workers: 1,
 			NoFsync: true,
 		}
 	}

@@ -42,21 +42,6 @@ func (e *ActionPanicError) Error() string {
 // Unwrap yields ErrActionPanic for errors.Is.
 func (e *ActionPanicError) Unwrap() error { return ErrActionPanic }
 
-// WorkerPanic is what the committing goroutine is panicked with when an
-// evaluation job panicked in a pooled deal — one that woke helpers, the
-// caller's own share included: the job's own panic value, and the stack it
-// was raised on — the re-raise's own trace ends in deal. A deal that runs
-// inline (always at Workers: 1) lets the job's panic unwind as is.
-type WorkerPanic struct {
-	Value any
-	Stack []byte
-}
-
-// Error prints the stack too, so an unrecovered panic still shows the site.
-func (p *WorkerPanic) Error() string {
-	return fmt.Sprintf("adb: panic in an evaluation worker: %v\n\n%s", p.Value, p.Stack)
-}
-
 // QuarantineError reports a firing whose action was suppressed because the
 // rule is quarantined; Cause is the failure that tripped the breaker.
 type QuarantineError struct {

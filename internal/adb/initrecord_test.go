@@ -159,7 +159,7 @@ func TestMemoryEngineKeepsNoEncodedItems(t *testing.T) {
 	state := live() - before
 	runtime.KeepAlive(db)
 	before = live()
-	e := NewEngine(Config{Initial: initial, Workers: 1})
+	e := NewEngine(Config{Initial: initial})
 	engine := live() - before
 	runtime.KeepAlive(e)
 	// The map must outlive both measures: freed in between, it would

@@ -73,7 +73,7 @@ func metricEngine(t *testing.T, cfg Config, dir string) *Engine {
 // the same operations, over the rest of the trace.
 func TestRestoreGeneralMetricFixture(t *testing.T) {
 	ops := metricOps()
-	cfg := Config{Initial: map[string]value.Value{"px": value.NewFloat(100)}, Workers: 1}
+	cfg := Config{Initial: map[string]value.Value{"px": value.NewFloat(100)}}
 	durable := cfg
 	durable.Durability, durable.SnapshotEvery, durable.NoFsync = DurabilitySnapshot, 8, true
 	if os.Getenv("ADB_WRITE_METRIC_FIXTURE") != "" {

@@ -1,7 +1,6 @@
 package adb
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -57,13 +56,12 @@ func randomEngineParams(seed int64, rules int, withConstraints bool) engineParam
 }
 
 // config builds the engine configuration for this parameter set.
-func (p engineParams) config(workers int) Config {
+func (p engineParams) config() Config {
 	return Config{
 		Initial: map[string]value.Value{
 			"a": value.NewInt(p.a),
 			"b": value.NewInt(p.b),
 		},
-		Workers: workers,
 	}
 }
 
@@ -86,12 +84,12 @@ func (p engineParams) register(t *testing.T, e *Engine) {
 }
 
 // buildRandomEngine registers R random rules (and optionally constraints)
-// on a fresh engine with the given worker count; the rule set depends only
-// on seed, so two calls with different workers get identical rule sets.
-func buildRandomEngine(t *testing.T, seed int64, rules, workers int, withConstraints bool) *Engine {
+// on a fresh engine; the rule set depends only on seed, so two calls get
+// identical rule sets.
+func buildRandomEngine(t *testing.T, seed int64, rules int, withConstraints bool) *Engine {
 	t.Helper()
 	p := randomEngineParams(seed, rules, withConstraints)
-	e := NewEngine(p.config(workers))
+	e := NewEngine(p.config())
 	p.register(t, e)
 	return e
 }
@@ -198,152 +196,12 @@ func driveRandomHistory(t *testing.T, e *Engine, seed int64, rules, states int) 
 	}
 }
 
-// TestParallelFiringEquivalence is the determinism property: over random
-// rule sets and random histories, Workers=N produces the identical firing
-// sequence (names, bindings, timestamps, state indices, order), the same
-// step counts and the same final database as Workers=1.
-func TestParallelFiringEquivalence(t *testing.T) {
-	trials := 12
-	states := 120
-	if testing.Short() {
-		trials, states = 4, 60
-	}
-	for trial := 0; trial < trials; trial++ {
-		seed := int64(1000 + trial)
-		rules := 3 + trial%9
-		withConstraints := trial%2 == 0
-		seq := buildRandomEngine(t, seed, rules, 1, withConstraints)
-		par := buildRandomEngine(t, seed, rules, 8, withConstraints)
-		par.dealThreshold = 0 // these rule sets are far below poolMinWork
-		driveRandomHistory(t, seq, seed*31, rules, states)
-		driveRandomHistory(t, par, seed*31, rules, states)
-
-		sf, pf := seq.Firings(), par.Firings()
-		if !reflect.DeepEqual(sf, pf) {
-			t.Fatalf("trial %d: firing sequences diverge:\n  sequential (%d): %v\n  parallel   (%d): %v",
-				trial, len(sf), sf, len(pf), pf)
-		}
-		if sn, pn := seq.Now(), par.Now(); sn != pn {
-			t.Fatalf("trial %d: clocks diverge: %d vs %d", trial, sn, pn)
-		}
-		// Step counts match with constraints too: a rejected commit steps
-		// every constraint at every worker count.
-		if ss, ps := seq.EvalSteps(), par.EvalSteps(); ss != ps {
-			t.Fatalf("trial %d: eval step counts diverge: %d vs %d", trial, ss, ps)
-		}
-		if !seq.DB().Equal(par.DB()) {
-			t.Fatalf("trial %d: final databases diverge: %v vs %v", trial, seq.DB(), par.DB())
-		}
-	}
-}
-
-// TestParallelConstraintAbortOrder checks that when several constraints
-// reject the same commit, the reported violation is the first one in rule
-// registration order — not whichever worker finished first.
-func TestParallelConstraintAbortOrder(t *testing.T) {
-	for round := 0; round < 20; round++ {
-		e := NewEngine(Config{
-			Initial: map[string]value.Value{"a": value.NewInt(0)},
-			Workers: 8,
-		})
-		e.dealThreshold = 0
-		// c0 holds; c1..c7 are all violated by the same update.
-		if err := e.AddConstraint("c0", `not (item("a") < 0)`); err != nil {
-			t.Fatal(err)
-		}
-		for i := 1; i < 8; i++ {
-			if err := e.AddConstraint(fmt.Sprintf("c%d", i), `not (item("a") > 10)`); err != nil {
-				t.Fatal(err)
-			}
-		}
-		err := e.Exec(int64(round+1), map[string]value.Value{"a": value.NewInt(50)})
-		var ce *ConstraintError
-		if !errors.As(err, &ce) {
-			t.Fatalf("round %d: want constraint violation, got %v", round, err)
-		}
-		if ce.Constraint != "c1" {
-			t.Fatalf("round %d: violation attributed to %s, want c1 (first in rule order)", round, ce.Constraint)
-		}
-	}
-}
-
-// TestRejectedCommitStepsWorkerIndependent: a commit the first of six
-// constraints rejects costs the same evaluator steps at one worker and at
-// four (the sequential check used to stop at the violator and count fewer),
-// so the persisted step counter — and with it the snapshot bytes — does not
-// depend on the worker count.
-func TestRejectedCommitStepsWorkerIndependent(t *testing.T) {
-	run := func(workers int) (int64, []byte) {
-		e := NewEngine(Config{Initial: map[string]value.Value{"a": value.NewInt(0)}, Workers: workers})
-		e.dealThreshold = 0
-		for i := 0; i < 6; i++ {
-			if err := e.AddConstraint(fmt.Sprintf("c%d", i), fmt.Sprintf(`not (item("a") > %d)`, 10+i)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := e.Exec(1, map[string]value.Value{"a": value.NewInt(5)}); err != nil {
-			t.Fatal(err)
-		}
-		var ce *ConstraintError
-		if err := e.Exec(2, map[string]value.Value{"a": value.NewInt(50)}); !errors.As(err, &ce) || ce.Constraint != "c0" {
-			t.Fatalf("workers=%d: want rejection by c0, got %v", workers, err)
-		}
-		if err := e.Exec(3, map[string]value.Value{"a": value.NewInt(7)}); err != nil {
-			t.Fatal(err)
-		}
-		var snap bytes.Buffer
-		if err := e.SaveSnapshot(&snap); err != nil {
-			t.Fatal(err)
-		}
-		return e.EvalSteps(), snap.Bytes()
-	}
-	steps1, snap1 := run(1)
-	steps4, snap4 := run(4)
-	if steps1 != steps4 {
-		t.Fatalf("EvalSteps depends on Workers: %d at 1, %d at 4", steps1, steps4)
-	}
-	if !bytes.Equal(snap1, snap4) {
-		t.Fatalf("snapshot bytes depend on Workers:\n 1: %s\n 4: %s", snap1, snap4)
-	}
-}
-
-// TestParallelWorkersConfig checks the Workers plumbing: zero defaults to
-// a positive pool, explicit values are kept.
-func TestParallelWorkersConfig(t *testing.T) {
-	if w := NewEngine(Config{}).Workers(); w < 1 {
-		t.Fatalf("default worker pool is %d, want >= 1", w)
-	}
-	if w := NewEngine(Config{Workers: 3}).Workers(); w != 3 {
-		t.Fatalf("Workers = %d, want 3", w)
-	}
-}
-
-// TestConcurrentReaderStress hammers the reader accessors from several
-// goroutines while a single mutator runs emits, transactions and flushes;
-// run under -race this is the regression test for the engine's
-// concurrency model (readers may overlap one mutator).
-func TestConcurrentReaderStress(t *testing.T) {
-	e := NewEngine(Config{
-		Initial: map[string]value.Value{"a": value.NewInt(1), "b": value.NewInt(2)},
-		Workers: 4,
-	})
-	for i := 0; i < 12; i++ {
-		cond := fmt.Sprintf(condPool[i%len(condPool)], i)
-		if err := e.AddTrigger(fmt.Sprintf("r%d", i), cond, nil, WithScheduling(Scheduling(i%3))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := e.AddConstraint("cap", `not (item("a") > 1000)`); err != nil {
-		t.Fatal(err)
-	}
-
-	states := 120
-	if testing.Short() {
-		states = 40
-	}
+// startReaders calls every reader accessor from n goroutines in a loop
+// until the returned stop function is called; stop waits for them.
+func startReaders(e *Engine, n int) (stop func()) {
 	done := make(chan struct{})
 	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
+	for g := 0; g < n; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
@@ -365,6 +223,143 @@ func TestConcurrentReaderStress(t *testing.T) {
 			}
 		}(g)
 	}
+	return func() {
+		close(done)
+		wg.Wait()
+	}
+}
+
+// TestParallelFiringEquivalence: readers running beside the mutator change
+// nothing it computes. Over random rule sets and random histories, an engine
+// driven while four goroutines call the reader accessors produces the
+// identical firing sequence (names, bindings, timestamps, state indices,
+// order), the same step counts and the same final database as one driven
+// alone.
+func TestParallelFiringEquivalence(t *testing.T) {
+	trials := 12
+	states := 120
+	if testing.Short() {
+		trials, states = 4, 60
+	}
+	for trial := 0; trial < trials; trial++ {
+		seed := int64(1000 + trial)
+		rules := 3 + trial%9
+		withConstraints := trial%2 == 0
+		alone := buildRandomEngine(t, seed, rules, withConstraints)
+		read := buildRandomEngine(t, seed, rules, withConstraints)
+		driveRandomHistory(t, alone, seed*31, rules, states)
+		stop := startReaders(read, 4)
+		driveRandomHistory(t, read, seed*31, rules, states)
+		stop()
+
+		af, rf := alone.Firings(), read.Firings()
+		if !reflect.DeepEqual(af, rf) {
+			t.Fatalf("trial %d: firing sequences diverge:\n  alone (%d): %v\n  read  (%d): %v",
+				trial, len(af), af, len(rf), rf)
+		}
+		if an, rn := alone.Now(), read.Now(); an != rn {
+			t.Fatalf("trial %d: clocks diverge: %d vs %d", trial, an, rn)
+		}
+		if as, rs := alone.EvalSteps(), read.EvalSteps(); as != rs {
+			t.Fatalf("trial %d: eval step counts diverge: %d vs %d", trial, as, rs)
+		}
+		if !alone.DB().Equal(read.DB()) {
+			t.Fatalf("trial %d: final databases diverge: %v vs %v", trial, alone.DB(), read.DB())
+		}
+	}
+}
+
+// TestParallelConstraintAbortOrder checks that when several constraints
+// reject the same commit, the reported violation is the first one in rule
+// registration order.
+func TestParallelConstraintAbortOrder(t *testing.T) {
+	e := NewEngine(Config{Initial: map[string]value.Value{"a": value.NewInt(0)}})
+	// c0 holds; c1..c7 are all violated by the same update.
+	if err := e.AddConstraint("c0", `not (item("a") < 0)`); err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i < 8; i++ {
+		if err := e.AddConstraint(fmt.Sprintf("c%d", i), `not (item("a") > 10)`); err != nil {
+			t.Fatal(err)
+		}
+	}
+	err := e.Exec(1, map[string]value.Value{"a": value.NewInt(50)})
+	var ce *ConstraintError
+	if !errors.As(err, &ce) {
+		t.Fatalf("want constraint violation, got %v", err)
+	}
+	if ce.Constraint != "c1" {
+		t.Fatalf("violation attributed to %s, want c1 (first in rule order)", ce.Constraint)
+	}
+}
+
+// TestRejectedCommitChargesEveryConstraint: a rejected commit steps every
+// constraint once, the ones after the violator included, so the persisted
+// step counter does not depend on which constraint rejected. Constraint ci
+// forbids a = i: a commit of a = 0 is rejected by the first of six, a = 5 by
+// the last, and each costs 2n steps — n in the check, n on the abort state
+// the rejection appends. The check's step is rolled back with each
+// evaluator's state, so every evaluator ends one step on, at the abort
+// state; one the check never marked would roll back further.
+func TestRejectedCommitChargesEveryConstraint(t *testing.T) {
+	const n = 6
+	e := NewEngine(Config{Initial: map[string]value.Value{"a": value.NewInt(9)}})
+	for i := 0; i < n; i++ {
+		if err := e.AddConstraint(fmt.Sprintf("c%d", i), fmt.Sprintf(`not (item("a") = %d)`, i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := e.Exec(1, map[string]value.Value{"a": value.NewInt(7)}); err != nil {
+		t.Fatal(err)
+	}
+	evalSteps := func() []int {
+		var steps []int
+		for _, r := range e.constraints {
+			steps = append(steps, r.ev.(interface{ Steps() int }).Steps())
+		}
+		return steps
+	}
+	for ts, a := range []int64{0, n - 1} {
+		before, each := e.EvalSteps(), evalSteps()
+		var ce *ConstraintError
+		if err := e.Exec(int64(ts+2), map[string]value.Value{"a": value.NewInt(a)}); !errors.As(err, &ce) || ce.Constraint != fmt.Sprintf("c%d", a) {
+			t.Fatalf("a = %d: want rejection by c%d, got %v", a, a, err)
+		}
+		if got := e.EvalSteps() - before; got != 2*n {
+			t.Fatalf("a = %d: the rejected commit cost %d steps, want %d", a, got, 2*n)
+		}
+		for i, got := range evalSteps() {
+			if got-each[i] != 1 {
+				t.Fatalf("a = %d: c%d moved %d steps, want 1", a, i, got-each[i])
+			}
+		}
+	}
+}
+
+// TestConcurrentReaderStress hammers the reader accessors from several
+// goroutines while a single mutator runs emits, transactions and flushes;
+// run under -race this is the regression test for the engine's
+// concurrency model (readers may overlap one mutator).
+func TestConcurrentReaderStress(t *testing.T) {
+	e := NewEngine(Config{
+		Initial: map[string]value.Value{"a": value.NewInt(1), "b": value.NewInt(2)},
+	})
+	for i := 0; i < 12; i++ {
+		cond := fmt.Sprintf(condPool[i%len(condPool)], i)
+		if err := e.AddTrigger(fmt.Sprintf("r%d", i), cond, nil, WithScheduling(Scheduling(i%3))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := e.AddConstraint("cap", `not (item("a") > 1000)`); err != nil {
+		t.Fatal(err)
+	}
+
+	states := 120
+	if testing.Short() {
+		states = 40
+	}
+	stop := startReaders(e, 4)
+	defer stop()
 	rng := rand.New(rand.NewSource(99))
 	ts := e.Now()
 	for s := 0; s < states; s++ {
@@ -385,25 +380,23 @@ func TestConcurrentReaderStress(t *testing.T) {
 			}
 		}
 	}
-	close(done)
-	wg.Wait()
 }
 
 // TestParallelPanicIsolationEquivalence composes the sandbox with the
-// determinism property: a rule whose action alternately panics and errors
-// (and is eventually quarantined) rides along with the random rule set,
-// constraints included. The faulting rule must not perturb anything —
-// Workers=4 stays byte-identical to Workers=1, and with the chaos rule's
-// own firings filtered out, the run is byte-identical to an engine that
-// never had the rule — while both engines quarantine and revive it at the
-// same point.
+// concurrency model: a rule whose action alternately panics and errors (and
+// is eventually quarantined) rides along with the random rule set,
+// constraints included, while readers call the accessors beside the
+// mutator. The faulting rule must not perturb anything — with the chaos
+// rule's own firings filtered out, the run is byte-identical to an engine
+// that never had the rule — and the breaker trips and revives at the
+// expected point.
 func TestParallelPanicIsolationEquivalence(t *testing.T) {
 	const seed, rules, states = 4242, 4, 40
 	p := randomEngineParams(seed, rules, true)
 	ops := randomOps(seed*31, rules, states, 0)
 
 	// Baseline: the same random run without the chaos rule.
-	base := NewEngine(p.config(1))
+	base := NewEngine(p.config())
 	p.register(t, base)
 	var baseAborts []string
 	for _, op := range ops {
@@ -412,97 +405,71 @@ func TestParallelPanicIsolationEquivalence(t *testing.T) {
 		}
 	}
 
-	type run struct {
-		e      *Engine
-		calls  int
-		aborts []string
-	}
-	mkRun := func(workers int) *run {
-		r := &run{}
-		cfg := p.config(workers)
-		cfg.MaxRuleFailures = 3
-		r.e = NewEngine(cfg)
-		r.e.dealThreshold = 0
-		p.register(t, r.e)
-		// Registered after the random set, so the existing rules keep their
-		// registration order. Gated on ev0, which the op mix emits routinely.
-		if err := r.e.AddTrigger("chaos", `@ev0`, func(ctx *ActionContext) error {
-			r.calls++
-			if r.calls%2 == 1 {
-				panic(fmt.Sprintf("chaos %d", r.calls))
-			}
-			return fmt.Errorf("chaos %d", r.calls)
-		}); err != nil {
-			t.Fatal(err)
+	cfg := p.config()
+	cfg.MaxRuleFailures = 3
+	e := NewEngine(cfg)
+	p.register(t, e)
+	// Registered after the random set, so the existing rules keep their
+	// registration order. Gated on ev0, which the op mix emits routinely.
+	calls := 0
+	if err := e.AddTrigger("chaos", `@ev0`, func(ctx *ActionContext) error {
+		calls++
+		if calls%2 == 1 {
+			panic(fmt.Sprintf("chaos %d", calls))
 		}
-		for _, op := range ops {
-			if name := applyOp(t, r.e, op); name != "" {
-				r.aborts = append(r.aborts, name)
-			}
+		return fmt.Errorf("chaos %d", calls)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	var aborts []string
+	stop := startReaders(e, 4)
+	for _, op := range ops {
+		if name := applyOp(t, e, op); name != "" {
+			aborts = append(aborts, name)
 		}
-		return r
 	}
-	seq, par := mkRun(1), mkRun(4)
-
-	// Worker-count equivalence of the full faulting run.
-	if !firingsEqual(seq.e.Firings(), par.e.Firings()) {
-		t.Fatalf("firings diverge between worker counts:\n seq %v\n par %v", seq.e.Firings(), par.e.Firings())
-	}
-	// EvalSteps is not compared: with constraints, the sequential abort
-	// path short-circuits where the parallel path evaluates all
-	// constraints (the documented divergence — see DESIGN.md).
-	if seq.e.Now() != par.e.Now() || !seq.e.DB().Equal(par.e.DB()) {
-		t.Fatal("engine state diverges between worker counts")
-	}
-	if !reflect.DeepEqual(seq.aborts, par.aborts) {
-		t.Fatalf("abort sequences diverge: %v vs %v", seq.aborts, par.aborts)
-	}
-	if seq.calls != par.calls {
-		t.Fatalf("chaos action invoked %d times sequentially, %d in parallel", seq.calls, par.calls)
-	}
-	if seq.calls == 0 {
+	stop()
+	if calls == 0 {
 		t.Fatal("chaos rule never fired; the property was not exercised")
 	}
 
-	for _, r := range []*run{seq, par} {
-		// Isolation: dropping the chaos firings reproduces the baseline.
-		var others []Firing
-		for _, f := range r.e.Firings() {
-			if f.Rule != "chaos" {
-				others = append(others, f)
-			}
+	// Isolation: dropping the chaos firings reproduces the baseline.
+	var others []Firing
+	for _, f := range e.Firings() {
+		if f.Rule != "chaos" {
+			others = append(others, f)
 		}
-		if !firingsEqual(others, base.Firings()) {
-			t.Fatalf("chaos rule perturbed other rules' firings:\n got %v\nwant %v", others, base.Firings())
-		}
-		if !r.e.DB().Equal(base.DB()) || r.e.Now() != base.Now() {
-			t.Fatal("chaos rule perturbed the database or clock")
-		}
-		if !reflect.DeepEqual(r.aborts, baseAborts) {
-			t.Fatalf("chaos rule perturbed constraint aborts: %v vs %v", r.aborts, baseAborts)
-		}
+	}
+	if !firingsEqual(others, base.Firings()) {
+		t.Fatalf("chaos rule perturbed other rules' firings:\n got %v\nwant %v", others, base.Firings())
+	}
+	if !e.DB().Equal(base.DB()) || e.Now() != base.Now() {
+		t.Fatal("chaos rule perturbed the database or clock")
+	}
+	if !reflect.DeepEqual(aborts, baseAborts) {
+		t.Fatalf("chaos rule perturbed constraint aborts: %v vs %v", aborts, baseAborts)
+	}
 
-		// Both engines trip the breaker at the same point and can revive.
-		h, ok := r.e.RuleHealth("chaos")
-		if !ok || !h.Quarantined {
-			t.Fatalf("chaos not quarantined: %+v", h)
-		}
-		if h.TotalFailures != 3 {
-			t.Fatalf("chaos failed %d times, want exactly MaxRuleFailures=3 then suppression", h.TotalFailures)
-		}
-		// Failure 3 (odd) was a panic, so the recorded cause is the sandbox's.
-		if !errors.Is(h.LastError, ErrActionPanic) {
-			t.Fatalf("LastError = %v, want the recovered panic", h.LastError)
-		}
-		before := r.calls
-		if err := r.e.ReviveRule("chaos"); err != nil {
-			t.Fatal(err)
-		}
-		if err := r.e.Emit(r.e.Now()+1, event.New("ev0")); err != nil {
-			t.Fatalf("Emit after revive: %v", err)
-		}
-		if r.calls != before+1 {
-			t.Fatalf("revived action invoked %d times, want %d", r.calls, before+1)
-		}
+	// The breaker trips after MaxRuleFailures and can be revived.
+	h, ok := e.RuleHealth("chaos")
+	if !ok || !h.Quarantined {
+		t.Fatalf("chaos not quarantined: %+v", h)
+	}
+	if h.TotalFailures != 3 {
+		t.Fatalf("chaos failed %d times, want exactly MaxRuleFailures=3 then suppression", h.TotalFailures)
+	}
+	// Failure 3 (odd) was a panic, so the recorded cause is the sandbox's.
+	if !errors.Is(h.LastError, ErrActionPanic) {
+		t.Fatalf("LastError = %v, want the recovered panic", h.LastError)
+	}
+	before := calls
+	if err := e.ReviveRule("chaos"); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Emit(e.Now()+1, event.New("ev0")); err != nil {
+		t.Fatalf("Emit after revive: %v", err)
+	}
+	if calls != before+1 {
+		t.Fatalf("revived action invoked %d times, want %d", calls, before+1)
 	}
 }

@@ -45,8 +45,8 @@ func parkAction(ctx *ActionContext) error {
 	return ctx.Exec(map[string]value.Value{"c": value.NewInt(ctx.FiredAt % 7)})
 }
 
-func (tr parkTrace) config(workers int) Config {
-	cfg := tr.p.config(workers)
+func (tr parkTrace) config() Config {
+	cfg := tr.p.config()
 	cfg.Initial["c"] = value.NewInt(0)
 	cfg.Initial["d"] = value.NewInt(0)
 	cfg.Actions = map[string]Action{"act": parkAction}
@@ -138,9 +138,9 @@ func (tr parkTrace) run(t *testing.T, e *Engine, reopen func(e *Engine, i int) *
 // few operations before the midpoint, then at the midpoint a SaveSnapshot,
 // Close and Restore (snapshot plus a WAL tail), and a SaveSnapshot at the
 // end. It returns the final engine and the two snapshot encodings.
-func (tr parkTrace) runDurable(t *testing.T, workers int, dir string) (e *Engine, mid, end []byte) {
+func (tr parkTrace) runDurable(t *testing.T, dir string) (e *Engine, mid, end []byte) {
 	t.Helper()
-	cfg := tr.config(workers)
+	cfg := tr.config()
 	cfg.Durability = DurabilityWAL
 	cfg.NoFsync = true
 	e, err := Restore(cfg, dir)
@@ -184,7 +184,7 @@ func parkFixture() parkTrace { return newParkTrace(7100, 9, 90, true, false) }
 const parkFixtureDir = "testdata/park_trace"
 
 // TestParkTraceFixture checks the durable twin of the fixture trace against
-// testdata/park_trace/{mid,end}.snap at one worker and at four. The files
+// testdata/park_trace/{mid,end}.snap. The files
 // were first written by the parent commit of the wake-list sweep running
 // this same file (ADB_WRITE_PARK_FIXTURE=1 go test -run TestParkTraceFixture)
 // and rewritten twice since: when constraints stopped stepping an accepted
@@ -198,51 +198,49 @@ const parkFixtureDir = "testdata/park_trace"
 // they are, must re-encode to the same bytes.
 func TestParkTraceFixture(t *testing.T) {
 	tr := parkFixture()
-	for _, workers := range []int{1, 4} {
-		e, mid, end := tr.runDurable(t, workers, t.TempDir())
-		if err := e.Close(); err != nil {
+	e, mid, end := tr.runDurable(t, t.TempDir())
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for name, got := range map[string][]byte{"mid.snap": mid, "end.snap": end} {
+		path := filepath.Join(parkFixtureDir, name)
+		if os.Getenv("ADB_WRITE_PARK_FIXTURE") != "" {
+			if err := os.MkdirAll(parkFixtureDir, 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, got, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		old, err := os.ReadFile(path)
+		if err != nil {
 			t.Fatal(err)
 		}
-		for name, got := range map[string][]byte{"mid.snap": mid, "end.snap": end} {
-			path := filepath.Join(parkFixtureDir, name)
-			if os.Getenv("ADB_WRITE_PARK_FIXTURE") != "" && workers == 1 {
-				if err := os.MkdirAll(parkFixtureDir, 0o755); err != nil {
-					t.Fatal(err)
-				}
-				if err := os.WriteFile(path, got, 0o644); err != nil {
-					t.Fatal(err)
-				}
-				continue
-			}
-			old, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := withoutTracked(t, old)
-			if !bytes.Equal(got, want) {
-				t.Fatalf("workers=%d: %s: snapshot bytes differ from the parent's encoding (%d vs %d bytes)%s",
-					workers, name, len(got), len(want), firstDiff(got, want))
-			}
-			snap, err := persist.DecodeSnapshot(bytes.NewReader(old))
-			if err != nil {
-				t.Fatal(err)
-			}
-			restored, err := engineFromSnapshot(tr.config(workers), snap)
-			if err != nil {
-				t.Fatalf("%s: restore: %v", name, err)
-			}
-			again, err := restored.buildSnapshot()
-			if err != nil {
-				t.Fatal(err)
-			}
-			again.LSN = snap.LSN // a restored engine without a store has none
-			var buf bytes.Buffer
-			if err := persist.EncodeSnapshot(&buf, again); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(buf.Bytes(), want) {
-				t.Fatalf("workers=%d: %s restored and re-encoded differs%s", workers, name, firstDiff(buf.Bytes(), want))
-			}
+		want := withoutTracked(t, old)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s: snapshot bytes differ from the parent's encoding (%d vs %d bytes)%s",
+				name, len(got), len(want), firstDiff(got, want))
+		}
+		snap, err := persist.DecodeSnapshot(bytes.NewReader(old))
+		if err != nil {
+			t.Fatal(err)
+		}
+		restored, err := engineFromSnapshot(tr.config(), snap)
+		if err != nil {
+			t.Fatalf("%s: restore: %v", name, err)
+		}
+		again, err := restored.buildSnapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		again.LSN = snap.LSN // a restored engine without a store has none
+		var buf bytes.Buffer
+		if err := persist.EncodeSnapshot(&buf, again); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf.Bytes(), want) {
+			t.Fatalf("%s restored and re-encoded differs%s", name, firstDiff(buf.Bytes(), want))
 		}
 	}
 }

@@ -19,7 +19,8 @@ func fireOnce(t *testing.T, e *Engine, ts int64) {
 
 // TestActionPanicIsolated is the sandbox property: a panicking action is
 // recovered into a typed per-rule fault, the sweep completes, and the
-// other rules' actions run exactly as if the bad rule were absent.
+// other rules' actions run exactly as if the bad rule were absent. Both
+// settings of the ignored Config.Workers must behave alike.
 func TestActionPanicIsolated(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
@@ -77,7 +78,8 @@ func TestActionPanicIsolated(t *testing.T) {
 
 // TestQuarantineAndRevive is the circuit breaker: MaxRuleFailures
 // consecutive action failures quarantine the rule (condition maintained,
-// firings recorded, action suppressed), and ReviveRule re-arms it.
+// firings recorded, action suppressed), and ReviveRule re-arms it, at
+// either setting of the ignored Config.Workers.
 func TestQuarantineAndRevive(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {

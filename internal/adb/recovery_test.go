@@ -47,7 +47,6 @@ func TestCrashRecoveryEquivalence(t *testing.T) {
 	for trial := 0; trial < trials; trial++ {
 		seed := int64(7000 + trial)
 		rules := 3 + trial%5
-		workers := 1 + 3*(trial%2) // alternate sequential and parallel
 		mode := DurabilityWAL
 		if trial%2 == 1 {
 			mode = DurabilitySnapshot
@@ -55,7 +54,7 @@ func TestCrashRecoveryEquivalence(t *testing.T) {
 		p := randomEngineParams(seed, rules, true)
 		ops := randomOps(seed*31, rules, states, 0)
 
-		ref := NewEngine(p.config(workers))
+		ref := NewEngine(p.config())
 		p.register(t, ref)
 		var refAborts []string
 		for _, op := range ops {
@@ -66,7 +65,7 @@ func TestCrashRecoveryEquivalence(t *testing.T) {
 
 		for k := 0; k <= len(ops); k++ {
 			dir := t.TempDir()
-			cfg := p.config(workers)
+			cfg := p.config()
 			cfg.Durability = mode
 			cfg.SnapshotEvery = 5
 			cfg.NoFsync = true

@@ -24,14 +24,14 @@ func TestAbandonedEngineRecoversAcknowledged(t *testing.T) {
 	p := randomEngineParams(seed, rules, true)
 	ops := randomOps(seed*31, rules, states, 0)
 
-	ref := NewEngine(p.config(1))
+	ref := NewEngine(p.config())
 	p.register(t, ref)
 	for _, op := range ops {
 		applyOp(t, ref, op)
 	}
 
 	dir := t.TempDir()
-	cfg := p.config(1)
+	cfg := p.config()
 	cfg.Durability = DurabilityWAL
 	cfg.NoFsync = true
 	e1, err := Restore(cfg, dir)
@@ -321,5 +321,53 @@ func TestInitRecordWithBudgetRefused(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestRestoredStateHintsNothing: a restored state carries no dirty set, so
+// a catch-up step over it takes no dbUnchanged hint. The pending Manual rule
+// reads a = 8 (Int, 8 / 3 = 2) and then a = 8.0 (Float, 2.67), two values
+// that compare equal; across a checkpoint and a restart it must still fire
+// at the Float state, as the engine that never restarted does.
+func TestRestoredStateHintsNothing(t *testing.T) {
+	cfg := Config{Initial: map[string]value.Value{"a": value.NewInt(0)}, Durability: DurabilityWAL, NoFsync: true}
+	run := func(restart bool) []Firing {
+		dir := t.TempDir()
+		e, err := Restore(cfg, dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := e.AddTrigger("third", `item("a") / 3 > 2.5`, nil, WithScheduling(Manual)); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Exec(1, map[string]value.Value{"a": value.NewInt(8)}); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Exec(2, map[string]value.Value{"a": value.NewFloat(8)}); err != nil {
+			t.Fatal(err)
+		}
+		if restart {
+			if err := e.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			if err := e.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if e, err = Restore(cfg, dir); err != nil {
+				t.Fatal(err)
+			}
+		}
+		defer e.Close()
+		if err := e.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		return e.Firings()
+	}
+	want := run(false)
+	if len(want) != 1 || want[0].Time != 2 {
+		t.Fatalf("the engine that never restarted fired %v, want once at 2", want)
+	}
+	if got := run(true); !firingsEqual(got, want) {
+		t.Fatalf("after Restore: fired %v, want %v", got, want)
 	}
 }

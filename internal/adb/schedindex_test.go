@@ -9,7 +9,7 @@ import (
 	"ptlactive/internal/value"
 )
 
-// indexCondPool extends the parallel-test condition mix with event-free
+// indexCondPool extends parallel_test.go's condition mix with event-free
 // database readers — the shapes the read-set index actually refines
 // (quiescent memo replay) — alongside gated and exact ones.
 var indexCondPool = []string{
@@ -79,10 +79,10 @@ func pendingStates(t *testing.T, e *Engine) map[string]int {
 // TestIndexedSweepEquivalence is the scheduling-index determinism
 // property: over random rule sets and histories, the read-set indexed
 // engine produces the identical firing sequence, final database, clock,
-// cursors and execution log as the coarse Section-8 filter, at one worker
-// and at four. EvalSteps is intentionally NOT compared between the two
-// filters — skipping evaluations is the point of the index — but it is
-// between the indexed engine's worker counts.
+// cursors and execution log as the coarse Section-8 filter. EvalSteps is
+// intentionally NOT compared between the two filters — skipping evaluations
+// is the point of the index — but it is between the indexed engine and its
+// durable twin.
 //
 // The histories are parkTraces (see parktrace_test.go), so they cross every
 // way a rule enters or leaves the parked set — mid-trace registration,
@@ -102,48 +102,34 @@ func TestIndexedSweepEquivalence(t *testing.T) {
 		rules := 4 + trial%8
 		withConstraints := trial%2 == 0
 		tr := newParkTrace(seed, rules, states, withConstraints, trial%2 == 1)
-		mk := func(workers int, noIndex bool) *Engine {
-			e := newEngine(tr.config(workers), noIndex)
-			if workers > 1 {
-				e.dealThreshold = 0
-			}
-			return tr.run(t, e, nil)
+		ref := tr.run(t, newEngine(tr.config(), true), nil)
+		idx := tr.run(t, newEngine(tr.config(), false), nil)
+		if sf, pf := ref.Firings(), idx.Firings(); !reflect.DeepEqual(sf, pf) {
+			t.Fatalf("trial %d: firings diverge:\n coarse (%d): %v\n indexed (%d): %v",
+				trial, len(sf), sf, len(pf), pf)
 		}
-		ref := mk(1, true)
-		var steps int64
-		for _, workers := range []int{1, 4} {
-			idx := mk(workers, false)
-			if sf, pf := ref.Firings(), idx.Firings(); !reflect.DeepEqual(sf, pf) {
-				t.Fatalf("trial %d workers=%d: firings diverge:\n coarse (%d): %v\n indexed (%d): %v",
-					trial, workers, len(sf), sf, len(pf), pf)
-			}
-			if ref.Now() != idx.Now() {
-				t.Fatalf("trial %d workers=%d: clocks diverge", trial, workers)
-			}
-			if !ref.DB().Equal(idx.DB()) {
-				t.Fatalf("trial %d workers=%d: databases diverge", trial, workers)
-			}
-			if rc, ic := ruleCursors(ref), ruleCursors(idx); !reflect.DeepEqual(rc, ic) {
-				t.Fatalf("trial %d workers=%d: cursors diverge: %v vs %v", trial, workers, rc, ic)
-			}
-			if rp, ip := pendingStates(t, ref), pendingStates(t, idx); !reflect.DeepEqual(rp, ip) {
-				t.Fatalf("trial %d workers=%d: pending states diverge: %v vs %v", trial, workers, rp, ip)
-			}
-			for _, name := range ref.RuleNames() {
-				if re, ie := ref.Executions(name, ref.Now()+1), idx.Executions(name, idx.Now()+1); !reflect.DeepEqual(re, ie) {
-					t.Fatalf("trial %d workers=%d: executions diverge for %s", trial, workers, name)
-				}
-			}
-			if workers == 1 {
-				steps = idx.EvalSteps()
-			} else if got := idx.EvalSteps(); got != steps {
-				t.Fatalf("trial %d: indexed eval steps depend on workers: %d at 1, %d at %d", trial, steps, got, workers)
+		if ref.Now() != idx.Now() {
+			t.Fatalf("trial %d: clocks diverge", trial)
+		}
+		if !ref.DB().Equal(idx.DB()) {
+			t.Fatalf("trial %d: databases diverge", trial)
+		}
+		if rc, ic := ruleCursors(ref), ruleCursors(idx); !reflect.DeepEqual(rc, ic) {
+			t.Fatalf("trial %d: cursors diverge: %v vs %v", trial, rc, ic)
+		}
+		if rp, ip := pendingStates(t, ref), pendingStates(t, idx); !reflect.DeepEqual(rp, ip) {
+			t.Fatalf("trial %d: pending states diverge: %v vs %v", trial, rp, ip)
+		}
+		for _, name := range ref.RuleNames() {
+			if re, ie := ref.Executions(name, ref.Now()+1), idx.Executions(name, idx.Now()+1); !reflect.DeepEqual(re, ie) {
+				t.Fatalf("trial %d: executions diverge for %s", trial, name)
 			}
 		}
+		steps := idx.EvalSteps()
 		if tr.observer {
 			continue // an observer's commit would be logged and replayed twice
 		}
-		dur, _, _ := tr.runDurable(t, 4, t.TempDir())
+		dur, _, _ := tr.runDurable(t, t.TempDir())
 		if !firingsEqual(ref.Firings(), dur.Firings()) {
 			t.Fatalf("trial %d: restored durable twin's firings diverge (%d vs %d)", trial, len(ref.Firings()), len(dur.Firings()))
 		}

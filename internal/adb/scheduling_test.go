@@ -24,8 +24,8 @@ func firingSet(fs []Firing) map[string]int {
 
 // TestSchedulingEquivalenceTemporal: for temporal rules, Eager, Relevant
 // and Manual+Flush recognize exactly the same firing set — delayed, never
-// lost (Section 8's guarantee). The Manual backlog is flushed at one
-// worker and at four, and both match the eager run.
+// lost (Section 8's guarantee): the flushed Manual backlog matches the
+// eager run.
 func TestSchedulingEquivalenceTemporal(t *testing.T) {
 	conds := []string{
 		`@e0 since @e1(1)`,
@@ -35,16 +35,13 @@ func TestSchedulingEquivalenceTemporal(t *testing.T) {
 	for seed := 0; seed < 30; seed++ {
 		rng := rand.New(rand.NewSource(int64(4000 + seed)))
 		h := ptlgen.History(rng, 40)
-		results := make([]map[string]int, 0, 4)
-		for _, run := range []struct {
-			sched   Scheduling
-			workers int
-		}{{Eager, 0}, {Relevant, 0}, {Manual, 1}, {Manual, 4}} {
+		results := make([]map[string]int, 0, 3)
+		for _, sched := range []Scheduling{Eager, Relevant, Manual} {
 			e := NewEngine(Config{Initial: map[string]value.Value{
 				"a": value.NewInt(5), "b": value.NewInt(0), "c": value.NewInt(0),
-			}, Workers: run.workers})
+			}})
 			for i, c := range conds {
-				if err := e.AddTrigger(fmt.Sprintf("r%d", i), c, nil, WithScheduling(run.sched)); err != nil {
+				if err := e.AddTrigger(fmt.Sprintf("r%d", i), c, nil, WithScheduling(sched)); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -186,8 +183,8 @@ func TestCompactWithLaggingRule(t *testing.T) {
 // TestFastPathMatchesGeneralInEngine: the engine's automatic fast-path
 // selection for decomposable rules never changes observable behavior.
 func TestFastPathMatchesGeneralInEngine(t *testing.T) {
-	run := func(general bool, workers int) []Firing {
-		e := NewEngine(Config{Initial: map[string]value.Value{"a": value.NewInt(0)}, Workers: workers})
+	run := func(general bool) []Firing {
+		e := NewEngine(Config{Initial: map[string]value.Value{"a": value.NewInt(0)}})
 		conds := []string{
 			`@e0 since @e1(1)`,
 			`previously <= 4 (item("a") > 6)`,
@@ -248,7 +245,7 @@ func TestFastPathMatchesGeneralInEngine(t *testing.T) {
 		}
 		return e.Firings()
 	}
-	want := run(true, 1)
+	want := run(true)
 	if len(want) == 0 {
 		t.Fatal("no firings")
 	}
@@ -259,9 +256,7 @@ func TestFastPathMatchesGeneralInEngine(t *testing.T) {
 	if len(fired) != 8 {
 		t.Fatalf("only %v fired", fired)
 	}
-	for _, workers := range []int{1, 4} {
-		if got := run(false, workers); !reflect.DeepEqual(got, want) {
-			t.Fatalf("workers %d: fast path diverged from the general evaluator:\n got %v\nwant %v", workers, got, want)
-		}
+	if got := run(false); !reflect.DeepEqual(got, want) {
+		t.Fatalf("fast path diverged from the general evaluator:\n got %v\nwant %v", got, want)
 	}
 }

@@ -127,25 +127,13 @@ func engineFromSnapshot(cfg Config, snap *persist.EngineSnapshot) (*Engine, erro
 		return nil, fmt.Errorf("adb: snapshot clock %d does not match last state %d", snap.Now, last.TS)
 	}
 	e.hist = h
-	// The snapshot does not carry per-state dirty sets, but they are
-	// reconstructible: diff each restored state against its predecessor.
-	// (States decoded from one snapshot share no structure, so each pair
-	// costs a sorted merge — paid once, at recovery.) Item-level read-set
-	// refinement and the dbUnchanged evaluator hint then apply to the
-	// restored window exactly as before the restart; the diff is by value,
-	// which is sound for both refinements — they only require that the
-	// items a rule reads carry the same values, not that no write touched
-	// them. The window's first state keeps an unknown dirty set: its
-	// predecessor is outside the snapshot.
+	// The snapshot does not carry per-state dirty sets, so every restored
+	// state gets an unknown one: a catch-up step over the restored window
+	// runs without the dbUnchanged hint, which costs query evaluations and
+	// never changes a result. (A rebuild by value would be wrong: Int 8 and
+	// Float 8 compare equal, so a hint could keep a cached value of the
+	// wrong kind.)
 	e.dirty = make([]dirtySet, h.Len())
-	for i := 1; i < h.Len(); i++ {
-		d := dirtySet{known: true}
-		h.At(i).DB.Diff(h.At(i-1).DB, func(name string) bool {
-			d.items = append(d.items, name)
-			return true
-		})
-		e.dirty[i] = d
-	}
 	e.db = last.DB
 	e.now = snap.Now
 	e.base = snap.Base

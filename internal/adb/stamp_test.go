@@ -1,14 +1,12 @@
 package adb
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"maps"
 	"slices"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"ptlactive/internal/event"
 	"ptlactive/internal/history"
@@ -166,87 +164,18 @@ func TestStampedHintQueryEvals(t *testing.T) {
 	}
 }
 
-// TestDealChoosesByMeasuredWork: deal wakes helpers only for batches whose
-// measured work reaches poolMinWork. Eight cheap fast-path rules never start
-// one at Workers: 4; eight rules whose query spins ≈ 50 µs per call (≈ 400 µs
-// a sweep) do once the cost average has seen a few sweeps. Either way the
-// firings are those of Workers: 1.
-func TestDealChoosesByMeasuredWork(t *testing.T) {
-	reg := query.NewRegistry()
-	if err := reg.Register("spin", 1, func(_ history.SystemState, args []value.Value) (value.Value, error) {
-		for start := time.Now(); time.Since(start) < 50*time.Microsecond; {
-		}
-		return args[0], nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	const commits = 24
-	run := func(cond string, workers int) *Engine {
-		e := NewEngine(Config{Registry: reg, Initial: map[string]value.Value{"a": value.NewInt(0)}, Workers: workers})
-		for i := 0; i < 8; i++ {
-			if err := e.AddTrigger(fmt.Sprintf("r%d", i), fmt.Sprintf(cond, 3*i), nil); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for ts := int64(1); ts <= commits; ts++ {
-			if err := e.Exec(ts, map[string]value.Value{"a": value.NewInt(ts)}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return e
-	}
-	for _, c := range []struct {
-		name, cond string
-		pooled     bool
-	}{
-		{"cheap", `item("a") > %d`, false},
-		{"spinning", `spin(%d) < item("a")`, true},
-	} {
-		seq, par := run(c.cond, 1), run(c.cond, 4)
-		if len(seq.Firings()) == 0 || !firingsEqual(seq.Firings(), par.Firings()) {
-			t.Fatalf("%s: firings at Workers: 4 differ from Workers: 1 (%d vs %d)", c.name, len(par.Firings()), len(seq.Firings()))
-		}
-		if seq.pooledDeals != 0 {
-			t.Fatalf("%s: Workers: 1 started helpers in %d deals", c.name, seq.pooledDeals)
-		}
-		if c.pooled && par.pooledDeals < commits/2 {
-			t.Fatalf("%s: only %d of %d sweeps started helpers", c.name, par.pooledDeals, commits)
-		}
-		if !c.pooled && par.pooledDeals != 0 {
-			t.Fatalf("%s: %d sweeps started helpers (job cost %.0f ns)", c.name, par.pooledDeals, par.sweepCost)
-		}
-	}
-}
-
-// TestDealRuns: deal hands out runs of indices, and every index runs exactly
-// once whatever the run length comes to.
-func TestDealRuns(t *testing.T) {
-	for _, n := range []int{0, 1, 2, 7, 63, 64, 65, 2000} {
-		for _, workers := range []int{1, 2, 3, 4, 8} {
-			e := &Engine{workers: workers}
-			ran := make([]atomic.Int32, n)
-			var cost jobCost
-			e.deal(&cost, n, func(i int) { ran[i].Add(1) })
-			for i := range ran {
-				if got := ran[i].Load(); got != 1 {
-					t.Fatalf("n=%d workers=%d: job %d ran %d times", n, workers, i, got)
-				}
-			}
-		}
-	}
-}
-
-// TestDealPanicReachesCaller: a panicking query function is user code; what
-// it does to the committing goroutine may not depend on the worker count. On
-// a pool goroutine it used to kill the process; from there it arrives as a
-// *WorkerPanic carrying the same value and the stack of the query function.
+// TestDealPanicReachesCaller: a panicking query function is user code; its
+// panic unwinds through ExecTxn to the caller with its own value, whatever
+// the ignored Config.Workers says. (The name is that of the worker pool's
+// deal, which once carried such panics across goroutines.) The commit is
+// already in the database and no firing was merged.
 func TestDealPanicReachesCaller(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			var armed atomic.Bool
+			armed := false
 			reg := query.NewRegistry()
 			if err := reg.Register("fragile", 1, func(_ history.SystemState, args []value.Value) (value.Value, error) {
-				if armed.Load() && args[0].AsInt() == 5 {
+				if armed && args[0].AsInt() == 5 {
 					panic("fragile(5)")
 				}
 				return value.NewInt(0), nil
@@ -254,7 +183,6 @@ func TestDealPanicReachesCaller(t *testing.T) {
 				t.Fatal(err)
 			}
 			e := NewEngine(Config{Registry: reg, Initial: map[string]value.Value{"a": value.NewInt(0)}, Workers: workers})
-			e.dealThreshold = 0
 			for i := 0; i < 16; i++ {
 				if err := e.AddTrigger(fmt.Sprintf("r%02d", i), fmt.Sprintf(`fragile(%d) > item("a")`, i), nil); err != nil {
 					t.Fatal(err)
@@ -263,20 +191,12 @@ func TestDealPanicReachesCaller(t *testing.T) {
 			if err := e.Exec(1, map[string]value.Value{"a": value.NewInt(1)}); err != nil {
 				t.Fatal(err)
 			}
-			armed.Store(true)
+			armed = true
 			var got any
 			func() {
 				defer func() { got = recover() }()
 				_ = e.ExecTxn(2, map[string]value.Value{"a": value.NewInt(2)}, nil)
 			}()
-			if wp, pooled := got.(*WorkerPanic); pooled {
-				if workers == 1 || !bytes.Contains(wp.Stack, []byte("stamp_test.go")) {
-					t.Fatalf("workers=%d: recovered a WorkerPanic with stack:\n%s", workers, wp.Stack)
-				}
-				got = wp.Value
-			} else if workers > 1 {
-				t.Fatalf("ExecTxn recovered %#v from a pool goroutine, want a *WorkerPanic", got)
-			}
 			if got != "fragile(5)" {
 				t.Fatalf("ExecTxn recovered %v, want the query's panic", got)
 			}
@@ -306,7 +226,7 @@ func TestItemIndexListsMarkConsumers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := NewEngine(Config{Registry: reg, Workers: 1, Initial: map[string]value.Value{
+	e := NewEngine(Config{Registry: reg, Initial: map[string]value.Value{
 		"hot": value.NewInt(0), "free": value.NewInt(0), "quiet": value.NewInt(0)}})
 	add := func(name, cond string, sched Scheduling) {
 		t.Helper()

@@ -2,12 +2,7 @@ package adb
 
 import (
 	"fmt"
-	"runtime"
-	"runtime/debug"
 	"slices"
-	"sync"
-	"sync/atomic"
-	"time"
 
 	"ptlactive/internal/core"
 	"ptlactive/internal/event"
@@ -39,8 +34,7 @@ type dirtySet struct {
 // Flush processes every pending state for every rule (the batched
 // temporal-component invocation) and executes resulting actions. This is
 // the paper's "temporal component invocation ... executed for multiple
-// events at the same time"; with Workers > 1 the batched catch-up is
-// sharded across the worker pool.
+// events at the same time".
 func (e *Engine) Flush() error {
 	if err := e.Degraded(); err != nil {
 		return err
@@ -51,7 +45,7 @@ func (e *Engine) Flush() error {
 		return err
 	}
 	e.cascade = 0
-	// The workers read cursor fields; the next commit re-parks.
+	// advanceRule reads the cursor fields; the next commit re-parks.
 	e.mu.Lock()
 	e.unparkAll()
 	e.mu.Unlock()
@@ -101,9 +95,7 @@ type sweepJob struct {
 type sweepScratch struct {
 	jobs     []sweepJob
 	unsorted bool // jobs were added out of registration order
-	evalIdx  []int
 	outs     []advanceOutcome
-	verdicts []verdict
 }
 
 // add appends a job, noting whether the list is still in registration order.
@@ -112,14 +104,6 @@ func (s *sweepScratch) add(r *rule, replay bool) {
 		s.unsorted = true
 	}
 	s.jobs = append(s.jobs, sweepJob{r: r, replay: replay})
-}
-
-// sized returns s at length n, reallocating only to grow.
-func sized[T any](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, n)
-	}
-	return s[:n]
 }
 
 func (e *Engine) takeScratch() *sweepScratch {
@@ -133,9 +117,8 @@ func (e *Engine) takeScratch() *sweepScratch {
 
 func (e *Engine) putScratch(s *sweepScratch) {
 	clear(s.outs)
-	clear(s.verdicts)
 	s.jobs, s.unsorted = s.jobs[:0], false
-	s.outs, s.verdicts = s.outs[:0], s.verdicts[:0]
+	s.outs = s.outs[:0]
 	e.scratch = s
 }
 
@@ -370,8 +353,8 @@ func (e *Engine) replayOutcome(r *rule, end int) advanceOutcome {
 }
 
 // advanceOutcome is the result of advancing one rule's evaluator through
-// pending history states: it is produced by a worker without touching
-// shared engine state and merged back on the engine goroutine.
+// pending history states: it is produced without touching shared engine
+// state and merged back afterwards.
 type advanceOutcome struct {
 	firings []Firing
 	steps   int64
@@ -387,10 +370,10 @@ type advanceOutcome struct {
 
 // advanceRule advances r's evaluator through pending states up to (but
 // not including) history index end, collecting firings locally. Each rule
-// owns its evaluator, so advances of distinct rules are independent and
-// may run concurrently; the shared layers they read — history, database
-// snapshots, the query registry, the execution log — are read-only for
-// the duration of an evaluation phase.
+// owns its evaluator, so advances of distinct rules are independent; the
+// shared layers they read — history, database snapshots, the query
+// registry, the execution log — are read-only for the duration of an
+// evaluation phase.
 //
 // Non-temporal conditions keep no state between system states, so under
 // Relevant scheduling the skipped (irrelevant) states are disregarded
@@ -464,18 +447,14 @@ func (e *Engine) untouched(r *rule, i int, d dirtySet) bool {
 	return true
 }
 
-// advanceRules advances the given rules to history index end — the
-// parallel temporal component. Rules are dealt to at most Workers
-// goroutines; outcomes are merged strictly in the order rules appear in
-// the slice (registration order at every call site), so the firing
-// sequence, callbacks and step counts are byte-identical to sequential
-// evaluation regardless of worker count.
+// advanceRules advances the given rules to history index end. Outcomes are
+// merged strictly in the order rules appear in the slice (registration
+// order at every call site).
 //
-// Errors also surface first-by-rule-order, and a failed invocation still
-// advances every rule and merges every outcome: the engine state a
-// caller observes after the error — cursors, queued firings, step counts
-// — is identical at every worker count, so retrying (a later Flush) is
-// equivalent whether the failure happened serially or in parallel.
+// Errors surface first-by-rule-order, and a failed invocation still
+// advances every rule and merges every outcome: the engine state a caller
+// observes after the error — cursors, queued firings, step counts — is that
+// of a complete invocation, so retrying (a later Flush) resumes from it.
 func (e *Engine) advanceRules(rules []*rule, end int) error {
 	s := e.takeScratch()
 	defer e.putScratch(s)
@@ -485,11 +464,11 @@ func (e *Engine) advanceRules(rules []*rule, end int) error {
 	return e.runJobs(s, end)
 }
 
-// runJobs executes a sweep's job list: evaluation jobs are dealt to the
-// worker pool, replay jobs are resolved inline (they are pure memo reads),
-// and every outcome is merged strictly in registration order, so the firing
-// sequence is independent of the worker count, the eval/replay split and
-// the wake list each job came from.
+// runJobs executes a sweep's job list on the committing goroutine, in
+// registration order: evaluation jobs advance their rule's evaluator,
+// replay jobs are pure memo reads. Every outcome is computed before any is
+// merged, so the firing sequence is independent of the eval/replay split
+// and of the wake list each job came from.
 func (e *Engine) runJobs(s *sweepScratch, end int) error {
 	jobs := s.jobs
 	if len(jobs) == 0 {
@@ -498,22 +477,16 @@ func (e *Engine) runJobs(s *sweepScratch, end int) error {
 	if s.unsorted {
 		slices.SortFunc(jobs, func(a, b sweepJob) int { return a.r.seq - b.r.seq })
 	}
-	evalIdx := s.evalIdx[:0]
-	for i, j := range jobs {
-		if !j.replay {
-			evalIdx = append(evalIdx, i)
-		}
+	if cap(s.outs) < len(jobs) {
+		s.outs = make([]advanceOutcome, len(jobs))
 	}
-	s.evalIdx = evalIdx
-	s.outs = sized(s.outs, len(jobs))
+	s.outs = s.outs[:len(jobs)] // putScratch clears every slot
 	outs := s.outs
-	e.deal(&e.sweepCost, len(evalIdx), func(k int) {
-		i := evalIdx[k]
-		e.advanceRule(jobs[i].r, end, &outs[i])
-	})
 	for i, j := range jobs {
 		if j.replay {
 			outs[i] = e.replayOutcome(j.r, end)
+		} else {
+			e.advanceRule(j.r, end, &outs[i])
 		}
 	}
 	// The merge: each rule's cursor, step count and memo, then its firings
@@ -559,122 +532,4 @@ func (e *Engine) runJobs(s *sweepScratch, end int) error {
 	}
 	e.mu.Unlock()
 	return firstErr
-}
-
-// poolMinWork is the predicted work below which deal runs a batch inline
-// instead of waking helpers. Waking an idle processor costs tens of µs on a
-// small box, so a batch pays for helpers only well above that. On two
-// vCPUs BenchmarkConstraintGate deals ≈ 13–18 µs of constraint steps per
-// commit and never pools. BenchmarkSparseTemporal's 2,000 rule steps mostly
-// replay a fixpoint verdict (≈ 50 ns a job), so it deals ≈ 85–125 µs, at
-// the threshold: 0.15–0.8 pooled deals per commit (its pooled/op), and
-// Workers: 1 runs it ≈ 10 % faster.
-const poolMinWork = 100 * time.Microsecond
-
-// jobCost is a moving average of one deal site's work per job, in ns: each
-// deal folds in its work ÷ n at weight 1/8, the work capped at twice the
-// pool threshold. It starts at 0, so a site's first deal runs inline. Only
-// the threshold crossing matters, so the cap costs no decision, and it keeps
-// one slow deal (a cold cache, a GC pause, a preempted thread: 8 ms for 8
-// cheap jobs under the race detector) from moving a batch's prediction by
-// more than a quarter of the threshold. The sweep and the constraint check
-// keep one each: a sweep job of the constraint-gate workload costs 1.5–2× a
-// constraint step, and one shared average priced the check's 300 steps
-// over poolMinWork in 37–109 of 179 commits.
-type jobCost float64
-
-func (c *jobCost) note(work, limit time.Duration, n int) {
-	*c += (jobCost(float64(min(work, limit))/float64(n)) - *c) / 8
-}
-
-// deal is the temporal component's one worker pool: it runs job(0..n-1) on
-// at most Workers goroutines and returns when all are done. Jobs must be
-// independent and write their results to their own slots; callers merge the
-// slots in index order afterwards, which is what keeps every observable
-// result independent of the worker count and of whether helpers ran.
-//
-// Helpers run only when the batch is predicted to be worth a wake-up: n
-// times the site's measured cost per job must reach dealThreshold
-// (poolMinWork). The work a deal measures is the time its goroutines spent
-// claiming and running jobs — an inline deal's wall time — so a pooled deal
-// is priced by what its jobs cost, not by how long its helpers took to wake.
-// A pooled deal starts workers−1 helpers and runs the claim loop on the
-// caller too, after one yield that lets the newest helper start at once.
-// Workers claim runs of indices, an eighth of an even share at a time — a
-// sub-microsecond job does not pay for a contended atomic add each.
-// A job that panics (a registered query function is user code) panics
-// deal's caller, as it does inline, once every worker has stopped — from a
-// pooled deal as a *WorkerPanic, which keeps the value and the job's stack.
-func (e *Engine) deal(cost *jobCost, n int, job func(i int)) {
-	workers := min(e.workers, n)
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			job(i)
-		}
-		return
-	}
-	if time.Duration(float64(n)*float64(*cost)) < e.dealThreshold {
-		start := time.Now()
-		for i := 0; i < n; i++ {
-			job(i)
-		}
-		cost.note(time.Since(start), 2*e.dealThreshold, n)
-		return
-	}
-	e.pooledDeals++
-	p := &dealPool{n: n, run: max(1, n/(8*workers)), job: job}
-	p.wg.Add(workers - 1)
-	for w := 1; w < workers; w++ {
-		go p.help()
-	}
-	// The newest helper sits in this processor's run-next slot, which an
-	// idle processor steals only after a short sleep; a caller that kept
-	// running would do most of the work alone (a 2,000-job deal on two
-	// processors: 108 µs without the yield, 76 µs with it). So the caller
-	// yields once: the helper starts here at once, and the caller resumes
-	// on the processor the spawn woke.
-	runtime.Gosched()
-	p.claim()
-	p.wg.Wait()
-	if wp := p.panicked.Load(); wp != nil {
-		panic(wp)
-	}
-	cost.note(time.Duration(p.busy.Load()), 2*e.dealThreshold, n)
-}
-
-// dealPool is one pooled deal's shared state, a single allocation.
-type dealPool struct {
-	next     atomic.Int64
-	busy     atomic.Int64 // ns the goroutines spent in claim
-	panicked atomic.Pointer[WorkerPanic]
-	wg       sync.WaitGroup
-	n, run   int
-	job      func(i int)
-}
-
-// help is a helper goroutine's body.
-func (p *dealPool) help() {
-	defer p.wg.Done()
-	p.claim()
-}
-
-// claim runs claimed runs of jobs until none are left, recording the first
-// panic instead of unwinding.
-func (p *dealPool) claim() {
-	start := time.Now()
-	defer func() {
-		p.busy.Add(int64(time.Since(start)))
-		if v := recover(); v != nil {
-			p.panicked.CompareAndSwap(nil, &WorkerPanic{Value: v, Stack: debug.Stack()})
-		}
-	}()
-	for {
-		lo := int(p.next.Add(int64(p.run))) - p.run
-		if lo >= p.n {
-			return
-		}
-		for i := lo; i < min(lo+p.run, p.n); i++ {
-			p.job(i)
-		}
-	}
 }

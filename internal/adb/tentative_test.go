@@ -148,21 +148,20 @@ func snapshotLessSteps(t *testing.T, e *Engine) []byte {
 // its constraints never see a state they have to forget. Both must
 // end with the same firings, cursors and snapshot — evaluator registers
 // included — up to the step counter, which differs by exactly one step per
-// constraint per rejection; so must a coarse engine, and A at four workers
-// to the byte.
+// constraint per rejection; so must a coarse engine.
 func TestRejectedCommitLeavesNoTrace(t *testing.T) {
 	trials, n := 8, 160
 	if testing.Short() {
 		trials = 3
 	}
-	cfg := func(workers int) Config {
-		return Config{Workers: workers, Initial: map[string]value.Value{
+	cfg := func() Config {
+		return Config{Initial: map[string]value.Value{
 			"a": value.NewInt(10), "b": value.NewInt(10), "c": value.NewInt(0),
 		}}
 	}
 	for trial := 0; trial < trials; trial++ {
 		ops := gateTrace(int64(5200+trial), n)
-		a := NewEngine(cfg(1))
+		a := NewEngine(cfg())
 		verdicts, rejectSteps := runGate(t, a, ops, nil)
 		txns, rejected := 0, 0
 		for i, v := range verdicts {
@@ -185,14 +184,14 @@ func TestRejectedCommitLeavesNoTrace(t *testing.T) {
 		}
 		want := snapshotLessSteps(t, a)
 
-		b := NewEngine(cfg(1))
+		b := NewEngine(cfg())
 		if said, _ := runGate(t, b, ops, verdicts); !reflect.DeepEqual(said, make([]string, len(ops))) {
 			t.Fatalf("trial %d: the verdict-fed engine rejected a transaction: %q", trial, said)
 		}
 		if got := a.EvalSteps() - b.EvalSteps(); got != rejectSteps {
 			t.Fatalf("trial %d: rejections cost %d extra steps, want one per constraint in force: %d", trial, got, rejectSteps)
 		}
-		others := map[string]*Engine{"verdict-fed": b, "coarse": NewCoarseEngine(cfg(1)), "coarse, 4 workers": NewCoarseEngine(cfg(4)), "4 workers": NewEngine(cfg(4))}
+		others := map[string]*Engine{"verdict-fed": b, "coarse": NewCoarseEngine(cfg())}
 		for name, o := range others {
 			if o != b {
 				if said, _ := runGate(t, o, ops, nil); !reflect.DeepEqual(said, verdicts) {
@@ -221,7 +220,7 @@ func TestRejectedCommitLeavesNoTrace(t *testing.T) {
 // back, then the abort state), and one per state it lagged behind.
 func TestConstraintStepAccounting(t *testing.T) {
 	const n = 5
-	e := NewEngine(Config{Initial: map[string]value.Value{"a": value.NewInt(0)}, Workers: 1})
+	e := NewEngine(Config{Initial: map[string]value.Value{"a": value.NewInt(0)}})
 	for i := 0; i < n; i++ {
 		if err := e.AddConstraint(fmt.Sprintf("c%d", i), fmt.Sprintf(`not (item("a") > %d and lasttime item("a") >= 0)`, 10+i)); err != nil {
 			t.Fatal(err)

@@ -196,8 +196,7 @@ func (t *Txn) Commit(ts int64) error {
 	}
 	// The constraints step over the tentative state in place and roll back
 	// on a rejection, so an abort leaves no trace in the temporal component.
-	// Violations are resolved in rule registration order, never by worker
-	// timing.
+	// Violations are resolved in rule registration order.
 	violated, err := e.checkConstraints(tentative, changed)
 	if err != nil {
 		return err

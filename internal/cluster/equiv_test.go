@@ -77,8 +77,8 @@ var clusterCodecs = []struct {
 // service: concurrent wire clients commit single-shard transactions
 // through the router, and afterwards every shard's firing stream must be
 // byte-identical to a single-process engine replaying that shard's
-// commit subsequence in applied-timestamp order — at Workers 1 and 4 and
-// over both codecs, so sharding changes where rules evaluate, never what
+// commit subsequence in applied-timestamp order — at Workers 1 and 4
+// (deprecated and ignored, so the two must agree) and over both codecs, so sharding changes where rules evaluate, never what
 // fires. The merged subscription feed must carry exactly the union,
 // gap-free, preserving each shard's internal order.
 func TestClusterShardEquivalence(t *testing.T) {

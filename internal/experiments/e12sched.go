@@ -16,16 +16,15 @@ import (
 // rules and replays the memoized outcome for the rest; the coarse filter
 // evaluates every database-reading rule at every commit. newEngine picks
 // the arm: adb.NewEngine, or adb.NewCoarseEngine — a memory-only
-// constructor, not a Config option, and never persisted. The engine runs
-// at Workers: 1, where the pool spawns nothing and the allocation counts
-// repeat to within a few bytes on any machine (the step counts repeat
-// exactly at any worker count).
+// constructor, not a Config option, and never persisted. The allocation
+// counts repeat to within a few bytes on any machine, the step counts
+// exactly.
 func SchedIndexRun(rules, commits, touch int, newEngine func(adb.Config) *adb.Engine) SchedRun {
 	initial := make(map[string]value.Value, rules)
 	for i := 0; i < rules; i++ {
 		initial[fmt.Sprintf("i%d", i)] = value.NewInt(0)
 	}
-	eng := newEngine(adb.Config{Initial: initial, Workers: 1})
+	eng := newEngine(adb.Config{Initial: initial})
 	for i := 0; i < rules; i++ {
 		cond := fmt.Sprintf(`item("i%d") > 100`, i)
 		if err := eng.AddTrigger(fmt.Sprintf("r%d", i), cond, nil, adb.WithScheduling(adb.Relevant)); err != nil {
@@ -89,8 +88,8 @@ func E12ReadSetIndex(quick bool) Table {
 		Notes: "every rule reads one item and every commit updates a rotating ~1% of the items; " +
 			"the coarse filter evaluates all database-reading rules at each commit (rules x " +
 			"commits steps), the index evaluates only the touched ones and replays the memoized " +
-			"outcome for the rest. Firings are verified identical between the two runs, which " +
-			"are at Workers: 1, where allocs and B per commit repeat to within a few bytes anywhere.",
+			"outcome for the rest. Firings are verified identical between the two runs; " +
+			"allocs and B per commit repeat to within a few bytes anywhere.",
 	}
 	idx := SchedIndexRun(rules, commits, touch, adb.NewEngine)
 	coarse := SchedIndexRun(rules, commits, touch, adb.NewCoarseEngine)

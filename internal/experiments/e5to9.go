@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
 	"time"
 
 	"ptlactive/internal/adb"
@@ -330,29 +329,20 @@ func E7StateBlowup(quick bool) Table {
 	return t
 }
 
-// DefaultWorkers is the worker-pool size used for the parallel columns of
-// E8 and by the benchtables -workers flag; it defaults to all cores.
-var DefaultWorkers = runtime.GOMAXPROCS(0)
-
 // RelevanceRun drives R event-gated rules over an event mix and returns
-// evaluator steps plus wall time (the E8 kernel). Evaluation is fully
-// sequential and the rules have no action; RelevanceRunWorkers adds the
-// worker-pool, action and governance axes.
+// evaluator steps plus wall time (the E8 kernel). The rules have no action;
+// RelevanceRunActions adds the action and governance axes.
 func RelevanceRun(rules, states int, sched adb.Scheduling) (steps int64, dur time.Duration) {
-	return RelevanceRunWorkers(rules, states, sched, 1, nil, false)
+	return RelevanceRunActions(rules, states, sched, nil, false)
 }
 
-// RelevanceRunWorkers is RelevanceRun with an explicit worker-pool size
-// for the engine's parallel temporal component and act as every rule's
-// action (nil for none). A non-nil act sends every firing through the
-// action sandbox; governed additionally sets a circuit-breaker threshold,
-// so the delta over a plain run is the overhead of the recover wrapper
-// and the breaker's bookkeeping, not of any fault occurring.
-func RelevanceRunWorkers(rules, states int, sched adb.Scheduling, workers int, act adb.Action, governed bool) (steps int64, dur time.Duration) {
-	cfg := adb.Config{
-		Initial: map[string]value.Value{"a": value.NewInt(1)},
-		Workers: workers,
-	}
+// RelevanceRunActions is RelevanceRun with act as every rule's action (nil
+// for none). A non-nil act sends every firing through the action sandbox;
+// governed additionally sets a circuit-breaker threshold, so the delta
+// over a plain run is the overhead of the recover wrapper and the
+// breaker's bookkeeping, not of any fault occurring.
+func RelevanceRunActions(rules, states int, sched adb.Scheduling, act adb.Action, governed bool) (steps int64, dur time.Duration) {
+	cfg := adb.Config{Initial: map[string]value.Value{"a": value.NewInt(1)}}
 	if governed {
 		cfg.MaxRuleFailures = 3
 	}
@@ -393,29 +383,22 @@ func E8RelevanceFiltering(quick bool) Table {
 		states = 500
 	}
 	t := Table{
-		ID:    "E8",
-		Title: "execution model: relevance filtering and batching over event-gated rules",
-		Header: []string{"rules", "eager steps", "eager ms", "relevant steps", "relevant ms", "batched steps",
-			fmt.Sprintf("eager ms (W=%d)", DefaultWorkers)},
+		ID:     "E8",
+		Title:  "execution model: relevance filtering and batching over event-gated rules",
+		Header: []string{"rules", "eager steps", "eager ms", "relevant steps", "relevant ms", "batched steps"},
 		Notes: "with relevance filtering, evaluator invocations scale with matching events " +
 			"rather than rules x states; batching defers the same work to one flush. " +
-			"Shape per Section 8. The last column re-runs the eager sweep with the " +
-			"parallel temporal component (worker pool over rules); firings are identical.",
+			"Shape per Section 8.",
 	}
 	for _, rules := range []int{10, 50, 200} {
 		es, ed := RelevanceRun(rules, states, adb.Eager)
 		rs, rd := RelevanceRun(rules, states, adb.Relevant)
 		bs, _ := RelevanceRun(rules, states, adb.Manual)
-		ps, pd := RelevanceRunWorkers(rules, states, adb.Eager, DefaultWorkers, nil, false)
-		if ps != es {
-			panic(fmt.Sprintf("E8: parallel eager steps %d != sequential %d", ps, es))
-		}
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprint(rules),
 			fmt.Sprint(es), fmtMs(ed),
 			fmt.Sprint(rs), fmtMs(rd),
 			fmt.Sprint(bs),
-			fmtMs(pd),
 		})
 	}
 	return t

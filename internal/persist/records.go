@@ -42,9 +42,8 @@ const (
 )
 
 // InitRecord carries the Config parameters that shape observable engine
-// behavior. Runtime-only knobs (Workers, OnFiring, Registry) are not
-// persisted: the engine's results are independent of the worker count by
-// construction, and callbacks/queries are re-supplied at restore.
+// behavior. Runtime-only knobs (OnFiring, Registry) are not persisted:
+// callbacks and queries are re-supplied at restore.
 type InitRecord struct {
 	Initial map[string]json.RawMessage `json:"initial,omitempty"`
 	Start   int64                      `json:"start"`

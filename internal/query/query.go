@@ -25,11 +25,13 @@ type Func func(st history.SystemState, args []value.Value) (value.Value, error)
 // present; "time" (arity 0) reads the state timestamp.
 //
 // A Registry is safe for concurrent use: lookups (Has, Arity, Names,
-// Eval) may run from any number of goroutines — the engine's parallel
-// temporal component evaluates many rules against one registry at once —
-// while Register may run concurrently with them. The registered functions
-// themselves must be safe for concurrent calls; pure functions over the
-// passed-in state (the normal shape) are.
+// Eval) may run from any number of goroutines while Register runs
+// concurrently with them. One engine evaluates its rules on one goroutine,
+// but one registry may be passed to several engines, each driven from its
+// own goroutine, and a program may register a function while an engine is
+// evaluating. So the
+// registered functions themselves must be safe for concurrent calls; pure
+// functions over the passed-in state (the normal shape) are.
 type Registry struct {
 	mu    sync.RWMutex
 	funcs map[string]entry

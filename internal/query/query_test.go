@@ -177,10 +177,10 @@ func TestRegisterSelect(t *testing.T) {
 	}
 }
 
-// Registry registration may race with evaluation: the engine's worker pool
-// evaluates rule conditions (which call Eval) while an application
-// goroutine can still be registering queries. Run under -race this guards
-// the registry's internal locking.
+// Registry registration may race with evaluation: an engine evaluates rule
+// conditions (which call Eval) while an application goroutine can still be
+// registering queries. Run under -race this guards the registry's internal
+// locking.
 func TestRegistryConcurrentAccess(t *testing.T) {
 	r := NewRegistry()
 	st := state(map[string]value.Value{"a": value.NewInt(7)}, 1)

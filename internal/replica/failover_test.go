@@ -49,7 +49,7 @@ func (c *tornConn) Read(p []byte) (int, error) {
 // exactly-once effects.
 func TestChaosTornStream(t *testing.T) {
 	pdir, fdir := t.TempDir(), t.TempDir()
-	p := startPrimary(t, pdir, 1)
+	p := startPrimary(t, pdir, 0)
 	c := dialT(t, p.addr)
 	if err := c.AddTrigger("hot", `item("a") > 5`); err != nil {
 		t.Fatal(err)
@@ -61,7 +61,7 @@ func TestChaosTornStream(t *testing.T) {
 	}
 
 	var dials int32
-	fn := newFollowerNode(t, fdir, p.addr, "", 1)
+	fn := newFollowerNode(t, fdir, p.addr, "", 0)
 	st := StartStream(fn, StreamConfig{
 		Primary:     p.addr,
 		BackoffBase: time.Millisecond,
@@ -138,7 +138,7 @@ func TestFailoverLeasePromotion(t *testing.T) {
 		t.Fatal(err)
 	}
 	pdir, fdir := t.TempDir(), t.TempDir()
-	p := startPrimary(t, pdir, 1)
+	p := startPrimary(t, pdir, 0)
 	if err := p.node.Shipper().BumpEpoch(pl.Epoch()); err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestFailoverLeasePromotion(t *testing.T) {
 	}
 
 	fln := listenT(t)
-	fn := newFollowerNode(t, fdir, p.addr, fln.Addr().String(), 1)
+	fn := newFollowerNode(t, fdir, p.addr, fln.Addr().String(), 0)
 	faddr := serveNode(t, fn, fln)
 	st := StartStream(fn, StreamConfig{Primary: p.addr, BackoffBase: 2 * time.Millisecond})
 	defer st.Stop()

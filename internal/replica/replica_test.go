@@ -48,7 +48,8 @@ type prim struct {
 }
 
 // startPrimary restores (or creates) a durable primary in dir and serves
-// it on loopback with replication enabled.
+// it on loopback with replication enabled. workers sets the deprecated
+// Config.Workers, which the engine ignores; 0 leaves it unset.
 func startPrimary(t *testing.T, dir string, workers int) *prim {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -199,7 +200,8 @@ func assertReplicaIdentical(t *testing.T, p *prim, pdir string, fn *Node, fdir s
 }
 
 // TestFollowerByteIdentity is the tentpole property test: under both
-// codecs and both worker counts, a follower streaming over the wire is
+// codecs and both settings of the ignored Config.Workers, a follower
+// streaming over the wire is
 // byte-identical to the primary at every checked batch boundary — wal
 // file, firing stream, database state.
 func TestFollowerByteIdentity(t *testing.T) {
@@ -307,7 +309,7 @@ func TestShipAfterReply(t *testing.T) {
 // not_primary sentinel carrying the primary's address.
 func TestFollowerServesReadsRefusesWrites(t *testing.T) {
 	pdir, fdir := t.TempDir(), t.TempDir()
-	p := startPrimary(t, pdir, 1)
+	p := startPrimary(t, pdir, 0)
 	c := dialT(t, p.addr)
 	if err := c.AddTrigger("hot", `item("a") > 5`); err != nil {
 		t.Fatal(err)
@@ -316,7 +318,7 @@ func TestFollowerServesReadsRefusesWrites(t *testing.T) {
 		t.Fatal(err)
 	}
 	fln := listenT(t)
-	fn := newFollowerNode(t, fdir, p.addr, fln.Addr().String(), 1)
+	fn := newFollowerNode(t, fdir, p.addr, fln.Addr().String(), 0)
 	st := StartStream(fn, StreamConfig{Primary: p.addr, BackoffBase: 2 * time.Millisecond})
 	defer st.Stop()
 	waitLSN(t, fn, p.node.LastLSN())
@@ -479,7 +481,7 @@ func TestApplyFramesDuplicatesGapsAndFencing(t *testing.T) {
 // fences with the new epoch, and survives its own restart as a primary.
 func TestPromoteFollower(t *testing.T) {
 	pdir, fdir := t.TempDir(), t.TempDir()
-	p := startPrimary(t, pdir, 1)
+	p := startPrimary(t, pdir, 0)
 	c := dialT(t, p.addr)
 	if err := c.AddTrigger("hot", `item("a") > 5`); err != nil {
 		t.Fatal(err)
@@ -490,7 +492,7 @@ func TestPromoteFollower(t *testing.T) {
 		}
 	}
 	fln := listenT(t)
-	fn := newFollowerNode(t, fdir, p.addr, fln.Addr().String(), 1)
+	fn := newFollowerNode(t, fdir, p.addr, fln.Addr().String(), 0)
 	st := StartStream(fn, StreamConfig{Primary: p.addr, BackoffBase: 2 * time.Millisecond})
 	waitLSN(t, fn, p.node.LastLSN())
 	prefix := walBytes(t, pdir)
@@ -540,13 +542,13 @@ func TestPrimaryRestartEveryBatchBoundary(t *testing.T) {
 	ts := int64(1)
 	const perRound = 3
 	for round := 0; round < 5; round++ {
-		p := startPrimary(t, pdir, 1)
+		p := startPrimary(t, pdir, 0)
 		c := dialT(t, p.addr)
 		if round == 0 {
 			if err := c.AddTrigger("hot", `item("a") > 5`); err != nil {
 				t.Fatal(err)
 			}
-			fn = newFollowerNode(t, fdir, p.addr, "", 1)
+			fn = newFollowerNode(t, fdir, p.addr, "", 0)
 		}
 		fn.SetLeader(p.addr)
 		st := StartStream(fn, StreamConfig{Primary: p.addr, BackoffBase: 2 * time.Millisecond})

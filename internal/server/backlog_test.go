@@ -12,7 +12,7 @@ import (
 // over an engine whose log holds n firings.
 func backlogCost(t *testing.T, n int) (allocs, bytes float64) {
 	t.Helper()
-	eng := adb.NewEngine(adb.Config{Workers: 1})
+	eng := adb.NewEngine(adb.Config{})
 	if err := eng.AddTrigger("tick", "@tick", nil); err != nil {
 		t.Fatal(err)
 	}

@@ -56,7 +56,8 @@ func dialCodec(t *testing.T, addr string, codecs []string, want string) *client.
 // concurrent clients commit interleaved transactions against the server;
 // replaying the merged commit order (by applied timestamp) on a local,
 // single-process engine with the same rules must produce the identical
-// firing stream — at Workers 1 and 4 and over both codecs, so the
+// firing stream — at Workers 1 and 4 (deprecated and ignored, so the two
+// must agree) and over both codecs, so the
 // serializing pipeline and the codec-independent wire (not luck) are
 // what preserve deterministic firing order.
 func TestRemoteEquivalence(t *testing.T) {

@@ -10,10 +10,8 @@
 //   - the incremental condition evaluator (Evaluator) for embedding into
 //     other systems;
 //   - the active database engine (Engine): triggers, temporal integrity
-//     constraints, transactions, the executed predicate, temporal actions —
-//     with a parallel temporal component (Config.Workers sizes the worker
-//     pool; firings are identical at every setting, and reader accessors
-//     are safe from concurrent goroutines);
+//     constraints, transactions, the executed predicate, temporal actions
+//     (reader accessors are safe from concurrent goroutines);
 //   - aggregate rule rewriting (RewriteAggregates, InstallIndexed);
 //   - the valid-time model (ValidStore, ValidMonitor, online/offline
 //     constraint satisfaction).
