@@ -70,9 +70,13 @@ loc:
 # The pmap property suite rides along: every engine state lives in a
 # persistent map, so its model checks belong in the repeated race pass.
 # So do the reader suites (ConcurrentReader, Parallel): readers calling the
-# accessors beside the one mutator are the engine's only concurrency.
+# accessors beside the one mutator are the engine's only concurrency. The
+# wake loop writes the cursors of the standing triggers it steps at a
+# fixpoint beside those readers, so the fixpoint suites (FixpointError,
+# SteppedStatesNotPinned, and IndexedSweepEquivalence's fixpoint triggers)
+# repeat here too.
 stress:
-	$(GO) test -race -count=3 -run 'Fault|Degrad|Quarantine|Parallel|ConcurrentReader|IndexedSweepEquivalence|Panic|Failpoint|Chaos|Failover|Lease|Promot|Replica|ShipAfterReply|PMap' ./internal/adb ./internal/persist ./internal/replica ./internal/pmap
+	$(GO) test -race -count=3 -run 'Fault|Degrad|Quarantine|Parallel|ConcurrentReader|IndexedSweepEquivalence|FixpointError|SteppedStatesNotPinned|Panic|Failpoint|Chaos|Failover|Lease|Promot|Replica|ShipAfterReply|PMap' ./internal/adb ./internal/persist ./internal/replica ./internal/pmap
 
 # allocgates runs the allocation gates of the commit path at three core
 # counts. The engine starts no goroutine of its own, so nothing they count
@@ -80,7 +84,9 @@ stress:
 # check.
 # TestSweepNoRuleTerm has four arms: quiescent, gated, exact temporal and
 # general rules (the last two: 2,000 steps per commit, none of which may
-# allocate). In core, a step of the paper's doubled-within-d trigger
+# allocate; all but one of the exact temporal arm's rules sit at a
+# fixpoint the commit leaves alone, so the wake loop takes their steps
+# without calling an evaluator, and still allocates nothing). In core, a step of the paper's doubled-within-d trigger
 # allocates alike at a handful of retained clauses (a wandering price,
 # which subsumption keeps to at most 20 clauses even at d=1000) and at about
 # 500 (a price rising at every state, which nothing subsumes; the test
@@ -177,8 +183,8 @@ profile-sparse:
 
 # profile-temporal profiles the sparse-temporal shape (the same data and
 # commits under 2,000 `item(k) > 800 and lasttime item(k) <= 800` rules):
-# what each of the 2,000 steps a commit takes costs when all but one to
-# three of them find their rule's item unchanged.
+# what a commit's 2,000 steps cost when all but one to three of them find
+# their rule's item unchanged and are taken in the wake loop, at a fixpoint.
 profile-temporal:
 	$(GO) test -run '^$$' -bench SparseTemporal -benchtime 20000x -memprofilerate 4096 \
 		-cpuprofile temporal_cpu.prof -memprofile temporal_mem.prof ./internal/adb

@@ -77,9 +77,9 @@ func TestCommitAllocsNoLinearTerm(t *testing.T) {
 // registered over a database of fixed size. shape selects quiescent rules
 // (`item(k) > c`, never firing), event-gated ones (a commit without their
 // event only moves their cursor), exact temporal ones (every rule steps at
-// every commit, all but one from its query cache) or general ones (the
-// same, on the constraint-graph evaluator: an assignment crosses the
-// temporal operator).
+// every commit, all but one in the wake loop, at a fixpoint) or general
+// ones (the same, on the constraint-graph evaluator: an assignment crosses
+// the temporal operator).
 func sweepCost(t *testing.T, rules int, shape string) (allocs, bytes float64) {
 	t.Helper()
 	const items = 2000

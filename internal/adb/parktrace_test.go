@@ -33,9 +33,9 @@ type parkTrace struct {
 	observer bool
 }
 
-func newParkTrace(seed int64, rules, states int, withConstraints, observer bool) parkTrace {
+func newParkTrace(seed int64, rules, states int, withConstraints, observer, fixpoint bool) parkTrace {
 	return parkTrace{
-		p:        randomIndexParams(seed, rules, withConstraints),
+		p:        randomIndexParams(seed, rules, withConstraints, fixpoint),
 		ops:      randomOps(seed*31, rules, states, 0),
 		observer: observer,
 	}
@@ -179,7 +179,7 @@ func (tr parkTrace) runDurable(t *testing.T, dir string) (e *Engine, mid, end []
 // encoding the commit before wake lists and the parked cursor produced, but
 // for the step counter and the rule conditions' form (see
 // TestParkFixtureMovedStepsOnly).
-func parkFixture() parkTrace { return newParkTrace(7100, 9, 90, true, false) }
+func parkFixture() parkTrace { return newParkTrace(7100, 9, 90, true, false, false) }
 
 const parkFixtureDir = "testdata/park_trace"
 

@@ -90,6 +90,23 @@ type rule struct {
 	memoValid    bool
 	memoFired    bool
 	memoBindings []core.Binding
+	// Fixpoint mirror (only the mutating goroutine touches it): a fast
+	// evaluator's Fixpoint as of the last step the engine took (step), so
+	// the wake loop can take a step that would replay without calling it
+	// (wakeStanding). credit counts those steps until settle hands them to
+	// the evaluator. Whatever replaces ev resets both.
+	fixed, last bool
+	credit      int
+}
+
+// settle credits r's evaluator with the steps the wake loop took for it.
+// It runs before the evaluator steps again and before it is encoded: no
+// other code reads its step count.
+func (r *rule) settle() {
+	if r.credit > 0 {
+		r.ev.(*core.FastEvaluator).Credit(r.credit)
+		r.credit = 0
+	}
 }
 
 // RuleOption configures a rule at registration.

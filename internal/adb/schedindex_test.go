@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"ptlactive/internal/core"
 	"ptlactive/internal/value"
 )
 
@@ -27,8 +28,12 @@ var indexCondPool = []string{
 
 // randomIndexParams mirrors randomEngineParams but draws from
 // indexCondPool, so runs are reproducible per seed across the
-// index-enabled and index-disabled engines.
-func randomIndexParams(seed int64, rules int, withConstraints bool) engineParams {
+// index-enabled and index-disabled engines. With fixpoint it adds, after
+// those draws, two pure temporal triggers on item a, Eager or Relevant:
+// an edge (a rose above c), false at every fixpoint, and a level (a stayed
+// above c), which fires at every state of a true fixpoint. Both take the
+// wake loop's fixpoint step whenever a state leaves a alone.
+func randomIndexParams(seed int64, rules int, withConstraints, fixpoint bool) engineParams {
 	rng := rand.New(rand.NewSource(seed))
 	p := engineParams{
 		a:               int64(rng.Intn(5)),
@@ -40,7 +45,32 @@ func randomIndexParams(seed int64, rules int, withConstraints bool) engineParams
 		p.conds = append(p.conds, fmt.Sprintf(indexCondPool[rng.Intn(len(indexCondPool))], i))
 		p.scheds = append(p.scheds, scheds[rng.Intn(len(scheds))])
 	}
+	if fixpoint {
+		c := 10 + rng.Intn(40)
+		for _, cond := range []string{`item("a") > %d and lasttime item("a") <= %d`, `item("a") > %d and lasttime item("a") > %d`} {
+			p.conds = append(p.conds, fmt.Sprintf(cond, c, c))
+			p.scheds = append(p.scheds, []Scheduling{Eager, Relevant}[rng.Intn(2)])
+		}
+	}
 	return p
+}
+
+// evaluatorStates reads Steps() and the encoded state of the evaluator of
+// every rule the indexed engine idx steps at every commit (its standing
+// list) from e, after settling the steps the wake loop credited.
+func evaluatorStates(t *testing.T, idx, e *Engine) map[string]string {
+	t.Helper()
+	out := map[string]string{}
+	for _, s := range idx.standing {
+		r := e.index[s.name]
+		r.settle()
+		enc, err := core.EncodeEvaluatorState(r.ev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[r.name] = fmt.Sprintf("%d steps: %s", r.ev.(interface{ Steps() int }).Steps(), enc)
+	}
+	return out
 }
 
 // newEngine builds the indexed engine or, for the reference arm, the coarse
@@ -101,7 +131,7 @@ func TestIndexedSweepEquivalence(t *testing.T) {
 		seed := int64(7000 + trial)
 		rules := 4 + trial%8
 		withConstraints := trial%2 == 0
-		tr := newParkTrace(seed, rules, states, withConstraints, trial%2 == 1)
+		tr := newParkTrace(seed, rules, states, withConstraints, trial%2 == 1, true)
 		ref := tr.run(t, newEngine(tr.config(), true), nil)
 		idx := tr.run(t, newEngine(tr.config(), false), nil)
 		if sf, pf := ref.Firings(), idx.Firings(); !reflect.DeepEqual(sf, pf) {
@@ -116,6 +146,10 @@ func TestIndexedSweepEquivalence(t *testing.T) {
 		}
 		if rc, ic := ruleCursors(ref), ruleCursors(idx); !reflect.DeepEqual(rc, ic) {
 			t.Fatalf("trial %d: cursors diverge: %v vs %v", trial, rc, ic)
+		}
+		want := evaluatorStates(t, idx, ref)
+		if got := evaluatorStates(t, idx, idx); !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: evaluators diverge:\n coarse:  %v\n indexed: %v", trial, want, got)
 		}
 		if rp, ip := pendingStates(t, ref), pendingStates(t, idx); !reflect.DeepEqual(rp, ip) {
 			t.Fatalf("trial %d: pending states diverge: %v vs %v", trial, rp, ip)
@@ -138,6 +172,9 @@ func TestIndexedSweepEquivalence(t *testing.T) {
 		}
 		if rp, dp := pendingStates(t, ref), pendingStates(t, dur); !reflect.DeepEqual(rp, dp) {
 			t.Fatalf("trial %d: durable twin's pending states diverge: %v vs %v", trial, rp, dp)
+		}
+		if got := evaluatorStates(t, idx, dur); !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: restored durable twin's evaluators diverge:\n coarse:  %v\n durable: %v", trial, want, got)
 		}
 		if ref.Now() != dur.Now() || !ref.DB().Equal(dur.DB()) {
 			t.Fatalf("trial %d: durable twin's clock or database diverges", trial)

@@ -42,6 +42,7 @@ func (e *Engine) buildSnapshot() (*persist.EngineSnapshot, error) {
 		snap.History = append(snap.History, line)
 	}
 	for _, r := range e.rules {
+		r.settle()
 		ev, err := core.EncodeEvaluatorState(r.ev)
 		if err != nil {
 			return nil, fmt.Errorf("adb: snapshot rule %s: %w", r.name, err)
@@ -157,6 +158,7 @@ func engineFromSnapshot(cfg Config, snap *persist.EngineSnapshot) (*Engine, erro
 			return nil, fmt.Errorf("adb: snapshot rule %s: %w", rs.Name, err)
 		}
 		r.ev, r.hinted = ev, ev.(core.HintedEvaluator)
+		r.fixed, r.credit = false, 0 // the restored evaluator is at no fixpoint yet
 		r.cursor = rs.Cursor
 		// The quiescent-replay memo travels with the snapshot so the
 		// recovered engine makes the same replay-vs-evaluate decisions the

@@ -80,12 +80,21 @@ func (e *Engine) sweepOnce() error {
 	return e.sweepIndexed(newest, st)
 }
 
-// sweepJob is one rule's share of an indexed sweep: either a real
-// evaluator advance or a memo replay whose outcome is computed inline.
+// sweepJob is one rule's share of an indexed sweep: a real evaluator
+// advance, a memo replay, or the firing of a fixpoint step the wake loop
+// took; the last two have their outcome computed inline.
 type sweepJob struct {
-	r      *rule
-	replay bool
+	r    *rule
+	kind jobKind
 }
+
+type jobKind uint8
+
+const (
+	jobEval jobKind = iota
+	jobMemo         // a quiescent rule's memo (replayOutcome)
+	jobFire         // a true verdict replayed at a fixpoint (fixpointOutcome)
+)
 
 // sweepScratch is what one temporal-component invocation builds and throws
 // away. The engine lends its one out for the length of an invocation; a
@@ -99,11 +108,11 @@ type sweepScratch struct {
 }
 
 // add appends a job, noting whether the list is still in registration order.
-func (s *sweepScratch) add(r *rule, replay bool) {
+func (s *sweepScratch) add(r *rule, kind jobKind) {
 	if n := len(s.jobs); n > 0 && s.jobs[n-1].r.seq > r.seq {
 		s.unsorted = true
 	}
-	s.jobs = append(s.jobs, sweepJob{r: r, replay: replay})
+	s.jobs = append(s.jobs, sweepJob{r: r, kind: kind})
 }
 
 func (e *Engine) takeScratch() *sweepScratch {
@@ -271,7 +280,7 @@ func (e *Engine) sweepIndexed(newest int, st history.SystemState) error {
 			if r.parked {
 				e.unpark(r)
 			} else if r.wake == wakeEvent {
-				s.add(r, false)
+				s.add(r, jobEval)
 			}
 		}
 	}
@@ -283,7 +292,7 @@ func (e *Engine) sweepIndexed(newest int, st history.SystemState) error {
 		switch {
 		case r.wakeGen == gen:
 			// A gated rule with one of its events in the state.
-			s.add(r, false)
+			s.add(r, jobEval)
 		case !commit:
 			// Not woken.
 		case r.class == classGated:
@@ -298,13 +307,13 @@ func (e *Engine) sweepIndexed(newest int, st history.SystemState) error {
 			// must not replay the pre-change outcome.
 			r.memoValid = false
 			r.memoBindings = nil
-			s.add(r, false)
+			s.add(r, jobEval)
 		case !r.memoFired:
 			// A non-firing memo replays to nothing but a cursor move: park.
 			r.parked = true
 			continue
 		default:
-			s.add(r, true)
+			s.add(r, jobMemo)
 		}
 		live = append(live, r)
 	}
@@ -312,24 +321,43 @@ func (e *Engine) sweepIndexed(newest int, st history.SystemState) error {
 	if commit {
 		e.parkedCursor = end
 	}
-	e.mu.Unlock()
-
 	for _, r := range e.standing {
 		switch r.wake {
 		case wakeAlways:
-			s.add(r, false)
+			e.wakeStanding(s, r, newest, d)
 		case wakeCommit:
 			if commit || r.wakeGen == gen {
-				s.add(r, false)
+				e.wakeStanding(s, r, newest, d)
 			}
 		case wakeConstraint:
 			// A commit the constraints accepted has stepped them already.
 			if (commit || aborted) && r.cursor < end {
-				s.add(r, false)
+				s.add(r, jobEval)
 			}
 		}
 	}
+	e.mu.Unlock()
 	return e.runJobs(s, end)
+}
+
+// wakeStanding wakes standing trigger r for the newest state; the caller
+// holds mu. If that is r's one pending state, it left r's read set
+// untouched (step would pass the hint) and r's evaluator sits at a fixpoint
+// (the copy step keeps on r), the step would replay the last verdict, so
+// it is taken here: counted, credited to the evaluator, the cursor moved.
+// Only a true verdict needs a job, for its firing. Any other wake is an
+// evaluation job.
+func (e *Engine) wakeStanding(s *sweepScratch, r *rule, newest int, d dirtySet) {
+	if !r.fixed || r.cursor != newest || !r.contiguous || !e.untouched(r, newest, d) {
+		s.add(r, jobEval)
+		return
+	}
+	r.credit++
+	r.cursor = newest + 1
+	e.evalSteps++
+	if r.last {
+		s.add(r, jobFire)
+	}
 }
 
 // replayOutcome reproduces, without evaluation, the outcome re-evaluating
@@ -350,6 +378,13 @@ func (e *Engine) replayOutcome(r *rule, end int) advanceOutcome {
 		out.firings = append(out.firings, Firing{Rule: r.name, Binding: nb, Time: st.TS, StateIndex: e.base + end - 1})
 	}
 	return out
+}
+
+// fixpointOutcome is the firing of closed rule r whose fixpoint step at the
+// newest state replayed a true verdict: the step itself is already taken.
+func (e *Engine) fixpointOutcome(r *rule, end int) advanceOutcome {
+	f := Firing{Rule: r.name, Binding: core.Binding{}, Time: e.hist.At(end - 1).TS, StateIndex: e.base + end - 1}
+	return advanceOutcome{cursor: end, firings: []Firing{f}}
 }
 
 // advanceOutcome is the result of advancing one rule's evaluator through
@@ -413,11 +448,19 @@ func (e *Engine) advanceRule(r *rule, end int, out *advanceOutcome) {
 // evaluator keep its query-result cache across states that leave the rule's
 // read set alone. Only contiguous rules qualify: a cursor jump would leave
 // the cache describing a state the evaluator never stepped past.
+//
+// A fast evaluator's fixpoint is mirrored onto r after the step, and the
+// steps the wake loop credited are settled before it.
 func (e *Engine) step(r *rule, st history.SystemState, i int, d dirtySet) (core.Result, error) {
 	if r.hinted == nil {
 		return r.ev.StepResult(st)
 	}
-	return r.hinted.StepResultHinted(st, !e.coarse && r.contiguous && e.untouched(r, i, d))
+	r.settle()
+	res, err := r.hinted.StepResultHinted(st, !e.coarse && r.contiguous && e.untouched(r, i, d))
+	if fast, ok := r.ev.(*core.FastEvaluator); ok {
+		r.fixed, r.last = fast.Fixpoint()
+	}
+	return res, err
 }
 
 // untouched reports whether the state at history index i, which changed d,
@@ -459,16 +502,16 @@ func (e *Engine) advanceRules(rules []*rule, end int) error {
 	s := e.takeScratch()
 	defer e.putScratch(s)
 	for _, r := range rules {
-		s.jobs = append(s.jobs, sweepJob{r: r})
+		s.jobs = append(s.jobs, sweepJob{r: r, kind: jobEval})
 	}
 	return e.runJobs(s, end)
 }
 
 // runJobs executes a sweep's job list on the committing goroutine, in
-// registration order: evaluation jobs advance their rule's evaluator,
-// replay jobs are pure memo reads. Every outcome is computed before any is
-// merged, so the firing sequence is independent of the eval/replay split
-// and of the wake list each job came from.
+// registration order: evaluation jobs advance their rule's evaluator, memo
+// and fixpoint jobs read what the rule already decided. Every outcome is
+// computed before any is merged, so the firing sequence is independent of
+// the eval/replay split and of the wake list each job came from.
 func (e *Engine) runJobs(s *sweepScratch, end int) error {
 	jobs := s.jobs
 	if len(jobs) == 0 {
@@ -483,10 +526,13 @@ func (e *Engine) runJobs(s *sweepScratch, end int) error {
 	s.outs = s.outs[:len(jobs)] // putScratch clears every slot
 	outs := s.outs
 	for i, j := range jobs {
-		if j.replay {
-			outs[i] = e.replayOutcome(j.r, end)
-		} else {
+		switch j.kind {
+		case jobEval:
 			e.advanceRule(j.r, end, &outs[i])
+		case jobMemo:
+			outs[i] = e.replayOutcome(j.r, end)
+		case jobFire:
+			outs[i] = e.fixpointOutcome(j.r, end)
 		}
 	}
 	// The merge: each rule's cursor, step count and memo, then its firings

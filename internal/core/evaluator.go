@@ -200,6 +200,7 @@ func (e *Evaluator) stepHinted(st history.SystemState, dbUnchanged bool) (Result
 		}
 	}
 	e.st = st
+	defer func() { e.st = history.SystemState{} }()
 	if e.tab == nil || len(e.tab.terms)+len(e.tab.nodes) > e.tab.limit {
 		e.reseed() // between steps, when only the registers hold nodes
 	}
@@ -574,9 +575,9 @@ func (e *Evaluator) buildExecuted(x *ptl.Executed) (*cnode, error) {
 // away once it is more than half the buffer.
 type aggState struct {
 	agg         *ptl.Agg
-	start, samp aggMachine                  // start is nil for windowed aggregates
-	q           func() (value.Value, error) // the query, at the state samp stepped last
-	undo        *aggState                   // what mark saved
+	start, samp aggMachine                                     // start is nil for windowed aggregates
+	q           func(history.SystemState) (value.Value, error) // the query at the state samp just stepped
+	undo        *aggState                                      // what mark saved
 
 	started bool
 	samples []value.Value
@@ -614,13 +615,21 @@ func newAggState(a *ptl.Agg, compile func(ptl.Formula) (aggMachine, error)) (*ag
 	return st, nil
 }
 
-// bindQuery sets q to read the query through the sampling evaluator.
+// bindQuery sets q to read the query through the sampling evaluator, which
+// keeps no state between steps: q lends it the state for the read.
 func (s *aggState) bindQuery() {
 	switch samp := s.samp.(type) {
 	case *FastEvaluator:
-		s.q = (&fastCompiler{e: samp}).term(s.agg.Q)
+		t := (&fastCompiler{e: samp}).term(s.agg.Q)
+		s.q = func(st history.SystemState) (value.Value, error) {
+			samp.st = st
+			defer func() { samp.st = history.SystemState{} }()
+			return t()
+		}
 	case *Evaluator:
-		s.q = func() (value.Value, error) {
+		s.q = func(st history.SystemState) (value.Value, error) {
+			samp.st = st
+			defer func() { samp.st = history.SystemState{} }()
 			qt, err := samp.buildTerm(s.agg.Q)
 			if err != nil {
 				return value.Value{}, err
@@ -673,7 +682,7 @@ func (s *aggState) step(st history.SystemState, dbUnchanged bool) error {
 		// Evaluate the aggregate's query at this state, with the evaluator
 		// that just stepped over it; a value that is not a number, Null
 		// included, is no sample.
-		v, err := s.q()
+		v, err := s.q(st)
 		if err != nil || !v.IsNumeric() {
 			return err
 		}

@@ -237,6 +237,14 @@ func (e *FastEvaluator) Shape() (since, lasttime, timestamp, frontier, window in
 // Steps returns the number of states processed.
 func (e *FastEvaluator) Steps() int { return e.steps }
 
+// Fixpoint reports whether a step hinted dbUnchanged would replay the last
+// verdict (fires), and that verdict.
+func (e *FastEvaluator) Fixpoint() (fixed, last bool) { return e.fixed, e.last }
+
+// Credit counts n replayed steps taken on the evaluator's behalf: all a
+// replay does to it.
+func (e *FastEvaluator) Credit(n int) { e.steps += n }
+
 // Step feeds the next system state and reports whether the condition is
 // satisfied at it (for some binding of its parameters).
 func (e *FastEvaluator) Step(st history.SystemState) (bool, error) {
@@ -250,7 +258,6 @@ func (e *FastEvaluator) Step(st history.SystemState) (bool, error) {
 func (e *FastEvaluator) fires(st history.SystemState, dbUnchanged bool) (bool, error) {
 	if dbUnchanged && e.fixed {
 		e.steps++
-		e.st = st
 		return e.last, nil
 	}
 	if !dbUnchanged {
@@ -263,6 +270,7 @@ func (e *FastEvaluator) fires(st history.SystemState, dbUnchanged bool) (bool, e
 	}
 	e.st, e.moved = st, false
 	fired, err := e.root()
+	e.st = history.SystemState{}
 	if err != nil {
 		e.fixed = false
 		return false, err
@@ -280,6 +288,7 @@ func (e *FastEvaluator) stepParams(st history.SystemState, dbUnchanged bool) (Re
 		e.qc.reset()
 	}
 	e.st = st
+	defer func() { e.st = history.SystemState{} }()
 	e.cands, e.keys, e.bounds = e.cands[:0], e.keys[:0], e.bounds[:0]
 	for _, src := range e.sources {
 		if err := src(); err != nil {

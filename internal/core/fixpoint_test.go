@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -10,6 +11,8 @@ import (
 	"ptlactive/internal/history"
 	"ptlactive/internal/ptl"
 	"ptlactive/internal/ptlgen"
+	"ptlactive/internal/query"
+	"ptlactive/internal/value"
 )
 
 // fixpointFamilies are the formula generators the fixpoint property runs
@@ -26,6 +29,55 @@ var fixpointFamilies = []struct {
 	{"FormulaWithAggregates", func(r *rand.Rand) ptl.Formula { return ptlgen.FormulaWithAggregates(r, 1+r.Intn(3)) }, ptlgen.History, false},
 	{"ParamFormula", func(r *rand.Rand) ptl.Formula { return ptlgen.ParamFormula(r, 1+r.Intn(3)) }, ptlgen.ParamHistory, true},
 	{"MetricFormula", ptlgen.MetricFormula, ptlgen.MetricHistory, false},
+	{"FlakyFormula", flakyFormula, ptlgen.History, false},
+}
+
+// flakyRegistry is ptlgen.Registry with flaky(), a pure query over item a
+// that returns it, but fails where it is 7.
+func flakyRegistry() *query.Registry {
+	reg := ptlgen.Registry()
+	err := reg.RegisterPure("flaky", 0, []string{"a"}, func(st history.SystemState, _ []value.Value) (value.Value, error) {
+		v, _ := st.DB.Get("a")
+		if v.Equal(value.NewInt(7)) {
+			return value.Value{}, errors.New("flaky: a is 7")
+		}
+		return v, nil
+	})
+	if err != nil {
+		panic(err)
+	}
+	return reg
+}
+
+// flakyFormula is a pure closed condition that calls flaky(): a comparison
+// of it under one to three of not, lasttime, since, and and or with
+// comparisons of items. A step at a state where a is 7 fails, and so must
+// every step after it while a stays 7, hinted or not: an error is no
+// fixpoint.
+func flakyFormula(rng *rand.Rand) ptl.Formula {
+	ops := []value.CmpOp{value.EQ, value.NE, value.LT, value.LE, value.GT, value.GE}
+	cmp := func(q ptl.Term) ptl.Formula {
+		return ptl.Compare(ops[rng.Intn(len(ops))], q, ptl.CInt(int64(rng.Intn(10))))
+	}
+	item := func() ptl.Formula { return cmp(ptl.Q("item", ptl.CStr(ptlgen.Items[rng.Intn(len(ptlgen.Items))]))) }
+	f := cmp(ptl.Q("flaky"))
+	for k := 1 + rng.Intn(3); k > 0; k-- {
+		switch rng.Intn(6) {
+		case 0:
+			f = &ptl.Not{F: f}
+		case 1:
+			f = &ptl.Lasttime{F: f}
+		case 2:
+			f = &ptl.Since{L: f, R: item(), Bound: ptl.Unbounded}
+		case 3:
+			f = &ptl.Since{L: item(), R: f, Bound: ptl.Unbounded}
+		case 4:
+			f = &ptl.And{L: item(), R: f}
+		default:
+			f = &ptl.Or{L: f, R: item()}
+		}
+	}
+	return f
 }
 
 // quietHistory is h with a run of one to five states that change no item
@@ -77,7 +129,7 @@ func checkFixpoint(t testing.TB, seed int64, fam int) int {
 	if family.param {
 		log = ptlgen.ParamLog(rng, h)
 	}
-	reg := ptlgen.Registry()
+	reg := flakyRegistry()
 	info, err := ptl.Check(f, reg)
 	if err != nil {
 		t.Fatalf("%s seed %d: %v\n%s", family.name, seed, err, f)
