@@ -72,11 +72,11 @@ loc:
 # So do the reader suites (ConcurrentReader, Parallel): readers calling the
 # accessors beside the one mutator are the engine's only concurrency. The
 # wake loop writes the cursors of the standing triggers it steps at a
-# fixpoint beside those readers, so the fixpoint suites (FixpointError,
-# SteppedStatesNotPinned, and IndexedSweepEquivalence's fixpoint triggers)
-# repeat here too.
+# fixpoint, and parks and unparks the resting ones, beside those readers,
+# so the fixpoint suites (FixpointError, SteppedStatesNotPinned, Resting,
+# and IndexedSweepEquivalence's fixpoint triggers) repeat here too.
 stress:
-	$(GO) test -race -count=3 -run 'Fault|Degrad|Quarantine|Parallel|ConcurrentReader|IndexedSweepEquivalence|FixpointError|SteppedStatesNotPinned|Panic|Failpoint|Chaos|Failover|Lease|Promot|Replica|ShipAfterReply|PMap' ./internal/adb ./internal/persist ./internal/replica ./internal/pmap
+	$(GO) test -race -count=3 -run 'Fault|Degrad|Quarantine|Parallel|ConcurrentReader|IndexedSweepEquivalence|FixpointError|SteppedStatesNotPinned|Resting|Panic|Failpoint|Chaos|Failover|Lease|Promot|Replica|ShipAfterReply|PMap' ./internal/adb ./internal/persist ./internal/replica ./internal/pmap
 
 # allocgates runs the allocation gates of the commit path at three core
 # counts. The engine starts no goroutine of its own, so nothing they count
@@ -84,9 +84,10 @@ stress:
 # check.
 # TestSweepNoRuleTerm has four arms: quiescent, gated, exact temporal and
 # general rules (the last two: 2,000 steps per commit, none of which may
-# allocate; all but one of the exact temporal arm's rules sit at a
-# fixpoint the commit leaves alone, so the wake loop takes their steps
-# without calling an evaluator, and still allocates nothing). In core, a step of the paper's doubled-within-d trigger
+# allocate; all but one of the exact temporal arm's rules sit at a false
+# fixpoint the commit leaves alone, so they rest in the parked set and the
+# sweep counts their steps without visiting them, and still allocates
+# nothing). In core, a step of the paper's doubled-within-d trigger
 # allocates alike at a handful of retained clauses (a wandering price,
 # which subsumption keeps to at most 20 clauses even at d=1000) and at about
 # 500 (a price rising at every state, which nothing subsumes; the test
@@ -184,7 +185,8 @@ profile-sparse:
 # profile-temporal profiles the sparse-temporal shape (the same data and
 # commits under 2,000 `item(k) > 800 and lasttime item(k) <= 800` rules):
 # what a commit's 2,000 steps cost when all but one to three of them find
-# their rule's item unchanged and are taken in the wake loop, at a fixpoint.
+# their rule's item unchanged: those rules rest at a false fixpoint, and
+# the sweep counts their steps without visiting them.
 profile-temporal:
 	$(GO) test -run '^$$' -bench SparseTemporal -benchtime 20000x -memprofilerate 4096 \
 		-cpuprofile temporal_cpu.prof -memprofile temporal_mem.prof ./internal/adb

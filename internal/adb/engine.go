@@ -83,16 +83,19 @@ type Engine struct {
 	sweepGen   uint64
 	stamped    int
 
-	// Wake lists (see sweepIndexed), in registration order: constraints and
-	// triggers partition the rule table, standing holds the classes every
-	// commit wakes, live the gated and quiescent rules that are not parked.
-	// Parked rules share parkedCursor, the index after the last commit state
-	// swept. scratch is the sweep's reusable working memory.
+	// Wake lists (see sweepIndexed): constraints and triggers partition the
+	// rule table in registration order; standing holds the classes every
+	// commit wakes but the resting triggers, live the gated and quiescent
+	// rules that are not parked, each in the order rules entered it. Parked
+	// rules share parkedCursor, the index after the last commit state swept;
+	// resting counts the parked triggers whose steps the sweep counts.
+	// scratch is the sweep's reusable working memory.
 	constraints  []*rule
 	triggers     []*rule
 	standing     []*rule
 	live         []*rule
 	parkedCursor int
+	resting      int
 	scratch      *sweepScratch
 
 	// Fault isolation (see health.go): the circuit-breaker threshold and
@@ -349,8 +352,11 @@ func (e *Engine) FiringCount() int {
 	return len(e.firings)
 }
 
-// EvalSteps returns the total number of evaluator steps performed; the
-// relevance-filtering benchmark (E8) reads this. Safe for concurrent use.
+// EvalSteps returns the number of evaluator steps the rules have taken,
+// replayed or been credited: at every operation exactly what the coarse
+// engine (NewCoarseEngine) counts, though most of a resting trigger's are
+// counted without a visit. The relevance-filtering benchmark (E8) reads
+// this. Safe for concurrent use.
 func (e *Engine) EvalSteps() int64 {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
@@ -408,7 +414,9 @@ func (e *Engine) Compact() int {
 	for _, r := range e.rules {
 		r.cursor -= min
 	}
-	// Meaningful only while some rule is parked, and then min <= it.
+	// Meaningful only while some rule is parked, and then min <= it. A
+	// resting rule's cursor field moves with it, so its credit (the
+	// difference) stands.
 	e.parkedCursor -= min
 	e.mu.Unlock()
 	// Compaction moves base and the oldest state ItemAsOf answers, so it

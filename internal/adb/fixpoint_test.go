@@ -1,6 +1,7 @@
 package adb
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"reflect"
@@ -9,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"ptlactive/internal/core"
 	"ptlactive/internal/event"
 	"ptlactive/internal/history"
 	"ptlactive/internal/query"
@@ -152,4 +154,185 @@ func TestSteppedStatesNotPinned(t *testing.T) {
 		t.Fatalf("%d of the %d dropped commit states' event sets were collected", got, watched)
 	}
 	runtime.KeepAlive(e) // and with it every evaluator
+}
+
+// settledStates reads each rule's Steps() and encoded evaluator state as
+// Engine.settle would leave them, without settling: the probe hands a
+// rule's owed steps to its evaluator and takes them back, so the settle
+// points under test still find them owed.
+func settledStates(t *testing.T, e *Engine) map[string]string {
+	t.Helper()
+	out := map[string]string{}
+	for _, r := range e.rules {
+		owed := owedSteps(e, r)
+		fast, _ := r.ev.(*core.FastEvaluator)
+		if owed > 0 {
+			fast.Credit(owed)
+		}
+		enc, err := core.EncodeEvaluatorState(r.ev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[r.name] = fmt.Sprintf("%d steps: %s", r.ev.(interface{ Steps() int }).Steps(), enc)
+		if owed > 0 {
+			fast.Credit(-owed)
+		}
+	}
+	return out
+}
+
+// owedSteps is what Engine.settle would credit r's evaluator.
+func owedSteps(e *Engine, r *rule) int {
+	if r.parked && r.wake == wakeCommit {
+		return r.credit + e.parkedCursor - r.cursor
+	}
+	return r.credit
+}
+
+// TestRestingTriggerCountsEveryState: an edge trigger of either
+// sparse-temporal shape — a rise, and a fall after a peak — whose fixpoint
+// step at a commit replays false rests in the parked set, and its steps are
+// counted instead of taken. After every operation the step counter, the
+// firings and each rule's evaluator, settled, must be the coarse engine's
+// — for a memory engine and for a durable twin checkpointed and restored
+// while rules rest — across event-only and abort states between commits
+// (the sweep counts them at the next commit), Compact (which moves the
+// parked cursor and every cursor field alike), a snapshot (which settles a
+// resting rule's steps without waking it), Flush (which wakes every rule)
+// and writes to a rule's item (which wake that rule, with its credit).
+// Settling in the probe would pay the credit the settle points owe, so
+// settledStates only looks.
+func TestRestingTriggerCountsEveryState(t *testing.T) {
+	keys := []string{"k0", "k1", "k2", "k3"}
+	config := func() Config {
+		initial := map[string]value.Value{"o": value.NewInt(0)}
+		for _, k := range keys {
+			initial[k] = value.NewInt(500)
+		}
+		return Config{Initial: initial}
+	}
+	register := func(e *Engine) {
+		for _, k := range keys {
+			mustAdd(t, e, "rise_"+k, fmt.Sprintf(`item(%q) > 800 and lasttime item(%q) <= 800`, k, k), nil)
+			mustAdd(t, e, "fall_"+k, fmt.Sprintf(`item(%q) < 200 and lasttime (item(%q) >= 200 and previously item(%q) > 800)`, k, k, k), nil)
+		}
+	}
+	ref, idx := NewCoarseEngine(config()), NewEngine(config())
+	dir := t.TempDir()
+	durCfg := config()
+	durCfg.Durability, durCfg.NoFsync = DurabilityWAL, true
+	dur, err := Restore(durCfg, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { dur.Close() }()
+	for _, e := range []*Engine{ref, idx, dur} {
+		register(e)
+	}
+
+	set := func(item string, v int64) func(*Engine) error {
+		return func(e *Engine) error { return e.Exec(e.Now()+1, map[string]value.Value{item: value.NewInt(v)}) }
+	}
+	emit := func(e *Engine) error { return e.Emit(e.Now()+1, event.New("tick")) }
+	abort := func(e *Engine) error { return e.Begin().Abort(e.Now() + 1) }
+	compact := func(e *Engine) error { e.Compact(); return nil }
+	flush := func(e *Engine) error { return e.Flush() }
+	var refSnap []byte
+	snapshot := func(e *Engine) error {
+		if e == dur {
+			if err := e.Checkpoint(); err != nil {
+				return err
+			}
+			if err := e.Close(); err != nil {
+				return err
+			}
+			dur, err = Restore(durCfg, dir)
+			return err
+		}
+		var buf bytes.Buffer
+		if err := e.SaveSnapshot(&buf); err != nil {
+			return err
+		}
+		if e == ref {
+			refSnap = buf.Bytes()
+		} else if !bytes.Equal(buf.Bytes(), refSnap) {
+			t.Fatalf("snapshot bytes diverge:\n coarse:  %s\n indexed: %s", refSnap, buf.Bytes())
+		}
+		return nil
+	}
+	ops := []struct {
+		name string
+		do   func(*Engine) error
+	}{
+		{"commit o", set("o", 1)}, // every rule steps in full and sits at a fixpoint
+		{"commit o", set("o", 2)}, // every rule rests
+		{"commit o", set("o", 3)},
+		{"emit", emit},
+		{"abort", abort},
+		{"emit", emit},
+		{"commit o after event and abort states", set("o", 4)},
+		{"compact", compact},
+		{"emit", emit},
+		{"commit k0 rises", set("k0", 900)},
+		{"commit o", set("o", 5)},
+		{"commit k0 stays high", set("k0", 950)},
+		{"emit", emit},
+		{"commit k1 rises", set("k1", 850)},
+		{"commit o", set("o", 6)},
+		{"snapshot", snapshot},
+		{"emit", emit},
+		{"commit o", set("o", 7)},
+		{"commit o", set("o", 8)},
+		{"commit k0 falls", set("k0", 100)},
+		{"abort", abort},
+		{"flush", flush},
+		{"commit o", set("o", 9)},
+		{"emit", emit},
+		{"commit o", set("o", 10)},
+		{"compact", compact},
+		{"commit k1 falls", set("k1", 150)},
+		{"emit", emit},
+		{"snapshot", snapshot},
+		{"commit o", set("o", 11)},
+		{"commit k2 rises", set("k2", 801)},
+		{"commit o", set("o", 12)},
+	}
+	restedOver := map[string]int{} // most states a rule of each shape rested over
+	for i, op := range ops {
+		for _, e := range []*Engine{ref, idx, dur} {
+			if err := op.do(e); err != nil {
+				t.Fatalf("op %d (%s): %v", i, op.name, err)
+			}
+		}
+		want := settledStates(t, ref)
+		for _, arm := range []struct {
+			name string
+			e    *Engine
+		}{{"indexed", idx}, {"durable", dur}} {
+			if got, w := arm.e.EvalSteps(), ref.EvalSteps(); got != w {
+				t.Fatalf("op %d (%s): %s engine counts %d eval steps, coarse %d", i, op.name, arm.name, got, w)
+			}
+			if !firingsEqual(arm.e.Firings(), ref.Firings()) {
+				t.Fatalf("op %d (%s): %s firings diverge:\n coarse: %v\n %s: %v", i, op.name, arm.name, ref.Firings(), arm.name, arm.e.Firings())
+			}
+			if got := settledStates(t, arm.e); !reflect.DeepEqual(got, want) {
+				t.Fatalf("op %d (%s): %s evaluators diverge:\n coarse: %v\n %s: %v", i, op.name, arm.name, want, arm.name, got)
+			}
+		}
+		for _, r := range idx.rules {
+			if shape := r.name[:4]; r.parked {
+				restedOver[shape] = max(restedOver[shape], idx.parkedCursor-r.cursor)
+			}
+		}
+	}
+	// The trace must exercise what it names: both shapes rest, and across
+	// more than the one commit that parked them.
+	for _, shape := range []string{"rise", "fall"} {
+		if restedOver[shape] < 2 {
+			t.Errorf("no %s rule rested over more than one state (%d)", shape, restedOver[shape])
+		}
+	}
+	if n := len(ref.Firings()); n != 5 {
+		t.Errorf("%d firings, want 5 (three rises, two falls)", n)
+	}
 }

@@ -71,8 +71,11 @@ type rule struct {
 	// seq is the position in Engine.rules (jobs merge in seq order) and wake
 	// the wake list the indexed sweep finds the rule through, both fixed at
 	// registration. parked (guarded by Engine.mu) means the rule's cursor is
-	// Engine.parkedCursor, not the cursor field. indexed: itemIndex lists the
-	// rule, so stampDirty marks it.
+	// Engine.parkedCursor, not the cursor field: a gated or quiescent rule a
+	// commit would only bump, or a resting trigger (wakeCommit), whose cursor
+	// field stays where it came to rest so that parkedCursor minus it is the
+	// steps it is owed. indexed: itemIndex lists the rule, so stampDirty
+	// marks it.
 	seq     int
 	wake    wakeKind
 	parked  bool
@@ -93,8 +96,10 @@ type rule struct {
 	// Fixpoint mirror (only the mutating goroutine touches it): a fast
 	// evaluator's Fixpoint as of the last step the engine took (step), so
 	// the wake loop can take a step that would replay without calling it
-	// (wakeStanding). credit counts those steps until settle hands them to
-	// the evaluator. Whatever replaces ev resets both.
+	// (wakeStanding), and a trigger whose replay is false can rest. credit
+	// counts those steps until settle hands them to the evaluator; the steps
+	// a rule is owed while it rests join credit when it unparks or a
+	// snapshot settles it (Engine.settle). Whatever replaces ev resets both.
 	fixed, last bool
 	credit      int
 }

@@ -57,13 +57,17 @@ func randomIndexParams(seed int64, rules int, withConstraints, fixpoint bool) en
 
 // evaluatorStates reads Steps() and the encoded state of the evaluator of
 // every rule the indexed engine idx steps at every commit (its standing
-// list) from e, after settling the steps the wake loop credited.
+// list and its resting triggers) from e, after settling the steps the wake
+// loop credited and those counted while a rule rested.
 func evaluatorStates(t *testing.T, idx, e *Engine) map[string]string {
 	t.Helper()
 	out := map[string]string{}
-	for _, s := range idx.standing {
+	for _, s := range idx.rules {
+		if s.wake != wakeAlways && s.wake != wakeCommit && s.wake != wakeConstraint {
+			continue
+		}
 		r := e.index[s.name]
-		r.settle()
+		e.settle(r)
 		enc, err := core.EncodeEvaluatorState(r.ev)
 		if err != nil {
 			t.Fatal(err)

@@ -42,7 +42,7 @@ func (e *Engine) buildSnapshot() (*persist.EngineSnapshot, error) {
 		snap.History = append(snap.History, line)
 	}
 	for _, r := range e.rules {
-		r.settle()
+		e.settle(r) // a resting rule stays parked
 		ev, err := core.EncodeEvaluatorState(r.ev)
 		if err != nil {
 			return nil, fmt.Errorf("adb: snapshot rule %s: %w", r.name, err)

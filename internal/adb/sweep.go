@@ -135,7 +135,10 @@ func (e *Engine) putScratch(s *sweepScratch) {
 // filtered per state (wakeAlways, wakeCommit, wakeConstraint); through
 // eventIndex alone (wakeEvent); or, for the gated and quiescent database
 // readers, which a commit that does not concern them merely bumps, in
-// Engine.live or behind the parked cursor (wakeParked).
+// Engine.live or behind the parked cursor (wakeParked). A wakeCommit
+// trigger resting at a false fixpoint parks behind the same cursor, out of
+// Engine.standing, until its item is written or Flush or an unknown dirty
+// set wakes it (sweepIndexed).
 type wakeKind uint8
 
 const (
@@ -144,7 +147,7 @@ const (
 	wakeCommit                     // Relevant exact database readers: every commit, and their events
 	wakeConstraint                 // constraints: every commit and abort
 	wakeEvent                      // Relevant, no database reads: their events only
-	wakeParked                     // Relevant gated or quiescent database readers
+	wakeParked                     // Relevant gated or quiescent database readers, in live or parked
 )
 
 // wakeFor classifies r; it restates the coarse filter (relevant) per class.
@@ -207,9 +210,9 @@ func (e *Engine) enlist(r *rule) {
 // stampDirty opens a sweep generation for history index i, whose state
 // changed items: every indexed rule reading one of them gets the generation
 // as its dirtyGen — an index probe per item, not a read-set probe per rule
-// and item. A commit's sweep also unparks the (quiescent) rules it marks,
-// and holds mu; the tentative state's check must not, a rejected commit
-// leaving no trace.
+// and item. A commit's sweep also unparks the quiescent and resting rules it
+// marks, and holds mu; the tentative state's check must not, a rejected
+// commit leaving no trace.
 func (e *Engine) stampDirty(i int, items []string, unpark bool) uint64 {
 	e.sweepGen++
 	e.stamped = e.base + i
@@ -232,11 +235,30 @@ func (e *Engine) cursorOf(r *rule) int {
 	return r.cursor
 }
 
-// unpark materialises a parked rule's cursor and returns it to the live
-// set; the caller holds mu.
+// unpark materialises a parked rule's cursor and returns it to the wake
+// list its kind names: live for a gated or quiescent rule, standing for a
+// resting trigger, which is settled the steps it rested over first. The
+// caller holds mu.
 func (e *Engine) unpark(r *rule) {
+	if r.wake == wakeCommit {
+		e.settle(r)
+		e.resting--
+		e.standing = append(e.standing, r)
+	} else {
+		e.live = append(e.live, r)
+	}
 	r.cursor, r.parked = e.parkedCursor, false
-	e.live = append(e.live, r)
+}
+
+// settle hands r's evaluator every step counted on its behalf. A resting
+// rule is credited the states parkedCursor has passed since its cursor
+// field was set, which moves up to it, and stays parked.
+func (e *Engine) settle(r *rule) {
+	if r.parked && r.wake == wakeCommit {
+		r.credit += e.parkedCursor - r.cursor
+		r.cursor = e.parkedCursor
+	}
+	r.settle()
 }
 
 func (e *Engine) unparkAll() {
@@ -261,6 +283,11 @@ func (e *Engine) unparkAll() {
 // quiescent rules that need attention. The rest of those two classes are
 // parked — a commit would only bump them — behind Engine.parkedCursor, set
 // once per commit sweep, until an event, a dirty item or Flush unparks them.
+// So are the resting triggers: an indexed wakeCommit trigger whose
+// fixpoint step at a commit replayed false would replay false at every
+// state until its item is written, so the sweep counts those steps — the
+// resting rules times the states parkedCursor moves over — and unpark or a
+// snapshot credits them to the rule.
 func (e *Engine) sweepIndexed(newest int, st history.SystemState) error {
 	end := newest + 1
 	commit := st.Events.CommitCount() > 0
@@ -319,15 +346,28 @@ func (e *Engine) sweepIndexed(newest int, st history.SystemState) error {
 	}
 	e.live = live
 	if commit {
+		// Every resting rule's steps over the states since the last commit
+		// sweep: event and abort states, and this commit.
+		e.evalSteps += int64(e.resting * (end - e.parkedCursor))
 		e.parkedCursor = end
 	}
+	standing := e.standing[:0]
 	for _, r := range e.standing {
 		switch r.wake {
 		case wakeAlways:
 			e.wakeStanding(s, r, newest, d)
 		case wakeCommit:
-			if commit || r.wakeGen == gen {
-				e.wakeStanding(s, r, newest, d)
+			if !commit && r.wakeGen != gen {
+				break
+			}
+			// A false fixpoint step at a commit leaves r's cursor at
+			// parkedCursor, and only a write to its item (itemIndex) can
+			// change the verdict of a rule that reads no time and no event:
+			// it rests.
+			if e.wakeStanding(s, r, newest, d) && !r.last && commit && r.indexed {
+				r.parked = true
+				e.resting++
+				continue
 			}
 		case wakeConstraint:
 			// A commit the constraints accepted has stepped them already.
@@ -335,7 +375,9 @@ func (e *Engine) sweepIndexed(newest int, st history.SystemState) error {
 				s.add(r, jobEval)
 			}
 		}
+		standing = append(standing, r)
 	}
+	e.standing = standing
 	e.mu.Unlock()
 	return e.runJobs(s, end)
 }
@@ -346,11 +388,11 @@ func (e *Engine) sweepIndexed(newest int, st history.SystemState) error {
 // (the copy step keeps on r), the step would replay the last verdict, so
 // it is taken here: counted, credited to the evaluator, the cursor moved.
 // Only a true verdict needs a job, for its firing. Any other wake is an
-// evaluation job.
-func (e *Engine) wakeStanding(s *sweepScratch, r *rule, newest int, d dirtySet) {
+// evaluation job. It reports whether it took the step.
+func (e *Engine) wakeStanding(s *sweepScratch, r *rule, newest int, d dirtySet) bool {
 	if !r.fixed || r.cursor != newest || !r.contiguous || !e.untouched(r, newest, d) {
 		s.add(r, jobEval)
-		return
+		return false
 	}
 	r.credit++
 	r.cursor = newest + 1
@@ -358,6 +400,7 @@ func (e *Engine) wakeStanding(s *sweepScratch, r *rule, newest int, d dirtySet) 
 	if r.last {
 		s.add(r, jobFire)
 	}
+	return true
 }
 
 // replayOutcome reproduces, without evaluation, the outcome re-evaluating

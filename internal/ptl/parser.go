@@ -52,23 +52,6 @@ func Parse(src string) (Formula, error) {
 	return f, nil
 }
 
-// ParseTerm parses a standalone term (used by the shell and tests).
-func ParseTerm(src string) (Term, error) {
-	toks, err := lex(src)
-	if err != nil {
-		return nil, err
-	}
-	p := &parser{toks: toks}
-	t, err := p.term()
-	if err != nil {
-		return nil, err
-	}
-	if p.peek().kind != tokEOF {
-		return nil, p.errf("unexpected %s after term", p.peek().kind)
-	}
-	return t, nil
-}
-
 type parser struct {
 	toks []token
 	i    int

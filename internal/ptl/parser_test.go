@@ -251,22 +251,6 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
-func TestParseTermStandalone(t *testing.T) {
-	tm, err := ParseTerm(`price("IBM") * 2`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := tm.(*Arith); !ok {
-		t.Fatalf("got %T", tm)
-	}
-	if _, err := ParseTerm(`1 2`); err == nil {
-		t.Error("trailing tokens should fail")
-	}
-	if _, err := ParseTerm(`and`); err == nil {
-		t.Error("keyword term should fail")
-	}
-}
-
 // TestRoundTrip: Parse(f.String()) is structurally equal to f (DESIGN.md
 // §5). The WAL and snapshots store a rule as its printed condition, so
 // recovery depends on this.
