@@ -74,9 +74,11 @@ loc:
 # wake loop writes the cursors of the standing triggers it steps at a
 # fixpoint, and parks and unparks the resting ones, beside those readers,
 # so the fixpoint suites (FixpointError, SteppedStatesNotPinned, Resting,
-# and IndexedSweepEquivalence's fixpoint triggers) repeat here too.
+# and IndexedSweepEquivalence's fixpoint triggers) repeat here too. Observers
+# run with Engine.mu dropped, beside those readers, and the refusal suite
+# (Reentrant) calls every mutator from one.
 stress:
-	$(GO) test -race -count=3 -run 'Fault|Degrad|Quarantine|Parallel|ConcurrentReader|IndexedSweepEquivalence|FixpointError|SteppedStatesNotPinned|Resting|Panic|Failpoint|Chaos|Failover|Lease|Promot|Replica|ShipAfterReply|PMap' ./internal/adb ./internal/persist ./internal/replica ./internal/pmap
+	$(GO) test -race -count=3 -run 'Fault|Degrad|Quarantine|Parallel|ConcurrentReader|IndexedSweepEquivalence|FixpointError|SteppedStatesNotPinned|Resting|Reentrant|Panic|Failpoint|Chaos|Failover|Lease|Promot|Replica|ShipAfterReply|PMap' ./internal/adb ./internal/persist ./internal/replica ./internal/pmap
 
 # allocgates runs the allocation gates of the commit path at three core
 # counts. The engine starts no goroutine of its own, so nothing they count

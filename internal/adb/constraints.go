@@ -35,7 +35,8 @@ func (e *ConstraintError) Unwrap() error { return ErrConstraintViolation }
 // accepted step stands — appendState moves the cursors past the state once
 // it is in the history, and no sweep evaluates it again.
 // Every constraint is stepped whether or not an earlier one already
-// rejected, so a rejected commit charges each constraint one step.
+// rejected, so a rejected commit charges each constraint one step. The steps
+// call registered query functions, so the engine is busy while they run.
 func (e *Engine) checkConstraints(tentative history.SystemState, changed []string) (*rule, error) {
 	constraints := e.constraints
 	if len(constraints) == 0 {
@@ -54,6 +55,8 @@ func (e *Engine) checkConstraints(tentative history.SystemState, changed []strin
 	e.stampDirty(at, changed, false)
 	var violated *rule
 	var firstErr error
+	e.busy = true
+	defer func() { e.busy = false }()
 	for _, r := range constraints {
 		r.ev.Mark()
 		res, err := e.step(r, tentative, at, d)

@@ -28,12 +28,14 @@ import (
 //
 // Concurrency model: mutating operations (Emit, transactions, Flush,
 // rule registration, Compact, PruneExecutions) must come from a single
-// goroutine at a time, but the reader accessors — Firings, ItemAsOf,
-// Rule, RuleNames, EvalSteps, Executions, Now, DB, BaseIndex — are safe
-// to call from any goroutine concurrently with that mutator. The temporal
-// component runs on the mutating goroutine: every rule is advanced and every
-// constraint stepped there, and firings and constraint violations are
-// merged in rule registration order (DESIGN.md §4.2, "Threading contract").
+// goroutine at a time, and never from an observer or a query function the
+// temporal component calls (ErrReentrant); the reader accessors — Firings,
+// ItemAsOf, Rule, RuleNames, EvalSteps, Executions, Now, DB, BaseIndex —
+// are safe to call from any goroutine concurrently with that mutator.
+// The temporal component runs on the mutating goroutine: every rule is
+// advanced and every constraint stepped there, and firings and constraint
+// violations are merged in rule registration order (DESIGN.md §4.2,
+// "Threading contract").
 type Engine struct {
 	// mu guards the observable shared state: history length, database,
 	// clock, firings, the step counter, the execution log and the rule
@@ -57,8 +59,14 @@ type Engine struct {
 	nextObsID uint64
 	nextTxn   int64
 	inSweep   bool
-	pending   []pendingAction // firings awaiting action execution
-	cascade   int
+	// busy is set while the engine runs code it does not own on the
+	// committing goroutine — rule steps and the merge's observers (runJobs),
+	// the constraints' tentative step — and makes every mutator refuse with
+	// ErrReentrant, so no invocation of the temporal component nests in
+	// another. Only the mutating goroutine touches it.
+	busy    bool
+	pending []pendingAction // firings awaiting action execution
+	cascade int
 
 	// base is the absolute index of hist's first state; Compact advances
 	// it as fully-processed prefix states are discarded.
@@ -89,14 +97,14 @@ type Engine struct {
 	// rules that are not parked, each in the order rules entered it. Parked
 	// rules share parkedCursor, the index after the last commit state swept;
 	// resting counts the parked triggers whose steps the sweep counts.
-	// scratch is the sweep's reusable working memory.
+	// scratch is the temporal component's one working memory (runJobs).
 	constraints  []*rule
 	triggers     []*rule
 	standing     []*rule
 	live         []*rule
 	parkedCursor int
 	resting      int
-	scratch      *sweepScratch
+	scratch      sweepScratch
 
 	// Fault isolation (see health.go): the circuit-breaker threshold and
 	// the fault observer. degraded, once set, seals the engine read-only
@@ -146,7 +154,9 @@ type Config struct {
 	Initial map[string]value.Value
 	// Start is the timestamp of the initial system state.
 	Start int64
-	// OnFiring, when set, observes every firing as it happens.
+	// OnFiring, when set, observes every firing as it happens, like the
+	// first Engine.OnFiring registration: a mutator it calls is refused
+	// with ErrReentrant.
 	OnFiring func(Firing)
 	// Workers is ignored: the temporal component runs on the committing
 	// goroutine.
@@ -227,12 +237,22 @@ func NewEngine(cfg Config) *Engine {
 // mode (nil when healthy). A durability fault — a WAL append or fsync
 // error — or a broken internal invariant seals the engine: the in-memory
 // state stays intact and readable, mutating operations are refused with
-// the sealing error (every mutator checks Degraded on entry), and recovery
+// the sealing error (every mutator checks refused on entry), and recovery
 // from disk yields exactly the committed prefix. Safe for concurrent use.
 func (e *Engine) Degraded() error {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	return e.degraded
+}
+
+// refused is every mutator's entry check: ErrReentrant while the engine is
+// busy (an observer or query function calling back in), else the sealing
+// error of a degraded engine.
+func (e *Engine) refused() error {
+	if e.busy {
+		return ErrReentrant
+	}
+	return e.Degraded()
 }
 
 // seal transitions the engine into read-only degraded mode; the first
@@ -303,9 +323,12 @@ type firingObserver struct {
 // firing, after the Config.OnFiring callback, in registration order; the
 // network layer's subscription fan-out hangs off this hook. The returned
 // cancel function removes the observer. Observers run on the mutating
-// goroutine in the middle of a sweep, so they must not call engine
-// mutators and should return quickly (hand the firing to a queue rather
-// than doing slow work inline). Safe for concurrent registration.
+// goroutine in the middle of a sweep, with Engine.mu free: they may call
+// the reader accessors, and Firings() ends at the firing they are told
+// about. They only observe — a mutator they call returns ErrReentrant and
+// changes nothing; a rule's action is where a firing updates — and should
+// return quickly (hand the firing to a queue rather than doing slow work
+// inline). Safe for concurrent registration.
 func (e *Engine) OnFiring(fn func(Firing)) (cancel func()) {
 	e.mu.Lock()
 	e.nextObsID++
@@ -390,7 +413,7 @@ func (e *Engine) Executions(ruleName string, before int64) []ptl.Execution {
 // discarded. Firing.StateIndex values remain absolute across compactions
 // (see BaseIndex).
 func (e *Engine) Compact() int {
-	if e.Degraded() != nil {
+	if e.refused() != nil {
 		return 0
 	}
 	e.mu.Lock()
@@ -439,7 +462,7 @@ func (e *Engine) ExportHistory(w io.Writer) error {
 // as and when it is not needed" — rules bounding executed's age (e.g.
 // time - T <= 60) never need older records.
 func (e *Engine) PruneExecutions(t int64) int {
-	if e.Degraded() != nil {
+	if e.refused() != nil {
 		return 0
 	}
 	e.mu.Lock()

@@ -123,7 +123,7 @@ func (e *Engine) Checkpoint() error {
 	if e.store == nil {
 		return fmt.Errorf("adb: Checkpoint requires a durable engine (use Restore)")
 	}
-	if err := e.Degraded(); err != nil {
+	if err := e.refused(); err != nil {
 		return err
 	}
 	// The checkpoint's own compaction is part of the snapshot, not an
@@ -145,7 +145,8 @@ func (e *Engine) Checkpoint() error {
 
 // SaveSnapshot writes the engine's durable state to w in the snapshot
 // format (see internal/persist). The engine must be quiescent: no sweep in
-// progress and no actions pending.
+// progress and no actions pending; from an observer it returns
+// ErrReentrant.
 func (e *Engine) SaveSnapshot(w io.Writer) error {
 	snap, err := e.buildSnapshot()
 	if err != nil {
@@ -170,7 +171,12 @@ func (e *Engine) SetWALFailpoint(fp persist.Failpoint) {
 // Close releases the durability store (no-op for memory engines) and
 // surfaces the sealing error of a degraded engine, so a fault noted by an
 // int-returning operation (Compact, PruneExecutions) is never silent.
+// Like every mutator it is refused from inside the temporal component
+// (ErrReentrant), and then closes nothing.
 func (e *Engine) Close() error {
+	if e.busy {
+		return ErrReentrant
+	}
 	var err error
 	if e.store != nil {
 		err = e.store.Close()

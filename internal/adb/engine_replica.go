@@ -32,7 +32,7 @@ func (e *Engine) BumpEpoch(n int64) error {
 	if e.store == nil {
 		return fmt.Errorf("adb: BumpEpoch requires a durable engine")
 	}
-	if err := e.Degraded(); err != nil {
+	if err := e.refused(); err != nil {
 		return err
 	}
 	if cur := e.Epoch(); n <= cur {

@@ -21,6 +21,12 @@ var (
 	// accessors keep working on the intact in-memory state, mutating
 	// operations are refused.
 	ErrDegraded = errors.New("engine degraded (read-only)")
+	// ErrReentrant reports a mutator called while the engine runs code it
+	// does not own on the committing goroutine: an OnFiring observer, or a
+	// registered query function a rule or constraint step calls. Those
+	// only observe; the one way to update from a firing is the rule's
+	// action, which runs after the temporal component (Section 8).
+	ErrReentrant = errors.New("engine mutator called from inside its temporal component")
 	// ErrInternal reports a broken engine invariant (a must-not-fail encode
 	// path that failed anyway).
 	ErrInternal = errors.New("internal invariant violated")

@@ -91,7 +91,7 @@ func (e *Engine) QuarantinedRules() []string {
 // same point during recovery, and a degraded engine refuses it like any
 // other mutator.
 func (e *Engine) ReviveRule(name string) error {
-	if err := e.Degraded(); err != nil {
+	if err := e.refused(); err != nil {
 		return err
 	}
 	e.mu.Lock()

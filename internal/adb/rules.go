@@ -43,7 +43,7 @@ type rule struct {
 	name       string
 	condition  ptl.Formula
 	info       *ptl.Info
-	ev         core.ConditionEvaluator
+	ev         core.HintedEvaluator
 	action     Action
 	constraint bool
 	sched      Scheduling
@@ -62,12 +62,10 @@ type rule struct {
 	// Scheduling-index metadata (see readset.go). rs and class are fixed at
 	// registration; contiguous marks rules whose evaluator steps every
 	// state in order (temporal, Eager or Manual — never the non-temporal
-	// Relevant jump), the precondition for the dbUnchanged hint. hinted is
-	// ev when it supports hinted stepping.
+	// Relevant jump), the precondition for the dbUnchanged hint.
 	rs         readSet
 	class      ruleClass
 	contiguous bool
-	hinted     core.HintedEvaluator
 	// seq is the position in Engine.rules (jobs merge in seq order) and wake
 	// the wake list the indexed sweep finds the rule through, both fixed at
 	// registration. parked (guarded by Engine.mu) means the rule's cursor is
@@ -169,7 +167,7 @@ func reparses(name string, condition ptl.Formula) error {
 }
 
 func (e *Engine) add(name string, condition ptl.Formula, action Action, isConstraint bool, opts ...RuleOption) error {
-	if err := e.Degraded(); err != nil {
+	if err := e.refused(); err != nil {
 		return err
 	}
 	if name == "" {
@@ -188,7 +186,7 @@ func (e *Engine) add(name string, condition ptl.Formula, action Action, isConstr
 	// Conditions in ptl.FastShape's class — the decomposable subclass the
 	// paper's prototype implemented, parameters, and bounded operators,
 	// captured values and windowed aggregates on metric registers — get
-	// the fast path.
+	// the fast path. Both evaluators take the dbUnchanged hint.
 	ev, err := core.CompileAuto(info, e.reg, e)
 	if err != nil {
 		return fmt.Errorf("adb: rule %s: %w", name, err)
@@ -197,7 +195,7 @@ func (e *Engine) add(name string, condition ptl.Formula, action Action, isConstr
 		name:       name,
 		condition:  condition,
 		info:       info,
-		ev:         ev,
+		ev:         ev.(core.HintedEvaluator),
 		action:     action,
 		constraint: isConstraint,
 		events:     map[string]bool{},
@@ -225,9 +223,6 @@ func (e *Engine) add(name string, condition ptl.Formula, action Action, isConstr
 		r.class = classExact
 	}
 	r.contiguous = r.info.Temporal || r.sched != Relevant
-	if h, ok := ev.(core.HintedEvaluator); ok {
-		r.hinted = h
-	}
 	// A brand-new rule starts observing at the state current when it is
 	// entered: "when the trigger condition f is first entered at time T,
 	// R_x is set to the relation retrieved by q on the database at that

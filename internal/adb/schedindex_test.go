@@ -122,8 +122,8 @@ func pendingStates(t *testing.T, e *Engine) map[string]int {
 // way a rule enters or leaves the parked set — mid-trace registration,
 // event-only and abort states between commits, a re-entrant action commit,
 // Compact, a quiescent rule that fires, replays and stops — and on odd
-// trials an observer that commits from inside the merge. On the even
-// trials a durable twin, checkpointed and restored mid-trace, must agree
+// trials an observer that reads the firing log at every firing. On every
+// trial a durable twin, checkpointed and restored mid-trace, must agree
 // with the memory engine too.
 func TestIndexedSweepEquivalence(t *testing.T) {
 	trials := 12
@@ -164,9 +164,6 @@ func TestIndexedSweepEquivalence(t *testing.T) {
 			}
 		}
 		steps := idx.EvalSteps()
-		if tr.observer {
-			continue // an observer's commit would be logged and replayed twice
-		}
 		dur, _, _ := tr.runDurable(t, t.TempDir())
 		if !firingsEqual(ref.Firings(), dur.Firings()) {
 			t.Fatalf("trial %d: restored durable twin's firings diverge (%d vs %d)", trial, len(ref.Firings()), len(dur.Firings()))

@@ -218,7 +218,7 @@ func TestFastPathMatchesGeneralInEngine(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				r.ev, r.hinted = ev, ev
+				r.ev = ev
 			}
 		}
 		rng := rand.New(rand.NewSource(77))

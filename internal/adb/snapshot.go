@@ -16,6 +16,10 @@ import (
 // history window, each rule's registration and evaluator registers (the
 // bounded F_{g,i} state of Theorem 1) and the firing and execution logs.
 func (e *Engine) buildSnapshot() (*persist.EngineSnapshot, error) {
+	if e.busy {
+		// Some rules' outcomes are stepped but not merged yet.
+		return nil, ErrReentrant
+	}
 	if e.inSweep {
 		return nil, fmt.Errorf("adb: snapshot during sweep")
 	}
@@ -157,7 +161,7 @@ func engineFromSnapshot(cfg Config, snap *persist.EngineSnapshot) (*Engine, erro
 		if err != nil {
 			return nil, fmt.Errorf("adb: snapshot rule %s: %w", rs.Name, err)
 		}
-		r.ev, r.hinted = ev, ev.(core.HintedEvaluator)
+		r.ev = ev.(core.HintedEvaluator)
 		r.fixed, r.credit = false, 0 // the restored evaluator is at no fixpoint yet
 		r.cursor = rs.Cursor
 		// The quiescent-replay memo travels with the snapshot so the

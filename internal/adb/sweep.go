@@ -36,7 +36,7 @@ type dirtySet struct {
 // the paper's "temporal component invocation ... executed for multiple
 // events at the same time".
 func (e *Engine) Flush() error {
-	if err := e.Degraded(); err != nil {
+	if err := e.refused(); err != nil {
 		return err
 	}
 	// Logged before the work: a flush either happened or it didn't, and a
@@ -97,10 +97,10 @@ const (
 )
 
 // sweepScratch is what one temporal-component invocation builds and throws
-// away. The engine lends its one out for the length of an invocation; a
-// nested one — an observer or action committing from inside the merge —
-// finds it gone and makes its own, so it never sees live scratch.
-// putScratch clears the slots, so no firing or binding stays pinned.
+// away: Engine.scratch, the engine's one. No invocation nests in another —
+// the engine refuses a mutator while it runs (Engine.busy), and actions run
+// after runJobs returns — so each finds it empty, and runJobs clears it,
+// so no firing or binding stays pinned.
 type sweepScratch struct {
 	jobs     []sweepJob
 	unsorted bool // jobs were added out of registration order
@@ -113,22 +113,6 @@ func (s *sweepScratch) add(r *rule, kind jobKind) {
 		s.unsorted = true
 	}
 	s.jobs = append(s.jobs, sweepJob{r: r, kind: kind})
-}
-
-func (e *Engine) takeScratch() *sweepScratch {
-	s := e.scratch
-	e.scratch = nil
-	if s == nil {
-		s = new(sweepScratch)
-	}
-	return s
-}
-
-func (e *Engine) putScratch(s *sweepScratch) {
-	clear(s.outs)
-	s.jobs, s.unsorted = s.jobs[:0], false
-	s.outs = s.outs[:0]
-	e.scratch = s
 }
 
 // wakeKind says how the indexed sweep finds a rule: in Engine.standing,
@@ -293,8 +277,7 @@ func (e *Engine) sweepIndexed(newest int, st history.SystemState) error {
 	commit := st.Events.CommitCount() > 0
 	aborted := st.Events.Count(event.TransactionAbort) > 0
 	d := e.dirty[newest]
-	s := e.takeScratch()
-	defer e.putScratch(s)
+	s := &e.scratch
 
 	e.mu.Lock()
 	gen := e.stampDirty(newest, d.items, true)
@@ -379,7 +362,7 @@ func (e *Engine) sweepIndexed(newest int, st history.SystemState) error {
 	}
 	e.standing = standing
 	e.mu.Unlock()
-	return e.runJobs(s, end)
+	return e.runJobs(end)
 }
 
 // wakeStanding wakes standing trigger r for the newest state; the caller
@@ -495,11 +478,8 @@ func (e *Engine) advanceRule(r *rule, end int, out *advanceOutcome) {
 // A fast evaluator's fixpoint is mirrored onto r after the step, and the
 // steps the wake loop credited are settled before it.
 func (e *Engine) step(r *rule, st history.SystemState, i int, d dirtySet) (core.Result, error) {
-	if r.hinted == nil {
-		return r.ev.StepResult(st)
-	}
 	r.settle()
-	res, err := r.hinted.StepResultHinted(st, !e.coarse && r.contiguous && e.untouched(r, i, d))
+	res, err := r.ev.StepResultHinted(st, !e.coarse && r.contiguous && e.untouched(r, i, d))
 	if fast, ok := r.ev.(*core.FastEvaluator); ok {
 		r.fixed, r.last = fast.Fixpoint()
 	}
@@ -542,31 +522,34 @@ func (e *Engine) untouched(r *rule, i int, d dirtySet) bool {
 // observes after the error — cursors, queued firings, step counts — is that
 // of a complete invocation, so retrying (a later Flush) resumes from it.
 func (e *Engine) advanceRules(rules []*rule, end int) error {
-	s := e.takeScratch()
-	defer e.putScratch(s)
 	for _, r := range rules {
-		s.jobs = append(s.jobs, sweepJob{r: r, kind: jobEval})
+		e.scratch.jobs = append(e.scratch.jobs, sweepJob{r: r, kind: jobEval})
 	}
-	return e.runJobs(s, end)
+	return e.runJobs(end)
 }
 
-// runJobs executes a sweep's job list on the committing goroutine, in
-// registration order: evaluation jobs advance their rule's evaluator, memo
-// and fixpoint jobs read what the rule already decided. Every outcome is
-// computed before any is merged, so the firing sequence is independent of
-// the eval/replay split and of the wake list each job came from.
-func (e *Engine) runJobs(s *sweepScratch, end int) error {
+// runJobs executes the job list in Engine.scratch on the committing
+// goroutine, in registration order: evaluation jobs advance their rule's
+// evaluator, memo and fixpoint jobs read what the rule already decided.
+// Every outcome is computed before any is merged, so the firing sequence is
+// independent of the eval/replay split and of the wake list each job came
+// from. The engine is busy throughout — query functions and observers run
+// here — and the scratch is cleared on the way out.
+func (e *Engine) runJobs(end int) error {
+	s := &e.scratch
 	jobs := s.jobs
 	if len(jobs) == 0 {
 		return nil
 	}
+	e.busy = true
+	defer e.endJobs()
 	if s.unsorted {
 		slices.SortFunc(jobs, func(a, b sweepJob) int { return a.r.seq - b.r.seq })
 	}
 	if cap(s.outs) < len(jobs) {
 		s.outs = make([]advanceOutcome, len(jobs))
 	}
-	s.outs = s.outs[:len(jobs)] // putScratch clears every slot
+	s.outs = s.outs[:len(jobs)] // endJobs clears every slot
 	outs := s.outs
 	for i, j := range jobs {
 		switch j.kind {
@@ -582,8 +565,8 @@ func (e *Engine) runJobs(s *sweepScratch, end int) error {
 	// one at a time — the exact observable sequence (append, OnFiring
 	// callback, action queue) the sequential engine produces — under one hold
 	// of the write lock. The hold is dropped around the callbacks alone: an
-	// observer that reads Firings() — or commits — from its callback must find
-	// the lock free and the log ending at the firing it is being told about.
+	// observer that reads Firings() from its callback must find the lock free
+	// and the log ending at the firing it is being told about.
 	// Only a rule with an action queues its firings: without one there is
 	// nothing to execute (Section 7), so the firing log is all that is kept.
 	var firstErr error
@@ -599,11 +582,6 @@ func (e *Engine) runJobs(s *sweepScratch, end int) error {
 		}
 		for _, f := range out.firings {
 			e.firings = append(e.firings, f)
-			var p pendingAction
-			if r.action != nil {
-				// The firing state, read before a callback can move base.
-				p = pendingAction{f, e.hist.At(f.StateIndex - e.base).DB}
-			}
 			if obs := e.observers; len(obs) > 0 { // snapshot; mutation is copy-on-write
 				e.mu.Unlock()
 				for _, o := range obs {
@@ -612,7 +590,7 @@ func (e *Engine) runJobs(s *sweepScratch, end int) error {
 				e.mu.Lock()
 			}
 			if r.action != nil {
-				e.pending = append(e.pending, p)
+				e.pending = append(e.pending, pendingAction{f, e.hist.At(f.StateIndex - e.base).DB})
 			}
 		}
 		if out.err != nil && firstErr == nil {
@@ -621,4 +599,14 @@ func (e *Engine) runJobs(s *sweepScratch, end int) error {
 	}
 	e.mu.Unlock()
 	return firstErr
+}
+
+// endJobs ends an invocation: the engine is no longer busy, and the scratch
+// is cleared for the next.
+func (e *Engine) endJobs() {
+	e.busy = false
+	s := &e.scratch
+	clear(s.outs)
+	s.jobs, s.unsorted = s.jobs[:0], false
+	s.outs = s.outs[:0]
 }

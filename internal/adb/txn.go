@@ -15,7 +15,7 @@ import (
 // Emit appends an event-only system state at the given time and runs the
 // temporal component.
 func (e *Engine) Emit(ts int64, events ...event.Event) error {
-	if err := e.Degraded(); err != nil {
+	if err := e.refused(); err != nil {
 		return err
 	}
 	if len(events) == 0 {
@@ -96,7 +96,8 @@ type Txn struct {
 // are allocated under the lock, so concurrent sessions may Begin safely;
 // the buffered Txn itself is still single-goroutine, and commits must be
 // serialized by the caller (the network server's commit pipeline does
-// exactly that).
+// exactly that). Begin is no mutator: from inside the temporal component it
+// still takes an id, and the Txn's Commit and Abort are refused.
 func (e *Engine) Begin() *Txn {
 	e.mu.Lock()
 	e.nextTxn++
@@ -137,7 +138,7 @@ func (t *Txn) Commit(ts int64) error {
 		return fmt.Errorf("adb: transaction %d already finished", t.id)
 	}
 	e := t.e
-	if err := e.Degraded(); err != nil {
+	if err := e.refused(); err != nil {
 		return err
 	}
 	t.done = true
@@ -216,7 +217,7 @@ func (t *Txn) Abort(ts int64) error {
 		return fmt.Errorf("adb: transaction %d already finished", t.id)
 	}
 	e := t.e
-	if err := e.Degraded(); err != nil {
+	if err := e.refused(); err != nil {
 		return err
 	}
 	t.done = true
@@ -245,6 +246,10 @@ func (e *Engine) Exec(ts int64, updates map[string]value.Value, events ...event.
 // the session-scoped exec primitive the network layer maps one batched
 // Begin/Set/Delete/Emit/Commit round-trip onto.
 func (e *Engine) ExecTxn(ts int64, updates map[string]value.Value, deletes []string, events ...event.Event) error {
+	// Refused before Begin, so a refused call takes no transaction id.
+	if err := e.refused(); err != nil {
+		return err
+	}
 	tx := e.Begin()
 	for k, v := range updates {
 		tx.Set(k, v)

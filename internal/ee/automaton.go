@@ -346,13 +346,3 @@ func (m *Matcher) Accepting() bool { return !m.dead && m.dfa.Accepting(m.state) 
 
 // Reset returns the matcher to the start state.
 func (m *Matcher) Reset() { m.state = m.dfa.start; m.dead = false }
-
-// Compile is the one-call pipeline: parse-free compilation of an
-// expression to a (non-minimized) DFA over the given alphabet.
-func Compile(e Expr, alpha *Alphabet) (*DFA, error) {
-	nfa, err := CompileNFA(e, alpha)
-	if err != nil {
-		return nil, err
-	}
-	return nfa.Determinize(), nil
-}

@@ -230,3 +230,13 @@ func TestOrderedEventsFamily(t *testing.T) {
 		t.Error("e2 before e1 with no later e2... wait e2 occurs before e1 but also: trace e2,e1,e3 has no e1<e2<e3 subsequence")
 	}
 }
+
+// Compile is the one-call pipeline: parse-free compilation of an
+// expression to a (non-minimized) DFA over the given alphabet.
+func Compile(e Expr, alpha *Alphabet) (*DFA, error) {
+	nfa, err := CompileNFA(e, alpha)
+	if err != nil {
+		return nil, err
+	}
+	return nfa.Determinize(), nil
+}

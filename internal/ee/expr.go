@@ -10,10 +10,8 @@
 package ee
 
 import (
-	"fmt"
 	"sort"
 	"strings"
-	"unicode"
 )
 
 // Expr is an event expression over an event alphabet.
@@ -70,144 +68,6 @@ func Seq(es ...Expr) Expr {
 		out = &Concat{L: out, R: e}
 	}
 	return out
-}
-
-// Parse parses the concrete syntax:
-//
-//	expr   := alt
-//	alt    := concat { "|" concat }
-//	concat := postfix { ";" postfix }
-//	postfix:= primary { "*" }
-//	primary:= NAME | "." | "(" expr ")" | "()" | "!" primary
-func Parse(src string) (Expr, error) {
-	p := &eparser{src: src}
-	p.skip()
-	e, err := p.alt()
-	if err != nil {
-		return nil, err
-	}
-	p.skip()
-	if p.i < len(p.src) {
-		return nil, fmt.Errorf("ee: offset %d: trailing input", p.i)
-	}
-	return e, nil
-}
-
-type eparser struct {
-	src string
-	i   int
-}
-
-func (p *eparser) skip() {
-	for p.i < len(p.src) && (p.src[p.i] == ' ' || p.src[p.i] == '\t' || p.src[p.i] == '\n') {
-		p.i++
-	}
-}
-
-func (p *eparser) peek() byte {
-	if p.i < len(p.src) {
-		return p.src[p.i]
-	}
-	return 0
-}
-
-func (p *eparser) alt() (Expr, error) {
-	l, err := p.concat()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		p.skip()
-		if p.peek() != '|' {
-			return l, nil
-		}
-		p.i++
-		r, err := p.concat()
-		if err != nil {
-			return nil, err
-		}
-		l = &Alt{L: l, R: r}
-	}
-}
-
-func (p *eparser) concat() (Expr, error) {
-	l, err := p.postfix()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		p.skip()
-		if p.peek() != ';' {
-			return l, nil
-		}
-		p.i++
-		r, err := p.postfix()
-		if err != nil {
-			return nil, err
-		}
-		l = &Concat{L: l, R: r}
-	}
-}
-
-func (p *eparser) postfix() (Expr, error) {
-	e, err := p.primary()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		p.skip()
-		if p.peek() != '*' {
-			return e, nil
-		}
-		p.i++
-		e = &Star{X: e}
-	}
-}
-
-func (p *eparser) primary() (Expr, error) {
-	p.skip()
-	switch c := p.peek(); {
-	case c == '.':
-		p.i++
-		return &Any{}, nil
-	case c == '!':
-		p.i++
-		inner, err := p.primary()
-		if err != nil {
-			return nil, err
-		}
-		return &Not{X: inner}, nil
-	case c == '(':
-		p.i++
-		p.skip()
-		if p.peek() == ')' {
-			p.i++
-			return &Epsilon{}, nil
-		}
-		e, err := p.alt()
-		if err != nil {
-			return nil, err
-		}
-		p.skip()
-		if p.peek() != ')' {
-			return nil, fmt.Errorf("ee: offset %d: expected ')'", p.i)
-		}
-		p.i++
-		return e, nil
-	case c == '_' || unicode.IsLetter(rune(c)):
-		start := p.i
-		for p.i < len(p.src) {
-			r := rune(p.src[p.i])
-			if r == '_' || unicode.IsLetter(r) || unicode.IsDigit(r) {
-				p.i++
-				continue
-			}
-			break
-		}
-		return &Sym{Name: p.src[start:p.i]}, nil
-	default:
-		return nil, fmt.Errorf("ee: offset %d: unexpected %q", p.i, string(c))
-	}
 }
 
 // Symbols returns the sorted event symbols mentioned by the expression.
@@ -279,55 +139,3 @@ func (a *Alphabet) Index(name string) int {
 
 // String renders the alphabet.
 func (a *Alphabet) String() string { return "{" + strings.Join(a.names, ",") + "}" }
-
-// GapSequence recognizes expressions of the shape
-// .* ; a1 ; .* ; a2 ; ... ; ak ; .* — "the events a1..ak occurred in that
-// order, arbitrarily interleaved" — and returns the symbol sequence. These
-// are the patterns Section 10 discusses ("three events A, B, C occur in
-// that order"); ToPTL translates them into past formulas.
-func GapSequence(e Expr) ([]string, bool) {
-	var syms []string
-	isAnyStar := func(e Expr) bool {
-		s, ok := e.(*Star)
-		if !ok {
-			return false
-		}
-		_, any := s.X.(*Any)
-		return any
-	}
-	// The concat tree is left-leaning by construction; flatten it.
-	var parts []Expr
-	var flatten func(Expr)
-	flatten = func(e Expr) {
-		if c, ok := e.(*Concat); ok {
-			flatten(c.L)
-			flatten(c.R)
-			return
-		}
-		parts = append(parts, e)
-	}
-	flatten(e)
-	// Expect: .* (sym .*)+ with the trailing .* present.
-	if len(parts) < 3 || !isAnyStar(parts[0]) || !isAnyStar(parts[len(parts)-1]) {
-		return nil, false
-	}
-	i := 1
-	for i < len(parts)-1 {
-		s, ok := parts[i].(*Sym)
-		if !ok {
-			return nil, false
-		}
-		syms = append(syms, s.Name)
-		i++
-		if i < len(parts)-1 {
-			if !isAnyStar(parts[i]) {
-				return nil, false
-			}
-			i++
-		}
-	}
-	if len(syms) == 0 {
-		return nil, false
-	}
-	return syms, true
-}

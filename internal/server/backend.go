@@ -50,9 +50,11 @@ type Backend interface {
 
 	// OnFiring registers the single firing observer, called for every
 	// subsequent firing (and gap) in sequence order from one goroutine at
-	// a time. The returned cancel removes it. Observers must not call
-	// backend mutators and should hand the event off quickly: they run on
-	// the backend's firing-producing goroutine.
+	// a time. The returned cancel removes it. Observers only observe and
+	// should hand the event off quickly: they run on the backend's
+	// firing-producing goroutine, inside the engine call that fired, where
+	// the engine refuses its own mutators with adb.ErrReentrant and a
+	// backend mutator would queue behind the call that is running it.
 	OnFiring(fn func(FiringEvent)) (cancel func())
 	// SyncFirings delivers the firing backlog from the given sequence
 	// number, atomically with respect to the live OnFiring stream: fn runs

@@ -245,6 +245,9 @@ var (
 	// ErrDegraded reports an engine sealed read-only after a durability
 	// fault or broken invariant; see Engine.Degraded.
 	ErrDegraded = adb.ErrDegraded
+	// ErrReentrant reports a mutator called from an OnFiring observer or a
+	// query function, which only observe.
+	ErrReentrant = adb.ErrReentrant
 	// ErrInternal reports a broken engine invariant.
 	ErrInternal = adb.ErrInternal
 )
