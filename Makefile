@@ -76,9 +76,12 @@ loc:
 # so the fixpoint suites (FixpointError, SteppedStatesNotPinned, Resting,
 # and IndexedSweepEquivalence's fixpoint triggers) repeat here too. Observers
 # run with Engine.mu dropped, beside those readers, and the refusal suite
-# (Reentrant) calls every mutator from one.
+# (Reentrant) calls every mutator from one. A served engine's commit
+# pipeline compacts its history every 64 operations, beside the sessions'
+# readers, so internal/server and its compaction suite (PipelineCompacts:
+# Now, Items and Firings readers beside the compactions) repeat here too.
 stress:
-	$(GO) test -race -count=3 -run 'Fault|Degrad|Quarantine|Parallel|ConcurrentReader|IndexedSweepEquivalence|FixpointError|SteppedStatesNotPinned|Resting|Reentrant|Panic|Failpoint|Chaos|Failover|Lease|Promot|Replica|ShipAfterReply|PMap' ./internal/adb ./internal/persist ./internal/replica ./internal/pmap
+	$(GO) test -race -count=3 -run 'Fault|Degrad|Quarantine|Parallel|ConcurrentReader|IndexedSweepEquivalence|FixpointError|SteppedStatesNotPinned|Resting|Reentrant|Panic|Failpoint|Chaos|Failover|Lease|Promot|Replica|ShipAfterReply|PMap|PipelineCompacts' ./internal/adb ./internal/persist ./internal/replica ./internal/pmap ./internal/server
 
 # allocgates runs the allocation gates of the commit path at three core
 # counts. The engine starts no goroutine of its own, so nothing they count
@@ -119,12 +122,17 @@ allocgates:
 # exactly where a comparison or an arithmetic is undefined.
 # FuzzFixpointReplay holds a fast evaluator that replays its last verdict on
 # hinted steps to one that never does: verdict, Steps() and encoded state.
+# FuzzRelationItem holds the relational query helpers (RegisterItemField,
+# RegisterSelect, RegisterRetrieve) to the same Null rule over items of any
+# shape: an absent item or a non-relation holds no rows, an ill-shaped row
+# is skipped, a missing key is Null, and none errors or panics.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 15s ./internal/ptl
 	$(GO) test -run '^$$' -fuzz FuzzCmpArith -fuzztime 10s ./internal/value
 	$(GO) test -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime 10s ./internal/server/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzReadFrameBinary$$' -fuzztime 10s ./internal/server/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzFixpointReplay$$' -fuzztime 10s ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzRelationItem$$' -fuzztime 10s ./internal/query
 
 # verify is the full pre-merge tier: static checks plus the whole suite
 # under the race detector (the concurrent engine and the durability

@@ -34,7 +34,9 @@
 // cadence, -wal-segment-bytes a rotation size and -keep-snapshots the
 // chain depth, so a server under sustained commits holds a bounded hot set
 // on disk. The "storage" query (adbsh storage) reports the
-// resulting footprint.
+// resulting footprint. In memory the history is bounded in every mode:
+// the commit pipeline compacts away the states every rule has consumed
+// every 64 operations, logged so that followers and a restart replay it.
 //
 // Rules registered over the wire have no action part: a firing is logged
 // and pushed to subscribers, and no action runs. So the engine's action

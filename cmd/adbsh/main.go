@@ -12,7 +12,7 @@
 //	emit <time> @ev(args) ...            event-only state
 //	show db | firings | history | rules  inspect state
 //	eval <time-ignored> :: <condition>   one-off check of a closed condition
-//	                                     against the current history
+//	                                     against the retained history
 //	save                                 checkpoint: snapshot + reset the WAL
 //	recover                              close and reopen from disk (-data)
 //	health [<rule>]                      per-rule fault and quarantine state
@@ -33,7 +33,10 @@
 // answers a server would give it. The engine-local commands (item, save,
 // recover, eval, export, show history) run only there, against the engine
 // itself, and the engine prints a FIRE line for every firing and a FAULT
-// line for every isolated action fault as it happens.
+// line for every isolated action fault as it happens. eval, export and
+// show history read the retained history: like a server's, the engine's
+// commit pipeline compacts away the states every rule has consumed every
+// 64 operations.
 //
 // The -data flag makes the engine durable: every committed operation is
 // written to a write-ahead log in the given directory, `save` writes a

@@ -32,7 +32,10 @@ func startClusterServer(t *testing.T, n, workers int) ([]*adb.Engine, string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := server.New(server.Config{Backend: front, Logf: t.Logf})
+	// The equivalence test subscribes from 0 after its commits: the queue
+	// holds the whole backlog (up to three firings a commit), not the
+	// default 256.
+	srv, err := server.New(server.Config{Backend: front, Logf: t.Logf, SubscriberQueue: 4096})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +140,9 @@ func runClusterEquivalence(t *testing.T, workers int, codecs []string, wantCodec
 		ts      int64
 		updates map[string]value.Value
 	}
-	const nclients, ncommits = 4, 30
+	// 240 commits per shard: each shard's pipeline compacts its engine at
+	// least three times under them (every 64 operations).
+	const nclients, ncommits = 4, 180
 	var mu sync.Mutex
 	perShard := make([][]commit, nShards)
 	var wg sync.WaitGroup
@@ -205,6 +210,9 @@ func runClusterEquivalence(t *testing.T, workers int, codecs []string, wantCodec
 			if err := local.Exec(cm.ts, cm.updates); err != nil {
 				t.Fatal(err)
 			}
+		}
+		if base := engines[s].BaseIndex(); base <= 2*64 {
+			t.Fatalf("shard %d: base index %d, fewer than three compactions ran", s, base)
 		}
 		want := local.Firings()
 		got := engines[s].Firings()

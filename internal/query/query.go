@@ -198,7 +198,9 @@ func (r *Registry) Eval(name string, st history.SystemState, args []value.Value)
 // database item `itemName` as a relation, looks up the row whose column
 // `keyCol` equals the argument, and returns that row's `valCol`. This is
 // the shape of the paper's price(IBM) over a STOCK-FOR-SALE-style
-// relation.
+// relation. The item is read as relation.Admit reads it (an absent item or
+// a non-relation holds no rows, an ill-shaped row is skipped), and a key
+// no row holds is Null.
 func (r *Registry) RegisterItemField(name, itemName string, schema *relation.Schema, keyCol, valCol string) error {
 	ki := schema.ColumnIndex(keyCol)
 	vi := schema.ColumnIndex(valCol)
@@ -206,45 +208,32 @@ func (r *Registry) RegisterItemField(name, itemName string, schema *relation.Sch
 		return fmt.Errorf("query: item field columns %q/%q not in schema %s", keyCol, valCol, schema)
 	}
 	return r.RegisterPure(name, 1, []string{itemName}, func(st history.SystemState, args []value.Value) (value.Value, error) {
-		iv, ok := st.GetItem(itemName)
-		if !ok {
-			return value.Value{}, fmt.Errorf("query: %s: unknown database item %q", name, itemName)
-		}
-		if iv.Kind() != value.Relation {
-			return value.Value{}, fmt.Errorf("query: %s: item %q is %s, want relation", name, itemName, iv.Kind())
-		}
-		for _, row := range iv.Rows() {
+		iv, _ := st.GetItem(itemName)
+		for _, row := range relation.Admit(schema, iv).Value().Rows() {
 			if row[ki].Equal(args[0]) {
 				return row[vi], nil
 			}
 		}
-		return value.Value{}, fmt.Errorf("query: %s: no row with %s = %s", name, keyCol, args[0])
+		return value.Value{}, nil
 	})
 }
 
 // RegisterSelect installs a relational query name() over the database item
 // `itemName` that returns the rows satisfying pred, projected onto the
 // named columns. This mirrors the paper's RETRIEVE ... WHERE ... example
-// (OVERPRICED).
+// (OVERPRICED). pred sees only the rows the schema admits (relation.Admit).
 func (r *Registry) RegisterSelect(name, itemName string, schema *relation.Schema, pred func(row []value.Value) bool, projectCols ...string) error {
-	for _, c := range projectCols {
-		if schema.ColumnIndex(c) < 0 {
-			return fmt.Errorf("query: select projection column %q not in schema %s", c, schema)
-		}
+	// Projecting the empty relation checks that the columns exist and are
+	// distinct, so no evaluation fails on them.
+	if _, err := relation.New(schema).Project(projectCols...); err != nil {
+		return fmt.Errorf("query: select projection: %v", err)
 	}
 	return r.RegisterPure(name, 0, []string{itemName}, func(st history.SystemState, args []value.Value) (value.Value, error) {
-		iv, ok := st.GetItem(itemName)
-		if !ok {
-			return value.Value{}, fmt.Errorf("query: %s: unknown database item %q", name, itemName)
-		}
-		rel, err := relation.FromValue(schema, iv)
-		if err != nil {
-			return value.Value{}, fmt.Errorf("query: %s: %v", name, err)
-		}
-		sel := rel.Select(pred)
+		iv, _ := st.GetItem(itemName)
+		sel := relation.Admit(schema, iv).Select(pred)
 		if len(projectCols) > 0 {
-			sel, err = sel.Project(projectCols...)
-			if err != nil {
+			var err error
+			if sel, err = sel.Project(projectCols...); err != nil {
 				return value.Value{}, fmt.Errorf("query: %s: %v", name, err)
 			}
 		}

@@ -125,16 +125,23 @@ func TestRegisterItemField(t *testing.T) {
 	if err != nil || v.AsFloat() != 72 {
 		t.Fatalf("price(IBM) = %v, %v", v, err)
 	}
-	if _, err := r.Eval("price", st, []value.Value{value.NewString("NONE")}); err == nil {
-		t.Error("missing key should error")
-	}
-	// Missing item and non-relation item.
-	if _, err := r.Eval("price", state(nil, 1), []value.Value{value.NewString("IBM")}); err == nil {
-		t.Error("missing item should error")
-	}
-	bad := state(map[string]value.Value{"stock_for_sale": value.NewInt(1)}, 1)
-	if _, err := r.Eval("price", bad, []value.Value{value.NewString("IBM")}); err == nil {
-		t.Error("scalar item should error")
+	// A missing key, a missing item, a non-relation item and a row the
+	// schema does not admit (the one that used to index past its end) all
+	// read as Null, never an error.
+	ibm := []value.Value{value.NewString("IBM")}
+	narrow := value.NewRelation([][]value.Value{{value.NewString("IBM")}})
+	for what, c := range map[string]struct {
+		st   history.SystemState
+		args []value.Value
+	}{
+		"missing key":  {st, []value.Value{value.NewString("NONE")}},
+		"missing item": {state(nil, 1), ibm},
+		"scalar item":  {state(map[string]value.Value{"stock_for_sale": value.NewInt(1)}, 1), ibm},
+		"narrow row":   {state(map[string]value.Value{"stock_for_sale": narrow}, 1), ibm},
+	} {
+		if v, err := r.Eval("price", c.st, c.args); err != nil || !v.IsNull() {
+			t.Errorf("%s: price = %v, %v; want null", what, v, err)
+		}
 	}
 	// Column validation at registration time.
 	if err := r.RegisterItemField("bad", "stock_for_sale", stocksSchema(), "nope", "price"); err == nil {
@@ -171,9 +178,22 @@ func TestRegisterSelect(t *testing.T) {
 		!strings.Contains(err.Error(), "projection") {
 		t.Error("unknown projection column should error")
 	}
-	// Missing item errors at eval.
-	if _, err := r.Eval("overpriced", state(nil, 1), nil); err == nil {
-		t.Error("missing item should error at eval")
+	// A repeated projection column is refused at registration, not at
+	// every evaluation.
+	if err := r.RegisterSelect("dup", "x", stocksSchema(), nil, "name", "name"); err == nil ||
+		!strings.Contains(err.Error(), "projection") {
+		t.Error("repeated projection column should error")
+	}
+	// A missing item is the empty relation; a row the schema does not
+	// admit never reaches pred (whose AsFloat would panic on it).
+	if v, err := r.Eval("overpriced", state(nil, 1), nil); err != nil || v.NumRows() != 0 {
+		t.Errorf("missing item: overpriced = %v, %v; want no rows", v, err)
+	}
+	ill := value.NewRelation(append(stocksItem().Rows(),
+		[]value.Value{value.NewString("BAD"), value.NewString("x"), value.NewString("c"), value.NewString("tech")},
+		[]value.Value{value.NewString("NARROW")}))
+	if v, err := r.Eval("overpriced", state(map[string]value.Value{"stock_for_sale": ill}, 1), nil); err != nil || v.NumRows() != 2 {
+		t.Errorf("ill-shaped rows: overpriced = %v, %v; want the 2 admitted rows", v, err)
 	}
 }
 

@@ -21,23 +21,17 @@ import (
 // the column references), filters rows by the WHERE condition — boolean
 // combinations (AND, OR, NOT) of comparisons between columns and literals
 // or other columns — and projects the listed columns. Keywords are
-// case-insensitive; the item's rows must match the supplied schema. The
-// query registers under fnName with arity 0.
+// case-insensitive. The item is read as relation.Admit reads it: an absent
+// item or a non-relation holds no rows, and a row the supplied schema does
+// not admit is skipped. The query registers under fnName with arity 0.
 func (r *Registry) RegisterRetrieve(fnName, src string, schema *relation.Schema) error {
 	q, err := parseRetrieve(src, schema)
 	if err != nil {
 		return err
 	}
 	return r.Register(fnName, 0, func(st history.SystemState, args []value.Value) (value.Value, error) {
-		iv, ok := st.GetItem(q.item)
-		if !ok {
-			return value.Value{}, fmt.Errorf("query: %s: unknown database item %q", fnName, q.item)
-		}
-		rel, err := relation.FromValue(schema, iv)
-		if err != nil {
-			return value.Value{}, fmt.Errorf("query: %s: %v", fnName, err)
-		}
-		proj, err := rel.Select(q.where.eval).Project(q.project...)
+		iv, _ := st.GetItem(q.item)
+		proj, err := relation.Admit(schema, iv).Select(q.where.eval).Project(q.project...)
 		if err != nil {
 			return value.Value{}, fmt.Errorf("query: %s: %v", fnName, err)
 		}
@@ -143,10 +137,10 @@ func parseRetrieve(src string, schema *relation.Schema) (*retrieveQuery, error) 
 	if p.pos < len(p.toks) {
 		return nil, p.errf("trailing input")
 	}
-	for _, c := range q.project {
-		if schema.ColumnIndex(c) < 0 {
-			return nil, fmt.Errorf("query: retrieve: column %q not in schema %s", c, schema)
-		}
+	// Projecting the empty relation checks that the columns exist and are
+	// distinct, so no evaluation fails on them.
+	if _, err := relation.New(schema).Project(q.project...); err != nil {
+		return nil, fmt.Errorf("query: retrieve: %v", err)
 	}
 	return q, nil
 }

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"ptlactive/internal/history"
 	"ptlactive/internal/value"
 )
 
@@ -68,6 +69,7 @@ func TestRetrieveErrors(t *testing.T) {
 		`SELECT (s.name)`,
 		`RETRIEVE s.name`,
 		`RETRIEVE (s.nope)`,
+		`RETRIEVE (s.name, s.name)`,
 		`RETRIEVE (s.name) WHERE s.price`,
 		`RETRIEVE (s.name) WHERE s.price >= `,
 		`RETRIEVE (s.name) WHERE t.price >= 300`,
@@ -91,14 +93,16 @@ func TestRetrieveRuntimeErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Missing item.
-	if _, err := reg.Eval("q", state(nil, 1), nil); err == nil {
-		t.Error("missing item should error")
-	}
-	// Item with wrong shape.
-	badState := state(map[string]value.Value{"s": value.NewInt(3)}, 1)
-	if _, err := reg.Eval("q", badState, nil); err == nil {
-		t.Error("scalar item should error")
+	// A missing item, a scalar item and a relation of rows the schema does
+	// not admit are the empty relation, never an error.
+	for what, st := range map[string]history.SystemState{
+		"missing item": state(nil, 1),
+		"scalar item":  state(map[string]value.Value{"s": value.NewInt(3)}, 1),
+		"narrow rows":  state(map[string]value.Value{"s": value.NewRelation([][]value.Value{{value.NewString("XYZ")}})}, 1),
+	} {
+		if v, err := reg.Eval("q", st, nil); err != nil || v.NumRows() != 0 {
+			t.Errorf("%s: %v, %v; want no rows", what, v, err)
+		}
 	}
 	// A cross-kind ordering inside WHERE is false, and its negation true:
 	// no row, then every row.
@@ -119,7 +123,7 @@ func TestRetrieveRuntimeErrors(t *testing.T) {
 
 // TestRetrieveInsideCondition wires a RETRIEVE query into a PTL-style use:
 // the engine-level usage goes through membership, exercised in core and
-// adb; here we check relation output composes with FromValue consumers.
+// adb; here we check relation output composes with relation.Admit consumers.
 func TestRetrieveBoolLiterals(t *testing.T) {
 	reg := NewRegistry()
 	schema := stocksSchema()

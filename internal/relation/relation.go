@@ -148,12 +148,19 @@ func (r *Relation) Value() value.Value {
 	return value.NewRelation(rows)
 }
 
-// FromValue builds a relation over schema from a value.Relation.
-func FromValue(schema *Schema, v value.Value) (*Relation, error) {
-	if v.Kind() != value.Relation {
-		return nil, fmt.Errorf("relation: FromValue needs a relation value, got %s", v.Kind())
+// Admit builds a relation over schema from the rows of v that fit it: a
+// value that is not a relation holds no rows, and a row of another width,
+// or with a value of another kind in a typed column, is skipped. A query
+// over an ill-shaped item so reads what is there and never fails, as an
+// undefined operand in a condition is Null, not an error.
+func Admit(schema *Schema, v value.Value) *Relation {
+	r := New(schema)
+	if v.Kind() == value.Relation {
+		for _, row := range v.Rows() {
+			_ = r.Insert(row) // a row the schema refuses is skipped
+		}
 	}
-	return FromRows(schema, v.Rows())
+	return r
 }
 
 // Select returns the rows satisfying pred, as a new relation.

@@ -131,15 +131,16 @@ func TestValueRoundTrip(t *testing.T) {
 	_ = a.Insert(row("a", 1))
 	_ = a.Insert(row("b", 2))
 	v := a.Value()
-	back, err := FromValue(stockSchema(), v)
-	if err != nil {
-		t.Fatal(err)
+	if back := Admit(stockSchema(), v); back.String() != a.String() {
+		t.Errorf("Value/Admit round trip gave %s, want %s", back, a)
 	}
-	if back.String() != a.String() {
-		t.Errorf("Value/FromValue round trip gave %s, want %s", back, a)
+	// A scalar holds no rows; a row of another width or kind is skipped.
+	if got := Admit(stockSchema(), value.NewInt(1)); len(got.rows) != 0 {
+		t.Errorf("Admit of a scalar = %s, want no rows", got)
 	}
-	if _, err := FromValue(stockSchema(), value.NewInt(1)); err == nil {
-		t.Error("FromValue of scalar should error")
+	mixed := value.NewRelation([][]value.Value{row("a", 1), {value.NewString("b")}, {value.NewInt(2), value.NewInt(2)}})
+	if got, want := Admit(stockSchema(), mixed).String(), Admit(stockSchema(), value.NewRelation([][]value.Value{row("a", 1)})).String(); got != want {
+		t.Errorf("Admit skipping ill-shaped rows = %s, want %s", got, want)
 	}
 }
 

@@ -222,9 +222,12 @@ func TestFollowerByteIdentity(t *testing.T) {
 				st := StartStream(fn, StreamConfig{Primary: p.addr, Codecs: offer, BackoffBase: 2 * time.Millisecond})
 				defer st.Stop()
 
+				// 225 commits: the primary's pipeline compacts at least
+				// three times (every 64 operations), and its compact
+				// records ship and replay like any other.
 				ts := int64(1)
 				for round := 0; round < 5; round++ {
-					for i := 0; i < 6; i++ {
+					for i := 0; i < 45; i++ {
 						v := int64((i*3 + round) % 10)
 						if _, err := c.Exec(ts, map[string]value.Value{"a": value.NewInt(v)}); err != nil {
 							t.Fatal(err)
@@ -236,6 +239,9 @@ func TestFollowerByteIdentity(t *testing.T) {
 				}
 				if len(p.eng.Firings()) == 0 {
 					t.Fatal("workload produced no firings; test is vacuous")
+				}
+				if pb, fb := p.eng.BaseIndex(), fn.engine().BaseIndex(); pb <= 2*64 || fb != pb {
+					t.Fatalf("base index: primary %d, follower %d; want equal, after at least three compactions", pb, fb)
 				}
 			})
 		}

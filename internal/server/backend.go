@@ -112,6 +112,9 @@ type EngineBackend struct {
 
 // NewEngineBackend wraps eng in a commit pipeline and starts it. The
 // engine must not be mutated by anyone else from here on; Close closes it.
+// The pipeline compacts it (compactEvery), so Engine.ItemAsOfChecked
+// refuses a time older than the floor the last compaction left with
+// ErrHistoryTruncated.
 func NewEngineBackend(eng *adb.Engine) *EngineBackend {
 	b := &EngineBackend{
 		Reads:    ReadsOf(func() *adb.Engine { return eng }),
@@ -130,10 +133,26 @@ func NewEngineBackend(eng *adb.Engine) *EngineBackend {
 // pipeline.
 func (b *EngineBackend) Engine() *adb.Engine { return b.eng }
 
+// compactEvery is how many operations the pipeline runs between its own
+// Engine.Compact calls. bench/'s traced durable-served run prices both
+// sides (2 vCPUs, go1.24): a compaction takes ≈ 18 µs (adb.compact_us) and
+// logs one record, ≈ 0.3 µs and 1/64 of a WAL flush per commit at 64,
+// while a consumed state holds ≈ 2 KB of heap (adb.heap_per_state_bytes),
+// so the consumed history a served engine retains stays below ≈ 128 KB.
+const compactEvery = 64
+
+// pipeline runs the operations in submission order. Every compactEvery-th
+// one is followed by a compaction: no served operation reads a state below
+// the rules' cursors, and the compact record it logs replays on followers
+// and at restore, and ships with that operation's batch.
 func (b *EngineBackend) pipeline() {
 	defer close(b.pipeDone)
+	n := 0
 	for fn := range b.ops {
 		fn()
+		if n++; n%compactEvery == 0 {
+			b.eng.Compact()
+		}
 		if b.after != nil {
 			b.after()
 		}

@@ -77,7 +77,10 @@ func runRemoteEquivalence(t *testing.T, workers int, codecs []string, wantCodec 
 		"b": value.NewInt(50),
 	}
 	eng := adb.NewEngine(adb.Config{Initial: initial, Workers: workers})
-	_, addr := startServer(t, Config{Engine: eng})
+	// The subscriber below starts from 0 after the commits: its queue
+	// holds the whole backlog (up to three firings a commit), not the
+	// default 256.
+	_, addr := startServer(t, Config{Engine: eng, SubscriberQueue: 4096})
 
 	admin := dialCodec(t, addr, codecs, wantCodec)
 	for _, r := range equivRules {
@@ -92,7 +95,9 @@ func runRemoteEquivalence(t *testing.T, workers int, codecs []string, wantCodec 
 		ts      int64
 		updates map[string]value.Value
 	}
-	const nclients, ncommits = 4, 30
+	// 240 commits: the pipeline compacts the served engine at least three
+	// times under them (compactEvery operations apart).
+	const nclients, ncommits = 4, 60
 	var mu sync.Mutex
 	var all []commit
 	var wg sync.WaitGroup
@@ -138,7 +143,7 @@ func runRemoteEquivalence(t *testing.T, workers int, codecs []string, wantCodec 
 		t.Fatal(err)
 	}
 	// Queries go through the admin session: the subscriber's read
-	// loop is busy delivering the 120-firing backlog and must not be
+	// loop is busy delivering the firing backlog and must not be
 	// asked to route a response mid-stream.
 	nowTS, err := admin.Now()
 	if err != nil {
@@ -146,6 +151,9 @@ func runRemoteEquivalence(t *testing.T, workers int, codecs []string, wantCodec 
 	}
 	if nowTS != int64(nclients*ncommits) {
 		t.Fatalf("server clock = %d, want %d", nowTS, nclients*ncommits)
+	}
+	if base := eng.BaseIndex(); base <= 2*compactEvery {
+		t.Fatalf("served engine's base index %d: fewer than three compactions ran", base)
 	}
 	served, err := admin.Firings(0)
 	if err != nil {
