@@ -80,8 +80,11 @@ loc:
 # pipeline compacts its history every 64 operations, beside the sessions'
 # readers, so internal/server and its compaction suite (PipelineCompacts:
 # Now, Items and Firings readers beside the compactions) repeat here too.
+# A subscriber's overflow queues its gap marker at once, from the subscribe
+# call (backlog) or the broadcast (live) beside the session's writer, so the
+# two gap suites (OverflowGap) repeat here as well.
 stress:
-	$(GO) test -race -count=3 -run 'Fault|Degrad|Quarantine|Parallel|ConcurrentReader|IndexedSweepEquivalence|FixpointError|SteppedStatesNotPinned|Resting|Reentrant|Panic|Failpoint|Chaos|Failover|Lease|Promot|Replica|ShipAfterReply|PMap|PipelineCompacts' ./internal/adb ./internal/persist ./internal/replica ./internal/pmap ./internal/server
+	$(GO) test -race -count=3 -run 'Fault|Degrad|Quarantine|Parallel|ConcurrentReader|IndexedSweepEquivalence|FixpointError|SteppedStatesNotPinned|Resting|Reentrant|Panic|Failpoint|Chaos|Failover|Lease|Promot|Replica|ShipAfterReply|PMap|PipelineCompacts|OverflowGap' ./internal/adb ./internal/persist ./internal/replica ./internal/pmap ./internal/server
 
 # allocgates runs the allocation gates of the commit path at three core
 # counts. The engine starts no goroutine of its own, so nothing they count
@@ -105,13 +108,15 @@ stress:
 # at 1k and at 100k items: one treap node each, no encoded copy. An Emit
 # that fires four two-parameter triggers without an action (firing-stream's
 # shape) allocates at most 20 times: such a firing is logged, never queued
-# as an action nor recorded as an execution. In wire, a
+# as an action nor recorded as an execution. On that shape the firing log
+# holds at most 160 B of live heap per firing (TestFiringLogBytesPerFiring:
+# a row and its values, no map). In wire, a
 # binary frame write allocates nothing and a decode of a transaction, a
 # four-firing push and an ok reply at most 9, 24 and 1 times. In server,
 # Backlog of the last firing allocates the same over 10 and over 10,000
 # firings.
 allocgates:
-	for p in 1 2 4; do GOMAXPROCS=$$p $(GO) test -count=1 -run 'TestCommitAllocs|TestSweepNoRuleTerm|TestConstraintCheckAllocs|TestNewEngineAllocsPerItem|TestActionlessFiringAllocs|TestStepAllocsFlatInRetainedClauses|TestWindowedAggregateStepAllocs|TestParamStepAllocs|TestMetricStepAllocs|TestBinaryCodecAllocs|TestBacklogTailAllocs' ./internal/adb ./internal/core ./internal/server/wire ./internal/server || exit 1; done
+	for p in 1 2 4; do GOMAXPROCS=$$p $(GO) test -count=1 -run 'TestCommitAllocs|TestSweepNoRuleTerm|TestConstraintCheckAllocs|TestNewEngineAllocsPerItem|TestActionlessFiringAllocs|TestFiringLogBytesPerFiring|TestStepAllocsFlatInRetainedClauses|TestWindowedAggregateStepAllocs|TestParamStepAllocs|TestMetricStepAllocs|TestBinaryCodecAllocs|TestBacklogTailAllocs' ./internal/adb ./internal/core ./internal/server/wire ./internal/server || exit 1; done
 
 # fuzz runs the parser and frame-decoder fuzzers for a bounded time. The
 # WAL and snapshots store a rule as its printed condition, so the

@@ -38,7 +38,7 @@ func main() {
 		}
 	}
 
-	fmt.Printf("total firings: %d\n", len(eng.Firings()))
+	fmt.Printf("total firings: %d\n", eng.FiringCount())
 	for _, f := range eng.Firings() {
 		fmt.Printf("  rule %s fired at time %d\n", f.Rule, f.Time)
 	}

@@ -68,5 +68,5 @@ func main() {
 			log.Fatal(err)
 		}
 	}
-	fmt.Printf("\ndone: %d violations detected\n", len(eng.Firings()))
+	fmt.Printf("\ndone: %d violations detected\n", eng.FiringCount())
 }

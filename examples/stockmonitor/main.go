@@ -91,5 +91,5 @@ func main() {
 
 	shares, _ := eng.DB().Get("shares")
 	fmt.Printf("\nrun finished at time %d: %d firings, holding %s shares\n",
-		eng.Now(), len(eng.Firings()), shares)
+		eng.Now(), eng.FiringCount(), shares)
 }

@@ -260,3 +260,42 @@ func TestActionlessFiringAllocs(t *testing.T) {
 		t.Fatalf("four action-less firings: %.1f allocs per Emit, ceiling 20", got)
 	}
 }
+
+// TestFiringLogBytesPerFiring is the gate on the firing log's size: on
+// firing-stream's shape — four action-less two-parameter triggers — the
+// engine's live heap grows by at most 160 B per firing once the history
+// the rules consumed is compacted away. A log keeping each binding as a
+// Go map costs about 570 B per firing; as a row of values 112 B.
+func TestFiringLogBytesPerFiring(t *testing.T) {
+	e := NewEngine(Config{})
+	for i := 0; i < 4; i++ {
+		if err := e.AddTrigger(fmt.Sprintf("stream%d", i), fmt.Sprintf("@tick(A, B) and A >= %d", -i), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	live := func() uint64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	const emits = 5000
+	before := live()
+	for i := 1; i <= emits; i++ {
+		if err := e.Emit(int64(i), event.New("tick", value.NewInt(int64(i)), value.NewInt(int64(i%7)))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e.Compact()
+	after := live()
+	n := e.FiringCount()
+	if n != 4*emits {
+		t.Fatalf("%d firings, want %d", n, 4*emits)
+	}
+	per := (float64(after) - float64(before)) / float64(n)
+	runtime.KeepAlive(e)
+	t.Logf("%d firings: %.0f B of live heap per firing", n, per)
+	if per > 160 {
+		t.Fatalf("%d firings: %.0f B of live heap per firing, ceiling 160", n, per)
+	}
+}

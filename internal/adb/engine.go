@@ -50,7 +50,8 @@ type Engine struct {
 	rules []*rule
 	index map[string]*rule
 
-	firings []Firing
+	// firings is the firing log, stored compactly (firinglog.go).
+	firings FiringLog
 	// observers are the firing observers, notified in registration order:
 	// Config.OnFiring first (id 0, never cancelled), then the OnFiring
 	// registrations. Guarded by mu; mutation is copy-on-write so the sweep
@@ -350,21 +351,25 @@ func (e *Engine) OnFiring(fn func(Firing)) (cancel func()) {
 	}
 }
 
-// Firings returns a copy of every firing recorded so far. Safe for
-// concurrent use.
+// Firings returns a copy of every firing recorded so far, each with a fresh
+// Binding map (a closed firing's is empty): the log stores bindings as rows
+// of values and builds the maps on every call. Safe for concurrent use.
 func (e *Engine) Firings() []Firing {
 	_, fs := e.FiringsFrom(0)
 	return fs
 }
 
 // FiringsFrom returns a copy of the firing log from index from on, with
-// from clamped to [0, FiringCount()]; it copies only that tail. Safe for
-// concurrent use.
+// from clamped to [0, FiringCount()]; it builds only that tail, with a fresh
+// Binding map per firing, and builds the maps after releasing the lock, so
+// a long tail does not hold up the mutator. Safe for concurrent use.
 func (e *Engine) FiringsFrom(from int) (int, []Firing) {
 	e.mu.RLock()
-	defer e.mu.RUnlock()
-	from = min(max(from, 0), len(e.firings))
-	return from, append([]Firing(nil), e.firings[from:]...)
+	n := e.firings.Len()
+	from = min(max(from, 0), n)
+	refs := e.firings.refs(from, n)
+	e.mu.RUnlock()
+	return from, firingsOf(refs)
 }
 
 // FiringCount returns the number of firings recorded so far. Safe for
@@ -372,7 +377,7 @@ func (e *Engine) FiringsFrom(from int) (int, []Firing) {
 func (e *Engine) FiringCount() int {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	return len(e.firings)
+	return e.firings.Len()
 }
 
 // EvalSteps returns the number of evaluator steps the rules have taken,

@@ -1,6 +1,7 @@
 package adb
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 
@@ -79,17 +80,8 @@ func (e *Engine) buildSnapshot() (*persist.EngineSnapshot, error) {
 		}
 		snap.Rules = append(snap.Rules, rs)
 	}
-	for _, f := range e.firings {
-		binding, err := histio.EncodeItems(f.Binding)
-		if err != nil {
-			return nil, fmt.Errorf("adb: snapshot firing %s: %w", f.Rule, err)
-		}
-		snap.Firings = append(snap.Firings, persist.FiringSnapshot{
-			Rule:       f.Rule,
-			Binding:    binding,
-			Time:       f.Time,
-			StateIndex: f.StateIndex,
-		})
+	if snap.Firings, err = e.firings.snapshot(); err != nil {
+		return nil, err
 	}
 	for _, r := range e.rules {
 		for _, ex := range r.execs {
@@ -192,16 +184,8 @@ func engineFromSnapshot(cfg Config, snap *persist.EngineSnapshot) (*Engine, erro
 		}
 	}
 
-	for _, f := range snap.Firings {
-		var binding core.Binding
-		if len(f.Binding) > 0 {
-			items, err := histio.DecodeItems(f.Binding)
-			if err != nil {
-				return nil, fmt.Errorf("adb: snapshot firing %s: %w", f.Rule, err)
-			}
-			binding = core.Binding(items)
-		}
-		e.firings = append(e.firings, Firing{Rule: f.Rule, Binding: binding, Time: f.Time, StateIndex: f.StateIndex})
+	if err := e.firings.restore(snap.Firings); err != nil {
+		return nil, err
 	}
 	for _, ex := range snap.Execs {
 		r := e.index[ex.Rule]
@@ -224,4 +208,48 @@ func engineFromSnapshot(cfg Config, snap *persist.EngineSnapshot) (*Engine, erro
 		r.execs = append(r.execs, ptl.Execution{Rule: ex.Rule, Params: params, Time: ex.Time})
 	}
 	return e, nil
+}
+
+// snapshot writes the log's firings in wire form, straight from the rows:
+// the bytes EncodeItems writes for the same bindings (a closed firing's
+// binding is omitted).
+func (l *FiringLog) snapshot() ([]persist.FiringSnapshot, error) {
+	if l.n == 0 {
+		return nil, nil
+	}
+	out := make([]persist.FiringSnapshot, l.n)
+	for i := range out {
+		r := l.row(i)
+		fs := persist.FiringSnapshot{Rule: r.shape.rule, Time: r.time, StateIndex: r.state}
+		if vals := l.values(r); len(vals) > 0 {
+			fs.Binding = make(map[string]json.RawMessage, len(vals))
+			for j, v := range vals {
+				raw, err := histio.EncodeValue(v)
+				if err != nil {
+					return nil, fmt.Errorf("adb: snapshot firing %s: histio: item %s: %w", fs.Rule, r.shape.names[j], err)
+				}
+				fs.Binding[r.shape.names[j]] = raw
+			}
+		}
+		out[i] = fs
+	}
+	return out, nil
+}
+
+// restore appends a snapshot's firings as rows.
+func (l *FiringLog) restore(fs []persist.FiringSnapshot) error {
+	var vals []value.Value
+	for _, f := range fs {
+		names := sortedKeys(f.Binding)
+		vals = vals[:0]
+		for _, name := range names {
+			v, err := histio.DecodeValue(f.Binding[name])
+			if err != nil {
+				return fmt.Errorf("adb: snapshot firing %s: histio: item %s: %w", f.Rule, name, err)
+			}
+			vals = append(vals, v)
+		}
+		copy(l.add(l.intern(f.Rule, names), f.Time, f.StateIndex), vals)
+	}
+	return nil
 }

@@ -388,8 +388,8 @@ func (e *Engine) wakeStanding(s *sweepScratch, r *rule, newest int, d dirtySet) 
 
 // replayOutcome reproduces, without evaluation, the outcome re-evaluating
 // a quiescent rule at the newest state would yield: the memoized firings
-// at the new timestamp. Binding maps are copied so replays never alias
-// the memo (or each other) in the firing log.
+// at the new timestamp. Binding maps are copied so the firings handed to
+// observers and actions never alias the memo (or each other).
 func (e *Engine) replayOutcome(r *rule, end int) advanceOutcome {
 	out := advanceOutcome{cursor: end}
 	if !r.memoFired {
@@ -581,7 +581,7 @@ func (e *Engine) runJobs(end int) error {
 			r.memoBindings = out.memoBindings
 		}
 		for _, f := range out.firings {
-			e.firings = append(e.firings, f)
+			e.firings.Append(f)
 			if obs := e.observers; len(obs) > 0 { // snapshot; mutation is copy-on-write
 				e.mu.Unlock()
 				for _, o := range obs {

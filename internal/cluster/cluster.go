@@ -77,7 +77,12 @@ type Front struct {
 	// were never forwarded — home-shard rules missed those occurrences —
 	// so a nonzero count degrades cluster health.
 	gapLoss []int
-	log     []server.FiringEvent
+	// The merged firing log: its firings in the engine's compact form
+	// (adb.FiringLog), and the gap entries between them. A firing's
+	// sequence number is its index in firings plus the firings lost to the
+	// gaps before it; nextSeq is the next one to assign.
+	firings adb.FiringLog
+	gaps    []mergedGap
 	nextSeq int
 
 	obs atomic.Pointer[func(server.FiringEvent)]
@@ -103,6 +108,10 @@ type Front struct {
 	closeOnce sync.Once
 	closeErr  error
 }
+
+// mergedGap is a gap entry of the merged log: n firings lost from sequence
+// number seq on, merged after the first at firings.
+type mergedGap struct{ at, seq, n int }
 
 type relayItem struct {
 	home int
@@ -221,11 +230,12 @@ func (f *Front) fanIn() {
 			f.gapLoss[msg.shard] += fe.Gap
 			f.logf("cluster: shard %d firing subscription gapped (%d lost); any cross-shard relay firings in the gap were not forwarded", msg.shard, fe.Gap)
 			entry.F = adb.Firing{}
+			f.gaps = append(f.gaps, mergedGap{at: f.firings.Len(), seq: f.nextSeq, n: fe.Gap})
 			f.nextSeq += fe.Gap
 		} else {
+			f.firings.Append(fe.F)
 			f.nextSeq++
 		}
-		f.log = append(f.log, entry)
 		f.mu.Unlock()
 		if fn := f.obs.Load(); fn != nil {
 			(*fn)(entry)
@@ -456,15 +466,31 @@ func (f *Front) snapshot(from int) (int, []server.FiringEvent, int) {
 	if from > f.nextSeq {
 		from = f.nextSeq
 	}
-	i := sort.Search(len(f.log), func(i int) bool {
-		e := f.log[i]
-		end := e.Seq + 1
-		if e.Gap > 0 {
-			end = e.Seq + e.Gap
+	// Skip the gaps wholly before from; lost counts the firings they lost.
+	j, lost := 0, 0
+	for j < len(f.gaps) && f.gaps[j].seq+f.gaps[j].n <= from {
+		lost += f.gaps[j].n
+		j++
+	}
+	// The first firing at or after from: past gap j-1, firing k has
+	// sequence number k+lost, and a from inside gap j starts at that gap.
+	k := from - lost
+	if j < len(f.gaps) {
+		k = min(k, f.gaps[j].at)
+	}
+	var backlog []server.FiringEvent
+	for seq := k + lost; k < f.firings.Len() || j < len(f.gaps); {
+		if j < len(f.gaps) && f.gaps[j].at == k {
+			g := f.gaps[j]
+			backlog = append(backlog, server.FiringEvent{Seq: g.seq, Gap: g.n})
+			seq = g.seq + g.n
+			j++
+			continue
 		}
-		return end > from
-	})
-	backlog := append([]server.FiringEvent(nil), f.log[i:]...)
+		backlog = append(backlog, server.FiringEvent{F: f.firings.At(k), Seq: seq})
+		k++
+		seq++
+	}
 	return from, backlog, f.nextSeq
 }
 

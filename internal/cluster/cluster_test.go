@@ -3,11 +3,13 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"ptlactive/internal/adb"
+	"ptlactive/internal/core"
 	"ptlactive/internal/event"
 	"ptlactive/internal/server"
 	"ptlactive/internal/server/wire"
@@ -392,6 +394,46 @@ func TestFrontGapDegradesHealth(t *testing.T) {
 	}
 	if !strings.Contains(degraded, "shard 1") || !strings.Contains(degraded, "gapped (3") {
 		t.Fatalf("degraded = %q, want a shard 1 gap cause", degraded)
+	}
+}
+
+// TestFrontSnapshotAroundGaps holds the merged log's reads to the log of
+// entries the fan-in merged: gap entries at its start, between firings,
+// back to back and at its end, and every from, covered or not, inside a
+// gap or past the end, returns the entries whose sequence numbers reach
+// from, with the same sequence numbers and bindings.
+func TestFrontSnapshotAroundGaps(t *testing.T) {
+	f := newLocalFront(t, 2)
+	firing := func(i int) server.FiringEvent {
+		b := core.Binding{}
+		if i%2 == 0 {
+			b["A"] = value.NewInt(int64(i))
+		}
+		return server.FiringEvent{F: adb.Firing{Rule: fmt.Sprintf("r%d", i%3), Binding: b, Time: int64(i), StateIndex: i}}
+	}
+	gap := func(n int) server.FiringEvent { return server.FiringEvent{Gap: n} }
+	in := []server.FiringEvent{gap(2), firing(1), firing(2), gap(3), firing(3), gap(1), gap(2), firing(4), firing(5), gap(4)}
+	var want []server.FiringEvent
+	seq := 0
+	for _, fe := range in {
+		f.in <- fanMsg{shard: 1, fe: fe}
+		fe.Seq = seq
+		want = append(want, fe)
+		seq += max(fe.Gap, 1)
+	}
+	f.Barrier()
+	for from := -1; from <= seq+1; from++ {
+		clamped := min(max(from, 0), seq)
+		var tail []server.FiringEvent
+		for _, fe := range want {
+			if fe.Seq+max(fe.Gap, 1) > clamped {
+				tail = append(tail, fe)
+			}
+		}
+		gotFrom, got, next := f.snapshot(from)
+		if gotFrom != clamped || next != seq || !reflect.DeepEqual(got, tail) {
+			t.Fatalf("snapshot(%d) = %d, %+v, %d; want %d, %+v, %d", from, gotFrom, got, next, clamped, tail, seq)
+		}
 	}
 }
 

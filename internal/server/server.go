@@ -46,9 +46,10 @@ import (
 type OverflowPolicy int
 
 const (
-	// DropWithGap drops the firing and delivers a gap marker (the count of
-	// dropped firings) in its place once the queue has room again: the
-	// subscriber keeps its connection and knows exactly how much it missed.
+	// DropWithGap drops the firing and queues a gap marker (the count of
+	// dropped firings) in its place at once; a marker still at the queue's
+	// tail counts further drops. The subscriber keeps its connection and
+	// knows exactly how much it missed, even if no firing follows.
 	DropWithGap OverflowPolicy = iota
 	// Disconnect closes the lagging subscriber's connection with
 	// ErrSubscriberLagged: the subscriber never observes a silently
@@ -549,13 +550,22 @@ func (s *Server) subscribe(sess *session, m *wire.Msg) {
 		s.nsubs.Add(1)
 		sess.queue = append(sess.queue, &wire.Msg{T: wire.TypeOK, ID: id, From: from})
 		for _, fe := range backlog {
+			if sess.closed {
+				break
+			}
+			if sess.fullLocked() {
+				// The rest of the backlog overflows as a whole, unencoded.
+				last := backlog[len(backlog)-1]
+				sess.overflowLocked(last.Seq + max(last.Gap, 1) - fe.Seq)
+				break
+			}
 			if fe.Gap > 0 {
-				sess.gap += fe.Gap
+				sess.gapLocked(fe.Gap)
 				continue
 			}
 			fj, err := wire.EncodeFiring(fe.F, fe.Seq)
 			if err != nil {
-				sess.gap++
+				sess.gapLocked(1)
 				continue
 			}
 			sess.pushFiringLocked(&fj)

@@ -351,7 +351,7 @@ func TestOverflowDropWithGap(t *testing.T) {
 	// into its sessionBufSize buffer and blocks on the unbuffered pipe when
 	// it flushes — on an empty queue or a full buffer, whichever the
 	// interleaving brings first; from then on at most q firings queue
-	// behind it and the rest drop into the pending gap. No frame is shorter
+	// behind it and the rest drop into gap markers. No frame is shorter
 	// than 16 bytes, so buffer and queue together cannot hold the burst:
 	// its tail is dropped on every schedule.
 	const total = sessionBufSize/16 + q + 2
@@ -389,26 +389,26 @@ func TestOverflowDropWithGap(t *testing.T) {
 		return m
 	}
 	// A reply shares the session's queue with the pushes, so when the
-	// ping's arrives everything the burst left queued has been read.
+	// ping's arrives everything the burst left queued has been read — the
+	// dropped tail's gap marker included: it is queued when the firings
+	// drop, not held back for a later firing.
 	if err := wire.WriteFrame(conn, &wire.Msg{T: wire.TypePing, ID: 2}); err != nil {
 		t.Fatal(err)
 	}
 	for read().T != wire.TypeOK {
 	}
-	dropped := total - next
-	if dropped <= 0 {
-		t.Fatalf("%d of %d firings accounted for before the queue drained; the bound did not engage", next, total)
+	if next != total {
+		t.Fatalf("%d of %d firings accounted for once the queue drained", next, total)
 	}
-	// The queue is empty, so the next commit's firing is accepted, and the
-	// pending marker for the dropped tail goes out ahead of it.
+	if gaps == 0 {
+		t.Fatalf("no gap among %d firings; the bound did not engage", total)
+	}
+	// The queue is empty, so the next commit's firing is accepted.
 	commit(total + 1)
-	if m := read(); m.T != wire.TypeGap || m.Missed != dropped {
-		t.Fatalf("frame %+v, want the pending gap of %d", m, dropped)
-	}
 	if m := read(); m.T != wire.TypeFiring || next != total+1 {
 		t.Fatalf("frame %+v, want firing seq %d", m, total)
 	}
-	t.Logf("%d firings, %d in %d gaps", total+1, dropped, gaps)
+	t.Logf("%d firings, %d gaps", total+1, gaps)
 }
 
 func TestOverflowDisconnect(t *testing.T) {
@@ -506,7 +506,7 @@ func TestClientStatsGapFirings(t *testing.T) {
 	}
 	// Nobody drains sub.C: its 16-slot buffer fills, the read loop blocks,
 	// the pipe (unbuffered) blocks the server's writer, the 2-slot queue
-	// fills, and the rest of the commits drop into a pending gap.
+	// fills, and the rest of the commits drop into a gap marker.
 	const total = 30
 	for i := 1; i <= total; i++ {
 		if err := eng.ExecTxn(int64(i), map[string]value.Value{"a": value.NewInt(int64(i))}, nil); err != nil {
@@ -529,7 +529,7 @@ func TestClientStatsGapFirings(t *testing.T) {
 	}
 	for take(300 * time.Millisecond) {
 	}
-	// The pending gap marker flushes ahead of the next delivered firing.
+	// One more firing after the drained stream.
 	if err := eng.ExecTxn(total+1, map[string]value.Value{"a": value.NewInt(total + 1)}, nil); err != nil {
 		t.Fatal(err)
 	}

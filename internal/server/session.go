@@ -58,11 +58,7 @@ type session struct {
 	// npending counts the requests read whose response the writer has not
 	// yet taken off the queue: the queued responses plus those still being
 	// computed (see maxPendingResponses).
-	npending int
-	// gap accumulates firings dropped under the drop-with-gap policy; it
-	// is materialized as a gap frame the next time the queue has room, so
-	// the marker sits exactly where the missing firings would have been.
-	gap        int
+	npending   int
 	subscribed bool
 	// Replication stream state: replicating marks the session as a WAL
 	// follower feed, nwal counts queued wal frames (bounded like firings:
@@ -124,27 +120,45 @@ func (s *session) pushFiringLocked(fj *wire.FiringJSON) {
 	if s.closed || !s.subscribed {
 		return
 	}
-	if s.nfirings >= s.srv.cfg.SubscriberQueue {
-		switch s.srv.cfg.Overflow {
-		case DropWithGap:
-			s.gap++
-		case Disconnect:
-			// The writer may be blocked mid-frame on a full socket; closing
-			// the connection is the only way to shed the lagging subscriber
-			// without stalling the broadcast.
-			s.failure = wire.ErrSubscriberLagged
-			s.closed = true
-			s.conn.Close()
-			s.cond.Broadcast()
-		}
+	if s.fullLocked() {
+		s.overflowLocked(1)
 		return
-	}
-	if s.gap > 0 {
-		s.queue = append(s.queue, &wire.Msg{T: wire.TypeGap, Missed: s.gap})
-		s.gap = 0
 	}
 	s.queue = append(s.queue, &wire.Msg{T: wire.TypeFiring, Firing: fj})
 	s.nfirings++
+	s.cond.Broadcast()
+}
+
+// fullLocked reports whether the subscriber's firing queue is at its bound.
+func (s *session) fullLocked() bool { return s.nfirings >= s.srv.cfg.SubscriberQueue }
+
+// overflowLocked applies the overflow policy to n firings that find the
+// queue full.
+func (s *session) overflowLocked(n int) {
+	switch s.srv.cfg.Overflow {
+	case DropWithGap:
+		s.gapLocked(n)
+	case Disconnect:
+		// The writer may be blocked mid-frame on a full socket; closing
+		// the connection is the only way to shed the lagging subscriber
+		// without stalling the broadcast.
+		s.failure = wire.ErrSubscriberLagged
+		s.closed = true
+		s.conn.Close()
+		s.cond.Broadcast()
+	}
+}
+
+// gapLocked queues a gap marker for n lost firings at once, exactly where
+// they would have been: a marker at the queue's tail, which the writer has
+// not taken yet, absorbs them instead. So a subscriber learns of a loss
+// without waiting for a later firing, and a run of losses takes one frame.
+func (s *session) gapLocked(n int) {
+	if k := len(s.queue); k > 0 && s.queue[k-1].T == wire.TypeGap {
+		s.queue[k-1].Missed += n
+	} else {
+		s.queue = append(s.queue, &wire.Msg{T: wire.TypeGap, Missed: n})
+	}
 	s.cond.Broadcast()
 }
 
@@ -193,22 +207,18 @@ func (s *session) takeCancelWAL() func() {
 func (s *session) dropGap(n int) {
 	s.mu.Lock()
 	if !s.closed && s.subscribed {
-		s.gap += n
+		s.gapLocked(n)
 	}
 	s.mu.Unlock()
 }
 
-// beginDrain puts the session into graceful-drain mode: a trailing gap
-// marker (if one is pending) and a bye frame are queued, and the writer
-// closes the connection once everything queued — including any backlog of
-// subscribed firings — has been flushed.
+// beginDrain puts the session into graceful-drain mode: a bye frame is
+// queued, and the writer closes the connection once everything queued —
+// including any backlog of subscribed firings and gap markers — has been
+// flushed.
 func (s *session) beginDrain() {
 	s.mu.Lock()
 	if !s.closed && !s.draining {
-		if s.gap > 0 {
-			s.queue = append(s.queue, &wire.Msg{T: wire.TypeGap, Missed: s.gap})
-			s.gap = 0
-		}
 		s.queue = append(s.queue, &wire.Msg{T: wire.TypeBye})
 		s.draining = true
 	}
