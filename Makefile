@@ -114,9 +114,12 @@ stress:
 # binary frame write allocates nothing and a decode of a transaction, a
 # four-firing push and an ok reply at most 9, 24 and 1 times. In server,
 # Backlog of the last firing allocates the same over 10 and over 10,000
-# firings.
+# firings. Under the states, a pmap write set of three present keys in a
+# 100k map allocates the union of their search paths plus at most one
+# (TestPMapAllocs), and history.DBState adds nothing to pmap's path copies
+# (TestDBStateAllocs).
 allocgates:
-	for p in 1 2 4; do GOMAXPROCS=$$p $(GO) test -count=1 -run 'TestCommitAllocs|TestSweepNoRuleTerm|TestConstraintCheckAllocs|TestNewEngineAllocsPerItem|TestActionlessFiringAllocs|TestFiringLogBytesPerFiring|TestStepAllocsFlatInRetainedClauses|TestWindowedAggregateStepAllocs|TestParamStepAllocs|TestMetricStepAllocs|TestBinaryCodecAllocs|TestBacklogTailAllocs' ./internal/adb ./internal/core ./internal/server/wire ./internal/server || exit 1; done
+	for p in 1 2 4; do GOMAXPROCS=$$p $(GO) test -count=1 -run 'TestCommitAllocs|TestSweepNoRuleTerm|TestConstraintCheckAllocs|TestNewEngineAllocsPerItem|TestActionlessFiringAllocs|TestFiringLogBytesPerFiring|TestStepAllocsFlatInRetainedClauses|TestWindowedAggregateStepAllocs|TestParamStepAllocs|TestMetricStepAllocs|TestBinaryCodecAllocs|TestBacklogTailAllocs|TestPMapAllocs|TestDBStateAllocs' ./internal/adb ./internal/core ./internal/server/wire ./internal/server ./internal/pmap ./internal/history || exit 1; done
 
 # fuzz runs the parser and frame-decoder fuzzers for a bounded time. The
 # WAL and snapshots store a rule as its printed condition, so the

@@ -51,11 +51,12 @@ func commitAllocs(t *testing.T, items int) float64 {
 
 // TestCommitAllocs is the allocation-regression gate for the commit hot
 // path: BenchmarkCommit's workload sat at 44 allocs/op when the gate landed
-// (pooled key scratch, owned event sets, structurally-shared DBState), and
-// the ceiling keeps those wins from rotting silently.
+// (pooled key scratch, owned event sets, structurally-shared DBState) and
+// sits at 10 since the commit's events slice their arguments from one
+// array; the ceiling keeps those wins from rotting silently.
 func TestCommitAllocs(t *testing.T) {
-	if got := commitAllocs(t, 0); got > 44 {
-		t.Fatalf("commit path: %.1f allocs/op, ceiling 44", got)
+	if got := commitAllocs(t, 0); got > 12 {
+		t.Fatalf("commit path: %.1f allocs/op, ceiling 12", got)
 	}
 }
 

@@ -144,21 +144,23 @@ func (t *Txn) Commit(ts int64) error {
 	t.done = true
 	txv := value.NewInt(t.id)
 	// Assemble the commit's event set in one exactly-sized slice the set
-	// takes ownership of; the key-sort scratch is pooled. Both run on every
-	// commit, so the assembly itself must not allocate beyond the one
-	// retained array.
+	// takes ownership of, and its events' arguments in one more (each Args
+	// capped at its element); the key-sort scratch is pooled. Both run on
+	// every commit, so the assembly must not allocate beyond those arrays.
 	events := make([]event.Event, 0, 2+len(t.updates)+len(t.events))
+	args := append(make([]value.Value, 0, 1+len(t.updates)), txv)
 	events = append(events,
-		event.New(event.AttemptsToCommit, txv),
-		event.New(event.TransactionCommit, txv))
+		event.Event{Name: event.AttemptsToCommit, Args: args[0:1:1]},
+		event.Event{Name: event.TransactionCommit, Args: args[0:1:1]})
 	keysp := keyScratch.Get().(*[]string)
 	keys := (*keysp)[:0]
 	for k := range t.updates {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	for _, item := range keys {
-		events = append(events, event.New(event.UpdateItem, value.NewString(item)))
+	for i, item := range keys {
+		args = append(args, value.NewString(item))
+		events = append(events, event.Event{Name: event.UpdateItem, Args: args[i+1 : i+2 : i+2]})
 	}
 	*keysp = keys
 	keyScratch.Put(keysp)

@@ -52,18 +52,17 @@ func (m Map[V]) Depth() int {
 	return d(m.root)
 }
 
-// Validate checks every node's cached size and priority against its
-// children, and the BST order — the invariants a bulk build must establish
-// without the insert path's help.
+// Validate checks every node's priority against its children, the BST
+// order and that Len counts the nodes — the invariants a bulk build must
+// establish without the insert path's help.
 func (m Map[V]) Validate() error {
+	nodes := 0
 	var walk func(n *node[V]) error
 	walk = func(n *node[V]) error {
 		if n == nil {
 			return nil
 		}
-		if n.size != size(n.l)+size(n.r)+1 {
-			return fmt.Errorf("node %q: size %d, children %d+%d", n.k, n.size, size(n.l), size(n.r))
-		}
+		nodes++
 		if n.prio != keyPrio(n.k) {
 			return fmt.Errorf("node %q: stale priority", n.k)
 		}
@@ -80,7 +79,13 @@ func (m Map[V]) Validate() error {
 		}
 		return walk(n.r)
 	}
-	return walk(m.root)
+	if err := walk(m.root); err != nil {
+		return err
+	}
+	if m.root != nil && m.Len() != nodes {
+		return fmt.Errorf("Len %d, %d nodes", m.Len(), nodes)
+	}
+	return nil
 }
 
 // UnsharedNodes counts the nodes of m that are not pointer-shared with o at
@@ -92,7 +97,9 @@ func (m Map[V]) UnsharedNodes(o Map[V]) int {
 			return 0
 		}
 		if b == nil {
-			return a.size
+			n := 0
+			rangeNodes(a, func(string, V) bool { n++; return true })
+			return n
 		}
 		return 1 + walk(a.l, b.l) + walk(a.r, b.r)
 	}

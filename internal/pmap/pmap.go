@@ -15,7 +15,10 @@
 // shape a canonical function of the key set alone: the same keys always
 // build the same tree, regardless of insertion order. Canonical shapes
 // are what let Equal and Diff align two maps node by node and cut off
-// at pointer-shared subtrees.
+// at pointer-shared subtrees. A node is its key, value, priority and two
+// children (the Map keeps the count); a map outgrowing the slice form is
+// built whole in one radix-sorted pass, and WithAll on a treap copies each
+// node its present keys' search paths share once.
 //
 // Invariants:
 //   - Values of type Map are immutable forever; every operation returns
@@ -30,7 +33,10 @@
 //     smaller key), so shape is deterministic and insertion-order-free.
 package pmap
 
-import "slices"
+import (
+	"cmp"
+	"slices"
+)
 
 // smallMax is the largest map kept in sorted-slice form. Eight matches
 // the small-set elision in internal/event: beyond this, whole-slice
@@ -75,7 +81,6 @@ type node[V any] struct {
 	v    V
 	prio uint64
 	l, r *node[V]
-	size int
 }
 
 // Map is an immutable, persistent, ordered map. The zero value is the
@@ -83,19 +88,13 @@ type node[V any] struct {
 type Map[V any] struct {
 	vec  []entry[V] // sorted by key; used iff root is nil
 	root *node[V]
-}
-
-func size[V any](n *node[V]) int {
-	if n == nil {
-		return 0
-	}
-	return n.size
+	n    int // entries under root
 }
 
 // Len returns the number of entries.
 func (m Map[V]) Len() int {
 	if m.root != nil {
-		return m.root.size
+		return m.n
 	}
 	return len(m.vec)
 }
@@ -143,7 +142,8 @@ func vecSearch[V any](vec []entry[V], k string) int {
 // With returns a new map with k set to v.
 func (m Map[V]) With(k string, v V) Map[V] {
 	if m.root != nil {
-		return Map[V]{root: insert(m.root, k, v, keyPrio(k))}
+		m.root = insert(m.root, k, v, keyPrio(k), &m.n)
+		return m
 	}
 	i := vecSearch(m.vec, k)
 	if i < len(m.vec) && m.vec[i].k == k {
@@ -153,7 +153,7 @@ func (m Map[V]) With(k string, v V) Map[V] {
 		return Map[V]{vec: out}
 	}
 	if len(m.vec) == smallMax {
-		return Map[V]{root: insert(buildTreap(m.vec), k, v, keyPrio(k))}
+		return m.WithAll(map[string]V{k: v})
 	}
 	out := make([]entry[V], len(m.vec)+1)
 	copy(out, m.vec[:i])
@@ -163,62 +163,96 @@ func (m Map[V]) With(k string, v V) Map[V] {
 }
 
 // WithAll returns a new map with every update applied. A small map that
-// stays small is rebuilt in a single allocation.
+// stays small is rebuilt in a single allocation and one that outgrows
+// smallMax is built whole.
 func (m Map[V]) WithAll(updates map[string]V) Map[V] {
 	if len(updates) == 0 {
 		return m
 	}
-	if m.root == nil {
-		fresh := 0
-		for k := range updates {
-			if i := vecSearch(m.vec, k); i >= len(m.vec) || m.vec[i].k != k {
-				fresh++
-			}
-		}
-		if len(m.vec)+fresh <= smallMax {
-			out := make([]entry[V], len(m.vec), len(m.vec)+fresh)
-			copy(out, m.vec)
-			for k, v := range updates {
-				i := vecSearch(out, k)
-				if i < len(out) && out[i].k == k {
-					out[i].v = v
-					continue
-				}
-				out = append(out, entry[V]{})
-				copy(out[i+1:], out[i:])
-				out[i] = entry[V]{k: k, v: v}
-			}
-			return Map[V]{vec: out}
-		}
-		// A slice-form receiver outgrowing smallMax has no structure worth
-		// sharing: merge, sort once and build the treap in one pass. The
-		// keys are sorted alone — entries are several words wide, and moving
-		// them dominates a sort.
-		keys := make([]string, 0, len(m.vec)+fresh)
-		for _, e := range m.vec {
-			if _, shadowed := updates[e.k]; !shadowed {
-				keys = append(keys, e.k)
-			}
-		}
-		for k := range updates {
-			keys = append(keys, k)
-		}
-		slices.Sort(keys)
-		merged := make([]entry[V], len(keys))
-		for i, k := range keys {
-			v, updated := updates[k]
-			if !updated {
-				v, _ = m.Get(k)
-			}
-			merged[i] = entry[V]{k: k, v: v}
-		}
-		return Map[V]{root: buildTreap(merged)}
+	if m.root != nil {
+		return m.assignAll(updates)
 	}
-	root := m.root
+	fresh := 0
+	for k := range updates {
+		if i := vecSearch(m.vec, k); i >= len(m.vec) || m.vec[i].k != k {
+			fresh++
+		}
+	}
+	if len(m.vec)+fresh <= smallMax {
+		out := make([]entry[V], len(m.vec), len(m.vec)+fresh)
+		copy(out, m.vec)
+		for k, v := range updates {
+			i := vecSearch(out, k)
+			if i < len(out) && out[i].k == k {
+				out[i].v = v
+				continue
+			}
+			out = append(out, entry[V]{})
+			copy(out[i+1:], out[i:])
+			out[i] = entry[V]{k: k, v: v}
+		}
+		return Map[V]{vec: out}
+	}
+	ps := make([]keyed[V], 0, len(m.vec)+fresh)
+	for _, e := range m.vec {
+		if _, shadowed := updates[e.k]; !shadowed {
+			ps = append(ps, leaf(e.k, e.v))
+		}
+	}
 	for k, v := range updates {
-		root = insert(root, k, v, keyPrio(k))
+		ps = append(ps, leaf(k, v))
 	}
-	return Map[V]{root: root}
+	return build(ps)
+}
+
+// assignAll is WithAll on a treap. A single key is With; more are sorted
+// (on the stack up to smallMax) and one descent stores the present ones,
+// copying each node on their search paths once; absent ones are inserted.
+func (m Map[V]) assignAll(updates map[string]V) Map[V] {
+	if len(updates) == 1 {
+		for k, v := range updates {
+			return m.With(k, v)
+		}
+	}
+	var buf [smallMax]string
+	keys := buf[:0]
+	for k := range updates {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	root, found := assign(m.root, keys, updates)
+	out := Map[V]{root: root, n: m.n}
+	for i := 0; found < len(keys); i++ {
+		if _, ok := m.Get(keys[i]); !ok {
+			out = out.With(keys[i], updates[keys[i]])
+			found++
+		}
+	}
+	return out
+}
+
+// assign returns n with updates stored at the sorted keys present below
+// it, and how many were; a subtree holding none is returned as it is.
+func assign[V any](n *node[V], keys []string, updates map[string]V) (*node[V], int) {
+	if n == nil || len(keys) == 0 {
+		return n, 0
+	}
+	i, hit := slices.BinarySearch(keys, n.k)
+	l, fl := assign(n.l, keys[:i], updates)
+	if hit {
+		i++
+	}
+	r, fr := assign(n.r, keys[i:], updates)
+	if !hit && l == n.l && r == n.r {
+		return n, 0
+	}
+	c := *n
+	c.l, c.r = l, r
+	if hit {
+		c.v = updates[n.k]
+		fl++
+	}
+	return &c, fl + fr
 }
 
 // Without returns a new map with k removed; m itself is returned when k
@@ -229,10 +263,10 @@ func (m Map[V]) Without(k string) Map[V] {
 		if !ok {
 			return m
 		}
-		if root.size == smallMax {
+		if m.n-1 == smallMax {
 			return Map[V]{vec: collapse(root)}
 		}
-		return Map[V]{root: root}
+		return Map[V]{root: root, n: m.n - 1}
 	}
 	i := vecSearch(m.vec, k)
 	if i >= len(m.vec) || m.vec[i].k != k {
@@ -293,7 +327,7 @@ func equalNodes[V any](a, b *node[V], eq func(V, V) bool) bool {
 	if a == b {
 		return true
 	}
-	if a == nil || b == nil || a.size != b.size || a.k != b.k {
+	if a == nil || b == nil || a.k != b.k {
 		return false
 	}
 	return eq(a.v, b.v) && equalNodes(a.l, b.l, eq) && equalNodes(a.r, b.r, eq)
@@ -412,27 +446,26 @@ func mergeDiff[V any](a, b *cursor[V], eq func(V, V) bool, fn func(string) bool)
 	return true
 }
 
-// insert returns the canonical treap holding n's entries plus k=v.
-// Nodes along the search path are copied; the rotations restoring the
-// heap order touch only those fresh copies, never shared structure.
-func insert[V any](n *node[V], k string, v V, p uint64) *node[V] {
+// insert returns the canonical treap holding n's entries plus k=v,
+// counting a new key in *count. Nodes along the search path are copied;
+// the rotations restoring the heap order touch only those fresh copies,
+// never shared structure.
+func insert[V any](n *node[V], k string, v V, p uint64, count *int) *node[V] {
 	if n == nil {
-		return &node[V]{k: k, v: v, prio: p, size: 1}
+		*count++
+		return &node[V]{k: k, v: v, prio: p}
 	}
 	c := *n
 	switch {
 	case k == n.k:
 		c.v = v
-		return &c
 	case k < n.k:
-		c.l = insert(n.l, k, v, p)
-		c.size = c.l.size + size(c.r) + 1
+		c.l = insert(n.l, k, v, p, count)
 		if beats(c.l.prio, c.l.k, c.prio, c.k) {
 			return rotRight(&c)
 		}
 	default:
-		c.r = insert(n.r, k, v, p)
-		c.size = size(c.l) + c.r.size + 1
+		c.r = insert(n.r, k, v, p, count)
 		if beats(c.r.prio, c.r.k, c.prio, c.k) {
 			return rotLeft(&c)
 		}
@@ -445,18 +478,14 @@ func insert[V any](n *node[V], k string, v V, p uint64) *node[V] {
 func rotRight[V any](c *node[V]) *node[V] {
 	l := c.l
 	c.l = l.r
-	c.size = size(c.l) + size(c.r) + 1
 	l.r = c
-	l.size = size(l.l) + c.size + 1
 	return l
 }
 
 func rotLeft[V any](c *node[V]) *node[V] {
 	r := c.r
 	c.r = r.l
-	c.size = size(c.l) + size(c.r) + 1
 	r.l = c
-	r.size = c.size + size(r.r) + 1
 	return r
 }
 
@@ -477,7 +506,6 @@ func remove[V any](n *node[V], k string) (*node[V], bool) {
 		}
 		c := *n
 		c.l = l
-		c.size = n.size - 1
 		return &c, true
 	default:
 		r, ok := remove(n.r, k)
@@ -486,7 +514,6 @@ func remove[V any](n *node[V], k string) (*node[V], bool) {
 		}
 		c := *n
 		c.r = r
-		c.size = n.size - 1
 		return &c, true
 	}
 }
@@ -502,54 +529,84 @@ func merge[V any](a, b *node[V]) *node[V] {
 	if beats(a.prio, a.k, b.prio, b.k) {
 		c := *a
 		c.r = merge(a.r, b)
-		c.size = a.size + b.size
 		return &c
 	}
 	c := *b
 	c.l = merge(a, b.l)
-	c.size = a.size + b.size
 	return &c
 }
 
-// buildTreap builds the canonical treap over a slice sorted by key in
-// O(n), allocating exactly one node per entry: the Cartesian-tree
-// construction over (key, keyPrio(key)). The stack holds the right spine
-// of the tree so far; an arriving entry pops every spine node it beats
-// (they become its left subtree) and hangs off the survivor's right. A
-// node's children are both final when it is popped, so that is where its
-// size is set. The result is the same tree one-at-a-time insertion builds
-// — the treap over a key set is unique — without its O(n log n) discarded
-// path copies.
-func buildTreap[V any](vec []entry[V]) *node[V] {
-	var spine []*node[V]
-	pop := func() *node[V] {
-		n := spine[len(spine)-1]
-		spine = spine[:len(spine)-1]
-		n.size = size(n.l) + size(n.r) + 1
-		return n
+type keyed[V any] struct {
+	pre uint64 // n.k's first eight bytes, big-endian, zero-padded
+	n   *node[V]
+}
+
+func leaf[V any](k string, v V) keyed[V] {
+	var pre uint64
+	for i := 0; i < 8 && i < len(k); i++ {
+		pre |= uint64(k[i]) << (56 - 8*i)
 	}
-	for i := range vec {
-		x := &node[V]{k: vec[i].k, v: vec[i].v, prio: keyPrio(vec[i].k)}
+	return keyed[V]{pre: pre, n: &node[V]{k: k, v: v, prio: keyPrio(k)}}
+}
+
+// build links ps's nodes (distinct keys) into the canonical treap. An LSD
+// radix sort orders them by prefix, skipping bytes every prefix shares; a
+// comparison sort orders each run of equal prefixes, so short keys, NUL
+// bytes and long shared prefixes stay exact. The Cartesian-tree pass keeps
+// the right spine on a stack: a node pops those it beats into its left side.
+func build[V any](ps []keyed[V]) Map[V] {
+	var differ uint64
+	for _, p := range ps {
+		differ |= p.pre ^ ps[0].pre
+	}
+	src, dst := ps, make([]keyed[V], len(ps))
+	for shift := 0; shift < 64; shift += 8 {
+		if differ>>shift&0xff == 0 {
+			continue
+		}
+		var at [257]int
+		for _, p := range src {
+			at[p.pre>>shift&0xff+1]++
+		}
+		for b := 1; b < 256; b++ {
+			at[b] += at[b-1]
+		}
+		for _, p := range src {
+			b := p.pre >> shift & 0xff
+			dst[at[b]] = p
+			at[b]++
+		}
+		src, dst = dst, src
+	}
+	for i, j := 0, 1; i < len(src); i, j = j, j+1 {
+		for j < len(src) && src[j].pre == src[i].pre {
+			j++
+		}
+		if j-i > 1 {
+			slices.SortFunc(src[i:j], func(a, b keyed[V]) int { return cmp.Compare(a.n.k, b.n.k) })
+		}
+	}
+	spine := make([]*node[V], 0, 64)
+	for _, p := range src {
+		x := p.n
 		for len(spine) > 0 {
-			if top := spine[len(spine)-1]; !beats(x.prio, x.k, top.prio, top.k) {
+			top := spine[len(spine)-1]
+			if !beats(x.prio, x.k, top.prio, top.k) {
 				top.r = x
 				break
 			}
-			x.l = pop()
+			x.l = top
+			spine = spine[:len(spine)-1]
 		}
 		spine = append(spine, x)
 	}
-	var root *node[V]
-	for len(spine) > 0 {
-		root = pop()
-	}
-	return root
+	return Map[V]{root: spine[0], n: len(ps)}
 }
 
 // collapse flattens a treap that shrank to smallMax entries back into
 // the sorted-slice form, keeping representation a function of content.
 func collapse[V any](n *node[V]) []entry[V] {
-	out := make([]entry[V], 0, n.size)
+	out := make([]entry[V], 0, smallMax)
 	rangeNodes(n, func(k string, v V) bool {
 		out = append(out, entry[V]{k: k, v: v})
 		return true

@@ -160,6 +160,17 @@ func testKeys(n int) []string {
 	return keys
 }
 
+// oddKeys are keys an eight-byte prefix cannot order alone: the empty
+// key, keys shorter than eight bytes that a trailing NUL extends, keys
+// sharing more than eight bytes, and bytes at and above 0x80.
+func oddKeys() []string {
+	keys := []string{"", "a", "a\x00", "ab", "abcdefgh", "abcdefgh\x00", "abcdefgh\x00\x00", "\x00", "\x80", "\xff", "\xff\xfe", "\xffz", "é", "z\x80"}
+	for i := 0; i < 30; i++ {
+		keys = append(keys, fmt.Sprintf("session_user_%04d", i))
+	}
+	return keys
+}
+
 func TestPMapModel(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
@@ -168,6 +179,7 @@ func TestPMapModel(t *testing.T) {
 			runModelTest(t, rand.New(rand.NewSource(seed)), testKeys(6), 600)
 			runModelTest(t, rand.New(rand.NewSource(seed)), testKeys(12), 800)
 			runModelTest(t, rand.New(rand.NewSource(seed)), testKeys(80), 1500)
+			runModelTest(t, rand.New(rand.NewSource(seed)), oddKeys(), 1200)
 		})
 	}
 }
@@ -180,11 +192,13 @@ func TestPMapModelCollisions(t *testing.T) {
 		restore := SetPrioForTesting(func(string) uint64 { return 7 })
 		defer restore()
 		runModelTest(t, rand.New(rand.NewSource(42)), testKeys(40), 1200)
+		runModelTest(t, rand.New(rand.NewSource(44)), oddKeys(), 1200)
 	})
 	t.Run("fourBuckets", func(t *testing.T) {
 		restore := SetPrioForTesting(func(k string) uint64 { return fnvPrio(k) % 4 })
 		defer restore()
 		runModelTest(t, rand.New(rand.NewSource(43)), testKeys(40), 1200)
+		runModelTest(t, rand.New(rand.NewSource(45)), oddKeys(), 1200)
 	})
 }
 
@@ -281,6 +295,24 @@ func TestPMapAllocs(t *testing.T) {
 	}
 	prev := big
 	big2 := big.With("item050000", -1)
+	// A write set of three present keys copies the union of their search
+	// paths once: one node per distinct node on the paths, and at most one
+	// allocation of scratch.
+	three := map[string]int{"item012345": 1, "item050000": 2, "item087654": 3}
+	onPaths := map[*node[int]]bool{}
+	for k := range three {
+		for n := big.root; n != nil; {
+			onPaths[n] = true
+			switch {
+			case k == n.k:
+				n = nil
+			case k < n.k:
+				n = n.l
+			default:
+				n = n.r
+			}
+		}
+	}
 
 	cases := []struct {
 		name  string
@@ -306,6 +338,12 @@ func TestPMapAllocs(t *testing.T) {
 			}
 		})
 	}
+	t.Run("bigWithAll", func(t *testing.T) {
+		got := testing.AllocsPerRun(200, func() { big.WithAll(three) })
+		if got < float64(len(onPaths)) || got > float64(len(onPaths)+1) {
+			t.Fatalf("bigWithAll: %.1f allocs/op, union of the search paths %d", got, len(onPaths))
+		}
+	})
 }
 
 // TestPMapBulkBuild pins the O(n) construction behind WithAll on an empty
@@ -324,8 +362,10 @@ func TestPMapBulkBuild(t *testing.T) {
 			inc = inc.With(k, i)
 		}
 		bulk := base.WithAll(ups)
-		if err := bulk.Validate(); err != nil {
-			t.Fatalf("bulk build of %d keys: %v", len(keys), err)
+		for _, m := range []Map[int]{bulk, inc} {
+			if err := m.Validate(); err != nil {
+				t.Fatalf("build of %d keys: %v", len(keys), err)
+			}
 		}
 		if got, want := bulk.Fingerprint(), inc.Fingerprint(); got != want {
 			t.Fatalf("bulk build of %d keys diverges from incremental:\n%s\nvs\n%s", len(keys), got, want)
@@ -351,8 +391,11 @@ func TestPMapBulkBuild(t *testing.T) {
 		}
 	}
 	sizes := func(t *testing.T, rng *rand.Rand) {
+		sets := [][]string{oddKeys(), append(oddKeys(), testKeys(40)...), oddKeys()[:smallMax+1]}
 		for _, n := range []int{0, 1, smallMax, smallMax + 1, 40, 500} {
-			keys := testKeys(n)
+			sets = append(sets, testKeys(n))
+		}
+		for _, keys := range sets {
 			rng.Shuffle(len(keys), func(i, j int) { keys[i], keys[j] = keys[j], keys[i] })
 			check(t, Map[int]{}, keys)
 			// A slice-form receiver whose entries the updates partly shadow.
