@@ -72,8 +72,9 @@ loc:
 # So do the reader suites (ConcurrentReader, Parallel): readers calling the
 # accessors beside the one mutator are the engine's only concurrency. The
 # wake loop writes the cursors of the standing triggers it steps at a
-# fixpoint, and parks and unparks the resting ones, beside those readers,
-# so the fixpoint suites (FixpointError, SteppedStatesNotPinned, Resting,
+# fixpoint, and it and the constraint check park and unpark the resting
+# triggers and constraints, beside those readers, so the fixpoint suites
+# (FixpointError, SteppedStatesNotPinned, Resting — triggers and constraints —
 # and IndexedSweepEquivalence's fixpoint triggers) repeat here too. Observers
 # run with Engine.mu dropped, beside those readers, and the refusal suite
 # (Reentrant) calls every mutator from one. A served engine's commit
@@ -212,8 +213,10 @@ profile-temporal:
 
 # profile-gate profiles the constraint-gate shape (100k items, 300
 # `not (item(k) < 100 and lasttime item(k) > 900)` constraints, Zipf
-# 1-3-item commits, ~4% of them refused): what the constraint check costs a
-# commit, per constraint stepped.
+# 1-3-item commits, ~4% of them refused): what a commit's constraint check
+# costs when it steps only the one to three constraints its write set
+# touches: the others rest at a false fixpoint, and the check counts their
+# steps without visiting them.
 profile-gate:
 	$(GO) test -run '^$$' -bench ConstraintGate -benchtime 50000x -memprofilerate 4096 \
 		-cpuprofile gate_cpu.prof -memprofile gate_mem.prof ./internal/adb

@@ -97,15 +97,22 @@ type Engine struct {
 	// commit wakes but the resting triggers, live the gated and quiescent
 	// rules that are not parked, each in the order rules entered it. Parked
 	// rules share parkedCursor, the index after the last commit state swept;
-	// resting counts the parked triggers whose steps the sweep counts.
-	// scratch is the temporal component's one working memory (runJobs).
-	constraints  []*rule
-	triggers     []*rule
-	standing     []*rule
-	live         []*rule
-	parkedCursor int
-	resting      int
-	scratch      sweepScratch
+	// resting counts the parked triggers whose steps the sweep counts. awake
+	// holds, in registration order, the constraints that are not resting
+	// (restConstraints); the resting ones share constraintCursor, the index
+	// after the last commit or abort state they were counted over, and
+	// constraintsResting counts them. scratch is the temporal component's one
+	// working memory (runJobs).
+	constraints        []*rule
+	triggers           []*rule
+	standing           []*rule
+	live               []*rule
+	parkedCursor       int
+	resting            int
+	awake              []*rule
+	constraintCursor   int
+	constraintsResting int
+	scratch            sweepScratch
 
 	// Fault isolation (see health.go): the circuit-breaker threshold and
 	// the fault observer. degraded, once set, seals the engine read-only
@@ -382,9 +389,9 @@ func (e *Engine) FiringCount() int {
 
 // EvalSteps returns the number of evaluator steps the rules have taken,
 // replayed or been credited: at every operation exactly what the coarse
-// engine (NewCoarseEngine) counts, though most of a resting trigger's are
-// counted without a visit. The relevance-filtering benchmark (E8) reads
-// this. Safe for concurrent use.
+// engine (NewCoarseEngine) counts, though most of a resting trigger's or
+// constraint's are counted without a visit. The relevance-filtering
+// benchmark (E8) reads this. Safe for concurrent use.
 func (e *Engine) EvalSteps() int64 {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
@@ -442,10 +449,11 @@ func (e *Engine) Compact() int {
 	for _, r := range e.rules {
 		r.cursor -= min
 	}
-	// Meaningful only while some rule is parked, and then min <= it. A
-	// resting rule's cursor field moves with it, so its credit (the
+	// Meaningful only while some rule is parked, and then min <= them. A
+	// resting rule's cursor field moves with them, so its credit (the
 	// difference) stands.
 	e.parkedCursor -= min
+	e.constraintCursor -= min
 	e.mu.Unlock()
 	// Compaction moves base and the oldest state ItemAsOf answers, so it
 	// replays. A failed append seals the engine (logRecord) and surfaces

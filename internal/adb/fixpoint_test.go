@@ -183,8 +183,8 @@ func settledStates(t *testing.T, e *Engine) map[string]string {
 
 // owedSteps is what Engine.settle would credit r's evaluator.
 func owedSteps(e *Engine, r *rule) int {
-	if r.parked && r.wake == wakeCommit {
-		return r.credit + e.parkedCursor - r.cursor
+	if r.parked && r.wake != wakeParked {
+		return r.credit + e.cursorOf(r) - r.cursor
 	}
 	return r.credit
 }

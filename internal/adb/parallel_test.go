@@ -35,6 +35,9 @@ type engineParams struct {
 	conds           []string
 	scheds          []Scheduling
 	withConstraints bool
+	// lastGate, when set, is a third constraint: a pure temporal one, which
+	// rests at a false fixpoint between the commits that write its item.
+	lastGate string
 }
 
 // randomEngineParams consumes the seed's randomness in the exact order the
@@ -79,6 +82,11 @@ func (p engineParams) register(t *testing.T, e *Engine) {
 		}
 		if err := e.AddConstraint("c_b_low", `not (item("b") > 50)`); err != nil {
 			t.Fatalf("AddConstraint: %v", err)
+		}
+		if p.lastGate != "" {
+			if err := e.AddConstraint("c_b_drop", p.lastGate); err != nil {
+				t.Fatalf("AddConstraint: %v", err)
+			}
 		}
 	}
 }

@@ -69,11 +69,12 @@ type rule struct {
 	// seq is the position in Engine.rules (jobs merge in seq order) and wake
 	// the wake list the indexed sweep finds the rule through, both fixed at
 	// registration. parked (guarded by Engine.mu) means the rule's cursor is
-	// Engine.parkedCursor, not the cursor field: a gated or quiescent rule a
-	// commit would only bump, or a resting trigger (wakeCommit), whose cursor
-	// field stays where it came to rest so that parkedCursor minus it is the
-	// steps it is owed. indexed: itemIndex lists the rule, so stampDirty
-	// marks it.
+	// a shared one, not the cursor field (cursorOf): Engine.parkedCursor for
+	// a gated or quiescent rule a commit would only bump, or a resting
+	// trigger (wakeCommit); Engine.constraintCursor for a resting constraint.
+	// A resting rule's cursor field stays where it came to rest, so that the
+	// shared cursor minus it is the steps it is owed. indexed: itemIndex
+	// lists the rule, so stampDirty marks it.
 	seq     int
 	wake    wakeKind
 	parked  bool

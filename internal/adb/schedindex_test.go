@@ -32,7 +32,9 @@ var indexCondPool = []string{
 // those draws, two pure temporal triggers on item a, Eager or Relevant:
 // an edge (a rose above c), false at every fixpoint, and a level (a stayed
 // above c), which fires at every state of a true fixpoint. Both take the
-// wake loop's fixpoint step whenever a state leaves a alone.
+// wake loop's fixpoint step whenever a state leaves a alone. It also draws
+// lastGate, a pure temporal constraint on item b (no drop from above hi to
+// below lo), which register adds when withConstraints is set.
 func randomIndexParams(seed int64, rules int, withConstraints, fixpoint bool) engineParams {
 	rng := rand.New(rand.NewSource(seed))
 	p := engineParams{
@@ -51,6 +53,8 @@ func randomIndexParams(seed int64, rules int, withConstraints, fixpoint bool) en
 			p.conds = append(p.conds, fmt.Sprintf(cond, c, c))
 			p.scheds = append(p.scheds, []Scheduling{Eager, Relevant}[rng.Intn(2)])
 		}
+		lo, hi := 5+rng.Intn(10), 35+rng.Intn(10)
+		p.lastGate = fmt.Sprintf(`not (item("b") < %d and lasttime item("b") > %d)`, lo, hi)
 	}
 	return p
 }

@@ -116,13 +116,15 @@ func (s *sweepScratch) add(r *rule, kind jobKind) {
 }
 
 // wakeKind says how the indexed sweep finds a rule: in Engine.standing,
-// filtered per state (wakeAlways, wakeCommit, wakeConstraint); through
-// eventIndex alone (wakeEvent); or, for the gated and quiescent database
-// readers, which a commit that does not concern them merely bumps, in
-// Engine.live or behind the parked cursor (wakeParked). A wakeCommit
-// trigger resting at a false fixpoint parks behind the same cursor, out of
-// Engine.standing, until its item is written or Flush or an unknown dirty
-// set wakes it (sweepIndexed).
+// filtered per state (wakeAlways, wakeCommit); in Engine.awake, at commits
+// and aborts (wakeConstraint); through eventIndex alone (wakeEvent); or,
+// for the gated and quiescent database readers, which a commit that does
+// not concern them merely bumps, in Engine.live or behind the parked cursor
+// (wakeParked). A wakeCommit trigger resting at a false fixpoint parks
+// behind the same cursor, out of Engine.standing, until its item is written
+// or Flush or an unknown dirty set wakes it (sweepIndexed); a constraint
+// resting at one parks behind Engine.constraintCursor, out of Engine.awake,
+// until a tentative state writes its item (restConstraints).
 type wakeKind uint8
 
 const (
@@ -165,13 +167,16 @@ func (e *Engine) enlist(r *rule) {
 		e.triggers = append(e.triggers, r)
 	}
 	// itemIndex lists the rules that consume a dirty mark on the state it is
-	// stamped for: standing rules — stepped at every commit — as their
-	// query-cache hint (untouched), quiescent rules as their wake-up. Parked
-	// gated rules and Manual ones do neither, so a commit writing an item they
-	// read must not walk them; when they do step, untouched probes their read
-	// set.
+	// stamped for: standing rules and constraints — stepped at every commit —
+	// as their query-cache hint (untouched), quiescent rules and resting ones
+	// as their wake-up. Parked gated rules and Manual ones do neither, so a
+	// commit writing an item they read must not walk them; when they do step,
+	// untouched probes their read set.
 	switch r.wake {
-	case wakeAlways, wakeCommit, wakeConstraint:
+	case wakeConstraint:
+		e.awake = append(e.awake, r)
+		r.indexed = r.rs.analyzable
+	case wakeAlways, wakeCommit:
 		e.standing = append(e.standing, r)
 		r.indexed = r.rs.analyzable
 	case wakeParked:
@@ -194,16 +199,17 @@ func (e *Engine) enlist(r *rule) {
 // stampDirty opens a sweep generation for history index i, whose state
 // changed items: every indexed rule reading one of them gets the generation
 // as its dirtyGen — an index probe per item, not a read-set probe per rule
-// and item. A commit's sweep also unparks the quiescent and resting rules it
-// marks, and holds mu; the tentative state's check must not, a rejected
-// commit leaving no trace.
-func (e *Engine) stampDirty(i int, items []string, unpark bool) uint64 {
+// and item. It also unparks the parked rules it marks: the tentative
+// state's check (tentative) the resting constraints, which must step it; a
+// commit's sweep the quiescent rules and resting triggers, which the check
+// must leave alone, a rejected commit leaving no trace. The caller holds mu.
+func (e *Engine) stampDirty(i int, items []string, tentative bool) uint64 {
 	e.sweepGen++
 	e.stamped = e.base + i
 	for _, item := range items {
 		for _, r := range e.itemIndex[item] {
 			r.dirtyGen = e.sweepGen
-			if unpark && r.parked {
+			if r.parked && r.constraint == tentative {
 				e.unpark(r)
 			}
 		}
@@ -213,34 +219,45 @@ func (e *Engine) stampDirty(i int, items []string, unpark bool) uint64 {
 
 // cursorOf is r's cursor; the caller holds mu or is the mutating goroutine.
 func (e *Engine) cursorOf(r *rule) int {
-	if r.parked {
-		return e.parkedCursor
+	switch {
+	case !r.parked:
+		return r.cursor
+	case r.constraint:
+		return e.constraintCursor
 	}
-	return r.cursor
+	return e.parkedCursor
 }
 
 // unpark materialises a parked rule's cursor and returns it to the wake
 // list its kind names: live for a gated or quiescent rule, standing for a
-// resting trigger, which is settled the steps it rested over first. The
-// caller holds mu.
+// resting trigger and awake, in registration order, for a resting
+// constraint; a resting rule is settled the steps it rested over first.
+// The caller holds mu.
 func (e *Engine) unpark(r *rule) {
-	if r.wake == wakeCommit {
-		e.settle(r)
+	e.settle(r)
+	switch r.wake {
+	case wakeConstraint:
+		e.constraintsResting--
+		i, _ := slices.BinarySearchFunc(e.awake, r.seq, func(a *rule, seq int) int { return a.seq - seq })
+		e.awake = slices.Insert(e.awake, i, r)
+	case wakeCommit:
 		e.resting--
 		e.standing = append(e.standing, r)
-	} else {
+	default:
 		e.live = append(e.live, r)
 	}
-	r.cursor, r.parked = e.parkedCursor, false
+	r.cursor, r.parked = e.cursorOf(r), false
 }
 
 // settle hands r's evaluator every step counted on its behalf. A resting
-// rule is credited the states parkedCursor has passed since its cursor
-// field was set, which moves up to it, and stays parked.
+// rule — a parked trigger or constraint — is credited the states its shared
+// cursor has passed since its cursor field was set, which moves up to it,
+// and stays parked.
 func (e *Engine) settle(r *rule) {
-	if r.parked && r.wake == wakeCommit {
-		r.credit += e.parkedCursor - r.cursor
-		r.cursor = e.parkedCursor
+	if r.parked && r.wake != wakeParked {
+		c := e.cursorOf(r)
+		r.credit += c - r.cursor
+		r.cursor = c
 	}
 	r.settle()
 }
@@ -280,7 +297,7 @@ func (e *Engine) sweepIndexed(newest int, st history.SystemState) error {
 	s := &e.scratch
 
 	e.mu.Lock()
-	gen := e.stampDirty(newest, d.items, true)
+	gen := e.stampDirty(newest, d.items, false)
 	for _, name := range st.Events.Names() {
 		for _, r := range e.eventIndex[name] {
 			if r.wakeGen == gen {
@@ -352,15 +369,23 @@ func (e *Engine) sweepIndexed(newest int, st history.SystemState) error {
 				e.resting++
 				continue
 			}
-		case wakeConstraint:
-			// A commit the constraints accepted has stepped them already.
-			if (commit || aborted) && r.cursor < end {
-				s.add(r, jobEval)
-			}
 		}
 		standing = append(standing, r)
 	}
 	e.standing = standing
+	if commit || aborted {
+		// The resting constraints' steps since the last commit or abort
+		// state, and a job for each awake constraint that lags: none at a
+		// commit the constraints accepted, which stepped the awake ones and
+		// moved every cursor past it.
+		e.evalSteps += int64(e.constraintsResting * (end - e.constraintCursor))
+		e.constraintCursor = end
+		for _, r := range e.awake {
+			if r.cursor < end {
+				s.add(r, jobEval)
+			}
+		}
+	}
 	e.mu.Unlock()
 	return e.runJobs(end)
 }

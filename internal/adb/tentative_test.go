@@ -254,8 +254,8 @@ func TestConstraintStepAccounting(t *testing.T) {
 	}
 	expect("a commit after one lagged state", 7*n)
 	for _, r := range e.constraints {
-		if r.cursor != e.hist.Len() {
-			t.Fatalf("constraint %s: cursor %d, history has %d states", r.name, r.cursor, e.hist.Len())
+		if e.cursorOf(r) != e.hist.Len() {
+			t.Fatalf("constraint %s: cursor %d, history has %d states", r.name, e.cursorOf(r), e.hist.Len())
 		}
 	}
 }

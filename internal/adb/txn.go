@@ -52,9 +52,10 @@ func (e *Engine) appendState(st history.SystemState, commit bool, changed []stri
 		return err
 	}
 	if commit {
-		for _, r := range e.constraints {
+		for _, r := range e.awake {
 			r.cursor = e.hist.Len()
 		}
+		e.constraintCursor = e.hist.Len()
 	}
 	e.dirty = append(e.dirty, dirtySet{known: true, items: changed})
 	e.db = st.DB
