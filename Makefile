@@ -81,11 +81,14 @@ loc:
 # pipeline compacts its history every 64 operations, beside the sessions'
 # readers, so internal/server and its compaction suite (PipelineCompacts:
 # Now, Items and Firings readers beside the compactions) repeat here too.
-# A subscriber's overflow queues its gap marker at once, from the subscribe
-# call (backlog) or the broadcast (live) beside the session's writer, so the
-# two gap suites (OverflowGap) repeat here as well.
+# A subscribed session's writer reads the firing log from its cursor beside
+# the committer that appends to it, and decides a lagging subscriber's
+# overflow there, so the overflow suites (the two gap suites, DropWithGap
+# and Disconnect), the resume-by-sequence and drain suites and the client's
+# gap accounting (Overflow|Subscribe|GracefulDrain|ClientStatsGap) repeat
+# here as well.
 stress:
-	$(GO) test -race -count=3 -run 'Fault|Degrad|Quarantine|Parallel|ConcurrentReader|IndexedSweepEquivalence|FixpointError|SteppedStatesNotPinned|Resting|Reentrant|Panic|Failpoint|Chaos|Failover|Lease|Promot|Replica|ShipAfterReply|PMap|PipelineCompacts|OverflowGap' ./internal/adb ./internal/persist ./internal/replica ./internal/pmap ./internal/server
+	$(GO) test -race -count=3 -run 'Fault|Degrad|Quarantine|Parallel|ConcurrentReader|IndexedSweepEquivalence|FixpointError|SteppedStatesNotPinned|Resting|Reentrant|Panic|Failpoint|Chaos|Failover|Lease|Promot|Replica|ShipAfterReply|PMap|PipelineCompacts|Overflow|Subscribe|GracefulDrain|ClientStatsGap' ./internal/adb ./internal/persist ./internal/replica ./internal/pmap ./internal/server
 
 # allocgates runs the allocation gates of the commit path at three core
 # counts. The engine starts no goroutine of its own, so nothing they count
@@ -115,12 +118,15 @@ stress:
 # binary frame write allocates nothing and a decode of a transaction, a
 # four-firing push and an ok reply at most 9, 24 and 1 times. In server,
 # Backlog of the last firing allocates the same over 10 and over 10,000
-# firings. Under the states, a pmap write set of three present keys in a
+# firings, and a Subscribe(0) over a log of 10,000 and of 100,000 firings,
+# with SubscriberQueue 256, builds the same bindings at both sizes, at most
+# SubscriberQueue plus one read batch (TestSubscribeBuildsOnlyWhatItSends:
+# 256 built). Under the states, a pmap write set of three present keys in a
 # 100k map allocates the union of their search paths plus at most one
 # (TestPMapAllocs), and history.DBState adds nothing to pmap's path copies
 # (TestDBStateAllocs).
 allocgates:
-	for p in 1 2 4; do GOMAXPROCS=$$p $(GO) test -count=1 -run 'TestCommitAllocs|TestSweepNoRuleTerm|TestConstraintCheckAllocs|TestNewEngineAllocsPerItem|TestActionlessFiringAllocs|TestFiringLogBytesPerFiring|TestStepAllocsFlatInRetainedClauses|TestWindowedAggregateStepAllocs|TestParamStepAllocs|TestMetricStepAllocs|TestBinaryCodecAllocs|TestBacklogTailAllocs|TestPMapAllocs|TestDBStateAllocs' ./internal/adb ./internal/core ./internal/server/wire ./internal/server ./internal/pmap ./internal/history || exit 1; done
+	for p in 1 2 4; do GOMAXPROCS=$$p $(GO) test -count=1 -run 'TestCommitAllocs|TestSweepNoRuleTerm|TestConstraintCheckAllocs|TestNewEngineAllocsPerItem|TestActionlessFiringAllocs|TestFiringLogBytesPerFiring|TestStepAllocsFlatInRetainedClauses|TestWindowedAggregateStepAllocs|TestParamStepAllocs|TestMetricStepAllocs|TestBinaryCodecAllocs|TestBacklogTailAllocs|TestSubscribeBuildsOnlyWhatItSends|TestPMapAllocs|TestDBStateAllocs' ./internal/adb ./internal/core ./internal/server/wire ./internal/server ./internal/pmap ./internal/history || exit 1; done
 
 # fuzz runs the parser and frame-decoder fuzzers for a bounded time. The
 # WAL and snapshots store a rule as its printed condition, so the

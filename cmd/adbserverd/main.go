@@ -26,8 +26,8 @@
 //	adbserverd -addr :7412 -data /var/lib/adb/b -lease /var/lib/adb/lease \
 //	           -replica-of 127.0.0.1:7411
 //
-// Subscription queues are bounded (-sub-queue); -overflow picks what
-// happens to a lagging subscriber: "drop" delivers a gap marker counting
+// A subscriber may lag a bounded number of firings behind the log head
+// (-sub-queue); -overflow picks what happens to one lagging further: "drop" delivers a gap marker counting
 // the missed firings, "disconnect" severs the connection.
 //
 // Storage lifecycle (DESIGN.md §4k): -snapshot-every picks a checkpoint
@@ -45,7 +45,8 @@
 // Engine.Flush either, so registration refuses Manual scheduling.
 //
 // SIGTERM or SIGINT drains gracefully: stop accepting, finish queued
-// commits, flush every subscriber queue, close the engine, exit 0.
+// commits, deliver every subscriber's firings up to the log head, close
+// the engine, exit 0.
 //
 // -port-file writes the actually bound address (useful with -addr :0) so
 // scripts can find the server.
@@ -73,7 +74,7 @@ func main() {
 	dataDir := flag.String("data", "", "durable engine directory (write-ahead log + snapshots); empty = memory-only")
 	maxConns := flag.Int("max-conns", 64, "maximum concurrent client sessions")
 	idleTimeout := flag.Duration("idle-timeout", 0, "drop sessions idle longer than this (0 = never)")
-	subQueue := flag.Int("sub-queue", 256, "bounded firing queue per subscriber")
+	subQueue := flag.Int("sub-queue", 256, "firings a subscriber may lag behind the log head")
 	overflow := flag.String("overflow", "drop", "subscriber overflow policy: drop (gap markers) or disconnect")
 	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "graceful shutdown bound")
 	replicaOf := flag.String("replica-of", "", "run as a follower replicating from this primary address")

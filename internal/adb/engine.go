@@ -7,6 +7,7 @@ package adb
 
 import (
 	"io"
+	"math"
 	"sort"
 	"sync"
 
@@ -362,19 +363,20 @@ func (e *Engine) OnFiring(fn func(Firing)) (cancel func()) {
 // Binding map (a closed firing's is empty): the log stores bindings as rows
 // of values and builds the maps on every call. Safe for concurrent use.
 func (e *Engine) Firings() []Firing {
-	_, fs := e.FiringsFrom(0)
+	_, fs := e.FiringsFrom(0, math.MaxInt)
 	return fs
 }
 
-// FiringsFrom returns a copy of the firing log from index from on, with
-// from clamped to [0, FiringCount()]; it builds only that tail, with a fresh
-// Binding map per firing, and builds the maps after releasing the lock, so
-// a long tail does not hold up the mutator. Safe for concurrent use.
-func (e *Engine) FiringsFrom(from int) (int, []Firing) {
+// FiringsFrom returns a copy of at most limit firings of the log from index
+// from on, with from clamped to [0, FiringCount()]; it builds only those,
+// with a fresh Binding map per firing, and builds the maps after releasing
+// the lock, so a long tail does not hold up the mutator. Safe for
+// concurrent use.
+func (e *Engine) FiringsFrom(from, limit int) (int, []Firing) {
 	e.mu.RLock()
 	n := e.firings.Len()
 	from = min(max(from, 0), n)
-	refs := e.firings.refs(from, n)
+	refs := e.firings.refs(from, from+min(max(limit, 0), n-from))
 	e.mu.RUnlock()
 	return from, firingsOf(refs)
 }
@@ -388,10 +390,13 @@ func (e *Engine) FiringCount() int {
 }
 
 // EvalSteps returns the number of evaluator steps the rules have taken,
-// replayed or been credited: at every operation exactly what the coarse
-// engine (NewCoarseEngine) counts, though most of a resting trigger's or
-// constraint's are counted without a visit. The relevance-filtering
-// benchmark (E8) reads this. Safe for concurrent use.
+// replayed or been credited. For every rule outside the gated and
+// quiescent classes it is at every operation what the coarse engine
+// (NewCoarseEngine) counts, though most of a resting trigger's or
+// constraint's steps are counted without a visit. A quiescent rule's memo
+// replay and a gated rule's park count nothing, so over those classes the
+// total falls below the coarse one. The relevance-filtering benchmark (E8)
+// reads this. Safe for concurrent use.
 func (e *Engine) EvalSteps() int64 {
 	e.mu.RLock()
 	defer e.mu.RUnlock()

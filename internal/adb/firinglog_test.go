@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"sync"
@@ -82,7 +83,7 @@ func TestFiringLogReadEquivalence(t *testing.T) {
 			}
 			for k := -1; k <= len(stream)+1; k++ {
 				want := min(max(k, 0), len(stream))
-				from, got := e.FiringsFrom(k)
+				from, got := e.FiringsFrom(k, math.MaxInt)
 				if from != want || !sameFirings(got, stream[want:]) {
 					t.Fatalf("%s: FiringsFrom(%d) = %d, %v; want %d, %v", where, k, from, got, want, stream[want:])
 				}
@@ -183,7 +184,7 @@ func TestFiringLogConcurrentReader(t *testing.T) {
 					return
 				default:
 				}
-				from, fs := e.FiringsFrom(k % (e.FiringCount() + 1))
+				from, fs := e.FiringsFrom(k%(e.FiringCount()+1), math.MaxInt)
 				for i, f := range fs {
 					want := Firing{Rule: "tick", Time: int64(from + i + 1), StateIndex: from + i + 1, Binding: core.Binding{
 						"A": value.NewInt(int64(from + i + 1)), "B": value.NewInt(int64((from + i + 1) % 7)),

@@ -213,7 +213,7 @@ func startReaders(e *Engine, n int) (stop func()) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			for {
+			for i := g; ; i++ {
 				select {
 				case <-done:
 					return
@@ -221,11 +221,15 @@ func startReaders(e *Engine, n int) (stop func()) {
 				}
 				_ = e.Firings()
 				_, _ = e.ItemAsOf("a", e.Now())
-				_, _ = e.Rule(fmt.Sprintf("r%d", g))
 				_ = e.EvalSteps()
 				_ = e.DB()
-				_ = e.RuleNames()
-				_ = e.Executions("r0", e.Now())
+				// Triggers and constraints alike: a resting one's Rule reads
+				// its pending states through the shared cursor.
+				if names := e.RuleNames(); len(names) > 0 {
+					name := names[i%len(names)]
+					_, _ = e.Rule(name)
+					_ = e.Executions(name, e.Now())
+				}
 				_ = e.BaseIndex()
 				runtime.Gosched()
 			}

@@ -69,7 +69,7 @@ func (tr parkTrace) run(t *testing.T, e *Engine, reopen func(e *Engine, i int) *
 	mustAdd(t, e, "qd", `item("d") > 0`, nil)
 	if tr.observer {
 		e.OnFiring(func(f Firing) {
-			if _, last := e.FiringsFrom(e.FiringCount() - 1); len(last) != 1 || !reflect.DeepEqual(last[0], f) {
+			if _, last := e.FiringsFrom(e.FiringCount()-1, 1); len(last) != 1 || !reflect.DeepEqual(last[0], f) {
 				t.Errorf("observer told of %v, but the log ends at %v", f, last)
 			}
 		})

@@ -26,7 +26,7 @@ type Config struct {
 }
 
 // fanMsg is one fan-in delivery: a shard firing (or gap), or a control
-// closure to run at the merge point (subscription syncs, barriers).
+// closure to run at the merge point (barriers).
 type fanMsg struct {
 	shard int
 	fe    server.FiringEvent
@@ -444,20 +444,10 @@ func (f *Front) OnFiring(fn func(server.FiringEvent)) (cancel func()) {
 	return func() { f.obs.CompareAndSwap(&fn, nil) }
 }
 
-// SyncFirings runs fn at the merge point: the backlog snapshot and the
-// live observer stream are atomic with respect to the fan-in, so a
-// subscriber sees every merged firing exactly once.
-func (f *Front) SyncFirings(from int, fn func(int, []server.FiringEvent)) {
-	f.in <- fanMsg{fn: func() {
-		from, backlog, _ := f.snapshot(from)
-		fn(from, backlog)
-	}}
-}
-
-// snapshot clamps from and returns the log suffix covering sequence
-// numbers >= from (a gap entry is included when any of its lost range is
-// covered).
-func (f *Front) snapshot(from int) (int, []server.FiringEvent, int) {
+// Firings clamps from and returns at most limit entries of the merged log
+// covering sequence numbers >= from (a gap entry is included when any of
+// its lost range is covered).
+func (f *Front) Firings(from, limit int) (int, []server.FiringEvent, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if from < 0 {
@@ -479,7 +469,7 @@ func (f *Front) snapshot(from int) (int, []server.FiringEvent, int) {
 		k = min(k, f.gaps[j].at)
 	}
 	var backlog []server.FiringEvent
-	for seq := k + lost; k < f.firings.Len() || j < len(f.gaps); {
+	for seq := k + lost; len(backlog) < limit && (k < f.firings.Len() || j < len(f.gaps)); {
 		if j < len(f.gaps) && f.gaps[j].at == k {
 			g := f.gaps[j]
 			backlog = append(backlog, server.FiringEvent{Seq: g.seq, Gap: g.n})
@@ -491,7 +481,7 @@ func (f *Front) snapshot(from int) (int, []server.FiringEvent, int) {
 		k++
 		seq++
 	}
-	return from, backlog, f.nextSeq
+	return from, backlog, nil
 }
 
 // Now reports the maximum shard clock. A shard whose clock read fails
@@ -524,11 +514,6 @@ func (f *Front) Items() (map[string]value.Value, error) {
 		}
 	}
 	return out, nil
-}
-
-func (f *Front) Firings(from int) ([]server.FiringEvent, error) {
-	_, backlog, _ := f.snapshot(from)
-	return backlog, nil
 }
 
 // Rules lists every user rule across the shards, sorted by name (the

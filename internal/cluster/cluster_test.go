@@ -3,6 +3,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -68,7 +69,7 @@ func waitFirings(t *testing.T, f *Front, pred func([]server.FiringEvent) bool) [
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		fs, err := f.Firings(0)
+		_, fs, err := f.Firings(0, math.MaxInt)
 		if err != nil {
 			t.Fatalf("Firings: %v", err)
 		}
@@ -288,7 +289,7 @@ func TestFrontSharedRemoteEventRelay(t *testing.T) {
 	// relay per observing rule) finish its commit before counting.
 	time.Sleep(200 * time.Millisecond)
 	f.Barrier()
-	fs, err := f.Firings(0)
+	_, fs, err := f.Firings(0, math.MaxInt)
 	if err != nil {
 		t.Fatalf("Firings: %v", err)
 	}
@@ -400,8 +401,8 @@ func TestFrontGapDegradesHealth(t *testing.T) {
 // TestFrontSnapshotAroundGaps holds the merged log's reads to the log of
 // entries the fan-in merged: gap entries at its start, between firings,
 // back to back and at its end, and every from, covered or not, inside a
-// gap or past the end, returns the entries whose sequence numbers reach
-// from, with the same sequence numbers and bindings.
+// gap or past the end, returns the first limit entries whose sequence
+// numbers reach from, with the same sequence numbers and bindings.
 func TestFrontSnapshotAroundGaps(t *testing.T) {
 	f := newLocalFront(t, 2)
 	firing := func(i int) server.FiringEvent {
@@ -430,9 +431,12 @@ func TestFrontSnapshotAroundGaps(t *testing.T) {
 				tail = append(tail, fe)
 			}
 		}
-		gotFrom, got, next := f.snapshot(from)
-		if gotFrom != clamped || next != seq || !reflect.DeepEqual(got, tail) {
-			t.Fatalf("snapshot(%d) = %d, %+v, %d; want %d, %+v, %d", from, gotFrom, got, next, clamped, tail, seq)
+		for _, limit := range []int{0, 1, 2, math.MaxInt} {
+			want := tail[:min(limit, len(tail))]
+			gotFrom, got, err := f.Firings(from, limit)
+			if err != nil || gotFrom != clamped || len(got) != len(want) || len(want) > 0 && !reflect.DeepEqual(got, want) {
+				t.Fatalf("Firings(%d, %d) = %d, %+v, %v; want %d, %+v", from, limit, gotFrom, got, err, clamped, want)
+			}
 		}
 	}
 }
@@ -455,7 +459,9 @@ func TestFrontRefusesCrossShardConstraint(t *testing.T) {
 	}
 }
 
-func TestFrontSyncFirings(t *testing.T) {
+// TestFrontFiringsLimit reads a routed firing back from the merged log,
+// bounded and not.
+func TestFrontFiringsLimit(t *testing.T) {
 	f := newLocalFront(t, 2)
 	p := f.Partitioner()
 	k := keyOn(t, p, 0, "x")
@@ -468,17 +474,14 @@ func TestFrontSyncFirings(t *testing.T) {
 	f.Barrier()
 	waitFirings(t, f, func(fs []server.FiringEvent) bool { return len(fs) >= 1 })
 
-	type sync struct {
-		from    int
-		backlog []server.FiringEvent
+	for _, limit := range []int{1, math.MaxInt} {
+		from, fs, err := f.Firings(0, limit)
+		if err != nil || from != 0 || len(fs) != 1 || fs[0].F.Rule != "w" {
+			t.Fatalf("Firings(0, %d) = %d, %+v, %v", limit, from, fs, err)
+		}
 	}
-	got := make(chan sync, 1)
-	f.SyncFirings(0, func(from int, backlog []server.FiringEvent) {
-		got <- sync{from, backlog}
-	})
-	s := <-got
-	if s.from != 0 || len(s.backlog) != 1 || s.backlog[0].F.Rule != "w" {
-		t.Fatalf("SyncFirings = %+v", s)
+	if from, fs, err := f.Firings(0, 0); err != nil || from != 0 || len(fs) != 0 {
+		t.Fatalf("Firings(0, 0) = %d, %+v, %v", from, fs, err)
 	}
 }
 

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -81,7 +82,7 @@ func TestRelayRedeliveryDedup(t *testing.T) {
 	f.Barrier()
 	deadline := time.Now().Add(300 * time.Millisecond)
 	for time.Now().Before(deadline) {
-		fs, err := f.Firings(0)
+		_, fs, err := f.Firings(0, math.MaxInt)
 		if err != nil {
 			t.Fatal(err)
 		}

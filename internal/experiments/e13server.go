@@ -109,7 +109,8 @@ func FanoutRun(commits, subs int) (time.Duration, int) {
 // E13Server reports firing fan-out to a large subscriber set — the one
 // served scenario no bench/ workload has (firing-stream has a single
 // subscriber). The deliveries column is exact: commits x subs. The time
-// is printed for ROADMAP item 2(b) and baselined nowhere; synchronous,
+// is printed for ROADMAP item 29 (subscribers at one cursor share the
+// batch their writers read and encode) and baselined nowhere; synchronous,
 // pipelined and per-codec commit costs are bench/'s server.sync_commit_us,
 // server.pipelined_commits_per_s and client.encode_us vs
 // client.encode_json_us, and the per-firing push is

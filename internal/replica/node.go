@@ -24,8 +24,11 @@ type Node struct {
 	// Reads answers Now, Items, Firings, Rules and Health from the node's
 	// current engine in either role (see engine).
 	server.Reads
+	// eng is that engine (nil before a fresh follower's init frame), so
+	// reads, a subscriber's of the firing log too, never wait for an apply.
+	eng atomic.Pointer[adb.Engine]
 
-	mu  sync.Mutex // serializes apply, promote, and follower-side reads
+	mu  sync.Mutex // serializes apply, bootstrap and promote
 	cfg adb.Config
 	fol *adb.Follower
 
@@ -69,6 +72,7 @@ func NewFollower(cfg adb.Config, dir, primary, advertise string) (*Node, error) 
 	n.fol = fol
 	if eng := fol.Engine(); eng != nil {
 		n.seq = eng.FiringCount()
+		n.eng.Store(eng)
 	}
 	n.live.Store(true)
 	return n, nil
@@ -80,6 +84,7 @@ func NewFollower(cfg adb.Config, dir, primary, advertise string) (*Node, error) 
 func NewPrimary(be *server.EngineBackend, advertise string) *Node {
 	n := &Node{be: be, shipper: NewShipper(be), advertise: advertise, leader: advertise}
 	n.Reads = server.ReadsOf(n.engine)
+	n.eng.Store(be.Engine())
 	n.promoted.Store(true)
 	n.live.Store(true)
 	return n
@@ -94,6 +99,7 @@ func (n *Node) fired(f adb.Firing) {
 	if n.promoted.Load() || !n.live.Load() {
 		return
 	}
+	n.eng.Store(n.fol.Engine()) // the log read must hold it, in the init frame's batch too
 	fe := server.FiringEvent{F: f, Seq: n.seq}
 	n.seq++
 	if fn := n.obs.Load(); fn != nil {
@@ -109,7 +115,9 @@ func (n *Node) Apply(data []byte, epoch int64) (int, error) {
 	if n.promoted.Load() {
 		return 0, fmt.Errorf("replica: node was promoted; stream must stop")
 	}
-	return n.fol.ApplyFrames(data, epoch)
+	applied, err := n.fol.ApplyFrames(data, epoch)
+	n.eng.Store(n.fol.Engine()) // the init frame creates it
+	return applied, err
 }
 
 // Bootstrap installs a primary snapshot shipped because the node's resume
@@ -129,6 +137,7 @@ func (n *Node) Bootstrap(data []byte, lsn int64) error {
 	}
 	if eng := n.fol.Engine(); eng != nil {
 		n.seq = eng.FiringCount()
+		n.eng.Store(eng)
 	}
 	return nil
 }
@@ -184,6 +193,7 @@ func (n *Node) Promote(newEpoch int64) error {
 	// sequence from len(firings), which equals n.seq at this quiescent
 	// point, so subscribers see one continuous numbering across roles.
 	n.promoted.Store(true)
+	n.eng.Store(eng)
 	be := server.NewEngineBackend(eng)
 	if fn := n.obs.Load(); fn != nil {
 		be.OnFiring(*fn)
@@ -239,14 +249,7 @@ func (n *Node) Shipper() *Shipper {
 
 // engine returns the replayed engine for reads (nil before the init
 // frame arrived on a fresh follower).
-func (n *Node) engine() *adb.Engine {
-	if n.promoted.Load() {
-		return n.be.Engine()
-	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.fol.Engine()
-}
+func (n *Node) engine() *adb.Engine { return n.eng.Load() }
 
 // notPrimary finishes a refused mutation with the redirect hint.
 func (n *Node) notPrimary() error { return &wire.NotPrimaryError{Leader: n.Leader()} }
@@ -300,22 +303,6 @@ func (n *Node) OnFiring(fn func(server.FiringEvent)) (cancel func()) {
 			beCancel()
 		}
 	}
-}
-
-// SyncFirings delivers the backlog atomically with the live stream: on a
-// follower, n.mu serializes it against Apply (whose firings flow through
-// fired under the same lock); once primary, the backend's serialization
-// point does the same job.
-func (n *Node) SyncFirings(from int, fn func(int, []server.FiringEvent)) {
-	n.mu.Lock()
-	if n.be != nil {
-		be := n.be
-		n.mu.Unlock()
-		be.SyncFirings(from, fn)
-		return
-	}
-	defer n.mu.Unlock()
-	fn(server.Backlog(n.fol.Engine(), from))
 }
 
 func (n *Node) Barrier() {

@@ -2,6 +2,7 @@ package replica
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 
@@ -19,13 +20,13 @@ var readQueries = []struct {
 }{
 	{"now", func(b server.Backend) any { return b.Now() }},
 	{"items", func(b server.Backend) any { v, err := b.Items(); return []any{v, err} }},
-	{"firings from -3", func(b server.Backend) any { v, err := b.Firings(-3); return []any{v, err} }},
-	{"firings from 0", func(b server.Backend) any { v, err := b.Firings(0); return []any{v, err} }},
-	{"firings from mid", func(b server.Backend) any { v, err := b.Firings(2); return []any{v, err} }},
-	{"firings from beyond", func(b server.Backend) any { v, err := b.Firings(1 << 20); return []any{v, err} }},
-	{"sync from -3", func(b server.Backend) any { return syncFirings(b, -3) }},
-	{"sync from mid", func(b server.Backend) any { return syncFirings(b, 2) }},
-	{"sync from beyond", func(b server.Backend) any { return syncFirings(b, 1<<20) }},
+	{"firings from -3", func(b server.Backend) any { return firings(b, -3, math.MaxInt) }},
+	{"firings from 0", func(b server.Backend) any { return firings(b, 0, math.MaxInt) }},
+	{"firings from mid", func(b server.Backend) any { return firings(b, 2, math.MaxInt) }},
+	{"firings from beyond", func(b server.Backend) any { return firings(b, 1<<20, math.MaxInt) }},
+	{"a batch from -3", func(b server.Backend) any { return firings(b, -3, 2) }},
+	{"a batch from mid", func(b server.Backend) any { return firings(b, 2, 1) }},
+	{"the head", func(b server.Backend) any { return firings(b, 1<<20, 0) }},
 	{"rules", func(b server.Backend) any { v, err := b.Rules(); return []any{v, err} }},
 	{"health", func(b server.Backend) any { v, deg, err := b.Health(); return []any{v, deg, err} }},
 	{"storage", func(b server.Backend) any {
@@ -40,11 +41,11 @@ type shippedBatch struct {
 	epoch int64
 }
 
-func syncFirings(b server.Backend, from int) any {
-	var got []any
-	b.SyncFirings(from, func(start int, backlog []server.FiringEvent) { got = []any{start, backlog} })
-	b.Barrier()
-	return got
+// firings asks b for at most limit log entries from from; the answer
+// includes from clamped to the log, which a server reads its head from.
+func firings(b server.Backend, from, limit int) any {
+	start, fs, err := b.Firings(from, limit)
+	return []any{start, fs, err}
 }
 
 // assertSameReads asks every read query of both backends and compares.
@@ -59,8 +60,8 @@ func assertSameReads(t *testing.T, phase string, want, got server.Backend) {
 
 // TestReadSideParity drives one log through an EngineBackend, a follower
 // Node, and that Node after promotion, and checks that every read query —
-// items, firings from before, inside and past the log, the subscription
-// backlog clamp, rules, health, storage — answers identically from all
+// items, firings from before, inside and past the log, bounded or not, the
+// log head, rules, health, storage — answers identically from all
 // three: there is one read side, not one per role.
 func TestReadSideParity(t *testing.T) {
 	boom := func(*adb.ActionContext) error { return fmt.Errorf("boom") }
@@ -93,7 +94,7 @@ func TestReadSideParity(t *testing.T) {
 	}
 	be := server.NewEngineBackend(eng)
 	defer be.Close()
-	if fs, _ := be.Firings(0); len(fs) < 4 {
+	if _, fs, _ := be.Firings(0, math.MaxInt); len(fs) < 4 {
 		t.Fatalf("only %d firings; the mid-log cases need more", len(fs))
 	}
 	if _, deg, _ := be.Health(); deg != "" {
@@ -115,11 +116,8 @@ func TestReadSideParity(t *testing.T) {
 		t.Errorf("fresh follower: items = %v, %v", items, err)
 	}
 	for _, from := range []int{-3, 0, 2} {
-		if fs, err := node.Firings(from); err != nil || len(fs) != 0 {
-			t.Errorf("fresh follower: firings(%d) = %v, %v", from, fs, err)
-		}
-		if got := syncFirings(node, from); !reflect.DeepEqual(got, []any{0, []server.FiringEvent{}}) {
-			t.Errorf("fresh follower: sync(%d) = %v", from, got)
+		if got := firings(node, from, math.MaxInt); !reflect.DeepEqual(got, []any{0, []server.FiringEvent{}, nil}) {
+			t.Errorf("fresh follower: firings(%d) = %v", from, got)
 		}
 	}
 	if rules, err := node.Rules(); err != nil || len(rules) != 0 {

@@ -2,6 +2,7 @@ package server
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -50,25 +51,24 @@ type Backend interface {
 
 	// OnFiring registers the single firing observer, called for every
 	// subsequent firing (and gap) in sequence order from one goroutine at
-	// a time. The returned cancel removes it. Observers only observe and
-	// should hand the event off quickly: they run on the backend's
-	// firing-producing goroutine, inside the engine call that fired, where
-	// the engine refuses its own mutators with adb.ErrReentrant and a
-	// backend mutator would queue behind the call that is running it.
+	// a time, once the entry is in the log Firings reads. The returned
+	// cancel removes it. Observers only observe and should hand the event
+	// off quickly: they run on the backend's firing-producing goroutine,
+	// inside the engine call that fired, where the engine refuses its own
+	// mutators with adb.ErrReentrant and a backend mutator would queue
+	// behind the call that is running it.
 	OnFiring(fn func(FiringEvent)) (cancel func())
-	// SyncFirings delivers the firing backlog from the given sequence
-	// number, atomically with respect to the live OnFiring stream: fn runs
-	// at the serialization point with the clamped start index, and every
-	// firing after the backlog is observed through OnFiring exactly once.
-	SyncFirings(from int, fn func(from int, backlog []FiringEvent))
 
 	// Now returns the current engine time (the max across shards, for a
 	// sharded backend).
 	Now() int64
 	// Items snapshots the database (the union across shards).
 	Items() (map[string]value.Value, error)
-	// Firings lists the firing log from the given sequence number.
-	Firings(from int) ([]FiringEvent, error)
+	// Firings lists at most limit entries of the firing log from sequence
+	// number from, and returns from clamped to [0, the log's next sequence
+	// number]. A gap entry counts as one, and one whose lost range covers
+	// from is listed first.
+	Firings(from, limit int) (int, []FiringEvent, error)
 	// Rules lists the registered rules in wire form.
 	Rules() ([]wire.RuleJSON, error)
 	// Health lists per-rule health and the degraded cause ("" if healthy).
@@ -232,17 +232,11 @@ func (b *EngineBackend) OnFiring(fn func(FiringEvent)) (cancel func()) {
 // router's per-shard fan-in uses it.
 func (b *EngineBackend) Follow(fn func(FiringEvent)) {
 	b.ops <- func() {
-		_, backlog := Backlog(b.eng, 0)
+		_, backlog := Backlog(b.eng, 0, math.MaxInt)
 		for _, fe := range backlog {
 			fn(fe)
 		}
 		b.obs.Store(&fn)
-	}
-}
-
-func (b *EngineBackend) SyncFirings(from int, fn func(int, []FiringEvent)) {
-	b.ops <- func() {
-		fn(Backlog(b.eng, from))
 	}
 }
 

@@ -51,8 +51,8 @@ func TestPendingResponsesBounded(t *testing.T) {
 	for {
 		sess.mu.Lock()
 		queued, pending := 0, sess.npending
-		for _, m := range sess.queue {
-			if m.T == wire.TypeOK || m.T == wire.TypeError {
+		for _, q := range sess.queue {
+			if q.m.T == wire.TypeOK || q.m.T == wire.TypeError {
 				queued++
 			}
 		}

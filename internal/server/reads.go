@@ -19,15 +19,15 @@ type Reads struct {
 // ReadsOf builds a read side over the engine current returns (nil: none yet).
 func ReadsOf(current func() *adb.Engine) Reads { return Reads{current: current} }
 
-// Backlog returns eng's firing log from sequence number from, and from
-// itself clamped to [0, len]: the one place a [from:] request becomes a
-// slice. A firing's sequence number is its index in the log. It copies only
-// the tail it returns. A nil engine has an empty log.
-func Backlog(eng *adb.Engine, from int) (int, []FiringEvent) {
+// Backlog returns at most limit firings of eng's log from sequence number
+// from, and from itself clamped to [0, len]: the one place a [from:] request
+// becomes a slice. A firing's sequence number is its index in the log. It
+// copies only the firings it returns. A nil engine has an empty log.
+func Backlog(eng *adb.Engine, from, limit int) (int, []FiringEvent) {
 	if eng == nil {
 		return 0, []FiringEvent{}
 	}
-	from, fs := eng.FiringsFrom(from)
+	from, fs := eng.FiringsFrom(from, limit)
 	out := make([]FiringEvent, len(fs))
 	for i, f := range fs {
 		out[i] = FiringEvent{F: f, Seq: from + i}
@@ -56,9 +56,9 @@ func (r Reads) Items() (map[string]value.Value, error) {
 	return items, nil
 }
 
-func (r Reads) Firings(from int) ([]FiringEvent, error) {
-	_, out := Backlog(r.current(), from)
-	return out, nil
+func (r Reads) Firings(from, limit int) (int, []FiringEvent, error) {
+	from, out := Backlog(r.current(), from, limit)
+	return from, out, nil
 }
 
 func (r Reads) Rules() ([]wire.RuleJSON, error) {

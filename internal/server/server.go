@@ -16,21 +16,23 @@
 // keeps reads and subscriptions alive while writes are refused on a
 // degraded engine — graceful degradation over the wire.
 //
-// Subscribers have bounded per-session queues with an explicit overflow
-// policy: DropWithGap drops firings and delivers a gap marker in their
-// place, Disconnect drops the lagging connection with ErrSubscriberLagged.
-// Sessions that negotiated a frame codec at handshake (wire/codec.go) get
-// batched delivery: consecutive queued firings coalesce into one
-// multi-firing frame per write, amortizing encode and syscall cost under
-// fan-out load. Shutdown drains gracefully: stop accepting, finish queued
-// mutations, flush subscriber queues, send bye frames, close the engine.
+// A subscriber is a cursor into the backend's firing log, which its
+// session's writer reads and encodes itself, at most SubscriberQueue
+// firings behind the head under an explicit overflow policy: DropWithGap
+// delivers a gap marker in place of the dropped firings, Disconnect drops
+// the lagging connection. Peers that negotiated a frame codec at handshake
+// (wire/codec.go) get each batch read as one multi-firing frame. Shutdown
+// drains gracefully: stop accepting, finish queued mutations, deliver each
+// subscriber's firings up to the head, send bye frames, close the engine.
 package server
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"net"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -41,19 +43,19 @@ import (
 	"ptlactive/internal/value"
 )
 
-// OverflowPolicy selects what happens to a subscriber whose bounded
-// firing queue is full when the next firing arrives.
+// OverflowPolicy selects what happens to a subscriber whose writer finds
+// it more than SubscriberQueue firings behind the log head.
 type OverflowPolicy int
 
 const (
-	// DropWithGap drops the firing and queues a gap marker (the count of
-	// dropped firings) in its place at once; a marker still at the queue's
-	// tail counts further drops. The subscriber keeps its connection and
-	// knows exactly how much it missed, even if no firing follows.
+	// DropWithGap delivers the oldest SubscriberQueue undelivered firings,
+	// then one gap marker (the count of dropped firings) for the rest, up
+	// to the head when the writer gets there. The subscriber keeps its
+	// connection and knows exactly how much it missed, even if no firing
+	// follows.
 	DropWithGap OverflowPolicy = iota
-	// Disconnect closes the lagging subscriber's connection with
-	// ErrSubscriberLagged: the subscriber never observes a silently
-	// incomplete stream.
+	// Disconnect closes the lagging subscriber's connection: the
+	// subscriber never observes a silently incomplete stream.
 	Disconnect
 )
 
@@ -114,12 +116,13 @@ type Config struct {
 	// IdleTimeout is the per-session read deadline between frames; a
 	// session idle longer is closed. 0 means no deadline.
 	IdleTimeout time.Duration
-	// WriteTimeout bounds each outbound frame write (default 10s), so a
-	// peer that stops reading cannot stall broadcast or drain.
+	// WriteTimeout bounds each round of outbound frame writes (default
+	// 10s), so a peer that stops reading cannot stall drain.
 	WriteTimeout time.Duration
-	// SubscriberQueue bounds each subscriber's firing queue (default 256).
+	// SubscriberQueue bounds how many firings a subscriber may lag behind
+	// the log head (default 256).
 	SubscriberQueue int
-	// Overflow selects the policy when a subscriber's queue is full.
+	// Overflow selects the policy for a subscriber lagging further.
 	Overflow OverflowPolicy
 	// WALSource, when set, enables the replication endpoint: replicate
 	// requests stream durable WAL batches to followers. Follower WAL
@@ -146,14 +149,26 @@ type Server struct {
 	mu       sync.Mutex
 	ln       net.Listener
 	sessions map[*session]struct{}
-	wg       sync.WaitGroup // session goroutines
+	subs     map[*session]struct{} // the subscribed sessions, which broadcast wakes
+	wg       sync.WaitGroup        // session goroutines
 	shutdown bool
 
-	// nsubs counts live subscribed sessions; broadcast consults it to skip
-	// firing encode entirely when nobody is listening (the common case for
-	// write-heavy workloads, where the encode would otherwise sit on the
-	// serializing pipeline goroutine's critical path).
-	nsubs atomic.Int64
+	// head is the firing log's next sequence number as far as broadcast
+	// has published it: every entry below it is in the log.
+	head atomic.Int64
+
+	// batch is the last run of the firing log a writer read and rendered,
+	// one [from, to) entry shared by the writers whose cursors fall inside
+	// it. It is replaced, never changed, so they read it unlocked.
+	batchMu sync.Mutex
+	batch   []wireEntry
+}
+
+// wireEntry is a log entry rendered for the wire: a firing, or gap
+// sequence numbers from seq on that cannot be sent.
+type wireEntry struct {
+	seq, gap int
+	fj       wire.FiringJSON
 }
 
 // New creates a server around cfg.Engine (starting its commit pipeline)
@@ -188,50 +203,55 @@ func New(cfg Config) (*Server, error) {
 		quit:      make(chan struct{}),
 		closeDone: make(chan struct{}),
 		sessions:  map[*session]struct{}{},
+		subs:      map[*session]struct{}{},
 	}
 	s.cancelObs = s.be.OnFiring(s.broadcast)
+	head, _, _ := s.be.Firings(math.MaxInt, 0) // a log not readable starts at 0
+	s.head.CompareAndSwap(0, int64(head))      // unless a firing has published it
 	return s, nil
 }
 
-// broadcast delivers one firing (or gap) to every subscribed session; it
-// runs on the backend's firing-producing goroutine, inside the call that
-// produced the firing, so subscribers observe firings in exactly the
-// backend's order.
+// broadcast publishes the log head past one firing (or gap) and wakes the
+// subscribed sessions' writers, which read the log themselves. It runs on
+// the backend's firing-producing goroutine, inside the call that produced
+// the firing, serial with the commits themselves, so it does no more.
 func (s *Server) broadcast(fe FiringEvent) {
-	// No subscribers: the encode and session walk are skipped entirely.
-	// This runs serial with the commits themselves, so every microsecond
-	// here costs throughput.
-	if s.nsubs.Load() == 0 {
-		return
-	}
-	var fj wire.FiringJSON
-	var err error
-	if fe.Gap == 0 {
-		fj, err = wire.EncodeFiring(fe.F, fe.Seq)
-	}
+	s.head.Store(int64(fe.Seq + max(fe.Gap, 1)))
 	s.mu.Lock()
-	targets := make([]*session, 0, len(s.sessions))
-	for sess := range s.sessions {
-		targets = append(targets, sess)
+	defer s.mu.Unlock()
+	for sess := range s.subs {
+		sess.wake()
 	}
-	s.mu.Unlock()
-	for _, sess := range targets {
-		switch {
-		case fe.Gap > 0:
-			// An upstream gap (a sharded backend's shard subscription
-			// overflowed): every subscriber learns how much it missed.
-			sess.dropGap(fe.Gap)
-		case err != nil:
-			// The firing cannot cross the wire; the subscriber learns it
-			// missed one instead of silently losing it.
-			sess.dropGap(1)
-		default:
-			sess.pushFiring(&fj)
+}
+
+// wireBatch returns the rendered log entries from the one covering from on:
+// at most maxFiringBatch, read below to, or the shared batch when it covers
+// from. A log that cannot be read there yields one gap entry up to to.
+func (s *Server) wireBatch(from, to int) []wireEntry {
+	s.batchMu.Lock()
+	defer s.batchMu.Unlock()
+	b := s.batch
+	i := sort.Search(len(b), func(i int) bool { return b[i].seq+max(b[i].gap, 1) > from })
+	if i < len(b) && b[i].seq <= from {
+		return b[i:]
+	}
+	_, fes, err := s.be.Firings(from, min(to-from, maxFiringBatch))
+	if err != nil || len(fes) == 0 {
+		s.cfg.Logf("server: firings [%d, %d) not readable: %v", from, to, err)
+		return []wireEntry{{seq: from, gap: to - from}}
+	}
+	b = make([]wireEntry, len(fes))
+	for i, fe := range fes {
+		b[i] = wireEntry{seq: fe.Seq, gap: fe.Gap}
+		if fe.Gap == 0 {
+			if b[i].fj, err = wire.EncodeFiring(fe.F, fe.Seq); err != nil {
+				s.cfg.Logf("server: firing %d not encodable: %v", fe.Seq, err)
+				b[i].gap = 1
+			}
 		}
 	}
-	if err != nil {
-		s.cfg.Logf("server: firing %d not encodable: %v", fe.Seq, err)
-	}
+	s.batch = b
+	return b
 }
 
 // Serve accepts connections on ln until Shutdown; it returns
@@ -308,15 +328,10 @@ func (s *Server) runSession(sess *session) {
 		if cancel := sess.takeCancelWAL(); cancel != nil {
 			cancel()
 		}
-		sess.fail(wire.ErrSessionClosed)
-		sess.mu.Lock()
-		wasSubscribed := sess.subscribed
-		sess.mu.Unlock()
-		if wasSubscribed {
-			s.nsubs.Add(-1)
-		}
+		sess.fail()
 		s.mu.Lock()
 		delete(s.sessions, sess)
+		delete(s.subs, sess)
 		s.mu.Unlock()
 		s.wg.Done()
 	}()
@@ -533,46 +548,26 @@ func (s *Server) refuse(sess *session, id uint64) bool {
 	}
 }
 
-// subscribe registers the session on the firing stream. The registration
-// closure runs at the backend's serialization point, atomically with
-// respect to commits, so the subscriber sees every firing exactly once
-// (modulo its own queue's overflow policy).
+// subscribe sets the session's cursor at m.From, clamped to the log head,
+// and acknowledges with the clamped start. The writer reads the log from
+// there, so the subscriber sees every firing from its start exactly once,
+// modulo the overflow policy.
 func (s *Server) subscribe(sess *session, m *wire.Msg) {
-	id := m.ID
-	s.be.SyncFirings(m.From, func(from int, backlog []FiringEvent) {
-		sess.mu.Lock()
-		if sess.subscribed {
-			sess.mu.Unlock()
-			sess.enqueue(&wire.Msg{T: wire.TypeError, ID: id, Code: wire.CodeBadRequest, Err: "already subscribed"})
-			return
-		}
-		sess.subscribed = true
-		s.nsubs.Add(1)
-		sess.queue = append(sess.queue, &wire.Msg{T: wire.TypeOK, ID: id, From: from})
-		for _, fe := range backlog {
-			if sess.closed {
-				break
-			}
-			if sess.fullLocked() {
-				// The rest of the backlog overflows as a whole, unencoded.
-				last := backlog[len(backlog)-1]
-				sess.overflowLocked(last.Seq + max(last.Gap, 1) - fe.Seq)
-				break
-			}
-			if fe.Gap > 0 {
-				sess.gapLocked(fe.Gap)
-				continue
-			}
-			fj, err := wire.EncodeFiring(fe.F, fe.Seq)
-			if err != nil {
-				sess.gapLocked(1)
-				continue
-			}
-			sess.pushFiringLocked(&fj)
-		}
-		sess.cond.Broadcast()
+	sess.mu.Lock()
+	if sess.subscribed {
 		sess.mu.Unlock()
-	})
+		sess.enqueue(&wire.Msg{T: wire.TypeError, ID: m.ID, Code: wire.CodeBadRequest, Err: "already subscribed"})
+		return
+	}
+	from := min(max(m.From, 0), int(s.head.Load()))
+	sess.subscribed, sess.cursor = true, from
+	// The acknowledgement goes out before the first firing.
+	sess.queue = append(sess.queue, queued{m: &wire.Msg{T: wire.TypeOK, ID: m.ID, From: from}, head: from})
+	sess.mu.Unlock()
+	s.mu.Lock()
+	s.subs[sess] = struct{}{}
+	s.mu.Unlock()
+	sess.wake()
 }
 
 // handleQuery answers read-only requests inline; these never touch the
@@ -590,7 +585,7 @@ func (s *Server) handleQuery(sess *session, m *wire.Msg) {
 		}
 	case "firings":
 		var fes []FiringEvent
-		fes, err = s.be.Firings(m.From)
+		_, fes, err = s.be.Firings(m.From, math.MaxInt)
 		out.Firings = make([]wire.FiringJSON, 0, len(fes))
 		for _, fe := range fes {
 			if fe.Gap > 0 {
@@ -632,8 +627,8 @@ func (s *Server) handleQuery(sess *session, m *wire.Msg) {
 }
 
 // Shutdown drains the server gracefully: stop accepting, refuse new
-// mutations, finish the queued ones, flush every subscriber queue (bye
-// frame last), wait for the sessions to unwind and close the engine. The
+// mutations, finish the queued ones, deliver every subscriber's firings up
+// to the log head (bye frame last), wait for the sessions to unwind and close the engine. The
 // context bounds the wait; on expiry remaining connections are severed
 // (their flushed prefix has still been delivered).
 func (s *Server) Shutdown(ctx context.Context) error {
@@ -673,7 +668,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		ctxErr = ctx.Err()
 		s.mu.Lock()
 		for sess := range s.sessions {
-			sess.fail(wire.ErrSessionClosed)
+			sess.fail()
 		}
 		s.mu.Unlock()
 		<-done

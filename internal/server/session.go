@@ -14,10 +14,11 @@ import (
 // direction, small enough to be cheap at high connection counts.
 const sessionBufSize = 32 << 10
 
-// maxFiringBatch bounds how many queued firings coalesce into one
-// multi-firing frame: large enough to amortize the syscall and encode
-// cost under fan-out load, small enough that one frame stays far from
-// MaxFrame and a draining peer sees steady progress.
+// maxFiringBatch bounds how many firings a writer reads from the log at a
+// time and coalesces into one multi-firing frame: large enough to amortize
+// the read, encode and syscall cost under fan-out load, small enough that
+// one frame stays far from MaxFrame and a draining peer sees steady
+// progress.
 const maxFiringBatch = 128
 
 // maxPendingResponses bounds the requests a session has read but not yet
@@ -28,12 +29,16 @@ const maxFiringBatch = 128
 const maxPendingResponses = 64
 
 // session is one accepted connection: a reader goroutine (handshake,
-// request dispatch) plus a writer goroutine draining the outbound queue.
-// Responses and pushed firings share the queue, so each client observes
-// one totally ordered stream. Every request gets its answer, and at most
-// maxPendingResponses answers are pending at once; firing pushes are
-// bounded by the server's SubscriberQueue and subject to the overflow
-// policy.
+// request dispatch) plus a writer goroutine. The writer sends the queued
+// frames (responses, wal frames, bye) and, once the session subscribed, the
+// backend's firing log from the session's cursor, a batch at a time: a
+// subscriber holds a sequence number, not a copy of the log's tail. Each
+// queued frame carries the log head at the time it was queued, and the
+// writer delivers every firing below it first, so each client observes one
+// totally ordered stream. Every request gets its answer, and at most
+// maxPendingResponses answers are pending at once; a subscriber further
+// than the server's SubscriberQueue behind the head is subject to the
+// overflow policy.
 type session struct {
 	srv  *Server
 	conn net.Conn
@@ -49,22 +54,26 @@ type session struct {
 	codec wire.Codec
 	batch bool
 
+	// cursor is the sequence number of the next firing to deliver, and
+	// gapAt, when set, where a DropWithGap overflow's gap begins. subscribe
+	// sets cursor together with subscribed, under mu; from then on both
+	// are the writer's alone.
+	cursor, gapAt int
+
 	mu   sync.Mutex
 	cond *sync.Cond
-	// queue is the outbound frame deque; nfirings counts the firing frames
-	// currently in it (the bounded part).
-	queue    []*wire.Msg
-	nfirings int
+	// queue is the outbound frame deque.
+	queue []queued
 	// npending counts the requests read whose response the writer has not
 	// yet taken off the queue: the queued responses plus those still being
 	// computed (see maxPendingResponses).
 	npending   int
 	subscribed bool
 	// Replication stream state: replicating marks the session as a WAL
-	// follower feed, nwal counts queued wal frames (bounded like firings:
-	// a follower that cannot keep up is disconnected and resumes by LSN
-	// after redialing), cancelWAL detaches the session's sink from the
-	// shipper at teardown.
+	// follower feed, nwal counts queued wal frames (bounded by
+	// SubscriberQueue: a follower that cannot keep up is disconnected and
+	// resumes by LSN after redialing), cancelWAL detaches the session's
+	// sink from the shipper at teardown.
 	replicating bool
 	nwal        int
 	cancelWAL   func()
@@ -73,15 +82,27 @@ type session struct {
 	// soon as it observes it.
 	draining bool
 	closed   bool
-	// failure records why the session died (ErrSubscriberLagged on a
-	// disconnect-policy overflow; nil on clean teardown).
-	failure error
+}
+
+// queued is an outbound frame and the log head it follows: the writer
+// delivers every firing below head before the frame. A frame queued before
+// the session subscribed follows none (head 0).
+type queued struct {
+	m    *wire.Msg
+	head int
 }
 
 func newSession(srv *Server, conn net.Conn) *session {
 	s := &session{srv: srv, conn: conn, br: bufio.NewReaderSize(conn, sessionBufSize)}
 	s.cond = sync.NewCond(&s.mu)
 	return s
+}
+
+// wake wakes the writer to a new log head.
+func (s *session) wake() {
+	s.mu.Lock()
+	s.cond.Broadcast()
+	s.mu.Unlock()
 }
 
 // awaitRoom blocks the reader until fewer than maxPendingResponses
@@ -101,89 +122,39 @@ func (s *session) awaitRoom() bool {
 // session discards them — the peer is gone).
 func (s *session) enqueue(m *wire.Msg) {
 	s.mu.Lock()
-	if !s.closed {
-		s.queue = append(s.queue, m)
-		s.cond.Broadcast()
-	}
+	s.pushLocked(m)
 	s.mu.Unlock()
 }
 
-// pushFiring offers one firing to the subscriber under the bounded-queue
-// policy; a no-op for sessions that never subscribed.
-func (s *session) pushFiring(fj *wire.FiringJSON) {
-	s.mu.Lock()
-	s.pushFiringLocked(fj)
-	s.mu.Unlock()
-}
-
-func (s *session) pushFiringLocked(fj *wire.FiringJSON) {
-	if s.closed || !s.subscribed {
+// pushLocked queues m behind the firings below the current log head.
+func (s *session) pushLocked(m *wire.Msg) {
+	if s.closed {
 		return
 	}
-	if s.fullLocked() {
-		s.overflowLocked(1)
-		return
+	head := 0
+	if s.subscribed {
+		head = int(s.srv.head.Load())
 	}
-	s.queue = append(s.queue, &wire.Msg{T: wire.TypeFiring, Firing: fj})
-	s.nfirings++
-	s.cond.Broadcast()
-}
-
-// fullLocked reports whether the subscriber's firing queue is at its bound.
-func (s *session) fullLocked() bool { return s.nfirings >= s.srv.cfg.SubscriberQueue }
-
-// overflowLocked applies the overflow policy to n firings that find the
-// queue full.
-func (s *session) overflowLocked(n int) {
-	switch s.srv.cfg.Overflow {
-	case DropWithGap:
-		s.gapLocked(n)
-	case Disconnect:
-		// The writer may be blocked mid-frame on a full socket; closing
-		// the connection is the only way to shed the lagging subscriber
-		// without stalling the broadcast.
-		s.failure = wire.ErrSubscriberLagged
-		s.closed = true
-		s.conn.Close()
-		s.cond.Broadcast()
-	}
-}
-
-// gapLocked queues a gap marker for n lost firings at once, exactly where
-// they would have been: a marker at the queue's tail, which the writer has
-// not taken yet, absorbs them instead. So a subscriber learns of a loss
-// without waiting for a later firing, and a run of losses takes one frame.
-func (s *session) gapLocked(n int) {
-	if k := len(s.queue); k > 0 && s.queue[k-1].T == wire.TypeGap {
-		s.queue[k-1].Missed += n
-	} else {
-		s.queue = append(s.queue, &wire.Msg{T: wire.TypeGap, Missed: n})
-	}
+	s.queue = append(s.queue, queued{m: m, head: head})
 	s.cond.Broadcast()
 }
 
 // pushWAL offers one replication batch to the follower feed. WAL frames
-// are bounded like firings, but the only sane overflow policy is
+// are bounded by SubscriberQueue, and the only sane overflow policy is
 // disconnect: dropping a batch would leave an LSN gap the follower can
 // never apply across, while a redial resumes exactly at its last LSN.
 func (s *session) pushWAL(m *wire.Msg) {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.closed {
-		s.mu.Unlock()
 		return
 	}
 	if s.nwal >= s.srv.cfg.SubscriberQueue {
-		s.failure = wire.ErrSubscriberLagged
-		s.closed = true
-		s.conn.Close()
-		s.cond.Broadcast()
-		s.mu.Unlock()
+		s.closeLocked()
 		return
 	}
-	s.queue = append(s.queue, m)
 	s.nwal++
-	s.cond.Broadcast()
-	s.mu.Unlock()
+	s.pushLocked(m)
 }
 
 // setCancelWAL records the shipper detach hook; takeCancelWAL claims it
@@ -202,120 +173,178 @@ func (s *session) takeCancelWAL() func() {
 	return cancel
 }
 
-// dropGap records n firings as lost (used when a firing fails to encode —
-// the subscriber learns it missed something rather than silently skipping).
-func (s *session) dropGap(n int) {
-	s.mu.Lock()
-	if !s.closed && s.subscribed {
-		s.gapLocked(n)
-	}
-	s.mu.Unlock()
-}
-
 // beginDrain puts the session into graceful-drain mode: a bye frame is
-// queued, and the writer closes the connection once everything queued —
-// including any backlog of subscribed firings and gap markers — has been
-// flushed.
+// queued behind the firings below the log head, and the writer closes the
+// connection once everything queued has been flushed.
 func (s *session) beginDrain() {
 	s.mu.Lock()
-	if !s.closed && !s.draining {
-		s.queue = append(s.queue, &wire.Msg{T: wire.TypeBye})
+	if !s.draining {
+		s.pushLocked(&wire.Msg{T: wire.TypeBye})
 		s.draining = true
 	}
-	s.cond.Broadcast()
 	s.mu.Unlock()
 }
 
 // fail tears the session down immediately: pending frames are abandoned
 // and the connection closed.
-func (s *session) fail(err error) {
+func (s *session) fail() {
 	s.mu.Lock()
-	if !s.closed {
-		s.closed = true
-		if s.failure == nil {
-			s.failure = err
-		}
-	}
-	s.cond.Broadcast()
+	s.closeLocked()
 	s.mu.Unlock()
-	s.conn.Close()
 }
 
-// writeLoop drains the outbound queue onto the connection. Each frame
-// gets its own write deadline, so a peer that stops reading cannot stall
-// the server's drain forever.
+// closeLocked marks the session closed and closes the connection, which
+// also unblocks a write the writer is stuck in.
+func (s *session) closeLocked() {
+	s.closed = true
+	s.conn.Close()
+	s.cond.Broadcast()
+}
+
+// writeLoop sends the queued frames and the subscribed firing stream onto
+// the connection, each frame after the firings below the head it was
+// queued at. Each round gets its own write deadline, so a peer that stops
+// reading cannot stall the server's drain forever.
 //
-// Batched delivery: for peers that negotiated (batch), a consecutive run
-// of queued firing frames is coalesced into one multi-firing frame per
-// write — under fan-out load the whole backlog behind a slow write goes
-// out in one encode instead of one per firing. Gap markers and responses
-// are never reordered: coalescing stops at the first non-firing frame.
-//
-// Group flush: frames are encoded into a buffered writer and flushed
-// only when the queue goes empty, so a burst of responses to a
-// pipelining client (or a firing backlog) costs one syscall, not one
-// per frame.
+// Group flush: frames are encoded into a buffered writer and flushed only
+// when there is nothing more to send, so a burst of responses to a
+// pipelining client (or a firing backlog) costs one syscall, not one per
+// frame.
 func (s *session) writeLoop() {
 	bw := bufio.NewWriterSize(s.conn, sessionBufSize)
 	fw := wire.NewFrameWriter(bw, s.codec)
-	var batch []wire.FiringJSON
+	var frames []*wire.Msg
 	for {
 		s.mu.Lock()
-		for len(s.queue) == 0 && !s.closed && !s.draining {
-			s.cond.Wait()
+		head := int(s.srv.head.Load())
+		to := head // the firings below to go out before the next frame
+		if len(s.queue) > 0 {
+			to = s.queue[0].head
 		}
-		if s.closed || len(s.queue) == 0 {
-			// Closed, or draining with an empty queue: flush is complete.
+		firing := s.subscribed && s.cursor < to
+		if q := s.srv.cfg.SubscriberQueue; firing && s.gapAt == 0 && head-s.cursor > q {
+			s.gapAt = s.cursor + q
+			if s.srv.cfg.Overflow == Disconnect {
+				s.closeLocked()
+			}
+		}
+		if s.closed || s.draining && len(s.queue) == 0 {
+			// Closed, or draining with everything sent: flush is complete.
 			// The broadcast releases a reader waiting in awaitRoom for
 			// responses that will now never be sent.
 			s.closed = true
 			s.cond.Broadcast()
 			s.mu.Unlock()
-			if t := s.srv.cfg.WriteTimeout; t > 0 {
-				s.conn.SetWriteDeadline(time.Now().Add(t))
-			}
+			s.setDeadline()
 			bw.Flush()
 			s.conn.Close()
 			return
 		}
-		m := s.queue[0]
-		s.queue = s.queue[1:]
-		switch m.T {
-		case wire.TypeWal, wire.TypeSnap:
-			s.nwal--
-		case wire.TypeGap, wire.TypeBye:
-		case wire.TypeFiring:
-			s.nfirings--
-			if s.batch && len(s.queue) > 0 && s.queue[0].T == wire.TypeFiring {
-				batch = append(batch[:0], *m.Firing)
-				for len(s.queue) > 0 && s.queue[0].T == wire.TypeFiring && len(batch) < maxFiringBatch {
-					batch = append(batch, *s.queue[0].Firing)
-					s.queue = s.queue[1:]
-					s.nfirings--
-				}
-				m = &wire.Msg{T: wire.TypeFiring, Firings: batch}
+		if !firing && len(s.queue) == 0 {
+			// Nothing to send: flush what is buffered, or wait.
+			if bw.Buffered() == 0 {
+				s.cond.Wait()
+				s.mu.Unlock()
+				continue
 			}
-		default:
-			// A response: its slot frees a reader waiting in awaitRoom.
-			s.npending--
-			if s.npending == maxPendingResponses-1 {
-				s.cond.Broadcast()
+			s.mu.Unlock()
+			if s.setDeadline(); bw.Flush() != nil {
+				s.fail()
+				return
 			}
+			continue
 		}
-		more := len(s.queue) > 0
+		if !firing {
+			frames = append(frames[:0], s.takeLocked())
+		}
 		s.mu.Unlock()
-		if t := s.srv.cfg.WriteTimeout; t > 0 {
-			s.conn.SetWriteDeadline(time.Now().Add(t))
+		if firing {
+			frames = s.firings(to, frames[:0])
 		}
-		if err := fw.Write(m); err != nil {
-			s.fail(err)
-			return
-		}
-		if !more {
-			if err := bw.Flush(); err != nil {
-				s.fail(err)
+		s.setDeadline()
+		for _, m := range frames {
+			if err := fw.Write(m); err != nil {
+				s.fail()
 				return
 			}
 		}
 	}
+}
+
+func (s *session) setDeadline() {
+	if t := s.srv.cfg.WriteTimeout; t > 0 {
+		s.conn.SetWriteDeadline(time.Now().Add(t))
+	}
+}
+
+// takeLocked pops the queue's first frame; a response's slot frees a
+// reader waiting in awaitRoom.
+func (s *session) takeLocked() *wire.Msg {
+	m := s.queue[0].m
+	s.queue = s.queue[1:]
+	switch m.T {
+	case wire.TypeWal, wire.TypeSnap:
+		s.nwal--
+	case wire.TypeBye:
+	default:
+		s.npending--
+		if s.npending == maxPendingResponses-1 {
+			s.cond.Broadcast()
+		}
+	}
+	return m
+}
+
+// firings appends the next batch of the log below to (and below an
+// overflow's gap) to frames, and advances the cursor past it. What cannot
+// be sent — lost upstream, not encodable or readable, or dropped by the
+// overflow (from its start up to to) — becomes a gap frame where it was.
+func (s *session) firings(to int, frames []*wire.Msg) []*wire.Msg {
+	var run []wire.FiringJSON
+	gap := func(n int) {
+		frames = s.appendRun(frames, run)
+		run = nil
+		s.cursor += n
+		if k := len(frames); k > 0 && frames[k-1].T == wire.TypeGap {
+			frames[k-1].Missed += n
+		} else {
+			frames = append(frames, &wire.Msg{T: wire.TypeGap, Missed: n})
+		}
+	}
+	end := to
+	if s.gapAt > 0 {
+		end = min(end, s.gapAt)
+	}
+	if s.cursor < end {
+		for _, e := range s.srv.wireBatch(s.cursor, end) {
+			if e.seq >= end {
+				break
+			}
+			if e.gap > 0 {
+				gap(e.seq + e.gap - s.cursor)
+				continue
+			}
+			run = append(run, e.fj)
+			s.cursor++
+		}
+	}
+	if s.gapAt > 0 && s.cursor >= s.gapAt {
+		if s.cursor < to {
+			gap(to - s.cursor)
+		}
+		s.gapAt = 0
+	}
+	return s.appendRun(frames, run)
+}
+
+// appendRun appends a run of firings as one multi-firing frame for a
+// batching peer, or as a frame per firing.
+func (s *session) appendRun(frames []*wire.Msg, run []wire.FiringJSON) []*wire.Msg {
+	if s.batch && len(run) > 1 {
+		return append(frames, &wire.Msg{T: wire.TypeFiring, Firings: run})
+	}
+	for i := range run {
+		frames = append(frames, &wire.Msg{T: wire.TypeFiring, Firing: &run[i]})
+	}
+	return frames
 }

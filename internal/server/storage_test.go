@@ -1,6 +1,7 @@
 package server
 
 import (
+	"math"
 	"reflect"
 	"sync"
 	"testing"
@@ -98,7 +99,7 @@ func TestPipelineCompacts(t *testing.T) {
 					if _, err := be.Items(); err != nil {
 						t.Errorf("%s: items: %v", tc.name, err)
 					}
-					if _, err := be.Firings(0); err != nil {
+					if _, _, err := be.Firings(0, math.MaxInt); err != nil {
 						t.Errorf("%s: firings: %v", tc.name, err)
 					}
 				}
