@@ -75,7 +75,10 @@ loc:
 # fixpoint, and it and the constraint check park and unpark the resting
 # triggers and constraints, beside those readers, so the fixpoint suites
 # (FixpointError, SteppedStatesNotPinned, Resting — triggers and constraints —
-# and IndexedSweepEquivalence's fixpoint triggers) repeat here too. Observers
+# and IndexedSweepEquivalence's fixpoint triggers) repeat here too. A
+# quiescent rule's rest record (its memo) is written where the rule steps,
+# outside the merge's lock hold, and read by snapshots, so the memo suites
+# (QuiescentMemo, MemoSnapshot) repeat beside them. Observers
 # run with Engine.mu dropped, beside those readers, and the refusal suite
 # (Reentrant) calls every mutator from one. A served engine's commit
 # pipeline compacts its history every 64 operations, beside the sessions'
@@ -88,7 +91,7 @@ loc:
 # gap accounting (Overflow|Subscribe|GracefulDrain|ClientStatsGap) repeat
 # here as well.
 stress:
-	$(GO) test -race -count=3 -run 'Fault|Degrad|Quarantine|Parallel|ConcurrentReader|IndexedSweepEquivalence|FixpointError|SteppedStatesNotPinned|Resting|Reentrant|Panic|Failpoint|Chaos|Failover|Lease|Promot|Replica|ShipAfterReply|PMap|PipelineCompacts|Overflow|Subscribe|GracefulDrain|ClientStatsGap' ./internal/adb ./internal/persist ./internal/replica ./internal/pmap ./internal/server
+	$(GO) test -race -count=3 -run 'Fault|Degrad|Quarantine|Parallel|ConcurrentReader|IndexedSweepEquivalence|FixpointError|SteppedStatesNotPinned|Resting|QuiescentMemo|MemoSnapshot|Reentrant|Panic|Failpoint|Chaos|Failover|Lease|Promot|Replica|ShipAfterReply|PMap|PipelineCompacts|Overflow|Subscribe|GracefulDrain|ClientStatsGap' ./internal/adb ./internal/persist ./internal/replica ./internal/pmap ./internal/server
 
 # allocgates runs the allocation gates of the commit path at three core
 # counts. The engine starts no goroutine of its own, so nothing they count

@@ -259,10 +259,11 @@ func NewOptions(conn net.Conn, opts Options) (*Client, error) {
 func (c *Client) Codec() string { return c.codec.String() }
 
 // readLoop routes every inbound frame: responses to their waiting caller
-// by id, pushed firings/gaps/bye to the subscription. Subscription
-// delivery blocks — that is deliberate: a slow consumer exerts TCP
-// backpressure and the server's overflow policy, not the client, decides
-// what to do about the lag.
+// by id, pushed firings/gaps/bye to the subscription; an error frame with
+// id 0, which answers no request, ends the session with its error.
+// Subscription delivery blocks — that is deliberate: a slow consumer exerts
+// TCP backpressure and the server's overflow policy, not the client,
+// decides what to do about the lag.
 func (c *Client) readLoop() {
 	var cause error
 	for {
@@ -311,6 +312,14 @@ func (c *Client) readLoop() {
 		case wire.TypeBye:
 			// Graceful drain: the server flushed everything it owed us.
 			cause = wire.ErrSessionClosed
+		case wire.TypeError:
+			if m.ID == 0 {
+				// No request's error: why the server is closing the
+				// session (a lagging subscriber cut, CodeLagged).
+				cause = remoteErr(m)
+				break
+			}
+			fallthrough
 		default:
 			c.mu.Lock()
 			ch := c.pending[m.ID]
@@ -428,7 +437,8 @@ func (c *Client) Close() error {
 }
 
 // Err reports why the session ended (nil while it is alive;
-// ErrSessionClosed after a graceful close).
+// ErrSessionClosed after a graceful close, ErrSubscriberLagged after the
+// server cut a subscriber its Disconnect overflow policy found lagging).
 func (c *Client) Err() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()

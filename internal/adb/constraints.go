@@ -107,7 +107,7 @@ func (e *Engine) restConstraints() {
 	}
 	awake := e.awake[:0]
 	for _, r := range e.awake {
-		if r.fixed && !r.last && r.indexed && r.contiguous {
+		if r.rest.ok && !r.rest.fired && r.indexed && r.contiguous {
 			r.parked = true
 			e.constraintsResting++
 			continue
@@ -119,12 +119,13 @@ func (e *Engine) restConstraints() {
 }
 
 // rollbackConstraints undoes the tentative step checkConstraints took, and
-// with it the fixpoint the step left on each rule.
+// with it the rest record the step wrote on each rule.
 func (e *Engine) rollbackConstraints() {
 	for _, r := range e.awake {
 		r.ev.Rollback()
 		if fast, ok := r.ev.(*core.FastEvaluator); ok {
-			r.fixed, r.last = fast.Fixpoint()
+			fixed, last := fast.Fixpoint()
+			r.rest = restRecord{ok: fixed, fired: last}
 		}
 	}
 }

@@ -393,10 +393,10 @@ func (e *Engine) FiringCount() int {
 // replayed or been credited. For every rule outside the gated and
 // quiescent classes it is at every operation what the coarse engine
 // (NewCoarseEngine) counts, though most of a resting trigger's or
-// constraint's steps are counted without a visit. A quiescent rule's memo
-// replay and a gated rule's park count nothing, so over those classes the
-// total falls below the coarse one. The relevance-filtering benchmark (E8)
-// reads this. Safe for concurrent use.
+// constraint's steps are counted without a visit. A quiescent rule's
+// replay of its rest record and a gated rule's park count nothing, so over
+// those classes the total falls below the coarse one. The
+// relevance-filtering benchmark (E8) reads this. Safe for concurrent use.
 func (e *Engine) EvalSteps() int64 {
 	e.mu.RLock()
 	defer e.mu.RUnlock()

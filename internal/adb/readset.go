@@ -20,10 +20,13 @@ package adb
 //     the result is known to be "no firing" — and only the cursor moves.
 //   - classQuiescent: non-temporal, event-free, database-reading rules
 //     with a fully analyzable, time-independent footprint. On commits
-//     that touch no item in the footprint the previous evaluation result
-//     is replayed from a memo (same bindings, new timestamp) instead of
-//     re-evaluated; the firings are byte-identical to re-evaluation
-//     because the condition's value depends only on the untouched items.
+//     that touch no item in the footprint the rule's rest record — the
+//     outcome of its step at the last commit state — is replayed (same
+//     bindings, new timestamp) instead of re-evaluated; the firings are
+//     byte-identical to re-evaluation because the condition's value
+//     depends only on the untouched items. The contiguous fast-path rules
+//     replay the same record, their evaluator's fixpoint, one state at a
+//     time (see rule.rest).
 
 import (
 	"sort"

@@ -134,12 +134,12 @@ func TestMemoSnapshotRoundTrip(t *testing.T) {
 	}
 	for _, name := range []string{"bound", "plain"} {
 		r := e2.index[name]
-		if !r.memoValid || !r.memoFired {
-			t.Fatalf("rule %s memo not restored: valid=%v fired=%v", name, r.memoValid, r.memoFired)
+		if !r.rest.ok || !r.rest.fired {
+			t.Fatalf("rule %s memo not restored: valid=%v fired=%v", name, r.rest.ok, r.rest.fired)
 		}
 	}
-	if len(e2.index["bound"].memoBindings) != 1 {
-		t.Fatalf("bound memo bindings = %v", e2.index["bound"].memoBindings)
+	if len(e2.index["bound"].rest.bindings) != 1 {
+		t.Fatalf("bound memo bindings = %v", e2.index["bound"].rest.bindings)
 	}
 	stepsBefore := e2.EvalSteps()
 	driveSuffix(e2)

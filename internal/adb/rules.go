@@ -84,26 +84,36 @@ type rule struct {
 	// commit changed an item I read". Only the sweep goroutine touches them.
 	wakeGen  uint64
 	dirtyGen uint64
-	// Quiescent-replay memo (guarded by Engine.mu): the outcome of the last
-	// evaluation at a commit state. While every later commit leaves the
-	// rule's read set untouched, re-evaluating would reproduce exactly this
-	// outcome, so the sweep replays it instead. Persisted in snapshots so a
-	// recovered engine evaluates the same states the original did.
-	memoValid    bool
-	memoFired    bool
-	memoBindings []core.Binding
-	// Fixpoint mirror (only the mutating goroutine touches it): a fast
-	// evaluator's Fixpoint as of the last step the engine took (step), so
-	// the wake loop can take a step that would replay without calling it
-	// (wakeStanding), and a trigger whose replay is false can rest. credit
-	// counts those steps until settle hands them to the evaluator; the steps
-	// a rule is owed while it rests join credit when it unparks or a
-	// snapshot settles it (Engine.settle). Whatever replaces ev resets both.
-	fixed, last bool
-	credit      int
+	// rest (only the mutating goroutine touches it) is the outcome r's next
+	// step would replay if the state it steps leaves r's read set untouched
+	// (Section 8: a state that does not concern the rule). A quiescent
+	// rule's is its step at the last commit state, invalid if that step
+	// failed: it stands until a commit writes the read set, which wakes the
+	// rule through itemIndex, so any later commit may replay it. A fast
+	// evaluator's is its Fixpoint as of the last step the engine took or
+	// undid (step, rollbackConstraints): valid for the next state only,
+	// when that is the rule's one pending state. The sweep replays a valid
+	// record instead of stepping (replay), and a trigger or constraint
+	// whose record is valid and false rests. Persisted for the quiescent
+	// class in snapshots (as its memo), so a recovered engine evaluates the
+	// same states the original did; every other rule restores without one.
+	rest restRecord
+	// credit counts the steps replay took for a contiguous rule until
+	// settle hands them to the evaluator; the steps a rule is owed while it
+	// rests join credit when it unparks or a snapshot settles it
+	// (Engine.settle).
+	credit int
 }
 
-// settle credits r's evaluator with the steps the wake loop took for it.
+// restRecord is a rule's rest record: ok, whether it is valid, and the
+// outcome it replays — fired and the bindings it fired with.
+type restRecord struct {
+	ok       bool
+	fired    bool
+	bindings []core.Binding
+}
+
+// settle credits r's evaluator with the steps replay took for it.
 // It runs before the evaluator steps again and before it is encoded: no
 // other code reads its step count.
 func (r *rule) settle() {

@@ -67,10 +67,10 @@ func (e *Engine) buildSnapshot() (*persist.EngineSnapshot, error) {
 		if r.health.lastErr != nil {
 			rs.LastFailure = r.health.lastErr.Error()
 		}
-		if r.memoValid {
+		if r.class == classQuiescent && r.rest.ok {
 			rs.MemoValid = true
-			rs.MemoFired = r.memoFired
-			for _, b := range r.memoBindings {
+			rs.MemoFired = r.rest.fired
+			for _, b := range r.rest.bindings {
 				raw, err := histio.EncodeItems(b)
 				if err != nil {
 					return nil, fmt.Errorf("adb: snapshot rule %s memo: %w", r.name, err)
@@ -154,20 +154,20 @@ func engineFromSnapshot(cfg Config, snap *persist.EngineSnapshot) (*Engine, erro
 			return nil, fmt.Errorf("adb: snapshot rule %s: %w", rs.Name, err)
 		}
 		r.ev = ev.(core.HintedEvaluator)
-		r.fixed, r.credit = false, 0 // the restored evaluator is at no fixpoint yet
 		r.cursor = rs.Cursor
-		// The quiescent-replay memo travels with the snapshot so the
-		// recovered engine makes the same replay-vs-evaluate decisions the
-		// original would have (and so their step counts stay comparable).
-		if rs.MemoValid {
-			r.memoValid = true
-			r.memoFired = rs.MemoFired
+		// A quiescent rule's rest record travels with the snapshot (as its
+		// memo) so the recovered engine makes the same replay-vs-evaluate
+		// decisions the original would have (and so their step counts stay
+		// comparable). Every other rule's restored evaluator is at no
+		// fixpoint yet, so it keeps the new rule's invalid record.
+		if rs.MemoValid && r.class == classQuiescent {
+			r.rest = restRecord{ok: true, fired: rs.MemoFired}
 			for i, raw := range rs.MemoBindings {
 				items, err := histio.DecodeItems(raw)
 				if err != nil {
 					return nil, fmt.Errorf("adb: snapshot rule %s memo binding %d: %w", rs.Name, i, err)
 				}
-				r.memoBindings = append(r.memoBindings, core.Binding(items))
+				r.rest.bindings = append(r.rest.bindings, core.Binding(items))
 			}
 		}
 		// Health travels with the snapshot: a quarantined rule stays

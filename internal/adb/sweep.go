@@ -2,6 +2,7 @@ package adb
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 
 	"ptlactive/internal/core"
@@ -81,8 +82,7 @@ func (e *Engine) sweepOnce() error {
 }
 
 // sweepJob is one rule's share of an indexed sweep: a real evaluator
-// advance, a memo replay, or the firing of a fixpoint step the wake loop
-// took; the last two have their outcome computed inline.
+// advance, or the firings of a step replayed from the rule's rest record.
 type sweepJob struct {
 	r    *rule
 	kind jobKind
@@ -91,9 +91,8 @@ type sweepJob struct {
 type jobKind uint8
 
 const (
-	jobEval jobKind = iota
-	jobMemo         // a quiescent rule's memo (replayOutcome)
-	jobFire         // a true verdict replayed at a fixpoint (fixpointOutcome)
+	jobEval   jobKind = iota
+	jobReplay         // a true rest record's firings (replayOutcome)
 )
 
 // sweepScratch is what one temporal-component invocation builds and throws
@@ -275,7 +274,7 @@ func (e *Engine) unparkAll() {
 // them per rule class: gated rules woken only by a commit have their
 // evaluation skipped (the condition is provably false without their
 // events), and quiescent rules whose read set the commit left untouched
-// replay their memoized outcome. Firings, cursors and engine state are
+// replay their rest record. Firings, cursors and engine state are
 // byte-identical to the coarse sweep; only evaluator steps differ.
 //
 // Jobs come from wake lists, never from a scan of the rule table
@@ -284,9 +283,9 @@ func (e *Engine) unparkAll() {
 // quiescent rules that need attention. The rest of those two classes are
 // parked — a commit would only bump them — behind Engine.parkedCursor, set
 // once per commit sweep, until an event, a dirty item or Flush unparks them.
-// So are the resting triggers: an indexed wakeCommit trigger whose
-// fixpoint step at a commit replayed false would replay false at every
-// state until its item is written, so the sweep counts those steps — the
+// So are the resting triggers: an indexed wakeCommit trigger whose step at
+// a commit replayed a false rest record would replay it at every state
+// until its item is written, so the sweep counts those steps — the
 // resting rules times the states parkedCursor moves over — and unpark or a
 // snapshot credits them to the rule.
 func (e *Engine) sweepIndexed(newest int, st history.SystemState) error {
@@ -328,19 +327,12 @@ func (e *Engine) sweepIndexed(newest int, st history.SystemState) error {
 			r.parked = true
 			continue
 		case r.cursor >= end:
-		case !d.known || r.dirtyGen == gen || !r.memoValid:
-			// The memo goes stale the moment the rule is selected for
-			// re-evaluation: if the evaluation errors, a later clean commit
-			// must not replay the pre-change outcome.
-			r.memoValid = false
-			r.memoBindings = nil
+		case !e.replay(s, r, newest, d):
 			s.add(r, jobEval)
-		case !r.memoFired:
-			// A non-firing memo replays to nothing but a cursor move: park.
+		case !r.rest.fired:
+			// A false record replays to nothing but a cursor move: park.
 			r.parked = true
 			continue
-		default:
-			s.add(r, jobMemo)
 		}
 		live = append(live, r)
 	}
@@ -353,22 +345,18 @@ func (e *Engine) sweepIndexed(newest int, st history.SystemState) error {
 	}
 	standing := e.standing[:0]
 	for _, r := range e.standing {
-		switch r.wake {
-		case wakeAlways:
-			e.wakeStanding(s, r, newest, d)
-		case wakeCommit:
-			if !commit && r.wakeGen != gen {
-				break
-			}
-			// A false fixpoint step at a commit leaves r's cursor at
-			// parkedCursor, and only a write to its item (itemIndex) can
-			// change the verdict of a rule that reads no time and no event:
-			// it rests.
-			if e.wakeStanding(s, r, newest, d) && !r.last && commit && r.indexed {
-				r.parked = true
-				e.resting++
-				continue
-			}
+		switch {
+		case r.wake == wakeCommit && !commit && r.wakeGen != gen:
+			// Not woken.
+		case !e.replay(s, r, newest, d):
+			s.add(r, jobEval)
+		case r.wake == wakeCommit && !r.rest.fired && commit && r.indexed:
+			// A false replay at a commit leaves r's cursor at parkedCursor,
+			// and only a write to its item (itemIndex) can change the
+			// verdict of a rule that reads no time and no event: it rests.
+			r.parked = true
+			e.resting++
+			continue
 		}
 		standing = append(standing, r)
 	}
@@ -390,52 +378,43 @@ func (e *Engine) sweepIndexed(newest int, st history.SystemState) error {
 	return e.runJobs(end)
 }
 
-// wakeStanding wakes standing trigger r for the newest state; the caller
-// holds mu. If that is r's one pending state, it left r's read set
-// untouched (step would pass the hint) and r's evaluator sits at a fixpoint
-// (the copy step keeps on r), the step would replay the last verdict, so
-// it is taken here: counted, credited to the evaluator, the cursor moved.
-// Only a true verdict needs a job, for its firing. Any other wake is an
-// evaluation job. It reports whether it took the step.
-func (e *Engine) wakeStanding(s *sweepScratch, r *rule, newest int, d dirtySet) bool {
-	if !r.fixed || r.cursor != newest || !r.contiguous || !e.untouched(r, newest, d) {
-		s.add(r, jobEval)
+// replay takes r's step at the newest state, history index newest, which
+// changed d, from r's rest record if the step would replay it: the record
+// is valid, the state left r's read set untouched (step would pass the
+// hint), and either r is quiescent or the state is r's one pending state.
+// A contiguous rule's replay is a counted step, credited to its evaluator,
+// the cursor moved; a quiescent rule's is a cursor jump, counted nowhere
+// (EvalSteps). Only a true record needs a job, for its firings. It reports
+// whether it took the step; the caller holds mu.
+func (e *Engine) replay(s *sweepScratch, r *rule, newest int, d dirtySet) bool {
+	pending := r.class == classQuiescent || r.contiguous && r.cursor == newest
+	if !r.rest.ok || !pending || !e.untouched(r, newest, d) {
 		return false
 	}
-	r.credit++
-	r.cursor = newest + 1
-	e.evalSteps++
-	if r.last {
-		s.add(r, jobFire)
+	if r.contiguous {
+		r.credit++
+		r.cursor = newest + 1
+		e.evalSteps++
+	}
+	if r.rest.fired {
+		s.add(r, jobReplay)
 	}
 	return true
 }
 
-// replayOutcome reproduces, without evaluation, the outcome re-evaluating
-// a quiescent rule at the newest state would yield: the memoized firings
-// at the new timestamp. Binding maps are copied so the firings handed to
-// observers and actions never alias the memo (or each other).
+// replayOutcome is the outcome of the step replay took for r at the newest
+// state: the rest record's firings at the new timestamp. Binding maps are
+// copied so the firings handed to observers and actions never alias the
+// record (or each other).
 func (e *Engine) replayOutcome(r *rule, end int) advanceOutcome {
 	out := advanceOutcome{cursor: end}
-	if !r.memoFired {
-		return out
-	}
 	st := e.hist.At(end - 1)
-	for _, b := range r.memoBindings {
+	for _, b := range r.rest.bindings {
 		nb := make(core.Binding, len(b))
-		for k, v := range b {
-			nb[k] = v
-		}
+		maps.Copy(nb, b)
 		out.firings = append(out.firings, Firing{Rule: r.name, Binding: nb, Time: st.TS, StateIndex: e.base + end - 1})
 	}
 	return out
-}
-
-// fixpointOutcome is the firing of closed rule r whose fixpoint step at the
-// newest state replayed a true verdict: the step itself is already taken.
-func (e *Engine) fixpointOutcome(r *rule, end int) advanceOutcome {
-	f := Firing{Rule: r.name, Binding: core.Binding{}, Time: e.hist.At(end - 1).TS, StateIndex: e.base + end - 1}
-	return advanceOutcome{cursor: end, firings: []Firing{f}}
 }
 
 // advanceOutcome is the result of advancing one rule's evaluator through
@@ -446,20 +425,11 @@ type advanceOutcome struct {
 	steps   int64
 	cursor  int
 	err     error
-	// memoSet carries a fresh quiescent-replay memo back to the merge:
-	// the rule was evaluated at a commit state, so memoFired/memoBindings
-	// are the outcome any read-set-untouched commit may replay.
-	memoSet      bool
-	memoFired    bool
-	memoBindings []core.Binding
 }
 
 // advanceRule advances r's evaluator through pending states up to (but
-// not including) history index end, collecting firings locally. Each rule
-// owns its evaluator, so advances of distinct rules are independent; the
-// shared layers they read — history, database snapshots, the query
-// registry, the execution log — are read-only for the duration of an
-// evaluation phase.
+// not including) history index end, collecting its firings in out for
+// runJobs to merge.
 //
 // Non-temporal conditions keep no state between system states, so under
 // Relevant scheduling the skipped (irrelevant) states are disregarded
@@ -485,11 +455,6 @@ func (e *Engine) advanceRule(r *rule, end int, out *advanceOutcome) {
 				out.firings = append(out.firings, Firing{Rule: r.name, Binding: b, Time: st.TS, StateIndex: e.base + out.cursor})
 			}
 		}
-		if r.class == classQuiescent && out.cursor == end-1 && st.Events.CommitCount() > 0 {
-			out.memoSet = true
-			out.memoFired = res.Fired
-			out.memoBindings = res.Bindings
-		}
 		out.cursor++
 	}
 }
@@ -500,13 +465,21 @@ func (e *Engine) advanceRule(r *rule, end int, out *advanceOutcome) {
 // read set alone. Only contiguous rules qualify: a cursor jump would leave
 // the cache describing a state the evaluator never stepped past.
 //
-// A fast evaluator's fixpoint is mirrored onto r after the step, and the
-// steps the wake loop credited are settled before it.
+// The steps replay credited are settled before the step, and r's rest
+// record is written after it: a quiescent rule's at a commit state (the
+// one state it steps, the newest), a fast evaluator's at every state.
 func (e *Engine) step(r *rule, st history.SystemState, i int, d dirtySet) (core.Result, error) {
 	r.settle()
 	res, err := r.ev.StepResultHinted(st, !e.coarse && r.contiguous && e.untouched(r, i, d))
-	if fast, ok := r.ev.(*core.FastEvaluator); ok {
-		r.fixed, r.last = fast.Fixpoint()
+	fast, isFast := r.ev.(*core.FastEvaluator)
+	switch {
+	case r.class == classQuiescent:
+		if st.Events.CommitCount() > 0 {
+			r.rest = restRecord{ok: err == nil, fired: res.Fired, bindings: res.Bindings}
+		}
+	case isFast:
+		fixed, _ := fast.Fixpoint()
+		r.rest = restRecord{ok: fixed, fired: res.Fired, bindings: res.Bindings}
 	}
 	return res, err
 }
@@ -555,7 +528,7 @@ func (e *Engine) advanceRules(rules []*rule, end int) error {
 
 // runJobs executes the job list in Engine.scratch on the committing
 // goroutine, in registration order: evaluation jobs advance their rule's
-// evaluator, memo and fixpoint jobs read what the rule already decided.
+// evaluator, replay jobs read its rest record.
 // Every outcome is computed before any is merged, so the firing sequence is
 // independent of the eval/replay split and of the wake list each job came
 // from. The engine is busy throughout — query functions and observers run
@@ -580,13 +553,11 @@ func (e *Engine) runJobs(end int) error {
 		switch j.kind {
 		case jobEval:
 			e.advanceRule(j.r, end, &outs[i])
-		case jobMemo:
+		case jobReplay:
 			outs[i] = e.replayOutcome(j.r, end)
-		case jobFire:
-			outs[i] = e.fixpointOutcome(j.r, end)
 		}
 	}
-	// The merge: each rule's cursor, step count and memo, then its firings
+	// The merge: each rule's cursor and step count, then its firings
 	// one at a time — the exact observable sequence (append, OnFiring
 	// callback, action queue) the sequential engine produces — under one hold
 	// of the write lock. The hold is dropped around the callbacks alone: an
@@ -600,11 +571,6 @@ func (e *Engine) runJobs(end int) error {
 		out, r := &outs[i], j.r
 		r.cursor = out.cursor
 		e.evalSteps += out.steps
-		if out.memoSet {
-			r.memoValid = true
-			r.memoFired = out.memoFired
-			r.memoBindings = out.memoBindings
-		}
 		for _, f := range out.firings {
 			e.firings.Append(f)
 			if obs := e.observers; len(obs) > 0 { // snapshot; mutation is copy-on-write

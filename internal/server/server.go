@@ -54,8 +54,10 @@ const (
 	// connection and knows exactly how much it missed, even if no firing
 	// follows.
 	DropWithGap OverflowPolicy = iota
-	// Disconnect closes the lagging subscriber's connection: the
-	// subscriber never observes a silently incomplete stream.
+	// Disconnect closes the lagging subscriber's connection after one
+	// error frame (wire.CodeLagged, id 0), which a client takes as its
+	// session's end (ErrSubscriberLagged): the subscriber never observes a
+	// silently incomplete stream.
 	Disconnect
 )
 

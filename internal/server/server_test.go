@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"testing"
@@ -411,31 +412,84 @@ func TestOverflowDropWithGap(t *testing.T) {
 	t.Logf("%d firings, %d gaps", total+1, gaps)
 }
 
+// TestOverflowDisconnect: a subscriber the writer finds more than
+// SubscriberQueue firings behind the head is cut under Disconnect, after
+// one error frame that says why (CodeLagged, id 0), and a client takes that
+// frame as its session's end: Err() is ErrSubscriberLagged. Each commit
+// fires 3q rules in one burst, faster than a writer round, so the writer
+// finds the subscriber lagging whatever the interleaving.
 func TestOverflowDisconnect(t *testing.T) {
 	const q = 2
-	eng := adb.NewEngine(adb.Config{Initial: map[string]value.Value{"a": value.NewInt(0)}})
-	if err := eng.AddTrigger("every", `item("a") > 0`, nil); err != nil {
+	serve := func() (*adb.Engine, net.Conn) {
+		eng := adb.NewEngine(adb.Config{Initial: map[string]value.Value{"a": value.NewInt(0)}})
+		for i := 0; i < 3*q; i++ {
+			if err := eng.AddTrigger(fmt.Sprintf("every%d", i), `item("a") > 0`, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		_, conn := pipeServer(t, Config{
+			Engine:          eng,
+			SubscriberQueue: q,
+			Overflow:        Disconnect,
+			WriteTimeout:    30 * time.Second,
+		})
+		return eng, conn
+	}
+	commit := func(eng *adb.Engine) {
+		for i := 1; i <= q+2; i++ {
+			if err := eng.ExecTxn(int64(i), map[string]value.Value{"a": value.NewInt(int64(i))}, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	eng, conn := serve()
+	handshakeAndSubscribe(t, conn)
+	commit(eng)
+	// The frames already in flight may arrive first, then the error frame,
+	// then EOF.
+	conn.SetReadDeadline(time.Now().Add(3 * time.Second))
+	lagged := false
+	for {
+		m, err := wire.ReadFrame(conn)
+		if err != nil {
+			if !lagged {
+				t.Fatalf("session ended (%v) without a lagged error frame", err)
+			}
+			break
+		}
+		if lagged {
+			t.Fatalf("frame %+v after the lagged error frame", m)
+		}
+		if m.T == wire.TypeError {
+			if m.Code != wire.CodeLagged || m.ID != 0 {
+				t.Fatalf("error frame %+v, want code %q with id 0", m, wire.CodeLagged)
+			}
+			lagged = true
+		}
+	}
+
+	eng, conn = serve()
+	c, err := client.New(conn)
+	if err != nil {
 		t.Fatal(err)
 	}
-	_, conn := pipeServer(t, Config{
-		Engine:          eng,
-		SubscriberQueue: q,
-		Overflow:        Disconnect,
-		WriteTimeout:    30 * time.Second,
-	})
-	handshakeAndSubscribe(t, conn)
-	for i := 1; i <= q+2; i++ {
-		if err := eng.ExecTxn(int64(i), map[string]value.Value{"a": value.NewInt(int64(i))}, nil); err != nil {
-			t.Fatal(err)
+	defer c.Close()
+	sub, err := c.Subscribe(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	commit(eng)
+	timeout := time.After(5 * time.Second)
+	for open := true; open; {
+		select {
+		case _, open = <-sub.C:
+		case <-timeout:
+			t.Fatal("subscription still open")
 		}
 	}
-	// The lagging subscriber was cut: reading eventually hits EOF (the
-	// frames already in flight may still arrive first).
-	conn.SetReadDeadline(time.Now().Add(3 * time.Second))
-	for {
-		if _, err := wire.ReadFrame(conn); err != nil {
-			return // closed — the disconnect policy shed the laggard
-		}
+	if err := c.Err(); !errors.Is(err, wire.ErrSubscriberLagged) {
+		t.Fatalf("Err() = %v, want ErrSubscriberLagged", err)
 	}
 }
 

@@ -204,7 +204,9 @@ func (s *session) closeLocked() {
 // writeLoop sends the queued frames and the subscribed firing stream onto
 // the connection, each frame after the firings below the head it was
 // queued at. Each round gets its own write deadline, so a peer that stops
-// reading cannot stall the server's drain forever.
+// reading cannot stall the server's drain forever. A subscriber cut by the
+// Disconnect overflow policy is told why: one error frame (CodeLagged, id
+// 0) after what is buffered, then the close.
 //
 // Group flush: frames are encoded into a buffered writer and flushed only
 // when there is nothing more to send, so a burst of responses to a
@@ -222,20 +224,22 @@ func (s *session) writeLoop() {
 			to = s.queue[0].head
 		}
 		firing := s.subscribed && s.cursor < to
+		lagged := false
 		if q := s.srv.cfg.SubscriberQueue; firing && s.gapAt == 0 && head-s.cursor > q {
 			s.gapAt = s.cursor + q
-			if s.srv.cfg.Overflow == Disconnect {
-				s.closeLocked()
-			}
+			lagged = s.srv.cfg.Overflow == Disconnect
 		}
-		if s.closed || s.draining && len(s.queue) == 0 {
-			// Closed, or draining with everything sent: flush is complete.
-			// The broadcast releases a reader waiting in awaitRoom for
-			// responses that will now never be sent.
+		if s.closed || lagged || s.draining && len(s.queue) == 0 {
+			// Closed, cut, or draining with everything sent: flush is
+			// complete. The broadcast releases a reader waiting in awaitRoom
+			// for responses that will now never be sent.
 			s.closed = true
 			s.cond.Broadcast()
 			s.mu.Unlock()
 			s.setDeadline()
+			if lagged {
+				fw.Write(&wire.Msg{T: wire.TypeError, Code: wire.CodeLagged, Err: wire.ErrSubscriberLagged.Error()})
+			}
 			bw.Flush()
 			s.conn.Close()
 			return
