@@ -75,7 +75,8 @@ loc:
 # fixpoint, and it and the constraint check park and unpark the resting
 # triggers and constraints, beside those readers, so the fixpoint suites
 # (FixpointError, SteppedStatesNotPinned, Resting — triggers and constraints —
-# and IndexedSweepEquivalence's fixpoint triggers) repeat here too. A
+# and IndexedSweepEquivalence's fixpoint triggers, clock-only rules among
+# them, which replay until a deadline or rest without one) repeat here too. A
 # quiescent rule's rest record (its memo) is written where the rule steps,
 # outside the merge's lock hold, and read by snapshots, so the memo suites
 # (QuiescentMemo, MemoSnapshot) repeat beside them. Observers
@@ -97,12 +98,14 @@ stress:
 # counts. The engine starts no goroutine of its own, so nothing they count
 # may depend on GOMAXPROCS: the three runs must pass alike — that is the
 # check.
-# TestSweepNoRuleTerm has four arms: quiescent, gated, exact temporal and
-# general rules (the last two: 2,000 steps per commit, none of which may
-# allocate; all but one of the exact temporal arm's rules sit at a false
-# fixpoint the commit leaves alone, so they rest in the parked set and the
-# sweep counts their steps without visiting them, and still allocates
-# nothing). In core, a step of the paper's doubled-within-d trigger
+# TestSweepNoRuleTerm has five arms: quiescent, gated, exact temporal,
+# general and clock-only rules (the last three: 2,000 steps per commit,
+# none of which may allocate; all but one of the exact temporal arm's rules
+# sit at a false fixpoint the commit leaves alone, so they rest in the
+# parked set and the sweep counts their steps without visiting them, and
+# still allocates nothing; the clock-only arm's Eager rules, which read the
+# clock through a time bound, replay their rest records in the standing
+# list before their deadlines, allocating nothing either). In core, a step of the paper's doubled-within-d trigger
 # allocates alike at a handful of retained clauses (a wandering price,
 # which subsumption keeps to at most 20 clauses even at d=1000) and at about
 # 500 (a price rising at every state, which nothing subsumes; the test
@@ -222,8 +225,9 @@ profile-temporal:
 
 # profile-gate profiles the constraint-gate shape (100k items, 300
 # `not (item(k) < 100 and lasttime item(k) > 900)` constraints, Zipf
-# 1-3-item commits, ~4% of them refused): what a commit's constraint check
-# costs when it steps only the one to three constraints its write set
+# 1-3-item commits, ~4% of them refused, Compact every 4,096 commits, so
+# the history holds at most that many states): what a commit's constraint
+# check costs when it steps only the one to three constraints its write set
 # touches: the others rest at a false fixpoint, and the check counts their
 # steps without visiting them.
 profile-gate:
@@ -233,9 +237,11 @@ profile-gate:
 
 # profile-dense profiles the temporal-dense shape (the paper's doubled-within-10
 # trigger on 32 symbols, 8 session rules, a windowed sum and a quote rule,
-# one price step per commit): what the 42 fast-path steps a commit cost —
-# frontiers, timestamp registers, a window, boolean and class registers —
-# every rule stepping on every state.
+# one price step per commit, Compact every 4,096 commits): what the 42
+# fast-path steps a commit counts cost — frontiers, timestamp registers, a
+# window, boolean and class registers — where a doubled rule steps in full
+# only at its price's writes and its old sample's deadline, ≈ 1.4 of
+# the 32 a commit, and replays its rest record at the other states.
 profile-dense:
 	$(GO) test -run '^$$' -bench TemporalDense -benchtime 20000x -memprofilerate 4096 \
 		-cpuprofile dense_cpu.prof -memprofile dense_mem.prof ./internal/adb

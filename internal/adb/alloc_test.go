@@ -78,9 +78,12 @@ func TestCommitAllocsNoLinearTerm(t *testing.T) {
 // registered over a database of fixed size. shape selects quiescent rules
 // (`item(k) > c`, never firing), event-gated ones (a commit without their
 // event only moves their cursor), exact temporal ones (every rule steps at
-// every commit, all but one in the wake loop, at a fixpoint) or general
+// every commit, all but one in the wake loop, at a fixpoint), general
 // ones (the same, on the constraint-graph evaluator: an assignment crosses
-// the temporal operator).
+// the temporal operator) or clock-only ones (Eager "more than doubled
+// within 10", false at 0, which reads the clock through its time bound
+// alone: every rule but the one the commit writes and the one whose
+// deadline it reaches replays its rest record in the standing list).
 func sweepCost(t *testing.T, rules int, shape string) (allocs, bytes float64) {
 	t.Helper()
 	const items = 2000
@@ -90,7 +93,7 @@ func sweepCost(t *testing.T, rules int, shape string) (allocs, bytes float64) {
 	}
 	e := NewEngine(Config{Initial: initial})
 	for i := 0; i < rules; i++ {
-		cond := fmt.Sprintf(`item("k%04d") > 1000000`, i)
+		cond, sched := fmt.Sprintf(`item("k%04d") > 1000000`, i), Relevant
 		switch shape {
 		case "gated":
 			cond = fmt.Sprintf(`@ev%d and item("k%04d") > 1000000`, i, i)
@@ -98,8 +101,11 @@ func sweepCost(t *testing.T, rules int, shape string) (allocs, bytes float64) {
 			cond = fmt.Sprintf(`item("k%04d") > 1000000 and lasttime item("k%04d") <= 1000000`, i, i)
 		case "general":
 			cond = fmt.Sprintf(`[x <- item("k%04d")] lasttime item("k%04d") < x`, i, i)
+		case "clock":
+			cond = fmt.Sprintf(`[t <- time] [x <- item("k%04d")] previously (item("k%04d") < 0.5 * x and time >= t - 10)`, i, i)
+			sched = Eager
 		}
-		if err := e.AddTrigger(fmt.Sprintf("r%04d", i), cond, nil, WithScheduling(Relevant)); err != nil {
+		if err := e.AddTrigger(fmt.Sprintf("r%04d", i), cond, nil, WithScheduling(sched)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -133,13 +139,15 @@ func sweepCost(t *testing.T, rules int, shape string) (allocs, bytes float64) {
 // rules woken by the commit alone. Exact temporal rules do step, all 2,000
 // of them, but a step over a state that left the rule's item alone is a few
 // booleans and cached values: it must allocate nothing at all. Nor may a
-// general rule's: its interner finds every term and node it builds.
+// general rule's: its interner finds every term and node it builds. Nor a
+// clock-only rule's replay, before its deadline, of a step that would only
+// re-stamp its newest sample.
 func TestSweepNoRuleTerm(t *testing.T) {
-	for _, shape := range []string{"quiescent", "gated", "temporal", "general"} {
+	for _, shape := range []string{"quiescent", "gated", "temporal", "general", "clock"} {
 		smallA, smallB := sweepCost(t, 20, shape)
 		bigA, bigB := sweepCost(t, 2000, shape)
 		t.Logf("%s: %.1f allocs, %.0f B per commit at 20 rules; %.1f allocs, %.0f B at 2000", shape, smallA, smallB, bigA, bigB)
-		if bigA > smallA+8 || bigB > smallB+1024 || (shape == "temporal" || shape == "general") && bigA > smallA+0.5 {
+		if bigA > smallA+8 || bigB > smallB+1024 || shape != "quiescent" && shape != "gated" && bigA > smallA+0.5 {
 			t.Fatalf("%s: commit cost grows with the rule table: %.1f allocs/%.0f B at 20 rules, %.1f allocs/%.0f B at 2000",
 				shape, smallA, smallB, bigA, bigB)
 		}

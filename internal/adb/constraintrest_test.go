@@ -185,7 +185,8 @@ func TestRestingConstraintCountsEveryState(t *testing.T) {
 			}
 			for _, r := range idx.constraints {
 				if r.parked {
-					owed += owedSteps(idx, r)
+					n, _ := owedSteps(idx, r)
+					owed += n
 				}
 			}
 			// The durable twin's checkpoints compact its history on their own

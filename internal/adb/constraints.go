@@ -3,6 +3,7 @@ package adb
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"ptlactive/internal/core"
 	"ptlactive/internal/history"
@@ -51,7 +52,7 @@ func (e *Engine) checkConstraints(tentative history.SystemState, changed []strin
 	// or abort state.
 	e.mu.Lock()
 	e.evalSteps += int64(e.constraintsResting * (at - e.constraintCursor))
-	e.constraintCursor = at
+	e.constraintCursor, e.constraintTS = at, e.now
 	e.mu.Unlock()
 	for _, r := range e.awake {
 		if r.cursor < at {
@@ -92,14 +93,15 @@ func (e *Engine) checkConstraints(tentative history.SystemState, changed []strin
 }
 
 // restConstraints parks every awake constraint whose last step, at the
-// newest state, reached a false fixpoint of a pure condition: it reads no
-// time, event or impure query and moved no register, so each later step
-// passed the dbUnchanged hint replays false. A state passes the hint unless
-// it writes an item the constraint reads, and that write's tentative stamp
-// reaches the constraint through itemIndex and wakes it (unpark), so only
-// indexed, contiguous constraints rest. A resting constraint keeps the
-// index it came to rest at in its cursor field; constraintCursor minus it is
-// the steps it is owed. The coarse engine steps every constraint. The
+// newest state, reached a false fixpoint of a pure condition without a
+// deadline: it reads no event or impure query, no clock but through time
+// bounds with no sample to expire, and moved no register, so each later
+// step passed the dbUnchanged hint replays false. A state passes the hint
+// unless it writes an item the constraint reads, and that write's tentative
+// stamp reaches the constraint through itemIndex and wakes it (unpark), so
+// only indexed, contiguous constraints rest. A resting constraint keeps the
+// index it came to rest at in its cursor field; constraintCursor minus it
+// is the steps it is owed. The coarse engine steps every constraint. The
 // caller holds mu, and every awake constraint is caught up.
 func (e *Engine) restConstraints() {
 	if e.coarse {
@@ -107,7 +109,7 @@ func (e *Engine) restConstraints() {
 	}
 	awake := e.awake[:0]
 	for _, r := range e.awake {
-		if r.rest.ok && !r.rest.fired && r.indexed && r.contiguous {
+		if r.rest.ok && !r.rest.fired && r.indexed && r.contiguous && r.rest.until == math.MaxInt64 {
 			r.parked = true
 			e.constraintsResting++
 			continue
@@ -124,8 +126,8 @@ func (e *Engine) rollbackConstraints() {
 	for _, r := range e.awake {
 		r.ev.Rollback()
 		if fast, ok := r.ev.(*core.FastEvaluator); ok {
-			fixed, last := fast.Fixpoint()
-			r.rest = restRecord{ok: fixed, fired: last}
+			fixed, last, until := fast.Fixpoint()
+			r.rest = restRecord{ok: fixed, fired: last, until: until}
 		}
 	}
 }

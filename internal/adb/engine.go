@@ -102,16 +102,18 @@ type Engine struct {
 	// holds, in registration order, the constraints that are not resting
 	// (restConstraints); the resting ones share constraintCursor, the index
 	// after the last commit or abort state they were counted over, and
-	// constraintsResting counts them. scratch is the temporal component's one
-	// working memory (runJobs).
+	// constraintsResting counts them; parkedTS and constraintTS are the times
+	// settle credits. scratch is the temporal component's working memory.
 	constraints        []*rule
 	triggers           []*rule
 	standing           []*rule
 	live               []*rule
 	parkedCursor       int
+	parkedTS           int64
 	resting            int
 	awake              []*rule
 	constraintCursor   int
+	constraintTS       int64
 	constraintsResting int
 	scratch            sweepScratch
 

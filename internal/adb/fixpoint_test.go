@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"runtime"
 	"sync/atomic"
@@ -172,17 +173,18 @@ func TestSteppedStatesNotPinned(t *testing.T) {
 }
 
 // settledStates reads each rule's Steps() and encoded evaluator state as
-// Engine.settle would leave them, without settling: the probe hands a
-// rule's owed steps to its evaluator and takes them back, so the settle
-// points under test still find them owed.
+// Engine.settle would leave them, without settling: the probe credits a
+// rule's owed steps to its evaluator between a Mark and a Rollback, which
+// undo the count and the re-stamps, so the settle points under test still
+// find them owed.
 func settledStates(t *testing.T, e *Engine) map[string]string {
 	t.Helper()
 	out := map[string]string{}
 	for _, r := range e.rules {
-		owed := owedSteps(e, r)
-		fast, _ := r.ev.(*core.FastEvaluator)
+		owed, ts := owedSteps(e, r)
 		if owed > 0 {
-			fast.Credit(owed)
+			r.ev.Mark()
+			r.ev.(*core.FastEvaluator).Credit(owed, ts)
 		}
 		enc, err := core.EncodeEvaluatorState(r.ev)
 		if err != nil {
@@ -190,18 +192,23 @@ func settledStates(t *testing.T, e *Engine) map[string]string {
 		}
 		out[r.name] = fmt.Sprintf("%d steps: %s", r.ev.(interface{ Steps() int }).Steps(), enc)
 		if owed > 0 {
-			fast.Credit(-owed)
+			r.ev.Rollback()
 		}
 	}
 	return out
 }
 
-// owedSteps is what Engine.settle would credit r's evaluator.
-func owedSteps(e *Engine, r *rule) int {
-	if r.parked && r.wake != wakeParked {
-		return r.credit + e.cursorOf(r) - r.cursor
+// owedSteps is what Engine.settle would credit r's evaluator, and the time
+// of the last of those steps.
+func owedSteps(e *Engine, r *rule) (int, int64) {
+	if c := e.cursorOf(r); r.parked && r.wake != wakeParked && c > r.cursor {
+		ts := e.parkedTS
+		if r.constraint {
+			ts = e.constraintTS
+		}
+		return r.credit + c - r.cursor, ts
 	}
-	return r.credit
+	return r.credit, r.creditTS
 }
 
 // TestRestingTriggerCountsEveryState: an edge trigger of either
@@ -216,7 +223,12 @@ func owedSteps(e *Engine, r *rule) int {
 // resting rule's steps without waking it), Flush (which wakes every rule)
 // and writes to a rule's item (which wake that rule, with its credit).
 // Settling in the probe would pay the credit the settle points owe, so
-// settledStates only looks.
+// settledStates only looks. Beside them, "doubled within 10" on k3 reads
+// the clock only through its time bound: it rests false with no deadline
+// until k3 doubles, then replays true in the standing list until the old
+// sample's deadline, and rests again — so the snapshots and Compact find
+// it resting, and the settles re-stamp its sample with the time of the
+// last state it rested over.
 func TestRestingTriggerCountsEveryState(t *testing.T) {
 	keys := []string{"k0", "k1", "k2", "k3"}
 	config := func() Config {
@@ -231,6 +243,7 @@ func TestRestingTriggerCountsEveryState(t *testing.T) {
 			mustAdd(t, e, "rise_"+k, fmt.Sprintf(`item(%q) > 800 and lasttime item(%q) <= 800`, k, k), nil)
 			mustAdd(t, e, "fall_"+k, fmt.Sprintf(`item(%q) < 200 and lasttime (item(%q) >= 200 and previously item(%q) > 800)`, k, k, k), nil)
 		}
+		mustAdd(t, e, "doubled_k3", `[t <- time] [x <- item("k3")] previously (item("k3") <= 0.5 * x and time >= t - 10)`, nil)
 	}
 	ref, idx := NewCoarseEngine(config()), NewEngine(config())
 	dir := t.TempDir()
@@ -293,6 +306,7 @@ func TestRestingTriggerCountsEveryState(t *testing.T) {
 		{"commit k0 stays high", set("k0", 950)},
 		{"emit", emit},
 		{"commit k1 rises", set("k1", 850)},
+		{"commit k3 doubles", set("k3", 1000)},
 		{"commit o", set("o", 6)},
 		{"snapshot", snapshot},
 		{"emit", emit},
@@ -313,6 +327,7 @@ func TestRestingTriggerCountsEveryState(t *testing.T) {
 		{"commit o", set("o", 12)},
 	}
 	restedOver := map[string]int{} // most states a rule of each shape rested over
+	deadline := false              // doubled_k3 replayed before a deadline
 	for i, op := range ops {
 		for _, e := range []*Engine{ref, idx, dur} {
 			if err := op.do(e); err != nil {
@@ -338,16 +353,26 @@ func TestRestingTriggerCountsEveryState(t *testing.T) {
 			if shape := r.name[:4]; r.parked {
 				restedOver[shape] = max(restedOver[shape], idx.parkedCursor-r.cursor)
 			}
+			deadline = deadline || r.name == "doubled_k3" && r.rest.ok && r.rest.until < math.MaxInt64 && r.credit > 0
 		}
 	}
 	// The trace must exercise what it names: both shapes rest, and across
 	// more than the one commit that parked them.
-	for _, shape := range []string{"rise", "fall"} {
+	for _, shape := range []string{"rise", "fall", "doub"} {
 		if restedOver[shape] < 2 {
 			t.Errorf("no %s rule rested over more than one state (%d)", shape, restedOver[shape])
 		}
 	}
-	if n := len(ref.Firings()); n != 5 {
-		t.Errorf("%d firings, want 5 (three rises, two falls)", n)
+	if !deadline {
+		t.Error("doubled_k3 never replayed before its deadline")
+	}
+	doubled := 0
+	for _, f := range ref.Firings() {
+		if f.Rule == "doubled_k3" {
+			doubled++
+		}
+	}
+	if n := len(ref.Firings()) - doubled; n != 6 || doubled != 10 {
+		t.Errorf("%d firings and %d of doubled_k3, want 6 (four rises, two falls) and 10 (ts 14 to 23: k3 was 500 at ts 13)", n, doubled)
 	}
 }

@@ -37,7 +37,9 @@ type engineParams struct {
 	withConstraints bool
 	// lastGate, when set, is a third constraint: a pure temporal one, which
 	// rests at a false fixpoint between the commits that write its item.
-	lastGate string
+	// clockGate, when set, is a fourth, which reads the clock through a time
+	// bound: it replays until its deadline, and rests once it has none.
+	lastGate, clockGate string
 }
 
 // randomEngineParams consumes the seed's randomness in the exact order the
@@ -85,6 +87,11 @@ func (p engineParams) register(t *testing.T, e *Engine) {
 		}
 		if p.lastGate != "" {
 			if err := e.AddConstraint("c_b_drop", p.lastGate); err != nil {
+				t.Fatalf("AddConstraint: %v", err)
+			}
+		}
+		if p.clockGate != "" {
+			if err := e.AddConstraint("c_b_clock", p.clockGate); err != nil {
 				t.Fatalf("AddConstraint: %v", err)
 			}
 		}

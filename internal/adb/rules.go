@@ -92,25 +92,28 @@ type rule struct {
 	// rule through itemIndex, so any later commit may replay it. A fast
 	// evaluator's is its Fixpoint as of the last step the engine took or
 	// undid (step, rollbackConstraints): valid for the next state only,
-	// when that is the rule's one pending state. The sweep replays a valid
-	// record instead of stepping (replay), and a trigger or constraint
-	// whose record is valid and false rests. Persisted for the quiescent
+	// when that is the rule's one pending state, before its deadline. The
+	// sweep replays a valid record instead of stepping (replay), and a
+	// trigger or constraint whose record is valid, false and without a
+	// deadline rests. Persisted for the quiescent
 	// class in snapshots (as its memo), so a recovered engine evaluates the
 	// same states the original did; every other rule restores without one.
 	rest restRecord
 	// credit counts the steps replay took for a contiguous rule until
 	// settle hands them to the evaluator; the steps a rule is owed while it
 	// rests join credit when it unparks or a snapshot settles it
-	// (Engine.settle).
-	credit int
+	// (Engine.settle), creditTS the time of the last of them.
+	credit   int
+	creditTS int64
 }
 
-// restRecord is a rule's rest record: ok, whether it is valid, and the
-// outcome it replays — fired and the bindings it fired with.
+// restRecord is a rule's rest record: ok, whether it is valid, the outcome
+// it replays — fired and its bindings — and until, its deadline.
 type restRecord struct {
 	ok       bool
 	fired    bool
 	bindings []core.Binding
+	until    int64
 }
 
 // settle credits r's evaluator with the steps replay took for it.
@@ -118,7 +121,7 @@ type restRecord struct {
 // other code reads its step count.
 func (r *rule) settle() {
 	if r.credit > 0 {
-		r.ev.(*core.FastEvaluator).Credit(r.credit)
+		r.ev.(*core.FastEvaluator).Credit(r.credit, r.creditTS)
 		r.credit = 0
 	}
 }

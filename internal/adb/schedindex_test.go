@@ -34,7 +34,12 @@ var indexCondPool = []string{
 // above c), which fires at every state of a true fixpoint. Both take the
 // wake loop's fixpoint step whenever a state leaves a alone. It also draws
 // lastGate, a pure temporal constraint on item b (no drop from above hi to
-// below lo), which register adds when withConstraints is set.
+// below lo), which register adds when withConstraints is set. Last come the
+// clock-only rules, whose only read of time is a time bound: two triggers
+// on a, one Eager and one Relevant — doubled within k, mostly resting
+// false, and no fall within k, resting true, and false after a fall until
+// the higher sample's deadline, where it turns true with no write — and
+// clockGate, a constraint on b (no fall by more than 40 within k).
 func randomIndexParams(seed int64, rules int, withConstraints, fixpoint bool) engineParams {
 	rng := rand.New(rand.NewSource(seed))
 	p := engineParams{
@@ -55,6 +60,13 @@ func randomIndexParams(seed int64, rules int, withConstraints, fixpoint bool) en
 		}
 		lo, hi := 5+rng.Intn(10), 35+rng.Intn(10)
 		p.lastGate = fmt.Sprintf(`not (item("b") < %d and lasttime item("b") > %d)`, lo, hi)
+		k, eager := 2+rng.Intn(8), rng.Intn(2)
+		for i, cond := range []string{`[t <- time] [x <- item("a")] previously (item("a") <= 0.5 * x and time >= t - %d)`,
+			`not ([t <- time] [x <- item("a")] previously (item("a") > x and time >= t - %d))`} {
+			p.conds = append(p.conds, fmt.Sprintf(cond, k))
+			p.scheds = append(p.scheds, []Scheduling{Relevant, Eager}[(i+eager)%2])
+		}
+		p.clockGate = fmt.Sprintf(`not ([t <- time] [x <- item("b")] previously (item("b") > x + 40 and time >= t - %d))`, k)
 	}
 	return p
 }

@@ -3,6 +3,7 @@ package adb
 import (
 	"fmt"
 	"maps"
+	"math"
 	"slices"
 
 	"ptlactive/internal/core"
@@ -251,11 +252,13 @@ func (e *Engine) unpark(r *rule) {
 // settle hands r's evaluator every step counted on its behalf. A resting
 // rule — a parked trigger or constraint — is credited the states its shared
 // cursor has passed since its cursor field was set, which moves up to it,
-// and stays parked.
+// the last at the time that cursor was set, and stays parked.
 func (e *Engine) settle(r *rule) {
-	if r.parked && r.wake != wakeParked {
-		c := e.cursorOf(r)
-		r.credit += c - r.cursor
+	if c := e.cursorOf(r); r.parked && r.wake != wakeParked && c > r.cursor {
+		r.credit, r.creditTS = r.credit+c-r.cursor, e.parkedTS
+		if r.constraint {
+			r.creditTS = e.constraintTS
+		}
 		r.cursor = c
 	}
 	r.settle()
@@ -327,7 +330,7 @@ func (e *Engine) sweepIndexed(newest int, st history.SystemState) error {
 			r.parked = true
 			continue
 		case r.cursor >= end:
-		case !e.replay(s, r, newest, d):
+		case !e.replay(s, r, newest, st.TS, d):
 			s.add(r, jobEval)
 		case !r.rest.fired:
 			// A false record replays to nothing but a cursor move: park.
@@ -341,19 +344,20 @@ func (e *Engine) sweepIndexed(newest int, st history.SystemState) error {
 		// Every resting rule's steps over the states since the last commit
 		// sweep: event and abort states, and this commit.
 		e.evalSteps += int64(e.resting * (end - e.parkedCursor))
-		e.parkedCursor = end
+		e.parkedCursor, e.parkedTS = end, st.TS
 	}
 	standing := e.standing[:0]
 	for _, r := range e.standing {
 		switch {
 		case r.wake == wakeCommit && !commit && r.wakeGen != gen:
 			// Not woken.
-		case !e.replay(s, r, newest, d):
+		case !e.replay(s, r, newest, st.TS, d):
 			s.add(r, jobEval)
-		case r.wake == wakeCommit && !r.rest.fired && commit && r.indexed:
+		case r.wake == wakeCommit && !r.rest.fired && commit && r.indexed && r.rest.until == math.MaxInt64:
 			// A false replay at a commit leaves r's cursor at parkedCursor,
 			// and only a write to its item (itemIndex) can change the
-			// verdict of a rule that reads no time and no event: it rests.
+			// verdict of a rule that reads no event and the clock only
+			// through a deadline it has none of: it rests.
 			r.parked = true
 			e.resting++
 			continue
@@ -367,7 +371,7 @@ func (e *Engine) sweepIndexed(newest int, st history.SystemState) error {
 		// commit the constraints accepted, which stepped the awake ones and
 		// moved every cursor past it.
 		e.evalSteps += int64(e.constraintsResting * (end - e.constraintCursor))
-		e.constraintCursor = end
+		e.constraintCursor, e.constraintTS = end, st.TS
 		for _, r := range e.awake {
 			if r.cursor < end {
 				s.add(r, jobEval)
@@ -378,21 +382,21 @@ func (e *Engine) sweepIndexed(newest int, st history.SystemState) error {
 	return e.runJobs(end)
 }
 
-// replay takes r's step at the newest state, history index newest, which
-// changed d, from r's rest record if the step would replay it: the record
-// is valid, the state left r's read set untouched (step would pass the
-// hint), and either r is quiescent or the state is r's one pending state.
-// A contiguous rule's replay is a counted step, credited to its evaluator,
-// the cursor moved; a quiescent rule's is a cursor jump, counted nowhere
-// (EvalSteps). Only a true record needs a job, for its firings. It reports
-// whether it took the step; the caller holds mu.
-func (e *Engine) replay(s *sweepScratch, r *rule, newest int, d dirtySet) bool {
-	pending := r.class == classQuiescent || r.contiguous && r.cursor == newest
+// replay takes r's step at the newest state, history index newest at time
+// ts, which changed d, from r's rest record if the step would replay it:
+// the record is valid, the state left r's read set untouched (step would
+// pass the hint), and either r is quiescent or the state is r's one pending
+// state, before the deadline. A contiguous rule's replay is a counted step,
+// credited at ts, the cursor moved; a quiescent rule's is a cursor jump,
+// counted nowhere (EvalSteps). Only a true record needs a job, for its
+// firings. It reports whether it took the step; the caller holds mu.
+func (e *Engine) replay(s *sweepScratch, r *rule, newest int, ts int64, d dirtySet) bool {
+	pending := r.class == classQuiescent || r.contiguous && r.cursor == newest && ts < r.rest.until
 	if !r.rest.ok || !pending || !e.untouched(r, newest, d) {
 		return false
 	}
 	if r.contiguous {
-		r.credit++
+		r.credit, r.creditTS = r.credit+1, ts
 		r.cursor = newest + 1
 		e.evalSteps++
 	}
@@ -478,8 +482,8 @@ func (e *Engine) step(r *rule, st history.SystemState, i int, d dirtySet) (core.
 			r.rest = restRecord{ok: err == nil, fired: res.Fired, bindings: res.Bindings}
 		}
 	case isFast:
-		fixed, _ := fast.Fixpoint()
-		r.rest = restRecord{ok: fixed, fired: res.Fired, bindings: res.Bindings}
+		fixed, _, until := fast.Fixpoint()
+		r.rest = restRecord{ok: fixed, fired: res.Fired, bindings: res.Bindings, until: until}
 	}
 	return res, err
 }

@@ -55,7 +55,7 @@ func (e *Engine) appendState(st history.SystemState, commit bool, changed []stri
 		for _, r := range e.awake {
 			r.cursor = e.hist.Len()
 		}
-		e.constraintCursor = e.hist.Len()
+		e.constraintCursor, e.constraintTS = e.hist.Len(), st.TS
 	}
 	e.dirty = append(e.dirty, dirtySet{known: true, items: changed})
 	e.db = st.DB

@@ -62,15 +62,16 @@ type FastEvaluator struct {
 	st        history.SystemState
 
 	// pure marks a closed condition whose step reads only its cached
-	// queries and its registers (NewFast): no parameter, aggregate, metric
-	// register, event or execution atom, and a cache slot for every call.
-	// A step that rewrites a register with another value sets moved. fixed
-	// records that the last full step of a pure condition moved none, and
-	// last its verdict: a hinted step then gives the same registers and
-	// verdict, so fires replays it. Mark copies both into undoFixed and
-	// undoLast.
+	// queries, its registers and, through metric time bounds, the clock
+	// (NewFast): no parameter, aggregate, event or execution atom, a cache
+	// slot for every call but a capture of time. A step that rewrites a
+	// boolean register sets moved. fixed records that the last full step of
+	// a pure condition moved none, last its verdict, and until its metric
+	// registers' earliest deadline (metricReg.step): a hinted step before it
+	// gives the same registers, re-stamped, and verdict: fires replays it.
 	pure, moved, fixed, last bool
 	undoFixed, undoLast      bool
+	until, undoUntil         int64
 
 	// root is the normalized condition compiled once by NewFast (compile
 	// below): closures over pointers into regs, slots of qc and slots of
@@ -183,7 +184,7 @@ func NewFast(info *ptl.Info, reg *query.Registry, log ptl.ExecLog) (*FastEvaluat
 		c.last[x] = len(sinces) + i
 	}
 	e.root = c.cond(info.Normalized)
-	e.pure = e.params == nil && len(e.metrics) == 0 && len(e.aggs) == 0 && !c.impure
+	e.pure = e.params == nil && len(e.aggs) == 0 && !c.impure
 	return e, nil
 }
 
@@ -237,13 +238,21 @@ func (e *FastEvaluator) Shape() (since, lasttime, timestamp, frontier, window in
 // Steps returns the number of states processed.
 func (e *FastEvaluator) Steps() int { return e.steps }
 
-// Fixpoint reports whether a step hinted dbUnchanged would replay the last
-// verdict (fires), and that verdict.
-func (e *FastEvaluator) Fixpoint() (fixed, last bool) { return e.fixed, e.last }
+// Fixpoint reports whether a step hinted dbUnchanged at a time before until
+// would replay the last verdict (fires), and that verdict.
+func (e *FastEvaluator) Fixpoint() (fixed, last bool, until int64) { return e.fixed, e.last, e.until }
 
-// Credit counts n replayed steps taken on the evaluator's behalf: all a
-// replay does to it.
-func (e *FastEvaluator) Credit(n int) { e.steps += n }
+// Credit counts n replayed steps taken on the evaluator's behalf, the last
+// at time ts, and re-stamps with ts the sample each metric register's
+// fixed step entered: all a replay does to it.
+func (e *FastEvaluator) Credit(n int, ts int64) {
+	e.steps += n
+	for _, m := range e.metrics {
+		if s := m.q[max(m.restamp-1, 0)].s; m.restamp > 0 {
+			s[len(s)-1].t = ts
+		}
+	}
+}
 
 // Step feeds the next system state and reports whether the condition is
 // satisfied at it (for some binding of its parameters).
@@ -256,8 +265,8 @@ func (e *FastEvaluator) Step(st history.SystemState) (bool, error) {
 }
 
 func (e *FastEvaluator) fires(st history.SystemState, dbUnchanged bool) (bool, error) {
-	if dbUnchanged && e.fixed {
-		e.steps++
+	if dbUnchanged && e.fixed && st.TS < e.until {
+		e.Credit(1, st.TS)
 		return e.last, nil
 	}
 	if !dbUnchanged {
@@ -268,7 +277,7 @@ func (e *FastEvaluator) fires(st history.SystemState, dbUnchanged bool) (bool, e
 			return false, err
 		}
 	}
-	e.st, e.moved = st, false
+	e.st, e.moved, e.until = st, false, math.MaxInt64
 	fired, err := e.root()
 	e.st = history.SystemState{}
 	if err != nil {
@@ -449,12 +458,14 @@ type (
 // (ptl.FastShape). A node that cannot be evaluated (an unbound variable, an
 // unsupported node) is no compile error: its closure reports it when, and
 // if, a step reaches it. impure records a node that reads the state past
-// its cached queries: an event or execution atom, or an uncached call.
+// its cached queries: an event or execution atom, an uncached call but a
+// capture of time, or a read of a variable named in clocks, captured so.
 type fastCompiler struct {
 	e       *FastEvaluator
 	since   map[*ptl.Since]int
 	last    map[*ptl.Lasttime]int
 	scope   []string
+	clocks  []string
 	metrics []ptl.Metric
 	impure  bool
 }
@@ -672,9 +683,13 @@ func (c *fastCompiler) cond(f ptl.Formula) fastCond {
 			return ret, nil
 		})
 	case *ptl.Assign:
+		impure := c.impure
 		q, slot := c.term(x.Q), len(c.scope)
 		if slot == len(e.vars) {
 			e.vars = append(e.vars, value.Value{})
+		}
+		if call, ok := x.Q.(*ptl.Call); ok && call.Fn == "time" { // metric bounds read the timestamp themselves
+			c.impure, c.clocks = impure, append(c.clocks, x.Var)
 		}
 		c.scope = append(c.scope, x.Var)
 		body := c.cond(x.Body)
@@ -761,6 +776,7 @@ func (c *fastCompiler) term(t ptl.Term) fastTerm {
 	case *ptl.Var:
 		for slot := len(c.scope) - 1; slot >= 0; slot-- {
 			if c.scope[slot] == x.Name {
+				c.impure = c.impure || slices.Contains(c.clocks, x.Name)
 				return func() (value.Value, error) { return e.vars[slot], nil }
 			}
 		}
@@ -821,7 +837,7 @@ func (c *fastCompiler) term(t ptl.Term) fastTerm {
 // value class's, and of the frontiers' and windows' samples.
 func (e *FastEvaluator) Mark() {
 	copy(e.undo, e.regs)
-	e.undoSteps, e.undoFixed, e.undoLast = e.steps, e.fixed, e.last
+	e.undoSteps, e.undoFixed, e.undoLast, e.undoUntil = e.steps, e.fixed, e.last, e.until
 	for _, m := range e.metrics {
 		m.mark()
 	}
@@ -839,7 +855,7 @@ func (e *FastEvaluator) Mark() {
 // Rollback implements ConditionEvaluator.
 func (e *FastEvaluator) Rollback() {
 	copy(e.regs, e.undo)
-	e.steps, e.fixed, e.last = e.undoSteps, e.undoFixed, e.undoLast
+	e.steps, e.fixed, e.last, e.until = e.undoSteps, e.undoFixed, e.undoLast, e.undoUntil
 	e.qc.reset()
 	for _, m := range e.metrics {
 		m.rollback()

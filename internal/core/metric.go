@@ -76,6 +76,8 @@ type metricReg struct {
 	innerLeft, bare   bool        // the outer side is a variable: a Null inner value folds the clause away
 	conjFront, nAtoms int         // where the frontier atom sits among the metric atoms, and their number
 	saved             [nClasses][]sample
+	// restamp is 1 + the class the last step entered, 0 if none.
+	restamp, undoRestamp int
 }
 
 func newMetricReg(m ptl.Metric) *metricReg {
@@ -100,16 +102,21 @@ func newMetricReg(m ptl.Metric) *metricReg {
 }
 
 // step advances S by the instant at now, given g and h's other conjuncts
-// there and the inner value.
-func (r *metricReg) step(now int64, g, h bool, v value.Value) {
+// there and the inner value. It returns the deadline before which a step
+// with the same g, h and value would only re-stamp the instant this one
+// entered — pop it (or empty S, when g fails) and enter it again — or
+// MinInt64 when it entered the class of tuples and relations, which grows.
+func (r *metricReg) step(now int64, g, h bool, v value.Value) int64 {
 	if !g {
 		for i := range r.q {
 			r.q[i] = deque{s: r.q[i].s[:0]}
 		}
 	}
+	c := -1
 	if h {
-		r.push(sample{now, v})
+		c = r.push(sample{now, v})
 	}
+	r.restamp = c + 1
 	if r.bound != 0 {
 		lim := value.Arith(value.Sub, value.NewInt(now), r.d)
 		for i := range r.q {
@@ -119,16 +126,39 @@ func (r *metricReg) step(now int64, g, h bool, v value.Value) {
 			}
 		}
 	}
+	if g && c == otherClass {
+		return math.MinInt64
+	}
+	return r.deadline()
 }
 
-// push enters a live instant into its class.
-func (r *metricReg) push(x sample) {
+// deadline is the first time at which a live sample but the one a fixed
+// step entered fails the time bound as value.Cmp decides it: d after the
+// sample under >, one later under >= (ptl admits integer bounds only),
+// saturating at MaxInt64, which is never replayed, and MaxInt64 if none.
+func (r *metricReg) deadline() int64 {
+	until := int64(math.MaxInt64)
+	for i := range r.q {
+		if live := r.q[i].live(); r.bound != 0 && len(live) > 0 && (i+1 != r.restamp || len(live) > 1) {
+			d := r.d.AsInt()
+			end := min(live[0].t, math.MaxInt64-d) + d
+			if r.bound == value.GE && end < math.MaxInt64 {
+				end++
+			}
+			until = min(until, end)
+		}
+	}
+	return until
+}
+
+// push enters a live instant into its class and returns it, -1 if not kept.
+func (r *metricReg) push(x sample) int {
 	c := nullClass
 	if r.front != nil {
 		c = classOf(x.v)
 	}
 	if c == nullClass && r.bare {
-		return
+		return -1
 	}
 	d := &r.q[c]
 	if 2*d.head > len(d.s) {
@@ -146,6 +176,7 @@ func (r *metricReg) push(x sample) {
 	if d.s = append(d.s, x); r.bound == 0 && c != otherClass && len(d.s)-d.head > 2 {
 		d.s = append(d.s[:d.head+1], x)
 	}
+	return c
 }
 
 // rank orders two values of one class by how easily they satisfy the
@@ -207,12 +238,14 @@ func (r *metricReg) mark() {
 	for i := range r.q {
 		r.saved[i] = append(r.saved[i][:0], r.q[i].live()...)
 	}
+	r.undoRestamp = r.restamp
 }
 
 func (r *metricReg) rollback() {
 	for i := range r.q {
 		r.q[i] = deque{s: append(r.q[i].s[:0], r.saved[i]...)}
 	}
+	r.restamp = r.undoRestamp
 }
 
 // samples lists the live samples in time order.
@@ -318,7 +351,7 @@ func (c *fastCompiler) metric(x *ptl.Since, m ptl.Metric) fastCond {
 				return err
 			}
 		}
-		r.step(e.st.TS, fg, h, v)
+		e.until = min(e.until, r.step(e.st.TS, fg, h, v))
 		return nil
 	}
 	read := func() (bool, error) {

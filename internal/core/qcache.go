@@ -26,7 +26,7 @@ type HintedEvaluator interface {
 	// same value as at the previously stepped state. The hint never
 	// changes results. It allows query-cache reuse, and a pure fast
 	// evaluator whose last step moved no register returns that step's
-	// verdict without evaluating (FastEvaluator.fires).
+	// verdict before its deadline without evaluating (FastEvaluator.fires).
 	StepResultHinted(st history.SystemState, dbUnchanged bool) (Result, error)
 }
 
