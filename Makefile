@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test bench race vet fmtcheck vulncheck depcheck allocgates benchmod loc stress fuzz verify tables profile profile-sparse profile-temporal profile-gate profile-dense serve-smoke cluster-smoke replica-smoke retain-smoke
+.PHONY: build test bench race vet fmtcheck vulncheck depcheck allocgates benchmod loc loc-pkgs stress fuzz verify tables profile profile-sparse profile-temporal profile-gate profile-dense serve-smoke cluster-smoke replica-smoke retain-smoke
 
 build:
 	$(GO) build ./...
@@ -61,6 +61,12 @@ benchmod:
 # lines down" criteria are measured in.
 loc:
 	@git ls-files -co --exclude-standard '*.go' | grep -v '_test\.go$$' | grep -v '^bench/' | xargs cat | wc -l
+
+# loc-pkgs prints the same lines per package directory ("." for the root
+# package), the figure the per-package line budgets are stated in.
+loc-pkgs:
+	@git ls-files -co --exclude-standard '*.go' | grep -v '_test\.go$$' | grep -v '^bench/' | \
+		xargs awk '{d = FILENAME; if (!sub(/\/[^\/]*$$/, "", d)) d = "."; n[d]++} END {for (d in n) printf "%6d %s\n", n[d], d}' | sort -k2
 
 # stress repeats the fault-isolation and failover suites under the race
 # detector: WAL fault injection, degraded-mode seals, quarantine/revive,
@@ -142,7 +148,8 @@ allocgates:
 # laws every evaluator relies on: flip and negation symmetry, and Null
 # exactly where a comparison or an arithmetic is undefined.
 # FuzzFixpointReplay holds a fast evaluator that replays its last verdict on
-# hinted steps to one that never does: verdict, Steps() and encoded state.
+# hinted steps to one that never does: verdict and encoded state, the
+# re-stamps a replay makes included.
 # FuzzRelationItem holds the relational query helpers (RegisterItemField,
 # RegisterSelect, RegisterRetrieve) to the same Null rule over items of any
 # shape: an absent item or a non-relation holds no rows, an ill-shaped row

@@ -101,7 +101,7 @@ func exactMix(t *testing.T, tr parkTrace) engineParams {
 // evaluator as settling would leave it, PendingStates, the firings, the
 // rejecting constraint and the snapshot bytes must be the coarse engine's.
 // settledStates only looks, so the settle points under test still find the
-// steps owed; the snapshot settles after the comparison. A reader runs
+// re-stamps owed; the snapshot settles after the comparison. A reader runs
 // beside the indexed engine throughout.
 func TestRestingConstraintCountsEveryState(t *testing.T) {
 	trials, states := 4, 90
@@ -109,7 +109,7 @@ func TestRestingConstraintCountsEveryState(t *testing.T) {
 		trials, states = 2, 60
 	}
 	keys := []string{"k0", "k1", "k2", "k3", "k4", "k5"}
-	owed := 0 // steps the indexed engine counted for a resting constraint and had not credited
+	owed := 0 // states the indexed engine passed resting constraints over and had not settled
 	for trial := 0; trial < trials; trial++ {
 		seed := int64(5700 + trial)
 		tr := newParkTrace(seed, 4+trial%5, states, trial%2 == 0, false, true)
@@ -185,8 +185,7 @@ func TestRestingConstraintCountsEveryState(t *testing.T) {
 			}
 			for _, r := range idx.constraints {
 				if r.parked {
-					n, _ := owedSteps(idx, r)
-					owed += n
+					owed += idx.parkedConstraints.cursor - r.cursor
 				}
 			}
 			// The durable twin's checkpoints compact its history on their own
@@ -275,15 +274,15 @@ func TestRestingConstraintCountsEveryState(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// The trace must exercise what it names: steps counted for constraints at
-	// rest, hundreds a trial (about a thousand are).
+	// The trace must exercise what it names: states passed over constraints
+	// at rest, hundreds a trial (about a thousand are).
 	if owed < 300*trials {
-		t.Errorf("%d steps counted for resting constraints over %d trials, want at least %d", owed, trials, 300*trials)
+		t.Errorf("resting constraints were passed over %d states in %d trials, want at least %d", owed, trials, 300*trials)
 	}
 }
 
 // TestRestingConstraintVisits counts the constraint evaluators one commit
-// steps — each one it marks. Under constraint-gate's 300 nocrash
+// steps — the awake ones, each of which the check marks and steps. Under constraint-gate's 300 nocrash
 // constraints, settled at a false fixpoint, a commit that writes one
 // constrained item and one no constraint reads steps the one constraint it
 // touched; the coarse engine, like the check before constraints rested,
@@ -302,24 +301,10 @@ func TestRestingConstraintVisits(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		steps := func() []int {
-			var out []int
-			for _, r := range e.constraints {
-				out = append(out, r.ev.(interface{ Steps() int }).Steps())
-			}
-			return out
-		}
-		before := steps()
 		if err := e.Exec(3, map[string]value.Value{key(7): value.NewInt(950), "free": value.NewInt(3)}); err != nil {
 			t.Fatal(err)
 		}
-		n := 0
-		for i, s := range steps() {
-			if s != before[i] {
-				n++
-			}
-		}
-		return n
+		return len(e.awake)
 	}
 	cfg := func() Config {
 		initial := map[string]value.Value{"free": value.NewInt(0)}

@@ -51,8 +51,7 @@ func (e *Engine) checkConstraints(tentative history.SystemState, changed []strin
 	// The resting constraints' steps over the states since the last commit
 	// or abort state.
 	e.mu.Lock()
-	e.evalSteps += int64(e.constraintsResting * (at - e.constraintCursor))
-	e.constraintCursor, e.constraintTS = at, e.now
+	e.evalSteps += e.parkedConstraints.pass(at, e.now)
 	e.mu.Unlock()
 	for _, r := range e.awake {
 		if r.cursor < at {
@@ -100,8 +99,8 @@ func (e *Engine) checkConstraints(tentative history.SystemState, changed []strin
 // unless it writes an item the constraint reads, and that write's tentative
 // stamp reaches the constraint through itemIndex and wakes it (unpark), so
 // only indexed, contiguous constraints rest. A resting constraint keeps the
-// index it came to rest at in its cursor field; constraintCursor minus it
-// is the steps it is owed. The coarse engine steps every constraint. The
+// index it came to rest at in its cursor field, behind parkedConstraints'
+// cursor (settle). The coarse engine steps every constraint. The
 // caller holds mu, and every awake constraint is caught up.
 func (e *Engine) restConstraints() {
 	if e.coarse {
@@ -111,7 +110,7 @@ func (e *Engine) restConstraints() {
 	for _, r := range e.awake {
 		if r.rest.ok && !r.rest.fired && r.indexed && r.contiguous && r.rest.until == math.MaxInt64 {
 			r.parked = true
-			e.constraintsResting++
+			r.group.n++
 			continue
 		}
 		awake = append(awake, r)

@@ -97,25 +97,20 @@ type Engine struct {
 	// rule table in registration order; standing holds the classes every
 	// commit wakes but the resting triggers, live the gated and quiescent
 	// rules that are not parked, each in the order rules entered it. Parked
-	// rules share parkedCursor, the index after the last commit state swept;
-	// resting counts the parked triggers whose steps the sweep counts. awake
-	// holds, in registration order, the constraints that are not resting
-	// (restConstraints); the resting ones share constraintCursor, the index
-	// after the last commit or abort state they were counted over, and
-	// constraintsResting counts them; parkedTS and constraintTS are the times
-	// settle credits. scratch is the temporal component's working memory.
-	constraints        []*rule
-	triggers           []*rule
-	standing           []*rule
-	live               []*rule
-	parkedCursor       int
-	parkedTS           int64
-	resting            int
-	awake              []*rule
-	constraintCursor   int
-	constraintTS       int64
-	constraintsResting int
-	scratch            sweepScratch
+	// triggers share parked's cursor, the index after the last commit state
+	// swept. awake holds, in registration order, the constraints that are
+	// not resting (restConstraints); the resting ones share
+	// parkedConstraints' cursor, the index after the last commit or abort
+	// state they were counted over. scratch is the temporal component's
+	// working memory.
+	constraints       []*rule
+	triggers          []*rule
+	standing          []*rule
+	live              []*rule
+	parked            restGroup
+	awake             []*rule
+	parkedConstraints restGroup
+	scratch           sweepScratch
 
 	// Fault isolation (see health.go): the circuit-breaker threshold and
 	// the fault observer. degraded, once set, seals the engine read-only
@@ -392,13 +387,13 @@ func (e *Engine) FiringCount() int {
 }
 
 // EvalSteps returns the number of evaluator steps the rules have taken,
-// replayed or been credited. For every rule outside the gated and
-// quiescent classes it is at every operation what the coarse engine
-// (NewCoarseEngine) counts, though most of a resting trigger's or
-// constraint's steps are counted without a visit. A quiescent rule's
-// replay of its rest record and a gated rule's park count nothing, so over
-// those classes the total falls below the coarse one. The
-// relevance-filtering benchmark (E8) reads this. Safe for concurrent use.
+// replayed, or rested over. For every rule outside the gated and quiescent
+// classes it is at every operation what the coarse engine (NewCoarseEngine)
+// counts, though no evaluator keeps a count and each state a resting
+// trigger or constraint is passed over counts a step none takes
+// (restGroup.pass). A quiescent rule's replay and a gated rule's park count
+// nothing, so over those classes the total falls below the coarse one. E8,
+// E12 and E14 read this. Safe for concurrent use.
 func (e *Engine) EvalSteps() int64 {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
@@ -456,11 +451,10 @@ func (e *Engine) Compact() int {
 	for _, r := range e.rules {
 		r.cursor -= min
 	}
-	// Meaningful only while some rule is parked, and then min <= them. A
-	// resting rule's cursor field moves with them, so its credit (the
-	// difference) stands.
-	e.parkedCursor -= min
-	e.constraintCursor -= min
+	// Meaningful only while some rule is parked, and then min <= them; a
+	// resting rule's cursor field moves with them.
+	e.parked.cursor -= min
+	e.parkedConstraints.cursor -= min
 	e.mu.Unlock()
 	// Compaction moves base and the oldest state ItemAsOf answers, so it
 	// replays. A failed append seals the engine (logRecord) and surfaces

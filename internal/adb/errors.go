@@ -27,6 +27,9 @@ var (
 	// only observe; the one way to update from a firing is the rule's
 	// action, which runs after the temporal component (Section 8).
 	ErrReentrant = errors.New("engine mutator called from inside its temporal component")
+	// ErrReservedItem reports a transaction that writes or deletes the item
+	// time, which every state answers with its timestamp.
+	ErrReservedItem = errors.New("the reserved item time cannot be written")
 	// ErrInternal reports a broken engine invariant (a must-not-fail encode
 	// path that failed anyway).
 	ErrInternal = errors.New("internal invariant violated")

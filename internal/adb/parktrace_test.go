@@ -187,10 +187,11 @@ const parkFixtureDir = "testdata/park_trace"
 // Cursors, memos, step counter and firing log are all in the snapshot, so
 // byte equality pins every one of them. The files also carry the two
 // sections of a deleted second copy of history (the init record's "track"
-// and the "tracked" auxiliary-relation rows) and the executions of rules
-// without an action; the comparison is against the files with those cut
-// out (withoutTracked), and the files themselves, decoded and restored as
-// they are, must re-encode to the same bytes.
+// and the "tracked" auxiliary-relation rows), the executions of rules
+// without an action and each evaluator state's step count; the comparison
+// is against the files with those cut out (withoutTracked), and the files
+// themselves, decoded and restored as they are, must re-encode to the same
+// bytes.
 func TestParkTraceFixture(t *testing.T) {
 	tr := parkFixture()
 	e, mid, end := tr.runDurable(t, t.TempDir())
@@ -242,11 +243,13 @@ func TestParkTraceFixture(t *testing.T) {
 
 // withoutTracked cuts from a fixture snapshot what the engine no longer
 // writes: the init record's "track" list, the trailing "tracked" section,
-// and the executions of every rule but "act", the trace's one rule with an
+// the executions of every rule but "act", the trace's one rule with an
 // action (the files were written when each firing of an action-less rule
-// was also logged as an execution). Each section must occur exactly once;
-// the kept executions are re-encoded as the engine encodes them, and the
-// envelope is re-sealed with the checksum of the cut payload.
+// was also logged as an execution), and the "steps" member of every
+// evaluator state (written while evaluators counted their steps). Each
+// section must occur exactly once, and a "steps" member once per evaluator
+// state; the kept executions are re-encoded as the engine encodes them, and
+// the envelope is re-sealed with the checksum of the cut payload.
 func withoutTracked(t *testing.T, data []byte) []byte {
 	t.Helper()
 	var env persist.Envelope
@@ -292,6 +295,11 @@ func withoutTracked(t *testing.T, data []byte) []byte {
 		t.Fatalf("fixture has %d execs sections, want 1", n)
 	}
 	payload = bytes.Replace(payload, section, append([]byte(`"execs":`), raw...), 1)
+	steps, kinds := regexp.MustCompile(`("kind":"(?:general|fast)"),"steps":\d+`), regexp.MustCompile(`"kind":"(?:general|fast)"`)
+	if n, k := len(steps.FindAll(payload, -1)), len(kinds.FindAll(payload, -1)); n != k || n == 0 {
+		t.Fatalf("fixture has %d steps members for %d evaluator states", n, k)
+	}
+	payload = steps.ReplaceAll(payload, []byte("$1"))
 	var buf bytes.Buffer
 	if err := persist.WriteEnvelope(&buf, persist.SnapshotKind, payload); err != nil {
 		t.Fatal(err)

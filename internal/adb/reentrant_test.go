@@ -48,8 +48,7 @@ func reentrantConfig() Config {
 }
 
 // sameRun fails unless got and want agree on firings, step count, each
-// rule's settled Steps() and encoded evaluator, cursors and history, state
-// by state.
+// rule's settled encoded evaluator, cursors and history, state by state.
 func sameRun(t *testing.T, got, want *Engine) {
 	t.Helper()
 	if g, w := got.Firings(), want.Firings(); !reflect.DeepEqual(g, w) {

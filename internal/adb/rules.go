@@ -66,17 +66,19 @@ type rule struct {
 	rs         readSet
 	class      ruleClass
 	contiguous bool
-	// seq is the position in Engine.rules (jobs merge in seq order) and wake
-	// the wake list the indexed sweep finds the rule through, both fixed at
-	// registration. parked (guarded by Engine.mu) means the rule's cursor is
-	// a shared one, not the cursor field (cursorOf): Engine.parkedCursor for
-	// a gated or quiescent rule a commit would only bump, or a resting
-	// trigger (wakeCommit); Engine.constraintCursor for a resting constraint.
-	// A resting rule's cursor field stays where it came to rest, so that the
-	// shared cursor minus it is the steps it is owed. indexed: itemIndex
+	// seq is the position in Engine.rules (jobs merge in seq order), wake
+	// the wake list the indexed sweep finds the rule through and group its
+	// rest group, all fixed at registration: Engine.parkedConstraints for a
+	// constraint, Engine.parked for a trigger. parked (guarded by Engine.mu)
+	// means the rule's cursor is its group's, not the cursor field
+	// (cursorOf): a gated or quiescent rule a commit would only bump, a
+	// resting trigger (wakeCommit) or a resting constraint. A resting rule's
+	// cursor field stays where it came to rest, so that settle can tell
+	// whether the group's cursor has passed a state since. indexed: itemIndex
 	// lists the rule, so stampDirty marks it.
 	seq     int
 	wake    wakeKind
+	group   *restGroup
 	parked  bool
 	indexed bool
 	// wakeGen / dirtyGen are sweep-generation marks stamped through the
@@ -99,12 +101,6 @@ type rule struct {
 	// class in snapshots (as its memo), so a recovered engine evaluates the
 	// same states the original did; every other rule restores without one.
 	rest restRecord
-	// credit counts the steps replay took for a contiguous rule until
-	// settle hands them to the evaluator; the steps a rule is owed while it
-	// rests join credit when it unparks or a snapshot settles it
-	// (Engine.settle), creditTS the time of the last of them.
-	credit   int
-	creditTS int64
 }
 
 // restRecord is a rule's rest record: ok, whether it is valid, the outcome
@@ -114,16 +110,6 @@ type restRecord struct {
 	fired    bool
 	bindings []core.Binding
 	until    int64
-}
-
-// settle credits r's evaluator with the steps replay took for it.
-// It runs before the evaluator steps again and before it is encoded: no
-// other code reads its step count.
-func (r *rule) settle() {
-	if r.credit > 0 {
-		r.ev.(*core.FastEvaluator).Credit(r.credit, r.creditTS)
-		r.credit = 0
-	}
 }
 
 // RuleOption configures a rule at registration.

@@ -157,9 +157,9 @@ func engineFromSnapshot(cfg Config, snap *persist.EngineSnapshot) (*Engine, erro
 		r.cursor = rs.Cursor
 		// A quiescent rule's rest record travels with the snapshot (as its
 		// memo) so the recovered engine makes the same replay-vs-evaluate
-		// decisions the original would have (and so their step counts stay
-		// comparable). Every other rule's restored evaluator is at no
-		// fixpoint yet, so it keeps the new rule's invalid record.
+		// decisions the original would have (and so EvalSteps counts alike).
+		// Every other rule's restored evaluator is at no fixpoint yet, so it
+		// keeps the new rule's invalid record.
 		if rs.MemoValid && r.class == classQuiescent {
 			r.rest = restRecord{ok: true, fired: rs.MemoFired}
 			for i, raw := range rs.MemoBindings {

@@ -123,8 +123,8 @@ func (s *sweepScratch) add(r *rule, kind jobKind) {
 // (wakeParked). A wakeCommit trigger resting at a false fixpoint parks
 // behind the same cursor, out of Engine.standing, until its item is written
 // or Flush or an unknown dirty set wakes it (sweepIndexed); a constraint
-// resting at one parks behind Engine.constraintCursor, out of Engine.awake,
-// until a tentative state writes its item (restConstraints).
+// resting at one parks behind Engine.parkedConstraints' cursor, out of
+// Engine.awake, until a tentative state writes its item (restConstraints).
 type wakeKind uint8
 
 const (
@@ -163,8 +163,10 @@ func (e *Engine) enlist(r *rule) {
 	r.wake = wakeFor(r)
 	if r.constraint {
 		e.constraints = append(e.constraints, r)
+		r.group = &e.parkedConstraints
 	} else {
 		e.triggers = append(e.triggers, r)
+		r.group = &e.parked
 	}
 	// itemIndex lists the rules that consume a dirty mark on the state it is
 	// stamped for: standing rules and constraints — stepped at every commit —
@@ -219,29 +221,43 @@ func (e *Engine) stampDirty(i int, items []string, tentative bool) uint64 {
 
 // cursorOf is r's cursor; the caller holds mu or is the mutating goroutine.
 func (e *Engine) cursorOf(r *rule) int {
-	switch {
-	case !r.parked:
-		return r.cursor
-	case r.constraint:
-		return e.constraintCursor
+	if r.parked {
+		return r.group.cursor
 	}
-	return e.parkedCursor
+	return r.cursor
+}
+
+// restGroup is a set of parked rules that share a cursor, the index after
+// the last state the group was passed over, ts that state's time, and n the
+// resting rules among them, whose steps EvalSteps counts but none takes.
+type restGroup struct {
+	cursor int
+	ts     int64
+	n      int
+}
+
+// pass moves g's cursor to end, the state before it at ts, and returns the
+// steps its resting rules are counted over the states passed.
+func (g *restGroup) pass(end int, ts int64) int64 {
+	steps := int64(g.n * (end - g.cursor))
+	g.cursor, g.ts = end, ts
+	return steps
 }
 
 // unpark materialises a parked rule's cursor and returns it to the wake
 // list its kind names: live for a gated or quiescent rule, standing for a
 // resting trigger and awake, in registration order, for a resting
-// constraint; a resting rule is settled the steps it rested over first.
+// constraint; a resting rule is settled first.
 // The caller holds mu.
 func (e *Engine) unpark(r *rule) {
 	e.settle(r)
 	switch r.wake {
 	case wakeConstraint:
-		e.constraintsResting--
+		r.group.n--
 		i, _ := slices.BinarySearchFunc(e.awake, r.seq, func(a *rule, seq int) int { return a.seq - seq })
 		e.awake = slices.Insert(e.awake, i, r)
 	case wakeCommit:
-		e.resting--
+		r.group.n--
 		e.standing = append(e.standing, r)
 	default:
 		e.live = append(e.live, r)
@@ -249,19 +265,16 @@ func (e *Engine) unpark(r *rule) {
 	r.cursor, r.parked = e.cursorOf(r), false
 }
 
-// settle hands r's evaluator every step counted on its behalf. A resting
-// rule — a parked trigger or constraint — is credited the states its shared
-// cursor has passed since its cursor field was set, which moves up to it,
-// the last at the time that cursor was set, and stays parked.
+// settle brings a resting rule — a parked trigger or constraint — up to its
+// group's cursor without unparking it. Each state the cursor has passed
+// since the rule's cursor field was set would only have re-stamped its
+// evaluator, so it is re-stamped once, with the time of the last of them,
+// and the field moves to the cursor. The caller holds mu.
 func (e *Engine) settle(r *rule) {
-	if c := e.cursorOf(r); r.parked && r.wake != wakeParked && c > r.cursor {
-		r.credit, r.creditTS = r.credit+c-r.cursor, e.parkedTS
-		if r.constraint {
-			r.creditTS = e.constraintTS
-		}
-		r.cursor = c
+	if g := r.group; r.parked && r.wake != wakeParked && g.cursor > r.cursor {
+		r.cursor = g.cursor
+		r.ev.(*core.FastEvaluator).Restamp(g.ts)
 	}
-	r.settle()
 }
 
 func (e *Engine) unparkAll() {
@@ -284,13 +297,12 @@ func (e *Engine) unparkAll() {
 // (DESIGN.md §4.3): eventIndex and itemIndex for what the state touched,
 // standing for the classes every commit wakes, live for the gated and
 // quiescent rules that need attention. The rest of those two classes are
-// parked — a commit would only bump them — behind Engine.parkedCursor, set
-// once per commit sweep, until an event, a dirty item or Flush unparks them.
-// So are the resting triggers: an indexed wakeCommit trigger whose step at
-// a commit replayed a false rest record would replay it at every state
-// until its item is written, so the sweep counts those steps — the
-// resting rules times the states parkedCursor moves over — and unpark or a
-// snapshot credits them to the rule.
+// parked — a commit would only bump them — behind Engine.parked's cursor,
+// passed once per commit sweep, until an event, a dirty item or Flush
+// unparks them. So are the resting triggers: an indexed wakeCommit trigger
+// whose step at a commit replayed a false rest record would replay it at
+// every state until its item is written, so the sweep counts those steps
+// (restGroup.pass) and unpark or a snapshot re-stamps the rule (settle).
 func (e *Engine) sweepIndexed(newest int, st history.SystemState) error {
 	end := newest + 1
 	commit := st.Events.CommitCount() > 0
@@ -343,8 +355,7 @@ func (e *Engine) sweepIndexed(newest int, st history.SystemState) error {
 	if commit {
 		// Every resting rule's steps over the states since the last commit
 		// sweep: event and abort states, and this commit.
-		e.evalSteps += int64(e.resting * (end - e.parkedCursor))
-		e.parkedCursor, e.parkedTS = end, st.TS
+		e.evalSteps += e.parked.pass(end, st.TS)
 	}
 	standing := e.standing[:0]
 	for _, r := range e.standing {
@@ -354,12 +365,12 @@ func (e *Engine) sweepIndexed(newest int, st history.SystemState) error {
 		case !e.replay(s, r, newest, st.TS, d):
 			s.add(r, jobEval)
 		case r.wake == wakeCommit && !r.rest.fired && commit && r.indexed && r.rest.until == math.MaxInt64:
-			// A false replay at a commit leaves r's cursor at parkedCursor,
+			// A false replay at a commit leaves r's cursor at parked's,
 			// and only a write to its item (itemIndex) can change the
 			// verdict of a rule that reads no event and the clock only
 			// through a deadline it has none of: it rests.
 			r.parked = true
-			e.resting++
+			r.group.n++
 			continue
 		}
 		standing = append(standing, r)
@@ -370,8 +381,7 @@ func (e *Engine) sweepIndexed(newest int, st history.SystemState) error {
 		// state, and a job for each awake constraint that lags: none at a
 		// commit the constraints accepted, which stepped the awake ones and
 		// moved every cursor past it.
-		e.evalSteps += int64(e.constraintsResting * (end - e.constraintCursor))
-		e.constraintCursor, e.constraintTS = end, st.TS
+		e.evalSteps += e.parkedConstraints.pass(end, st.TS)
 		for _, r := range e.awake {
 			if r.cursor < end {
 				s.add(r, jobEval)
@@ -386,18 +396,19 @@ func (e *Engine) sweepIndexed(newest int, st history.SystemState) error {
 // ts, which changed d, from r's rest record if the step would replay it:
 // the record is valid, the state left r's read set untouched (step would
 // pass the hint), and either r is quiescent or the state is r's one pending
-// state, before the deadline. A contiguous rule's replay is a counted step,
-// credited at ts, the cursor moved; a quiescent rule's is a cursor jump,
-// counted nowhere (EvalSteps). Only a true record needs a job, for its
-// firings. It reports whether it took the step; the caller holds mu.
+// state, before the deadline. A contiguous rule's replay is a counted step
+// that re-stamps its evaluator at ts and moves its cursor; a quiescent
+// rule's is a cursor jump, counted nowhere (EvalSteps). Only a true record
+// needs a job, for its firings. It reports whether it took the step; the
+// caller holds mu.
 func (e *Engine) replay(s *sweepScratch, r *rule, newest int, ts int64, d dirtySet) bool {
 	pending := r.class == classQuiescent || r.contiguous && r.cursor == newest && ts < r.rest.until
 	if !r.rest.ok || !pending || !e.untouched(r, newest, d) {
 		return false
 	}
 	if r.contiguous {
-		r.credit, r.creditTS = r.credit+1, ts
 		r.cursor = newest + 1
+		r.ev.(*core.FastEvaluator).Restamp(ts)
 		e.evalSteps++
 	}
 	if r.rest.fired {
@@ -469,11 +480,10 @@ func (e *Engine) advanceRule(r *rule, end int, out *advanceOutcome) {
 // read set alone. Only contiguous rules qualify: a cursor jump would leave
 // the cache describing a state the evaluator never stepped past.
 //
-// The steps replay credited are settled before the step, and r's rest
-// record is written after it: a quiescent rule's at a commit state (the
-// one state it steps, the newest), a fast evaluator's at every state.
+// r's rest record is written after the step: a quiescent rule's at a
+// commit state (the one state it steps, the newest), a fast evaluator's at
+// every state.
 func (e *Engine) step(r *rule, st history.SystemState, i int, d dirtySet) (core.Result, error) {
-	r.settle()
 	res, err := r.ev.StepResultHinted(st, !e.coarse && r.contiguous && e.untouched(r, i, d))
 	fast, isFast := r.ev.(*core.FastEvaluator)
 	switch {

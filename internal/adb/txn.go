@@ -55,7 +55,7 @@ func (e *Engine) appendState(st history.SystemState, commit bool, changed []stri
 		for _, r := range e.awake {
 			r.cursor = e.hist.Len()
 		}
-		e.constraintCursor, e.constraintTS = e.hist.Len(), st.TS
+		e.parkedConstraints.pass(e.hist.Len(), st.TS) // the check counted the state's steps
 	}
 	e.dirty = append(e.dirty, dirtySet{known: true, items: changed})
 	e.db = st.DB
@@ -143,6 +143,9 @@ func (t *Txn) Commit(ts int64) error {
 		return err
 	}
 	t.done = true
+	if _, ok := t.updates[history.TimeItem]; ok || t.deletes[history.TimeItem] {
+		return fmt.Errorf("adb: transaction %d: %w", t.id, ErrReservedItem)
+	}
 	txv := value.NewInt(t.id)
 	// Assemble the commit's event set in one exactly-sized slice the set
 	// takes ownership of, and its events' arguments in one more (each Args

@@ -24,7 +24,6 @@ func (e *Evaluator) Clone() *Evaluator {
 		aggs:      make(map[*ptl.Agg]*aggState, len(e.aggs)),
 		aggOrder:  e.aggOrder,
 		optimize:  e.optimize,
-		steps:     e.steps,
 		// The query cache starts empty (it refills on the clone's first
 		// unhinted step).
 		qc: e.qc.empty(),
@@ -41,7 +40,6 @@ func (e *Evaluator) Clone() *Evaluator {
 type evalUndo struct {
 	since map[*ptl.Since]*cnode
 	last  map[*ptl.Lasttime]*cnode
-	steps int
 }
 
 // Mark implements ConditionEvaluator.
@@ -55,7 +53,6 @@ func (e *Evaluator) Mark() {
 	for _, a := range e.aggs {
 		a.mark()
 	}
-	u.steps = e.steps
 }
 
 // Rollback implements ConditionEvaluator.
@@ -66,7 +63,6 @@ func (e *Evaluator) Rollback() {
 	for _, a := range e.aggs {
 		a.rollback()
 	}
-	e.steps = u.steps
 	e.qc.reset()
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 
@@ -35,8 +36,8 @@ func TestCloneIndependence(t *testing.T) {
 			prefix = append(prefix, res.Fired)
 		}
 		b := a.Clone()
-		if b.Steps() != a.Steps() {
-			t.Fatalf("seed %d: clone step count differs", seed)
+		if sa, sb := mustEncode(t, a), mustEncode(t, b); !bytes.Equal(sa, sb) {
+			t.Fatalf("seed %d: clone state differs:\n original: %s\n clone:    %s", seed, sa, sb)
 		}
 		// Same suffix on both: identical results.
 		for i := cut; i < h.Len(); i++ {

@@ -54,7 +54,6 @@ type Evaluator struct {
 	// disabled only by the ablation that measures their effect (E2).
 	optimize bool
 
-	steps int
 	// undo is Mark's record (clone.go); nil until the first Mark.
 	undo *evalUndo
 	// current state during a Step call.
@@ -141,9 +140,6 @@ func Compile(f ptl.Formula, reg *query.Registry, log ptl.ExecLog, opts ...Option
 // Info returns the compiled condition's static information.
 func (e *Evaluator) Info() *ptl.Info { return e.info }
 
-// Steps returns the number of states processed so far.
-func (e *Evaluator) Steps() int { return e.steps }
-
 // StateSize returns the number of distinct constraint nodes currently
 // retained across all temporal subformulas — the metric the paper's
 // optimization discussion is about, benched in E2 and E7.
@@ -212,7 +208,6 @@ func (e *Evaluator) stepHinted(st history.SystemState, dbUnchanged bool) (Result
 	if err != nil {
 		return Result{}, err
 	}
-	e.steps++
 	return e.resolve(node)
 }
 
@@ -240,7 +235,6 @@ func (e *Evaluator) fire(a *ptl.Assign) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	e.steps++
 	return e.resolve(nodeBool(evaluate(node, in.env, in.evalMemo)))
 }
 

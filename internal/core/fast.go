@@ -53,13 +53,11 @@ type FastEvaluator struct {
 	// regs holds every register, the nSince since occurrences then the
 	// lasttime ones in temporalOccurrences order (the encoded order): the
 	// default vector when there is a class parameter, whose classes step
-	// through it. undo is Mark's copy of regs and steps.
-	regs      []bool
-	nSince    int
-	steps     int
-	undo      []bool
-	undoSteps int
-	st        history.SystemState
+	// through it. undo is Mark's copy of regs.
+	regs   []bool
+	nSince int
+	undo   []bool
+	st     history.SystemState
 
 	// pure marks a closed condition whose step reads only its cached
 	// queries, its registers and, through metric time bounds, the clock
@@ -235,18 +233,14 @@ func (e *FastEvaluator) Shape() (since, lasttime, timestamp, frontier, window in
 	return e.nSince, len(e.regs) - e.nSince, timestamp, frontier, len(e.aggs)
 }
 
-// Steps returns the number of states processed.
-func (e *FastEvaluator) Steps() int { return e.steps }
-
 // Fixpoint reports whether a step hinted dbUnchanged at a time before until
 // would replay the last verdict (fires), and that verdict.
 func (e *FastEvaluator) Fixpoint() (fixed, last bool, until int64) { return e.fixed, e.last, e.until }
 
-// Credit counts n replayed steps taken on the evaluator's behalf, the last
-// at time ts, and re-stamps with ts the sample each metric register's
-// fixed step entered: all a replay does to it.
-func (e *FastEvaluator) Credit(n int, ts int64) {
-	e.steps += n
+// Restamp re-stamps with ts the sample each metric register's fixed step
+// entered: all a replay at ts, or a run of them ending at ts, does to the
+// evaluator.
+func (e *FastEvaluator) Restamp(ts int64) {
 	for _, m := range e.metrics {
 		if s := m.q[max(m.restamp-1, 0)].s; m.restamp > 0 {
 			s[len(s)-1].t = ts
@@ -266,7 +260,7 @@ func (e *FastEvaluator) Step(st history.SystemState) (bool, error) {
 
 func (e *FastEvaluator) fires(st history.SystemState, dbUnchanged bool) (bool, error) {
 	if dbUnchanged && e.fixed && st.TS < e.until {
-		e.Credit(1, st.TS)
+		e.Restamp(st.TS)
 		return e.last, nil
 	}
 	if !dbUnchanged {
@@ -285,7 +279,6 @@ func (e *FastEvaluator) fires(st history.SystemState, dbUnchanged bool) (bool, e
 		return false, err
 	}
 	e.fixed, e.last = e.pure && !e.moved, fired
-	e.steps++
 	return fired, nil
 }
 
@@ -319,7 +312,6 @@ func (e *FastEvaluator) stepParams(st history.SystemState, dbUnchanged bool) (Re
 	total := 1
 	for p := range e.names {
 		if total *= e.domain(p); total > enumerationLimit {
-			e.steps++
 			return Result{}, fmt.Errorf("core: parameter enumeration exceeds %d combinations", enumerationLimit)
 		}
 	}
@@ -331,7 +323,6 @@ func (e *FastEvaluator) stepParams(st history.SystemState, dbUnchanged bool) (Re
 			return Result{}, err
 		}
 	}
-	e.steps++
 	var res Result
 	err := e.enumerate(0, &res)
 	res.Fired = len(res.Bindings) > 0
@@ -837,7 +828,7 @@ func (c *fastCompiler) term(t ptl.Term) fastTerm {
 // value class's, and of the frontiers' and windows' samples.
 func (e *FastEvaluator) Mark() {
 	copy(e.undo, e.regs)
-	e.undoSteps, e.undoFixed, e.undoLast, e.undoUntil = e.steps, e.fixed, e.last, e.until
+	e.undoFixed, e.undoLast, e.undoUntil = e.fixed, e.last, e.until
 	for _, m := range e.metrics {
 		m.mark()
 	}
@@ -855,7 +846,7 @@ func (e *FastEvaluator) Mark() {
 // Rollback implements ConditionEvaluator.
 func (e *FastEvaluator) Rollback() {
 	copy(e.regs, e.undo)
-	e.steps, e.fixed, e.last, e.until = e.undoSteps, e.undoFixed, e.undoLast, e.undoUntil
+	e.fixed, e.last, e.until = e.undoFixed, e.undoLast, e.undoUntil
 	e.qc.reset()
 	for _, m := range e.metrics {
 		m.rollback()
@@ -900,7 +891,7 @@ func (e *FastEvaluator) StepResultHinted(st history.SystemState, dbUnchanged boo
 // constraint to a commit attempt (Section 8: an abort leaves no trace in
 // the temporal component). Mark records what the next step overwrites (the
 // F_{g since h,i-1} and F_{g,i-1} registers, the aggregate machines, the
-// step counter) in scratch the evaluator owns. Rollback, at most once per
+// fixpoint) in scratch the evaluator owns. Rollback, at most once per
 // Mark and whether or not the step failed half-way, puts it back and empties
 // the query cache, which may describe the discarded state. A step that is
 // kept needs no further call.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -73,9 +74,12 @@ func TestFastMatchesGeneral(t *testing.T) {
 			}
 			undone.Rollback()
 			ru, err := undone.StepResultHinted(h.At(i), same)
-			if err != nil || ru.Fired != rf || undone.Steps() != fast.Steps() {
-				t.Fatalf("seed %d state %d: rolled-back twin fired=%t steps=%d err=%v, want %t after %d\nformula: %s",
-					seed, i, ru.Fired, undone.Steps(), err, rf, fast.Steps(), f)
+			if err != nil || ru.Fired != rf {
+				t.Fatalf("seed %d state %d: rolled-back twin fired=%t err=%v, want %t\nformula: %s",
+					seed, i, ru.Fired, err, rf, f)
+			}
+			if a, b := mustEncode(t, undone), mustEncode(t, fast); !bytes.Equal(a, b) {
+				t.Fatalf("seed %d state %d: rolled-back twin's state %s, want %s\nformula: %s", seed, i, a, b, f)
 			}
 		}
 	}
@@ -87,7 +91,7 @@ func TestFastMatchesGeneral(t *testing.T) {
 // TestFastErrorsPinned pins the text of the errors the fast path reports
 // at step time; callers see them wrapped, users read them. A membership in
 // a non-relation and an ordering across kinds are no errors: they are
-// false, and their negations true, and the step counts.
+// false, and their negations true.
 func TestFastErrorsPinned(t *testing.T) {
 	reg := ptlgen.Registry()
 	st := history.SystemState{DB: history.EmptyDB().With("a", value.NewInt(1)), Events: event.NewSet(), TS: 1}
@@ -121,10 +125,17 @@ func TestFastErrorsPinned(t *testing.T) {
 				t.Errorf("%s: got %t, %q; want %t, %q", tc.name, fired, got, tc.fired, tc.want)
 			}
 		}
-		if counted := fast.Steps() == 2; counted != (tc.want == "") {
-			t.Errorf("%s: %d steps counted", tc.name, fast.Steps())
-		}
 	}
+}
+
+// mustEncode is ev's encoded state.
+func mustEncode(t testing.TB, ev ConditionEvaluator) []byte {
+	t.Helper()
+	b, err := EncodeEvaluatorState(ev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }
 
 // mustTerm parses src as the left side of a comparison.
@@ -189,9 +200,6 @@ func TestFastRegistersAndSteps(t *testing.T) {
 		if _, err := fast.Step(h.At(i)); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if fast.Steps() != h.Len() {
-		t.Fatalf("Steps = %d", fast.Steps())
 	}
 }
 

@@ -404,7 +404,6 @@ func (e *FastEvaluator) adopt(g *Evaluator) bool {
 		fa.started, fa.sum, fa.count = ga.started, ga.sum, ga.count
 		fa.samples, fa.times, fa.head = slices.Clone(samples), slices.Clone(times), 0
 	}
-	e.steps = g.steps
 	return true
 }
 

@@ -30,8 +30,7 @@ import (
 
 // evalState is the wire form of one evaluator's mutable state.
 type evalState struct {
-	Kind  string `json:"kind"` // "general" | "fast"
-	Steps int    `json:"steps"`
+	Kind string `json:"kind"` // "general" | "fast"
 
 	// General evaluator: term/node arenas plus per-occurrence node ids.
 	Terms []termRec `json:"terms,omitempty"`
@@ -377,7 +376,7 @@ func decodeArena(in *interner, st *evalState) ([]*cterm, []*cnode, error) {
 }
 
 func encodeGeneral(e *Evaluator) (*evalState, error) {
-	st := &evalState{Kind: "general", Steps: e.steps}
+	st := &evalState{Kind: "general"}
 	ar := newStateArena()
 	sinces, lasts := temporalOccurrences(e.info.Normalized)
 	if len(sinces) != len(e.sincePrev) || len(lasts) != len(e.lastPrev) {
@@ -445,7 +444,6 @@ func restoreGeneral(e *Evaluator, st *evalState) error {
 			return err
 		}
 	}
-	e.steps = st.Steps
 	e.tab = nil // the next step seeds a table from the restored registers
 	return nil
 }
@@ -486,7 +484,7 @@ func (e *Evaluator) generalForm() (*evalState, error) { return encodeGeneral(e) 
 // constants, so that the snapshots of conditions with aggregates keep their
 // bytes now that they step on the fast path.
 func (e *FastEvaluator) generalForm() (*evalState, error) {
-	st, ar := &evalState{Kind: "general", Steps: e.steps}, newStateArena()
+	st, ar := &evalState{Kind: "general"}, newStateArena()
 	for i, b := range e.regs {
 		if id := ar.node(nodeBool(b)); i < e.nSince {
 			st.Since = append(st.Since, id)
@@ -557,7 +555,6 @@ func encodeFast(e *FastEvaluator) (*evalState, error) {
 	ns := e.nSince
 	st := &evalState{
 		Kind:   "fast",
-		Steps:  e.steps,
 		SinceB: append([]bool(nil), e.regs[:ns]...),
 		LastB:  append([]bool(nil), e.regs[ns:]...),
 	}
@@ -654,6 +651,5 @@ func restoreFast(e *FastEvaluator, st *evalState) (ConditionEvaluator, error) {
 	}
 	copy(e.regs, st.SinceB)
 	copy(e.regs[ns:], st.LastB)
-	e.steps = st.Steps
 	return e, nil
 }

@@ -15,6 +15,7 @@ import (
 //	g since<=d h            == [t <- time] (g since (h and time >= t - d))
 //	previously<=d f         == [t <- time] previously (f and time >= t - d)
 //	throughout<=d f         == not previously<=d not f
+//	item("time")            == time (the item every state's timestamp is)
 //
 // The bounded forms introduce fresh time-anchored variables ($b0, $b1, ...)
 // exactly as in the paper's worked IBM example, which is what enables the
@@ -76,4 +77,9 @@ func (d *desugarer) formula(f Formula) Formula {
 	}
 }
 
-func (d *desugarer) term(t Term) Term { return MapTermChildren(t, d.ff, d.tf) }
+func (d *desugarer) term(t Term) Term {
+	if c, ok := t.(*Call); ok && c.Fn == "item" && len(c.Args) == 1 && EqualTerms(c.Args[0], CStr("time")) {
+		return Time()
+	}
+	return MapTermChildren(t, d.ff, d.tf)
+}

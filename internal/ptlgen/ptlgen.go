@@ -107,7 +107,7 @@ func MetricFormula(rng *rand.Rand) ptl.Formula {
 	if rng.Intn(5) == 0 {
 		f = &ptl.And{L: ptl.Ev("e1", ptl.V("U")), R: f}
 	}
-	return f
+	return g.clock(f)
 }
 
 func (g *gen) metric() ptl.Formula {
@@ -313,9 +313,9 @@ func ParamLog(rng *rand.Rand, h *history.History) Log {
 func ParamFormula(rng *rand.Rand, depth int) ptl.Formula {
 	g := &gen{rng: rng, class: rng.Intn(2) == 0, wild: rng.Intn(8) == 0}
 	if rng.Intn(5) == 0 {
-		return &ptl.Or{L: g.binder(), R: g.param(depth, false)}
+		return g.clock(&ptl.Or{L: g.binder(), R: g.param(depth, false)})
 	}
-	return &ptl.And{L: g.binder(), R: g.param(depth, false)}
+	return g.clock(&ptl.And{L: g.binder(), R: g.param(depth, false)})
 }
 
 func (g *gen) binder() ptl.Formula {
@@ -407,7 +407,7 @@ func (g *gen) paramAtom(in bool) ptl.Formula {
 // result always passes ptl.Check against Registry().
 func Formula(rng *rand.Rand, depth int) ptl.Formula {
 	g := &gen{rng: rng}
-	return g.formula(depth, nil)
+	return g.clock(g.formula(depth, nil))
 }
 
 // FormulaWithAggregates is Formula but may also nest temporal aggregate
@@ -415,7 +415,7 @@ func Formula(rng *rand.Rand, depth int) ptl.Formula {
 // out of the default generator).
 func FormulaWithAggregates(rng *rand.Rand, depth int) ptl.Formula {
 	g := &gen{rng: rng, aggs: true}
-	return g.formula(depth, nil)
+	return g.clock(g.formula(depth, nil))
 }
 
 // LinearFormula generates a closed formula of the family whose since-chains
@@ -426,7 +426,18 @@ func FormulaWithAggregates(rng *rand.Rand, depth int) ptl.Formula {
 // offset or side) and Formula's own atoms and subformulas.
 func LinearFormula(rng *rand.Rand, depth int) ptl.Formula {
 	g := &gen{rng: rng, vars: 2}
-	return ptl.Let("x1", ptl.Time(), ptl.Let("x2", g.item(), g.linear(depth, []string{"x1", "x2"})))
+	return g.clock(ptl.Let("x1", ptl.Time(), ptl.Let("x2", g.item(), g.linear(depth, []string{"x1", "x2"}))))
+}
+
+// clock writes one time term of f in three as item("time"), the item every
+// state's timestamp is, in draws after the formula's: a seed keeps its formula.
+func (g *gen) clock(f ptl.Formula) ptl.Formula {
+	ptl.WalkTerms(f, func(t ptl.Term) {
+		if c, ok := t.(*ptl.Call); ok && c.Fn == "time" && g.rng.Intn(3) == 0 {
+			c.Fn, c.Args = "item", []ptl.Term{ptl.CStr(history.TimeItem)}
+		}
+	})
+	return f
 }
 
 func (g *gen) linear(depth int, scope []string) ptl.Formula {

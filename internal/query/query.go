@@ -8,6 +8,7 @@ package query
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -73,10 +74,13 @@ func NewRegistry() *Registry {
 
 // RegisterPure installs a query function that is pure over the named
 // database items: its result depends only on the current values of reads
-// (which must list every item the function can touch). Purity enables the
-// evaluator's per-DB-state query cache and the engine's read-set
-// scheduling.
+// (which must list every item the function can touch, and not the clock,
+// time). Purity enables the evaluator's per-DB-state query cache and the
+// engine's read-set scheduling.
 func (r *Registry) RegisterPure(name string, arity int, reads []string, fn Func) error {
+	if slices.Contains(reads, history.TimeItem) {
+		return fmt.Errorf("query: pure function %s reads %q, the clock", name, history.TimeItem)
+	}
 	if err := r.Register(name, arity, fn); err != nil {
 		return err
 	}

@@ -37,6 +37,10 @@ func TestBuiltins(t *testing.T) {
 			t.Errorf("item(%v) = %v, %v; want null", name, v, err)
 		}
 	}
+	// A pure function's read set names items a write changes: not the clock.
+	if err := r.RegisterPure("now", 0, []string{"a", "time"}, nil); err == nil || r.Has("now") {
+		t.Errorf("a pure function reading time registered (%v)", err)
+	}
 	if _, err := r.Eval("item", st, nil); err == nil {
 		t.Error("wrong arity should error")
 	}

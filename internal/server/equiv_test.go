@@ -227,6 +227,16 @@ func normFirings(fs []adb.Firing) []adb.Firing {
 	return out
 }
 
+// TestReservedItemOverWire: a remote write of the item time is refused with
+// the engine's typed error, as in process.
+func TestReservedItemOverWire(t *testing.T) {
+	_, addr := startServer(t, Config{Engine: adb.NewEngine(adb.Config{})})
+	c := dial(t, addr)
+	if _, err := c.Exec(1, map[string]value.Value{"time": value.NewInt(99)}); !errors.Is(err, adb.ErrReservedItem) {
+		t.Fatalf("remote write of time: %v, want ErrReservedItem", err)
+	}
+}
+
 // TestDegradedOverWire checks graceful degradation across the network: a
 // WAL fault seals the engine, writes fail with ErrDegraded through the
 // client, while queries answer and subscriptions keep draining the

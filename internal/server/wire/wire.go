@@ -96,6 +96,7 @@ const (
 	CodeBusy       = "busy"
 	CodeCrossShard = "cross_shard"
 	CodeNotPrimary = "not_primary"
+	CodeReserved   = "reserved_item"
 	// CodeWalTruncated reports a replicate request whose resume position
 	// predates the primary's retained WAL head and which could not be
 	// served a snapshot bootstrap either.
@@ -167,6 +168,7 @@ var codeSentinels = []struct {
 	{CodeClosed, ErrSessionClosed},
 	{CodeCrossShard, ErrCrossShard},
 	{CodeNotPrimary, ErrNotPrimary},
+	{CodeReserved, adb.ErrReservedItem},
 	{CodeWalTruncated, ErrWalTruncated},
 }
 
