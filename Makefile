@@ -96,9 +96,16 @@ loc-pkgs:
 # overflow there, so the overflow suites (the two gap suites, DropWithGap
 # and Disconnect), the resume-by-sequence and drain suites and the client's
 # gap accounting (Overflow|Subscribe|GracefulDrain|ClientStatsGap) repeat
-# here as well.
+# here as well, with the order a backend promises its head observer: a
+# commit's firings before its reply (FiringsBeforeReply). The other two
+# readers of a backend's log head repeat too: the cluster router's fan-in,
+# which follows each local shard's log from a cursor beside its pipeline and
+# publishes the merged head beside the readers of the merged log
+# (Front|ClusterShard|Relay in ./internal/cluster), and a follower's read
+# side, which answers reads and subscriptions from the engine the applies
+# replace and publish (ReadSideParity|FollowerServes|KeepsOnFiring).
 stress:
-	$(GO) test -race -count=3 -run 'Fault|Degrad|Quarantine|Parallel|ConcurrentReader|IndexedSweepEquivalence|FixpointError|SteppedStatesNotPinned|Resting|QuiescentMemo|MemoSnapshot|Reentrant|Panic|Failpoint|Chaos|Failover|Lease|Promot|Replica|ShipAfterReply|PMap|PipelineCompacts|Overflow|Subscribe|GracefulDrain|ClientStatsGap' ./internal/adb ./internal/persist ./internal/replica ./internal/pmap ./internal/server
+	$(GO) test -race -count=3 -run 'Fault|Degrad|Quarantine|Parallel|ConcurrentReader|IndexedSweepEquivalence|FixpointError|SteppedStatesNotPinned|Resting|QuiescentMemo|MemoSnapshot|Reentrant|Panic|Failpoint|Chaos|Failover|Lease|Promot|Replica|ShipAfterReply|PMap|PipelineCompacts|Overflow|Subscribe|GracefulDrain|ClientStatsGap|FiringsBeforeReply|Front|ClusterShard|Relay|ReadSideParity|FollowerServes|KeepsOnFiring' ./internal/adb ./internal/persist ./internal/replica ./internal/pmap ./internal/server ./internal/cluster
 
 # allocgates runs the allocation gates of the commit path at three core
 # counts. The engine starts no goroutine of its own, so nothing they count

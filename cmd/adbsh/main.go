@@ -234,6 +234,9 @@ func (s *shell) exec(line string) error {
 		if !ok {
 			return errors.New("usage: item <name> <value>")
 		}
+		if name == "time" {
+			return fmt.Errorf("item %s: %w", name, adb.ErrReservedItem)
+		}
 		v, err := parseValue(strings.TrimSpace(vs))
 		if err != nil {
 			return err

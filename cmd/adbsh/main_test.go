@@ -212,3 +212,17 @@ func TestShellHealthAndRevive(t *testing.T) {
 		t.Error("revive without a rule should fail")
 	}
 }
+
+// TestReservedItemRefused: an item line may not set the item time, which
+// every state answers with its timestamp; the shell refuses it before it
+// builds an engine.
+func TestReservedItemRefused(t *testing.T) {
+	sh := &shell{}
+	defer sh.close()
+	if err := sh.exec(`item time 99`); !errors.Is(err, adb.ErrReservedItem) {
+		t.Fatalf("item time: %v, want ErrReservedItem", err)
+	}
+	if sh.eng != nil || sh.cfg.Initial != nil {
+		t.Fatal("a refused item line built an engine or an initial state")
+	}
+}

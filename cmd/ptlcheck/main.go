@@ -86,17 +86,9 @@ func main() {
 		return
 	}
 
-	var initItems map[string]json.RawMessage
-	if err := json.Unmarshal([]byte(*initJSON), &initItems); err != nil {
-		fatal(fmt.Errorf("bad -init: %w", err))
-	}
-	initial := map[string]ptlactive.Value{}
-	for k, raw := range initItems {
-		v, err := decodeValue(raw)
-		if err != nil {
-			fatal(err)
-		}
-		initial[k] = v
+	initial, err := decodeInit(*initJSON)
+	if err != nil {
+		fatal(err)
 	}
 
 	in := os.Stdin
@@ -189,6 +181,28 @@ func printFired(i int, ts int64, bindings []ptlactive.Binding) {
 		}
 		fmt.Printf("state %3d (time %4d): SATISFIED\n", i, ts)
 	}
+}
+
+// decodeInit builds the initial state from the -init JSON object. It
+// refuses the reserved item time, which every state answers with its
+// timestamp.
+func decodeInit(text string) (map[string]ptlactive.Value, error) {
+	var items map[string]json.RawMessage
+	if err := json.Unmarshal([]byte(text), &items); err != nil {
+		return nil, fmt.Errorf("bad -init: %w", err)
+	}
+	initial := map[string]ptlactive.Value{}
+	for k, raw := range items {
+		if k == "time" {
+			return nil, fmt.Errorf("bad -init: item %s: %w", k, ptlactive.ErrReservedItem)
+		}
+		v, err := decodeValue(raw)
+		if err != nil {
+			return nil, err
+		}
+		initial[k] = v
+	}
+	return initial, nil
 }
 
 // replayHistory feeds JSONL state lines into the engine.

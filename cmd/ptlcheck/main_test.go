@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"strings"
 	"testing"
 
@@ -80,5 +81,18 @@ func TestReplayHistoryErrors(t *testing.T) {
 	src := "{\"time\": 5}\n{\"time\": 3}"
 	if err := replayHistory(eng, strings.NewReader(src)); err == nil {
 		t.Error("non-increasing times should fail")
+	}
+}
+
+// TestReservedItemRefused: -init may not set the item time, which every
+// state answers with its timestamp; it is refused before an engine is
+// built.
+func TestReservedItemRefused(t *testing.T) {
+	if _, err := decodeInit(`{"a": 1, "time": 99}`); !errors.Is(err, ptlactive.ErrReservedItem) {
+		t.Fatalf("decodeInit: %v, want ErrReservedItem", err)
+	}
+	initial, err := decodeInit(`{"a": 1}`)
+	if err != nil || len(initial) != 1 || initial["a"].String() != "1" {
+		t.Fatalf("decodeInit: %v, %v", initial, err)
 	}
 }

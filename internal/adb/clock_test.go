@@ -7,6 +7,7 @@ import (
 
 	"ptlactive/internal/event"
 	"ptlactive/internal/naive"
+	"ptlactive/internal/persist"
 	"ptlactive/internal/ptl"
 	"ptlactive/internal/value"
 )
@@ -90,9 +91,53 @@ func TestClockItemIsTime(t *testing.T) {
 	}
 }
 
-// TestReservedItemRefused: a transaction may not write or delete the item
-// time; the refusal is typed, and the engine is unchanged.
+// TestReservedItemRefused: neither a transaction nor an initial state may
+// set the item time. A transaction's write or delete is refused, typed, and
+// leaves the engine unchanged; NewEngine panics on such a Config.Initial,
+// and Restore and OpenFollower over an empty directory return the error
+// and log nothing. A log an older engine wrote with time in its initial
+// state still restores as written.
 func TestReservedItemRefused(t *testing.T) {
+	initial := map[string]value.Value{"time": value.NewInt(99)}
+	func() {
+		defer func() {
+			if err, _ := recover().(error); !errors.Is(err, ErrReservedItem) {
+				t.Fatalf("NewEngine panicked with %v, want ErrReservedItem", err)
+			}
+		}()
+		NewEngine(Config{Initial: initial})
+	}()
+	dir := t.TempDir()
+	if _, err := Restore(Config{Initial: initial, NoFsync: true}, dir); !errors.Is(err, ErrReservedItem) {
+		t.Fatalf("Restore: %v, want ErrReservedItem", err)
+	}
+	if _, err := OpenFollower(Config{Initial: initial}, dir); !errors.Is(err, ErrReservedItem) {
+		t.Fatalf("OpenFollower: %v, want ErrReservedItem", err)
+	}
+	st, res, err := persist.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Snapshot != nil || len(res.Tail) != 0 {
+		t.Fatalf("a refused open logged %d records", len(res.Tail))
+	}
+	// What an older engine wrote: its init record carries the item.
+	old, err := attachStore(Config{Initial: initial}, nil, st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := old.Close(); err != nil {
+		t.Fatal(err)
+	}
+	restored, err := Restore(Config{NoFsync: true}, dir)
+	if err != nil {
+		t.Fatalf("Restore of an older log: %v", err)
+	}
+	if v, _ := restored.DB().Get("time"); v.AsInt() != 99 {
+		t.Fatalf("restored initial time = %v, want 99 as logged", v)
+	}
+	restored.Close()
+
 	e := NewEngine(Config{})
 	for _, err := range []error{
 		e.Exec(1, map[string]value.Value{"time": value.NewInt(99)}),

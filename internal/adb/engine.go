@@ -6,6 +6,7 @@
 package adb
 
 import (
+	"fmt"
 	"io"
 	"math"
 	"sort"
@@ -156,13 +157,16 @@ type pendingAction struct {
 type Config struct {
 	// Registry supplies the query functions; nil means just the built-ins.
 	Registry *query.Registry
-	// Initial is the initial database state.
+	// Initial is the initial database state. It may not set the reserved
+	// item time (ErrReservedItem).
 	Initial map[string]value.Value
 	// Start is the timestamp of the initial system state.
 	Start int64
 	// OnFiring, when set, observes every firing as it happens, like the
 	// first Engine.OnFiring registration: a mutator it calls is refused
-	// with ErrReentrant.
+	// with ErrReentrant. Restore and OpenFollower call it for the firings
+	// their replay derives too, and a follower for those of every applied
+	// batch and, once promoted, of its own commits.
 	OnFiring func(Firing)
 	// Workers is ignored: the temporal component runs on the committing
 	// goroutine.
@@ -203,11 +207,33 @@ type Config struct {
 
 // NewEngine creates a memory-only engine with an initial state at
 // Config.Start; durable engines are opened with Restore. The init record is
-// encoded from the initial state when a log or a snapshot needs it.
+// encoded from the initial state when a log or a snapshot needs it. It
+// panics on a durable Config, and with an error wrapping ErrReservedItem on
+// an initial state that sets the item time.
 func NewEngine(cfg Config) *Engine {
 	if cfg.Durability != DurabilityOff {
 		panic("adb: NewEngine is memory-only; open durable engines with Restore")
 	}
+	if err := checkInitial(cfg.Initial); err != nil {
+		panic(err)
+	}
+	return newMemEngine(cfg)
+}
+
+// checkInitial refuses an initial state that sets the reserved item time,
+// which every state answers with its timestamp.
+func checkInitial(initial map[string]value.Value) error {
+	if _, ok := initial[history.TimeItem]; ok {
+		return fmt.Errorf("adb: Config.Initial: %w", ErrReservedItem)
+	}
+	return nil
+}
+
+// newMemEngine builds the memory engine cfg describes, with the recovery
+// action table, without NewEngine's checks: an init record an older engine
+// wrote may set the item time, and its log must still replay as written.
+// A store is attached afterwards, if at all.
+func newMemEngine(cfg Config) *Engine {
 	reg := cfg.Registry
 	if reg == nil {
 		reg = query.NewRegistry()
@@ -222,6 +248,7 @@ func NewEngine(cfg Config) *Engine {
 		itemIndex:   map[string][]*rule{},
 		maxFailures: cfg.MaxRuleFailures,
 		onRuleFault: cfg.OnRuleFault,
+		actions:     cfg.Actions,
 	}
 	if cfg.OnFiring != nil {
 		e.observers = []firingObserver{{fn: cfg.OnFiring}}

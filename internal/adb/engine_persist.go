@@ -266,6 +266,8 @@ func openDir(cfg Config, dir string) (*opened, error) {
 			tail = tail[1:]
 			o.replayed = 1
 		}
+	default:
+		err = checkInitial(cfg.Initial) // attachStore logs it in an empty directory
 	}
 	if err != nil {
 		st.Close()
@@ -326,15 +328,6 @@ func (e *Engine) initRecord() (*persist.InitRecord, error) {
 	rec := e.initRec
 	rec.Initial = initial
 	return &rec, nil
-}
-
-// newMemEngine builds the memory engine cfg describes and hands it the
-// recovery action table; a store is attached afterwards, if at all.
-func newMemEngine(cfg Config) *Engine {
-	cfg.Durability = DurabilityOff
-	e := NewEngine(cfg)
-	e.actions = cfg.Actions
-	return e
 }
 
 // engineFromInit builds a fresh engine from a persisted init record plus

@@ -28,7 +28,8 @@ var (
 	// action, which runs after the temporal component (Section 8).
 	ErrReentrant = errors.New("engine mutator called from inside its temporal component")
 	// ErrReservedItem reports a transaction that writes or deletes the item
-	// time, which every state answers with its timestamp.
+	// time, which every state answers with its timestamp, or an initial
+	// state (Config.Initial) that sets it.
 	ErrReservedItem = errors.New("the reserved item time cannot be written")
 	// ErrInternal reports a broken engine invariant (a must-not-fail encode
 	// path that failed anyway).

@@ -85,7 +85,7 @@ type Front struct {
 	gaps    []mergedGap
 	nextSeq int
 
-	obs atomic.Pointer[func(server.FiringEvent)]
+	obs atomic.Pointer[func(int)]
 
 	// replaying is set while New merges the shards' historical backlogs:
 	// relay firings seen then were already forwarded (the emit is in the
@@ -219,7 +219,6 @@ func (f *Front) fanIn() {
 			}
 		}
 		f.mu.Lock()
-		entry := server.FiringEvent{F: fe.F, Seq: f.nextSeq, Gap: fe.Gap}
 		if fe.Gap > 0 {
 			// A gap means this shard's firing subscription overflowed. Any
 			// relay firings inside it were never forwarded — rules homed
@@ -229,16 +228,16 @@ func (f *Front) fanIn() {
 			// seen, so as a merged-stream loss figure it is an upper bound.)
 			f.gapLoss[msg.shard] += fe.Gap
 			f.logf("cluster: shard %d firing subscription gapped (%d lost); any cross-shard relay firings in the gap were not forwarded", msg.shard, fe.Gap)
-			entry.F = adb.Firing{}
 			f.gaps = append(f.gaps, mergedGap{at: f.firings.Len(), seq: f.nextSeq, n: fe.Gap})
 			f.nextSeq += fe.Gap
 		} else {
 			f.firings.Append(fe.F)
 			f.nextSeq++
 		}
+		head := f.nextSeq
 		f.mu.Unlock()
 		if fn := f.obs.Load(); fn != nil {
-			(*fn)(entry)
+			(*fn)(head)
 		}
 	}
 }
@@ -439,7 +438,7 @@ func (f *Front) GoRevive(name string, done func(error)) {
 	f.shards[home].GoRevive(name, done)
 }
 
-func (f *Front) OnFiring(fn func(server.FiringEvent)) (cancel func()) {
+func (f *Front) OnHead(fn func(head int)) (cancel func()) {
 	f.obs.Store(&fn)
 	return func() { f.obs.CompareAndSwap(&fn, nil) }
 }

@@ -55,9 +55,6 @@ func MustSchema(cols ...Column) *Schema {
 // Arity returns the number of columns.
 func (s *Schema) Arity() int { return len(s.cols) }
 
-// Columns returns the columns in order. The result must not be mutated.
-func (s *Schema) Columns() []Column { return s.cols }
-
 // ColumnIndex returns the position of a named column, or -1.
 func (s *Schema) ColumnIndex(name string) int {
 	if i, ok := s.index[name]; ok {
@@ -104,17 +101,6 @@ type Relation struct {
 // New creates an empty relation over the schema.
 func New(schema *Schema) *Relation {
 	return &Relation{schema: schema, keys: make(map[string]bool)}
-}
-
-// FromRows creates a relation and inserts the given rows.
-func FromRows(schema *Schema, rows [][]value.Value) (*Relation, error) {
-	r := New(schema)
-	for _, row := range rows {
-		if err := r.Insert(row); err != nil {
-			return nil, err
-		}
-	}
-	return r, nil
 }
 
 // Schema returns the relation's schema.

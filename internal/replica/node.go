@@ -19,7 +19,8 @@ import (
 // promotion it becomes a primary: the follower's engine gets the store
 // attached, an epoch record fences the change, and a normal
 // EngineBackend pipeline plus Shipper take over — with firing sequence
-// continuity, since both sides number firings by absolute log index.
+// continuity, since a firing's sequence number is its index in the one
+// engine's log.
 type Node struct {
 	// Reads answers Now, Items, Firings, Rules and Health from the node's
 	// current engine in either role (see engine).
@@ -29,13 +30,10 @@ type Node struct {
 	eng atomic.Pointer[adb.Engine]
 
 	mu  sync.Mutex // serializes apply, bootstrap and promote
-	cfg adb.Config
 	fol *adb.Follower
 
 	// Post-promotion (or primary-from-start) state. be and shipper are
-	// set exactly once, under mu, with promoted flipping last-to-first:
-	// promoted is set before be so Node.fired stops double-counting the
-	// moment the backend's own observer takes over.
+	// set exactly once, under mu, before promoted flips.
 	be       *server.EngineBackend
 	shipper  *Shipper
 	promoted atomic.Bool
@@ -47,34 +45,25 @@ type Node struct {
 	leader    string
 	advertise string
 
-	// Follower-side firing fan-out: seq is the next absolute firing
-	// index, obs the single server observer, live gates out the replay
-	// inside OpenFollower (those firings are counted by the seq reseed).
-	seq  int
-	obs  atomic.Pointer[func(server.FiringEvent)]
-	live atomic.Bool
+	// obs is the single head observer: a follower's applies publish to
+	// it, and after promotion the backend's forwarder does.
+	obs atomic.Pointer[func(int)]
 }
 
 // NewFollower opens (creating if needed) the follower directory and
 // returns a Node in follower role. cfg supplies the runtime-only engine
-// pieces; cfg.OnFiring is taken over by the node (the server subscribes
-// through it). primary is the upstream address hint; advertise is this
-// node's own client address, reported once promoted.
+// pieces, cfg.OnFiring among them: it observes the firings the applied
+// batches derive, and those of the engine after promotion. primary is the
+// upstream address hint; advertise is this node's own client address,
+// reported once promoted.
 func NewFollower(cfg adb.Config, dir, primary, advertise string) (*Node, error) {
-	n := &Node{leader: primary, advertise: advertise}
-	n.Reads = server.ReadsOf(n.engine)
-	cfg.OnFiring = n.fired
 	fol, err := adb.OpenFollower(cfg, dir)
 	if err != nil {
 		return nil, err
 	}
-	n.cfg = cfg
-	n.fol = fol
-	if eng := fol.Engine(); eng != nil {
-		n.seq = eng.FiringCount()
-		n.eng.Store(eng)
-	}
-	n.live.Store(true)
+	n := &Node{fol: fol, leader: primary, advertise: advertise}
+	n.Reads = server.ReadsOf(n.engine)
+	n.eng.Store(fol.Engine())
 	return n, nil
 }
 
@@ -85,25 +74,25 @@ func NewPrimary(be *server.EngineBackend, advertise string) *Node {
 	n := &Node{be: be, shipper: NewShipper(be), advertise: advertise, leader: advertise}
 	n.Reads = server.ReadsOf(n.engine)
 	n.eng.Store(be.Engine())
+	be.OnHead(n.publish)
 	n.promoted.Store(true)
-	n.live.Store(true)
 	return n
 }
 
-// fired is the follower engine's firing callback: it runs inside
-// ApplyFrames (under n.mu), assigning absolute sequence numbers and
-// feeding the server's broadcast observer. After promotion the
-// EngineBackend's own observer carries the stream, with the same
-// numbering, so fired steps aside.
-func (n *Node) fired(f adb.Firing) {
-	if n.promoted.Load() || !n.live.Load() {
-		return
-	}
-	n.eng.Store(n.fol.Engine()) // the log read must hold it, in the init frame's batch too
-	fe := server.FiringEvent{F: f, Seq: n.seq}
-	n.seq++
+// publish hands the firing log's head to the head observer.
+func (n *Node) publish(head int) {
 	if fn := n.obs.Load(); fn != nil {
-		(*fn)(fe)
+		(*fn)(head)
+	}
+}
+
+// install makes the follower's engine the one reads answer from (the
+// init frame and a bootstrap create it) and publishes its log head, so
+// the firings the batch derived are readable before they are announced.
+func (n *Node) install() {
+	if eng := n.fol.Engine(); eng != nil {
+		n.eng.Store(eng)
+		n.publish(eng.FiringCount())
 	}
 }
 
@@ -116,7 +105,7 @@ func (n *Node) Apply(data []byte, epoch int64) (int, error) {
 		return 0, fmt.Errorf("replica: node was promoted; stream must stop")
 	}
 	applied, err := n.fol.ApplyFrames(data, epoch)
-	n.eng.Store(n.fol.Engine()) // the init frame creates it
+	n.install()
 	return applied, err
 }
 
@@ -124,8 +113,8 @@ func (n *Node) Apply(data []byte, epoch int64) (int, error) {
 // position fell behind the primary's retained WAL head (see
 // adb.Follower.BootstrapSnapshot). The stream loop calls it when a snap
 // frame sequence completes; the engine is rebuilt from the snapshot and
-// the firing sequence reseeds to the snapshot's absolute count, exactly
-// as a restored primary would number them.
+// the firing log's head is the snapshot's absolute count, exactly as a
+// restored primary would number its firings.
 func (n *Node) Bootstrap(data []byte, lsn int64) error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -135,10 +124,7 @@ func (n *Node) Bootstrap(data []byte, lsn int64) error {
 	if err := n.fol.BootstrapSnapshot(data, lsn); err != nil {
 		return err
 	}
-	if eng := n.fol.Engine(); eng != nil {
-		n.seq = eng.FiringCount()
-		n.eng.Store(eng)
-	}
+	n.install()
 	return nil
 }
 
@@ -188,18 +174,13 @@ func (n *Node) Promote(newEpoch int64) error {
 	if err != nil {
 		return err
 	}
-	// Order matters: promoted first, so fired() yields the firing stream
-	// to the backend observer the moment it exists; the backend seeds its
-	// sequence from len(firings), which equals n.seq at this quiescent
-	// point, so subscribers see one continuous numbering across roles.
-	n.promoted.Store(true)
+	// Both roles publish the same engine's log head, so subscribers see
+	// one continuous numbering across the promotion.
 	n.eng.Store(eng)
-	be := server.NewEngineBackend(eng)
-	if fn := n.obs.Load(); fn != nil {
-		be.OnFiring(*fn)
-	}
-	n.be = be
-	n.shipper = NewShipper(be)
+	n.be = server.NewEngineBackend(eng)
+	n.be.OnHead(n.publish)
+	n.shipper = NewShipper(n.be)
+	n.promoted.Store(true)
 	n.leaderMu.Lock()
 	n.leader = n.advertise
 	n.leaderMu.Unlock()
@@ -289,20 +270,9 @@ func (n *Node) GoRevive(name string, done func(error)) {
 	done(n.notPrimary())
 }
 
-func (n *Node) OnFiring(fn func(server.FiringEvent)) (cancel func()) {
+func (n *Node) OnHead(fn func(head int)) (cancel func()) {
 	n.obs.Store(&fn)
-	var beCancel func()
-	n.mu.Lock()
-	if n.be != nil {
-		beCancel = n.be.OnFiring(fn)
-	}
-	n.mu.Unlock()
-	return func() {
-		n.obs.CompareAndSwap(&fn, nil)
-		if beCancel != nil {
-			beCancel()
-		}
-	}
+	return func() { n.obs.CompareAndSwap(&fn, nil) }
 }
 
 func (n *Node) Barrier() {

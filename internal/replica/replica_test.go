@@ -11,6 +11,7 @@ import (
 	"reflect"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -568,5 +569,57 @@ func TestPrimaryRestartEveryBatchBoundary(t *testing.T) {
 		st.Stop()
 		c.Close()
 		p.shutdown() // the batch boundary kill
+	}
+}
+
+// TestFollowerKeepsOnFiring: a follower's Config.OnFiring is the
+// embedder's. It sees the firings the applied batches derive, in order,
+// and still sees them once the node is promoted and commits itself.
+func TestFollowerKeepsOnFiring(t *testing.T) {
+	pdir, fdir := t.TempDir(), t.TempDir()
+	p := startPrimary(t, pdir, 0)
+	c := dialT(t, p.addr)
+	if err := c.AddTrigger("hot", `item("a") > 5`); err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	var seen []int64
+	observed := func() []int64 {
+		mu.Lock()
+		defer mu.Unlock()
+		return append([]int64(nil), seen...)
+	}
+	cfg := adb.Config{NoFsync: true, OnFiring: func(f adb.Firing) {
+		mu.Lock()
+		seen = append(seen, f.Time)
+		mu.Unlock()
+	}}
+	fln := listenT(t)
+	fn, err := NewFollower(cfg, fdir, p.addr, fln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := StartStream(fn, StreamConfig{Primary: p.addr, BackoffBase: 2 * time.Millisecond})
+	for i := 1; i <= 3; i++ {
+		if _, err := c.Exec(int64(i), map[string]value.Value{"a": value.NewInt(9)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitLSN(t, fn, p.node.LastLSN())
+	if got := observed(); !reflect.DeepEqual(got, []int64{1, 2, 3}) {
+		t.Fatalf("follower's OnFiring saw firings at %v, want [1 2 3]", got)
+	}
+
+	st.Stop()
+	p.shutdown()
+	if err := fn.Promote(2); err != nil {
+		t.Fatal(err)
+	}
+	fc := dialT(t, serveNode(t, fn, fln))
+	if _, err := fc.Exec(10, map[string]value.Value{"a": value.NewInt(7)}); err != nil {
+		t.Fatal(err)
+	}
+	if got := observed(); !reflect.DeepEqual(got, []int64{1, 2, 3, 10}) {
+		t.Fatalf("after promotion the OnFiring saw firings at %v, want [1 2 3 10]", got)
 	}
 }

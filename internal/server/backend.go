@@ -2,7 +2,6 @@ package server
 
 import (
 	"fmt"
-	"math"
 	"sync"
 	"sync/atomic"
 
@@ -49,15 +48,15 @@ type Backend interface {
 	// GoRevive lifts a rule's quarantine.
 	GoRevive(name string, done func(error))
 
-	// OnFiring registers the single firing observer, called for every
-	// subsequent firing (and gap) in sequence order from one goroutine at
-	// a time, once the entry is in the log Firings reads. The returned
-	// cancel removes it. Observers only observe and should hand the event
-	// off quickly: they run on the backend's firing-producing goroutine,
+	// OnHead registers the single head observer, called with the firing
+	// log's next sequence number once new entries are readable through
+	// Firings, before the reply of the operation that appended them, from
+	// one goroutine at a time. The returned cancel removes it. The
+	// observer runs on the backend's firing-producing goroutine, possibly
 	// inside the engine call that fired, where the engine refuses its own
 	// mutators with adb.ErrReentrant and a backend mutator would queue
-	// behind the call that is running it.
-	OnFiring(fn func(FiringEvent)) (cancel func())
+	// behind the call that is running it: it should only hand the head off.
+	OnHead(fn func(head int)) (cancel func())
 
 	// Now returns the current engine time (the max across shards, for a
 	// sharded backend).
@@ -100,11 +99,8 @@ type EngineBackend struct {
 	pipeDone chan struct{}
 	// after runs on the pipeline goroutine after every op (see AfterOps).
 	after func()
-	// seq is the next firing's absolute index; touched only on the
-	// pipeline goroutine (the engine observer runs inside pipeline ops).
-	seq int
 
-	obs       atomic.Pointer[func(FiringEvent)]
+	obs       atomic.Pointer[func(int)]
 	cancelObs func()
 	closeOnce sync.Once
 	closeErr  error
@@ -122,7 +118,6 @@ func NewEngineBackend(eng *adb.Engine) *EngineBackend {
 		ops:      make(chan func(), 256),
 		pipeDone: make(chan struct{}),
 	}
-	b.seq = eng.FiringCount()
 	b.cancelObs = eng.OnFiring(b.fired)
 	go b.pipeline()
 	return b
@@ -167,13 +162,11 @@ func (b *EngineBackend) pipeline() {
 func (b *EngineBackend) AfterOps(fn func()) { b.after = fn }
 
 // fired runs inside the engine call that produced the firing, on the
-// pipeline goroutine, so observers see firings in exactly the engine's
-// order with consecutive sequence numbers.
-func (b *EngineBackend) fired(f adb.Firing) {
-	fe := FiringEvent{F: f, Seq: b.seq}
-	b.seq++
+// pipeline goroutine, once the firing is in the log: the observer sees
+// every head in order, each before the reply of the operation that fired.
+func (b *EngineBackend) fired(adb.Firing) {
 	if fn := b.obs.Load(); fn != nil {
-		(*fn)(fe)
+		(*fn)(b.eng.FiringCount())
 	}
 }
 
@@ -220,23 +213,27 @@ func (b *EngineBackend) GoRevive(name string, done func(error)) {
 	b.ops <- func() { done(b.eng.ReviveRule(name)) }
 }
 
-func (b *EngineBackend) OnFiring(fn func(FiringEvent)) (cancel func()) {
+func (b *EngineBackend) OnHead(fn func(head int)) (cancel func()) {
 	b.obs.Store(&fn)
 	return func() { b.obs.CompareAndSwap(&fn, nil) }
 }
 
 // Follow streams the whole firing log through fn: the backlog first, then
-// every live firing, each exactly once in order. The switchover happens at
-// the serialization point, so nothing is lost or duplicated. Follow takes
-// the single observer slot (it is OnFiring with a backlog); the cluster
-// router's per-shard fan-in uses it.
+// every live firing, each exactly once in order, read from a cursor at
+// each head as a subscriber's writer reads it. Follow takes the single
+// head observer slot; the cluster router's per-shard fan-in uses it.
 func (b *EngineBackend) Follow(fn func(FiringEvent)) {
-	b.ops <- func() {
-		_, backlog := Backlog(b.eng, 0, math.MaxInt)
-		for _, fe := range backlog {
+	next := 0
+	follow := func(head int) {
+		_, fes := Backlog(b.eng, next, head-next)
+		for _, fe := range fes {
 			fn(fe)
 		}
-		b.obs.Store(&fn)
+		next += len(fes)
+	}
+	b.ops <- func() {
+		follow(b.eng.FiringCount())
+		b.OnHead(follow)
 	}
 }
 

@@ -207,18 +207,20 @@ func New(cfg Config) (*Server, error) {
 		sessions:  map[*session]struct{}{},
 		subs:      map[*session]struct{}{},
 	}
-	s.cancelObs = s.be.OnFiring(s.broadcast)
+	s.cancelObs = s.be.OnHead(s.broadcast)
 	head, _, _ := s.be.Firings(math.MaxInt, 0) // a log not readable starts at 0
 	s.head.CompareAndSwap(0, int64(head))      // unless a firing has published it
 	return s, nil
 }
 
-// broadcast publishes the log head past one firing (or gap) and wakes the
-// subscribed sessions' writers, which read the log themselves. It runs on
-// the backend's firing-producing goroutine, inside the call that produced
-// the firing, serial with the commits themselves, so it does no more.
-func (s *Server) broadcast(fe FiringEvent) {
-	s.head.Store(int64(fe.Seq + max(fe.Gap, 1)))
+// broadcast publishes a new log head and wakes the subscribed sessions'
+// writers, which read the log themselves; a head already published wakes
+// nobody. It runs on the backend's firing-producing goroutine, serial with
+// the commits themselves, so it does no more.
+func (s *Server) broadcast(head int) {
+	if s.head.Swap(int64(head)) == int64(head) {
+		return
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for sess := range s.subs {

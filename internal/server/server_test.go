@@ -6,11 +6,14 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"reflect"
 	"testing"
 	"time"
 
 	"ptlactive/client"
 	"ptlactive/internal/adb"
+	"ptlactive/internal/event"
+	"ptlactive/internal/histio"
 	"ptlactive/internal/server/wire"
 	"ptlactive/internal/value"
 )
@@ -410,6 +413,77 @@ func TestOverflowDropWithGap(t *testing.T) {
 		t.Fatalf("frame %+v, want firing seq %d", m, total)
 	}
 	t.Logf("%d firings, %d gaps", total+1, gaps)
+}
+
+// TestFiringsBeforeReply: a commit's firings reach a subscribed connection
+// before that commit's reply, over both codecs. The backend publishes the
+// log head before the operation's done callback queues the reply, and the
+// writer sends the firings below a frame's head before the frame; a head
+// published after the reply would put the reply first.
+func TestFiringsBeforeReply(t *testing.T) {
+	for _, codec := range []wire.Codec{wire.CodecJSON, wire.CodecBinary} {
+		t.Run(codec.String(), func(t *testing.T) {
+			eng := adb.NewEngine(adb.Config{})
+			for _, cond := range []string{`@tick(A)`, `@tick(A) and A > 0`} {
+				if err := eng.AddTrigger(cond, cond, nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+			_, conn := pipeServer(t, Config{Engine: eng})
+			defer conn.Close()
+			conn.SetDeadline(time.Now().Add(10 * time.Second))
+			hello := wire.Hello()
+			hello.Codecs = []string{codec.String()}
+			if err := wire.WriteFrame(conn, hello); err != nil {
+				t.Fatal(err)
+			}
+			if m, err := wire.ReadFrame(conn); err != nil || m.Codec != codec.String() {
+				t.Fatalf("handshake: %+v, %v", m, err)
+			}
+			call := func(m *wire.Msg) (firings []int) {
+				t.Helper()
+				if err := wire.WriteFrameC(conn, m, codec); err != nil {
+					t.Fatal(err)
+				}
+				for {
+					r, err := wire.ReadFrameC(conn, codec)
+					if err != nil {
+						t.Fatal(err)
+					}
+					switch {
+					case r.T == wire.TypeFiring:
+						if r.Firing != nil {
+							firings = append(firings, r.Firing.Seq)
+						}
+						for _, f := range r.Firings {
+							firings = append(firings, f.Seq)
+						}
+					case r.ID == m.ID && r.T != wire.TypeError:
+						return firings
+					default:
+						t.Fatalf("frame %+v while waiting for the reply to %d", r, m.ID)
+					}
+				}
+			}
+			call(&wire.Msg{T: wire.TypeSubscribe, ID: 1})
+			seq := 0
+			for i := 0; i < 20; i++ {
+				ev, err := histio.EncodeEvents([]event.Event{event.New("tick", value.NewInt(int64(i%2)))})
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := []int{seq}
+				if i%2 == 1 {
+					want = append(want, seq+1)
+				}
+				got := call(&wire.Msg{T: wire.TypeEmit, ID: uint64(i + 2), Events: ev})
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("emit %d: firings %v before its reply, want %v", i, got, want)
+				}
+				seq += len(want)
+			}
+		})
+	}
 }
 
 // TestOverflowDisconnect: a subscriber the writer finds more than

@@ -227,10 +227,16 @@ func WithScheduling(s Scheduling) RuleOption { return adb.WithScheduling(s) }
 // integrity constraint; use errors.Is.
 var ErrConstraintViolation = adb.ErrConstraintViolation
 
+// ErrReservedItem reports a write or delete of the item time, which every
+// state answers with its timestamp, or a Config.Initial that sets it;
+// use errors.Is.
+var ErrReservedItem = adb.ErrReservedItem
+
 // ConstraintError carries the violated constraint's name.
 type ConstraintError = adb.ConstraintError
 
-// NewEngine creates an engine.
+// NewEngine creates an engine. It panics, with an error wrapping
+// ErrReservedItem, on a Config.Initial that sets the item time.
 func NewEngine(cfg Config) *Engine { return adb.NewEngine(cfg) }
 
 // ---- Fault isolation, resource governance, degradation ----
