@@ -18,11 +18,11 @@ vet:
 	$(GO) vet ./...
 
 # fmtcheck also refuses a command binary tracked at the repository root
-# (`go build ./cmd/adbsh` leaves one there; .gitignore lists the five).
+# (`go build ./cmd/adbsh` leaves one there; .gitignore lists the four).
 fmtcheck:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
-	@out=$$(git ls-files adbsh adbserverd adbrouterd benchtables ptlcheck); if [ -n "$$out" ]; then \
+	@out=$$(git ls-files adbsh adbserverd benchtables ptlcheck); if [ -n "$$out" ]; then \
 		echo "binaries tracked at the root:"; echo "$$out"; exit 1; fi
 
 # govulncheck is optional tooling; the gate runs it when installed and
@@ -42,7 +42,7 @@ vulncheck:
 # engine answers past-value reads from its history states, and a second
 # copy of history (the deleted auxiliary relations) must not creep back.
 depcheck:
-	@out=$$($(GO) list -deps ./cmd/adbserverd ./cmd/adbrouterd ./cmd/adbsh | \
+	@out=$$($(GO) list -deps ./cmd/adbserverd ./cmd/adbsh | \
 		grep -E '^ptlactive/internal/(naive|ee|vtime|agg|experiments|ptlgen)$$'); \
 	if [ -n "$$out" ]; then \
 		echo "serving binaries link reference-only packages:"; echo "$$out"; exit 1; fi
@@ -201,10 +201,13 @@ replica-smoke:
 retain-smoke:
 	sh scripts/retain_smoke.sh
 
-# cluster-smoke boots adbrouterd over two durable in-process shards,
-# drives a scripted session with a cross-shard relay rule through
-# adbsh -connect, asserts that a commit spanning shards is refused,
-# then SIGTERMs the router and asserts a clean graceful drain (exit 0).
+# cluster-smoke boots adbserverd -local 2 over two durable, checkpointing
+# in-process shards, drives a scripted session with a cross-shard relay
+# rule through adbsh -connect, asserts that a commit spanning shards is
+# refused and that a shard checkpointed, SIGKILLs and restarts the front
+# and asserts the rules, data and relayed firing survive, then SIGTERMs it
+# and asserts a clean graceful drain (exit 0); last, each flag combination
+# a cluster front refuses must exit non-zero with its message.
 cluster-smoke:
 	sh scripts/cluster_smoke.sh
 

@@ -45,7 +45,7 @@
 // again during recovery.
 //
 // Remote mode: -connect host:port runs the commands against an adbserverd
-// or adbrouterd over the network. The engine-local commands are
+// (one engine or a cluster front) over the network. The engine-local commands are
 // unavailable there; `follow <n>` is added, subscribing to the server's
 // firing stream and printing the next n firings, and `role` reports the
 // server's replication role, leader hint, epoch and LSN.

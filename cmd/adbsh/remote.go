@@ -16,12 +16,12 @@ import (
 )
 
 // remote executes shell commands as a client of a server: an adbserverd
-// or adbrouterd over the network (-connect), or the in-process server of
-// a shell, which sends it every command the two modes share. The
-// engine-local commands (item, save, recover, eval, export, show history)
-// report that they are unavailable instead of guessing. `follow <n>` and
-// `role` are remote-only: follow subscribes to the server's firing stream
-// and prints the next n firings as FIRE lines.
+// over the network (-connect), one engine or a cluster front, or the
+// in-process server of a shell, which sends it every command the two
+// modes share. The engine-local commands (item, save, recover, eval,
+// export, show history) report that they are unavailable instead of
+// guessing. `follow <n>` and `role` are remote-only: follow subscribes to
+// the server's firing stream and prints the next n firings as FIRE lines.
 type remote struct {
 	cli *client.Client
 }

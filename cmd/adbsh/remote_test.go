@@ -21,7 +21,7 @@ func startTestServer(t *testing.T) string {
 	eng := adb.NewEngine(adb.Config{
 		Initial: map[string]value.Value{"ibm": value.NewInt(10)},
 	})
-	srv, err := server.New(server.Config{Engine: eng})
+	srv, err := server.New(server.Config{Backend: server.NewEngineBackend(eng)})
 	if err != nil {
 		t.Fatal(err)
 	}

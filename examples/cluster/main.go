@@ -36,7 +36,7 @@ func keyOwnedBy(p cluster.Partitioner, shard int, prefix string) string {
 
 func main() {
 	// Three in-process shards, each with its own commit pipeline, behind
-	// one router. With adbrouterd this is `-local 3`; here we assemble
+	// one router. With adbserverd this is `-local 3`; here we assemble
 	// the same pieces directly.
 	const nShards = 3
 	shards := make([]cluster.Shard, nShards)

@@ -24,7 +24,7 @@ func main() {
 	eng := adb.NewEngine(adb.Config{
 		Initial: map[string]value.Value{"temp": value.NewInt(20)},
 	})
-	srv, err := server.New(server.Config{Engine: eng})
+	srv, err := server.New(server.Config{Backend: server.NewEngineBackend(eng)})
 	if err != nil {
 		log.Fatal(err)
 	}

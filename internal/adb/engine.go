@@ -460,7 +460,9 @@ func (e *Engine) Compact() int {
 	e.mu.Lock()
 	min := e.hist.Len() - 1 // always keep the newest state
 	for _, r := range e.rules {
-		if c := e.cursorOf(r); c < min {
+		// A rule that is not contiguous jumps to the newest state when it
+		// wakes (advanceRule), so it never reads the states behind it.
+		if c := e.cursorOf(r); r.contiguous && c < min {
 			min = c
 		}
 	}
@@ -477,11 +479,15 @@ func (e *Engine) Compact() int {
 	e.base += min
 	for _, r := range e.rules {
 		r.cursor -= min
+		if !r.contiguous {
+			r.cursor = max(r.cursor, 0)
+		}
 	}
-	// Meaningful only while some rule is parked, and then min <= them; a
-	// resting rule's cursor field moves with them.
-	e.parked.cursor -= min
-	e.parkedConstraints.cursor -= min
+	// Only a rule that is not contiguous, or a group cursor only such rules
+	// share, may lie below min; those clamp at 0. A resting rule's cursor
+	// field shifts unclamped: settle compares it with its group's.
+	e.parked.cursor = max(e.parked.cursor-min, 0)
+	e.parkedConstraints.cursor = max(e.parkedConstraints.cursor-min, 0)
 	e.mu.Unlock()
 	// Compaction moves base and the oldest state ItemAsOf answers, so it
 	// replays. A failed append seals the engine (logRecord) and surfaces

@@ -18,8 +18,8 @@ import (
 func startBackendServer(t *testing.T) string {
 	t.Helper()
 	srv, err := server.New(server.Config{
-		Engine: adb.NewEngine(adb.Config{}),
-		Logf:   t.Logf,
+		Backend: server.NewEngineBackend(adb.NewEngine(adb.Config{})),
+		Logf:    t.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -33,7 +33,7 @@ func FanoutRun(commits, subs int) (time.Duration, int) {
 		panic(err)
 	}
 	srv, err := server.New(server.Config{
-		Engine:          eng,
+		Backend:         server.NewEngineBackend(eng),
 		MaxConns:        subs + 9,
 		SubscriberQueue: 2 * commits,
 	})

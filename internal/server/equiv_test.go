@@ -80,7 +80,7 @@ func runRemoteEquivalence(t *testing.T, workers int, codecs []string, wantCodec 
 	// The subscriber below starts from 0 after the commits: its queue
 	// holds the whole backlog (up to three firings a commit), not the
 	// default 256.
-	_, addr := startServer(t, Config{Engine: eng, SubscriberQueue: 4096})
+	_, addr := startServer(t, Config{Backend: NewEngineBackend(eng), SubscriberQueue: 4096})
 
 	admin := dialCodec(t, addr, codecs, wantCodec)
 	for _, r := range equivRules {
@@ -230,7 +230,7 @@ func normFirings(fs []adb.Firing) []adb.Firing {
 // TestReservedItemOverWire: a remote write of the item time is refused with
 // the engine's typed error, as in process.
 func TestReservedItemOverWire(t *testing.T) {
-	_, addr := startServer(t, Config{Engine: adb.NewEngine(adb.Config{})})
+	_, addr := startServer(t, Config{Backend: NewEngineBackend(adb.NewEngine(adb.Config{}))})
 	c := dial(t, addr)
 	if _, err := c.Exec(1, map[string]value.Value{"time": value.NewInt(99)}); !errors.Is(err, adb.ErrReservedItem) {
 		t.Fatalf("remote write of time: %v, want ErrReservedItem", err)
@@ -249,7 +249,7 @@ func TestDegradedOverWire(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, addr := startServer(t, Config{Engine: eng})
+	_, addr := startServer(t, Config{Backend: NewEngineBackend(eng)})
 	c := dial(t, addr)
 	if err := c.AddTrigger("hot", `item("a") > 5`); err != nil {
 		t.Fatal(err)
@@ -321,7 +321,7 @@ func TestDegradedOverWire(t *testing.T) {
 func TestCrossCodecStreams(t *testing.T) {
 	initial := map[string]value.Value{"a": value.NewInt(0), "b": value.NewInt(50)}
 	eng := adb.NewEngine(adb.Config{Initial: initial})
-	_, addr := startServer(t, Config{Engine: eng})
+	_, addr := startServer(t, Config{Backend: NewEngineBackend(eng)})
 
 	admin := dial(t, addr)
 	for _, r := range equivRules {

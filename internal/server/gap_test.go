@@ -67,7 +67,7 @@ func TestSubscribeBacklogOverflowGap(t *testing.T) {
 	if n := eng.FiringCount(); n != 301 {
 		t.Fatalf("%d firings, want 301", n)
 	}
-	_, conn := pipeServer(t, Config{Engine: eng})
+	_, conn := pipeServer(t, Config{Backend: NewEngineBackend(eng)})
 	c, err := client.New(conn)
 	if err != nil {
 		t.Fatal(err)
@@ -89,7 +89,7 @@ func TestSubscribeBacklogOverflowGap(t *testing.T) {
 // the marker.
 func TestLiveOverflowGap(t *testing.T) {
 	eng := gapEngine(t, 0)
-	_, conn := pipeServer(t, Config{Engine: eng, WriteTimeout: 30 * time.Second})
+	_, conn := pipeServer(t, Config{Backend: NewEngineBackend(eng), WriteTimeout: 30 * time.Second})
 	c, err := client.New(conn)
 	if err != nil {
 		t.Fatal(err)

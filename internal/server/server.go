@@ -105,12 +105,9 @@ type RoleInfo struct {
 
 // Config configures a Server.
 type Config struct {
-	// Engine is the active database to serve; the server wraps it in an
-	// EngineBackend and becomes its only mutator. Exactly one of Engine
-	// and Backend must be set.
-	Engine *adb.Engine
-	// Backend, when set, is served instead of constructing an
-	// EngineBackend — the cluster router plugs in here.
+	// Backend is what the server serves and becomes the only mutator of:
+	// an EngineBackend around one engine, a replication node or a cluster
+	// front. Required.
 	Backend Backend
 	// MaxConns bounds concurrent sessions (default 64); connections beyond
 	// it are refused with a busy error frame.
@@ -173,15 +170,11 @@ type wireEntry struct {
 	fj       wire.FiringJSON
 }
 
-// New creates a server around cfg.Engine (starting its commit pipeline)
-// or cfg.Backend. The engine or backend must not be mutated by anyone
-// else from here on; Shutdown closes it.
+// New creates a server around cfg.Backend. The backend must not be
+// mutated by anyone else from here on; Shutdown closes it.
 func New(cfg Config) (*Server, error) {
-	if cfg.Engine == nil && cfg.Backend == nil {
-		return nil, fmt.Errorf("server: one of Config.Engine and Config.Backend is required")
-	}
-	if cfg.Engine != nil && cfg.Backend != nil {
-		return nil, fmt.Errorf("server: Config.Engine and Config.Backend are mutually exclusive")
+	if cfg.Backend == nil {
+		return nil, fmt.Errorf("server: Config.Backend is required")
 	}
 	if cfg.MaxConns <= 0 {
 		cfg.MaxConns = 64
@@ -195,13 +188,9 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
 	}
-	be := cfg.Backend
-	if be == nil {
-		be = NewEngineBackend(cfg.Engine)
-	}
 	s := &Server{
 		cfg:       cfg,
-		be:        be,
+		be:        cfg.Backend,
 		quit:      make(chan struct{}),
 		closeDone: make(chan struct{}),
 		sessions:  map[*session]struct{}{},

@@ -18,14 +18,14 @@ import (
 	"ptlactive/internal/value"
 )
 
-// startServer runs a server around a fresh engine (or cfg.Engine) on a
+// startServer runs a server around a fresh engine (or cfg.Backend) on a
 // loopback listener and tears it down with the test.
 func startServer(t *testing.T, cfg Config) (*Server, string) {
 	t.Helper()
-	if cfg.Engine == nil {
-		cfg.Engine = adb.NewEngine(adb.Config{
+	if cfg.Backend == nil {
+		cfg.Backend = NewEngineBackend(adb.NewEngine(adb.Config{
 			Initial: map[string]value.Value{"a": value.NewInt(0)},
-		})
+		}))
 	}
 	srv, err := New(cfg)
 	if err != nil {
@@ -121,7 +121,7 @@ func TestAutoTimestamp(t *testing.T) {
 
 func TestConstraintOverWire(t *testing.T) {
 	eng := adb.NewEngine(adb.Config{Initial: map[string]value.Value{"a": value.NewInt(5)}})
-	_, addr := startServer(t, Config{Engine: eng})
+	_, addr := startServer(t, Config{Backend: NewEngineBackend(eng)})
 	c := dial(t, addr)
 	err := c.AddConstraint("monotone", `[x <- item("a")] not previously (item("a") > x)`)
 	if err != nil {
@@ -168,7 +168,7 @@ func TestServedRegistrationRefusesUnrecoverableScheduling(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			srv, addr := startServer(t, Config{Engine: eng})
+			srv, addr := startServer(t, Config{Backend: NewEngineBackend(eng)})
 			c := dial(t, addr)
 			if err := c.AddTrigger("x", `item("a") > 0`, sched); err == nil {
 				t.Error("registration accepted")
@@ -300,10 +300,10 @@ func TestSubscribeBacklogAndLive(t *testing.T) {
 // overflow is deterministic.
 func pipeServer(t *testing.T, cfg Config) (*Server, net.Conn) {
 	t.Helper()
-	if cfg.Engine == nil {
-		cfg.Engine = adb.NewEngine(adb.Config{
+	if cfg.Backend == nil {
+		cfg.Backend = NewEngineBackend(adb.NewEngine(adb.Config{
 			Initial: map[string]value.Value{"a": value.NewInt(0)},
-		})
+		}))
 	}
 	srv, err := New(cfg)
 	if err != nil {
@@ -344,7 +344,7 @@ func TestOverflowDropWithGap(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, conn := pipeServer(t, Config{
-		Engine:          eng,
+		Backend:         NewEngineBackend(eng),
 		SubscriberQueue: q,
 		Overflow:        DropWithGap,
 		WriteTimeout:    30 * time.Second,
@@ -429,7 +429,7 @@ func TestFiringsBeforeReply(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			_, conn := pipeServer(t, Config{Engine: eng})
+			_, conn := pipeServer(t, Config{Backend: NewEngineBackend(eng)})
 			defer conn.Close()
 			conn.SetDeadline(time.Now().Add(10 * time.Second))
 			hello := wire.Hello()
@@ -502,7 +502,7 @@ func TestOverflowDisconnect(t *testing.T) {
 			}
 		}
 		_, conn := pipeServer(t, Config{
-			Engine:          eng,
+			Backend:         NewEngineBackend(eng),
 			SubscriberQueue: q,
 			Overflow:        Disconnect,
 			WriteTimeout:    30 * time.Second,
@@ -618,7 +618,7 @@ func TestClientStatsGapFirings(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, conn := pipeServer(t, Config{
-		Engine:          eng,
+		Backend:         NewEngineBackend(eng),
 		SubscriberQueue: 2,
 		Overflow:        DropWithGap,
 		WriteTimeout:    30 * time.Second,

@@ -25,7 +25,7 @@ func TestStorageQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, addr := startServer(t, Config{Engine: eng})
+	_, addr := startServer(t, Config{Backend: NewEngineBackend(eng)})
 	c := dial(t, addr)
 	for ts := int64(1); ts <= 20; ts++ {
 		if _, err := c.Exec(ts, map[string]value.Value{"a": value.NewInt(ts)}); err != nil {
@@ -57,8 +57,9 @@ func TestStorageQueryMemoryEngine(t *testing.T) {
 }
 
 // TestPipelineCompacts: the commit pipeline compacts its engine every
-// compactEvery operations, so after 10·compactEvery commits a memory and a
-// WAL-only durable backend each retain at most compactEvery+1 states.
+// compactEvery operations, so after 10·compactEvery commits a memory (on
+// both engines) and a WAL-only durable backend each retain at most
+// compactEvery+1 states, though one rule's event never occurs.
 // Restoring the WAL-only directory replays the logged compactions to the
 // same past (base, retained states, firings, database), and readers run
 // beside the compactions throughout.
@@ -75,10 +76,18 @@ func TestPipelineCompacts(t *testing.T) {
 		eng  *adb.Engine
 	}{
 		{"memory", adb.NewEngine(adb.Config{Initial: initial})},
+		{"coarse", adb.NewCoarseEngine(adb.Config{Initial: initial})},
 		{"wal", durable},
 	} {
 		be := NewEngineBackend(tc.eng)
 		be.GoRule("rise", `[x <- item("a")] lasttime item("a") < x`, false, int(adb.Eager), func(err error) {
+			if err != nil {
+				t.Errorf("%s: rule: %v", tc.name, err)
+			}
+		})
+		// Never woken: no alarm occurs, and a Relevant rule that is not
+		// temporal reads only the newest state when one does.
+		be.GoRule("alarm", `@alarm(X)`, false, int(adb.Relevant), func(err error) {
 			if err != nil {
 				t.Errorf("%s: rule: %v", tc.name, err)
 			}

@@ -25,7 +25,7 @@ func TestClientSharedConcurrent(t *testing.T) {
 			eng := adb.NewEngine(adb.Config{
 				Initial: map[string]value.Value{"a": value.NewInt(0), "b": value.NewInt(0)},
 			})
-			_, addr := startServer(t, Config{Engine: eng})
+			_, addr := startServer(t, Config{Backend: NewEngineBackend(eng)})
 			c := dialCodec(t, addr, codec.codecs, codec.want)
 
 			const goroutines, commits = 8, 50
@@ -77,7 +77,7 @@ func TestClientPipelined(t *testing.T) {
 			eng := adb.NewEngine(adb.Config{
 				Initial: map[string]value.Value{"a": value.NewInt(0)},
 			})
-			_, addr := startServer(t, Config{Engine: eng})
+			_, addr := startServer(t, Config{Backend: NewEngineBackend(eng)})
 			c := dialCodec(t, addr, codec.codecs, codec.want)
 
 			const total, window = 200, 64
@@ -126,7 +126,7 @@ func TestClientPipelinedConcurrent(t *testing.T) {
 	eng := adb.NewEngine(adb.Config{
 		Initial: map[string]value.Value{"a": value.NewInt(0)},
 	})
-	_, addr := startServer(t, Config{Engine: eng})
+	_, addr := startServer(t, Config{Backend: NewEngineBackend(eng)})
 	c := dial(t, addr)
 
 	const goroutines, commits = 4, 100

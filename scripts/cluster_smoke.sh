@@ -1,39 +1,49 @@
 #!/bin/sh
 # cluster_smoke.sh — end-to-end smoke test of the sharded cluster: build
-# adbrouterd and adbsh, boot a router over two in-process shards on a
-# random port, run a scripted remote session through the ordinary shell
+# adbserverd and adbsh, boot adbserverd as a cluster front over two
+# durable in-process shards (checkpointing every 8 commits) on a random
+# port, run a scripted remote session through the ordinary shell
 # (single-shard commits, a cross-shard relay rule, the merged firing
-# subscription), assert that an actually cross-shard commit is refused,
-# then SIGTERM the router and assert a clean graceful drain (exit 0).
+# subscription), assert that an actually cross-shard commit is refused and
+# that the shards checkpoint, then SIGKILL the front, restart it over the
+# same directory and assert that the rules, the data and the relayed
+# firing survive and that relays still forward. Ends with a SIGTERM and a
+# clean graceful drain (exit 0), then checks that the four flag
+# combinations a cluster front refuses exit non-zero with their message.
 set -eu
 
 GO="${GO:-go}"
 tmp="$(mktemp -d)"
-router_pid=""
+server_pid=""
 cleanup() {
-    [ -n "$router_pid" ] && kill "$router_pid" 2>/dev/null || true
+    [ -n "$server_pid" ] && kill "$server_pid" 2>/dev/null || true
     rm -rf "$tmp"
 }
 trap cleanup EXIT INT TERM
 
-"$GO" build -o "$tmp/adbrouterd" ./cmd/adbrouterd
+"$GO" build -o "$tmp/adbserverd" ./cmd/adbserverd
 "$GO" build -o "$tmp/adbsh" ./cmd/adbsh
 
-"$tmp/adbrouterd" -addr 127.0.0.1:0 -port-file "$tmp/port" -local 2 \
-    -data "$tmp/data" 2>"$tmp/router.log" &
-router_pid=$!
+# start_server runs in the main shell (not a command substitution) so
+# server_pid survives; the bound address lands in $tmp/port.
+start_server() { # logfile
+    rm -f "$tmp/port"
+    "$tmp/adbserverd" -addr 127.0.0.1:0 -port-file "$tmp/port" -local 2 \
+        -data "$tmp/data" -snapshot-every 8 -keep-snapshots 1 2>"$1" &
+    server_pid=$!
+    i=0
+    while [ ! -s "$tmp/port" ]; do
+        i=$((i + 1))
+        if [ "$i" -gt 100 ]; then
+            echo "cluster-smoke: server never published its port" >&2
+            cat "$1" >&2
+            exit 1
+        fi
+        sleep 0.1
+    done
+}
 
-# Wait for the router to publish its bound address.
-i=0
-while [ ! -s "$tmp/port" ]; do
-    i=$((i + 1))
-    if [ "$i" -gt 100 ]; then
-        echo "cluster-smoke: router never published its port" >&2
-        cat "$tmp/router.log" >&2
-        exit 1
-    fi
-    sleep 0.1
-done
+start_server "$tmp/server.log"
 addr="$(cat "$tmp/port")"
 
 # Under FNV-1a mod 2, item "m0" hashes to shard 0 and event symbol
@@ -79,19 +89,94 @@ case "$err" in
 *) echo "cluster-smoke: refusal lacked the cross-shard error: $err" >&2; exit 1 ;;
 esac
 
-# Graceful drain: SIGTERM must yield exit 0 and the drain log line.
-kill -TERM "$router_pid"
-rc=0
-wait "$router_pid" || rc=$?
-router_pid=""
-if [ "$rc" -ne 0 ]; then
-    echo "cluster-smoke: router exited $rc on SIGTERM" >&2
-    cat "$tmp/router.log" >&2
+# Ten more commits on shard 0, none firing: past -snapshot-every 8, so
+# shard 0 has checkpointed, and the storage query sums the shards'.
+ts=10
+while [ "$ts" -le 19 ]; do
+    printf 'commit %d m0=1\n' "$ts"
+    ts=$((ts + 1))
+done > "$tmp/filler"
+"$tmp/adbsh" -connect "$addr" "$tmp/filler" > /dev/null
+snaps="$(printf 'storage\n' | "$tmp/adbsh" -connect "$addr" |
+    tr ' ' '\n' | sed -n 's/^snapshots=//p')"
+if [ "${snaps:-0}" -lt 1 ]; then
+    echo "cluster-smoke: no shard checkpointed (snapshots=$snaps)" >&2
     exit 1
 fi
-grep -q "clean drain" "$tmp/router.log" || {
-    echo "cluster-smoke: no clean-drain log line" >&2
-    cat "$tmp/router.log" >&2
+
+# SIGKILL, then restart over the same directory: each shard recovers
+# from its snapshot and log tail, the rules and relays come back, and the
+# front rebuilds the merged log without forwarding anything twice.
+kill -9 "$server_pid"
+wait "$server_pid" 2>/dev/null || true
+server_pid=""
+start_server "$tmp/server2.log"
+addr="$(cat "$tmp/port")"
+grep -q "shard 0: recovered: snapshot LSN [1-9]" "$tmp/server2.log" || {
+    echo "cluster-smoke: shard 0 did not recover from its snapshot" >&2
+    cat "$tmp/server2.log" >&2
     exit 1
 }
+printf 'show rules\nshow db\nshow firings\nemit 20 @sig1\nfollow 4\n' > "$tmp/after"
+out="$("$tmp/adbsh" -connect "$addr" "$tmp/after")"
+echo "$out"
+for rule in hot alarm; do
+    case "$out" in
+    *"$rule (trigger"*) ;;
+    *) echo "cluster-smoke: rule $rule lost across the restart" >&2; exit 1 ;;
+    esac
+done
+case "$out" in
+*"__relay"*) echo "cluster-smoke: relay trigger leaked into show rules after the restart" >&2; exit 1 ;;
+*) ;;
+esac
+case "$out" in
+*"m0=1"*) ;;
+*) echo "cluster-smoke: the last committed value was lost across the restart" >&2; exit 1 ;;
+esac
+case "$out" in
+*"alarm at 3"*) ;;
+*) echo "cluster-smoke: the relayed firing was lost across the restart" >&2; exit 1 ;;
+esac
+case "$out" in
+*"FIRE alarm at 20"*) ;;
+*) echo "cluster-smoke: the relay stopped forwarding after the restart" >&2; exit 1 ;;
+esac
+
+# Graceful drain: SIGTERM must yield exit 0 and the drain log line.
+kill -TERM "$server_pid"
+rc=0
+wait "$server_pid" || rc=$?
+server_pid=""
+if [ "$rc" -ne 0 ]; then
+    echo "cluster-smoke: server exited $rc on SIGTERM" >&2
+    cat "$tmp/server2.log" >&2
+    exit 1
+fi
+grep -q "clean drain" "$tmp/server2.log" || {
+    echo "cluster-smoke: no clean-drain log line" >&2
+    cat "$tmp/server2.log" >&2
+    exit 1
+}
+
+# refused checks that adbserverd exits non-zero with the message on the
+# flags; a cluster front refuses these before it listens or opens a shard.
+refused() { # message flags...
+    want="$1"
+    shift
+    rc=0
+    err="$("$tmp/adbserverd" -addr 127.0.0.1:0 "$@" 2>&1)" || rc=$?
+    if [ "$rc" -eq 0 ]; then
+        echo "cluster-smoke: adbserverd $* was accepted" >&2
+        exit 1
+    fi
+    case "$err" in
+    *"$want"*) ;;
+    *) echo "cluster-smoke: adbserverd $* refused without \"$want\": $err" >&2; exit 1 ;;
+    esac
+}
+refused "take neither -replica-of nor -lease" -local 2 -data "$tmp/refused" -replica-of 127.0.0.1:1
+refused "take neither -replica-of nor -lease" -local 2 -lease "$tmp/lease"
+refused "-local and -shards are mutually exclusive" -local 2 -shards 127.0.0.1:1
+refused "-data applies to -local shards only" -shards 127.0.0.1:1 -data "$tmp/refused"
 echo "cluster-smoke: ok"
